@@ -501,7 +501,6 @@ def _format_shard_table(router, replicas=None) -> str:
             f"{st.load:>10.1f}  {' '.join(flags)}"
         )
     row_skew = skew_coefficient(counts)
-    load_skew = router.load_skew() if hasattr(router, "load_skew") else 1.0
     ewma_skew = skew_coefficient([st.load for st in load_stats])
     lines.append(
         f"skew (max/mean): rows {row_skew:.2f}, recent load {ewma_skew:.2f}"

@@ -213,10 +213,10 @@ class RouterBinding(_MemoBinding):
         # rows — silently missing hits).  Already-memoised slices stay
         # valid forever; plan builders resolve every kept op at build
         # time, so executing a built plan never trips this.
-        self.layout_epoch = getattr(router, "layout_epoch", 0)
+        self.layout_epoch = router.layout_epoch
 
     def _check_layout(self) -> None:
-        live = getattr(self.router, "layout_epoch", 0)
+        live = self.router.layout_epoch
         if live != self.layout_epoch:
             raise StaleLayoutError(
                 f"binding pinned shard layout {self.layout_epoch}, "

@@ -318,8 +318,8 @@ class ProcessPlanExecutor:
         s = op.context.shard
         if s is None:
             raise _Unsupported("process execution needs sharded plan contexts")
-        if not getattr(self.engine.router, "prefix_exportable", True):
-            # Tiered routers page sealed windows to segment files, so no
+        if not self.engine.router.prefix_exportable:
+            # The segment store pages sealed windows to segment files, so no
             # contiguous in-memory shard prefix exists to export over
             # shared memory.  The executor's documented fallback runs the
             # whole plan in-process — byte-identical answers, same plan.
@@ -333,8 +333,8 @@ class ProcessPlanExecutor:
         # new-layout row ranges.  Detect the mismatch and take the
         # documented in-process fallback (the binding's memoised slices
         # make it byte-identical).
-        layout = getattr(router, "layout_epoch", 0)
-        if getattr(plan.binding, "layout_epoch", 0) != layout:
+        layout = router.layout_epoch
+        if plan.binding.layout_epoch != layout:
             raise _Unsupported("plan pinned an older shard layout")
         cuts = router.cuts(s)
         if c >= len(cuts):  # pragma: no cover - binding would have raised
@@ -342,9 +342,9 @@ class ProcessPlanExecutor:
         start = cuts[c]
         stop = start + len(sub)
         descriptor = self.registry.ensure(
-            s, stop, lambda: self._read_prefix(s), layout=layout
+            s, stop, lambda: router.shard_column(s), layout=layout
         )
-        if getattr(router, "layout_epoch", 0) != layout:
+        if router.layout_epoch != layout:
             # A rebalance raced the cut/prefix reads above; the ranges
             # may describe the new layout's rows.
             raise _Unsupported("shard layout changed during serialization")
@@ -365,18 +365,6 @@ class ProcessPlanExecutor:
         if isinstance(op, ScanOp) and op.emit == "result":
             spec["vectorise"] = op.vectorise
         return spec
-
-    def _read_prefix(self, s: int):
-        """Coherent committed prefix of shard ``s``: rows and aligned gids.
-
-        Gids are appended before rows commit (the router's documented
-        write order), so clamping the gid stream to the committed row
-        count always yields a fully-aligned pair.
-        """
-        router = self.engine.router
-        batch = router.database(s).raw_tuples()
-        gids = router.shard_gids(s)[: len(batch)]
-        return batch, gids
 
     # -- dispatch ------------------------------------------------------------
 
@@ -432,18 +420,17 @@ class ProcessPlanExecutor:
         # Record scan load on the router's tracker (workers do not time
         # their scans per-op, so seconds is None — the tracker keeps its
         # unit-based EWMA either way).
-        tracker = getattr(self.engine.router, "load", None)
-        if tracker is not None:
-            for op in ops:
-                per_query = (
-                    op.eval_unit_cost
-                    if getattr(op, "eval_unit_cost", None) is not None
-                    else float(max(op.context.n_rows, 1))
-                )
-                tracker.record_scan(
-                    op.context.shard, len(op.queries),
-                    per_query * len(op.queries), None,
-                )
+        tracker = self.engine.router.load
+        for op in ops:
+            per_query = (
+                op.eval_unit_cost
+                if getattr(op, "eval_unit_cost", None) is not None
+                else float(max(op.context.n_rows, 1))
+            )
+            tracker.record_scan(
+                op.context.shard, len(op.queries),
+                per_query * len(op.queries), None,
+            )
         return payloads  # type: ignore[return-value]
 
     def _kill(self, windex: int) -> None:

@@ -335,15 +335,13 @@ class ShardedQueryEngine:
         runtime = PlanRuntime(
             plan.binding, processor=materialise, hits=hits, prepare_hits=prepare_hits
         )
-        # Feed per-op scan load to the router's tracker (when it has
-        # one) so the adaptive rebalancer sees read skew, not just
-        # ingest skew.
-        tracker = getattr(self.router, "load", None)
+        # Feed per-op scan load to the router's tracker so the adaptive
+        # rebalancer sees read skew, not just ingest skew.
         return PlanExecutor(
             runtime,
             pool=self._executor,
             planner=self._planner,
-            load=tracker.record_scan if tracker is not None else None,
+            load=self.router.load.record_scan,
         )
 
     def execute(

@@ -21,16 +21,25 @@ shard count.  That alignment is what lets the sharded query engine
 (:mod:`repro.query.sharded`) return answers byte-identical across shard
 counts.
 
-Global window-for-time resolution needs no merged stream either: with a
-time-sorted global stream, the number of global tuples at or before time
-``t`` is the sum of per-shard ``searchsorted`` positions, because routing
-preserves per-shard time order.
+Global window-for-time resolution needs no merged stream either: the
+router keeps the first-tuple time of every started global window, and
+with a time-sorted global stream (the ingest contract :meth:`ShardRouter.ingest`
+enforces) the window responsible for time ``t`` is the last one whose
+first tuple is at or before ``t``.
+
+*Where* a shard's rows live is not the router's business: it delegates
+that — and only that — to a window store.  :class:`ResidentWindowStore`
+(here) keeps every shard's column in RAM; the durable
+:class:`~repro.storage.tiered.SegmentWindowStore` keeps an open tail
+plus a bounded set of sealed windows over segment files and a WAL.
+Routing, gids, cuts, epochs, sketches, load statistics and the lock are
+the router's alone, whichever store sits under it.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -39,7 +48,7 @@ from repro.data.windows import window_boundaries_in
 from repro.geo.coords import BoundingBox
 from repro.geo.region import RefinedRegionGrid, RegionGrid
 from repro.storage.engine import Database
-from repro.storage.load import ShardLoadStat, ShardLoadTracker, skew_coefficient
+from repro.storage.load import ShardLoadStat, ShardLoadTracker
 from repro.storage.sketch import WindowSketch
 
 
@@ -51,45 +60,133 @@ class StaleLayoutError(RuntimeError):
     byte-identical across a rebalance."""
 
 
-class ShardRouter:
-    """Routes an append-only tuple stream across per-region databases.
+class _ShardColumn:
+    """One shard's resident rows: a growable window-partitioned column
+    set plus the aligned global stream positions (gids), appended per
+    ingest and concatenated lazily.  The gid is the partition-invariant
+    identity the exact gather path orders hits by."""
 
-    ``h`` is the *global* count-window size the query layer aligns to;
-    each shard's own database is window-partitioned with the same ``h``
-    (shard-local windows, used by per-shard servers for cover storage and
-    sealed-window caching — deliberately distinct from the global cuts).
+    def __init__(self, h: int) -> None:
+        self.db = Database.for_enviro_meter(partition_h=h)
+        self._gid_parts: List[np.ndarray] = []
+        self._gid_cache: Optional[np.ndarray] = None
 
-    The global stream must be delivered in time order (the append-only
-    sensing contract the rest of the system already assumes); per-shard
-    streams then stay time-sorted too.
+    def append(self, sub: TupleBatch, gids: np.ndarray) -> None:
+        # Gids first, rows second: a lock-free reader that sees a shard
+        # row can then always resolve its gid, never the reverse (extra
+        # gids past the committed rows are inert).
+        self._gid_parts.append(gids)
+        self._gid_cache = None
+        self.db.ingest_tuples(sub)
+
+    def gids(self) -> np.ndarray:
+        cached = self._gid_cache
+        if cached is None:
+            parts = self._gid_parts
+            cached = (
+                np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+            )
+            self._gid_cache = cached
+        return cached
+
+
+class ResidentWindowStore:
+    """Window store that keeps every shard's whole column in RAM.
+
+    A window store answers one question for the router — *where do shard
+    ``s``'s rows live* — through :meth:`log` (durability hook, before
+    any state changes), :meth:`append` (one shard's share of a batch, in
+    stream order), :meth:`window` (the rows of one ``(shard, window)``
+    slice, given the shard-local row range the router's cuts assign it),
+    :meth:`seal` (after a batch is applied) and :meth:`column` (a
+    shard's whole column, the input of a layout re-cut).  It holds no
+    lock of its own: every call arrives under the router's.
     """
 
-    #: The process-parallel executor's shared-memory export path reads
-    #: each shard's rows as one contiguous in-memory prefix; routers
-    #: that page sealed windows out (the durable tier) set this False
-    #: and execute in-process instead.
+    #: Each shard's rows are one contiguous in-memory prefix, which is
+    #: what the process-parallel executor exports over shared memory.
     prefix_exportable = True
+
+    def __init__(self, n_shards: int, h: int) -> None:
+        self.h = h
+        self._columns = [_ShardColumn(h) for _ in range(n_shards)]
+
+    def log(self, start_row: int, batch: TupleBatch) -> None:
+        """Nothing to make durable: a resident store dies with the process."""
+
+    def append(self, s: int, sub: TupleBatch, gids: np.ndarray) -> None:
+        self._columns[s].append(sub, gids)
+
+    def seal(self, router: "ShardRouter") -> None:
+        """Sealed windows stay where they are."""
+
+    def window(self, s: int, c: int, start: int, stop: int):
+        """Zero-copy ``(rows, gids)`` of shard-local rows ``[start, stop)``."""
+        batch, gids = self.column(s)
+        return batch.slice(start, stop), gids[start:stop]
+
+    def column(self, s: int):
+        """Coherent ``(rows, gids)`` of shard ``s``'s whole committed
+        column.  Gids are appended before rows commit, so clamping the
+        gid stream to the committed row count always aligns the pair."""
+        batch = self._columns[s].db.raw_tuples()
+        return batch, self._columns[s].gids()[: len(batch)]
+
+    def recut(self, n_slots: int, rebuilt, touched) -> "ResidentWindowStore":
+        """The store of a re-cut layout, built aside: ``touched`` slots
+        start empty, ``rebuilt`` maps slot -> (rows, gids) in gid order,
+        every other slot shares its column with this store — which is
+        never mutated, so a reader pinned on it keeps a coherent view of
+        the retired layout forever."""
+        store = ResidentWindowStore(0, self.h)
+        columns = list(self._columns)
+        columns.extend([None] * (n_slots - len(columns)))
+        for slot in touched:
+            columns[slot] = _ShardColumn(self.h)
+        for slot, (batch, gids) in rebuilt.items():
+            if len(batch):
+                columns[slot].append(batch, gids)
+        store._columns = columns
+        return store
+
+
+class ShardRouter:
+    """Routes an append-only tuple stream across per-region shards.
+
+    ``h`` is the *global* count-window size the query layer aligns to.
+    The router owns everything that defines a window — routing, gids,
+    the global cuts, content and layout epochs, zone-map sketches, load
+    statistics and the one lock — and delegates where a shard's rows
+    live to its window store (:class:`ResidentWindowStore` here; the
+    durable :class:`~repro.storage.tiered.TieredShardRouter` plugs in a
+    segment-file store and adds nothing else to the protocol).
+
+    The global stream must be delivered in time order (the append-only
+    sensing contract the rest of the system already assumes, enforced
+    by :meth:`ingest`); per-shard streams then stay time-sorted too.
+    """
 
     def __init__(self, grid: RegionGrid, h: int = 240) -> None:
         if h <= 0:
             raise ValueError("window size h must be positive")
         self.grid = grid
         self.h = h
-        self._dbs = [
-            Database.for_enviro_meter(partition_h=h) for _ in range(grid.n_regions)
-        ]
         self._global_rows = 0
+        self._shard_rows = [0] * grid.n_regions
         # _cuts[s][c] = number of shard-s tuples among the first c*h global
         # rows; one entry per *started* global window, starting with the
         # trivial cut at window 0.
         self._cuts: List[List[int]] = [[0] for _ in range(grid.n_regions)]
-        # Per-shard global stream positions (gids), appended per ingest and
-        # concatenated lazily.  The gid is the partition-invariant identity
-        # the exact gather path orders hits by.
-        self._gid_parts: List[List[np.ndarray]] = [[] for _ in range(grid.n_regions)]
-        self._gid_cache: List[Optional[np.ndarray]] = [None] * grid.n_regions
+        # First-tuple time of every started global window (a growable
+        # buffer; entries below global_window_count() are valid) — the
+        # always-resident table windows_for_times searches.
+        self._first_ts = np.empty(64, dtype=np.float64)
+        # Timestamp of the last accepted tuple: the floor the ingest
+        # contract holds the next batch to.
+        self._last_t = -np.inf
         # Writer serialisation: one ingest at a time keeps the global row
-        # counter, the cut offsets and the gid parts mutually consistent.
+        # counter, the cut offsets and the gids mutually consistent.  The
+        # store is only ever called with this lock held.
         self._lock = threading.RLock()
         self._epoch = 0
         # Per shard: global window c -> epoch of the last ingest that
@@ -114,6 +211,11 @@ class ShardRouter:
         # Per-shard load statistics (ingest rows under this lock, scan
         # observations from executor threads) — the rebalancer's input.
         self.load = ShardLoadTracker(grid.n_regions)
+        self._store = self._open_store()
+
+    def _open_store(self):
+        """The window store this router's rows live in."""
+        return ResidentWindowStore(self.grid.n_regions, self.h)
 
     # -- topology ----------------------------------------------------------
 
@@ -121,12 +223,20 @@ class ShardRouter:
     def n_shards(self) -> int:
         return self.grid.n_regions
 
-    def database(self, s: int) -> Database:
-        return self._dbs[s]
-
     @property
-    def databases(self) -> Sequence[Database]:
-        return tuple(self._dbs)
+    def prefix_exportable(self) -> bool:
+        """Whether the store keeps each shard's rows as one contiguous
+        in-memory prefix (:meth:`shard_column`), which the
+        process-parallel executor's shared-memory export reads.  A store
+        that pages sealed windows out does not, and plans over it
+        execute in-process instead."""
+        return self._store.prefix_exportable
+
+    def shard_column(self, s: int):
+        """Coherent ``(rows, gids)`` of shard ``s``'s whole committed
+        column, gids strictly increasing (routing preserves global order
+        per shard).  Only a :attr:`prefix_exportable` store has one."""
+        return self._store.column(s)
 
     def global_count(self) -> int:
         """Total tuples ingested across all shards."""
@@ -141,7 +251,8 @@ class ShardRouter:
     @property
     def layout_epoch(self) -> int:
         """Monotone layout epoch: +1 per :meth:`split_shard` /
-        :meth:`merge_cell` re-cut.  Unchanged by ordinary ingest."""
+        :meth:`merge_cell` re-cut.  Unchanged by ordinary ingest (and
+        therefore 0 forever over a store that refuses re-cuts)."""
         return self._layout_epoch
 
     def shard_load_stats(self) -> List[ShardLoadStat]:
@@ -149,10 +260,6 @@ class ShardRouter:
         scan queries/units/seconds and the EWMA recent-load estimate the
         rebalancer ranks shards on."""
         return self.load.snapshot()
-
-    def load_skew(self) -> float:
-        """Max/mean skew of per-shard tuple counts (1.0 = balanced)."""
-        return skew_coefficient(self.shard_counts())
 
     def shard_window_epoch(self, s: int, c: int) -> int:
         """Epoch of the last ingest that delivered global-window-``c``
@@ -164,7 +271,7 @@ class ShardRouter:
 
     def shard_counts(self) -> List[int]:
         """Per-shard tuple counts (sums to :meth:`global_count`)."""
-        return [db.raw_count() for db in self._dbs]
+        return list(self._shard_rows)
 
     # -- ingest ------------------------------------------------------------
 
@@ -175,60 +282,92 @@ class ShardRouter:
     def ingest(self, batch: TupleBatch) -> List[int]:
         """Append a batch, routing each tuple to its owning shard.
 
-        Returns the number of tuples delivered per shard.  Order within a
-        shard follows global stream order, and the per-shard cut offsets
-        for every global window boundary the batch crosses are recorded
-        before the counters advance.
+        Returns the number of tuples delivered per shard.  The batch
+        must honour the ingest contract — finite timestamps, time-sorted,
+        starting no earlier than the last accepted tuple — or it is
+        rejected with ``ValueError`` before the store logs it and before
+        any state changes: one late tuple would silently corrupt
+        :meth:`windows_for_times` for every later query.  An accepted
+        batch is logged by the store first (durable before acknowledged),
+        applied, and then the store seals whatever windows it completed.
         """
         n = len(batch)
         if not n:
             return [0] * self.n_shards
         with self._lock:
-            # Sized under the lock: a split/merge re-cut between an
-            # unlocked read and routing would widen the slot range.
-            delivered = [0] * self.n_shards
-            owners = self.route(batch)
-            start = self._global_rows
-            boundaries = window_boundaries_in(start, n, self.h)
-            prior = [db.raw_count() for db in self._dbs]
-            gids = np.arange(start, start + n, dtype=np.int64)
-            self._epoch += 1
-            for s in np.unique(owners):
-                s = int(s)
-                member = owners == s
-                # Gids first, rows second: a lock-free reader that sees a
-                # shard row can then always resolve its gid, never the
-                # reverse (extra gids past the committed rows are inert).
-                self._gid_parts[s].append(gids[member])
-                self._gid_cache[s] = None
-                sub = batch.select_mask(member)
-                delivered[s] = self._dbs[s].ingest_tuples(sub)
-                self.load.record_ingest(s, delivered[s])
-                wins = gids[member] // self.h
-                for c in np.unique(wins):
-                    c = int(c)
-                    self._window_epochs[s][c] = self._epoch
-                    # Widen the window's zone map by exactly the rows
-                    # this delivery added to it — the sketch then always
-                    # describes the rows the fresh stamp counts.
-                    in_c = wins == c
-                    self._sketches[s][c] = self._sketches[s].get(
-                        c, WindowSketch.EMPTY
-                    ).extended(sub.t[in_c], sub.x[in_c], sub.y[in_c], sub.s[in_c])
-            if len(boundaries):
-                # positions_s[k] = batch-local row of shard s's k-th tuple;
-                # the number of shard-s tuples before global boundary b is
-                # then a binary search over it — one vectorised call per
-                # shard for all boundaries the batch crosses.
-                local_b = np.asarray(boundaries, dtype=np.int64) - start
-                for s in range(self.n_shards):
-                    if not delivered[s]:  # absent from the batch: cuts are flat
-                        self._cuts[s].extend([prior[s]] * len(local_b))
-                        continue
-                    positions = np.flatnonzero(owners == s)
-                    cuts = prior[s] + np.searchsorted(positions, local_b)
-                    self._cuts[s].extend(int(cut) for cut in cuts)
-            self._global_rows += n
+            if not np.isfinite(batch.t).all():
+                raise ValueError("ingest batch has a non-finite timestamp")
+            if not batch.is_time_sorted():
+                raise ValueError("ingest batch is not time-sorted")
+            if batch.t[0] < self._last_t:
+                raise ValueError(
+                    f"ingest batch starts at t={float(batch.t[0])}, before the "
+                    f"last accepted timestamp {self._last_t}"
+                )
+            self._store.log(self._global_rows, batch)
+            delivered = self._apply(batch)
+            self._store.seal(self)
+        return delivered
+
+    def _apply(self, batch: TupleBatch) -> List[int]:
+        """Apply an accepted batch (caller holds the lock): order within
+        a shard follows global stream order, and the per-shard cut
+        offsets for every global window boundary the batch crosses are
+        recorded before the counters advance.  Recovery replays a WAL
+        tail through this same body."""
+        n = len(batch)
+        # Sized under the lock: a split/merge re-cut between an
+        # unlocked read and routing would widen the slot range.
+        delivered = [0] * self.n_shards
+        owners = self.route(batch)
+        start = self._global_rows
+        boundaries = window_boundaries_in(start, n, self.h)
+        prior = list(self._shard_rows)
+        gids = np.arange(start, start + n, dtype=np.int64)
+        self._epoch += 1
+        # First-tuple time of every window starting inside this batch
+        # (global rows c0*h, (c0+1)*h, ... of the stream).
+        c0 = -(-start // self.h)
+        firsts = batch.t[c0 * self.h - start :: self.h]
+        if c0 + len(firsts) > len(self._first_ts):
+            grown = np.empty(2 * (c0 + len(firsts)), dtype=np.float64)
+            grown[:c0] = self._first_ts[:c0]
+            self._first_ts = grown
+        self._first_ts[c0 : c0 + len(firsts)] = firsts
+        for s in np.unique(owners):
+            s = int(s)
+            member = owners == s
+            sub = batch.select_mask(member)
+            self._store.append(s, sub, gids[member])
+            delivered[s] = len(sub)
+            self._shard_rows[s] += len(sub)
+            self.load.record_ingest(s, delivered[s])
+            wins = gids[member] // self.h
+            for c in np.unique(wins):
+                c = int(c)
+                self._window_epochs[s][c] = self._epoch
+                # Widen the window's zone map by exactly the rows
+                # this delivery added to it — the sketch then always
+                # describes the rows the fresh stamp counts.
+                in_c = wins == c
+                self._sketches[s][c] = self._sketches[s].get(
+                    c, WindowSketch.EMPTY
+                ).extended(sub.t[in_c], sub.x[in_c], sub.y[in_c], sub.s[in_c])
+        if len(boundaries):
+            # positions_s[k] = batch-local row of shard s's k-th tuple;
+            # the number of shard-s tuples before global boundary b is
+            # then a binary search over it — one vectorised call per
+            # shard for all boundaries the batch crosses.
+            local_b = np.asarray(boundaries, dtype=np.int64) - start
+            for s in range(self.n_shards):
+                if not delivered[s]:  # absent from the batch: cuts are flat
+                    self._cuts[s].extend([prior[s]] * len(local_b))
+                    continue
+                positions = np.flatnonzero(owners == s)
+                cuts = prior[s] + np.searchsorted(positions, local_b)
+                self._cuts[s].extend(int(cut) for cut in cuts)
+        self._global_rows += n
+        self._last_t = float(batch.t[-1])
         return delivered
 
     # -- global window alignment -------------------------------------------
@@ -237,18 +376,25 @@ class ShardRouter:
         """Number of started global count-windows."""
         return (self._global_rows + self.h - 1) // self.h
 
-    def _window_bounds(self, s: int, c: int, n_rows: int) -> tuple:
-        """Shard-local ``(start, stop)`` of global window ``W_c`` in a
-        shard column of ``n_rows`` rows (validates ``c``)."""
+    def _window_bounds(self, s: int, c: int) -> tuple:
+        """Shard-local ``(start, stop)`` rows of started global window
+        ``W_c`` in shard ``s`` (caller holds the lock; a store's ``seal``
+        reads it for the windows it freezes)."""
+        cuts = self._cuts[s]
+        stop = cuts[c + 1] if c + 1 < len(cuts) else self._shard_rows[s]
+        return cuts[c], stop
+
+    def _window_slice(self, s: int, c: int):
+        """``(rows, gids)`` of shard ``s``'s slice of ``W_c`` from the
+        store (validates ``c``; caller holds the lock)."""
+        c = int(c)
         if c < 0:
             raise ValueError("window index c must be non-negative")
         if c >= self.global_window_count():
             raise IndexError(
                 f"global window {c} (h={self.h}) starts past the stream end"
             )
-        cuts = self._cuts[s]
-        stop = cuts[c + 1] if c + 1 < len(cuts) else n_rows
-        return cuts[c], stop
+        return self._store.window(s, c, *self._window_bounds(s, c))
 
     def shard_window(self, s: int, c: int) -> TupleBatch:
         """Shard ``s``'s slice of the *global* window ``W_c`` (zero-copy).
@@ -256,48 +402,32 @@ class ShardRouter:
         Raises ``IndexError`` when ``c`` is past the last started global
         window, mirroring :func:`repro.data.windows.window`.
         """
-        batch = self._dbs[s].raw_tuples()
-        start, stop = self._window_bounds(s, c, len(batch))
-        return batch.slice(start, stop)
+        with self._lock:
+            return self._window_slice(s, c)[0]
 
     def shard_windows(self, c: int) -> List[TupleBatch]:
         """Every shard's slice of global window ``W_c`` (index = shard)."""
         return [self.shard_window(s, c) for s in range(self.n_shards)]
 
-    def shard_gids(self, s: int) -> np.ndarray:
-        """Global stream positions of shard ``s``'s tuples, in shard order.
-
-        Strictly increasing: routing preserves global order per shard."""
-        cached = self._gid_cache[s]
-        if cached is None:
-            parts = self._gid_parts[s]
-            cached = (
-                np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-            )
-            self._gid_cache[s] = cached
-        return cached
-
     def shard_window_gids(self, s: int, c: int) -> np.ndarray:
         """Global ids aligned with :meth:`shard_window`'s rows."""
-        gids = self.shard_gids(s)
-        start, stop = self._window_bounds(s, c, len(gids))
-        return gids[start:stop]
+        with self._lock:
+            return self._window_slice(s, c)[1]
 
     def snapshot_window(self, s: int, c: int):
         """Coherent ``(content stamp, window slice, gid slice)`` triple.
 
         Taken under the router lock, so a concurrent ingest can never
         tear the triple: the stamp identifies exactly the rows in the
-        slices, and the gids align with the window's rows.  O(1) —
-        zero-copy slicing only; callers scan outside the lock.  This is
-        the read the sharded query engine's epoch-stamped caches key on.
+        slices, and the gids align with the window's rows.  Zero-copy
+        slicing on a resident window (a store that pages windows out
+        faults a cold one in here, under the same lock); callers scan
+        outside the lock.  This is the read the sharded query engine's
+        epoch-stamped caches key on.
         """
         with self._lock:
-            return (
-                self.shard_window_epoch(s, c),
-                self.shard_window(s, c),
-                self.shard_window_gids(s, c),
-            )
+            batch, gids = self._window_slice(s, c)
+            return self.shard_window_epoch(s, c), batch, gids
 
     def shard_window_sketch(self, s: int, c: int) -> WindowSketch:
         """Zone-map sketch of shard ``s``'s slice of global window ``c``.
@@ -361,10 +491,11 @@ class ShardRouter:
         disagree with the slice the scan would read.
         """
         with self._lock:
+            batch, gids = self._window_slice(s, c)
             return (
                 self.shard_window_epoch(s, c),
-                self.shard_window(s, c),
-                self.shard_window_gids(s, c),
+                batch,
+                gids,
                 self.shard_window_sketch(s, c),
             )
 
@@ -372,23 +503,23 @@ class ShardRouter:
         """Global window index responsible for each query timestamp.
 
         Identical to :func:`repro.data.windows.windows_for_times` over the
-        merged global stream: the rank of ``t`` in the global time order
-        is the sum of its per-shard ranks.
+        merged global stream, from resident metadata only: the first
+        tuple of window ``c`` is global row ``c*h``, so for a time-sorted
+        stream ``first_t[c] <= t`` iff more than ``c*h`` tuples are at or
+        before ``t`` — the responsible window ``(rank(t) - 1) // h`` is
+        the last one whose first tuple is at or before ``t``.  One binary
+        search over the first-times table; no window rows touched.
         """
         ts = np.asarray(ts, dtype=np.float64)
         if not self._global_rows:
             raise RuntimeError("router has no data")
-        pos = np.zeros(ts.shape, dtype=np.int64)
-        for db in self._dbs:
-            t_col = db.raw_tuples().t
-            if len(t_col):
-                pos += np.searchsorted(t_col, ts, side="right")
-        # Clamp to the *registered* global windows: under concurrent
-        # ingest a shard column can run ahead of the router's row counter
-        # for an instant, and a window index past the registered stream
-        # end would fault every window lookup downstream.
-        limit = max(self.global_window_count() - 1, 0)
-        return np.minimum(np.maximum(pos - 1, 0) // self.h, limit)
+        # Only the *registered* windows, counted before the table is
+        # read: ingest records a window's first time (growing the table
+        # by replacing it) before the row counter advances past it, so
+        # an unlocked reader always finds the counted prefix filled in.
+        n_windows = self.global_window_count()
+        first = self._first_ts[:n_windows]
+        return np.maximum(np.searchsorted(first, ts, side="right") - 1, 0)
 
     def window_for_time(self, t: float) -> int:
         return int(self.windows_for_times((t,))[0])
@@ -407,11 +538,11 @@ class ShardRouter:
     # and every touched window is re-stamped at a fresh content epoch so
     # no processor-cache entry built on the old layout can ever be
     # served again (stamp-equality serving + monotone stamps).  The old
-    # layout's per-shard state lists are never mutated in place — the
-    # new lists are built aside and published with single reference
-    # assignments — so a reader pinned on the old layout (a binding's
-    # memoised slices, an unlocked windows_for_times iteration) keeps a
-    # coherent view of the retired layout forever.
+    # layout's per-shard state lists and its store are never mutated in
+    # place — the new ones are built aside and published with single
+    # reference assignments — so a reader pinned on the old layout (a
+    # binding's memoised slices, an unlocked window_stats iteration)
+    # keeps a coherent view of the retired layout forever.
 
     def _refined_grid(self) -> RefinedRegionGrid:
         grid = self.grid
@@ -419,43 +550,32 @@ class ShardRouter:
             return grid
         return RefinedRegionGrid.refine(grid)
 
-    def _shard_column(self, s: int):
-        """Coherent (batch, gids) of shard ``s``'s full column (locked)."""
-        batch = self._dbs[s].raw_tuples()
-        return batch, self.shard_gids(s)[: len(batch)]
-
     def _install_layout(self, new_grid: RefinedRegionGrid, rebuilt, cleared) -> None:
         """Publish a re-cut: ``rebuilt`` maps slot -> (batch, gids) in
         gid order; ``cleared`` slots become empty holes.  Caller holds
         the lock."""
-        n_old = len(self._dbs)
+        n_old = self.n_shards
         n_new = new_grid.n_regions
         m = len(self._cuts[0])
         self._epoch += 1
         self._layout_epoch += 1
         epoch = self._epoch
-        dbs = list(self._dbs)
+        touched = set(cleared) | set(rebuilt) | set(range(n_old, n_new))
+        store = self._store.recut(n_new, rebuilt, touched)
         cuts = list(self._cuts)
-        gid_parts = list(self._gid_parts)
-        gid_cache = list(self._gid_cache)
+        shard_rows = list(self._shard_rows)
         wepochs = list(self._window_epochs)
         sketches = list(self._sketches)
-        for lists in (dbs, cuts, gid_parts, gid_cache, wepochs, sketches):
+        for lists in (cuts, shard_rows, wepochs, sketches):
             lists.extend([None] * (n_new - n_old))
-        touched = set(cleared) | set(rebuilt) | set(range(n_old, n_new))
         for slot in touched:
-            dbs[slot] = Database.for_enviro_meter(partition_h=self.h)
             cuts[slot] = [0] * m
-            gid_parts[slot] = []
-            gid_cache[slot] = None
+            shard_rows[slot] = 0
             wepochs[slot] = {}
             sketches[slot] = {}
         boundaries = np.arange(m, dtype=np.int64) * self.h
         for slot, (batch, gids) in rebuilt.items():
-            if len(batch):
-                dbs[slot].ingest_tuples(batch)
-                gid_parts[slot] = [gids]
-                gid_cache[slot] = gids
+            shard_rows[slot] = len(batch)
             cuts[slot] = [int(v) for v in np.searchsorted(gids, boundaries)]
             wins = gids // self.h
             for c in np.unique(wins):
@@ -465,10 +585,9 @@ class ShardRouter:
                 sketches[slot][c] = WindowSketch.EMPTY.extended(
                     batch.t[in_c], batch.x[in_c], batch.y[in_c], batch.s[in_c]
                 )
-        self._dbs = dbs
+        self._store = store
         self._cuts = cuts
-        self._gid_parts = gid_parts
-        self._gid_cache = gid_cache
+        self._shard_rows = shard_rows
         self._window_epochs = wepochs
         self._sketches = sketches
         self.grid = new_grid
@@ -483,14 +602,16 @@ class ShardRouter:
         ``s`` itself — unaffected shards never renumber).  The global
         row multiset, gids, and window alignment are unchanged, so
         answers stay byte-identical at the new layout; only the
-        partitioning of the hot cell's rows across slots moves.
+        partitioning of the hot cell's rows across slots moves.  A store
+        whose layout is durable refuses (``NotImplementedError``) when
+        asked for the column to re-cut, before anything changes.
         """
         with self._lock:
             grid = self._refined_grid()
             cell = grid.cell_of_shard(s)
             new_grid = grid.split_cell(cell, sx, sy)
             new_ids = list(new_grid.cell_shards[cell])
-            batch, gids = self._shard_column(s)
+            batch, gids = self._store.column(s)
             owners = new_grid.shards_of(batch.x, batch.y)
             if len(batch) and not np.isin(owners, new_ids).all():
                 raise RuntimeError(
@@ -514,18 +635,15 @@ class ShardRouter:
     def merge_cell(self, cell: int) -> int:
         """Re-merge a split cell's sub-tiles into one shard (the lowest
         tile id); the other tile ids become empty hole slots.  Returns
-        the surviving shard id."""
+        the surviving shard id.  Refused like :meth:`split_shard` over a
+        store whose layout is durable."""
         with self._lock:
-            grid = self.grid
-            if not isinstance(grid, RefinedRegionGrid):
-                raise ValueError("grid has no split cells to merge")
+            grid = self._refined_grid()
             old_ids = list(grid.cell_shards[cell])
+            parts = [self._store.column(t) for t in old_ids]
             new_grid = grid.merge_cell(cell)
             keep = new_grid.cell_shards[cell][0]
-            parts = [self._shard_column(t) for t in old_ids]
-            gids = np.concatenate([g for _, g in parts]) if parts else np.empty(
-                0, dtype=np.int64
-            )
+            gids = np.concatenate([g for _, g in parts])
             order = np.argsort(gids)
             merged = TupleBatch(
                 np.concatenate([b.t for b, _ in parts])[order],

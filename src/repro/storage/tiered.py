@@ -1,9 +1,10 @@
 """Durable tiered shard router: segments + WAL + bounded resident set.
 
-:class:`TieredShardRouter` speaks the same protocol as
-:class:`~repro.storage.shards.ShardRouter` — the query pipeline binds it
-through the identical :class:`~repro.query.pipeline.binding.RouterBinding`
-— but its storage is tiered:
+:class:`TieredShardRouter` *is* a
+:class:`~repro.storage.shards.ShardRouter` — it adds no protocol method
+of its own, the query pipeline binds it through the identical
+:class:`~repro.query.pipeline.binding.RouterBinding` — whose rows live
+in a :class:`SegmentWindowStore` instead of RAM:
 
 * **Hot tail** — rows of still-open global windows live in memory only
   (plus the WAL for crash safety), exactly as routed.
@@ -15,25 +16,23 @@ through the identical :class:`~repro.query.pipeline.binding.RouterBinding`
   a plan's ``slice_for`` needs their rows.
 * **Always-resident metadata** — per-(shard, window) stamps, row counts
   and zone-map sketches, the global window cuts, and the first-tuple
-  time per window.  Everything a plan consults *before* touching rows —
+  time per window are the *router's* state, not the store's.
+  Everything a plan consults *before* touching rows —
   ``windows_for_times``, geometry pruning, sketch pruning, pruned-op
   records — reads only this metadata, so pruning never faults a window
   in just to skip it.
 
 **The tier is invisible to plans.**  Given the same ingest sequence, a
 tiered router and a plain :class:`ShardRouter` resolve every
-``(shard, window)`` to bit-identical rows, gids and sketches — segment
-round-trips preserve the float64 columns exactly, the cuts and routing
-are recomputed by the same code, and ``windows_for_times`` is answered
-from the first-tuple-time table, which is provably equal to the plain
-router's rank computation for a time-sorted stream (the append-only
-sensing contract): the window of time ``t`` is the largest ``c`` with
-``first_t[c] <= t``, clamped to the started windows.
+``(shard, window)`` to bit-identical rows, gids and sketches — routing,
+cuts, epochs and sketches are computed by the one router, and segment
+round-trips preserve the float64 columns exactly.
 
 Durability protocol (see ``docs/architecture.md``):
 
-1. ``ingest`` appends the *global* batch to the WAL and fsyncs **before**
-   any in-memory state changes — an acknowledged batch survives a crash.
+1. ``ingest`` hands the accepted *global* batch to :meth:`SegmentWindowStore.log`,
+   which appends it to the WAL and fsyncs **before** any in-memory state
+   changes — an acknowledged batch survives a crash.
 2. When windows seal, their per-shard segments are written (each one
    atomic), **then** the manifest is atomically replaced, **then** the
    WAL is checkpointed down to the unsealed tail.  A crash between any
@@ -43,14 +42,13 @@ Durability protocol (see ``docs/architecture.md``):
    row.
 3. Recovery (construction over an existing directory) adopts sealed
    metadata from the manifest *without reading any segment payload*,
-   replays the WAL tail through the normal routing path, and completes
-   any seal the crash interrupted.
+   replays the WAL tail through the router's one ingest body, and
+   completes any seal the crash interrupted.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -58,16 +56,15 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.data.tuples import TupleBatch
-from repro.data.windows import window_boundaries_in
 from repro.geo.coords import BoundingBox
 from repro.geo.region import RegionGrid
 from repro.storage import fsio
-from repro.storage.load import ShardLoadStat, ShardLoadTracker, skew_coefficient
 from repro.storage.segments import (
     read_segment,
     segment_filename,
     write_segment,
 )
+from repro.storage.shards import ShardRouter
 from repro.storage.sketch import WindowSketch
 from repro.storage.wal import WriteAheadLog, replay_wal
 
@@ -89,19 +86,43 @@ def _sketch_from_json(n_rows: int, bounds: List[float]) -> WindowSketch:
     return WindowSketch(n_rows, *bounds) if n_rows else WindowSketch.EMPTY
 
 
-class TieredShardRouter:
-    """Region-sharded router over a durable segment + WAL tier.
+def _grid_doc(grid: RegionGrid) -> dict:
+    """The manifest's record of the creation-time layout."""
+    b = grid.bounds
+    return {
+        "min_x": b.min_x,
+        "min_y": b.min_y,
+        "max_x": b.max_x,
+        "max_y": b.max_y,
+        "nx": grid.nx,
+        "ny": grid.ny,
+    }
 
-    Drop-in for :class:`~repro.storage.shards.ShardRouter` on the query
-    path (``RouterBinding``/``ShardedQueryEngine`` work unchanged); the
-    process-parallel executor detects ``prefix_exportable = False`` and
-    falls back to in-process execution, which is byte-identical.
+
+def _read_manifest(path: Path) -> dict:
+    try:
+        return json.loads(path.read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: corrupt manifest ({exc})") from None
+
+
+class SegmentWindowStore:
+    """Window store over a data directory: open tail + WAL, sealed
+    windows in segment files behind a bounded LRU, one manifest.
+
+    Same narrow surface as
+    :class:`~repro.storage.shards.ResidentWindowStore` (``log`` /
+    ``append`` / ``window`` / ``seal`` / ``column``), called only under
+    the router's lock — fault-in and LRU mutation happen inside
+    ``window`` — and holding no lock of its own.  The manifest persists
+    the *router's* metadata of sealed windows, so ``seal`` reads it off
+    the router it is handed; the store never mutates the router.
 
     ``memory_windows`` bounds the number of *sealed* ``(shard, window)``
     slices resident at once (``None`` = unbounded: the tier is then a
     write-through archive).  The open tail is always resident — it is
     the working set ingest appends to.  Request-scoped bindings may pin
-    slices past an eviction; the cap bounds the router's cache, and
+    slices past an eviction; the cap bounds the store's cache, and
     evicted arrays die with the binding that pinned them.
     """
 
@@ -112,36 +133,20 @@ class TieredShardRouter:
     def __init__(
         self,
         grid: RegionGrid,
-        h: int = 240,
-        *,
-        data_dir: Union[str, Path],
-        memory_windows: Optional[int] = None,
-        wal_sync: bool = True,
-        compress: bool = True,
+        h: int,
+        data_dir: Path,
+        memory_windows: Optional[int],
+        wal_sync: bool,
     ) -> None:
-        if h <= 0:
-            raise ValueError("window size h must be positive")
-        if memory_windows is not None and memory_windows < 1:
-            raise ValueError("memory_windows must be at least 1 (or None)")
         self.grid = grid
         self.h = h
-        self.data_dir = Path(data_dir)
+        self.data_dir = data_dir
         self.memory_windows = memory_windows
-        self.compress = compress
-        self._segment_dir = self.data_dir / _SEGMENT_DIR
+        self._wal_sync = wal_sync
+        self._segment_dir = data_dir / _SEGMENT_DIR
         self._segment_dir.mkdir(parents=True, exist_ok=True)
-
         n = grid.n_regions
-        self._lock = threading.RLock()
-        self._global_rows = 0
-        self._epoch = 0
-        self._sealed_c = 0  # windows durably sealed (segments + manifest)
-        self._cuts: List[List[int]] = [[0] for _ in range(n)]
-        self._shard_rows = [0] * n
-        self._window_epochs: List[Dict[int, int]] = [{} for _ in range(n)]
-        self._sketches: List[Dict[int, WindowSketch]] = [{} for _ in range(n)]
-        #: first_ts[c] = timestamp of global window c's first tuple.
-        self._first_ts: List[float] = []
+        self.sealed_windows = 0  # windows durably sealed (segments + manifest)
         #: Open-tail rows per shard: list of (slice, gids) in arrival order.
         self._tail_parts: List[List[Tuple[TupleBatch, np.ndarray]]] = [
             [] for _ in range(n)
@@ -159,277 +164,88 @@ class TieredShardRouter:
         self.evictions = 0
         self.segments_written = 0
         self.peak_resident = 0
-        # Per-shard load statistics (same surface as ShardRouter's).
-        self.load = ShardLoadTracker(n)
+        self._wal: Optional[WriteAheadLog] = None
 
-        manifest = self._load_manifest()
-        if manifest is not None:
-            self._validate_manifest(manifest)
-            self._adopt_manifest(manifest)
-        self._wal = WriteAheadLog(self.data_dir / _WAL, sync=wal_sync)
-        self._recover_wal()
-        self._seal_complete_windows()
-        if manifest is None:
-            # Establish the manifest at creation so the directory is
-            # self-describing from the first byte (`open` needs no args).
-            self._write_manifest()
+    # -- recovery ----------------------------------------------------------
 
-    # -- construction over an existing directory ---------------------------
-
-    @classmethod
-    def open(
-        cls,
-        data_dir: Union[str, Path],
-        *,
-        memory_windows: Optional[int] = None,
-        wal_sync: bool = True,
-        compress: bool = True,
-    ) -> "TieredShardRouter":
-        """Reopen a data directory, reconstructing grid and ``h`` from
-        its manifest (and recovering WAL/segment state on the way)."""
-        manifest_path = Path(data_dir) / _MANIFEST
-        if not manifest_path.exists():
-            raise ValueError(
-                f"{manifest_path}: no manifest — not a tiered data directory"
-            )
-        try:
-            doc = json.loads(manifest_path.read_text())
-        except ValueError as exc:
-            raise ValueError(
-                f"{manifest_path}: corrupt manifest ({exc})"
-            ) from None
-        g = doc["grid"]
-        grid = RegionGrid(
-            BoundingBox(g["min_x"], g["min_y"], g["max_x"], g["max_y"]),
-            nx=int(g["nx"]),
-            ny=int(g["ny"]),
-        )
-        return cls(
-            grid,
-            h=int(doc["h"]),
-            data_dir=data_dir,
-            memory_windows=memory_windows,
-            wal_sync=wal_sync,
-            compress=compress,
-        )
-
-    def _load_manifest(self) -> Optional[dict]:
+    def recover(self) -> Optional[List[dict]]:
+        """Adopt the directory's manifest (no segment payload is read)
+        and open the WAL.  Returns the manifest's sealed-window entries
+        in window order for the router to restore its metadata from, or
+        ``None`` for a directory that has no manifest yet."""
         path = self.data_dir / _MANIFEST
-        if not path.exists():
-            return None
-        try:
-            doc = json.loads(path.read_text())
-        except ValueError as exc:
-            raise ValueError(f"{path}: corrupt manifest ({exc})") from None
-        if doc.get("format") != _MANIFEST_FORMAT:
-            raise ValueError(
-                f"{path}: unsupported manifest format {doc.get('format')!r}"
-            )
-        return doc
-
-    def _validate_manifest(self, doc: dict) -> None:
-        if int(doc["h"]) != self.h:
-            raise ValueError(
-                f"data directory was written with h={doc['h']}, "
-                f"router configured with h={self.h}"
-            )
-        g = doc["grid"]
-        b = self.grid.bounds
-        same = (
-            int(g["nx"]) == self.grid.nx
-            and int(g["ny"]) == self.grid.ny
-            and g["min_x"] == b.min_x
-            and g["min_y"] == b.min_y
-            and g["max_x"] == b.max_x
-            and g["max_y"] == b.max_y
-        )
-        if not same:
-            raise ValueError(
-                "data directory was written with a different region grid; "
-                "reopen with TieredShardRouter.open() or the original grid"
-            )
-
-    def _adopt_manifest(self, doc: dict) -> None:
-        """Adopt sealed-window metadata — no segment payload is read."""
-        sealed = int(doc["sealed_windows"])
-        windows = sorted(doc["windows"], key=lambda w: int(w["c"]))
-        if [int(w["c"]) for w in windows] != list(range(sealed)):
-            raise ValueError(
-                f"{self.data_dir / _MANIFEST}: manifest window list is not "
-                f"the contiguous range 0..{sealed - 1}"
-            )
-        for entry in windows:
-            c = int(entry["c"])
-            self._first_ts.append(float(entry["first_t"]))
-            rows_by_shard = [0] * self.n_shards
-            for shard_entry in entry["shards"]:
-                s = int(shard_entry["s"])
-                rows = int(shard_entry["rows"])
-                rows_by_shard[s] = rows
-                self._window_epochs[s][c] = int(shard_entry["stamp"])
-                self._sketches[s][c] = _sketch_from_json(
-                    rows, shard_entry["sketch"]
+        windows = None
+        if path.exists():
+            doc = _read_manifest(path)
+            if doc.get("format") != _MANIFEST_FORMAT:
+                raise ValueError(
+                    f"{path}: unsupported manifest format {doc.get('format')!r}"
                 )
-                self._segment_files[(s, c)] = shard_entry["file"]
-            for s in range(self.n_shards):
-                self._cuts[s].append(self._cuts[s][-1] + rows_by_shard[s])
-        self._sealed_c = sealed
-        self._global_rows = sealed * self.h
-        for s in range(self.n_shards):
-            self._shard_rows[s] = self._cuts[s][-1]
-            self._tail_base[s] = self._cuts[s][-1]
-        stamps = [
-            stamp for per in self._window_epochs for stamp in per.values()
-        ]
-        self._epoch = max(stamps, default=0)
+            if int(doc["h"]) != self.h:
+                raise ValueError(
+                    f"data directory was written with h={doc['h']}, "
+                    f"router configured with h={self.h}"
+                )
+            if doc["grid"] != _grid_doc(self.grid):
+                raise ValueError(
+                    "data directory was written with a different region grid; "
+                    "reopen with TieredShardRouter.open() or the original grid"
+                )
+            sealed = int(doc["sealed_windows"])
+            windows = sorted(doc["windows"], key=lambda w: int(w["c"]))
+            if [int(w["c"]) for w in windows] != list(range(sealed)):
+                raise ValueError(
+                    f"{path}: manifest window list is not "
+                    f"the contiguous range 0..{sealed - 1}"
+                )
+            for entry in windows:
+                for shard_entry in entry["shards"]:
+                    s = int(shard_entry["s"])
+                    self._segment_files[(s, int(entry["c"]))] = shard_entry["file"]
+                    self._tail_base[s] += int(shard_entry["rows"])
+            self.sealed_windows = sealed
+        self._wal = WriteAheadLog(self.data_dir / _WAL, sync=self._wal_sync)
+        return windows
 
-    def _recover_wal(self) -> None:
-        """Replay the WAL tail through the normal routing path.
-
-        Records are skipped up to the sealed boundary (a crash between
-        the manifest update and the WAL checkpoint leaves covered rows
-        in the log); the remainder re-ingests in order, deterministically
-        rebuilding tail rows, cuts, gids, epochs and sketches.
-        """
-        replay = replay_wal(self.data_dir / _WAL)
-        for start_row, batch in replay.records:
-            expected = self._global_rows
-            if start_row > expected:
-                break  # gap: nothing after it can be trusted
-            skip = expected - start_row
-            if skip >= len(batch):
-                continue  # fully covered by sealed segments
-            self._ingest_rows(batch.slice(skip, len(batch)))
-
-    # -- topology ----------------------------------------------------------
-
-    @property
-    def n_shards(self) -> int:
-        return self.grid.n_regions
-
-    def global_count(self) -> int:
-        return self._global_rows
-
-    @property
-    def epoch(self) -> int:
-        return self._epoch
-
-    @property
-    def layout_epoch(self) -> int:
-        """Always 0: the durable tier's layout is fixed at creation (the
-        manifest bakes the grid in), so no binding can ever go stale."""
-        return 0
-
-    def shard_counts(self) -> List[int]:
-        return list(self._shard_rows)
-
-    def shard_load_stats(self) -> List[ShardLoadStat]:
-        """Per-shard load counters (same surface as the in-memory router)."""
-        return self.load.snapshot()
-
-    def load_skew(self) -> float:
-        """Max/mean skew of per-shard tuple counts (1.0 = balanced)."""
-        return skew_coefficient(self.shard_counts())
-
-    def split_shard(self, s: int, sx: int = 2, sy: int = 2) -> List[int]:
-        """Rebalancing a durable tier is not supported: sealed segment
-        files, the WAL and the manifest all encode the creation-time
-        layout, and re-cutting them in place cannot be made crash-safe
-        with the current segment format (see ``storage/README.md``)."""
-        raise NotImplementedError(
-            "rebalancing a durable tier is not supported; "
-            "re-ingest into a freshly laid-out ShardRouter instead"
-        )
-
-    def merge_cell(self, cell: int) -> int:
-        """See :meth:`split_shard` — durable tiers keep a fixed layout."""
-        raise NotImplementedError(
-            "rebalancing a durable tier is not supported; "
-            "re-ingest into a freshly laid-out ShardRouter instead"
-        )
-
-    def global_window_count(self) -> int:
-        return (self._global_rows + self.h - 1) // self.h
-
-    def sealed_window_count(self) -> int:
-        """Windows durably frozen into segment files."""
-        return self._sealed_c
+    def wal_records(self):
+        """The ``(start_row, batch)`` records of the WAL's valid prefix."""
+        return replay_wal(self.data_dir / _WAL).records
 
     def close(self) -> None:
         self._wal.close()
 
-    def __enter__(self) -> "TieredShardRouter":
-        return self
+    # -- the window-store surface ------------------------------------------
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    def log(self, start_row: int, batch: TupleBatch) -> None:
+        """Durably append the global batch to the WAL (fsynced on return)."""
+        self._wal.append(start_row, batch)
 
-    # -- ingest ------------------------------------------------------------
+    def append(self, s: int, sub: TupleBatch, gids: np.ndarray) -> None:
+        self._tail_parts[s].append((sub, gids))
+        self._tail_cache[s] = None
 
-    def route(self, batch: TupleBatch) -> np.ndarray:
-        return self.grid.shards_of(batch.x, batch.y)
+    def window(self, s: int, c: int, start: int, stop: int):
+        """``(rows, gids)`` of shard-local rows ``[start, stop)`` = the
+        shard's slice of window ``c``: from the resident set (faulting
+        the segment in on a miss) when sealed, else from the open tail."""
+        if c < self.sealed_windows:
+            return self._sealed_slice(s, c)
+        return self._tail_slice(s, start, stop)
 
-    def ingest(self, batch: TupleBatch) -> List[int]:
-        """Durably append a batch (WAL first), then seal what completed."""
-        n = len(batch)
-        if not n:
-            return [0] * self.n_shards
-        with self._lock:
-            self._wal.append(self._global_rows, batch)
-            delivered = self._ingest_rows(batch)
-            self._seal_complete_windows()
-        return delivered
-
-    def _ingest_rows(self, batch: TupleBatch) -> List[int]:
-        """In-memory ingest, mirroring :meth:`ShardRouter.ingest` exactly
-        (same routing, cut, gid, epoch and sketch updates) with rows
-        landing in the per-shard tails."""
-        n = len(batch)
-        delivered = [0] * self.n_shards
-        owners = self.route(batch)
-        start = self._global_rows
-        boundaries = window_boundaries_in(start, n, self.h)
-        prior = list(self._shard_rows)
-        gids = np.arange(start, start + n, dtype=np.int64)
-        self._epoch += 1
-        # First-tuple time of every window starting inside this batch —
-        # the always-resident table windows_for_times is answered from.
-        c0 = 0 if start == 0 else -(-start // self.h)
-        c1 = (start + n - 1) // self.h
-        for c in range(c0, c1 + 1):
-            self._first_ts.append(float(batch.t[c * self.h - start]))
-        for s in np.unique(owners):
-            s = int(s)
-            member = owners == s
-            sub = batch.select_mask(member)
-            self._tail_parts[s].append((sub, gids[member]))
-            self._tail_cache[s] = None
-            delivered[s] = len(sub)
-            self.load.record_ingest(s, len(sub))
-            self._shard_rows[s] += len(sub)
-            wins = gids[member] // self.h
-            for c in np.unique(wins):
-                c = int(c)
-                self._window_epochs[s][c] = self._epoch
-                in_c = wins == c
-                self._sketches[s][c] = self._sketches[s].get(
-                    c, WindowSketch.EMPTY
-                ).extended(sub.t[in_c], sub.x[in_c], sub.y[in_c], sub.s[in_c])
-        if len(boundaries):
-            local_b = np.asarray(boundaries, dtype=np.int64) - start
-            for s in range(self.n_shards):
-                if not delivered[s]:
-                    self._cuts[s].extend([prior[s]] * len(local_b))
-                    continue
-                positions = np.flatnonzero(owners == s)
-                cuts = prior[s] + np.searchsorted(positions, local_b)
-                self._cuts[s].extend(int(cut) for cut in cuts)
-        self._global_rows += n
-        return delivered
+    def column(self, s: int):
+        """A durable layout cannot be re-cut: sealed segment files, the
+        WAL and the manifest all encode the creation-time layout, and
+        re-cutting them in place cannot be made crash-safe with the
+        current segment format (see ``storage/README.md``) — so there is
+        no whole column to hand a split or merge."""
+        raise NotImplementedError(
+            "rebalancing a durable tier is not supported; "
+            "re-ingest into a freshly laid-out ShardRouter instead"
+        )
 
     # -- sealing -----------------------------------------------------------
 
-    def _seal_complete_windows(self) -> None:
+    def seal(self, router: ShardRouter) -> None:
         """Freeze every complete-but-unsealed window to the durable tier.
 
         Order is what makes this crash-safe: per-shard segments first
@@ -438,13 +254,14 @@ class TieredShardRouter:
         function of the stream prefix, so re-running an interrupted seal
         after recovery rewrites byte-identical files.
         """
-        target = self._global_rows // self.h
-        if target <= self._sealed_c:
+        target = router.global_count() // self.h
+        if target <= self.sealed_windows:
             return
+        n_shards = router.n_shards
         sealed_slices: List[Tuple[int, int, TupleBatch, np.ndarray]] = []
-        for c in range(self._sealed_c, target):
-            for s in range(self.n_shards):
-                sub, sgids = self._tail_slice(s, c)
+        for c in range(self.sealed_windows, target):
+            for s in range(n_shards):
+                sub, sgids = self._tail_slice(s, *router._window_bounds(s, c))
                 if not len(sub):
                     continue
                 name = segment_filename(s, c)
@@ -453,11 +270,10 @@ class TieredShardRouter:
                     shard=s,
                     window_c=c,
                     h=self.h,
-                    stamp=self._window_epochs[s][c],
+                    stamp=router.shard_window_epoch(s, c),
                     batch=sub,
                     gids=sgids,
-                    sketch=self._sketches[s][c],
-                    compress=self.compress,
+                    sketch=router.shard_window_sketch(s, c),
                 )
                 self.segments_written += 1
                 self._segment_files[(s, c)] = name
@@ -466,11 +282,11 @@ class TieredShardRouter:
                 sealed_slices.append(
                     (s, c, TupleBatch(*(col.copy() for col in (sub.t, sub.x, sub.y, sub.s))), sgids.copy())
                 )
-        self._sealed_c = target
-        self._write_manifest()
+        self.sealed_windows = target
+        self.write_manifest(router)
         # Drop sealed rows from the tail fronts.
-        for s in range(self.n_shards):
-            base = self._cut_at(s, target)
+        for s in range(n_shards):
+            base = router._window_bounds(s, target - 1)[1]
             tail_batch, tail_gids = self._tail_concat(s)
             keep = base - self._tail_base[s]
             self._tail_parts[s] = (
@@ -489,7 +305,7 @@ class TieredShardRouter:
 
     def _global_tail(self) -> TupleBatch:
         """The unsealed rows in global stream order (gid-merged)."""
-        parts = [self._tail_concat(s) for s in range(self.n_shards)]
+        parts = [self._tail_concat(s) for s in range(len(self._tail_parts))]
         batches = [p[0] for p in parts if len(p[0])]
         gid_parts = [p[1] for p in parts if len(p[1])]
         if not batches:
@@ -501,40 +317,32 @@ class TieredShardRouter:
             merged = merged.concat(extra)
         return merged.take(order)
 
-    def _write_manifest(self) -> None:
-        b = self.grid.bounds
+    def write_manifest(self, router: ShardRouter) -> None:
         windows = []
-        for c in range(self._sealed_c):
+        for c in range(self.sealed_windows):
             shards = []
-            for s in range(self.n_shards):
+            for s in range(router.n_shards):
                 key = (s, c)
                 if key not in self._segment_files:
                     continue
-                sketch = self._sketches[s][c]
+                sketch = router.shard_window_sketch(s, c)
                 shards.append(
                     {
                         "s": s,
                         "rows": sketch.n_rows,
-                        "stamp": self._window_epochs[s][c],
+                        "stamp": router.shard_window_epoch(s, c),
                         "file": self._segment_files[key],
                         "sketch": _sketch_to_json(sketch),
                     }
                 )
             windows.append(
-                {"c": c, "first_t": self._first_ts[c], "shards": shards}
+                {"c": c, "first_t": float(router._first_ts[c]), "shards": shards}
             )
         doc = {
             "format": _MANIFEST_FORMAT,
             "h": self.h,
-            "grid": {
-                "min_x": b.min_x,
-                "min_y": b.min_y,
-                "max_x": b.max_x,
-                "max_y": b.max_y,
-                "nx": self.grid.nx,
-                "ny": self.grid.ny,
-            },
-            "sealed_windows": self._sealed_c,
+            "grid": _grid_doc(self.grid),
+            "sealed_windows": self.sealed_windows,
             "windows": windows,
         }
         fsio.atomic_write_bytes(
@@ -571,40 +379,6 @@ class TieredShardRouter:
         self._resident_insert(key, value)
         return value
 
-    def resident_window_count(self) -> int:
-        """Sealed ``(shard, window)`` slices currently resident."""
-        return len(self._resident)
-
-    def tier_stats(self) -> Dict[str, int]:
-        """Observability counters for tests, benchmarks and the CLI."""
-        return {
-            "sealed_windows": self._sealed_c,
-            "resident_windows": len(self._resident),
-            "peak_resident": self.peak_resident,
-            "memory_windows": self.memory_windows or 0,
-            "faults": self.faults,
-            "evictions": self.evictions,
-            "segments_written": self.segments_written,
-            "wal_appends": self._wal.appends,
-            "wal_checkpoints": self._wal.checkpoints,
-        }
-
-    # -- window access (the RouterBinding protocol) ------------------------
-
-    def _check_window(self, c: int) -> int:
-        c = int(c)
-        if c < 0:
-            raise ValueError("window index c must be non-negative")
-        if c >= self.global_window_count():
-            raise IndexError(
-                f"global window {c} (h={self.h}) starts past the stream end"
-            )
-        return c
-
-    def _cut_at(self, s: int, c: int) -> int:
-        cuts = self._cuts[s]
-        return cuts[c] if c < len(cuts) else self._shard_rows[s]
-
     def _tail_concat(self, s: int) -> Tuple[TupleBatch, np.ndarray]:
         cached = self._tail_cache[s]
         if cached is None:
@@ -621,107 +395,197 @@ class TieredShardRouter:
             self._tail_cache[s] = cached
         return cached
 
-    def _tail_slice(self, s: int, c: int) -> Tuple[TupleBatch, np.ndarray]:
-        """Rows of global window ``c`` in shard ``s``'s open tail."""
-        start = self._cut_at(s, c) - self._tail_base[s]
-        stop = self._cut_at(s, c + 1) - self._tail_base[s]
+    def _tail_slice(
+        self, s: int, start: int, stop: int
+    ) -> Tuple[TupleBatch, np.ndarray]:
+        """Shard-local rows ``[start, stop)`` of shard ``s``'s open tail."""
+        base = self._tail_base[s]
         batch, gids = self._tail_concat(s)
-        return batch.slice(start, stop), gids[start:stop]
-
-    def _window_slice(self, s: int, c: int) -> Tuple[TupleBatch, np.ndarray]:
-        if c < self._sealed_c:
-            return self._sealed_slice(s, c)
-        return self._tail_slice(s, c)
-
-    def shard_window(self, s: int, c: int) -> TupleBatch:
-        with self._lock:
-            return self._window_slice(s, self._check_window(c))[0]
-
-    def shard_window_gids(self, s: int, c: int) -> np.ndarray:
-        with self._lock:
-            return self._window_slice(s, self._check_window(c))[1]
-
-    def shard_windows(self, c: int) -> List[TupleBatch]:
-        return [self.shard_window(s, c) for s in range(self.n_shards)]
-
-    def shard_window_epoch(self, s: int, c: int) -> int:
-        return self._window_epochs[s].get(int(c), 0)
-
-    def shard_window_sketch(self, s: int, c: int) -> WindowSketch:
-        return self._sketches[s].get(int(c), WindowSketch.EMPTY)
-
-    def frozen_window_sketch(self, s: int, c: int) -> Optional[WindowSketch]:
-        """The immutable sketch of a *sealed* window, else ``None``.
-
-        Sealed sketches are always resident (adopted from the manifest
-        or maintained at ingest), so a pruning pass can consult them
-        without faulting the slice in — the cheap path the binding
-        prefers.
-        """
-        c = int(c)
-        if c < self._global_rows // self.h:
-            return self._sketches[s].get(c, WindowSketch.EMPTY)
-        return None
-
-    def window_stats(self, c: int) -> List[tuple]:
-        """Unlocked ``(stamp, n_rows, read_epoch)`` display estimates per
-        shard (see :meth:`ShardRouter.window_stats`)."""
-        c = int(c)
-        stats = []
-        for s in range(self.n_shards):
-            read_epoch = self._epoch
-            sketch = self._sketches[s].get(c)
-            stats.append(
-                (
-                    self._window_epochs[s].get(c, 0),
-                    sketch.n_rows if sketch is not None else 0,
-                    read_epoch,
-                )
-            )
-        return stats
-
-    def snapshot_window(self, s: int, c: int):
-        with self._lock:
-            c = self._check_window(c)
-            batch, gids = self._window_slice(s, c)
-            return self.shard_window_epoch(s, c), batch, gids
-
-    def snapshot_window_sketch(self, s: int, c: int):
-        with self._lock:
-            c = self._check_window(c)
-            batch, gids = self._window_slice(s, c)
-            return (
-                self.shard_window_epoch(s, c),
-                batch,
-                gids,
-                self.shard_window_sketch(s, c),
-            )
-
-    def windows_for_times(self, ts) -> np.ndarray:
-        """Global window per query timestamp, from resident metadata only.
-
-        For a time-sorted global stream, the responsible window of time
-        ``t`` — the plain router's ``(rank(t) - 1) // h`` — equals the
-        largest ``c`` whose first tuple is at or before ``t``: the
-        first tuple of window ``c`` is global row ``c*h``, so
-        ``first_t[c] <= t`` iff ``rank(t) > c*h``.  One binary search
-        over the O(#windows) first-times table; no window rows touched.
-        """
-        ts = np.asarray(ts, dtype=np.float64)
-        if not self._global_rows:
-            raise RuntimeError("router has no data")
-        first = np.asarray(self._first_ts, dtype=np.float64)
-        pos = np.searchsorted(first, ts, side="right") - 1
-        limit = max(self.global_window_count() - 1, 0)
-        return np.minimum(np.maximum(pos, 0), limit)
-
-    def window_for_time(self, t: float) -> int:
-        return int(self.windows_for_times((t,))[0])
-
-    def cuts(self, s: int) -> List[int]:
-        return list(self._cuts[s])
+        return batch.slice(start - base, stop - base), gids[start - base : stop - base]
 
     # -- maintenance -------------------------------------------------------
+
+    def tier_stats(self) -> Dict[str, int]:
+        return {
+            "sealed_windows": self.sealed_windows,
+            "resident_windows": len(self._resident),
+            "peak_resident": self.peak_resident,
+            "memory_windows": self.memory_windows or 0,
+            "faults": self.faults,
+            "evictions": self.evictions,
+            "segments_written": self.segments_written,
+            "wal_appends": self._wal.appends,
+            "wal_checkpoints": self._wal.checkpoints,
+        }
+
+    def compact(self, verify: bool) -> Dict[str, int]:
+        removed = tmp_removed = verified = 0
+        live = set(self._segment_files.values())
+        for path in sorted(self._segment_dir.iterdir()):
+            if path.name.endswith(".tmp"):
+                path.unlink()
+                tmp_removed += 1
+            elif path.suffix == ".seg" and path.name not in live:
+                path.unlink()
+                removed += 1
+        if verify:
+            for name in sorted(live):
+                read_segment(self._segment_dir / name)
+                verified += 1
+        self._wal.checkpoint(self.sealed_windows * self.h, self._global_tail())
+        return {
+            "orphans_removed": removed,
+            "tmp_removed": tmp_removed,
+            "segments_verified": verified,
+        }
+
+
+class TieredShardRouter(ShardRouter):
+    """The shard router over a durable segment + WAL tier.
+
+    Everything on the query path is :class:`ShardRouter`'s own code
+    (``RouterBinding``/``ShardedQueryEngine`` work unchanged); this class
+    only opens the :class:`SegmentWindowStore`, recovers the router's
+    metadata from it, and surfaces the tier's maintenance entry points.
+    The process-parallel executor sees ``prefix_exportable = False`` and
+    falls back to in-process execution, which is byte-identical.
+
+    ``memory_windows`` bounds the number of *sealed* ``(shard, window)``
+    slices resident at once (``None`` = unbounded); ``wal_sync=False``
+    drops the per-append fsync (benchmark use only).
+    """
+
+    def __init__(
+        self,
+        grid: RegionGrid,
+        h: int = 240,
+        *,
+        data_dir: Union[str, Path],
+        memory_windows: Optional[int] = None,
+        wal_sync: bool = True,
+    ) -> None:
+        if memory_windows is not None and memory_windows < 1:
+            raise ValueError("memory_windows must be at least 1 (or None)")
+        self.data_dir = Path(data_dir)
+        self.memory_windows = memory_windows
+        self._wal_sync = wal_sync
+        super().__init__(grid, h)
+        sealed = self._store.recover()
+        if sealed is not None:
+            self._adopt_sealed(sealed)
+        self._replay_wal()
+        self._store.seal(self)
+        if sealed is None:
+            # Establish the manifest at creation so the directory is
+            # self-describing from the first byte (`open` needs no args).
+            self._store.write_manifest(self)
+
+    def _open_store(self) -> SegmentWindowStore:
+        return SegmentWindowStore(
+            self.grid, self.h, self.data_dir, self.memory_windows, self._wal_sync
+        )
+
+    # -- construction over an existing directory ---------------------------
+
+    @classmethod
+    def open(
+        cls,
+        data_dir: Union[str, Path],
+        *,
+        memory_windows: Optional[int] = None,
+        wal_sync: bool = True,
+    ) -> "TieredShardRouter":
+        """Reopen a data directory, reconstructing grid and ``h`` from
+        its manifest (and recovering WAL/segment state on the way)."""
+        manifest_path = Path(data_dir) / _MANIFEST
+        if not manifest_path.exists():
+            raise ValueError(
+                f"{manifest_path}: no manifest — not a tiered data directory"
+            )
+        doc = _read_manifest(manifest_path)
+        g = doc["grid"]
+        grid = RegionGrid(
+            BoundingBox(g["min_x"], g["min_y"], g["max_x"], g["max_y"]),
+            nx=int(g["nx"]),
+            ny=int(g["ny"]),
+        )
+        return cls(
+            grid,
+            h=int(doc["h"]),
+            data_dir=data_dir,
+            memory_windows=memory_windows,
+            wal_sync=wal_sync,
+        )
+
+    def _adopt_sealed(self, windows: List[dict]) -> None:
+        """Restore the always-resident metadata of the sealed windows
+        from their manifest entries."""
+        self._first_ts = np.array(
+            [entry["first_t"] for entry in windows], dtype=np.float64
+        )
+        for c, entry in enumerate(windows):
+            rows_by_shard = [0] * self.n_shards
+            for shard_entry in entry["shards"]:
+                s = int(shard_entry["s"])
+                rows = int(shard_entry["rows"])
+                rows_by_shard[s] = rows
+                self._window_epochs[s][c] = int(shard_entry["stamp"])
+                self._sketches[s][c] = _sketch_from_json(
+                    rows, shard_entry["sketch"]
+                )
+            for s in range(self.n_shards):
+                self._cuts[s].append(self._cuts[s][-1] + rows_by_shard[s])
+        self._global_rows = len(windows) * self.h
+        for s in range(self.n_shards):
+            self._shard_rows[s] = self._cuts[s][-1]
+        stamps = [
+            stamp for per in self._window_epochs for stamp in per.values()
+        ]
+        self._epoch = max(stamps, default=0)
+        if windows:
+            # The stream is time-sorted, so its last sealed window holds
+            # the latest sealed timestamp (the WAL replay then advances
+            # the floor over the tail rows).
+            last = len(windows) - 1
+            self._last_t = max(
+                per[last].max_t for per in self._sketches if last in per
+            )
+
+    def _replay_wal(self) -> None:
+        """Replay the WAL tail through the router's one ingest body.
+
+        Records are skipped up to the sealed boundary (a crash between
+        the manifest update and the WAL checkpoint leaves covered rows
+        in the log); the remainder re-ingests in order, deterministically
+        rebuilding tail rows, cuts, gids, epochs and sketches.
+        """
+        for start_row, batch in self._store.wal_records():
+            expected = self._global_rows
+            if start_row > expected:
+                break  # gap: nothing after it can be trusted
+            skip = expected - start_row
+            if skip >= len(batch):
+                continue  # fully covered by sealed segments
+            self._apply(batch.slice(skip, len(batch)))
+
+    # -- the tier's own surface --------------------------------------------
+
+    @property
+    def faults(self) -> int:
+        """Segment fault-ins so far (monotone)."""
+        return self._store.faults
+
+    def sealed_window_count(self) -> int:
+        """Windows durably frozen into segment files."""
+        return self._store.sealed_windows
+
+    def resident_window_count(self) -> int:
+        """Sealed ``(shard, window)`` slices currently resident."""
+        return self._store.tier_stats()["resident_windows"]
+
+    def tier_stats(self) -> Dict[str, int]:
+        """Observability counters for tests, benchmarks and the CLI."""
+        return self._store.tier_stats()
 
     def compact(self, verify: bool = False) -> Dict[str, int]:
         """Tidy the data directory: checkpoint the WAL, drop orphan
@@ -735,23 +599,14 @@ class TieredShardRouter:
         :class:`~repro.storage.segments.SegmentCorrupt` if verification
         fails.
         """
-        removed = tmp_removed = verified = 0
         with self._lock:
-            live = set(self._segment_files.values())
-            for path in sorted(self._segment_dir.iterdir()):
-                if path.name.endswith(".tmp"):
-                    path.unlink()
-                    tmp_removed += 1
-                elif path.suffix == ".seg" and path.name not in live:
-                    path.unlink()
-                    removed += 1
-            if verify:
-                for name in sorted(live):
-                    read_segment(self._segment_dir / name)
-                    verified += 1
-            self._wal.checkpoint(self._sealed_c * self.h, self._global_tail())
-        return {
-            "orphans_removed": removed,
-            "tmp_removed": tmp_removed,
-            "segments_verified": verified,
-        }
+            return self._store.compact(verify)
+
+    def close(self) -> None:
+        self._store.close()
+
+    def __enter__(self) -> "TieredShardRouter":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()

@@ -11,6 +11,8 @@ import pytest
 
 from repro.data.lausanne import LausanneConfig, LausanneDataset, generate_lausanne_dataset
 from repro.data.tuples import TupleBatch
+from repro.storage.shards import ShardRouter
+from repro.storage.tiered import TieredShardRouter
 
 
 @pytest.fixture(scope="session")
@@ -31,6 +33,28 @@ def daytime_window(small_batch) -> TupleBatch:
     pos = int(np.searchsorted(small_batch.t, anchor))
     start = min(pos, len(small_batch) - 240)
     return small_batch.slice(start, start + 240)
+
+
+@pytest.fixture()
+def router_over(tmp_path_factory):
+    """``router_over(store, grid, h)`` builds the shard router over the
+    named window store (one of ``router_over.stores``); durable ones get
+    a fresh data directory and are closed when the test ends."""
+    opened = []
+
+    def make(store: str, grid, h: int) -> ShardRouter:
+        if store == "resident":
+            return ShardRouter(grid, h=h)
+        router = TieredShardRouter(
+            grid, h=h, data_dir=tmp_path_factory.mktemp("tier")
+        )
+        opened.append(router)
+        return router
+
+    make.stores = ("resident", "segment")
+    yield make
+    for router in opened:
+        router.close()
 
 
 @pytest.fixture()

@@ -49,8 +49,8 @@ def make_queries(stream: TupleBatch, n: int, seed: int = 1) -> QueryBatch:
     )
 
 
-def filled_router(stream: TupleBatch, nx=3, ny=2, h=H) -> ShardRouter:
-    router = ShardRouter(RegionGrid(BOUNDS, nx=nx, ny=ny), h=h)
+def filled_router(stream: TupleBatch, nx=3, ny=2, h=H, make=ShardRouter) -> ShardRouter:
+    router = make(RegionGrid(BOUNDS, nx=nx, ny=ny), h=h)
     router.ingest(stream)
     return router
 
@@ -198,17 +198,31 @@ class TestRouterRebalance:
             # The engine's own plan() re-pins internally and succeeds.
             assert answers(eng, queries).answered.any()
 
-    def test_plan_built_before_rebalance_executes_identically(self):
+    def test_plan_built_before_rebalance_executes_identically(self, router_over):
+        """A pinned plan outlives whatever the re-cut does — goes through
+        (resident store) or is refused untouched (durable store)."""
         stream = make_stream(500, hot_cell_frac=0.5)
         queries = make_queries(stream, 60)
-        with ShardedQueryEngine(filled_router(stream), max_workers=2) as eng:
-            plan = eng.plan(queries, "naive")
-            expected = eng.execute(plan)
-            hot = int(np.argmax(eng.router.shard_counts()))
-            eng.router.split_shard(hot)
-            assert identical(expected, eng.execute(plan))  # pinned slices
-            eng.router.merge_cell(eng.router.grid.cell_of_shard(hot))
-            assert identical(expected, eng.execute(plan))
+        for store in router_over.stores:
+            router = filled_router(
+                stream, make=lambda grid, h: router_over(store, grid, h)
+            )
+            with ShardedQueryEngine(router, max_workers=2) as eng:
+                plan = eng.plan(queries, "naive")
+                expected = eng.execute(plan)
+                hot = int(np.argmax(router.shard_counts()))
+                if store == "resident":
+                    router.split_shard(hot)
+                    assert identical(expected, eng.execute(plan))  # pinned slices
+                    router.merge_cell(router.grid.cell_of_shard(hot))
+                    assert router.layout_epoch == 2
+                else:
+                    epoch = router.epoch
+                    with pytest.raises(NotImplementedError, match="durable tier"):
+                        router.split_shard(hot)
+                    assert (router.epoch, router.layout_epoch) == (epoch, 0)
+                assert identical(expected, eng.execute(plan))
+                assert identical(expected, answers(eng, queries))
 
     def test_tiered_router_refuses_rebalance(self, tmp_path):
         from repro.storage.tiered import TieredShardRouter

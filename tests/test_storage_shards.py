@@ -1,4 +1,9 @@
-"""Tests for repro.storage.shards."""
+"""Tests for repro.storage.shards.
+
+The router is one class over two window stores; everything that is the
+router's own (routing, window alignment, time routing, the ingest
+contract) runs over both through the ``router_over`` fixture.
+"""
 
 import numpy as np
 import pytest
@@ -61,32 +66,32 @@ class TestRouting:
         owners = router.grid.shards_of(stream.x, stream.y)
         for s in range(4):
             assert delivered[s] == int(np.sum(owners == s))
-            assert router.database(s).raw_count() == delivered[s]
+            assert len(router.shard_column(s)[0]) == delivered[s]
         assert router.global_count() == 100
         assert sum(router.shard_counts()) == 100
 
-    def test_empty_batch_is_noop(self):
-        router = single_shard_router(h=8)
-        assert router.ingest(TupleBatch.empty()) == [0]
-        assert router.global_count() == 0
+    def test_empty_batch_is_noop(self, router_over):
+        for store in router_over.stores:
+            router = router_over(store, RegionGrid(BOUNDS, nx=1, ny=1), h=8)
+            assert router.ingest(TupleBatch.empty()) == [0]
+            assert router.global_count() == 0
 
     def test_shard_streams_stay_time_sorted(self):
         router = ShardRouter(RegionGrid(BOUNDS, nx=3, ny=2), h=16)
         fill(router, make_stream(200))
         for s in range(router.n_shards):
-            batch = router.database(s).raw_tuples()
-            assert batch.is_time_sorted()
+            assert router.shard_column(s)[0].is_time_sorted()
 
     def test_gids_strictly_increasing_and_partition_global_ids(self):
         router = ShardRouter(RegionGrid(BOUNDS, nx=2, ny=2), h=16)
         fill(router, make_stream(150), pieces=5)
         all_gids = np.concatenate(
-            [router.shard_gids(s) for s in range(router.n_shards)]
+            [router.shard_column(s)[1] for s in range(router.n_shards)]
         )
         assert len(all_gids) == 150
         np.testing.assert_array_equal(np.sort(all_gids), np.arange(150))
         for s in range(router.n_shards):
-            gids = router.shard_gids(s)
+            gids = router.shard_column(s)[1]
             assert np.all(np.diff(gids) > 0) if len(gids) > 1 else True
 
 
@@ -100,38 +105,42 @@ class TestGlobalWindowAlignment:
         ny=st.integers(min_value=1, max_value=3),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
     )
-    def test_shard_windows_partition_global_window(self, n, h, pieces, nx, ny, seed):
+    def test_shard_windows_partition_global_window(
+        self, router_over, n, h, pieces, nx, ny, seed
+    ):
         """For every global window: the union of per-shard slices is
         exactly the global window's tuples, and each slice preserves
-        global stream order (checked via gids)."""
+        global stream order (checked via gids) — over either store."""
         stream = make_stream(n, seed=seed)
-        router = ShardRouter(RegionGrid(BOUNDS, nx=nx, ny=ny), h=h)
-        fill(router, stream, pieces=pieces)
-        assert router.global_window_count() == (n + h - 1) // h
-        for c in range(router.global_window_count()):
-            expected = window(stream, c, h)
-            rows = []
-            for s in range(router.n_shards):
-                part = router.shard_window(s, c)
-                gids = router.shard_window_gids(s, c)
-                assert len(part) == len(gids)
-                for k in range(len(part)):
-                    rows.append((int(gids[k]), part.row(k)))
-            rows.sort()
-            assert len(rows) == len(expected)
-            for (gid, row), k in zip(rows, range(len(expected))):
-                assert gid == c * h + k
-                assert row == expected.row(k)
+        for store in router_over.stores:
+            router = router_over(store, RegionGrid(BOUNDS, nx=nx, ny=ny), h)
+            fill(router, stream, pieces=pieces)
+            assert router.global_window_count() == (n + h - 1) // h
+            for c in range(router.global_window_count()):
+                expected = window(stream, c, h)
+                rows = []
+                for s in range(router.n_shards):
+                    part = router.shard_window(s, c)
+                    gids = router.shard_window_gids(s, c)
+                    assert len(part) == len(gids)
+                    for k in range(len(part)):
+                        rows.append((int(gids[k]), part.row(k)))
+                rows.sort()
+                assert len(rows) == len(expected)
+                for (gid, row), k in zip(rows, range(len(expected))):
+                    assert gid == c * h + k
+                    assert row == expected.row(k)
 
-    def test_window_index_errors(self):
-        router = single_shard_router(h=8)
-        router.ingest(make_stream(10))
-        with pytest.raises(IndexError):
-            router.shard_window(0, 99)
-        with pytest.raises(ValueError):
-            router.shard_window(0, -1)
-        with pytest.raises(IndexError):
-            router.shard_window_gids(0, 99)
+    def test_window_index_errors(self, router_over):
+        for store in router_over.stores:
+            router = router_over(store, RegionGrid(BOUNDS, nx=1, ny=1), h=8)
+            router.ingest(make_stream(10))
+            with pytest.raises(IndexError):
+                router.shard_window(0, 99)
+            with pytest.raises(ValueError):
+                router.shard_window(0, -1)
+            with pytest.raises(IndexError):
+                router.shard_window_gids(0, 99)
 
     @_SETTINGS
     @given(
@@ -140,10 +149,10 @@ class TestGlobalWindowAlignment:
         nx=st.integers(min_value=1, max_value=3),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
     )
-    def test_windows_for_times_matches_single_stream(self, n, h, nx, seed):
+    def test_windows_for_times_matches_single_stream(
+        self, router_over, n, h, nx, seed
+    ):
         stream = make_stream(n, seed=seed)
-        router = ShardRouter(RegionGrid(BOUNDS, nx=nx, ny=2), h=h)
-        fill(router, stream)
         probes = np.concatenate(
             (
                 stream.t,
@@ -152,12 +161,78 @@ class TestGlobalWindowAlignment:
             )
         )
         expected = windows_for_times(stream.t, probes, h)
-        np.testing.assert_array_equal(router.windows_for_times(probes), expected)
+        for store in router_over.stores:
+            router = router_over(store, RegionGrid(BOUNDS, nx=nx, ny=2), h)
+            fill(router, stream)
+            np.testing.assert_array_equal(
+                router.windows_for_times(probes), expected
+            )
 
-    def test_windows_for_times_requires_data(self):
-        router = single_shard_router(h=8)
-        with pytest.raises(RuntimeError):
-            router.windows_for_times([1.0])
+    def test_windows_for_times_requires_data(self, router_over):
+        for store in router_over.stores:
+            router = router_over(store, RegionGrid(BOUNDS, nx=1, ny=1), h=8)
+            with pytest.raises(RuntimeError):
+                router.windows_for_times([1.0])
+
+
+def observable_state(router):
+    """Everything an ingest may change, WAL bytes included."""
+    data_dir = getattr(router, "data_dir", None)
+    return (
+        router.global_count(),
+        router.shard_counts(),
+        [router.cuts(s) for s in range(router.n_shards)],
+        router.epoch,
+        router.layout_epoch,
+        [router.window_stats(c) for c in range(router.global_window_count())],
+        (data_dir / "wal.log").read_bytes() if data_dir else b"",
+        router.tier_stats() if data_dir else {},
+    )
+
+
+@pytest.mark.parametrize("store", ["resident", "segment"])
+class TestIngestContract:
+    """The stream is append-only in time; the one ``ingest`` enforces it
+    before logging or changing anything."""
+
+    def test_bad_batch_is_rejected_without_side_effects(self, router_over, store):
+        router = router_over(store, RegionGrid(BOUNDS, nx=2, ny=2), h=16)
+        stream = make_stream(100)
+        router.ingest(stream.slice(0, 60))  # 3 sealed windows + a 12-row tail
+        before = observable_state(router)
+        nxt = stream.slice(60, 80)
+
+        def with_t(t):
+            return TupleBatch(np.asarray(t, dtype=float), nxt.x, nxt.y, nxt.s)
+
+        poisoned = nxt.t.copy()
+        poisoned[7] = np.nan
+        endless = nxt.t.copy()
+        endless[-1] = np.inf
+        bad = {
+            "late": stream.slice(50, 70),
+            "unsorted": with_t(nxt.t[::-1]),
+            "nan": with_t(poisoned),
+            "inf": with_t(endless),
+        }
+        for name, batch in bad.items():
+            with pytest.raises(ValueError):
+                router.ingest(batch)
+            assert observable_state(router) == before, name
+        # The stream itself is still welcome — including a batch that
+        # starts exactly at the last accepted timestamp.
+        router.ingest(with_t(np.full(len(nxt), stream.t[59])))
+        router.ingest(stream.slice(80, 100))
+        assert router.global_count() == 100
+
+    def test_late_batch_cannot_corrupt_time_routing(self, router_over, store):
+        router = router_over(store, RegionGrid(BOUNDS, nx=2, ny=1), h=10)
+        stream = make_stream(40)
+        router.ingest(stream)
+        expected = router.windows_for_times(stream.t)
+        with pytest.raises(ValueError, match="last accepted"):
+            router.ingest(stream.slice(0, 10))
+        np.testing.assert_array_equal(router.windows_for_times(stream.t), expected)
 
 
 class TestValidation:

@@ -114,7 +114,30 @@ def probe_queries(stream: TupleBatch, n: int = 80, seed: int = 1) -> QueryBatch:
     )
 
 
+#: The router protocol: every method the query pipeline, the servers
+#: and the rebalancer call on a router.
+PROTOCOL = (
+    "ingest", "route", "cuts", "epoch", "layout_epoch", "n_shards",
+    "global_count", "global_window_count", "shard_counts",
+    "shard_load_stats", "shard_window", "shard_windows",
+    "shard_window_gids", "shard_window_epoch", "shard_window_sketch",
+    "frozen_window_sketch", "window_stats", "snapshot_window",
+    "snapshot_window_sketch", "windows_for_times", "window_for_time",
+    "split_shard", "merge_cell",
+)
+
+
 class TestProtocolEquivalence:
+    """Store-vs-store oracle: the resident store is the reference."""
+
+    def test_tiered_router_defines_no_protocol_method(self):
+        """One router, two stores: the durable router inherits the whole
+        protocol, so a second copy of it cannot quietly return."""
+        public = {name for name in vars(ShardRouter) if not name.startswith("_")}
+        assert set(PROTOCOL) <= public
+        assert issubclass(TieredShardRouter, ShardRouter)
+        assert not public & set(vars(TieredShardRouter))
+
     def test_matches_plain_router_bit_for_bit(self, tmp_path):
         stream = make_stream(2000)
         tiered, plain = make_pair(tmp_path, stream, h=150, cap=3)
@@ -217,6 +240,22 @@ class TestDurableRecovery:
                     assert again.shard_window(s, c).t.tobytes() == plain.shard_window(
                         s, c
                     ).t.tobytes()
+
+    @pytest.mark.parametrize("n_rows", [640, 600])
+    def test_reopen_restores_the_ingest_time_floor(self, tmp_path, n_rows):
+        """The last accepted timestamp survives a reopen — from the WAL
+        tail's rows (640 = 6 windows + 40), else from the last sealed
+        window's sketches (600 = 6 windows exactly)."""
+        stream = make_stream(1000, seed=6)
+        grid = RegionGrid(BOUNDS, nx=2, ny=2)
+        with TieredShardRouter(grid, h=100, data_dir=tmp_path / "tier") as tiered:
+            fill(tiered, stream.slice(0, n_rows), pieces=3)
+        with TieredShardRouter.open(tmp_path / "tier") as again:
+            with pytest.raises(ValueError, match="last accepted"):
+                again.ingest(stream.slice(n_rows - 20, n_rows + 20))
+            assert again.global_count() == n_rows
+            again.ingest(stream.slice(n_rows, 1000))
+            assert again.global_count() == 1000
 
     def test_open_without_manifest_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no manifest"):
