@@ -12,7 +12,8 @@ answered twice from identically-ingested stores:
   :class:`~repro.storage.rebalance.ShardRebalancer` has watched the
   load tracker and acted: hot cells split into sub-tiles (smaller
   scans, tighter zone-map sketches), still-hot sub-tiles get read
-  replicas (one scan fanned over pool threads).
+  replicas (one scan split into ops the process executor can place on
+  separate workers; in process they fold back into one scan).
 
 Answers are byte-identical by construction — a re-cut moves rows
 between slots without touching the global stream, and the exact gather

@@ -716,7 +716,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_positive_int,
         default=None,
-        help="thread-pool size for batched query groups (default: CPU count)",
+        help="thread-pool size for batched query groups (default: the CPUs "
+        "this process may use)",
     )
     p.add_argument(
         "--shards",
@@ -849,7 +850,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_positive_int,
         default=None,
-        help="thread-pool size for plan execution (default: CPU count)",
+        help="thread-pool size for scatter-shaped plans — window groups, "
+        "cover ops (default: the CPUs this process may use); sharded exact "
+        "plans run their gather in the calling thread",
     )
     p.add_argument(
         "--warm",
@@ -913,7 +916,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_positive_int,
         default=None,
-        help="thread-pool size for plan execution (default: CPU count)",
+        help="thread-pool size for scatter-shaped plans — window groups, "
+        "cover ops (default: the CPUs this process may use); sharded exact "
+        "plans run their gather in the calling thread",
     )
     p.set_defaults(func=_cmd_shards)
     return parser

@@ -7,7 +7,8 @@ per-window groups — the unit the pipeline builders
 (:mod:`repro.query.pipeline.executor`) turn into plan ops — and
 :class:`BatchExecutor` is the bounded thread pool the shared
 :class:`~repro.query.pipeline.executor.PlanExecutor` fans those ops out
-on (one ``process_batch`` or hit-scan call per op/task).
+on (one ``process_batch`` call per op/task; merge-shaped plans run
+their blocked gather in the calling thread).
 
 Thread-safety contract: a materialised processor is immutable after
 construction — ``process``/``process_batch`` only read the window arrays,
@@ -21,10 +22,13 @@ the caller's thread, and the pool threads only ever call
 
 Choosing ``max_workers``: the work per group is numpy-heavy (distance
 matrices, model evaluation), which releases the GIL for its inner loops,
-so ``min(number of groups, os.cpu_count())`` is the sweet spot — the
-:class:`BatchExecutor` default.  Pure-Python-bound processors (the tree
-indexes) gain little from extra threads; ``max_workers=1`` degrades to an
-ordinary loop with zero pool overhead.
+so ``min(number of groups, CPUs this process may run on)`` is the sweet
+spot — the :class:`BatchExecutor` default, read once at construction
+from the scheduler affinity (which, unlike ``os.cpu_count()``, honours
+``taskset``/cpusets: a process pinned to one CPU runs every map as a
+plain loop instead of time-slicing pool threads).  Pure-Python-bound
+processors (the tree indexes) gain little from extra threads;
+``max_workers=1`` degrades to an ordinary loop with zero pool overhead.
 """
 
 from __future__ import annotations
@@ -89,6 +93,14 @@ def group_queries_by_window(
     return groups
 
 
+def usable_cpus() -> int:
+    """CPUs this process may be scheduled on (affinity-aware)."""
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except (AttributeError, OSError):  # not every platform has affinity
+        return os.cpu_count() or 1
+
+
 def split_chunks(items: Sequence[T], n: int) -> List[Sequence[T]]:
     """Split ``items`` into at most ``n`` contiguous, near-equal, non-empty
     chunks, preserving order — the unit the concurrent serving layer fans
@@ -146,20 +158,20 @@ class BatchExecutor:
     def __init__(self, max_workers: Optional[int] = None) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be at least 1")
-        self.max_workers = max_workers
+        # Pool size: the caller's cap, else the CPUs this process may
+        # use — read once, not per map (a policy input, not a clock).
+        self.max_workers = max_workers or usable_cpus()
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_lock = threading.Lock()
 
     def workers_for(self, n_tasks: int) -> int:
-        cap = self.max_workers or (os.cpu_count() or 1)
-        return max(1, min(cap, n_tasks))
+        return max(1, min(self.max_workers, n_tasks))
 
     def _ensure_pool(self) -> ThreadPoolExecutor:
         with self._pool_lock:
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(
-                    max_workers=self.max_workers or (os.cpu_count() or 1),
-                    thread_name_prefix="repro-batch",
+                    max_workers=self.max_workers, thread_name_prefix="repro-batch"
                 )
             return self._pool
 

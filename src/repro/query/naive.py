@@ -18,9 +18,11 @@ import numpy as np
 from repro.data.tuples import QueryTuple, TupleBatch
 from repro.query.base import BatchResult, QueryBatch, QueryResult
 
-# Cap on the pairwise distance-matrix footprint of one vectorised chunk
-# (queries x window tuples, float64).  64 MiB keeps the hot loop inside
-# typical L3 + page-cache comfort while still amortising numpy dispatch.
+# Cap on the cells (queries x window tuples) of one vectorised chunk.
+# The distance expression below materialises five float64 temporaries of
+# that shape — 64 MiB *each* at the cap, far outside any cache — so the
+# cap only bounds peak memory for huge query batches; it amortises numpy
+# dispatch, it does not keep the loop cache-resident.
 _MAX_CHUNK_CELLS = 8_000_000
 
 

@@ -11,10 +11,14 @@ binding and is the only place operator dispatch lives:
   build-time ``vectorise`` flag) — serially below the policy's
   ``min_parallel_queries``, fanned across the worker pool above it.
   Fallback ops recurse into their exact sub-plan.
-* **merge-shaped plans** — every hit-emitting scan runs as one pool task
-  and the partials gather through
-  :func:`~repro.query.pipeline.gather.merge_hit_partials` — exact and
-  partition-independent.
+* **merge-shaped plans** — the blocked exact gather: each window's
+  queries are walked in blocks of
+  :data:`~repro.query.pipeline.gather.BLOCK_CELLS` cells or more, every
+  hit-emitting scan of the window contributes its hit pairs for the
+  block, and :func:`~repro.query.pipeline.gather.reduce_hit_block` sorts
+  and sums them straight into the result — exact, partition-independent,
+  and never holding more than one block's hits.  The loop runs in the
+  calling thread; the worker pool serves scatter-shaped plans only.
 
 Every operator's wall time is reported to the planner feedback (when
 wired), closing the loop that recalibrates ``method="auto"``; pass a
@@ -22,7 +26,7 @@ wired), closing the loop that recalibrates ``method="auto"``; pass a
 timings for ``cli explain``.
 
 The owner supplies a :class:`PlanRuntime` — the two callables that know
-how to materialise a processor or produce hit triples for a bound
+how to materialise a processor or produce hit pairs for a bound
 context.  That is all that is left of the four historical execution
 paths.
 """
@@ -30,8 +34,8 @@ paths.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -44,7 +48,8 @@ from repro.query.base import (
 )
 from repro.query.executor import BatchExecutor, group_queries_by_window
 from repro.query.pipeline.binding import BoundSlice, RouterBinding, SnapshotBinding
-from repro.query.pipeline.gather import HitPartial, merge_hit_partials
+from repro.query.pipeline import gather as _gather
+from repro.query.pipeline.gather import HitPairs, reduce_hit_block
 from repro.query.pipeline.plan import (
     VECTORISED_POLICY,
     CoverOp,
@@ -75,41 +80,34 @@ class PlanRuntime:
 
     ``processor`` maps a result-emitting op and its bound slice to an
     immutable processor (through the owner's :class:`ProcessorCache`);
-    ``hits`` maps a hit-emitting scan and its bound slice to a local
-    :data:`HitPartial` (probe indices local to the op's queries).  The
-    binding is the plan's — the executor resolves each op's context
-    through it, so execution reads exactly the rows the builder pinned.
+    ``hits`` maps a hit-emitting scan, its bound slice, the prepared
+    object and a local query range ``[lo, hi)`` to that range's
+    :data:`~repro.query.pipeline.gather.HitPairs` (query indices local
+    to the op's queries, row indices local to the slice).  The binding
+    is the plan's — the executor resolves each op's context through it,
+    so execution reads exactly the rows the builder pinned.
     """
 
     binding: SnapshotBinding
     processor: Optional[Callable[[ResultOp, BoundSlice], PointQueryProcessor]] = None
-    hits: Optional[Callable[..., HitPartial]] = None
+    hits: Optional[Callable[[ScanOp, BoundSlice, object, int, int], HitPairs]] = None
     #: Optional warm-up for hit-emitting scans (e.g. materialise the
-    #: index) — run inside the pool task but *outside* the timed region,
-    #: so one-time build costs never pollute the planner's observed
-    #: per-query timings (the scatter path gets the same guarantee from
-    #: its serial pre-materialisation).  Whatever it returns is handed to
-    #: ``hits`` as the third argument, so the prepared object cannot be
-    #: evicted-and-rebuilt (inside the timer) between the two calls.
+    #: index) — run once per op *before* the block loop and outside
+    #: every timer, so one-time build costs never pollute the planner's
+    #: observed per-query timings (the scatter path gets the same
+    #: guarantee from its serial pre-materialisation).  Whatever it
+    #: returns is handed to every ``hits`` call of the op, so the
+    #: prepared object cannot be evicted-and-rebuilt (inside the timer)
+    #: between calls.
     prepare_hits: Optional[Callable[[ScanOp, BoundSlice], object]] = None
 
-    def _bound(self, op) -> BoundSlice:
+    def bound(self, op) -> BoundSlice:
         return self.binding.slice_for(op.context.shard, op.context.window_c)
 
     def processor_for(self, op: ResultOp) -> PointQueryProcessor:
         if self.processor is None:
             raise RuntimeError("runtime has no processor materialiser")
-        return self.processor(op, self._bound(op))
-
-    def prepare_hit_partial(self, op: ScanOp):
-        if self.prepare_hits is None:
-            return None
-        return self.prepare_hits(op, self._bound(op))
-
-    def hit_partial(self, op: ScanOp, prepared=None) -> HitPartial:
-        if self.hits is None:
-            raise RuntimeError("runtime has no hit scanner")
-        return self.hits(op, self._bound(op), prepared)
+        return self.processor(op, self.bound(op))
 
 
 class PlanExecutor:
@@ -178,28 +176,85 @@ class PlanExecutor:
         return self._run_scatter(plan, report)
 
     def _run_merge(self, plan: ExecutionPlan, report: Optional[PlanReport]) -> BatchResult:
-        def run_hit(op: ScanOp) -> HitPartial:
-            # Warm-up (index build) inside the pool task, outside the
-            # timer: observed timings must reflect scan cost only.  The
-            # prepared object travels by hand so cache pressure between
-            # the two calls cannot force a rebuild inside the timer.
-            prepared = self.runtime.prepare_hit_partial(op)
-            t0 = time.perf_counter()
-            probe, gid, vals = self.runtime.hit_partial(op, prepared)
-            self._observe(op, time.perf_counter() - t0, report)
-            # Local probe indices -> positions in the plan's query stream.
-            return op.positions[probe], gid, vals
+        """The blocked exact gather (see :mod:`repro.query.pipeline.gather`).
 
-        ops: Sequence[ScanOp] = plan.ops  # type: ignore[assignment]
-        if self.pool is not None:
-            partials = self.pool.map(run_hit, list(ops))
-        else:
-            partials = [run_hit(op) for op in ops]
+        Per window, the queries are walked in blocks of ``BLOCK_CELLS``
+        cells — grown, once the plan has shown a sparse hit density,
+        towards ``BLOCK_HITS`` hits; per block, every source of the
+        window reports its hit pairs for its share of the block's
+        queries, and the block's hits are sorted and summed straight
+        into the result.  Only the pair extraction is on an op's clock —
+        the planner, the load tracker and ``explain`` keep seeing scan
+        cost, while sort + reduce accrue to ``report.gather_s``.
+
+        The loop runs in the calling thread, whatever the pool's size.
+        Each of its numpy calls drops the GIL for a few microseconds, so
+        pool threads running block ranges hand it back and forth: with
+        more threads than free cores that doubled a many-small-ops
+        plan's time (``docs/architecture.md`` has the numbers), and no
+        host was available on which a gain could be shown.  Cores are
+        used across requests, or across worker processes by
+        ``ProcessPlanExecutor``.
+        """
         merge = plan.merge
         assert merge is not None
-        return merge_hit_partials(
-            merge.n_queries, merge.n_stream_rows, partials, plan.queries
-        )
+        hits = self.runtime.hits
+        if hits is None:
+            raise RuntimeError("runtime has no hit scanner")
+        ops: Sequence[ScanOp] = plan.ops  # type: ignore[assignment]
+        values = np.full(merge.n_queries, np.nan)
+        support = np.zeros(merge.n_queries, dtype=np.int64)
+        clock = time.perf_counter
+        scan_s = [0.0] * len(ops)
+        gather_s = 0.0
+        budget = _gather.BLOCK_CELLS
+        cells_seen = hits_seen = 0
+        for group in _window_gathers(self.runtime, ops, merge.n_stream_rows):
+            n = len(group.positions)
+            first = 0
+            while first < n:
+                end, cells = group.block(first, budget)
+                start = clock()
+                scanned = 0.0
+                keys: List[np.ndarray] = []
+                vals: List[np.ndarray] = []
+                in_order = True
+                for src in group.sources:
+                    if src.rank is None:
+                        lo, hi = first, end
+                    else:
+                        lo, hi = src.rank[first], src.rank[end]
+                        if lo == hi:
+                            continue
+                    t0 = clock()
+                    qi, ti = hits(src.op, src.bound, src.prepared, lo, hi)
+                    elapsed = clock() - t0
+                    src.scan_s += elapsed
+                    scanned += elapsed
+                    if len(qi):
+                        keys.append(src.keys[qi] + src.gids[ti])
+                        vals.append(src.s[ti])
+                        in_order = in_order and src.in_order
+                        hits_seen += len(qi)
+                reduce_hit_block(
+                    keys, vals, in_order,
+                    group.edges[first : end + 1], group.positions[first:end],
+                    values, support,
+                )
+                gather_s += clock() - start - scanned
+                cells_seen += cells
+                budget = _gather.block_budget(cells_seen, hits_seen)
+                first = end
+            for src in group.sources:
+                # A source that folded replica ops back together charges
+                # each by its share of the queries.
+                for i in src.members:
+                    scan_s[i] = src.scan_s * (len(ops[i].queries) / len(src.op.queries))
+        for op, elapsed in zip(ops, scan_s):
+            self._observe(op, elapsed, report)
+        if report is not None:
+            report.gather_s += gather_s
+        return BatchResult(plan.queries, values, support, answered=support > 0)
 
     def _run_scatter(self, plan: ExecutionPlan, report: Optional[PlanReport]) -> BatchResult:
         result_ops: List[ResultOp] = []
@@ -257,6 +312,159 @@ class PlanExecutor:
             support[idx] = res.support
             answered[idx] = res.answered
         return BatchResult(plan.queries, values, support, answered)
+
+
+# -- the blocked gather's geometry -------------------------------------------
+
+
+@dataclass
+class _HitSource:
+    """One hit-emitting scan, resolved once per execution for the block loop."""
+
+    members: List[int]  # positions in plan.ops of the op(s) this source scans for
+    op: ScanOp  # the op itself, or its replica ops folded back into one scan
+    bound: BoundSlice
+    prepared: object
+    gids: np.ndarray  # the slice rows' global stream positions
+    s: np.ndarray  # the slice rows' sensor values
+    keys: np.ndarray  # op.positions * stride: the composite key's query half
+    in_order: bool  # hit pairs provably canonical (the naive scan)
+    #: Local query index of each of the window's queries (and of its
+    #: end), i.e. where a block boundary falls in ``op.queries``; None
+    #: when the source scans every query of the window.
+    rank: Optional[List[int]] = None
+    scan_s: float = 0.0  # seconds spent extracting pairs, summed over blocks
+
+
+@dataclass
+class _WindowGather:
+    """One window's sources and its queries' block geometry."""
+
+    sources: List[_HitSource]
+    positions: np.ndarray  # stream positions of the window's queries, ascending
+    #: ``positions * stride`` — each query's lowest possible key — plus
+    #: one final bound above every key of the window.
+    edges: np.ndarray
+    cells: int  # queries x rows summed over the sources
+    #: Cells charged before each query (and in total) — a query costs
+    #: the rows of every slice that scans it, so pruned plans get more
+    #: queries per block.  Built when the window first needs a cut.
+    spent: Optional[np.ndarray] = None
+
+    def block(self, first: int, budget: int) -> Tuple[int, int]:
+        """``(end, cells)`` of the block starting at query ``first``: it
+        takes queries until ``budget`` cells are spent."""
+        n = len(self.positions)
+        if self.spent is None:
+            if not first and self.cells <= budget:
+                return n, self.cells
+            cost = np.zeros(n + 1, dtype=np.int64)
+            for src in self.sources:
+                rows = len(src.gids)
+                if src.rank is None:
+                    cost[1:] += rows
+                else:
+                    cost[1:][self.positions.searchsorted(src.op.positions)] += rows
+            self.spent = np.cumsum(cost)
+        spent = self.spent
+        end = min(int(spent.searchsorted(spent[first] + budget)), n)
+        return end, int(spent[end] - spent[first])
+
+
+def _fold_replicas(
+    ops: Sequence[ScanOp], members: Sequence[int]
+) -> List[Tuple[List[int], ScanOp]]:
+    """A window's scans, replica ops folded back into one scan each.
+
+    Replica ops (consecutive in the plan, one bound context, ascending
+    disjoint query chunks) exist so the *process* executor can place a
+    hot shard's chunks on separate workers.  In process the block loop
+    is serial, and R sources over one slice only cost set-up and force
+    the sort wherever a block straddles two chunks — one source over
+    the same rows is provably in order again.
+    """
+    scans: List[Tuple[List[int], List[ScanOp]]] = []
+    for i in members:
+        op = ops[i]
+        if scans and op.replica:
+            last = scans[-1][1][-1]
+            if (
+                last.context == op.context
+                and last.method == op.method
+                and last.positions[-1] < op.positions[0]
+            ):
+                scans[-1][0].append(i)
+                scans[-1][1].append(op)
+                continue
+        scans.append(([i], [op]))
+    folded = []
+    for indices, parts in scans:
+        op = parts[0]
+        if len(parts) > 1:
+            op = replace(
+                op,
+                positions=np.concatenate([p.positions for p in parts]),
+                queries=QueryBatch(
+                    *(
+                        np.concatenate([getattr(p.queries, col) for p in parts])
+                        for col in ("t", "x", "y")
+                    )
+                ),
+            )
+        folded.append((indices, op))
+    return folded
+
+
+def _window_gathers(
+    runtime: PlanRuntime, ops: Sequence[ScanOp], n_stream_rows: int
+) -> List[_WindowGather]:
+    """The block geometry of a merge-shaped plan, one entry per window.
+
+    Resolves each scan's pinned slice and runs its warm-up (index build)
+    here — once, outside every timer.  Relies on what the plan builders
+    guarantee: an op's ``positions`` ascend, and so do a slice's gids.
+    """
+    bounds = [runtime.bound(op) for op in ops]
+    # Canonical order is (query position, global stream position).  Under
+    # concurrent ingest a pinned gid can exceed the row counter the plan
+    # read; widen the stride so the composite key stays collision-free.
+    stride = max(
+        [n_stream_rows, 1] + [int(b[2][-1]) + 1 for b in bounds if len(b[2])]
+    )
+    by_window: Dict[int, List[int]] = {}
+    for i, op in enumerate(ops):
+        by_window.setdefault(op.context.window_c, []).append(i)
+    groups: List[_WindowGather] = []
+    for members in by_window.values():
+        scans = _fold_replicas(ops, members)
+        if len(scans) == 1:
+            positions = scans[0][1].positions
+        else:
+            positions = np.unique(np.concatenate([op.positions for _, op in scans]))
+        sources = []
+        cells = 0
+        for indices, op in scans:
+            bound = bounds[indices[0]]
+            _stamp, sub, gids = bound
+            prepared = (
+                runtime.prepare_hits(op, bound)
+                if runtime.prepare_hits is not None
+                else None
+            )
+            rank = None
+            if len(op.positions) < len(positions):
+                rank = op.positions.searchsorted(positions).tolist()
+                rank.append(len(op.positions))
+            cells += len(op.positions) * len(gids)
+            sources.append(
+                _HitSource(
+                    indices, op, bound, prepared, gids, sub.s,
+                    op.positions * stride, op.method == "naive", rank,
+                )
+            )
+        edges = np.append(positions, positions[-1] + 1) * stride
+        groups.append(_WindowGather(sources, positions, edges, cells))
+    return groups
 
 
 # -- plan builders ----------------------------------------------------------
@@ -397,8 +605,9 @@ def build_sharded_plan(
 
     ``replicas`` maps hot shard ids to a read-replica count ``R > 1``:
     that shard's hit scans are split into up to ``R`` ops over disjoint
-    query chunks sharing one bound context, so the executors can spread
-    a hot shard's scan load across pool threads / worker processes.
+    query chunks sharing one bound context, so the process executor can
+    spread a hot shard's scan load across worker processes (in process
+    :func:`_fold_replicas` makes them one scan again).
     The exact gather orders hits canonically by stream position, so
     replica-split and unsplit plans are byte-identical by construction.
     """
@@ -577,8 +786,8 @@ def _exact_plan(
                 # ops over disjoint query chunks.  Every chunk binds the
                 # same pinned context (same rows), and the exact gather
                 # is canonical in stream position — identical answers,
-                # but the executors can now run the chunks on separate
-                # pool threads / worker processes.
+                # but the process executor can now run the chunks on
+                # separate workers.
                 chunks = np.array_split(local, min(r, len(local)))
                 for i, chunk in enumerate(chunks):
                     if not len(chunk):

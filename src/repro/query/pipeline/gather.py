@@ -1,24 +1,38 @@
-"""Exact scatter-gather primitives: hit scans and the canonical merge.
+"""Exact scatter-gather primitives: the tile kernel and the block reduce.
 
 These are the numerics behind merge-shaped plans (``emit="hits"``
-:class:`~repro.query.pipeline.plan.ScanOp` + ``MergeOp``): each bound
-window slice reports its raw ``(query, global stream position, value)``
-hit triples, and the gather step merges them **exactly** — hits ordered
-by ``(query, stream position)`` with one int64 radix sort, each query's
-values summed with one segmented reduction.  Every tuple is owned by
-exactly one shard and keeps its global stream position, so the ordered
-hit sequence — and hence every summed byte — depends only on the query
-and the stream, never on how regions carved it up: answers are
-byte-identical for every shard count (``tests/test_engine_equivalence.py``
-enforces this).
+:class:`~repro.query.pipeline.plan.ScanOp` + ``MergeOp``).  A query's
+answer is the mean of the sensor values of every stream row within the
+radius, summed **in global stream order**: hits are put in canonical
+``(query position, global stream position)`` order — one stable sort of
+an int64 composite key — and each query's values are summed with one
+segmented ``np.add.reduceat``.  Every tuple is owned by exactly one
+shard and keeps its global stream position, so the ordered hit sequence
+— and hence every summed byte — depends only on the query and the
+stream, never on how regions carved it up: answers are byte-identical
+for every shard count (``tests/test_engine_equivalence.py`` enforces
+this).
 
-Moved here from :mod:`repro.query.sharded` by the plan-pipeline refactor
-(which re-exports them for compatibility) so the shared executor can run
-merge-shaped plans without importing an engine.
+In process the gather is **blocked** (the loop lives in
+:meth:`PlanExecutor._run_merge <repro.query.pipeline.executor.PlanExecutor>`):
+a window's queries are walked in blocks of :data:`BLOCK_CELLS`
+``queries x rows`` cells (more where hits are sparse, see
+:func:`block_budget`), each op's distance tile is computed in place
+in a per-thread workspace (:func:`scan_pairs`), and
+:func:`reduce_hit_block` sorts and sums the block's hits straight into
+the result.  Nothing proportional to the plan's hit count is ever
+allocated — see "Memory discipline of the exact gather" in
+``docs/architecture.md`` for why that matters more than the arithmetic.
+
+:func:`scan_hits` / :func:`index_hits` / :func:`merge_hit_partials` are
+the same numerics in whole-op units: hit triples are the **wire format**
+of :class:`~repro.query.pipeline.parallel.ProcessPlanExecutor`, whose
+workers' partials must cross a pipe before the parent merges them.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -27,11 +41,155 @@ from repro.data.tuples import TupleBatch
 from repro.query.base import BatchResult, QueryBatch
 from repro.query.indexed import IndexedProcessor
 
-_MAX_CHUNK_CELLS = 8_000_000  # same footprint cap as the naive batch scan
+#: Cells (queries x scanned rows) one block of the exact gather covers
+#: at least, and exactly until the plan has shown its hit density.
+#: Chosen by measurement at the socket (``benchmarks/e2e``,
+#: ``heatmap_scan``; the sweep is in ``docs/architecture.md``): much
+#: smaller and per-block Python dispatch dominates; larger and a block's
+#: hit arrays outgrow the allocator's bins and are mapped, zero-filled
+#: and trimmed afresh on every request.  That is a statement about
+#: *hits* made in cells: the sweep ran at a city-wide heatmap's density
+#: (30 % of cells hit, so ~10 K hits = ~80 KB per key/value array, under
+#: glibc's 128 KB mmap threshold).  The denser case was checked too
+#: (3 km radius, ~90 % of cells hit, so 256 KB arrays): p50 93.8 ms at
+#: the parent, 39.2 ms with this block, 42.9 ms with blocks cut down to
+#: ~10 K hits — the large arrays show as a p95 tail (52 vs 46 ms), not
+#: as the cliff whole-op arrays fell off, so blocks never shrink.
+BLOCK_CELLS = 1 << 15
+
+#: Hits a block is budgeted to hold once the density is known: a sparse
+#: plan (small radius, many pruned slices) would otherwise spend its
+#: time dispatching tiles of a few thousand cells with a handful of hits
+#: each.  Blocks grow towards this many hits, up to :data:`BLOCK_SCALE`
+#: times :data:`BLOCK_CELLS` so a thread's workspace stays ~2 MB.
+BLOCK_HITS = 10_000
+BLOCK_SCALE = 4
+
+
+def block_budget(cells_seen: int, hits_seen: int) -> int:
+    """Cells the next block may cover: enough to hold :data:`BLOCK_HITS`
+    hits at the density the plan has shown so far, within
+    ``[BLOCK_CELLS, BLOCK_SCALE * BLOCK_CELLS]``."""
+    cells = BLOCK_HITS * cells_seen // max(hits_seen, 1)
+    return max(BLOCK_CELLS, min(cells, BLOCK_SCALE * BLOCK_CELLS))
+
 
 # Exact hit partials: parallel (query position, global stream position,
-# sensor value) arrays — the unit scans return and the gather step merges.
+# sensor value) arrays — what process workers send back to the parent.
 HitPartial = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+#: Local ``(query index, row index)`` hit pairs of one op over a query
+#: range: query indices non-decreasing, and — for the naive scan only —
+#: row indices ascending within each query.
+HitPairs = Tuple[np.ndarray, np.ndarray]
+
+
+class _Workspace(threading.local):
+    """Per-thread distance-tile scratch, grown to the largest tile the
+    thread has needed and never freed — pure scratch, no state survives
+    a :func:`scan_pairs` call."""
+
+    def __init__(self) -> None:
+        self._cells = 0
+
+    def tiles(self, k: int, n: int):
+        cells = k * n
+        if cells > self._cells:
+            self._d = np.empty(cells)
+            self._e = np.empty(cells)
+            self._inside = np.empty(cells, dtype=bool)
+            self._cells = cells
+        inside = self._inside[:cells]
+        return (
+            self._d[:cells].reshape(k, n),
+            self._e[:cells].reshape(k, n),
+            inside.reshape(k, n),
+            inside,
+        )
+
+
+_workspace = _Workspace()
+
+
+def scan_pairs(
+    window: TupleBatch, queries: QueryBatch, lo: int, hi: int, radius_m: float
+) -> HitPairs:
+    """Hit pairs of the naive radius scan for ``queries[lo:hi]``.
+
+    The one place the hit-emitting distance test lives:
+    ``(wx - qx)² + (wy - qy)² <= r²`` evaluated tile-wise into the
+    thread's workspace (bit-for-bit the expression
+    :meth:`NaiveProcessor.process_batch` evaluates with temporaries).
+    Pairs come out row-major, so a single naive source is already in
+    canonical order.
+    """
+    n = len(window)
+    d, e, inside, inside_flat = _workspace.tiles(hi - lo, n)
+    np.subtract(window.x[None, :], queries.x[lo:hi, None], out=d)
+    np.square(d, out=d)
+    np.subtract(window.y[None, :], queries.y[lo:hi, None], out=e)
+    np.square(e, out=e)
+    np.add(d, e, out=d)
+    np.less_equal(d, radius_m * radius_m, out=inside)
+    flat = inside_flat.nonzero()[0]
+    qi = flat // n
+    ti = flat - qi * n
+    if lo:
+        qi += lo
+    return qi, ti
+
+
+def index_pairs(
+    processor: IndexedProcessor, queries: QueryBatch, lo: int, hi: int
+) -> HitPairs:
+    """Hit pairs via an index — identical hit set to :func:`scan_pairs`,
+    rows in whatever order the index reports them."""
+    hit_lists = processor.query_radius_bulk(queries.x[lo:hi], queries.y[lo:hi])
+    counts = np.fromiter(map(len, hit_lists), dtype=np.intp, count=hi - lo)
+    qi = np.repeat(np.arange(lo, hi, dtype=np.int64), counts)
+    ti = np.fromiter(
+        (i for hits in hit_lists for i in hits), dtype=np.intp, count=len(qi)
+    )
+    return qi, ti
+
+
+def reduce_hit_block(
+    keys: List[np.ndarray],
+    vals: List[np.ndarray],
+    in_order: bool,
+    edges: np.ndarray,
+    positions: np.ndarray,
+    values: np.ndarray,
+    support: np.ndarray,
+) -> None:
+    """Sort and sum one block's hits into ``values`` / ``support``.
+
+    ``keys`` / ``vals`` are the per-source composite keys (``query
+    position * stride + global stream position``) and sensor values of
+    the block; ``positions`` are the block's query positions (ascending)
+    and ``edges`` their keys' lower bounds (``positions * stride``) plus
+    one bound above every key of the block.  The stable sort is skipped
+    only when ``in_order`` says the single source is provably canonical
+    already.
+    """
+    if not keys:
+        return
+    if in_order and len(keys) == 1:
+        key, val = keys[0], vals[0]
+    else:
+        key = np.concatenate(keys)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        val = np.concatenate(vals)[order]
+    bounds = key.searchsorted(edges)
+    counts = bounds[1:] - bounds[:-1]
+    hit = counts.nonzero()[0]
+    sums = np.add.reduceat(val, bounds[hit])
+    values[positions[hit]] = sums / counts[hit]
+    support[positions] = counts
+
+
+# -- whole-op units: the process executor's wire format -----------------------
 
 
 def scan_hits(
@@ -39,60 +197,30 @@ def scan_hits(
 ) -> HitPartial:
     """All ``(query, stream position, value)`` hit triples of a radius scan.
 
-    The vectorised twin of the naive scan that keeps the individual hits
-    instead of averaging them — exact merging needs them.  ``gids`` are
-    the window rows' global stream positions, aligned with ``window``.
-    Chunked like :meth:`NaiveProcessor.process_batch` to bound the
-    distance-matrix footprint.
+    ``gids`` are the window rows' global stream positions, aligned with
+    ``window``.  Walks the queries in :data:`BLOCK_CELLS` tiles of
+    :func:`scan_pairs`, so a worker's footprint stays the hit triples it
+    must ship anyway.
     """
     m, n = len(queries), len(window)
     if not m or not n:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, np.empty(0)
-    wx, wy, ws = window.x, window.y, window.s
-    r2 = radius_m * radius_m
-    chunk = max(1, _MAX_CHUNK_CELLS // n)
-    probe_parts: List[np.ndarray] = []
-    gid_parts: List[np.ndarray] = []
-    value_parts: List[np.ndarray] = []
-    for start in range(0, m, chunk):
-        stop = min(start + chunk, m)
-        qx = queries.x[start:stop, None]
-        qy = queries.y[start:stop, None]
-        inside = (wx[None, :] - qx) ** 2 + (wy[None, :] - qy) ** 2 <= r2
-        qi, ti = np.nonzero(inside)
-        probe_parts.append(qi + start)
-        gid_parts.append(gids[ti])
-        value_parts.append(ws[ti])
-    return (
-        np.concatenate(probe_parts),
-        np.concatenate(gid_parts),
-        np.concatenate(value_parts),
-    )
+    step = max(1, BLOCK_CELLS // n)
+    pairs = [
+        scan_pairs(window, queries, lo, min(lo + step, m), radius_m)
+        for lo in range(0, m, step)
+    ]
+    qi, ti = (np.concatenate(part) for part in zip(*pairs))
+    return qi, gids[ti], window.s[ti]
 
 
 def index_hits(
     processor: IndexedProcessor, gids: np.ndarray, queries: QueryBatch
 ) -> HitPartial:
     """Hit triples via an index — identical hit set to :func:`scan_hits`."""
-    s = processor.window.s
-    probe_parts: List[np.ndarray] = []
-    gid_parts: List[np.ndarray] = []
-    value_parts: List[np.ndarray] = []
-    for i, hits in enumerate(processor.query_radius_bulk(queries.x, queries.y)):
-        if hits:
-            idx = np.asarray(hits, dtype=np.intp)
-            probe_parts.append(np.full(len(idx), i, dtype=np.int64))
-            gid_parts.append(gids[idx])
-            value_parts.append(s[idx])
-    if not probe_parts:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, np.empty(0)
-    return (
-        np.concatenate(probe_parts),
-        np.concatenate(gid_parts),
-        np.concatenate(value_parts),
-    )
+    qi, ti = index_pairs(processor, queries, 0, len(queries))
+    return qi, gids[ti], processor.window.s[ti]
 
 
 def merge_hit_partials(
@@ -101,15 +229,21 @@ def merge_hit_partials(
     partials: Sequence[HitPartial],
     queries: QueryBatch,
 ) -> BatchResult:
-    """Exact partition-independent gather of per-shard hit partials.
+    """Exact partition-independent gather of whole-op hit partials.
 
-    Hits are put in canonical ``(query, stream position)`` order — a
-    single int64 radix sort of the composite key — and each query's
-    values are summed with one segmented ``np.add.reduceat``.  A tuple is
-    owned by exactly one shard and its stream position never changes, so
-    the canonical sequence per query is *the stream order itself*: every
-    output byte is independent of the region partition, and the 1-shard
-    and N-shard configurations agree exactly.
+    The parent side of the process executor (in process the blocked
+    gather does the same per block) and the reference
+    ``tests/test_exact_gather.py`` holds :func:`reduce_hit_block`
+    byte-equal to — so do not optimise it independently: it is the
+    second statement of the sort-then-segmented-sum, kept deliberately
+    plain.  Hits are put in canonical
+    ``(query, stream position)`` order — a single stable sort of the
+    composite int64 key — and each query's values are summed with one
+    segmented ``np.add.reduceat``.  A tuple is owned by exactly one
+    shard and its stream position never changes, so the canonical
+    sequence per query is *the stream order itself*: every output byte
+    is independent of the region partition, and the 1-shard and N-shard
+    configurations agree exactly.
     """
     values = np.full(n_queries, np.nan)
     support = np.zeros(n_queries, dtype=np.int64)

@@ -17,11 +17,13 @@ builds and Ad-KMN cover fits run truly in parallel:
   plan's pinned binding, so workers read exactly the rows the builder
   pinned), query arrays, and the Ad-KMN config for cover ops;
 * workers return hit triples / result arrays; the parent re-maps probe
-  indices through each op's stream positions and merges with the *same*
-  exact-gather primitive (:func:`~repro.query.pipeline.gather
-  .merge_hit_partials`) the serial path uses.  The gather's canonical
-  ``(query, stream position)`` radix sort makes the merged answer
-  independent of which process produced which partial, so answers are
+  indices through each op's stream positions and merges them with
+  :func:`~repro.query.pipeline.gather.merge_hit_partials` — the same
+  canonical ``(query, stream position)`` stable sort and segmented sum
+  the in-process blocked gather applies per block, over whole-op units
+  (hit triples are this executor's wire format: they must cross a
+  pipe).  The canonical order makes the merged answer independent of
+  which process produced which partial, so answers are
   **byte-identical** to the serial executor's at any worker count.
 
 Worker-crash recovery: any failure on the process path — a worker killed

@@ -16,13 +16,13 @@ Operators:
 * :class:`ScanOp` — answer a set of queries from one bound window slice
   with a raw-data method (naive radius scan or an index kind).  Emits
   either finished per-query averages (``emit="result"``, the unsharded
-  discipline) or raw ``(query, stream position, value)`` hit triples
-  (``emit="hits"``, the scatter half of cross-shard exact execution).
+  discipline) or raw ``(query, stream row)`` hits (``emit="hits"``, the
+  scatter half of cross-shard exact execution).
 * :class:`CoverOp` — evaluate the bound ``(window, shard)`` model cover
   over a set of queries; always emits results.
 * :class:`MergeOp` — the gather half: exact, partition-independent merge
-  of every hit-emitting scan's triples (one radix sort + one segmented
-  reduction; see :func:`repro.query.pipeline.gather.merge_hit_partials`).
+  of every hit-emitting scan's hits (one stable sort + one segmented
+  reduction per block; see :mod:`repro.query.pipeline.gather`).
 * :class:`FallbackOp` — a nested exact sub-plan answering the queries a
   cover could not (empty owning slice, or the planner preferred raw
   data).
@@ -90,8 +90,8 @@ class ScanOp:
     eval_unit_cost: Optional[float] = None
     #: Read-replica index: a hot shard's hit scan is split into one op
     #: per replica (same bound context, disjoint query chunks), so the
-    #: executors can spread the shard's scan load across pool threads /
-    #: worker processes.  The exact gather's canonical ordering makes
+    #: process executor can spread the shard's scan load across worker
+    #: processes.  The exact gather's canonical ordering makes
     #: replica-split answers byte-identical to the single-op answer.
     replica: int = 0
 
@@ -260,6 +260,9 @@ class PlanReport:
 
     elapsed_s: Dict[int, float] = field(default_factory=dict)
     total_s: float = 0.0
+    #: Merge-shaped plans: the exact gather's self time (sort + reduce),
+    #: i.e. what the block loop spent outside the ops' scan clocks.
+    gather_s: float = 0.0
     #: Fan-out accounting, filled by the executor from the plan: how
     #: many candidate ops pruning dropped vs how many actually ran.
     ops_pruned: int = 0
@@ -310,7 +313,10 @@ def format_plan(plan: ExecutionPlan, report: Optional[PlanReport] = None) -> str
 
     One line per op: nesting, kind, method, bound context, query count,
     slice rows, estimated cost (scan units per query, when the planner
-    supplied one) and observed wall time (when a report is given).
+    supplied one) and observed wall time (when a report is given) —
+    for a hit-emitting scan that is its scan seconds summed over the
+    gather's blocks, and a ``gather`` line adds what the blocks spent
+    sorting and reducing (nested fallback sub-plans included).
     """
     lines = [
         f"plan: method={plan.method or '?'} queries={plan.n_queries} "
@@ -366,5 +372,7 @@ def format_plan(plan: ExecutionPlan, report: Optional[PlanReport] = None) -> str
             f"{plan.ops_kept} kept"
         )
     if report is not None:
+        if any(isinstance(op, ScanOp) and op.emit == "hits" for _, op in plan.walk()):
+            lines.append(f"  gather: {report.gather_s * 1e3:.2f}ms (sort + reduce)")
         lines.append(f"  total: {report.total_s * 1e3:.2f}ms")
     return "\n".join(lines)

@@ -10,9 +10,9 @@ Since the plan-pipeline refactor the engine is a thin shell over
 ``repro/query/pipeline``: a request is compiled against a pinned
 :class:`~repro.query.pipeline.binding.RouterBinding` into either a
 **merge-shaped** plan (exact methods: per-(window, shard) hit scans plus
-the exact partition-independent gather of
-:func:`~repro.query.pipeline.gather.merge_hit_partials` — answers
-byte-identical at any shard count) or a **scatter-shaped** cover plan
+the exact partition-independent blocked gather of
+:mod:`repro.query.pipeline.gather` — answers byte-identical at any
+shard count) or a **scatter-shaped** cover plan
 (owner-shard model evaluation with an exact fallback sub-plan), and the
 shared :class:`~repro.query.pipeline.executor.PlanExecutor` runs it.
 Index and cover processors live in the one epoch-keyed
@@ -22,9 +22,9 @@ and ``method="auto"`` consults the single statistics-backed
 :class:`~repro.query.pipeline.planner.PipelinePlanner` per ``(shard,
 window)``, which recalibrates from the executor's observed op timings.
 
-The exact-merge semantics (stream-ordered hit triples, one radix sort,
-one segmented reduction) are documented with the primitives in
-:mod:`repro.query.pipeline.gather`, which this module re-exports for
+The exact-merge semantics (hits in stream order, one stable sort and
+one segmented reduction per block) are documented with the primitives
+in :mod:`repro.query.pipeline.gather`, which this module re-exports for
 compatibility.
 """
 
@@ -52,6 +52,7 @@ from repro.query.pipeline.gather import (  # noqa: F401
     merge_hit_partials,
     scan_hits,
 )
+from repro.query.pipeline.gather import index_pairs, scan_pairs
 from repro.query.pipeline.executor import PlanExecutor, PlanRuntime, build_sharded_plan
 from repro.query.pipeline.plan import (
     VECTORISED_POLICY,
@@ -72,8 +73,12 @@ class ShardedQueryEngine:
 
     ``profile`` parameterises the per-shard planner used by
     ``method="auto"`` (its ``needs_exact_average`` decides whether auto
-    may serve model answers); ``max_workers`` caps the thread pool the
-    per-shard tasks fan out on.
+    may serve model answers); ``max_workers`` caps the thread pool that
+    cover plans (``model-cover``, model-tolerant ``auto``) fan their
+    per-shard ops out on.  Exact plans run their blocked gather in the
+    calling thread whatever the pool's size — for cores on one exact
+    request, run it through
+    :class:`~repro.query.pipeline.parallel.ProcessShardedEngine`.
     """
 
     DEFAULT_CACHE_CAPACITY = 128
@@ -126,9 +131,10 @@ class ShardedQueryEngine:
         # Read-replica plan: shard id -> replica count R > 1.  Plan
         # builders split the shard's hit scans into R ops over disjoint
         # query chunks (byte-identical answers; the exact gather is
-        # canonical), so one hot shard's scan load spreads across pool
-        # threads / worker processes.  Set by the rebalancer (or tests)
-        # via :meth:`set_replicas`; replaced wholesale, never mutated.
+        # canonical), so the process executor can spread one hot shard's
+        # scan load across workers; the in-process executor folds them
+        # back into one scan.  Set by the rebalancer (or tests) via
+        # :meth:`set_replicas`; replaced wholesale, never mutated.
         self._replicas: Dict[int, int] = {}
 
     # -- lifecycle ---------------------------------------------------------
@@ -311,11 +317,11 @@ class ShardedQueryEngine:
             return self._cover_processor(s, c, stamp, sub)
 
         def prepare_hits(op: ScanOp, bound):
-            # Materialise the index inside the pool task (builds stay
-            # parallel across shards) but before the executor's timer, so
-            # the planner's feedback only ever observes scan cost.  The
-            # processor is returned — not re-fetched in hits() — so LRU
-            # pressure cannot evict-and-rebuild it inside the timer.
+            # Materialise the index before the block loop and outside the
+            # executor's timers, so the planner's feedback only ever
+            # observes scan cost.  The processor is returned — not
+            # re-fetched in hits() — so LRU pressure cannot
+            # evict-and-rebuild it inside a timer.
             stamp, sub, _gids = bound
             if op.method == "naive":
                 return None
@@ -323,14 +329,10 @@ class ShardedQueryEngine:
                 op.context.shard, op.context.window_c, op.method, stamp, sub
             )
 
-        def hits(op: ScanOp, bound, prepared=None):
-            stamp, sub, gids = bound
+        def hits(op: ScanOp, bound, prepared, lo: int, hi: int):
             if op.method == "naive":
-                return scan_hits(sub, gids, op.queries, self.radius_m)
-            proc = prepared if prepared is not None else self._index_processor(
-                op.context.shard, op.context.window_c, op.method, stamp, sub
-            )
-            return index_hits(proc, gids, op.queries)
+                return scan_pairs(bound[1], op.queries, lo, hi, self.radius_m)
+            return index_pairs(prepared, op.queries, lo, hi)
 
         runtime = PlanRuntime(
             plan.binding, processor=materialise, hits=hits, prepare_hits=prepare_hits

@@ -13,7 +13,10 @@ EWMA skew and decide, one action per step, what to do about it:
    the sub-tiles' tighter zone-map sketches prune scatter fan-out that
    the whole cell could not;
 2. a hot shard whose cell is already at the refinement limit gets
-   **read replicas** instead — same rows, more parallelism;
+   **read replicas** instead — same rows, scanned as several ops over
+   disjoint query chunks that the process executor places on separate
+   workers (the in-process executor, whose exact gather is serial,
+   folds them back into one scan: there they neither help nor cost);
 3. a split cell whose tiles have *all* gone cold is **re-merged**, so a
    workload that moves on does not leave refinement debt behind.
 
@@ -67,8 +70,9 @@ class ShardRebalancer:
     this multiple of the mean active-shard load.  ``merge_threshold`` —
     a split cell re-merges when every tile is below this multiple.
     ``min_rows_to_split`` keeps the policy from thrashing tiny shards
-    whose absolute cost is noise.  ``max_replicas`` caps the replica
-    fan-out of a single hot shard.
+    whose absolute cost is noise.  ``max_replicas`` caps how many ops
+    (worker processes, under the process executor) a single hot shard's
+    scan is split into.
     """
 
     def __init__(

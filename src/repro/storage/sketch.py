@@ -12,9 +12,9 @@ always covers — never under-covers — the rows of the slice it stamps.
 Every tuple of the slice lies inside the sketch's bounding volume, so
 "sketch cannot reach the disk" implies "no tuple of the slice is within
 radius", which implies the pruned scan would have contributed zero hits.
-The exact merge (:func:`repro.query.pipeline.gather.merge_hit_partials`)
-orders hits canonically by global stream position, so dropping
-provably-empty partials is byte-invisible.
+The exact gather (:mod:`repro.query.pipeline.gather`) orders hits
+canonically by global stream position, so dropping provably-empty scans
+is byte-invisible.
 
 Sketches are immutable (frozen dataclasses).  Growing a slice produces a
 *new* sketch via :meth:`extended`; bounds only ever widen, so a sketch
@@ -126,7 +126,7 @@ class WindowSketch:
 
         Tests the clamped distance from each query point to the bounding
         box against the radius with the *same* ``d^2 <= r^2`` comparison
-        the naive scan uses (:func:`repro.query.pipeline.gather.scan_hits`).
+        the naive scan uses (:func:`repro.query.pipeline.gather.scan_pairs`).
         For a tuple sitting exactly on the bbox edge at exactly distance
         ``radius``, the clamped coordinate deltas are bitwise negations
         of the scan's, so squaring gives the identical float and the

@@ -112,6 +112,20 @@ class TestExplain:
         assert "plan: method=auto" in out
         assert "/s" in out  # per-shard contexts rendered
 
+    def test_explain_merge_plan_attributes_scan_and_gather_time(self, capsys):
+        rc = main(["explain", "--shards", "4", "--method", "naive"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        scans = [l for l in lines if l.lstrip().startswith("scan[naive]+hits")]
+        assert scans and all(l.rstrip().endswith("ms") for l in scans)
+        gather = [l for l in lines if l.lstrip().startswith("gather:")]
+        assert len(gather) == 1
+        assert float(gather[0].split()[1].rstrip("ms")) > 0.0
+        # The gather line sits between the op table and the total.
+        assert lines.index(gather[0]) + 1 == next(
+            i for i, l in enumerate(lines) if l.lstrip().startswith("total:")
+        )
+
 
 class TestShardsCommand:
     def test_shards_prints_load_table(self, capsys):
@@ -146,7 +160,9 @@ class TestShardsCommand:
     def test_explain_unsharded_omits_shard_table(self, capsys):
         rc = main(["explain", "--queries", "20"])
         assert rc == 0
-        assert "per-shard occupancy" not in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "per-shard occupancy" not in out
+        assert "gather:" not in out  # scatter-shaped: nothing to gather
 
 
 class TestServeSubscriptions:
