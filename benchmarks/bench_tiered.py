@@ -10,7 +10,11 @@ capped at a handful of resident sealed windows, then queried two ways:
   an uncapped all-in-memory :class:`~repro.storage.shards.ShardRouter`
   on the same stream: the tier may not tax the common case;
 * **cold** — times spread across the whole archive, faulting evicted
-  segments back in (reported, not gated — cold reads *should* pay I/O).
+  segments back in (reported, not gated — cold reads *should* pay I/O):
+  the cold ÷ all-resident ratio, what a cold pass pays over an
+  all-resident one per fault-in, and the segment bytes on disk per user
+  byte, which is what raw (codec 0) segments trade for a fault-in that
+  decodes nothing.
 
 The byte-identity oracle runs on every invocation: hot and cold answers
 from the capped tier must equal the all-resident engine's bit for bit,
@@ -27,6 +31,7 @@ same acceptance gates.  Either mode writes ``BENCH_tiered.json``.
 
 from __future__ import annotations
 
+import os
 import shutil
 import sys
 import tempfile
@@ -186,9 +191,11 @@ def main(smoke: bool = False) -> int:
             t_hot_all = time_callable(
                 lambda: oracle.continuous_query_batch(hot), repeats=repeats
             )
+            faults_before = tiered.faults
             t_cold_tier = time_callable(
                 lambda: engine.continuous_query_batch(cold), repeats=repeats
             )
+            faults_per_pass = (tiered.faults - faults_before) / repeats
             t_cold_all = time_callable(
                 lambda: oracle.continuous_query_batch(cold), repeats=repeats
             )
@@ -198,7 +205,15 @@ def main(smoke: bool = False) -> int:
             tiered.close()
 
         hot_ratio = t_hot_tier / t_hot_all
+        cold_ratio = t_cold_tier / t_cold_all
+        fault_in_us = (t_cold_tier - t_cold_all) * 1e6 / max(faults_per_pass, 1.0)
         stats = tiered.tier_stats()
+        segment_bytes = sum(
+            entry.stat().st_size
+            for entry in os.scandir(os.path.join(data_dir, "segments"))
+        )
+        # A user row is four float64 columns plus its int64 global id.
+        disk_ratio = segment_bytes / (stats["sealed_windows"] * H * 5 * 8)
         print(f"\n  {'workload':<10} {'tiered':>10} {'all-res':>10} {'ratio':>8}")
         print(
             f"  {'hot':<10} {t_hot_tier * 1e3:>8.1f}ms {t_hot_all * 1e3:>8.1f}ms "
@@ -206,7 +221,12 @@ def main(smoke: bool = False) -> int:
         )
         print(
             f"  {'cold':<10} {t_cold_tier * 1e3:>8.1f}ms {t_cold_all * 1e3:>8.1f}ms "
-            f"{t_cold_tier / t_cold_all:>7.2f}x"
+            f"{cold_ratio:>7.2f}x"
+        )
+        print(
+            f"  cold pass: {faults_per_pass:.0f} fault-ins at "
+            f"{fault_in_us:.0f} us each over all-resident; segments hold "
+            f"{disk_ratio:.3f} bytes per user byte"
         )
         print(
             f"\nbyte-identity oracle (capped tier == all-resident): "
@@ -239,6 +259,10 @@ def main(smoke: bool = False) -> int:
                     "hot_ratio": hot_ratio,
                     "cold_tiered_s": t_cold_tier,
                     "cold_all_resident_s": t_cold_all,
+                    "cold_ratio": cold_ratio,
+                    "cold_faults_per_pass": faults_per_pass,
+                    "fault_in_us": fault_in_us,
+                    "segment_bytes_per_user_byte": disk_ratio,
                     "byte_identical": hot_same and cold_same,
                     "cap_held": cap_ok,
                 },

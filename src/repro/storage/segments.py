@@ -24,16 +24,25 @@ On-disk layout (little-endian)::
             u64   raw_len      u64 comp_len      u32 crc32(raw bytes)
             u32   n_columns
             per column: str name, u8 dtype code (0 = <f8, 1 = <i8)
-    group payloads, in directory order
+        zero padding to make 16 + header_len a multiple of 8
+    group payloads, in directory order, to the end of the file
 
-Columns are stored in *groups* that compress and decompress as units —
-the vertical-partitioning idea: the ``core`` group holds the scan
-columns ``(t, x, y, s)``, the ``gids`` group holds the global stream
-positions the exact gather orders by.  A reader asks for just the groups
-it needs (:func:`read_segment` seeks past the rest), and every group is
-independently CRC-checked against its uncompressed bytes, so corruption
-anywhere — header or payload, flipped bit or truncation — surfaces as
-:class:`SegmentCorrupt`, never as silently wrong rows.
+Columns are stored in *groups* that are addressed, checked and (under
+codec 1) decompressed as units — the vertical-partitioning idea: the
+``core`` group holds the scan columns ``(t, x, y, s)``, the ``gids``
+group holds the global stream positions the exact gather orders by.  A
+reader asks for just the groups it needs (:func:`read_segment` skips the
+rest), and every group is independently CRC-checked against its
+uncompressed bytes, so corruption anywhere — header or payload, flipped
+bit, truncation or appended bytes — surfaces as :class:`SegmentCorrupt`,
+never as silently wrong rows.
+
+Seals write **codec 0**: a fault-in is one read of the file, the checks
+and five ``np.frombuffer`` views of the file image — no decode, no copy;
+the header padding is what makes the views aligned.  Both codecs stay
+readable, so a directory sealed before the switch, or holding both,
+opens unchanged.  The checks run on every read, not once per file: the
+CRC32 of a 3 KB slice costs about 1 µs, less than remembering that it ran.
 
 The sketch persisted in the header is the window slice's zone map
 (:class:`~repro.storage.sketch.WindowSketch`): recovery adopts it
@@ -48,7 +57,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Mapping, Sequence, Tuple, Union
+from typing import Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -60,7 +69,9 @@ _MAGIC = b"EMSG"
 _VERSION = 1
 _PREAMBLE = struct.Struct("<4sIII")  # magic, version, header_len, header crc
 _META = struct.Struct("<IQIQQ8d")  # shard, window_c, h, n_rows, stamp, sketch
-_GROUP_HEAD = struct.Struct("<BQQI")  # codec, raw_len, comp_len, crc32(raw)
+_U32 = struct.Struct("<I")
+# codec, raw_len, comp_len, crc32(raw), n_columns
+_GROUP_HEAD = struct.Struct("<BQQII")
 
 #: Codec codes in the group directory.
 CODEC_RAW, CODEC_ZLIB = 0, 1
@@ -89,10 +100,21 @@ class SegmentMeta:
 
 @dataclass(frozen=True)
 class Segment:
-    """A decoded segment: metadata plus the requested column groups."""
+    """A decoded segment: the header's ``_META`` record plus the
+    requested column groups.  :attr:`meta` is built on demand, so a
+    fault-in that only checks :attr:`key` never constructs a sketch."""
 
-    meta: SegmentMeta
+    record: tuple
     groups: Mapping[str, Mapping[str, np.ndarray]]
+
+    @property
+    def key(self) -> Tuple[int, int, int]:
+        """``(shard, window_c, n_rows)`` the file claims to hold."""
+        return self.record[0], self.record[1], self.record[3]
+
+    @property
+    def meta(self) -> SegmentMeta:
+        return _meta_of(self.record)
 
     def batch(self) -> TupleBatch:
         core = self.groups["core"]
@@ -106,27 +128,20 @@ def segment_filename(shard: int, window_c: int) -> str:
     return f"seg-s{shard:04d}-w{window_c:08d}.seg"
 
 
+def _meta_of(record: tuple) -> SegmentMeta:
+    return SegmentMeta(*record[:5], WindowSketch.restored(record[3], record[5:]))
+
+
 def _write_str(buf: io.BytesIO, s: str) -> None:
     data = s.encode("utf-8")
-    buf.write(struct.pack("<I", len(data)))
+    buf.write(_U32.pack(len(data)))
     buf.write(data)
 
 
 def _read_str(data: bytes, offset: int) -> Tuple[str, int]:
-    (n,) = struct.unpack_from("<I", data, offset)
+    (n,) = _U32.unpack_from(data, offset)
     offset += 4
     return data[offset : offset + n].decode("utf-8"), offset + n
-
-
-def _pack_group(
-    columns: Mapping[str, np.ndarray], codec: int
-) -> Tuple[bytes, bytes, int, int]:
-    """Directory entry tail + payload for one column group."""
-    raw = b"".join(
-        np.ascontiguousarray(arr).tobytes() for arr in columns.values()
-    )
-    payload = zlib.compress(raw, 6) if codec == CODEC_ZLIB else raw
-    return raw, payload, len(raw), zlib.crc32(raw)
 
 
 def write_segment(
@@ -139,40 +154,27 @@ def write_segment(
     batch: TupleBatch,
     gids: np.ndarray,
     sketch: WindowSketch,
-    compress: bool = True,
+    compress: bool = False,
 ) -> int:
     """Atomically write one sealed ``(shard, window)`` slice.
 
     Returns the file size in bytes.  The write is all-or-nothing: the
     file only appears under ``path`` after its full content is fsynced
-    (see :func:`repro.storage.fsio.atomic_write_bytes`).
+    (see :func:`repro.storage.fsio.atomic_write_bytes`).  ``compress``
+    stores the groups zlib'd (codec 1): less disk, a decode per read.
     """
     if len(gids) != len(batch):
         raise ValueError("gids must align with the batch rows")
     codec = CODEC_ZLIB if compress else CODEC_RAW
-    groups: Sequence[Tuple[str, Dict[str, np.ndarray]]] = (
+    groups = (
         ("core", {name: getattr(batch, name) for name in CORE_COLUMNS}),
         ("gids", {"gid": np.ascontiguousarray(gids, dtype="<i8")}),
     )
     header = io.BytesIO()
     header.write(
-        _META.pack(
-            shard,
-            window_c,
-            h,
-            len(batch),
-            stamp,
-            sketch.min_x,
-            sketch.max_x,
-            sketch.min_y,
-            sketch.max_y,
-            sketch.min_t,
-            sketch.max_t,
-            sketch.min_s,
-            sketch.max_s,
-        )
+        _META.pack(shard, window_c, h, len(batch), stamp, *sketch.bounds())
     )
-    header.write(struct.pack("<I", len(groups)))
+    header.write(_U32.pack(len(groups)))
     payloads = []
     for name, columns in groups:
         typed = {
@@ -181,16 +183,20 @@ def write_segment(
             )
             for col, arr in columns.items()
         }
-        _raw, payload, raw_len, crc = _pack_group(typed, codec)
+        raw = b"".join(arr.tobytes() for arr in typed.values())
+        payload = zlib.compress(raw, 6) if compress else raw
         payloads.append(payload)
         _write_str(header, name)
-        header.write(_GROUP_HEAD.pack(codec, raw_len, len(payload), crc))
-        header.write(struct.pack("<I", len(typed)))
+        header.write(
+            _GROUP_HEAD.pack(codec, len(raw), len(payload), zlib.crc32(raw), len(typed))
+        )
         for col, arr in typed.items():
             _write_str(header, col)
-            header.write(
-                struct.pack("<B", _DTYPE_CODES[arr.dtype.str.lstrip("=|")])
-            )
+            header.write(bytes([_DTYPE_CODES[arr.dtype.str.lstrip("=|")]]))
+    # Pad so the payloads start 8-aligned in the file image: a raw
+    # group's columns are then aligned views of it.  Readers ignore
+    # header bytes past the directory; the header CRC covers them.
+    header.write(b"\0" * (-(_PREAMBLE.size + header.tell()) % 8))
     header_bytes = header.getvalue()
     blob = (
         _PREAMBLE.pack(_MAGIC, _VERSION, len(header_bytes), zlib.crc32(header_bytes))
@@ -201,57 +207,49 @@ def write_segment(
     return len(blob)
 
 
-def _parse_header(data: bytes, path: Path):
-    """Validated ``(meta, directory, payload_offset)`` off a file image."""
+def _parse_header(data: bytes, path: Union[str, Path]):
+    """Validated ``(record, directory, payload_offset)`` off a file image."""
     if len(data) < _PREAMBLE.size:
         raise SegmentCorrupt(f"{path}: truncated segment preamble")
-    magic, version, header_len, header_crc = _PREAMBLE.unpack_from(data, 0)
+    magic, version, header_len, header_crc = _PREAMBLE.unpack_from(data)
     if magic != _MAGIC:
         raise SegmentCorrupt(f"{path}: not a segment file")
     if version != _VERSION:
         raise SegmentCorrupt(f"{path}: unsupported segment version {version}")
-    header = data[_PREAMBLE.size : _PREAMBLE.size + header_len]
+    payload_at = _PREAMBLE.size + header_len
+    header = data[_PREAMBLE.size : payload_at]
     if len(header) != header_len or zlib.crc32(header) != header_crc:
         raise SegmentCorrupt(f"{path}: segment header failed its checksum")
-    meta_tuple = _META.unpack_from(header, 0)
-    shard, window_c, h, n_rows, stamp = meta_tuple[:5]
-    bounds = meta_tuple[5:]
-    sketch = (
-        WindowSketch(int(n_rows), *bounds) if n_rows else WindowSketch.EMPTY
-    )
-    meta = SegmentMeta(int(shard), int(window_c), int(h), int(n_rows), int(stamp), sketch)
-    offset = _META.size
-    (n_groups,) = struct.unpack_from("<I", header, offset)
-    offset += 4
     directory = []  # (name, codec, raw_len, comp_len, crc, [(col, dtype)])
-    payload_at = _PREAMBLE.size + header_len
-    for _ in range(n_groups):
-        name, offset = _read_str(header, offset)
-        codec, raw_len, comp_len, crc = _GROUP_HEAD.unpack_from(header, offset)
-        offset += _GROUP_HEAD.size
-        (n_cols,) = struct.unpack_from("<I", header, offset)
-        offset += 4
-        cols = []
-        for _ in range(n_cols):
-            col, offset = _read_str(header, offset)
-            (code,) = struct.unpack_from("<B", header, offset)
-            offset += 1
-            cols.append((col, _CODE_DTYPES[code]))
-        directory.append((name, int(codec), int(raw_len), int(comp_len), int(crc), cols))
-    return meta, directory, payload_at
+    try:
+        record = _META.unpack_from(header)
+        (n_groups,) = _U32.unpack_from(header, _META.size)
+        offset = _META.size + 4
+        for _ in range(n_groups):
+            name, offset = _read_str(header, offset)
+            codec, raw_len, comp_len, crc, n_cols = _GROUP_HEAD.unpack_from(
+                header, offset
+            )
+            offset += _GROUP_HEAD.size
+            cols = []
+            for _ in range(n_cols):
+                col, offset = _read_str(header, offset)
+                cols.append((col, _CODE_DTYPES[header[offset]]))
+                offset += 1
+            directory.append((name, codec, raw_len, comp_len, crc, cols))
+    except (struct.error, IndexError, KeyError, UnicodeDecodeError) as exc:
+        raise SegmentCorrupt(f"{path}: malformed segment header ({exc})") from None
+    return record, directory, payload_at
 
 
 def read_segment_meta(path: Union[str, Path]) -> SegmentMeta:
     """Header-only read: metadata and sketch, no payload decode."""
-    path = Path(path)
-    with path.open("rb") as f:
+    with open(path, "rb") as f:
         preamble = f.read(_PREAMBLE.size)
         if len(preamble) < _PREAMBLE.size:
             raise SegmentCorrupt(f"{path}: truncated segment preamble")
-        _magic, _version, header_len, _crc = _PREAMBLE.unpack(preamble)
-        data = preamble + f.read(header_len)
-    meta, _directory, _payload_at = _parse_header(data, path)
-    return meta
+        data = preamble + f.read(_PREAMBLE.unpack(preamble)[2])
+    return _meta_of(_parse_header(data, path)[0])
 
 
 def read_segment(
@@ -259,45 +257,48 @@ def read_segment(
 ) -> Segment:
     """Read and validate the requested column groups of a segment.
 
-    Groups not asked for are never decompressed (their payload bytes are
-    skipped wholesale).  Each decoded group's bytes are verified against
-    the directory's CRC and length before any array is built.
+    One read of the file; groups not asked for are never sliced, decoded
+    or checksummed.  Every check runs on every call: preamble, header
+    CRC, file length against the directory, then per wanted group its
+    length, the CRC32 of its uncompressed bytes and its row count, before
+    any array is built.  The arrays are read-only views: of the file
+    image for a raw group, of the decoded bytes for a zlib one.
     """
-    path = Path(path)
-    data = path.read_bytes()
-    meta, directory, payload_at = _parse_header(data, path)
-    wanted = set(groups)
-    unknown = wanted - {name for name, *_ in directory}
+    with open(path, "rb") as f:
+        data = f.read()
+    record, directory, offset = _parse_header(data, path)
+    unknown = set(groups) - {entry[0] for entry in directory}
     if unknown:
         raise KeyError(f"{path}: no column group(s) {sorted(unknown)}")
-    decoded: Dict[str, Dict[str, np.ndarray]] = {}
-    offset = payload_at
+    if offset + sum(entry[3] for entry in directory) != len(data):
+        raise SegmentCorrupt(
+            f"{path}: file length disagrees with its group directory"
+        )
+    n_rows = record[3]
+    image = memoryview(data)
+    decoded = {}
     for name, codec, raw_len, comp_len, crc, cols in directory:
-        payload = data[offset : offset + comp_len]
-        offset += comp_len
-        if name not in wanted:
+        start, offset = offset, offset + comp_len
+        if name not in groups:
             continue
-        if len(payload) != comp_len:
-            raise SegmentCorrupt(f"{path}: group {name!r} payload truncated")
-        try:
-            raw = zlib.decompress(payload) if codec == CODEC_ZLIB else payload
-        except zlib.error as exc:
-            raise SegmentCorrupt(
-                f"{path}: group {name!r} failed to decompress ({exc})"
-            ) from None
+        raw = image[start:offset]
+        if codec == CODEC_ZLIB:
+            try:
+                raw = zlib.decompress(raw)
+            except zlib.error as exc:
+                raise SegmentCorrupt(
+                    f"{path}: group {name!r} failed to decompress ({exc})"
+                ) from None
+        elif codec != CODEC_RAW:
+            raise SegmentCorrupt(f"{path}: group {name!r} has unknown codec {codec}")
         if len(raw) != raw_len or zlib.crc32(raw) != crc:
-            raise SegmentCorrupt(
-                f"{path}: group {name!r} failed its checksum"
-            )
-        arrays: Dict[str, np.ndarray] = {}
-        at = 0
-        for col, dtype in cols:
-            arr = np.frombuffer(raw, dtype=dtype, count=meta.n_rows, offset=at)
-            at += meta.n_rows * 8
-            arrays[col] = arr
-        if at != raw_len:
+            raise SegmentCorrupt(f"{path}: group {name!r} failed its checksum")
+        if raw_len != n_rows * 8 * len(cols):
             raise SegmentCorrupt(
                 f"{path}: group {name!r} length disagrees with its row count"
             )
-        decoded[name] = arrays
-    return Segment(meta, decoded)
+        decoded[name] = {
+            col: np.frombuffer(raw, dtype=dtype, count=n_rows, offset=k * n_rows * 8)
+            for k, (col, dtype) in enumerate(cols)
+        }
+    return Segment(record, decoded)

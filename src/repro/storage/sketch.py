@@ -60,6 +60,18 @@ class WindowSketch:
     def is_empty(self) -> bool:
         return self.n_rows == 0
 
+    def bounds(self) -> tuple:
+        """The eight bounds in field order: the persisted form (segment
+        headers, the manifest), which :meth:`restored` inverts."""
+        return (
+            self.min_x, self.max_x, self.min_y, self.max_y,
+            self.min_t, self.max_t, self.min_s, self.max_s,
+        )  # fmt: skip
+
+    @classmethod
+    def restored(cls, n_rows: int, bounds) -> "WindowSketch":
+        return cls(n_rows, *bounds) if n_rows else cls.EMPTY
+
     @classmethod
     def of(cls, batch: TupleBatch) -> "WindowSketch":
         """The exact sketch of a pinned slice (O(rows), vectorised)."""

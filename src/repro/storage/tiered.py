@@ -49,6 +49,7 @@ Durability protocol (see ``docs/architecture.md``):
 from __future__ import annotations
 
 import json
+import os
 from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -60,6 +61,8 @@ from repro.geo.coords import BoundingBox
 from repro.geo.region import RegionGrid
 from repro.storage import fsio
 from repro.storage.segments import (
+    Segment,
+    SegmentCorrupt,
     read_segment,
     segment_filename,
     write_segment,
@@ -72,18 +75,6 @@ _MANIFEST = "MANIFEST.json"
 _WAL = "wal.log"
 _SEGMENT_DIR = "segments"
 _MANIFEST_FORMAT = 1
-
-_SKETCH_FIELDS = (
-    "min_x", "max_x", "min_y", "max_y", "min_t", "max_t", "min_s", "max_s",
-)
-
-
-def _sketch_to_json(sketch: WindowSketch) -> List[float]:
-    return [getattr(sketch, f) for f in _SKETCH_FIELDS]
-
-
-def _sketch_from_json(n_rows: int, bounds: List[float]) -> WindowSketch:
-    return WindowSketch(n_rows, *bounds) if n_rows else WindowSketch.EMPTY
 
 
 def _grid_doc(grid: RegionGrid) -> dict:
@@ -143,8 +134,9 @@ class SegmentWindowStore:
         self.data_dir = data_dir
         self.memory_windows = memory_windows
         self._wal_sync = wal_sync
-        self._segment_dir = data_dir / _SEGMENT_DIR
-        self._segment_dir.mkdir(parents=True, exist_ok=True)
+        #: ``str`` prefix of every segment path: a fault-in builds no ``Path``.
+        self._segment_prefix = os.path.join(data_dir, _SEGMENT_DIR, "")
+        os.makedirs(self._segment_prefix, exist_ok=True)
         n = grid.n_regions
         self.sealed_windows = 0  # windows durably sealed (segments + manifest)
         #: Open-tail rows per shard: list of (slice, gids) in arrival order.
@@ -229,7 +221,7 @@ class SegmentWindowStore:
         shard's slice of window ``c``: from the resident set (faulting
         the segment in on a miss) when sealed, else from the open tail."""
         if c < self.sealed_windows:
-            return self._sealed_slice(s, c)
+            return self._sealed_slice(s, c, stop - start)
         return self._tail_slice(s, start, stop)
 
     def column(self, s: int):
@@ -266,7 +258,7 @@ class SegmentWindowStore:
                     continue
                 name = segment_filename(s, c)
                 write_segment(
-                    self._segment_dir / name,
+                    self._segment_prefix + name,
                     shard=s,
                     window_c=c,
                     h=self.h,
@@ -332,7 +324,7 @@ class SegmentWindowStore:
                         "rows": sketch.n_rows,
                         "stamp": router.shard_window_epoch(s, c),
                         "file": self._segment_files[key],
-                        "sketch": _sketch_to_json(sketch),
+                        "sketch": sketch.bounds(),
                     }
                 )
             windows.append(
@@ -363,7 +355,21 @@ class SegmentWindowStore:
                 self.evictions += 1
         self.peak_resident = max(self.peak_resident, len(self._resident))
 
-    def _sealed_slice(self, s: int, c: int) -> Tuple[TupleBatch, np.ndarray]:
+    def _read_slice(self, name: str, key: Tuple[int, int, int]) -> Segment:
+        """Read a slice's segment and require its header to name exactly
+        that ``(shard, window, rows)``: a file swapped or restored under
+        another slice's name passes every checksum."""
+        segment = read_segment(self._segment_prefix + name)
+        if segment.key != key:
+            raise SegmentCorrupt(
+                f"{name}: holds (shard, window, rows) {segment.key}, "
+                f"the router expects {key}"
+            )
+        return segment
+
+    def _sealed_slice(
+        self, s: int, c: int, n_rows: int
+    ) -> Tuple[TupleBatch, np.ndarray]:
         """The (batch, gids) of a sealed slice, faulting it in on a miss."""
         key = (s, c)
         cached = self._resident.get(key)
@@ -373,7 +379,7 @@ class SegmentWindowStore:
         name = self._segment_files.get(key)
         if name is None:  # the shard owned no rows of this window
             return TupleBatch.empty(), np.empty(0, dtype=np.int64)
-        segment = read_segment(self._segment_dir / name)
+        segment = self._read_slice(name, (s, c, n_rows))
         self.faults += 1
         value = (segment.batch(), segment.gids())
         self._resident_insert(key, value)
@@ -418,19 +424,20 @@ class SegmentWindowStore:
             "wal_checkpoints": self._wal.checkpoints,
         }
 
-    def compact(self, verify: bool) -> Dict[str, int]:
+    def compact(self, router: ShardRouter, verify: bool) -> Dict[str, int]:
         removed = tmp_removed = verified = 0
         live = set(self._segment_files.values())
-        for path in sorted(self._segment_dir.iterdir()):
-            if path.name.endswith(".tmp"):
-                path.unlink()
+        for name in sorted(os.listdir(self._segment_prefix)):
+            if name.endswith(".tmp"):
+                os.unlink(self._segment_prefix + name)
                 tmp_removed += 1
-            elif path.suffix == ".seg" and path.name not in live:
-                path.unlink()
+            elif name.endswith(".seg") and name not in live:
+                os.unlink(self._segment_prefix + name)
                 removed += 1
         if verify:
-            for name in sorted(live):
-                read_segment(self._segment_dir / name)
+            for (s, c), name in sorted(self._segment_files.items()):
+                start, stop = router._window_bounds(s, c)
+                self._read_slice(name, (s, c, stop - start))
                 verified += 1
         self._wal.checkpoint(self.sealed_windows * self.h, self._global_tail())
         return {
@@ -530,7 +537,7 @@ class TieredShardRouter(ShardRouter):
                 rows = int(shard_entry["rows"])
                 rows_by_shard[s] = rows
                 self._window_epochs[s][c] = int(shard_entry["stamp"])
-                self._sketches[s][c] = _sketch_from_json(
+                self._sketches[s][c] = WindowSketch.restored(
                     rows, shard_entry["sketch"]
                 )
             for s in range(self.n_shards):
@@ -592,7 +599,8 @@ class TieredShardRouter(ShardRouter):
         segment files (left by a crash between segment writes and the
         manifest commit, and since re-written under their manifest
         names), remove stray temp files.  ``verify=True`` additionally
-        re-reads every live segment, checking all group checksums.
+        re-reads every live segment, checking all group checksums and
+        that each file holds the slice its name says.
 
         Returns counters: ``{"orphans_removed", "tmp_removed",
         "segments_verified"}``.  Raises
@@ -600,7 +608,7 @@ class TieredShardRouter(ShardRouter):
         fails.
         """
         with self._lock:
-            return self._store.compact(verify)
+            return self._store.compact(self, verify)
 
     def close(self) -> None:
         self._store.close()

@@ -186,6 +186,13 @@ class TestCrashMatrix:
         # anything.
         assert N_BOUNDARIES > N_BATCHES + 4 * 2 + 2
 
+    def test_boundary_count_is_pinned(self):
+        """4 WAL appends + the creation manifest (2) + 4 seals of one
+        window each: 2 segments, the manifest and the checkpoint, an
+        fsync and a rename apiece (8).  A seal that gains or loses a
+        boundary changes what the matrix above proves."""
+        assert N_BOUNDARIES == 4 + 2 + 4 * 8 == 38
+
     def test_double_crash_then_recovery(self, tmp_path):
         """A crash during *recovery's own* re-seal is just another crash:
         a second cold open still lands on the oracle state."""

@@ -9,6 +9,9 @@ lengths and pathological floats, and the corruption tests flip / drop
 *every byte offset* of a small segment.
 """
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -43,6 +46,25 @@ def _batch(n: int, seed: int = 0) -> TupleBatch:
         rng.uniform(0.0, 100.0, n),
         rng.uniform(0.0, 100.0, n),
         rng.uniform(350.0, 600.0, n),
+    )
+
+
+#: Preamble bytes, and the header length of the two-group directory
+#: before padding: 96 (meta) + 4 (n_groups) + 57 (core) + 41 (gids).
+_PREAMBLE_LEN, _NATURAL_HEADER_LEN = 16, 198
+#: File offset of the ``core`` group's codec byte (16 + 96 + 4 + 4 + 4)
+#: and of its first column's dtype code (+ 25 of group head, + 4 + 1).
+_CORE_CODEC_AT, _CORE_DTYPE_AT = 124, 154
+
+
+def _reheader(data: bytes, header: bytes) -> bytes:
+    """``data`` with its header replaced and the preamble recomputed —
+    what a writer that really meant ``header`` would have produced."""
+    (old_len,) = struct.unpack_from("<I", data, 8)
+    return (
+        struct.pack("<4sIII", data[:4], 1, len(header), zlib.crc32(header))
+        + header
+        + data[_PREAMBLE_LEN + old_len :]
     )
 
 
@@ -97,6 +119,45 @@ class TestRoundTrip:
         _write(path, batch, compress=False)
         out = read_segment(path).batch()
         assert out.t.tobytes() == batch.t.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 3, 6, 7, 50])
+    def test_raw_columns_are_aligned_read_only_views(self, tmp_path, n):
+        """The directory is 198 bytes, not a multiple of 8: the writer
+        pads it so the payloads start 8-aligned, and the five columns of
+        a raw segment are aligned, read-only, zero-copy views."""
+        path = tmp_path / "raw.seg"
+        size = _write(path, _batch(n))
+        data = path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", data, 8)
+        assert header_len == _NATURAL_HEADER_LEN + 2
+        assert (_PREAMBLE_LEN + header_len) % 8 == 0
+        pad = data[_PREAMBLE_LEN + _NATURAL_HEADER_LEN : _PREAMBLE_LEN + header_len]
+        assert pad == b"\0\0"
+        assert size == _PREAMBLE_LEN + header_len + 5 * 8 * n
+        seg = read_segment(path)
+        out = seg.batch()
+        for arr in (out.t, out.x, out.y, out.s, seg.gids()):
+            assert arr.flags.aligned
+            assert not arr.flags.writeable
+            assert not arr.flags.owndata
+
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_unpadded_header_still_reads(self, tmp_path, compress):
+        """Files from before the padding rule (header ends at the
+        directory) read back exactly under both codecs."""
+        batch = _batch(9, seed=5)
+        path = tmp_path / "old.seg"
+        _write(path, batch, compress=compress)
+        data = path.read_bytes()
+        header = data[_PREAMBLE_LEN : _PREAMBLE_LEN + _NATURAL_HEADER_LEN]
+        path.write_bytes(_reheader(data, header))
+        seg = read_segment(path)
+        for name in CORE_COLUMNS:
+            assert (
+                getattr(seg.batch(), name).tobytes()
+                == getattr(batch, name).tobytes()
+            )
+        assert seg.gids().tobytes() == np.arange(9, dtype=np.int64).tobytes()
 
     def test_compression_shrinks_redundant_payloads(self, tmp_path):
         n = 2000
@@ -205,6 +266,45 @@ class TestCorruptionDetection:
             path.write_bytes(pristine[:length])
             with pytest.raises(SegmentCorrupt):
                 read_segment(path)
+
+    def test_every_truncation_of_a_zlib_segment_is_detected(self, tmp_path):
+        path = tmp_path / "a.seg"
+        _write(path, _batch(6, seed=4), compress=True)
+        pristine = path.read_bytes()
+        for length in range(len(pristine)):
+            path.write_bytes(pristine[:length])
+            with pytest.raises(SegmentCorrupt):
+                read_segment(path)
+
+    @pytest.mark.parametrize("compress", [False, True])
+    @pytest.mark.parametrize("groups", [("core", "gids"), ("core",)])
+    def test_appended_bytes_are_detected(self, tmp_path, compress, groups):
+        """The file ends where the directory says the last group ends:
+        anything after it is corruption, whichever groups are read."""
+        path = tmp_path / "a.seg"
+        _write(path, _batch(6, seed=3), compress=compress)
+        pristine = path.read_bytes()
+        for extra in (b"\0", b"\xff" * 8, pristine):
+            path.write_bytes(pristine + extra)
+            with pytest.raises(SegmentCorrupt, match="file length"):
+                read_segment(path, groups=groups)
+
+    @pytest.mark.parametrize(
+        "offset,match",
+        [(_CORE_CODEC_AT, "unknown codec"), (_CORE_DTYPE_AT, "malformed")],
+    )
+    def test_wellformed_checksum_over_a_bad_directory(self, tmp_path, offset, match):
+        """A header whose CRC is right but whose directory names a codec
+        or dtype this reader does not know is corrupt, not a crash."""
+        path = tmp_path / "a.seg"
+        _write(path, _batch(6))
+        data = path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", data, 8)
+        header = bytearray(data[_PREAMBLE_LEN : _PREAMBLE_LEN + header_len])
+        header[offset - _PREAMBLE_LEN] = 9
+        path.write_bytes(_reheader(data, bytes(header)))
+        with pytest.raises(SegmentCorrupt, match=match):
+            read_segment(path)
 
     def test_truncated_meta_read_is_detected(self, tmp_path):
         path = tmp_path / "a.seg"

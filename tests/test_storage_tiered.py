@@ -25,7 +25,7 @@ from repro.query.base import QueryBatch
 from repro.query.pipeline.binding import RouterBinding
 from repro.query.pipeline.parallel import ProcessShardedEngine
 from repro.query.sharded import ShardedQueryEngine
-from repro.storage.segments import SegmentCorrupt
+from repro.storage.segments import SegmentCorrupt, read_segment, write_segment
 from repro.storage.shards import ShardRouter
 from repro.storage.tiered import TieredShardRouter
 
@@ -96,6 +96,19 @@ def assert_same_state(tiered, plain, epochs: bool = True) -> None:
             assert [rows for _, rows, _ in tiered.window_stats(c)] == [
                 rows for _, rows, _ in plain.window_stats(c)
             ]
+
+
+def rewrite_segment(path, rows=slice(None), compress=False) -> None:
+    """Replace a segment file by one with the same header fields holding
+    ``rows`` of its slice — as another writer could have left it."""
+    seg = read_segment(path)
+    meta, batch = seg.meta, seg.batch()
+    write_segment(
+        path, shard=meta.shard, window_c=meta.window_c, h=meta.h,
+        stamp=meta.stamp, sketch=meta.sketch, compress=compress,
+        batch=TupleBatch(*(getattr(batch, n)[rows] for n in "txys")),
+        gids=seg.gids()[rows],
+    )  # fmt: skip
 
 
 def assert_same_answers(a, b) -> None:
@@ -294,6 +307,84 @@ class TestDurableRecovery:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="unsupported manifest format"):
             TieredShardRouter.open(tmp_path / "t")
+
+
+class TestSegmentCodecs:
+    """Seals write raw segments; directories sealed with zlib ones by an
+    earlier commit must keep opening, and may hold both."""
+
+    def test_zlib_directory_reopens_and_continues_raw(self, tmp_path):
+        stream = make_stream(2000, seed=16)
+        grid = RegionGrid(BOUNDS, nx=2, ny=2)
+        with TieredShardRouter(grid, h=100, data_dir=tmp_path / "tier") as tiered:
+            fill(tiered, stream.slice(0, 1050), pieces=3)
+        # Re-create what the zlib-sealing commits left on disk.
+        seg_dir = tmp_path / "tier" / "segments"
+        old = sorted(seg_dir.iterdir())
+        for path in old:
+            rewrite_segment(path, compress=True)
+        plain = ShardRouter(grid, h=100)
+        plain.ingest(stream)
+        with TieredShardRouter.open(tmp_path / "tier", memory_windows=2) as again:
+            fill(again, stream.slice(1050, 2000), pieces=4)
+            # Byte 124 of a segment is its core group's codec.
+            codecs = {p: p.read_bytes()[124] for p in seg_dir.iterdir()}
+            assert {codecs.pop(p) for p in old} == {1}
+            assert codecs and set(codecs.values()) == {0}
+            assert_same_state(again, plain, epochs=False)
+            hot = ShardedQueryEngine(again, radius_m=RADIUS_M)
+            cold = ShardedQueryEngine(plain, radius_m=RADIUS_M)
+            try:
+                # cold_route's shape: one route's probes at uniform times,
+                # across windows of both codecs, far more than the cap.
+                faults = again.faults
+                queries = probe_queries(stream, n=120, seed=17)
+                assert_same_answers(
+                    hot.continuous_query_batch(queries),
+                    cold.continuous_query_batch(queries),
+                )
+                assert again.faults > faults
+            finally:
+                hot.close()
+                cold.close()
+
+    def test_swapped_segment_files_are_detected(self, tmp_path):
+        """Two files of one shard under each other's names pass every
+        checksum; the header names the slice, so neither fault-in nor
+        ``compact(verify=True)`` may serve them."""
+        stream = make_stream(600, seed=18)
+        tiered, _ = make_pair(tmp_path, stream, h=100)
+        tiered.close()
+        seg_dir = tmp_path / "tier" / "segments"
+        a, b = sorted(seg_dir.glob("seg-s0001-*.seg"))[:2]
+        a_bytes, b_bytes = a.read_bytes(), b.read_bytes()
+        a.write_bytes(b_bytes)
+        b.write_bytes(a_bytes)
+        with TieredShardRouter.open(tmp_path / "tier") as again:
+            engine = ShardedQueryEngine(again, radius_m=RADIUS_M)
+            try:
+                with pytest.raises(SegmentCorrupt, match="router expects"):
+                    engine.continuous_query_batch(probe_queries(stream))
+            finally:
+                engine.close()
+            with pytest.raises(SegmentCorrupt, match="router expects"):
+                again.shard_window(1, 0)
+            with pytest.raises(SegmentCorrupt, match="router expects"):
+                again.compact(verify=True)
+            again.shard_window(0, 0)  # untouched slices still read
+
+    def test_segment_with_the_wrong_row_count_is_detected(self, tmp_path):
+        """Right name, right header key, fewer rows than the router's
+        cuts say the slice has (a restore from an older archive)."""
+        stream = make_stream(600, seed=19)
+        tiered, _ = make_pair(tmp_path, stream, h=100)
+        tiered.close()
+        path = sorted((tmp_path / "tier" / "segments").iterdir())[0]
+        meta = read_segment(path).meta
+        rewrite_segment(path, rows=slice(1, None))
+        with TieredShardRouter.open(tmp_path / "tier") as again:
+            with pytest.raises(SegmentCorrupt, match="router expects"):
+                again.shard_window(meta.shard, meta.window_c)
 
 
 class TestBoundedResidency:
