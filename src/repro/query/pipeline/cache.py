@@ -192,12 +192,20 @@ class ProcessorCache:
             self.stats.record_eviction()
         return value
 
-    def peek(self, key: tuple, stamp: int):
-        """Like :meth:`lookup` but without touching counters or recency —
-        for introspection (e.g. ``explain`` reading memoised estimates)."""
+    def peek(self, key: tuple, stamp: int, count_hit: bool = False):
+        """Like :meth:`lookup`, but a miss touches no counter — for
+        introspection (``explain`` reading memoised estimates) and for a
+        caller that serves hits itself and leaves every miss to a path
+        that will look the key up again (and count it then):
+        ``count_hit=True`` records the hit and refreshes recency exactly
+        as :meth:`lookup` does; by default a hit is not recorded either.
+        """
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None and entry[0] == stamp:
+                if count_hit:
+                    self._entries.move_to_end(key)
+                    self.stats.record_hit()
                 return entry[1]
             return None
 

@@ -501,6 +501,11 @@ class ProcessShardedEngine:
         batch = QueryBatch(np.array([t]), np.array([x]), np.array([y]))
         return self.continuous_query_batch(batch, method=method).result(0)
 
+    def cached_point(self, t: float, x: float, y: float, method: str = "naive"):
+        """A cached cover is evaluated here, not on a worker: see
+        :meth:`ShardedQueryEngine.cached_point`."""
+        return self.engine.cached_point(t, x, y, method=method)
+
     def heatmap_grid(
         self, t: float, bounds, nx: int = 40, ny: int = 30, method: str = "naive"
     ) -> np.ndarray:

@@ -37,14 +37,20 @@ queries:
 Request limits (documented contract, enforced with 400s): heatmap
 ``nx``/``ny`` at most ``_MAX_GRID_AXIS`` (512) cells per axis,
 ``updates`` at most ``_MAX_UPDATES`` (10 000) points per route,
-``duration_s``/``interval_s`` must be positive finite numbers, bodies at
-most ``_MAX_BODY`` bytes, and ``Content-Length`` must be a plain
-non-negative integer.
+``duration_s``/``interval_s`` must be positive finite numbers, every
+other number must be finite (``NaN``, ``Infinity``, integers beyond
+float range and booleans are refused), bodies at most ``_MAX_BODY``
+bytes, and ``Content-Length`` must be a plain non-negative integer.
 
-Concurrency model: the event loop only parses frames and routes; every
-query runs in the default thread-pool executor
-(``loop.run_in_executor``), so a slow Ad-KMN fit never stalls the
-accept loop, and — when the backend is a
+Concurrency model: the event loop parses, validates and routes, and
+answers a request itself only when the service's ``cached`` can without
+blocking — a point query whose model cover is cached at the owner
+slice's live stamp: O(1) lock-free reads and one cover evaluation,
+decided from cache and router state, never a clock.  The loop never
+runs a fit, a scan, a fault-in or a lock wait: everything else runs in
+the default thread-pool executor (``loop.run_in_executor``), so a slow
+Ad-KMN fit never stalls the accept loop or a cached answer, and — when
+the backend is a
 :class:`~repro.query.pipeline.parallel.ProcessShardedEngine` — the
 actual compute escapes the GIL onto the worker processes entirely.  The
 backends are thread-safe (snapshot-pinned reads), so concurrent requests
@@ -113,21 +119,25 @@ def _clean(value: float) -> Optional[float]:
     return v if math.isfinite(v) else None
 
 
+def _is_finite(value: Any) -> bool:
+    """An int or float — ``bool`` is neither — that is finite as a float:
+    ``json.loads`` also yields NaN, ±Infinity and ints beyond float range."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _number(params: Dict[str, Any], key: str) -> float:
     value = params.get(key)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not _is_finite(value):
         raise HttpError(400, f"field {key!r} must be a number")
     return float(value)
 
 
 def _positive_number(params: Dict[str, Any], key: str, default: float) -> float:
     value = params.get(key, default)
-    if (
-        not isinstance(value, (int, float))
-        or isinstance(value, bool)
-        or not math.isfinite(value)
-        or value <= 0
-    ):
+    if not _is_finite(value) or value <= 0:
         raise HttpError(400, f"field {key!r} must be a positive number")
     return float(value)
 
@@ -152,7 +162,7 @@ def _route(params: Dict[str, Any]) -> List[Tuple[float, float]]:
         if (
             not isinstance(point, (list, tuple))
             or len(point) != 2
-            or not all(isinstance(v, (int, float)) for v in point)
+            or not all(_is_finite(v) for v in point)
         ):
             raise HttpError(400, "route points must be [x, y] number pairs")
         route.append((float(point[0]), float(point[1])))
@@ -164,12 +174,20 @@ def _bounds(params: Dict[str, Any]) -> BoundingBox:
     if (
         not isinstance(raw, (list, tuple))
         or len(raw) != 4
-        or not all(isinstance(v, (int, float)) for v in raw)
+        or not all(_is_finite(v) for v in raw)
     ):
         raise HttpError(
             400, "field 'bounds' must be [min_x, min_y, max_x, max_y]"
         )
     return BoundingBox(float(raw[0]), float(raw[1]), float(raw[2]), float(raw[3]))
+
+
+def _unmask(data: bytes, mask: bytes) -> bytes:
+    """``data[i] ^ mask[i % 4]`` (RFC 6455 §5.3) in one vectorised XOR: on
+    the event loop, a byte loop over a legal 4 MiB frame stalls for a second."""
+    n = len(data)
+    key = np.frombuffer(mask * (n // 4 + 1), dtype=np.uint8)[:n]
+    return (np.frombuffer(data, dtype=np.uint8) ^ key).tobytes()
 
 
 class WebAppService:
@@ -239,7 +257,7 @@ class WebAppService:
 class EngineQueryService:
     """The three modes served by a three-mode query engine.
 
-    ``engine`` is anything exposing ``point_query`` /
+    ``engine`` is anything exposing ``point_query`` / ``cached_point`` /
     ``continuous_query_batch`` / ``heatmap_grid`` — a
     :class:`~repro.query.sharded.ShardedQueryEngine` runs in-process,
     a :class:`~repro.query.pipeline.parallel.ProcessShardedEngine` runs
@@ -253,18 +271,33 @@ class EngineQueryService:
         self.method = method
         self.subscriptions = subscriptions
 
-    def point(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        result = self.engine.point_query(
+    def _point(self, query, params: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+        result = query(
             _number(params, "t"),
             _number(params, "x"),
             _number(params, "y"),
             method=self.method,
         )
+        if result is None:
+            return None
         return {
             "mode": "point",
             "value": None if result.value is None else _clean(result.value),
             "support": int(result.support),
         }
+
+    def cached(self, mode: str, params: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+        """The answer when it can be given without blocking (the server
+        asks on its event-loop thread): a valid point query whose cover
+        ``engine.cached_point`` finds cached.  Else ``None``."""
+        if mode != "point":
+            return None
+        return self._point(self.engine.cached_point, params)
+
+    def point(self, params: Dict[str, Any]) -> Dict[str, Any]:
+        return self.cached("point", params) or self._point(
+            self.engine.point_query, params
+        )
 
     def continuous(self, params: Dict[str, Any]) -> Dict[str, Any]:
         from repro.query.continuous import (
@@ -347,9 +380,13 @@ class AsyncQueryServer:
         handler = getattr(self.service, mode, None)
         if mode not in getattr(self.service, "modes", ()) or handler is None:
             raise HttpError(404, f"unknown mode {mode!r}")
+        cached = getattr(self.service, "cached", None)
+        payload = cached(mode, params) if cached is not None else None
+        if payload is not None:
+            return payload
+        # Everything else may block (scans, fits, fault-ins, lock waits,
+        # worker-pool round trips): keep it off the event loop.
         loop = asyncio.get_running_loop()
-        # Queries block (numpy, fits, worker-pool round trips): keep them
-        # off the event loop so parsing/accepting never stalls.
         return await loop.run_in_executor(None, handler, params)
 
     # -- HTTP ----------------------------------------------------------------
@@ -602,10 +639,7 @@ class AsyncQueryServer:
             # RFC 6455 §5.1: client frames MUST be masked.
             raise ValueError("client frames must be masked")
         mask = await reader.readexactly(4)
-        data = bytearray(await reader.readexactly(length))
-        for i in range(length):
-            data[i] ^= mask[i % 4]
-        return fin, opcode, bytes(data)
+        return fin, opcode, _unmask(await reader.readexactly(length), mask)
 
     async def _send_text(
         self, writer, send_lock: asyncio.Lock, payload: Dict[str, Any]

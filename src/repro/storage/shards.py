@@ -590,6 +590,9 @@ class ShardRouter:
         self._shard_rows = shard_rows
         self._window_epochs = wepochs
         self._sketches = sketches
+        # The grid goes last: a lock-free reader that finds the grid it
+        # started with still live read its stamp from that grid's tables
+        # or from ones nobody has cached at yet (the lock is still held).
         self.grid = new_grid
         self.load.resize(n_new)
         for slot in touched:

@@ -1,6 +1,11 @@
 """Tests for repro.query.sharded (engine behaviour; the byte-level
 equivalence contract lives in ``tests/test_engine_equivalence.py``)."""
 
+import json
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -16,7 +21,9 @@ from repro.query.sharded import (
     scan_hits,
 )
 from repro.geo.region import RegionGrid
-from repro.storage.shards import ShardRouter
+from repro.server.async_server import EngineQueryService
+from repro.storage.shards import ShardRouter, StaleLayoutError
+from repro.storage.tiered import TieredShardRouter
 
 
 @pytest.fixture(scope="module")
@@ -234,3 +241,295 @@ class TestOpenWindowIngest:
         # the 100-row cover (different fits disagree on this workload) —
         # at minimum the query stays answered and no stale index crashes.
         assert mc.answered
+
+
+_LANE_H = 240
+#: Rows ingested before a lane test starts: 20 sealed windows plus 100
+#: rows of an open one, so the held-back tail can grow window 20.
+_LANE_CUT = 20 * _LANE_H + 100
+
+
+def _lane_router(small_batch, data_dir=None, rows=_LANE_CUT):
+    """A 4-shard router holding the first ``rows`` tuples: resident, or
+    — given a ``data_dir`` — over segment files with 4 sealed slices
+    kept in memory, so most plan-path reads fault in."""
+    grid = RegionGrid.for_shard_count(BoundingBox(0.0, 0.0, 6000.0, 4000.0), 4)
+    if data_dir is None:
+        router = ShardRouter(grid, h=_LANE_H)
+    else:
+        router = TieredShardRouter(
+            grid, h=_LANE_H, data_dir=data_dir, memory_windows=4
+        )
+    router.ingest(small_batch.slice(0, rows))
+    return router
+
+
+@pytest.fixture(params=["resident", "segment"])
+def lane(request, small_batch, tmp_path):
+    """``(router, engine)`` over either window store."""
+    router = _lane_router(
+        small_batch, tmp_path if request.param == "segment" else None
+    )
+    engine = ShardedQueryEngine(router)
+    yield router, engine
+    engine.close()
+    if request.param == "segment":
+        router.close()
+
+
+def _recent_points(small_batch, n, seed):
+    """Seeded point requests over the newest ~8 ingested windows."""
+    rng = np.random.default_rng(seed)
+    ts = rng.choice(small_batch.t[_LANE_CUT - 2000 : _LANE_CUT], size=n)
+    xs = rng.uniform(0.0, 6000.0, size=n)
+    ys = rng.uniform(0.0, 4000.0, size=n)
+    return [
+        {"t": float(t), "x": float(x), "y": float(y)} for t, x, y in zip(ts, xs, ys)
+    ]
+
+
+def _plan_path(engine, t, x, y):
+    """The oracle: ``continuous_query_batch`` on the 1-row batch."""
+    return engine.point_query(t, x, y, method="model-cover")
+
+
+def _open_window_probe(router, small_batch):
+    """``(t, x, y, tail)``: a point of the open window whose owner shard
+    has rows there already and gains more when ``tail`` is ingested."""
+    head = small_batch.slice(20 * _LANE_H, _LANE_CUT)
+    tail = small_batch.slice(_LANE_CUT, _LANE_CUT + 50)
+    shared = np.intersect1d(router.route(head), router.route(tail))
+    k = int(np.flatnonzero(router.route(head) == shared[0])[0])
+    return float(head.t[-1]), float(head.x[k]), float(head.y[k]), tail
+
+
+class TestCachedPoint:
+    """``cached_point``: the plan path's bytes or ``None``, never a wait."""
+
+    def test_hits_are_byte_identical_to_the_plan_path(self, lane, small_batch):
+        router, engine = lane
+        service = EngineQueryService(engine, method="model-cover")
+        points = _recent_points(small_batch, 2000, seed=19)
+
+        def slow(p):
+            r = _plan_path(engine, p["t"], p["x"], p["y"])
+            return {"mode": "point", "value": r.value, "support": r.support}
+
+        # The first pass also warms: every cover the stream needs is cached.
+        expected = [json.dumps(slow(p)) for p in points]
+        hits = 0
+        for p, want in zip(points, expected):
+            got = service.cached("point", p)
+            if got is None:
+                # Only the exact fallback's case is left to the plan path.
+                c = router.window_for_time(p["t"])
+                s = router.grid.shard_of(p["x"], p["y"])
+                assert router.shard_window_epoch(s, c) == 0
+            else:
+                hits += 1
+                assert json.dumps(got) == want
+            assert json.dumps(service.point(p)) == want
+        assert hits > 1500
+
+    def test_hit_bookkeeping_matches_the_plan_path(self, lane, small_batch):
+        router, engine = lane
+        t, x, y, _tail = _open_window_probe(router, small_batch)
+        s = router.grid.shard_of(x, y)
+        assert engine.cached_point(t, x, y, "model-cover") is None  # cold
+        assert engine.cache_stats.lookups == 0  # a miss touches no counter
+        expected = _plan_path(engine, t, x, y)
+        before = engine.cache_stats.as_dict()
+        plans = engine.prune_stats.plans
+        scans = router.shard_load_stats()[s].scan_queries
+        assert engine.cached_point(t, x, y, "model-cover") == expected
+        after = engine.cache_stats.as_dict()
+        assert after["hits"] == before["hits"] + 1
+        assert after["misses"] == before["misses"]
+        assert engine.prune_stats.plans == plans  # no plan was built
+        assert router.shard_load_stats()[s].scan_queries == scans + 1
+
+    @pytest.mark.parametrize("method", ["naive", "grid", "auto"])
+    def test_other_methods_never_enter_the_lane(self, lane, small_batch, method):
+        router, engine = lane
+        t, x, y, _tail = _open_window_probe(router, small_batch)
+        _plan_path(engine, t, x, y)  # the cover is cached
+        assert engine.cached_point(t, x, y, "model-cover") is not None
+        before = engine.cache_stats.as_dict()
+        assert engine.cached_point(t, x, y, method) is None
+        assert EngineQueryService(engine, method=method).cached(
+            "point", {"t": t, "x": x, "y": y}
+        ) is None
+        assert engine.cache_stats.as_dict() == before
+
+    def test_empty_router_is_a_miss_not_an_error(self, small_batch):
+        with ShardedQueryEngine(_lane_router(small_batch, rows=0)) as engine:
+            assert engine.cached_point(0.0, 1.0, 1.0, "model-cover") is None
+
+    def test_ingest_invalidates_until_the_plan_path_refits(self, lane, small_batch):
+        router, engine = lane
+        t, x, y, tail = _open_window_probe(router, small_batch)
+        _plan_path(engine, t, x, y)
+        assert engine.cached_point(t, x, y, "model-cover") is not None
+        router.ingest(tail)
+        # The owner's slice of the open window grew: the cached cover
+        # names an older stamp and must not be served.
+        assert engine.cached_point(t, x, y, "model-cover") is None
+        refit = _plan_path(engine, t, x, y)
+        assert engine.cached_point(t, x, y, "model-cover") == refit
+
+    def test_recut_invalidates_until_the_plan_path_refits(self, small_batch):
+        router = _lane_router(small_batch)
+        t, x, y, _tail = _open_window_probe(router, small_batch)
+        with ShardedQueryEngine(router) as engine:
+            _plan_path(engine, t, x, y)
+            assert engine.cached_point(t, x, y, "model-cover") is not None
+            s = router.grid.shard_of(x, y)
+            router.split_shard(s)
+            assert engine.cached_point(t, x, y, "model-cover") is None
+            after_split = _plan_path(engine, t, x, y)
+            assert engine.cached_point(t, x, y, "model-cover") == after_split
+            router.merge_cell(router.grid.cell_of_shard(router.grid.shard_of(x, y)))
+            assert engine.cached_point(t, x, y, "model-cover") is None
+            after_merge = _plan_path(engine, t, x, y)
+            assert engine.cached_point(t, x, y, "model-cover") == after_merge
+
+    def test_an_evicted_cover_is_a_miss(self, small_batch):
+        router = _lane_router(small_batch)
+        t, x, y, _tail = _open_window_probe(router, small_batch)
+        t_old = float(small_batch.t[19 * _LANE_H + 1])
+        with ShardedQueryEngine(router, cache_capacity=1) as engine:
+            first = _plan_path(engine, t, x, y)
+            assert engine.cached_point(t, x, y, "model-cover") == first
+            # Another window's cover takes the one slot.
+            assert router.window_for_time(t_old) != router.window_for_time(t)
+            second = _plan_path(engine, t_old, x, y)
+            assert engine.cache_stats.evictions >= 1
+            before = engine.cache_stats.as_dict()
+            assert engine.cached_point(t, x, y, "model-cover") is None
+            assert engine.cache_stats.as_dict() == before
+            assert engine.cached_point(t_old, x, y, "model-cover") == second
+
+    def test_never_waits_for_the_router_lock(self, lane, small_batch):
+        router, engine = lane
+        t_old = float(small_batch.t[5 * _LANE_H + 1])
+        _t, x, y, _tail = _open_window_probe(router, small_batch)
+        expected = _plan_path(engine, t_old, x, y)
+        for p in _recent_points(small_batch, 40, seed=3):
+            _plan_path(engine, p["t"], p["x"], p["y"])  # pages window 5 out
+        tiered = isinstance(router, TieredShardRouter)
+        if tiered:
+            faults, resident = router.faults, router.resident_window_count()
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with router._lock:
+                held.set()
+                release.wait(timeout=30.0)
+
+        holder = threading.Thread(target=hold, daemon=True)
+        holder.start()
+        assert held.wait(timeout=10.0)
+        answers = []
+        reader = threading.Thread(
+            target=lambda: answers.append(
+                engine.cached_point(t_old, x, y, "model-cover")
+            ),
+            daemon=True,
+        )
+        try:
+            reader.start()
+            reader.join(timeout=10.0)
+            assert not reader.is_alive(), "the lane waited for the router lock"
+        finally:
+            release.set()
+            holder.join(timeout=10.0)
+        assert not holder.is_alive()
+        assert answers == [expected]
+        if tiered:
+            # Window 5's slice stayed on disk: the cover alone answered.
+            assert router.faults == faults
+            assert router.resident_window_count() == resident
+
+    def test_racing_recuts_never_mix_two_layouts(self, small_batch, monkeypatch):
+        """Readers, a plan-path warmer and a split/merge loop on more
+        threads than cores: every lane answer is the plan path's at the
+        unsplit or at the split layout — never one tile's cover for
+        another tile's point.  The readers dawdle around their stamp
+        read, which is where a whole re-cut (and the warmer's re-fit)
+        has to land for an unvalidated probe to mix layouts."""
+        router = _lane_router(small_batch)
+        window = small_batch.slice(10 * _LANE_H, 11 * _LANE_H)  # sealed
+        owners = router.route(window)
+        s = int(np.bincount(owners).argmax())
+        rows = np.flatnonzero(owners == s)[:: max(1, (owners == s).sum() // 8)]
+        t = float(window.t[-1])
+        probes = [(t, float(window.x[k]), float(window.y[k])) for k in rows]
+        engine = ShardedQueryEngine(router)
+        valid = [{_plan_path(engine, *p).value} for p in probes]
+        router.split_shard(s)
+        for answers, p in zip(valid, probes):
+            answers.add(_plan_path(engine, *p).value)
+        cell = router.grid.cell_of_shard(s)
+        router.merge_cell(cell)
+        assert any(len(answers) == 2 for answers in valid)  # layouts differ
+        stop = threading.Event()
+        wrong, hits = [], [0]
+        read_stamp = router.shard_window_epoch
+
+        def dawdling_stamp(shard, c):
+            if threading.current_thread().name != "lane-reader":
+                return read_stamp(shard, c)
+            time.sleep(0.001)
+            stamp = read_stamp(shard, c)
+            time.sleep(0.003)
+            return stamp
+
+        monkeypatch.setattr(router, "shard_window_epoch", dawdling_stamp)
+
+        def recut():
+            while not stop.is_set():
+                router.split_shard(s)
+                time.sleep(0.002)
+                router.merge_cell(cell)
+                time.sleep(0.002)
+
+        def warm():
+            while not stop.is_set():
+                for p in probes:
+                    try:
+                        _plan_path(engine, *p)
+                    except StaleLayoutError:  # three re-cuts raced one plan
+                        pass
+
+        def read():
+            while not stop.is_set():
+                for answers, p in zip(valid, probes):
+                    got = engine.cached_point(*p, "model-cover")
+                    if got is not None:
+                        hits[0] += 1
+                        if got.value not in answers:
+                            wrong.append((p, got.value))
+
+        threads = [
+            threading.Thread(target=recut, daemon=True),
+            threading.Thread(target=warm, daemon=True),
+            *(
+                threading.Thread(target=read, daemon=True, name="lane-reader")
+                for _ in range(3)
+            ),
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for th in threads:
+                th.start()
+            time.sleep(0.8)
+        finally:
+            stop.set()
+            for th in threads:
+                th.join(timeout=30.0)
+            sys.setswitchinterval(interval)
+            engine.close()
+        assert not any(th.is_alive() for th in threads)
+        assert wrong == []
+        assert hits[0] > 0

@@ -11,6 +11,8 @@ import http.client
 import json
 import socket
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ import pytest
 from repro.app.webapp import WebInterface
 from repro.geo.coords import BoundingBox
 from repro.geo.region import RegionGrid
+import repro.query.sharded as sharded_module
 from repro.query.engine import QueryEngine
 from repro.query.pipeline.parallel import ProcessShardedEngine
 from repro.query.sharded import ShardedQueryEngine
@@ -323,3 +326,121 @@ class TestEngineBackends:
         )
         assert np.array_equal(got, expected_grid, equal_nan=True)
         oracle.close()
+
+
+class _ThreadSpy(EngineQueryService):
+    """Records which thread ran ``cached`` (when it answered) and ``point``."""
+
+    def __init__(self, engine, method):
+        super().__init__(engine, method=method)
+        self.cached_on = []
+        self.point_on = []
+
+    def cached(self, mode, params):
+        payload = super().cached(mode, params)
+        if payload is not None:
+            self.cached_on.append(threading.get_ident())
+        return payload
+
+    def point(self, params):
+        self.point_on.append(threading.get_ident())
+        return super().point(params)
+
+
+class TestCachedLane:
+    """A confirmed cover hit is answered on the event-loop thread; every
+    other request still goes through the executor."""
+
+    @pytest.fixture()
+    def lane(self, small_dataset):
+        router = ShardRouter(
+            RegionGrid.for_shard_count(small_dataset.covered_bbox(), 4), h=240
+        )
+        router.ingest(small_dataset.tuples)
+        with ShardedQueryEngine(router) as engine:
+            spy = _ThreadSpy(engine, method="model-cover")
+            with BackgroundServer(spy) as served:
+                yield served, spy, engine
+
+    @staticmethod
+    def _covered_point(small_dataset, row):
+        """A request at a tuple's own position: its owner slice is not empty."""
+        tuples = small_dataset.tuples
+        return {
+            "t": float(tuples.t[row]),
+            "x": float(tuples.x[row]),
+            "y": float(tuples.y[row]),
+        }
+
+    def test_miss_hops_and_hit_stays_on_the_loop(self, lane, small_dataset):
+        served, spy, engine = lane
+        loop_thread = served._thread.ident
+        p = self._covered_point(small_dataset, 3000)
+        status, cold = _post(served.port, "/query/point", p)
+        assert status == 200
+        # No cover was cached: the query (and its fit) ran on a pool thread.
+        assert spy.cached_on == []
+        assert len(spy.point_on) == 1 and spy.point_on[0] != loop_thread
+        plans, hits = engine.prune_stats.plans, engine.cache_stats.hits
+        assert plans >= 1
+        status, warm = _post(served.port, "/query/point", p)
+        assert (status, warm) == (200, cold)
+        assert spy.cached_on == [loop_thread]
+        assert len(spy.point_on) == 1  # the handler was never dispatched
+        assert engine.prune_stats.plans == plans  # no plan was built
+        assert engine.cache_stats.hits == hits + 1
+        client = _WsClient(served.port)
+        try:
+            assert client.request({"mode": "point", **p}) == cold
+        finally:
+            client.close()
+        assert spy.cached_on == [loop_thread, loop_thread]
+        assert len(spy.point_on) == 1
+
+    def test_cached_answers_do_not_queue_behind_a_cold_fit(
+        self, lane, small_dataset, monkeypatch
+    ):
+        """ROADMAP item 2's gate, as an ordering: with the only pool
+        thread stuck in a cold-cover fit, ``/health`` and a cached point
+        query on other connections are answered before the fit may end."""
+        served, spy, engine = lane
+        warm = self._covered_point(small_dataset, 3000)
+        cold = self._covered_point(small_dataset, 600)
+        assert _post(served.port, "/query/point", warm)[0] == 200
+        pool = ThreadPoolExecutor(max_workers=1)
+        served._loop.call_soon_threadsafe(served._loop.set_default_executor, pool)
+        entered, release = threading.Event(), threading.Event()
+        real_fit = sharded_module.fit_adkmn
+
+        def blocked_fit(*args, **kwargs):
+            entered.set()
+            assert release.wait(timeout=60.0)
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(sharded_module, "fit_adkmn", blocked_fit)
+        slow = []
+        poster = threading.Thread(
+            target=lambda: slow.append(_post(served.port, "/query/point", cold)),
+            daemon=True,
+        )
+        order = []
+        try:
+            poster.start()
+            assert entered.wait(timeout=30.0)
+            assert _get(served.port, "/health")[0] == 200
+            order.append("health")
+            assert _post(served.port, "/query/point", warm)[0] == 200
+            order.append("cached point")
+            assert slow == []  # the cold query is still inside its fit
+        finally:
+            order.append("release")
+            release.set()
+            poster.join(timeout=60.0)
+            pool.shutdown(wait=True)
+        assert order == ["health", "cached point", "release"]
+        assert not poster.is_alive() and slow[0][0] == 200
+        assert len(spy.cached_on) == 1  # only the warm repeat took the lane
+
+    def test_web_app_service_has_no_lane(self, served):
+        # Every TestHttpRoutes / TestWebSocket request above took the hop.
+        assert not hasattr(served.server.service, "cached")

@@ -11,7 +11,14 @@ silent connection teardowns before being fixed):
 * ``_optional_int`` had no upper bound — one heatmap request could ask
   for a terabyte-scale grid;
 * ``_read_frame`` ignored FIN and dropped continuation frames, silently
-  corrupting fragmented WebSocket messages.
+  corrupting fragmented WebSocket messages;
+* ``NaN`` / ``Infinity`` (which ``json.loads`` accepts) were evaluated —
+  a cover at a NaN time, an undefined float->int cast in the region grid
+  — and an integer literal above float range was a 500;
+* ``_read_frame`` unmasked payloads one byte at a time on the event loop.
+
+``RuntimeWarning`` is an error in this file: the undefined cast only
+ever announced itself as one.
 """
 
 import asyncio
@@ -37,9 +44,13 @@ from repro.server.async_server import (
     AsyncQueryServer,
     BackgroundServer,
     EngineQueryService,
+    HttpError,
     WebAppService,
+    _unmask,
 )
 from repro.storage.shards import ShardRouter
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 _WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 
@@ -136,7 +147,7 @@ class TestContentLengthValidation:
         assert status == 200
 
 
-_BAD_DURATIONS = ["soon", 0, -600.0, True, float("nan"), float("inf")]
+_BAD_DURATIONS = ["soon", 0, -600.0, True, float("nan"), float("inf"), 10**400]
 
 
 class TestDurationValidation:
@@ -186,6 +197,84 @@ class TestDurationValidation:
         )
         assert status == 200
         assert len(body["readings"]) == 4
+
+
+#: What ``json.loads`` hands over for ``NaN``, ``Infinity``, ``-Infinity``
+#: (``1e400`` reads as the latter two), a 400-digit integer and ``true``.
+_BAD_NUMBERS = [float("nan"), float("inf"), float("-inf"), 10**400, -(10**400), True]
+
+
+def _bad_number_requests(t_mid):
+    """``(path, payload)`` with one numeric field replaced by each bad value."""
+    point = {"t": t_mid, "x": 2000.0, "y": 1500.0}
+    route = {"route": [[1000.0, 1000.0], [3000.0, 2200.0]], "t_start": t_mid}
+    heatmap = {"t": t_mid, "bounds": [0, 0, 6000, 4000], "nx": 4, "ny": 3}
+    for bad in _BAD_NUMBERS:
+        for key in point:
+            yield "/query/point", {**point, key: bad}
+        yield "/query/continuous", {**route, "t_start": bad}
+        for i in range(2):
+            for j in range(2):
+                points = [list(xy) for xy in route["route"]]
+                points[i][j] = bad
+                yield "/query/continuous", {**route, "route": points}
+        yield "/query/heatmap", {**heatmap, "t": bad}
+        for i in range(4):
+            bounds = list(heatmap["bounds"])
+            bounds[i] = bad
+            yield "/query/heatmap", {**heatmap, "bounds": bounds}
+
+
+class TestNonFiniteNumbers:
+    def _sweep(self, port, t_mid):
+        for path, payload in _bad_number_requests(t_mid):
+            status, body = _post(port, path, payload)
+            assert status == 400, (path, payload, body)
+            assert "error" in body
+
+    def test_webapp_service_refuses_them(self, web_served, t_mid):
+        self._sweep(web_served.port, t_mid)
+
+    def test_engine_service_refuses_them(self, engine_served, t_mid):
+        self._sweep(engine_served[0].port, t_mid)
+
+    def test_finite_numbers_are_still_served(self, engine_served, t_mid):
+        served = engine_served[0]
+        for path, payload in (
+            ("/query/point", {"t": int(t_mid), "x": 2000, "y": 1.5e3}),
+            (
+                "/query/heatmap",
+                {"t": t_mid, "bounds": [0, 0.0, 6e3, 4000], "nx": 4, "ny": 3},
+            ),
+        ):
+            status, body = _post(served.port, path, payload)
+            assert status == 200, body
+
+    def test_websocket_answers_an_error_frame(self, engine_served, t_mid):
+        client = _WsClient(engine_served[0].port)
+        try:
+            for bad in _BAD_NUMBERS:
+                reply = client.request(
+                    {"mode": "point", "t": t_mid, "x": bad, "y": 1500.0}
+                )
+                assert "'x'" in reply["error"]
+            good = client.request(
+                {"mode": "point", "t": t_mid, "x": 2000.0, "y": 1500.0}
+            )
+            assert good["mode"] == "point"
+        finally:
+            client.close()
+
+    @pytest.mark.parametrize("bad", _BAD_NUMBERS)
+    @pytest.mark.parametrize("key", ["t", "x", "y"])
+    def test_refused_before_the_cached_lane(self, engine_served, t_mid, key, bad):
+        """The lane runs on the event loop: it validates first."""
+        engine = engine_served[0].server.service.engine
+        service = EngineQueryService(engine, method="model-cover")
+        params = {"t": t_mid, "x": 2000.0, "y": 1500.0, key: bad}
+        with pytest.raises(HttpError) as refused:
+            service.cached("point", params)
+        assert refused.value.status == 400
 
 
 class TestRequestLimits:
@@ -404,6 +493,19 @@ class TestFragmentedMessages:
         client.send(False, 0x9, b"bad ping")
         assert client.closed_by_server()
         client.sock.close()
+
+
+class TestUnmask:
+    @pytest.mark.parametrize(
+        "length", [*range(10), 125, 126, 65_536, 4 * 1024 * 1024]
+    )
+    def test_matches_the_byte_loop(self, length):
+        rng = np.random.default_rng(length)
+        data = rng.integers(0, 256, size=length, dtype=np.uint8).tobytes()
+        mask = rng.integers(0, 256, size=4, dtype=np.uint8).tobytes()
+        reference = bytes(b ^ mask[i % 4] for i, b in enumerate(data))
+        assert _unmask(data, mask) == reference
+        assert _unmask(reference, mask) == data
 
 
 class _RecordingWriter:
