@@ -74,6 +74,18 @@ class TupleBatch:
             a.flags.writeable = False
         self.t, self.x, self.y, self.s = arrays
 
+    @classmethod
+    def _of_columns(
+        cls, t: np.ndarray, x: np.ndarray, y: np.ndarray, s: np.ndarray
+    ) -> "TupleBatch":
+        """Internal: wrap four columns the caller has already checked to
+        be what ``__init__`` makes them — read-only one-dimensional
+        float64 arrays of one length — without re-validating.  Outside
+        input goes through the constructor."""
+        self = object.__new__(cls)
+        self.t, self.x, self.y, self.s = t, x, y, s
+        return self
+
     # -- construction -----------------------------------------------------
 
     @classmethod

@@ -72,6 +72,16 @@ class QueryBatch:
         self.t, self.x, self.y = arrays
 
     @classmethod
+    def _of_columns(cls, t: np.ndarray, x: np.ndarray, y: np.ndarray) -> "QueryBatch":
+        """Internal: wrap three columns the caller has already made what
+        ``__init__`` makes them — read-only one-dimensional float64
+        arrays of one length (e.g. slices of such arrays) — without
+        re-validating.  Outside input goes through the constructor."""
+        self = object.__new__(cls)
+        self.t, self.x, self.y = t, x, y
+        return self
+
+    @classmethod
     def from_queries(cls, queries: Iterable[QueryTuple]) -> "QueryBatch":
         qs = list(queries)
         return cls(

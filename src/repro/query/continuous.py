@@ -8,11 +8,14 @@ point-query processor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.data.tuples import QueryTuple
-from repro.query.base import PointQueryProcessor, QueryResult
+from repro.query.base import PointQueryProcessor, QueryBatch, QueryResult
 
 Trajectory = Callable[[float], Tuple[float, float]]
 """Position of the mobile object as a function of time."""
@@ -37,6 +40,23 @@ def uniform_query_tuples(
     return out
 
 
+def _legs(
+    waypoints: Sequence[Tuple[float, float]], t_start: float, t_end: float
+) -> Tuple[List[float], float]:
+    """Validated leg lengths of a waypoint route, and their running sum."""
+    if len(waypoints) < 2:
+        raise ValueError("a trajectory needs at least two waypoints")
+    if t_end <= t_start:
+        raise ValueError("t_end must be after t_start")
+    legs = []
+    total = 0.0
+    for (x1, y1), (x2, y2) in zip(waypoints, waypoints[1:]):
+        d = math.hypot(x2 - x1, y2 - y1)
+        legs.append(d)
+        total += d
+    return legs, total
+
+
 def waypoint_trajectory(
     waypoints: Sequence[Tuple[float, float]],
     t_start: float,
@@ -49,18 +69,7 @@ def waypoint_trajectory(
     query mode ("users select a set of points that constitute the route")
     turns clicked points into a moving object.
     """
-    if len(waypoints) < 2:
-        raise ValueError("a trajectory needs at least two waypoints")
-    if t_end <= t_start:
-        raise ValueError("t_end must be after t_start")
-    import math
-
-    legs = []
-    total = 0.0
-    for (x1, y1), (x2, y2) in zip(waypoints, waypoints[1:]):
-        d = math.hypot(x2 - x1, y2 - y1)
-        legs.append(d)
-        total += d
+    legs, total = _legs(waypoints, t_start, t_end)
 
     def position(t: float) -> Tuple[float, float]:
         if t <= t_start:
@@ -77,6 +86,47 @@ def waypoint_trajectory(
         return waypoints[-1]
 
     return position
+
+
+def uniform_route_batch(
+    waypoints: Sequence[Tuple[float, float]],
+    t_start: float,
+    t_end: float,
+    interval_s: float,
+    count: int,
+) -> QueryBatch:
+    """``uniform_query_tuples(waypoint_trajectory(waypoints, t_start,
+    t_end), t_start, interval_s, count)`` as one columnar batch.
+
+    Bit-identical to the scalar pair, which stays the oracle: every
+    update goes through the same float operations in the same order
+    (``t_start + step * interval_s``; ``target = frac * total``; per
+    leg ``f = target / leg``, ``x1 + f * (x2 - x1)``, else ``target -=
+    leg``), evaluated per leg over all updates at once.
+    """
+    legs, total = _legs(waypoints, t_start, t_end)
+    if interval_s <= 0:
+        raise ValueError("query interval must be positive")
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    t = t_start + np.arange(count) * interval_s
+    target = (t - t_start) / (t_end - t_start) * total
+    # Updates no leg claims end at the last waypoint, as do those at or
+    # after t_end; those at or before t_start sit at the first.
+    x = np.full(count, waypoints[-1][0], dtype=np.float64)
+    y = np.full(count, waypoints[-1][1], dtype=np.float64)
+    early = t <= t_start
+    moving = ~early & (t < t_end)
+    for (x1, y1), (x2, y2), leg in zip(waypoints, waypoints[1:], legs):
+        if leg > 0.0:
+            here = moving & (target <= leg)
+            f = target[here] / leg
+            x[here] = x1 + f * (x2 - x1)
+            y[here] = y1 + f * (y2 - y1)
+            moving &= ~here
+        target = target - leg  # zero-length legs are skipped unchanged
+    x[early], y[early] = waypoints[0]
+    return QueryBatch(t, x, y)
 
 
 @dataclass

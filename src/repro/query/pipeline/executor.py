@@ -63,6 +63,7 @@ from repro.query.pipeline.plan import (
     ScanOp,
 )
 from repro.query.pipeline.planner import PipelinePlanner
+from repro.storage.sketch import bbox_disk_overlaps
 
 __all__ = [
     "PlanRuntime",
@@ -662,6 +663,18 @@ def _estimate(
     return est.per_query_cost, planner.eval_units(est)
 
 
+#: An unreached candidate's row of the pruning pass's sketch table
+#: (min_x, max_x, min_y, max_y, n_rows): no rows, like an empty sketch's.
+_NO_SKETCH = (0.0, 0.0, 0.0, 0.0, 0)
+
+
+def _runs(keys: np.ndarray) -> List[int]:
+    """Start of every run of equal values in ``keys``, plus ``len(keys)``."""
+    if not len(keys):
+        return [0]
+    return [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), len(keys)]
+
+
 def _exact_plan(
     binding: RouterBinding,
     queries: QueryBatch,
@@ -681,142 +694,159 @@ def _exact_plan(
     superset-safe layers:
 
     1. *window cuts* — a query only ever scatters into its responsible
-       global window's ops (the per-window grouping below), so history
-       windows a continuous stream never touches cost nothing;
+       global window's ops, so history windows a continuous stream never
+       touches cost nothing;
     2. *grid geometry* — per query, only the shards inside the disk's
-       cell-index rectangle (:meth:`RegionGrid.disks_shard_mask`, one
-       vectorised evaluation per window group);
+       cell-index rectangle (:meth:`RegionGrid.disks_shard_mask`);
     3. *zone-map sketches* — the pinned slice's bounding box
        (:meth:`SnapshotBinding.sketch_for`, coherent with the slice by
        construction) must be within ``radius_m`` of the query point,
        which prunes shards whose geometric cell is reachable but whose
        actual rows cluster far from the query.
 
-    A (shard, window) candidate left with zero queries is dropped from
+    All three are evaluated once, for every (query, shard) of the batch,
+    as one boolean ``(queries, shards)`` mask over the window-grouped
+    batch; what is left per kept (window, shard) pair is what needs the
+    pinned slice.  A candidate left with zero queries is dropped from
     the plan entirely and recorded as a :class:`PrunedOp`.  Dropped
     scans are exactly those that would have produced an empty hit
     partial, and the exact gather orders hits canonically by stream
     position — so pruned and unpruned plans are byte-identical.
-    ``prune=False`` is the full scatter: every window query reaches
-    every non-empty shard slice (the benchmark baseline).
+    ``prune=False`` is the same pass with an all-true mask: every window
+    query reaches every non-empty shard slice (the benchmark baseline).
     """
-    grid = binding.grid
+    n, n_shards = len(queries), binding.n_shards
     ops: List[ScanOp] = []
     pruned: List[PrunedOp] = []
-    # One vectorised geometry evaluation for the whole batch; the window
-    # loop below just rows into it.
-    reach_all = grid.disks_shard_mask(queries.x, queries.y, radius_m) if prune else None
-    for c in np.unique(windows):
-        positions = np.flatnonzero(windows == c)
-        wq = queries.take(positions)
-        reach = reach_all[positions] if reach_all is not None else None
-        if reach is None:
-            candidates = range(binding.n_shards)
-        else:
-            # Geometry pruning is data-independent, so shards no query
-            # disk can reach are dropped *before* their slices are ever
-            # resolved — pruned planning, like pruned execution, touches
-            # only the relevant shards.  One vectorised reduction per
-            # window splits candidates from prunees; the records'
-            # stamp/rows are unpinned O(1) peeks.
-            reached = reach.any(axis=0)
-            if not reached.all():
-                stats = binding.peek_window(int(c))
-                for s in np.flatnonzero(~reached):
-                    stamp, n_rows = stats[s]
-                    if n_rows:
-                        pruned.append(
-                            PrunedOp(
-                                PlanContext(int(c), int(s), stamp, n_rows),
-                                len(wq),
-                                "region",
-                            )
-                        )
-            candidates = np.flatnonzero(reached)
-        for s in candidates:
-            s = int(s)
-            if reach is not None:
-                # Sketch before slice: the sketch is resident (frozen for
-                # sealed windows, pinned-with-slice for open ones), so a
-                # fully pruned candidate never materialises its rows —
-                # on the durable tier, never faults its segment in.  The
-                # sketch counts the slice's rows exactly, so the empty
-                # slice skip below is equivalent to the unpruned path's.
-                sketch = binding.sketch_for(s, int(c))
-                if sketch.is_empty:
+    if not n:
+        merge = MergeOp(0, binding.stream_rows())
+        return ExecutionPlan(binding, queries, (), merge, policy, method)
+    # Group the batch by window: one stable sort (none for a time-sorted
+    # batch), so a window's queries are a run and keep stream order.
+    order = None
+    if (windows[1:] < windows[:-1]).any():
+        order = np.argsort(windows, kind="stable")
+        windows = windows[order]
+    runs = _runs(windows)
+    starts = np.array(runs[:-1])
+    cs = windows[starts].tolist()
+    counts = [hi - lo for lo, hi in zip(runs, runs[1:])]
+    window_of = np.repeat(np.arange(len(cs)), counts)  # index into `cs` per query
+    if prune:
+        reach = binding.grid.disks_shard_mask(queries.x, queries.y, radius_m)
+        qx, qy = queries.x, queries.y
+        if order is not None:
+            reach, qx, qy = reach[order], qx[order], qy[order]
+        # Geometry is data-independent, so a shard no disk of the window
+        # reaches is dropped before anything of it is resolved.  For the
+        # reached ones, sketch before slice: the sketch is resident
+        # (frozen for sealed windows, pinned-with-slice for open ones),
+        # so a fully pruned candidate never materialises its rows — on
+        # the durable tier, never faults its segment in.  The sketch
+        # counts the slice's rows exactly, so dropping an empty sketch is
+        # the unpruned path's empty-slice skip.
+        reached = np.logical_or.reduceat(reach, starts)
+        table = [_NO_SKETCH] * (len(cs) * n_shards)
+        for w, s in zip(*(hit.tolist() for hit in reached.nonzero())):
+            sketch = binding.sketch_for(s, cs[w])
+            table[w * n_shards + s] = (
+                sketch.min_x, sketch.max_x, sketch.min_y, sketch.max_y, sketch.n_rows
+            )
+        table = np.array(table).reshape(len(cs), n_shards, 5)
+        nonempty = table[:, :, 4] > 0
+        box = table[window_of]  # (queries, shards, 5): each query's window's row
+        mask = (
+            reach
+            & nonempty[window_of]
+            & bbox_disk_overlaps(
+                box[:, :, 0], box[:, :, 1], box[:, :, 2], box[:, :, 3],
+                qx[:, None], qy[:, None], radius_m,
+            )
+        )
+        # The records of what was dropped, per window: unreached shards
+        # with rows, then reached ones whose sketch no disk overlaps.
+        # Their stamp/rows are unpinned O(1) peeks.
+        kept = np.logical_or.reduceat(mask, starts)
+        dropped = np.hstack((~reached, reached & nonempty & ~kept))
+        stats_of = None
+        for w, k in zip(*(hit.tolist() for hit in dropped.nonzero())):
+            c, s = cs[w], k % n_shards
+            if k < n_shards:
+                if stats_of != w:
+                    stats, stats_of = binding.peek_window(c), w
+                stamp, n_rows = stats[s]
+                if not n_rows:
                     continue
-                mask = reach[:, s] & sketch.disk_overlaps(wq.x, wq.y, radius_m)
-                if not mask.any():
-                    stamp, n_rows = binding.peek(s, int(c))
-                    pruned.append(
-                        PrunedOp(
-                            PlanContext(int(c), s, stamp, n_rows),
-                            len(wq),
-                            "sketch",
-                        )
-                    )
-                    continue
-                local = np.flatnonzero(mask)
             else:
-                local = None
-            stamp, sub, _gids = binding.slice_for(s, int(c))
-            if not len(sub):
-                continue
-            if local is None:
-                local = np.arange(len(wq), dtype=np.intp)
-            chosen = method
-            est = eval_est = None
-            if chosen == "auto":
-                chosen = planner.method_for(s, int(c), stamp, sub, exact=True)
-                # Attach the verdict's own priced estimate (memoised by
-                # method_for; a cheap peek) so the executor can feed this
-                # op's observed timing back on the right unit axis.
-                priced = planner.cached_estimates(s, int(c), stamp, True)
-                if priced is not None and chosen in priced:
-                    est = priced[chosen].per_query_cost
-                    eval_est = planner.eval_units(priced[chosen])
-            if est is None and want_estimates:
-                est, eval_est = _estimate(
-                    planner, sub, chosen, exact=True, shard=s, c=int(c), stamp=stamp
+                stamp, n_rows = binding.peek(s, c)
+            pruned.append(
+                PrunedOp(
+                    PlanContext(c, s, stamp, n_rows),
+                    counts[w],
+                    "region" if k < n_shards else "sketch",
                 )
-            context = PlanContext(int(c), s, stamp, len(sub))
-            r = int(replicas.get(s, 1)) if replicas else 1
-            if r > 1 and len(local) > 1:
-                # Read replicas: split the hot shard's scan into up to r
-                # ops over disjoint query chunks.  Every chunk binds the
-                # same pinned context (same rows), and the exact gather
-                # is canonical in stream position — identical answers,
-                # but the process executor can now run the chunks on
-                # separate workers.
-                chunks = np.array_split(local, min(r, len(local)))
-                for i, chunk in enumerate(chunks):
-                    if not len(chunk):
-                        continue
-                    ops.append(
-                        ScanOp(
-                            context,
-                            chosen,
-                            positions[chunk],
-                            wq.take(chunk),
-                            emit="hits",
-                            est_unit_cost=est,
-                            eval_unit_cost=eval_est,
-                            replica=i,
-                        )
-                    )
-            else:
-                ops.append(
-                    ScanOp(
-                        context,
-                        chosen,
-                        positions[local],
-                        wq.take(local),
-                        emit="hits",
-                        est_unit_cost=est,
-                        eval_unit_cost=eval_est,
-                    )
+            )
+    else:
+        mask = np.ones((n, n_shards), dtype=bool)
+    # Kept (query, shard) pairs in op order: window, then shard, then
+    # stream position — shard-major out of the mask, one stable sort on
+    # the (window, shard) key.  Query columns are gathered once; an op's
+    # positions and queries are slices of that.
+    shard_of, row = mask.T.nonzero()
+    pair = window_of[row] * n_shards + shard_of
+    by_pair = np.argsort(pair, kind="stable")
+    pair, row = pair[by_pair], row[by_pair]
+    positions = row if order is None else order[row]
+    t, x, y = queries.t[positions], queries.x[positions], queries.y[positions]
+    for column in (t, x, y):
+        column.flags.writeable = False
+    runs = _runs(pair)
+    for lo, hi in zip(runs, runs[1:]):
+        w, s = divmod(int(pair[lo]), n_shards)
+        c = cs[w]
+        stamp, sub, _gids = binding.slice_for(s, c)
+        if not len(sub):
+            continue
+        chosen = method
+        est = eval_est = None
+        if chosen == "auto":
+            chosen = planner.method_for(s, c, stamp, sub, exact=True)
+            # Attach the verdict's own priced estimate (memoised by
+            # method_for; a cheap peek) so the executor can feed this
+            # op's observed timing back on the right unit axis.
+            priced = planner.cached_estimates(s, c, stamp, True)
+            if priced is not None and chosen in priced:
+                est = priced[chosen].per_query_cost
+                eval_est = planner.eval_units(priced[chosen])
+        if est is None and want_estimates:
+            est, eval_est = _estimate(
+                planner, sub, chosen, exact=True, shard=s, c=c, stamp=stamp
+            )
+        context = PlanContext(c, s, stamp, len(sub))
+        r = int(replicas.get(s, 1)) if replicas else 1
+        # Read replicas: a hot shard's scan is split into up to r ops
+        # over disjoint query chunks.  Every chunk binds the same pinned
+        # context (same rows), and the exact gather is canonical in
+        # stream position — identical answers, but the process executor
+        # can now run the chunks on separate workers.
+        cuts = [lo, hi]
+        if r > 1 and hi - lo > 1:
+            chunks = np.array_split(np.arange(lo, hi), min(r, hi - lo))
+            cuts = [int(chunk[0]) for chunk in chunks] + [hi]
+        for i, (a, b) in enumerate(zip(cuts, cuts[1:])):
+            ops.append(
+                ScanOp(
+                    context,
+                    chosen,
+                    positions[a:b],
+                    QueryBatch._of_columns(t[a:b], x[a:b], y[a:b]),
+                    emit="hits",
+                    est_unit_cost=est,
+                    eval_unit_cost=eval_est,
+                    replica=i,
                 )
-    merge = MergeOp(len(queries), binding.stream_rows())
+            )
+    merge = MergeOp(n, binding.stream_rows())
     return ExecutionPlan(
         binding, queries, tuple(ops), merge, policy, method, pruned=tuple(pruned)
     )
@@ -844,43 +874,50 @@ def _cover_plan(
     pruned — a model answers regardless of distance to its training
     rows — but ``prune`` flows into the exact fallback sub-plan.
     """
-    owners = binding.grid.shards_of(queries.x, queries.y)
+    n_shards = binding.n_shards
     ops: List[Union[CoverOp, FallbackOp]] = []
     fallback: List[np.ndarray] = []
-    for c in np.unique(windows):
-        in_window = windows == c
-        for s in np.unique(owners[in_window]):
-            positions = np.flatnonzero(in_window & (owners == s))
-            s, c = int(s), int(c)
-            stamp, sub, _gids = binding.slice_for(s, c)
-            if not len(sub):
+    # One stable sort on the (window, owner) key: each pair's queries are
+    # a run, in stream order, and the runs come window-major.
+    pair = windows * n_shards + binding.grid.shards_of(queries.x, queries.y)
+    order = np.argsort(pair, kind="stable")
+    pair = pair[order]
+    sorted_queries = queries.take(order)
+    runs = _runs(pair)
+    for lo, hi in zip(runs, runs[1:]):
+        c, s = divmod(int(pair[lo]), n_shards)
+        positions = order[lo:hi]
+        stamp, sub, _gids = binding.slice_for(s, c)
+        if not len(sub):
+            fallback.append(positions)
+            continue
+        if allow_plan:
+            seeder = None
+            if seed_cover is not None:
+                def seeder(proc, s=s, c=c, stamp=stamp):
+                    seed_cover(s, c, stamp, proc)
+            if (
+                planner.method_for(s, c, stamp, sub, exact=False, seed_cover=seeder)
+                != "model-cover"
+            ):
                 fallback.append(positions)
                 continue
-            if allow_plan:
-                seeder = None
-                if seed_cover is not None:
-                    def seeder(proc, s=s, c=c, stamp=stamp):
-                        seed_cover(s, c, stamp, proc)
-                if (
-                    planner.method_for(s, c, stamp, sub, exact=False, seed_cover=seeder)
-                    != "model-cover"
-                ):
-                    fallback.append(positions)
-                    continue
-            est = eval_est = None
-            if want_estimates:
-                est, eval_est = _estimate(
-                    planner, sub, "model-cover", exact=False, shard=s, c=c, stamp=stamp
-                )
-            ops.append(
-                CoverOp(
-                    PlanContext(c, s, stamp, len(sub)),
-                    positions,
-                    queries.take(positions),
-                    est,
-                    eval_est,
-                )
+        est = eval_est = None
+        if want_estimates:
+            est, eval_est = _estimate(
+                planner, sub, "model-cover", exact=False, shard=s, c=c, stamp=stamp
             )
+        ops.append(
+            CoverOp(
+                PlanContext(c, s, stamp, len(sub)),
+                positions,
+                QueryBatch._of_columns(
+                    sorted_queries.t[lo:hi], sorted_queries.x[lo:hi], sorted_queries.y[lo:hi]
+                ),
+                est,
+                eval_est,
+            )
+        )
     if fallback:
         positions = np.concatenate(fallback)
         # From the auto path, keep the fallback on the per-shard planner

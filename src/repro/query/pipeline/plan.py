@@ -204,6 +204,22 @@ class ExecutionPlan:
     #: Candidate ops the pruning pass dropped (observability only —
     #: the executor never touches them).
     pruned: Tuple[PrunedOp, ...] = ()
+    #: Candidate ops the pruning pass dropped, and executable ops that
+    #: survived planning (fallback wrappers and the merge stage excluded
+    #: — they are plumbing, not fan-out); nested plans included.  Counted
+    #: once, at build: a nested plan is built before its wrapper, so each
+    #: count is one pass over the plan's own ops.
+    ops_pruned: int = field(init=False, compare=False)
+    ops_kept: int = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        nested = [op.plan for op in self.ops if isinstance(op, FallbackOp)]
+        object.__setattr__(
+            self, "ops_pruned", len(self.pruned) + sum(p.ops_pruned for p in nested)
+        )
+        object.__setattr__(
+            self, "ops_kept", len(self.ops) - len(nested) + sum(p.ops_kept for p in nested)
+        )
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -237,17 +253,6 @@ class ExecutionPlan:
 
         visit(self, 0)
         return out
-
-    @property
-    def ops_pruned(self) -> int:
-        """Candidate ops the pruning pass dropped (nested plans included)."""
-        return len(self.walk_pruned())
-
-    @property
-    def ops_kept(self) -> int:
-        """Executable ops that survived planning (fallback wrappers and
-        the merge stage excluded — they are plumbing, not fan-out)."""
-        return sum(1 for _, op in self.walk() if not isinstance(op, FallbackOp))
 
 
 @dataclass

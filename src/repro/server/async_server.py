@@ -83,7 +83,6 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.geo.coords import BoundingBox
-from repro.query.base import QueryBatch
 
 _WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 _MAX_HEADER = 16 * 1024
@@ -300,31 +299,22 @@ class EngineQueryService:
         )
 
     def continuous(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        from repro.query.continuous import (
-            uniform_query_tuples,
-            waypoint_trajectory,
-        )
+        from repro.query.continuous import uniform_route_batch
 
         route = _route(params)
         t_start = _number(params, "t_start")
         duration_s = _positive_number(params, "duration_s", 1800.0)
         updates = _optional_int(params, "updates", 30, _MAX_UPDATES)
-        traj = waypoint_trajectory(route, t_start, t_start + duration_s)
-        interval = duration_s / max(updates - 1, 1)
-        queries = uniform_query_tuples(traj, t_start, interval, updates)
-        result = self.engine.continuous_query_batch(
-            QueryBatch.from_queries(queries), method=self.method
+        queries = uniform_route_batch(
+            route, t_start, t_start + duration_s, duration_s / max(updates - 1, 1), updates
         )
+        result = self.engine.continuous_query_batch(queries, method=self.method)
+        columns = (result.queries.x, result.queries.y, result.values, result.support)
         return {
             "mode": "continuous",
             "readings": [
-                {
-                    "x": float(result.queries.x[i]),
-                    "y": float(result.queries.y[i]),
-                    "value": _clean(result.values[i]),
-                    "support": int(result.support[i]),
-                }
-                for i in range(len(result))
+                {"x": x, "y": y, "value": _clean(value), "support": support}
+                for x, y, value, support in zip(*(col.tolist() for col in columns))
             ],
         }
 

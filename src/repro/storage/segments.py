@@ -80,6 +80,7 @@ _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
 
 #: The scan column group every query touches.
 CORE_COLUMNS = ("t", "x", "y", "s")
+_F8 = np.dtype(np.float64)
 
 
 class SegmentCorrupt(ValueError):
@@ -117,8 +118,14 @@ class Segment:
         return _meta_of(self.record)
 
     def batch(self) -> TupleBatch:
-        core = self.groups["core"]
-        return TupleBatch(core["t"], core["x"], core["y"], core["s"])
+        """The scan columns as a batch.  :func:`read_segment` has just
+        length-, CRC- and row-count-checked them and built them as
+        read-only one-dimensional views of one length, so float64 columns
+        (all a seal writes) are wrapped as they are."""
+        columns = [self.groups["core"][name] for name in CORE_COLUMNS]
+        if any(column.dtype != _F8 for column in columns):
+            return TupleBatch(*columns)  # converts, as it always has
+        return TupleBatch._of_columns(*columns)
 
     def gids(self) -> np.ndarray:
         return self.groups["gids"]["gid"]
@@ -267,9 +274,10 @@ def read_segment(
     with open(path, "rb") as f:
         data = f.read()
     record, directory, offset = _parse_header(data, path)
-    unknown = set(groups) - {entry[0] for entry in directory}
+    names = [entry[0] for entry in directory]
+    unknown = [name for name in groups if name not in names]
     if unknown:
-        raise KeyError(f"{path}: no column group(s) {sorted(unknown)}")
+        raise KeyError(f"{path}: no column group(s) {sorted(set(unknown))}")
     if offset + sum(entry[3] for entry in directory) != len(data):
         raise SegmentCorrupt(
             f"{path}: file length disagrees with its group directory"

@@ -32,7 +32,32 @@ import numpy as np
 
 from repro.data.tuples import TupleBatch
 
-__all__ = ["WindowSketch"]
+__all__ = ["WindowSketch", "bbox_disk_overlaps"]
+
+
+def bbox_disk_overlaps(min_x, max_x, min_y, max_y, xs, ys, radius: float):
+    """Elementwise: can a radius-``radius`` disk at ``(xs, ys)`` contain a
+    point of the box ``[min_x, max_x] x [min_y, max_y]``?
+
+    The one statement of the zone-map test.  Bounds and coordinates
+    broadcast, so :meth:`WindowSketch.disk_overlaps` evaluates it for one
+    box over a batch and the sharded plan builder for a ``(queries,
+    shards)`` table of boxes in one pass — the same float operations per
+    element either way.
+
+    It tests the clamped distance from each query point to the box
+    against the radius with the *same* ``d^2 <= r^2`` comparison the
+    naive scan uses (:func:`repro.query.pipeline.gather.scan_pairs`).
+    For a tuple sitting exactly on the bbox edge at exactly distance
+    ``radius``, the clamped coordinate deltas are bitwise negations of
+    the scan's, so squaring gives the identical float and the boundary
+    tuple is kept — pruning can never drop a hit the scan would have
+    found (IEEE multiplication and addition are monotone on non-negative
+    operands, so the bbox lower bound survives rounding).
+    """
+    dx = np.maximum(np.maximum(min_x - xs, xs - max_x), 0.0)
+    dy = np.maximum(np.maximum(min_y - ys, ys - max_y), 0.0)
+    return dx * dx + dy * dy <= radius * radius
 
 
 @dataclass(frozen=True)
@@ -134,26 +159,17 @@ class WindowSketch:
         self, xs: np.ndarray, ys: np.ndarray, radius: float
     ) -> np.ndarray:
         """Per-query bool: can a radius-``radius`` disk at ``(x, y)``
-        contain any covered tuple?
-
-        Tests the clamped distance from each query point to the bounding
-        box against the radius with the *same* ``d^2 <= r^2`` comparison
-        the naive scan uses (:func:`repro.query.pipeline.gather.scan_pairs`).
-        For a tuple sitting exactly on the bbox edge at exactly distance
-        ``radius``, the clamped coordinate deltas are bitwise negations
-        of the scan's, so squaring gives the identical float and the
-        boundary tuple is kept — pruning can never drop a hit the scan
-        would have found (IEEE multiplication and addition are monotone
-        on non-negative operands, so the bbox lower bound survives
-        rounding).
+        contain any covered tuple?  :func:`bbox_disk_overlaps` over this
+        sketch's box (superset-safe, see there); an empty sketch overlaps
+        nothing.
         """
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
         if self.is_empty:
             return np.zeros(xs.shape, dtype=bool)
-        dx = np.maximum(np.maximum(self.min_x - xs, xs - self.max_x), 0.0)
-        dy = np.maximum(np.maximum(self.min_y - ys, ys - self.max_y), 0.0)
-        return dx * dx + dy * dy <= radius * radius
+        return bbox_disk_overlaps(
+            self.min_x, self.max_x, self.min_y, self.max_y, xs, ys, radius
+        )
 
 
 # The canonical empty sketch: inverted infinite bounds, overlaps nothing.

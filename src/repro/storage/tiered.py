@@ -151,6 +151,12 @@ class SegmentWindowStore:
         self._resident: "OrderedDict[Tuple[int, int], Tuple[TupleBatch, np.ndarray]]" = OrderedDict()
         #: (shard, c) -> segment file name, for every sealed slice with rows.
         self._segment_files: Dict[Tuple[int, int], str] = {}
+        #: The manifest's encoded entry of each sealed window, in window
+        #: order.  A sealed window's rows, stamps, sketches and file
+        #: names never change on this tier, so its entry is encoded once
+        #: (at seal, or from the parsed manifest at recovery) and every
+        #: later manifest re-uses the bytes.
+        self._manifest_windows: List[str] = []
         # Tier observability (all monotone counters except resident/peak).
         self.faults = 0
         self.evictions = 0
@@ -195,6 +201,9 @@ class SegmentWindowStore:
                     s = int(shard_entry["s"])
                     self._segment_files[(s, int(entry["c"]))] = shard_entry["file"]
                     self._tail_base[s] += int(shard_entry["rows"])
+            self._manifest_windows = [
+                json.dumps(entry, sort_keys=True) for entry in windows
+            ]
             self.sealed_windows = sealed
         self._wal = WriteAheadLog(self.data_dir / _WAL, sync=self._wal_sync)
         return windows
@@ -310,8 +319,15 @@ class SegmentWindowStore:
         return merged.take(order)
 
     def write_manifest(self, router: ShardRouter) -> None:
-        windows = []
-        for c in range(self.sealed_windows):
+        """Atomically replace the manifest with the current sealed state.
+
+        The file is ``json.dumps(doc, sort_keys=True) + "\n"`` of the
+        whole document, assembled from the windows' stored encodings
+        (``"windows"`` sorts last): only windows sealed since the last
+        write are encoded here, so a seal costs O(new windows) of
+        encoding under the router lock, not O(stream length).
+        """
+        for c in range(len(self._manifest_windows), self.sealed_windows):
             shards = []
             for s in range(router.n_shards):
                 key = (s, c)
@@ -327,20 +343,21 @@ class SegmentWindowStore:
                         "sketch": sketch.bounds(),
                     }
                 )
-            windows.append(
-                {"c": c, "first_t": float(router._first_ts[c]), "shards": shards}
-            )
-        doc = {
+            entry = {"c": c, "first_t": float(router._first_ts[c]), "shards": shards}
+            self._manifest_windows.append(json.dumps(entry, sort_keys=True))
+        head = {
             "format": _MANIFEST_FORMAT,
             "h": self.h,
             "grid": _grid_doc(self.grid),
             "sealed_windows": self.sealed_windows,
-            "windows": windows,
         }
-        fsio.atomic_write_bytes(
-            self.data_dir / _MANIFEST,
-            (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8"),
+        text = (
+            json.dumps(head, sort_keys=True)[:-1]
+            + ', "windows": ['
+            + ", ".join(self._manifest_windows)
+            + "]}\n"
         )
+        fsio.atomic_write_bytes(self.data_dir / _MANIFEST, text.encode("utf-8"))
 
     # -- resident-set management -------------------------------------------
 

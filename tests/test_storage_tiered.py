@@ -309,6 +309,74 @@ class TestDurableRecovery:
             TieredShardRouter.open(tmp_path / "t")
 
 
+def manifest_from_scratch(router) -> bytes:
+    """The manifest as one ``json.dumps`` of the whole document, built
+    from the router's public state — what every seal used to write."""
+    windows = []
+    for c in range(router.sealed_window_count()):
+        shards = []
+        for s in range(router.n_shards):
+            sketch = router.shard_window_sketch(s, c)
+            if not sketch.n_rows:
+                continue
+            shards.append(
+                {
+                    "s": s,
+                    "rows": sketch.n_rows,
+                    "stamp": router.shard_window_epoch(s, c),
+                    "file": f"seg-s{s:04d}-w{c:08d}.seg",
+                    "sketch": sketch.bounds(),
+                }
+            )
+        first_t = float(router.shard_window(*_first_row_owner(router, c)).t[0])
+        windows.append({"c": c, "first_t": first_t, "shards": shards})
+    b = router.grid.bounds
+    doc = {
+        "format": 1,
+        "h": router.h,
+        "grid": {
+            "min_x": b.min_x, "min_y": b.min_y, "max_x": b.max_x, "max_y": b.max_y,
+            "nx": router.grid.nx, "ny": router.grid.ny,
+        },
+        "sealed_windows": router.sealed_window_count(),
+        "windows": windows,
+    }
+    return (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
+
+
+def _first_row_owner(router, c: int):
+    """``(shard, window)`` of the slice holding window ``c``'s first row."""
+    for s in range(router.n_shards):
+        _stamp, sub, gids = router.snapshot_window(s, c)
+        if len(gids) and gids[0] == c * router.h:
+            return s, c
+    raise AssertionError(f"window {c} has no first row")
+
+
+class TestManifestFragments:
+    """A seal encodes only the windows it sealed; the file must stay byte
+    for byte the one-``json.dumps`` document."""
+
+    def test_manifest_bytes_after_seals_reopen_and_compact(self, tmp_path):
+        stream = make_stream(1000, seed=4)
+        path = tmp_path / "tier" / "MANIFEST.json"
+        grid = RegionGrid(BOUNDS, nx=2, ny=2)
+        with TieredShardRouter(grid, h=40, data_dir=tmp_path / "tier") as router:
+            assert path.read_bytes() == manifest_from_scratch(router)  # no windows yet
+            for lo in range(0, 600, 70):  # a seal of 1-2 windows per batch
+                router.ingest(stream.slice(lo, min(lo + 70, 600)))
+                assert path.read_bytes() == manifest_from_scratch(router)
+            assert router.sealed_window_count() == 15
+        with TieredShardRouter.open(tmp_path / "tier") as again:
+            assert path.read_bytes() == manifest_from_scratch(again)
+            again.ingest(stream.slice(600, 1000))  # fragments rebuilt, then extended
+            assert again.sealed_window_count() == 25
+            assert path.read_bytes() == manifest_from_scratch(again)
+            again.compact(verify=True)
+            assert path.read_bytes() == manifest_from_scratch(again)
+        json.loads(path.read_text())
+
+
 class TestSegmentCodecs:
     """Seals write raw segments; directories sealed with zlib ones by an
     earlier commit must keep opening, and may hold both."""
