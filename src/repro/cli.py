@@ -149,6 +149,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.processes is not None:
         print("--processes only applies to network mode; add --port", file=sys.stderr)
         return 2
+    if args.method is not None:
+        print("--method only applies to network mode; add --port", file=sys.stderr)
+        return 2
     if args.subscriptions:
         print(
             "--subscriptions only applies to network mode; add --port",
@@ -264,8 +267,10 @@ def _serve_network(ds, args) -> int:
         from repro.query.subscriptions import registry_for
 
         subscriptions = registry_for(backend)
+    method = args.method or "naive"
     server = AsyncQueryServer(
-        EngineQueryService(backend, subscriptions=subscriptions), port=args.port
+        EngineQueryService(backend, method=method, subscriptions=subscriptions),
+        port=args.port,
     )
     stop_trickle = None
     if subscriptions is not None and tail is not None and len(tail.t):
@@ -282,9 +287,17 @@ def _serve_network(ds, args) -> int:
         if args.subscriptions
         else ""
     )
+    # Only model-cover answers can come from a cached cover on the loop
+    # thread (ShardedQueryEngine.cached_point); say which case this is.
+    lane = (
+        "cached point queries answered on the event loop"
+        if method == "model-cover"
+        else "no cached lane: every query takes the executor"
+    )
     print(
         f"serving {router.global_count()} tuples over {args.shards} shard(s), "
-        f"{mode}{tier}{subs}; http://127.0.0.1:{args.port} (Ctrl-C to stop)"
+        f"{mode}{tier}{subs}; method {method} ({lane}); "
+        f"http://127.0.0.1:{args.port} (Ctrl-C to stop)"
     )
     try:
         asyncio.run(server.serve_forever())
@@ -681,6 +694,8 @@ def _positive_int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.query.sharded import SHARDED_METHODS
+
     parser = argparse.ArgumentParser(
         prog="repro.cli", description="EnviroMeter reproduction tooling"
     )
@@ -758,6 +773,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="network mode: ingest the dataset, then serve the three web "
         "modes over HTTP/WebSocket on this port until interrupted",
+    )
+    p.add_argument(
+        "--method",
+        choices=SHARDED_METHODS,
+        default=None,
+        help="network mode: the query method every request is answered "
+        "with (default naive); only model-cover lets the front end answer "
+        "cached point queries on its event loop",
     )
     p.add_argument(
         "--processes",

@@ -48,6 +48,28 @@ class SubRegion:
         return euclidean(self.centroid[0], self.centroid[1], x, y)
 
 
+def _axis_cells(v: np.ndarray, lo: float, extent: float, n: int) -> np.ndarray:
+    """Cell index per coordinate on an axis of ``n`` equal cells that
+    starts at ``lo`` and spans ``extent``; coordinates outside land in
+    the nearest edge cell.  Clamped in the float domain *before* the
+    cast: a far finite coordinate has no int64 value (the cast is
+    undefined and warns), the clamped cell always has.  ``fmax``/``fmin``
+    send NaN to cell 0 — where the clip-after-cast put it on x86; what a
+    NaN coordinate should mean is the ingest contract's to decide."""
+    f = np.floor((np.asarray(v, dtype=np.float64) - lo) / extent * n)
+    return np.fmin(np.fmax(f, 0.0), n - 1.0).astype(np.int64)
+
+
+def _axis_cell(v: float, lo: float, extent: float, n: int) -> int:
+    """:func:`_axis_cells` for one coordinate on Python floats: the same
+    three float operations, the same clamp (tests hold the pair equal
+    for every finite float)."""
+    f = (v - lo) / extent * n
+    if not f >= 1.0:  # below the axis, the first cell, -0.0, NaN
+        return 0
+    return n - 1 if f >= n - 1 else int(f)
+
+
 @dataclass(frozen=True)
 class RegionGrid:
     """A fixed ``nx x ny`` grid of regions tiling the sensed region ``R``.
@@ -112,21 +134,18 @@ class RegionGrid:
             ),
         )
 
-    def _cells_x(self, xs: np.ndarray) -> np.ndarray:
-        fx = (np.asarray(xs, dtype=np.float64) - self.bounds.min_x) / self.bounds.width
-        return np.clip(np.floor(fx * self.nx).astype(np.int64), 0, self.nx - 1)
-
-    def _cells_y(self, ys: np.ndarray) -> np.ndarray:
-        fy = (np.asarray(ys, dtype=np.float64) - self.bounds.min_y) / self.bounds.height
-        return np.clip(np.floor(fy * self.ny).astype(np.int64), 0, self.ny - 1)
-
     def shards_of(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Owning cell index per position (vectorised, total)."""
-        return self._cells_y(ys) * self.nx + self._cells_x(xs)
+        b = self.bounds
+        i = _axis_cells(xs, b.min_x, b.width, self.nx)
+        return _axis_cells(ys, b.min_y, b.height, self.ny) * self.nx + i
 
     def shard_of(self, x: float, y: float) -> int:
-        """Owning cell index of one position."""
-        return int(self.shards_of(np.array([x]), np.array([y]))[0])
+        """Owning cell index of one position (scalar arithmetic; equal
+        to ``shards_of([x], [y])[0]``)."""
+        b = self.bounds
+        i = _axis_cell(x, b.min_x, b.width, self.nx)
+        return _axis_cell(y, b.min_y, b.height, self.ny) * self.nx + i
 
     def disk_cell_ranges(
         self, xs: np.ndarray, ys: np.ndarray, radius: float
@@ -145,11 +164,12 @@ class RegionGrid:
             raise ValueError("radius must be non-negative")
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
+        b = self.bounds
         return (
-            self._cells_x(xs - radius),
-            self._cells_x(xs + radius),
-            self._cells_y(ys - radius),
-            self._cells_y(ys + radius),
+            _axis_cells(xs - radius, b.min_x, b.width, self.nx),
+            _axis_cells(xs + radius, b.min_x, b.width, self.nx),
+            _axis_cells(ys - radius, b.min_y, b.height, self.ny),
+            _axis_cells(ys + radius, b.min_y, b.height, self.ny),
         )
 
     def disk_shards(self, x: float, y: float, radius: float) -> np.ndarray:
@@ -262,6 +282,8 @@ class RefinedRegionGrid:
         rects.flags.writeable = False
         active.flags.writeable = False
         self._owner = owner
+        # The same table as nested tuples: shard_of's scalar lookup.
+        self._owner_rows = tuple(map(tuple, owner.tolist()))
         self._rects = rects
         self._active = active
 
@@ -324,21 +346,24 @@ class RefinedRegionGrid:
     # -- ownership ---------------------------------------------------------
 
     def _fcells_x(self, xs: np.ndarray) -> np.ndarray:
-        b, n2 = self.base.bounds, 2 * self.base.nx
-        fx = (np.asarray(xs, dtype=np.float64) - b.min_x) / b.width
-        return np.clip(np.floor(fx * n2).astype(np.int64), 0, n2 - 1)
+        b = self.base.bounds
+        return _axis_cells(xs, b.min_x, b.width, 2 * self.base.nx)
 
     def _fcells_y(self, ys: np.ndarray) -> np.ndarray:
-        b, n2 = self.base.bounds, 2 * self.base.ny
-        fy = (np.asarray(ys, dtype=np.float64) - b.min_y) / b.height
-        return np.clip(np.floor(fy * n2).astype(np.int64), 0, n2 - 1)
+        b = self.base.bounds
+        return _axis_cells(ys, b.min_y, b.height, 2 * self.base.ny)
 
     def shards_of(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Owning shard per position (vectorised, total)."""
         return self._owner[self._fcells_y(ys), self._fcells_x(xs)]
 
     def shard_of(self, x: float, y: float) -> int:
-        return int(self.shards_of(np.array([x]), np.array([y]))[0])
+        """Owning shard of one position (scalar arithmetic; equal to
+        ``shards_of([x], [y])[0]``)."""
+        b = self.base.bounds
+        i = _axis_cell(x, b.min_x, b.width, 2 * self.base.nx)
+        j = _axis_cell(y, b.min_y, b.height, 2 * self.base.ny)
+        return self._owner_rows[j][i]
 
     # -- scatter geometry --------------------------------------------------
 

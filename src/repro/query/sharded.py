@@ -30,6 +30,7 @@ compatibility.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Dict, List, Mapping, Optional, Sequence
 
@@ -38,7 +39,7 @@ import numpy as np
 from repro.core.adkmn import AdKMNConfig, fit_adkmn
 from repro.data.tuples import QueryTuple, TupleBatch
 from repro.geo.coords import BoundingBox
-from repro.query.base import BatchResult, QueryBatch, QueryResult, process_batch
+from repro.query.base import BatchResult, QueryBatch, QueryResult
 from repro.query.executor import BatchExecutor
 from repro.query.indexed import IndexedProcessor, available_index_kinds
 from repro.query.modelcover import ModelCoverProcessor
@@ -400,23 +401,29 @@ class ShardedQueryEngine:
         The async front end's non-blocking lane: no plan, and only reads
         the router serves without its lock — it never waits on an ingest
         or a seal, never faults a segment in, never fits.  Other methods,
-        an empty router or owner slice (the exact fallback's case) and a
-        missing or stale cover are ``None`` with no counter touched (the
-        plan path counts that miss).  A cover cached at ``stamp`` was
-        fitted on exactly the rows the stamp names, so a hit is what the
-        plan path answers when it pins now — the same ``process_batch``
-        call on the same 1-row batch.  A re-cut publishes its stamp
-        tables before its grid and holds the router lock until both are
-        out, so nothing is cached at its stamps before then: a hit is of
-        one layout iff the grid read first is still live after the probe.
+        a non-finite coordinate, an empty router or owner slice (the
+        exact fallback's case) and a missing or stale cover are ``None``
+        with no counter touched (the plan path counts that miss).  A
+        cover cached at ``stamp`` was fitted on exactly the rows the
+        stamp names, so a hit is what the plan path answers when it pins
+        now.  It is computed on Python floats — the router's and grid's
+        scalar reads, then ``process`` — which tests hold bitwise equal
+        to the plan path's 1-row arrays (``shard_of == shards_of[0]``,
+        ``window_for_time == windows_for_times[0]``, ``process ==
+        process_batch`` for every model family).  A re-cut publishes its
+        stamp tables before its grid and holds the router lock until
+        both are out, so nothing is cached at its stamps before then: a
+        hit is of one layout iff the grid read first is still live after
+        the probe.
         """
         router = self.router
         if method != "model-cover" or not router.global_count():
             return None
+        if not (math.isfinite(t) and math.isfinite(x) and math.isfinite(y)):
+            return None
         grid = router.grid
-        batch = QueryBatch(np.array([t]), np.array([x]), np.array([y]))
-        c = int(router.windows_for_times(batch.t)[0])
-        s = int(grid.shards_of(batch.x, batch.y)[0])
+        c = router.window_for_time(t)
+        s = grid.shard_of(x, y)
         stamp = router.shard_window_epoch(s, c)
         if not stamp:
             return None
@@ -424,12 +431,12 @@ class ShardedQueryEngine:
         if proc is None or router.grid is not grid:
             return None
         t0 = time.perf_counter()
-        result = process_batch(proc, batch)
+        result = proc.process(QueryTuple(t, x, y))
         # PlanExecutor._observe's report for an unpriced cover op: the
         # rebalancer keeps seeing read skew.
         units = float(max(router.shard_window_sketch(s, c).n_rows, 1))
         router.load.record_scan(s, 1, units, time.perf_counter() - t0)
-        return result.result(0)
+        return result
 
     def heatmap_grid(
         self,

@@ -42,19 +42,29 @@ other number must be finite (``NaN``, ``Infinity``, integers beyond
 float range and booleans are refused), bodies at most ``_MAX_BODY``
 bytes, and ``Content-Length`` must be a plain non-negative integer.
 
-Concurrency model: the event loop parses, validates and routes, and
-answers a request itself only when the service's ``cached`` can without
-blocking — a point query whose model cover is cached at the owner
-slice's live stamp: O(1) lock-free reads and one cover evaluation,
-decided from cache and router state, never a clock.  The loop never
-runs a fit, a scan, a fault-in or a lock wait: everything else runs in
-the default thread-pool executor (``loop.run_in_executor``), so a slow
-Ad-KMN fit never stalls the accept loop or a cached answer, and — when
-the backend is a
+Concurrency model: a connection is one :class:`asyncio.Protocol`
+(``_HttpConnection``) over a single receive buffer.  ``data_received``
+parses every complete request in it and, when the loop can answer —
+``/health``, an error, or a request the service's ``cached`` answers
+without blocking — serialises and writes the answer in that same
+callback: one loop iteration, one poll, one ``transport.write`` behind
+pre-encoded status/header bytes.  ``cached`` answers a point query whose
+model cover is cached at the owner slice's live stamp: O(1) lock-free
+reads and one cover evaluation on Python floats, decided from cache and
+router state, never a clock.  The loop never runs a fit, a scan, a
+fault-in or a lock wait: everything else runs in the default
+thread-pool executor (``loop.run_in_executor``) with the connection's
+reading paused — one request in flight per connection, so pipelined
+answers keep request order — so a slow Ad-KMN fit never stalls the
+accept loop or a cached answer, and — when the backend is a
 :class:`~repro.query.pipeline.parallel.ProcessShardedEngine` — the
-actual compute escapes the GIL onto the worker processes entirely.  The
-backends are thread-safe (snapshot-pinned reads), so concurrent requests
-need no extra locking here.
+actual compute escapes the GIL onto the worker processes entirely.  A
+client that stops reading its answers stops being served
+(``pause_writing``/``resume_writing``, the back-pressure ``drain()``
+gives a stream handler), and ``Upgrade: websocket`` hands the transport,
+buffered bytes first, to a ``StreamReaderProtocol`` for the stream-based
+``/ws`` session.  The backends are thread-safe (snapshot-pinned reads),
+so concurrent requests need no extra locking here.
 
 Two backends plug in behind one service interface:
 
@@ -73,12 +83,14 @@ from __future__ import annotations
 
 import asyncio
 import base64
+import functools
 import hashlib
+import http
 import json
 import math
 import struct
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -187,6 +199,37 @@ def _unmask(data: bytes, mask: bytes) -> bytes:
     n = len(data)
     key = np.frombuffer(mask * (n // 4 + 1), dtype=np.uint8)[:n]
     return (np.frombuffer(data, dtype=np.uint8) ^ key).tobytes()
+
+
+#: A response's bytes up to the ``Content-Length`` value, by status.
+_STATUS_HEADS = {
+    status.value: (
+        f"HTTP/1.1 {status.value} {status.phrase}\r\n"
+        "Content-Type: application/json\r\n"
+        "Content-Length: "
+    ).encode("latin-1")
+    for status in http.HTTPStatus
+}
+
+
+def _response(status: int, payload: Dict[str, Any], close: bool) -> bytes:
+    """One whole HTTP response (a status HTTP does not define is a 500)."""
+    body = json.dumps(payload).encode("utf-8")
+    return b"%b%d\r\nConnection: %b\r\n\r\n%b" % (
+        _STATUS_HEADS.get(status, _STATUS_HEADS[500]),
+        len(body),
+        b"close" if close else b"keep-alive",
+        body,
+    )
+
+
+def _failure(exc: BaseException) -> Tuple[int, Dict[str, Any]]:
+    """Status and JSON error body for what a request raised: anything
+    but an :class:`HttpError` surfaces as a 500 and the server keeps
+    serving."""
+    if isinstance(exc, HttpError):
+        return exc.status, {"error": exc.message}
+    return 500, {"error": f"{type(exc).__name__}: {exc}"}
 
 
 class WebAppService:
@@ -347,8 +390,8 @@ class AsyncQueryServer:
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, limit=_MAX_HEADER
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _HttpConnection(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -366,72 +409,34 @@ class AsyncQueryServer:
 
     # -- request dispatch ----------------------------------------------------
 
-    async def _answer(self, mode: str, params: Dict[str, Any]) -> Dict[str, Any]:
+    def _lane(self, mode: str, params: Dict[str, Any]) -> Tuple[Any, Callable]:
+        """``(payload, handler)``: the service's answer when it has one
+        without blocking (its ``cached``) — else ``None`` — beside the
+        mode's handler, which may block."""
         handler = getattr(self.service, mode, None)
         if mode not in getattr(self.service, "modes", ()) or handler is None:
             raise HttpError(404, f"unknown mode {mode!r}")
         cached = getattr(self.service, "cached", None)
-        payload = cached(mode, params) if cached is not None else None
-        if payload is not None:
-            return payload
-        # Everything else may block (scans, fits, fault-ins, lock waits,
-        # worker-pool round trips): keep it off the event loop.
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, handler, params)
+        return (cached(mode, params) if cached is not None else None), handler
 
-    # -- HTTP ----------------------------------------------------------------
+    async def _answer(self, mode: str, params: Dict[str, Any]) -> Dict[str, Any]:
+        payload, handler = self._lane(mode, params)
+        if payload is None:
+            # Everything else may block (scans, fits, fault-ins, lock
+            # waits, worker-pool round trips): keep it off the event loop.
+            loop = asyncio.get_running_loop()
+            payload = await loop.run_in_executor(None, handler, params)
+        return payload
 
-    async def _handle_connection(self, reader, writer) -> None:
+    # -- WebSocket -----------------------------------------------------------
+
+    async def _websocket_connection(self, reader, writer, headers) -> None:
+        """A connection from its ``Upgrade: websocket`` request on: the
+        session, then the close."""
         try:
-            while True:
-                try:
-                    head = await reader.readuntil(b"\r\n\r\n")
-                except (
-                    asyncio.IncompleteReadError,
-                    asyncio.LimitOverrunError,
-                    ConnectionError,
-                ):
-                    return
-                try:
-                    method, path, headers = self._parse_head(head)
-                except ValueError:
-                    await self._respond(
-                        writer, 400, {"error": "malformed request"}, close=True
-                    )
-                    return
-                if (
-                    path == "/ws"
-                    and headers.get("upgrade", "").lower() == "websocket"
-                ):
-                    await self._serve_websocket(reader, writer, headers)
-                    return
-                body = b""
-                raw_length = headers.get("content-length", "").strip() or "0"
-                # int() is looser than the RFC (accepts "+1", "1_0",
-                # unicode digits): require plain ASCII digits.
-                if not (raw_length.isascii() and raw_length.isdigit()):
-                    await self._respond(
-                        writer,
-                        400,
-                        {"error": "invalid Content-Length header"},
-                        close=True,
-                    )
-                    return
-                length = int(raw_length)
-                if length:
-                    if length > _MAX_BODY:
-                        await self._respond(
-                            writer, 413, {"error": "body too large"}, close=True
-                        )
-                        return
-                    body = await reader.readexactly(length)
-                keep_alive = headers.get("connection", "").lower() != "close"
-                status, payload = await self._handle_request(method, path, body)
-                await self._respond(writer, status, payload, close=not keep_alive)
-                if not keep_alive:
-                    return
+            await self._serve_websocket(reader, writer, headers)
         except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # client went away mid-request
+            pass  # client went away mid-session
         finally:
             writer.close()
             try:
@@ -439,73 +444,11 @@ class AsyncQueryServer:
             except (ConnectionError, OSError):  # pragma: no cover
                 pass
 
-    @staticmethod
-    def _parse_head(head: bytes) -> Tuple[str, str, Dict[str, str]]:
-        lines = head.decode("latin-1").split("\r\n")
-        method, path, _version = lines[0].split(" ", 2)
-        headers: Dict[str, str] = {}
-        for line in lines[1:]:
-            if not line:
-                continue
-            name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        return method.upper(), path, headers
-
-    async def _handle_request(
-        self, method: str, path: str, body: bytes
-    ) -> Tuple[int, Dict[str, Any]]:
-        try:
-            if method == "GET" and path == "/health":
-                return 200, {
-                    "status": "ok",
-                    "modes": list(getattr(self.service, "modes", ())),
-                    "subscriptions": getattr(self.service, "subscriptions", None)
-                    is not None,
-                }
-            if method == "POST" and path.startswith("/query/"):
-                mode = path[len("/query/") :]
-                try:
-                    params = json.loads(body.decode("utf-8") or "{}")
-                except (UnicodeDecodeError, json.JSONDecodeError):
-                    raise HttpError(400, "body must be a JSON object") from None
-                if not isinstance(params, dict):
-                    raise HttpError(400, "body must be a JSON object")
-                return 200, await self._answer(mode, params)
-            raise HttpError(404, f"no route {method} {path}")
-        except HttpError as exc:
-            return exc.status, {"error": exc.message}
-        except Exception as exc:  # noqa: BLE001 - surface as a 500, keep serving
-            return 500, {"error": f"{type(exc).__name__}: {exc}"}
-
-    @staticmethod
-    async def _respond(
-        writer, status: int, payload: Dict[str, Any], close: bool
-    ) -> None:
-        reason = {200: "OK", 400: "Bad Request", 404: "Not Found"}.get(
-            status, "Error"
-        )
-        body = json.dumps(payload).encode("utf-8")
-        head = (
-            f"HTTP/1.1 {status} {reason}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: {'close' if close else 'keep-alive'}\r\n"
-            f"\r\n"
-        ).encode("latin-1")
-        writer.write(head + body)
-        await writer.drain()
-
-    # -- WebSocket -----------------------------------------------------------
-
     async def _serve_websocket(self, reader, writer, headers) -> None:
-        key = headers.get("sec-websocket-key")
-        if not key:
-            await self._respond(
-                writer, 400, {"error": "missing Sec-WebSocket-Key"}, close=True
-            )
-            return
         accept = base64.b64encode(
-            hashlib.sha1((key + _WS_GUID).encode("latin-1")).digest()
+            hashlib.sha1(
+                (headers["sec-websocket-key"] + _WS_GUID).encode("latin-1")
+            ).digest()
         ).decode("latin-1")
         writer.write(
             (
@@ -651,6 +594,163 @@ class AsyncQueryServer:
             head += bytes([127]) + struct.pack(">Q", n)
         writer.write(head + payload)
         await writer.drain()
+
+
+class _HttpConnection(asyncio.Protocol):
+    """One client connection — a single receive buffer in, whole
+    responses out: the module docstring's concurrency model."""
+
+    def __init__(self, server: "AsyncQueryServer") -> None:
+        self._server = server
+        self._transport: Any = None
+        self._buf = bytearray()
+        self._need = 0  # bytes the request now arriving needs, once its head is in
+        self._busy = False  # a request is on the executor
+        self._choked = False  # the write buffer is over its high-water mark
+        self._eof = False  # the client half-closed: answer what is buffered, close
+
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        self._buf += data
+        if len(self._buf) >= self._need:
+            self._pump()
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        self._pump()
+        return True  # keep the write side open for the answers still owed
+
+    def pause_writing(self) -> None:
+        self._choked = True
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._choked = False
+        self._pump()
+
+    def _pump(self) -> None:
+        """Serve buffered requests until one has to block, no complete
+        one is left, or the connection is closing."""
+        transport, buf = self._transport, self._buf
+        while not (self._busy or self._choked or transport.is_closing()):
+            end = buf.find(b"\r\n\r\n", 0, _MAX_HEADER + 4)
+            if end < 0:
+                if len(buf) >= _MAX_HEADER + 4:
+                    return transport.close()  # oversize head: no answer
+                return self._read_on()
+            try:
+                method, path, headers = self._parse_head(buf[: end + 4])
+            except ValueError:
+                return self._reply(400, {"error": "malformed request"}, close=True)
+            if path == "/ws" and headers.get("upgrade", "").lower() == "websocket":
+                return self._upgrade(headers, end + 4)
+            raw_length = headers.get("content-length", "").strip() or "0"
+            # int() is looser than the RFC (accepts "+1", "1_0", unicode
+            # digits): require plain ASCII digits.
+            if not (raw_length.isascii() and raw_length.isdigit()):
+                return self._reply(
+                    400, {"error": "invalid Content-Length header"}, close=True
+                )
+            # (int() itself refuses a numeral of thousands of digits.)
+            length = int(raw_length) if len(raw_length) < 20 else _MAX_BODY + 1
+            if length > _MAX_BODY:
+                return self._reply(413, {"error": "body too large"}, close=True)
+            self._need = end + 4 + length
+            if len(buf) < self._need:
+                return self._read_on()
+            body = buf[end + 4 : self._need]
+            del buf[: self._need]
+            self._need = 0
+            self._serve(
+                method, path, body, headers.get("connection", "").lower() == "close"
+            )
+
+    @staticmethod
+    def _parse_head(head: bytearray) -> Tuple[str, str, Dict[str, str]]:
+        lines = head.decode("latin-1").split("\r\n")
+        method, path, _version = lines[0].split(" ", 2)
+        headers: Dict[str, str] = {}
+        for line in lines[1:]:
+            if not line:
+                continue
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
+        return method.upper(), path, headers
+
+    def _read_on(self) -> None:
+        """No complete request is buffered: wait for more bytes — or,
+        after the client's half-close, nothing more is owed."""
+        if self._eof:
+            self._transport.close()
+        else:
+            self._transport.resume_reading()
+
+    def _serve(self, method: str, path: str, body: bytearray, close: bool) -> None:
+        try:
+            if method == "GET" and path == "/health":
+                service = self._server.service
+                payload = {
+                    "status": "ok",
+                    "modes": list(getattr(service, "modes", ())),
+                    "subscriptions": getattr(service, "subscriptions", None)
+                    is not None,
+                }
+            elif method == "POST" and path.startswith("/query/"):
+                try:
+                    params = json.loads(body.decode("utf-8") or "{}")
+                except (UnicodeDecodeError, json.JSONDecodeError):
+                    raise HttpError(400, "body must be a JSON object") from None
+                if not isinstance(params, dict):
+                    raise HttpError(400, "body must be a JSON object")
+                payload, handler = self._server._lane(path[len("/query/") :], params)
+                if payload is None:
+                    loop = asyncio.get_running_loop()
+                    future = loop.run_in_executor(None, handler, params)
+                    future.add_done_callback(functools.partial(self._finish, close))
+                    self._busy = True
+                    self._transport.pause_reading()
+                    return
+            else:
+                raise HttpError(404, f"no route {method} {path}")
+            status = 200
+        except Exception as exc:  # noqa: BLE001 - answered as an error, keep serving
+            status, payload = _failure(exc)
+        self._reply(status, payload, close)
+
+    def _finish(self, close: bool, future: "asyncio.Future") -> None:
+        """The executor's answer is in: write it, serve what queued up."""
+        self._busy = False
+        if future.cancelled():
+            return
+        exc = future.exception()
+        if self._transport.is_closing():
+            return  # the client went away mid-request
+        status, payload = (200, future.result()) if exc is None else _failure(exc)
+        self._reply(status, payload, close)
+        self._pump()
+
+    def _reply(self, status: int, payload: Dict[str, Any], close: bool) -> None:
+        self._transport.write(_response(status, payload, close))
+        if close:
+            self._transport.close()
+
+    def _upgrade(self, headers: Dict[str, str], consumed: int) -> None:
+        if not headers.get("sec-websocket-key"):
+            return self._reply(400, {"error": "missing Sec-WebSocket-Key"}, close=True)
+        server, transport = self._server, self._transport
+        reader = asyncio.StreamReader(limit=_MAX_HEADER)
+        reader.feed_data(self._buf[consumed:])
+        self._buf.clear()
+        protocol = asyncio.StreamReaderProtocol(
+            reader, lambda r, w: server._websocket_connection(r, w, headers)
+        )
+        transport.set_protocol(protocol)
+        protocol.connection_made(transport)  # starts the session task
+        if self._eof:
+            protocol.eof_received()
+        transport.resume_reading()
 
 
 class _WsSubscriptionSession:

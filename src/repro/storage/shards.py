@@ -39,6 +39,7 @@ the router's alone, whichever store sits under it.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_right
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -522,7 +523,13 @@ class ShardRouter:
         return np.maximum(np.searchsorted(first, ts, side="right") - 1, 0)
 
     def window_for_time(self, t: float) -> int:
-        return int(self.windows_for_times((t,))[0])
+        """:meth:`windows_for_times` for one timestamp: a scalar binary
+        search over the same table, read in the same order (windows
+        counted first) — no array is built."""
+        if not self._global_rows:
+            raise RuntimeError("router has no data")
+        n_windows = self.global_window_count()
+        return max(bisect_right(self._first_ts, t, 0, n_windows) - 1, 0)
 
     def cuts(self, s: int) -> List[int]:
         """Copy of shard ``s``'s recorded global-boundary cut offsets."""

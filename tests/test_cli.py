@@ -176,3 +176,33 @@ class TestServeSubscriptions:
             ["serve", "--port", "9000", "--subscriptions"]
         )
         assert args.subscriptions
+
+
+class TestServeMethod:
+    def test_network_mode_serves_the_chosen_method_and_says_so(
+        self, capsys, monkeypatch
+    ):
+        """``serve --port`` always built its service with the default
+        ``method="naive"``, so the deployed front end could never take
+        the cached lane — and nothing said so."""
+        from repro.server.async_server import AsyncQueryServer
+
+        services = []
+
+        async def serve_nothing(self):
+            services.append(self.service)
+
+        monkeypatch.setattr(AsyncQueryServer, "serve_forever", serve_nothing)
+        base = ["serve", "--days", "1", "--shards", "4", "--port", "8765"]
+        assert main(base + ["--method", "model-cover"]) == 0
+        out = capsys.readouterr().out
+        assert services[-1].method == "model-cover"
+        assert "method model-cover (cached point queries answered on the event loop)" in out
+        assert main(base) == 0  # the default has not moved
+        out = capsys.readouterr().out
+        assert services[-1].method == "naive"
+        assert "method naive (no cached lane" in out
+        assert main(["serve", "--days", "1", "--method", "grid"]) == 2
+        assert "--port" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--port", "1", "--method", "psychic"])

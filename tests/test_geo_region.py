@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geo.coords import BoundingBox
-from repro.geo.region import Region, RegionGrid, SubRegion, nearest_subregion
+from repro.geo.region import (
+    RefinedRegionGrid,
+    Region,
+    RegionGrid,
+    SubRegion,
+    nearest_subregion,
+)
 
 
 class TestRegion:
@@ -226,3 +232,97 @@ class TestDegenerateStripScatterMask:
         owners = grid.shards_of(qx, qy)
         assert mask.sum(axis=1).tolist() == [1] * 64
         assert np.array_equal(np.argmax(mask, axis=1), owners)
+
+
+# -- scalar ownership == vector ownership, for every finite float -----------
+#
+# The cached point lane (``ShardedQueryEngine.cached_point``) routes with
+# ``shard_of`` on Python floats while plans route with ``shards_of`` on
+# arrays; a cover cached by one is served by the other, so the pair must
+# name the same shard for every coordinate a request can carry.
+
+
+def _edge_floats(lo: float, hi: float, n: int):
+    """Every cell edge of an ``n``-cell axis (and of its half-cell
+    lattice), with the float on either side of it."""
+    edges = [lo + (hi - lo) * k / (2 * n) for k in range(2 * n + 1)]
+    return [
+        v
+        for e in edges
+        for v in (math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf))
+    ]
+
+
+_OWNER_BOUNDS = BoundingBox(-500.0, 250.0, 6000.0, 4000.0)
+_SPECIAL = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+    1.7976931348623157e308, -1.7976931348623157e308,
+]  # fmt: skip
+_coordinate = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-2000.0, max_value=8000.0),
+    st.sampled_from(_SPECIAL),
+    st.sampled_from(_edge_floats(_OWNER_BOUNDS.min_x, _OWNER_BOUNDS.max_x, 3)),
+    st.sampled_from(_edge_floats(_OWNER_BOUNDS.min_y, _OWNER_BOUNDS.max_y, 2)),
+)
+
+
+def _owner_grids():
+    """A static grid, its all-unsplit refinement, and split / re-merged
+    refinements with retired holes and reused slot ids."""
+    base = RegionGrid(_OWNER_BOUNDS, nx=3, ny=2)
+    refined = RefinedRegionGrid.refine(base)
+    split = refined.split_cell(4).split_cell(0, 2, 1).split_cell(5, 1, 2)
+    merged = split.merge_cell(4).split_cell(2)
+    return {
+        "static": base,
+        "one-cell": RegionGrid(_OWNER_BOUNDS, nx=1, ny=1),
+        "refined": refined,
+        "split": split,
+        "merged": merged,
+    }
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestScalarOwnershipEqualsVector:
+    GRIDS = _owner_grids()
+
+    @pytest.mark.parametrize("layout", sorted(GRIDS))
+    @settings(max_examples=300, deadline=None)
+    @given(x=_coordinate, y=_coordinate)
+    def test_shard_of_equals_shards_of(self, layout, x, y):
+        grid = self.GRIDS[layout]
+        s = grid.shard_of(x, y)
+        assert type(s) is int
+        assert s == int(grid.shards_of(np.array([x]), np.array([y]))[0])
+
+    @pytest.mark.parametrize("layout", sorted(GRIDS))
+    def test_every_edge_and_corner(self, layout):
+        grid = self.GRIDS[layout]
+        xs = _edge_floats(_OWNER_BOUNDS.min_x, _OWNER_BOUNDS.max_x, 3) + _SPECIAL
+        ys = _edge_floats(_OWNER_BOUNDS.min_y, _OWNER_BOUNDS.max_y, 2) + _SPECIAL
+        gx, gy = (a.ravel() for a in np.meshgrid(np.array(xs), np.array(ys)))
+        vector = grid.shards_of(gx, gy).tolist()
+        assert [grid.shard_of(float(x), float(y)) for x, y in zip(gx, gy)] == vector
+
+    def test_far_finite_coordinates_land_in_the_edge_cells(self):
+        """The defect: ``floor(f * n)`` was cast to int64 before it was
+        clipped, so 1e300 — finite, accepted by the request validation
+        and the ingest contract — was an undefined cast (a RuntimeWarning,
+        and the *west* column on x86)."""
+        grid = RegionGrid(BoundingBox(0.0, 0.0, 6000.0, 4000.0), nx=2, ny=2)
+        far = np.array([1e300, 1e300, -1e300, -1e300])
+        ys = np.array([4000.0, 0.0, 4000.0, 0.0])
+        assert grid.shards_of(far, ys).tolist() == [3, 1, 2, 0]
+        assert grid.shards_of(ys, far).tolist() == [3, 2, 1, 0]
+        refined = RefinedRegionGrid.refine(grid).split_cell(3)
+        assert refined.shards_of(far, ys).tolist() == [
+            refined.shard_of(float(x), float(y)) for x, y in zip(far, ys)
+        ]
+        # The scatter geometry inherits the clamp: a disk around a far
+        # point reaches the east column only.
+        mask = grid.disks_shard_mask(np.array([1e300]), np.array([100.0]), 1000.0)
+        assert mask.tolist() == [[False, True, False, False]]
+        assert refined.disks_shard_mask(
+            np.array([1e300]), np.array([100.0]), 1000.0
+        )[0].tolist()[:2] == [False, True]

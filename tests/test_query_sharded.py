@@ -2,16 +2,19 @@
 equivalence contract lives in ``tests/test_engine_equivalence.py``)."""
 
 import json
+import math
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
 
-from repro.data.tuples import QueryTuple
+from repro.core.cover import ModelCover
+from repro.data.tuples import QueryTuple, TupleBatch
 from repro.geo.coords import BoundingBox
-from repro.query.base import QueryBatch
+from repro.query.base import BatchResult, QueryBatch
 from repro.query.engine import QueryEngine
 from repro.query.planner import QueryProfile
 from repro.query.sharded import (
@@ -264,12 +267,28 @@ def _lane_router(small_batch, data_dir=None, rows=_LANE_CUT):
     return router
 
 
-@pytest.fixture(params=["resident", "segment"])
+def _recut(router):
+    """Leave ``router`` on a refined layout: the two busiest cells split
+    (2x1 and 1x2), one of them after a 2x2 split was merged back, so
+    slot ids were retired, one was reused and one is still a hole."""
+    counts = router.shard_counts()
+    hot, second = sorted(range(4), key=counts.__getitem__, reverse=True)[:2]
+    router.split_shard(hot)
+    router.merge_cell(router.grid.cell_of_shard(hot))
+    router.split_shard(hot, 2, 1)
+    router.split_shard(second, 1, 2)
+    assert not router.grid.active_shards.all()
+
+
+@pytest.fixture(params=["resident", "segment", "split"])
 def lane(request, small_batch, tmp_path):
-    """``(router, engine)`` over either window store."""
+    """``(router, engine)`` over either window store, and over a
+    resident store re-cut to a refined layout."""
     router = _lane_router(
         small_batch, tmp_path if request.param == "segment" else None
     )
+    if request.param == "split":
+        _recut(router)
     engine = ShardedQueryEngine(router)
     yield router, engine
     engine.close()
@@ -347,6 +366,85 @@ class TestCachedPoint:
         assert after["misses"] == before["misses"]
         assert engine.prune_stats.plans == plans  # no plan was built
         assert router.shard_load_stats()[s].scan_queries == scans + 1
+
+    def test_a_hit_touches_no_batch_machinery(self, lane, small_batch, monkeypatch):
+        """The lane answers from Python floats: with the 1-row batch's
+        constructor, the vector routing and the vector cover evaluation
+        all raising, a hit is still the plan path's answer."""
+        router, engine = lane
+        t, x, y, _tail = _open_window_probe(router, small_batch)
+        expected = _plan_path(engine, t, x, y)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the cached lane built or evaluated an array")
+
+        monkeypatch.setattr(QueryBatch, "__init__", forbidden)
+        monkeypatch.setattr(BatchResult, "__init__", forbidden)
+        monkeypatch.setattr(type(router.grid), "shards_of", forbidden)
+        monkeypatch.setattr(ModelCover, "predict_batch", forbidden)
+        monkeypatch.setattr(router, "windows_for_times", forbidden)
+        assert engine.cached_point(t, x, y, "model-cover") == expected
+        service = EngineQueryService(engine, method="model-cover")
+        assert service.cached("point", {"t": t, "x": x, "y": y}) == {
+            "mode": "point", "value": expected.value, "support": 1,
+        }  # fmt: skip
+
+    def test_scalar_window_search_equals_the_vector_search(self, lane, small_batch):
+        router, _engine = lane
+        firsts = small_batch.t[: _LANE_CUT : _LANE_H]  # each window's first tuple
+        probes = [float(small_batch.t[0]) - 1e6, -1e300, float(small_batch.t[0])]
+        for first in firsts:  # on, just before and just after every boundary
+            first = float(first)
+            probes += [math.nextafter(first, -math.inf), first, math.nextafter(first, math.inf)]
+        last = float(small_batch.t[_LANE_CUT - 1])
+        probes += [last, math.nextafter(last, math.inf), last + 1e6, 1e300]
+        vector = router.windows_for_times(np.array(probes)).tolist()
+        scalar = [router.window_for_time(t) for t in probes]
+        assert scalar == vector
+        assert all(type(c) is int for c in scalar)
+        assert scalar[0] == scalar[1] == 0 and scalar[-1] == 20
+        with pytest.raises(RuntimeError):
+            _lane_router(small_batch, rows=0).window_for_time(0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_input_declines(self, lane, small_batch):
+        router, engine = lane
+        t, x, y, _tail = _open_window_probe(router, small_batch)
+        _plan_path(engine, t, x, y)
+        before = engine.cache_stats.as_dict()
+        for field in range(3):
+            for bad in (math.nan, math.inf, -math.inf):
+                args = [t, x, y]
+                args[field] = bad
+                assert engine.cached_point(*args, "model-cover") is None
+        assert engine.cache_stats.as_dict() == before
+        assert engine.cached_point(t, x, y, "model-cover") is not None
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_far_finite_coordinates_take_the_lane(self, lane, small_batch):
+        """1e300 passes the request validation; the owner is the edge
+        cell on both paths, so once the plan path has cached that cover
+        the lane serves it — byte-identically, and routing never warns
+        (the plan path's vector cover evaluation overflows to inf there,
+        which numpy reports; that is not the routing's)."""
+        router, engine = lane
+        t = float(small_batch.t[_LANE_CUT - 1])
+        service = EngineQueryService(engine, method="model-cover")
+        hits = 0
+        for x, y in [(1e300, 2000.0), (-1e300, 2000.0), (3000.0, 1e300), (1e300, -1e300)]:
+            params = {"t": t, "x": x, "y": y}
+            slow = service._point(engine.point_query, params)  # the plan path
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                s = router.grid.shard_of(x, y)
+                assert s == int(router.route(TupleBatch([t], [x], [y], [0.0]))[0])
+                got = service.cached("point", params)
+            if router.shard_window_epoch(s, router.window_for_time(t)):
+                hits += 1
+                assert json.dumps(got) == json.dumps(slow)
+            else:
+                assert got is None  # an empty owner slice: the exact fallback's
+        assert hits
 
     @pytest.mark.parametrize("method", ["naive", "grid", "auto"])
     def test_other_methods_never_enter_the_lane(self, lane, small_batch, method):

@@ -28,6 +28,8 @@ import http.client
 import json
 import socket
 import struct
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -46,6 +48,9 @@ from repro.server.async_server import (
     EngineQueryService,
     HttpError,
     WebAppService,
+    _HttpConnection,
+    _MAX_BODY,
+    _MAX_HEADER,
     _unmask,
 )
 from repro.storage.shards import ShardRouter
@@ -668,3 +673,420 @@ class TestWebSocketSubscribe:
             time.sleep(0.05)
         with pytest.raises(KeyError):
             registry.subscription(sub_id)
+
+
+# -- the connection handler: one asyncio.Protocol over one buffer ----------
+#
+# The stream-based handler leaned on StreamReader for framing, EOF and
+# flow control; the Protocol does those itself, so each is pinned here.
+# Framing is driven in-process through a recording transport (one
+# ``data_received`` per segment, deterministically); what needs a real
+# transport — the WebSocket hand-off, write back-pressure, the literal
+# wire bytes — goes over sockets.
+
+
+def _wire(status, reason, payload, close):
+    """The bytes the stream-based handler's ``_respond`` sent: the format
+    is restated here, literally, so the wire cannot drift unnoticed."""
+    body = json.dumps(payload).encode("utf-8")
+    head = (
+        f"HTTP/1.1 {status} {reason}\r\n"
+        f"Content-Type: application/json\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        f"Connection: {'close' if close else 'keep-alive'}\r\n"
+        f"\r\n"
+    ).encode("latin-1")
+    return head + body
+
+
+def _http(method, path, payload=None, close=False, extra=""):
+    body = b"" if payload is None else json.dumps(payload).encode("utf-8")
+    head = f"{method} {path} HTTP/1.1\r\nHost: t\r\n{extra}"
+    if close:
+        head += "Connection: close\r\n"
+    if payload is not None:
+        head += f"Content-Length: {len(body)}\r\n"
+    return head.encode("latin-1") + b"\r\n" + body
+
+
+class _RecordingTransport:
+    def __init__(self):
+        self.out = bytearray()
+        self.closed = False
+        self.reading = True
+
+    def write(self, data):
+        assert not self.closed
+        self.out += data
+
+    def close(self):
+        self.closed = True
+
+    def is_closing(self):
+        return self.closed
+
+    def pause_reading(self):
+        self.reading = False
+
+    def resume_reading(self):
+        self.reading = True
+
+
+def _connect(service):
+    """``(connection, transport)``: the handler of one new connection
+    over a recording transport (call inside a running loop)."""
+    conn = _HttpConnection(AsyncQueryServer(service))
+    transport = _RecordingTransport()
+    conn.connection_made(transport)
+    return conn, transport
+
+
+async def _until(condition):
+    deadline = time.monotonic() + 30.0
+    while not condition():
+        assert time.monotonic() < deadline
+        await asyncio.sleep(0.001)
+
+
+async def _deliver(service, segments, sync=False):
+    """One connection fed ``segments``, one ``data_received`` each (a
+    paused transport delivers nothing, as a real one); returns what the
+    handler wrote by the time it closed.  ``sync=True`` asserts no
+    segment ever made the handler wait for the executor."""
+    conn, transport = _connect(service)
+    for segment in segments:
+        assert transport.reading or not sync, "an answerable request left the loop"
+        await _until(lambda: transport.reading)
+        conn.data_received(segment)
+    assert transport.closed or not sync, "an answerable request left the loop"
+    await _until(lambda: transport.closed)
+    return bytes(transport.out)
+
+
+class _LaneService(EngineQueryService):
+    """Records the thread of every lane answer and every handler call."""
+
+    def __init__(self, engine):
+        super().__init__(engine, method="model-cover")
+        self.cached_on = []
+        self.point_on = []
+
+    def cached(self, mode, params):
+        payload = super().cached(mode, params)
+        if payload is not None:
+            self.cached_on.append(threading.get_ident())
+        return payload
+
+    def point(self, params):
+        self.point_on.append(threading.get_ident())
+        return super().point(params)
+
+
+@pytest.fixture()
+def lane_service(small_dataset):
+    router = ShardRouter(
+        RegionGrid.for_shard_count(small_dataset.covered_bbox(), 4), h=240
+    )
+    router.ingest(small_dataset.tuples)
+    with ShardedQueryEngine(router) as engine:
+        yield _LaneService(engine)
+
+
+def _point_at(small_dataset, row):
+    tuples = small_dataset.tuples
+    return {"t": float(tuples.t[row]), "x": float(tuples.x[row]), "y": float(tuples.y[row])}
+
+
+class TestRequestFraming:
+    def test_split_at_every_offset_and_byte_by_byte(self, lane_service, small_dataset):
+        """A cached-lane request cut anywhere in its head or body — or
+        delivered one byte at a time — is answered once, identically,
+        and never leaves the loop thread."""
+        params = _point_at(small_dataset, 3000)
+        expected = _wire(200, "OK", lane_service.point(params), close=True)  # warms
+        request = _http("POST", "/query/point", params, close=True)
+
+        async def run():
+            for cut in range(len(request) + 1):
+                halves = [request[:cut], request[cut:]]
+                assert await _deliver(lane_service, halves, sync=True) == expected, cut
+            each = [request[i : i + 1] for i in range(len(request))]
+            assert await _deliver(lane_service, each, sync=True) == expected
+
+        asyncio.run(run())
+        assert len(lane_service.point_on) == 1  # only the warming call
+
+    def test_executor_request_split_at_every_offset(self, web_served, t_mid):
+        """The same for a request that takes the executor hop (a
+        ``WebAppService`` has no lane), over the real transport's
+        pause/resume: the body is complete exactly once."""
+        service = web_served.server.service
+        params = {"t": t_mid, "x": 2000.0, "y": 1500.0}
+        expected = _wire(200, "OK", service.point(params), close=True)
+        request = _http("POST", "/query/point", params, close=True)
+
+        async def run():
+            for cut in range(0, len(request) + 1, 7):
+                halves = [request[:cut], request[cut:]]
+                assert await _deliver(service, halves) == expected, cut
+
+        asyncio.run(run())
+
+    def test_three_requests_in_one_segment(self, lane_service, small_dataset):
+        """Hit, miss, hit in one ``data_received``: the first hit is on
+        the transport before the callback returns, the miss runs on a
+        pool thread with reading paused, and the answers keep request
+        order."""
+        warm, cold = _point_at(small_dataset, 3000), _point_at(small_dataset, 600)
+        hit = lane_service.point(warm)
+        del lane_service.point_on[:], lane_service.cached_on[:]
+        segment = (
+            _http("POST", "/query/point", warm)
+            + _http("POST", "/query/point", cold)
+            + _http("POST", "/query/point", warm, close=True)
+        )
+
+        async def run():
+            conn, transport = _connect(lane_service)
+            conn.data_received(segment)
+            # Synchronously: the first answer is written, the second is
+            # on the executor, the third has not been looked at.
+            assert bytes(transport.out) == _wire(200, "OK", hit, close=False)
+            assert not transport.reading and not transport.closed
+            await _until(lambda: transport.closed)
+            return bytes(transport.out)
+
+        out = asyncio.run(run())
+        loop_thread = threading.get_ident()
+        assert lane_service.cached_on == [loop_thread, loop_thread]
+        assert len(lane_service.point_on) == 1
+        assert lane_service.point_on[0] != loop_thread
+        miss = lane_service.point(cold)  # cached by now: the same answer
+        assert out == (
+            _wire(200, "OK", hit, close=False)
+            + _wire(200, "OK", miss, close=False)
+            + _wire(200, "OK", hit, close=True)
+        )
+
+    def test_half_close_answers_what_is_buffered_then_closes(self, web_served, t_mid):
+        service = web_served.server.service
+        params = {"t": t_mid, "x": 2000.0, "y": 1500.0}
+        answer = _wire(200, "OK", service.point(params), close=False)
+
+        async def run():
+            conn, transport = _connect(service)
+            conn.data_received(_http("POST", "/query/point", params) * 2)
+            assert conn.eof_received() is True  # both answers are still owed
+            assert not transport.closed
+            await _until(lambda: transport.closed)
+            return bytes(transport.out)
+
+        assert asyncio.run(run()) == answer * 2
+
+
+class TestWireBytes:
+    """Status line, the four header lines (order and case) and the body
+    are what the stream-based handler sent."""
+
+    def test_200_400_404_literally(self, web_served):
+        health = {"status": "ok", "modes": ["point", "continuous", "heatmap"],
+                  "subscriptions": False}  # fmt: skip
+        assert _raw_exchange(
+            web_served.port, _http("GET", "/health", close=True)
+        ) == _wire(200, "OK", health, close=True)
+        assert _raw_exchange(
+            web_served.port, _http("GET", "/nope", close=True)
+        ) == _wire(404, "Not Found", {"error": "no route GET /nope"}, close=True)
+        assert _raw_exchange(
+            web_served.port,
+            b"POST /query/point HTTP/1.1\r\nConnection: close\r\n"
+            b"Content-Length: 8\r\n\r\nnot json",
+        ) == _wire(400, "Bad Request", {"error": "body must be a JSON object"}, close=True)
+        assert _raw_exchange(
+            web_served.port, _http("POST", "/query/tomography", {}, close=True)
+        ) == _wire(404, "Not Found", {"error": "unknown mode 'tomography'"}, close=True)
+        # Keep-alive, pipelined: the responses are just concatenated.
+        assert _raw_exchange(
+            web_served.port, _http("GET", "/health") + _http("GET", "/health", close=True)
+        ) == _wire(200, "OK", health, close=False) + _wire(200, "OK", health, close=True)
+        assert _raw_exchange(web_served.port, b"BROKEN\r\n\r\n") == _wire(
+            400, "Bad Request", {"error": "malformed request"}, close=True
+        )
+
+    def test_other_statuses_carry_their_own_reason_phrase(self):
+        """Was ``"Error"`` for everything but 200/400/404."""
+
+        class Broken:
+            modes = ("point",)
+
+            def point(self, params):
+                raise RuntimeError("boom")
+
+        with BackgroundServer(Broken()) as served:
+            assert _raw_exchange(
+                served.port, _http("POST", "/query/point", {}, close=True)
+            ) == _wire(
+                500,
+                http.HTTPStatus(500).phrase,
+                {"error": "RuntimeError: boom"},
+                close=True,
+            )
+            assert http.HTTPStatus(500).phrase == "Internal Server Error"
+
+    def test_upgrade_without_a_key_is_a_400(self, web_served):
+        assert _raw_exchange(
+            web_served.port,
+            _http("GET", "/ws", extra="Upgrade: websocket\r\nConnection: Upgrade\r\n"),
+        ) == _wire(400, "Bad Request", {"error": "missing Sec-WebSocket-Key"}, close=True)
+
+
+class TestSizeLimits:
+    def test_oversize_head_closes_without_an_answer(self, web_served):
+        flood = b"GET /health HTTP/1.1\r\nX-Pad: " + b"a" * (_MAX_HEADER + 64)
+        assert _raw_exchange(web_served.port, flood) == b""
+        # A head of exactly the limit is still served.
+        pad = _MAX_HEADER - len(b"GET /health HTTP/1.1\r\nConnection: close\r\nX-Pad: ")
+        head = (
+            b"GET /health HTTP/1.1\r\nConnection: close\r\nX-Pad: " + b"a" * pad
+        )
+        assert len(head) == _MAX_HEADER
+        assert _raw_exchange(web_served.port, head + b"\r\n\r\n").startswith(
+            b"HTTP/1.1 200 OK\r\n"
+        )
+
+    @pytest.mark.parametrize("length", [str(_MAX_BODY + 1), "9" * 5000])
+    def test_oversize_body_is_a_413_before_any_body_byte(self, web_served, length):
+        request = (
+            f"POST /query/point HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+        ).encode("latin-1")
+        assert _raw_exchange(web_served.port, request) == _wire(
+            413, http.HTTPStatus(413).phrase, {"error": "body too large"}, close=True
+        )
+
+    def test_largest_body_is_read_across_many_segments(self, web_served):
+        body = b" " * (_MAX_BODY - 2) + b"{}"
+        request = (
+            f"POST /query/point HTTP/1.1\r\nConnection: close\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        ).encode("latin-1") + body
+        response = _raw_exchange(web_served.port, request)
+        assert response == _wire(
+            400, "Bad Request", {"error": "field 't' must be a number"}, close=True
+        )
+
+
+class TestUpgradeHandOff:
+    def test_upgrade_and_first_frame_in_one_segment(self, web_served, t_mid):
+        """Bytes that arrived behind the Upgrade request belong to the
+        WebSocket session: they are fed to its reader, not dropped."""
+        key = base64.b64encode(b"0123456789abcdef").decode()
+        ask = {"mode": "point", "t": t_mid, "x": 2000.0, "y": 1500.0}
+        segment = _http(
+            "GET",
+            "/ws",
+            extra=(
+                "Upgrade: websocket\r\nConnection: Upgrade\r\n"
+                f"Sec-WebSocket-Key: {key}\r\nSec-WebSocket-Version: 13\r\n"
+            ),
+        ) + _encode_frame(True, 0x1, json.dumps(ask).encode(), b"\x01\x02\x03\x04")
+        client = _WsClient.__new__(_WsClient)  # the handshake is done by hand
+        client.sock = socket.create_connection(
+            ("127.0.0.1", web_served.port), timeout=30
+        )
+        try:
+            client.sock.sendall(segment)
+            head = b""
+            while not head.endswith(b"\r\n\r\n"):
+                head += client._recv_exactly(1)
+            accept = base64.b64encode(
+                hashlib.sha1((key + _WS_GUID).encode()).digest()
+            ).decode()
+            assert head.startswith(b"HTTP/1.1 101 Switching Protocols\r\n")
+            assert f"Sec-WebSocket-Accept: {accept}".encode() in head
+            assert client.recv_json() == web_served.server.service.point(ask)
+            # ... and the session goes on as any other.
+            assert client.request(ask) == web_served.server.service.point(ask)
+        finally:
+            client.close()
+
+
+class TestWriteBackPressure:
+    def test_a_client_that_stops_reading_stops_being_served(self, monkeypatch):
+        """Pipelined heatmap requests from a client that never reads:
+        once the transport's write buffer passes its high-water mark the
+        handler stops taking requests, so the buffer stays bounded (the
+        stream handler got this from ``await writer.drain()``); when the
+        client reads again, every answer arrives, in order.  Both kernel
+        socket buffers are pinned small so that the kernel cannot absorb
+        the answers instead."""
+
+        class Heatmaps:
+            modes = ("heatmap",)
+
+            def __init__(self):
+                self.served = 0
+
+            def heatmap(self, params):
+                self.served += 1
+                return {"mode": "heatmap", "i": params["i"], "grid": [[0.5] * 512] * 64}
+
+        service = Heatmaps()
+        one = len(_wire(200, "OK", service.heatmap({"i": 0}), close=False))
+        service.served = 0
+        transports = []
+        made = _HttpConnection.connection_made
+
+        def spy(self, transport):
+            transport.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF, 8192
+            )
+            transports.append(transport)
+            made(self, transport)
+
+        monkeypatch.setattr(_HttpConnection, "connection_made", spy)
+        n = 16
+        with BackgroundServer(service) as served:
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.settimeout(30)
+            sock.connect(("127.0.0.1", served.port))
+            try:
+                sock.sendall(
+                    b"".join(
+                        _http("POST", "/query/heatmap", {"i": i}, close=i == n - 1)
+                        for i in range(n)
+                    )
+                )
+                # Wait for the server to go quiet.
+                seen, quiet_since = -1, time.monotonic()
+                deadline = time.monotonic() + 60.0
+                while time.monotonic() - quiet_since < 0.3:
+                    assert time.monotonic() < deadline
+                    if service.served != seen:
+                        seen, quiet_since = service.served, time.monotonic()
+                    time.sleep(0.02)
+                (transport,) = transports
+                high = transport.get_write_buffer_limits()[1]
+                # Over the mark after the first answer, one more request
+                # may already have been on the executor.
+                assert 1 <= service.served <= 3, "the handler never stopped serving"
+                assert high < transport.get_write_buffer_size() <= high + 2 * one
+                # The client comes back: everything owed arrives in order.
+                data = bytearray()
+                while True:
+                    chunk = sock.recv(1 << 20)
+                    if not chunk:
+                        break
+                    data += chunk
+            finally:
+                sock.close()
+        assert service.served == n
+        at = 0
+        for i in range(n):
+            end = data.index(b"\r\n\r\n", at) + 4
+            head = bytes(data[at:end])
+            assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+            length = int(head.split(b"Content-Length: ")[1].split(b"\r\n")[0])
+            assert json.loads(bytes(data[end : end + length]))["i"] == i
+            at = end + length
+        assert at == len(data)
