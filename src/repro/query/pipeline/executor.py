@@ -13,22 +13,25 @@ binding and is the only place operator dispatch lives:
   Fallback ops recurse into their exact sub-plan.
 * **merge-shaped plans** — the blocked exact gather: each window's
   queries are walked in blocks of
-  :data:`~repro.query.pipeline.gather.BLOCK_CELLS` cells or more, every
-  hit-emitting scan of the window contributes its hit pairs for the
-  block, and :func:`~repro.query.pipeline.gather.reduce_hit_block` sorts
-  and sums them straight into the result — exact, partition-independent,
-  and never holding more than one block's hits.  The loop runs in the
-  calling thread; the worker pool serves scatter-shaped plans only.
+  :data:`~repro.query.pipeline.gather.BLOCK_CELLS` cells or more and
+  each block's hits are summed straight into the result in stream order
+  — over the window's naive slices merged once per group of queries
+  that scan the same ones, where the order is free
+  (:func:`~repro.query.pipeline.gather.reduce_row_block`), else keyed
+  and sorted (:func:`~repro.query.pipeline.gather.reduce_hit_block`) —
+  exact, partition-independent, and never holding more than one block's
+  hits.  The loop runs in the calling thread; the worker pool serves
+  scatter-shaped plans only.
 
 Every operator's wall time is reported to the planner feedback (when
 wired), closing the loop that recalibrates ``method="auto"``; pass a
 :class:`~repro.query.pipeline.plan.PlanReport` to also collect per-op
 timings for ``cli explain``.
 
-The owner supplies a :class:`PlanRuntime` — the two callables that know
-how to materialise a processor or produce hit pairs for a bound
-context.  That is all that is left of the four historical execution
-paths.
+The owner supplies a :class:`PlanRuntime` — the callables that know
+how to materialise a processor, produce hit pairs for a bound context,
+or scan rows merged across contexts.  That is all that is left of the
+four historical execution paths.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from repro.query.base import (
 from repro.query.executor import BatchExecutor, group_queries_by_window
 from repro.query.pipeline.binding import BoundSlice, RouterBinding, SnapshotBinding
 from repro.query.pipeline import gather as _gather
-from repro.query.pipeline.gather import HitPairs, reduce_hit_block
+from repro.query.pipeline.gather import HitPairs, reduce_hit_block, reduce_row_block
 from repro.query.pipeline.plan import (
     VECTORISED_POLICY,
     CoverOp,
@@ -77,7 +80,7 @@ ResultOp = Union[ScanOp, CoverOp]
 
 @dataclass
 class PlanRuntime:
-    """How one engine materialises the executor's two primitives.
+    """How one engine materialises the executor's primitives.
 
     ``processor`` maps a result-emitting op and its bound slice to an
     immutable processor (through the owner's :class:`ProcessorCache`);
@@ -101,6 +104,14 @@ class PlanRuntime:
     #: prepared object cannot be evicted-and-rebuilt (inside the timer)
     #: between calls.
     prepare_hits: Optional[Callable[[ScanOp, BoundSlice], object]] = None
+    #: The naive scan over rows that belong to no single op — a window's
+    #: slices merged in stream order: ``(row x, row y, query x, query y)``
+    #: to the flat row-major hit indices of their distance tile
+    #: (:func:`~repro.query.pipeline.gather.scan_tile` at the owner's
+    #: radius).  Without it every window is gathered by keys.
+    scan: Optional[
+        Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    ] = None
 
     def bound(self, op) -> BoundSlice:
         return self.binding.slice_for(op.context.shard, op.context.window_c)
@@ -179,14 +190,16 @@ class PlanExecutor:
     def _run_merge(self, plan: ExecutionPlan, report: Optional[PlanReport]) -> BatchResult:
         """The blocked exact gather (see :mod:`repro.query.pipeline.gather`).
 
-        Per window, the queries are walked in blocks of ``BLOCK_CELLS``
-        cells — grown, once the plan has shown a sparse hit density,
-        towards ``BLOCK_HITS`` hits; per block, every source of the
-        window reports its hit pairs for its share of the block's
-        queries, and the block's hits are sorted and summed straight
-        into the result.  Only the pair extraction is on an op's clock —
-        the planner, the load tracker and ``explain`` keep seeing scan
-        cost, while sort + reduce accrue to ``report.gather_s``.
+        Each window is walked as the units :func:`_gather_units` picks
+        for it — row groups, whose hits are canonical as the tile
+        reports them, or the keyed window, whose hit pairs are keyed
+        and sorted — in blocks of ``BLOCK_CELLS`` cells, grown, once the
+        plan has shown a sparse hit density, towards ``BLOCK_HITS``
+        hits; each block is summed straight into the result.  Only the
+        tile and its hit extraction are on an op's clock — the planner,
+        the load tracker and ``explain`` keep seeing scan cost, while
+        preparation (grouping, merging rows, keys), sort and reduce
+        accrue to ``report.gather_s``.
 
         The loop runs in the calling thread, whatever the pool's size.
         Each of its numpy calls drops the GIL for a few microseconds, so
@@ -199,8 +212,8 @@ class PlanExecutor:
         """
         merge = plan.merge
         assert merge is not None
-        hits = self.runtime.hits
-        if hits is None:
+        runtime = self.runtime
+        if runtime.hits is None:
             raise RuntimeError("runtime has no hit scanner")
         ops: Sequence[ScanOp] = plan.ops  # type: ignore[assignment]
         values = np.full(merge.n_queries, np.nan)
@@ -210,43 +223,22 @@ class PlanExecutor:
         gather_s = 0.0
         budget = _gather.BLOCK_CELLS
         cells_seen = hits_seen = 0
-        for group in _window_gathers(self.runtime, ops, merge.n_stream_rows):
-            n = len(group.positions)
-            first = 0
-            while first < n:
-                end, cells = group.block(first, budget)
-                start = clock()
-                scanned = 0.0
-                keys: List[np.ndarray] = []
-                vals: List[np.ndarray] = []
-                in_order = True
-                for src in group.sources:
-                    if src.rank is None:
-                        lo, hi = first, end
-                    else:
-                        lo, hi = src.rank[first], src.rank[end]
-                        if lo == hi:
-                            continue
-                    t0 = clock()
-                    qi, ti = hits(src.op, src.bound, src.prepared, lo, hi)
-                    elapsed = clock() - t0
-                    src.scan_s += elapsed
-                    scanned += elapsed
-                    if len(qi):
-                        keys.append(src.keys[qi] + src.gids[ti])
-                        vals.append(src.s[ti])
-                        in_order = in_order and src.in_order
-                        hits_seen += len(qi)
-                reduce_hit_block(
-                    keys, vals, in_order,
-                    group.edges[first : end + 1], group.positions[first:end],
-                    values, support,
-                )
-                gather_s += clock() - start - scanned
-                cells_seen += cells
-                budget = _gather.block_budget(cells_seen, hits_seen)
-                first = end
-            for src in group.sources:
+        for sources in _window_sources(runtime, ops):
+            start = clock()
+            units = _gather_units(sources, plan.queries, merge.n_stream_rows, runtime)
+            gather_s += clock() - start
+            for unit in units:
+                first, n = 0, len(unit.positions)
+                while first < n:
+                    start = clock()
+                    first, cells, n_hits, scanned = unit.block(
+                        first, budget, runtime, values, support
+                    )
+                    gather_s += clock() - start - scanned
+                    cells_seen += cells
+                    hits_seen += n_hits
+                    budget = _gather.block_budget(cells_seen, hits_seen)
+            for src in sources:
                 # A source that folded replica ops back together charges
                 # each by its share of the queries.
                 for i in src.members:
@@ -317,6 +309,12 @@ class PlanExecutor:
 
 # -- the blocked gather's geometry -------------------------------------------
 
+#: Queries per source-set a window must average before it is split into
+#: row groups (unless it fits one block): each group merges its sources'
+#: rows once, which a handful of queries does not repay — the keyed
+#: window costs those nothing up front.
+MIN_GROUP_QUERIES = 32
+
 
 @dataclass
 class _HitSource:
@@ -328,48 +326,122 @@ class _HitSource:
     prepared: object
     gids: np.ndarray  # the slice rows' global stream positions
     s: np.ndarray  # the slice rows' sensor values
-    keys: np.ndarray  # op.positions * stride: the composite key's query half
-    in_order: bool  # hit pairs provably canonical (the naive scan)
+    scan_s: float = 0.0  # seconds of tile + hit extraction, summed over blocks
+    # Keyed windows only:
+    keys: Optional[np.ndarray] = None  # op.positions * stride: the key's query half
     #: Local query index of each of the window's queries (and of its
     #: end), i.e. where a block boundary falls in ``op.queries``; None
     #: when the source scans every query of the window.
     rank: Optional[List[int]] = None
-    scan_s: float = 0.0  # seconds spent extracting pairs, summed over blocks
 
 
 @dataclass
-class _WindowGather:
-    """One window's sources and its queries' block geometry."""
+class _RowGroup:
+    """Queries of one window that scan the same sources, over those
+    sources' rows merged in stream order: the tile's row-major hits are
+    canonical by construction, so no keys and no sort
+    (:func:`~repro.query.pipeline.gather.reduce_row_block`)."""
+
+    sources: List[_HitSource]
+    #: Each source's share of the tile's seconds: its cells (its rows x
+    #: its queries in the group) over the group's.
+    shares: List[float]
+    positions: np.ndarray  # stream positions of the group's queries, ascending
+    qx: np.ndarray
+    qy: np.ndarray
+    x: np.ndarray  # the merged rows' coordinates and sensor values
+    y: np.ndarray
+    s: np.ndarray
+
+    def block(self, first, budget, runtime, values, support):
+        """Scan and sum the block starting at query ``first``; returns
+        ``(end, cells, hits, scan seconds)``.  Every query costs the
+        same rows, so a block is ``budget // rows`` queries."""
+        rows = len(self.s)
+        end = min(first + max(budget // rows, 1), len(self.positions))
+        t0 = time.perf_counter()
+        flat = runtime.scan(self.x, self.y, self.qx[first:end], self.qy[first:end])
+        scanned = time.perf_counter() - t0
+        for src, share in zip(self.sources, self.shares):
+            src.scan_s += scanned * share
+        n_hits = len(flat)
+        reduce_row_block(flat, self.s, self.positions[first:end], values, support)
+        return end, (end - first) * rows, n_hits, scanned
+
+
+def _row_group(sources, cells, positions, queries: QueryBatch) -> _RowGroup:
+    """The group of the queries at ``positions`` over ``sources``, of
+    which source ``i`` accounts for ``cells[i]`` of the tile."""
+    shares = (np.asarray(cells) / np.sum(cells)).tolist()
+    return _RowGroup(
+        sources, shares, positions, queries.x[positions], queries.y[positions],
+        *_merged_rows(sources),
+    )
+
+
+def _merged_rows(sources: Sequence[_HitSource]):
+    """``(x, y, s)`` of the sources' rows in ascending global stream
+    position (every row is owned by one slice, and a slice's gids
+    ascend): a single source's columns as they are, else one stable
+    sort of the concatenated gids — a merge of sorted runs."""
+    subs = [src.bound[1] for src in sources]
+    if len(subs) == 1:
+        return subs[0].x, subs[0].y, subs[0].s
+    order = np.argsort(np.concatenate([src.gids for src in sources]), kind="stable")
+    return tuple(
+        np.concatenate([getattr(sub, col) for sub in subs]).take(order)
+        for col in ("x", "y", "s")
+    )
+
+
+@dataclass
+class _KeyedWindow:
+    """One window whose sources report hit pairs: composite keys, one
+    stable sort per block.  What cannot be had in order for less than
+    the keys cost — index sources, and sparse many-source windows."""
 
     sources: List[_HitSource]
     positions: np.ndarray  # stream positions of the window's queries, ascending
     #: ``positions * stride`` — each query's lowest possible key — plus
     #: one final bound above every key of the window.
     edges: np.ndarray
-    cells: int  # queries x rows summed over the sources
     #: Cells charged before each query (and in total) — a query costs
     #: the rows of every slice that scans it, so pruned plans get more
-    #: queries per block.  Built when the window first needs a cut.
-    spent: Optional[np.ndarray] = None
+    #: queries per block.
+    spent: np.ndarray
 
-    def block(self, first: int, budget: int) -> Tuple[int, int]:
-        """``(end, cells)`` of the block starting at query ``first``: it
-        takes queries until ``budget`` cells are spent."""
-        n = len(self.positions)
-        if self.spent is None:
-            if not first and self.cells <= budget:
-                return n, self.cells
-            cost = np.zeros(n + 1, dtype=np.int64)
-            for src in self.sources:
-                rows = len(src.gids)
-                if src.rank is None:
-                    cost[1:] += rows
-                else:
-                    cost[1:][self.positions.searchsorted(src.op.positions)] += rows
-            self.spent = np.cumsum(cost)
+    def block(self, first, budget, runtime, values, support):
+        """Scan, sort and sum the block starting at query ``first`` — it
+        takes queries until ``budget`` cells are spent; returns ``(end,
+        cells, hits, scan seconds)``."""
         spent = self.spent
-        end = min(int(spent.searchsorted(spent[first] + budget)), n)
-        return end, int(spent[end] - spent[first])
+        end = min(int(spent.searchsorted(spent[first] + budget)), len(self.positions))
+        clock = time.perf_counter
+        scanned = 0.0
+        n_hits = 0
+        keys: List[np.ndarray] = []
+        vals: List[np.ndarray] = []
+        for src in self.sources:
+            if src.rank is None:
+                lo, hi = first, end
+            else:
+                lo, hi = src.rank[first], src.rank[end]
+                if lo == hi:
+                    continue
+            t0 = clock()
+            qi, ti = runtime.hits(src.op, src.bound, src.prepared, lo, hi)
+            elapsed = clock() - t0
+            src.scan_s += elapsed
+            scanned += elapsed
+            if len(qi):
+                keys.append(src.keys[qi] + src.gids[ti])
+                vals.append(src.s[ti])
+                n_hits += len(qi)
+        reduce_hit_block(
+            keys, vals, self.edges[first : end + 1], self.positions[first:end],
+            values, support,
+        )
+        return end, int(spent[end] - spent[first]), n_hits, scanned
 
 
 def _fold_replicas(
@@ -416,56 +488,135 @@ def _fold_replicas(
     return folded
 
 
-def _window_gathers(
-    runtime: PlanRuntime, ops: Sequence[ScanOp], n_stream_rows: int
-) -> List[_WindowGather]:
-    """The block geometry of a merge-shaped plan, one entry per window.
+def _window_sources(runtime: PlanRuntime, ops: Sequence[ScanOp]) -> List[List[_HitSource]]:
+    """A merge-shaped plan's scans, one list per window.
 
     Resolves each scan's pinned slice and runs its warm-up (index build)
-    here — once, outside every timer.  Relies on what the plan builders
-    guarantee: an op's ``positions`` ascend, and so do a slice's gids.
+    here — once, outside every timer.  A scan whose pinned slice is
+    empty cannot hit and is left out.
     """
-    bounds = [runtime.bound(op) for op in ops]
-    # Canonical order is (query position, global stream position).  Under
-    # concurrent ingest a pinned gid can exceed the row counter the plan
-    # read; widen the stride so the composite key stays collision-free.
-    stride = max(
-        [n_stream_rows, 1] + [int(b[2][-1]) + 1 for b in bounds if len(b[2])]
-    )
     by_window: Dict[int, List[int]] = {}
     for i, op in enumerate(ops):
         by_window.setdefault(op.context.window_c, []).append(i)
-    groups: List[_WindowGather] = []
+    windows = []
     for members in by_window.values():
-        scans = _fold_replicas(ops, members)
-        if len(scans) == 1:
-            positions = scans[0][1].positions
-        else:
-            positions = np.unique(np.concatenate([op.positions for _, op in scans]))
         sources = []
-        cells = 0
-        for indices, op in scans:
-            bound = bounds[indices[0]]
+        for indices, op in _fold_replicas(ops, members):
+            bound = runtime.bound(op)
             _stamp, sub, gids = bound
+            if not len(gids):
+                continue
             prepared = (
                 runtime.prepare_hits(op, bound)
                 if runtime.prepare_hits is not None
                 else None
             )
-            rank = None
-            if len(op.positions) < len(positions):
-                rank = op.positions.searchsorted(positions).tolist()
-                rank.append(len(op.positions))
-            cells += len(op.positions) * len(gids)
-            sources.append(
-                _HitSource(
-                    indices, op, bound, prepared, gids, sub.s,
-                    op.positions * stride, op.method == "naive", rank,
-                )
-            )
-        edges = np.append(positions, positions[-1] + 1) * stride
-        groups.append(_WindowGather(sources, positions, edges, cells))
-    return groups
+            sources.append(_HitSource(indices, op, bound, prepared, gids, sub.s))
+        if sources:
+            windows.append(sources)
+    return windows
+
+
+def _gather_units(
+    sources: List[_HitSource], queries: QueryBatch, n_stream_rows: int, runtime: PlanRuntime
+) -> list:
+    """How one window is walked: row groups where canonical order can be
+    had by construction, else the keyed window.
+
+    The choice reads only what the plan carries — the sources, which
+    queries each scans, and their rows.  Naive sources qualify (an index
+    reports rows in index order).  One source is its own group and pays
+    nothing.  Several are merged whole when each scans every query, or
+    when the window's union tile fits one block — a (query, slice) pair
+    the plan pruned cannot hit, so scanning it changes no byte — and
+    otherwise split by source-set (:func:`_source_set_groups`), unless
+    the sets are too small to repay merging their rows (not looked at
+    when the window has too few queries for two sets).  Relies on what
+    the plan builders guarantee: an op's ``positions`` ascend and index
+    ``queries``, a slice's gids ascend.
+    """
+    in_order = runtime.scan is not None and all(
+        src.op.method == "naive" for src in sources
+    )
+    if len(sources) == 1:
+        positions = sources[0].op.positions
+        if in_order:
+            return [_row_group(sources, [1], positions, queries)]
+    else:
+        positions = np.unique(np.concatenate([src.op.positions for src in sources]))
+    rows = np.array([len(src.gids) for src in sources])
+    counts = [len(src.op.positions) for src in sources]
+    if in_order and (
+        len(positions) * int(rows.sum()) <= _gather.BLOCK_CELLS
+        or min(counts) == len(positions)  # one source-set: every source, every query
+    ):
+        return [_row_group(sources, counts * rows, positions, queries)]
+    # member[i, q]: source i scans the window's q-th query.
+    member = np.zeros((len(sources), len(positions)), dtype=bool)
+    for scans, src in zip(member, sources):
+        scans[positions.searchsorted(src.op.positions)] = True
+    groups = None
+    if in_order and len(positions) >= 2 * MIN_GROUP_QUERIES:  # else: two sets or more
+        groups = _source_set_groups(positions, member, rows)
+    if groups is not None:
+        return [
+            _row_group([sources[i] for i in picked], cells, at, queries)
+            for picked, cells, at in groups
+        ]
+    # Canonical order is (query position, global stream position).  Under
+    # concurrent ingest a pinned gid can exceed the row counter the plan
+    # read; widen the stride so the composite key stays collision-free.
+    stride = max([n_stream_rows, 1] + [int(src.gids[-1]) + 1 for src in sources])
+    for scans, src in zip(member, sources):
+        if len(src.op.positions) < len(positions):
+            src.rank = [0, *np.cumsum(scans).tolist()]
+        src.keys = src.op.positions * stride
+    edges = np.append(positions, positions[-1] + 1) * stride
+    spent = np.concatenate(([0], np.cumsum(rows @ member)))
+    return [_KeyedWindow(sources, positions, edges, spent)]
+
+
+def _source_set_groups(positions: np.ndarray, member: np.ndarray, rows: np.ndarray):
+    """Split a window's queries by the set of sources that scan them.
+
+    Returns ``(source indices, cells per source, positions)`` per
+    group, or None when the sets average under
+    :data:`MIN_GROUP_QUERIES` queries.  Sets are taken smallest tile
+    first and merged while their union tile — all their queries over
+    all their sources' rows — still fits one block.  A source-set is a
+    column of ``member``, labelled a byte of sources at a time, so any
+    number of sources will do.
+    """
+    label = np.zeros(len(positions), dtype=np.int64)
+    for byte in np.packbits(member, axis=0):
+        label = np.unique(label << 8 | byte, return_inverse=True)[1]
+    sizes = np.bincount(label)
+    if len(positions) < MIN_GROUP_QUERIES * len(sizes):
+        return None
+    by_set = np.argsort(label, kind="stable")
+    ends = np.cumsum(sizes)
+    sets = member[:, by_set[ends - 1]]  # (sources, sets): who scans each set
+    groups = []
+    union, parts = None, []  # the group being assembled
+
+    def close():
+        at = np.sort(np.concatenate(parts))
+        picked = union.nonzero()[0]
+        cells = (member[:, at].sum(axis=1) * rows)[picked]
+        groups.append((picked.tolist(), cells, positions[at]))
+
+    for g in np.argsort(sizes * (rows @ sets), kind="stable").tolist():
+        both = sets[:, g] if union is None else union | sets[:, g]
+        count = sizes[g] + sum(map(len, parts))
+        if parts and count * int(rows[both].sum()) > _gather.BLOCK_CELLS:
+            close()
+            both, parts = sets[:, g], []
+        union = both
+        parts.append(by_set[ends[g] - sizes[g] : ends[g]])
+    close()
+    # Largest first: the plan learns its hit density (the block budget)
+    # from the tiles that dominate it, not from a corner set's few cells.
+    return groups[::-1]
 
 
 # -- plan builders ----------------------------------------------------------

@@ -1,28 +1,41 @@
-"""Exact scatter-gather primitives: the tile kernel and the block reduce.
+"""Exact scatter-gather primitives: the tile kernel and the block reduces.
 
 These are the numerics behind merge-shaped plans (``emit="hits"``
 :class:`~repro.query.pipeline.plan.ScanOp` + ``MergeOp``).  A query's
 answer is the mean of the sensor values of every stream row within the
-radius, summed **in global stream order**: hits are put in canonical
-``(query position, global stream position)`` order — one stable sort of
-an int64 composite key — and each query's values are summed with one
-segmented ``np.add.reduceat``.  Every tuple is owned by exactly one
-shard and keeps its global stream position, so the ordered hit sequence
-— and hence every summed byte — depends only on the query and the
-stream, never on how regions carved it up: answers are byte-identical
-for every shard count (``tests/test_engine_equivalence.py`` enforces
-this).
+radius, summed **in global stream order**: a query's hits are taken in
+canonical ``(query position, global stream position)`` order and its
+values summed with one segmented ``np.add.reduceat``.  Every tuple is
+owned by exactly one shard and keeps its global stream position, so the
+ordered hit sequence — and hence every summed byte — depends only on
+the query and the stream, never on how regions carved it up: answers
+are byte-identical for every shard count
+(``tests/test_engine_equivalence.py`` enforces this).
 
 In process the gather is **blocked** (the loop lives in
 :meth:`PlanExecutor._run_merge <repro.query.pipeline.executor.PlanExecutor>`):
-a window's queries are walked in blocks of :data:`BLOCK_CELLS`
-``queries x rows`` cells (more where hits are sparse, see
-:func:`block_budget`), each op's distance tile is computed in place
-in a per-thread workspace (:func:`scan_pairs`), and
-:func:`reduce_hit_block` sorts and sums the block's hits straight into
-the result.  Nothing proportional to the plan's hit count is ever
-allocated — see "Memory discipline of the exact gather" in
-``docs/architecture.md`` for why that matters more than the arithmetic.
+queries are walked in blocks of :data:`BLOCK_CELLS` ``queries x rows``
+cells (more where hits are sparse, see :func:`block_budget`), the
+distance tile is computed in place in a per-thread workspace
+(:func:`scan_tile`), and the block's hits are summed straight into the
+result.  The canonical order is had one of two ways, chosen per window
+by the executor:
+
+* **by construction** (:func:`reduce_row_block`) — the tile's rows are
+  a window's naive slices merged once in ascending stream position, so
+  the tile's row-major hits *are* in canonical order: the values are
+  one ``take``, a query's segment is the run between two row
+  boundaries.  No keys, no sort, nothing per hit but the take.
+* **by keys** (:func:`scan_pairs` / :func:`index_pairs` +
+  :func:`reduce_hit_block`) — each source reports ``(query, row)``
+  pairs, which get an int64 composite key and one stable sort per
+  block.  For what cannot be had in order for less than the keys cost:
+  index sources (rows come in index order) and sparse windows of many
+  small source-sets.
+
+Nothing proportional to the plan's hit count is ever allocated — see
+"Memory discipline of the exact gather" in ``docs/architecture.md`` for
+why that matters more than the arithmetic.
 
 :func:`scan_hits` / :func:`index_hits` / :func:`merge_hit_partials` are
 the same numerics in whole-op units: hit triples are the **wire format**
@@ -42,17 +55,21 @@ from repro.query.base import BatchResult, QueryBatch
 from repro.query.indexed import IndexedProcessor
 
 #: Cells (queries x scanned rows) one block of the exact gather covers
-#: at least, and exactly until the plan has shown its hit density.
+#: at least, and exactly until the plan has shown its hit density.  A
+#: block holds whole queries: ``budget // rows`` of a row group's (every
+#: query of a group scans the same merged rows), or, in a keyed window,
+#: queries until the rows of the slices that scan them add up to it.
 #: Chosen by measurement at the socket (``benchmarks/e2e``,
 #: ``heatmap_scan``; the sweep is in ``docs/architecture.md``): much
 #: smaller and per-block Python dispatch dominates; larger and a block's
 #: hit arrays outgrow the allocator's bins and are mapped, zero-filled
 #: and trimmed afresh on every request.  That is a statement about
 #: *hits* made in cells: the sweep ran at a city-wide heatmap's density
-#: (30 % of cells hit, so ~10 K hits = ~80 KB per key/value array, under
-#: glibc's 128 KB mmap threshold).  The denser case was checked too
-#: (3 km radius, ~90 % of cells hit, so 256 KB arrays): p50 93.8 ms at
-#: the parent, 39.2 ms with this block, 42.9 ms with blocks cut down to
+#: (30 % of cells hit, so ~10 K hits = ~80 KB per hit array, under
+#: glibc's 128 KB mmap threshold; a row group next to its one source
+#: reads 60 %, so ~20 K hits).  The denser case was checked too (3 km
+#: radius, ~90 % of cells hit, so 256 KB arrays): p50 93.8 ms at the
+#: parent, 39.2 ms with this block, 42.9 ms with blocks cut down to
 #: ~10 K hits — the large arrays show as a p95 tail (52 vs 46 ms), not
 #: as the cliff whole-op arrays fell off, so blocks never shrink.
 BLOCK_CELLS = 1 << 15
@@ -87,7 +104,7 @@ HitPairs = Tuple[np.ndarray, np.ndarray]
 class _Workspace(threading.local):
     """Per-thread distance-tile scratch, grown to the largest tile the
     thread has needed and never freed — pure scratch, no state survives
-    a :func:`scan_pairs` call."""
+    a :func:`scan_tile` call."""
 
     def __init__(self) -> None:
         self._cells = 0
@@ -111,27 +128,37 @@ class _Workspace(threading.local):
 _workspace = _Workspace()
 
 
-def scan_pairs(
-    window: TupleBatch, queries: QueryBatch, lo: int, hi: int, radius_m: float
-) -> HitPairs:
-    """Hit pairs of the naive radius scan for ``queries[lo:hi]``.
+def scan_tile(
+    wx: np.ndarray, wy: np.ndarray, qx: np.ndarray, qy: np.ndarray, radius_m: float
+) -> np.ndarray:
+    """Flat row-major hit indices of the ``queries x rows`` distance tile.
 
     The one place the hit-emitting distance test lives:
     ``(wx - qx)² + (wy - qy)² <= r²`` evaluated tile-wise into the
     thread's workspace (bit-for-bit the expression
     :meth:`NaiveProcessor.process_batch` evaluates with temporaries).
-    Pairs come out row-major, so a single naive source is already in
-    canonical order.
+    Index ``q * len(wx) + r`` says row ``r`` is within the radius of
+    query ``q``; indices ascend, so hits come out query by query and,
+    within a query, in row order.
     """
-    n = len(window)
-    d, e, inside, inside_flat = _workspace.tiles(hi - lo, n)
-    np.subtract(window.x[None, :], queries.x[lo:hi, None], out=d)
+    d, e, inside, inside_flat = _workspace.tiles(len(qx), len(wx))
+    np.subtract(wx[None, :], qx[:, None], out=d)
     np.square(d, out=d)
-    np.subtract(window.y[None, :], queries.y[lo:hi, None], out=e)
+    np.subtract(wy[None, :], qy[:, None], out=e)
     np.square(e, out=e)
     np.add(d, e, out=d)
     np.less_equal(d, radius_m * radius_m, out=inside)
-    flat = inside_flat.nonzero()[0]
+    return inside_flat.nonzero()[0]
+
+
+def scan_pairs(
+    window: TupleBatch, queries: QueryBatch, lo: int, hi: int, radius_m: float
+) -> HitPairs:
+    """Hit pairs of the naive radius scan for ``queries[lo:hi]``:
+    :func:`scan_tile` split into ``(query, row)`` indices — what a keyed
+    block needs to build its composite keys."""
+    n = len(window)
+    flat = scan_tile(window.x, window.y, queries.x[lo:hi], queries.y[lo:hi], radius_m)
     qi = flat // n
     ti = flat - qi * n
     if lo:
@@ -156,35 +183,58 @@ def index_pairs(
 def reduce_hit_block(
     keys: List[np.ndarray],
     vals: List[np.ndarray],
-    in_order: bool,
     edges: np.ndarray,
     positions: np.ndarray,
     values: np.ndarray,
     support: np.ndarray,
 ) -> None:
-    """Sort and sum one block's hits into ``values`` / ``support``.
+    """Sort and sum one keyed block's hits into ``values`` / ``support``.
 
     ``keys`` / ``vals`` are the per-source composite keys (``query
     position * stride + global stream position``) and sensor values of
     the block; ``positions`` are the block's query positions (ascending)
     and ``edges`` their keys' lower bounds (``positions * stride``) plus
-    one bound above every key of the block.  The stable sort is skipped
-    only when ``in_order`` says the single source is provably canonical
-    already.
+    one bound above every key of the block.
     """
     if not keys:
         return
-    if in_order and len(keys) == 1:
-        key, val = keys[0], vals[0]
-    else:
-        key = np.concatenate(keys)
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        val = np.concatenate(vals)[order]
+    key = np.concatenate(keys)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    val = np.concatenate(vals)[order]
     bounds = key.searchsorted(edges)
     counts = bounds[1:] - bounds[:-1]
     hit = counts.nonzero()[0]
     sums = np.add.reduceat(val, bounds[hit])
+    values[positions[hit]] = sums / counts[hit]
+    support[positions] = counts
+
+
+def reduce_row_block(
+    flat: np.ndarray,
+    s: np.ndarray,
+    positions: np.ndarray,
+    values: np.ndarray,
+    support: np.ndarray,
+) -> None:
+    """Sum one block's hits into ``values`` / ``support`` — no keys, no sort.
+
+    ``flat`` are :func:`scan_tile`'s hit indices (consumed: rewritten in
+    place) for the queries at ``positions`` (ascending) over rows whose
+    sensor values are ``s``, **in ascending global stream position**.
+    Row-major order then *is* the canonical ``(query, stream position)``
+    order, so a query's hits are the run between two row boundaries of
+    the tile and its values one ``take`` — the same per-query value
+    sequence :func:`reduce_hit_block` hands to ``np.add.reduceat``.
+    """
+    if not len(flat):
+        return  # support stays 0, values NaN
+    starts = np.arange(len(positions) + 1) * len(s)
+    bounds = flat.searchsorted(starts)
+    counts = bounds[1:] - bounds[:-1]
+    hit = counts.nonzero()[0]
+    flat -= starts[:-1].repeat(counts)  # tile index -> row index
+    sums = np.add.reduceat(s.take(flat), bounds[hit])
     values[positions[hit]] = sums / counts[hit]
     support[positions] = counts
 

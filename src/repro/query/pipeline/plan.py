@@ -21,7 +21,7 @@ Operators:
 * :class:`CoverOp` — evaluate the bound ``(window, shard)`` model cover
   over a set of queries; always emits results.
 * :class:`MergeOp` — the gather half: exact, partition-independent merge
-  of every hit-emitting scan's hits (one stable sort + one segmented
+  of every hit-emitting scan's hits (stream order + one segmented
   reduction per block; see :mod:`repro.query.pipeline.gather`).
 * :class:`FallbackOp` — a nested exact sub-plan answering the queries a
   cover could not (empty owning slice, or the planner preferred raw

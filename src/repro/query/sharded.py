@@ -22,10 +22,11 @@ and ``method="auto"`` consults the single statistics-backed
 :class:`~repro.query.pipeline.planner.PipelinePlanner` per ``(shard,
 window)``, which recalibrates from the executor's observed op timings.
 
-The exact-merge semantics (hits in stream order, one stable sort and
-one segmented reduction per block) are documented with the primitives
-in :mod:`repro.query.pipeline.gather`, which this module re-exports for
-compatibility.
+The exact-merge semantics (hits in stream order — by construction
+where a window's slices can be merged, by one stable sort per block
+where not — and one segmented reduction per block) are documented with
+the primitives in :mod:`repro.query.pipeline.gather`, which this module
+re-exports for compatibility.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from repro.query.pipeline.gather import (  # noqa: F401
     merge_hit_partials,
     scan_hits,
 )
-from repro.query.pipeline.gather import index_pairs, scan_pairs
+from repro.query.pipeline.gather import index_pairs, scan_pairs, scan_tile
 from repro.query.pipeline.executor import PlanExecutor, PlanRuntime, build_sharded_plan
 from repro.query.pipeline.plan import (
     VECTORISED_POLICY,
@@ -336,8 +337,15 @@ class ShardedQueryEngine:
                 return scan_pairs(bound[1], op.queries, lo, hi, self.radius_m)
             return index_pairs(prepared, op.queries, lo, hi)
 
+        def scan(wx, wy, qx, qy):
+            return scan_tile(wx, wy, qx, qy, self.radius_m)
+
         runtime = PlanRuntime(
-            plan.binding, processor=materialise, hits=hits, prepare_hits=prepare_hits
+            plan.binding,
+            processor=materialise,
+            hits=hits,
+            prepare_hits=prepare_hits,
+            scan=scan,
         )
         # Feed per-op scan load to the router's tracker so the adaptive
         # rebalancer sees read skew, not just ingest skew.

@@ -130,6 +130,16 @@ def _clean(value: float) -> Optional[float]:
     return v if math.isfinite(v) else None
 
 
+def _clean_grid(grid) -> List[List[Optional[float]]]:
+    """:func:`_clean` over every cell of a 2-D grid, as nested lists —
+    one ``tolist`` and a patch per non-finite cell, not a call per cell."""
+    grid = np.asarray(grid, dtype=np.float64)
+    rows = grid.tolist()
+    for i, j in zip(*(axis.tolist() for axis in np.nonzero(~np.isfinite(grid)))):
+        rows[i][j] = None
+    return rows
+
+
 def _is_finite(value: Any) -> bool:
     """An int or float — ``bool`` is neither — that is finite as a float:
     ``json.loads`` also yields NaN, ±Infinity and ints beyond float range."""
@@ -288,7 +298,7 @@ class WebAppService:
             "mode": "heatmap",
             "nx": nx,
             "ny": ny,
-            "grid": [[_clean(v) for v in row] for row in hm.grid],
+            "grid": _clean_grid(hm.grid),
             "markers": [
                 {"x": m.x, "y": m.y, "co2_ppm": m.co2_ppm, "color": m.color}
                 for m in markers
@@ -372,7 +382,7 @@ class EngineQueryService:
             "mode": "heatmap",
             "nx": nx,
             "ny": ny,
-            "grid": [[_clean(v) for v in row] for row in np.asarray(grid)],
+            "grid": _clean_grid(grid),
         }
 
 

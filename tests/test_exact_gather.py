@@ -1,17 +1,21 @@
 """The blocked exact gather: byte identity and memory discipline.
 
-``PlanExecutor._run_merge`` walks each window's queries in blocks,
-computes every op's distance tile in a per-thread workspace and sorts +
-sums one block's hits at a time.  The contract: every output byte equals
-what the whole-op unit computes — ``merge_hit_partials`` over one
-``scan_hits`` / ``index_hits`` partial per op, which is also still the
-process executor's wire path — for any shard count, block size, replica
-split or source mix; and nothing proportional to the plan's hit count
-is allocated on the way.
+``PlanExecutor._run_merge`` walks each window's queries in blocks, in
+one of two ways it picks per window: *row groups* — queries that scan
+the same naive sources, over those sources' rows merged in stream
+order, summed as the tile reports them — or the *keyed* window, whose
+hit pairs are keyed and sorted per block (index sources, sparse
+many-source windows).  The contract: every output byte equals what the
+whole-op unit computes — ``merge_hit_partials`` over one ``scan_hits``
+/ ``index_hits`` partial per op, which is also still the process
+executor's wire path — for any shard count, block size, replica split,
+source mix or side of that choice; and nothing proportional to the
+plan's hit count is allocated on the way.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import tracemalloc
 from unittest import mock
@@ -24,6 +28,7 @@ from hypothesis import strategies as st
 from repro.data.tuples import TupleBatch
 from repro.geo.coords import BoundingBox
 from repro.geo.region import RegionGrid
+from repro.query import sharded
 from repro.query.base import QueryBatch
 from repro.query.pipeline import executor as pipeline_executor
 from repro.query.pipeline import gather
@@ -34,7 +39,7 @@ from repro.query.pipeline.gather import (
     scan_hits,
     scan_pairs,
 )
-from repro.query.pipeline.plan import MergeOp, PlanReport
+from repro.query.pipeline.plan import MergeOp, PlanContext, PlanReport
 from repro.query.sharded import ShardedQueryEngine
 from repro.storage.shards import ShardRouter
 
@@ -91,12 +96,22 @@ def forced_block(queries_per_block, rows: int):
     return mock.patch.object(gather, "BLOCK_CELLS", cells)
 
 
+# Queries nothing can answer: NaN / ±inf coordinates (no distance
+# compares true) and a point no disk reaches (a pruned plan gives it no
+# source at all).
+UNANSWERABLE = np.array(
+    [[np.nan, 1000.0], [1500.0, np.nan], [np.inf, 1000.0], [1500.0, -np.inf], [1e7, 1e7]]
+)
+
+
 @st.composite
-def scenarios(draw):
+def scenarios(draw, max_queries=40, unanswerable=False):
     """(tuples, queries): coordinates on cell edges, queries at exactly
     radius distance from a tuple, timestamps on window cuts, NaN sensor
     values, and — one draw in four — every tuple confined to one cell so
-    the other shards' slices are empty."""
+    the other shards' slices are empty.  With ``unanswerable``, every
+    other draw also overwrites a few queries with :data:`UNANSWERABLE`
+    coordinates."""
     n = draw(st.integers(min_value=1, max_value=120))
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     tx = np.where(
@@ -116,7 +131,7 @@ def scenarios(draw):
     ts[rng.random(n) < 0.1] = np.nan
     batch = TupleBatch(tt, tx, ty, ts)
 
-    nq = draw(st.integers(min_value=1, max_value=40))
+    nq = draw(st.integers(min_value=1, max_value=max_queries))
     qx = rng.choice(EDGE_XS, nq)
     qy = rng.choice(EDGE_YS, nq)
     exact = rng.random(nq) < 0.34
@@ -128,34 +143,103 @@ def scenarios(draw):
         tt[rng.integers(0, n, nq)],
         rng.uniform(0.0, 86400.0, nq),
     )
+    if unanswerable and draw(st.booleans()):
+        at = rng.integers(0, nq, min(nq, 4))
+        qx[at], qy[at] = UNANSWERABLE[rng.integers(0, len(UNANSWERABLE), len(at))].T
     return batch, QueryBatch(qt, qx, qy)
+
+
+def with_hazards(plan, hazards):
+    """The plan with things the builders never emit but a binding can
+    hold: ``"stale_counter"`` — a row counter read before the pinned
+    rows arrived, so pinned gids lie beyond ``n_stream_rows``;
+    ``"empty_slice"`` — per window, one more scan whose pinned slice has
+    no rows (the builders skip those), where the layout has one."""
+    ops, merge = list(plan.ops), plan.merge
+    if "stale_counter" in hazards:
+        merge = MergeOp(merge.n_queries, 1)
+    if "empty_slice" in hazards:
+        for op in {op.context.window_c: op for op in plan.ops}.values():
+            c = op.context.window_c
+            for s in range(plan.binding.n_shards):
+                if not len(plan.binding.slice_for(s, c)[2]):
+                    ops.append(
+                        dataclasses.replace(op, context=PlanContext(c, s, 0, 0), replica=0)
+                    )
+                    break
+    return dataclasses.replace(plan, ops=tuple(ops), merge=merge)
 
 
 _SETTINGS = settings(max_examples=25, deadline=None)
 
 
 class TestBlockedGatherMatchesWholeOpMerge:
-    @_SETTINGS
+    @settings(max_examples=60, deadline=None)
     @given(
-        scenario=scenarios(),
-        n_shards=st.sampled_from([1, 2, 4]),
+        scenario=scenarios(max_queries=80, unanswerable=True),
+        n_shards=st.sampled_from([1, 2, 4, 9]),
         h=st.sampled_from([1, 7, 2000]),
         per_block=st.sampled_from([1, 7, None]),
+        min_group=st.sampled_from([1, 32]),
         prune=st.booleans(),
         replicas=st.booleans(),
+        hazards=st.sets(st.sampled_from(["stale_counter", "empty_slice"])),
     )
-    def test_naive_sources(self, scenario, n_shards, h, per_block, prune, replicas):
+    def test_naive_sources(
+        self, scenario, n_shards, h, per_block, min_group, prune, replicas, hazards
+    ):
+        # Both sides of the per-window choice: one source (its own
+        # group), windows that fit one block (merged whole: per_block
+        # None), source-set groups (min_group 1, or >= 32 queries a
+        # set) and the keyed window (sparser than that) — over replica
+        # ops folded back, queries no source scans, NaN / ±inf query
+        # coordinates, empty pinned slices and an under-read row counter.
         batch, queries = scenario
         router = build_router(batch, n_shards, h)
         with ShardedQueryEngine(
             router, radius_m=RADIUS, max_workers=1, prune=prune
-        ) as engine:
+        ) as engine, np.errstate(all="ignore"):
             if replicas:
                 engine.set_replicas({s: 3 for s in range(n_shards)})
-            plan = engine.plan(queries, "naive")
+            plan = with_hazards(engine.plan(queries, "naive"), hazards)
             assert plan.merge is not None
             expected = fingerprint(whole_op_reference(engine, plan))
-            with forced_block(per_block, min(h, len(batch))):
+            with forced_block(per_block, min(h, len(batch))), mock.patch.object(
+                pipeline_executor, "MIN_GROUP_QUERIES", min_group
+            ):
+                assert fingerprint(engine.execute(plan)) == expected
+
+    @pytest.mark.parametrize("min_group", [1, 32])
+    @pytest.mark.parametrize("prune", [True, False])
+    @pytest.mark.parametrize("per_block", [1, None])
+    def test_more_sources_than_a_64_bit_mask(self, per_block, prune, min_group):
+        # 72 non-empty slices in one window: a source-set cannot be a
+        # 64-bit mask.  Unpruned, every query scans all 72 (one set, 72
+        # slices merged); pruned, each disk reaches a handful (many
+        # small sets: merged while they fit a block, or the keyed window).
+        grid = RegionGrid.for_shard_count(BOUNDS, 72)
+        rng = np.random.default_rng(72)
+        cells = rng.permutation(np.repeat(np.arange(72), 3))
+        w, h = BOUNDS.width / grid.nx, BOUNDS.height / grid.ny
+        batch = TupleBatch(
+            np.arange(len(cells), dtype=np.float64),
+            (cells % grid.nx + rng.random(len(cells))) * w,
+            (cells // grid.nx + rng.random(len(cells))) * h,
+            rng.normal(400.0, 30.0, len(cells)),
+        )
+        router = ShardRouter(grid, h=len(cells))
+        router.ingest(batch)
+        queries = QueryBatch(
+            np.full(80, 10.0), rng.uniform(0, 3000, 80), rng.uniform(0, 2000, 80)
+        )
+        with ShardedQueryEngine(router, radius_m=RADIUS, max_workers=1) as engine:
+            plan = engine.plan(queries, "naive", prune=prune)
+            assert len({op.context.shard for op in plan.ops}) == 72
+            expected = fingerprint(whole_op_reference(engine, plan))
+            assert int(np.frombuffer(expected[1], dtype=np.int64).sum()) > 0
+            with forced_block(per_block, len(cells)), mock.patch.object(
+                pipeline_executor, "MIN_GROUP_QUERIES", min_group
+            ):
                 assert fingerprint(engine.execute(plan)) == expected
 
     @_SETTINGS
@@ -255,21 +339,111 @@ class TestReplicaFolding:
         )
         with ShardedQueryEngine(build_router(batch, 1, h=200), radius_m=RADIUS) as engine:
             plain, split = self._plans(engine, queries)
-            seen = []
-
-            def spy(keys, vals, in_order, *rest):
-                seen.append((len(keys), in_order))
-                return gather.reduce_hit_block(keys, vals, in_order, *rest)
-
             report = PlanReport()
-            with mock.patch.object(pipeline_executor, "reduce_hit_block", spy):
+            with keyless() as sorted_sizes:
                 with forced_block(3, 200):  # blocks straddle replica chunks
                     result = engine.execute(split, report)
             assert fingerprint(result) == fingerprint(engine.execute(plain))
-            assert seen and all(n <= 1 and in_order for n, in_order in seen)
+            assert not sorted_sizes  # one source: its rows are merged already
             assert all(report.observed(op) is not None for op in split.ops)
             load = engine.router.shard_load_stats()[0]
             assert load.scan_queries == 2 * len(queries)  # split + plain runs
+
+    def test_four_shard_heatmap_never_keys_or_sorts_hits_and_charges_every_op(
+        self, small_batch
+    ):
+        # Cells cut at the median position, so all four hold rows.
+        cx, cy = np.median(small_batch.x), np.median(small_batch.y)
+        rx, ry = np.abs(small_batch.x - cx).max(), np.abs(small_batch.y - cy).max()
+        quadrants = RegionGrid(BoundingBox(cx - rx, cy - ry, cx + rx, cy + ry), nx=2, ny=2)
+        router = ShardRouter(quadrants, h=2000)
+        router.ingest(small_batch)
+        with ShardedQueryEngine(router, max_workers=1) as engine:
+            engine.set_replicas({s: 2 for s in range(4)})
+            probes = _heatmap_probes(small_batch, 40, 30)  # one full window
+            plan = engine.plan(probes, "naive", want_estimates=True)
+            assert len({op.context.window_c for op in plan.ops}) == 1
+            assert len({op.context.shard for op in plan.ops}) == 4
+            assert len(plan.ops) == 8  # two replica ops a shard, folded back
+            expected = fingerprint(whole_op_reference(engine, plan))
+
+            # A clock that advances one second per reading: a tile, read
+            # before and after, takes exactly one; merging a group's rows
+            # is made to take a hundred.
+            now = [0.0]
+
+            def tick():
+                now[0] += 1.0
+                return now[0]
+
+            tiles, merges, recorded = [], [], []
+            real_tile, real_merge = gather.scan_tile, pipeline_executor._merged_rows
+
+            def tile(*args):
+                tiles.append(len(args[2]))
+                return real_tile(*args)
+
+            def merge(sources):
+                merges.append(len(sources))
+                now[0] += 100.0
+                return real_merge(sources)
+
+            report = PlanReport()
+            with keyless() as sorted_sizes, mock.patch.object(
+                pipeline_executor, "time", mock.Mock(perf_counter=tick)
+            ), mock.patch.object(sharded, "scan_tile", tile), mock.patch.object(
+                pipeline_executor, "_merged_rows", merge
+            ), mock.patch.object(
+                engine.planner, "record", lambda *call: recorded.append(call)
+            ):
+                result = engine.execute(plan, report)
+            assert fingerprint(result) == expected
+            assert int(result.support.sum()) > 100_000
+            # Several source-sets, each merged once; what is sorted is
+            # rows and queries, never hits.
+            assert len(merges) > 1 and max(merges) == 4
+            assert sorted_sizes and max(sorted_sizes) <= max(2000, len(probes))
+            # The tiles' seconds, all of them and nothing else, are on
+            # the ops' clocks; preparation is on the gather's.
+            scanned = np.unique(np.concatenate([op.positions for op in plan.ops]))
+            assert sum(tiles) == len(scanned)  # every query in exactly one tile
+            assert len(tiles) > len(merges)
+            assert sum(report.elapsed_s.values()) == pytest.approx(len(tiles))
+            assert all(report.observed(op) > 0 for op in plan.ops)
+            assert report.gather_s >= 100.0 * len(merges)
+            # Each member op reaches the planner and the load tracker.
+            assert sorted(n for _method, n, *_ in recorded) == sorted(
+                len(op.queries) for op in plan.ops
+            )
+            assert sum(seconds for *_, seconds, _units in recorded) == pytest.approx(
+                len(tiles)
+            )
+            for s, load in enumerate(engine.router.shard_load_stats()):
+                assert load.scan_queries == sum(
+                    len(op.queries) for op in plan.ops if op.context.shard == s
+                )
+
+
+@contextlib.contextmanager
+def keyless():
+    """Fail the moment a window is gathered by keys or a block is
+    sorted; yields the lengths of everything ``np.argsort`` is given
+    meanwhile (row merges and query grouping — never hits)."""
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("this plan needs no composite keys")
+
+    sizes = []
+    real = np.argsort
+
+    def argsort(a, *args, **kwargs):
+        sizes.append(len(a))
+        return real(a, *args, **kwargs)
+
+    with mock.patch.object(pipeline_executor, "_KeyedWindow", refuse), mock.patch.object(
+        pipeline_executor, "reduce_hit_block", refuse
+    ), mock.patch.object(np, "argsort", argsort):
+        yield sizes
 
 
 def test_block_budget_grows_for_sparse_plans_and_never_shrinks():

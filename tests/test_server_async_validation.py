@@ -49,6 +49,7 @@ from repro.server.async_server import (
     HttpError,
     WebAppService,
     _HttpConnection,
+    _clean,
     _MAX_BODY,
     _MAX_HEADER,
     _unmask,
@@ -932,6 +933,38 @@ class TestWireBytes:
                 close=True,
             )
             assert http.HTTPStatus(500).phrase == "Internal Server Error"
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            np.array([[1.5, np.nan, -0.0], [np.inf, -np.inf, 400.25], [0.0, 1e-320, 1e300]]),
+            np.array([[np.nan]]),
+            np.array([[-0.0]]),
+            np.full((3, 2), np.nan),
+            np.arange(6, dtype=np.int64).reshape(2, 3),
+            np.linspace(380.0, 420.0, 12, dtype=np.float32).reshape(3, 4),
+        ],
+    )
+    def test_heatmap_grids_serialise_as_cell_by_cell_clean(self, grid):
+        """Both shapers build the grid with one ``tolist`` and patch the
+        non-finite cells; the bytes are those of a ``_clean`` per cell."""
+        per_cell = json.dumps([[_clean(v) for v in row] for row in grid])
+
+        class Engine:
+            def heatmap_grid(self, t, bounds, nx, ny, method):
+                return grid
+
+        class Web:
+            def heatmap(self, t, bounds, nx, ny):
+                return type("Heatmap", (), {"grid": grid})
+
+            def centroid_markers(self, t):
+                return []
+
+        ny, nx = grid.shape
+        params = {"t": 1.0, "bounds": [0.0, 0.0, 10.0, 10.0], "nx": nx, "ny": ny}
+        for service in (EngineQueryService(Engine()), WebAppService(Web())):
+            assert json.dumps(service.heatmap(params)["grid"]) == per_cell
 
     def test_upgrade_without_a_key_is_a_400(self, web_served):
         assert _raw_exchange(
