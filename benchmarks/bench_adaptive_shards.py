@@ -11,17 +11,15 @@ answered twice from identically-ingested stores:
 * **adaptive** — the same router after the
   :class:`~repro.storage.rebalance.ShardRebalancer` has watched the
   load tracker and acted: hot cells split into sub-tiles (smaller
-  scans, tighter zone-map sketches), still-hot sub-tiles get read
-  replicas (one scan split into ops the process executor can place on
-  separate workers; in process they fold back into one scan).
+  scans, tighter zone-map sketches), cold ones merged back.
 
 Answers are byte-identical by construction — a re-cut moves rows
 between slots without touching the global stream, and the exact gather
 is canonical in stream position — and the oracle enforces it on every
 run, *under a free-running ingest writer*: a plan pinned before the
 rebalance must keep answering with exactly its pinned bytes through a
-split, a replica-split plan, and the re-merge, while fresh plans agree
-with a never-rebalanced router holding the same stream.
+split and the re-merge, while fresh plans agree with a never-rebalanced
+router holding the same stream.
 
 Run standalone for the headline numbers::
 
@@ -186,7 +184,7 @@ def bench_adaptive_scatter(benchmark, adaptive):
     )
     if adaptive:
         drive_load(engine, batch)
-        ShardRebalancer(engine.router, engine=engine).run()
+        ShardRebalancer(engine.router).run()
     engine.continuous_query_batch(batch)  # warm caches
     benchmark.group = f"adaptive vs static, {N_SHARDS}-cell Zipf downtown mix"
     benchmark.extra_info["adaptive"] = adaptive
@@ -198,14 +196,13 @@ def bench_adaptive_scatter(benchmark, adaptive):
 
 
 def rebalance_oracle(n_tuples: int) -> dict:
-    """Pre-split == post-split == replica reads == post-merge, under a
-    free-running ingest writer.
+    """Pre-split == post-split == post-merge, under a free-running
+    ingest writer.
 
     Two routers ingest the same head of the stream.  One plan is built
     (pinning every slice it scans) before any rebalancing; a writer
     thread then free-runs the stream tail into the adaptive router
-    while the hot cell is split, queried through replicas, and merged
-    back — the pinned plan must keep answering byte-identically at
+    while the hot cell is split and merged back — the pinned plan must keep answering byte-identically at
     every stage.  Finally the static router catches up on the tail and
     fresh plans on both routers must agree: a rebalanced layout answers
     exactly like one that never rebalanced.
@@ -241,16 +238,6 @@ def rebalance_oracle(n_tuples: int) -> dict:
         hot = int(np.argmax(adaptive.router.shard_counts()))
         new_ids = adaptive.router.split_shard(hot)
         checks["pinned_post_split"] = identical(baseline, adaptive.execute(pinned))
-
-        # Replica reads: same pinned binding, replica-split vs plain plan.
-        binding = adaptive.binding()
-        plain = adaptive.plan(queries, "naive", binding=binding)
-        adaptive.set_replicas({s: 3 for s in new_ids})
-        split_plan = adaptive.plan(queries, "naive", binding=binding)
-        checks["replica_reads"] = identical(
-            adaptive.execute(plain), adaptive.execute(split_plan)
-        )
-        adaptive.set_replicas({})
 
         # Merge downtown back; the pinned plan still answers its bytes.
         cell = adaptive.router.grid.cell_of_shard(new_ids[0])
@@ -309,12 +296,11 @@ def main(smoke: bool = False) -> int:
     static = city_engine(n_tuples, stream)
     adaptive = city_engine(n_tuples, stream)
     drive_load(adaptive, load)
-    actions = ShardRebalancer(adaptive.router, engine=adaptive).run()
+    actions = ShardRebalancer(adaptive.router).run()
     print(f"\nrebalancer actions ({len(actions)}):")
     for a in actions:
         detail = (
             f"shard {a.shard} -> {list(a.new_shards)}" if a.kind == "split"
-            else str(a.replicas) if a.kind == "replicas"
             else f"cell {a.cell} -> shard {a.shard}"
         )
         print(f"  {a.kind:<9} {detail} (skew {a.skew:.1f})")
@@ -335,7 +321,6 @@ def main(smoke: bool = False) -> int:
         f"  adaptive {p50_adaptive * 1e3:>8.2f} ms/batch   ({speedup:.2f}x)"
     )
     histogram = shard_histogram(adaptive.router)
-    replicas = adaptive.replicas
     static.close()
     adaptive.close()
 
@@ -355,11 +340,9 @@ def main(smoke: bool = False) -> int:
             },
             "rebalance_actions": [
                 {"kind": a.kind, "shard": a.shard, "cell": a.cell,
-                 "new_shards": list(a.new_shards), "replicas": a.replicas,
-                 "skew": a.skew}
+                 "new_shards": list(a.new_shards), "skew": a.skew}
                 for a in actions
             ],
-            "replicas": {str(s): r for s, r in replicas.items()},
             "p50_static_s": p50_static,
             "p50_adaptive_s": p50_adaptive,
             "ms_per_batch": {

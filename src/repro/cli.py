@@ -15,7 +15,7 @@ Subcommands:
   timings, cache and planner-feedback counters);
 * ``shards``   — per-shard occupancy/load table (rows, windows, ingest
   and scan counters, EWMA load, skew coefficients), optionally after
-  letting the adaptive rebalancer split/replicate/merge.
+  letting the adaptive rebalancer split/merge.
 
 Examples::
 
@@ -275,11 +275,16 @@ def _serve_network(ds, args) -> int:
     stop_trickle = None
     if subscriptions is not None and tail is not None and len(tail.t):
         stop_trickle = _start_trickle(router, subscriptions, tail)
-    mode = (
-        f"{args.processes} worker process(es)"
-        if args.processes is not None
-        else "in-process"
-    )
+    mode = "in-process"
+    if args.processes is not None:
+        mode = f"{args.processes} worker process(es)"
+        if not router.prefix_exportable:
+            # ProcessPlanExecutor refuses every plan and the engine
+            # answers it in-process: say so, the answers will not.
+            mode += (
+                " idle: the durable tier exports no shard prefixes, "
+                "every plan runs in-process"
+            )
     tier = f", durable tier at {args.data_dir}" if args.data_dir else ""
     subs = (
         ", standing subscriptions on /ws"
@@ -464,7 +469,7 @@ def _serve_concurrently(inner, ds, args):
     return outcome[0], chunks_served
 
 
-def _format_shard_table(router, replicas=None) -> str:
+def _format_shard_table(router) -> str:
     """Per-shard occupancy/load table (the ``shards`` subcommand body,
     also appended to sharded ``explain`` output).
 
@@ -491,7 +496,6 @@ def _format_shard_table(router, replicas=None) -> str:
                 stale[s] = True
     grid = router.grid
     refined = grid if isinstance(grid, RefinedRegionGrid) else None
-    replicas = replicas or {}
     lines = [
         f"{'shard':>5} {'cell':>5} {'rows':>8} {'windows':>7} "
         f"{'ingested':>9} {'queries':>8} {'scan-units':>11} {'load':>10}  flags"
@@ -504,8 +508,6 @@ def _format_shard_table(router, replicas=None) -> str:
         flags = []
         if refined is not None and refined.is_split(cell):
             flags.append("split")
-        if replicas.get(s, 0) > 1:
-            flags.append(f"x{replicas[s]} replicas")
         if stale[s]:
             flags.append("stale")
         lines.append(
@@ -560,20 +562,18 @@ def _cmd_shards(args: argparse.Namespace) -> int:
     if args.rebalance:
         from repro.storage.rebalance import ShardRebalancer
 
-        rebalancer = ShardRebalancer(router, engine=engine)
+        rebalancer = ShardRebalancer(router)
         for action in rebalancer.run(max_steps=args.rebalance):
             detail = ""
             if action.kind == "split":
                 detail = f"shard {action.shard} -> {list(action.new_shards)}"
             elif action.kind == "merge":
                 detail = f"cell {action.cell} -> shard {action.shard}"
-            elif action.kind == "replicas":
-                detail = str(action.replicas)
             print(
                 f"rebalance: {action.kind} {detail} "
                 f"(skew was {action.skew:.2f})"
             )
-    print(_format_shard_table(router, replicas=engine.replicas))
+    print(_format_shard_table(router))
     engine.close()
     return 0
 
@@ -680,7 +680,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             )
     if args.shards > 1:
         print("\nper-shard occupancy and load:")
-        print(_format_shard_table(engine.router, replicas=engine.replicas))
+        print(_format_shard_table(engine.router))
     if hasattr(engine, "close"):
         engine.close()
     return 0
@@ -933,7 +933,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="let the adaptive rebalancer take up to this many actions "
-        "(split / replicas / merge) before printing the table",
+        "(split / merge) before printing the table",
     )
     p.add_argument(
         "--workers",

@@ -26,12 +26,6 @@ from repro.query.pipeline.executor import (
     build_group_plan,
     build_sharded_plan,
 )
-from repro.query.pipeline.gather import (
-    HitPartial,
-    index_hits,
-    merge_hit_partials,
-    scan_hits,
-)
 from repro.query.pipeline.plan import (
     ENGINE_POLICY,
     SCALAR_POLICY,
@@ -58,7 +52,6 @@ __all__ = [
     "ExecutionPlan",
     "ExecutionPolicy",
     "FallbackOp",
-    "HitPartial",
     "MergeOp",
     "PipelinePlanner",
     "PlanContext",
@@ -74,7 +67,4 @@ __all__ = [
     "build_group_plan",
     "build_sharded_plan",
     "format_plan",
-    "merge_hit_partials",
-    "index_hits",
-    "scan_hits",
-    ]
+]

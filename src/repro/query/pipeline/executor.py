@@ -37,8 +37,8 @@ four historical execution paths.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -71,6 +71,7 @@ from repro.storage.sketch import bbox_disk_overlaps
 __all__ = [
     "PlanRuntime",
     "PlanExecutor",
+    "assemble_scatter",
     "build_group_plan",
     "build_sharded_plan",
 ]
@@ -168,17 +169,7 @@ class PlanExecutor:
                 op.method, len(op.queries), elapsed, op.eval_unit_cost
             )
         if self.load is not None and op.context.shard is not None:
-            # Scan-unit load on the planner's cost axis; ops the planner
-            # never priced fall back to rows-per-query (the naive scan's
-            # exact unit count, and a sane upper bound for index scans).
-            per_query = (
-                op.eval_unit_cost
-                if op.eval_unit_cost is not None
-                else float(max(op.context.n_rows, 1))
-            )
-            self.load(
-                op.context.shard, len(op.queries), per_query * len(op.queries), elapsed
-            )
+            record_scan_load(self.load, op, elapsed)
         if report is not None:
             report.record(op, elapsed)
 
@@ -239,10 +230,7 @@ class PlanExecutor:
                     hits_seen += n_hits
                     budget = _gather.block_budget(cells_seen, hits_seen)
             for src in sources:
-                # A source that folded replica ops back together charges
-                # each by its share of the queries.
-                for i in src.members:
-                    scan_s[i] = src.scan_s * (len(ops[i].queries) / len(src.op.queries))
+                scan_s[src.index] = src.scan_s
         for op, elapsed in zip(ops, scan_s):
             self._observe(op, elapsed, report)
         if report is not None:
@@ -250,13 +238,7 @@ class PlanExecutor:
         return BatchResult(plan.queries, values, support, answered=support > 0)
 
     def _run_scatter(self, plan: ExecutionPlan, report: Optional[PlanReport]) -> BatchResult:
-        result_ops: List[ResultOp] = []
-        fallback_ops: List[FallbackOp] = []
-        for op in plan.ops:
-            if isinstance(op, FallbackOp):
-                fallback_ops.append(op)
-            else:
-                result_ops.append(op)
+        result_ops = scatter_result_ops(plan)
 
         # Serial materialisation: cache + builder are guarded, and pool
         # threads must only ever touch immutable processors.
@@ -280,31 +262,56 @@ class PlanExecutor:
             results = [run_one(pair) for pair in pairs]
         else:
             results = self.pool.map(run_one, pairs)
+        return assemble_scatter(plan, results, lambda sub: self._run(sub, report))
 
-        # Single op covering the whole stream: already in stream order.
-        if (
-            len(result_ops) == 1
-            and not fallback_ops
-            and len(result_ops[0].queries) == plan.n_queries
-        ):
-            return results[0]
 
-        n = plan.n_queries
-        values = np.full(n, np.nan)
-        support = np.zeros(n, dtype=np.int64)
-        answered = np.zeros(n, dtype=bool)
-        for op, res in zip(result_ops, results):
-            idx = op.positions
-            values[idx] = res.values
-            support[idx] = res.support
-            answered[idx] = res.answered
-        for fop in fallback_ops:
-            res = self._run(fop.plan, report)
-            idx = fop.positions
-            values[idx] = res.values
-            support[idx] = res.support
-            answered[idx] = res.answered
-        return BatchResult(plan.queries, values, support, answered)
+def record_scan_load(load, op: ResultOp, seconds: Optional[float]) -> None:
+    """Report one executed op to a shard-load observer: scan-unit load
+    on the planner's cost axis; ops the planner never priced fall back
+    to rows-per-query (the naive scan's exact unit count, and a sane
+    upper bound for index scans)."""
+    per_query = (
+        op.eval_unit_cost
+        if op.eval_unit_cost is not None
+        else float(max(op.context.n_rows, 1))
+    )
+    load(op.context.shard, len(op.queries), per_query * len(op.queries), seconds)
+
+
+def scatter_result_ops(plan: ExecutionPlan) -> List[ResultOp]:
+    """A scatter-shaped plan's result-emitting ops, in plan order."""
+    return [op for op in plan.ops if not isinstance(op, FallbackOp)]
+
+
+def assemble_scatter(
+    plan: ExecutionPlan,
+    results: Sequence[BatchResult],
+    run_fallback: Callable[[ExecutionPlan], BatchResult],
+) -> BatchResult:
+    """A scatter-shaped plan's answer from the ``results`` of its
+    :func:`scatter_result_ops`, wherever they were run; fallback
+    sub-plans are answered by ``run_fallback``."""
+    result_ops = scatter_result_ops(plan)
+    fallback_ops = [op for op in plan.ops if isinstance(op, FallbackOp)]
+    # Single op covering the whole stream: already in stream order.
+    if (
+        len(result_ops) == 1
+        and not fallback_ops
+        and len(result_ops[0].queries) == plan.n_queries
+    ):
+        return results[0]
+
+    n = plan.n_queries
+    values = np.full(n, np.nan)
+    support = np.zeros(n, dtype=np.int64)
+    answered = np.zeros(n, dtype=bool)
+    results = [*results, *(run_fallback(op.plan) for op in fallback_ops)]
+    for op, res in zip(result_ops + fallback_ops, results):
+        idx = op.positions
+        values[idx] = res.values
+        support[idx] = res.support
+        answered[idx] = res.answered
+    return BatchResult(plan.queries, values, support, answered)
 
 
 # -- the blocked gather's geometry -------------------------------------------
@@ -320,8 +327,8 @@ MIN_GROUP_QUERIES = 32
 class _HitSource:
     """One hit-emitting scan, resolved once per execution for the block loop."""
 
-    members: List[int]  # positions in plan.ops of the op(s) this source scans for
-    op: ScanOp  # the op itself, or its replica ops folded back into one scan
+    index: int  # position of the op in plan.ops
+    op: ScanOp
     bound: BoundSlice
     prepared: object
     gids: np.ndarray  # the slice rows' global stream positions
@@ -444,50 +451,6 @@ class _KeyedWindow:
         return end, int(spent[end] - spent[first]), n_hits, scanned
 
 
-def _fold_replicas(
-    ops: Sequence[ScanOp], members: Sequence[int]
-) -> List[Tuple[List[int], ScanOp]]:
-    """A window's scans, replica ops folded back into one scan each.
-
-    Replica ops (consecutive in the plan, one bound context, ascending
-    disjoint query chunks) exist so the *process* executor can place a
-    hot shard's chunks on separate workers.  In process the block loop
-    is serial, and R sources over one slice only cost set-up and force
-    the sort wherever a block straddles two chunks — one source over
-    the same rows is provably in order again.
-    """
-    scans: List[Tuple[List[int], List[ScanOp]]] = []
-    for i in members:
-        op = ops[i]
-        if scans and op.replica:
-            last = scans[-1][1][-1]
-            if (
-                last.context == op.context
-                and last.method == op.method
-                and last.positions[-1] < op.positions[0]
-            ):
-                scans[-1][0].append(i)
-                scans[-1][1].append(op)
-                continue
-        scans.append(([i], [op]))
-    folded = []
-    for indices, parts in scans:
-        op = parts[0]
-        if len(parts) > 1:
-            op = replace(
-                op,
-                positions=np.concatenate([p.positions for p in parts]),
-                queries=QueryBatch(
-                    *(
-                        np.concatenate([getattr(p.queries, col) for p in parts])
-                        for col in ("t", "x", "y")
-                    )
-                ),
-            )
-        folded.append((indices, op))
-    return folded
-
-
 def _window_sources(runtime: PlanRuntime, ops: Sequence[ScanOp]) -> List[List[_HitSource]]:
     """A merge-shaped plan's scans, one list per window.
 
@@ -501,7 +464,8 @@ def _window_sources(runtime: PlanRuntime, ops: Sequence[ScanOp]) -> List[List[_H
     windows = []
     for members in by_window.values():
         sources = []
-        for indices, op in _fold_replicas(ops, members):
+        for i in members:
+            op = ops[i]
             bound = runtime.bound(op)
             _stamp, sub, gids = bound
             if not len(gids):
@@ -511,7 +475,7 @@ def _window_sources(runtime: PlanRuntime, ops: Sequence[ScanOp]) -> List[List[_H
                 if runtime.prepare_hits is not None
                 else None
             )
-            sources.append(_HitSource(indices, op, bound, prepared, gids, sub.s))
+            sources.append(_HitSource(i, op, bound, prepared, gids, sub.s))
         if sources:
             windows.append(sources)
     return windows
@@ -737,7 +701,6 @@ def build_sharded_plan(
     seed_cover: Optional[Callable[[int, int, int, object], None]] = None,
     want_estimates: bool = False,
     prune: bool = True,
-    replicas: Optional[Mapping[int, int]] = None,
 ) -> ExecutionPlan:
     """Plan for the region-sharded scatter-gather engine.
 
@@ -754,31 +717,23 @@ def build_sharded_plan(
     (every non-empty (shard, window) op gets the whole window's
     queries); both compile to byte-identical answers, which is the
     oracle the pruning benchmark and hypothesis suites enforce.
-
-    ``replicas`` maps hot shard ids to a read-replica count ``R > 1``:
-    that shard's hit scans are split into up to ``R`` ops over disjoint
-    query chunks sharing one bound context, so the process executor can
-    spread a hot shard's scan load across worker processes (in process
-    :func:`_fold_replicas` makes them one scan again).
-    The exact gather orders hits canonically by stream position, so
-    replica-split and unsplit plans are byte-identical by construction.
     """
     windows = binding.windows_for_times(queries.t)
     if method == "model-cover":
         return _cover_plan(
             binding, queries, windows, planner, radius_m, policy,
             allow_plan=False, seed_cover=seed_cover, want_estimates=want_estimates,
-            prune=prune, replicas=replicas,
+            prune=prune,
         )
     if method == "auto" and not planner.profile.needs_exact_average:
         return _cover_plan(
             binding, queries, windows, planner, radius_m, policy,
             allow_plan=True, seed_cover=seed_cover, want_estimates=want_estimates,
-            prune=prune, replicas=replicas,
+            prune=prune,
         )
     return _exact_plan(
         binding, queries, windows, method, planner, radius_m, policy,
-        want_estimates, prune=prune, replicas=replicas,
+        want_estimates, prune=prune,
     )
 
 
@@ -836,7 +791,6 @@ def _exact_plan(
     policy: ExecutionPolicy,
     want_estimates: bool = False,
     prune: bool = True,
-    replicas: Optional[Mapping[int, int]] = None,
 ) -> ExecutionPlan:
     """Merge-shaped plan: per-(window, shard) hit scans + exact gather.
 
@@ -974,29 +928,17 @@ def _exact_plan(
                 planner, sub, chosen, exact=True, shard=s, c=c, stamp=stamp
             )
         context = PlanContext(c, s, stamp, len(sub))
-        r = int(replicas.get(s, 1)) if replicas else 1
-        # Read replicas: a hot shard's scan is split into up to r ops
-        # over disjoint query chunks.  Every chunk binds the same pinned
-        # context (same rows), and the exact gather is canonical in
-        # stream position — identical answers, but the process executor
-        # can now run the chunks on separate workers.
-        cuts = [lo, hi]
-        if r > 1 and hi - lo > 1:
-            chunks = np.array_split(np.arange(lo, hi), min(r, hi - lo))
-            cuts = [int(chunk[0]) for chunk in chunks] + [hi]
-        for i, (a, b) in enumerate(zip(cuts, cuts[1:])):
-            ops.append(
-                ScanOp(
-                    context,
-                    chosen,
-                    positions[a:b],
-                    QueryBatch._of_columns(t[a:b], x[a:b], y[a:b]),
-                    emit="hits",
-                    est_unit_cost=est,
-                    eval_unit_cost=eval_est,
-                    replica=i,
-                )
+        ops.append(
+            ScanOp(
+                context,
+                chosen,
+                positions[lo:hi],
+                QueryBatch._of_columns(t[lo:hi], x[lo:hi], y[lo:hi]),
+                emit="hits",
+                est_unit_cost=est,
+                eval_unit_cost=eval_est,
             )
+        )
     merge = MergeOp(n, binding.stream_rows())
     return ExecutionPlan(
         binding, queries, tuple(ops), merge, policy, method, pruned=tuple(pruned)
@@ -1014,7 +956,6 @@ def _cover_plan(
     seed_cover: Optional[Callable[[int, int, int, object], None]],
     want_estimates: bool = False,
     prune: bool = True,
-    replicas: Optional[Mapping[int, int]] = None,
 ) -> ExecutionPlan:
     """Owner-shard cover ops plus the exact fallback sub-plan.
 
@@ -1084,7 +1025,6 @@ def _cover_plan(
             policy,
             want_estimates,
             prune=prune,
-            replicas=replicas,
         )
         ops.append(FallbackOp(positions, sub_plan))
     method = "auto" if allow_plan else "model-cover"

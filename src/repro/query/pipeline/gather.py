@@ -12,7 +12,7 @@ the query and the stream, never on how regions carved it up: answers
 are byte-identical for every shard count
 (``tests/test_engine_equivalence.py`` enforces this).
 
-In process the gather is **blocked** (the loop lives in
+The gather is **blocked** (the loop lives in
 :meth:`PlanExecutor._run_merge <repro.query.pipeline.executor.PlanExecutor>`):
 queries are walked in blocks of :data:`BLOCK_CELLS` ``queries x rows``
 cells (more where hits are sparse, see :func:`block_budget`), the
@@ -37,21 +37,25 @@ Nothing proportional to the plan's hit count is ever allocated — see
 "Memory discipline of the exact gather" in ``docs/architecture.md`` for
 why that matters more than the arithmetic.
 
-:func:`scan_hits` / :func:`index_hits` / :func:`merge_hit_partials` are
-the same numerics in whole-op units: hit triples are the **wire format**
-of :class:`~repro.query.pipeline.parallel.ProcessPlanExecutor`, whose
-workers' partials must cross a pipe before the parent merges them.
+This is the only exact gather there is: a query's answer reads nothing
+of any other query's, so a plan cut into contiguous ranges of queries
+gives, range by range, the bytes of the whole plan — which is how
+:class:`~repro.query.pipeline.parallel.ProcessPlanExecutor` spreads one
+plan over worker processes, each running this same loop and returning
+17 bytes a query.  The whole-op form it replaced (every hit of the plan
+as a triple, one global sort) is ``tests/reference_gather.py``, the
+oracle the blocked gather is held byte-equal to.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.data.tuples import TupleBatch
-from repro.query.base import BatchResult, QueryBatch
+from repro.query.base import QueryBatch
 from repro.query.indexed import IndexedProcessor
 
 #: Cells (queries x scanned rows) one block of the exact gather covers
@@ -90,10 +94,6 @@ def block_budget(cells_seen: int, hits_seen: int) -> int:
     cells = BLOCK_HITS * cells_seen // max(hits_seen, 1)
     return max(BLOCK_CELLS, min(cells, BLOCK_SCALE * BLOCK_CELLS))
 
-
-# Exact hit partials: parallel (query position, global stream position,
-# sensor value) arrays — what process workers send back to the parent.
-HitPartial = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 #: Local ``(query index, row index)`` hit pairs of one op over a query
 #: range: query indices non-decreasing, and — for the naive scan only —
@@ -237,84 +237,3 @@ def reduce_row_block(
     sums = np.add.reduceat(s.take(flat), bounds[hit])
     values[positions[hit]] = sums / counts[hit]
     support[positions] = counts
-
-
-# -- whole-op units: the process executor's wire format -----------------------
-
-
-def scan_hits(
-    window: TupleBatch, gids: np.ndarray, queries: QueryBatch, radius_m: float
-) -> HitPartial:
-    """All ``(query, stream position, value)`` hit triples of a radius scan.
-
-    ``gids`` are the window rows' global stream positions, aligned with
-    ``window``.  Walks the queries in :data:`BLOCK_CELLS` tiles of
-    :func:`scan_pairs`, so a worker's footprint stays the hit triples it
-    must ship anyway.
-    """
-    m, n = len(queries), len(window)
-    if not m or not n:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, np.empty(0)
-    step = max(1, BLOCK_CELLS // n)
-    pairs = [
-        scan_pairs(window, queries, lo, min(lo + step, m), radius_m)
-        for lo in range(0, m, step)
-    ]
-    qi, ti = (np.concatenate(part) for part in zip(*pairs))
-    return qi, gids[ti], window.s[ti]
-
-
-def index_hits(
-    processor: IndexedProcessor, gids: np.ndarray, queries: QueryBatch
-) -> HitPartial:
-    """Hit triples via an index — identical hit set to :func:`scan_hits`."""
-    qi, ti = index_pairs(processor, queries, 0, len(queries))
-    return qi, gids[ti], processor.window.s[ti]
-
-
-def merge_hit_partials(
-    n_queries: int,
-    n_stream_rows: int,
-    partials: Sequence[HitPartial],
-    queries: QueryBatch,
-) -> BatchResult:
-    """Exact partition-independent gather of whole-op hit partials.
-
-    The parent side of the process executor (in process the blocked
-    gather does the same per block) and the reference
-    ``tests/test_exact_gather.py`` holds :func:`reduce_hit_block`
-    byte-equal to — so do not optimise it independently: it is the
-    second statement of the sort-then-segmented-sum, kept deliberately
-    plain.  Hits are put in canonical
-    ``(query, stream position)`` order — a single stable sort of the
-    composite int64 key — and each query's values are summed with one
-    segmented ``np.add.reduceat``.  A tuple is owned by exactly one
-    shard and its stream position never changes, so the canonical
-    sequence per query is *the stream order itself*: every output byte
-    is independent of the region partition, and the 1-shard and N-shard
-    configurations agree exactly.
-    """
-    values = np.full(n_queries, np.nan)
-    support = np.zeros(n_queries, dtype=np.int64)
-    live = [p for p in partials if len(p[0])]
-    if live:
-        probe = np.concatenate([p for p, _, _ in live])
-        gid = np.concatenate([g for _, g, _ in live])
-        vals = np.concatenate([v for _, _, v in live])
-        # Under concurrent ingest a hit's gid can transiently exceed the
-        # row counter the caller read; widen the stride so the composite
-        # sort key stays collision-free either way.
-        stride = np.int64(max(n_stream_rows, int(gid.max()) + 1, 1))
-        order = np.argsort(probe.astype(np.int64) * stride + gid, kind="stable")
-        probe = probe[order]
-        vals = vals[order]
-        seg_starts = np.concatenate(
-            ([0], np.flatnonzero(np.diff(probe) != 0) + 1)
-        )
-        sums = np.add.reduceat(vals, seg_starts)
-        hit_queries = probe[seg_starts]
-        counts = np.bincount(probe, minlength=n_queries)
-        support = counts.astype(np.int64)
-        values[hit_queries] = sums / counts[hit_queries]
-    return BatchResult(queries, values, support, answered=support > 0)

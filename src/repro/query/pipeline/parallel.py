@@ -2,61 +2,83 @@
 
 The serial :class:`~repro.query.pipeline.executor.PlanExecutor` fans plan
 ops across a *thread* pool — real concurrency only where numpy drops the
-GIL.  This module executes the same
+GIL.  This module runs the same
 :class:`~repro.query.pipeline.plan.ExecutionPlan` IR on a persistent pool
-of **worker processes**, one interpreter per worker, so hit scans, index
-builds and Ad-KMN cover fits run truly in parallel:
+of **worker processes**, one interpreter per worker, so scans, index
+builds and Ad-KMN cover fits run truly in parallel.
+
+A worker is the three things the engine is: a *binding* (``(shard,
+window)`` to the pinned ``(stamp, slice, gids)``, here over
+shared-memory attachments), a bounded
+:class:`~repro.query.pipeline.cache.ProcessorCache` keyed and stamped
+exactly as the engine's, and a ``PlanExecutor`` wired by the engine's
+own :func:`~repro.query.sharded.shard_runtime`.  It is sent *sub-plans*,
+runs each through that executor unmodified and returns its ``(values,
+support, answered)`` — 17 bytes a query:
 
 * each region shard's committed raw-tuple prefix is published once into
   a :mod:`multiprocessing.shared_memory` block
-  (:class:`~repro.storage.shm.ShardExportRegistry`) — workers slice plan
-  ops' bound windows zero-copy out of the block, so a request ships only
-  the op metadata and its query coordinates, never the tuple columns;
-* ops are serialized as plain dicts at the plan-IR boundary: kind,
-  method, shard-local ``[start, stop)`` row range (resolved from the
-  plan's pinned binding, so workers read exactly the rows the builder
-  pinned), query arrays, and the Ad-KMN config for cover ops;
-* workers return hit triples / result arrays; the parent re-maps probe
-  indices through each op's stream positions and merges them with
-  :func:`~repro.query.pipeline.gather.merge_hit_partials` — the same
-  canonical ``(query, stream position)`` stable sort and segmented sum
-  the in-process blocked gather applies per block, over whole-op units
-  (hit triples are this executor's wire format: they must cross a
-  pipe).  The canonical order makes the merged answer independent of
-  which process produced which partial, so answers are
-  **byte-identical** to the serial executor's at any worker count.
+  (:class:`~repro.storage.shm.ShardExportRegistry`); a sub-plan ships
+  query coordinates and, per op, the block's name and the shard-local
+  ``[start, stop)`` row range of the op's pinned slice (resolved from
+  the plan's binding, so workers read exactly the rows the builder
+  pinned) — never the tuple columns;
+* a **merge-shaped** plan is cut by *query* into contiguous ranges of
+  equal scan cost (:meth:`ProcessPlanExecutor._chunks`), each a sub-plan
+  of every op restricted to the range.  A query's answer reads nothing
+  of any other query's, so the blocked gather over a range gives the
+  whole plan's bytes for that range wherever the cuts fall: answers are
+  **byte-identical** to the serial executor's at any worker count, and a
+  hot shard's scan spreads over the workers by construction;
+* a **scatter-shaped** plan's cover ops go to their shard's worker
+  (``shard % processes``: a cover is fitted once, on one worker), its
+  exact fallback sub-plans take the merge path, and the parent puts the
+  pieces together with the serial executor's own
+  :func:`~repro.query.pipeline.executor.assemble_scatter`.
 
-Worker-crash recovery: any failure on the process path — a worker killed
-mid-query (``kill -9``), a pipe timeout, a lost shared-memory block, an
-op the workers cannot serialize — abandons the process attempt and
-re-runs the *whole plan* in-process through the owning engine's serial
-executor.  The caller sees a correct (identical) answer either way;
-the dead worker is respawned lazily on the next request.
-
-Determinism note: worker-side cover fits call the same
-:func:`~repro.core.adkmn.fit_adkmn` on the same pinned rows with the same
-seeded config as the parent's cache build, so a cover answer computed in
-a worker is bit-for-bit the answer the parent would have computed.
+Any failure on the process path — a worker killed mid-query, a pipe
+timeout, an undecodable reply, a lost shared-memory block, a plan the
+workers cannot be sent — abandons the attempt and re-runs the *whole
+plan* in-process through the owning engine's serial executor: the same
+answer, counted by reason in
+:attr:`ProcessPlanExecutor.fallback_reasons`; a dead worker is respawned
+lazily on the next request.  Plans may be executed from several threads
+(the async server's pool does): a worker's pipe is held from a
+request's send to its reply, locks taken in worker-index order.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+import threading
 import traceback
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import Counter
+from contextlib import ExitStack
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.data.tuples import TupleBatch
 from repro.query.base import BatchResult, QueryBatch
-from repro.query.pipeline.gather import merge_hit_partials
+from repro.query.pipeline.cache import ProcessorCache
+from repro.query.pipeline.executor import (
+    PlanExecutor,
+    assemble_scatter,
+    record_scan_load,
+    scatter_result_ops,
+)
+from repro.query.pipeline.gather import BLOCK_CELLS
 from repro.query.pipeline.plan import (
+    VECTORISED_POLICY,
     CoverOp,
     ExecutionPlan,
     FallbackOp,
+    MergeOp,
+    PlanContext,
     PlanReport,
     ScanOp,
 )
-from repro.storage.shm import ShardExportDescriptor, ShardExportRegistry, attach_shard
+from repro.storage.shm import AttachedShard, ShardExportRegistry, attach_shard
 
 __all__ = ["ProcessPlanExecutor", "ProcessShardedEngine", "WorkerCrash"]
 
@@ -70,85 +92,96 @@ class _Unsupported(RuntimeError):
 
 
 # -- worker side -------------------------------------------------------------
-#
-# The worker is a tiny interpreter over serialized op dicts.  It keeps two
-# caches for the lifetime of the process: shared-memory attachments by
-# block name, and built processors (indexes, fitted covers) keyed by the
-# exact rows + method they were built from — so repeated heatmaps against
-# sealed windows pay the fit exactly once per worker, mirroring the
-# parent's epoch-keyed ProcessorCache (a block name pins immutable rows,
-# so no epoch is needed in the key).
 
 
-def _worker_main(conn) -> None:  # pragma: no cover - runs in child processes
-    from repro.core.adkmn import fit_adkmn
-    from repro.query.base import process_batch, process_batch_scalar
-    from repro.query.indexed import IndexedProcessor
-    from repro.query.modelcover import ModelCoverProcessor
-    from repro.query.naive import NaiveProcessor
-    from repro.query.pipeline.gather import index_hits, scan_hits
+class _WorkerBinding(dict):
+    """``(shard, window)`` to the pinned ``(stamp, slice, gids)``, filled
+    in by the request that carries the sub-plan."""
 
-    attachments: Dict[str, object] = {}
-    processors: Dict[tuple, object] = {}
+    def slice_for(self, shard: int, c: int) -> tuple:
+        return self[shard, c]
 
-    def resolve(spec):
-        desc: ShardExportDescriptor = spec["descriptor"]
-        attached = attachments.get(desc.shm_name)
-        if attached is None:
-            attached = attach_shard(desc)
-            attachments[desc.shm_name] = attached
-        start, stop = spec["start"], spec["stop"]
-        sub = attached.batch.slice(start, stop)
-        gids = attached.gids[start:stop]
-        return desc.shm_name, sub, gids
 
-    def processor_for(spec, sub, key_extra=()):
-        name = spec["descriptor"].shm_name
-        key = (name, spec["start"], spec["stop"], spec["method"]) + key_extra
-        proc = processors.get(key)
-        if proc is None:
-            if spec["method"] == "model-cover":
-                result = fit_adkmn(sub, spec["config"], window_c=spec["window_c"])
-                proc = ModelCoverProcessor(result.cover)
-            elif spec["method"] == "naive":
-                proc = NaiveProcessor(sub, radius_m=spec["radius_m"])
-            else:
-                proc = IndexedProcessor(
-                    sub, kind=spec["method"], radius_m=spec["radius_m"]
-                )
-            processors[key] = proc
-        return proc
+def _cut(plan: ExecutionPlan, lo: int, hi: int) -> tuple:
+    """A merge-shaped plan restricted to queries ``[lo, hi)``, as the
+    sub-plan :meth:`ProcessPlanExecutor._dispatch` takes: coordinates,
+    the plan's row counter, and ``(op, positions among those queries)``
+    per op that scans any."""
+    queries = plan.queries
+    ops = []
+    for op in plan.ops:
+        first, end = op.positions.searchsorted((lo, hi))  # positions ascend
+        if first < end:
+            ops.append((op, op.positions[first:end] - lo))
+    coords = (queries.t[lo:hi], queries.x[lo:hi], queries.y[lo:hi])
+    return coords, plan.merge.n_stream_rows, ops
 
-    def run_op(spec):
-        _, sub, gids = resolve(spec)
-        queries = QueryBatch(*spec["queries"])
-        if spec["kind"] == "hits":
-            if spec["method"] == "naive":
-                probe, gid, vals = scan_hits(sub, gids, queries, spec["radius_m"])
-            else:
-                proc = processor_for(spec, sub)
-                probe, gid, vals = index_hits(proc, gids, queries)
-            return spec["op_index"], ("hits", probe, gid, vals)
-        proc = processor_for(spec, sub, key_extra=(repr(spec.get("config")),))
-        if spec.get("vectorise", True):
-            res = process_batch(proc, queries)
+
+def _sub_plan(binding, coords, n_stream_rows: Optional[int], ops) -> ExecutionPlan:
+    """The plan a worker runs: ``ops`` are ``(context, method, positions
+    in coords)`` — hit scans and their merge when ``n_stream_rows`` is
+    given, else covers."""
+    queries = QueryBatch(*coords)
+    built = []
+    for context, method, positions in ops:
+        mine = QueryBatch._of_columns(
+            queries.t[positions], queries.x[positions], queries.y[positions]
+        )
+        if n_stream_rows is None:
+            built.append(CoverOp(context, positions, mine))
         else:
-            res = process_batch_scalar(proc, queries)
-        return spec["op_index"], ("result", res.values, res.support, res.answered)
+            built.append(ScanOp(context, method, positions, mine, emit="hits"))
+    merge = None if n_stream_rows is None else MergeOp(len(queries), n_stream_rows)
+    return ExecutionPlan(binding, queries, tuple(built), merge, VECTORISED_POLICY)
+
+
+def _worker_main(conn, radius_m, config, cache_capacity) -> None:  # pragma: no cover - child process
+    from repro.query.sharded import shard_runtime
+
+    cache = ProcessorCache(cache_capacity)
+    attached: Dict[int, Tuple[str, AttachedShard]] = {}  # one block per shard
+
+    def attachment(s: int, descriptor) -> AttachedShard:
+        name, shard = attached.get(s, (None, None))
+        if name != descriptor.shm_name:
+            # Requests reach a worker in the order their exports were
+            # taken, so another name is a newer block: unmap the old.
+            if shard is not None:
+                del attached[s]
+                shard.close()
+            shard = attach_shard(descriptor)
+            attached[s] = (descriptor.shm_name, shard)
+        return shard
+
+    def run(coords, n_stream_rows, specs):
+        binding = _WorkerBinding()
+        ops = []
+        for descriptor, start, stop, s, c, stamp, method, positions in specs:
+            shard = attachment(s, descriptor)
+            sub = shard.batch.slice(start, stop)
+            if method != "naive":
+                # A cover or an index is cached and outlives the
+                # attachment: it is built over rows of its own.
+                sub = TupleBatch(*(np.array(col) for col in (sub.t, sub.x, sub.y, sub.s)))
+            binding[s, c] = (stamp, sub, shard.gids[start:stop])
+            ops.append((PlanContext(c, s, stamp, stop - start), method, positions))
+        executor = PlanExecutor(shard_runtime(binding, cache, radius_m, config))
+        result = executor.execute(_sub_plan(binding, coords, n_stream_rows, ops))
+        return result.values, result.support, result.answered
 
     while True:
         try:
-            msg = conn.recv()
+            kind, request_id, body = conn.recv()
         except (EOFError, OSError):
             break
-        if msg[0] == "stop":
-            break
-        if msg[0] == "ping":
-            conn.send(("pong",))
-            continue
-        _, request_id, specs = msg
         try:
-            conn.send(("ok", request_id, [run_op(spec) for spec in specs]))
+            if kind == "stop":
+                break
+            if kind == "stats":
+                names = sorted(name for name, _shard in attached.values())
+                conn.send(("ok", request_id, (cache.stats.as_dict(), names)))
+            else:
+                conn.send(("ok", request_id, [run(*sub_plan) for sub_plan in body]))
         except Exception:
             conn.send(("err", request_id, traceback.format_exc()))
     conn.close()
@@ -160,39 +193,56 @@ def _worker_main(conn) -> None:  # pragma: no cover - runs in child processes
 class _Worker:
     """One persistent spawn-context worker behind a duplex pipe."""
 
-    def __init__(self, ctx) -> None:
+    def __init__(self, ctx, *worker_args) -> None:
         self.conn, child_conn = ctx.Pipe(duplex=True)
         self.process = ctx.Process(
-            target=_worker_main, args=(child_conn,), daemon=True
+            target=_worker_main, args=(child_conn, *worker_args), daemon=True
         )
         self.process.start()
         child_conn.close()
+        self.requests = 0  # id of the last request sent
 
     def alive(self) -> bool:
         return self.process.is_alive()
 
+    def send(self, kind: str, body=None) -> None:
+        self.requests += 1
+        self.conn.send((kind, self.requests, body))
+
+    def reply(self, timeout_s: float) -> Tuple[bool, object]:
+        """``(ok, body)`` of the reply to the last request sent; ``body``
+        is the worker's traceback when the request failed there."""
+        if not self.conn.poll(timeout_s):
+            raise WorkerCrash("worker timed out")
+        status, request_id, body = self.conn.recv()
+        if request_id != self.requests:
+            raise WorkerCrash("worker answered another request")
+        return status == "ok", body
+
     def stop(self) -> None:
         try:
             if self.process.is_alive():
-                self.conn.send(("stop",))
+                self.send("stop")
                 self.process.join(timeout=2.0)
         except (BrokenPipeError, OSError):
             pass
-        if self.process.is_alive():  # pragma: no cover - stuck worker
+        self.kill()
+
+    def kill(self) -> None:
+        if self.process.is_alive():
             self.process.terminate()
             self.process.join(timeout=2.0)
         self.conn.close()
 
 
 class ProcessPlanExecutor:
-    """Executes sharded plans on a persistent per-shard process pool.
+    """Executes sharded plans on a persistent process pool.
 
     ``engine`` is the owning
     :class:`~repro.query.sharded.ShardedQueryEngine` — the process path
-    reads its router for shard prefixes and its config/radius for op
-    serialization, and its serial executor is the crash-recovery
-    fallback.  Shard ``s`` is always served by worker ``s % processes``,
-    so each worker's processor cache stays hot for its shards.
+    reads its router for shard prefixes, starts workers with its radius,
+    config and cache capacity, and its serial executor is the
+    crash-recovery fallback.  Thread-safe.
     """
 
     def __init__(
@@ -209,17 +259,27 @@ class ProcessPlanExecutor:
         self.registry = ShardExportRegistry()
         self._ctx = mp.get_context("spawn")
         self._workers: List[Optional[_Worker]] = [None] * processes
-        self._request_counter = 0
-        self.fallbacks = 0  # plans that degraded to in-process execution
+        #: Held from a request's send to its reply; also guards the slot.
+        self._locks = [threading.Lock() for _ in range(processes)]
+        #: Plans that degraded to in-process execution, by the first
+        #: clause of the failure's message.
+        self.fallback_reasons: Counter = Counter()
+        self._count_lock = threading.Lock()
+
+    @property
+    def fallbacks(self) -> int:
+        """Plans that degraded to in-process execution."""
+        return sum(self.fallback_reasons.values())
 
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
         """Stop every worker and unlink every shared-memory export."""
-        for i, worker in enumerate(self._workers):
-            if worker is not None:
-                worker.stop()
-                self._workers[i] = None
+        for i, lock in enumerate(self._locks):
+            with lock:
+                worker, self._workers[i] = self._workers[i], None
+                if worker is not None:
+                    worker.stop()
         self.registry.close()
 
     def __enter__(self) -> "ProcessPlanExecutor":
@@ -229,16 +289,30 @@ class ProcessPlanExecutor:
         self.close()
 
     def _worker(self, index: int) -> _Worker:
+        """The live worker in slot ``index`` (whose lock is held)."""
         worker = self._workers[index]
         if worker is None or not worker.alive():
             if worker is not None:
-                worker.stop()
-            worker = _Worker(self._ctx)
-            self._workers[index] = worker
+                worker.kill()
+            engine = self.engine
+            worker = self._workers[index] = _Worker(
+                self._ctx, engine.radius_m, engine.config, engine.processor_cache.capacity
+            )
         return worker
 
-    def _worker_for_shard(self, s: int) -> int:
-        return s % self.processes
+    def worker_stats(self) -> List[Optional[Tuple[dict, List[str]]]]:
+        """Per worker slot: its processor cache's counters and the names
+        of the shared-memory blocks it maps (None: no live worker)."""
+        stats: List[Optional[Tuple[dict, List[str]]]] = []
+        for index, lock in enumerate(self._locks):
+            with lock:
+                worker = self._workers[index]
+                if worker is None or not worker.alive():
+                    stats.append(None)
+                    continue
+                worker.send("stats")
+                stats.append(worker.reply(self.timeout_s)[1])
+        return stats
 
     # -- execution -----------------------------------------------------------
 
@@ -248,87 +322,90 @@ class ProcessPlanExecutor:
         """Run ``plan``; degrade to the engine's in-process executor on any
         worker failure (identical answer, never an error)."""
         try:
-            return self._execute_process(plan)
-        except (WorkerCrash, _Unsupported):
-            self.fallbacks += 1
+            return self._run(plan)
+        except (WorkerCrash, _Unsupported) as exc:
+            with self._count_lock:
+                self.fallback_reasons[str(exc).partition(":")[0]] += 1
             return self.engine.execute(plan, report)
 
-    def _execute_process(self, plan: ExecutionPlan) -> BatchResult:
-        if plan.merge is not None:
-            return self._execute_merge(plan)
-        return self._execute_scatter(plan)
-
-    def _execute_merge(self, plan: ExecutionPlan) -> BatchResult:
-        ops: Sequence[ScanOp] = plan.ops  # type: ignore[assignment]
-        replies = self._dispatch(plan, list(ops))
-        partials = []
-        for op, payload in zip(ops, replies):
-            kind, probe, gid, vals = payload
-            if kind != "hits":  # pragma: no cover - protocol invariant
-                raise WorkerCrash("expected hit partial")
-            partials.append((op.positions[probe], gid, vals))
-        merge = plan.merge
-        assert merge is not None
-        return merge_hit_partials(
-            merge.n_queries, merge.n_stream_rows, partials, plan.queries
-        )
-
-    def _execute_scatter(self, plan: ExecutionPlan) -> BatchResult:
-        result_ops: List[ScanOp | CoverOp] = []
-        fallback_ops: List[FallbackOp] = []
-        for op in plan.ops:
-            if isinstance(op, FallbackOp):
-                fallback_ops.append(op)
-            else:
-                result_ops.append(op)
-        replies = self._dispatch(plan, result_ops)
-        results = []
-        for op, payload in zip(result_ops, replies):
-            kind, values, support, answered = payload
-            if kind != "result":  # pragma: no cover - protocol invariant
-                raise WorkerCrash("expected result arrays")
-            results.append(BatchResult(op.queries, values, support, answered))
-        # Sub-plans run on the process path too (they are merge-shaped) —
-        # and if *they* crash-fall-back the whole plan falls back, keeping
-        # one execution discipline per request.
-        sub_results = [self._execute_process(fop.plan) for fop in fallback_ops]
-        if (
-            len(result_ops) == 1
-            and not fallback_ops
-            and len(result_ops[0].queries) == plan.n_queries
-        ):
-            return results[0]
-        n = plan.n_queries
-        values = np.full(n, np.nan)
-        support = np.zeros(n, dtype=np.int64)
-        answered = np.zeros(n, dtype=bool)
-        for op, res in zip(result_ops, results):
-            idx = op.positions
-            values[idx] = res.values
-            support[idx] = res.support
-            answered[idx] = res.answered
-        for fop, res in zip(fallback_ops, sub_results):
-            idx = fop.positions
-            values[idx] = res.values
-            support[idx] = res.support
-            answered[idx] = res.answered
-        return BatchResult(plan.queries, values, support, answered)
-
-    # -- op serialization ----------------------------------------------------
-
-    def _serialize_op(self, plan: ExecutionPlan, op) -> dict:
-        s = op.context.shard
-        if s is None:
+    def _run(self, plan: ExecutionPlan) -> BatchResult:
+        # A worker's binding is over region shards' exports.
+        if any(not isinstance(op, FallbackOp) and op.context.shard is None for op in plan.ops):
             raise _Unsupported("process execution needs sharded plan contexts")
         if not self.engine.router.prefix_exportable:
             # The segment store pages sealed windows to segment files, so no
             # contiguous in-memory shard prefix exists to export over
-            # shared memory.  The executor's documented fallback runs the
-            # whole plan in-process — byte-identical answers, same plan.
+            # shared memory.
             raise _Unsupported("router does not export contiguous shard prefixes")
-        c = op.context.window_c
-        _stamp, sub, _gids = plan.binding.slice_for(s, c)
+        if plan.merge is not None:
+            return self._run_merge(plan)
+        return self._run_scatter(plan)
+
+    def _run_merge(self, plan: ExecutionPlan) -> BatchResult:
+        n = plan.n_queries
+        values = np.full(n, np.nan)
+        support = np.zeros(n, dtype=np.int64)
+        answered = np.zeros(n, dtype=bool)
+        chunks = self._chunks(plan)
+        replies = self._dispatch(
+            plan, {windex: [_cut(plan, lo, hi)] for windex, lo, hi in chunks}
+        )
+        for windex, lo, hi in chunks:
+            values[lo:hi], support[lo:hi], answered[lo:hi] = replies[windex][0]
+        return BatchResult(plan.queries, values, support, answered)
+
+    def _chunks(self, plan: ExecutionPlan) -> List[Tuple[int, int, int]]:
+        """``(worker, first, end)`` per sub-plan of a merge-shaped plan:
+        contiguous ranges of ``plan.queries`` of equal scan cost, a query
+        costing the rows of every slice that scans it (what a block of
+        the gather is budgeted in) — a function of the plan alone.  At
+        most ``processes`` ranges, and no more than the plan has
+        :data:`~repro.query.pipeline.gather.BLOCK_CELLS` of cost: a point
+        or route query stays on one worker.  Range ``i`` goes to worker
+        ``(home + i) % processes``, ``home`` the first op's shard's.
+        """
+        if not plan.ops:
+            return []
+        cost = np.zeros(plan.n_queries, dtype=np.int64)
+        for op in plan.ops:
+            cost[op.positions] += op.context.n_rows
+        spent = np.cumsum(cost)
+        total = int(spent[-1])
+        k = max(1, min(self.processes, total // BLOCK_CELLS))
+        cuts = spent.searchsorted(total * np.arange(1, k) // k, side="right")
+        cuts = np.unique(np.concatenate(([0], cuts, [plan.n_queries]))).tolist()
+        home = plan.ops[0].context.shard
+        return [
+            ((home + i) % self.processes, lo, hi)
+            for i, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
+        ]
+
+    def _run_scatter(self, plan: ExecutionPlan) -> BatchResult:
+        result_ops = scatter_result_ops(plan)
+        requests: Dict[int, list] = {}
+        for op in result_ops:  # a sub-plan each, on its shard's worker
+            q = op.queries
+            requests.setdefault(op.context.shard % self.processes, []).append(
+                ((q.t, q.x, q.y), None, [(op, np.arange(len(q)))])
+            )
+        replies = {w: iter(parts) for w, parts in self._dispatch(plan, requests).items()}
+        results = [
+            BatchResult(op.queries, *next(replies[op.context.shard % self.processes]))
+            for op in result_ops
+        ]
+        # Sub-plans run on the process path too (they are merge-shaped) —
+        # and if *they* crash-fall-back the whole plan falls back, keeping
+        # one execution discipline per request.
+        return assemble_scatter(plan, results, self._run)
+
+    # -- op serialization ----------------------------------------------------
+
+    def _export(self, plan: ExecutionPlan, op) -> tuple:
+        """The wire form of ``op``'s pinned slice: its shard's export
+        descriptor, the shard-local row range, ``(shard, window, stamp)``."""
+        s, c = op.context.shard, op.context.window_c
         router = self.engine.router
+        stamp, sub, _gids = plan.binding.slice_for(s, c)
         # The binding's slice is pinned at plan-build time, but cuts and
         # shard prefixes are read *live* here — a shard split/merge
         # between build and dispatch would pair old-layout slices with
@@ -350,109 +427,66 @@ class ProcessPlanExecutor:
             # A rebalance raced the cut/prefix reads above; the ranges
             # may describe the new layout's rows.
             raise _Unsupported("shard layout changed during serialization")
-        spec = {
-            "op_index": 0,  # assigned by the dispatcher
-            "kind": "hits" if getattr(op, "emit", "result") == "hits" else "result",
-            "method": op.method,
-            "descriptor": descriptor,
-            "start": start,
-            "stop": stop,
-            "window_c": c,
-            "shard": s,
-            "queries": (op.queries.t, op.queries.x, op.queries.y),
-            "radius_m": self.engine.radius_m,
-        }
-        if op.method == "model-cover":
-            spec["config"] = self.engine.config
-        if isinstance(op, ScanOp) and op.emit == "result":
-            spec["vectorise"] = op.vectorise
-        return spec
+        return descriptor, start, stop, s, c, stamp
 
     # -- dispatch ------------------------------------------------------------
 
-    def _dispatch(self, plan: ExecutionPlan, ops: Sequence) -> List[tuple]:
-        """Run ``ops`` across the pool; returns payloads in op order."""
-        if not ops:
-            return []
-        by_worker: Dict[int, List[dict]] = {}
-        # Deterministic least-loaded placement for replica ops: a
-        # shard's primary op (replica 0) stays on its home worker, so
-        # that worker's processor cache stays hot; the extra replica
-        # chunks of a hot shard go wherever the least query load has
-        # accumulated so far (ties break on the lowest worker index).
-        loads = [0] * self.processes
-        for op_index, op in enumerate(ops):
-            spec = self._serialize_op(plan, op)
-            spec["op_index"] = op_index
-            if getattr(op, "replica", 0) > 0:
-                windex = min(range(self.processes), key=lambda w: (loads[w], w))
-            else:
-                windex = self._worker_for_shard(spec["shard"])
-            loads[windex] += len(op.queries)
-            by_worker.setdefault(windex, []).append(spec)
-        self._request_counter += 1
-        request_id = self._request_counter
-        pending: List[Tuple[int, _Worker]] = []
-        try:
-            for windex, specs in by_worker.items():
-                worker = self._worker(windex)
-                worker.conn.send(("run", request_id, specs))
-                pending.append((windex, worker))
-        except (BrokenPipeError, OSError) as exc:
-            self._reap(pending)
-            raise WorkerCrash(f"worker pipe failed during send: {exc}") from exc
-        payloads: List[Optional[tuple]] = [None] * len(ops)
-        failure: Optional[str] = None
-        for windex, worker in pending:
+    def _dispatch(self, plan: ExecutionPlan, requests: Dict[int, list]) -> Dict[int, list]:
+        """Run each worker index's sub-plans ``(coords, n_stream_rows,
+        [(op, positions)])``; returns, per worker, their ``(values,
+        support, answered)`` in order."""
+        ops = {id(op): op for subs in requests.values() for sub in subs for op, _ in sub[2]}
+        with ExitStack() as held:
+            # Every pipe this plan uses is held, in worker-index order,
+            # from its send to its reply: two plans' frames never
+            # interleave on a pipe.  Exports are taken under the same
+            # locks, so a worker sees a shard's descriptors oldest first
+            # — and before anything is sent, so no reply is left unread.
+            for windex in sorted(requests):
+                held.enter_context(self._locks[windex])
+            exported = {key: self._export(plan, op) for key, op in ops.items()}
+            pending: List[Tuple[int, _Worker]] = []
             try:
-                if not worker.conn.poll(self.timeout_s):
-                    raise WorkerCrash(f"worker {windex} timed out")
-                status, got_id, body = worker.conn.recv()
-            except (EOFError, OSError, WorkerCrash) as exc:
-                self._kill(windex)
-                failure = failure or str(exc)
-                continue
-            if status != "ok" or got_id != request_id:
-                failure = failure or f"worker {windex}: {body}"
-                continue
-            for op_index, payload in body:
-                payloads[op_index] = payload
-        if failure is not None or any(p is None for p in payloads):
-            raise WorkerCrash(failure or "incomplete worker replies")
-        # Record scan load on the router's tracker (workers do not time
-        # their scans per-op, so seconds is None — the tracker keeps its
-        # unit-based EWMA either way).
-        tracker = self.engine.router.load
-        for op in ops:
-            per_query = (
-                op.eval_unit_cost
-                if getattr(op, "eval_unit_cost", None) is not None
-                else float(max(op.context.n_rows, 1))
-            )
-            tracker.record_scan(
-                op.context.shard, len(op.queries),
-                per_query * len(op.queries), None,
-            )
-        return payloads  # type: ignore[return-value]
+                for windex, subs in requests.items():
+                    worker = self._worker(windex)
+                    pending.append((windex, worker))
+                    worker.send("run", [
+                        (coords, rows, [(*exported[id(op)], op.method, at) for op, at in pairs])
+                        for coords, rows, pairs in subs
+                    ])
+            except (BrokenPipeError, OSError) as exc:
+                for windex, _worker in pending:
+                    self._kill(windex)
+                raise WorkerCrash(f"worker pipe failed during send: {exc}") from exc
+            replies: Dict[int, list] = {}
+            failure: Optional[str] = None
+            for windex, worker in pending:
+                try:
+                    ok, body = worker.reply(self.timeout_s)
+                except Exception as exc:
+                    # A time-out, EOF, a broken pipe, or bytes that do
+                    # not decode: whatever a child process sent, it is
+                    # not trusted with the next request either.
+                    self._kill(windex)
+                    lost = f"worker lost: {type(exc).__name__}: {exc}"
+                    failure = failure or (str(exc) if isinstance(exc, WorkerCrash) else lost)
+                    continue
+                if ok:
+                    replies[windex] = body
+                else:
+                    failure = failure or f"worker error: {body}"
+            if failure is not None:
+                raise WorkerCrash(failure)
+        # Workers do not time their scans per op: seconds is None, and
+        # the tracker keeps its unit-based EWMA either way.
+        for op in ops.values():
+            record_scan_load(self.engine.router.load.record_scan, op, None)
+        return replies
 
     def _kill(self, windex: int) -> None:
-        worker = self._workers[windex]
+        worker, self._workers[windex] = self._workers[windex], None
         if worker is not None:
-            try:
-                if worker.process.is_alive():
-                    worker.process.terminate()
-                    worker.process.join(timeout=2.0)
-            except Exception:  # pragma: no cover - already gone
-                pass
-            try:
-                worker.conn.close()
-            except OSError:  # pragma: no cover
-                pass
-            self._workers[windex] = None
-
-    def _reap(self, pending) -> None:
-        for windex, _worker in pending:
-            self._kill(windex)
+            worker.kill()
 
 
 class ProcessShardedEngine:

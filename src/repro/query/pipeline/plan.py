@@ -88,12 +88,6 @@ class ScanOp:
     #: the unit load the executor's *timed region* actually performs,
     #: and therefore the normaliser for planner feedback.
     eval_unit_cost: Optional[float] = None
-    #: Read-replica index: a hot shard's hit scan is split into one op
-    #: per replica (same bound context, disjoint query chunks), so the
-    #: process executor can spread the shard's scan load across worker
-    #: processes.  The exact gather's canonical ordering makes
-    #: replica-split answers byte-identical to the single-op answer.
-    replica: int = 0
 
     kind = "scan"
 
@@ -115,7 +109,7 @@ class CoverOp:
 
 @dataclass(frozen=True)
 class MergeOp:
-    """Exact gather of every hit-emitting scan's triples."""
+    """Exact gather of every hit-emitting scan's hits."""
 
     n_queries: int
     n_stream_rows: int

@@ -25,15 +25,14 @@ window)``, which recalibrates from the executor's observed op timings.
 The exact-merge semantics (hits in stream order — by construction
 where a window's slices can be merged, by one stable sort per block
 where not — and one segmented reduction per block) are documented with
-the primitives in :mod:`repro.query.pipeline.gather`, which this module
-re-exports for compatibility.
+the primitives in :mod:`repro.query.pipeline.gather`.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -46,15 +45,6 @@ from repro.query.indexed import IndexedProcessor, available_index_kinds
 from repro.query.modelcover import ModelCoverProcessor
 from repro.query.pipeline.binding import RouterBinding
 from repro.query.pipeline.cache import CacheStats, ProcessorCache
-
-# Re-exported for compatibility: the exact-gather primitives moved into
-# the pipeline package.
-from repro.query.pipeline.gather import (  # noqa: F401
-    HitPartial,
-    index_hits,
-    merge_hit_partials,
-    scan_hits,
-)
 from repro.query.pipeline.gather import index_pairs, scan_pairs, scan_tile
 from repro.query.pipeline.executor import PlanExecutor, PlanRuntime, build_sharded_plan
 from repro.query.pipeline.plan import (
@@ -62,13 +52,65 @@ from repro.query.pipeline.plan import (
     ExecutionPlan,
     PlanReport,
     PruneStats,
-    ScanOp,
 )
 from repro.query.pipeline.planner import PipelinePlanner, PlannerFeedback
 from repro.query.planner import QueryProfile
 from repro.storage.shards import ShardRouter, StaleLayoutError
 
 SHARDED_METHODS = ("naive",) + available_index_kinds() + ("model-cover", "auto")
+
+
+def shard_runtime(
+    binding, cache: ProcessorCache, radius_m: float, config: AdKMNConfig
+) -> PlanRuntime:
+    """The executor's primitives over region shards — the one wiring
+    :class:`ShardedQueryEngine` and every worker process of
+    :mod:`repro.query.pipeline.parallel` run plans with.
+
+    ``binding`` resolves an op's ``(shard, window)`` to its pinned
+    ``(stamp, slice, gids)``.  Covers and indexes live in ``cache``
+    under ``("cover", s, c)`` / ``("index", s, c, kind)`` at the slice's
+    content stamp, built outside the cache lock so distinct processors
+    materialise in parallel (a lost insert race just discards the
+    duplicate — builds only read immutable slices).
+    """
+
+    def cover(op, bound):
+        stamp, sub, _gids = bound
+        s, c = op.context.shard, op.context.window_c
+
+        def build() -> ModelCoverProcessor:
+            return ModelCoverProcessor(fit_adkmn(sub, config, window_c=c).cover)
+
+        return cache.get_or_build(("cover", s, c), stamp, build, shared_build=True)
+
+    def prepare_hits(op, bound):
+        # Materialise the index before the block loop and outside the
+        # executor's timers, so the planner's feedback only ever
+        # observes scan cost.  The processor is returned — not
+        # re-fetched in hits() — so LRU pressure cannot
+        # evict-and-rebuild it inside a timer.
+        if op.method == "naive":
+            return None
+        stamp, sub, _gids = bound
+        return cache.get_or_build(
+            ("index", op.context.shard, op.context.window_c, op.method),
+            stamp,
+            lambda: IndexedProcessor(sub, kind=op.method, radius_m=radius_m),
+            shared_build=True,
+        )
+
+    def hits(op, bound, prepared, lo: int, hi: int):
+        if op.method == "naive":
+            return scan_pairs(bound[1], op.queries, lo, hi, radius_m)
+        return index_pairs(prepared, op.queries, lo, hi)
+
+    def scan(wx, wy, qx, qy):
+        return scan_tile(wx, wy, qx, qy, radius_m)
+
+    return PlanRuntime(
+        binding, processor=cover, hits=hits, prepare_hits=prepare_hits, scan=scan
+    )
 
 
 class ShardedQueryEngine:
@@ -131,14 +173,6 @@ class ShardedQueryEngine:
             radius_m=radius_m,
             feedback=PlannerFeedback(),
         )
-        # Read-replica plan: shard id -> replica count R > 1.  Plan
-        # builders split the shard's hit scans into R ops over disjoint
-        # query chunks (byte-identical answers; the exact gather is
-        # canonical), so the process executor can spread one hot shard's
-        # scan load across workers; the in-process executor folds them
-        # back into one scan.  Set by the rebalancer (or tests) via
-        # :meth:`set_replicas`; replaced wholesale, never mutated.
-        self._replicas: Dict[int, int] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -170,25 +204,6 @@ class ShardedQueryEngine:
         """Cumulative scatter-pruning counters across every plan built."""
         return self._prune_stats
 
-    @property
-    def replicas(self) -> Dict[int, int]:
-        """The active read-replica plan (shard id -> replica count)."""
-        return dict(self._replicas)
-
-    def set_replicas(self, replicas: Optional[Mapping[int, int]]) -> None:
-        """Install a read-replica plan for subsequently built plans.
-
-        Entries with a count below 2 are dropped (one replica is just
-        the shard itself).  Plans already built keep the replica layout
-        they were compiled with — replicas are a plan-shape choice, not
-        a storage state, so no epoch is involved.
-        """
-        cleaned: Dict[int, int] = {}
-        for s, r in (replicas or {}).items():
-            if int(r) >= 2:
-                cleaned[int(s)] = int(r)
-        self._replicas = cleaned
-
     def close(self) -> None:
         """Release the worker pool (idempotent; recreated on demand)."""
         self._executor.shutdown()
@@ -200,34 +215,6 @@ class ShardedQueryEngine:
         self.close()
 
     # -- shared caches -----------------------------------------------------
-
-    def _index_processor(
-        self, s: int, c: int, kind: str, stamp: int, sub: TupleBatch
-    ) -> IndexedProcessor:
-        """Index over the given shard slice of window ``c`` (cached).
-
-        Builds outside the cache lock so concurrent shard tasks can
-        materialise distinct processors in parallel (a lost insert race
-        just discards the duplicate — builds only read immutable window
-        slices, so duplicates are equivalent).
-        """
-        return self._cache.get_or_build(
-            ("index", s, c, kind),
-            stamp,
-            lambda: IndexedProcessor(sub, kind=kind, radius_m=self.radius_m),
-            shared_build=True,
-        )
-
-    def _cover_processor(
-        self, s: int, c: int, stamp: int, sub: TupleBatch
-    ) -> ModelCoverProcessor:
-        def build() -> ModelCoverProcessor:
-            result = fit_adkmn(sub, self.config, window_c=c)
-            return ModelCoverProcessor(result.cover)
-
-        return self._cache.get_or_build(
-            ("cover", s, c), stamp, build, shared_build=True
-        )
 
     def _seed_cover(self, s: int, c: int, stamp: int, proc) -> None:
         """Planner hook: pricing a model-cover plan already paid for the
@@ -304,7 +291,6 @@ class ShardedQueryEngine:
                     seed_cover=self._seed_cover,
                     want_estimates=want_estimates,
                     prune=self.prune if prune is None else prune,
-                    replicas=self._replicas or None,
                 )
                 break
             except StaleLayoutError:
@@ -314,43 +300,10 @@ class ShardedQueryEngine:
         return plan
 
     def _plan_executor(self, plan: ExecutionPlan) -> PlanExecutor:
-        def materialise(op, bound):
-            stamp, sub, _gids = bound
-            s, c = op.context.shard, op.context.window_c
-            return self._cover_processor(s, c, stamp, sub)
-
-        def prepare_hits(op: ScanOp, bound):
-            # Materialise the index before the block loop and outside the
-            # executor's timers, so the planner's feedback only ever
-            # observes scan cost.  The processor is returned — not
-            # re-fetched in hits() — so LRU pressure cannot
-            # evict-and-rebuild it inside a timer.
-            stamp, sub, _gids = bound
-            if op.method == "naive":
-                return None
-            return self._index_processor(
-                op.context.shard, op.context.window_c, op.method, stamp, sub
-            )
-
-        def hits(op: ScanOp, bound, prepared, lo: int, hi: int):
-            if op.method == "naive":
-                return scan_pairs(bound[1], op.queries, lo, hi, self.radius_m)
-            return index_pairs(prepared, op.queries, lo, hi)
-
-        def scan(wx, wy, qx, qy):
-            return scan_tile(wx, wy, qx, qy, self.radius_m)
-
-        runtime = PlanRuntime(
-            plan.binding,
-            processor=materialise,
-            hits=hits,
-            prepare_hits=prepare_hits,
-            scan=scan,
-        )
         # Feed per-op scan load to the router's tracker so the adaptive
         # rebalancer sees read skew, not just ingest skew.
         return PlanExecutor(
-            runtime,
+            shard_runtime(plan.binding, self._cache, self.radius_m, self.config),
             pool=self._executor,
             planner=self._planner,
             load=self.router.load.record_scan,

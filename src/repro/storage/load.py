@@ -8,7 +8,7 @@ the queries it answered, the scan units it evaluated and the wall time
 the executor's timed region observed.  Cumulative counters feed
 observability (the CLI shards table, the benchmark histograms); the
 exponentially-weighted recent-load estimate feeds the
-:class:`~repro.storage.rebalance.ShardRebalancer`'s split/merge/replica
+:class:`~repro.storage.rebalance.ShardRebalancer`'s split/merge
 decisions, so one historical burst cannot pin a layout forever.
 
 The tracker is owned by the shard router and mutated under the router's

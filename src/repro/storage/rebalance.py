@@ -2,23 +2,21 @@
 
 The mechanism lives elsewhere — :meth:`ShardRouter.split_shard` /
 :meth:`ShardRouter.merge_cell` re-cut the layout as epoch-bumped
-transactions, and the engines split hot shards' scans into read-replica
-ops (:meth:`ShardedQueryEngine.set_replicas`).  This module is only the
-*policy*: look at the :class:`~repro.storage.load.ShardLoadTracker`'s
-EWMA skew and decide, one action per step, what to do about it:
+transactions.  This module is only the *policy*: look at the
+:class:`~repro.storage.load.ShardLoadTracker`'s EWMA skew and decide,
+one action per step, what to do about it:
 
 1. a shard far above the mean load whose grid cell is still unsplit is
    **split** 2x2 (1x2 / 2x1 on degenerate strip grids) — ingest *and*
    query traffic for the hot region now spreads over the sub-tiles, and
    the sub-tiles' tighter zone-map sketches prune scatter fan-out that
    the whole cell could not;
-2. a hot shard whose cell is already at the refinement limit gets
-   **read replicas** instead — same rows, scanned as several ops over
-   disjoint query chunks that the process executor places on separate
-   workers (the in-process executor, whose exact gather is serial,
-   folds them back into one scan: there they neither help nor cost);
-3. a split cell whose tiles have *all* gone cold is **re-merged**, so a
+2. a split cell whose tiles have *all* gone cold is **re-merged**, so a
    workload that moves on does not leave refinement debt behind.
+
+A hot tile already at the refinement limit is left as it is: the
+process executor cuts a plan by scan cost, not by shard, so one shard's
+load already spreads over every worker.
 
 One action per step keeps the loop observable and testable: callers
 (the benchmark, an operator cron, tests) run steps until
@@ -30,7 +28,7 @@ load, making the policy scale-free in both row counts and query rates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -46,42 +44,31 @@ class RebalanceAction:
     """What one :meth:`ShardRebalancer.step` did.
 
     ``kind`` is ``"split"`` (``shard`` split into ``new_shards``),
-    ``"merge"`` (``cell``'s tiles folded into ``shard``), ``"replicas"``
-    (``replicas`` is the new plan installed on the engine) or ``"none"``.
+    ``"merge"`` (``cell``'s tiles folded into ``shard``) or ``"none"``.
     """
 
     kind: str
     shard: Optional[int] = None
     cell: Optional[int] = None
     new_shards: Tuple[int, ...] = ()
-    replicas: Dict[int, int] = field(default_factory=dict)
     skew: float = 1.0
 
 
 class ShardRebalancer:
     """Policy loop pairing a router's load tracker with its re-cut API.
 
-    ``engine`` is optional: when given (a
-    :class:`~repro.query.sharded.ShardedQueryEngine`), replica decisions
-    are installed on it directly; otherwise they are only returned in
-    the action for the caller to apply.
-
     ``split_threshold`` — a shard is *hot* when its EWMA load exceeds
     this multiple of the mean active-shard load.  ``merge_threshold`` —
     a split cell re-merges when every tile is below this multiple.
     ``min_rows_to_split`` keeps the policy from thrashing tiny shards
-    whose absolute cost is noise.  ``max_replicas`` caps how many ops
-    (worker processes, under the process executor) a single hot shard's
-    scan is split into.
+    whose absolute cost is noise.
     """
 
     def __init__(
         self,
         router,
-        engine=None,
         split_threshold: float = 2.0,
         merge_threshold: float = 0.5,
-        max_replicas: int = 4,
         min_rows_to_split: int = 64,
     ) -> None:
         if split_threshold <= 1.0:
@@ -89,10 +76,8 @@ class ShardRebalancer:
         if not 0.0 < merge_threshold < 1.0:
             raise ValueError("merge_threshold must be in (0, 1)")
         self.router = router
-        self.engine = engine
         self.split_threshold = split_threshold
         self.merge_threshold = merge_threshold
-        self.max_replicas = max_replicas
         self.min_rows_to_split = min_rows_to_split
         #: Every action taken, in order (``"none"`` steps excluded).
         self.history: List[RebalanceAction] = []
@@ -145,8 +130,7 @@ class ShardRebalancer:
         grid = self.router.grid
         refined = grid if isinstance(grid, RefinedRegionGrid) else None
 
-        # Hottest actionable shard first: splitting beats replicating
-        # because it also shrinks each scan and tightens the sketches.
+        # Hottest splittable shard first.
         for s, load in sorted(loads.items(), key=lambda kv: (-kv[1], kv[0])):
             if load <= self.split_threshold * mean:
                 break
@@ -158,21 +142,8 @@ class ShardRebalancer:
                     "split", shard=s, cell=cell,
                     new_shards=tuple(new_ids), skew=skew,
                 )
-            if split or counts[s] >= self.min_rows_to_split:
-                # Refinement limit reached (or rows too clustered to
-                # re-cut profitably): serve the shard from replicas.
-                want = min(self.max_replicas, max(2, round(load / mean)))
-                plan = dict(self.engine.replicas) if self.engine is not None else {}
-                if plan.get(s, 0) >= want:
-                    continue  # already provisioned; look further down
-                plan[s] = want
-                if self.engine is not None:
-                    self.engine.set_replicas(plan)
-                return RebalanceAction(
-                    "replicas", shard=s, replicas=plan, skew=skew
-                )
 
-        # No hot shard: retire refinement whose tiles all went cold.
+        # Nothing to split: retire refinement whose tiles all went cold.
         if refined is not None:
             for cell, ids in enumerate(refined.cell_shards):
                 if len(ids) < 2:
@@ -181,12 +152,6 @@ class ShardRebalancer:
                     loads.get(t, 0.0) < self.merge_threshold * mean for t in ids
                 ):
                     keep = self.router.merge_cell(cell)
-                    if self.engine is not None:
-                        plan = self.engine.replicas
-                        if any(t in plan for t in ids):
-                            for t in ids:
-                                plan.pop(t, None)
-                            self.engine.set_replicas(plan)
                     return RebalanceAction(
                         "merge", shard=keep, cell=cell, skew=skew
                     )

@@ -21,11 +21,13 @@ block is never resized or rewritten after :func:`export_shard` returns.
 Lifecycle (documented in ``docs/architecture.md``):
 
 * the parent creates a block per shard on demand and is the only writer;
-* workers attach read-only by name (one cached attachment per name);
-  mp-spawned workers share the parent's resource-tracker daemon, so the
-  attach-time re-registration is a harmless set no-op and a killed
-  worker can never unlink memory the parent still serves from (see
-  :class:`AttachedShard` for the non-child-process case);
+* workers attach read-only by name and keep **one attachment per
+  shard**: a descriptor naming a shard's newer block closes the
+  superseded mapping.  mp-spawned workers share the parent's
+  resource-tracker daemon, so the attach-time re-registration is a
+  harmless set no-op and a killed worker can never unlink memory the
+  parent still serves from (see :class:`AttachedShard` for the
+  non-child-process case);
 * the parent unlinks a block when it is retired (superseded by a larger
   export) or on shutdown.  Workers already attached keep their mapping
   alive (POSIX shm survives unlink until the last unmap); a request
@@ -36,6 +38,7 @@ Lifecycle (documented in ``docs/architecture.md``):
 from __future__ import annotations
 
 import secrets
+import threading
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 from typing import Optional
@@ -163,11 +166,13 @@ class AttachedShard:
         self.gids = gids
 
     def close(self) -> None:
-        """Release the mapping (best-effort: live numpy views pin the
-        buffer until they are dropped; process exit reclaims either way)."""
+        """Unmap the block.  Numpy views pin the buffer: this drops its
+        own (``batch`` / ``gids``), and the mapping outlives the call
+        for as long as the caller keeps a slice of them."""
+        self.batch = self.gids = None
         try:
             self._shm.close()
-        except BufferError:  # pragma: no cover - views still alive
+        except BufferError:  # pragma: no cover - a caller kept a view
             pass
 
 
@@ -192,11 +197,13 @@ class ShardExportRegistry:
     shard's prefix is append-only, so the length test alone decides
     reuse — but a split/merge re-cut *replaces* the shard's rows, so an
     export from an older layout is retired even when it is long enough.
+    Locked: two server threads growing one export would leak a block.
     """
 
     def __init__(self) -> None:
         self._exports: dict[int, ShardExport] = {}
         self._layouts: dict[int, int] = {}
+        self._lock = threading.Lock()
 
     def current(self, s: int) -> Optional[ShardExport]:
         return self._exports.get(s)
@@ -204,28 +211,30 @@ class ShardExportRegistry:
     def ensure(
         self, s: int, needed_rows: int, read_prefix, layout: int = 0
     ) -> ShardExportDescriptor:
-        export = self._exports.get(s)
-        if (
-            export is None
-            or export.n_rows < needed_rows
-            or self._layouts.get(s, 0) != layout
-        ):
-            batch, gids = read_prefix()
-            if len(batch) < needed_rows:
-                raise RuntimeError(
-                    f"shard {s}: prefix read returned {len(batch)} rows, "
-                    f"plan needs {needed_rows}"
-                )
-            replacement = export_shard(batch, gids)
-            if export is not None:
-                export.destroy()
-            self._exports[s] = export = replacement
-            self._layouts[s] = layout
-        return export.descriptor()
+        with self._lock:
+            export = self._exports.get(s)
+            if (
+                export is None
+                or export.n_rows < needed_rows
+                or self._layouts.get(s, 0) != layout
+            ):
+                batch, gids = read_prefix()
+                if len(batch) < needed_rows:
+                    raise RuntimeError(
+                        f"shard {s}: prefix read returned {len(batch)} rows, "
+                        f"plan needs {needed_rows}"
+                    )
+                replacement = export_shard(batch, gids)
+                if export is not None:
+                    export.destroy()
+                self._exports[s] = export = replacement
+                self._layouts[s] = layout
+            return export.descriptor()
 
     def close(self) -> None:
         """Unlink every live export (idempotent)."""
-        for export in self._exports.values():
-            export.destroy()
-        self._exports.clear()
-        self._layouts.clear()
+        with self._lock:
+            for export in self._exports.values():
+                export.destroy()
+            self._exports.clear()
+            self._layouts.clear()

@@ -7,13 +7,13 @@ windows, then a Python loop over every (window, shard) candidate.  They
 are slow and obviously right, which is what a test oracle should be:
 ``tests/test_plan_builders.py`` requires the production builders to
 write the same ops, the same pruned records in the same order, and to
-make the same binding calls (as ``merge_hit_partials`` is the oracle of
-the blocked gather).
+make the same binding calls (as ``tests/reference_gather.py`` is the
+oracle of the blocked gather).
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Mapping, Optional, Union
+from typing import Callable, List, Optional, Union
 
 import numpy as np
 
@@ -44,7 +44,6 @@ def reference_sharded_plan(
     seed_cover: Optional[Callable[[int, int, int, object], None]] = None,
     want_estimates: bool = False,
     prune: bool = True,
-    replicas: Optional[Mapping[int, int]] = None,
 ) -> ExecutionPlan:
     """:func:`repro.query.pipeline.executor.build_sharded_plan`'s dispatch
     over the reference builders."""
@@ -55,11 +54,11 @@ def reference_sharded_plan(
         return _cover_plan(
             binding, queries, windows, planner, radius_m, policy,
             allow_plan=method == "auto", seed_cover=seed_cover,
-            want_estimates=want_estimates, prune=prune, replicas=replicas,
+            want_estimates=want_estimates, prune=prune,
         )
     return _exact_plan(
         binding, queries, windows, method, planner, radius_m, policy,
-        want_estimates, prune=prune, replicas=replicas,
+        want_estimates, prune=prune,
     )
 
 
@@ -73,7 +72,6 @@ def _exact_plan(
     policy: ExecutionPolicy,
     want_estimates: bool = False,
     prune: bool = True,
-    replicas: Optional[Mapping[int, int]] = None,
 ) -> ExecutionPlan:
     """Merge-shaped plan: per-(window, shard) hit scans + exact gather.
 
@@ -181,42 +179,17 @@ def _exact_plan(
                     planner, sub, chosen, exact=True, shard=s, c=int(c), stamp=stamp
                 )
             context = PlanContext(int(c), s, stamp, len(sub))
-            r = int(replicas.get(s, 1)) if replicas else 1
-            if r > 1 and len(local) > 1:
-                # Read replicas: split the hot shard's scan into up to r
-                # ops over disjoint query chunks.  Every chunk binds the
-                # same pinned context (same rows), and the exact gather
-                # is canonical in stream position — identical answers,
-                # but the process executor can now run the chunks on
-                # separate workers.
-                chunks = np.array_split(local, min(r, len(local)))
-                for i, chunk in enumerate(chunks):
-                    if not len(chunk):
-                        continue
-                    ops.append(
-                        ScanOp(
-                            context,
-                            chosen,
-                            positions[chunk],
-                            wq.take(chunk),
-                            emit="hits",
-                            est_unit_cost=est,
-                            eval_unit_cost=eval_est,
-                            replica=i,
-                        )
-                    )
-            else:
-                ops.append(
-                    ScanOp(
-                        context,
-                        chosen,
-                        positions[local],
-                        wq.take(local),
-                        emit="hits",
-                        est_unit_cost=est,
-                        eval_unit_cost=eval_est,
-                    )
+            ops.append(
+                ScanOp(
+                    context,
+                    chosen,
+                    positions[local],
+                    wq.take(local),
+                    emit="hits",
+                    est_unit_cost=est,
+                    eval_unit_cost=eval_est,
                 )
+            )
     merge = MergeOp(len(queries), binding.stream_rows())
     return ExecutionPlan(
         binding, queries, tuple(ops), merge, policy, method, pruned=tuple(pruned)
@@ -234,7 +207,6 @@ def _cover_plan(
     seed_cover: Optional[Callable[[int, int, int, object], None]],
     want_estimates: bool = False,
     prune: bool = True,
-    replicas: Optional[Mapping[int, int]] = None,
 ) -> ExecutionPlan:
     """Owner-shard cover ops plus the exact fallback sub-plan.
 
@@ -297,7 +269,6 @@ def _cover_plan(
             policy,
             want_estimates,
             prune=prune,
-            replicas=replicas,
         )
         ops.append(FallbackOp(positions, sub_plan))
     method = "auto" if allow_plan else "model-cover"

@@ -94,9 +94,7 @@ def test_pinned_readers_match_serial_replay_across_rebalance(seed):
 
         def rebalancer():
             try:
-                new_ids = eng.router.split_shard(hot)
-                eng.set_replicas({s: 2 for s in new_ids})
-                eng.set_replicas({})
+                eng.router.split_shard(hot)
                 eng.router.merge_cell(eng.router.grid.cell_of_shard(hot))
             except BaseException as exc:  # pragma: no cover - failure path
                 failures.append(exc)
@@ -142,7 +140,7 @@ def test_process_path_stale_plan_falls_back_byte_identically(seed):
             assert fingerprint(executor.execute(plan)) == expected
             assert executor.fallbacks == 0
 
-            new_ids = eng.router.split_shard(hot)
+            eng.router.split_shard(hot)
             eng.router.ingest(stream.slice(HEAD, N_TUPLES))
 
             # The pinned plan now references a retired layout: the
@@ -151,10 +149,10 @@ def test_process_path_stale_plan_falls_back_byte_identically(seed):
             # the in-process path — bytes still identical.
             assert fingerprint(executor.execute(plan)) == expected
             assert executor.fallbacks > 0
+            assert set(executor.fallback_reasons) == {"plan pinned an older shard layout"}
 
-            # A fresh plan at the new layout ships to workers again,
-            # replicas included, and agrees with the thread path.
-            eng.set_replicas({s: 2 for s in new_ids})
+            # A fresh plan at the new layout ships to workers again and
+            # agrees with the thread path.
             before = executor.fallbacks
             fresh = eng.plan(queries, "naive")
             thread_path = fingerprint(eng.execute(fresh))

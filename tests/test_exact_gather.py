@@ -6,17 +6,20 @@ the same naive sources, over those sources' rows merged in stream
 order, summed as the tile reports them — or the *keyed* window, whose
 hit pairs are keyed and sorted per block (index sources, sparse
 many-source windows).  The contract: every output byte equals what the
-whole-op unit computes — ``merge_hit_partials`` over one ``scan_hits``
-/ ``index_hits`` partial per op, which is also still the process
-executor's wire path — for any shard count, block size, replica split,
-source mix or side of that choice; and nothing proportional to the
-plan's hit count is allocated on the way.
+whole-op reference computes (``tests/reference_gather.py``:
+``merge_hit_partials`` over one ``scan_hits`` / ``index_hits`` partial
+per op) for any shard count, block size, source mix or side of that
+choice; the same holds range by range when the plan is cut into the
+sub-plans the process executor ships to its workers, wherever the cuts
+fall; and nothing proportional to the plan's hit count is allocated on
+the way.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import pickle
 import tracemalloc
 from unittest import mock
 
@@ -30,18 +33,15 @@ from repro.geo.coords import BoundingBox
 from repro.geo.region import RegionGrid
 from repro.query import sharded
 from repro.query.base import QueryBatch
+from repro.query.indexed import IndexedProcessor
 from repro.query.pipeline import executor as pipeline_executor
-from repro.query.pipeline import gather
-from repro.query.pipeline.gather import (
-    index_hits,
-    index_pairs,
-    merge_hit_partials,
-    scan_hits,
-    scan_pairs,
-)
+from repro.query.pipeline import gather, parallel
+from repro.query.pipeline.gather import index_pairs, scan_pairs
 from repro.query.pipeline.plan import MergeOp, PlanContext, PlanReport
-from repro.query.sharded import ShardedQueryEngine
+from repro.query.sharded import ShardedQueryEngine, shard_runtime
 from repro.storage.shards import ShardRouter
+
+from reference_gather import index_hits, merge_hit_partials, scan_hits
 
 BOUNDS = BoundingBox(0.0, 0.0, 3000.0, 2000.0)
 RADIUS = 400.0
@@ -77,9 +77,7 @@ def whole_op_reference(engine: ShardedQueryEngine, plan):
         if op.method == "naive":
             probe, gid, vals = scan_hits(sub, gids, op.queries, engine.radius_m)
         else:
-            proc = engine._index_processor(
-                op.context.shard, op.context.window_c, op.method, op.context.stamp, sub
-            )
+            proc = IndexedProcessor(sub, kind=op.method, radius_m=engine.radius_m)
             probe, gid, vals = index_hits(proc, gids, op.queries)
         partials.append((op.positions[probe], gid, vals))
     return merge_hit_partials(
@@ -164,10 +162,30 @@ def with_hazards(plan, hazards):
             for s in range(plan.binding.n_shards):
                 if not len(plan.binding.slice_for(s, c)[2]):
                     ops.append(
-                        dataclasses.replace(op, context=PlanContext(c, s, 0, 0), replica=0)
+                        dataclasses.replace(op, context=PlanContext(c, s, 0, 0))
                     )
                     break
     return dataclasses.replace(plan, ops=tuple(ops), merge=merge)
+
+
+def seventy_two_sources():
+    """(router, queries, rows): 72 shards, three rows each, one window."""
+    grid = RegionGrid.for_shard_count(BOUNDS, 72)
+    rng = np.random.default_rng(72)
+    cells = rng.permutation(np.repeat(np.arange(72), 3))
+    w, h = BOUNDS.width / grid.nx, BOUNDS.height / grid.ny
+    batch = TupleBatch(
+        np.arange(len(cells), dtype=np.float64),
+        (cells % grid.nx + rng.random(len(cells))) * w,
+        (cells // grid.nx + rng.random(len(cells))) * h,
+        rng.normal(400.0, 30.0, len(cells)),
+    )
+    router = ShardRouter(grid, h=len(cells))
+    router.ingest(batch)
+    queries = QueryBatch(
+        np.full(80, 10.0), rng.uniform(0, 3000, 80), rng.uniform(0, 2000, 80)
+    )
+    return router, queries, len(cells)
 
 
 _SETTINGS = settings(max_examples=25, deadline=None)
@@ -182,25 +200,22 @@ class TestBlockedGatherMatchesWholeOpMerge:
         per_block=st.sampled_from([1, 7, None]),
         min_group=st.sampled_from([1, 32]),
         prune=st.booleans(),
-        replicas=st.booleans(),
         hazards=st.sets(st.sampled_from(["stale_counter", "empty_slice"])),
     )
     def test_naive_sources(
-        self, scenario, n_shards, h, per_block, min_group, prune, replicas, hazards
+        self, scenario, n_shards, h, per_block, min_group, prune, hazards
     ):
         # Both sides of the per-window choice: one source (its own
         # group), windows that fit one block (merged whole: per_block
         # None), source-set groups (min_group 1, or >= 32 queries a
-        # set) and the keyed window (sparser than that) — over replica
-        # ops folded back, queries no source scans, NaN / ±inf query
-        # coordinates, empty pinned slices and an under-read row counter.
+        # set) and the keyed window (sparser than that) — over queries
+        # no source scans, NaN / ±inf query coordinates, empty pinned
+        # slices and an under-read row counter.
         batch, queries = scenario
         router = build_router(batch, n_shards, h)
         with ShardedQueryEngine(
             router, radius_m=RADIUS, max_workers=1, prune=prune
         ) as engine, np.errstate(all="ignore"):
-            if replicas:
-                engine.set_replicas({s: 3 for s in range(n_shards)})
             plan = with_hazards(engine.plan(queries, "naive"), hazards)
             assert plan.merge is not None
             expected = fingerprint(whole_op_reference(engine, plan))
@@ -217,27 +232,13 @@ class TestBlockedGatherMatchesWholeOpMerge:
         # 64-bit mask.  Unpruned, every query scans all 72 (one set, 72
         # slices merged); pruned, each disk reaches a handful (many
         # small sets: merged while they fit a block, or the keyed window).
-        grid = RegionGrid.for_shard_count(BOUNDS, 72)
-        rng = np.random.default_rng(72)
-        cells = rng.permutation(np.repeat(np.arange(72), 3))
-        w, h = BOUNDS.width / grid.nx, BOUNDS.height / grid.ny
-        batch = TupleBatch(
-            np.arange(len(cells), dtype=np.float64),
-            (cells % grid.nx + rng.random(len(cells))) * w,
-            (cells // grid.nx + rng.random(len(cells))) * h,
-            rng.normal(400.0, 30.0, len(cells)),
-        )
-        router = ShardRouter(grid, h=len(cells))
-        router.ingest(batch)
-        queries = QueryBatch(
-            np.full(80, 10.0), rng.uniform(0, 3000, 80), rng.uniform(0, 2000, 80)
-        )
+        router, queries, n_rows = seventy_two_sources()
         with ShardedQueryEngine(router, radius_m=RADIUS, max_workers=1) as engine:
             plan = engine.plan(queries, "naive", prune=prune)
             assert len({op.context.shard for op in plan.ops}) == 72
             expected = fingerprint(whole_op_reference(engine, plan))
             assert int(np.frombuffer(expected[1], dtype=np.int64).sum()) > 0
-            with forced_block(per_block, len(cells)), mock.patch.object(
+            with forced_block(per_block, n_rows), mock.patch.object(
                 pipeline_executor, "MIN_GROUP_QUERIES", min_group
             ):
                 assert fingerprint(engine.execute(plan)) == expected
@@ -299,56 +300,86 @@ class TestBlockedGatherMatchesWholeOpMerge:
             assert fingerprint(whole_op_reference(engine, stale)) == expected
 
 
-class TestReplicaFolding:
-    """In process a hot shard's replica ops are one scan again: same
-    rows, the unsplit plan's queries, provably in order."""
-
-    def _plans(self, engine, queries):
-        binding = engine.binding()
-        plain = engine.plan(queries, "naive", binding=binding)
-        engine.set_replicas({s: 3 for s in range(engine.n_shards)})
-        return plain, engine.plan(queries, "naive", binding=binding)
-
-    def test_replica_ops_fold_back_into_the_unsplit_scans(self, small_batch):
-        batch = small_batch.slice(0, 600)
-        queries = QueryBatch(
-            batch.t[::7].copy(), batch.x[::7].copy(), batch.y[::7].copy()
+def run_cut(engine: ShardedQueryEngine, plan, cuts):
+    """``plan`` answered as the sub-plans the process executor ships for
+    these cut points — here, one after the other, with no pool: the
+    parent's cut, a worker's sub-plan over a plain binding of the pinned
+    slices, the engine's own runtime wiring, request and reply through
+    pickle."""
+    edges = sorted({0, plan.n_queries, *(min(cut, plan.n_queries) for cut in cuts)})
+    parts = []
+    for lo, hi in zip(edges, edges[1:]):
+        coords, n_stream_rows, ops = parallel._cut(plan, lo, hi)
+        binding = parallel._WorkerBinding()
+        specs = []
+        for op, positions in ops:
+            s, c = op.context.shard, op.context.window_c
+            binding[s, c] = plan.binding.slice_for(s, c)
+            specs.append((op.context, op.method, positions))
+        request = pickle.loads(pickle.dumps((coords, n_stream_rows, specs)))
+        runtime = shard_runtime(
+            binding, engine.processor_cache, engine.radius_m, engine.config
         )
-        with ShardedQueryEngine(build_router(batch, 4, h=200), radius_m=RADIUS) as engine:
-            plain, split = self._plans(engine, queries)
-            assert len(split.ops) > len(plain.ops)
-            folded = pipeline_executor._fold_replicas(split.ops, range(len(split.ops)))
-            assert [i for members, _ in folded for i in members] == list(
-                range(len(split.ops))
-            )
-            assert len(folded) == len(plain.ops)
-            for (_, op), whole in zip(folded, plain.ops):
-                assert op.context == whole.context
-                np.testing.assert_array_equal(op.positions, whole.positions)
-                for col in ("t", "x", "y"):
-                    np.testing.assert_array_equal(
-                        getattr(op.queries, col), getattr(whole.queries, col)
-                    )
+        result = pipeline_executor.PlanExecutor(runtime).execute(
+            parallel._sub_plan(binding, *request)
+        )
+        parts.append(pickle.loads(pickle.dumps(fingerprint(result))))
+    return tuple(b"".join(column) for column in zip(*parts))
 
-    def test_one_shard_with_replicas_never_sorts_and_charges_every_op(
-        self, small_batch
+
+class TestSubPlansConcatenateToTheWholePlan:
+    """A query's answer reads nothing of any other query's: wherever a
+    merge-shaped plan is cut, its sub-plans' answers laid end to end are
+    the whole plan's bytes (and the reference's)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scenario=scenarios(max_queries=80, unanswerable=True),
+        n_shards=st.sampled_from([1, 2, 4, 9]),
+        h=st.sampled_from([1, 7, 2000]),
+        per_block=st.sampled_from([1, 7, None]),
+        prune=st.booleans(),
+        stale_counter=st.booleans(),
+        index_pick=st.none() | st.integers(0, 10**6),
+        cuts=st.lists(st.integers(0, 80), max_size=7),
+    )
+    def test_any_cut_points(
+        self, scenario, n_shards, h, per_block, prune, stale_counter, index_pick, cuts
     ):
-        batch = small_batch.slice(0, 600)
-        queries = QueryBatch(
-            batch.t[::7].copy(), batch.x[::7].copy(), batch.y[::7].copy()
-        )
-        with ShardedQueryEngine(build_router(batch, 1, h=200), radius_m=RADIUS) as engine:
-            plain, split = self._plans(engine, queries)
-            report = PlanReport()
-            with keyless() as sorted_sizes:
-                with forced_block(3, 200):  # blocks straddle replica chunks
-                    result = engine.execute(split, report)
-            assert fingerprint(result) == fingerprint(engine.execute(plain))
-            assert not sorted_sizes  # one source: its rows are merged already
-            assert all(report.observed(op) is not None for op in split.ops)
-            load = engine.router.shard_load_stats()[0]
-            assert load.scan_queries == 2 * len(queries)  # split + plain runs
+        # One source (n_shards 1), a few dense ones (h 2000: every shard
+        # a window-long slice), a route over many windows (h 1 or 7), a
+        # query a pruned plan gives no source, a pinned gid beyond the
+        # row counter, and one op answered through an index.
+        batch, queries = scenario
+        router = build_router(batch, n_shards, h)
+        with ShardedQueryEngine(
+            router, radius_m=RADIUS, max_workers=1, prune=prune
+        ) as engine, np.errstate(all="ignore"):
+            plan = engine.plan(queries, "naive")
+            if stale_counter:
+                plan = with_hazards(plan, {"stale_counter"})
+            if index_pick is not None and plan.ops:
+                ops = list(plan.ops)
+                at = index_pick % len(ops)
+                ops[at] = dataclasses.replace(ops[at], method="rtree")
+                plan = dataclasses.replace(plan, ops=tuple(ops))
+            expected = fingerprint(whole_op_reference(engine, plan))
+            with forced_block(per_block, min(h, len(batch))):
+                assert fingerprint(engine.execute(plan)) == expected
+                assert run_cut(engine, plan, cuts) == expected
 
+    @_SETTINGS
+    @given(prune=st.booleans(), cuts=st.lists(st.integers(0, 80), max_size=7))
+    def test_any_cut_points_over_72_sources(self, prune, cuts):
+        router, queries, _n_rows = seventy_two_sources()
+        with ShardedQueryEngine(router, radius_m=RADIUS, max_workers=1) as engine:
+            plan = engine.plan(queries, "naive", prune=prune)
+            assert len({op.context.shard for op in plan.ops}) == 72
+            expected = fingerprint(whole_op_reference(engine, plan))
+            assert run_cut(engine, plan, cuts) == expected
+
+
+class TestRowGroupsNeedNoKeys:
     def test_four_shard_heatmap_never_keys_or_sorts_hits_and_charges_every_op(
         self, small_batch
     ):
@@ -359,12 +390,10 @@ class TestReplicaFolding:
         router = ShardRouter(quadrants, h=2000)
         router.ingest(small_batch)
         with ShardedQueryEngine(router, max_workers=1) as engine:
-            engine.set_replicas({s: 2 for s in range(4)})
             probes = _heatmap_probes(small_batch, 40, 30)  # one full window
             plan = engine.plan(probes, "naive", want_estimates=True)
             assert len({op.context.window_c for op in plan.ops}) == 1
             assert len({op.context.shard for op in plan.ops}) == 4
-            assert len(plan.ops) == 8  # two replica ops a shard, folded back
             expected = fingerprint(whole_op_reference(engine, plan))
 
             # A clock that advances one second per reading: a tile, read

@@ -147,14 +147,14 @@ class Side:
             for exact in (False, True)
         }
 
-    def build(self, queries, method, exact, prune, replicas, want_estimates):
+    def build(self, queries, method, exact, prune, want_estimates):
         engine = self.engines[exact]
         binding = RecordingBinding(self.router)
         faults = getattr(self.router, "faults", 0)
         plan = self.builder(
             binding, queries, method, engine.planner, RADIUS,
             seed_cover=engine._seed_cover, want_estimates=want_estimates,
-            prune=prune, replicas=replicas,
+            prune=prune,
         )
         return plan, binding, getattr(self.router, "faults", 0) - faults
 
@@ -191,7 +191,7 @@ def describe(plan):
         ops.append(
             (
                 type(op).__name__, op.context, op.method, op.emit,
-                getattr(op, "replica", None), getattr(op, "vectorise", None),
+                getattr(op, "vectorise", None),
                 op.positions.dtype.str, op.positions.tobytes(),
                 op.queries.t.tobytes(), op.queries.x.tobytes(), op.queries.y.tobytes(),
                 repr(op.est_unit_cost), repr(op.eval_unit_cost),
@@ -203,9 +203,9 @@ def describe(plan):
     )
 
 
-def assert_same_plan(sides, queries, method, exact, prune, replicas, want_estimates):
+def assert_same_plan(sides, queries, method, exact, prune, want_estimates):
     new, ref = sides
-    args = (queries, method, exact, prune, replicas, want_estimates)
+    args = (queries, method, exact, prune, want_estimates)
     plan, binding, faults = new.build(*args)
     if not len(queries):
         # The reference cannot take an empty batch through every grid's
@@ -283,18 +283,12 @@ class TestBuildersMatchReference:
         queries=batches(),
         method=st.sampled_from(METHODS),
         prune=st.booleans(),
-        replicas=st.sampled_from([None, 2, 3]),
         want_estimates=st.booleans(),
     )
     def test_same_plan_same_calls(
-        self, sides, queries, method, prune, replicas, want_estimates
+        self, sides, queries, method, prune, want_estimates
     ):
-        if replicas is not None:
-            counts = sides[0].router.shard_counts()
-            replicas = {int(np.argmax(counts)): replicas}
-        assert_same_plan(
-            sides, queries, method[0], method[1], prune, replicas, want_estimates
-        )
+        assert_same_plan(sides, queries, method[0], method[1], prune, want_estimates)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_route_over_every_window(self, sides, method):
@@ -303,7 +297,7 @@ class TestBuildersMatchReference:
         t = np.linspace(stream.t[0], stream.t[-1], 60)
         queries = QueryBatch(t, np.linspace(100.0, 2900.0, 60), np.linspace(1900.0, 100.0, 60))
         for prune in (True, False):
-            assert_same_plan(sides, queries, method[0], method[1], prune, None, False)
+            assert_same_plan(sides, queries, method[0], method[1], prune, False)
 
     def test_pruned_tiered_plan_faults_only_kept_slices(self, tmp_path):
         side = Side(build_sharded_plan, "tiered", tmp_path)
@@ -311,7 +305,7 @@ class TestBuildersMatchReference:
             far = QueryBatch(
                 make_stream().t[::50].copy(), np.full(13, 2900.0), np.full(13, 1900.0)
             )
-            plan, binding, faults = side.build(far, "naive", False, True, None, False)
+            plan, binding, faults = side.build(far, "naive", False, True, False)
             assert plan.ops_pruned
             sealed = side.router.global_count() // H
             kept_sealed = {

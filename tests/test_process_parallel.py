@@ -2,13 +2,17 @@
 
 The contract under test is the tentpole guarantee: every answer produced
 on the process pool is byte-identical to the serial ``PlanExecutor``
-path, and any worker failure (including ``kill -9`` mid-request)
-degrades to a correct in-process answer rather than an error.
+path — at any worker count, from any number of threads — and any worker
+failure (including ``kill -9`` mid-request) degrades to a correct
+in-process answer rather than an error.
 """
 
 import importlib.util
 import os
+import pickle
 import signal
+import sys
+import threading
 import time
 
 import numpy as np
@@ -48,21 +52,24 @@ def sharded(small_dataset):
     engine.close()
 
 
-@pytest.fixture(scope="module")
-def pexec(sharded):
-    executor = ProcessPlanExecutor(sharded, processes=2, timeout_s=120.0)
+@pytest.fixture(scope="module", params=[1, 2, 3])
+def pexec(sharded, request):
+    executor = ProcessPlanExecutor(sharded, processes=request.param, timeout_s=120.0)
     yield executor
     executor.close()
 
 
+def _heatmap(dataset, nx, ny):
+    t = float(dataset.tuples.t[len(dataset.tuples) // 2])
+    bounds = dataset.covered_bbox()
+    return QueryBatch.from_grid(
+        t, bounds.min_x, bounds.min_y, bounds.width, bounds.height, nx, ny
+    )
+
+
 @pytest.fixture(scope="module")
 def probes(small_dataset):
-    tuples = small_dataset.tuples
-    t = float(tuples.t[len(tuples) // 2])
-    bounds = small_dataset.covered_bbox()
-    return QueryBatch.from_grid(
-        t, bounds.min_x, bounds.min_y, bounds.width, bounds.height, 12, 9
-    )
+    return _heatmap(small_dataset, 12, 9)
 
 
 def _assert_identical(serial, parallel):
@@ -101,6 +108,103 @@ class TestByteIdentity:
         second = pexec.execute(plan)
         assert first.values.tobytes() == second.values.tobytes()
 
+    def test_every_plan_above_ran_on_the_workers(self, pexec):
+        assert pexec.fallbacks == 0 and not pexec.fallback_reasons
+
+
+class TestChunks:
+    def test_merge_replies_are_a_few_bytes_a_query(
+        self, sharded, small_dataset, monkeypatch
+    ):
+        # Hit triples were 24 bytes a *hit* (19.6 MB for the benchmark's
+        # heatmap); a sub-plan's answer is 17 bytes a query.
+        sizes = []
+        reply = parallel._Worker.reply
+
+        def measured(self, timeout_s):
+            ok, body = reply(self, timeout_s)
+            sizes.append(len(pickle.dumps(("ok", self.requests, body))))
+            return ok, body
+
+        monkeypatch.setattr(parallel._Worker, "reply", measured)
+        plan = sharded.plan(_heatmap(small_dataset, 40, 30), "naive")
+        with ProcessPlanExecutor(sharded, processes=3) as executor:
+            chunks = executor._chunks(plan)
+            _assert_identical(sharded.execute(plan), executor.execute(plan))
+            assert executor.fallbacks == 0
+        assert len(chunks) == len(sizes) == 3
+        assert sum(sizes) <= 17 * plan.n_queries + 1024 * len(chunks)
+
+    def test_chunks_are_contiguous_cost_balanced_and_a_function_of_the_plan(
+        self, sharded, small_dataset
+    ):
+        plan = sharded.plan(_heatmap(small_dataset, 40, 30), "naive")
+        cost = np.zeros(plan.n_queries)
+        for op in plan.ops:
+            cost[op.positions] += op.context.n_rows
+        with ProcessPlanExecutor(sharded, processes=3) as executor:
+            chunks = executor._chunks(plan)
+            assert chunks == executor._chunks(plan)
+        home = plan.ops[0].context.shard
+        assert [w for w, _, _ in chunks] == [(home + i) % 3 for i in range(3)]
+        assert [lo for _, lo, _ in chunks] == [0] + [hi for _, _, hi in chunks[:-1]]
+        assert chunks[-1][2] == plan.n_queries
+        shares = [cost[lo:hi].sum() / cost.sum() for _, lo, hi in chunks]
+        assert max(shares) - min(shares) < 0.05
+
+    def test_a_plan_under_one_block_stays_on_one_worker(self, sharded, small_dataset):
+        t = float(small_dataset.tuples.t[1000])
+        point = QueryBatch(np.array([t]), np.array([2000.0]), np.array([1500.0]))
+        stream = QueryBatch(np.full(20, t), np.linspace(500, 4000, 20), np.full(20, 1500.0))
+        with ProcessPlanExecutor(sharded, processes=3) as executor:
+            for queries in (point, stream):
+                plan = sharded.plan(queries, "naive")
+                assert len(executor._chunks(plan)) == 1
+                _assert_identical(sharded.execute(plan), executor.execute(plan))
+            assert sum(worker is not None for worker in executor._workers) == 1
+            assert executor.fallbacks == 0
+
+
+class TestThreads:
+    def test_four_threads_share_one_executor(self, sharded, small_dataset):
+        """The async server runs plans from its thread pool: two
+        dispatches used to interleave frames on one pipe."""
+        tuples = small_dataset.tuples
+        picks = np.linspace(0, len(tuples) - 1, 40).astype(int)
+        batches = [
+            (_heatmap(small_dataset, 12, 9), "naive"),
+            (_heatmap(small_dataset, 24, 18), "naive"),
+            (_heatmap(small_dataset, 8, 6), "grid"),
+            (_heatmap(small_dataset, 12, 9), "model-cover"),
+            (QueryBatch(tuples.t[picks], tuples.x[picks] + 40.0, tuples.y[picks]), "naive"),
+        ]
+        plans = [sharded.plan(queries, method) for queries, method in batches]
+        expected = [sharded.execute(plan) for plan in plans]
+        failures = []
+
+        def client(k):
+            try:
+                for i in range(20):
+                    at = (k + i) % len(plans)
+                    _assert_identical(expected[at], executor.execute(plans[at]))
+            except BaseException as exc:
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ProcessPlanExecutor(sharded, processes=2, timeout_s=60.0) as executor:
+                threads = [threading.Thread(target=client, args=(k,)) for k in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert not failures, failures
+                assert executor.fallbacks == 0, executor.fallback_reasons
+        finally:
+            sys.setswitchinterval(interval)
+
 
 class TestIncrementalIngest:
     def test_exports_grow_with_the_stream(self, small_dataset):
@@ -138,6 +242,75 @@ class TestIncrementalIngest:
             assert any(
                 names_after[s] != names_before.get(s) for s in names_after
             )
+            assert executor.fallbacks == 0
+        engine.close()
+
+    def test_a_worker_maps_one_block_per_shard_however_often_exports_grow(
+        self, small_dataset
+    ):
+        tuples = small_dataset.tuples
+        bounds = small_dataset.covered_bbox()
+        router = ShardRouter(RegionGrid.for_shard_count(bounds, 2), h=H)
+        engine = ShardedQueryEngine(router, max_workers=1)
+        rounds = 40
+        step = len(tuples) // (rounds + 1)
+        router.ingest(tuples.slice(0, step))
+        names = set()
+        with ProcessPlanExecutor(engine, processes=1) as executor:
+            for k in range(1, rounds + 1):
+                router.ingest(tuples.slice(k * step, (k + 1) * step))
+                head = QueryBatch.from_grid(
+                    float(tuples.t[(k + 1) * step - 1]),
+                    bounds.min_x, bounds.min_y, bounds.width, bounds.height, 4, 3,
+                )
+                # Every kind of processor a worker caches, so none of
+                # them may pin a retired block's mapping.
+                plan = engine.plan(head, ("naive", "grid", "model-cover")[k % 3])
+                _assert_identical(engine.execute(plan), executor.execute(plan))
+                names.update(e.name for e in executor.registry._exports.values())
+            assert executor.fallbacks == 0
+            assert len(names) >= rounds  # the exports really were retired
+            with open(f"/proc/{executor._workers[0].process.pid}/maps") as maps:
+                blocks = {part for part in maps.read().split() if "emshm_" in part}
+            assert len(blocks) <= 2, blocks
+            (_cache, mapped), = executor.worker_stats()
+            assert len(mapped) <= 2
+        engine.close()
+
+    def test_a_sealed_windows_cover_is_fitted_once_across_a_re_export(
+        self, small_dataset
+    ):
+        tuples = small_dataset.tuples
+        bounds = small_dataset.covered_bbox()
+        half = len(tuples) // 2
+        router = ShardRouter(RegionGrid.for_shard_count(bounds, 2), h=H)
+        router.ingest(tuples.slice(0, half))
+        engine = ShardedQueryEngine(router, max_workers=1)
+
+        def probes(at):
+            return QueryBatch.from_grid(
+                float(tuples.t[at]),
+                bounds.min_x, bounds.min_y, bounds.width, bounds.height, 6, 5,
+            )
+
+        def fits(executor):
+            return sum(cache["misses"] for cache, _names in executor.worker_stats())
+
+        with ProcessPlanExecutor(engine, processes=2) as executor:
+            sealed = engine.plan(probes(H + H // 2), "model-cover")  # window 1: sealed
+            expected = engine.execute(sealed)
+            _assert_identical(expected, executor.execute(sealed))
+            assert fits(executor) > 0
+            before = {s: e.name for s, e in executor.registry._exports.items()}
+            router.ingest(tuples.slice(half, len(tuples)))
+            head = engine.plan(probes(len(tuples) - 1), "model-cover")
+            _assert_identical(engine.execute(head), executor.execute(head))
+            after = {s: e.name for s, e in executor.registry._exports.items()}
+            assert all(after[s] != before[s] for s in before)  # every shard re-exported
+            fitted = fits(executor)
+            again = engine.plan(probes(H + H // 2), "model-cover")
+            _assert_identical(expected, executor.execute(again))
+            assert fits(executor) == fitted  # served from the worker's cache
             assert executor.fallbacks == 0
         engine.close()
 
@@ -201,6 +374,26 @@ class TestCrashRecovery:
             assert executor.fallbacks == 0
         engine.close()
 
+    def test_undecodable_reply_is_a_worker_crash(self, sharded, probes, monkeypatch):
+        plan = sharded.plan(probes, "naive")
+        expected = sharded.execute(plan)
+        reply = parallel._Worker.reply
+        garbled = []
+
+        def garble_once(self, timeout_s):
+            if not garbled:
+                garbled.append(reply(self, timeout_s))
+                raise pickle.UnpicklingError("invalid load key, '\\x00'.")
+            return reply(self, timeout_s)
+
+        monkeypatch.setattr(parallel._Worker, "reply", garble_once)
+        with ProcessPlanExecutor(sharded, processes=1) as executor:
+            _assert_identical(expected, executor.execute(plan))
+            assert dict(executor.fallback_reasons) == {"worker lost": 1}
+            assert executor._workers == [None]  # not trusted again: respawned
+            _assert_identical(expected, executor.execute(plan))
+            assert executor.fallbacks == 1
+
     def test_unsupported_plan_falls_back(self, small_batch):
         # An unsharded engine plan has shard=None contexts: the process
         # path cannot serialize it and must fall back transparently.
@@ -215,6 +408,10 @@ class TestCrashRecovery:
         with ProcessPlanExecutor(engine, processes=1) as executor:
             result = executor.execute(plan)
             assert executor.fallbacks == 1
+            assert dict(executor.fallback_reasons) == {
+                "process execution needs sharded plan contexts": 1
+            }
+            assert executor._workers == [None]  # nothing was spawned for it
         expected = engine.execute(engine.plan(queries, "naive"))
         assert np.array_equal(expected.values, result.values, equal_nan=True)
 

@@ -17,16 +17,13 @@ from repro.geo.coords import BoundingBox
 from repro.query.base import BatchResult, QueryBatch
 from repro.query.engine import QueryEngine
 from repro.query.planner import QueryProfile
-from repro.query.sharded import (
-    SHARDED_METHODS,
-    ShardedQueryEngine,
-    merge_hit_partials,
-    scan_hits,
-)
+from repro.query.sharded import SHARDED_METHODS, ShardedQueryEngine
 from repro.geo.region import RegionGrid
 from repro.server.async_server import EngineQueryService
 from repro.storage.shards import ShardRouter, StaleLayoutError
 from repro.storage.tiered import TieredShardRouter
+
+from reference_gather import merge_hit_partials, scan_hits
 
 
 @pytest.fixture(scope="module")

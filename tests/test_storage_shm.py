@@ -88,6 +88,23 @@ class TestExportAttachRoundTrip:
             attach_shard(descriptor, untrack=False)
 
 
+    def test_close_unmaps_the_block_once_its_views_are_dropped(self):
+        export = export_shard(_batch(2000), np.arange(2000, dtype=np.int64))
+        try:
+            attached = attach_shard(export.descriptor(), untrack=False)
+            sub = attached.batch.slice(10, 30)
+            assert float(sub.t[0]) == 10.0
+            del sub
+            attached.close()
+            assert attached.batch is None and attached.gids is None
+            with open("/proc/self/maps") as maps:
+                mapped = [line for line in maps if export.name in line]
+            # The exporter's own mapping is all that is left.
+            assert len(mapped) == 1
+        finally:
+            export.destroy()
+
+
 class TestShardExportRegistry:
     def test_reuses_export_while_large_enough(self):
         registry = ShardExportRegistry()
@@ -137,6 +154,34 @@ class TestShardExportRegistry:
             d1 = registry.ensure(1, 5, lambda: (_batch(5, offset=100.0), np.arange(5, dtype=np.int64)))
             assert d0.shm_name != d1.shm_name
             assert np.array_equal(attach_shard(d1, untrack=False).batch.t, 100.0 + np.arange(5))
+        finally:
+            registry.close()
+
+    def test_threads_racing_one_shards_first_export_publish_one_block(self):
+        import threading
+        import time
+
+        registry = ShardExportRegistry()
+        reads, names = [], []
+        barrier = threading.Barrier(4)
+
+        def read_prefix():
+            reads.append(1)
+            time.sleep(0.01)  # the window a second exporter used to enter
+            return _batch(40), np.arange(40, dtype=np.int64)
+
+        def client():
+            barrier.wait(timeout=10.0)
+            names.append(registry.ensure(0, 40, read_prefix).shm_name)
+
+        threads = [threading.Thread(target=client) for _ in range(4)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(reads) == 1 and len(set(names)) == 1 and len(names) == 4
         finally:
             registry.close()
 
