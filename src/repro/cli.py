@@ -24,7 +24,6 @@ Examples::
     python -m repro.cli heatmap --hour 8.5 --out city.ppm
     python -m repro.cli heatmap --hour 8.5 --shards 4
     python -m repro.cli serve --days 1
-    python -m repro.cli serve --days 1 --shards 4
     python -m repro.cli serve --days 1 --shards 4 --port 8765 --processes 4
     python -m repro.cli explain --hour 8.5 --method auto
     python -m repro.cli explain --shards 4 --queries 300 --method auto
@@ -138,7 +137,7 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.data.lausanne import LausanneConfig, generate_lausanne_dataset
-    from repro.server.server import EnviroMeterServer, ShardedEnviroMeterServer
+    from repro.server.server import EnviroMeterServer
     from repro.server.stream import StreamReplayer
 
     ds = generate_lausanne_dataset(
@@ -146,6 +145,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     if args.port is not None:
         return _serve_network(ds, args)
+    if args.shards > 1:
+        print("--shards only applies to network mode; add --port", file=sys.stderr)
+        return 2
     if args.processes is not None:
         print("--processes only applies to network mode; add --port", file=sys.stderr)
         return 2
@@ -164,13 +166,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.shards > 1:
-        from repro.geo.region import RegionGrid
-
-        grid = RegionGrid.for_shard_count(ds.covered_bbox(), args.shards)
-        inner = ShardedEnviroMeterServer(grid, h=args.h)
-    else:
-        inner = EnviroMeterServer(h=args.h)
+    inner = EnviroMeterServer(h=args.h)
     if args.serve_workers is not None:
         stats, chunks_served = _serve_concurrently(inner, ds, args)
         served = inner.served_values
@@ -189,10 +185,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"{chunks_served} query batch(es) during ingest; "
             f"final epoch {stats.final_epoch}"
         )
-    if args.shards > 1:
-        counts = ", ".join(str(c) for c in inner.shard_raw_counts())
-        print(f"shards ({args.shards}): per-shard tuple counts [{counts}]")
-        inner.close()  # reclaim the parallel-ingest worker pool
     return 0
 
 
@@ -757,8 +749,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=_positive_int,
         default=1,
-        help="one region-sharded server per grid cell (ingest routes to "
-        "the owning shard only)",
+        help="network mode: lay the store out over this many region "
+        "shards (ingest routes to the owning shard only)",
     )
     p.add_argument(
         "--serve-workers",

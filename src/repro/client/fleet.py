@@ -19,16 +19,11 @@ import numpy as np
 from repro.client.baseline import BaselineClient
 from repro.client.modelcache import ModelCacheClient
 from repro.data.tuples import QueryTuple
-from repro.geo.region import RegionGrid
 from repro.network.link import GPRS, BearerProfile, CellularLink
 from repro.network.stats import TrafficStats
 from repro.query.continuous import uniform_query_tuples, waypoint_trajectory
 from repro.query.executor import BatchExecutor
-from repro.server.server import (
-    ConcurrentEnviroMeterServer,
-    EnviroMeterServer,
-    ShardedEnviroMeterServer,
-)
+from repro.server.server import ConcurrentEnviroMeterServer, EnviroMeterServer
 
 Point = Tuple[float, float]
 
@@ -119,9 +114,7 @@ class FleetSimulator:
 
     def __init__(
         self,
-        server: Union[
-            EnviroMeterServer, ShardedEnviroMeterServer, ConcurrentEnviroMeterServer
-        ],
+        server: Union[EnviroMeterServer, ConcurrentEnviroMeterServer],
         bearer: BearerProfile = GPRS,
     ) -> None:
         self.server = server
@@ -284,40 +277,3 @@ def commuter_fleet(
         for i in range(n)
     ]
 
-
-def regional_fleet(
-    n_per_region: int,
-    grid: RegionGrid,
-    use_model_cache: bool = True,
-    seed: int = 0,
-    n_queries: int = 60,
-) -> List[FleetMember]:
-    """``n_per_region`` commuters per grid cell, each staying inside its
-    own region — the shard-local traffic pattern a region-sharded server
-    is built for: every member's requests land on exactly one shard, so
-    adding regions adds capacity without adding cross-shard chatter."""
-    import random
-
-    if n_per_region < 1:
-        raise ValueError("need at least one commuter per region")
-    rng = random.Random(seed)
-    members: List[FleetMember] = []
-    for k in range(grid.n_regions):
-        bounds = grid.region(k).bounds
-
-        def inner_point() -> Point:
-            # Stay a short margin inside the cell so trajectory jitter
-            # cannot wander a member across the region border.
-            fx, fy = 0.1 + 0.8 * rng.random(), 0.1 + 0.8 * rng.random()
-            return bounds.min_x + fx * bounds.width, bounds.min_y + fy * bounds.height
-
-        members.extend(
-            FleetMember(
-                name=f"region-{k}-commuter-{i}",
-                waypoints=(inner_point(), inner_point()),
-                use_model_cache=use_model_cache,
-                n_queries=n_queries,
-            )
-            for i in range(n_per_region)
-        )
-    return members

@@ -2,10 +2,11 @@
 snapshot binding — see ``docs/architecture.md``).
 
 Every query path — :class:`~repro.query.engine.QueryEngine`,
-:class:`~repro.query.sharded.ShardedQueryEngine`, and the three server
+:class:`~repro.query.sharded.ShardedQueryEngine`, and the two server
 front ends — compiles requests into the plan IR of
 :mod:`repro.query.pipeline.plan`, binds them to one pinned snapshot
-(:mod:`repro.query.pipeline.binding`), consults the single
+(:mod:`repro.query.pipeline.binding`; standing-subscription maintenance
+reads the same bindings), consults the single
 statistics-backed planner (:mod:`repro.query.pipeline.planner`), caches
 materialised processors in the one epoch-keyed
 :class:`~repro.query.pipeline.cache.ProcessorCache`, and runs them

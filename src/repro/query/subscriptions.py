@@ -12,8 +12,8 @@ the untouched ones.
 Maintenance is epoch-driven, in three pruning layers:
 
 1. **Epoch gate** — a maintenance pass against a view whose ingest
-   epoch, window-cut token and row count are unchanged is *quiet*:
-   O(1), no per-subscription work at all.
+   epoch and row count are unchanged is *quiet*: O(1), no
+   per-subscription work at all.
 2. **Window marks** — every window a subscription's query tuples map to
    is registered in an inverted index keyed by the window's *content
    stamp* (the per-window epochs of PR 4).  A pass compares each
@@ -44,36 +44,47 @@ share the plan).  The replay-oracle suite in
 Window assignment follows the repo's count-window convention
 (:func:`repro.data.windows.windows_for_times` over a time-ordered
 append-only stream): a query tuple's window can only change while it
-maps to the open tail window (or, on the sharded server, while it is
-answered by a nearest-populated *fallback* shard).  Such subscriptions
-are tracked as *unstable* and re-assigned only when the view's
-window-cut token changes — stable subscriptions never pay assignment
-again.
+maps to the open tail window (or while the backend is still empty).
+Such subscriptions are tracked as *unstable* and re-assigned on every
+non-quiet pass — stable subscriptions never pay assignment again.
 
-Four backends plug in behind one pinned-view protocol:
+Every backend pins the same thing: an ``(epoch, binding)`` pair over
+one of the plan pipeline's snapshot bindings, read by one view.
+:func:`registry_for` builds the backend for
 
-* :func:`engine_backend` — an unsharded
-  :class:`~repro.query.engine.QueryEngine` (any method incl. exact);
-* :func:`sharded_engine_backend` — a
-  :class:`~repro.query.sharded.ShardedQueryEngine` (exact whenever no
-  ingest overlaps the pass; under a free-running writer the unpinned
-  mark reads make it eventually consistent, like the sharded server's
-  ``handle_with_epoch``);
-* :func:`server_backend` / :func:`sharded_server_backend` — the
-  EnviroMeter servers (model-cover answers against their pinned
-  storage snapshots).
+* an unsharded :class:`~repro.query.engine.QueryEngine`
+  (:class:`~repro.query.pipeline.binding.EngineBinding`; any method
+  incl. exact);
+* a :class:`~repro.query.sharded.ShardedQueryEngine`
+  (:class:`~repro.query.pipeline.binding.RouterBinding`; exact whenever
+  no ingest overlaps the pass, eventually consistent under a
+  free-running writer — see :class:`_View`);
+* an :class:`~repro.server.server.EnviroMeterServer`
+  (:class:`~repro.query.pipeline.binding.ServerSnapshotBinding`;
+  model-cover answers against its pinned storage snapshot);
 
-:func:`registry_for` dispatches any of those targets (including the
-concurrent/process wrappers) to the right backend.
+and for their concurrent/process wrappers.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -81,22 +92,17 @@ from repro.query.base import QueryBatch
 from repro.query.continuous import uniform_query_tuples, waypoint_trajectory
 from repro.storage.sketch import WindowSketch
 
+if TYPE_CHECKING:
+    from repro.query.pipeline.binding import SnapshotBinding
+
 __all__ = [
     "MaintenanceStats",
     "Subscription",
     "SubscriptionRegistry",
     "SubscriptionSpec",
     "SubscriptionUpdate",
-    "engine_backend",
     "registry_for",
-    "server_backend",
-    "sharded_engine_backend",
-    "sharded_server_backend",
 ]
-
-#: Composite key stride for sharded-server windows: ``key = shard *
-#: _SHARD_STRIDE + window`` (windows comfortably fit 32 bits).
-_SHARD_STRIDE = 1 << 32
 
 _MISSING = object()
 
@@ -121,8 +127,16 @@ class SubscriptionSpec:
     def __post_init__(self) -> None:
         if len(self.route) < 2:
             raise ValueError("a subscription route needs at least two waypoints")
-        if self.interval_s <= 0:
-            raise ValueError("subscription interval must be positive")
+        if not all(math.isfinite(v) for point in self.route for v in point):
+            raise ValueError("subscription waypoints must be finite")
+        if not math.isfinite(self.t_start):
+            raise ValueError("subscription t_start must be finite")
+        if not (math.isfinite(self.interval_s) and self.interval_s > 0):
+            raise ValueError("subscription interval must be positive and finite")
+        if isinstance(self.count, bool) or not isinstance(
+            self.count, numbers.Integral
+        ):
+            raise ValueError("subscription count must be an integer")
         if self.count < 1:
             raise ValueError("a subscription needs at least one query tuple")
 
@@ -238,98 +252,52 @@ class Subscription:
         return self.values.copy(), self.support.copy()
 
 
-# -- pinned backend views ---------------------------------------------------
+# -- the pinned view ---------------------------------------------------------
 #
-# One view per maintenance pass: a coherent pin of the backend's storage
-# (the same snapshot-binding discipline the plan pipeline uses), plus
-# the window bookkeeping maintenance needs.  A view resolves:
-#
-#   epoch        ingest epoch of the pinned state
-#   rows         pinned stream length (the replay oracle's prefix)
-#   token()      window-cut token; unchanged => no query can remap
-#   assign(b)    (window keys, unstable mask) for a query batch
-#   mark(key)    cheap (stamp, rows) mark for change detection
-#   pinned_mark(key)  the exact mark of the *pinned* slice (committed
-#                     after the pass, so a skipped window can never be
-#                     marked past the rows that were actually examined)
-#   delta_sketch(key, prev_mark)  zone map of rows appended since the
-#                     recorded mark (None => treat the window as fully
-#                     dirty)
-#   execute(b, keys, method)  canonical vectorised (values, support)
+# A backend pins one ``(epoch, binding)`` pair per maintenance pass — the
+# same SnapshotBinding the plan pipeline builds and executes plans
+# against — and maintenance reads it through one :class:`_View`.  Window
+# keys are global window indices; a mark is a window's per-shard
+# ``(stamp, rows)`` tuple (one entry on the single-slice bindings).
 
 
-class _EngineView:
-    """Pinned view of an unsharded :class:`QueryEngine`.
+class _View:
+    """One maintenance pass's pinned storage plus its window bookkeeping.
 
-    The binding is captured with a seqlock on the engine epoch so the
-    (epoch, binding) pair is coherent even against a free-running
-    refresher.
+    * ``epoch`` / ``rows`` — ingest epoch and stream length of the pinned
+      state (``rows`` is the replay oracle's prefix);
+    * :meth:`assign` — (window keys, unstable mask) of a query batch;
+    * :meth:`mark` — cheap per-shard ``(stamp, rows)`` for change
+      detection.  It reads the binding's ``peek_window``, which on a
+      :class:`~repro.query.pipeline.binding.RouterBinding` is an O(1)
+      *unpinned* read, so checking a registered window never faults a
+      cold one in from the durable tier; the single-slice bindings are
+      pinned by construction, so there it is the pinned mark.  Under a
+      free-running writer the unpinned read makes the sharded engine
+      eventually consistent: a racing ingest can at worst delay an update
+      to the next pass;
+    * :meth:`pinned_mark` — the mark of the *pinned* slices, committed
+      after the pass so a skipped window is never marked past the rows
+      that were actually examined;
+    * :meth:`delta_sketch` — zone map of the rows appended since a
+      recorded mark (``None``: treat the window as fully dirty);
+    * :meth:`execute` — canonical ``(values, support)`` for a batch.
     """
 
-    def __init__(self, engine) -> None:
-        self._engine = engine
-        while True:
-            e0 = engine.epoch
-            binding = engine.binding()
-            if engine.epoch == e0:
-                break
-        self._binding = binding
-        self.epoch = e0
+    __slots__ = ("epoch", "rows", "_binding", "_n_windows", "_execute")
+
+    def __init__(
+        self,
+        epoch: int,
+        binding: "SnapshotBinding",
+        h: int,
+        execute: Callable[["SnapshotBinding", QueryBatch, str], Any],
+    ) -> None:
+        self.epoch = epoch
         self.rows = binding.stream_rows()
-        self._n_windows = max(1, -(-self.rows // engine.h))
-
-    def token(self):
-        return self._n_windows
-
-    def assign(self, batch: QueryBatch) -> Tuple[np.ndarray, np.ndarray]:
-        keys = self._binding.windows_for_times(batch.t).astype(np.int64)
-        return keys, keys >= self._n_windows - 1
-
-    def mark(self, key: int):
-        stamp, sub, _ = self._binding.slice_for(None, int(key))
-        return (stamp, len(sub))
-
-    def pinned_mark(self, key: int):
-        return self.mark(key)
-
-    def delta_sketch(self, key: int, prev_mark) -> Optional[WindowSketch]:
-        _stamp, sub, _ = self._binding.slice_for(None, int(key))
-        n0 = int(prev_mark[1])
-        if n0 >= len(sub):
-            return WindowSketch.EMPTY
-        return WindowSketch.of(sub.slice(n0, len(sub)))
-
-    def execute(self, batch: QueryBatch, keys: np.ndarray, method: str):
-        from repro.query.pipeline.plan import VECTORISED_POLICY
-
-        plan = self._engine.plan(
-            batch, method, policy=VECTORISED_POLICY, binding=self._binding
-        )
-        result = self._engine.execute(plan)
-        return _result_arrays(result)
-
-
-class _ShardedEngineView:
-    """Pinned view of a :class:`ShardedQueryEngine` (RouterBinding).
-
-    The router binding pins (shard, window) slices lazily and the cheap
-    marks are unpinned reads, so exactness holds whenever no ingest
-    overlaps the pass; a racing writer can at worst delay an update to
-    the next pass (eventual consistency — the same caveat the sharded
-    server documents for ``handle_with_epoch``).
-    """
-
-    def __init__(self, engine) -> None:
-        self._engine = engine
-        router = engine.router
-        self._binding = engine.binding()
-        self.epoch = router.epoch
-        self.rows = router.global_count()
-        self._n_windows = router.global_window_count()
-        self._n_shards = router.n_shards
-
-    def token(self):
-        return self._n_windows
+        self._binding = binding
+        self._n_windows = -(-self.rows // h)
+        self._execute = execute
 
     def assign(self, batch: QueryBatch) -> Tuple[np.ndarray, np.ndarray]:
         n = len(batch)
@@ -339,166 +307,39 @@ class _ShardedEngineView:
         return keys, keys >= self._n_windows - 1
 
     def mark(self, key: int):
-        return tuple(self._binding.peek_window(int(key)))
+        return tuple(self._binding.peek_window(key))
 
     def pinned_mark(self, key: int):
+        binding = self._binding
         return tuple(
             (stamp, len(sub))
             for stamp, sub, _ in (
-                self._binding.slice_for(s, int(key))
-                for s in range(self._n_shards)
+                binding.slice_for(s, key) for s in range(binding.n_shards)
             )
         )
 
     def delta_sketch(self, key: int, prev_mark) -> Optional[WindowSketch]:
-        if len(prev_mark) != self._n_shards:
+        binding = self._binding
+        if len(prev_mark) != binding.n_shards:
             # A shard split/merge changed the layout since the mark was
             # recorded: per-shard row counts no longer line up, so treat
             # the window as fully dirty (correct, just unsketched).
             return None
         merged = WindowSketch.EMPTY
-        for s in range(self._n_shards):
-            _stamp, sub, _ = self._binding.slice_for(s, int(key))
-            n0 = int(prev_mark[s][1])
+        for s, (_stamp, n0) in enumerate(prev_mark):
+            _stamp, sub, _ = binding.slice_for(s, key)
             if len(sub) > n0:
                 merged = merged.merge(WindowSketch.of(sub.slice(n0, len(sub))))
         return merged
 
-    def execute(self, batch: QueryBatch, keys: np.ndarray, method: str):
-        plan = self._engine.plan(batch, method, binding=self._binding)
-        result = self._engine.execute(plan)
-        return _result_arrays(result)
-
-
-class _ServerView:
-    """Pinned view of an :class:`EnviroMeterServer` storage snapshot."""
-
-    def __init__(self, server) -> None:
-        self._server = server
-        self._snap = server.snapshot()
-        self.epoch = self._snap.epoch
-        self.rows = len(self._snap)
-        self._h = server.h
-        self._n_windows = max(1, -(-self.rows // self._h))
-
-    def token(self):
-        return self._n_windows
-
-    def assign(self, batch: QueryBatch) -> Tuple[np.ndarray, np.ndarray]:
-        n = len(batch)
-        if not self.rows:
-            return np.full(n, -1, dtype=np.int64), np.ones(n, dtype=bool)
-        keys = self._snap.windows_for_times(batch.t).astype(np.int64)
-        return keys, keys >= self._n_windows - 1
-
-    def mark(self, key: int):
-        c = int(key)
-        if c >= self._n_windows or not self.rows:
-            return (0, 0)
-        return (self._snap.window_epoch(c), len(self._snap.window(c)))
-
-    def pinned_mark(self, key: int):
-        return self.mark(key)
-
-    def delta_sketch(self, key: int, prev_mark) -> Optional[WindowSketch]:
-        return None  # model-cover only: window-level dirtiness
-
-    def execute(self, batch: QueryBatch, keys: np.ndarray, method: str):
-        result = self._server.execute_plan(batch, self._snap)
-        return _result_arrays(result)
-
-
-class _ShardedServerView:
-    """Pinned view of a :class:`ShardedEnviroMeterServer` fleet.
-
-    Pins one storage snapshot per populated shard at construction.  Keys
-    are composite ``shard * 2**32 + window`` over the *resolved* shard —
-    the owner, or the nearest-populated fallback for cold regions.  A
-    fallback-answered query stays unstable (its resolved shard changes
-    the moment its own region gets data), alongside the usual open-tail
-    instability.
-    """
-
-    def __init__(self, server) -> None:
-        self._server = server
-        self.epoch = server.epoch
-        self._h = server.h
-        self._snaps = {
-            s: shard.snapshot()
-            for s, shard in enumerate(server.shards)
-            if shard.has_data()
-        }
-        self.rows = sum(len(snap) for snap in self._snaps.values())
-        self._n_windows = {
-            s: max(1, -(-len(snap) // self._h)) for s, snap in self._snaps.items()
-        }
-
-    def token(self):
-        return (
-            tuple(sorted(self._snaps)),
-            tuple(self._n_windows[s] for s in sorted(self._snaps)),
-        )
-
-    def assign(self, batch: QueryBatch) -> Tuple[np.ndarray, np.ndarray]:
-        n = len(batch)
-        keys = np.full(n, -1, dtype=np.int64)
-        if not self._snaps:
-            return keys, np.ones(n, dtype=bool)
-        owners = self._server.grid.shards_of(batch.x, batch.y)
-        resolved = np.array(
-            [
-                int(s) if int(s) in self._snaps
-                else self._server._shard_index_for(
-                    float(batch.x[i]), float(batch.y[i])
-                )
-                for i, s in enumerate(owners)
-            ],
-            dtype=np.int64,
-        )
-        unstable = resolved != owners
-        for s in np.unique(resolved):
-            s = int(s)
-            snap = self._snaps[s]
-            members = np.flatnonzero(resolved == s)
-            cs = snap.windows_for_times(batch.t[members]).astype(np.int64)
-            keys[members] = s * _SHARD_STRIDE + cs
-            unstable[members] |= cs >= self._n_windows[s] - 1
-        return keys, unstable
-
-    def mark(self, key: int):
-        s, c = divmod(int(key), _SHARD_STRIDE)
-        snap = self._snaps.get(s)
-        if snap is None or c >= self._n_windows[s]:
-            return (0, 0)
-        return (snap.window_epoch(c), len(snap.window(c)))
-
-    def pinned_mark(self, key: int):
-        return self.mark(key)
-
-    def delta_sketch(self, key: int, prev_mark) -> Optional[WindowSketch]:
-        return None  # model-cover only: window-level dirtiness
-
-    def execute(self, batch: QueryBatch, keys: np.ndarray, method: str):
-        values = np.full(len(batch), np.nan)
-        support = np.zeros(len(batch), dtype=np.int64)
-        shards = keys // _SHARD_STRIDE
-        for s in np.unique(shards):
-            s = int(s)
-            members = np.flatnonzero(shards == s)
-            result = self._server.shards[s].execute_plan(
-                batch.take(members), self._snaps[s]
-            )
-            vals, sup = _result_arrays(result)
-            values[members] = vals
-            support[members] = sup
-        return values, support
-
-
-def _result_arrays(result) -> Tuple[np.ndarray, np.ndarray]:
-    """(values, support) with unanswered positions normalised to NaN —
-    the canonical delivered form every diff compares bitwise."""
-    values = np.where(result.answered, result.values, np.nan)
-    return values, np.asarray(result.support, dtype=np.int64).copy()
+    def execute(
+        self, batch: QueryBatch, method: str
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """(values, support) with unanswered positions normalised to NaN —
+        the canonical delivered form every diff compares bitwise."""
+        result = self._execute(self._binding, batch, method)
+        values = np.where(result.answered, result.values, np.nan)
+        return values, np.asarray(result.support, dtype=np.int64).copy()
 
 
 # -- backends ----------------------------------------------------------------
@@ -506,13 +347,20 @@ def _result_arrays(result) -> Tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class _Backend:
-    """Pluggable backend: how to pin a view, which methods are legal."""
+    """Pluggable backend: how to pin storage and execute against it,
+    which methods are legal."""
 
-    pin: Callable[[], Any]
+    pin: Callable[[], Tuple[int, "SnapshotBinding"]]
+    execute: Callable[["SnapshotBinding", QueryBatch, str], Any]
+    h: int
     methods: Tuple[str, ...]
     default_method: str
     radius_m: Optional[float]
-    notify: Optional[Callable[[], None]] = None
+
+    def view(self) -> _View:
+        """Pin the backend's storage for one pass."""
+        epoch, binding = self.pin()
+        return _View(epoch, binding, self.h, self.execute)
 
     def resolve_method(self, method: Optional[str]) -> str:
         method = method or self.default_method
@@ -531,50 +379,6 @@ class _Backend:
         return method not in ("model-cover", "auto")
 
 
-def engine_backend(engine) -> _Backend:
-    """Backend over an unsharded :class:`~repro.query.engine.QueryEngine`."""
-    from repro.query.engine import METHODS
-
-    return _Backend(
-        pin=lambda: _EngineView(engine),
-        methods=METHODS + ("auto",),
-        default_method="model-cover",
-        radius_m=engine.radius_m,
-    )
-
-
-def sharded_engine_backend(engine) -> _Backend:
-    """Backend over a :class:`~repro.query.sharded.ShardedQueryEngine`."""
-    from repro.query.sharded import SHARDED_METHODS
-
-    return _Backend(
-        pin=lambda: _ShardedEngineView(engine),
-        methods=SHARDED_METHODS,
-        default_method="naive",
-        radius_m=engine.radius_m,
-    )
-
-
-def server_backend(server) -> _Backend:
-    """Backend over an :class:`~repro.server.server.EnviroMeterServer`."""
-    return _Backend(
-        pin=lambda: _ServerView(server),
-        methods=("model-cover",),
-        default_method="model-cover",
-        radius_m=None,
-    )
-
-
-def sharded_server_backend(server) -> _Backend:
-    """Backend over a :class:`~repro.server.server.ShardedEnviroMeterServer`."""
-    return _Backend(
-        pin=lambda: _ShardedServerView(server),
-        methods=("model-cover",),
-        default_method="model-cover",
-        radius_m=None,
-    )
-
-
 def registry_for(target) -> "SubscriptionRegistry":
     """A registry over any supported query backend.
 
@@ -584,12 +388,13 @@ def registry_for(target) -> "SubscriptionRegistry":
     always runs against the in-process engine; plan execution for
     interactive requests keeps whatever wrapper the caller serves from).
     """
-    from repro.query.engine import QueryEngine
-    from repro.query.sharded import ShardedQueryEngine
+    from repro.query.engine import METHODS, QueryEngine
+    from repro.query.pipeline.binding import ServerSnapshotBinding
+    from repro.query.pipeline.plan import VECTORISED_POLICY
+    from repro.query.sharded import SHARDED_METHODS, ShardedQueryEngine
     from repro.server.server import (
         ConcurrentEnviroMeterServer,
         EnviroMeterServer,
-        ShardedEnviroMeterServer,
     )
 
     if isinstance(target, ConcurrentEnviroMeterServer):
@@ -600,16 +405,66 @@ def registry_for(target) -> "SubscriptionRegistry":
     ):
         target = target.engine  # ProcessShardedEngine and friends
     if isinstance(target, QueryEngine):
-        return SubscriptionRegistry(engine_backend(target))
-    if isinstance(target, ShardedQueryEngine):
-        return SubscriptionRegistry(sharded_engine_backend(target))
-    if isinstance(target, EnviroMeterServer):
-        return SubscriptionRegistry(server_backend(target))
-    if isinstance(target, ShardedEnviroMeterServer):
-        return SubscriptionRegistry(sharded_server_backend(target))
-    raise TypeError(
-        f"no subscription backend for {type(target).__name__}"
-    )
+        engine = target
+
+        def pin():
+            # Seqlock on the engine epoch: the (epoch, binding) pair stays
+            # coherent even against a free-running refresher.
+            while True:
+                epoch = engine.epoch
+                binding = engine.binding()
+                if engine.epoch == epoch:
+                    return epoch, binding
+
+        backend = _Backend(
+            pin=pin,
+            execute=lambda binding, batch, method: engine.execute(
+                engine.plan(
+                    batch, method, policy=VECTORISED_POLICY, binding=binding
+                )
+            ),
+            h=engine.h,
+            methods=METHODS + ("auto",),
+            default_method="model-cover",
+            radius_m=engine.radius_m,
+        )
+    elif isinstance(target, ShardedQueryEngine):
+        engine = target
+
+        def pin():
+            binding = engine.binding()
+            return engine.router.epoch, binding
+
+        backend = _Backend(
+            pin=pin,
+            execute=lambda binding, batch, method: engine.execute(
+                engine.plan(batch, method, binding=binding)
+            ),
+            h=engine.router.h,
+            methods=SHARDED_METHODS,
+            default_method="naive",
+            radius_m=engine.radius_m,
+        )
+    elif isinstance(target, EnviroMeterServer):
+        server = target
+
+        def pin():
+            snap = server.snapshot()
+            return snap.epoch, ServerSnapshotBinding(snap)
+
+        backend = _Backend(
+            pin=pin,
+            execute=lambda binding, batch, method: server.execute_plan(
+                batch, binding.snapshot
+            ),
+            h=server.h,
+            methods=("model-cover",),
+            default_method="model-cover",
+            radius_m=None,
+        )
+    else:
+        raise TypeError(f"no subscription backend for {type(target).__name__}")
+    return SubscriptionRegistry(backend)
 
 
 # -- the registry ------------------------------------------------------------
@@ -638,7 +493,6 @@ class SubscriptionRegistry:
         self._unstable: Set[int] = set()
         self._ids = itertools.count(1)
         self._epoch: Optional[int] = None
-        self._token: Any = None
         self._rows: Optional[int] = None
         self._stats = MaintenanceStats()
         self._listeners: List[Callable[[], None]] = []
@@ -676,7 +530,7 @@ class SubscriptionRegistry:
         """
         with self._lock:
             method = self._backend.resolve_method(spec.method)
-            view = self._backend.pin()
+            view = self._backend.view()
             self._maintain_at(view)
             sub = Subscription(
                 next(self._ids), spec, method,
@@ -689,9 +543,7 @@ class SubscriptionRegistry:
             if sub.unstable:
                 self._unstable.add(sub.id)
             if view.rows:
-                sub.values, sub.support = view.execute(
-                    sub.batch, sub.keys, sub.method
-                )
+                sub.values, sub.support = view.execute(sub.batch, sub.method)
             for key in new_keys:
                 self._marks[key] = view.pinned_mark(key)
             sub.initial = SubscriptionUpdate(
@@ -720,7 +572,7 @@ class SubscriptionRegistry:
                 route=tuple((float(x), float(y)) for x, y in route),
                 t_start=float(t_start),
                 interval_s=float(interval_s),
-                count=int(count),
+                count=count,
                 method=method,
             )
         )
@@ -765,9 +617,9 @@ class SubscriptionRegistry:
 
         Returns the updates delivered this pass (each is also queued on
         its subscription for :meth:`poll`).  A pass at an unchanged
-        epoch/token/row-count is quiet: O(1)."""
+        epoch and row count is quiet: O(1)."""
         with self._lock:
-            return self._maintain_at(self._backend.pin())
+            return self._maintain_at(self._backend.view())
 
     def poll(
         self, sub_id: int, maintain: bool = True
@@ -776,25 +628,22 @@ class SubscriptionRegistry:
         maintenance pass first — the server poll path)."""
         with self._lock:
             if maintain:
-                self._maintain_at(self._backend.pin())
+                self._maintain_at(self._backend.view())
             sub = self.subscription(sub_id)
             drained = list(sub.pending)
             sub.pending.clear()
             return drained
 
-    def _maintain_at(self, view) -> List[SubscriptionUpdate]:
+    def _maintain_at(self, view: _View) -> List[SubscriptionUpdate]:
         stats = self._stats
         stats.maintains += 1
-        token = view.token()
-        if (
-            view.epoch == self._epoch
-            and token == self._token
-            and view.rows == self._rows
-        ):
+        # The window count is a function of the row count, so an
+        # unchanged (epoch, rows) pair also means no query can remap.
+        if view.epoch == self._epoch and view.rows == self._rows:
             stats.quiet_passes += 1
             return []
         # 1. Re-assign the unstable subscriptions (only they can remap —
-        #    open-tail times, cold-shard fallbacks, empty-backend waits);
+        #    open-tail times, empty-backend waits);
         #    remapped positions re-execute unconditionally.  Stable
         #    subscriptions never pay assignment again.
         forced: Dict[int, np.ndarray] = {}
@@ -866,11 +715,11 @@ class SubscriptionRegistry:
         for key in dirty_keys:
             if key in self._marks:
                 self._marks[key] = view.pinned_mark(key)
-        self._epoch, self._token, self._rows = view.epoch, token, view.rows
+        self._epoch, self._rows = view.epoch, view.rows
         return updates
 
     def _reexecute(
-        self, view, sub: Subscription, mask: np.ndarray
+        self, view: _View, sub: Subscription, mask: np.ndarray
     ) -> Optional[SubscriptionUpdate]:
         if not mask.any():
             return None
@@ -878,9 +727,7 @@ class SubscriptionRegistry:
         stats = self._stats
         stats.subs_reexecuted += 1
         stats.queries_reexecuted += len(idx)
-        values, support = view.execute(
-            sub.batch.take(idx), sub.keys[idx], sub.method
-        )
+        values, support = view.execute(sub.batch.take(idx), sub.method)
         old_values = sub.values[idx]
         old_support = sub.support[idx]
         same = (
@@ -917,14 +764,13 @@ class SubscriptionRegistry:
         re-execution benchmark compare against (same vectorised path
         maintenance uses, so equality is bitwise)."""
         method = self._backend.resolve_method(method)
-        view = self._backend.pin()
-        keys, _unstable = view.assign(batch)
+        view = self._backend.view()
         if not view.rows:
             return (
                 np.full(len(batch), np.nan),
                 np.zeros(len(batch), dtype=np.int64),
             )
-        return view.execute(batch, keys, method)
+        return view.execute(batch, method)
 
     # -- push-path bridge ---------------------------------------------------
 

@@ -847,7 +847,13 @@ class _WsSubscriptionSession:
                     None, self._registry.maintain
                 )
                 for sub_id, sub in list(self._owned.items()):
+                    # The reader may handle an unsubscribe while a push
+                    # awaits the socket: no update follows its reply.
+                    if sub_id not in self._owned:
+                        continue
                     for update in self._registry.poll(sub_id, maintain=False):
+                        if sub_id not in self._owned:
+                            break
                         frame: Dict[str, Any] = {"mode": "update"}
                         frame.update(update.to_json(queries=sub.batch))
                         await self._server._send_text(

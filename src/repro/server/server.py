@@ -21,6 +21,11 @@ serialise on the server lock; the query evaluation itself (processor
 ``process``/``process_batch``) runs outside any lock.
 :class:`ConcurrentEnviroMeterServer` adds a worker pool on top, fanning
 request batches across threads.
+
+Region sharding is not a server concern: the repo's one sharding model
+is :class:`~repro.storage.shards.ShardRouter` behind
+:class:`~repro.query.sharded.ShardedQueryEngine`, which is what the
+network front end (``cli serve --port``) deploys.
 """
 
 from __future__ import annotations
@@ -35,8 +40,6 @@ from repro.core.adkmn import AdKMNConfig
 from repro.core.builder import CoverBuilder
 from repro.core.cover import ModelCover
 from repro.data.tuples import QueryTuple, TupleBatch
-from repro.geo.coords import euclidean
-from repro.geo.region import RegionGrid
 from repro.network.messages import (
     ModelCoverResponse,
     ModelRequest,
@@ -372,7 +375,7 @@ class EnviroMeterServer:
         """The epoch-keyed deserialized-cover cache."""
         return self._covers
 
-    # -- replay-stats interface (shared with the sharded server) -------------
+    # -- replay-stats interface -----------------------------------------------
 
     @property
     def covers_stored(self) -> int:
@@ -390,252 +393,18 @@ class EnviroMeterServer:
         return self.db.raw_count() > 0
 
 
-class ShardedEnviroMeterServer:
-    """A fleet of per-region EnviroMeter servers behind one front door.
-
-    One :class:`EnviroMeterServer` (own database, own cover builder) per
-    cell of a :class:`~repro.geo.region.RegionGrid`.  Ingest routes every
-    tuple to its owning shard only, so an ingest batch invalidates cover
-    caches on exactly the shards (and windows) it touched — the other
-    regions' covers, caches and sealed windows are untouched, which is
-    what keeps city-scale ingest from stampeding every region's builder.
-
-    Requests carry a position, so dispatch is a grid lookup: the owning
-    shard answers from its regional covers.  A query landing in a region
-    with no data yet falls over to the nearest shard that has some (by
-    region-centre distance) — a cold region should degrade to its
-    neighbour's model, not to an error.
-
-    Ingest fans the per-shard sub-batches across a worker pool — shards
-    are independent stores behind their own write locks, so routing is
-    the only serial step — while readers keep serving against the
-    snapshots their requests pinned.  ``max_workers`` caps that pool
-    (default: one worker per CPU).
-    """
-
-    def __init__(
-        self,
-        grid: "RegionGrid",
-        h: int = 240,
-        config: Optional[AdKMNConfig] = None,
-        validity_horizon_s: float = 4.0 * 3600.0,
-        max_workers: Optional[int] = None,
-    ) -> None:
-        self.grid = grid
-        self.h = h
-        self.shards = [
-            EnviroMeterServer(
-                h=h, config=config, validity_horizon_s=validity_horizon_s
-            )
-            for _ in range(grid.n_regions)
-        ]
-        self._executor = BatchExecutor(max_workers=max_workers)
-        self._ingest_lock = threading.Lock()
-        self._epoch = 0
-        self._subscriptions = None
-
-    @property
-    def n_shards(self) -> int:
-        return len(self.shards)
-
-    @property
-    def epoch(self) -> int:
-        """Monotone ingest epoch: +1 per non-empty :meth:`ingest` call —
-        the sharded analogue of :meth:`EnviroMeterServer.epoch` (one
-        counter for the whole fleet, since a batch may touch several
-        shards)."""
-        return self._epoch
-
-    def close(self) -> None:
-        """Release the parallel-ingest worker pool (idempotent)."""
-        self._executor.shutdown()
-
-    # -- ingestion ----------------------------------------------------------
-
-    def ingest(self, batch: TupleBatch) -> int:
-        """Route a batch's tuples to their owning shards (order-preserving
-        within each shard) and ingest each sub-batch exactly once, in
-        parallel across shards.
-
-        Writers serialise on the ingest lock, so the fleet moves from one
-        epoch-consistent state to the next batch by batch; within a
-        batch, the per-shard appends are independent (each shard has its
-        own database and write lock) and fan out across the pool."""
-        if not len(batch):
-            return 0
-        owners = self.grid.shards_of(batch.x, batch.y)
-        with self._ingest_lock:
-            parts = [
-                (int(s), batch.select_mask(owners == s)) for s in np.unique(owners)
-            ]
-            delivered = self._executor.map(
-                lambda part: self.shards[part[0]].ingest(part[1]), parts
-            )
-            self._epoch += 1
-        if self._subscriptions is not None:
-            self._subscriptions.notify_ingest()
-        return sum(delivered)
-
-    # -- standing subscriptions ----------------------------------------------
-
-    @property
-    def subscriptions(self):
-        """The fleet-wide subscription registry (see
-        :attr:`EnviroMeterServer.subscriptions`); maintenance pins one
-        storage snapshot per populated shard, and cold-region
-        subscriptions follow the nearest-populated fallback until their
-        own region gets data."""
-        if self._subscriptions is None:
-            from repro.query.subscriptions import registry_for
-
-            self._subscriptions = registry_for(self)
-        return self._subscriptions
-
-    def subscribe(
-        self,
-        route,
-        t_start: float,
-        interval_s: float = 60.0,
-        count: int = 30,
-    ):
-        """Register a standing continuous query against the fleet."""
-        return self.subscriptions.subscribe(
-            route, t_start, interval_s=interval_s, count=count
-        )
-
-    def poll_updates(self, sub_id: int, maintain: bool = True):
-        """Drain a subscription's queued delta updates."""
-        return self.subscriptions.poll(sub_id, maintain=maintain)
-
-    # -- request dispatch ----------------------------------------------------
-
-    def _shard_index_for(self, x: float, y: float) -> int:
-        owner = self.grid.shard_of(x, y)
-        if self.shards[owner].has_data():
-            return owner
-        candidates = [
-            s for s, server in enumerate(self.shards) if server.has_data()
-        ]
-        if not candidates:
-            raise RuntimeError("sharded server has no data")
-        return min(
-            candidates,
-            key=lambda s: euclidean(*self.grid.region(s).bounds.center, x, y),
-        )
-
-    def _shard_for(self, x: float, y: float) -> EnviroMeterServer:
-        return self.shards[self._shard_index_for(x, y)]
-
-    def handle(
-        self, request: Union[QueryRequest, ModelRequest]
-    ) -> Union[ValueResponse, ModelCoverResponse]:
-        """Dispatch one request to the shard owning its position."""
-        if not isinstance(request, (QueryRequest, ModelRequest)):
-            raise TypeError(f"server cannot handle {type(request).__name__}")
-        return self._shard_for(request.x, request.y).handle(request)
-
-    def handle_with_epoch(self, request: Request) -> Tuple[Response, int]:
-        """Like :meth:`handle`, also reporting the fleet epoch the answer
-        was computed at.  Exact whenever no ingest overlaps the call
-        (e.g. the harness's phase-separated schedules); under overlapping
-        ingest the reported epoch is the fleet epoch at dispatch."""
-        epoch = self._epoch
-        return self.handle(request), epoch
-
-    def handle_many(
-        self, requests: Sequence[Union[QueryRequest, ModelRequest]]
-    ) -> List[Union[ValueResponse, ModelCoverResponse]]:
-        """Batch dispatch: group by owning shard, answer each group
-        through the shard's vectorised ``handle_many``, scatter back in
-        request order.  Ownership is resolved once for the whole batch
-        (one vectorised grid lookup); only requests landing on a cold
-        shard pay the per-request nearest-populated fallback."""
-        responses: List[Optional[Union[ValueResponse, ModelCoverResponse]]] = [
-            None
-        ] * len(requests)
-        if not requests:
-            return []
-        for request in requests:
-            if not isinstance(request, (QueryRequest, ModelRequest)):
-                raise TypeError(f"server cannot handle {type(request).__name__}")
-        owners = self.grid.shards_of(
-            np.array([r.x for r in requests]), np.array([r.y for r in requests])
-        )
-        groups: dict = {}
-        for s in np.unique(owners):
-            members = [int(i) for i in np.flatnonzero(owners == s)]
-            if self.shards[int(s)].has_data():
-                groups.setdefault(int(s), []).extend(members)
-            else:
-                for i in members:  # cold region: nearest populated shard
-                    target = self._shard_index_for(requests[i].x, requests[i].y)
-                    groups.setdefault(target, []).append(i)
-        for s, members in groups.items():
-            answers = self.shards[s].handle_many([requests[i] for i in members])
-            for i, answer in zip(members, answers):
-                responses[i] = answer
-        return responses  # type: ignore[return-value]
-
-    def handle_many_with_epoch(
-        self, requests: Sequence[Request]
-    ) -> Tuple[List[Response], int]:
-        """:meth:`handle_many` plus the fleet epoch at dispatch (exact
-        when no ingest overlaps the call, as in phase-separated runs)."""
-        epoch = self._epoch
-        return self.handle_many(requests), epoch
-
-    # -- introspection -------------------------------------------------------
-
-    @property
-    def served_values(self) -> int:
-        return sum(s.served_values for s in self.shards)
-
-    @property
-    def served_covers(self) -> int:
-        return sum(s.served_covers for s in self.shards)
-
-    @property
-    def builder_fit_count(self) -> int:
-        return sum(s.builder_fit_count for s in self.shards)
-
-    @property
-    def cache_stats(self) -> CacheStats:
-        """Fleet-wide cover-memo counters (sum over shard servers)."""
-        return CacheStats.aggregate(s.cache_stats for s in self.shards)
-
-    @property
-    def covers_stored(self) -> int:
-        return sum(s.covers_stored for s in self.shards)
-
-    @property
-    def sealed_windows_total(self) -> int:
-        return sum(s.sealed_windows_total for s in self.shards)
-
-    def has_data(self) -> bool:
-        return any(s.has_data() for s in self.shards)
-
-    def shard_raw_counts(self) -> List[int]:
-        """Raw-tuple count per shard database."""
-        return [s.db.raw_count() for s in self.shards]
-
-
 class ConcurrentEnviroMeterServer:
     """A thread-pooled front door over a thread-safe EnviroMeter server.
 
-    Wraps an :class:`EnviroMeterServer` or
-    :class:`ShardedEnviroMeterServer` and serves ``handle_many`` batches
-    from ``max_workers`` worker threads: the batch is split into
+    Wraps an :class:`EnviroMeterServer` and serves ``handle_many``
+    batches from ``max_workers`` worker threads: the batch is split into
     contiguous chunks, each chunk answered by the inner server's
     vectorised ``handle_many`` on its own worker, while ingest (called
     from any writer thread) proceeds under the inner server's write
-    locks.  With an :class:`EnviroMeterServer` inner, each chunk pins one
-    storage snapshot, so every answer is byte-identical to a serial
-    server at that chunk's reported epoch — ``handle_many_with_epochs``
-    reports the per-request epochs for the concurrency harness to replay
-    against.  A :class:`ShardedEnviroMeterServer` inner pins snapshots
-    per shard, not fleet-wide, so its reported epoch is exact only while
-    no ingest overlaps the chunk (see
-    :meth:`ShardedEnviroMeterServer.handle_many_with_epoch`).
+    lock.  Each chunk pins one storage snapshot, so every answer is
+    byte-identical to a serial server at that chunk's reported epoch —
+    ``handle_many_with_epochs`` reports the per-request epochs for the
+    concurrency harness to replay against.
 
     The wrapper adds no state of its own beyond the pool, so any mix of
     threads may share one instance; single requests bypass the pool.
@@ -643,7 +412,7 @@ class ConcurrentEnviroMeterServer:
 
     def __init__(
         self,
-        server: Union[EnviroMeterServer, ShardedEnviroMeterServer],
+        server: EnviroMeterServer,
         max_workers: Optional[int] = None,
     ) -> None:
         self.inner = server

@@ -17,11 +17,7 @@ import numpy as np
 
 from repro.data.tuples import TupleBatch
 from repro.network.messages import QueryRequest
-from repro.server.server import (
-    ConcurrentEnviroMeterServer,
-    EnviroMeterServer,
-    ShardedEnviroMeterServer,
-)
+from repro.server.server import ConcurrentEnviroMeterServer, EnviroMeterServer
 
 ProgressCallback = Callable[[float, int], None]
 """Called after each delivered batch with (virtual time, total ingested)."""
@@ -44,14 +40,12 @@ class StreamReplayer:
     """Replays a tuple batch into a server in ``batch_interval_s`` slices.
 
     Accepts any server exposing the duck-typed serving interface
-    (``ingest``/``handle`` plus the replay-stats properties) — the plain,
-    sharded and concurrent front ends all qualify."""
+    (``ingest``/``handle`` plus the replay-stats properties) — the plain
+    and concurrent front ends both qualify."""
 
     def __init__(
         self,
-        server: Union[
-            EnviroMeterServer, ShardedEnviroMeterServer, ConcurrentEnviroMeterServer
-        ],
+        server: Union[EnviroMeterServer, ConcurrentEnviroMeterServer],
         batch_interval_s: float = 600.0,
     ) -> None:
         if batch_interval_s <= 0:

@@ -53,14 +53,12 @@ class TestCommands:
         assert "replayed" in out
         assert "cover(s)" in out
 
-    def test_serve_sharded(self, capsys):
+    def test_serve_shards_require_network_mode(self, capsys):
         rc = main(
             ["serve", "--days", "1", "--query-every", "14400", "--shards", "4"]
         )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "replayed" in out
-        assert "per-shard tuple counts" in out
+        assert rc == 2
+        assert "--port" in capsys.readouterr().err
 
     def test_heatmap_sharded_ascii(self, capsys):
         rc = main(

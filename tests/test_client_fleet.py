@@ -107,51 +107,6 @@ class TestCommuterFleet:
                 assert bbox.min_y <= y <= bbox.max_y
 
 
-class TestRegionalFleet:
-    def _grid(self):
-        from repro.geo.coords import BoundingBox
-        from repro.geo.region import RegionGrid
-
-        return RegionGrid(BoundingBox(0.0, 0.0, 6000.0, 4000.0), nx=2, ny=2)
-
-    def test_members_stay_inside_their_region(self):
-        from repro.client.fleet import regional_fleet
-
-        grid = self._grid()
-        fleet = regional_fleet(3, grid, seed=5)
-        assert len(fleet) == 3 * grid.n_regions
-        assert len({m.name for m in fleet}) == len(fleet)
-        for k in range(grid.n_regions):
-            members = [m for m in fleet if m.name.startswith(f"region-{k}-")]
-            assert len(members) == 3
-            bounds = grid.region(k).bounds
-            for m in members:
-                for x, y in m.waypoints:
-                    assert bounds.contains_point(x, y)
-                    assert grid.shard_of(x, y) == k
-
-    def test_invalid_size(self):
-        from repro.client.fleet import regional_fleet
-
-        with pytest.raises(ValueError):
-            regional_fleet(0, self._grid())
-
-    def test_runs_against_sharded_server(self, small_batch, t_start):
-        from repro.client.fleet import regional_fleet
-        from repro.server.server import ShardedEnviroMeterServer
-
-        grid = self._grid()
-        server = ShardedEnviroMeterServer(grid, h=240)
-        server.ingest(small_batch)
-        fleet = regional_fleet(1, grid, n_queries=5, seed=2)
-        report = FleetSimulator(server).run(fleet, t_start)
-        assert len(report.members) == grid.n_regions
-        assert report.server_covers_served >= 1
-        # Shard-local traffic: every member is answered, and the request
-        # volume aggregates across the per-region servers.
-        assert report.server_covers_served == server.served_covers
-
-
 class TestSubscriptionFleet:
     def test_run_subscriptions_delivers_and_prunes(self, small_batch, t_start):
         import numpy as np

@@ -35,11 +35,7 @@ from repro.query.pipeline import (
 )
 from repro.query.planner import PlanEstimate, QueryProfile
 from repro.query.sharded import ShardedQueryEngine
-from repro.server.server import (
-    ConcurrentEnviroMeterServer,
-    EnviroMeterServer,
-    ShardedEnviroMeterServer,
-)
+from repro.server.server import ConcurrentEnviroMeterServer, EnviroMeterServer
 from repro.storage.shards import ShardRouter
 
 BBOX = BoundingBox(0.0, 0.0, 6000.0, 4000.0)
@@ -348,21 +344,15 @@ class TestEngineAuto:
 
 
 class TestServerCounters:
-    def make_server(self, rng, sharded=False):
+    def make_server(self, rng):
         stream = make_stream(rng, 200)
-        if sharded:
-            server = ShardedEnviroMeterServer(
-                RegionGrid.for_shard_count(BBOX, 4), h=50
-            )
-        else:
-            server = EnviroMeterServer(h=50)
+        server = EnviroMeterServer(h=50)
         server.ingest(stream)
         return server, stream
 
-    @pytest.mark.parametrize("sharded", [False, True])
-    def test_uniform_cache_counters(self, sharded):
+    def test_uniform_cache_counters(self):
         rng = np.random.default_rng(31)
-        server, stream = self.make_server(rng, sharded)
+        server, stream = self.make_server(rng)
         reqs = [
             QueryRequest(t=float(stream.t[-1]), x=2000.0 + 100 * i, y=1500.0)
             for i in range(6)

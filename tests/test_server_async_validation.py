@@ -30,6 +30,7 @@ import socket
 import struct
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -49,6 +50,7 @@ from repro.server.async_server import (
     HttpError,
     WebAppService,
     _HttpConnection,
+    _WsSubscriptionSession,
     _clean,
     _MAX_BODY,
     _MAX_HEADER,
@@ -674,6 +676,79 @@ class TestWebSocketSubscribe:
             time.sleep(0.05)
         with pytest.raises(KeyError):
             registry.subscription(sub_id)
+
+
+class _PushRecorder:
+    """Stands in for the server a ``/ws`` session pushes through: records
+    every frame and can run one coroutine while a push is in flight."""
+
+    def __init__(self, registry):
+        self.service = types.SimpleNamespace(subscriptions=registry)
+        self.frames = []
+        self.during_push = None
+
+    async def _send_text(self, writer, send_lock, payload):
+        self.frames.append(payload)
+        hook, self.during_push = self.during_push, None
+        if hook is not None:
+            await hook()
+
+
+class TestWsPusherUnsubscribeRace:
+    def test_unsubscribe_during_a_push_keeps_the_pusher_alive(self, small_batch):
+        """The pusher iterated over a copy of its subscriptions, so an
+        unsubscribe handled while it awaited the socket made the next
+        ``poll`` raise ``KeyError``: the task died and no subscription on
+        the connection received another frame."""
+        pad = 500.0
+        bbox = BoundingBox(
+            float(small_batch.x.min()) - pad,
+            float(small_batch.y.min()) - pad,
+            float(small_batch.x.max()) + pad,
+            float(small_batch.y.max()) + pad,
+        )
+        cut = int(0.6 * len(small_batch))
+        router = ShardRouter(RegionGrid(bbox, nx=2, ny=2), h=240)
+        router.ingest(small_batch.slice(0, cut))
+        registry = registry_for(ShardedQueryEngine(router))
+        xm, ym = float(np.mean(small_batch.x)), float(np.mean(small_batch.y))
+        # Past the end of the stream, every query tuple maps to the open
+        # window, so every ingest below changes both answers.
+        t_start = float(small_batch.t[-1]) + 3600.0
+
+        def request(d):
+            return {
+                "route": [[xm - d, ym - d], [xm + d, ym + d]],
+                "t_start": t_start,
+                "updates": 10,
+                "method": "naive",
+            }
+
+        async def run():
+            server = _PushRecorder(registry)
+            session = _WsSubscriptionSession(server, None, asyncio.Lock())
+            kept = (await session.subscribe(request(300.0)))["subscription"]
+            dropped = (await session.subscribe(request(200.0)))["subscription"]
+            # The first push (``kept``'s) awaits the reader's unsubscribe
+            # of ``dropped``, whose update is already queued.
+            server.during_push = lambda: session.unsubscribe(
+                {"subscription": dropped}
+            )
+            for k in range(3):
+                router.ingest(small_batch.slice(cut + 100 * k, cut + 100 * (k + 1)))
+                registry.notify_ingest()
+                for _ in range(500):
+                    if sum(f["subscription"] == kept for f in server.frames) > k:
+                        break
+                    await asyncio.sleep(0.01)
+            pusher_alive = not session._pusher.done()
+            await session.close()
+            return server.frames, kept, dropped, pusher_alive
+
+        frames, kept, dropped, pusher_alive = asyncio.run(run())
+        assert pusher_alive
+        assert [f["seq"] for f in frames if f["subscription"] == kept] == [1, 2, 3]
+        assert not any(f["subscription"] == dropped for f in frames)
 
 
 # -- the connection handler: one asyncio.Protocol over one buffer ----------

@@ -18,12 +18,7 @@ import pytest
 from repro.client.fleet import FleetSimulator, commuter_fleet
 from repro.data.tuples import TupleBatch
 from repro.geo.coords import BoundingBox
-from repro.geo.region import RegionGrid
-from repro.server.server import (
-    ConcurrentEnviroMeterServer,
-    EnviroMeterServer,
-    ShardedEnviroMeterServer,
-)
+from repro.server.server import ConcurrentEnviroMeterServer, EnviroMeterServer
 
 from concurrency import (
     make_query_workload,
@@ -89,23 +84,6 @@ class TestPhaseScheduledServer:
         )
         assert len(answered) >= len(workloads)  # one chunk per reader slice
         assert_matches_serial_replay(lambda: EnviroMeterServer(h=H), batches, answered)
-
-    @pytest.mark.parametrize("seed", [5, 17])
-    def test_sharded_server_matches_serial_replay(self, seed):
-        rng = np.random.default_rng(seed)
-        stream = make_stream(rng, 600)
-        batches = split_batches(stream, 6)
-        workloads = [make_query_workload(rng, stream, 32) for _ in range(4)]
-        schedule = seeded_schedule(seed, len(batches), len(workloads))
-
-        def make_server():
-            grid = RegionGrid(BBOX, nx=2, ny=2)
-            return ShardedEnviroMeterServer(grid, h=H, max_workers=2)
-
-        answered = run_phase_schedule(
-            make_server(), batches, workloads, schedule, n_readers=N_READERS
-        )
-        assert_matches_serial_replay(make_server, batches, answered)
 
 
 class TestFreeRunningServer:
@@ -192,59 +170,6 @@ class TestConcurrentFrontEnd:
         concurrent_prints = response_fingerprints([got[id(r)] for r in requests])
         assert concurrent_prints == expected
         assert server.served_values == served_before + 2 * len(requests)
-
-
-class TestParallelShardedIngest:
-    def test_parallel_ingest_equals_serial_ingest(self):
-        rng = np.random.default_rng(31)
-        stream = make_stream(rng, 800)
-        batches = split_batches(stream, 7)
-
-        parallel = ShardedEnviroMeterServer(
-            RegionGrid(BBOX, nx=3, ny=2), h=H, max_workers=4
-        )
-        serial = ShardedEnviroMeterServer(
-            RegionGrid(BBOX, nx=3, ny=2), h=H, max_workers=1
-        )
-        for batch in batches:
-            assert parallel.ingest(batch) == serial.ingest(batch) == len(batch)
-        assert parallel.epoch == serial.epoch == len(batches)
-        assert parallel.shard_raw_counts() == serial.shard_raw_counts()
-        requests = make_query_workload(rng, stream, 60)
-        assert response_fingerprints(
-            parallel.handle_many(requests)
-        ) == response_fingerprints(serial.handle_many(requests))
-        parallel.close()
-        serial.close()
-
-    def test_concurrent_writers_deliver_every_tuple(self):
-        rng = np.random.default_rng(37)
-        stream = make_stream(rng, 600)
-        batches = split_batches(stream, 8)
-        server = ShardedEnviroMeterServer(
-            RegionGrid(BBOX, nx=2, ny=2), h=H, max_workers=2
-        )
-        totals: list = []
-        lock = threading.Lock()
-
-        def writer(my_batches):
-            for batch in my_batches:
-                n = server.ingest(batch)
-                with lock:
-                    totals.append(n)
-
-        threads = [
-            threading.Thread(target=writer, args=(batches[i::2],))
-            for i in range(2)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert sum(totals) == len(stream)
-        assert sum(server.shard_raw_counts()) == len(stream)
-        assert server.epoch == len(batches)
-        server.close()
 
 
 class TestConcurrentFleet:

@@ -24,23 +24,15 @@ from repro.query.subscriptions import (
     SubscriptionSpec,
     registry_for,
 )
-from repro.server.server import (
-    ConcurrentEnviroMeterServer,
-    EnviroMeterServer,
-    ShardedEnviroMeterServer,
-)
+from repro.server.server import ConcurrentEnviroMeterServer, EnviroMeterServer
 from repro.storage.shards import ShardRouter
+from repro.storage.tiered import TieredShardRouter
 
 H = 240
-KINDS = ("engine", "sharded-engine", "server", "sharded-server")
-# Servers only serve model-cover answers; engines get an exact method so
-# the sketch-pruned path is exercised too.
-METHOD = {
-    "engine": "naive",
-    "sharded-engine": "naive",
-    "server": None,
-    "sharded-server": None,
-}
+KINDS = ("engine", "sharded-engine", "server")
+# The server only serves model-cover answers; engines get an exact method
+# so the sketch-pruned path is exercised too.
+METHOD = {"engine": "naive", "sharded-engine": "naive", "server": None}
 
 
 def _bbox(batch, pad=500.0):
@@ -64,11 +56,7 @@ def _fresh(kind, batch, bbox):
         router = ShardRouter(RegionGrid(bbox, nx=2, ny=2), h=H)
         router.ingest(batch)
         return ShardedQueryEngine(router)
-    if kind == "server":
-        srv = EnviroMeterServer(h=H)
-        srv.ingest(batch)
-        return srv
-    srv = ShardedEnviroMeterServer(RegionGrid(bbox, nx=2, ny=2), h=H)
+    srv = EnviroMeterServer(h=H)
     srv.ingest(batch)
     return srv
 
@@ -81,10 +69,7 @@ def _extend(kind, backend, batch, hi):
         n = backend.router.global_count()
         backend.router.ingest(batch.slice(n, hi))
     else:
-        n = len(backend.snapshot()) if kind == "server" else sum(
-            len(s.snapshot()) for s in backend.shards
-        )
-        backend.ingest(batch.slice(n, hi))
+        backend.ingest(batch.slice(len(backend.snapshot()), hi))
 
 
 def _reference(kind, batch, hi, bbox, query_batch, method):
@@ -157,6 +142,42 @@ class TestRegistryBasics:
             SubscriptionSpec(
                 route=((0.0, 0.0), (1.0, 1.0)), t_start=0.0, count=0
             )
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"t_start": float("nan")},
+            {"t_start": float("inf")},
+            {"interval_s": float("nan")},
+            {"interval_s": float("inf")},
+            {"route": ((0.0, 0.0), (float("nan"), 1.0))},
+            {"route": ((float("-inf"), 0.0), (1.0, 1.0))},
+            {"count": 2.5},
+            {"count": True},
+        ],
+        ids=lambda field: "-".join(f"{k}={v!r}" for k, v in field.items()),
+    )
+    def test_spec_rejects_non_finite_and_non_integer_input(
+        self, field, small_batch
+    ):
+        """``/ws`` rejects these with a 400; the in-process API used to
+        register them (a NaN interval gave NaN query times answered from
+        the stream head, unstable forever; ``count=2.5`` failed deep in
+        the query-batch builder and ``count=True`` meant one query)."""
+        fields = {"route": ((0.0, 0.0), (1.0, 1.0)), "t_start": 0.0}
+        fields.update(field)
+        with pytest.raises(ValueError):
+            SubscriptionSpec(**fields)
+        reg = registry_for(QueryEngine(small_batch, h=H))
+        with pytest.raises(ValueError):
+            reg.subscribe(method="naive", **fields)
+        assert len(reg) == 0
+
+    def test_spec_accepts_numpy_integer_count(self):
+        spec = SubscriptionSpec(
+            route=((0.0, 0.0), (1.0, 1.0)), t_start=0.0, count=np.int64(3)
+        )
+        assert len(spec.query_batch()) == 3
 
     def test_unknown_method_rejected(self, small_batch):
         reg = registry_for(QueryEngine(small_batch, h=H))
@@ -316,28 +337,32 @@ class TestReplayOracle:
             assert np.array_equal(v, ref_v, equal_nan=True)
             assert np.array_equal(sup, ref_s)
 
-    def test_free_running_writer_engine(self, small_batch):
-        """A writer thread refreshes the engine while the reader polls
+    # The sharded engine is left out on purpose: its marks are unpinned
+    # router reads, so under a racing writer it is eventually consistent
+    # rather than exact at every delivered row count.
+    @pytest.mark.parametrize("kind", ["engine", "server"])
+    def test_free_running_writer(self, kind, small_batch):
+        """A writer thread grows the backend while the reader polls
         concurrently: every delivered update must still be byte-identical
         to from-scratch execution at its pinned row count."""
         batch = small_batch
         bbox = _bbox(batch)
         cut = int(0.6 * len(batch))
-        engine = QueryEngine(batch.slice(0, cut), h=H)
-        reg = registry_for(engine)
+        backend = _fresh(kind, batch.slice(0, cut), bbox)
+        reg = registry_for(backend)
         sub = reg.subscribe(
             _route_near(batch),
             float(batch.t[cut - 1]),
             interval_s=60.0,
             count=12,
-            method="naive",
+            method=METHOD[kind],
         )
 
         def write():
             n = cut
             while n < len(batch):
                 n = min(n + 251, len(batch))
-                engine.refresh(batch.slice(0, n))
+                _extend(kind, backend, batch, n)
 
         writer = threading.Thread(target=write)
         writer.start()
@@ -347,17 +372,19 @@ class TestReplayOracle:
         writer.join()
         updates.extend(reg.poll(sub.id))
         assert updates, "the growing tail must reach the subscription"
-        _replay(sub, updates, "engine", batch, bbox)
+        _replay(sub, updates, kind, batch, bbox)
         ref_v, ref_s = _reference(
-            "engine", batch, len(batch), bbox, sub.spec.query_batch(), "naive"
+            kind, batch, len(batch), bbox, sub.spec.query_batch(), sub.method
         )
         v, s = sub.answer()
         assert np.array_equal(v, ref_v, equal_nan=True)
         assert np.array_equal(s, ref_s)
 
 
-class TestShardedServerColdRegion:
-    def test_cold_region_subscription_follows_data(self, small_batch):
+class TestColdShardSubscription:
+    def test_cold_shard_subscription_follows_data(self, small_batch):
+        """A model-cover subscription over a shard with no rows yet picks
+        the data up once that shard's region gets some."""
         batch = small_batch
         b = _bbox(batch, pad=10.0)
         width = b.max_x - b.min_x
@@ -365,31 +392,82 @@ class TestShardedServerColdRegion:
         grid = RegionGrid(
             BoundingBox(b.min_x, b.min_y, b.max_x + width, b.max_y), nx=2, ny=1
         )
-        srv = ShardedEnviroMeterServer(grid, h=H)
-        srv.ingest(batch)
+        router = ShardRouter(grid, h=H)
+        router.ingest(batch)
+        assert router.shard_counts()[1] == 0
+        reg = registry_for(ShardedQueryEngine(router))
         xm = float(np.mean(batch.x)) + width
         ym = float(np.mean(batch.y))
-        t_tail = float(batch.t[-1])
-        sub = srv.subscribe(
+        sub = reg.subscribe(
             [(xm - 300.0, ym - 300.0), (xm + 300.0, ym + 300.0)],
-            t_tail,
+            float(batch.t[-1]),
             interval_s=60.0,
             count=8,
+            method="model-cover",
         )
-        # Data arrives in the cold region (same stream, shifted east).
+        # Data arrives in the cold region: the stream's last 600 rows,
+        # shifted east and on past the end of the stream.
+        tail = batch.slice(len(batch) - 600, len(batch))
         shifted = TupleBatch(
-            batch.t[-600:] + 1.0, batch.x[-600:] + width, batch.y[-600:], batch.s[-600:]
+            tail.t - tail.t[0] + batch.t[-1] + 1.0, tail.x + width, tail.y, tail.s
         )
-        srv.ingest(shifted)
-        srv.poll_updates(sub.id)
-        ref = ShardedEnviroMeterServer(grid, h=H)
-        ref.ingest(batch)
-        ref.ingest(shifted)
-        ref_v, ref_s = registry_for(ref).reference_answers(
-            sub.spec.query_batch(), sub.method
+        router.ingest(shifted)
+        assert reg.poll(sub.id), "the cold shard's new rows must reach it"
+        fresh = ShardRouter(grid, h=H)
+        fresh.ingest(batch)
+        fresh.ingest(shifted)
+        ref_v, ref_s = registry_for(ShardedQueryEngine(fresh)).reference_answers(
+            sub.spec.query_batch(), "model-cover"
         )
         v, s = sub.answer()
         assert np.array_equal(v, ref_v, equal_nan=True)
         assert np.array_equal(s, ref_s)
-        # The remapped subscription now actually reads the new region.
+        # The subscription now actually reads the new region.
         assert np.isfinite(v).any()
+
+
+class TestTieredStoreMarks:
+    def test_open_window_growth_faults_no_cold_window(self, small_batch, tmp_path):
+        """Marks on a router are unpinned reads: a pass in which only the
+        open window grew checks every registered window without faulting
+        one in from its segment file, and a quiet pass pins nothing."""
+        batch = small_batch
+        grid = RegionGrid(_bbox(batch), nx=2, ny=2)
+        router = TieredShardRouter(
+            grid, h=H, data_dir=tmp_path / "tier", memory_windows=1,
+            wal_sync=False,
+        )
+        try:
+            # Stop 10 rows into a window, so the next ingest only grows it.
+            cut = (len(batch) // H - 1) * H + 10
+            router.ingest(batch.slice(0, cut))
+            engine = ShardedQueryEngine(router)
+            bindings = []
+
+            def recording_binding(binding=engine.binding):
+                bindings.append(binding())
+                return bindings[-1]
+
+            engine.binding = recording_binding
+            reg = registry_for(engine)
+            t0, t1 = float(batch.t[0]), float(batch.t[cut - 1])
+            # One route sampled across the whole stream, one at the tail.
+            reg.subscribe(
+                _route_near(batch), t0, interval_s=(t1 - t0) / 23, count=23,
+                method="naive",
+            )
+            reg.subscribe(_route_near(batch), t1, count=10, method="naive")
+            stats = reg.stats
+            quiet, checked = stats.quiet_passes, stats.keys_checked
+            faults = router.faults
+            router.ingest(batch.slice(cut, cut + 50))
+            reg.maintain()
+            assert stats.quiet_passes == quiet
+            assert stats.keys_checked - checked >= 20
+            assert router.faults == faults
+            reg.maintain()
+            assert stats.quiet_passes == quiet + 1
+            assert bindings[-1]._memo == {}
+            assert router.faults == faults
+        finally:
+            router.close()
