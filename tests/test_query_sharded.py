@@ -243,6 +243,85 @@ class TestOpenWindowIngest:
         assert mc.answered
 
 
+_HALVES = BoundingBox(0.0, 0.0, 6000.0, 4000.0)
+
+
+class TestRegionLocality:
+    """Region sharding is shard-local: ingest into one region never
+    re-stamps or refits another region's slices, covers are fitted on the
+    owner's slice alone, and a region without data is answered from the
+    neighbouring shard's tuples within the radius."""
+
+    @pytest.fixture()
+    def halves(self, small_batch):
+        """``(router, east_tail)``: a west/east router holding rows
+        ``[0, 3000)`` (window 12 open, both halves in it) and the
+        east-only tuples of the next 600 rows, to ingest later."""
+        router = ShardRouter(RegionGrid(_HALVES, nx=2, ny=1), h=240)
+        router.ingest(small_batch.slice(0, 3000))
+        tail = small_batch.slice(3000, 3600)
+        east_tail = tail.select_mask(tail.x >= 3000.0)
+        assert len(east_tail)
+        return router, east_tail
+
+    def test_ingest_elsewhere_keeps_owner_stamps(self, halves):
+        router, east_tail = halves
+        windows = range(router.global_window_count() + 2)
+        west_before = [router.shard_window_epoch(0, c) for c in windows]
+        assert router.ingest(east_tail) == [0, len(east_tail)]
+        assert [router.shard_window_epoch(0, c) for c in windows] == west_before
+        open_c = router.window_for_time(float(east_tail.t[0]))
+        assert router.shard_window_epoch(1, open_c) == router.epoch
+
+    def test_ingest_elsewhere_keeps_owner_cover_cached(self, halves, small_batch):
+        router, east_tail = halves
+        t = float(small_batch.t[2950])  # inside open window 12
+        open_c = router.window_for_time(t)
+        assert len(router.shard_window(0, open_c))
+        with ShardedQueryEngine(router, radius_m=1000.0) as engine:
+            first = engine.point_query(t, 1500.0, 2000.0, method="model-cover")
+            hits, misses = engine.cache_stats.hits, engine.cache_stats.misses
+            assert misses  # the first query fitted the west cover
+            router.ingest(east_tail)  # grows window 12 in the east only
+            again = engine.point_query(t, 1500.0, 2000.0, method="model-cover")
+            assert engine.cache_stats.misses == misses
+            assert engine.cache_stats.hits > hits
+            assert again == first
+
+    def test_cover_fitted_on_owner_slice_only(self, halves, small_batch):
+        router, _ = halves
+        t = float(small_batch.t[1000])
+        c = router.window_for_time(t)
+        with ShardedQueryEngine(router, radius_m=1000.0) as engine:
+            assert engine.point_query(t, 1500.0, 2000.0, method="model-cover").answered
+            covers = [k for k in engine.processor_cache.keys() if k[0] == "cover"]
+        assert covers == [("cover", 0, c)]
+
+    @pytest.mark.parametrize("method", SHARDED_METHODS)
+    def test_cold_owner_answered_from_neighbour(self, small_batch, method):
+        router = ShardRouter(RegionGrid(_HALVES, nx=2, ny=1), h=240)
+        router.ingest(small_batch.select_mask(small_batch.x < 3000.0))
+        assert router.shard_counts()[1] == 0
+        t = float(small_batch.t[len(small_batch) // 2])
+        west = router.shard_window(0, router.window_for_time(t))
+        k = int(np.argmax(west.x))  # the west tuple nearest the border
+        x, y = 3100.0, float(west.y[k])
+        assert router.grid.shard_of(x, y) == 1
+        with ShardedQueryEngine(router, radius_m=1000.0) as engine:
+            exact = engine.point_query(t, x, y, method="naive")
+            res = engine.point_query(t, x, y, method=method)
+        assert exact.support > 0
+        assert res.support == exact.support
+        assert res.value == exact.value
+
+    @pytest.mark.parametrize("method", ["naive", "model-cover"])
+    def test_no_data_anywhere_raises(self, method):
+        router = ShardRouter(RegionGrid(_HALVES, nx=2, ny=2), h=240)
+        with ShardedQueryEngine(router) as engine:
+            with pytest.raises(RuntimeError, match="no data"):
+                engine.point_query(0.0, 100.0, 100.0, method=method)
+
+
 _LANE_H = 240
 #: Rows ingested before a lane test starts: 20 sealed windows plus 100
 #: rows of an open one, so the held-back tail can grow window 20.

@@ -152,14 +152,22 @@ class TestAtomicSave:
 
 class TestSaveUnderIngest:
     """Torn-save regression: saving while a writer free-runs must capture a
-    single epoch-consistent prefix — never columns at different lengths."""
+    single epoch-consistent prefix — never columns at different lengths.
+
+    The writer is capped at ``MAX_CHUNKS`` appends.  Uncapped, every save
+    (which releases the GIL in its fsync) lets the writer grow the next
+    save by an amount proportional to its own duration, so on a slow disk
+    the saves grow geometrically — gigabytes of temp files by the 25th.
+    The cap sits far above what a save loop interleaves with on an idle
+    host, so the saves still race live appends."""
 
     CHUNK = 7
+    MAX_CHUNKS = 10_000
 
     def _writer(self, db, stop, error):
         i = 0
         try:
-            while not stop.is_set():
+            while not stop.is_set() and i < self.MAX_CHUNKS:
                 base = float(i * self.CHUNK)
                 t = base + np.arange(self.CHUNK, dtype=float)
                 db.ingest_tuples(TupleBatch(t, t + 0.5, t + 0.25, t + 400.0))
@@ -184,7 +192,7 @@ class TestSaveUnderIngest:
             stop.set()
             writer.join(timeout=30.0)
         assert not error
-        final_t = db.snapshot().batch.t
+        final = db.snapshot().batch
         for path in payloads:
             loaded = load_database(path)
             batch = loaded.raw_tuples()
@@ -193,7 +201,8 @@ class TestSaveUnderIngest:
             # the capture is an exact prefix of the final stream.
             assert len(batch.t) == len(batch.x) == len(batch.y) == len(batch.s)
             assert n % self.CHUNK == 0
-            assert np.array_equal(batch.t, final_t[:n])
+            for name in ("t", "x", "y", "s"):
+                assert np.array_equal(getattr(batch, name), getattr(final, name)[:n])
             # Cover index only points at serialized model_cover rows.
             n_cover_rows = len(loaded.table("model_cover").scan()["window_c"])
             for rid in loaded.cover_index().values():
