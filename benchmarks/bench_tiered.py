@@ -20,6 +20,11 @@ The byte-identity oracle runs on every invocation: hot and cold answers
 from the capped tier must equal the all-resident engine's bit for bit,
 and the peak resident count must never exceed the configured cap.
 
+A third pass measures **durable ingest** (``wal_sync=True``, every WAL
+append fsynced): rows/s, and the atomic writes each seal makes, counted
+through ``fsio.replace``.  A seal writes one pack, the manifest and the
+WAL checkpoint, so the run fails if any seal costs more than 3.
+
 Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_tiered.py [--smoke]
@@ -35,6 +40,7 @@ import os
 import shutil
 import sys
 import tempfile
+import time
 
 import numpy as np
 
@@ -43,6 +49,7 @@ from repro.eval.timing import time_callable
 from repro.geo.region import RegionGrid
 from repro.query.base import QueryBatch
 from repro.query.sharded import ShardedQueryEngine
+from repro.storage import fsio
 from repro.storage.shards import ShardRouter
 from repro.storage.tiered import TieredShardRouter
 
@@ -61,6 +68,7 @@ INGEST_BATCH = 2000
 N_QUERIES = 200
 REPEATS = 3
 ACCEPT_HOT_RATIO = 1.2  # hot-window latency vs all-resident
+MAX_WRITES_PER_SEAL = 3  # the pack, the manifest, the WAL checkpoint
 
 
 def tiled_stream(dataset, replicas: int) -> TupleBatch:
@@ -92,6 +100,44 @@ def build_routers(dataset, data_dir, replicas: int = REPLICAS, cap: int = CAP):
         tiered.ingest(chunk)
         plain.ingest(chunk)
     return stream, tiered, plain
+
+
+def durable_ingest(dataset, data_dir, replicas: int = REPLICAS) -> dict:
+    """Ingest the tiled stream into an fsyncing tier, counting the atomic
+    writes (``fsio.replace`` calls) each ingest's seal makes."""
+    stream = tiled_stream(dataset, replicas)
+    grid = RegionGrid(dataset.covered_bbox(), nx=GRID_NX, ny=GRID_NY)
+    renames = [0]
+    real_replace = fsio.replace
+
+    def counting_replace(src, dst) -> None:
+        renames[0] += 1
+        real_replace(src, dst)
+
+    writes_per_seal = []
+    fsio.replace = counting_replace
+    try:
+        with TieredShardRouter(grid, h=H, data_dir=data_dir, wal_sync=True) as tiered:
+            start = time.perf_counter()
+            for lo in range(0, len(stream), INGEST_BATCH):
+                renames_before = renames[0]
+                packs_before = tiered.tier_stats()["packs_written"]
+                tiered.ingest(stream.slice(lo, min(lo + INGEST_BATCH, len(stream))))
+                seals = tiered.tier_stats()["packs_written"] - packs_before
+                if seals:
+                    writes_per_seal.append((renames[0] - renames_before) / seals)
+            elapsed = time.perf_counter() - start
+            stats = tiered.tier_stats()
+    finally:
+        fsio.replace = real_replace
+    return {
+        "rows": len(stream),
+        "rows_per_s": len(stream) / elapsed,
+        "seals": stats["packs_written"],
+        "slices": stats["segments_written"],
+        "atomic_writes_per_seal_max": max(writes_per_seal),
+        "atomic_writes_per_seal_mean": float(np.mean(writes_per_seal)),
+    }
 
 
 def hot_queries(stream: TupleBatch, bounds, n: int, rng) -> QueryBatch:
@@ -204,6 +250,10 @@ def main(smoke: bool = False) -> int:
             oracle.close()
             tiered.close()
 
+        with time_section("durable ingest"):
+            durable = durable_ingest(dataset, os.path.join(data_dir, "durable"))
+        writes_ok = durable["atomic_writes_per_seal_max"] <= MAX_WRITES_PER_SEAL
+
         hot_ratio = t_hot_tier / t_hot_all
         cold_ratio = t_cold_tier / t_cold_all
         fault_in_us = (t_cold_tier - t_cold_all) * 1e6 / max(faults_per_pass, 1.0)
@@ -237,6 +287,12 @@ def main(smoke: bool = False) -> int:
             f"{'OK' if cap_ok else 'BROKEN'}; "
             f"{stats['faults']} faults, {stats['evictions']} evictions"
         )
+        print(
+            f"durable ingest (wal_sync=True): {durable['rows_per_s']:,.0f} rows/s, "
+            f"{durable['seals']} seals of {durable['slices']} slices, at most "
+            f"{durable['atomic_writes_per_seal_max']:.0f} atomic writes per seal "
+            f"(<= {MAX_WRITES_PER_SEAL}): {'OK' if writes_ok else 'BROKEN'}"
+        )
 
         path = write_bench_json(
             "tiered",
@@ -265,15 +321,24 @@ def main(smoke: bool = False) -> int:
                     "segment_bytes_per_user_byte": disk_ratio,
                     "byte_identical": hot_same and cold_same,
                     "cap_held": cap_ok,
+                    "durable_ingest": durable,
                 },
                 "accept_hot_ratio": ACCEPT_HOT_RATIO,
+                "max_atomic_writes_per_seal": MAX_WRITES_PER_SEAL,
             },
         )
         print(f"wrote {path.name}")
 
-        ok = hot_same and cold_same and cap_ok and hot_ratio <= ACCEPT_HOT_RATIO
+        ok = (
+            hot_same
+            and cold_same
+            and cap_ok
+            and writes_ok
+            and hot_ratio <= ACCEPT_HOT_RATIO
+        )
         print(
-            f"\nacceptance (byte-identical, cap held, hot latency <= "
+            f"\nacceptance (byte-identical, cap held, <= {MAX_WRITES_PER_SEAL} "
+            f"atomic writes per seal, hot latency <= "
             f"{ACCEPT_HOT_RATIO:.1f}x all-resident): "
             f"{'PASS' if ok else 'FAIL'} ({hot_ratio:.2f}x)"
         )
@@ -289,14 +354,10 @@ class time_section:
         self.label = label
 
     def __enter__(self):
-        import time
-
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, *exc):
-        import time
-
         print(f"[{self.label}: {time.perf_counter() - self._start:.1f}s]")
 
 

@@ -5,6 +5,10 @@ the paper).  Everything downstream — the synthetic dataset, the spatial
 indexes, the Ad-KMN clustering — works in a local metric coordinate frame,
 so this package provides the WGS84 <-> local-metre projection and the basic
 planar geometry primitives.
+
+The street graph (``repro.geo.streetgraph``, networkx-backed) is imported
+from its submodule, so importing this package — and with it the server —
+does not import networkx.
 """
 
 from repro.geo.coords import (
@@ -15,7 +19,6 @@ from repro.geo.coords import (
     haversine_m,
 )
 from repro.geo.region import Region, RegionGrid, SubRegion
-from repro.geo.streetgraph import StreetGraph, StreetPath, lausanne_street_graph
 
 __all__ = [
     "EARTH_RADIUS_M",
@@ -26,7 +29,4 @@ __all__ = [
     "Region",
     "RegionGrid",
     "SubRegion",
-    "StreetGraph",
-    "StreetPath",
-    "lausanne_street_graph",
 ]

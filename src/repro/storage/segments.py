@@ -3,12 +3,21 @@
 Once a global count-window seals (the write head moves past it), its
 rows can never change — the sealed-window immutability contract in
 ``README.md``.  The durable tier exploits that: each ``(shard, window)``
-slice is frozen into one *segment file*, written atomically
-(tmp + fsync + rename via :mod:`repro.storage.fsio`) and never modified
-afterwards, so reads need no locking and crash recovery never has to
-repair a segment — a segment either exists completely or not at all.
+slice is frozen into one *segment image* (:func:`encode_segment`) and
+never modified afterwards, so reads need no locking and crash recovery
+never has to repair a segment.
 
-On-disk layout (little-endian)::
+**A segment image is the unit of checking; a file the unit of
+durability.**  :func:`write_segment` commits one image as a standalone
+file; the tiered store (``tiered.py``) concatenates every image one seal
+freezes into one *pack* file and commits that with a single atomic
+write (tmp + fsync + rename via :mod:`repro.storage.fsio`), so a pack
+exists completely or not at all.  Either way an image is read back on
+its own — the whole standalone file (:func:`read_segment`), or exactly
+its bytes of a pack (:func:`read_packed_segment`, one ``os.pread``) —
+and :func:`decode_segment` runs every check below on it.
+
+Segment image layout (little-endian)::
 
     b"EMSG"                          magic
     u32   version (1)
@@ -25,7 +34,10 @@ On-disk layout (little-endian)::
             u32   n_columns
             per column: str name, u8 dtype code (0 = <f8, 1 = <i8)
         zero padding to make 16 + header_len a multiple of 8
-    group payloads, in directory order, to the end of the file
+    group payloads, in directory order, to the end of the image
+
+A raw (codec 0) image is therefore a multiple of 8 bytes long, and
+images concatenated into a pack keep their payloads 8-aligned.
 
 Columns are stored in *groups* that are addressed, checked and (under
 codec 1) decompressed as units — the vertical-partitioning idea: the
@@ -37,8 +49,8 @@ uncompressed bytes, so corruption anywhere — header or payload, flipped
 bit, truncation or appended bytes — surfaces as :class:`SegmentCorrupt`,
 never as silently wrong rows.
 
-Seals write **codec 0**: a fault-in is one read of the file, the checks
-and five ``np.frombuffer`` views of the file image — no decode, no copy;
+Seals write **codec 0**: a fault-in is one read of the image, the checks
+and five ``np.frombuffer`` views of it — no decode, no copy;
 the header padding is what makes the views aligned.  Both codecs stay
 readable, so a directory sealed before the switch, or holding both,
 opens unchanged.  The checks run on every read, not once per file: the
@@ -53,6 +65,7 @@ ever faulting a segment in just to skip it.
 from __future__ import annotations
 
 import io
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -132,6 +145,8 @@ class Segment:
 
 
 def segment_filename(shard: int, window_c: int) -> str:
+    """The standalone file name a per-slice (format-1) tiered directory
+    gave each slice; seals now write packs instead."""
     return f"seg-s{shard:04d}-w{window_c:08d}.seg"
 
 
@@ -151,8 +166,7 @@ def _read_str(data: bytes, offset: int) -> Tuple[str, int]:
     return data[offset : offset + n].decode("utf-8"), offset + n
 
 
-def write_segment(
-    path: Union[str, Path],
+def encode_segment(
     *,
     shard: int,
     window_c: int,
@@ -162,13 +176,11 @@ def write_segment(
     gids: np.ndarray,
     sketch: WindowSketch,
     compress: bool = False,
-) -> int:
-    """Atomically write one sealed ``(shard, window)`` slice.
+) -> bytes:
+    """The segment image of one sealed ``(shard, window)`` slice.
 
-    Returns the file size in bytes.  The write is all-or-nothing: the
-    file only appears under ``path`` after its full content is fsynced
-    (see :func:`repro.storage.fsio.atomic_write_bytes`).  ``compress``
-    stores the groups zlib'd (codec 1): less disk, a decode per read.
+    ``compress`` stores the groups zlib'd (codec 1): less disk, a decode
+    per read.
     """
     if len(gids) != len(batch):
         raise ValueError("gids must align with the batch rows")
@@ -205,11 +217,22 @@ def write_segment(
     # header bytes past the directory; the header CRC covers them.
     header.write(b"\0" * (-(_PREAMBLE.size + header.tell()) % 8))
     header_bytes = header.getvalue()
-    blob = (
+    return (
         _PREAMBLE.pack(_MAGIC, _VERSION, len(header_bytes), zlib.crc32(header_bytes))
         + header_bytes
         + b"".join(payloads)
     )
+
+
+def write_segment(path: Union[str, Path], **slice_fields) -> int:
+    """Atomically write one slice's image (:func:`encode_segment`'s
+    keyword arguments) as a standalone file; returns its size in bytes.
+
+    The write is all-or-nothing: the file only appears under ``path``
+    after its full content is fsynced (see
+    :func:`repro.storage.fsio.atomic_write_bytes`).
+    """
+    blob = encode_segment(**slice_fields)
     fsio.atomic_write_bytes(path, blob)
     return len(blob)
 
@@ -262,25 +285,55 @@ def read_segment_meta(path: Union[str, Path]) -> SegmentMeta:
 def read_segment(
     path: Union[str, Path], groups: Sequence[str] = ("core", "gids")
 ) -> Segment:
-    """Read and validate the requested column groups of a segment.
-
-    One read of the file; groups not asked for are never sliced, decoded
-    or checksummed.  Every check runs on every call: preamble, header
-    CRC, file length against the directory, then per wanted group its
-    length, the CRC32 of its uncompressed bytes and its row count, before
-    any array is built.  The arrays are read-only views: of the file
-    image for a raw group, of the decoded bytes for a zlib one.
-    """
+    """Read and validate the requested column groups of a standalone
+    segment file: one read of the file, then :func:`decode_segment`."""
     with open(path, "rb") as f:
         data = f.read()
-    record, directory, offset = _parse_header(data, path)
+    return decode_segment(data, path, groups)
+
+
+def read_packed_segment(
+    path: Union[str, Path],
+    offset: int,
+    length: int,
+    groups: Sequence[str] = ("core", "gids"),
+) -> Segment:
+    """Read and validate the segment image at ``[offset, offset +
+    length)`` of a pack file: one ``os.pread`` of exactly those bytes,
+    then :func:`decode_segment`.  A pack cut short or a wrong extent
+    surfaces as :class:`SegmentCorrupt` like any other bad image."""
+    where = f"{path}[{offset}:{offset + length}]"
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        data = os.pread(fd, length, offset)
+    finally:
+        os.close(fd)
+    if len(data) != length:
+        raise SegmentCorrupt(f"{where}: pack ends {length - len(data)} bytes short")
+    return decode_segment(data, where, groups)
+
+
+def decode_segment(
+    data: bytes, where: Union[str, Path], groups: Sequence[str] = ("core", "gids")
+) -> Segment:
+    """Validate a segment image and view its requested column groups.
+
+    Groups not asked for are never sliced, decoded or checksummed.
+    Every check runs on every call: preamble, header CRC, image length
+    against the directory, then per wanted group its length, the CRC32
+    of its uncompressed bytes and its row count, before any array is
+    built.  The arrays are read-only views: of the image for a raw
+    group, of the decoded bytes for a zlib one.  ``where`` names the
+    image in error messages.
+    """
+    record, directory, offset = _parse_header(data, where)
     names = [entry[0] for entry in directory]
     unknown = [name for name in groups if name not in names]
     if unknown:
-        raise KeyError(f"{path}: no column group(s) {sorted(set(unknown))}")
+        raise KeyError(f"{where}: no column group(s) {sorted(set(unknown))}")
     if offset + sum(entry[3] for entry in directory) != len(data):
         raise SegmentCorrupt(
-            f"{path}: file length disagrees with its group directory"
+            f"{where}: file length disagrees with its group directory"
         )
     n_rows = record[3]
     image = memoryview(data)
@@ -295,15 +348,15 @@ def read_segment(
                 raw = zlib.decompress(raw)
             except zlib.error as exc:
                 raise SegmentCorrupt(
-                    f"{path}: group {name!r} failed to decompress ({exc})"
+                    f"{where}: group {name!r} failed to decompress ({exc})"
                 ) from None
         elif codec != CODEC_RAW:
-            raise SegmentCorrupt(f"{path}: group {name!r} has unknown codec {codec}")
+            raise SegmentCorrupt(f"{where}: group {name!r} has unknown codec {codec}")
         if len(raw) != raw_len or zlib.crc32(raw) != crc:
-            raise SegmentCorrupt(f"{path}: group {name!r} failed its checksum")
+            raise SegmentCorrupt(f"{where}: group {name!r} failed its checksum")
         if raw_len != n_rows * 8 * len(cols):
             raise SegmentCorrupt(
-                f"{path}: group {name!r} length disagrees with its row count"
+                f"{where}: group {name!r} length disagrees with its row count"
             )
         decoded[name] = {
             col: np.frombuffer(raw, dtype=dtype, count=n_rows, offset=k * n_rows * 8)

@@ -284,11 +284,12 @@ class ShardRouter:
         """Append a batch, routing each tuple to its owning shard.
 
         Returns the number of tuples delivered per shard.  The batch
-        must honour the ingest contract — finite timestamps, time-sorted,
-        starting no earlier than the last accepted tuple — or it is
-        rejected with ``ValueError`` before the store logs it and before
-        any state changes: one late tuple would silently corrupt
-        :meth:`windows_for_times` for every later query.  An accepted
+        must honour the ingest contract — finite timestamps and positions,
+        time-sorted, starting no earlier than the last accepted tuple — or
+        it is rejected with ``ValueError`` before the store logs it and
+        before any state changes: one late tuple would silently corrupt
+        :meth:`windows_for_times` for every later query, and a NaN
+        position would land in cell 0.  An accepted
         batch is logged by the store first (durable before acknowledged),
         applied, and then the store seals whatever windows it completed.
         """
@@ -298,6 +299,8 @@ class ShardRouter:
         with self._lock:
             if not np.isfinite(batch.t).all():
                 raise ValueError("ingest batch has a non-finite timestamp")
+            if not (np.isfinite(batch.x).all() and np.isfinite(batch.y).all()):
+                raise ValueError("ingest batch has a non-finite position")
             if not batch.is_time_sorted():
                 raise ValueError("ingest batch is not time-sorted")
             if batch.t[0] < self._last_t:

@@ -8,12 +8,13 @@ in a :class:`SegmentWindowStore` instead of RAM:
 
 * **Hot tail** — rows of still-open global windows live in memory only
   (plus the WAL for crash safety), exactly as routed.
-* **Sealed segments** — the moment a global window seals, each shard's
-  slice is frozen into an immutable, checksummed segment file
-  (:mod:`repro.storage.segments`) and the manifest is atomically
-  updated.  Sealed slices then live in a bounded LRU of resident
-  windows; cold ones are evicted and transparently faulted back in when
-  a plan's ``slice_for`` needs their rows.
+* **Sealed packs** — the moment global windows seal, each shard's
+  slice of each is frozen into an immutable, checksummed segment image
+  (:mod:`repro.storage.segments`), all of one seal's images go into one
+  pack file, and the manifest is atomically updated.  Sealed slices
+  then live in a bounded LRU of resident windows; cold ones are evicted
+  and transparently faulted back in — one ``os.pread`` of exactly the
+  slice's image — when a plan's ``slice_for`` needs their rows.
 * **Always-resident metadata** — per-(shard, window) stamps, row counts
   and zone-map sketches, the global window cuts, and the first-tuple
   time per window are the *router's* state, not the store's.
@@ -33,13 +34,18 @@ Durability protocol (see ``docs/architecture.md``):
 1. ``ingest`` hands the accepted *global* batch to :meth:`SegmentWindowStore.log`,
    which appends it to the WAL and fsyncs **before** any in-memory state
    changes — an acknowledged batch survives a crash.
-2. When windows seal, their per-shard segments are written (each one
-   atomic), **then** the manifest is atomically replaced, **then** the
-   WAL is checkpointed down to the unsealed tail.  A crash between any
-   two steps loses nothing: segments not yet in the manifest are
-   re-written deterministically from the WAL on recovery, and WAL
-   records overlapping sealed rows are skipped by their absolute start
-   row.
+2. When windows seal, the images of every ``(shard, window)`` slice
+   they freeze are concatenated in (window, shard) order into one pack,
+   ``segments/pack-w<first window:08d>.seg``, committed by one atomic
+   write; **then** the manifest, which records each slice's ``file``,
+   ``offset`` and ``length``, is atomically replaced; **then** the WAL
+   is checkpointed down to the unsealed tail.  Three atomic writes per
+   seal, however many slices it freezes.  A crash between any two steps
+   loses nothing: a pack not yet in the manifest is ignored on recovery
+   and re-written under the same name from the WAL, and WAL records
+   overlapping sealed rows are skipped by their absolute start row.  A
+   segment image is the unit of checking; a pack the unit of
+   durability.
 3. Recovery (construction over an existing directory) adopts sealed
    metadata from the manifest *without reading any segment payload*,
    replays the WAL tail through the router's one ingest body, and
@@ -63,9 +69,9 @@ from repro.storage import fsio
 from repro.storage.segments import (
     Segment,
     SegmentCorrupt,
+    encode_segment,
+    read_packed_segment,
     read_segment,
-    segment_filename,
-    write_segment,
 )
 from repro.storage.shards import ShardRouter
 from repro.storage.sketch import WindowSketch
@@ -74,7 +80,15 @@ from repro.storage.wal import WriteAheadLog, replay_wal
 _MANIFEST = "MANIFEST.json"
 _WAL = "wal.log"
 _SEGMENT_DIR = "segments"
-_MANIFEST_FORMAT = 1
+#: Format 2 records each slice's ``offset`` and ``length`` in its pack;
+#: a format-1 entry has neither and names a whole per-slice file.  Both
+#: read; seals write format 2.
+_MANIFEST_FORMAT = 2
+_READABLE_FORMATS = (1, 2)
+
+
+def _pack_filename(first_window: int) -> str:
+    return f"pack-w{first_window:08d}.seg"
 
 
 def _grid_doc(grid: RegionGrid) -> dict:
@@ -97,9 +111,14 @@ def _read_manifest(path: Path) -> dict:
         raise ValueError(f"{path}: corrupt manifest ({exc})") from None
 
 
+#: Where a sealed slice's image lives: ``(file, offset, length)``, the
+#: last two ``None`` for a whole per-slice file.
+_Extent = Tuple[str, Optional[int], Optional[int]]
+
+
 class SegmentWindowStore:
     """Window store over a data directory: open tail + WAL, sealed
-    windows in segment files behind a bounded LRU, one manifest.
+    windows in pack files behind a bounded LRU, one manifest.
 
     Same narrow surface as
     :class:`~repro.storage.shards.ResidentWindowStore` (``log`` /
@@ -138,7 +157,7 @@ class SegmentWindowStore:
         self._segment_prefix = os.path.join(data_dir, _SEGMENT_DIR, "")
         os.makedirs(self._segment_prefix, exist_ok=True)
         n = grid.n_regions
-        self.sealed_windows = 0  # windows durably sealed (segments + manifest)
+        self.sealed_windows = 0  # windows durably sealed (packs + manifest)
         #: Open-tail rows per shard: list of (slice, gids) in arrival order.
         self._tail_parts: List[List[Tuple[TupleBatch, np.ndarray]]] = [
             [] for _ in range(n)
@@ -149,11 +168,12 @@ class SegmentWindowStore:
         self._tail_base = [0] * n
         #: Resident sealed slices, LRU order: (shard, c) -> (batch, gids).
         self._resident: "OrderedDict[Tuple[int, int], Tuple[TupleBatch, np.ndarray]]" = OrderedDict()
-        #: (shard, c) -> segment file name, for every sealed slice with rows.
-        self._segment_files: Dict[Tuple[int, int], str] = {}
+        #: (shard, c) -> (file, offset, length) of every sealed slice with
+        #: rows; offset and length are ``None`` for a whole per-slice file.
+        self._slices: Dict[Tuple[int, int], _Extent] = {}
         #: The manifest's encoded entry of each sealed window, in window
-        #: order.  A sealed window's rows, stamps, sketches and file
-        #: names never change on this tier, so its entry is encoded once
+        #: order.  A sealed window's rows, stamps, sketches and extents
+        #: never change on this tier, so its entry is encoded once
         #: (at seal, or from the parsed manifest at recovery) and every
         #: later manifest re-uses the bytes.
         self._manifest_windows: List[str] = []
@@ -161,6 +181,7 @@ class SegmentWindowStore:
         self.faults = 0
         self.evictions = 0
         self.segments_written = 0
+        self.packs_written = 0
         self.peak_resident = 0
         self._wal: Optional[WriteAheadLog] = None
 
@@ -175,7 +196,7 @@ class SegmentWindowStore:
         windows = None
         if path.exists():
             doc = _read_manifest(path)
-            if doc.get("format") != _MANIFEST_FORMAT:
+            if doc.get("format") not in _READABLE_FORMATS:
                 raise ValueError(
                     f"{path}: unsupported manifest format {doc.get('format')!r}"
                 )
@@ -199,7 +220,11 @@ class SegmentWindowStore:
             for entry in windows:
                 for shard_entry in entry["shards"]:
                     s = int(shard_entry["s"])
-                    self._segment_files[(s, int(entry["c"]))] = shard_entry["file"]
+                    self._slices[(s, int(entry["c"]))] = (
+                        shard_entry["file"],
+                        shard_entry.get("offset"),
+                        shard_entry.get("length"),
+                    )
                     self._tail_base[s] += int(shard_entry["rows"])
             self._manifest_windows = [
                 json.dumps(entry, sort_keys=True) for entry in windows
@@ -228,14 +253,14 @@ class SegmentWindowStore:
     def window(self, s: int, c: int, start: int, stop: int):
         """``(rows, gids)`` of shard-local rows ``[start, stop)`` = the
         shard's slice of window ``c``: from the resident set (faulting
-        the segment in on a miss) when sealed, else from the open tail."""
+        the slice in on a miss) when sealed, else from the open tail."""
         if c < self.sealed_windows:
             return self._sealed_slice(s, c, stop - start)
         return self._tail_slice(s, start, stop)
 
     def column(self, s: int):
-        """A durable layout cannot be re-cut: sealed segment files, the
-        WAL and the manifest all encode the creation-time layout, and
+        """A durable layout cannot be re-cut: sealed packs, the WAL and
+        the manifest all encode the creation-time layout, and
         re-cutting them in place cannot be made crash-safe with the
         current segment format (see ``storage/README.md``) — so there is
         no whole column to hand a split or merge."""
@@ -249,25 +274,29 @@ class SegmentWindowStore:
     def seal(self, router: ShardRouter) -> None:
         """Freeze every complete-but-unsealed window to the durable tier.
 
-        Order is what makes this crash-safe: per-shard segments first
-        (each atomic), then one atomic manifest replace that commits all
-        of them, then the WAL checkpoint.  Segment content is a pure
-        function of the stream prefix, so re-running an interrupted seal
-        after recovery rewrites byte-identical files.
+        Order is what makes this crash-safe: one pack holding every slice
+        the seal freezes (one atomic write), then one atomic manifest
+        replace that commits it, then the WAL checkpoint.  Pack content
+        is a pure function of the stream prefix and its name of the
+        first window it holds, so re-running an interrupted seal after
+        recovery rewrites the same file.
         """
         target = router.global_count() // self.h
-        if target <= self.sealed_windows:
+        first = self.sealed_windows
+        if target <= first:
             return
         n_shards = router.n_shards
+        name = _pack_filename(first)
+        images: List[bytes] = []
+        extents: Dict[Tuple[int, int], _Extent] = {}
+        offset = 0
         sealed_slices: List[Tuple[int, int, TupleBatch, np.ndarray]] = []
-        for c in range(self.sealed_windows, target):
+        for c in range(first, target):
             for s in range(n_shards):
                 sub, sgids = self._tail_slice(s, *router._window_bounds(s, c))
                 if not len(sub):
                     continue
-                name = segment_filename(s, c)
-                write_segment(
-                    self._segment_prefix + name,
+                image = encode_segment(
                     shard=s,
                     window_c=c,
                     h=self.h,
@@ -276,13 +305,18 @@ class SegmentWindowStore:
                     gids=sgids,
                     sketch=router.shard_window_sketch(s, c),
                 )
-                self.segments_written += 1
-                self._segment_files[(s, c)] = name
+                images.append(image)
+                extents[(s, c)] = (name, offset, len(image))
+                offset += len(image)
                 # Own the rows (a copy) so the resident entry does not
                 # pin the whole superseded tail buffer alive.
                 sealed_slices.append(
                     (s, c, TupleBatch(*(col.copy() for col in (sub.t, sub.x, sub.y, sub.s))), sgids.copy())
                 )
+        fsio.atomic_write_bytes(self._segment_prefix + name, b"".join(images))
+        self.packs_written += 1
+        self.segments_written += len(images)
+        self._slices.update(extents)
         self.sealed_windows = target
         self.write_manifest(router)
         # Drop sealed rows from the tail fronts.
@@ -330,16 +364,19 @@ class SegmentWindowStore:
         for c in range(len(self._manifest_windows), self.sealed_windows):
             shards = []
             for s in range(router.n_shards):
-                key = (s, c)
-                if key not in self._segment_files:
+                extent = self._slices.get((s, c))
+                if extent is None:
                     continue
+                name, offset, length = extent
                 sketch = router.shard_window_sketch(s, c)
                 shards.append(
                     {
                         "s": s,
                         "rows": sketch.n_rows,
                         "stamp": router.shard_window_epoch(s, c),
-                        "file": self._segment_files[key],
+                        "file": name,
+                        "offset": offset,
+                        "length": length,
                         "sketch": sketch.bounds(),
                     }
                 )
@@ -372,15 +409,21 @@ class SegmentWindowStore:
                 self.evictions += 1
         self.peak_resident = max(self.peak_resident, len(self._resident))
 
-    def _read_slice(self, name: str, key: Tuple[int, int, int]) -> Segment:
-        """Read a slice's segment and require its header to name exactly
-        that ``(shard, window, rows)``: a file swapped or restored under
-        another slice's name passes every checksum."""
-        segment = read_segment(self._segment_prefix + name)
-        if segment.key != key:
+    def _read_slice(self, s: int, c: int, n_rows: int) -> Segment:
+        """Read a sealed slice's image and require its header to name
+        exactly that ``(shard, window, rows)``: an image swapped or
+        restored under another slice's extent passes every checksum."""
+        name, offset, length = self._slices[(s, c)]
+        path = self._segment_prefix + name
+        if offset is None:  # a whole per-slice file (format 1)
+            segment, where = read_segment(path), name
+        else:
+            segment = read_packed_segment(path, offset, length)
+            where = f"{name}[{offset}:{offset + length}]"
+        if segment.key != (s, c, n_rows):
             raise SegmentCorrupt(
-                f"{name}: holds (shard, window, rows) {segment.key}, "
-                f"the router expects {key}"
+                f"{where}: holds (shard, window, rows) {segment.key}, "
+                f"the router expects {(s, c, n_rows)}"
             )
         return segment
 
@@ -393,10 +436,9 @@ class SegmentWindowStore:
         if cached is not None:
             self._resident.move_to_end(key)
             return cached
-        name = self._segment_files.get(key)
-        if name is None:  # the shard owned no rows of this window
+        if key not in self._slices:  # the shard owned no rows of this window
             return TupleBatch.empty(), np.empty(0, dtype=np.int64)
-        segment = self._read_slice(name, (s, c, n_rows))
+        segment = self._read_slice(s, c, n_rows)
         self.faults += 1
         value = (segment.batch(), segment.gids())
         self._resident_insert(key, value)
@@ -437,13 +479,14 @@ class SegmentWindowStore:
             "faults": self.faults,
             "evictions": self.evictions,
             "segments_written": self.segments_written,
+            "packs_written": self.packs_written,
             "wal_appends": self._wal.appends,
             "wal_checkpoints": self._wal.checkpoints,
         }
 
     def compact(self, router: ShardRouter, verify: bool) -> Dict[str, int]:
         removed = tmp_removed = verified = 0
-        live = set(self._segment_files.values())
+        live = {name for name, _, _ in self._slices.values()}
         for name in sorted(os.listdir(self._segment_prefix)):
             if name.endswith(".tmp"):
                 os.unlink(self._segment_prefix + name)
@@ -452,9 +495,9 @@ class SegmentWindowStore:
                 os.unlink(self._segment_prefix + name)
                 removed += 1
         if verify:
-            for (s, c), name in sorted(self._segment_files.items()):
+            for s, c in sorted(self._slices):
                 start, stop = router._window_bounds(s, c)
-                self._read_slice(name, (s, c, stop - start))
+                self._read_slice(s, c, stop - start)
                 verified += 1
         self._wal.checkpoint(self.sealed_windows * self.h, self._global_tail())
         return {
@@ -596,11 +639,11 @@ class TieredShardRouter(ShardRouter):
 
     @property
     def faults(self) -> int:
-        """Segment fault-ins so far (monotone)."""
+        """Slice fault-ins so far (monotone)."""
         return self._store.faults
 
     def sealed_window_count(self) -> int:
-        """Windows durably frozen into segment files."""
+        """Windows durably frozen into packs."""
         return self._store.sealed_windows
 
     def resident_window_count(self) -> int:
@@ -612,12 +655,12 @@ class TieredShardRouter(ShardRouter):
         return self._store.tier_stats()
 
     def compact(self, verify: bool = False) -> Dict[str, int]:
-        """Tidy the data directory: checkpoint the WAL, drop orphan
-        segment files (left by a crash between segment writes and the
-        manifest commit, and since re-written under their manifest
-        names), remove stray temp files.  ``verify=True`` additionally
-        re-reads every live segment, checking all group checksums and
-        that each file holds the slice its name says.
+        """Tidy the data directory: checkpoint the WAL, drop ``.seg``
+        files no manifest entry references (a pack or per-slice file
+        left behind, e.g. restored from elsewhere), remove stray temp
+        files.  ``verify=True`` additionally re-reads every live slice,
+        checking all group checksums and that each image holds the slice
+        its manifest entry says.
 
         Returns counters: ``{"orphans_removed", "tmp_removed",
         "segments_verified"}``.  Raises

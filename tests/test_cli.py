@@ -1,5 +1,10 @@
 """Tests for repro.cli."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -225,3 +230,24 @@ class TestServeMethod:
         out = capsys.readouterr().out
         assert "2 worker process(es);" in out and "idle" not in out
 
+
+
+class TestImportHygiene:
+    def test_server_start_does_not_import_networkx(self):
+        """Only the street graph needs networkx; starting a server must
+        not pay for it (a fresh interpreter, so no other test's imports
+        count)."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = (
+            "import sys, repro.cli, repro.server.async_server; "
+            "print('networkx' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"

@@ -2,7 +2,7 @@
 
 The harness (:mod:`tests.faultfs`) first runs the ingest workload once to
 count its durability boundaries — every fsync and atomic rename crossed
-by WAL appends, segment writes, manifest replaces and WAL checkpoints —
+by WAL appends, pack writes, manifest replaces and WAL checkpoints —
 then replays the workload once per ``(boundary, mode)`` cell, killing
 the writer at exactly that point:
 
@@ -16,6 +16,10 @@ against the *replay oracle*: recovery must yield a byte-for-byte batch
 prefix of the reference stream, at least as long as everything the
 writer acknowledged, and bit-identical — rows, gids, cuts, sketches and
 query answers — to a shadow in-memory router fed exactly that prefix.
+
+Two workloads run the matrix over the same 108-row stream: four 27-row
+batches that each seal one window (a two-slice pack per seal), and two
+54-row batches that each seal two windows at once (a four-slice pack).
 """
 
 import numpy as np
@@ -35,6 +39,8 @@ BOUNDS = BoundingBox(0.0, 0.0, 6000.0, 4000.0)
 H = 25
 N_BATCHES = 4
 BATCH_ROWS = 27  # 4 * 27 = 108 rows = 4 sealed windows + an 8-row tail
+#: The multi-slice workload: each 54-row batch seals 2 windows x 2 shards.
+PACK_BATCH_ROWS = 54
 
 
 def make_stream(n: int, seed: int = 0) -> TupleBatch:
@@ -51,13 +57,13 @@ STREAM = make_stream(N_BATCHES * BATCH_ROWS)
 GRID = RegionGrid(BOUNDS, nx=2, ny=1)
 
 
-def run_workload(data_dir, acked) -> None:
+def run_workload(data_dir, acked, batch_rows: int = BATCH_ROWS) -> None:
     """Create the store, then ingest the stream batch by batch, recording
     in ``acked`` how many rows each returned ``ingest`` made durable."""
     with TieredShardRouter(GRID, h=H, data_dir=data_dir) as router:
-        for k in range(N_BATCHES):
-            router.ingest(STREAM.slice(k * BATCH_ROWS, (k + 1) * BATCH_ROWS))
-            acked[0] = (k + 1) * BATCH_ROWS
+        for lo in range(0, len(STREAM), batch_rows):
+            router.ingest(STREAM.slice(lo, lo + batch_rows))
+            acked[0] = lo + batch_rows
 
 
 def shadow_router(n_rows: int) -> ShardRouter:
@@ -115,13 +121,15 @@ def assert_answers_match_shadow(recovered, shadow) -> None:
         cold.close()
 
 
-def crash_and_recover(tmp_path, boundary: int, mode: str, torn: bool):
+def crash_and_recover(
+    tmp_path, boundary: int, mode: str, torn: bool, batch_rows: int = BATCH_ROWS
+):
     """One matrix cell: run to the boundary, kill, recover, check."""
     data_dir = tmp_path / "tier"
     acked = [0]
     with FaultInjector(crash_at=boundary, mode=mode, torn=torn) as injector:
         with pytest.raises(SimulatedCrash):
-            run_workload(data_dir, acked)
+            run_workload(data_dir, acked, batch_rows)
     assert injector.crashed
 
     try:
@@ -138,7 +146,7 @@ def crash_and_recover(tmp_path, boundary: int, mode: str, torn: bool):
         # beyond the stream was invented; whole batches only (the WAL
         # logs ingest batches atomically).
         assert acked[0] <= n_rows <= len(STREAM)
-        assert n_rows % BATCH_ROWS == 0
+        assert n_rows % batch_rows == 0
         shadow = shadow_router(n_rows)
         assert_recovered_state_matches_shadow(recovered, shadow)
         assert_answers_match_shadow(recovered, shadow)
@@ -147,58 +155,115 @@ def crash_and_recover(tmp_path, boundary: int, mode: str, torn: bool):
     return n_rows
 
 
-def _matrix_size() -> int:
+def _matrix_size(batch_rows: int) -> int:
     def workload():
         import tempfile
 
         with tempfile.TemporaryDirectory() as d:
-            run_workload(d, [0])
+            run_workload(d, [0], batch_rows)
 
     return count_boundaries(workload)
 
 
-N_BOUNDARIES = _matrix_size()
+N_BOUNDARIES = _matrix_size(BATCH_ROWS)
+N_PACK_BOUNDARIES = _matrix_size(PACK_BATCH_ROWS)
+#: Every matrix cell, as ``(batch_rows, boundary)``: the one-window
+#: workload keeps its plain boundary ids.
+CELLS = [
+    pytest.param(BATCH_ROWS, k, id=str(k)) for k in range(N_BOUNDARIES)
+] + [
+    pytest.param(PACK_BATCH_ROWS, k, id=f"multi-slice-{k}")
+    for k in range(N_PACK_BOUNDARIES)
+]
 
 
 class TestCrashMatrix:
     """Every (durability boundary × crash mode) cell recovers exactly."""
 
-    @pytest.mark.parametrize("boundary", range(N_BOUNDARIES))
-    def test_kill_before_boundary(self, tmp_path, boundary):
-        crash_and_recover(tmp_path, boundary, "before", torn=False)
+    @pytest.mark.parametrize("batch_rows,boundary", CELLS)
+    def test_kill_before_boundary(self, tmp_path, batch_rows, boundary):
+        crash_and_recover(tmp_path, boundary, "before", False, batch_rows)
 
-    @pytest.mark.parametrize("boundary", range(N_BOUNDARIES))
-    def test_kill_after_boundary(self, tmp_path, boundary):
-        crash_and_recover(tmp_path, boundary, "after", torn=False)
+    @pytest.mark.parametrize("batch_rows,boundary", CELLS)
+    def test_kill_after_boundary(self, tmp_path, batch_rows, boundary):
+        crash_and_recover(tmp_path, boundary, "after", False, batch_rows)
 
-    @pytest.mark.parametrize("boundary", range(N_BOUNDARIES))
-    def test_torn_write_at_boundary(self, tmp_path, boundary):
-        crash_and_recover(tmp_path, boundary, "before", torn=True)
+    @pytest.mark.parametrize("batch_rows,boundary", CELLS)
+    def test_torn_write_at_boundary(self, tmp_path, batch_rows, boundary):
+        crash_and_recover(tmp_path, boundary, "before", True, batch_rows)
 
     def test_matrix_covers_all_record_kinds(self):
         """The workload really crosses every durability structure: WAL
-        appends, per-shard segment writes, manifest replaces and WAL
-        checkpoints all contribute boundaries."""
+        appends, pack writes, manifest replaces and WAL checkpoints all
+        contribute boundaries."""
         # Per ingest batch: 1 WAL-append fsync.  Per seal: one fsync +
-        # rename per segment file, one pair for the manifest, one pair
-        # for the WAL checkpoint.  The creation-time manifest adds one
+        # rename for the pack, one pair for the manifest, one pair for
+        # the WAL checkpoint.  The creation-time manifest adds one
         # more pair.  Every kind must be present for the matrix to mean
         # anything.
         assert N_BOUNDARIES > N_BATCHES + 4 * 2 + 2
 
     def test_boundary_count_is_pinned(self):
-        """4 WAL appends + the creation manifest (2) + 4 seals of one
-        window each: 2 segments, the manifest and the checkpoint, an
-        fsync and a rename apiece (8).  A seal that gains or loses a
-        boundary changes what the matrix above proves."""
-        assert N_BOUNDARIES == 4 + 2 + 4 * 8 == 38
+        """Recount for one pack per seal: 4 WAL appends + the creation
+        manifest (2) + 4 seals of one window each: the pack (holding
+        both shards' slices), the manifest and the checkpoint, an fsync
+        and a rename apiece (6) — was 8 per seal with one file per slice.
+        The multi-slice workload: 2 WAL appends + the creation manifest
+        (2) + 2 seals of two windows each, still 6 apiece although each
+        pack holds four slices.  A seal that gains or loses a boundary
+        changes what the matrix above proves."""
+        assert N_BOUNDARIES == 4 + 2 + 4 * 6 == 30
+        assert N_PACK_BOUNDARIES == 2 + 2 + 2 * 6 == 16
+
+    def test_multi_slice_workload_packs_several_windows_and_shards(self, tmp_path):
+        """Each ingest of the multi-slice workload seals 2 windows x 2
+        shards into one pack."""
+        run_workload(tmp_path / "tier", [0], PACK_BATCH_ROWS)
+        with TieredShardRouter.open(tmp_path / "tier") as router:
+            assert router.sealed_window_count() == 4
+            for c in range(4):
+                assert all(n for _stamp, n, _ in router.window_stats(c))
+        names = sorted(p.name for p in (tmp_path / "tier" / "segments").iterdir())
+        assert names == ["pack-w00000000.seg", "pack-w00000002.seg"]
+
+    def test_orphan_pack_is_ignored_overwritten_and_compacted(self, tmp_path):
+        """A kill after the pack's rename but before the manifest commit
+        leaves a pack no manifest entry references.  Recovery never reads
+        it (here it is garbled first), its re-seal overwrites it under
+        the same name, and ``compact()`` removes a pack that nothing
+        references."""
+        data_dir = tmp_path / "tier"
+        seg_dir = data_dir / "segments"
+        orphan = seg_dir / "pack-w00000000.seg"
+        acked = [0]
+        # 0, 1: creation manifest; 2: batch 1's WAL append; 3, 4: its pack.
+        with FaultInjector(crash_at=4, mode="after"):
+            with pytest.raises(SimulatedCrash, match="pack-w00000000"):
+                run_workload(data_dir, acked, PACK_BATCH_ROWS)
+        assert acked[0] == 0 and orphan.exists()
+        image = orphan.read_bytes()
+        orphan.write_bytes(b"not a pack" * 7)
+        recovered = TieredShardRouter.open(data_dir)
+        try:
+            assert recovered.sealed_window_count() == 2
+            assert_recovered_state_matches_shadow(
+                recovered, shadow_router(PACK_BATCH_ROWS)
+            )
+            assert orphan.read_bytes() == image  # re-sealed byte for byte
+            (seg_dir / "pack-w00000099.seg").write_bytes(image)
+            report = recovered.compact(verify=True)
+            assert report["orphans_removed"] == 1
+            assert report["segments_verified"] == 4
+            assert [p.name for p in seg_dir.iterdir()] == [orphan.name]
+        finally:
+            recovered.close()
 
     def test_double_crash_then_recovery(self, tmp_path):
         """A crash during *recovery's own* re-seal is just another crash:
         a second cold open still lands on the oracle state."""
         data_dir = tmp_path / "tier"
         acked = [0]
-        # Boundary 3 is the first seal's first segment fsync (0, 1 are the
+        # Boundary 3 is the first seal's pack fsync (0, 1 are the
         # creation-time manifest, 2 is batch 1's WAL append): the kill
         # leaves window 0 complete in the WAL but unsealed, so recovery
         # must re-run the seal — which we then kill too.

@@ -21,6 +21,8 @@ from repro.data.tuples import TupleBatch
 from repro.storage.segments import (
     CORE_COLUMNS,
     SegmentCorrupt,
+    encode_segment,
+    read_packed_segment,
     read_segment,
     read_segment_meta,
     segment_filename,
@@ -328,6 +330,75 @@ class TestCorruptionDetection:
         path.write_bytes(bytes(data))
         with pytest.raises(SegmentCorrupt, match="version"):
             read_segment(path)
+
+
+class TestPackedImages:
+    """A pack is images concatenated; each reads back on its own, by one
+    ``pread`` of its extent, under every check a standalone file gets."""
+
+    @staticmethod
+    def _pack(tmp_path, sizes=(1, 6, 7, 50)):
+        batches = [_batch(n, seed=k) for k, n in enumerate(sizes)]
+        images = [
+            encode_segment(
+                shard=k, window_c=10 + k, h=240, stamp=k, batch=batch,
+                gids=np.arange(len(batch), dtype=np.int64),
+                sketch=WindowSketch.of(batch),
+            )  # fmt: skip
+            for k, batch in enumerate(batches)
+        ]
+        path = tmp_path / "pack.seg"
+        path.write_bytes(b"".join(images))
+        extents, offset = [], 0
+        for image in images:
+            extents.append((offset, len(image)))
+            offset += len(image)
+        return path, images, extents
+
+    def test_raw_images_are_multiples_of_eight(self, tmp_path):
+        _, images, _ = self._pack(tmp_path)
+        assert all(len(image) % 8 == 0 for image in images)
+
+    def test_each_extent_reads_its_own_slice(self, tmp_path):
+        path, images, extents = self._pack(tmp_path)
+        for k, (offset, length) in enumerate(extents):
+            seg = read_packed_segment(path, offset, length)
+            assert seg.key == (k, 10 + k, len(seg.gids()))
+            standalone = tmp_path / f"{k}.seg"
+            standalone.write_bytes(images[k])
+            alone = read_segment(standalone)
+            for name in CORE_COLUMNS:
+                assert (
+                    getattr(seg.batch(), name).tobytes()
+                    == getattr(alone.batch(), name).tobytes()
+                )
+            assert seg.gids().flags.aligned
+
+    def test_a_wrong_extent_is_detected(self, tmp_path):
+        """Too long, too short, shifted or past the end of the pack: the
+        image checks catch every one."""
+        path, images, extents = self._pack(tmp_path)
+        (o1, n1), (o2, n2) = extents[1], extents[2]
+        for offset, length in [
+            (o1, n1 + n2),  # runs into the next image
+            (o1, n1 - 8),  # cut short
+            (o1 + 8, n1),  # shifted
+            (o2, n2 + 8),  # past the end of a cut pack
+        ]:
+            if offset == o2:
+                path.write_bytes(b"".join(images[:3]))
+            with pytest.raises(SegmentCorrupt):
+                read_packed_segment(path, offset, length)
+
+    def test_corruption_names_the_extent(self, tmp_path):
+        path, _, extents = self._pack(tmp_path)
+        offset, length = extents[2]
+        data = bytearray(path.read_bytes())
+        data[offset + length - 1] ^= 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(SegmentCorrupt, match=rf"\[{offset}:{offset + length}\]"):
+            read_packed_segment(path, offset, length)
+        read_packed_segment(path, *extents[1])  # its neighbours still read
 
 
 class TestAtomicity:

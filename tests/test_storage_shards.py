@@ -205,15 +205,19 @@ class TestIngestContract:
         def with_t(t):
             return TupleBatch(np.asarray(t, dtype=float), nxt.x, nxt.y, nxt.s)
 
-        poisoned = nxt.t.copy()
-        poisoned[7] = np.nan
-        endless = nxt.t.copy()
-        endless[-1] = np.inf
+        def poisoned(column, k, value):
+            columns = {name: getattr(nxt, name).copy() for name in "txys"}
+            columns[column][k] = value
+            return TupleBatch(*(columns[name] for name in "txys"))
+
         bad = {
             "late": stream.slice(50, 70),
             "unsorted": with_t(nxt.t[::-1]),
-            "nan": with_t(poisoned),
-            "inf": with_t(endless),
+            "nan": poisoned("t", 7, np.nan),
+            "inf": poisoned("t", -1, np.inf),
+            # A non-finite position would otherwise land in cell 0.
+            "nan-x": poisoned("x", 3, np.nan),
+            "inf-y": poisoned("y", 11, -np.inf),
         }
         for name, batch in bad.items():
             with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ Two oracles anchor everything here:
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -25,7 +26,13 @@ from repro.query.base import QueryBatch
 from repro.query.pipeline.binding import RouterBinding
 from repro.query.pipeline.parallel import ProcessShardedEngine
 from repro.query.sharded import ShardedQueryEngine
-from repro.storage.segments import SegmentCorrupt, read_segment, write_segment
+from repro.storage import fsio
+from repro.storage.segments import (
+    SegmentCorrupt,
+    decode_segment,
+    encode_segment,
+    segment_filename,
+)
 from repro.storage.shards import ShardRouter
 from repro.storage.tiered import TieredShardRouter
 
@@ -98,17 +105,76 @@ def assert_same_state(tiered, plain, epochs: bool = True) -> None:
             ]
 
 
-def rewrite_segment(path, rows=slice(None), compress=False) -> None:
-    """Replace a segment file by one with the same header fields holding
-    ``rows`` of its slice — as another writer could have left it."""
-    seg = read_segment(path)
+def read_manifest(data_dir) -> dict:
+    return json.loads((data_dir / "MANIFEST.json").read_text())
+
+
+def write_manifest(data_dir, doc: dict) -> None:
+    (data_dir / "MANIFEST.json").write_text(json.dumps(doc, sort_keys=True) + "\n")
+
+
+def slice_entries(doc: dict):
+    """``(c, shard entry)`` of every sealed slice, in (window, shard) order."""
+    for window in sorted(doc["windows"], key=lambda w: w["c"]):
+        for entry in sorted(window["shards"], key=lambda e: e["s"]):
+            yield window["c"], entry
+
+
+def slice_image(data_dir, entry: dict) -> bytes:
+    """The bytes a manifest entry names: its extent of a pack, or the
+    whole per-slice file of a format-1 entry."""
+    data = (data_dir / "segments" / entry["file"]).read_bytes()
+    if "offset" not in entry:
+        return data
+    return data[entry["offset"] : entry["offset"] + entry["length"]]
+
+
+def reencode(image: bytes, rows=slice(None), compress=False) -> bytes:
+    """An image with the same header fields holding ``rows`` of its
+    slice — as another writer could have produced it."""
+    seg = decode_segment(image, "image")
     meta, batch = seg.meta, seg.batch()
-    write_segment(
-        path, shard=meta.shard, window_c=meta.window_c, h=meta.h,
+    return encode_segment(
+        shard=meta.shard, window_c=meta.window_c, h=meta.h,
         stamp=meta.stamp, sketch=meta.sketch, compress=compress,
         batch=TupleBatch(*(getattr(batch, n)[rows] for n in "txys")),
         gids=seg.gids()[rows],
     )  # fmt: skip
+
+
+def repack(data_dir, replace: dict) -> None:
+    """Rewrite every pack with the images in ``replace`` (``(s, c) ->
+    bytes``) substituted, and the manifest's extents to match — a pack
+    and manifest restored together from another archive."""
+    doc = read_manifest(data_dir)
+    packs = {}
+    for c, entry in slice_entries(doc):
+        image = replace.get((entry["s"], c)) or slice_image(data_dir, entry)
+        parts = packs.setdefault(entry["file"], [])
+        entry["offset"] = sum(len(part) for part in parts)
+        entry["length"] = len(image)
+        parts.append(image)
+    for name, parts in packs.items():
+        (data_dir / "segments" / name).write_bytes(b"".join(parts))
+    write_manifest(data_dir, doc)
+
+
+def to_per_slice(data_dir, compress: bool) -> None:
+    """Rewrite a pack directory as the per-slice commits left it: one
+    file per slice (zlib-sealed if ``compress``, else raw), named by
+    ``segment_filename``, and a format-1 manifest whose entries carry no
+    extent."""
+    doc = read_manifest(data_dir)
+    seg_dir = data_dir / "segments"
+    for c, entry in slice_entries(doc):
+        image = reencode(slice_image(data_dir, entry), compress=compress)
+        entry["file"] = segment_filename(entry["s"], c)
+        del entry["offset"], entry["length"]
+        (seg_dir / entry["file"]).write_bytes(image)
+    for pack in seg_dir.glob("pack-*.seg"):
+        pack.unlink()
+    doc["format"] = 1
+    write_manifest(data_dir, doc)
 
 
 def assert_same_answers(a, b) -> None:
@@ -309,22 +375,38 @@ class TestDurableRecovery:
             TieredShardRouter.open(tmp_path / "t")
 
 
-def manifest_from_scratch(router) -> bytes:
+def manifest_from_scratch(router, packs: dict) -> bytes:
     """The manifest as one ``json.dumps`` of the whole document, built
-    from the router's public state — what every seal used to write."""
+    from the router's public state — what every seal used to write.
+    ``packs`` maps each sealed window to the first window of the seal
+    that froze it; a pack holds that seal's slice images in (window,
+    shard) order, each as long as its encoding."""
     windows = []
+    offsets = {}
     for c in range(router.sealed_window_count()):
         shards = []
         for s in range(router.n_shards):
             sketch = router.shard_window_sketch(s, c)
             if not sketch.n_rows:
                 continue
+            length = len(
+                encode_segment(
+                    shard=s, window_c=c, h=router.h,
+                    stamp=router.shard_window_epoch(s, c),
+                    batch=router.shard_window(s, c),
+                    gids=router.shard_window_gids(s, c), sketch=sketch,
+                )  # fmt: skip
+            )
+            offset = offsets.get(packs[c], 0)
+            offsets[packs[c]] = offset + length
             shards.append(
                 {
                     "s": s,
                     "rows": sketch.n_rows,
                     "stamp": router.shard_window_epoch(s, c),
-                    "file": f"seg-s{s:04d}-w{c:08d}.seg",
+                    "file": f"pack-w{packs[c]:08d}.seg",
+                    "offset": offset,
+                    "length": length,
                     "sketch": sketch.bounds(),
                 }
             )
@@ -332,7 +414,7 @@ def manifest_from_scratch(router) -> bytes:
         windows.append({"c": c, "first_t": first_t, "shards": shards})
     b = router.grid.bounds
     doc = {
-        "format": 1,
+        "format": 2,
         "h": router.h,
         "grid": {
             "min_x": b.min_x, "min_y": b.min_y, "max_x": b.max_x, "max_y": b.max_y,
@@ -342,6 +424,15 @@ def manifest_from_scratch(router) -> bytes:
         "windows": windows,
     }
     return (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
+
+
+def ingest_recording_packs(router, batch, packs: dict) -> None:
+    """Ingest ``batch``, recording in ``packs`` which seal froze each
+    window it sealed (the pack is named by the seal's first window)."""
+    first = router.sealed_window_count()
+    router.ingest(batch)
+    for c in range(first, router.sealed_window_count()):
+        packs[c] = first
 
 
 def _first_row_owner(router, c: int):
@@ -361,50 +452,66 @@ class TestManifestFragments:
         stream = make_stream(1000, seed=4)
         path = tmp_path / "tier" / "MANIFEST.json"
         grid = RegionGrid(BOUNDS, nx=2, ny=2)
+        packs = {}
         with TieredShardRouter(grid, h=40, data_dir=tmp_path / "tier") as router:
-            assert path.read_bytes() == manifest_from_scratch(router)  # no windows yet
+            # no windows yet
+            assert path.read_bytes() == manifest_from_scratch(router, packs)
             for lo in range(0, 600, 70):  # a seal of 1-2 windows per batch
-                router.ingest(stream.slice(lo, min(lo + 70, 600)))
-                assert path.read_bytes() == manifest_from_scratch(router)
+                batch = stream.slice(lo, min(lo + 70, 600))
+                ingest_recording_packs(router, batch, packs)
+                assert path.read_bytes() == manifest_from_scratch(router, packs)
             assert router.sealed_window_count() == 15
+            assert sorted(set(packs.values())) != sorted(packs)  # 2-window packs
         with TieredShardRouter.open(tmp_path / "tier") as again:
-            assert path.read_bytes() == manifest_from_scratch(again)
-            again.ingest(stream.slice(600, 1000))  # fragments rebuilt, then extended
+            assert path.read_bytes() == manifest_from_scratch(again, packs)
+            # fragments rebuilt, then extended by one 10-window pack
+            ingest_recording_packs(again, stream.slice(600, 1000), packs)
             assert again.sealed_window_count() == 25
-            assert path.read_bytes() == manifest_from_scratch(again)
+            assert path.read_bytes() == manifest_from_scratch(again, packs)
             again.compact(verify=True)
-            assert path.read_bytes() == manifest_from_scratch(again)
+            assert path.read_bytes() == manifest_from_scratch(again, packs)
         json.loads(path.read_text())
 
 
 class TestSegmentCodecs:
-    """Seals write raw segments; directories sealed with zlib ones by an
-    earlier commit must keep opening, and may hold both."""
+    """Seals write raw images into packs; directories sealed with one
+    file per slice by earlier commits — zlib or raw — must keep opening,
+    and may hold both layouts."""
 
-    def test_zlib_directory_reopens_and_continues_raw(self, tmp_path):
+    @pytest.mark.parametrize("codec", [1, 0], ids=["zlib", "raw"])
+    def test_per_slice_directory_reopens_and_continues_in_packs(
+        self, tmp_path, codec
+    ):
         stream = make_stream(2000, seed=16)
         grid = RegionGrid(BOUNDS, nx=2, ny=2)
-        with TieredShardRouter(grid, h=100, data_dir=tmp_path / "tier") as tiered:
+        data_dir = tmp_path / "tier"
+        with TieredShardRouter(grid, h=100, data_dir=data_dir) as tiered:
             fill(tiered, stream.slice(0, 1050), pieces=3)
-        # Re-create what the zlib-sealing commits left on disk.
-        seg_dir = tmp_path / "tier" / "segments"
+        # Re-create what the per-slice commits left on disk.
+        to_per_slice(data_dir, compress=codec == 1)
+        seg_dir = data_dir / "segments"
         old = sorted(seg_dir.iterdir())
-        for path in old:
-            rewrite_segment(path, compress=True)
+        assert old and all(p.name.startswith("seg-") for p in old)
         plain = ShardRouter(grid, h=100)
         plain.ingest(stream)
-        with TieredShardRouter.open(tmp_path / "tier", memory_windows=2) as again:
+        with TieredShardRouter.open(data_dir, memory_windows=2) as again:
             fill(again, stream.slice(1050, 2000), pieces=4)
-            # Byte 124 of a segment is its core group's codec.
-            codecs = {p: p.read_bytes()[124] for p in seg_dir.iterdir()}
-            assert {codecs.pop(p) for p in old} == {1}
-            assert codecs and set(codecs.values()) == {0}
+            doc = read_manifest(data_dir)
+            assert doc["format"] == 2
+            # Byte 124 of a segment image is its core group's codec.
+            codecs = {
+                (c, entry["s"]): ("offset" in entry, slice_image(data_dir, entry)[124])
+                for c, entry in slice_entries(doc)
+            }
+            assert {codecs[(c, s)] for c, s in codecs if c < 10} == {(False, codec)}
+            assert {codecs[(c, s)] for c, s in codecs if c >= 10} == {(True, 0)}
+            assert sorted(p for p in seg_dir.glob("seg-*")) == old  # no new files
             assert_same_state(again, plain, epochs=False)
             hot = ShardedQueryEngine(again, radius_m=RADIUS_M)
             cold = ShardedQueryEngine(plain, radius_m=RADIUS_M)
             try:
                 # cold_route's shape: one route's probes at uniform times,
-                # across windows of both codecs, far more than the cap.
+                # across windows of both layouts, far more than the cap.
                 faults = again.faults
                 queries = probe_queries(stream, n=120, seed=17)
                 assert_same_answers(
@@ -415,20 +522,27 @@ class TestSegmentCodecs:
             finally:
                 hot.close()
                 cold.close()
+        # A reopen reads the mixed directory through the same reader.
+        with TieredShardRouter.open(data_dir) as third:
+            assert_same_state(third, plain, epochs=False)
+            third.compact(verify=True)
 
-    def test_swapped_segment_files_are_detected(self, tmp_path):
-        """Two files of one shard under each other's names pass every
-        checksum; the header names the slice, so neither fault-in nor
-        ``compact(verify=True)`` may serve them."""
+    def test_swapped_slice_entries_are_detected(self, tmp_path):
+        """Two manifest entries of one shard pointing at each other's
+        images pass every checksum; the image header names the slice, so
+        neither fault-in nor ``compact(verify=True)`` may serve them."""
         stream = make_stream(600, seed=18)
         tiered, _ = make_pair(tmp_path, stream, h=100)
         tiered.close()
-        seg_dir = tmp_path / "tier" / "segments"
-        a, b = sorted(seg_dir.glob("seg-s0001-*.seg"))[:2]
-        a_bytes, b_bytes = a.read_bytes(), b.read_bytes()
-        a.write_bytes(b_bytes)
-        b.write_bytes(a_bytes)
-        with TieredShardRouter.open(tmp_path / "tier") as again:
+        data_dir = tmp_path / "tier"
+        doc = read_manifest(data_dir)
+        a, b = [entry for _, entry in slice_entries(doc) if entry["s"] == 1][:2]
+        extent = ("file", "offset", "length")
+        swapped = {k: a[k] for k in extent}
+        a.update({k: b[k] for k in extent})
+        b.update(swapped)
+        write_manifest(data_dir, doc)
+        with TieredShardRouter.open(data_dir) as again:
             engine = ShardedQueryEngine(again, radius_m=RADIUS_M)
             try:
                 with pytest.raises(SegmentCorrupt, match="router expects"):
@@ -442,17 +556,77 @@ class TestSegmentCodecs:
             again.shard_window(0, 0)  # untouched slices still read
 
     def test_segment_with_the_wrong_row_count_is_detected(self, tmp_path):
-        """Right name, right header key, fewer rows than the router's
-        cuts say the slice has (a restore from an older archive)."""
+        """Right extent, right header key, fewer rows than the router's
+        cuts say the slice has (a pack and manifest restored from an
+        older archive)."""
         stream = make_stream(600, seed=19)
         tiered, _ = make_pair(tmp_path, stream, h=100)
         tiered.close()
-        path = sorted((tmp_path / "tier" / "segments").iterdir())[0]
-        meta = read_segment(path).meta
-        rewrite_segment(path, rows=slice(1, None))
-        with TieredShardRouter.open(tmp_path / "tier") as again:
+        data_dir = tmp_path / "tier"
+        c, entry = next(slice_entries(read_manifest(data_dir)))
+        short = reencode(slice_image(data_dir, entry), rows=slice(1, None))
+        repack(data_dir, {(entry["s"], c): short})
+        with TieredShardRouter.open(data_dir) as again:
             with pytest.raises(SegmentCorrupt, match="router expects"):
-                again.shard_window(meta.shard, meta.window_c)
+                again.shard_window(entry["s"], c)
+            # The images packed after the shortened one moved and read.
+            for later_c, later in slice_entries(read_manifest(data_dir)):
+                if (later_c, later["s"]) != (c, entry["s"]):
+                    again.shard_window(later["s"], later_c)
+
+
+class TestPackLayout:
+    """One pack file per seal: three atomic writes however many slices
+    it freezes, each slice read back as exactly its own bytes."""
+
+    def test_a_seal_is_three_atomic_writes(self, tmp_path, monkeypatch):
+        renamed = []
+        real_replace = fsio.replace
+
+        def replace(src, dst):
+            renamed.append(os.path.basename(dst))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(fsio, "replace", replace)
+        stream = make_stream(1000, seed=20)
+        with TieredShardRouter(
+            RegionGrid(BOUNDS, nx=2, ny=2), h=50, data_dir=tmp_path / "t"
+        ) as tiered:
+            renamed.clear()
+            tiered.ingest(stream.slice(0, 40))  # seals nothing
+            assert renamed == []
+            tiered.ingest(stream.slice(40, 390))  # seals 7 windows x 4 shards
+            stats = tiered.tier_stats()
+            assert (stats["packs_written"], stats["segments_written"]) == (1, 28)
+            assert renamed == [
+                "pack-w00000000.seg", "MANIFEST.json", "wal.log",
+            ]  # fmt: skip
+            renamed.clear()
+            tiered.ingest(stream.slice(390, 460))  # seals window 7
+            assert renamed == [
+                "pack-w00000007.seg", "MANIFEST.json", "wal.log",
+            ]  # fmt: skip
+        names = sorted(p.name for p in (tmp_path / "t" / "segments").iterdir())
+        assert names == ["pack-w00000000.seg", "pack-w00000007.seg"]
+
+    def test_a_fault_in_reads_only_its_extent(self, tmp_path):
+        """A pack cut short fails exactly the slices whose bytes it lost;
+        every slice before the cut still faults in."""
+        stream = make_stream(600, seed=21)
+        tiered, plain = make_pair(tmp_path, stream, h=100, pieces=1)
+        tiered.close()
+        data_dir = tmp_path / "tier"
+        entries = list(slice_entries(read_manifest(data_dir)))
+        assert {entry["file"] for _, entry in entries} == {"pack-w00000000.seg"}
+        pack = data_dir / "segments" / "pack-w00000000.seg"
+        pack.write_bytes(pack.read_bytes()[:-8])
+        with TieredShardRouter.open(data_dir) as again:
+            *intact, (c, last) = entries
+            for k, entry in intact:
+                got = again.shard_window_gids(entry["s"], k)
+                assert got.tobytes() == plain.shard_window_gids(entry["s"], k).tobytes()
+            with pytest.raises(SegmentCorrupt, match="pack ends 8 bytes short"):
+                again.shard_window(last["s"], c)
 
 
 class TestBoundedResidency:
@@ -573,26 +747,28 @@ class TestMaintenance:
         tiered, _ = make_pair(tmp_path, stream, h=100)
         with tiered:
             seg_dir = tmp_path / "tier" / "segments"
-            (seg_dir / "seg-s0099-w00000099.seg").write_bytes(b"orphan")
+            live = {p.name for p in seg_dir.iterdir()}
+            assert live and all(name.startswith("pack-") for name in live)
+            (seg_dir / "pack-w00000099.seg").write_bytes(b"orphan pack")
+            (seg_dir / "seg-s0099-w00000099.seg").write_bytes(b"orphan slice")
             (seg_dir / "leftover.tmp").write_bytes(b"tmp")
             report = tiered.compact(verify=True)
-            assert report["orphans_removed"] == 1
+            assert report["orphans_removed"] == 2
             assert report["tmp_removed"] == 1
-            assert report["segments_verified"] == len(
-                [p for p in seg_dir.iterdir() if p.suffix == ".seg"]
-            )
-            assert not (seg_dir / "leftover.tmp").exists()
+            entries = list(slice_entries(read_manifest(tmp_path / "tier")))
+            assert report["segments_verified"] == len(entries) > len(live)
+            assert {p.name for p in seg_dir.iterdir()} == live
 
     def test_compact_verify_detects_segment_corruption(self, tmp_path):
         stream = make_stream(600, seed=14)
         tiered, _ = make_pair(tmp_path, stream, h=100)
         with tiered:
             seg_dir = tmp_path / "tier" / "segments"
-            victim = sorted(p for p in seg_dir.iterdir() if p.suffix == ".seg")[0]
+            victim = sorted(seg_dir.glob("pack-*.seg"))[0]
             data = bytearray(victim.read_bytes())
-            data[-1] ^= 0xFF
+            data[-1] ^= 0xFF  # the pack's last image's last payload byte
             victim.write_bytes(bytes(data))
-            with pytest.raises(SegmentCorrupt):
+            with pytest.raises(SegmentCorrupt, match="failed its checksum"):
                 tiered.compact(verify=True)
 
     def test_tier_stats_shape(self, tmp_path):
@@ -608,8 +784,12 @@ class TestMaintenance:
                 "faults",
                 "evictions",
                 "segments_written",
+                "packs_written",
                 "wal_appends",
                 "wal_checkpoints",
             }
             assert stats["sealed_windows"] == 5
             assert stats["memory_windows"] == 2
+            assert stats["packs_written"] == 5  # one 1-window seal per batch
+            entries = list(slice_entries(read_manifest(tmp_path / "tier")))
+            assert stats["segments_written"] == len(entries)
