@@ -3,8 +3,8 @@
 :class:`ShardedQueryEngine` answers the same three request shapes as the
 single-node :class:`~repro.query.engine.QueryEngine` — point queries,
 continuous streams, heatmap grids — against a
-:class:`~repro.storage.shards.ShardRouter` holding one database per
-geographic region.
+:class:`~repro.storage.shards.ShardRouter` holding one shard column
+per geographic region.
 
 Since the plan-pipeline refactor the engine is a thin shell over
 ``repro/query/pipeline``: a request is compiled against a pinned

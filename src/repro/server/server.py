@@ -73,25 +73,13 @@ class EnviroMeterServer:
         self,
         h: int = 240,
         config: Optional[AdKMNConfig] = None,
-        database: Optional[Database] = None,
         validity_horizon_s: float = 4.0 * 3600.0,
     ) -> None:
         """``validity_horizon_s`` is how far past its window's data a
         served cover is declared valid (its ``t_n``).  The default of four
         hours matches the paper's largest evaluation window; the cache-TTL
         ablation sweeps it."""
-        self.db = database or Database.for_enviro_meter(partition_h=h)
-        if self.db.partition_h is None:
-            # e.g. a database loaded from a pre-partitioning (v1) file:
-            # adopt the server's windowing so stale-cover invalidation
-            # tracks the same windows the builder fits.
-            self.db.set_partition_h(h)
-        elif self.db.partition_h != h:
-            raise ValueError(
-                f"database partition_h={self.db.partition_h} does not match "
-                f"server h={h}: stale-cover invalidation would track the "
-                f"wrong windows"
-            )
+        self.db = Database.for_enviro_meter(partition_h=h)
         self.h = h
         self.validity_horizon_s = validity_horizon_s
         self._builder = CoverBuilder(
@@ -193,12 +181,7 @@ class EnviroMeterServer:
                 return memo
             if self._builder.cached(c, stamp) is None:
                 stored = self.db.cover_blob_for_window(c)
-                if stored is not None and self._cover_stamps.get(c, stamp) == stamp:
-                    # Either the stamp matches, or the blob predates this
-                    # server (a loaded database, no recorded stamp): the
-                    # cover index only ever holds covers whose window has
-                    # not grown since the fit, so adopt it.
-                    self._cover_stamps[c] = stamp
+                if stored is not None and self._cover_stamps.get(c) == stamp:
                     cover = ModelCover.from_blob(stored[2])
                     self._covers.insert(("cover", c), stamp, cover)
                     return cover

@@ -174,29 +174,6 @@ class Database:
     def partition_h(self) -> Optional[int]:
         return self._partition_h
 
-    def set_partition_h(self, partition_h: int) -> None:
-        """Adopt a window partitioning on an unpartitioned database.
-
-        Only allowed while no partitioning is set (changing an existing
-        one would silently re-interpret the sealed-window cache and the
-        cover index under different window boundaries)."""
-        if partition_h <= 0:
-            raise ValueError("partition_h must be positive")
-        if self._partition_h is not None and self._partition_h != partition_h:
-            raise ValueError(
-                f"database is already partitioned with h={self._partition_h}"
-            )
-        self._partition_h = partition_h
-        if self._cover_index and self.has_table("raw_tuples"):
-            # Covers indexed while unpartitioned (a pre-v2 load) may have
-            # been fitted on partial window data; under the newly adopted
-            # boundaries, keep only those whose windows are already
-            # sealed — the rest refit safely on next demand.
-            sealed = sealed_window_count(self.raw_count(), partition_h)
-            self._cover_index = {
-                c: rid for c, rid in self._cover_index.items() if c < sealed
-            }
-
     def ingest_tuples(self, batch: TupleBatch) -> int:
         """Append a batch of raw measurements to ``raw_tuples``.
 
@@ -373,33 +350,3 @@ class Database:
             return None
         stored_c, valid_until, blob = self.table("model_cover").row(rid)
         return int(stored_c), float(valid_until), blob
-
-    def cover_index(self) -> Dict[int, int]:
-        """Copy of the ``window_c -> newest row id`` cover index."""
-        with self._lock:
-            return dict(self._cover_index)
-
-    def _rebuild_cover_index(self) -> None:
-        """Recompute the cover index from the ``model_cover`` table — the
-        pre-v2 load path in :mod:`repro.storage.persist`, where no saved
-        index exists (always an unpartitioned database; open-window
-        covers are filtered later if :meth:`set_partition_h` adopts a
-        partitioning)."""
-        self._cover_index.clear()
-        if not self.has_table("model_cover"):
-            return
-        for rid, c in enumerate(self.table("model_cover").column("window_c")):
-            self._cover_index[int(c)] = rid
-
-    def _restore_partition_state(
-        self, partition_h: Optional[int], cover_index: Mapping[int, int]
-    ) -> None:
-        """Adopt persisted partition metadata (see :mod:`repro.storage.persist`)."""
-        if partition_h is not None and partition_h <= 0:
-            raise ValueError("partition_h must be positive")
-        self._partition_h = partition_h
-        n_rows = len(self.table("model_cover")) if self.has_table("model_cover") else 0
-        for c, rid in cover_index.items():
-            if not 0 <= rid < n_rows:
-                raise ValueError(f"cover index row id {rid} out of range")
-        self._cover_index = {int(c): int(rid) for c, rid in cover_index.items()}

@@ -1,11 +1,10 @@
-"""Region-sharded storage: one window-partitioned database per region.
+"""Region-sharded storage: one shard column per region.
 
-The single-node :class:`~repro.storage.engine.Database` owns every tuple;
-at platform scale (millions of app users over one city) that one store is
-the bottleneck for both ingest and queries.  The :class:`ShardRouter`
-splits the stream by *geographic region* — a
+At platform scale (millions of app users over one city) one store
+holding every tuple is the bottleneck for both ingest and queries.  The
+:class:`ShardRouter` splits the stream by *geographic region* — a
 :class:`~repro.geo.region.RegionGrid` over the sensed area — so each
-shard's database holds only its region's tuples and ingest touches (and
+shard's column holds only its region's tuples and ingest touches (and
 invalidates) exactly one shard per tuple.
 
 Sharding must not change query answers.  The query layer's unit of
@@ -30,8 +29,8 @@ first tuple is at or before ``t``.
 *Where* a shard's rows live is not the router's business: it delegates
 that — and only that — to a window store.  :class:`ResidentWindowStore`
 (here) keeps every shard's column in RAM; the durable
-:class:`~repro.storage.tiered.SegmentWindowStore` keeps an open tail
-plus a bounded set of sealed windows over segment files and a WAL.
+:class:`~repro.storage.tiered.SegmentWindowStore` keeps an open-tail
+column plus a bounded set of sealed windows over segment files and a WAL.
 Routing, gids, cuts, epochs, sketches, load statistics and the lock are
 the router's alone, whichever store sits under it.
 """
@@ -40,7 +39,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_right
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -48,9 +47,9 @@ from repro.data.tuples import TupleBatch
 from repro.data.windows import window_boundaries_in
 from repro.geo.coords import BoundingBox
 from repro.geo.region import RefinedRegionGrid, RegionGrid
-from repro.storage.engine import Database
 from repro.storage.load import ShardLoadStat, ShardLoadTracker
 from repro.storage.sketch import WindowSketch
+from repro.storage.table import _NumericColumn
 
 
 class StaleLayoutError(RuntimeError):
@@ -62,33 +61,45 @@ class StaleLayoutError(RuntimeError):
 
 
 class _ShardColumn:
-    """One shard's resident rows: a growable window-partitioned column
-    set plus the aligned global stream positions (gids), appended per
-    ingest and concatenated lazily.  The gid is the partition-invariant
-    identity the exact gather path orders hits by."""
+    """One shard's in-memory rows: five growable 1-D columns (``t``,
+    ``x``, ``y``, ``s`` float64 and the global stream position ``gid``
+    int64) committed by one row count.  The gid is the
+    partition-invariant identity the exact gather path orders hits by.
 
-    def __init__(self, h: int) -> None:
-        self.db = Database.for_enviro_meter(partition_h=h)
-        self._gid_parts: List[np.ndarray] = []
-        self._gid_cache: Optional[np.ndarray] = None
+    Writes come from one writer at a time (the router lock); reads are
+    lock-free.  :meth:`append` fills every column past the committed
+    length and advances the count last, and :meth:`rows` loads the
+    count before any buffer, so a reader never sees a torn row or a row
+    without its gid — the ``(rows, gids)`` pair it returns is a
+    zero-copy, contiguous, immutable prefix whichever side of an
+    in-flight append (or buffer reallocation) it lands on.
+    """
+
+    __slots__ = ("_columns", "_n", "_view")
+
+    def __init__(self) -> None:
+        self._columns = tuple(
+            _NumericColumn(np.dtype(dtype))
+            for dtype in (np.float64,) * 4 + (np.int64,)
+        )
+        self._n = 0
+        self._view: Optional[Tuple[TupleBatch, np.ndarray]] = None
 
     def append(self, sub: TupleBatch, gids: np.ndarray) -> None:
-        # Gids first, rows second: a lock-free reader that sees a shard
-        # row can then always resolve its gid, never the reverse (extra
-        # gids past the committed rows are inert).
-        self._gid_parts.append(gids)
-        self._gid_cache = None
-        self.db.ingest_tuples(sub)
+        for column, values in zip(self._columns, (sub.t, sub.x, sub.y, sub.s, gids)):
+            column.extend(values)
+        self._n += len(sub)
 
-    def gids(self) -> np.ndarray:
-        cached = self._gid_cache
-        if cached is None:
-            parts = self._gid_parts
-            cached = (
-                np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-            )
-            self._gid_cache = cached
-        return cached
+    def rows(self) -> Tuple[TupleBatch, np.ndarray]:
+        """The committed ``(rows, gids)`` pair (cached until the next
+        append)."""
+        n = self._n
+        view = self._view
+        if view is None or len(view[1]) != n:
+            t, x, y, s, gids = (column.snapshot()[:n] for column in self._columns)
+            view = (TupleBatch._of_columns(t, x, y, s), gids)
+            self._view = view
+        return view
 
 
 class ResidentWindowStore:
@@ -108,9 +119,8 @@ class ResidentWindowStore:
     #: what the process-parallel executor exports over shared memory.
     prefix_exportable = True
 
-    def __init__(self, n_shards: int, h: int) -> None:
-        self.h = h
-        self._columns = [_ShardColumn(h) for _ in range(n_shards)]
+    def __init__(self, n_shards: int) -> None:
+        self._columns = [_ShardColumn() for _ in range(n_shards)]
 
     def log(self, start_row: int, batch: TupleBatch) -> None:
         """Nothing to make durable: a resident store dies with the process."""
@@ -128,10 +138,8 @@ class ResidentWindowStore:
 
     def column(self, s: int):
         """Coherent ``(rows, gids)`` of shard ``s``'s whole committed
-        column.  Gids are appended before rows commit, so clamping the
-        gid stream to the committed row count always aligns the pair."""
-        batch = self._columns[s].db.raw_tuples()
-        return batch, self._columns[s].gids()[: len(batch)]
+        column (lock-free; see :class:`_ShardColumn`)."""
+        return self._columns[s].rows()
 
     def recut(self, n_slots: int, rebuilt, touched) -> "ResidentWindowStore":
         """The store of a re-cut layout, built aside: ``touched`` slots
@@ -139,11 +147,11 @@ class ResidentWindowStore:
         every other slot shares its column with this store — which is
         never mutated, so a reader pinned on it keeps a coherent view of
         the retired layout forever."""
-        store = ResidentWindowStore(0, self.h)
+        store = ResidentWindowStore(0)
         columns = list(self._columns)
         columns.extend([None] * (n_slots - len(columns)))
         for slot in touched:
-            columns[slot] = _ShardColumn(self.h)
+            columns[slot] = _ShardColumn()
         for slot, (batch, gids) in rebuilt.items():
             if len(batch):
                 columns[slot].append(batch, gids)
@@ -216,7 +224,7 @@ class ShardRouter:
 
     def _open_store(self):
         """The window store this router's rows live in."""
-        return ResidentWindowStore(self.grid.n_regions, self.h)
+        return ResidentWindowStore(self.grid.n_regions)
 
     # -- topology ----------------------------------------------------------
 

@@ -33,7 +33,9 @@ import numpy as np
 
 from repro.storage.schema import ColumnType, Schema
 
-_CHUNK = 8_192
+#: Initial capacity of a numeric column.  Small, because a segment
+#: store starts a fresh open-tail column per shard at every seal.
+_CHUNK = 256
 
 
 class _NumericColumn:

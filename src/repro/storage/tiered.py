@@ -7,7 +7,9 @@ of its own, the query pipeline binds it through the identical
 in a :class:`SegmentWindowStore` instead of RAM:
 
 * **Hot tail** — rows of still-open global windows live in memory only
-  (plus the WAL for crash safety), exactly as routed.
+  (plus the WAL for crash safety), exactly as routed, in one shard
+  column per shard (the resident store's type), re-seeded with the
+  kept rows at every seal.
 * **Sealed packs** — the moment global windows seal, each shard's
   slice of each is frozen into an immutable, checksummed segment image
   (:mod:`repro.storage.segments`), all of one seal's images go into one
@@ -73,7 +75,7 @@ from repro.storage.segments import (
     read_packed_segment,
     read_segment,
 )
-from repro.storage.shards import ShardRouter
+from repro.storage.shards import ShardRouter, _ShardColumn
 from repro.storage.sketch import WindowSketch
 from repro.storage.wal import WriteAheadLog, replay_wal
 
@@ -158,11 +160,9 @@ class SegmentWindowStore:
         os.makedirs(self._segment_prefix, exist_ok=True)
         n = grid.n_regions
         self.sealed_windows = 0  # windows durably sealed (packs + manifest)
-        #: Open-tail rows per shard: list of (slice, gids) in arrival order.
-        self._tail_parts: List[List[Tuple[TupleBatch, np.ndarray]]] = [
-            [] for _ in range(n)
-        ]
-        self._tail_cache: List[Optional[Tuple[TupleBatch, np.ndarray]]] = [None] * n
+        #: Open-tail rows per shard, re-seeded with the kept rows at
+        #: every seal.
+        self._tails = [_ShardColumn() for _ in range(n)]
         #: Sealed rows per shard (tail base: shard-local rows below it are
         #: in segments, at or above it in the tail).
         self._tail_base = [0] * n
@@ -247,8 +247,7 @@ class SegmentWindowStore:
         self._wal.append(start_row, batch)
 
     def append(self, s: int, sub: TupleBatch, gids: np.ndarray) -> None:
-        self._tail_parts[s].append((sub, gids))
-        self._tail_cache[s] = None
+        self._tails[s].append(sub, gids)
 
     def window(self, s: int, c: int, start: int, stop: int):
         """``(rows, gids)`` of shard-local rows ``[start, stop)`` = the
@@ -319,17 +318,15 @@ class SegmentWindowStore:
         self._slices.update(extents)
         self.sealed_windows = target
         self.write_manifest(router)
-        # Drop sealed rows from the tail fronts.
+        # Re-seed each shard's tail with the rows the seal keeps.
         for s in range(n_shards):
             base = router._window_bounds(s, target - 1)[1]
-            tail_batch, tail_gids = self._tail_concat(s)
+            tail_batch, tail_gids = self._tails[s].rows()
             keep = base - self._tail_base[s]
-            self._tail_parts[s] = (
-                [(tail_batch.slice(keep, len(tail_batch)), tail_gids[keep:])]
-                if keep < len(tail_batch)
-                else []
-            )
-            self._tail_cache[s] = None
+            tail = _ShardColumn()
+            if keep < len(tail_batch):
+                tail.append(tail_batch.slice(keep, len(tail_batch)), tail_gids[keep:])
+            self._tails[s] = tail
             self._tail_base[s] = base
         # Freshly sealed slices enter the resident set (LRU end): the
         # just-sealed window is the likeliest to be queried next.
@@ -340,7 +337,7 @@ class SegmentWindowStore:
 
     def _global_tail(self) -> TupleBatch:
         """The unsealed rows in global stream order (gid-merged)."""
-        parts = [self._tail_concat(s) for s in range(len(self._tail_parts))]
+        parts = [tail.rows() for tail in self._tails]
         batches = [p[0] for p in parts if len(p[0])]
         gid_parts = [p[1] for p in parts if len(p[1])]
         if not batches:
@@ -444,28 +441,12 @@ class SegmentWindowStore:
         self._resident_insert(key, value)
         return value
 
-    def _tail_concat(self, s: int) -> Tuple[TupleBatch, np.ndarray]:
-        cached = self._tail_cache[s]
-        if cached is None:
-            parts = self._tail_parts[s]
-            if not parts:
-                cached = (TupleBatch.empty(), np.empty(0, dtype=np.int64))
-            elif len(parts) == 1:
-                cached = parts[0]
-            else:
-                merged = parts[0][0]
-                for sub, _ in parts[1:]:
-                    merged = merged.concat(sub)
-                cached = (merged, np.concatenate([g for _, g in parts]))
-            self._tail_cache[s] = cached
-        return cached
-
     def _tail_slice(
         self, s: int, start: int, stop: int
     ) -> Tuple[TupleBatch, np.ndarray]:
         """Shard-local rows ``[start, stop)`` of shard ``s``'s open tail."""
         base = self._tail_base[s]
-        batch, gids = self._tail_concat(s)
+        batch, gids = self._tails[s].rows()
         return batch.slice(start - base, stop - base), gids[start - base : stop - base]
 
     # -- maintenance -------------------------------------------------------

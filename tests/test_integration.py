@@ -16,7 +16,6 @@ from repro.data.tuples import QueryTuple
 from repro.geo.coords import BoundingBox
 from repro.query.engine import QueryEngine
 from repro.server.server import EnviroMeterServer
-from repro.storage.persist import load_database, save_database
 
 
 class TestFullLoop:
@@ -37,21 +36,6 @@ class TestFullLoop:
         _, _, blob = server.db.cover_blob_for_window(c)
         cover = ModelCover.from_blob(blob)
         assert cover.window_c == c
-
-    def test_database_survives_persistence(self, small_dataset, tmp_path):
-        server = EnviroMeterServer(h=240)
-        server.ingest(small_dataset.tuples)
-        t = float(small_dataset.tuples.t[500])
-        server.cover_for(t)
-
-        path = tmp_path / "server.emdb"
-        save_database(server.db, path)
-        restored = EnviroMeterServer(h=240, database=load_database(path))
-        # The restored server answers from the persisted cover and data.
-        from repro.network.messages import QueryRequest
-
-        response = restored.handle(QueryRequest(t=t, x=2000.0, y=1500.0))
-        assert response.value is not None
 
     def test_clients_agree_within_cover_validity(self, small_dataset):
         server = EnviroMeterServer(h=240)

@@ -213,26 +213,3 @@ class TestInterleavedIngestConvergence:
         assert got.value == pytest.approx(want.value, abs=0.0)
         assert interleaved.builder_fit_count == 2  # partial fit + one refit
         assert premature.value != want.value  # the stale answer it replaced
-
-
-class TestDatabasePartitionValidation:
-    def test_mismatched_partition_rejected(self):
-        from repro.storage.engine import Database
-
-        with pytest.raises(ValueError, match="partition_h"):
-            EnviroMeterServer(h=40, database=Database.for_enviro_meter())
-
-    def test_unpartitioned_database_adopts_server_h(self, small_batch):
-        from repro.storage.engine import Database
-
-        db = Database()
-        db.create_table(
-            "raw_tuples", Database.for_enviro_meter().table("raw_tuples").schema
-        )
-        db.create_table(
-            "model_cover", Database.for_enviro_meter().table("model_cover").schema
-        )
-        server = EnviroMeterServer(h=240, database=db)
-        assert db.partition_h == 240
-        server.ingest(small_batch.slice(0, 300))
-        assert list(db.sealed_window_ids()) == [0]

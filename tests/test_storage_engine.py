@@ -88,39 +88,21 @@ class TestCoverBlobs:
         db.store_cover_blob(1, 100.0, b"x")
         assert db.cover_blob_for_window(2) is None
 
-    def test_index_tracks_newest_per_window(self):
+    def test_newest_cover_per_window(self):
         db = Database.for_enviro_meter()
         db.store_cover_blob(0, 10.0, b"a")
         db.store_cover_blob(1, 20.0, b"b")
         db.store_cover_blob(0, 30.0, b"c")
-        assert db.cover_index() == {0: 2, 1: 1}
+        assert db.cover_blob_for_window(0) == (0, 30.0, b"c")
+        assert db.cover_blob_for_window(1) == (1, 20.0, b"b")
+        assert db.latest_cover_blob() == (0, 30.0, b"c")
 
     def test_drop_model_cover_clears_index(self):
         db = Database.for_enviro_meter()
         db.store_cover_blob(0, 10.0, b"a")
         db.drop_table("model_cover")
-        assert db.cover_index() == {}
-
-    def test_rebuild_cover_index(self):
-        db = Database.for_enviro_meter()
-        db._partition_h = None  # the pre-v2 load shape
-        db.table("model_cover").insert((4, 10.0, b"direct"))
-        assert db.cover_blob_for_window(4) is None  # bypassed the index
-        db._rebuild_cover_index()
-        assert db.cover_blob_for_window(4) == (4, 10.0, b"direct")
-
-    def test_adopting_partition_drops_open_window_covers(self):
-        """set_partition_h on a pre-v2 load must not keep covers whose
-        windows can still grow — they may reflect partial window data."""
-        db = Database.for_enviro_meter()
-        db._partition_h = None
-        db.ingest_tuples(TupleBatch([1.0] * 6, [0.0] * 6, [0.0] * 6, [400.0] * 6))
-        db.table("model_cover").insert((0, 10.0, b"sealed"))
-        db.table("model_cover").insert((1, 20.0, b"open"))
-        db._rebuild_cover_index()
-        db.set_partition_h(4)  # 6 rows: window 0 sealed, window 1 open
-        assert db.cover_blob_for_window(0) == (0, 10.0, b"sealed")
-        assert db.cover_blob_for_window(1) is None
+        assert db.cover_blob_for_window(0) is None
+        assert db.latest_cover_blob() is None
 
 
 def _stream(n, t0=0.0):
@@ -223,16 +205,6 @@ class TestWindowPartitioning:
         db.ingest_tuples(_stream(3, t0=6.0))  # window 1 seals, 2 opens
         assert db.cover_blob_for_window(1) is None  # stale cover dropped
         assert db.cover_blob_for_window(0) == (0, 10.0, b"sealed")
-
-    def test_set_partition_h(self):
-        db = Database()
-        db.set_partition_h(4)
-        assert db.partition_h == 4
-        db.set_partition_h(4)  # idempotent
-        with pytest.raises(ValueError):
-            db.set_partition_h(8)
-        with pytest.raises(ValueError):
-            Database().set_partition_h(0)
 
     def test_sealed_cache_refreshed_after_buffer_growth(self):
         """A growth reallocation must not leave the cache pinning the
