@@ -206,7 +206,7 @@ def _serve_network(ds, args) -> int:
 
     from repro.geo.region import RegionGrid
     from repro.query.pipeline.parallel import ProcessShardedEngine
-    from repro.query.sharded import ShardedQueryEngine
+    from repro.query.sharded import CACHED_ROUTE_MAX_ROWS, ShardedQueryEngine
     from repro.server.async_server import AsyncQueryServer, EngineQueryService
     from repro.storage.shards import ShardRouter
 
@@ -285,9 +285,11 @@ def _serve_network(ds, args) -> int:
         else ""
     )
     # Only model-cover answers can come from a cached cover on the loop
-    # thread (ShardedQueryEngine.cached_point); say which case this is.
+    # thread (ShardedQueryEngine.cached_point / cached_route); say which
+    # case this is.
     lane = (
-        "cached point queries answered on the event loop"
+        "cached point queries and routes of up to "
+        f"{CACHED_ROUTE_MAX_ROWS} updates answered on the event loop"
         if method == "model-cover"
         else "no cached lane: every query takes the executor"
     )

@@ -14,15 +14,53 @@ the validity deadline ``t_n``.  It is simultaneously
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import List
+from dataclasses import dataclass, field
+from typing import List, Optional
 
 import numpy as np
 
 from repro.models.base import Model, rebuild_model
+from repro.models.linear import LinearModel
+from repro.models.mean import MeanModel
+from repro.models.polynomial import PolynomialModel
 
 _MAGIC = b"EMCV"
 _VERSION = 1
+
+
+# -- the closed-form table kernels -------------------------------------------
+#
+# Each takes the owning models' coefficient vectors gathered per query —
+# ``c[k]`` is coefficient ``k`` of every query's owner, in the order the
+# family's ``coefficients()`` lists them — and evaluates the family's
+# ``predict_batch`` expression with the same float operations in the
+# same order, so a value is bitwise the one its model alone computes.
+
+
+def _mean_kernel(c: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return c[0]
+
+
+def _linear_kernel(c: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # LinearModel.predict_batch: b0 + b1 * (x - x0) + b2 * (y - y0)
+    return c[0] + c[1] * (x - c[3]) + c[2] * (y - c[4])
+
+
+def _poly2_kernel(c: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # PolynomialModel.predict_batch on u, v = (x - x0) / scale, (y - y0) / scale
+    u = (x - c[6]) / c[8]
+    v = (y - c[7]) / c[8]
+    return c[0] + c[1] * u + c[2] * v + c[3] * u * u + c[4] * v * v + c[5] * u * v
+
+
+#: Model classes whose prediction is a closed form of a fixed-length
+#: coefficient vector.  Other families (the kernel model's sample) are
+#: evaluated model by model.
+_TABLE_KERNELS = {
+    MeanModel: _mean_kernel,
+    LinearModel: _linear_kernel,
+    PolynomialModel: _poly2_kernel,
+}
 
 
 @dataclass
@@ -34,6 +72,10 @@ class ModelCover:
     valid_until: float           # t_n
     family: str
     window_c: int = 0
+    # (kernel, table) when every model is of one closed-form class —
+    # table[k, i] is coefficient k of model i — else None: the cover is
+    # evaluated model by model.
+    _table: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.centroids = np.asarray(self.centroids, dtype=np.float64)
@@ -45,6 +87,11 @@ class ModelCover:
             )
         if not len(self.models):
             raise ValueError("a model cover needs at least one model")
+        kinds = {type(m) for m in self.models}
+        kernel = _TABLE_KERNELS.get(kinds.pop()) if len(kinds) == 1 else None
+        if kernel is not None:
+            table = np.array([m.coefficients() for m in self.models], dtype=np.float64)
+            self._table = (kernel, table.T.copy())
 
     # -- querying -------------------------------------------------------------
 
@@ -76,7 +123,12 @@ class ModelCover:
     def predict_batch(
         self, t: np.ndarray, x: np.ndarray, y: np.ndarray
     ) -> np.ndarray:
-        """Vectorised prediction (groups queries by owning model)."""
+        """Vectorised prediction: every query's owning model, then one
+        gather of the owners' coefficients and one evaluation of the
+        family's expression over all queries (closed-form families);
+        other families evaluate each owning model's queries in one
+        ``predict_batch`` call.  Bitwise the value each query's owner
+        predicts alone, either way."""
         t = np.asarray(t, dtype=np.float64)
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
@@ -89,6 +141,9 @@ class ModelCover:
         # argmin keeps the first minimum, matching the scalar scan's
         # strict-< tie-break in nearest_index / ModelCoverProcessor.
         owner = np.argmin(d2, axis=1)
+        if self._table is not None:
+            kernel, coefficients = self._table
+            return kernel(coefficients[:, owner], x, y)
         out = np.empty(len(x), dtype=np.float64)
         hits = np.bincount(owner, minlength=self.size)
         for k in np.flatnonzero(hits):

@@ -43,7 +43,14 @@ def uniform_query_tuples(
 def _legs(
     waypoints: Sequence[Tuple[float, float]], t_start: float, t_end: float
 ) -> Tuple[List[float], float]:
-    """Validated leg lengths of a waypoint route, and their running sum."""
+    """Validated leg lengths of a waypoint route, and their running sum.
+
+    ``t_end`` must lie after ``t_start`` as floats (``t_start +
+    duration`` rounds back to ``t_start`` for a large enough start), and
+    every leg and the total must be finite: waypoints far enough apart
+    overflow ``hypot`` to inf, and interpolating along an infinite leg
+    yields NaN positions.
+    """
     if len(waypoints) < 2:
         raise ValueError("a trajectory needs at least two waypoints")
     if t_end <= t_start:
@@ -54,6 +61,8 @@ def _legs(
         d = math.hypot(x2 - x1, y2 - y1)
         legs.append(d)
         total += d
+    if not math.isfinite(total):
+        raise ValueError("route legs must have finite lengths")
     return legs, total
 
 

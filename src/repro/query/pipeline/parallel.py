@@ -540,6 +540,11 @@ class ProcessShardedEngine:
         :meth:`ShardedQueryEngine.cached_point`."""
         return self.engine.cached_point(t, x, y, method=method)
 
+    def cached_route(self, batch: QueryBatch, method: str = "naive"):
+        """Cached covers are evaluated here, not on a worker: see
+        :meth:`ShardedQueryEngine.cached_route`."""
+        return self.engine.cached_route(batch, method=method)
+
     def heatmap_grid(
         self, t: float, bounds, nx: int = 40, ny: int = 30, method: str = "naive"
     ) -> np.ndarray:

@@ -31,8 +31,10 @@ the primitives in :mod:`repro.query.pipeline.gather`.
 from __future__ import annotations
 
 import math
+import threading
 import time
-from typing import List, Optional, Sequence
+from collections import Counter
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -58,6 +60,16 @@ from repro.query.planner import QueryProfile
 from repro.storage.shards import ShardRouter, StaleLayoutError
 
 SHARDED_METHODS = ("naive",) + available_index_kinds() + ("model-cover", "auto")
+
+#: The most rows :meth:`ShardedQueryEngine.cached_route` answers.  The
+#: lane runs on the async front end's event loop, where every other
+#: connection waits for it, and its cost grows with the rows — mostly
+#: in shaping and serialising the answer — while what it saves (a plan
+#: build and the executor hop) does not.  At 128 rows an answer holds
+#: the loop ~0.7 ms (p95 ~1.05 ms, about a live-mix request's p95 round
+#: trip) and still saves ~13 % of the request; longer routes take the
+#: executor (docs/architecture.md, "The non-blocking lane").
+CACHED_ROUTE_MAX_ROWS = 128
 
 
 def shard_runtime(
@@ -173,6 +185,12 @@ class ShardedQueryEngine:
             radius_m=radius_m,
             feedback=PlannerFeedback(),
         )
+        # The cached lanes' counts, read through lane_hits and
+        # lane_declines: plain dicts bumped under one lock (a Counter's
+        # `+=` would double what counting costs a point-lane hit).
+        self._lane_hits = {"point": 0, "route": 0}
+        self._lane_declines: Dict[tuple, int] = {}
+        self._lane_lock = threading.Lock()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -198,6 +216,21 @@ class ShardedQueryEngine:
     def planner(self) -> PipelinePlanner:
         """The statistics-backed planner behind ``method="auto"``."""
         return self._planner
+
+    @property
+    def lane_hits(self) -> Counter:
+        """Answers the cached lanes gave, by lane (``"point"`` /
+        ``"route"``)."""
+        with self._lane_lock:
+            return +Counter(self._lane_hits)
+
+    @property
+    def lane_declines(self) -> Counter:
+        """Requests the cached lanes declined to the plan path, by
+        ``(lane, reason)``.  A server asks the point lane again on the
+        pool before it plans, so a point it declines counts twice."""
+        with self._lane_lock:
+            return Counter(self._lane_declines)
 
     @property
     def prune_stats(self) -> PruneStats:
@@ -353,6 +386,12 @@ class ShardedQueryEngine:
         )
         return self.continuous_query_batch(batch, method=method).result(0)
 
+    def _lane_decline(self, lane: str, reason: str) -> None:
+        """Count a declined lane request; ``None`` is the lane's answer."""
+        key = (lane, reason)
+        with self._lane_lock:
+            self._lane_declines[key] = self._lane_declines.get(key, 0) + 1
+
     def cached_point(
         self, t: float, x: float, y: float, method: str = "naive"
     ) -> Optional[QueryResult]:
@@ -363,8 +402,9 @@ class ShardedQueryEngine:
         the router serves without its lock — it never waits on an ingest
         or a seal, never faults a segment in, never fits.  Other methods,
         a non-finite coordinate, an empty router or owner slice (the
-        exact fallback's case) and a missing or stale cover are ``None``
-        with no counter touched (the plan path counts that miss).  A
+        exact fallback's case) and a missing or stale cover are ``None``,
+        counted in :attr:`lane_declines` only — no cache counter is
+        touched (the plan path counts that miss).  A
         cover cached at ``stamp`` was fitted on exactly the rows the
         stamp names, so a hit is what the plan path answers when it pins
         now.  It is computed on Python floats — the router's and grid's
@@ -378,26 +418,107 @@ class ShardedQueryEngine:
         the probe.
         """
         router = self.router
-        if method != "model-cover" or not router.global_count():
-            return None
+        if method != "model-cover":
+            return self._lane_decline("point", "method")
+        if not router.global_count():
+            return self._lane_decline("point", "empty")
         if not (math.isfinite(t) and math.isfinite(x) and math.isfinite(y)):
-            return None
+            return self._lane_decline("point", "non-finite")
         grid = router.grid
         c = router.window_for_time(t)
         s = grid.shard_of(x, y)
         stamp = router.shard_window_epoch(s, c)
         if not stamp:
-            return None
+            return self._lane_decline("point", "fallback")
         proc = self._cache.peek(("cover", s, c), stamp, count_hit=True)
-        if proc is None or router.grid is not grid:
-            return None
+        if proc is None:
+            return self._lane_decline("point", "cover")
+        if router.grid is not grid:
+            return self._lane_decline("point", "recut")
         t0 = time.perf_counter()
         result = proc.process(QueryTuple(t, x, y))
         # PlanExecutor._observe's report for an unpriced cover op: the
         # rebalancer keeps seeing read skew.
         units = float(max(router.shard_window_sketch(s, c).n_rows, 1))
         router.load.record_scan(s, 1, units, time.perf_counter() - t0)
+        with self._lane_lock:
+            self._lane_hits["point"] += 1
         return result
+
+    def cached_route(
+        self, batch: QueryBatch, method: str = "naive"
+    ) -> Optional[BatchResult]:
+        """:meth:`cached_point` for a whole query stream: the
+        ``model-cover`` answer when every (window, owner shard) the
+        stream touches has its cover cached at its live stamp, else
+        ``None`` (ask :meth:`continuous_query_batch`).
+
+        The vector forms the plan path routes with — one
+        ``windows_for_times`` and one ``grid.shards_of`` over the batch
+        — then per distinct (window, owner) a lock-free stamp read, and
+        one all-or-nothing :meth:`ProcessorCache.peek_all` over the
+        covers (a hit per cover, as the plan path's lookups count; a
+        decline touches no cache counter).  Each cover evaluates its
+        rows with :meth:`ModelCover.predict_batch`, the kernel the plan
+        path's cover ops run, and each is reported to the shard-load
+        tracker as one unpriced cover op.  Declined, counted in
+        :attr:`lane_declines`, with nothing fitted, scanned, faulted in
+        or waited for: another method, more than
+        :data:`CACHED_ROUTE_MAX_ROWS` rows, an empty batch or router, a
+        non-finite input, an empty owner slice (the exact fallback's
+        case), a missing or stale cover, and a re-cut in flight (the
+        grid read first is checked last, as in :meth:`cached_point`).
+        """
+        router = self.router
+        n = len(batch)
+        if method != "model-cover":
+            return self._lane_decline("route", "method")
+        if n > CACHED_ROUTE_MAX_ROWS:
+            return self._lane_decline("route", "rows")
+        if not n or not router.global_count():
+            return self._lane_decline("route", "empty")
+        t, x, y = batch.t, batch.x, batch.y
+        if not (np.isfinite(t).all() and np.isfinite(x).all() and np.isfinite(y).all()):
+            return self._lane_decline("route", "non-finite")
+        grid = router.grid
+        n_shards = grid.n_regions
+        pair = router.windows_for_times(t) * n_shards + grid.shards_of(x, y)
+        # The plan path's grouping: one stable sort on the (window,
+        # owner) key makes each pair's rows a run, in stream order.
+        order = np.argsort(pair, kind="stable")
+        pair = pair[order]
+        runs = [0, *(np.flatnonzero(pair[1:] != pair[:-1]) + 1).tolist(), n]
+        keys, stamps = [], []
+        for lo in runs[:-1]:
+            c, s = divmod(int(pair[lo]), n_shards)
+            stamp = router.shard_window_epoch(s, c)
+            if not stamp:
+                return self._lane_decline("route", "fallback")
+            keys.append(("cover", s, c))
+            stamps.append(stamp)
+        procs = self._cache.peek_all(keys, stamps, count_hit=True)
+        if procs is None:
+            return self._lane_decline("route", "cover")
+        if router.grid is not grid:
+            return self._lane_decline("route", "recut")
+        clock = time.perf_counter
+        if len(procs) > 1:
+            t, x, y = t[order], x[order], y[order]
+        values = np.empty(n)  # in run order
+        for (_cover, s, c), proc, lo, hi in zip(keys, procs, runs, runs[1:]):
+            t0 = clock()
+            values[lo:hi] = proc.cover.predict_batch(t[lo:hi], x[lo:hi], y[lo:hi])
+            elapsed = clock() - t0
+            # PlanExecutor._observe's report for an unpriced cover op.
+            units = float(max(router.shard_window_sketch(s, c).n_rows, 1))
+            router.load.record_scan(s, hi - lo, units * (hi - lo), elapsed)
+        if len(procs) > 1:
+            values[order] = values.copy()  # back to stream order
+        with self._lane_lock:
+            self._lane_hits["route"] += 1
+        return BatchResult(
+            batch, values, np.ones(n, dtype=np.int64), answered=np.ones(n, dtype=bool)
+        )
 
     def heatmap_grid(
         self,

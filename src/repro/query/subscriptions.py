@@ -139,6 +139,11 @@ class SubscriptionSpec:
             raise ValueError("subscription count must be an integer")
         if self.count < 1:
             raise ValueError("a subscription needs at least one query tuple")
+        # The route must be interpolable over its span (query_batch's
+        # trajectory): a non-empty float time span and finite legs.
+        waypoint_trajectory(
+            self.route, self.t_start, self.t_start + self.count * self.interval_s
+        )
 
     def query_batch(self) -> QueryBatch:
         """The subscription's uniform query-tuple stream, columnar."""

@@ -49,14 +49,16 @@ parses every complete request in it and, when the loop can answer —
 without blocking — serialises and writes the answer in that same
 callback: one loop iteration, one poll, one ``transport.write`` behind
 pre-encoded status/header bytes.  ``cached`` answers a point query whose
-model cover is cached at the owner slice's live stamp: O(1) lock-free
-reads and one cover evaluation on Python floats, decided from cache and
-router state, never a clock.  The loop never runs a fit, a scan, a
-fault-in or a lock wait: everything else runs in the default
-thread-pool executor (``loop.run_in_executor``) with the connection's
-reading paused — one request in flight per connection, so pipelined
-answers keep request order — so a slow Ad-KMN fit never stalls the
-accept loop or a cached answer, and — when the backend is a
+model cover is cached at the owner slice's live stamp — O(1) lock-free
+reads and one cover evaluation on Python floats — and a ``model-cover``
+route of at most ``CACHED_ROUTE_MAX_ROWS`` updates whose owner covers
+all are, decided from cache and router state, never a clock.  The loop
+never runs a fit, a scan, a fault-in or a lock wait: everything else
+runs in the default thread-pool executor (``loop.run_in_executor``)
+with the connection's reading paused — one request in flight per
+connection, so pipelined answers keep request order — so a slow Ad-KMN
+fit never stalls the accept loop or a cached answer, and — when the
+backend is a
 :class:`~repro.query.pipeline.parallel.ProcessShardedEngine` — the
 actual compute escapes the GIL onto the worker processes entirely.  A
 client that stops reading its answers stops being served
@@ -203,6 +205,41 @@ def _bounds(params: Dict[str, Any]) -> BoundingBox:
     return BoundingBox(float(raw[0]), float(raw[1]), float(raw[2]), float(raw[3]))
 
 
+#: Where :meth:`EngineQueryService.cached` leaves a declined route's
+#: batch in its request's params — not a string, so no JSON body has it.
+_ROUTE_BATCH = object()
+
+
+def _route_batch(params: Dict[str, Any]):
+    """A continuous request's validated uniform query-tuple stream: a
+    route that cannot be interpolated (an empty time span, legs beyond
+    float range) is the client's error, a 400."""
+    from repro.query.continuous import uniform_route_batch
+
+    route = _route(params)
+    t_start = _number(params, "t_start")
+    duration_s = _positive_number(params, "duration_s", 1800.0)
+    updates = _optional_int(params, "updates", 30, _MAX_UPDATES)
+    try:
+        return uniform_route_batch(
+            route, t_start, t_start + duration_s, duration_s / max(updates - 1, 1), updates
+        )
+    except ValueError as exc:
+        raise HttpError(400, str(exc)) from None
+
+
+def _readings(result) -> Dict[str, Any]:
+    """The continuous answer's JSON payload from a ``BatchResult``."""
+    columns = (result.queries.x, result.queries.y, result.values, result.support)
+    return {
+        "mode": "continuous",
+        "readings": [
+            {"x": x, "y": y, "value": _clean(value), "support": support}
+            for x, y, value, support in zip(*(col.tolist() for col in columns))
+        ],
+    }
+
+
 def _unmask(data: bytes, mask: bytes) -> bytes:
     """``data[i] ^ mask[i % 4]`` (RFC 6455 §5.3) in one vectorised XOR: on
     the event loop, a byte loop over a legal 4 MiB frame stalls for a second."""
@@ -269,11 +306,18 @@ class WebAppService:
         }
 
     def continuous(self, params: Dict[str, Any]) -> Dict[str, Any]:
+        from repro.query.continuous import waypoint_trajectory
+
+        route = _route(params)
+        t_start = _number(params, "t_start")
+        duration_s = _positive_number(params, "duration_s", 1800.0)
+        updates = _optional_int(params, "updates", 30, _MAX_UPDATES)
+        try:
+            waypoint_trajectory(route, t_start, t_start + duration_s)
+        except ValueError as exc:
+            raise HttpError(400, str(exc)) from None
         readings = self.web.continuous_query(
-            _route(params),
-            t_start=_number(params, "t_start"),
-            duration_s=_positive_number(params, "duration_s", 1800.0),
-            updates=_optional_int(params, "updates", 30, _MAX_UPDATES),
+            route, t_start=t_start, duration_s=duration_s, updates=updates
         )
         return {
             "mode": "continuous",
@@ -310,7 +354,7 @@ class EngineQueryService:
     """The three modes served by a three-mode query engine.
 
     ``engine`` is anything exposing ``point_query`` / ``cached_point`` /
-    ``continuous_query_batch`` / ``heatmap_grid`` — a
+    ``cached_route`` / ``continuous_query_batch`` / ``heatmap_grid`` — a
     :class:`~repro.query.sharded.ShardedQueryEngine` runs in-process,
     a :class:`~repro.query.pipeline.parallel.ProcessShardedEngine` runs
     the same plans on its worker-process pool.
@@ -341,10 +385,23 @@ class EngineQueryService:
     def cached(self, mode: str, params: Dict[str, Any]) -> Optional[Dict[str, Any]]:
         """The answer when it can be given without blocking (the server
         asks on its event-loop thread): a valid point query whose cover
-        ``engine.cached_point`` finds cached.  Else ``None``."""
-        if mode != "point":
+        ``engine.cached_point`` finds cached, or a valid ``model-cover``
+        route whose covers ``engine.cached_route`` finds cached.  Else
+        ``None``; a declined route leaves the batch it built in
+        ``params`` for :meth:`continuous` to answer, so a route is
+        validated and interpolated once whichever path answers it."""
+        if mode == "point":
+            return self._point(self.engine.cached_point, params)
+        # Only cover answers can be cached: other methods' routes never
+        # enter the lane, and keep their whole cost off the loop.
+        if mode != "continuous" or self.method != "model-cover":
             return None
-        return self._point(self.engine.cached_point, params)
+        batch = _route_batch(params)
+        result = self.engine.cached_route(batch, method=self.method)
+        if result is None:
+            params[_ROUTE_BATCH] = batch
+            return None
+        return _readings(result)
 
     def point(self, params: Dict[str, Any]) -> Dict[str, Any]:
         return self.cached("point", params) or self._point(
@@ -352,24 +409,10 @@ class EngineQueryService:
         )
 
     def continuous(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        from repro.query.continuous import uniform_route_batch
-
-        route = _route(params)
-        t_start = _number(params, "t_start")
-        duration_s = _positive_number(params, "duration_s", 1800.0)
-        updates = _optional_int(params, "updates", 30, _MAX_UPDATES)
-        queries = uniform_route_batch(
-            route, t_start, t_start + duration_s, duration_s / max(updates - 1, 1), updates
-        )
-        result = self.engine.continuous_query_batch(queries, method=self.method)
-        columns = (result.queries.x, result.queries.y, result.values, result.support)
-        return {
-            "mode": "continuous",
-            "readings": [
-                {"x": x, "y": y, "value": _clean(value), "support": support}
-                for x, y, value, support in zip(*(col.tolist() for col in columns))
-            ],
-        }
+        batch = params.pop(_ROUTE_BATCH, None)
+        if batch is None:
+            batch = _route_batch(params)
+        return _readings(self.engine.continuous_query_batch(batch, method=self.method))
 
     def heatmap(self, params: Dict[str, Any]) -> Dict[str, Any]:
         bounds = _bounds(params)

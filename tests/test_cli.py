@@ -200,7 +200,10 @@ class TestServeMethod:
         assert main(base + ["--method", "model-cover"]) == 0
         out = capsys.readouterr().out
         assert services[-1].method == "model-cover"
-        assert "method model-cover (cached point queries answered on the event loop)" in out
+        assert (
+            "method model-cover (cached point queries and routes of up to 128 "
+            "updates answered on the event loop)"
+        ) in out
         assert main(base) == 0  # the default has not moved
         out = capsys.readouterr().out
         assert services[-1].method == "naive"

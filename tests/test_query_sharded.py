@@ -10,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.cover import ModelCover
 from repro.data.tuples import QueryTuple, TupleBatch
@@ -17,7 +19,9 @@ from repro.geo.coords import BoundingBox
 from repro.query.base import BatchResult, QueryBatch
 from repro.query.engine import QueryEngine
 from repro.query.planner import QueryProfile
-from repro.query.sharded import SHARDED_METHODS, ShardedQueryEngine
+import repro.query.sharded as sharded_module
+from repro.query.continuous import uniform_route_batch
+from repro.query.sharded import CACHED_ROUTE_MAX_ROWS, SHARDED_METHODS, ShardedQueryEngine
 from repro.geo.region import RegionGrid
 from repro.server.async_server import EngineQueryService
 from repro.storage.shards import ShardRouter, StaleLayoutError
@@ -328,16 +332,16 @@ _LANE_H = 240
 _LANE_CUT = 20 * _LANE_H + 100
 
 
-def _lane_router(small_batch, data_dir=None, rows=_LANE_CUT):
+def _lane_router(small_batch, data_dir=None, rows=_LANE_CUT, memory_windows=4):
     """A 4-shard router holding the first ``rows`` tuples: resident, or
-    — given a ``data_dir`` — over segment files with 4 sealed slices
-    kept in memory, so most plan-path reads fault in."""
+    — given a ``data_dir`` — over segment files with ``memory_windows``
+    sealed slices kept in memory, so most plan-path reads fault in."""
     grid = RegionGrid.for_shard_count(BoundingBox(0.0, 0.0, 6000.0, 4000.0), 4)
     if data_dir is None:
         router = ShardRouter(grid, h=_LANE_H)
     else:
         router = TieredShardRouter(
-            grid, h=_LANE_H, data_dir=data_dir, memory_windows=4
+            grid, h=_LANE_H, data_dir=data_dir, memory_windows=memory_windows
         )
     router.ingest(small_batch.slice(0, rows))
     return router
@@ -675,6 +679,8 @@ class TestCachedPoint:
                     except StaleLayoutError:  # three re-cuts raced one plan
                         pass
 
+        route = QueryBatch(*(np.array(column) for column in zip(*probes)))
+
         def read():
             while not stop.is_set():
                 for answers, p in zip(valid, probes):
@@ -683,6 +689,14 @@ class TestCachedPoint:
                         hits[0] += 1
                         if got.value not in answers:
                             wrong.append((p, got.value))
+                # The probes as one route: every row of a route-lane hit
+                # is its point's answer at one of the two layouts.
+                got = engine.cached_route(route, "model-cover")
+                if got is not None:
+                    hits[0] += 1
+                    for answers, p, value in zip(valid, probes, got.values.tolist()):
+                        if value not in answers:
+                            wrong.append((p, value))
 
         threads = [
             threading.Thread(target=recut, daemon=True),
@@ -707,3 +721,401 @@ class TestCachedPoint:
         assert not any(th.is_alive() for th in threads)
         assert wrong == []
         assert hits[0] > 0
+
+
+# -- the multi-row lane ---------------------------------------------------------
+
+
+@pytest.fixture(params=["resident", "one-slot", "split"])
+def route_lane(request, small_batch, tmp_path):
+    """``(router, engine)`` over a resident store, a segment store that
+    keeps one sealed slice in memory (nearly every plan-path read faults
+    in), and a resident store re-cut to a refined layout."""
+    if request.param == "one-slot":
+        router = _lane_router(small_batch, tmp_path, memory_windows=1)
+    else:
+        router = _lane_router(small_batch)
+    if request.param == "split":
+        _recut(router)
+    engine = ShardedQueryEngine(router)
+    yield router, engine
+    engine.close()
+    if request.param == "one-slot":
+        router.close()
+
+
+def _route(small_batch, seed):
+    """A 4-waypoint route along sensed positions of the newest 2 000
+    ingested rows: 30 updates over 30 minutes."""
+    rng = np.random.default_rng(seed)
+    i = int(rng.integers(_LANE_CUT - 2000, _LANE_CUT - 120))
+    rows = [i + 30 * k for k in range(4)]
+    waypoints = [(float(small_batch.x[r]), float(small_batch.y[r])) for r in rows]
+    t_start = float(small_batch.t[i])
+    return uniform_route_batch(waypoints, t_start, t_start + 1800.0, 1800.0 / 29, 30)
+
+
+def _covered_route(router, small_batch, min_groups=1):
+    """The first seeded route owned by at least ``min_groups`` (shard,
+    window) pairs, none of them an empty slice."""
+    for seed in range(200):
+        batch = _route(small_batch, seed)
+        groups = _groups(router, batch)
+        if len(groups) >= min_groups and all(
+            router.shard_window_epoch(s, c) for s, c in groups
+        ):
+            return batch
+    raise AssertionError("no seeded route fits")
+
+
+def _result_bytes(result):
+    q = result.queries
+    return (
+        q.t.tobytes(), q.x.tobytes(), q.y.tobytes(),
+        result.values.tobytes(), result.support.tobytes(), result.answered.tobytes(),
+    )  # fmt: skip
+
+
+def _groups(router, batch):
+    """The (shard, window) pairs the batch's rows are owned by."""
+    windows = router.windows_for_times(batch.t)
+    shards = router.grid.shards_of(batch.x, batch.y)
+    return sorted(set(zip(shards.tolist(), windows.tolist())))
+
+
+def _counting_fits(monkeypatch):
+    fits = []
+    real = sharded_module.fit_adkmn
+
+    def counted(*args, **kwargs):
+        fits.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sharded_module, "fit_adkmn", counted)
+    return fits
+
+
+_coordinate = st.floats(min_value=-500.0, max_value=6500.0)
+
+
+class TestCachedRoute:
+    """``cached_route``: the plan path's bytes or ``None``, never a wait."""
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        waypoints=st.lists(st.tuples(_coordinate, _coordinate), min_size=2, max_size=5),
+        start=st.integers(min_value=_LANE_CUT - 2000, max_value=_LANE_CUT - 1),
+        duration=st.floats(min_value=1.0, max_value=20_000.0),
+        updates=st.integers(min_value=1, max_value=CACHED_ROUTE_MAX_ROWS),
+    )
+    def test_hits_are_byte_identical_to_the_plan_path(
+        self, route_lane, small_batch, waypoints, start, duration, updates
+    ):
+        router, engine = route_lane
+        t_start = float(small_batch.t[start])
+        batch = uniform_route_batch(
+            waypoints, t_start, t_start + duration, duration / max(updates - 1, 1), updates
+        )
+        # The plan path answers first, and caches every cover it needs.
+        expected = engine.continuous_query_batch(batch, method="model-cover")
+        faults = getattr(router, "faults", 0)
+        hits = engine.cache_stats.hits
+        got = engine.cached_route(batch, "model-cover")
+        assert getattr(router, "faults", 0) == faults
+        if got is None:
+            # Only the exact fallback's case is left to the plan path.
+            assert any(
+                not router.shard_window_epoch(s, c) for s, c in _groups(router, batch)
+            )
+            assert engine.cache_stats.hits == hits
+        else:
+            assert _result_bytes(got) == _result_bytes(expected)
+            assert engine.cache_stats.hits == hits + len(_groups(router, batch))
+
+    def test_service_answers_are_the_plan_path_bytes(self, route_lane, small_batch):
+        router, engine = route_lane
+        service = EngineQueryService(engine, method="model-cover")
+        hits = 0
+        for seed in range(60):
+            batch = _route(small_batch, seed)
+            params = {
+                "route": [[float(x), float(y)] for x, y in zip(batch.x[::10], batch.y[::10])],
+                "t_start": float(batch.t[0]),
+            }
+            slow = json.dumps(service.continuous(dict(params)))  # the plan path
+            got = service.cached("continuous", params)
+            if got is not None:
+                hits += 1
+                assert json.dumps(got) == slow
+        assert hits > 40
+        assert engine.lane_hits["route"] == hits
+
+    def test_a_hit_builds_no_plan(self, route_lane, small_batch, monkeypatch):
+        router, engine = route_lane
+        batch = _covered_route(router, small_batch, min_groups=2)
+        expected = engine.continuous_query_batch(batch, method="model-cover")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the route lane built a plan")
+
+        monkeypatch.setattr(sharded_module, "build_sharded_plan", forbidden)
+        fits = _counting_fits(monkeypatch)
+        plans = engine.prune_stats.plans
+        got = engine.cached_route(batch, "model-cover")
+        assert got is not None and _result_bytes(got) == _result_bytes(expected)
+        assert engine.prune_stats.plans == plans and not fits
+
+    def test_a_hit_reports_each_owner_to_the_load_tracker(self, small_batch):
+        router = _lane_router(small_batch)
+        with ShardedQueryEngine(router) as engine:
+            batch = _covered_route(router, small_batch, min_groups=3)
+            engine.continuous_query_batch(batch, method="model-cover")
+            before = [stat.scan_queries for stat in router.shard_load_stats()]
+            assert engine.cached_route(batch, "model-cover") is not None
+            after = [stat.scan_queries for stat in router.shard_load_stats()]
+            owners = router.grid.shards_of(batch.x, batch.y)
+            assert [b - a for a, b in zip(before, after)] == np.bincount(
+                owners, minlength=router.n_shards
+            ).tolist()
+
+    def _declines(self, route_lane, monkeypatch, cases):
+        """Run each ``(reason, call)``: ``None``, counted under its
+        reason, with no fault, fit, plan or cache counter touched."""
+        router, engine = route_lane
+        fits = _counting_fits(monkeypatch)
+        hits = engine.lane_hits
+        for reason, call in cases:
+            faults = getattr(router, "faults", 0)
+            stats = engine.cache_stats.as_dict()
+            plans = engine.prune_stats.plans
+            declines = engine.lane_declines.copy()
+            assert call() is None, reason
+            assert getattr(router, "faults", 0) == faults, reason
+            assert engine.cache_stats.as_dict() == stats, reason
+            assert engine.prune_stats.plans == plans, reason
+            assert not fits, reason
+            declines["route", reason] += 1
+            assert engine.lane_declines == declines, reason
+        assert engine.lane_hits == hits
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_each_decline_reason(self, route_lane, small_batch, monkeypatch):
+        router, engine = route_lane
+        batch = _covered_route(router, small_batch)
+        engine.continuous_query_batch(batch, method="model-cover")  # all cached
+        long_batch = QueryBatch(
+            *(np.resize(col, CACHED_ROUTE_MAX_ROWS + 1) for col in (batch.t, batch.x, batch.y))
+        )
+        engine.continuous_query_batch(long_batch, method="model-cover")
+
+        def with_column(i, value):
+            cols = [batch.t.copy(), batch.x.copy(), batch.y.copy()]
+            cols[i][7] = value
+            return QueryBatch(*cols)
+
+        cases = [
+            ("method", lambda: engine.cached_route(batch, "naive")),
+            ("method", lambda: engine.cached_route(batch, "auto")),
+            ("rows", lambda: engine.cached_route(long_batch, "model-cover")),
+            ("empty", lambda: engine.cached_route(QueryBatch([], [], []), "model-cover")),
+        ]
+        for i in range(3):
+            for bad in (math.nan, math.inf, -math.inf):
+                cases.append((
+                    "non-finite",
+                    lambda i=i, bad=bad: engine.cached_route(with_column(i, bad), "model-cover"),
+                ))  # fmt: skip
+        self._declines(route_lane, monkeypatch, cases)
+        # Nothing above was a verdict on the covers: the batch still hits.
+        assert engine.cached_route(batch, "model-cover") is not None
+        at_cap = long_batch.take(np.arange(CACHED_ROUTE_MAX_ROWS))
+        assert len(engine.cached_route(at_cap, "model-cover")) == CACHED_ROUTE_MAX_ROWS
+
+    def test_an_empty_owner_slice_declines(self, route_lane, small_batch, monkeypatch):
+        router, engine = route_lane
+        batch = _covered_route(router, small_batch)
+        engine.continuous_query_batch(batch, method="model-cover")
+        c = int(router.windows_for_times(batch.t)[0])
+        empty = [
+            s for s in range(router.n_shards)
+            if not router.shard_window_epoch(s, c)
+            and (not hasattr(router.grid, "active_shards") or router.grid.active_shards[s])
+        ]  # fmt: skip
+        assert empty, "every shard has rows in the route's window"
+        # A point of that shard's region, appended to the cached route.
+        box = router.grid.region(empty[0]).bounds
+        xy = ((box.min_x + box.max_x) / 2, (box.min_y + box.max_y) / 2)
+        assert router.grid.shard_of(*xy) == empty[0]
+        mixed = QueryBatch(
+            np.append(batch.t, batch.t[0]), np.append(batch.x, xy[0]), np.append(batch.y, xy[1])
+        )
+        self._declines(
+            route_lane, monkeypatch,
+            [("fallback", lambda: engine.cached_route(mixed, "model-cover"))],
+        )  # fmt: skip
+        assert engine.cached_point(float(batch.t[0]), *xy, "model-cover") is None
+        assert engine.lane_declines["point", "fallback"] == 1
+
+    def test_a_missing_or_stale_cover_declines(self, small_batch, monkeypatch, tmp_path):
+        for data_dir in (None, tmp_path):
+            router = _lane_router(small_batch, data_dir, memory_windows=1)
+            _t, x, y, tail = _open_window_probe(router, small_batch)
+            t = float(small_batch.t[_LANE_CUT - 1])
+            batch = QueryBatch([t - 1.0, t], [x, x + 1.0], [y, y])
+            with ShardedQueryEngine(router) as engine:
+                lane = (router, engine)
+                # Cold: nothing is cached yet.
+                self._declines(lane, monkeypatch, [
+                    ("cover", lambda: engine.cached_route(batch, "model-cover")),
+                ])  # fmt: skip
+                monkeypatch.undo()
+                engine.continuous_query_batch(batch, method="model-cover")
+                assert engine.cached_route(batch, "model-cover") is not None
+                # Stale: the owner's slice of the open window grew.
+                router.ingest(tail)
+                self._declines(lane, monkeypatch, [
+                    ("cover", lambda: engine.cached_route(batch, "model-cover")),
+                ])  # fmt: skip
+                monkeypatch.undo()
+                refit = engine.continuous_query_batch(batch, method="model-cover")
+                got = engine.cached_route(batch, "model-cover")
+                assert _result_bytes(got) == _result_bytes(refit)
+            if data_dir is not None:
+                router.close()
+
+    def test_an_evicted_cover_declines_and_hits_count_all_or_nothing(self, small_batch):
+        router = _lane_router(small_batch)
+        batch = _covered_route(router, small_batch, min_groups=2)
+        with ShardedQueryEngine(router, cache_capacity=1) as engine:
+            engine.continuous_query_batch(batch, method="model-cover")  # one cover left
+            before = engine.cache_stats.as_dict()
+            assert engine.cached_route(batch, "model-cover") is None
+            assert engine.cache_stats.as_dict() == before
+            assert engine.lane_declines == {("route", "cover"): 1}
+
+    def test_a_recut_in_flight_declines(self, small_batch, monkeypatch):
+        """A split landing between the cover probe and the grid check is
+        a decline, even one that re-cuts a shard the route does not touch
+        — whose covers then still hit, their slices' stamps unchanged."""
+        router = _lane_router(small_batch)
+        batch = _covered_route(router, small_batch)
+        with ShardedQueryEngine(router) as engine:
+            expected = engine.continuous_query_batch(batch, method="model-cover")
+            real_peek = engine.processor_cache.peek_all
+            owners = {s for s, _c in _groups(router, batch)}
+            other = min(set(range(router.n_shards)) - owners)
+
+            def peek_then_split(*args, **kwargs):
+                found = real_peek(*args, **kwargs)
+                router.split_shard(other)  # lands between the probe and the check
+                return found
+
+            monkeypatch.setattr(engine.processor_cache, "peek_all", peek_then_split)
+            assert engine.cached_route(batch, "model-cover") is None
+            assert engine.lane_declines == {("route", "recut"): 1}
+            monkeypatch.undo()
+            got = engine.cached_route(batch, "model-cover")
+            assert _result_bytes(got) == _result_bytes(expected)
+            after = engine.continuous_query_batch(batch, method="model-cover")
+            assert _result_bytes(after) == _result_bytes(expected)
+            # The point lane checks the grid last too.
+            real_point_peek = engine.processor_cache.peek
+
+            def point_peek_then_merge(*args, **kwargs):
+                found = real_point_peek(*args, **kwargs)
+                router.merge_cell(router.grid.cell_of_shard(other))
+                return found
+
+            monkeypatch.setattr(engine.processor_cache, "peek", point_peek_then_merge)
+            p = (float(batch.t[0]), float(batch.x[0]), float(batch.y[0]))
+            assert engine.cached_point(*p, "model-cover") is None
+            assert engine.lane_declines["point", "recut"] == 1
+
+    def test_never_waits_for_the_router_lock(self, route_lane, small_batch):
+        router, engine = route_lane
+        batch = _covered_route(router, small_batch, min_groups=2)
+        expected = engine.continuous_query_batch(batch, method="model-cover")
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with router._lock:
+                held.set()
+                release.wait(timeout=30.0)
+
+        holder = threading.Thread(target=hold, daemon=True)
+        holder.start()
+        assert held.wait(timeout=10.0)
+        answers = []
+        reader = threading.Thread(
+            target=lambda: answers.append(engine.cached_route(batch, "model-cover")),
+            daemon=True,
+        )
+        try:
+            reader.start()
+            reader.join(timeout=10.0)
+            assert not reader.is_alive(), "the route lane waited for the router lock"
+        finally:
+            release.set()
+            holder.join(timeout=10.0)
+        assert _result_bytes(answers[0]) == _result_bytes(expected)
+
+    def test_counters_lose_no_update_under_threads(self, small_batch):
+        """More reader threads than cores, a short switch interval: every
+        hit and decline of both lanes is counted once."""
+        router = _lane_router(small_batch)
+        batch = _covered_route(router, small_batch, min_groups=2)
+        n_covers = len(_groups(router, batch))
+        t, x, y = float(batch.t[0]), float(batch.x[0]), float(batch.y[0])
+        with ShardedQueryEngine(router) as engine:
+            engine.continuous_query_batch(batch, method="model-cover")
+            hits = engine.cache_stats.hits
+            rounds, n_threads = 300, 6
+
+            def read():
+                for _ in range(rounds):
+                    assert engine.cached_route(batch, "model-cover") is not None
+                    assert engine.cached_point(t, x, y, "model-cover") is not None
+                    assert engine.cached_route(batch, "naive") is None
+
+            threads = [threading.Thread(target=read, daemon=True) for _ in range(n_threads)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=60.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(th.is_alive() for th in threads)
+            calls = rounds * n_threads
+            assert engine.lane_hits == {"route": calls, "point": calls}
+            assert engine.lane_declines == {("route", "method"): calls}
+            assert engine.cache_stats.hits == hits + calls * (n_covers + 1)
+
+    def test_the_point_lane_counts_too(self, small_batch):
+        router = _lane_router(small_batch)
+        t, x, y, tail = _open_window_probe(router, small_batch)
+        with ShardedQueryEngine(router) as engine:
+            assert engine.cached_point(t, x, y, "naive") is None
+            assert engine.cached_point(t, math.nan, y, "model-cover") is None
+            assert engine.cached_point(t, x, y, "model-cover") is None  # cold
+            engine.point_query(t, x, y, method="model-cover")
+            assert engine.cached_point(t, x, y, "model-cover") is not None
+            assert engine.cached_point(t, x, y, "model-cover") is not None
+            router.ingest(tail)
+            assert engine.cached_point(t, x, y, "model-cover") is None  # stale
+            assert engine.lane_hits == {"point": 2}
+            assert engine.lane_declines == {
+                ("point", "method"): 1,
+                ("point", "non-finite"): 1,
+                ("point", "cover"): 2,
+            }
+        with ShardedQueryEngine(_lane_router(small_batch, rows=0)) as engine:
+            assert engine.cached_point(t, x, y, "model-cover") is None
+            assert engine.cached_route(QueryBatch([t], [x], [y]), "model-cover") is None
+            assert engine.lane_declines == {("point", "empty"): 1, ("route", "empty"): 1}

@@ -23,11 +23,13 @@ from repro.geo.region import RegionGrid
 import repro.query.sharded as sharded_module
 from repro.query.engine import QueryEngine
 from repro.query.pipeline.parallel import ProcessShardedEngine
-from repro.query.sharded import ShardedQueryEngine
+import repro.query.continuous as continuous_module
+from repro.query.sharded import CACHED_ROUTE_MAX_ROWS, ShardedQueryEngine
 from repro.server.async_server import (
     BackgroundServer,
     EngineQueryService,
     WebAppService,
+    _response,
 )
 from repro.storage.shards import ShardRouter
 
@@ -329,12 +331,14 @@ class TestEngineBackends:
 
 
 class _ThreadSpy(EngineQueryService):
-    """Records which thread ran ``cached`` (when it answered) and ``point``."""
+    """Records which thread ran ``cached`` (when it answered),
+    ``point`` and ``continuous``."""
 
     def __init__(self, engine, method):
         super().__init__(engine, method=method)
         self.cached_on = []
         self.point_on = []
+        self.continuous_on = []
 
     def cached(self, mode, params):
         payload = super().cached(mode, params)
@@ -345,6 +349,10 @@ class _ThreadSpy(EngineQueryService):
     def point(self, params):
         self.point_on.append(threading.get_ident())
         return super().point(params)
+
+    def continuous(self, params):
+        self.continuous_on.append(threading.get_ident())
+        return super().continuous(params)
 
 
 class TestCachedLane:
@@ -440,6 +448,109 @@ class TestCachedLane:
         assert order == ["health", "cached point", "release"]
         assert not poster.is_alive() and slow[0][0] == 200
         assert len(spy.cached_on) == 1  # only the warm repeat took the lane
+
+    @staticmethod
+    def _routes(small_dataset, n, seed, updates=30):
+        """Seeded route requests in the style of the live mix: four
+        sensed positions 30 rows apart, 30 minutes from a sensed time."""
+        tuples = small_dataset.tuples
+        rng = np.random.default_rng(seed)
+        out = []
+        for _ in range(n):
+            i = int(rng.integers(0, len(tuples) - 120))
+            out.append({
+                "route": [[float(tuples.x[i + 30 * k]), float(tuples.y[i + 30 * k])] for k in range(4)],
+                "t_start": float(tuples.t[i]) + float(rng.uniform(0.0, 3600.0)),
+                "duration_s": 1800.0,
+                "updates": updates,
+            })  # fmt: skip
+        return out
+
+    def test_route_sweep_is_the_plan_paths_response_bytes(self, lane, small_dataset):
+        """2 000 routes: every lane answer is the forced plan path's
+        response, byte for byte, and a declined route is one the plan
+        path answered through an empty owner slice."""
+        _served, spy, engine = lane
+        hits = 0
+        for params in self._routes(small_dataset, 2000, seed=23):
+            slow = _response(200, spy.continuous(dict(params)), close=False)
+            payload = spy.cached("continuous", dict(params))
+            if payload is not None:
+                hits += 1
+                assert _response(200, payload, close=False) == slow
+        assert hits > 1500
+        assert engine.lane_hits["route"] == hits
+        assert set(engine.lane_declines) <= {("route", "fallback")}
+        assert hits + sum(engine.lane_declines.values()) == 2000
+
+    def test_route_hit_stays_on_the_loop(self, lane, small_dataset):
+        served, spy, engine = lane
+        loop_thread = served._thread.ident
+        params = self._routes(small_dataset, 1, seed=5)[0]
+        status, cold = _post(served.port, "/query/continuous", params)
+        assert status == 200 and spy.continuous_on[0] != loop_thread
+        plans = engine.prune_stats.plans
+        status, warm = _post(served.port, "/query/continuous", params)
+        assert (status, warm) == (200, cold)
+        assert spy.cached_on == [loop_thread] and len(spy.continuous_on) == 1
+        assert engine.prune_stats.plans == plans
+
+    def test_a_declined_route_builds_its_batch_once(
+        self, lane, small_dataset, monkeypatch
+    ):
+        served, spy, engine = lane
+        loop_thread = served._thread.ident
+        builds = []
+        real = continuous_module.uniform_route_batch
+
+        def counted(*args, **kwargs):
+            builds.append(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(continuous_module, "uniform_route_batch", counted)
+        params = self._routes(small_dataset, 1, seed=5)[0]
+        status, body = _post(served.port, "/query/continuous", params)  # cold covers
+        assert status == 200 and len(body["readings"]) == 30
+        assert engine.lane_declines == {("route", "cover"): 1}
+        # Built once, on the loop; the pool answered from that batch.
+        assert builds == [loop_thread]
+        assert len(spy.continuous_on) == 1 and spy.continuous_on[0] != loop_thread
+
+    def test_a_route_above_the_cap_takes_the_executor(self, lane, small_dataset):
+        served, spy, engine = lane
+        loop_thread = served._thread.ident
+        params = self._routes(small_dataset, 1, seed=5, updates=CACHED_ROUTE_MAX_ROWS + 1)[0]
+        for _ in range(2):  # the second time every cover it needs is cached
+            status, body = _post(served.port, "/query/continuous", params)
+            assert status == 200 and len(body["readings"]) == CACHED_ROUTE_MAX_ROWS + 1
+        assert spy.cached_on == []
+        assert len(spy.continuous_on) == 2 and loop_thread not in spy.continuous_on
+        assert engine.lane_declines == {("route", "rows"): 2}
+
+    def test_other_methods_never_build_a_route_on_the_loop(
+        self, small_dataset, monkeypatch
+    ):
+        router = ShardRouter(
+            RegionGrid.for_shard_count(small_dataset.covered_bbox(), 4), h=240
+        )
+        router.ingest(small_dataset.tuples)
+        builds = []
+        real = continuous_module.uniform_route_batch
+
+        def counted(*args, **kwargs):
+            builds.append(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(continuous_module, "uniform_route_batch", counted)
+        with ShardedQueryEngine(router) as engine:
+            spy = _ThreadSpy(engine, method="naive")
+            with BackgroundServer(spy) as served:
+                params = self._routes(small_dataset, 1, seed=5)[0]
+                for _ in range(2):
+                    assert _post(served.port, "/query/continuous", params)[0] == 200
+                loop_thread = served._thread.ident
+            assert len(builds) == 2 and loop_thread not in builds
+            assert not engine.lane_hits and not engine.lane_declines
 
     def test_web_app_service_has_no_lane(self, served):
         # Every TestHttpRoutes / TestWebSocket request above took the hop.

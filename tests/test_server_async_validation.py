@@ -42,7 +42,7 @@ from repro.geo.coords import BoundingBox
 from repro.geo.region import RegionGrid
 from repro.query.engine import QueryEngine
 from repro.query.sharded import ShardedQueryEngine
-from repro.query.subscriptions import registry_for
+from repro.query.subscriptions import SubscriptionSpec, registry_for
 from repro.server.async_server import (
     AsyncQueryServer,
     BackgroundServer,
@@ -52,6 +52,7 @@ from repro.server.async_server import (
     _HttpConnection,
     _WsSubscriptionSession,
     _clean,
+    _route_batch,
     _MAX_BODY,
     _MAX_HEADER,
     _unmask,
@@ -283,6 +284,73 @@ class TestNonFiniteNumbers:
         with pytest.raises(HttpError) as refused:
             service.cached("point", params)
         assert refused.value.status == 400
+
+
+#: Routes whose numbers are all finite but that cannot be interpolated:
+#: a start time at which adding the duration changes nothing (an empty
+#: float time span — "t_end must be after t_start" was a 500), and
+#: waypoints far enough apart that the leg length overflows to inf (the
+#: positions became NaN, answered 200 as bare ``NaN`` tokens).
+_UNINTERPOLABLE_ROUTES = [
+    {"route": [[1000.0, 1000.0], [3000.0, 2200.0]], "t_start": 1e20, "duration_s": 1800.0},
+    {"route": [[-1e308, 0.0], [1e308, 0.0]], "t_start": 0.0},
+    {"route": [[0.0, 1e308], [0.0, 0.0], [0.0, -1e308]], "t_start": 0.0, "updates": 5},
+]
+
+
+class TestUninterpolableRoutes:
+    def _check(self, status, body):
+        assert status == 400, body
+        assert "t_end" in body["error"] or "finite" in body["error"]
+
+    @pytest.mark.parametrize("payload", _UNINTERPOLABLE_ROUTES)
+    def test_webapp_service_answers_400(self, web_served, t_mid, payload):
+        self._check(*_post(web_served.port, "/query/continuous", payload))
+
+    @pytest.mark.parametrize("payload", _UNINTERPOLABLE_ROUTES)
+    def test_engine_service_answers_400(self, engine_served, payload):
+        self._check(*_post(engine_served[0].port, "/query/continuous", payload))
+
+    @pytest.mark.parametrize("payload", _UNINTERPOLABLE_ROUTES)
+    def test_refused_before_the_cached_lane(self, engine_served, payload):
+        engine = engine_served[0].server.service.engine
+        service = EngineQueryService(engine, method="model-cover")
+        with pytest.raises(HttpError) as refused:
+            service.cached("continuous", dict(payload))
+        assert refused.value.status == 400
+        assert not engine.lane_hits and not engine.lane_declines
+
+    @pytest.mark.parametrize("payload", _UNINTERPOLABLE_ROUTES)
+    def test_websocket_request_and_subscribe_are_error_frames(
+        self, engine_served, payload
+    ):
+        served, _router, registry, _cut = engine_served
+        client = _WsClient(served.port)
+        try:
+            for mode in ("continuous", "subscribe"):
+                reply = client.request({"mode": mode, **payload})
+                assert set(reply) == {"error"}, reply
+                assert "t_end" in reply["error"] or "finite" in reply["error"]
+        finally:
+            client.close()
+        assert not registry.subscription_ids()
+
+    @pytest.mark.parametrize("payload", _UNINTERPOLABLE_ROUTES)
+    def test_subscription_spec_refuses_them(self, payload):
+        route = tuple(tuple(p) for p in payload["route"])
+        with pytest.raises(ValueError):
+            SubscriptionSpec(route, payload["t_start"], interval_s=60.0)
+
+    def test_a_long_finite_route_still_interpolates(self):
+        """Legs of 1e307 still sum to a finite length: every position is
+        finite, and the request is served (a 400 is only for routes that
+        cannot be interpolated)."""
+        batch = _route_batch(
+            {"route": [[-1e307, 0.0], [1e307, 0.0]], "t_start": 0.0, "updates": 5}
+        )
+        assert np.isfinite(batch.x).all() and (np.diff(batch.x) > 0).all()
+        assert (batch.x[0], batch.x[-1]) == (-1e307, 1e307)
+        assert batch.y.tolist() == [0.0] * 5
 
 
 class TestRequestLimits:
