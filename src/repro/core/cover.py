@@ -20,47 +20,9 @@ from typing import List, Optional
 import numpy as np
 
 from repro.models.base import Model, rebuild_model
-from repro.models.linear import LinearModel
-from repro.models.mean import MeanModel
-from repro.models.polynomial import PolynomialModel
 
 _MAGIC = b"EMCV"
 _VERSION = 1
-
-
-# -- the closed-form table kernels -------------------------------------------
-#
-# Each takes the owning models' coefficient vectors gathered per query —
-# ``c[k]`` is coefficient ``k`` of every query's owner, in the order the
-# family's ``coefficients()`` lists them — and evaluates the family's
-# ``predict_batch`` expression with the same float operations in the
-# same order, so a value is bitwise the one its model alone computes.
-
-
-def _mean_kernel(c: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return c[0]
-
-
-def _linear_kernel(c: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # LinearModel.predict_batch: b0 + b1 * (x - x0) + b2 * (y - y0)
-    return c[0] + c[1] * (x - c[3]) + c[2] * (y - c[4])
-
-
-def _poly2_kernel(c: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # PolynomialModel.predict_batch on u, v = (x - x0) / scale, (y - y0) / scale
-    u = (x - c[6]) / c[8]
-    v = (y - c[7]) / c[8]
-    return c[0] + c[1] * u + c[2] * v + c[3] * u * u + c[4] * v * v + c[5] * u * v
-
-
-#: Model classes whose prediction is a closed form of a fixed-length
-#: coefficient vector.  Other families (the kernel model's sample) are
-#: evaluated model by model.
-_TABLE_KERNELS = {
-    MeanModel: _mean_kernel,
-    LinearModel: _linear_kernel,
-    PolynomialModel: _poly2_kernel,
-}
 
 
 @dataclass
@@ -72,9 +34,10 @@ class ModelCover:
     valid_until: float           # t_n
     family: str
     window_c: int = 0
-    # (kernel, table) when every model is of one closed-form class —
-    # table[k, i] is coefficient k of model i — else None: the cover is
-    # evaluated model by model.
+    # (evaluate, table) when every model is of one class with a static
+    # evaluate(c, t, x, y) over a coefficient table (the closed-form
+    # families) — table[k, i] is coefficient k of model i — else None:
+    # the cover is evaluated model by model.
     _table: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -88,10 +51,10 @@ class ModelCover:
         if not len(self.models):
             raise ValueError("a model cover needs at least one model")
         kinds = {type(m) for m in self.models}
-        kernel = _TABLE_KERNELS.get(kinds.pop()) if len(kinds) == 1 else None
-        if kernel is not None:
+        evaluate = getattr(kinds.pop(), "evaluate", None) if len(kinds) == 1 else None
+        if evaluate is not None:
             table = np.array([m.coefficients() for m in self.models], dtype=np.float64)
-            self._table = (kernel, table.T.copy())
+            self._table = (evaluate, table.T.copy())
 
     # -- querying -------------------------------------------------------------
 
@@ -124,8 +87,8 @@ class ModelCover:
         self, t: np.ndarray, x: np.ndarray, y: np.ndarray
     ) -> np.ndarray:
         """Vectorised prediction: every query's owning model, then one
-        gather of the owners' coefficients and one evaluation of the
-        family's expression over all queries (closed-form families);
+        gather of the owners' coefficients and one call of the model
+        class's ``evaluate`` over all queries (closed-form families);
         other families evaluate each owning model's queries in one
         ``predict_batch`` call.  Bitwise the value each query's owner
         predicts alone, either way."""
@@ -142,8 +105,8 @@ class ModelCover:
         # strict-< tie-break in nearest_index / ModelCoverProcessor.
         owner = np.argmin(d2, axis=1)
         if self._table is not None:
-            kernel, coefficients = self._table
-            return kernel(coefficients[:, owner], x, y)
+            evaluate, coefficients = self._table
+            return evaluate(coefficients[:, owner], t, x, y)
         out = np.empty(len(x), dtype=np.float64)
         hits = np.bincount(owner, minlength=self.size)
         for k in np.flatnonzero(hits):

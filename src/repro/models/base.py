@@ -18,7 +18,14 @@ from repro.data.tuples import TupleBatch
 
 @runtime_checkable
 class Model(Protocol):
-    """Structural type for all per-subregion models."""
+    """Structural type for all per-subregion models.
+
+    A closed-form family's class also has a static ``evaluate(c, t, x,
+    y)``: its ``predict_batch`` expression over a coefficient table
+    (``c[k]`` is coefficient ``k``, one model's or one per query), which
+    ``predict_batch`` itself calls and :class:`~repro.core.cover.ModelCover`
+    calls once over every query's owner (bitwise the per-model answer).
+    """
 
     family: str
 

@@ -85,11 +85,17 @@ class LinearModel:
         return b0 + b1 * (x - self._x0) + b2 * (y - self._y0)
 
     def predict_batch(self, t: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        b0, b1, b2 = self._b
+        return self.evaluate(self.coefficients(), t, x, y)
+
+    @staticmethod
+    def evaluate(c, t, x, y) -> np.ndarray:
+        """The prediction from coefficient table ``c`` — ``c[k]`` is
+        coefficient ``k`` in :meth:`coefficients` order, one model's
+        float or one per query — at ``(t, x, y)``."""
         return (
-            b0
-            + b1 * (np.asarray(x, dtype=np.float64) - self._x0)
-            + b2 * (np.asarray(y, dtype=np.float64) - self._y0)
+            c[0]
+            + c[1] * (np.asarray(x, dtype=np.float64) - c[3])
+            + c[2] * (np.asarray(y, dtype=np.float64) - c[4])
         )
 
     def coefficients(self) -> Tuple[float, ...]:

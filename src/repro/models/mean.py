@@ -35,8 +35,14 @@ class MeanModel:
         return self._c
 
     def predict_batch(self, t: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return self.evaluate(self.coefficients(), t, x, y)
+
+    @staticmethod
+    def evaluate(c, t, x, y) -> np.ndarray:
+        """The prediction from coefficient table ``c`` — ``c[0]`` is one
+        model's float or one per query — at ``(t, x, y)``."""
         shape = np.broadcast(np.asarray(t), np.asarray(x), np.asarray(y)).shape
-        return np.full(shape, self._c, dtype=np.float64)
+        return np.full(shape, c[0], dtype=np.float64)
 
     def coefficients(self) -> Tuple[float, ...]:
         return (self._c,)

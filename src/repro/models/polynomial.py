@@ -61,10 +61,16 @@ class PolynomialModel:
         )
 
     def predict_batch(self, t: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        u = (np.asarray(x, dtype=np.float64) - self._x0) / self._scale
-        v = (np.asarray(y, dtype=np.float64) - self._y0) / self._scale
-        b = self._b
-        return b[0] + b[1] * u + b[2] * v + b[3] * u * u + b[4] * v * v + b[5] * u * v
+        return self.evaluate(self.coefficients(), t, x, y)
+
+    @staticmethod
+    def evaluate(c, t, x, y) -> np.ndarray:
+        """The prediction from coefficient table ``c`` — ``c[k]`` is
+        coefficient ``k`` in :meth:`coefficients` order, one model's
+        float or one per query — at ``(t, x, y)``."""
+        u = (np.asarray(x, dtype=np.float64) - c[6]) / c[8]
+        v = (np.asarray(y, dtype=np.float64) - c[7]) / c[8]
+        return c[0] + c[1] * u + c[2] * v + c[3] * u * u + c[4] * v * v + c[5] * u * v
 
     def coefficients(self) -> Tuple[float, ...]:
         return self._b + (self._x0, self._y0, self._scale)

@@ -200,14 +200,8 @@ class ProcessorCache:
         ``count_hit=True`` records the hit and refreshes recency exactly
         as :meth:`lookup` does; by default a hit is not recorded either.
         """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry[0] == stamp:
-                if count_hit:
-                    self._entries.move_to_end(key)
-                    self.stats.record_hit()
-                return entry[1]
-            return None
+        values = self.peek_all((key,), (stamp,), count_hit)
+        return None if values is None else values[0]
 
     def peek_all(
         self, keys: Sequence[tuple], stamps: Sequence[int], count_hit: bool = False

@@ -227,8 +227,7 @@ class ShardedQueryEngine:
     @property
     def lane_declines(self) -> Counter:
         """Requests the cached lanes declined to the plan path, by
-        ``(lane, reason)``.  A server asks the point lane again on the
-        pool before it plans, so a point it declines counts twice."""
+        ``(lane, reason)`` — one per request that asked a lane."""
         with self._lane_lock:
             return Counter(self._lane_declines)
 

@@ -51,8 +51,10 @@ callback: one loop iteration, one poll, one ``transport.write`` behind
 pre-encoded status/header bytes.  ``cached`` answers a point query whose
 model cover is cached at the owner slice's live stamp — O(1) lock-free
 reads and one cover evaluation on Python floats — and a ``model-cover``
-route of at most ``CACHED_ROUTE_MAX_ROWS`` updates whose owner covers
-all are, decided from cache and router state, never a clock.  The loop
+route of at most ``CACHED_ROUTE_MAX_ROWS`` updates over at most
+``_LANE_MAX_WAYPOINTS`` waypoints whose owner covers all are, decided
+from cache and router state, never a clock (a longer route is not even
+validated on the loop).  The loop
 never runs a fit, a scan, a fault-in or a lock wait: everything else
 runs in the default thread-pool executor (``loop.run_in_executor``)
 with the connection's reading paused — one request in flight per
@@ -97,6 +99,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.geo.coords import BoundingBox
+from repro.query.sharded import CACHED_ROUTE_MAX_ROWS
 
 _WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 _MAX_HEADER = 16 * 1024
@@ -107,6 +110,10 @@ _MAX_BODY = 4 * 1024 * 1024
 # docs/architecture.md ("Request limits").
 _MAX_GRID_AXIS = 512
 _MAX_UPDATES = 10_000
+# The most waypoints a route may have to be built on the event loop for
+# the cached lane: building costs ~14 us per leg at 128 updates, so 16
+# keep it near 0.25 ms (docs/architecture.md, "The row cap").
+_LANE_MAX_WAYPOINTS = 16
 
 __all__ = [
     "AsyncQueryServer",
@@ -226,6 +233,21 @@ def _route_batch(params: Dict[str, Any]):
         )
     except ValueError as exc:
         raise HttpError(400, str(exc)) from None
+
+
+def _lane_sized(params: Dict[str, Any]) -> bool:
+    """Whether a raw route request is small enough to validate and build
+    on the event loop: at most ``CACHED_ROUTE_MAX_ROWS`` updates over at
+    most ``_LANE_MAX_WAYPOINTS`` waypoints.  Anything else — malformed
+    fields included — goes to the executor untouched, so the loop's cost
+    for a route is bounded whatever its body holds."""
+    route, updates = params.get("route"), params.get("updates", 30)
+    return (
+        type(route) is list
+        and len(route) <= _LANE_MAX_WAYPOINTS
+        and type(updates) is int
+        and updates <= CACHED_ROUTE_MAX_ROWS
+    )
 
 
 def _readings(result) -> Dict[str, Any]:
@@ -384,17 +406,22 @@ class EngineQueryService:
 
     def cached(self, mode: str, params: Dict[str, Any]) -> Optional[Dict[str, Any]]:
         """The answer when it can be given without blocking (the server
-        asks on its event-loop thread): a valid point query whose cover
-        ``engine.cached_point`` finds cached, or a valid ``model-cover``
-        route whose covers ``engine.cached_route`` finds cached.  Else
-        ``None``; a declined route leaves the batch it built in
-        ``params`` for :meth:`continuous` to answer, so a route is
-        validated and interpolated once whichever path answers it."""
+        asks on its event-loop thread, before the mode's handler): for a
+        ``model-cover`` service, a valid point query whose cover
+        ``engine.cached_point`` finds cached, or a valid route whose
+        covers ``engine.cached_route`` finds cached.  Else ``None``.  A
+        route longer than the lane takes (:func:`_lane_sized`) is not
+        looked at here — it is validated and built on the executor; a
+        declined route leaves the batch it built in ``params`` for
+        :meth:`continuous` to answer, so a route is validated and
+        interpolated once whichever path answers it."""
+        # Only cover answers can be cached: other methods' requests never
+        # enter the lane, and keep their whole cost off the loop.
+        if self.method != "model-cover":
+            return None
         if mode == "point":
             return self._point(self.engine.cached_point, params)
-        # Only cover answers can be cached: other methods' routes never
-        # enter the lane, and keep their whole cost off the loop.
-        if mode != "continuous" or self.method != "model-cover":
+        if mode != "continuous" or not _lane_sized(params):
             return None
         batch = _route_batch(params)
         result = self.engine.cached_route(batch, method=self.method)
@@ -404,9 +431,7 @@ class EngineQueryService:
         return _readings(result)
 
     def point(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        return self.cached("point", params) or self._point(
-            self.engine.point_query, params
-        )
+        return self._point(self.engine.point_query, params)
 
     def continuous(self, params: Dict[str, Any]) -> Dict[str, Any]:
         batch = params.pop(_ROUTE_BATCH, None)

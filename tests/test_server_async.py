@@ -24,6 +24,7 @@ import repro.query.sharded as sharded_module
 from repro.query.engine import QueryEngine
 from repro.query.pipeline.parallel import ProcessShardedEngine
 import repro.query.continuous as continuous_module
+import repro.server.async_server as async_module
 from repro.query.sharded import CACHED_ROUTE_MAX_ROWS, ShardedQueryEngine
 from repro.server.async_server import (
     BackgroundServer,
@@ -516,16 +517,62 @@ class TestCachedLane:
         assert builds == [loop_thread]
         assert len(spy.continuous_on) == 1 and spy.continuous_on[0] != loop_thread
 
-    def test_a_route_above_the_cap_takes_the_executor(self, lane, small_dataset):
+    @staticmethod
+    def _long_route(small_dataset, waypoints):
+        """A 30-update route through ``waypoints`` sensed positions."""
+        tuples = small_dataset.tuples
+        return {
+            "route": [[float(tuples.x[i]), float(tuples.y[i])] for i in range(0, 5 * waypoints, 5)],
+            "t_start": float(tuples.t[0]),
+            "duration_s": 1800.0,
+            "updates": 30,
+        }  # fmt: skip
+
+    @pytest.mark.parametrize("shape", ["rows", "waypoints"])
+    def test_a_route_above_the_cap_is_built_on_the_executor(
+        self, lane, small_dataset, monkeypatch, shape
+    ):
+        """More updates than the row cap, or more waypoints than the loop
+        builds: validated, interpolated and answered on the pool only —
+        the lane is not asked, so nothing of the route runs on the loop."""
         served, spy, engine = lane
         loop_thread = served._thread.ident
-        params = self._routes(small_dataset, 1, seed=5, updates=CACHED_ROUTE_MAX_ROWS + 1)[0]
+        builds = []
+        real = continuous_module.uniform_route_batch
+
+        def counted(*args, **kwargs):
+            builds.append(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(continuous_module, "uniform_route_batch", counted)
+        if shape == "rows":
+            params = self._routes(small_dataset, 1, seed=5, updates=CACHED_ROUTE_MAX_ROWS + 1)[0]
+        else:
+            params = self._long_route(small_dataset, async_module._LANE_MAX_WAYPOINTS + 1)
         for _ in range(2):  # the second time every cover it needs is cached
             status, body = _post(served.port, "/query/continuous", params)
-            assert status == 200 and len(body["readings"]) == CACHED_ROUTE_MAX_ROWS + 1
+            assert status == 200 and len(body["readings"]) == params["updates"]
         assert spy.cached_on == []
         assert len(spy.continuous_on) == 2 and loop_thread not in spy.continuous_on
-        assert engine.lane_declines == {("route", "rows"): 2}
+        assert len(builds) == 2 and loop_thread not in builds
+        assert not engine.lane_hits and not engine.lane_declines
+
+    def test_a_route_at_the_waypoint_bound_takes_the_lane(self, lane, small_dataset):
+        served, spy, engine = lane
+        loop_thread = served._thread.ident
+        params = self._long_route(small_dataset, async_module._LANE_MAX_WAYPOINTS)
+        status, cold = _post(served.port, "/query/continuous", params)
+        assert status == 200 and spy.cached_on == []
+        assert _post(served.port, "/query/continuous", params) == (200, cold)
+        assert spy.cached_on == [loop_thread] and engine.lane_hits == {"route": 1}
+
+    def test_a_long_malformed_route_is_refused_on_the_executor(self, lane):
+        served, spy, _engine = lane
+        loop_thread = served._thread.ident
+        params = {"route": [[0.0, 0.0]] * 1000 + [["x", 0.0]], "t_start": 0.0}
+        status, body = _post(served.port, "/query/continuous", params)
+        assert status == 400 and "route points" in body["error"]
+        assert spy.continuous_on and loop_thread not in spy.continuous_on
 
     def test_other_methods_never_build_a_route_on_the_loop(
         self, small_dataset, monkeypatch
@@ -550,6 +597,31 @@ class TestCachedLane:
                     assert _post(served.port, "/query/continuous", params)[0] == 200
                 loop_thread = served._thread.ident
             assert len(builds) == 2 and loop_thread not in builds
+            assert not engine.lane_hits and not engine.lane_declines
+
+    def test_each_point_request_is_counted_once(self, lane, small_dataset):
+        """A declined point is one decline (the pool does not ask the lane
+        again), a lane answer one hit."""
+        served, _spy, engine = lane
+        p = self._covered_point(small_dataset, 3000)
+        status, cold = _post(served.port, "/query/point", p)
+        assert status == 200
+        assert engine.lane_declines == {("point", "cover"): 1}
+        assert not engine.lane_hits
+        assert _post(served.port, "/query/point", p) == (200, cold)
+        assert engine.lane_declines == {("point", "cover"): 1}
+        assert engine.lane_hits == {"point": 1}
+
+    def test_other_methods_never_ask_the_lane(self, small_dataset):
+        router = ShardRouter(
+            RegionGrid.for_shard_count(small_dataset.covered_bbox(), 4), h=240
+        )
+        router.ingest(small_dataset.tuples)
+        with ShardedQueryEngine(router) as engine:
+            with BackgroundServer(EngineQueryService(engine, method="naive")) as served:
+                p = self._covered_point(small_dataset, 3000)
+                for _ in range(2):
+                    assert _post(served.port, "/query/point", p)[0] == 200
             assert not engine.lane_hits and not engine.lane_declines
 
     def test_web_app_service_has_no_lane(self, served):
