@@ -37,7 +37,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 __all__ = ["CacheStats", "ProcessorCache"]
 
@@ -200,29 +200,14 @@ class ProcessorCache:
         ``count_hit=True`` records the hit and refreshes recency exactly
         as :meth:`lookup` does; by default a hit is not recorded either.
         """
-        values = self.peek_all((key,), (stamp,), count_hit)
-        return None if values is None else values[0]
-
-    def peek_all(
-        self, keys: Sequence[tuple], stamps: Sequence[int], count_hit: bool = False
-    ):
-        """:meth:`peek` of several entries under one lock acquisition,
-        all or nothing: the values, in ``keys`` order, when every key is
-        cached at its stamp — ``count_hit`` then records a hit per key —
-        else ``None`` with no counter or recency touched."""
         with self._lock:
-            entries = self._entries
-            values = []
-            for key, stamp in zip(keys, stamps):
-                entry = entries.get(key)
-                if entry is None or entry[0] != stamp:
-                    return None
-                values.append(entry[1])
-            if count_hit:
-                for key in keys:
-                    entries.move_to_end(key)
+            entry = self._entries.get(key)
+            if entry is not None and entry[0] == stamp:
+                if count_hit:
+                    self._entries.move_to_end(key)
                     self.stats.record_hit()
-            return values
+                return entry[1]
+            return None
 
     def lookup(self, key: tuple, stamp: int):
         """The cached value under ``key`` at content ``stamp``, or None.

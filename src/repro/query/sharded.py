@@ -454,10 +454,10 @@ class ShardedQueryEngine:
 
         The vector forms the plan path routes with — one
         ``windows_for_times`` and one ``grid.shards_of`` over the batch
-        — then per distinct (window, owner) a lock-free stamp read, and
-        one all-or-nothing :meth:`ProcessorCache.peek_all` over the
-        covers (a hit per cover, as the plan path's lookups count; a
-        decline touches no cache counter).  Each cover evaluates its
+        — then per distinct (window, owner) a lock-free stamp read and a
+        :meth:`ProcessorCache.peek` of its cover; only when every cover
+        is cached is a hit counted per cover, as the plan path's lookups
+        count them (a decline touches no cache counter).  Each cover evaluates its
         rows with :meth:`ModelCover.predict_batch`, the kernel the plan
         path's cover ops run, and each is reported to the shard-load
         tracker as one unpriced cover op.  Declined, counted in
@@ -495,11 +495,16 @@ class ShardedQueryEngine:
                 return self._lane_decline("route", "fallback")
             keys.append(("cover", s, c))
             stamps.append(stamp)
-        procs = self._cache.peek_all(keys, stamps, count_hit=True)
-        if procs is None:
+        cache = self._cache
+        procs = [cache.peek(key, stamp) for key, stamp in zip(keys, stamps)]
+        if any(proc is None for proc in procs):
             return self._lane_decline("route", "cover")
         if router.grid is not grid:
             return self._lane_decline("route", "recut")
+        # A hit per cover, as the plan path's lookups count them, once
+        # every cover is known cached: a declined route counts nothing.
+        for key, stamp in zip(keys, stamps):
+            cache.peek(key, stamp, count_hit=True)
         clock = time.perf_counter
         if len(procs) > 1:
             t, x, y = t[order], x[order], y[order]

@@ -1005,16 +1005,18 @@ class TestCachedRoute:
         batch = _covered_route(router, small_batch)
         with ShardedQueryEngine(router) as engine:
             expected = engine.continuous_query_batch(batch, method="model-cover")
-            real_peek = engine.processor_cache.peek_all
+            real_peek = engine.processor_cache.peek
             owners = {s for s, _c in _groups(router, batch)}
             other = min(set(range(router.n_shards)) - owners)
+            split = []
 
             def peek_then_split(*args, **kwargs):
                 found = real_peek(*args, **kwargs)
-                router.split_shard(other)  # lands between the probe and the check
+                if not split:  # lands between the first probe and the check
+                    split.append(router.split_shard(other))
                 return found
 
-            monkeypatch.setattr(engine.processor_cache, "peek_all", peek_then_split)
+            monkeypatch.setattr(engine.processor_cache, "peek", peek_then_split)
             assert engine.cached_route(batch, "model-cover") is None
             assert engine.lane_declines == {("route", "recut"): 1}
             monkeypatch.undo()
