@@ -1,10 +1,11 @@
 """Scalar vs batched query execution throughput.
 
-Not a paper figure — this measures the reproduction's own batched
-execution path (``repro/query/README.md``): the heatmap grid as one
-``process_batch`` call versus the historical cell-by-cell scalar loop,
-and a windowed continuous stream through the grouped/parallel path
-versus per-tuple processing.
+Not a paper figure — this measures the processors' batched path
+(``repro/query/README.md``): the heatmap grid as one ``process_batch``
+call versus the historical cell-by-cell scalar loop, and a windowed
+continuous stream grouped by window (one ``process_batch`` per group)
+versus per-tuple processing.  The processors are built directly over
+the window slices, so no engine overhead is timed.
 
 Run standalone for the headline numbers on the 1-day Lausanne fixture::
 
@@ -16,14 +17,22 @@ heatmap must be at least 3x faster than the scalar loop.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.core.adkmn import fit_adkmn
 from repro.data.lausanne import LausanneConfig, generate_lausanne_dataset
 from repro.data.tuples import QueryTuple
+from repro.data.windows import window, windows_for_times
 from repro.eval.timing import time_callable
-from repro.query.base import QueryBatch, process_batch
-from repro.query.engine import QueryEngine
+from repro.query.base import PointQueryProcessor, QueryBatch, process_batch
+from repro.query.executor import group_queries_by_window, scatter_results
+from repro.query.indexed import IndexedProcessor
+from repro.query.modelcover import ModelCoverProcessor
+from repro.query.naive import NaiveProcessor
 
+H = 240
+RADIUS_M = 1000.0
 GRID_NX, GRID_NY = 40, 30
 N_CONTINUOUS = 240        # sparse: ~10 queries per window
 N_CONTINUOUS_DENSE = 4800  # dense: ~200 queries per window
@@ -35,11 +44,21 @@ def day_fixture():
     return generate_lausanne_dataset(LausanneConfig(days=1, target_tuples=0, seed=7))
 
 
-def _engine(dataset) -> QueryEngine:
-    return QueryEngine(dataset.tuples, h=240)
+def make_processor(dataset, method: str, c: int) -> PointQueryProcessor:
+    """A ``method`` processor over window ``c`` of the fixture."""
+    sub = window(dataset.tuples, c, H)
+    if method == "naive":
+        return NaiveProcessor(sub, RADIUS_M)
+    if method == "model-cover":
+        return ModelCoverProcessor(fit_adkmn(sub, window_c=c).cover)
+    return IndexedProcessor(sub, kind=method, radius_m=RADIUS_M)
 
 
-def _grid_probes(engine, dataset, nx=GRID_NX, ny=GRID_NY):
+def window_for_time(dataset, t: float) -> int:
+    return int(windows_for_times(dataset.tuples.t, (t,), H)[0])
+
+
+def _grid_probes(dataset, nx=GRID_NX, ny=GRID_NY):
     t = float(dataset.tuples.t[len(dataset.tuples) // 2])
     bounds = dataset.covered_bbox()
     probes = QueryBatch.from_grid(
@@ -73,30 +92,47 @@ def scalar_grid(proc, probes) -> int:
 
 def heatmap_speedup(dataset, method="model-cover", nx=GRID_NX, ny=GRID_NY, repeats=3):
     """(scalar_s, batched_s) for one full heatmap grid."""
-    engine = _engine(dataset)
-    t, _, probes = _grid_probes(engine, dataset, nx, ny)
-    proc = engine.processor(method, engine.window_for_time(t))
+    t, _, probes = _grid_probes(dataset, nx, ny)
+    proc = make_processor(dataset, method, window_for_time(dataset, t))
     scalar_s = time_callable(lambda: scalar_grid(proc, probes), repeats=repeats)
     batched_s = time_callable(lambda: process_batch(proc, probes), repeats=repeats)
     return scalar_s, batched_s
 
 
+def stream_processors(dataset, method, queries):
+    """``{window: processor}`` for every window the stream touches."""
+    ts = np.array([q.t for q in queries])
+    windows = np.unique(windows_for_times(dataset.tuples.t, ts, H))
+    return {int(c): make_processor(dataset, method, int(c)) for c in windows}
+
+
+def scalar_stream(dataset, procs, queries) -> None:
+    """Per tuple: find its window, answer it with ``process``."""
+    for q in queries:
+        procs[window_for_time(dataset, q.t)].process(q)
+
+
+def batched_stream(dataset, procs, queries):
+    """Group by window, one ``process_batch`` per group, stream order."""
+    groups = group_queries_by_window(
+        queries,
+        None,
+        windows_for_times=lambda ts: windows_for_times(dataset.tuples.t, ts, H),
+    )
+    results = [process_batch(procs[g.window_c], g.queries) for g in groups]
+    return scatter_results(groups, results, len(queries))
+
+
 def continuous_speedup(dataset, method="model-cover", n=N_CONTINUOUS, repeats=3):
     """(scalar_s, batched_s) for a multi-window continuous stream."""
-    engine = _engine(dataset)
     queries = _continuous_stream(dataset, n=n)
-    # Warm the processor cache so both paths measure query work only.
-    for q in queries:
-        engine.processor(method, engine.window_for_time(q.t))
-
-    def scalar():
-        for q in queries:
-            engine.processor(method, engine.window_for_time(q.t)).process(q)
-
-    scalar_s = time_callable(scalar, repeats=repeats)
+    # Build every processor first so both paths measure query work only.
+    procs = stream_processors(dataset, method, queries)
+    scalar_s = time_callable(
+        lambda: scalar_stream(dataset, procs, queries), repeats=repeats
+    )
     batched_s = time_callable(
-        lambda: engine.continuous_query_batch(queries, method=method),
-        repeats=repeats,
+        lambda: batched_stream(dataset, procs, queries), repeats=repeats
     )
     return scalar_s, batched_s
 
@@ -112,9 +148,8 @@ def day_dataset():
 @pytest.mark.parametrize("path", ("scalar", "batched"))
 @pytest.mark.parametrize("method", METHODS)
 def bench_heatmap(benchmark, day_dataset, method, path):
-    engine = _engine(day_dataset)
-    t, _, probes = _grid_probes(engine, day_dataset)
-    proc = engine.processor(method, engine.window_for_time(t))
+    t, _, probes = _grid_probes(day_dataset)
+    proc = make_processor(day_dataset, method, window_for_time(day_dataset, t))
     benchmark.group = f"heatmap {GRID_NX}x{GRID_NY} {method}"
     benchmark.extra_info["path"] = path
     if path == "scalar":
@@ -125,24 +160,14 @@ def bench_heatmap(benchmark, day_dataset, method, path):
 
 @pytest.mark.parametrize("path", ("scalar", "batched"))
 def bench_continuous(benchmark, day_dataset, path):
-    engine = _engine(day_dataset)
     queries = _continuous_stream(day_dataset)
-    for q in queries:
-        engine.processor("model-cover", engine.window_for_time(q.t))
+    procs = stream_processors(day_dataset, "model-cover", queries)
     benchmark.group = "continuous model-cover"
     benchmark.extra_info["path"] = path
     if path == "scalar":
-
-        def run():
-            for q in queries:
-                engine.processor(
-                    "model-cover", engine.window_for_time(q.t)
-                ).process(q)
-
-        benchmark(run)
+        benchmark(lambda: scalar_stream(day_dataset, procs, queries))
     else:
-        benchmark(lambda: engine.continuous_query_batch(queries))
-    benchmark.extra_info["cache"] = engine.cache_stats.as_dict()
+        benchmark(lambda: batched_stream(day_dataset, procs, queries))
 
 
 # -- standalone report ------------------------------------------------------

@@ -34,8 +34,8 @@ loop is serial).  What sharding must still guarantee is that carving
 the window up never costs: that is the bar.
 
 Both modes also time the planner's contract: on two synthetic scenarios
-(a 30x20 heatmap on the unsharded engine, a 600-query continuous stream
-over 4 shards) ``method="auto"`` must not take longer than
+(a 30x20 heatmap on one shard, a 600-query continuous stream over 4
+shards) ``method="auto"`` must not take longer than
 ``AUTO_MARGIN`` x the slowest fixed method, best of ``AUTO_REPEATS``
 warm timings each.  Tier-1 checks the same contract on the planner's
 cost estimates (``tests/test_query_pipeline.py``), which are
@@ -54,9 +54,8 @@ from repro.eval.timing import time_callable
 from repro.geo.coords import BoundingBox
 from repro.geo.region import RegionGrid
 from repro.query.base import QueryBatch
-from repro.query.engine import QueryEngine
 from repro.query.sharded import ShardedQueryEngine
-from repro.storage.shards import ShardRouter
+from repro.storage.shards import ShardRouter, single_shard_router
 
 try:  # pytest / smoke-test import (repo root on sys.path)
     from benchmarks.conftest import (
@@ -135,7 +134,9 @@ def auto_scenarios():
     """``{scenario: run(method)}`` for the planner's wall-clock check."""
     rng = np.random.default_rng(41)
     stream = _auto_stream(rng)
-    engine = QueryEngine(stream, h=240, radius_m=900.0, max_workers=1)
+    router = single_shard_router(h=240)
+    router.ingest(stream)
+    engine = ShardedQueryEngine(router, radius_m=900.0, max_workers=1)
     t, box = float(stream.t[-1]), AUTO_BOUNDS
 
     def heatmap(method):

@@ -17,13 +17,15 @@ from repro.app.heatmap import render_ascii, render_ppm
 from repro.app.webapp import WebInterface
 from repro.data import generate_lausanne_dataset, LausanneConfig
 from repro.geo.coords import BoundingBox
-from repro.query.engine import QueryEngine
+from repro.query.sharded import ShardedQueryEngine
+from repro.storage.shards import single_shard_router
 
 
 def main() -> None:
     dataset = generate_lausanne_dataset(LausanneConfig(days=1, target_tuples=0))
-    engine = QueryEngine(dataset.tuples, h=500)
-    web = WebInterface(engine)
+    router = single_shard_router(h=500)
+    router.ingest(dataset.tuples)
+    web = WebInterface(ShardedQueryEngine(router))
 
     # Morning rush hour, when plume contrast peaks.
     t = float(dataset.tuples.t[int(np.searchsorted(dataset.tuples.t, 8.5 * 3600.0))])

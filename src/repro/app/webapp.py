@@ -18,10 +18,9 @@ import numpy as np
 
 from repro.app.heatmap import Heatmap
 from repro.client.osha import HealthLevel, classify_co2, color_for_level, describe_co2
-from repro.core.cover import ModelCover
 from repro.geo.coords import BoundingBox
 from repro.query.continuous import uniform_query_tuples, waypoint_trajectory
-from repro.query.engine import QueryEngine
+from repro.query.sharded import ShardedQueryEngine
 
 
 @dataclass(frozen=True)
@@ -58,22 +57,26 @@ class CentroidMarker:
 class WebInterface:
     """Server-backed implementation of the three web-UI modes."""
 
-    def __init__(self, engine: QueryEngine) -> None:
+    def __init__(self, engine: ShardedQueryEngine) -> None:
         self._engine = engine
 
     @property
-    def engine(self) -> QueryEngine:
+    def engine(self) -> ShardedQueryEngine:
         return self._engine
 
     # -- mode 1: single point query ------------------------------------------
 
     def point_query(self, t: float, x: float, y: float) -> PointReading:
-        """Interpolated CO2 at a clicked map point."""
+        """Interpolated CO2 at a clicked map point.
+
+        ``co2_ppm`` is the model's raw answer; the text describes it
+        clamped at zero, as the route readings and markers are, since a
+        model extrapolated far off its sub-region can go negative."""
         result = self._engine.point_query(t, x, y, method="model-cover")
         if result.value is None:
             return PointReading(x=x, y=y, co2_ppm=None, text="No data at this point.")
         return PointReading(
-            x=x, y=y, co2_ppm=result.value, text=describe_co2(result.value)
+            x=x, y=y, co2_ppm=result.value, text=describe_co2(max(result.value, 0.0))
         )
 
     # -- mode 2: continuous query over clicked route points ---------------------
@@ -160,34 +163,32 @@ class WebInterface:
         """Alternative heatmap: evaluate the owning model at every cell
         (exposes the models' raw extrapolation behaviour; useful for
         debugging covers, not what the demo UI showed).  The grid is one
-        batched ``process_batch`` call through the engine."""
+        cover plan through the engine."""
         grid = self._engine.heatmap_grid(t, bounds, nx=nx, ny=ny, method="model-cover")
         return Heatmap(grid=grid, bounds=bounds)
 
     def centroid_markers(self, t: float) -> List[CentroidMarker]:
         """The emitting points: Ad-KMN centroids with their levels.
 
-        The cover comes from the engine's snapshot-pinned processor path
-        (epoch-keyed ProcessorCache), never from a direct
-        ``builder.cover`` call: the read is pinned to one coherent
-        (stamp, batch) capture under concurrent ingest, and repeated
-        heatmap renders of the same sealed window reuse the cached fit
-        instead of refitting Ad-KMN per request.
+        The covers of the window that owns ``t``, one per shard with
+        rows in it, come from the engine's cover cache over one pinned
+        binding (:meth:`ShardedQueryEngine.covers_at`): coherent under
+        concurrent ingest, and repeated heatmap renders of the same
+        sealed window reuse the cached fits instead of refitting Ad-KMN
+        per request.
         """
-        c = self._engine.window_for_time(t)
-        processor = self._engine.processor("model-cover", c)
-        cover: ModelCover = processor.cover
         markers: List[CentroidMarker] = []
-        for (cx, cy), model in zip(cover.centroids, cover.models):
-            value = max(float(model.predict(t, cx, cy)), 0.0)
-            level = classify_co2(value)
-            markers.append(
-                CentroidMarker(
-                    x=float(cx),
-                    y=float(cy),
-                    co2_ppm=value,
-                    level=level,
-                    color=color_for_level(level),
+        for cover in self._engine.covers_at(t):
+            for (cx, cy), model in zip(cover.centroids, cover.models):
+                value = max(float(model.predict(t, cx, cy)), 0.0)
+                level = classify_co2(value)
+                markers.append(
+                    CentroidMarker(
+                        x=float(cx),
+                        y=float(cy),
+                        co2_ppm=value,
+                        level=level,
+                        color=color_for_level(level),
+                    )
                 )
-            )
         return markers

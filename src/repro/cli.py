@@ -89,11 +89,13 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
 def _cmd_heatmap(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from repro.app.heatmap import Heatmap, render_ascii, render_ppm
+    from repro.app.heatmap import render_ascii, render_ppm
     from repro.app.webapp import WebInterface
     from repro.data.lausanne import LausanneConfig, generate_lausanne_dataset
     from repro.geo.coords import BoundingBox
-    from repro.query.engine import QueryEngine
+    from repro.geo.region import RegionGrid
+    from repro.query.sharded import ShardedQueryEngine
+    from repro.storage.shards import ShardRouter
 
     ds = generate_lausanne_dataset(
         LausanneConfig(days=args.days, seed=args.seed, target_tuples=0)
@@ -102,26 +104,11 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
     pos = min(int(np.searchsorted(ds.tuples.t, anchor)), len(ds.tuples) - 1)
     t = float(ds.tuples.t[pos])
     bounds = BoundingBox(0.0, 0.0, 6000.0, 4000.0)
-    if args.shards > 1:
-        from repro.geo.region import RegionGrid
-        from repro.query.sharded import ShardedQueryEngine
-        from repro.storage.shards import ShardRouter
-
-        router = ShardRouter(
-            RegionGrid.for_shard_count(ds.covered_bbox(), args.shards), h=500
-        )
-        router.ingest(ds.tuples)
-        sharded = ShardedQueryEngine(router, max_workers=args.workers)
-        grid = sharded.heatmap_grid(
-            t,
-            bounds,
-            nx=args.width,
-            ny=args.height,
-            method="model-cover" if args.model_grid else "naive",
-        )
-        heatmap = Heatmap(grid=grid, bounds=bounds)
-    else:
-        engine = QueryEngine(ds.tuples, h=500, max_workers=args.workers)
+    router = ShardRouter(
+        RegionGrid.for_shard_count(ds.covered_bbox(), args.shards), h=500
+    )
+    router.ingest(ds.tuples)
+    with ShardedQueryEngine(router, max_workers=args.workers) as engine:
         web = WebInterface(engine)
         if args.model_grid:
             heatmap = web.model_grid(t, bounds, nx=args.width, ny=args.height)
@@ -577,8 +564,11 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     import numpy as np
 
     from repro.data.lausanne import LausanneConfig, generate_lausanne_dataset
+    from repro.geo.region import RegionGrid
     from repro.query.base import QueryBatch
     from repro.query.pipeline.plan import PlanReport, format_plan
+    from repro.query.sharded import ShardedQueryEngine
+    from repro.storage.shards import ShardRouter
 
     ds = generate_lausanne_dataset(
         LausanneConfig(days=args.days, seed=args.seed, target_tuples=0)
@@ -616,44 +606,19 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     if args.focus < 1.0:
         workload += f" (focused on the centre {args.focus:.0%} of the region)"
 
-    if args.shards > 1:
-        from repro.geo.region import RegionGrid
-        from repro.query.sharded import ShardedQueryEngine
-        from repro.storage.shards import ShardRouter
-
-        router = ShardRouter(
-            RegionGrid.for_shard_count(bounds, args.shards), h=args.h
-        )
-        router.ingest(tuples)
-        engine = ShardedQueryEngine(
-            router, max_workers=args.workers, prune=not args.no_prune
-        )
-    else:
-        from repro.query.engine import QueryEngine
-
-        engine = QueryEngine(
-            tuples, h=args.h, max_workers=args.workers, prune=not args.no_prune
-        )
+    router = ShardRouter(RegionGrid.for_shard_count(bounds, args.shards), h=args.h)
+    router.ingest(tuples)
+    engine = ShardedQueryEngine(
+        router, max_workers=args.workers, prune=not args.no_prune
+    )
 
     print(f"workload: {workload} ({args.shards} shard(s), h={args.h})")
     report = PlanReport()
-    if args.shards > 1:
-        plan_kwargs = {}
-    else:
-        # Mirror the real serving paths' dispatch policies, so the
-        # printed plan is the plan production would execute: heatmap
-        # grids always vectorise, continuous streams use the engine's
-        # scalar/parallel thresholds.
-        from repro.query.pipeline.plan import ENGINE_POLICY, VECTORISED_POLICY
-
-        plan_kwargs = {
-            "policy": ENGINE_POLICY if args.queries else VECTORISED_POLICY
-        }
     if args.warm:
         # One untimed run first: indexes/covers/verdicts materialise, so
         # the printed plan shows steady-state timings and feedback.
-        engine.execute(engine.plan(batch, args.method, **plan_kwargs))
-    plan = engine.plan(batch, args.method, want_estimates=True, **plan_kwargs)
+        engine.execute(engine.plan(batch, args.method))
+    plan = engine.plan(batch, args.method, want_estimates=True)
     result = engine.execute(plan, report)
     print(format_plan(plan, report))
     print(
@@ -672,11 +637,9 @@ def _cmd_explain(args: argparse.Namespace) -> int:
                 f"  {method:<12} {row['sec_per_unit'] * 1e9:9.2f} ns/unit "
                 f"({row['observations']} observation(s))"
             )
-    if args.shards > 1:
-        print("\nper-shard occupancy and load:")
-        print(_format_shard_table(engine.router))
-    if hasattr(engine, "close"):
-        engine.close()
+    print("\nper-shard occupancy and load:")
+    print(_format_shard_table(engine.router))
+    engine.close()
     return 0
 
 
@@ -725,18 +688,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_positive_int,
         default=None,
-        help="thread-pool size for batched query groups (default: the CPUs "
-        "this process may use)",
+        help="thread-pool size for cover plans' per-shard ops (default: "
+        "the CPUs this process may use)",
     )
     p.add_argument(
         "--shards",
         type=_positive_int,
         default=1,
-        help="region-shard the store and render via scatter-gather. Note "
-        "the estimator changes: sharded rendering computes the exact "
-        "radius-average grid (NaN where no tuple is in radius) — or the "
-        "per-cell owning-model grid with --model-grid — instead of the "
-        "unsharded default's centroid-splat demo rendering",
+        help="region-shard the store: the splat blends the centroids of "
+        "every shard's cover, --model-grid evaluates each cell's owning "
+        "shard's cover",
     )
     p.add_argument("--out", default=None, help="PPM output path (default: ASCII to stdout)")
     p.set_defaults(func=_cmd_heatmap)
@@ -867,9 +828,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_positive_int,
         default=None,
-        help="thread-pool size for scatter-shaped plans — window groups, "
-        "cover ops (default: the CPUs this process may use); sharded exact "
-        "plans run their gather in the calling thread",
+        help="thread-pool size for cover plans' per-shard ops (default: the "
+        "CPUs this process may use); exact plans run their gather in the "
+        "calling thread",
     )
     p.add_argument(
         "--warm",
@@ -933,9 +894,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_positive_int,
         default=None,
-        help="thread-pool size for scatter-shaped plans — window groups, "
-        "cover ops (default: the CPUs this process may use); sharded exact "
-        "plans run their gather in the calling thread",
+        help="thread-pool size for cover plans' per-shard ops (default: the "
+        "CPUs this process may use); exact plans run their gather in the "
+        "calling thread",
     )
     p.set_defaults(func=_cmd_shards)
     return parser

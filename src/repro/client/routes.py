@@ -26,7 +26,9 @@ class RoutePoint:
 
     @property
     def level(self) -> Optional[HealthLevel]:
-        return None if self.co2_ppm is None else classify_co2(self.co2_ppm)
+        """Severity of the reading, clamped at zero: a model extrapolated
+        far off its sub-region can answer below it."""
+        return None if self.co2_ppm is None else classify_co2(max(self.co2_ppm, 0.0))
 
     @property
     def marker_color(self) -> Optional[str]:
@@ -64,9 +66,11 @@ class RecordedRoute:
 
     @property
     def acceptable(self) -> Optional[bool]:
-        """Whether the average is acceptable per the OSHA guidance."""
+        """Whether the average is acceptable per the OSHA guidance (a
+        negative average, from extrapolated readings, is clamped at zero
+        as :attr:`RoutePoint.level` clamps each reading)."""
         avg = self.average_ppm
-        return None if avg is None else is_acceptable(avg)
+        return None if avg is None else is_acceptable(max(avg, 0.0))
 
     def summary_text(self) -> str:
         """The informative text shown after recording stops."""

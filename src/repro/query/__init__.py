@@ -13,10 +13,11 @@ once (``process_batch`` over a columnar :class:`QueryBatch`) — the
 batched path is vectorised with NumPy and is what the engine's heatmap
 and continuous modes use; see ``repro/query/README.md``.
 
-:class:`QueryEngine` ties processors to a tuple stream + window choice,
-:mod:`repro.query.executor` fans per-window query groups across a thread
-pool, and :mod:`repro.query.continuous` drives a trajectory of query
-tuples.
+:class:`ShardedQueryEngine` is the one query engine: it ties processors
+to a region-sharded tuple store and its window choice (an unsharded
+store is a one-region router), :mod:`repro.query.executor` fans
+per-window query groups across a thread pool, and
+:mod:`repro.query.continuous` drives a trajectory of query tuples.
 """
 
 from repro.query.base import (
@@ -28,7 +29,6 @@ from repro.query.base import (
     process_batch_scalar,
 )
 from repro.query.continuous import ContinuousQueryDriver, uniform_query_tuples
-from repro.query.engine import QueryEngine
 from repro.query.executor import BatchExecutor, QueryGroup, group_queries_by_window
 from repro.query.indexed import IndexedProcessor
 from repro.query.modelcover import ModelCoverProcessor
@@ -57,7 +57,6 @@ __all__ = [
     "process_batch_scalar",
     "ContinuousQueryDriver",
     "uniform_query_tuples",
-    "QueryEngine",
     "ExecutionPlan",
     "IndexedProcessor",
     "ModelCoverProcessor",

@@ -13,12 +13,10 @@ their blocked gather in the calling thread).
 Thread-safety contract: a materialised processor is immutable after
 construction — ``process``/``process_batch`` only read the window arrays,
 the index, or the fitted cover — so any number of pool threads may query
-*distinct* groups (or even the same processor) concurrently.  What is
-**not** thread-safe is processor *construction* through the engines'
-epoch-keyed cache in its atomic build mode; that is why the plan
-executor materialises every result op's processor before the fan-out, in
-the caller's thread, and the pool threads only ever call
-``process_batch``.
+*distinct* groups (or even the same processor) concurrently.  The plan
+executor still materialises every cover op's processor before the
+fan-out, in the caller's thread, so pool threads only ever call
+``process_batch`` and a build's cost never lands inside an op's timer.
 
 Choosing ``max_workers``: the work per group is numpy-heavy (distance
 matrices, model evaluation), which releases the GIL for its inner loops,
@@ -70,7 +68,7 @@ def group_queries_by_window(
 
     ``window_for_time`` is the engine's timestamp→window mapping, called
     once per query in the calling thread; pass ``windows_for_times`` (its
-    vectorised form, e.g. :meth:`QueryEngine.windows_for_times`) to map
+    vectorised form, e.g. a binding's ``windows_for_times``) to map
     the whole stream in one array op instead.
     """
     batch = (

@@ -1,9 +1,9 @@
 """The unified execution-plan pipeline (one planner, one cache, one
 snapshot binding — see ``docs/architecture.md``).
 
-Every query path — :class:`~repro.query.engine.QueryEngine`,
-:class:`~repro.query.sharded.ShardedQueryEngine`, and the two server
-front ends — compiles requests into the plan IR of
+Every query path — :class:`~repro.query.sharded.ShardedQueryEngine`
+(the one query engine) and the two server front ends — compiles
+requests into the plan IR of
 :mod:`repro.query.pipeline.plan`, binds them to one pinned snapshot
 (:mod:`repro.query.pipeline.binding`; standing-subscription maintenance
 reads the same bindings), consults the single
@@ -15,7 +15,6 @@ which reports observed op timings back to the planner.
 """
 
 from repro.query.pipeline.binding import (
-    EngineBinding,
     RouterBinding,
     ServerSnapshotBinding,
     SnapshotBinding,
@@ -28,12 +27,8 @@ from repro.query.pipeline.executor import (
     build_sharded_plan,
 )
 from repro.query.pipeline.plan import (
-    ENGINE_POLICY,
-    SCALAR_POLICY,
-    VECTORISED_POLICY,
     CoverOp,
     ExecutionPlan,
-    ExecutionPolicy,
     FallbackOp,
     MergeOp,
     PlanContext,
@@ -44,14 +39,9 @@ from repro.query.pipeline.plan import (
 from repro.query.pipeline.planner import PipelinePlanner, PlannerFeedback
 
 __all__ = [
-    "ENGINE_POLICY",
-    "SCALAR_POLICY",
-    "VECTORISED_POLICY",
     "CacheStats",
     "CoverOp",
-    "EngineBinding",
     "ExecutionPlan",
-    "ExecutionPolicy",
     "FallbackOp",
     "MergeOp",
     "PipelinePlanner",

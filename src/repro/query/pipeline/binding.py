@@ -6,10 +6,10 @@ coherent ``(content stamp, window slice, gid slice)`` triple and
 **memoises** every resolution, so the plan builder and the executor are
 guaranteed to see the very same rows even while a writer ingests
 concurrently: the first read pins the triple, every later read (from any
-pool thread) returns the pinned one.  This is the single snapshot-binding
-discipline that previously existed in three shapes (the engine's live
-``self._batch``, the sharded engine's per-call ``snapshot_window`` reads,
-the server's pinned :class:`~repro.storage.engine.StorageSnapshot`).
+pool thread) returns the pinned one.  Two bindings implement it: the
+sharded engine's :class:`RouterBinding` and the server's
+:class:`ServerSnapshotBinding` over a pinned
+:class:`~repro.storage.engine.StorageSnapshot`.
 
 Bindings are cheap, request-scoped objects — build one per request, let
 it die with the plan.  They hold zero-copy views only.
@@ -18,19 +18,19 @@ it die with the plan.  They hold zero-copy views only.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, List, Optional, Protocol, Tuple
+from typing import Dict, List, Optional, Protocol, Tuple
 
 import numpy as np
 
 from repro.data.tuples import TupleBatch
-from repro.data.windows import window, windows_for_times
 from repro.storage.engine import StorageSnapshot
 from repro.storage.shards import ShardRouter, StaleLayoutError
 from repro.storage.sketch import WindowSketch
 
 #: What a binding resolves a (shard, window) to: the slice's content
 #: stamp, the pinned zero-copy slice, and — on sharded bindings — the
-#: global stream positions aligned with the slice's rows (None unsharded).
+#: global stream positions aligned with the slice's rows (None on a
+#: server snapshot).
 BoundSlice = Tuple[int, TupleBatch, Optional[np.ndarray]]
 
 
@@ -142,52 +142,6 @@ class _MemoBinding:
         override the resolution path instead.
         """
         return WindowSketch.of(bound[1])
-
-
-class EngineBinding(_MemoBinding):
-    """Unsharded binding over one pinned :class:`TupleBatch` stream.
-
-    ``stamp_for`` maps a window index to its content stamp — the query
-    engine passes :meth:`QueryEngine.window_stamp`, capturing the epoch
-    state at binding time (the batch itself is immutable, so the slices
-    are pinned by construction).
-    """
-
-    n_shards = 1
-
-    def __init__(
-        self,
-        batch: TupleBatch,
-        h: int,
-        stamp_for: Callable[[int], int],
-        sketch_provider: Optional[
-            Callable[[int, int, TupleBatch], WindowSketch]
-        ] = None,
-    ) -> None:
-        super().__init__()
-        self.batch = batch
-        self.h = h
-        self._stamp_for = stamp_for
-        # Engine hook ``(window, stamp, slice) -> sketch``: sketches of
-        # sealed windows are immutable, so the engine caches them across
-        # bindings instead of rescanning the slice per request.
-        self._sketch_provider = sketch_provider
-
-    def stream_rows(self) -> int:
-        return len(self.batch)
-
-    def windows_for_times(self, ts) -> np.ndarray:
-        return windows_for_times(self.batch.t, ts, self.h)
-
-    def _resolve(self, shard: Optional[int], c: int) -> BoundSlice:
-        return self._stamp_for(c), window(self.batch, c, self.h), None
-
-    def _compute_sketch(
-        self, shard: Optional[int], c: int, bound: BoundSlice
-    ) -> WindowSketch:
-        if self._sketch_provider is None:
-            return WindowSketch.of(bound[1])
-        return self._sketch_provider(c, bound[0], bound[1])
 
 
 class RouterBinding(_MemoBinding):

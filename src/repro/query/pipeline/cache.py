@@ -20,16 +20,11 @@ stamps, and the stale entries simply stop matching.  Sealed windows keep
 frozen stamps forever, so their entries hit until LRU pressure evicts
 them.
 
-**Build disciplines.**  ``get_or_build`` supports both historical
-disciplines behind one flag:
-
-* ``shared_build=False`` (default) — the whole lookup-or-build runs under
-  the cache lock, so concurrent callers never build the same processor
-  twice and miss costs stay predictable (the query-engine contract);
-* ``shared_build=True`` — the build runs *outside* the lock so distinct
-  processors materialise in parallel; a lost insert race discards the
-  duplicate (the sharded scatter-gather contract — builds only read
-  immutable window slices, so duplicates are equivalent).
+**Builds run outside the lock.**  ``get_or_build`` looks up under the
+cache lock, builds outside it so distinct processors materialise in
+parallel, and inserts under it again; a lost insert race discards the
+duplicate — builds only read immutable window slices, so duplicates are
+equivalent.
 """
 
 from __future__ import annotations
@@ -157,41 +152,6 @@ class ProcessorCache:
 
     # -- core protocol ------------------------------------------------------
 
-    def _lookup_locked(self, key: tuple, stamp: int):
-        entry = self._entries.get(key)
-        if entry is not None and entry[0] == stamp:
-            self._entries.move_to_end(key)
-            self.stats.record_hit()
-            return entry[1]
-        if entry is not None and entry[0] < stamp:
-            # Only a genuinely outdated entry counts as stale churn; a
-            # reader pinned at an *older* snapshot probing a fresher
-            # entry is just a miss for that reader, not invalidation.
-            self.stats.record_stale()
-        self.stats.record_miss()
-        return None
-
-    def _insert_locked(self, key: tuple, stamp: int, value):
-        entry = self._entries.get(key)
-        if entry is not None:
-            if entry[0] == stamp:  # a racing builder won: keep its entry
-                self._entries.move_to_end(key)
-                return entry[1]
-            if entry[0] > stamp:
-                # A fresher-epoch entry already lives here.  Stamps are
-                # monotone, so keep the newer entry for future readers
-                # and hand this (older-snapshot) caller its own build —
-                # interleaved readers pinned at successive epochs of an
-                # open window must not ping-pong rebuild each other's
-                # processors.
-                return value
-        self._entries[key] = (stamp, value)
-        self._entries.move_to_end(key)
-        while len(self._entries) > self._capacity:
-            self._entries.popitem(last=False)
-            self.stats.record_eviction()
-        return value
-
     def peek(self, key: tuple, stamp: int, count_hit: bool = False):
         """Like :meth:`lookup`, but a miss touches no counter — for
         introspection (``explain`` reading memoised estimates) and for a
@@ -216,7 +176,18 @@ class ProcessorCache:
         was found).  A hit refreshes LRU recency.
         """
         with self._lock:
-            return self._lookup_locked(key, stamp)
+            entry = self._entries.get(key)
+            if entry is not None and entry[0] == stamp:
+                self._entries.move_to_end(key)
+                self.stats.record_hit()
+                return entry[1]
+            if entry is not None and entry[0] < stamp:
+                # Only a genuinely outdated entry counts as stale churn; a
+                # reader pinned at an *older* snapshot probing a fresher
+                # entry is just a miss for that reader, not invalidation.
+                self.stats.record_stale()
+            self.stats.record_miss()
+            return None
 
     def insert(self, key: tuple, stamp: int, value):
         """Store ``value`` under ``key`` at ``stamp``; returns the value
@@ -226,30 +197,34 @@ class ProcessorCache:
         readers while the older-snapshot caller gets its own build back
         — insertion never moves a key backwards in epoch time."""
         with self._lock:
-            return self._insert_locked(key, stamp, value)
+            entry = self._entries.get(key)
+            if entry is not None:
+                if entry[0] == stamp:  # a racing builder won: keep its entry
+                    self._entries.move_to_end(key)
+                    return entry[1]
+                if entry[0] > stamp:
+                    # A fresher-epoch entry already lives here.  Stamps are
+                    # monotone, so keep the newer entry for future readers
+                    # and hand this (older-snapshot) caller its own build —
+                    # interleaved readers pinned at successive epochs of an
+                    # open window must not ping-pong rebuild each other's
+                    # processors.
+                    return value
+            self._entries[key] = (stamp, value)
+            self._entries.move_to_end(key)
+            while len(self._entries) > self._capacity:
+                self._entries.popitem(last=False)
+                self.stats.record_eviction()
+            return value
 
-    def get_or_build(
-        self,
-        key: tuple,
-        stamp: int,
-        build: Callable[[], object],
-        shared_build: bool = False,
-    ):
+    def get_or_build(self, key: tuple, stamp: int, build: Callable[[], object]):
         """Serve ``key`` at ``stamp`` from cache or build-and-insert it.
 
-        ``shared_build=False`` runs the whole lookup-or-build atomically
-        under the cache lock (concurrent callers never build twice);
-        ``shared_build=True`` runs the build outside the lock so distinct
-        keys materialise in parallel, and a lost insert race discards the
-        duplicate.
+        The build runs outside the cache lock, so distinct keys
+        materialise in parallel; a lost insert race returns the winner's
+        value and discards the duplicate (see :meth:`insert`).
         """
-        if shared_build:
-            value = self.lookup(key, stamp)
-            if value is not None:
-                return value
-            return self.insert(key, stamp, build())
-        with self._lock:
-            value = self._lookup_locked(key, stamp)
-            if value is not None:
-                return value
-            return self._insert_locked(key, stamp, build())
+        value = self.lookup(key, stamp)
+        if value is not None:
+            return value
+        return self.insert(key, stamp, build())

@@ -4,13 +4,12 @@ The :class:`PlanExecutor` runs an
 :class:`~repro.query.pipeline.plan.ExecutionPlan` against its pinned
 binding and is the only place operator dispatch lives:
 
-* **scatter-shaped plans** — processors are materialised serially first
-  (through the owner's epoch-keyed cache, so miss costs stay predictable
-  and concurrent callers never build twice), then each op answers its
-  query group with ``process_batch`` (or the scalar loop, per the op's
-  build-time ``vectorise`` flag) — serially below the policy's
-  ``min_parallel_queries``, fanned across the worker pool above it.
-  Fallback ops recurse into their exact sub-plan.
+* **scatter-shaped plans** — cover processors are materialised serially
+  first (through the owner's epoch-keyed cache, so miss costs stay
+  predictable), then each cover op answers its query group with
+  ``process_batch`` — serially below :data:`MIN_PARALLEL_QUERIES`
+  queries, fanned across the worker pool above it.  Fallback ops
+  recurse into their exact sub-plan.
 * **merge-shaped plans** — the blocked exact gather: each window's
   queries are walked in blocks of
   :data:`~repro.query.pipeline.gather.BLOCK_CELLS` cells or more and
@@ -42,22 +41,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.query.base import (
-    BatchResult,
-    PointQueryProcessor,
-    QueryBatch,
-    process_batch,
-    process_batch_scalar,
-)
+from repro.query.base import BatchResult, PointQueryProcessor, QueryBatch, process_batch
 from repro.query.executor import BatchExecutor, group_queries_by_window
 from repro.query.pipeline.binding import BoundSlice, RouterBinding, SnapshotBinding
 from repro.query.pipeline import gather as _gather
 from repro.query.pipeline.gather import HitPairs, reduce_hit_block, reduce_row_block
 from repro.query.pipeline.plan import (
-    VECTORISED_POLICY,
     CoverOp,
     ExecutionPlan,
-    ExecutionPolicy,
     FallbackOp,
     MergeOp,
     PlanContext,
@@ -76,15 +67,17 @@ __all__ = [
     "build_sharded_plan",
 ]
 
-ResultOp = Union[ScanOp, CoverOp]
+#: Below this many queries across a scatter-shaped plan's cover ops,
+#: they run serially: pool submission costs more than it wins.
+MIN_PARALLEL_QUERIES = 512
 
 
 @dataclass
 class PlanRuntime:
     """How one engine materialises the executor's primitives.
 
-    ``processor`` maps a result-emitting op and its bound slice to an
-    immutable processor (through the owner's :class:`ProcessorCache`);
+    ``processor`` maps a cover op and its bound slice to an immutable
+    processor (through the owner's :class:`ProcessorCache`);
     ``hits`` maps a hit-emitting scan, its bound slice, the prepared
     object and a local query range ``[lo, hi)`` to that range's
     :data:`~repro.query.pipeline.gather.HitPairs` (query indices local
@@ -94,7 +87,7 @@ class PlanRuntime:
     """
 
     binding: SnapshotBinding
-    processor: Optional[Callable[[ResultOp, BoundSlice], PointQueryProcessor]] = None
+    processor: Optional[Callable[[CoverOp, BoundSlice], PointQueryProcessor]] = None
     hits: Optional[Callable[[ScanOp, BoundSlice, object, int, int], HitPairs]] = None
     #: Optional warm-up for hit-emitting scans (e.g. materialise the
     #: index) — run once per op *before* the block loop and outside
@@ -117,7 +110,7 @@ class PlanRuntime:
     def bound(self, op) -> BoundSlice:
         return self.binding.slice_for(op.context.shard, op.context.window_c)
 
-    def processor_for(self, op: ResultOp) -> PointQueryProcessor:
+    def processor_for(self, op: CoverOp) -> PointQueryProcessor:
         if self.processor is None:
             raise RuntimeError("runtime has no processor materialiser")
         return self.processor(op, self.bound(op))
@@ -155,7 +148,7 @@ class PlanExecutor:
     # -- internals ----------------------------------------------------------
 
     def _observe(
-        self, op: ResultOp, elapsed: float, report: Optional[PlanReport]
+        self, op: Union[ScanOp, CoverOp], elapsed: float, report: Optional[PlanReport]
     ) -> None:
         # Feedback needs the method's own *evaluation* unit estimate to
         # normalise the wall time onto the cost model's axis — the timed
@@ -242,30 +235,26 @@ class PlanExecutor:
 
         # Serial materialisation: cache + builder are guarded, and pool
         # threads must only ever touch immutable processors.
-        pairs: List[Tuple[ResultOp, PointQueryProcessor]] = [
+        pairs: List[Tuple[CoverOp, PointQueryProcessor]] = [
             (op, self.runtime.processor_for(op)) for op in result_ops
         ]
 
-        def run_one(pair: Tuple[ResultOp, PointQueryProcessor]) -> BatchResult:
+        def run_one(pair: Tuple[CoverOp, PointQueryProcessor]) -> BatchResult:
             op, proc = pair
             t0 = time.perf_counter()
-            vectorise = not isinstance(op, ScanOp) or op.vectorise
-            if vectorise:
-                res = process_batch(proc, op.queries)
-            else:
-                res = process_batch_scalar(proc, op.queries)
+            res = process_batch(proc, op.queries)
             self._observe(op, time.perf_counter() - t0, report)
             return res
 
         total = sum(len(op.queries) for op in result_ops)
-        if self.pool is None or total < plan.policy.min_parallel_queries:
+        if self.pool is None or total < MIN_PARALLEL_QUERIES:
             results = [run_one(pair) for pair in pairs]
         else:
             results = self.pool.map(run_one, pairs)
         return assemble_scatter(plan, results, lambda sub: self._run(sub, report))
 
 
-def record_scan_load(load, op: ResultOp, seconds: Optional[float]) -> None:
+def record_scan_load(load, op: Union[ScanOp, CoverOp], seconds: Optional[float]) -> None:
     """Report one executed op to a shard-load observer: scan-unit load
     on the planner's cost axis; ops the planner never priced fall back
     to rows-per-query (the naive scan's exact unit count, and a sane
@@ -278,8 +267,8 @@ def record_scan_load(load, op: ResultOp, seconds: Optional[float]) -> None:
     load(op.context.shard, len(op.queries), per_query * len(op.queries), seconds)
 
 
-def scatter_result_ops(plan: ExecutionPlan) -> List[ResultOp]:
-    """A scatter-shaped plan's result-emitting ops, in plan order."""
+def scatter_result_ops(plan: ExecutionPlan) -> List[CoverOp]:
+    """A scatter-shaped plan's cover ops, in plan order."""
     return [op for op in plan.ops if not isinstance(op, FallbackOp)]
 
 
@@ -586,109 +575,17 @@ def _source_set_groups(positions: np.ndarray, member: np.ndarray, rows: np.ndarr
 # -- plan builders ----------------------------------------------------------
 
 
-def build_group_plan(
-    binding: SnapshotBinding,
-    queries: QueryBatch,
-    method: str,
-    policy: ExecutionPolicy,
-    planner: Optional[PipelinePlanner] = None,
-    seed_cover: Optional[Callable[[int, int, object], None]] = None,
-    want_estimates: bool = False,
-    groups: Optional[Sequence[Tuple[int, np.ndarray, QueryBatch]]] = None,
-    radius_m: Optional[float] = None,
-    prune: bool = False,
-) -> ExecutionPlan:
-    """Scatter-shaped plan: one op per window group (unsharded/server).
-
-    ``method="auto"`` consults the planner per group over the bound
-    slice's statistics; fixed methods skip planning entirely.
-    ``seed_cover`` is the owner's cover-cache writer ``(window, stamp,
-    processor)`` the planner seeds when pricing a model-cover plan
-    already paid for the fit — without it, an auto model-cover verdict
-    would run the same Ad-KMN fit a second time at execution.
-    ``want_estimates`` additionally prices each op for ``explain``.
-    ``groups`` overrides the window grouping with caller-provided
-    ``(window, positions, queries)`` triples (positions must index into
-    ``queries``) — the :meth:`QueryEngine.process_groups` path.
-
-    With ``prune=True`` (and a ``radius_m``), a raw-data group whose
-    window zone map proves *every* query disk empty is dropped whole:
-    its queries come back unanswered (NaN), exactly what the scan would
-    have produced.  Only whole groups are pruned — per-query masking
-    would regroup the batch across the policy's vectorisation threshold
-    and change float summation order, breaking bit-stability.  Cover
-    groups are never pruned: a model answers regardless of distance.
-    """
-    if not len(queries):
-        return ExecutionPlan(binding, queries, (), None, policy, method)
-    if groups is None:
-        groups = [
-            (g.window_c, g.indices, g.queries)
-            for g in group_queries_by_window(
-                queries, None, windows_for_times=binding.windows_for_times
-            )
-        ]
-    ops: List[ResultOp] = []
-    pruned: List[PrunedOp] = []
-    for c, positions, group_queries in groups:
-        stamp, sub, _ = binding.slice_for(None, c)
-        if (
-            prune
-            and radius_m is not None
-            and method != "model-cover"
-            and method != "auto"
-        ):
-            sketch = binding.sketch_for(None, c)
-            if not sketch.disk_overlaps(
-                group_queries.x, group_queries.y, radius_m
-            ).any():
-                pruned.append(
-                    PrunedOp(
-                        PlanContext(c, None, stamp, len(sub)),
-                        len(group_queries),
-                        "sketch" if len(sub) else "empty",
-                    )
-                )
-                continue
-        chosen = method
-        if method == "auto":
-            if planner is None:
-                raise ValueError('method="auto" needs a planner')
-            seeder = None
-            if seed_cover is not None:
-                def seeder(proc, c=c, stamp=stamp):
-                    seed_cover(c, stamp, proc)
-            chosen = planner.method_for(
-                None, c, stamp, sub,
-                exact=planner.profile.needs_exact_average,
-                seed_cover=seeder,
-            )
-        est = eval_est = None
-        if want_estimates:
-            est, eval_est = _estimate(
-                planner, sub, chosen,
-                exact=planner.profile.needs_exact_average if planner else False,
-                shard=None, c=c, stamp=stamp,
-            )
-        context = PlanContext(c, None, stamp, len(sub))
-        if chosen == "model-cover":
-            ops.append(CoverOp(context, positions, group_queries, est, eval_est))
-        else:
-            ops.append(
-                ScanOp(
-                    context,
-                    chosen,
-                    positions,
-                    group_queries,
-                    emit="result",
-                    vectorise=len(group_queries) >= policy.min_vectorised_group,
-                    est_unit_cost=est,
-                    eval_unit_cost=eval_est,
-                )
-            )
-    return ExecutionPlan(
-        binding, queries, tuple(ops), None, policy, method, pruned=tuple(pruned)
-    )
+def build_group_plan(binding: SnapshotBinding, queries: QueryBatch) -> ExecutionPlan:
+    """Scatter-shaped model-cover plan over an unsharded binding: one
+    :class:`CoverOp` per window group (the server's query path)."""
+    ops = []
+    for group in group_queries_by_window(
+        queries, None, windows_for_times=binding.windows_for_times
+    ):
+        stamp, sub, _ = binding.slice_for(None, group.window_c)
+        context = PlanContext(group.window_c, None, stamp, len(sub))
+        ops.append(CoverOp(context, group.indices, group.queries))
+    return ExecutionPlan(binding, queries, tuple(ops), None, "model-cover")
 
 
 def build_sharded_plan(
@@ -697,7 +594,6 @@ def build_sharded_plan(
     method: str,
     planner: PipelinePlanner,
     radius_m: float,
-    policy: ExecutionPolicy = VECTORISED_POLICY,
     seed_cover: Optional[Callable[[int, int, int, object], None]] = None,
     want_estimates: bool = False,
     prune: bool = True,
@@ -721,28 +617,28 @@ def build_sharded_plan(
     windows = binding.windows_for_times(queries.t)
     if method == "model-cover":
         return _cover_plan(
-            binding, queries, windows, planner, radius_m, policy,
+            binding, queries, windows, planner, radius_m,
             allow_plan=False, seed_cover=seed_cover, want_estimates=want_estimates,
             prune=prune,
         )
     if method == "auto" and not planner.profile.needs_exact_average:
         return _cover_plan(
-            binding, queries, windows, planner, radius_m, policy,
+            binding, queries, windows, planner, radius_m,
             allow_plan=True, seed_cover=seed_cover, want_estimates=want_estimates,
             prune=prune,
         )
     return _exact_plan(
-        binding, queries, windows, method, planner, radius_m, policy,
+        binding, queries, windows, method, planner, radius_m,
         want_estimates, prune=prune,
     )
 
 
 def _estimate(
-    planner: Optional[PipelinePlanner],
+    planner: PipelinePlanner,
     sub,
     method: str,
     exact: bool,
-    shard: Optional[int],
+    shard: int,
     c: int,
     stamp: int,
 ) -> Tuple[Optional[float], Optional[float]]:
@@ -753,7 +649,7 @@ def _estimate(
     re-runs a pricing fit; only fixed-method explains (no verdict was
     planned) price the slice fresh.
     """
-    if planner is None or not len(sub):
+    if not len(sub):
         return None, None
     estimates = planner.cached_estimates(shard, c, stamp, exact)
     if estimates is None:
@@ -788,7 +684,6 @@ def _exact_plan(
     method: str,
     planner: PipelinePlanner,
     radius_m: float,
-    policy: ExecutionPolicy,
     want_estimates: bool = False,
     prune: bool = True,
 ) -> ExecutionPlan:
@@ -825,7 +720,7 @@ def _exact_plan(
     pruned: List[PrunedOp] = []
     if not n:
         merge = MergeOp(0, binding.stream_rows())
-        return ExecutionPlan(binding, queries, (), merge, policy, method)
+        return ExecutionPlan(binding, queries, (), merge, method)
     # Group the batch by window: one stable sort (none for a time-sorted
     # batch), so a window's queries are a run and keep stream order.
     order = None
@@ -934,14 +829,13 @@ def _exact_plan(
                 chosen,
                 positions[lo:hi],
                 QueryBatch._of_columns(t[lo:hi], x[lo:hi], y[lo:hi]),
-                emit="hits",
                 est_unit_cost=est,
                 eval_unit_cost=eval_est,
             )
         )
     merge = MergeOp(n, binding.stream_rows())
     return ExecutionPlan(
-        binding, queries, tuple(ops), merge, policy, method, pruned=tuple(pruned)
+        binding, queries, tuple(ops), merge, method, pruned=tuple(pruned)
     )
 
 
@@ -951,7 +845,6 @@ def _cover_plan(
     windows: np.ndarray,
     planner: PipelinePlanner,
     radius_m: float,
-    policy: ExecutionPolicy,
     allow_plan: bool,
     seed_cover: Optional[Callable[[int, int, int, object], None]],
     want_estimates: bool = False,
@@ -1022,10 +915,9 @@ def _cover_plan(
             exact_method,
             planner,
             radius_m,
-            policy,
             want_estimates,
             prune=prune,
         )
         ops.append(FallbackOp(positions, sub_plan))
     method = "auto" if allow_plan else "model-cover"
-    return ExecutionPlan(binding, queries, tuple(ops), None, policy, method)
+    return ExecutionPlan(binding, queries, tuple(ops), None, method)

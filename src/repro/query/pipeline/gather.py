@@ -1,6 +1,6 @@
 """Exact scatter-gather primitives: the tile kernel and the block reduces.
 
-These are the numerics behind merge-shaped plans (``emit="hits"``
+These are the numerics behind merge-shaped plans (hit-emitting
 :class:`~repro.query.pipeline.plan.ScanOp` + ``MergeOp``).  A query's
 answer is the mean of the sensor values of every stream row within the
 radius, summed **in global stream order**: a query's hits are taken in

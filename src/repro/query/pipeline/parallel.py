@@ -69,7 +69,6 @@ from repro.query.pipeline.executor import (
 )
 from repro.query.pipeline.gather import BLOCK_CELLS
 from repro.query.pipeline.plan import (
-    VECTORISED_POLICY,
     CoverOp,
     ExecutionPlan,
     FallbackOp,
@@ -130,9 +129,9 @@ def _sub_plan(binding, coords, n_stream_rows: Optional[int], ops) -> ExecutionPl
         if n_stream_rows is None:
             built.append(CoverOp(context, positions, mine))
         else:
-            built.append(ScanOp(context, method, positions, mine, emit="hits"))
+            built.append(ScanOp(context, method, positions, mine))
     merge = None if n_stream_rows is None else MergeOp(len(queries), n_stream_rows)
-    return ExecutionPlan(binding, queries, tuple(built), merge, VECTORISED_POLICY)
+    return ExecutionPlan(binding, queries, tuple(built), merge)
 
 
 def _worker_main(conn, radius_m, config, cache_capacity) -> None:  # pragma: no cover - child process

@@ -13,11 +13,10 @@ it is what lets four previously copy-pasted paths share one pipeline.
 
 Operators:
 
-* :class:`ScanOp` — answer a set of queries from one bound window slice
+* :class:`ScanOp` — scan one bound window slice for a set of queries
   with a raw-data method (naive radius scan or an index kind).  Emits
-  either finished per-query averages (``emit="result"``, the unsharded
-  discipline) or raw ``(query, stream row)`` hits (``emit="hits"``, the
-  scatter half of cross-shard exact execution).
+  raw ``(query, stream row)`` hits (``emit == "hits"``), the scatter
+  half of exact execution.
 * :class:`CoverOp` — evaluate the bound ``(window, shard)`` model cover
   over a set of queries; always emits results.
 * :class:`MergeOp` — the gather half: exact, partition-independent merge
@@ -27,7 +26,7 @@ Operators:
   cover could not (empty owning slice, or the planner preferred raw
   data).
 
-A plan is either **scatter-shaped** (result-emitting ops + fallbacks;
+A plan is either **scatter-shaped** (cover ops + fallbacks;
 outputs scattered back by query position — each query answered by
 exactly one op) or **merge-shaped** (hit-emitting scans + one
 :class:`MergeOp`; a query may collect hits from several shards).
@@ -53,11 +52,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class PlanContext:
     """The pinned storage context one operator executes against.
 
-    ``shard`` is None on unsharded paths.  ``stamp`` is the content epoch
-    of the bound window slice at plan-build time; the executor resolves
-    the slice back through the plan's binding, whose memo guarantees the
-    very same pinned data (build and execution can never see different
-    rows, even under concurrent ingest).  ``n_rows`` is the slice length
+    ``shard`` is None on a server snapshot's group plans.  ``stamp`` is
+    the content epoch of the bound window slice at plan-build time; the
+    executor resolves the slice back through the plan's binding, whose
+    memo guarantees the very same pinned data (build and execution can
+    never see different rows, even under concurrent ingest).  ``n_rows`` is the slice length
     at build time — the statistic cost estimates are quoted against.
     """
 
@@ -79,10 +78,8 @@ class ScanOp:
 
     context: PlanContext
     method: str  # "naive" or an index kind
-    positions: np.ndarray  # stream positions of the queries this op answers
+    positions: np.ndarray  # stream positions of the queries this op scans
     queries: QueryBatch
-    emit: str = "result"  # "result" | "hits"
-    vectorise: bool = True  # result mode: process_batch vs scalar loop
     est_unit_cost: Optional[float] = None  # planner estimate, scan units/query
     #: Evaluation-only share of the estimate (prep/amortise stripped) —
     #: the unit load the executor's *timed region* actually performs,
@@ -90,6 +87,7 @@ class ScanOp:
     eval_unit_cost: Optional[float] = None
 
     kind = "scan"
+    emit = "hits"
 
 
 @dataclass(frozen=True)
@@ -135,54 +133,19 @@ class PrunedOp:
     shard was skipped.  ``context.n_rows`` is the pinned slice length
     the pruned scan would have read (its estimated row cost, marked in
     :func:`format_plan`); ``reason`` is ``"region"`` when the grid
-    geometry already excluded every query disk, ``"sketch"`` when the
-    zone map's bounding volume proved the remaining queries empty, and
-    ``"empty"`` when the bound slice had no rows at all (unsharded
-    group plans only — the sharded builder skips empty slices
-    silently, as it always has).
+    geometry already excluded every query disk, and ``"sketch"`` when
+    the zone map's bounding volume proved the remaining queries empty.
     """
 
     context: PlanContext
     n_queries: int
-    reason: str  # "region" | "sketch" | "empty"
+    reason: str  # "region" | "sketch"
 
     kind = "pruned"
     method = "-"
 
 
 PlanOp = Union[ScanOp, CoverOp, FallbackOp]
-
-
-@dataclass(frozen=True)
-class ExecutionPolicy:
-    """Dispatch thresholds a plan is built and executed under.
-
-    ``min_parallel_queries``: below this many queries across all result
-    ops, groups run serially (pool submission overhead beats the win).
-    ``min_vectorised_group``: below this many queries in one group, the
-    scalar loop answers it (fixed numpy dispatch only amortises past a
-    few dozen queries).  Both are pure cost choices — scalar and batched
-    execution are equivalent by construction — but they do change float
-    summation order, so each path keeps its historical policy to stay
-    byte-identical with its pre-pipeline answers.
-    """
-
-    min_parallel_queries: int = 512
-    min_vectorised_group: int = 24
-
-
-#: The engine's continuous-query policy (historical constants).
-ENGINE_POLICY = ExecutionPolicy()
-
-#: Grid/server/sharded-cover policy: always vectorise, parallel fan-out
-#: only for genuinely large batches.
-VECTORISED_POLICY = ExecutionPolicy(min_vectorised_group=0)
-
-#: Scalar point-query policy: one query, answered exactly as a single
-#: ``process`` call would answer it.
-SCALAR_POLICY = ExecutionPolicy(
-    min_parallel_queries=2**63 - 1, min_vectorised_group=2**63 - 1
-)
 
 
 @dataclass(frozen=True)
@@ -193,7 +156,6 @@ class ExecutionPlan:
     queries: QueryBatch
     ops: Tuple[PlanOp, ...]
     merge: Optional[MergeOp] = None
-    policy: ExecutionPolicy = ENGINE_POLICY
     method: str = ""  # the method the plan was requested with
     #: Candidate ops the pruning pass dropped (observability only —
     #: the executor never touches them).
@@ -334,7 +296,7 @@ def format_plan(plan: ExecutionPlan, report: Optional[PlanReport] = None) -> str
             ctx, n_q, rows, est = "-", len(op.positions), "-", None
         else:
             label = f"{pad}{op.kind}[{op.method}]"
-            if isinstance(op, ScanOp) and op.emit == "hits":
+            if isinstance(op, ScanOp):
                 label += "+hits"
             ctx = op.context.describe()
             n_q, rows, est = len(op.queries), op.context.n_rows, op.est_unit_cost
@@ -371,7 +333,7 @@ def format_plan(plan: ExecutionPlan, report: Optional[PlanReport] = None) -> str
             f"{plan.ops_kept} kept"
         )
     if report is not None:
-        if any(isinstance(op, ScanOp) and op.emit == "hits" for _, op in plan.walk()):
+        if any(isinstance(op, ScanOp) for _, op in plan.walk()):
             lines.append(f"  gather: {report.gather_s * 1e3:.2f}ms (sort + reduce)")
         lines.append(f"  total: {report.total_s * 1e3:.2f}ms")
     return "\n".join(lines)

@@ -171,24 +171,19 @@ class PipelinePlanner:
             radius_m=self.radius_m,
         )
 
-    def _pick(
-        self, estimates: Dict[str, PlanEstimate], allow_feedback: bool
-    ) -> str:
+    def _pick(self, estimates: Dict[str, PlanEstimate]) -> str:
         """The cheapest method, feedback-recalibrated where that is safe.
 
         Staged decision, so that answers can never depend on observed
         wall clocks: the **exact-vs-model boundary** (which changes query
         *answers* — a model evaluation is not a radius average) is decided
         by the static cost model alone, deterministically; the choice
-        **among exact scan kinds** recalibrates from runtime feedback
-        only where every candidate provably produces the same bytes —
-        the sharded merge path (``allow_feedback=True``), whose canonical
-        stream-order gather is scan-kind-invariant.  Result-emitting
-        scans (the unsharded engine) sum hits in method-specific order,
-        so their verdicts stay on the static model too: same inputs,
-        same bytes, every run.  Ties break towards the earliest candidate
-        in cost-model order (naive first), matching
-        :meth:`QueryPlanner.choose`.
+        **among exact scan kinds** recalibrates from runtime feedback,
+        since every candidate provably produces the same bytes — exact
+        methods answer through the merge path, whose canonical
+        stream-order gather is scan-kind-invariant.  Ties break towards
+        the earliest candidate in cost-model order (naive first),
+        matching :meth:`QueryPlanner.choose`.
         """
 
         def argmin(scores: Dict[str, float]) -> str:
@@ -201,7 +196,7 @@ class PipelinePlanner:
             return best
 
         static = argmin({m: e.per_query_cost for m, e in estimates.items()})
-        if static == "model-cover" or not allow_feedback:
+        if static == "model-cover":
             return static
         exact = {m: e for m, e in estimates.items() if m != "model-cover"}
         return argmin(self.feedback.adjust(exact))
@@ -229,8 +224,8 @@ class PipelinePlanner:
         methods (scatter scans must merge exactly).  When the verdict is
         model-cover, ``seed_cover`` receives the processor the pricing
         fit already paid for, so execution never runs the same fit twice.
-        Feedback recalibration applies only to sharded verdicts (``shard``
-        not None) — see :meth:`_pick` for the determinism boundary.
+        Feedback recalibrates only the choice among exact methods — see
+        :meth:`_pick` for the determinism boundary.
         The priced estimates are memoised alongside the verdict
         (:meth:`cached_estimates`), so ``explain`` never re-runs a fit
         just to display a cost column.
@@ -243,14 +238,12 @@ class PipelinePlanner:
             self._estimates_memo.insert(
                 ("estimates", shard, int(c), bool(exact)), stamp, estimates
             )
-            method = self._pick(estimates, allow_feedback=shard is not None)
+            method = self._pick(estimates)
             if method == "model-cover" and seed_cover is not None:
                 seed_cover(planner.processor_for(profile))
             return method
 
-        return self._cache.get_or_build(
-            ("plan", shard, int(c), bool(exact)), stamp, build, shared_build=True
-        )
+        return self._cache.get_or_build(("plan", shard, int(c), bool(exact)), stamp, build)
 
     def eval_units(self, estimate: PlanEstimate) -> float:
         """The evaluation-only share of an estimate, in scan units per

@@ -1,10 +1,10 @@
 """Region-sharded scatter-gather query execution.
 
-:class:`ShardedQueryEngine` answers the same three request shapes as the
-single-node :class:`~repro.query.engine.QueryEngine` — point queries,
-continuous streams, heatmap grids — against a
-:class:`~repro.storage.shards.ShardRouter` holding one shard column
-per geographic region.
+:class:`ShardedQueryEngine` answers the three request shapes of the web
+interface — point queries, continuous streams, heatmap grids — against
+a :class:`~repro.storage.shards.ShardRouter` holding one shard column
+per geographic region.  It is the one query engine: an unsharded store
+is a one-region router (:func:`~repro.storage.shards.single_shard_router`).
 
 Since the plan-pipeline refactor the engine is a thin shell over
 ``repro/query/pipeline``: a request is compiled against a pinned
@@ -39,6 +39,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.adkmn import AdKMNConfig, fit_adkmn
+from repro.core.cover import ModelCover
 from repro.data.tuples import QueryTuple, TupleBatch
 from repro.geo.coords import BoundingBox
 from repro.query.base import BatchResult, QueryBatch, QueryResult
@@ -49,12 +50,7 @@ from repro.query.pipeline.binding import RouterBinding
 from repro.query.pipeline.cache import CacheStats, ProcessorCache
 from repro.query.pipeline.gather import index_pairs, scan_pairs, scan_tile
 from repro.query.pipeline.executor import PlanExecutor, PlanRuntime, build_sharded_plan
-from repro.query.pipeline.plan import (
-    VECTORISED_POLICY,
-    ExecutionPlan,
-    PlanReport,
-    PruneStats,
-)
+from repro.query.pipeline.plan import ExecutionPlan, PlanReport, PruneStats
 from repro.query.pipeline.planner import PipelinePlanner, PlannerFeedback
 from repro.query.planner import QueryProfile
 from repro.storage.shards import ShardRouter, StaleLayoutError
@@ -70,6 +66,20 @@ SHARDED_METHODS = ("naive",) + available_index_kinds() + ("model-cover", "auto")
 #: trip) and still saves ~13 % of the request; longer routes take the
 #: executor (docs/architecture.md, "The non-blocking lane").
 CACHED_ROUTE_MAX_ROWS = 128
+
+
+def cached_cover(
+    cache: ProcessorCache, config: AdKMNConfig, s, c: int, bound
+) -> ModelCoverProcessor:
+    """The cover of shard ``s``'s slice of window ``c`` from ``cache``,
+    stored under ``("cover", s, c)`` at the bound slice's stamp and
+    fitted outside the cache lock on a miss."""
+    stamp, sub, _gids = bound
+
+    def build() -> ModelCoverProcessor:
+        return ModelCoverProcessor(fit_adkmn(sub, config, window_c=c).cover)
+
+    return cache.get_or_build(("cover", s, c), stamp, build)
 
 
 def shard_runtime(
@@ -88,13 +98,7 @@ def shard_runtime(
     """
 
     def cover(op, bound):
-        stamp, sub, _gids = bound
-        s, c = op.context.shard, op.context.window_c
-
-        def build() -> ModelCoverProcessor:
-            return ModelCoverProcessor(fit_adkmn(sub, config, window_c=c).cover)
-
-        return cache.get_or_build(("cover", s, c), stamp, build, shared_build=True)
+        return cached_cover(cache, config, op.context.shard, op.context.window_c, bound)
 
     def prepare_hits(op, bound):
         # Materialise the index before the block loop and outside the
@@ -109,7 +113,6 @@ def shard_runtime(
             ("index", op.context.shard, op.context.window_c, op.method),
             stamp,
             lambda: IndexedProcessor(sub, kind=op.method, radius_m=radius_m),
-            shared_build=True,
         )
 
     def hits(op, bound, prepared, lo: int, hi: int):
@@ -319,7 +322,6 @@ class ShardedQueryEngine:
                     method,
                     self._planner,
                     self.radius_m,
-                    policy=VECTORISED_POLICY,
                     seed_cover=self._seed_cover,
                     want_estimates=want_estimates,
                     prune=self.prune if prune is None else prune,
@@ -384,6 +386,20 @@ class ShardedQueryEngine:
             np.array([t]), np.array([x]), np.array([y])
         )
         return self.continuous_query_batch(batch, method=method).result(0)
+
+    def covers_at(self, t: float) -> List[ModelCover]:
+        """The model covers of the window that owns time ``t``, one per
+        shard with rows in it, in shard order: the ``("cover", s, c)``
+        entries cover plans answer from, fitted into the cache on a
+        miss, over one pinned binding."""
+        binding = self.binding()
+        c = int(binding.windows_for_times((t,))[0])
+        bounds = [binding.slice_for(s, c) for s in range(binding.n_shards)]
+        return [
+            cached_cover(self._cache, self.config, s, c, bound).cover
+            for s, bound in enumerate(bounds)
+            if len(bound[1])
+        ]
 
     def _lane_decline(self, lane: str, reason: str) -> None:
         """Count a declined lane request; ``None`` is the lane's answer."""

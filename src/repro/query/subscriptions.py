@@ -33,11 +33,10 @@ Maintenance is epoch-driven, in three pruning layers:
    tuples.
 
 Dirty slices re-execute through the existing plan pipeline against one
-pinned snapshot binding — always on the canonical vectorised policy, so
-a maintenance subset's answers are byte-identical to a from-scratch
-re-execution of the full batch (the per-query exact merge and the
-per-point cover evaluation are both independent of which other queries
-share the plan).  The replay-oracle suite in
+pinned snapshot binding, so a maintenance subset's answers are
+byte-identical to a from-scratch re-execution of the full batch (the
+per-query exact merge and the per-point cover evaluation are both
+independent of which other queries share the plan).  The replay-oracle suite in
 ``tests/test_subscriptions.py`` enforces exactly that, and
 ``benchmarks/bench_subscriptions.py`` gates the quiet-epoch cost.
 
@@ -52,9 +51,6 @@ Every backend pins the same thing: an ``(epoch, binding)`` pair over
 one of the plan pipeline's snapshot bindings, read by one view.
 :func:`registry_for` builds the backend for
 
-* an unsharded :class:`~repro.query.engine.QueryEngine`
-  (:class:`~repro.query.pipeline.binding.EngineBinding`; any method
-  incl. exact);
 * a :class:`~repro.query.sharded.ShardedQueryEngine`
   (:class:`~repro.query.pipeline.binding.RouterBinding`; exact whenever
   no ingest overlaps the pass, eventually consistent under a
@@ -393,9 +389,7 @@ def registry_for(target) -> "SubscriptionRegistry":
     always runs against the in-process engine; plan execution for
     interactive requests keeps whatever wrapper the caller serves from).
     """
-    from repro.query.engine import METHODS, QueryEngine
     from repro.query.pipeline.binding import ServerSnapshotBinding
-    from repro.query.pipeline.plan import VECTORISED_POLICY
     from repro.query.sharded import SHARDED_METHODS, ShardedQueryEngine
     from repro.server.server import (
         ConcurrentEnviroMeterServer,
@@ -404,36 +398,11 @@ def registry_for(target) -> "SubscriptionRegistry":
 
     if isinstance(target, ConcurrentEnviroMeterServer):
         target = target.inner
-    if (
-        not isinstance(target, (QueryEngine, ShardedQueryEngine))
-        and isinstance(getattr(target, "engine", None), ShardedQueryEngine)
+    if not isinstance(target, ShardedQueryEngine) and isinstance(
+        getattr(target, "engine", None), ShardedQueryEngine
     ):
         target = target.engine  # ProcessShardedEngine and friends
-    if isinstance(target, QueryEngine):
-        engine = target
-
-        def pin():
-            # Seqlock on the engine epoch: the (epoch, binding) pair stays
-            # coherent even against a free-running refresher.
-            while True:
-                epoch = engine.epoch
-                binding = engine.binding()
-                if engine.epoch == epoch:
-                    return epoch, binding
-
-        backend = _Backend(
-            pin=pin,
-            execute=lambda binding, batch, method: engine.execute(
-                engine.plan(
-                    batch, method, policy=VECTORISED_POLICY, binding=binding
-                )
-            ),
-            h=engine.h,
-            methods=METHODS + ("auto",),
-            default_method="model-cover",
-            radius_m=engine.radius_m,
-        )
-    elif isinstance(target, ShardedQueryEngine):
+    if isinstance(target, ShardedQueryEngine):
         engine = target
 
         def pin():

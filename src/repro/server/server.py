@@ -52,7 +52,6 @@ from repro.query.modelcover import ModelCoverProcessor
 from repro.query.pipeline.binding import ServerSnapshotBinding
 from repro.query.pipeline.cache import CacheStats, ProcessorCache
 from repro.query.pipeline.executor import PlanExecutor, PlanRuntime, build_group_plan
-from repro.query.pipeline.plan import VECTORISED_POLICY
 from repro.storage.engine import Database, StorageSnapshot
 
 Request = Union[QueryRequest, ModelRequest]
@@ -270,7 +269,7 @@ class EnviroMeterServer:
         epoch-keyed memo plus the lazy fit-and-store policy).
         """
         binding = ServerSnapshotBinding(snap)
-        plan = build_group_plan(binding, batch, "model-cover", VECTORISED_POLICY)
+        plan = build_group_plan(binding, batch)
         runtime = PlanRuntime(
             binding,
             processor=lambda op, bound: ModelCoverProcessor(

@@ -21,10 +21,8 @@ from repro.query.base import QueryBatch
 from repro.query.pipeline.binding import RouterBinding
 from repro.query.pipeline.executor import _estimate
 from repro.query.pipeline.plan import (
-    VECTORISED_POLICY,
     CoverOp,
     ExecutionPlan,
-    ExecutionPolicy,
     FallbackOp,
     MergeOp,
     PlanContext,
@@ -40,7 +38,6 @@ def reference_sharded_plan(
     method: str,
     planner: PipelinePlanner,
     radius_m: float,
-    policy: ExecutionPolicy = VECTORISED_POLICY,
     seed_cover: Optional[Callable[[int, int, int, object], None]] = None,
     want_estimates: bool = False,
     prune: bool = True,
@@ -52,12 +49,12 @@ def reference_sharded_plan(
         method == "auto" and not planner.profile.needs_exact_average
     ):
         return _cover_plan(
-            binding, queries, windows, planner, radius_m, policy,
+            binding, queries, windows, planner, radius_m,
             allow_plan=method == "auto", seed_cover=seed_cover,
             want_estimates=want_estimates, prune=prune,
         )
     return _exact_plan(
-        binding, queries, windows, method, planner, radius_m, policy,
+        binding, queries, windows, method, planner, radius_m,
         want_estimates, prune=prune,
     )
 
@@ -69,7 +66,6 @@ def _exact_plan(
     method: str,
     planner: PipelinePlanner,
     radius_m: float,
-    policy: ExecutionPolicy,
     want_estimates: bool = False,
     prune: bool = True,
 ) -> ExecutionPlan:
@@ -185,14 +181,13 @@ def _exact_plan(
                     chosen,
                     positions[local],
                     wq.take(local),
-                    emit="hits",
                     est_unit_cost=est,
                     eval_unit_cost=eval_est,
                 )
             )
     merge = MergeOp(len(queries), binding.stream_rows())
     return ExecutionPlan(
-        binding, queries, tuple(ops), merge, policy, method, pruned=tuple(pruned)
+        binding, queries, tuple(ops), merge, method, pruned=tuple(pruned)
     )
 
 
@@ -202,7 +197,6 @@ def _cover_plan(
     windows: np.ndarray,
     planner: PipelinePlanner,
     radius_m: float,
-    policy: ExecutionPolicy,
     allow_plan: bool,
     seed_cover: Optional[Callable[[int, int, int, object], None]],
     want_estimates: bool = False,
@@ -266,10 +260,9 @@ def _cover_plan(
             exact_method,
             planner,
             radius_m,
-            policy,
             want_estimates,
             prune=prune,
         )
         ops.append(FallbackOp(positions, sub_plan))
     method = "auto" if allow_plan else "model-cover"
-    return ExecutionPlan(binding, queries, tuple(ops), None, policy, method)
+    return ExecutionPlan(binding, queries, tuple(ops), None, method)

@@ -3,14 +3,22 @@
 import numpy as np
 import pytest
 
+import repro.query.sharded as sharded_mod
 from repro.app.webapp import WebInterface
+from repro.client.osha import HealthLevel
+from repro.core.adkmn import fit_adkmn
+from repro.data.windows import window
 from repro.geo.coords import BoundingBox
-from repro.query.engine import QueryEngine
+from repro.geo.region import RegionGrid
+from repro.query.sharded import ShardedQueryEngine
+from repro.storage.shards import ShardRouter
+
+from one_shard import one_shard_engine
 
 
 @pytest.fixture(scope="module")
 def web(small_batch):
-    return WebInterface(QueryEngine(small_batch, h=240))
+    return WebInterface(one_shard_engine(small_batch, h=240))
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +36,15 @@ class TestPointQueryMode:
         reading = web.point_query(t_mid, 1234.0, 2345.0)
         assert reading.x == 1234.0
         assert reading.y == 2345.0
+
+    def test_negative_extrapolation_is_described_clamped(self, web, small_batch):
+        """Far off its sub-region a model can extrapolate below zero: the
+        reading keeps the raw value and describes it clamped, as the
+        route readings and markers do, instead of raising."""
+        t = float(small_batch.t[1000])
+        reading = web.point_query(t, -1e6, -1e6)
+        assert reading.co2_ppm < 0.0
+        assert reading.text.startswith("0 ppm CO2")
 
 
 class TestContinuousQueryMode:
@@ -68,48 +85,71 @@ class TestHeatmapMode:
 
 
 class TestCentroidMarkersPipeline:
-    """Regression: centroid_markers must go through the engine's
-    snapshot-pinned processor path, not refit via builder.cover."""
+    """Regression: centroid_markers reads the engine's cached covers of
+    the window that owns ``t`` — one per shard with rows in it."""
 
     def test_repeated_renders_reuse_cached_fit(self, small_batch, monkeypatch):
-        engine = QueryEngine(small_batch, h=240)
-        web = WebInterface(engine)
+        web = WebInterface(one_shard_engine(small_batch, h=240))
         t = float(small_batch.t[500])
 
-        builds = []
-        original = engine.builder.build
+        fits = []
+        original = sharded_mod.fit_adkmn
 
-        def counting_build(*args, **kwargs):
-            builds.append(1)
+        def counting_fit(*args, **kwargs):
+            fits.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(engine.builder, "build", counting_build)
+        monkeypatch.setattr(sharded_mod, "fit_adkmn", counting_fit)
         first = web.centroid_markers(t)
         for _ in range(3):
             again = web.centroid_markers(t)
             assert [(m.x, m.y, m.co2_ppm) for m in again] == [
                 (m.x, m.y, m.co2_ppm) for m in first
             ]
-        assert len(builds) == 1
+        assert len(fits) == 1
 
-    def test_never_calls_builder_cover_directly(self, small_batch, monkeypatch):
-        engine = QueryEngine(small_batch, h=240)
-        web = WebInterface(engine)
-
-        def forbidden(*args, **kwargs):  # pragma: no cover - fails the test
-            raise AssertionError("unpinned builder.cover() bypasses the pipeline")
-
-        monkeypatch.setattr(engine.builder, "cover", forbidden)
-        markers = web.centroid_markers(float(small_batch.t[500]))
-        assert len(markers) >= 1
-
-    def test_matches_pipeline_cover(self, small_batch):
-        engine = QueryEngine(small_batch, h=240)
+    def test_reads_the_engine_cover_cache_entry(self, small_batch):
+        engine = one_shard_engine(small_batch, h=240)
         web = WebInterface(engine)
         t = float(small_batch.t[500])
-        c = engine.window_for_time(t)
-        cover = engine.processor("model-cover", c).cover
         markers = web.centroid_markers(t)
-        assert len(markers) == len(cover.centroids)
-        for marker, (cx, cy) in zip(markers, cover.centroids):
+        router = engine.router
+        c = router.window_for_time(t)
+        cached = engine.processor_cache.peek(
+            ("cover", 0, c), router.shard_window_epoch(0, c)
+        )
+        assert cached is not None
+        assert len(markers) == len(cached.cover.centroids)
+        for marker, (cx, cy) in zip(markers, cached.cover.centroids):
             assert (marker.x, marker.y) == (float(cx), float(cy))
+
+    def test_matches_window_fit(self, small_batch):
+        web = WebInterface(one_shard_engine(small_batch, h=240))
+        t = float(small_batch.t[500])
+        c = web.engine.router.window_for_time(t)
+        cover = fit_adkmn(window(small_batch, c, 240), window_c=c).cover
+        markers = web.centroid_markers(t)
+        assert [(m.x, m.y) for m in markers] == [
+            (float(cx), float(cy)) for cx, cy in cover.centroids
+        ]
+        for marker, (cx, cy), model in zip(markers, cover.centroids, cover.models):
+            assert marker.co2_ppm == max(float(model.predict(t, cx, cy)), 0.0)
+
+    def test_one_marker_set_per_populated_shard(self, small_batch):
+        """Over four shards the emitters are every populated shard's
+        cover centroids, in shard order."""
+        router = ShardRouter(
+            RegionGrid.for_shard_count(BoundingBox(0, 0, 6000, 4000), 4), h=240
+        )
+        router.ingest(small_batch)
+        web = WebInterface(ShardedQueryEngine(router))
+        t = float(small_batch.t[500])
+        c = router.window_for_time(t)
+        expected = []
+        for s in range(router.n_shards):
+            sub = router.shard_window(s, c)
+            if len(sub):
+                expected += fit_adkmn(sub, window_c=c).cover.centroids.tolist()
+        markers = web.centroid_markers(t)
+        assert [(m.x, m.y) for m in markers] == [tuple(p) for p in expected]
+        assert all(m.level in HealthLevel for m in markers)

@@ -7,11 +7,10 @@ with *content epochs*.  These tests hammer a growing open window from
 multiple reader threads while a writer ingests, and assert the epoch
 scheme upholds the same guarantee:
 
-* the single-node :class:`QueryEngine` (after :meth:`refresh`) never
-  returns a processor built on fewer window tuples than the engine's
-  stream held before the call;
-* the :class:`ShardedQueryEngine` never answers a full-coverage query
-  with less support than the window held before the query was issued;
+* the :class:`ShardedQueryEngine` — over one region or several — never
+  answers a full-coverage query with less support than the window held
+  before the query was issued, and an ingest re-stamps exactly the
+  windows it grew;
 * after the stream quiesces, cached processors answer byte-identically
   to a freshly-built engine — a stale survivor would poison this.
 """
@@ -21,14 +20,16 @@ from __future__ import annotations
 import threading
 
 import numpy as np
+import pytest
 
 from repro.data.tuples import TupleBatch
 from repro.data.windows import touched_windows
 from repro.geo.coords import BoundingBox
 from repro.geo.region import RegionGrid
-from repro.query.engine import QueryEngine
 from repro.query.sharded import ShardedQueryEngine
 from repro.storage.shards import ShardRouter
+
+from one_shard import grow, one_shard_engine
 
 H = 40
 N_READERS = 4
@@ -45,68 +46,42 @@ def make_stream(rng: np.random.Generator, n: int) -> TupleBatch:
     )
 
 
-class TestQueryEngineRefresh:
-    def test_refresh_invalidates_only_touched_windows(self):
+class TestOneShardIngestStamps:
+    def test_ingest_invalidates_only_touched_windows(self):
         rng = np.random.default_rng(2)
         stream = make_stream(rng, 3 * H + 10)
-        engine = QueryEngine(stream.slice(0, 2 * H + 5), h=H)
-        sealed = engine.processor("naive", 0)
-        open_before = engine.processor("naive", 2)
+        engine = one_shard_engine(
+            stream.slice(0, 2 * H + 5), h=H, radius_m=1e9, max_workers=1
+        )
+        router = engine.router
+
+        def index(c):
+            engine.point_query(float(stream.t[c * H]), 3000.0, 2000.0, "kdtree")
+            key = ("index", 0, c, "kdtree")
+            return engine.processor_cache.peek(key, router.shard_window_epoch(0, c))
+
+        sealed, open_before = index(0), index(2)
         assert len(open_before.window) == 5
-        epoch = engine.refresh(stream)  # grows window 2, seals it, opens 3
-        assert epoch == 1
-        assert engine.window_stamp(2) == 1 and engine.window_stamp(0) == 0
-        assert engine.processor("naive", 0) is sealed  # untouched: still hot
-        refreshed = engine.processor("naive", 2)
+        stamps = [router.shard_window_epoch(0, c) for c in range(3)]
+        epoch = router.epoch
+        grow(engine, stream, len(stream))  # grows window 2, seals it, opens 3
+        assert router.epoch == epoch + 1
+        assert router.shard_window_epoch(0, 0) == stamps[0]
+        assert router.shard_window_epoch(0, 2) > stamps[2]
+        assert index(0) is sealed  # untouched: still hot
+        refreshed = index(2)
         assert refreshed is not open_before
         assert len(refreshed.window) == H
-        assert engine.refresh(stream) == 1  # no growth, no new epoch
+        grow(engine, stream, len(stream))  # no growth, no new epoch
+        assert router.epoch == epoch + 1
 
-    def test_refresh_rejects_shorter_stream(self):
+    def test_ingest_rejects_rows_before_the_held_stream(self):
         rng = np.random.default_rng(3)
         stream = make_stream(rng, 2 * H)
-        engine = QueryEngine(stream, h=H)
-        try:
-            engine.refresh(stream.slice(0, H))
-        except ValueError:
-            pass
-        else:  # pragma: no cover - failure path
-            raise AssertionError("refresh accepted a truncated stream")
-
-    def test_threads_hammering_growing_open_window(self):
-        """N readers request the tail-window processor while the stream
-        grows; a served processor may lag the *instantaneous* write head
-        but never the stream the engine held before the request."""
-        rng = np.random.default_rng(5)
-        stream = make_stream(rng, 6 * H)
-        engine = QueryEngine(stream.slice(0, H + 4), h=H, cache_capacity=16)
-        stop = threading.Event()
-        violations: list = []
-
-        def reader():
-            while not stop.is_set():
-                batch = engine.batch  # the stream at/before our request
-                c = (len(batch) - 1) // H
-                expected = min(H, len(batch) - c * H)
-                proc = engine.processor("naive", c)
-                if len(proc.window) < expected:
-                    violations.append((c, expected, len(proc.window)))
-
-        threads = [threading.Thread(target=reader) for _ in range(N_READERS)]
-        for t in threads:
-            t.start()
-        try:
-            for stop_row in range(H + 8, len(stream) + 1, 7):
-                engine.refresh(stream.slice(0, stop_row))
-            engine.refresh(stream)
-        finally:
-            stop.set()
-            for t in threads:
-                t.join()
-        assert not violations, f"stale processors served: {violations[:5]}"
-        # Quiesced: the cached tail processor covers the full final window.
-        tail = (len(stream) - 1) // H
-        assert len(engine.processor("naive", tail).window) == len(stream) - tail * H
+        engine = one_shard_engine(stream, h=H)
+        with pytest.raises(ValueError):
+            engine.router.ingest(stream.slice(0, H))
+        assert engine.router.global_count() == len(stream)
 
 
 class TestShardedEngineEpochStamps:
@@ -128,7 +103,8 @@ class TestShardedEngineEpochStamps:
         assert res2.support == len(stream) - H  # stale index would still say 5
         engine.close()
 
-    def test_threads_hammering_growing_open_window(self):
+    @pytest.mark.parametrize("cells", [1, 2], ids=["one-shard", "2x2"])
+    def test_threads_hammering_growing_open_window(self, cells):
         """Readers issue full-coverage queries (radius spans the bbox)
         against the open global window while a writer ingests: every
         answer's support must be at least the window population observed
@@ -136,7 +112,7 @@ class TestShardedEngineEpochStamps:
         byte-for-byte with a freshly built one."""
         rng = np.random.default_rng(11)
         stream = make_stream(rng, 4 * H)
-        router = ShardRouter(RegionGrid(BBOX, nx=2, ny=2), h=H)
+        router = ShardRouter(RegionGrid(BBOX, nx=cells, ny=cells), h=H)
         router.ingest(stream.slice(0, H // 2))
         engine = ShardedQueryEngine(router, radius_m=1e9, max_workers=2)
         t_probe = float(stream.t[-1])  # always resolves to the last window
@@ -209,6 +185,6 @@ class TestShardedEngineEpochStamps:
 
 
 def test_touched_windows_is_the_invalidation_oracle():
-    """The refresh path invalidates exactly the grown windows."""
+    """The server's ingest path invalidates exactly the grown windows."""
     assert list(touched_windows(85, 10, H)) == [2]
     assert list(touched_windows(75, 10, H)) == [1, 2]

@@ -77,6 +77,37 @@ class TestCommands:
         assert len(lines) == 6
         assert all(len(line) == 18 for line in lines)
 
+    @pytest.mark.parametrize("model_grid", [False, True], ids=["splat", "model-grid"])
+    def test_heatmap_sharded_draws_the_web_interface_map(
+        self, capsys, small_dataset, model_grid
+    ):
+        """At every shard count the CLI draws what the web interface over
+        that engine renders: the centroid splat, or the owning-model grid
+        with --model-grid."""
+        import numpy as np
+
+        from repro.app.heatmap import render_ascii
+        from repro.app.webapp import WebInterface
+        from repro.geo.coords import BoundingBox
+        from repro.geo.region import RegionGrid
+        from repro.query.sharded import ShardedQueryEngine
+        from repro.storage.shards import ShardRouter
+
+        argv = ["heatmap", "--hour", "9.0", "--width", "18", "--height", "6",
+                "--shards", "4"]
+        rc = main(argv + (["--model-grid"] if model_grid else []))
+        assert rc == 0
+        tuples = small_dataset.tuples
+        t = float(tuples.t[int(np.searchsorted(tuples.t, 9.0 * 3600.0))])
+        router = ShardRouter(
+            RegionGrid.for_shard_count(small_dataset.covered_bbox(), 4), h=500
+        )
+        router.ingest(tuples)
+        web = WebInterface(ShardedQueryEngine(router))
+        draw = web.model_grid if model_grid else web.heatmap
+        expected = draw(t, BoundingBox(0.0, 0.0, 6000.0, 4000.0), nx=18, ny=6)
+        assert capsys.readouterr().out == render_ascii(expected) + "\n"
+
     def test_shards_must_be_positive(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--shards", "0"])
@@ -160,12 +191,13 @@ class TestShardsCommand:
         assert "per-shard occupancy and load:" in out
         assert "skew (max/mean):" in out
 
-    def test_explain_unsharded_omits_shard_table(self, capsys):
+    def test_explain_one_shard_includes_shard_table(self, capsys):
         rc = main(["explain", "--queries", "20"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "per-shard occupancy" not in out
-        assert "gather:" not in out  # scatter-shaped: nothing to gather
+        assert "(1 shard(s), h=500)" in out
+        assert "/s0@" in out  # the one shard's contexts
+        assert "per-shard occupancy and load:" in out
 
 
 class TestServeSubscriptions:

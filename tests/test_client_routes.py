@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.client.osha import classify_co2
 from repro.client.routes import RecordedRoute, RoutePoint, RouteRecorder
 
 
@@ -15,6 +16,14 @@ class TestRoutePoint:
         p = RoutePoint(t=0, x=0, y=0, co2_ppm=None)
         assert p.level is None
         assert p.marker_color is None
+
+    def test_negative_extrapolation_is_classified_clamped(self):
+        """A model extrapolated off its sub-region can answer below zero:
+        the point keeps the raw value and is classified as zero."""
+        p = RoutePoint(t=0, x=-1e6, y=-1e6, co2_ppm=-96_064.0)
+        assert p.co2_ppm == -96_064.0
+        assert p.level == classify_co2(0.0)
+        assert p.marker_color.startswith("#")
 
 
 class TestRecordedRoute:
@@ -45,6 +54,14 @@ class TestRecordedRoute:
         assert "acceptable" in ok.summary_text()
         bad = RecordedRoute("b", [RoutePoint(0, 0, 0, 20_000.0)])
         assert "NOT acceptable" in bad.summary_text()
+
+    def test_negative_average_is_acceptable_clamped(self):
+        route = RecordedRoute(
+            "off-map", [RoutePoint(0, 0, 0, -500.0), RoutePoint(1, 0, 0, 100.0)]
+        )
+        assert route.average_ppm == -200.0
+        assert route.acceptable is True
+        assert "acceptable" in route.summary_text()
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -3,10 +3,12 @@
 One randomised workload, every execution path, one chain of asserts:
 
 * ``naive`` scalar (the oracle) == ``naive`` batched == every index kind
-  — same answered flags and supports, values equal to float-summation
-  tolerance;
-* sharded scatter-gather == the same answers (tolerance), for naive and
-  index kinds;
+  — same answered flags and supports, values within 1e-12 relative
+  (float summation order);
+* the engine over one shard == the same answers (1e-12 relative) for
+  exact methods, and its ``model-cover`` point, route and grid answers
+  == the window's ``ModelCoverProcessor(fit_adkmn(window).cover)``
+  answers byte for byte — also while ingest grows the store;
 * sharded at **1 shard == N shards, byte-identical** — the partition
   must be invisible down to the last bit, enforced with exact array
   equality, for exact methods *and* for the planner-driven ``auto``;
@@ -27,23 +29,23 @@ from hypothesis import strategies as st
 
 import threading
 
+from repro.core.adkmn import fit_adkmn
 from repro.data.tuples import TupleBatch
+from repro.data.windows import window, windows_for_times
 from repro.geo.coords import BoundingBox
 from repro.geo.region import RegionGrid
 from repro.network.messages import ModelRequest, QueryRequest
-from repro.query.base import QueryBatch, process_batch, process_batch_scalar
-from repro.query.engine import (
-    MIN_VECTORISED_GROUP,
-    QueryEngine,
-)
+from repro.query.base import QueryBatch, process_batch_scalar
 from repro.query.executor import group_queries_by_window, scatter_results
-from repro.query.indexed import available_index_kinds
+from repro.query.indexed import IndexedProcessor, available_index_kinds
 from repro.query.modelcover import ModelCoverProcessor
+from repro.query.naive import NaiveProcessor
 from repro.query.planner import QueryProfile
 from repro.query.sharded import ShardedQueryEngine
 from repro.server.server import ConcurrentEnviroMeterServer, EnviroMeterServer
 from repro.storage.shards import ShardRouter
 
+from one_shard import grow, one_shard_engine
 from reference_gather import merge_hit_partials, scan_hits
 
 RADIUS_M = 900.0
@@ -108,14 +110,43 @@ def sharded(
 
 
 def assert_same_answers(a, b, exact: bool) -> None:
+    """Same answered flags and supports; values byte for byte when
+    ``exact``, else within 1e-12 relative (float summation order)."""
     np.testing.assert_array_equal(a.answered, b.answered)
     np.testing.assert_array_equal(a.support, b.support)
     if exact:
         np.testing.assert_array_equal(a.values, b.values)
     else:
         np.testing.assert_allclose(
-            a.values, b.values, rtol=1e-9, atol=1e-9, equal_nan=True
+            a.values, b.values, rtol=1e-12, atol=0.0, equal_nan=True
         )
+
+
+def window_processor(stream: TupleBatch, method: str, c: int):
+    """A ``method`` processor built directly over window ``c``."""
+    sub = window(stream, c, H)
+    if method == "naive":
+        return NaiveProcessor(sub, RADIUS_M)
+    if method == "model-cover":
+        return ModelCoverProcessor(fit_adkmn(sub, window_c=c).cover)
+    return IndexedProcessor(sub, kind=method, radius_m=RADIUS_M)
+
+
+def window_oracle(stream: TupleBatch, queries: QueryBatch, method: str, scalar: bool):
+    """Each query answered by its window's directly built processor —
+    one ``process`` per query (``scalar``) or one ``process_batch`` per
+    window — in stream order."""
+    groups = group_queries_by_window(
+        queries, None, windows_for_times=lambda ts: windows_for_times(stream.t, ts, H)
+    )
+    results = []
+    for group in groups:
+        proc = window_processor(stream, method, group.window_c)
+        if scalar:
+            results.append(process_batch_scalar(proc, group.queries))
+        else:
+            results.append(proc.process_batch(group.queries))
+    return scatter_results(groups, results, len(queries))
 
 
 class TestProcessorChain:
@@ -128,18 +159,17 @@ class TestProcessorChain:
         stream = make_stream(rng, n)
         queries = make_queries(stream, specs)
 
-        engine = QueryEngine(stream, h=H, radius_m=RADIUS_M)
         # The oracle works per window; restrict to single-window queries.
-        windows = engine.windows_for_times(queries.t)
+        windows = windows_for_times(stream.t, queries.t, H)
         first = np.flatnonzero(windows == windows[0])
         queries = queries.take(first)
 
-        naive = engine.processor("naive", int(windows[0]))
+        naive = window_processor(stream, "naive", int(windows[0]))
         oracle = process_batch_scalar(naive, queries)
         batched = naive.process_batch(queries)
         assert_same_answers(oracle, batched, exact=False)
         for kind in available_index_kinds():
-            proc = engine.processor(kind, int(windows[0]))
+            proc = window_processor(stream, kind, int(windows[0]))
             assert_same_answers(oracle, proc.process_batch(queries), exact=False)
 
         one = sharded(stream, 1).continuous_query_batch(queries, method="naive")
@@ -172,17 +202,87 @@ class TestProcessorChain:
 
     @_SETTINGS
     @given(n=_streams, specs=_query_specs, seed=_seeds)
-    def test_multi_window_streams_match_unsharded(self, n, specs, seed):
-        """Queries spanning several windows: sharded == unsharded naive."""
+    def test_multi_window_streams_match_scalar_oracle(self, n, specs, seed):
+        """Queries spanning several windows: sharded == the per-window
+        naive scalar oracle."""
         rng = np.random.default_rng(seed)
         stream = make_stream(rng, n)
         queries = make_queries(stream, specs)
-        engine = QueryEngine(stream, h=H, radius_m=RADIUS_M)
-        unsharded = engine.continuous_query_batch(queries, method="naive")
+        oracle = window_oracle(stream, queries, "naive", scalar=True)
         one = sharded(stream, 1).continuous_query_batch(queries, method="naive")
         four = sharded(stream, 4).continuous_query_batch(queries, method="naive")
-        assert_same_answers(unsharded, one, exact=False)
+        assert_same_answers(oracle, one, exact=False)
         assert_same_answers(one, four, exact=True)
+
+
+class TestOneShardOracle:
+    """The engine over one shard against processors built directly over
+    each window: ``model-cover`` byte for byte (point, route and grid),
+    exact methods within 1e-12 of the naive scalar oracle."""
+
+    EXACT = ("naive", "kdtree", "vptree")
+
+    @_SETTINGS
+    @given(n=_streams, specs=_query_specs, seed=_seeds)
+    def test_model_cover_point_route_and_grid(self, n, specs, seed):
+        rng = np.random.default_rng(seed)
+        stream = make_stream(rng, n)
+        queries = make_queries(stream, specs)
+        engine = one_shard_engine(stream, h=H, radius_m=RADIUS_M, max_workers=1)
+        route = engine.continuous_query_batch(queries, method="model-cover")
+        oracle = window_oracle(stream, queries, "model-cover", scalar=False)
+        assert_same_answers(route, oracle, exact=True)
+        for i in range(min(len(queries), 5)):
+            t, x, y = (float(v[i]) for v in (queries.t, queries.x, queries.y))
+            point = engine.point_query(t, x, y, method="model-cover")
+            assert np.float64(point.value).tobytes() == oracle.values[i].tobytes()
+        t = float(queries.t[0])
+        grid = engine.heatmap_grid(t, DATA_BOUNDS, nx=7, ny=5, method="model-cover")
+        probes = QueryBatch.from_grid(
+            t, DATA_BOUNDS.min_x, DATA_BOUNDS.min_y, DATA_BOUNDS.width,
+            DATA_BOUNDS.height, 7, 5,
+        )
+        expected = window_oracle(stream, probes, "model-cover", scalar=False)
+        assert grid.tobytes() == expected.grid(5, 7).tobytes()
+
+    @_SETTINGS
+    @given(n=_streams, specs=_query_specs, seed=_seeds)
+    def test_exact_methods_match_naive_scalar_oracle(self, n, specs, seed):
+        rng = np.random.default_rng(seed)
+        stream = make_stream(rng, n)
+        queries = make_queries(stream, specs)
+        engine = one_shard_engine(stream, h=H, radius_m=RADIUS_M, max_workers=1)
+        oracle = window_oracle(stream, queries, "naive", scalar=True)
+        for method in self.EXACT:
+            result = engine.continuous_query_batch(queries, method=method)
+            assert_same_answers(result, oracle, exact=False)
+
+    def test_oracle_holds_under_incremental_ingest(self):
+        """After every ingest into a growing store, the engine answers
+        as the oracle over the rows it holds: grown windows' covers and
+        indexes are rebuilt, never served stale."""
+        rng = np.random.default_rng(99)
+        stream = make_stream(rng, 6 * H)
+        engine = one_shard_engine(
+            stream.slice(0, H), h=H, radius_m=RADIUS_M, max_workers=1
+        )
+        for stop in range(H, 6 * H + 1, H // 2):
+            grow(engine, stream, stop)
+            held = stream.slice(0, stop)
+            queries = QueryBatch(
+                np.linspace(float(held.t[0]), float(held.t[-1]), 17),
+                rng.uniform(-500.0, 6500.0, 17),
+                rng.uniform(-500.0, 4500.0, 17),
+            )
+            assert_same_answers(
+                engine.continuous_query_batch(queries, method="model-cover"),
+                window_oracle(held, queries, "model-cover", scalar=False),
+                exact=True,
+            )
+            oracle = window_oracle(held, queries, "naive", scalar=True)
+            for method in self.EXACT:
+                result = engine.continuous_query_batch(queries, method=method)
+                assert_same_answers(result, oracle, exact=False)
 
 
 class TestModelCoverFallback:
@@ -244,29 +344,9 @@ class TestModelCoverFallback:
 #
 # The plan-pipeline refactor replaced the orchestration of every query
 # path.  These oracles freeze the *pre-refactor* computations — composed
-# from the still-public primitives exactly as the old QueryEngine /
-# ShardedQueryEngine / server code composed them — and assert the
-# pipeline's answers are byte-identical, across shard counts and while
-# ingest grows the store.
-
-
-def legacy_engine_continuous(engine: QueryEngine, queries: QueryBatch):
-    """The pre-pipeline QueryEngine.continuous_query_batch, verbatim:
-    group by window, scalar loop under MIN_VECTORISED_GROUP, batched
-    above it, scatter back in stream order."""
-    groups = group_queries_by_window(
-        queries, engine.window_for_time, windows_for_times=engine.windows_for_times
-    )
-    results = []
-    for group in groups:
-        proc = engine.processor("naive", group.window_c)
-        if len(group.queries) < MIN_VECTORISED_GROUP:
-            results.append(process_batch_scalar(proc, group.queries))
-        else:
-            results.append(process_batch(proc, group.queries))
-    if len(groups) == 1:
-        return results[0]
-    return scatter_results(groups, results, len(queries))
+# from the still-public primitives exactly as the old sharded engine and
+# server code composed them — and assert the pipeline's answers are
+# byte-identical, across shard counts and while ingest grows the store.
 
 
 def legacy_sharded_exact(router: ShardRouter, queries: QueryBatch, radius_m):
@@ -317,17 +397,6 @@ class TestPipelineGoldenOracle:
 
     @_SETTINGS
     @given(n=_streams, specs=_query_specs, seed=_seeds)
-    def test_engine_continuous_matches_legacy(self, n, specs, seed):
-        rng = np.random.default_rng(seed)
-        stream = make_stream(rng, n)
-        queries = make_queries(stream, specs)
-        engine = QueryEngine(stream, h=H, radius_m=RADIUS_M)
-        via_pipeline = engine.continuous_query_batch(queries, method="naive")
-        legacy = legacy_engine_continuous(engine, queries)
-        assert_same_answers(via_pipeline, legacy, exact=True)
-
-    @_SETTINGS
-    @given(n=_streams, specs=_query_specs, seed=_seeds)
     def test_sharded_exact_matches_legacy_across_shard_counts(self, n, specs, seed):
         rng = np.random.default_rng(seed)
         stream = make_stream(rng, n)
@@ -336,24 +405,6 @@ class TestPipelineGoldenOracle:
             engine = sharded(stream, n_shards)
             via_pipeline = engine.continuous_query_batch(queries, method="naive")
             legacy = legacy_sharded_exact(engine.router, queries, RADIUS_M)
-            assert_same_answers(via_pipeline, legacy, exact=True)
-
-    def test_engine_matches_legacy_under_incremental_ingest(self):
-        """After every refresh of a growing stream, the pipeline answers
-        byte-identically to the legacy path over the same engine state."""
-        rng = np.random.default_rng(99)
-        stream = make_stream(rng, 6 * H)
-        engine = QueryEngine(stream.slice(0, H), h=H, radius_m=RADIUS_M)
-        for stop in range(H, 6 * H + 1, H // 2):
-            engine.refresh(stream.slice(0, stop))
-            held = engine.batch
-            queries = QueryBatch(
-                np.linspace(float(held.t[0]), float(held.t[-1]), 17),
-                rng.uniform(-500.0, 6500.0, 17),
-                rng.uniform(-500.0, 4500.0, 17),
-            )
-            via_pipeline = engine.continuous_query_batch(queries, method="naive")
-            legacy = legacy_engine_continuous(engine, queries)
             assert_same_answers(via_pipeline, legacy, exact=True)
 
     def test_sharded_matches_legacy_under_concurrent_ingest(self):

@@ -14,8 +14,9 @@ from repro.client.modelcache import ModelCacheClient
 from repro.core.cover import ModelCover
 from repro.data.tuples import QueryTuple
 from repro.geo.coords import BoundingBox
-from repro.query.engine import QueryEngine
 from repro.server.server import EnviroMeterServer
+
+from one_shard import one_shard_engine
 
 
 class TestFullLoop:
@@ -51,7 +52,7 @@ class TestFullLoop:
     def test_android_and_web_consistent(self, small_dataset):
         server = EnviroMeterServer(h=240)
         server.ingest(small_dataset.tuples)
-        engine = QueryEngine(small_dataset.tuples, h=240)
+        engine = one_shard_engine(small_dataset.tuples, h=240)
         web = WebInterface(engine)
 
         t = float(small_dataset.tuples.t[800])
@@ -65,7 +66,7 @@ class TestFullLoop:
         assert phone == pytest.approx(browser, rel=1e-9)
 
     def test_heatmap_tracks_pollution_sources(self, small_dataset):
-        engine = QueryEngine(small_dataset.tuples, h=500)
+        engine = one_shard_engine(small_dataset.tuples, h=500)
         web = WebInterface(engine)
         # Morning rush hour: plume contrast is at its strongest.
         t = float(

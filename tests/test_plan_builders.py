@@ -191,14 +191,13 @@ def describe(plan):
         ops.append(
             (
                 type(op).__name__, op.context, op.method, op.emit,
-                getattr(op, "vectorise", None),
                 op.positions.dtype.str, op.positions.tobytes(),
                 op.queries.t.tobytes(), op.queries.x.tobytes(), op.queries.y.tobytes(),
                 repr(op.est_unit_cost), repr(op.eval_unit_cost),
             )
         )
     return (
-        plan.method, plan.merge, plan.policy, ops, plan.pruned,
+        plan.method, plan.merge, ops, plan.pruned,
         plan.ops_kept, plan.ops_pruned,
     )
 

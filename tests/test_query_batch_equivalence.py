@@ -18,7 +18,14 @@ from hypothesis import strategies as st
 
 from repro.data.tuples import QueryTuple
 from repro.query.base import QueryBatch, process_batch, process_batch_scalar
-from repro.query.engine import METHODS, QueryEngine
+from repro.core.adkmn import fit_adkmn
+from repro.data.windows import window, windows_for_times
+from repro.query.indexed import IndexedProcessor
+from repro.query.modelcover import ModelCoverProcessor
+from repro.query.naive import NaiveProcessor
+from repro.query.sharded import SHARDED_METHODS
+
+METHODS = tuple(m for m in SHARDED_METHODS if m != "auto")
 
 # Coordinates span well past the ~6 km x 4 km data region so naive/indexed
 # methods exercise both answered and unanswered queries.
@@ -35,8 +42,25 @@ _SETTINGS = settings(
 
 
 @pytest.fixture(scope="module")
-def engine(small_batch) -> QueryEngine:
-    return QueryEngine(small_batch, h=240, radius_m=1000.0)
+def procs(small_batch):
+    """``procs(method, t)``: the ``method`` processor over the 240-tuple
+    window that owns ``t``, built directly over the window."""
+    built = {}
+
+    def get(method: str, t: float):
+        c = int(windows_for_times(small_batch.t, (t,), 240)[0])
+        if (method, c) not in built:
+            sub = window(small_batch, c, 240)
+            if method == "naive":
+                proc = NaiveProcessor(sub, 1000.0)
+            elif method == "model-cover":
+                proc = ModelCoverProcessor(fit_adkmn(sub, window_c=c).cover)
+            else:
+                proc = IndexedProcessor(sub, kind=method, radius_m=1000.0)
+            built[method, c] = proc
+        return built[method, c]
+
+    return get
 
 
 @pytest.fixture(scope="module")
@@ -69,8 +93,8 @@ class TestRandomisedEquivalence:
     @pytest.mark.parametrize("method", METHODS)
     @_SETTINGS
     @given(specs=_query_sets)
-    def test_batch_equals_scalar(self, engine, t_mid, method, specs):
-        proc = engine.processor(method, engine.window_for_time(t_mid))
+    def test_batch_equals_scalar(self, procs, t_mid, method, specs):
+        proc = procs(method, t_mid)
         queries = QueryBatch.from_queries(
             QueryTuple(t=t_mid, x=x, y=y) for _, x, y in specs
         )
@@ -79,28 +103,28 @@ class TestRandomisedEquivalence:
     @pytest.mark.parametrize("method", METHODS)
     @_SETTINGS
     @given(specs=_query_sets)
-    def test_batch_equals_scalar_across_times(self, engine, small_batch, method, specs):
+    def test_batch_equals_scalar_across_times(self, procs, small_batch, method, specs):
         """Timestamps vary across the stream (models see t in the maths)."""
         t0, t1 = small_batch.time_span()
         queries = QueryBatch.from_queries(
             QueryTuple(t=t0 + frac * (t1 - t0), x=x, y=y) for frac, x, y in specs
         )
-        proc = engine.processor(method, engine.window_for_time(t0))
+        proc = procs(method, t0)
         assert_equivalent(proc, queries)
 
 
 class TestEdgeCases:
     @pytest.mark.parametrize("method", METHODS)
-    def test_empty_batch(self, engine, t_mid, method):
-        proc = engine.processor(method, engine.window_for_time(t_mid))
+    def test_empty_batch(self, procs, t_mid, method):
+        proc = procs(method, t_mid)
         result = proc.process_batch(QueryBatch.from_queries([]))
         assert len(result) == 0
         assert result.n_answered == 0
         assert result.results() == []
 
     @pytest.mark.parametrize("method", METHODS)
-    def test_single_query(self, engine, t_mid, method):
-        proc = engine.processor(method, engine.window_for_time(t_mid))
+    def test_single_query(self, procs, t_mid, method):
+        proc = procs(method, t_mid)
         q = QueryTuple(t=t_mid, x=2000.0, y=1500.0)
         batched = proc.process_batch(QueryBatch.from_queries([q])).result(0)
         scalar = proc.process(q)
@@ -110,9 +134,9 @@ class TestEdgeCases:
             assert batched.value == pytest.approx(scalar.value, rel=1e-9)
 
     @pytest.mark.parametrize("method", [m for m in METHODS if m != "model-cover"])
-    def test_far_queries_all_nan(self, engine, t_mid, method):
+    def test_far_queries_all_nan(self, procs, t_mid, method):
         """No raw tuple within radius -> unanswered -> NaN value slots."""
-        proc = engine.processor(method, engine.window_for_time(t_mid))
+        proc = procs(method, t_mid)
         far = QueryBatch.from_queries(
             QueryTuple(t=t_mid, x=1e6 + 500.0 * i, y=-1e6) for i in range(5)
         )
@@ -148,8 +172,8 @@ class TestEdgeCases:
             assert bool(result.answered[0]) and np.isnan(result.values[0])
             assert not result.answered[1] and result.support[1] == 0
 
-    def test_model_cover_always_answers(self, engine, t_mid):
-        proc = engine.processor("model-cover", engine.window_for_time(t_mid))
+    def test_model_cover_always_answers(self, procs, t_mid):
+        proc = procs("model-cover", t_mid)
         far = QueryBatch.from_queries(
             [QueryTuple(t=t_mid, x=1e6, y=1e6), QueryTuple(t=t_mid, x=0.0, y=0.0)]
         )
@@ -157,7 +181,7 @@ class TestEdgeCases:
         assert result.n_answered == 2
         assert np.all(result.support == 1)
 
-    def test_dispatch_falls_back_to_scalar_only_processor(self, engine, t_mid):
+    def test_dispatch_falls_back_to_scalar_only_processor(self, procs, t_mid):
         """process_batch() works for processors without a batched path."""
 
         class ScalarOnly:
@@ -169,7 +193,7 @@ class TestEdgeCases:
             def process(self, query):
                 return self._inner.process(query)
 
-        inner = engine.processor("naive", engine.window_for_time(t_mid))
+        inner = procs("naive", t_mid)
         shim = ScalarOnly(inner)
         queries = QueryBatch.from_queries(
             QueryTuple(t=t_mid, x=2000.0 + 100.0 * i, y=1500.0) for i in range(7)

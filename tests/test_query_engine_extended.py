@@ -6,12 +6,13 @@ import pytest
 
 from repro.app.webapp import WebInterface
 from repro.geo.coords import BoundingBox
-from repro.query.engine import QueryEngine
+
+from one_shard import one_shard_engine
 
 
 @pytest.fixture(scope="module")
 def engine(small_batch):
-    return QueryEngine(small_batch, h=240)
+    return one_shard_engine(small_batch, h=240)
 
 
 class TestSTRTreeMethod:
@@ -38,7 +39,7 @@ class TestSTRTreeMethod:
 
 class TestModelGridHeatmap:
     def test_model_grid_full_coverage(self, small_batch):
-        web = WebInterface(QueryEngine(small_batch, h=240))
+        web = WebInterface(one_shard_engine(small_batch, h=240))
         t = float(small_batch.t[500])
         hm = web.model_grid(t, BoundingBox(0, 0, 6000, 4000), nx=8, ny=6)
         assert hm.shape == (6, 8)
@@ -47,7 +48,7 @@ class TestModelGridHeatmap:
     def test_splat_heatmap_bounded_by_marker_values(self, small_batch):
         """The demo heatmap never leaves the range of the centroid
         emissions — unlike the raw model grid, which extrapolates."""
-        web = WebInterface(QueryEngine(small_batch, h=240))
+        web = WebInterface(one_shard_engine(small_batch, h=240))
         t = float(small_batch.t[500])
         markers = web.centroid_markers(t)
         values = [m.co2_ppm for m in markers]

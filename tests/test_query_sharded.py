@@ -15,12 +15,13 @@ from hypothesis import strategies as st
 
 from repro.core.cover import ModelCover
 from repro.data.tuples import QueryTuple, TupleBatch
+from repro.data.windows import window
 from repro.geo.coords import BoundingBox
 from repro.query.base import BatchResult, QueryBatch
-from repro.query.engine import QueryEngine
 from repro.query.planner import QueryProfile
 import repro.query.sharded as sharded_module
 from repro.query.continuous import uniform_route_batch
+from repro.query.naive import NaiveProcessor
 from repro.query.sharded import CACHED_ROUTE_MAX_ROWS, SHARDED_METHODS, ShardedQueryEngine
 from repro.geo.region import RegionGrid
 from repro.server.async_server import EngineQueryService
@@ -69,10 +70,9 @@ class TestConstruction:
 
 
 class TestPointQuery:
-    def test_matches_unsharded_naive(self, engine, small_batch, t_mid):
-        unsharded = QueryEngine(small_batch, h=240, radius_m=1000.0)
-        c = unsharded.window_for_time(t_mid)
-        proc = unsharded.processor("naive", c)
+    def test_matches_window_naive_processor(self, engine, small_batch, t_mid):
+        c = engine.router.window_for_time(t_mid)
+        proc = NaiveProcessor(window(small_batch, c, 240), 1000.0)
         for x, y in ((2500.0, 1800.0), (900.0, 3000.0), (5200.0, 500.0)):
             ours = engine.point_query(t_mid, x, y, method="naive")
             ref = proc.process(QueryTuple(t=t_mid, x=x, y=y))
@@ -111,12 +111,18 @@ class TestContinuousQuery:
 
 
 class TestHeatmap:
-    def test_shape_and_agreement_with_unsharded(self, engine, small_batch, t_mid):
+    def test_shape_and_agreement_with_window_processor(
+        self, engine, small_batch, t_mid
+    ):
         bounds = BoundingBox(0.0, 0.0, 6000.0, 4000.0)
         grid = engine.heatmap_grid(t_mid, bounds, nx=16, ny=12, method="naive")
         assert grid.shape == (12, 16)
-        unsharded = QueryEngine(small_batch, h=240, radius_m=1000.0)
-        expected = unsharded.heatmap_grid(t_mid, bounds, nx=16, ny=12, method="naive")
+        c = engine.router.window_for_time(t_mid)
+        proc = NaiveProcessor(window(small_batch, c, 240), 1000.0)
+        probes = QueryBatch.from_grid(
+            t_mid, bounds.min_x, bounds.min_y, bounds.width, bounds.height, 16, 12
+        )
+        expected = proc.process_batch(probes).grid(12, 16)
         np.testing.assert_allclose(
             grid, expected, rtol=1e-9, atol=1e-9, equal_nan=True
         )

@@ -26,12 +26,13 @@ from repro.data.tuples import TupleBatch
 from repro.geo.coords import BoundingBox
 from repro.geo.region import RegionGrid
 from repro.query.base import QueryBatch
-from repro.query.engine import QueryEngine
 from repro.query.pipeline.executor import build_sharded_plan
 from repro.query.pipeline.plan import PruneStats, format_plan
 from repro.query.sharded import ShardedQueryEngine
 from repro.storage.shards import ShardRouter
 from repro.storage.sketch import WindowSketch
+
+from one_shard import one_shard_engine
 
 BOUNDS = BoundingBox(0.0, 0.0, 3000.0, 2000.0)
 RADIUS = 400.0
@@ -407,12 +408,12 @@ class TestProcessParallelPath:
             assert fingerprint(got) == fingerprint(expected)
 
 
-# -- unsharded engine: whole-group zone-map pruning ------------------------
+# -- one shard: an unsharded store prunes by its zone maps ------------------
 
 
-class TestUnshardedGroupPruning:
+class TestOneShardPruning:
     def test_far_groups_pruned_and_identical(self, small_batch):
-        engine = QueryEngine(small_batch, h=240, radius_m=RADIUS)
+        engine = one_shard_engine(small_batch, h=240, radius_m=RADIUS)
         t_mid = float(small_batch.t[len(small_batch) // 2])
         # Far from every tuple: the whole group is provably hitless.
         far = QueryBatch(
@@ -427,7 +428,7 @@ class TestUnshardedGroupPruning:
         )
 
     def test_near_groups_never_pruned(self, small_batch):
-        engine = QueryEngine(small_batch, h=240, radius_m=RADIUS)
+        engine = one_shard_engine(small_batch, h=240, radius_m=RADIUS)
         t_mid = float(small_batch.t[len(small_batch) // 2])
         i = len(small_batch) // 2
         near = QueryBatch(
@@ -441,14 +442,27 @@ class TestUnshardedGroupPruning:
             engine.execute(engine.plan(near, "naive", prune=False))
         )
 
-    def test_sealed_window_sketch_cached_across_plans(self, small_batch):
-        engine = QueryEngine(small_batch, h=240, radius_m=RADIUS)
+    def test_sealed_window_pruned_without_resolving_its_slice(
+        self, small_batch, monkeypatch
+    ):
+        """A sealed window's zone map is the router's frozen sketch, so
+        pruning it reads no rows, plan after plan."""
+        engine = one_shard_engine(small_batch, h=240, radius_m=RADIUS)
+        router = engine.router
+        reads = []
+        snapshot = router.snapshot_window_sketch
+        monkeypatch.setattr(
+            router,
+            "snapshot_window_sketch",
+            lambda s, c: reads.append((s, c)) or snapshot(s, c),
+        )
         t0 = float(small_batch.t[10])
         far = QueryBatch(np.full(4, t0), np.full(4, 1e7), np.full(4, 1e7))
-        engine.plan(far, "naive", prune=True)
-        hits_before = engine._sketch_cache.stats.hits
-        engine.plan(far, "naive", prune=True)
-        assert engine._sketch_cache.stats.hits > hits_before
+        for _ in range(2):
+            plan = engine.plan(far, "naive", prune=True)
+            assert [rec.reason for rec in plan.pruned] == ["sketch"]
+            assert plan.ops_kept == 0
+        assert reads == []
 
 
 # -- observability ---------------------------------------------------------

@@ -21,7 +21,6 @@ from repro.app.webapp import WebInterface
 from repro.geo.coords import BoundingBox
 from repro.geo.region import RegionGrid
 import repro.query.sharded as sharded_module
-from repro.query.engine import QueryEngine
 from repro.query.pipeline.parallel import ProcessShardedEngine
 import repro.query.continuous as continuous_module
 import repro.server.async_server as async_module
@@ -34,12 +33,14 @@ from repro.server.async_server import (
 )
 from repro.storage.shards import ShardRouter
 
+from one_shard import one_shard_engine
+
 _WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 
 
 @pytest.fixture(scope="module")
 def web(small_batch):
-    return WebInterface(QueryEngine(small_batch, h=240))
+    return WebInterface(one_shard_engine(small_batch, h=240))
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +94,19 @@ class TestHttpRoutes:
         expected = web.point_query(t_mid, 2000.0, 1500.0)
         assert body["co2_ppm"] == pytest.approx(expected.co2_ppm)
         assert body["text"] == expected.text
+
+    def test_point_query_on_negative_extrapolation_is_answered(
+        self, served, small_batch
+    ):
+        """A valid, finite point far off the data where the model
+        extrapolates below zero is a 200 with the raw value, not a 500."""
+        t = float(small_batch.t[1000])
+        status, body = _post(
+            served.port, "/query/point", {"t": t, "x": -1e6, "y": -1e6}
+        )
+        assert status == 200
+        assert body["co2_ppm"] < 0.0
+        assert body["text"].startswith("0 ppm CO2")
 
     def test_continuous_route(self, served, t_mid):
         status, body = _post(

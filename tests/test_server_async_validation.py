@@ -40,7 +40,6 @@ from hypothesis import strategies as st
 from repro.app.webapp import WebInterface
 from repro.geo.coords import BoundingBox
 from repro.geo.region import RegionGrid
-from repro.query.engine import QueryEngine
 from repro.query.sharded import ShardedQueryEngine
 from repro.query.subscriptions import SubscriptionSpec, registry_for
 from repro.server.async_server import (
@@ -59,6 +58,8 @@ from repro.server.async_server import (
 )
 from repro.storage.shards import ShardRouter
 
+from one_shard import one_shard_engine
+
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 _WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
@@ -66,7 +67,7 @@ _WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 
 @pytest.fixture(scope="module")
 def web_served(small_batch):
-    web = WebInterface(QueryEngine(small_batch, h=240))
+    web = WebInterface(one_shard_engine(small_batch, h=240))
     with BackgroundServer(WebAppService(web)) as background:
         yield background
 

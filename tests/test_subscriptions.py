@@ -17,7 +17,6 @@ import pytest
 from repro.data.tuples import TupleBatch
 from repro.geo.coords import BoundingBox
 from repro.geo.region import RegionGrid
-from repro.query.engine import QueryEngine
 from repro.query.sharded import ShardedQueryEngine
 from repro.query.subscriptions import (
     SubscriptionRegistry,
@@ -27,6 +26,8 @@ from repro.query.subscriptions import (
 from repro.server.server import ConcurrentEnviroMeterServer, EnviroMeterServer
 from repro.storage.shards import ShardRouter
 from repro.storage.tiered import TieredShardRouter
+
+from one_shard import grow, one_shard_engine
 
 H = 240
 KINDS = ("engine", "sharded-engine", "server")
@@ -51,7 +52,7 @@ def _route_near(batch, d=300.0):
 
 def _fresh(kind, batch, bbox):
     if kind == "engine":
-        return QueryEngine(batch, h=H)
+        return one_shard_engine(batch, h=H)
     if kind == "sharded-engine":
         router = ShardRouter(RegionGrid(bbox, nx=2, ny=2), h=H)
         router.ingest(batch)
@@ -63,11 +64,8 @@ def _fresh(kind, batch, bbox):
 
 def _extend(kind, backend, batch, hi):
     """Grow ``backend`` to the first ``hi`` rows of ``batch``."""
-    if kind == "engine":
-        backend.refresh(batch.slice(0, hi))
-    elif kind == "sharded-engine":
-        n = backend.router.global_count()
-        backend.router.ingest(batch.slice(n, hi))
+    if kind in ("engine", "sharded-engine"):
+        grow(backend, batch, hi)
     else:
         backend.ingest(batch.slice(len(backend.snapshot()), hi))
 
@@ -103,7 +101,7 @@ def _replay(sub, updates, kind, batch, bbox):
 
 class TestRegistryBasics:
     def test_initial_answer_matches_reference(self, small_batch):
-        engine = QueryEngine(small_batch, h=H)
+        engine = one_shard_engine(small_batch, h=H)
         reg = registry_for(engine)
         sub = reg.subscribe(
             _route_near(small_batch),
@@ -121,7 +119,7 @@ class TestRegistryBasics:
         assert np.isfinite(sub.initial.values).any()
 
     def test_quiet_pass_is_cheap_and_delivers_nothing(self, small_batch):
-        reg = registry_for(QueryEngine(small_batch, h=H))
+        reg = registry_for(one_shard_engine(small_batch, h=H))
         sub = reg.subscribe(
             _route_near(small_batch), float(small_batch.t[1000]), method="naive"
         )
@@ -168,7 +166,7 @@ class TestRegistryBasics:
         fields.update(field)
         with pytest.raises(ValueError):
             SubscriptionSpec(**fields)
-        reg = registry_for(QueryEngine(small_batch, h=H))
+        reg = registry_for(one_shard_engine(small_batch, h=H))
         with pytest.raises(ValueError):
             reg.subscribe(method="naive", **fields)
         assert len(reg) == 0
@@ -180,7 +178,7 @@ class TestRegistryBasics:
         assert len(spec.query_batch()) == 3
 
     def test_unknown_method_rejected(self, small_batch):
-        reg = registry_for(QueryEngine(small_batch, h=H))
+        reg = registry_for(one_shard_engine(small_batch, h=H))
         with pytest.raises(ValueError):
             reg.subscribe(
                 _route_near(small_batch),
@@ -190,13 +188,13 @@ class TestRegistryBasics:
 
     def test_unregister_stops_delivery(self, small_batch):
         cut = int(0.7 * len(small_batch))
-        engine = QueryEngine(small_batch.slice(0, cut), h=H)
+        engine = one_shard_engine(small_batch.slice(0, cut), h=H)
         reg = registry_for(engine)
         sub = reg.subscribe(
             _route_near(small_batch), float(small_batch.t[cut - 1]), method="naive"
         )
         reg.unregister(sub.id)
-        engine.refresh(small_batch)
+        grow(engine, small_batch, len(small_batch))
         assert reg.maintain() == []
         with pytest.raises(KeyError):
             reg.poll(sub.id)
@@ -214,7 +212,7 @@ class TestRegistryBasics:
 class TestMaintenancePruning:
     def test_sealed_window_subscription_ignores_tail_ingest(self, small_batch):
         cut = int(0.7 * len(small_batch))
-        engine = QueryEngine(small_batch.slice(0, cut), h=H)
+        engine = one_shard_engine(small_batch.slice(0, cut), h=H)
         reg = registry_for(engine)
         sub = reg.subscribe(
             _route_near(small_batch),
@@ -224,7 +222,7 @@ class TestMaintenancePruning:
             method="naive",
         )
         for hi in (cut + 400, cut + 800, len(small_batch)):
-            engine.refresh(small_batch.slice(0, hi))
+            grow(engine, small_batch, hi)
             reg.maintain()
         # Tail-only ingest never touches the early windows this route
         # lives in: the mark diff prunes it before any execution.
@@ -237,7 +235,7 @@ class TestMaintenancePruning:
 
     def test_tail_subscription_receives_deltas(self, small_batch):
         cut = int(0.7 * len(small_batch))
-        engine = QueryEngine(small_batch.slice(0, cut), h=H)
+        engine = one_shard_engine(small_batch.slice(0, cut), h=H)
         reg = registry_for(engine)
         sub = reg.subscribe(
             _route_near(small_batch),
@@ -246,7 +244,7 @@ class TestMaintenancePruning:
             count=12,
             method="naive",
         )
-        engine.refresh(small_batch)
+        grow(engine, small_batch, len(small_batch))
         updates = reg.poll(sub.id)
         assert updates, "tail ingest must dirty a tail-time subscription"
         assert reg.stats.queries_reexecuted > 0
@@ -261,7 +259,7 @@ class TestMaintenancePruning:
             rng.uniform(0.0, 100.0, n),
             rng.uniform(400.0, 500.0, n),
         )
-        engine = QueryEngine(base, h=1000, radius_m=200.0)
+        engine = one_shard_engine(base, h=1000, radius_m=200.0)
         reg = registry_for(engine)
         sub = reg.subscribe(
             [(0.0, 0.0), (100.0, 100.0)],
@@ -279,7 +277,7 @@ class TestMaintenancePruning:
             rng.uniform(10_000.0, 10_100.0, 20),
             rng.uniform(400.0, 500.0, 20),
         )
-        engine.refresh(base.concat(far))
+        engine.router.ingest(far)
         assert reg.poll(sub.id) == []
         assert reg.stats.queries_skipped_sketch == 5
         assert reg.stats.queries_reexecuted == 0
@@ -337,14 +335,15 @@ class TestReplayOracle:
             assert np.array_equal(v, ref_v, equal_nan=True)
             assert np.array_equal(sup, ref_s)
 
-    # The sharded engine is left out on purpose: its marks are unpinned
-    # router reads, so under a racing writer it is eventually consistent
-    # rather than exact at every delivered row count.
     @pytest.mark.parametrize("kind", ["engine", "server"])
     def test_free_running_writer(self, kind, small_batch):
         """A writer thread grows the backend while the reader polls
-        concurrently: every delivered update must still be byte-identical
-        to from-scratch execution at its pinned row count."""
+        concurrently.  The server pins its snapshot, so every delivered
+        update must be byte-identical to from-scratch execution at its
+        pinned row count.  The engine's marks are unpinned router reads,
+        so under a racing writer it is eventually consistent instead:
+        updates arrive gap-free and in order, and once the writer stops
+        the answer is the from-scratch one over the whole stream."""
         batch = small_batch
         bbox = _bbox(batch)
         cut = int(0.6 * len(batch))
@@ -372,7 +371,10 @@ class TestReplayOracle:
         writer.join()
         updates.extend(reg.poll(sub.id))
         assert updates, "the growing tail must reach the subscription"
-        _replay(sub, updates, kind, batch, bbox)
+        if kind == "server":
+            _replay(sub, updates, kind, batch, bbox)
+        else:
+            assert [u.seq for u in updates] == list(range(1, len(updates) + 1))
         ref_v, ref_s = _reference(
             kind, batch, len(batch), bbox, sub.spec.query_batch(), sub.method
         )
