@@ -1,11 +1,10 @@
 """Concurrent serving throughput under sustained ingest, vs serial interleaving.
 
 Not a paper figure — this measures the reproduction's concurrent serving
-layer (PR 4): an :class:`~repro.server.server.EnviroMeterServer` behind
-the :class:`~repro.server.server.ConcurrentEnviroMeterServer` front end,
-with a writer delivering ingest batches over a modeled store-and-forward
-uplink while four reader threads serve query chunks to clients behind a
-modeled cellular round trip (the same deployment shape
+layer: one :class:`~repro.server.server.EnviroMeterServer` (its engine
+pool sized to the reader count), with a writer delivering ingest batches
+over a modeled store-and-forward uplink while four reader threads serve
+query chunks to clients behind a modeled cellular round trip (the same deployment shape
 :mod:`repro.network.link` models for traffic accounting — here the wire
 times are *slept*, because overlapping them is exactly what the
 concurrent layer buys).
@@ -49,7 +48,7 @@ except ModuleNotFoundError:  # standalone: python benchmarks/bench_concurrent.py
 from repro.data.lausanne import LausanneConfig, generate_lausanne_dataset
 from repro.data.tuples import TupleBatch
 from repro.network.messages import QueryRequest, ValueResponse
-from repro.server.server import ConcurrentEnviroMeterServer, EnviroMeterServer
+from repro.server.server import EnviroMeterServer
 
 H = 240
 N_READERS = 4
@@ -148,7 +147,7 @@ def serial_interleaved(
 
 
 def concurrent_run(
-    front: ConcurrentEnviroMeterServer,
+    server: EnviroMeterServer,
     batches: Sequence[TupleBatch],
     chunks: Sequence[List[QueryRequest]],
     n_readers: int = N_READERS,
@@ -157,12 +156,11 @@ def concurrent_run(
 ) -> Tuple[float, List[Tuple[int, List[int], List[bytes]]]]:
     """Writer + ``n_readers`` client threads over the same workload.
 
-    Each client thread serves its chunk through the front end's
-    **pool-fanned** ``handle_many_with_epochs`` — the component the
-    wrapper exists for — so the gate covers the fan-out path, not just
-    the inner server's thread safety.  Returns (elapsed, records) with
-    one ``(chunk index, per-request epochs, fingerprints)`` record per
-    chunk; the epochs feed the byte-identity replay.
+    Each client thread serves its chunk through
+    ``handle_many_with_epoch``, one pinned epoch per chunk.  Returns
+    (elapsed, records) with one ``(chunk index, per-request epochs,
+    fingerprints)`` record per chunk; the epochs feed the byte-identity
+    replay.
     """
     uplink_s = UPLINK_S if uplink_s < 0 else uplink_s
     rtt_s = CLIENT_RTT_S if rtt_s < 0 else rtt_s
@@ -176,7 +174,7 @@ def concurrent_run(
         try:
             for batch in batches:
                 time.sleep(uplink_s)  # uplink occupies only this thread
-                front.ingest(batch)
+                server.ingest(batch)
         except BaseException as exc:  # pragma: no cover - failure path
             failures.append(exc)
 
@@ -188,10 +186,10 @@ def concurrent_run(
                         return
                     k, chunk = pending.pop(0)
                 time.sleep(rtt_s)  # each client's round trip, overlapped
-                responses, epochs = front.handle_many_with_epochs(chunk)
+                responses, epoch = server.handle_many_with_epoch(chunk)
                 with records_lock:
                     records.append(
-                        (k, [int(e) for e in epochs], fingerprints(responses))
+                        (k, [int(epoch)] * len(chunk), fingerprints(responses))
                     )
         except BaseException as exc:  # pragma: no cover - failure path
             failures.append(exc)
@@ -218,9 +216,8 @@ def replay_identical(
     """Serial replay oracle: re-answer every request at its recorded epoch.
 
     Epoch ``e`` is the fresh server's state after the preload plus the
-    first ``e - 1`` live batches (the preload is ingest #1).  A chunk's
-    requests may straddle epochs (its pool sub-chunks pin independently);
-    each epoch group is replayed at its own epoch."""
+    first ``e - 1`` live batches (the preload is ingest #1); requests
+    are grouped by their recorded epoch and each group replayed there."""
     server = EnviroMeterServer(h=H)
     server.ingest(preload)
     by_epoch: dict = {}
@@ -264,10 +261,9 @@ def bench_concurrent_serving(benchmark, day_dataset, mode):
         return serial_interleaved(server, batches, chunks)
 
     def run_concurrent():
-        inner = EnviroMeterServer(h=H)
-        inner.ingest(preload)
-        with ConcurrentEnviroMeterServer(inner, max_workers=N_READERS) as front:
-            return concurrent_run(front, batches, chunks)
+        with EnviroMeterServer(h=H, max_workers=N_READERS) as server:
+            server.ingest(preload)
+            return concurrent_run(server, batches, chunks)
 
     benchmark.pedantic(
         run_serial if mode == "serial" else run_concurrent, rounds=1, iterations=1
@@ -304,11 +300,10 @@ def main(smoke: bool = False) -> int:
         serial_server, batches, chunks, uplink_s, rtt_s
     )
 
-    inner = EnviroMeterServer(h=H)
-    inner.ingest(preload)
-    with ConcurrentEnviroMeterServer(inner, max_workers=N_READERS) as front:
+    with EnviroMeterServer(h=H, max_workers=N_READERS) as server:
+        server.ingest(preload)
         concurrent_s, records = concurrent_run(
-            front, batches, chunks, N_READERS, uplink_s, rtt_s
+            server, batches, chunks, N_READERS, uplink_s, rtt_s
         )
 
     identical = replay_identical(preload, batches, chunks, records)

@@ -40,6 +40,6 @@ def bench_fleet(benchmark, dataset, strategy, n_members):
     benchmark.extra_info["sent_kb"] = round(total.sent_kb, 2)
     benchmark.extra_info["received_kb"] = round(total.received_kb, 2)
     benchmark.extra_info["requests"] = total.sent_messages
-    benchmark.extra_info["covers_built"] = len(server.db.table("model_cover"))
+    benchmark.extra_info["covers_built"] = server.builder_fit_count
     expected = n_members if use_cache else n_members * QUERIES_PER_MEMBER
     assert total.sent_messages == expected

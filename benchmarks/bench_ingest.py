@@ -1,11 +1,11 @@
 """Ingest throughput and steady-state ingest->query latency.
 
-Not a paper figure — this measures the reproduction's window-partitioned
-storage layer (``repro/storage/README.md``): bulk appends as vectorized
-column fills versus the seed's per-element Python loop, and the cost of
-taking a query snapshot after a replayed day of small ingest batches
-(which must stay flat as history grows, since snapshots are zero-copy
-views rather than a ``np.concatenate`` of the full history).
+Not a paper figure — this measures the reproduction's shard column
+(``repro/storage/README.md``): bulk appends as vectorized column fills
+versus the seed's per-element Python loop, and the cost of reading a
+shard's whole column after a replayed day of small ingest batches
+(which must stay flat as history grows, since reads are zero-copy views
+rather than a ``np.concatenate`` of the full history).
 
 Run standalone for the headline numbers on the 1-day Lausanne fixture::
 
@@ -29,8 +29,7 @@ from repro.eval.timing import time_callable
 from repro.network.messages import QueryRequest
 from repro.server.server import EnviroMeterServer
 from repro.server.stream import StreamReplayer
-from repro.storage.schema import RAW_TUPLES_SCHEMA
-from repro.storage.table import Table
+from repro.storage.shards import _ShardColumn
 
 REPEATS = 5
 REPLAY_INTERVAL_S = 600.0
@@ -80,9 +79,9 @@ def seed_ingest(batch) -> None:
 
 
 def bulk_ingest(batch) -> None:
-    """Ingest one batch through the vectorized storage path."""
-    table = Table("raw_tuples", RAW_TUPLES_SCHEMA)
-    table.insert_columns(t=batch.t, x=batch.x, y=batch.y, s=batch.s)
+    """Ingest one batch through the vectorized storage path: one shard
+    column's five slice fills (``t``, ``x``, ``y``, ``s`` and the gid)."""
+    _ShardColumn().append(batch, np.arange(len(batch)))
 
 
 def append_throughput(batch, repeats=REPEATS):
@@ -106,21 +105,22 @@ def replayed_query_latencies(batch, interval_s=REPLAY_INTERVAL_S):
         latencies.append(
             time_callable(lambda: server.handle(QueryRequest(t=t, x=x, y=y)))
         )
-        sizes.append(server.db.raw_count())
+        sizes.append(server.engine.router.global_count())
     return sizes, latencies
 
 
 def snapshot_cost(batch, interval_s=REPLAY_INTERVAL_S, repeats=REPEATS):
-    """(first_s, last_s) cost of a full-stream snapshot right after the
+    """(first_s, last_s) cost of a full-column read right after the
     first ingest batch and after the whole day — flat for zero-copy."""
     server = EnviroMeterServer(h=240)
+    router = server.engine.router
     replayer = StreamReplayer(server, batch_interval_s=interval_s)
     first_s = None
     for _, piece in replayer.slices(batch):
         server.ingest(piece)
         if first_s is None:
-            first_s = time_callable(lambda: server.db.raw_tuples(), repeats=repeats)
-    last_s = time_callable(lambda: server.db.raw_tuples(), repeats=repeats)
+            first_s = time_callable(lambda: router.shard_column(0), repeats=repeats)
+    last_s = time_callable(lambda: router.shard_column(0), repeats=repeats)
     return first_s or 0.0, last_s
 
 
@@ -164,13 +164,13 @@ def main(smoke: bool = False) -> int:
 
     seed_tput, bulk_tput = append_throughput(batch, repeats=repeats)
     speedup = bulk_tput / seed_tput
-    print("\nbulk-append throughput (4-column raw_tuples table):")
+    print("\nbulk-append throughput (5-column shard column):")
     print(f"  seed per-element loop  {seed_tput:>12,.0f} rows/s")
     print(f"  vectorized chunk fill  {bulk_tput:>12,.0f} rows/s")
     print(f"  speedup                {speedup:>11.1f}x")
 
     first_s, last_s = snapshot_cost(batch, repeats=repeats)
-    print("\nfull-stream snapshot cost (zero-copy, must stay flat):")
+    print("\nfull-column read cost (zero-copy, must stay flat):")
     print(f"  after first batch      {first_s * 1e6:>10.1f}us")
     print(f"  after full replay      {last_s * 1e6:>10.1f}us")
 

@@ -37,7 +37,7 @@ def run_fleet(label, dataset, n_members, use_model_cache, config=None):
         f"{label:28s} members={n_members:3d}  "
         f"sent={total.sent_kb:8.2f} KB  recv={total.received_kb:8.2f} KB  "
         f"requests={total.sent_messages:5d}  covers-built="
-        f"{len(server.db.table('model_cover'))}"
+        f"{server.builder_fit_count}"
     )
     return total
 

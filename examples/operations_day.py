@@ -72,7 +72,7 @@ def main() -> None:
 
     # Where should the next sensor go?  The widest-uncertainty region.
     c = server.current_window(now)
-    w = server.db.window_view(c)  # cached zero-copy view of W_c
+    w = server.engine.router.shard_window(0, c)  # zero-copy view of W_c
     result = fit_adkmn(w, AdKMNConfig(), window_c=c)
     conf = ConfidenceCover(result, w)
     k = conf.worst_region()

@@ -14,7 +14,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.adkmn import AdKMNResult
+from repro.core.adkmn import AdKMNResult, fit_adkmn
 from repro.data.tuples import TupleBatch
 from repro.geo.region import Region
 from repro.server.server import EnviroMeterServer
@@ -108,21 +108,28 @@ class Dashboard:
 
     def render(self, now: float) -> str:
         """One status panel for time ``now``."""
-        batch = self.server.db.raw_tuples()
-        if not len(batch):
+        server = self.server
+        router = server.engine.router
+        n = router.global_count()
+        if not n:
             return "EnviroMeter server: no data ingested yet."
-        c = self.server.current_window(now)
-        h = self.server.h
-        start = c * h
-        window = batch.slice(start, min(start + h, len(batch)))
-        result = self.server._builder.build(batch, c)  # server-side view
+        c = server.current_window(now)
+        window = router.shard_window(0, c)
+        # The fit's diagnostics (worst error, convergence) are not kept
+        # with the served cover, so the panel fits the window itself.
+        result = fit_adkmn(
+            window,
+            server.engine.config,
+            valid_until=float(window.t[-1]) + server.validity_horizon_s,
+            window_c=c,
+        )
         skew = skew_indicators(window, self.region, result)
         health = cover_health(result, now, window)
 
         lines: List[str] = []
         lines.append("=== EnviroMeter server status ===")
         lines.append(
-            f"data: {len(batch)} tuples ingested; window {c} "
+            f"data: {n} tuples ingested; window {c} "
             f"({skew.tuple_count} tuples)"
         )
         lines.append(
@@ -141,7 +148,7 @@ class Dashboard:
             + ("  [ATTENTION]" if health.needs_attention else "")
         )
         lines.append(
-            f"traffic: {self.server.served_values} value responses, "
-            f"{self.server.served_covers} cover downloads"
+            f"traffic: {server.served_values} value responses, "
+            f"{server.served_covers} cover downloads"
         )
         return "\n".join(lines)

@@ -153,14 +153,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    inner = EnviroMeterServer(h=args.h)
+    server = EnviroMeterServer(h=args.h, max_workers=args.serve_workers)
     if args.serve_workers is not None:
-        stats, chunks_served = _serve_concurrently(inner, ds, args)
-        served = inner.served_values
+        stats, chunks_served = _serve_concurrently(server, ds, args)
     else:
-        replayer = StreamReplayer(inner, batch_interval_s=args.batch_interval)
+        replayer = StreamReplayer(server, batch_interval_s=args.batch_interval)
         stats = replayer.run(ds.tuples, query_every_s=args.query_every)
-        served = inner.served_values
+    served = server.served_values
     print(
         f"replayed {stats.tuples} tuples in {stats.batches} batches; "
         f"server built {stats.covers_built} cover(s), "
@@ -380,22 +379,21 @@ def _cmd_compact(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_concurrently(inner, ds, args):
-    """Replay on a writer thread while the pool serves query bursts.
+def _serve_concurrently(server, ds, args):
+    """Replay on a writer thread while the main thread serves queries.
 
     The writer replays the stream exactly as the serial path does; the
-    main thread, meanwhile, fans batches of point queries (spread over
-    the sensed area, stamped with the replay's virtual clock) across the
-    :class:`ConcurrentEnviroMeterServer` worker pool — queries answered
-    *while ingest proceeds*, which is what ``--serve-workers`` promises.
-    Returns (replay stats, number of query batches served).
+    main thread, meanwhile, sends batches of point queries (spread over
+    the sensed area, stamped with the replay's virtual clock) to the
+    server, whose engine pool has ``--serve-workers`` threads — queries
+    answered *while ingest proceeds*, which is what ``--serve-workers``
+    promises.  Returns (replay stats, number of query batches served).
     """
     import threading
 
     import numpy as np
 
     from repro.network.messages import QueryRequest
-    from repro.server.server import ConcurrentEnviroMeterServer
     from repro.server.stream import StreamReplayer
 
     bbox = ds.covered_bbox()
@@ -405,8 +403,7 @@ def _serve_concurrently(inner, ds, args):
     done = threading.Event()
     outcome: list = []
 
-    front = ConcurrentEnviroMeterServer(inner, max_workers=args.serve_workers)
-    replayer = StreamReplayer(front, batch_interval_s=args.batch_interval)
+    replayer = StreamReplayer(server, batch_interval_s=args.batch_interval)
 
     def writer():
         try:
@@ -425,7 +422,7 @@ def _serve_concurrently(inner, ds, args):
             for x in xs
             for y in ys
         ]
-        front.handle_many(chunk)
+        server.handle_many(chunk)
 
     chunks_served = 0
     thread = threading.Thread(target=writer)
@@ -433,18 +430,18 @@ def _serve_concurrently(inner, ds, args):
     try:
         while not done.wait(timeout=0.005):
             now = clock["now"]
-            if now is None or not front.has_data():
+            if now is None or not server.has_data():
                 continue
             burst(now)
             chunks_served += 1
         # Small replays can finish before the first burst lands; always
-        # close with one pool-served batch against the final state.
+        # close with one batch against the final state.
         if clock["now"] is not None:
             burst(clock["now"])
             chunks_served += 1
     finally:
         thread.join()
-        front.close()
+        server.close()
     if not outcome:  # pragma: no cover - writer failed before returning
         raise RuntimeError("stream replay failed")
     return outcome[0], chunks_served

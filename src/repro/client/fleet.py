@@ -12,7 +12,7 @@ client amortises it, while baseline traffic grows linearly per client.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from repro.network.link import GPRS, BearerProfile, CellularLink
 from repro.network.stats import TrafficStats
 from repro.query.continuous import uniform_query_tuples, waypoint_trajectory
 from repro.query.executor import BatchExecutor
-from repro.server.server import ConcurrentEnviroMeterServer, EnviroMeterServer
+from repro.server.server import EnviroMeterServer
 
 Point = Tuple[float, float]
 
@@ -114,7 +114,7 @@ class FleetSimulator:
 
     def __init__(
         self,
-        server: Union[EnviroMeterServer, ConcurrentEnviroMeterServer],
+        server: EnviroMeterServer,
         bearer: BearerProfile = GPRS,
     ) -> None:
         self.server = server
@@ -171,7 +171,7 @@ class FleetSimulator:
         Each member keeps its own client and link (per-thread state), so
         the only shared object is the server; per-member answers and
         traffic ledgers are identical to the sequential run because every
-        request is answered against a pinned storage snapshot.  Reports
+        request is answered against a pinned snapshot.  Reports
         come back in member order.
         """
         self._check_members(members)

@@ -6,17 +6,14 @@
   cluster whenever its model's approximation error exceeds τn (Section
   2.1, Figure 2);
 * :mod:`repro.core.cover` — the :class:`ModelCover` ``(t_n, µ, M)``
-  abstraction with binary serialization (what the server stores in the
-  ``model_cover`` table and ships to model-cache clients);
-* :mod:`repro.core.builder` — builds covers window-by-window over a tuple
-  stream;
+  abstraction with binary serialization (what the server ships to
+  model-cache clients);
 * :mod:`repro.core.variants` — alternative adaptive candidates (Ad-GRID
   quadtree and Ad-SPLIT bisection), standing in for "the best results
   among many candidates we designed".
 """
 
 from repro.core.adkmn import AdKMNConfig, AdKMNResult, fit_adkmn
-from repro.core.builder import CoverBuilder
 from repro.core.confidence import ConfidenceCover, ConfidentValue
 from repro.core.cover import ModelCover
 from repro.core.kmeans import KMeansResult, kmeans
@@ -26,7 +23,6 @@ __all__ = [
     "AdKMNConfig",
     "AdKMNResult",
     "fit_adkmn",
-    "CoverBuilder",
     "ConfidenceCover",
     "ConfidentValue",
     "ModelCover",

@@ -5,8 +5,7 @@ cluster centroids ``µ = (µ1 .. µO)``, one fitted model per centroid, and
 the validity deadline ``t_n``.  It is simultaneously
 
 * the query-processing structure (nearest-centroid lookup + model
-  evaluation, Section 2.2 "Model Cover" method),
-* the row stored in the ``model_cover`` table (via :meth:`to_blob`), and
+  evaluation, Section 2.2 "Model Cover" method), and
 * the payload of the model-request response the server ships to
   model-cache clients (Section 2.3) — coefficients, centroids and ``t_n``.
 """
@@ -122,8 +121,8 @@ class ModelCover:
     # -- serialization ---------------------------------------------------------
 
     def to_blob(self) -> bytes:
-        """Binary encoding: what the ``model_cover`` table stores and what
-        the model-request response carries on the wire."""
+        """Binary encoding: what the model-request response carries on
+        the wire."""
         family_b = self.family.encode("utf-8")
         parts = [
             _MAGIC,

@@ -3,7 +3,7 @@
 The paper's raw tuple is ``b_i = (t_i, x_i, y_i, s_i)`` — timestamp,
 position in the local frame, sensor value — and the query tuple is
 ``q_l = (t_l, x_l, y_l)`` (Section 2.1/2.2).  :class:`TupleBatch` is the
-columnar (structure-of-arrays) representation the storage engine and the
+columnar (structure-of-arrays) representation the shard columns and the
 model fitting code operate on; :class:`RawTuple` is the row view used at
 API boundaries.
 """

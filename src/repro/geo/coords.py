@@ -74,7 +74,7 @@ class LocalProjection:
 class BoundingBox:
     """Axis-aligned rectangle in the local frame.
 
-    The storage engine, the R-tree and the region partitioning all use this
+    The shard router, the R-tree and the region partitioning all use this
     as the common rectangle type.  Degenerate (point) boxes are allowed.
     """
 

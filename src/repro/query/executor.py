@@ -1,10 +1,11 @@
-"""Pool plumbing for the plan pipeline: grouping, chunking, fan-out.
+"""Pool plumbing for the plan pipeline: grouping and fan-out.
 
 Continuous queries span windows: each query tuple is answered by the
 processor of the window its timestamp falls in (the server's lazy-update
 policy).  :func:`group_queries_by_window` splits a stream into
-per-window groups — the unit the pipeline builders
-(:mod:`repro.query.pipeline.executor`) turn into plan ops — and
+per-window groups and :func:`scatter_results` reassembles their answers
+in stream order — the per-window reference the oracles and
+``bench_batch_execution`` compose processors with — and
 :class:`BatchExecutor` is the bounded thread pool the shared
 :class:`~repro.query.pipeline.executor.PlanExecutor` fans those ops out
 on (one ``process_batch`` call per op/task; merge-shaped plans run
@@ -97,27 +98,6 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0)) or 1
     except (AttributeError, OSError):  # not every platform has affinity
         return os.cpu_count() or 1
-
-
-def split_chunks(items: Sequence[T], n: int) -> List[Sequence[T]]:
-    """Split ``items`` into at most ``n`` contiguous, near-equal, non-empty
-    chunks, preserving order — the unit the concurrent serving layer fans
-    across worker threads (contiguity keeps each chunk's window grouping
-    as dense as the original batch's)."""
-    if n < 1:
-        raise ValueError("chunk count must be at least 1")
-    total = len(items)
-    if not total:
-        return []
-    n = min(n, total)
-    size, extra = divmod(total, n)
-    chunks: List[Sequence[T]] = []
-    start = 0
-    for k in range(n):
-        stop = start + size + (1 if k < extra else 0)
-        chunks.append(items[start:stop])
-        start = stop
-    return chunks
 
 
 def scatter_results(

@@ -10,8 +10,8 @@ single epoch-keyed bounded LRU and one uniform counter block.
 
 **Epoch keying.**  Every entry is stored under a logical ``key`` plus a
 content ``stamp`` — the epoch at which the underlying window slice last
-gained tuples (see :meth:`repro.storage.engine.Database.window_epoch`
-and :meth:`repro.storage.shards.ShardRouter.shard_window_epoch`).  A
+gained tuples (see :meth:`repro.storage.shards.ShardRouter.shard_window_epoch`),
+or the epoch a snapshot binding pinned it at.  A
 lookup whose stamp differs from the stored entry's is a **stale** lookup:
 the entry was built on a shorter prefix of a still-open window and must
 never be served.  Stale entries are replaced in place on the next build,
@@ -20,11 +20,14 @@ stamps, and the stale entries simply stop matching.  Sealed windows keep
 frozen stamps forever, so their entries hit until LRU pressure evicts
 them.
 
-**Builds run outside the lock.**  ``get_or_build`` looks up under the
-cache lock, builds outside it so distinct processors materialise in
-parallel, and inserts under it again; a lost insert race discards the
-duplicate — builds only read immutable window slices, so duplicates are
-equivalent.
+**Builds run outside the lock, once per entry.**  ``get_or_build``
+looks up under the cache lock, builds outside it so distinct processors
+materialise in parallel, and inserts under it again.  Readers that miss
+the same ``(key, stamp)`` while its build is in flight wait for that
+build instead of repeating it (an Ad-KMN fit costs milliseconds, and
+several readers missing the same fresh window at once would otherwise
+each fit it).  A lost insert race discards the duplicate — builds only
+read immutable window slices, so duplicates are equivalent.
 """
 
 from __future__ import annotations
@@ -125,6 +128,8 @@ class ProcessorCache:
         self._entries: "OrderedDict[tuple, Tuple[int, object]]" = OrderedDict()
         self._capacity = capacity
         self._lock = threading.RLock()
+        # (key, stamp) -> a lock its builder holds until the build ends.
+        self._building: Dict[Tuple[tuple, int], threading.Lock] = {}
         self.stats = stats if stats is not None else CacheStats()
 
     @property
@@ -221,10 +226,31 @@ class ProcessorCache:
         """Serve ``key`` at ``stamp`` from cache or build-and-insert it.
 
         The build runs outside the cache lock, so distinct keys
-        materialise in parallel; a lost insert race returns the winner's
+        materialise in parallel; a caller that misses while the same
+        ``(key, stamp)`` is being built waits for that build and serves
+        its value (building itself only if that build failed or its entry
+        is already gone).  Every caller's lookup counts, so a waiter is a
+        miss that built nothing.  A lost insert race returns the winner's
         value and discards the duplicate (see :meth:`insert`).
         """
         value = self.lookup(key, stamp)
         if value is not None:
             return value
-        return self.insert(key, stamp, build())
+        flight_key = (key, stamp)
+        with self._lock:
+            flight = self._building.get(flight_key)
+            leader = flight is None
+            if leader:
+                flight = self._building[flight_key] = threading.Lock()
+                flight.acquire()
+        if not leader:
+            with flight:  # held by the builder until its build ends
+                pass
+            value = self.peek(key, stamp)
+            return value if value is not None else self.insert(key, stamp, build())
+        try:
+            return self.insert(key, stamp, build())
+        finally:
+            with self._lock:
+                del self._building[flight_key]
+            flight.release()

@@ -42,7 +42,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.query.base import BatchResult, PointQueryProcessor, QueryBatch, process_batch
-from repro.query.executor import BatchExecutor, group_queries_by_window
+from repro.query.executor import BatchExecutor
 from repro.query.pipeline.binding import BoundSlice, RouterBinding, SnapshotBinding
 from repro.query.pipeline import gather as _gather
 from repro.query.pipeline.gather import HitPairs, reduce_hit_block, reduce_row_block
@@ -63,7 +63,6 @@ __all__ = [
     "PlanRuntime",
     "PlanExecutor",
     "assemble_scatter",
-    "build_group_plan",
     "build_sharded_plan",
 ]
 
@@ -573,19 +572,6 @@ def _source_set_groups(positions: np.ndarray, member: np.ndarray, rows: np.ndarr
 
 
 # -- plan builders ----------------------------------------------------------
-
-
-def build_group_plan(binding: SnapshotBinding, queries: QueryBatch) -> ExecutionPlan:
-    """Scatter-shaped model-cover plan over an unsharded binding: one
-    :class:`CoverOp` per window group (the server's query path)."""
-    ops = []
-    for group in group_queries_by_window(
-        queries, None, windows_for_times=binding.windows_for_times
-    ):
-        stamp, sub, _ = binding.slice_for(None, group.window_c)
-        context = PlanContext(group.window_c, None, stamp, len(sub))
-        ops.append(CoverOp(context, group.indices, group.queries))
-    return ExecutionPlan(binding, queries, tuple(ops), None, "model-cover")
 
 
 def build_sharded_plan(

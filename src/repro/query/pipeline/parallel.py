@@ -71,7 +71,6 @@ from repro.query.pipeline.gather import BLOCK_CELLS
 from repro.query.pipeline.plan import (
     CoverOp,
     ExecutionPlan,
-    FallbackOp,
     MergeOp,
     PlanContext,
     PlanReport,
@@ -328,9 +327,6 @@ class ProcessPlanExecutor:
             return self.engine.execute(plan, report)
 
     def _run(self, plan: ExecutionPlan) -> BatchResult:
-        # A worker's binding is over region shards' exports.
-        if any(not isinstance(op, FallbackOp) and op.context.shard is None for op in plan.ops):
-            raise _Unsupported("process execution needs sharded plan contexts")
         if not self.engine.router.prefix_exportable:
             # The segment store pages sealed windows to segment files, so no
             # contiguous in-memory shard prefix exists to export over

@@ -52,24 +52,21 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class PlanContext:
     """The pinned storage context one operator executes against.
 
-    ``shard`` is None on a server snapshot's group plans.  ``stamp`` is
-    the content epoch of the bound window slice at plan-build time; the
-    executor resolves the slice back through the plan's binding, whose
-    memo guarantees the very same pinned data (build and execution can
-    never see different rows, even under concurrent ingest).  ``n_rows`` is the slice length
-    at build time — the statistic cost estimates are quoted against.
+    ``stamp`` is the content epoch of the bound window slice at
+    plan-build time; the executor resolves the slice back through the
+    plan's binding, whose memo guarantees the very same pinned data
+    (build and execution can never see different rows, even under
+    concurrent ingest).  ``n_rows`` is the slice length at build time —
+    the statistic cost estimates are quoted against.
     """
 
     window_c: int
-    shard: Optional[int]
+    shard: int
     stamp: int
     n_rows: int
 
     def describe(self) -> str:
-        where = f"w{self.window_c}"
-        if self.shard is not None:
-            where += f"/s{self.shard}"
-        return f"{where}@e{self.stamp}"
+        return f"w{self.window_c}/s{self.shard}@e{self.stamp}"
 
 
 @dataclass(frozen=True)

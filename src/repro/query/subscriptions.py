@@ -47,19 +47,15 @@ maps to the open tail window (or while the backend is still empty).
 Such subscriptions are tracked as *unstable* and re-assigned on every
 non-quiet pass — stable subscriptions never pay assignment again.
 
-Every backend pins the same thing: an ``(epoch, binding)`` pair over
-one of the plan pipeline's snapshot bindings, read by one view.
-:func:`registry_for` builds the backend for
-
-* a :class:`~repro.query.sharded.ShardedQueryEngine`
-  (:class:`~repro.query.pipeline.binding.RouterBinding`; exact whenever
-  no ingest overlaps the pass, eventually consistent under a
-  free-running writer — see :class:`_View`);
-* an :class:`~repro.server.server.EnviroMeterServer`
-  (:class:`~repro.query.pipeline.binding.ServerSnapshotBinding`;
-  model-cover answers against its pinned storage snapshot);
-
-and for their concurrent/process wrappers.
+Every pass pins the same thing: an ``(epoch, binding)`` pair over the
+plan pipeline's one snapshot binding,
+:class:`~repro.query.pipeline.binding.RouterBinding`, read by one view.
+:func:`registry_for` builds the backend for a
+:class:`~repro.query.sharded.ShardedQueryEngine` and for anything that
+wraps one (the process executor, the paper-protocol
+:class:`~repro.server.server.EnviroMeterServer`).  The binding is an
+exact snapshot, so every delivered update is the answer over exactly
+the pinned row prefix — under a free-running writer too.
 """
 
 from __future__ import annotations
@@ -256,10 +252,10 @@ class Subscription:
 # -- the pinned view ---------------------------------------------------------
 #
 # A backend pins one ``(epoch, binding)`` pair per maintenance pass — the
-# same SnapshotBinding the plan pipeline builds and executes plans
+# same RouterBinding the plan pipeline builds and executes plans
 # against — and maintenance reads it through one :class:`_View`.  Window
 # keys are global window indices; a mark is a window's per-shard
-# ``(stamp, rows)`` tuple (one entry on the single-slice bindings).
+# ``(stamp, rows)`` tuple.
 
 
 class _View:
@@ -269,14 +265,12 @@ class _View:
       state (``rows`` is the replay oracle's prefix);
     * :meth:`assign` — (window keys, unstable mask) of a query batch;
     * :meth:`mark` — cheap per-shard ``(stamp, rows)`` for change
-      detection.  It reads the binding's ``peek_window``, which on a
-      :class:`~repro.query.pipeline.binding.RouterBinding` is an O(1)
+      detection.  It reads the binding's ``peek_window``, an O(1)
       *unpinned* read, so checking a registered window never faults a
-      cold one in from the durable tier; the single-slice bindings are
-      pinned by construction, so there it is the pinned mark.  Under a
-      free-running writer the unpinned read makes the sharded engine
-      eventually consistent: a racing ingest can at worst delay an update
-      to the next pass;
+      cold one in from the durable tier.  It may be fresher than the
+      pin, never older: a window whose live mark equals the committed
+      one cannot have changed in between (stamps only grow), and any
+      other window is re-executed on the pinned slices;
     * :meth:`pinned_mark` — the mark of the *pinned* slices, committed
       after the pass so a skipped window is never marked past the rows
       that were actually examined;
@@ -383,61 +377,36 @@ class _Backend:
 def registry_for(target) -> "SubscriptionRegistry":
     """A registry over any supported query backend.
 
-    Dispatches engines, servers, and their concurrent/process wrappers
-    (``ConcurrentEnviroMeterServer`` via ``.inner``,
-    ``ProcessShardedEngine`` via ``.engine`` — subscription maintenance
-    always runs against the in-process engine; plan execution for
-    interactive requests keeps whatever wrapper the caller serves from).
+    Dispatches the engine itself and anything that wraps one as
+    ``.engine`` (``ProcessShardedEngine``, ``EnviroMeterServer``) —
+    subscription maintenance always runs against the in-process engine;
+    plan execution for interactive requests keeps whatever wrapper the
+    caller serves from.
     """
-    from repro.query.pipeline.binding import ServerSnapshotBinding
     from repro.query.sharded import SHARDED_METHODS, ShardedQueryEngine
-    from repro.server.server import (
-        ConcurrentEnviroMeterServer,
-        EnviroMeterServer,
-    )
 
-    if isinstance(target, ConcurrentEnviroMeterServer):
-        target = target.inner
     if not isinstance(target, ShardedQueryEngine) and isinstance(
         getattr(target, "engine", None), ShardedQueryEngine
     ):
-        target = target.engine  # ProcessShardedEngine and friends
-    if isinstance(target, ShardedQueryEngine):
-        engine = target
-
-        def pin():
-            binding = engine.binding()
-            return engine.router.epoch, binding
-
-        backend = _Backend(
-            pin=pin,
-            execute=lambda binding, batch, method: engine.execute(
-                engine.plan(batch, method, binding=binding)
-            ),
-            h=engine.router.h,
-            methods=SHARDED_METHODS,
-            default_method="naive",
-            radius_m=engine.radius_m,
-        )
-    elif isinstance(target, EnviroMeterServer):
-        server = target
-
-        def pin():
-            snap = server.snapshot()
-            return snap.epoch, ServerSnapshotBinding(snap)
-
-        backend = _Backend(
-            pin=pin,
-            execute=lambda binding, batch, method: server.execute_plan(
-                batch, binding.snapshot
-            ),
-            h=server.h,
-            methods=("model-cover",),
-            default_method="model-cover",
-            radius_m=None,
-        )
-    else:
+        target = target.engine
+    if not isinstance(target, ShardedQueryEngine):
         raise TypeError(f"no subscription backend for {type(target).__name__}")
+    engine = target
+
+    def pin():
+        binding = engine.binding()
+        return binding.epoch, binding
+
+    backend = _Backend(
+        pin=pin,
+        execute=lambda binding, batch, method: engine.execute(
+            engine.plan(batch, method, binding=binding)
+        ),
+        h=engine.router.h,
+        methods=SHARDED_METHODS,
+        default_method="naive",
+        radius_m=engine.radius_m,
+    )
     return SubscriptionRegistry(backend)
 
 

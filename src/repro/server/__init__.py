@@ -1,8 +1,7 @@
 """The EnviroMeter server (Figure 1/3 server region)."""
 
-from repro.server.server import ConcurrentEnviroMeterServer, EnviroMeterServer
+from repro.server.server import EnviroMeterServer
 
 __all__ = [
-    "ConcurrentEnviroMeterServer",
     "EnviroMeterServer",
 ]

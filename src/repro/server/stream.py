@@ -11,13 +11,13 @@ ingest/lazy-refit path a live deployment follows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Tuple, Union
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro.data.tuples import TupleBatch
 from repro.network.messages import QueryRequest
-from repro.server.server import ConcurrentEnviroMeterServer, EnviroMeterServer
+from repro.server.server import EnviroMeterServer
 
 ProgressCallback = Callable[[float, int], None]
 """Called after each delivered batch with (virtual time, total ingested)."""
@@ -30,22 +30,17 @@ class ReplayStats:
     batches: int = 0
     tuples: int = 0
     covers_built: int = 0
-    covers_fitted: int = 0
     windows_sealed: int = 0
     final_time: float = 0.0
     final_epoch: int = 0
 
 
 class StreamReplayer:
-    """Replays a tuple batch into a server in ``batch_interval_s`` slices.
-
-    Accepts any server exposing the duck-typed serving interface
-    (``ingest``/``handle`` plus the replay-stats properties) — the plain
-    and concurrent front ends both qualify."""
+    """Replays a tuple batch into a server in ``batch_interval_s`` slices."""
 
     def __init__(
         self,
-        server: Union[EnviroMeterServer, ConcurrentEnviroMeterServer],
+        server: EnviroMeterServer,
         batch_interval_s: float = 600.0,
     ) -> None:
         if batch_interval_s <= 0:
@@ -85,8 +80,8 @@ class StreamReplayer:
         """Replay the stream; optionally issue a point query after every
         ``query_every_s`` of virtual time (forcing lazy cover builds).
 
-        Returns replay statistics, including how many distinct covers the
-        server materialised along the way.
+        Returns replay statistics, including how many covers the server
+        fitted along the way.
         """
         stats = ReplayStats()
         next_query = float(batch.t[0]) + (query_every_s or 0.0) if len(batch) else 0.0
@@ -101,8 +96,7 @@ class StreamReplayer:
                 next_query = now + query_every_s
             if on_progress is not None:
                 on_progress(now, stats.tuples)
-        stats.covers_built = self.server.covers_stored
-        stats.covers_fitted = self.server.builder_fit_count
+        stats.covers_built = self.server.builder_fit_count
         stats.windows_sealed = self.server.sealed_windows_total
-        stats.final_epoch = getattr(self.server, "epoch", 0)
+        stats.final_epoch = self.server.epoch
         return stats

@@ -49,7 +49,10 @@ from repro.geo.coords import BoundingBox
 from repro.geo.region import RefinedRegionGrid, RegionGrid
 from repro.storage.load import ShardLoadStat, ShardLoadTracker
 from repro.storage.sketch import WindowSketch
-from repro.storage.table import _NumericColumn
+
+#: Initial capacity of a numeric column.  Small, because a segment
+#: store starts a fresh open-tail column per shard at every seal.
+_CHUNK = 256
 
 
 class StaleLayoutError(RuntimeError):
@@ -58,6 +61,71 @@ class StaleLayoutError(RuntimeError):
     slices pinned before the rebalance stay valid forever (the retired
     layout's arrays are immutable), which is what keeps in-flight plans
     byte-identical across a rebalance."""
+
+
+class _NumericColumn:
+    """Growable float64/int64 column backed by one doubling buffer.
+
+    The buffer is only ever written at positions ``>= len(self)``, so the
+    read-only prefix views handed out by :meth:`snapshot` stay stable as
+    the column grows; a reallocation on growth copies the filled prefix
+    into the new buffer before the swap and leaves earlier snapshots
+    pointing at the old one.
+    """
+
+    __slots__ = ("dtype", "_buf", "_len", "_view")
+
+    def __init__(self, dtype: np.dtype) -> None:
+        self.dtype = dtype
+        self._buf = np.empty(_CHUNK, dtype=dtype)
+        self._len = 0
+        self._view: Optional[np.ndarray] = None
+
+    def prepare_bulk(self, values) -> np.ndarray:
+        """Validate/convert an array for :meth:`extend` without mutating."""
+        arr = np.asarray(values, dtype=self.dtype)
+        if arr.ndim != 1:
+            raise ValueError(f"column data must be one-dimensional, got {arr.ndim}-d")
+        return arr
+
+    def extend(self, values) -> None:
+        """Vectorised bulk append: one slice assignment, no Python loop."""
+        arr = self.prepare_bulk(values)
+        k = len(arr)
+        if not k:
+            return
+        need = self._len + k
+        cap = len(self._buf)
+        if need > cap:
+            while cap < need:
+                cap *= 2
+            buf = np.empty(cap, dtype=self.dtype)
+            buf[: self._len] = self._buf[: self._len]
+            self._buf = buf
+        self._buf[self._len : need] = arr
+        self._len = need
+        self._view = None
+
+    def __len__(self) -> int:
+        return self._len
+
+    def snapshot(self) -> np.ndarray:
+        """Immutable zero-copy view of the whole column (cached).
+
+        Safe to call concurrently with an appender: the filled length is
+        loaded *before* the buffer, so whichever buffer generation the
+        read lands on contains a fully-written prefix of that length.
+        The cache is validated by length and buffer identity, so a
+        racing reader re-caching a stale view only costs the next caller
+        a rebuild, never a torn read.
+        """
+        n = self._len
+        view = self._view
+        if view is None or view.shape[0] != n or view.base is not self._buf:
+            view = self._buf[:n]
+            view.flags.writeable = False
+            self._view = view
+        return view
 
 
 class _ShardColumn:
@@ -86,8 +154,17 @@ class _ShardColumn:
         self._view: Optional[Tuple[TupleBatch, np.ndarray]] = None
 
     def append(self, sub: TupleBatch, gids: np.ndarray) -> None:
-        for column, values in zip(self._columns, (sub.t, sub.x, sub.y, sub.s, gids)):
-            column.extend(values)
+        """Append rows with their gids; a malformed pair (a gid count
+        unlike the row count, a gid array that is not 1-D) raises
+        ``ValueError`` before any column changes."""
+        values = [
+            column.prepare_bulk(v)
+            for column, v in zip(self._columns, (sub.t, sub.x, sub.y, sub.s, gids))
+        ]
+        if len(values[4]) != len(sub):
+            raise ValueError(f"{len(values[4])} gids for {len(sub)} rows")
+        for column, v in zip(self._columns, values):
+            column.extend(v)
         self._n += len(sub)
 
     def rows(self) -> Tuple[TupleBatch, np.ndarray]:
@@ -453,23 +530,6 @@ class ShardRouter:
         """
         return self._sketches[s].get(int(c), WindowSketch.EMPTY)
 
-    def frozen_window_sketch(self, s: int, c: int) -> Optional[WindowSketch]:
-        """The immutable sketch of a *sealed* global window, else ``None``.
-
-        Once the write head passes ``(c + 1) * h`` rows the window's
-        rows — and therefore its sketch — can never change again, so the
-        sketch can be handed out without the router lock and without
-        materialising the slice.  This is the no-pin path the binding's
-        pruning pass prefers: skipping a window costs a dictionary read,
-        not a slice resolution (and on the durable tier, not a segment
-        fault-in).  Open windows return ``None`` — their sketch must be
-        pinned coherently with the slice.
-        """
-        c = int(c)
-        if c < self._global_rows // self.h:
-            return self._sketches[s].get(c, WindowSketch.EMPTY)
-        return None
-
     def window_stats(self, c: int) -> List[tuple]:
         """Unlocked per-shard ``(stamp, n_rows, read_epoch)`` estimates
         for global window ``c`` (index = shard), read off the maintained
@@ -510,6 +570,13 @@ class ShardRouter:
                 gids,
                 self.shard_window_sketch(s, c),
             )
+
+    def head(self) -> Tuple[int, int, int]:
+        """``(epoch, global rows, layout epoch)`` of the last committed
+        ingest or re-cut, read together under the lock — the point a
+        snapshot binding pins."""
+        with self._lock:
+            return self._epoch, self._global_rows, self._layout_epoch
 
     def windows_for_times(self, ts) -> np.ndarray:
         """Global window index responsible for each query timestamp.

@@ -10,7 +10,7 @@ by.
 
 Why a prefix export is sound: the storage layer is append-only and a
 shard's committed prefix is immutable (buffer reallocation in
-:class:`~repro.storage.table._NumericColumn` copies the prefix before the
+:class:`~repro.storage.shards._NumericColumn` copies the prefix before the
 swap, and rows never mutate in place).  Copying the first ``n`` rows into
 a shared block therefore captures them forever — any plan op whose bound
 slice lies inside ``[0, n)`` can be answered from the block, bit-for-bit

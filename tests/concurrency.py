@@ -201,7 +201,7 @@ def serial_replay_answers(
     Returns ``(chunk, serial fingerprints)`` pairs; a snapshot-isolation
     bug shows up as a fingerprint mismatch.  Epoch ``e`` is the server
     state after the first ``e`` ingested batches (every batch non-empty),
-    exactly :attr:`repro.storage.engine.Database.epoch`'s numbering.
+    exactly :attr:`repro.storage.shards.ShardRouter.epoch`'s numbering.
     """
     server = make_server()
     by_epoch: dict = {}

@@ -98,3 +98,18 @@ class TestDashboard:
         server.handle(QueryRequest(t=now, x=2000.0, y=1500.0))
         panel = Dashboard(server, REGION).render(now)
         assert "1 value responses" in panel
+
+    def test_panel_reads_the_servers_rows_and_served_cover(self, small_batch):
+        from repro.core.cover import ModelCover
+        from repro.network.messages import ModelRequest
+
+        server = EnviroMeterServer(h=240)
+        server.ingest(small_batch.slice(0, 1000))
+        now = float(small_batch.t[700])
+        panel = Dashboard(server, REGION).render(now)
+        assert "data: 1000 tuples ingested; window 2 (240 tuples)" in panel
+        # The panel's t_n is the one the server ships for the window.
+        served = ModelCover.from_blob(
+            server.handle(ModelRequest(t=now, x=0.0, y=0.0)).blob
+        )
+        assert f"t_n = {served.valid_until:.0f}" in panel

@@ -58,6 +58,21 @@ class TestCommands:
         assert "replayed" in out
         assert "cover(s)" in out
 
+    def test_serve_replay_output_is_pinned(self, capsys):
+        """The replay's report on the 1-day fixture, byte for byte."""
+        assert main(["serve", "--days", "1"]) == 0
+        assert capsys.readouterr().out == (
+            "replayed 6024 tuples in 105 batches; server built 17 cover(s), "
+            "served 17 value(s)\n"
+        )
+
+    def test_serve_workers_answers_during_ingest(self, capsys):
+        rc = main(["serve", "--days", "1", "--serve-workers", "2"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "concurrent front end: 2 worker(s) answered" in out
+        assert "final epoch 105" in out
+
     def test_serve_shards_require_network_mode(self, capsys):
         rc = main(
             ["serve", "--days", "1", "--query-every", "14400", "--shards", "4"]

@@ -84,9 +84,9 @@ class TestFleetSimulator:
     ):
         bbox = small_dataset.covered_bbox()
         FleetSimulator(server).run(commuter_fleet(5, bbox, n_queries=10), t_start)
-        # Five model requests served, but only one cover blob materialised.
+        # Five model requests served, but only one cover fitted.
         assert server.served_covers == 5
-        assert len(server.db.table("model_cover")) == 1
+        assert server.builder_fit_count == 1
 
 
 class TestCommuterFleet:

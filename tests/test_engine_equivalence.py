@@ -14,7 +14,10 @@ One randomised workload, every execution path, one chain of asserts:
   equality, for exact methods *and* for the planner-driven ``auto``;
 * the sharded engine's **model-cover fallback** (owning shard has no
   tuples in the window) == the exact scatter-gather answer, byte for
-  byte.
+  byte;
+* the paper protocol (``EnviroMeterServer``) == covers built from core
+  functions (``window`` -> ``fit_adkmn`` with ``t_n`` = last time +
+  horizon): every value and every model-request blob, byte for byte.
 
 Workloads are generated by hypothesis: random tuple streams (positions,
 strictly increasing times, values) and random query sets spanning the
@@ -34,7 +37,7 @@ from repro.data.tuples import TupleBatch
 from repro.data.windows import window, windows_for_times
 from repro.geo.coords import BoundingBox
 from repro.geo.region import RegionGrid
-from repro.network.messages import ModelRequest, QueryRequest
+from repro.network.messages import ModelCoverResponse, ModelRequest, QueryRequest
 from repro.query.base import QueryBatch, process_batch_scalar
 from repro.query.executor import group_queries_by_window, scatter_results
 from repro.query.indexed import IndexedProcessor, available_index_kinds
@@ -42,7 +45,7 @@ from repro.query.modelcover import ModelCoverProcessor
 from repro.query.naive import NaiveProcessor
 from repro.query.planner import QueryProfile
 from repro.query.sharded import ShardedQueryEngine
-from repro.server.server import ConcurrentEnviroMeterServer, EnviroMeterServer
+from repro.server.server import EnviroMeterServer
 from repro.storage.shards import ShardRouter
 
 from one_shard import grow, one_shard_engine
@@ -370,26 +373,115 @@ def legacy_sharded_exact(router: ShardRouter, queries: QueryBatch, radius_m):
     )
 
 
-def legacy_server_values(server: EnviroMeterServer, requests):
-    """The pre-pipeline EnviroMeterServer.handle_many query path: group
-    by responsible window against one pinned snapshot, one cover lookup
-    and one vectorised evaluation per group."""
-    snap = server.snapshot()
-    ts = np.array([r.t for r in requests])
-    windows = snap.windows_for_times(ts)
-    values = np.full(len(requests), np.nan)
-    for c in np.unique(windows):
-        members = np.flatnonzero(windows == c)
-        cover = server._cover_for(int(c), snap)
-        proc = ModelCoverProcessor(cover)
-        batch = QueryBatch(
-            ts[members],
-            np.array([requests[i].x for i in members]),
-            np.array([requests[i].y for i in members]),
+HORIZON_S = 4.0 * 3600.0
+
+
+def reference_cover(stream: TupleBatch, c: int, horizon_s: float = HORIZON_S):
+    """The served cover of window ``c`` built from core functions alone:
+    ``window`` -> ``fit_adkmn`` stamped ``t_n`` = the window's last time
+    + the validity horizon (what the server answers model requests with)."""
+    w = window(stream, c, H)
+    return fit_adkmn(
+        w, valid_until=float(w.t[-1]) + horizon_s, window_c=c
+    ).cover
+
+
+def reference_protocol(stream: TupleBatch, requests):
+    """The paper protocol's answers over ``stream``: per request, the
+    value a ``ModelCoverProcessor`` over its window's reference cover
+    gives (``NaN`` for a non-finite field), or that cover's blob."""
+    finite = [
+        i for i, r in enumerate(requests)
+        if np.isfinite(r.t) and np.isfinite(r.x) and np.isfinite(r.y)
+    ]
+    windows = dict(
+        zip(finite, windows_for_times(stream.t, [requests[i].t for i in finite], H))
+    )
+    covers = {}
+    out = []
+    for i, r in enumerate(requests):
+        if i not in windows:
+            out.append(np.nan)
+            continue
+        c = int(windows[i])
+        if c not in covers:
+            covers[c] = reference_cover(stream, c)
+        if isinstance(r, ModelRequest):
+            out.append(covers[c].to_blob())
+        else:
+            res = ModelCoverProcessor(covers[c]).process_batch(
+                QueryBatch(np.array([r.t]), np.array([r.x]), np.array([r.y]))
+            )
+            out.append(float(res.values[0]) if res.answered[0] else np.nan)
+    return out
+
+
+def protocol_fingerprints(answers):
+    """Byte identity per answer: a blob, or a value's float64 bytes."""
+    return [
+        a if isinstance(a, bytes) else np.float64(a).tobytes() for a in answers
+    ]
+
+
+def served_fingerprints(responses):
+    return protocol_fingerprints(
+        [r.blob if isinstance(r, ModelCoverResponse) else r.value for r in responses]
+    )
+
+
+_request_specs = st.lists(
+    st.tuples(
+        st.floats(min_value=-0.1, max_value=1.1, allow_nan=False),  # time frac
+        st.floats(min_value=-9000.0, max_value=15_000.0, allow_nan=False),
+        st.floats(min_value=-7000.0, max_value=11_000.0, allow_nan=False),
+        st.booleans(),  # model request?
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+def make_requests(stream: TupleBatch, specs):
+    t0, t1 = float(stream.t[0]), float(stream.t[-1])
+    return [
+        (ModelRequest if model else QueryRequest)(
+            t=t0 + frac * (t1 - t0), x=x, y=y
         )
-        res = proc.process_batch(batch)
-        values[members] = np.where(res.answered, res.values, np.nan)
-    return values
+        for frac, x, y, model in specs
+    ]
+
+
+class TestProtocolOracle:
+    """The server's paper protocol == covers built from core functions,
+    byte for byte: every ``ValueResponse.value`` and every
+    ``ModelCoverResponse.blob``, batched and one by one, and while
+    ingest grows the store."""
+
+    @_SETTINGS
+    @given(n=_streams, specs=_request_specs, seed=_seeds)
+    def test_values_and_blobs_match_core_reference(self, n, specs, seed):
+        rng = np.random.default_rng(seed)
+        stream = make_stream(rng, n)
+        requests = make_requests(stream, specs)
+        server = EnviroMeterServer(h=H)
+        server.ingest(stream)
+        want = protocol_fingerprints(reference_protocol(stream, requests))
+        assert served_fingerprints(server.handle_many(requests)) == want
+        assert served_fingerprints([server.handle(r) for r in requests]) == want
+
+    @_SETTINGS
+    @given(n=st.integers(min_value=2, max_value=120), specs=_request_specs, seed=_seeds)
+    def test_matches_reference_at_every_ingest_prefix(self, n, specs, seed):
+        rng = np.random.default_rng(seed)
+        stream = make_stream(rng, n)
+        server = EnviroMeterServer(h=H)
+        cut = int(rng.integers(1, n))
+        for lo, hi in ((0, cut), (cut, n)):
+            server.ingest(stream.slice(lo, hi))
+            prefix = stream.slice(0, hi)
+            requests = make_requests(prefix, specs)
+            want = protocol_fingerprints(reference_protocol(prefix, requests))
+            assert served_fingerprints(server.handle_many(requests)) == want
 
 
 class TestPipelineGoldenOracle:
@@ -446,14 +538,14 @@ class TestPipelineGoldenOracle:
         legacy = legacy_sharded_exact(router, queries, RADIUS_M)
         assert_same_answers(quiesced, legacy, exact=True)
 
-    def test_server_paths_match_legacy_and_each_other(self):
-        """Scalar handle, batched handle_many and the pool-fanned
-        concurrent front end all serve the legacy cover evaluations —
-        handle_many byte-identical to the legacy grouped path, and the
-        concurrent front end byte-identical to handle_many."""
+    def test_server_paths_match_reference_and_each_other(self):
+        """Scalar handle, batched handle_many and a pool-fanned batch all
+        serve the reference cover evaluations byte for byte."""
+        from repro.query.pipeline.executor import MIN_PARALLEL_QUERIES
+
         rng = np.random.default_rng(17)
         stream = make_stream(rng, 4 * H)
-        server = EnviroMeterServer(h=H)
+        server = EnviroMeterServer(h=H, max_workers=3)
         for start in range(0, len(stream), H):
             server.ingest(stream.slice(start, start + H))
         requests = [
@@ -462,23 +554,17 @@ class TestPipelineGoldenOracle:
                 x=float(rng.uniform(0.0, 6000.0)),
                 y=float(rng.uniform(0.0, 4000.0)),
             )
-            for i in range(40)
+            for i in range(2 * MIN_PARALLEL_QUERIES)
         ]
-        legacy = legacy_server_values(server, requests)
-        batched = server.handle_many(requests)
-        np.testing.assert_array_equal(
-            np.array([r.value for r in batched]), legacy
-        )
-        front = ConcurrentEnviroMeterServer(server, max_workers=3)
+        want = protocol_fingerprints(reference_protocol(stream, requests))
         try:
-            fanned = front.handle_many(list(requests))
+            assert served_fingerprints(server.handle_many(requests)) == want
+            assert served_fingerprints([server.handle(r) for r in requests[:40]]) == (
+                want[:40]
+            )
         finally:
-            front.close()
-        np.testing.assert_array_equal(
-            np.array([r.value for r in fanned]), legacy
-        )
-        # Model requests still ride along the scalar path untouched.
+            server.close()
         blob = server.handle(
             ModelRequest(t=float(stream.t[-1]), x=100.0, y=100.0)
         ).blob
-        assert isinstance(blob, bytes) and blob
+        assert blob == reference_cover(stream, (len(stream) - 1) // H).to_blob()

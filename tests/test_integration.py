@@ -27,14 +27,14 @@ class TestFullLoop:
 
         t = float(small_dataset.tuples.t[800])
         # Point query through the server path.
-        from repro.network.messages import QueryRequest
+        from repro.network.messages import ModelRequest, QueryRequest
 
         response = server.handle(QueryRequest(t=t, x=2000.0, y=1500.0))
         assert 200.0 < response.value < 1500.0
 
-        # The stored cover blob round-trips through the database.
+        # The served cover blob round-trips.
         c = server.current_window(t)
-        _, _, blob = server.db.cover_blob_for_window(c)
+        blob = server.handle(ModelRequest(t=t, x=2000.0, y=1500.0)).blob
         cover = ModelCover.from_blob(blob)
         assert cover.window_c == c
 

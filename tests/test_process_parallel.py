@@ -394,32 +394,6 @@ class TestCrashRecovery:
             _assert_identical(expected, executor.execute(plan))
             assert executor.fallbacks == 1
 
-    def test_unsupported_plan_falls_back(self, small_dataset, small_batch):
-        # A server snapshot's group plan has shard=None contexts: the
-        # process path cannot serialize it and must fall back
-        # transparently to the engine's in-process executor.
-        from repro.query.pipeline import ServerSnapshotBinding, build_group_plan
-        from repro.server.server import EnviroMeterServer
-
-        server = EnviroMeterServer(h=240)
-        server.ingest(small_batch)
-        binding = ServerSnapshotBinding(server.snapshot())
-        t = float(small_batch.t[500])
-        queries = QueryBatch(
-            np.array([t, t]), np.array([1000.0, 2000.0]), np.array([1000.0, 1500.0])
-        )
-        plan = build_group_plan(binding, queries)
-        engine = ShardedQueryEngine(_router(small_dataset), max_workers=1)
-        with ProcessPlanExecutor(engine, processes=1) as executor:
-            result = executor.execute(plan)
-            assert executor.fallbacks == 1
-            assert dict(executor.fallback_reasons) == {
-                "process execution needs sharded plan contexts": 1
-            }
-            assert executor._workers == [None]  # nothing was spawned for it
-        expected = engine.execute(build_group_plan(binding, queries))
-        assert np.array_equal(expected.values, result.values, equal_nan=True)
-
 
 class TestProcessShardedEngine:
     def test_three_request_shapes(self, small_dataset):

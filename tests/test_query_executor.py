@@ -1,9 +1,8 @@
-"""Tests for repro.query.executor — grouping, chunking, scatter.
+"""Tests for repro.query.executor — grouping, scatter, the pool.
 
-These helpers sit under every fan-out path (the thread-pool plan
-executor, the concurrent serving layer, the process pool's scatter
-replication), so their edge cases are load-bearing: a wrong chunk split
-silently reorders a batch, a wrong scatter silently swaps answers
+The per-window grouping and scatter compose the oracles' reference
+answers, and the pool sits under the plan executor's fan-out, so their
+edge cases are load-bearing: a wrong scatter silently swaps answers
 between queries.
 """
 
@@ -18,46 +17,7 @@ from repro.query.executor import (
     QueryGroup,
     group_queries_by_window,
     scatter_results,
-    split_chunks,
 )
-
-
-class TestSplitChunks:
-    def test_more_chunks_than_items_collapses_to_singletons(self):
-        chunks = split_chunks([1, 2, 3], 10)
-        assert chunks == [[1], [2], [3]]
-
-    def test_empty_input_yields_no_chunks(self):
-        assert split_chunks([], 4) == []
-
-    def test_single_chunk_is_the_whole_sequence(self):
-        assert split_chunks([1, 2, 3, 4], 1) == [[1, 2, 3, 4]]
-
-    def test_zero_chunks_rejected(self):
-        with pytest.raises(ValueError):
-            split_chunks([1], 0)
-
-    def test_uneven_split_puts_extras_first(self):
-        chunks = split_chunks(list(range(7)), 3)
-        assert [len(c) for c in chunks] == [3, 2, 2]
-        assert [v for chunk in chunks for v in chunk] == list(range(7))
-
-    @given(
-        items=st.lists(st.integers(), max_size=60),
-        n=st.integers(min_value=1, max_value=12),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_round_trip_property(self, items, n):
-        chunks = split_chunks(items, n)
-        # Concatenation restores the input exactly, in order.
-        assert [v for chunk in chunks for v in chunk] == items
-        # No chunk is empty, and no more than n chunks exist.
-        assert all(len(chunk) >= 1 for chunk in chunks)
-        assert len(chunks) == min(n, len(items))
-        # Near-equal: chunk sizes differ by at most one.
-        if chunks:
-            sizes = [len(chunk) for chunk in chunks]
-            assert max(sizes) - min(sizes) <= 1
 
 
 def _group(window_c, indices, batch):

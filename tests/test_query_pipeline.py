@@ -12,6 +12,7 @@ contract recalibrated against the benchmark scenarios.
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -29,13 +30,11 @@ from repro.query.pipeline import (
     PlanReport,
     ProcessorCache,
     ScanOp,
-    ServerSnapshotBinding,
-    build_group_plan,
     format_plan,
 )
 from repro.query.planner import PlanEstimate, QueryProfile
 from repro.query.sharded import ShardedQueryEngine
-from repro.server.server import ConcurrentEnviroMeterServer, EnviroMeterServer
+from repro.server.server import EnviroMeterServer
 from repro.storage.shards import ShardRouter
 
 from one_shard import grow, one_shard_engine
@@ -123,6 +122,96 @@ class TestProcessorCache:
             t.join()
         assert not errors
         assert len(cache) <= 12
+
+    def test_concurrent_misses_of_one_entry_build_once(self):
+        cache = ProcessorCache(4)
+        barrier = threading.Barrier(6)
+        started = threading.Event()
+        release = threading.Event()
+        built, got = [], []
+
+        def build():
+            built.append(1)
+            started.set()
+            release.wait(timeout=10)
+            return object()
+
+        def worker():
+            barrier.wait()
+            got.append(cache.get_or_build(("cover", 0, 1), 7, build))
+
+        threads = [threading.Thread(target=worker) for _ in range(6)]
+        for t in threads:
+            t.start()
+        assert started.wait(timeout=10)
+        release.set()
+        for t in threads:
+            t.join()
+        assert len(built) == 1
+        assert all(v is got[0] for v in got)
+        assert cache.stats.lookups == 6
+
+    def test_waiter_builds_itself_when_the_build_fails(self):
+        cache = ProcessorCache(4)
+        started = threading.Event()
+        release = threading.Event()
+
+        def failing():
+            started.set()
+            release.wait(timeout=10)
+            raise RuntimeError("fit failed")
+
+        errors = []
+
+        def leader():
+            try:
+                cache.get_or_build(("k",), 0, failing)
+            except RuntimeError as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=leader)
+        thread.start()
+        assert started.wait(timeout=10)
+        waiter_result = []
+        waiter = threading.Thread(
+            target=lambda: waiter_result.append(
+                cache.get_or_build(("k",), 0, lambda: "rebuilt")
+            )
+        )
+        waiter.start()
+        # Once the waiter's lookup has missed, the failing build is still
+        # in flight, so the waiter is (or is about to be) waiting on it.
+        deadline = time.monotonic() + 10
+        while cache.stats.misses < 2 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        release.set()
+        thread.join()
+        waiter.join()
+        assert len(errors) == 1
+        assert waiter_result == ["rebuilt"]
+        assert cache.peek(("k",), 0) == "rebuilt"
+
+    def test_other_stamps_of_a_key_do_not_wait(self):
+        """Only one ``(key, stamp)`` is single-flight: a reader pinned at
+        another stamp builds its own entry while the first build runs."""
+        cache = ProcessorCache(4)
+        started = threading.Event()
+        release = threading.Event()
+
+        def slow():
+            started.set()
+            release.wait(timeout=10)
+            return "old"
+
+        thread = threading.Thread(target=lambda: cache.get_or_build(("k",), 1, slow))
+        thread.start()
+        assert started.wait(timeout=10)
+        try:
+            assert cache.get_or_build(("k",), 2, lambda: "new") == "new"
+        finally:
+            release.set()
+            thread.join()
+        assert cache.peek(("k",), 2) == "new"  # never moved backwards
 
     def test_older_stamp_insert_keeps_newer_entry(self):
         cache = ProcessorCache(4)
@@ -292,21 +381,23 @@ class TestPlannerFeedback:
 
 
 class TestPlanShapes:
-    def test_server_group_plan_groups_and_contexts(self):
+    def test_server_plan_is_one_cover_op_per_window(self):
         rng = np.random.default_rng(11)
         stream = make_stream(rng, 200)
         server = EnviroMeterServer(h=40)
         server.ingest(stream)
-        snap = server.snapshot()
+        engine = server.engine
+        binding = engine.binding()
         ts = np.array([float(stream.t[5]), float(stream.t[50]), float(stream.t[150])])
         queries = QueryBatch(ts, np.full(3, 2000.0), np.full(3, 1500.0))
-        plan = build_group_plan(ServerSnapshotBinding(snap), queries)
+        plan = engine.plan(queries, "model-cover", binding=binding)
         assert plan.merge is None and plan.method == "model-cover"
         assert [op.context.window_c for op in plan.ops] == [0, 1, 3]
         for op in plan.ops:
             assert isinstance(op, CoverOp)
-            assert op.context.shard is None
-            assert op.context.n_rows == len(snap.window(op.context.window_c))
+            assert op.context.shard == 0
+            c = op.context.window_c
+            assert op.context.n_rows == len(binding.slice_for(0, c)[1]) == 40
 
     def test_sharded_exact_plan_is_merge_shaped(self):
         rng = np.random.default_rng(12)
@@ -440,17 +531,16 @@ class TestServerCounters:
         assert stats.lookups == stats.hits + stats.misses
         assert stats.hits > 0  # second pass served from the cover memo
 
-    def test_concurrent_front_end_delegates_counters(self):
+    def test_server_counters_are_the_engine_cache_counters(self):
         rng = np.random.default_rng(32)
         server, stream = self.make_server(rng)
-        front = ConcurrentEnviroMeterServer(server, max_workers=2)
         reqs = [
             QueryRequest(t=float(stream.t[-1]), x=1000.0 * i, y=1200.0)
             for i in range(4)
         ]
-        front.handle_many(reqs)
-        assert front.cache_stats is server.cache_stats
-        front.close()
+        server.handle_many(reqs)
+        assert server.cache_stats is server.engine.cache_stats
+        assert server.cover_cache is server.engine.processor_cache
 
     def test_server_cover_memo_stale_on_ingest(self):
         rng = np.random.default_rng(33)

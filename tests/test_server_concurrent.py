@@ -18,7 +18,7 @@ import pytest
 from repro.client.fleet import FleetSimulator, commuter_fleet
 from repro.data.tuples import TupleBatch
 from repro.geo.coords import BoundingBox
-from repro.server.server import ConcurrentEnviroMeterServer, EnviroMeterServer
+from repro.server.server import EnviroMeterServer
 
 from concurrency import (
     make_query_workload,
@@ -121,19 +121,26 @@ class TestFreeRunningServer:
         assert server.epoch == 4  # empty ingest is not an epoch
 
 
-class TestConcurrentFrontEnd:
-    def test_handle_many_chunks_identical_to_serial(self):
+class TestWorkerPool:
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_pool_fanned_batch_identical_to_serial(self, workers):
+        """A batch large enough for the engine pool to fan its cover ops
+        out answers byte-identically to a one-worker server."""
+        from repro.query.pipeline.executor import MIN_PARALLEL_QUERIES
+
         rng = np.random.default_rng(13)
         stream = make_stream(rng, 500)
-        requests = make_query_workload(rng, stream, 150, model_request_every=9)
-        serial = EnviroMeterServer(h=H)
+        requests = make_query_workload(
+            rng, stream, 2 * MIN_PARALLEL_QUERIES, model_request_every=9
+        )
+        serial = EnviroMeterServer(h=H, max_workers=1)
         serial.ingest(stream)
-        inner = EnviroMeterServer(h=H)
-        inner.ingest(stream)
-        with ConcurrentEnviroMeterServer(inner, max_workers=4) as front:
-            responses, epochs = front.handle_many_with_epochs(requests)
+        with EnviroMeterServer(h=H, max_workers=workers) as pooled:
+            pooled.ingest(stream)
+            responses, epoch = pooled.handle_many_with_epoch(requests)
+            assert pooled.engine.executor.max_workers == workers
         assert len(responses) == len(requests)
-        assert set(np.unique(epochs)) == {1}
+        assert epoch == 1
         assert response_fingerprints(responses) == response_fingerprints(
             serial.handle_many(requests)
         )

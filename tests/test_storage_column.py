@@ -19,8 +19,7 @@ import pytest
 from repro.data.tuples import TupleBatch
 from repro.geo.coords import BoundingBox
 from repro.geo.region import RegionGrid
-from repro.storage.shards import ShardRouter, _ShardColumn
-from repro.storage.table import _NumericColumn
+from repro.storage.shards import ShardRouter, _NumericColumn, _ShardColumn
 from repro.storage.tiered import TieredShardRouter
 
 BOUNDS = BoundingBox(0.0, 0.0, 6000.0, 4000.0)

@@ -200,7 +200,7 @@ PROTOCOL = (
     "global_count", "global_window_count", "shard_counts",
     "shard_load_stats", "shard_window", "shard_windows",
     "shard_window_gids", "shard_window_epoch", "shard_window_sketch",
-    "frozen_window_sketch", "window_stats", "snapshot_window",
+    "head", "window_stats", "snapshot_window",
     "snapshot_window_sketch", "windows_for_times", "window_for_time",
     "split_shard", "merge_cell",
 )

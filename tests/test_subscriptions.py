@@ -23,7 +23,7 @@ from repro.query.subscriptions import (
     SubscriptionSpec,
     registry_for,
 )
-from repro.server.server import ConcurrentEnviroMeterServer, EnviroMeterServer
+from repro.server.server import EnviroMeterServer
 from repro.storage.shards import ShardRouter
 from repro.storage.tiered import TieredShardRouter
 
@@ -33,7 +33,7 @@ H = 240
 KINDS = ("engine", "sharded-engine", "server")
 # The server only serves model-cover answers; engines get an exact method
 # so the sketch-pruned path is exercised too.
-METHOD = {"engine": "naive", "sharded-engine": "naive", "server": None}
+METHOD = {"engine": "naive", "sharded-engine": "naive", "server": "model-cover"}
 
 
 def _bbox(batch, pad=500.0):
@@ -64,10 +64,7 @@ def _fresh(kind, batch, bbox):
 
 def _extend(kind, backend, batch, hi):
     """Grow ``backend`` to the first ``hi`` rows of ``batch``."""
-    if kind in ("engine", "sharded-engine"):
-        grow(backend, batch, hi)
-    else:
-        backend.ingest(batch.slice(len(backend.snapshot()), hi))
+    grow(getattr(backend, "engine", backend), batch, hi)
 
 
 def _reference(kind, batch, hi, bbox, query_batch, method):
@@ -200,11 +197,12 @@ class TestRegistryBasics:
             reg.poll(sub.id)
 
     def test_registry_for_unwraps_wrappers(self, small_batch):
-        inner = EnviroMeterServer(h=H)
-        inner.ingest(small_batch)
-        front = ConcurrentEnviroMeterServer(inner)
-        assert isinstance(front.subscriptions, SubscriptionRegistry)
-        assert front.subscriptions is inner.subscriptions
+        server = EnviroMeterServer(h=H)
+        server.ingest(small_batch)
+        assert isinstance(server.subscriptions, SubscriptionRegistry)
+        assert server.subscriptions is server.subscriptions
+        sub = server.subscribe(_route_near(small_batch), float(small_batch.t[1000]))
+        assert sub.method == "model-cover"
         with pytest.raises(TypeError):
             registry_for(object())
 
@@ -335,15 +333,12 @@ class TestReplayOracle:
             assert np.array_equal(v, ref_v, equal_nan=True)
             assert np.array_equal(sup, ref_s)
 
-    @pytest.mark.parametrize("kind", ["engine", "server"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_free_running_writer(self, kind, small_batch):
         """A writer thread grows the backend while the reader polls
-        concurrently.  The server pins its snapshot, so every delivered
-        update must be byte-identical to from-scratch execution at its
-        pinned row count.  The engine's marks are unpinned router reads,
-        so under a racing writer it is eventually consistent instead:
-        updates arrive gap-free and in order, and once the writer stops
-        the answer is the from-scratch one over the whole stream."""
+        concurrently.  Every pass pins an exact snapshot, so every
+        delivered update must be byte-identical to from-scratch execution
+        at its pinned row count."""
         batch = small_batch
         bbox = _bbox(batch)
         cut = int(0.6 * len(batch))
@@ -371,10 +366,7 @@ class TestReplayOracle:
         writer.join()
         updates.extend(reg.poll(sub.id))
         assert updates, "the growing tail must reach the subscription"
-        if kind == "server":
-            _replay(sub, updates, kind, batch, bbox)
-        else:
-            assert [u.seq for u in updates] == list(range(1, len(updates) + 1))
+        _replay(sub, updates, kind, batch, bbox)
         ref_v, ref_s = _reference(
             kind, batch, len(batch), bbox, sub.spec.query_batch(), sub.method
         )
