@@ -1,6 +1,6 @@
 """Ablation: cover validity horizon vs bandwidth (DESIGN.md §5.4).
 
-The server's ``validity_horizon_s`` decides how long a shipped cover
+The service's ``validity_horizon_s`` decides how long a shipped cover
 stays valid on the phone (its t_n).  Short horizons force model-cache
 clients to refresh often — trading bandwidth for freshness.  For a fixed
 2-hour continuous query we sweep the horizon and record refresh counts
@@ -16,7 +16,9 @@ from repro.client.modelcache import ModelCacheClient
 from repro.eval.experiments import _mid_window
 from repro.network.link import GPRS, CellularLink
 from repro.query.continuous import uniform_query_tuples, waypoint_trajectory
-from repro.server.server import EnviroMeterServer
+from repro.query.sharded import ShardedQueryEngine
+from repro.server.async_server import DEFAULT_COVER_CACHE_CAPACITY, EngineQueryService
+from repro.storage.shards import single_shard_router
 
 N_QUERIES = 120
 INTERVAL_S = 60.0
@@ -38,11 +40,17 @@ def queries(dataset):
 
 @pytest.mark.parametrize("horizon_s", HORIZONS_S)
 def bench_cache_ttl(benchmark, dataset, queries, horizon_s):
-    server = EnviroMeterServer(h=240, validity_horizon_s=horizon_s)
-    server.ingest(dataset.tuples)
+    service = EngineQueryService(
+        ShardedQueryEngine(
+            single_shard_router(240), cache_capacity=DEFAULT_COVER_CACHE_CAPACITY
+        ),
+        method="model-cover",
+        validity_horizon_s=horizon_s,
+    )
+    service.ingest(dataset.tuples)
 
     def run():
-        client = ModelCacheClient(server, CellularLink(GPRS))
+        client = ModelCacheClient(service, CellularLink(GPRS))
         client.run_continuous(queries)
         return client
 

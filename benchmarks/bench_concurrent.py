@@ -1,8 +1,8 @@
 """Concurrent serving throughput under sustained ingest, vs serial interleaving.
 
 Not a paper figure — this measures the reproduction's concurrent serving
-layer: one :class:`~repro.server.server.EnviroMeterServer` (its engine
-pool sized to the reader count), with a writer delivering ingest batches
+layer: one :class:`~repro.server.async_server.EngineQueryService` over a
+one-shard engine (its pool sized to the reader count), with a writer delivering ingest batches
 over a modeled store-and-forward uplink while four reader threads serve
 query chunks to clients behind a modeled cellular round trip (the same deployment shape
 :mod:`repro.network.link` models for traffic accounting — here the wire
@@ -48,7 +48,9 @@ except ModuleNotFoundError:  # standalone: python benchmarks/bench_concurrent.py
 from repro.data.lausanne import LausanneConfig, generate_lausanne_dataset
 from repro.data.tuples import TupleBatch
 from repro.network.messages import QueryRequest, ValueResponse
-from repro.server.server import EnviroMeterServer
+from repro.query.sharded import ShardedQueryEngine
+from repro.server.async_server import DEFAULT_COVER_CACHE_CAPACITY, EngineQueryService
+from repro.storage.shards import single_shard_router
 
 H = 240
 N_READERS = 4
@@ -106,13 +108,23 @@ def build_workload(
     return preload, batches, chunks
 
 
+def one_shard_engine(max_workers=None) -> ShardedQueryEngine:
+    """The paper's deployment's engine: one shard, the protocol's cover
+    cache; ``max_workers`` sizes its pool."""
+    return ShardedQueryEngine(
+        single_shard_router(H),
+        cache_capacity=DEFAULT_COVER_CACHE_CAPACITY,
+        max_workers=max_workers,
+    )
+
+
 def fingerprints(responses: Sequence[ValueResponse]) -> List[bytes]:
     """NaN-stable byte identity per answer."""
     return [np.float64(r.value).tobytes() for r in responses]
 
 
 def serial_interleaved(
-    server: EnviroMeterServer,
+    server: EngineQueryService,
     batches: Sequence[TupleBatch],
     chunks: Sequence[List[QueryRequest]],
     uplink_s: float = -1.0,
@@ -147,7 +159,7 @@ def serial_interleaved(
 
 
 def concurrent_run(
-    server: EnviroMeterServer,
+    server: EngineQueryService,
     batches: Sequence[TupleBatch],
     chunks: Sequence[List[QueryRequest]],
     n_readers: int = N_READERS,
@@ -218,16 +230,17 @@ def replay_identical(
     Epoch ``e`` is the fresh server's state after the preload plus the
     first ``e - 1`` live batches (the preload is ingest #1); requests
     are grouped by their recorded epoch and each group replayed there."""
-    server = EnviroMeterServer(h=H)
+    server = EngineQueryService(one_shard_engine(), method="model-cover")
     server.ingest(preload)
+    router = server.engine.router
     by_epoch: dict = {}
     for k, epochs, prints in records:
         for i, (epoch, print_) in enumerate(zip(epochs, prints)):
             by_epoch.setdefault(epoch, []).append((k, i, print_))
     ok = True
     for epoch in sorted(by_epoch):
-        while server.epoch < epoch:
-            server.ingest(batches[server.epoch - 1])
+        while router.epoch < epoch:
+            server.ingest(batches[router.epoch - 1])
         group = by_epoch[epoch]
         want = fingerprints(
             server.handle_many([chunks[k][i] for k, i, _ in group])
@@ -256,12 +269,13 @@ def bench_concurrent_serving(benchmark, day_dataset, mode):
     benchmark.extra_info["mode"] = mode
 
     def run_serial():
-        server = EnviroMeterServer(h=H)
+        server = EngineQueryService(one_shard_engine(), method="model-cover")
         server.ingest(preload)
         return serial_interleaved(server, batches, chunks)
 
     def run_concurrent():
-        with EnviroMeterServer(h=H, max_workers=N_READERS) as server:
+        with one_shard_engine(N_READERS) as engine:
+            server = EngineQueryService(engine, method="model-cover")
             server.ingest(preload)
             return concurrent_run(server, batches, chunks)
 
@@ -294,13 +308,14 @@ def main(smoke: bool = False) -> int:
         f"client RTT {rtt_s * 1e3:.0f} ms"
     )
 
-    serial_server = EnviroMeterServer(h=H)
+    serial_server = EngineQueryService(one_shard_engine(), method="model-cover")
     serial_server.ingest(preload)
     serial_s, serial_answers = serial_interleaved(
         serial_server, batches, chunks, uplink_s, rtt_s
     )
 
-    with EnviroMeterServer(h=H, max_workers=N_READERS) as server:
+    with one_shard_engine(N_READERS) as engine:
+        server = EngineQueryService(engine, method="model-cover")
         server.ingest(preload)
         concurrent_s, records = concurrent_run(
             server, batches, chunks, N_READERS, uplink_s, rtt_s

@@ -18,14 +18,21 @@ from repro.client.modelcache import ModelCacheClient
 from repro.eval.experiments import PAPER_BANDWIDTH_TUPLES, _mid_window
 from repro.network.link import GPRS, CellularLink
 from repro.query.continuous import uniform_query_tuples, waypoint_trajectory
-from repro.server.server import EnviroMeterServer
+from repro.query.sharded import ShardedQueryEngine
+from repro.server.async_server import DEFAULT_COVER_CACHE_CAPACITY, EngineQueryService
+from repro.storage.shards import single_shard_router
 
 
 @pytest.fixture(scope="module")
 def server(dataset):
-    srv = EnviroMeterServer(h=240)
-    srv.ingest(dataset.tuples)
-    return srv
+    service = EngineQueryService(
+        ShardedQueryEngine(
+            single_shard_router(240), cache_capacity=DEFAULT_COVER_CACHE_CAPACITY
+        ),
+        method="model-cover",
+    )
+    service.ingest(dataset.tuples)
+    return service
 
 
 @pytest.fixture(scope="module")

@@ -27,9 +27,10 @@ import pytest
 from repro.data.lausanne import LausanneConfig, generate_lausanne_dataset
 from repro.eval.timing import time_callable
 from repro.network.messages import QueryRequest
-from repro.server.server import EnviroMeterServer
+from repro.query.sharded import ShardedQueryEngine
+from repro.server.async_server import DEFAULT_COVER_CACHE_CAPACITY, EngineQueryService
 from repro.server.stream import StreamReplayer
-from repro.storage.shards import _ShardColumn
+from repro.storage.shards import _ShardColumn, single_shard_router
 
 REPEATS = 5
 REPLAY_INTERVAL_S = 600.0
@@ -92,32 +93,42 @@ def append_throughput(batch, repeats=REPEATS):
     return n / seed_s, n / bulk_s
 
 
+def _one_shard_service() -> EngineQueryService:
+    """The paper's deployment: the protocol over a one-shard engine."""
+    return EngineQueryService(
+        ShardedQueryEngine(
+            single_shard_router(240), cache_capacity=DEFAULT_COVER_CACHE_CAPACITY
+        ),
+        method="model-cover",
+    )
+
+
 def replayed_query_latencies(batch, interval_s=REPLAY_INTERVAL_S):
     """Per-query latency over a replayed stream: after each ingest batch,
-    one point query against the server.  Returns (history_sizes, seconds)."""
-    server = EnviroMeterServer(h=240)
-    replayer = StreamReplayer(server, batch_interval_s=interval_s)
+    one point query against the service.  Returns (history_sizes, seconds)."""
+    service = _one_shard_service()
+    replayer = StreamReplayer(service, batch_interval_s=interval_s)
     x, y = QUERY_POSITION
     sizes, latencies = [], []
     for _, piece in replayer.slices(batch):
-        server.ingest(piece)
+        service.ingest(piece)
         t = float(piece.t[-1])
         latencies.append(
-            time_callable(lambda: server.handle(QueryRequest(t=t, x=x, y=y)))
+            time_callable(lambda: service.handle(QueryRequest(t=t, x=x, y=y)))
         )
-        sizes.append(server.engine.router.global_count())
+        sizes.append(service.engine.router.global_count())
     return sizes, latencies
 
 
 def snapshot_cost(batch, interval_s=REPLAY_INTERVAL_S, repeats=REPEATS):
     """(first_s, last_s) cost of a full-column read right after the
     first ingest batch and after the whole day — flat for zero-copy."""
-    server = EnviroMeterServer(h=240)
-    router = server.engine.router
-    replayer = StreamReplayer(server, batch_interval_s=interval_s)
+    service = _one_shard_service()
+    router = service.engine.router
+    replayer = StreamReplayer(service, batch_interval_s=interval_s)
     first_s = None
     for _, piece in replayer.slices(batch):
-        server.ingest(piece)
+        service.ingest(piece)
         if first_s is None:
             first_s = time_callable(lambda: router.shard_column(0), repeats=repeats)
     last_s = time_callable(lambda: router.shard_column(0), repeats=repeats)

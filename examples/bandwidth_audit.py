@@ -13,13 +13,15 @@ from repro.client import BaselineClient, ModelCacheClient
 from repro.data import generate_lausanne_dataset, LausanneConfig
 from repro.network import GPRS, UMTS, CellularLink
 from repro.query.continuous import uniform_query_tuples, waypoint_trajectory
-from repro.server import EnviroMeterServer
+from repro.query.sharded import ShardedQueryEngine
+from repro.server import DEFAULT_COVER_CACHE_CAPACITY, EngineQueryService
+from repro.storage.shards import single_shard_router
 
 
-def run_pair(server, queries, bearer):
-    baseline = BaselineClient(server, CellularLink(bearer))
+def run_pair(service, queries, bearer):
+    baseline = BaselineClient(service, CellularLink(bearer))
     baseline.run_continuous(queries)
-    cache = ModelCacheClient(server, CellularLink(bearer))
+    cache = ModelCacheClient(service, CellularLink(bearer))
     cache.run_continuous(queries)
     return baseline.stats, cache.stats
 
@@ -42,8 +44,13 @@ def report(name, base, cache):
 
 def main() -> None:
     dataset = generate_lausanne_dataset(LausanneConfig(days=1, target_tuples=0))
-    server = EnviroMeterServer(h=240)
-    server.ingest(dataset.tuples)
+    service = EngineQueryService(
+        ShardedQueryEngine(
+            single_shard_router(240), cache_capacity=DEFAULT_COVER_CACHE_CAPACITY
+        ),
+        method="model-cover",
+    )
+    service.ingest(dataset.tuples)
 
     t0 = float(dataset.tuples.t[1500])
     trajectory = waypoint_trajectory(
@@ -55,8 +62,8 @@ def main() -> None:
     print("continuous query: 100 tuples at 60 s intervals "
           "(paper: 113x sent, 31x received, ~100x time)\n")
 
-    report("GPRS", *run_pair(server, queries, GPRS))
-    report("UMTS / 3G", *run_pair(server, queries, UMTS))
+    report("GPRS", *run_pair(service, queries, GPRS))
+    report("UMTS / 3G", *run_pair(service, queries, UMTS))
 
 
 if __name__ == "__main__":

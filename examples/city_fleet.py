@@ -18,12 +18,21 @@ from repro.client.fleet import FleetSimulator, commuter_fleet
 from repro.core.adkmn import AdKMNConfig
 from repro.data import generate_lausanne_dataset, LausanneConfig
 from repro.data.multipollutant import generate_pollutant_dataset, tau_for_pollutant
-from repro.server import EnviroMeterServer
+from repro.query.sharded import ShardedQueryEngine
+from repro.server import DEFAULT_COVER_CACHE_CAPACITY, EngineQueryService
+from repro.storage.shards import single_shard_router
 
 
 def run_fleet(label, dataset, n_members, use_model_cache, config=None):
-    server = EnviroMeterServer(h=240, config=config)
-    server.ingest(dataset.tuples)
+    service = EngineQueryService(
+        ShardedQueryEngine(
+            single_shard_router(240),
+            config=config,
+            cache_capacity=DEFAULT_COVER_CACHE_CAPACITY,
+        ),
+        method="model-cover",
+    )
+    service.ingest(dataset.tuples)
     t_start = float(dataset.tuples.t[1000])
     fleet = commuter_fleet(
         n_members,
@@ -31,13 +40,13 @@ def run_fleet(label, dataset, n_members, use_model_cache, config=None):
         use_model_cache=use_model_cache,
         n_queries=30,
     )
-    report = FleetSimulator(server).run(fleet, t_start)
+    report = FleetSimulator(service).run(fleet, t_start)
     total = report.total_stats()
     print(
         f"{label:28s} members={n_members:3d}  "
         f"sent={total.sent_kb:8.2f} KB  recv={total.received_kb:8.2f} KB  "
         f"requests={total.sent_messages:5d}  covers-built="
-        f"{server.builder_fit_count}"
+        f"{service.engine.cache_stats.misses}"
     )
     return total
 

@@ -14,17 +14,24 @@ import numpy as np
 from repro.app.android import AndroidSession
 from repro.app.settings import AppSettings
 from repro.data import generate_lausanne_dataset, LausanneConfig
-from repro.server import EnviroMeterServer
+from repro.query.sharded import ShardedQueryEngine
+from repro.server import DEFAULT_COVER_CACHE_CAPACITY, EngineQueryService
+from repro.storage.shards import single_shard_router
 
 
 def main() -> None:
     dataset = generate_lausanne_dataset(LausanneConfig(days=1, target_tuples=0))
-    server = EnviroMeterServer(h=240)
-    server.ingest(dataset.tuples)
+    service = EngineQueryService(
+        ShardedQueryEngine(
+            single_shard_router(240), cache_capacity=DEFAULT_COVER_CACHE_CAPACITY
+        ),
+        method="model-cover",
+    )
+    service.ingest(dataset.tuples)
 
     # 08:00 — the user leaves home near the gare.
     t0 = float(dataset.tuples.t[int(np.searchsorted(dataset.tuples.t, 8 * 3600.0))])
-    app = AndroidSession(server, AppSettings(position_update_interval_s=60.0))
+    app = AndroidSession(service, AppSettings(position_update_interval_s=60.0))
     app.set_clock(t0)
     app.update_position(1600.0, 1300.0)
     print("08:00 at the gare:", app.current_reading_text())

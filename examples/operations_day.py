@@ -18,7 +18,9 @@ from repro.core.confidence import ConfidenceCover
 from repro.data import generate_lausanne_dataset, LausanneConfig
 from repro.data.quality import QualityConfig, screen_window
 from repro.data.tuples import TupleBatch
-from repro.server import EnviroMeterServer
+from repro.query.sharded import ShardedQueryEngine
+from repro.server import DEFAULT_COVER_CACHE_CAPACITY, EngineQueryService
+from repro.storage.shards import single_shard_router
 from repro.server.stream import StreamReplayer
 
 
@@ -56,23 +58,29 @@ def main() -> None:
 
     # Replay the clean stream into the server in 15-minute deliveries,
     # with an app user querying every 2 hours (forcing lazy cover builds).
-    server = EnviroMeterServer(h=240)
-    replayer = StreamReplayer(server, batch_interval_s=900.0)
+    service = EngineQueryService(
+        ShardedQueryEngine(
+            single_shard_router(240), cache_capacity=DEFAULT_COVER_CACHE_CAPACITY
+        ),
+        method="model-cover",
+    )
+    replayer = StreamReplayer(service, batch_interval_s=900.0)
     stats = replayer.run(clean, query_every_s=2 * 3600.0)
     print(
         f"\nreplayed {stats.tuples} tuples in {stats.batches} deliveries; "
         f"{stats.covers_built} covers built lazily for "
-        f"{server.served_values} user queries; "
+        f"{service.served_values} user queries; "
         f"{stats.windows_sealed} windows sealed"
     )
 
     # The dashboard at end of day.
     now = stats.final_time
-    print("\n" + Dashboard(server, dataset.region).render(now))
+    print("\n" + Dashboard(service, dataset.region).render(now))
 
     # Where should the next sensor go?  The widest-uncertainty region.
-    c = server.current_window(now)
-    w = server.engine.router.shard_window(0, c)  # zero-copy view of W_c
+    router = service.engine.router
+    c = int(router.windows_for_times((now,))[0])
+    w = router.shard_window(0, c)  # zero-copy view of W_c
     result = fit_adkmn(w, AdKMNConfig(), window_c=c)
     conf = ConfidenceCover(result, w)
     k = conf.worst_region()

@@ -25,7 +25,7 @@ from repro.client.routes import RecordedRoute, RouteRecorder
 from repro.data.tuples import QueryTuple
 from repro.network.link import CellularLink
 from repro.network.stats import TrafficStats
-from repro.server.server import EnviroMeterServer
+from repro.server.async_server import EngineQueryService
 
 
 class AndroidSession:
@@ -33,11 +33,11 @@ class AndroidSession:
 
     def __init__(
         self,
-        server: EnviroMeterServer,
+        service: EngineQueryService,
         settings: Optional[AppSettings] = None,
         link: Optional[CellularLink] = None,
     ) -> None:
-        self._server = server
+        self._service = service
         self._link = link or CellularLink()
         self.settings = settings or AppSettings()
         self._client = self._make_client()
@@ -47,8 +47,8 @@ class AndroidSession:
 
     def _make_client(self):
         if self.settings.use_model_cache:
-            return ModelCacheClient(self._server, self._link)
-        return BaselineClient(self._server, self._link)
+            return ModelCacheClient(self._service, self._link)
+        return BaselineClient(self._service, self._link)
 
     # -- device state -------------------------------------------------------
 

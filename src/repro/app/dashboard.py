@@ -17,7 +17,7 @@ import numpy as np
 from repro.core.adkmn import AdKMNResult, fit_adkmn
 from repro.data.tuples import TupleBatch
 from repro.geo.region import Region
-from repro.server.server import EnviroMeterServer
+from repro.server.async_server import EngineQueryService
 
 
 @dataclass(frozen=True)
@@ -100,27 +100,27 @@ def cover_health(result: AdKMNResult, now: float, window: TupleBatch) -> CoverHe
 
 
 class Dashboard:
-    """Text panel over a running server."""
+    """Text panel over a running one-shard service."""
 
-    def __init__(self, server: EnviroMeterServer, region: Region) -> None:
-        self.server = server
+    def __init__(self, service: EngineQueryService, region: Region) -> None:
+        self.service = service
         self.region = region
 
     def render(self, now: float) -> str:
         """One status panel for time ``now``."""
-        server = self.server
-        router = server.engine.router
+        service = self.service
+        router = service.engine.router
         n = router.global_count()
         if not n:
             return "EnviroMeter server: no data ingested yet."
-        c = server.current_window(now)
+        c = int(router.windows_for_times((now,))[0])
         window = router.shard_window(0, c)
         # The fit's diagnostics (worst error, convergence) are not kept
         # with the served cover, so the panel fits the window itself.
         result = fit_adkmn(
             window,
-            server.engine.config,
-            valid_until=float(window.t[-1]) + server.validity_horizon_s,
+            service.engine.config,
+            valid_until=float(window.t[-1]) + service.validity_horizon_s,
             window_c=c,
         )
         skew = skew_indicators(window, self.region, result)
@@ -148,7 +148,7 @@ class Dashboard:
             + ("  [ATTENTION]" if health.needs_attention else "")
         )
         lines.append(
-            f"traffic: {server.served_values} value responses, "
-            f"{server.served_covers} cover downloads"
+            f"traffic: {service.served_values} value responses, "
+            f"{service.served_covers} cover downloads"
         )
         return "\n".join(lines)

@@ -5,7 +5,8 @@ Subcommands:
 * ``figures``  — regenerate the paper's evaluation tables (E1–E4);
 * ``dataset``  — generate the synthetic lausanne-data and write it to CSV;
 * ``heatmap``  — render the web UI's heatmap for a given hour to a PPM file;
-* ``serve``    — replay a stream into a server and report cover builds;
+* ``serve``    — serve a generated stream over HTTP/WebSocket: the web
+  modes and the paper's model request (``--port`` is required);
 * ``recover``  — recover a durable tiered data directory (WAL replay plus
   completion of any crash-interrupted seal) and report what survived;
 * ``compact``  — tidy a tiered data directory (checkpoint the WAL, drop
@@ -23,7 +24,7 @@ Examples::
     python -m repro.cli dataset --days 2 --out lausanne.csv
     python -m repro.cli heatmap --hour 8.5 --out city.ppm
     python -m repro.cli heatmap --hour 8.5 --shards 4
-    python -m repro.cli serve --days 1
+    python -m repro.cli serve --days 1 --port 8765 --method model-cover
     python -m repro.cli serve --days 1 --shards 4 --port 8765 --processes 4
     python -m repro.cli explain --hour 8.5 --method auto
     python -m repro.cli explain --shards 4 --queries 300 --method auto
@@ -122,59 +123,7 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.data.lausanne import LausanneConfig, generate_lausanne_dataset
-    from repro.server.server import EnviroMeterServer
-    from repro.server.stream import StreamReplayer
-
-    ds = generate_lausanne_dataset(
-        LausanneConfig(days=args.days, seed=args.seed, target_tuples=0)
-    )
-    if args.port is not None:
-        return _serve_network(ds, args)
-    if args.shards > 1:
-        print("--shards only applies to network mode; add --port", file=sys.stderr)
-        return 2
-    if args.processes is not None:
-        print("--processes only applies to network mode; add --port", file=sys.stderr)
-        return 2
-    if args.method is not None:
-        print("--method only applies to network mode; add --port", file=sys.stderr)
-        return 2
-    if args.subscriptions:
-        print(
-            "--subscriptions only applies to network mode; add --port",
-            file=sys.stderr,
-        )
-        return 2
-    if args.data_dir is not None or args.memory_windows is not None:
-        print(
-            "--data-dir/--memory-windows only apply to network mode; add --port",
-            file=sys.stderr,
-        )
-        return 2
-    server = EnviroMeterServer(h=args.h, max_workers=args.serve_workers)
-    if args.serve_workers is not None:
-        stats, chunks_served = _serve_concurrently(server, ds, args)
-    else:
-        replayer = StreamReplayer(server, batch_interval_s=args.batch_interval)
-        stats = replayer.run(ds.tuples, query_every_s=args.query_every)
-    served = server.served_values
-    print(
-        f"replayed {stats.tuples} tuples in {stats.batches} batches; "
-        f"server built {stats.covers_built} cover(s), "
-        f"served {served} value(s)"
-    )
-    if args.serve_workers is not None:
-        print(
-            f"concurrent front end: {args.serve_workers} worker(s) answered "
-            f"{chunks_served} query batch(es) during ingest; "
-            f"final epoch {stats.final_epoch}"
-        )
-    return 0
-
-
-def _serve_network(ds, args) -> int:
+def _serve_network(args: argparse.Namespace) -> int:
     """Ingest the dataset and serve it over HTTP/WebSocket.
 
     ``--processes N`` executes every plan on a pool of N worker
@@ -190,12 +139,19 @@ def _serve_network(ds, args) -> int:
     """
     import asyncio
 
+    from repro.data.lausanne import LausanneConfig, generate_lausanne_dataset
     from repro.geo.region import RegionGrid
     from repro.query.pipeline.parallel import ProcessShardedEngine
     from repro.query.sharded import CACHED_ROUTE_MAX_ROWS, ShardedQueryEngine
     from repro.server.async_server import AsyncQueryServer, EngineQueryService
     from repro.storage.shards import ShardRouter
 
+    if args.memory_windows is not None and args.data_dir is None:
+        print("--memory-windows needs --data-dir", file=sys.stderr)
+        return 2
+    ds = generate_lausanne_dataset(
+        LausanneConfig(days=args.days, seed=args.seed, target_tuples=0)
+    )
     # --subscriptions holds back the tail of the dataset so a live
     # trickle-ingest writer has something to push through the registry.
     tail = None
@@ -227,9 +183,6 @@ def _serve_network(ds, args) -> int:
         else:
             router.ingest(head)
     else:
-        if args.memory_windows is not None:
-            print("--memory-windows needs --data-dir", file=sys.stderr)
-            return 2
         router = ShardRouter(
             RegionGrid.for_shard_count(ds.covered_bbox(), args.shards), h=args.h
         )
@@ -245,14 +198,13 @@ def _serve_network(ds, args) -> int:
         from repro.query.subscriptions import registry_for
 
         subscriptions = registry_for(backend)
-    method = args.method or "naive"
-    server = AsyncQueryServer(
-        EngineQueryService(backend, method=method, subscriptions=subscriptions),
-        port=args.port,
+    service = EngineQueryService(
+        backend, method=args.method, subscriptions=subscriptions
     )
+    server = AsyncQueryServer(service, port=args.port)
     stop_trickle = None
     if subscriptions is not None and tail is not None and len(tail.t):
-        stop_trickle = _start_trickle(router, subscriptions, tail)
+        stop_trickle = _start_trickle(service, tail)
     mode = "in-process"
     if args.processes is not None:
         mode = f"{args.processes} worker process(es)"
@@ -276,12 +228,12 @@ def _serve_network(ds, args) -> int:
     lane = (
         "cached point queries and routes of up to "
         f"{CACHED_ROUTE_MAX_ROWS} updates answered on the event loop"
-        if method == "model-cover"
+        if args.method == "model-cover"
         else "no cached lane: every query takes the executor"
     )
     print(
         f"serving {router.global_count()} tuples over {args.shards} shard(s), "
-        f"{mode}{tier}{subs}; method {method} ({lane}); "
+        f"{mode}{tier}{subs}; method {args.method} ({lane}); "
         f"http://127.0.0.1:{args.port} (Ctrl-C to stop)"
     )
     try:
@@ -297,10 +249,10 @@ def _serve_network(ds, args) -> int:
     return 0
 
 
-def _start_trickle(router, registry, tail, interval_s: float = 2.0):
-    """Feed the held-back dataset tail into the store in small batches
-    from a daemon thread, notifying the subscription registry after each
-    one — the free-running ingest writer that makes standing
+def _start_trickle(service, tail, interval_s: float = 2.0):
+    """Feed the held-back dataset tail through the service's ingest in
+    small batches from a daemon thread (each one wakes the subscription
+    registry) — the free-running ingest writer that makes standing
     subscriptions move.  Returns the stop event."""
     import threading
 
@@ -311,8 +263,7 @@ def _start_trickle(router, registry, tail, interval_s: float = 2.0):
         for start in range(0, len(tail.t), step):
             if stop.wait(interval_s):
                 return
-            router.ingest(tail.slice(start, min(start + step, len(tail.t))))
-            registry.notify_ingest()
+            service.ingest(tail.slice(start, min(start + step, len(tail.t))))
 
     threading.Thread(
         target=run, daemon=True, name="subscription-trickle"
@@ -377,74 +328,6 @@ def _cmd_compact(args: argparse.Namespace) -> int:
     finally:
         router.close()
     return 0
-
-
-def _serve_concurrently(server, ds, args):
-    """Replay on a writer thread while the main thread serves queries.
-
-    The writer replays the stream exactly as the serial path does; the
-    main thread, meanwhile, sends batches of point queries (spread over
-    the sensed area, stamped with the replay's virtual clock) to the
-    server, whose engine pool has ``--serve-workers`` threads — queries
-    answered *while ingest proceeds*, which is what ``--serve-workers``
-    promises.  Returns (replay stats, number of query batches served).
-    """
-    import threading
-
-    import numpy as np
-
-    from repro.network.messages import QueryRequest
-    from repro.server.stream import StreamReplayer
-
-    bbox = ds.covered_bbox()
-    xs = np.linspace(bbox.min_x + 0.1 * bbox.width, bbox.max_x - 0.1 * bbox.width, 8)
-    ys = np.linspace(bbox.min_y + 0.1 * bbox.height, bbox.max_y - 0.1 * bbox.height, 8)
-    clock = {"now": None}
-    done = threading.Event()
-    outcome: list = []
-
-    replayer = StreamReplayer(server, batch_interval_s=args.batch_interval)
-
-    def writer():
-        try:
-            outcome.append(
-                replayer.run(
-                    ds.tuples,
-                    on_progress=lambda now, _total: clock.__setitem__("now", now),
-                )
-            )
-        finally:
-            done.set()
-
-    def burst(now: float) -> None:
-        chunk = [
-            QueryRequest(t=float(now), x=float(x), y=float(y))
-            for x in xs
-            for y in ys
-        ]
-        server.handle_many(chunk)
-
-    chunks_served = 0
-    thread = threading.Thread(target=writer)
-    thread.start()
-    try:
-        while not done.wait(timeout=0.005):
-            now = clock["now"]
-            if now is None or not server.has_data():
-                continue
-            burst(now)
-            chunks_served += 1
-        # Small replays can finish before the first burst lands; always
-        # close with one batch against the final state.
-        if clock["now"] is not None:
-            burst(clock["now"])
-            chunks_served += 1
-    finally:
-        thread.join()
-        server.close()
-    if not outcome:  # pragma: no cover - writer failed before returning
-        raise RuntimeError("stream replay failed")
-    return outcome[0], chunks_served
 
 
 def _format_shard_table(router) -> str:
@@ -522,8 +405,6 @@ def _cmd_shards(args: argparse.Namespace) -> int:
     )
     router.ingest(ds.tuples)
     engine = ShardedQueryEngine(router, max_workers=args.workers)
-    if not 0.0 < args.focus <= 1.0:
-        raise SystemExit("--focus must be in (0, 1]")
     if args.queries:
         rng = np.random.default_rng(args.seed)
         # Query positions contracted toward the region centre by --focus
@@ -575,8 +456,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     anchor = args.hour * 3600.0
     pos = min(int(np.searchsorted(tuples.t, anchor)), len(tuples) - 1)
     t = float(tuples.t[pos])
-    if not 0.0 < args.focus <= 1.0:
-        raise SystemExit("--focus must be in (0, 1]")
     if args.queries:
         # A continuous stream sweeping the whole day (diagonal time walk).
         span = len(tuples) - 1
@@ -641,9 +520,26 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _positive_int(text: str) -> int:
+    """A size: an integer of at least 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be at least 1")
+    return value
+
+
+def _count(text: str) -> int:
+    """A count: an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be at least 0")
+    return value
+
+
+def _fraction(text: str) -> float:
+    """A focus fraction in (0, 1]."""
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError("must be in (0, 1]")
     return value
 
 
@@ -663,18 +559,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_figures)
 
     p = sub.add_parser("dataset", help="generate lausanne-data as CSV")
-    p.add_argument("--days", type=int, default=30)
+    p.add_argument("--days", type=_positive_int, default=30)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--target", type=int, default=176_000, help="0 = no subsampling")
+    p.add_argument(
+        "--target", type=_count, default=176_000, help="0 = no subsampling"
+    )
     p.add_argument("--out", default="lausanne.csv")
     p.set_defaults(func=_cmd_dataset)
 
     p = sub.add_parser("heatmap", help="render the web UI heatmap")
     p.add_argument("--hour", type=float, default=8.5, help="hour of day 0-24")
-    p.add_argument("--days", type=int, default=1)
+    p.add_argument("--days", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--width", type=int, default=72)
-    p.add_argument("--height", type=int, default=24)
+    p.add_argument("--width", type=_positive_int, default=72)
+    p.add_argument("--height", type=_positive_int, default=24)
     p.add_argument(
         "--model-grid",
         action="store_true",
@@ -699,46 +597,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="PPM output path (default: ASCII to stdout)")
     p.set_defaults(func=_cmd_heatmap)
 
-    p = sub.add_parser("serve", help="replay a stream into a server")
-    p.add_argument("--days", type=int, default=1)
+    p = sub.add_parser(
+        "serve", help="serve a generated stream over HTTP/WebSocket"
+    )
+    p.add_argument("--days", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--h", type=int, default=240, help="window size in tuples")
-    p.add_argument("--batch-interval", type=float, default=600.0)
-    p.add_argument("--query-every", type=float, default=3600.0)
+    p.add_argument(
+        "--h", type=_positive_int, default=240, help="window size in tuples"
+    )
     p.add_argument(
         "--shards",
         type=_positive_int,
         default=1,
-        help="network mode: lay the store out over this many region "
-        "shards (ingest routes to the owning shard only)",
-    )
-    p.add_argument(
-        "--serve-workers",
-        type=_positive_int,
-        default=None,
-        help="serve queries from a thread pool of this size while ingest "
-        "proceeds (snapshot-isolated concurrent serving layer)",
+        help="lay the store out over this many region shards (ingest "
+        "routes to the owning shard only)",
     )
     p.add_argument(
         "--port",
         type=_positive_int,
-        default=None,
-        help="network mode: ingest the dataset, then serve the three web "
-        "modes over HTTP/WebSocket on this port until interrupted",
+        required=True,
+        help="ingest the dataset, then serve the web modes and the "
+        "paper's model request over HTTP/WebSocket on this port until "
+        "interrupted",
     )
     p.add_argument(
         "--method",
         choices=SHARDED_METHODS,
-        default=None,
-        help="network mode: the query method every request is answered "
-        "with (default naive); only model-cover lets the front end answer "
-        "cached point queries on its event loop",
+        default="naive",
+        help="the query method the web modes answer with (default "
+        "naive); only model-cover lets the front end answer cached point "
+        "queries on its event loop",
     )
     p.add_argument(
         "--processes",
         type=_positive_int,
         default=None,
-        help="network mode only: execute plans on this many worker "
+        help="execute plans on this many worker "
         "processes over shared-memory shard exports (answers are "
         "byte-identical to in-process; worker crashes fall back "
         "transparently)",
@@ -746,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--data-dir",
         default=None,
-        help="network mode: serve from a durable tiered store rooted here "
+        help="serve from a durable tiered store rooted here "
         "(sealed windows as segment files + WAL).  Recovers existing "
         "state on start; only an empty directory gets the generated "
         "dataset ingested",
@@ -762,13 +656,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--subscriptions",
         action="store_true",
-        help="network mode: accept standing queries over /ws "
+        help="accept standing queries over /ws "
         "({\"mode\": \"subscribe\"} frames, pushed delta updates); holds "
         "back the last 10%% of the generated dataset and trickle-ingests "
         "it live so registered routes receive updates (skipped when "
         "--data-dir recovered existing state)",
     )
-    p.set_defaults(func=_cmd_serve)
+    p.set_defaults(func=_serve_network)
 
     p = sub.add_parser(
         "recover",
@@ -798,19 +692,25 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the pipeline's execution plan for a query workload",
     )
     p.add_argument("--hour", type=float, default=8.5, help="hour of day 0-24")
-    p.add_argument("--days", type=int, default=1)
+    p.add_argument("--days", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--h", type=int, default=500, help="window size in tuples")
+    p.add_argument(
+        "--h", type=_positive_int, default=500, help="window size in tuples"
+    )
     p.add_argument(
         "--method",
         default="auto",
         help="query method (default auto: the planner chooses per window/shard)",
     )
-    p.add_argument("--width", type=int, default=40, help="heatmap grid width")
-    p.add_argument("--height", type=int, default=30, help="heatmap grid height")
+    p.add_argument(
+        "--width", type=_positive_int, default=40, help="heatmap grid width"
+    )
+    p.add_argument(
+        "--height", type=_positive_int, default=30, help="heatmap grid height"
+    )
     p.add_argument(
         "--queries",
-        type=int,
+        type=_count,
         default=0,
         help="explain a continuous stream of this many queries instead of "
         "the heatmap grid",
@@ -837,7 +737,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--focus",
-        type=float,
+        type=_fraction,
         default=1.0,
         help="localize the workload to the centre fraction of the covered "
         "region (0 < f <= 1), e.g. 0.25 — localized disks are what the "
@@ -856,9 +756,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-shard occupancy/load table, optionally after adaptive "
         "rebalancing",
     )
-    p.add_argument("--days", type=int, default=1)
+    p.add_argument("--days", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--h", type=int, default=500, help="window size in tuples")
+    p.add_argument(
+        "--h", type=_positive_int, default=500, help="window size in tuples"
+    )
     p.add_argument(
         "--shards",
         type=_positive_int,
@@ -867,14 +769,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--queries",
-        type=int,
+        type=_count,
         default=400,
         help="size of the query workload driven before reading the table "
         "(0 = ingest only)",
     )
     p.add_argument(
         "--focus",
-        type=float,
+        type=_fraction,
         default=1.0,
         help="contract the query workload to the centre fraction of the "
         "region (0 < f <= 1) — localized traffic is what makes the load "
@@ -882,7 +784,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--rebalance",
-        type=int,
+        type=_count,
         default=0,
         help="let the adaptive rebalancer take up to this many actions "
         "(split / merge) before printing the table",

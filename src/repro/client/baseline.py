@@ -17,14 +17,16 @@ from repro.network.link import CellularLink
 from repro.network.messages import QueryRequest, ValueResponse
 from repro.network.protocol import framed_size
 from repro.network.stats import TrafficStats
-from repro.server.server import EnviroMeterServer
+from repro.server.async_server import EngineQueryService
 
 
 class BaselineClient:
     """Smartphone client that asks the server for every value."""
 
-    def __init__(self, server: EnviroMeterServer, link: Optional[CellularLink] = None) -> None:
-        self._server = server
+    def __init__(
+        self, service: EngineQueryService, link: Optional[CellularLink] = None
+    ) -> None:
+        self._service = service
         self._link = link or CellularLink()
         self.stats = TrafficStats()
 
@@ -39,7 +41,7 @@ class BaselineClient:
         up_time = self._link.send_up(up_size)
         self.stats.record_sent(up_size, up_time)
 
-        response = self._server.handle(request)
+        response = self._service.handle(request)
         if not isinstance(response, ValueResponse):
             raise RuntimeError("server returned an unexpected response type")
         down_size = framed_size(len(response.body()))

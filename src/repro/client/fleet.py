@@ -23,7 +23,7 @@ from repro.network.link import GPRS, BearerProfile, CellularLink
 from repro.network.stats import TrafficStats
 from repro.query.continuous import uniform_query_tuples, waypoint_trajectory
 from repro.query.executor import BatchExecutor
-from repro.server.server import EnviroMeterServer
+from repro.server.async_server import EngineQueryService
 
 Point = Tuple[float, float]
 
@@ -110,22 +110,22 @@ class FleetReport:
 
 
 class FleetSimulator:
-    """Runs a fleet of clients against one EnviroMeter server."""
+    """Runs a fleet of clients against one EnviroMeter service."""
 
     def __init__(
         self,
-        server: EnviroMeterServer,
+        service: EngineQueryService,
         bearer: BearerProfile = GPRS,
     ) -> None:
-        self.server = server
+        self.service = service
         self.bearer = bearer
 
     def _run_member(self, member: FleetMember, t_start: float) -> MemberReport:
         link = CellularLink(self.bearer)
         client = (
-            ModelCacheClient(self.server, link)
+            ModelCacheClient(self.service, link)
             if member.use_model_cache
-            else BaselineClient(self.server, link)
+            else BaselineClient(self.service, link)
         )
         values = client.run_continuous(member.queries(t_start))
         return MemberReport(
@@ -154,8 +154,8 @@ class FleetSimulator:
         reports = [self._run_member(member, t_start) for member in members]
         return FleetReport(
             members=reports,
-            server_covers_served=self.server.served_covers,
-            server_values_served=self.server.served_values,
+            server_covers_served=self.service.served_covers,
+            server_values_served=self.service.served_values,
         )
 
     def run_concurrent(
@@ -184,8 +184,8 @@ class FleetSimulator:
             executor.shutdown()
         return FleetReport(
             members=reports,
-            server_covers_served=self.server.served_covers,
-            server_values_served=self.server.served_values,
+            server_covers_served=self.service.served_covers,
+            server_values_served=self.service.served_values,
         )
 
     def run_subscriptions(
@@ -202,24 +202,30 @@ class FleetSimulator:
         re-asking its whole route per poll, the server's registry
         re-executes only the slices each ingest dirtied and members
         receive delta updates — the report's ``queries_reexecuted`` vs.
-        ``len(members) * n_queries * batches`` is the saving.
+        ``len(members) * n_queries * batches`` is the saving.  The
+        service must carry a registry (its ``subscriptions``); routes
+        are answered with the service's method.
         """
         self._check_members(members)
+        registry = self.service.subscriptions
+        if registry is None:
+            raise ValueError("the service carries no subscription registry")
         subs = {
-            member.name: self.server.subscribe(
+            member.name: registry.subscribe(
                 list(member.waypoints),
                 t_start,
                 interval_s=member.interval_s,
                 count=member.n_queries,
+                method=self.service.method,
             )
             for member in members
         }
         received = {m.name: 0 for m in members}
         changed = {m.name: 0 for m in members}
         for batch in ingest_batches:
-            self.server.ingest(batch)
+            self.service.ingest(batch)
             for member in members:
-                for update in self.server.poll_updates(subs[member.name].id):
+                for update in registry.poll(subs[member.name].id):
                     received[member.name] += 1
                     changed[member.name] += len(update.indices)
         reports = []
@@ -238,7 +244,7 @@ class FleetSimulator:
                     answered=int(np.isfinite(values).sum()),
                 )
             )
-        stats = self.server.subscriptions.stats
+        stats = registry.stats
         return SubscriptionFleetReport(
             members=reports,
             maintenance_passes=stats.maintains,

@@ -19,14 +19,16 @@ from repro.network.link import CellularLink
 from repro.network.messages import ModelCoverResponse, ModelRequest
 from repro.network.protocol import framed_size
 from repro.network.stats import TrafficStats
-from repro.server.server import EnviroMeterServer
+from repro.server.async_server import EngineQueryService
 
 
 class ModelCacheClient:
     """Smartphone client that caches the model cover locally."""
 
-    def __init__(self, server: EnviroMeterServer, link: Optional[CellularLink] = None) -> None:
-        self._server = server
+    def __init__(
+        self, service: EngineQueryService, link: Optional[CellularLink] = None
+    ) -> None:
+        self._service = service
         self._link = link or CellularLink()
         self.stats = TrafficStats()
         self._cover: Optional[ModelCover] = None
@@ -51,7 +53,7 @@ class ModelCacheClient:
         up_time = self._link.send_up(up_size)
         self.stats.record_sent(up_size, up_time)
 
-        response = self._server.handle(request)
+        response = self._service.handle(request)
         if not isinstance(response, ModelCoverResponse):
             raise RuntimeError("server returned an unexpected response type")
         down_size = framed_size(len(response.body()))

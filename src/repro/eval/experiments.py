@@ -30,7 +30,9 @@ from repro.query.continuous import uniform_query_tuples, waypoint_trajectory
 from repro.query.indexed import IndexedProcessor
 from repro.query.modelcover import ModelCoverProcessor
 from repro.query.naive import NaiveProcessor
-from repro.server.server import EnviroMeterServer
+from repro.query.sharded import ShardedQueryEngine
+from repro.server.async_server import DEFAULT_COVER_CACHE_CAPACITY, EngineQueryService
+from repro.storage.shards import single_shard_router
 
 PAPER_H_VALUES = (40, 80, 120, 160, 200, 240)
 PAPER_RADIUS_M = 1000.0
@@ -286,8 +288,13 @@ def run_fig7b(
     from repro.client.modelcache import ModelCacheClient
 
     ds = dataset or experiment_dataset()
-    server = EnviroMeterServer(h=h)
-    server.ingest(ds.tuples)
+    service = EngineQueryService(
+        ShardedQueryEngine(
+            single_shard_router(h), cache_capacity=DEFAULT_COVER_CACHE_CAPACITY
+        ),
+        method="model-cover",
+    )
+    service.ingest(ds.tuples)
 
     c, w = _mid_window(ds, h)
     t_start = float(w.t[0])
@@ -305,7 +312,7 @@ def run_fig7b(
         ("baseline", BaselineClient),
         ("model-cache", ModelCacheClient),
     ):
-        client = client_cls(server, CellularLink(GPRS))
+        client = client_cls(service, CellularLink(GPRS))
         client.run_continuous(queries)
         rows.append(
             Fig7bRow(

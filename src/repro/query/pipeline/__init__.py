@@ -3,8 +3,10 @@ snapshot binding — see ``docs/architecture.md``).
 
 Every query path runs through
 :class:`~repro.query.sharded.ShardedQueryEngine` — the one query engine,
-under the network front end and the paper-protocol
-:class:`~repro.server.server.EnviroMeterServer` alike.  It compiles
+under the one front end,
+:class:`~repro.server.async_server.EngineQueryService`, whether it
+answers the paper's protocol in process or the web modes on the
+socket.  It compiles
 requests into the plan IR of :mod:`repro.query.pipeline.plan`, binds
 them to one exact snapshot (:mod:`repro.query.pipeline.binding`;
 standing-subscription maintenance reads the same binding), consults the

@@ -52,8 +52,10 @@ plan pipeline's one snapshot binding,
 :class:`~repro.query.pipeline.binding.RouterBinding`, read by one view.
 :func:`registry_for` builds the backend for a
 :class:`~repro.query.sharded.ShardedQueryEngine` and for anything that
-wraps one (the process executor, the paper-protocol
-:class:`~repro.server.server.EnviroMeterServer`).  The binding is an
+wraps one as ``.engine`` (the process executor).  The one front end,
+:class:`~repro.server.async_server.EngineQueryService`, carries a
+registry as its ``subscriptions`` and wakes it from its ``ingest``.
+The binding is an
 exact snapshot, so every delivered update is the answer over exactly
 the pinned row prefix — under a free-running writer too.
 """
@@ -378,7 +380,7 @@ def registry_for(target) -> "SubscriptionRegistry":
     """A registry over any supported query backend.
 
     Dispatches the engine itself and anything that wraps one as
-    ``.engine`` (``ProcessShardedEngine``, ``EnviroMeterServer``) —
+    ``.engine`` (``ProcessShardedEngine``) —
     subscription maintenance always runs against the in-process engine;
     plan execution for interactive requests keeps whatever wrapper the
     caller serves from.

@@ -1,24 +1,35 @@
-"""Asyncio HTTP/1.1 + WebSocket front end for the EnviroMeter web modes.
+"""The EnviroMeter front end: the paper's protocol in process, the web
+modes over asyncio HTTP/1.1 + WebSocket.
 
-The web interface (Section 3) has so far been an in-process API.  This
-module puts it on the network: a stdlib-only :mod:`asyncio` server that
-speaks plain HTTP/1.1 for one-shot requests and RFC 6455 WebSocket for
-interactive sessions, serving the same three request shapes the demo UI
-exercises — point query, continuous (route) query, and heatmap.
+:class:`EngineQueryService` is the one service over the one query
+engine.  In process it answers the model-cache protocol (Figure 3,
+Section 2.3): a ``QueryRequest`` gets the interpolated value, a
+``ModelRequest`` the serialized cover (with its validity horizon
+``t_n``) of the (shard, window) owning its time and position.  On the
+network a stdlib-only :mod:`asyncio` server serves the service's
+``modes`` and nothing else.
 
 Routes:
 
-* ``GET  /health``            — liveness + the modes this backend serves;
+* ``GET  /health``            — liveness + the modes this service serves;
 * ``POST /query/point``       — ``{"t", "x", "y"}``;
 * ``POST /query/continuous``  — ``{"route": [[x, y], ...], "t_start",
   "duration_s"?, "updates"?}``;
 * ``POST /query/heatmap``     — ``{"t", "bounds": [min_x, min_y, max_x,
   max_y], "nx"?, "ny"?}``;
+* ``POST /query/model``       — ``{"t", "x", "y"}``: the protocol's
+  ``ModelRequest``, answered ``{"mode": "model", "cover": <base64 of
+  the cover blob>}``;
 * ``GET  /ws``                — WebSocket; each text message is a JSON
-  request ``{"mode": "point" | "continuous" | "heatmap", ...}`` with the
-  same fields as the matching POST body, answered by one JSON text frame.
-  Fragmented client messages are reassembled per RFC 6455 (continuation
-  frames, control frames interleaved mid-message) up to ``_MAX_BODY``.
+  request ``{"mode": "point" | "continuous" | "heatmap" | "model", ...}``
+  with the same fields as the matching POST body, answered by one JSON
+  text frame.  Fragmented client messages are reassembled per RFC 6455
+  (continuation frames, control frames interleaved mid-message) up to
+  ``_MAX_BODY``.
+
+Before the first ingest every mode answers ``503 {"error": "no data
+yet"}``; a ``model`` request whose owner (shard, window) slice holds no
+rows is a 404.
 
 When the service carries a
 :class:`~repro.query.subscriptions.SubscriptionRegistry` (its
@@ -60,33 +71,24 @@ runs in the default thread-pool executor (``loop.run_in_executor``)
 with the connection's reading paused — one request in flight per
 connection, so pipelined answers keep request order — so a slow Ad-KMN
 fit never stalls the accept loop or a cached answer, and — when the
-backend is a
+engine is a
 :class:`~repro.query.pipeline.parallel.ProcessShardedEngine` — the
-actual compute escapes the GIL onto the worker processes entirely.  A
+actual compute of the three web modes escapes the GIL onto the worker
+processes entirely.  A
 client that stops reading its answers stops being served
 (``pause_writing``/``resume_writing``, the back-pressure ``drain()``
 gives a stream handler), and ``Upgrade: websocket`` hands the transport,
 buffered bytes first, to a ``StreamReaderProtocol`` for the stream-based
-``/ws`` session.  The backends are thread-safe (snapshot-pinned reads),
-so concurrent requests need no extra locking here.
-
-Two backends plug in behind one service interface:
-
-* :class:`WebAppService` — an in-process
-  :class:`~repro.app.webapp.WebInterface` (model-cover answers with
-  health levels and marker colours, plus centroid markers on heatmaps);
-* :class:`EngineQueryService` — anything with the three-mode engine
-  interface (``point_query`` / ``continuous_query_batch`` /
-  ``heatmap_grid``): a
-  :class:`~repro.query.sharded.ShardedQueryEngine` or its
-  process-parallel twin, whose answers are byte-identical by
-  construction.
+``/ws`` session.  Every answer is computed over one pinned snapshot
+binding, so concurrent requests — and a writer ingesting beside them —
+need no extra locking here.
 """
 
 from __future__ import annotations
 
 import asyncio
 import base64
+import dataclasses
 import functools
 import hashlib
 import http
@@ -94,12 +96,22 @@ import json
 import math
 import struct
 import threading
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.cover import ModelCover
+from repro.data.tuples import QueryTuple, TupleBatch
 from repro.geo.coords import BoundingBox
-from repro.query.sharded import CACHED_ROUTE_MAX_ROWS
+from repro.network.messages import (
+    ModelCoverResponse,
+    ModelRequest,
+    QueryRequest,
+    ValueResponse,
+)
+from repro.query.base import QueryBatch
+from repro.query.pipeline.binding import RouterBinding
+from repro.query.sharded import CACHED_ROUTE_MAX_ROWS, cached_cover
 
 _WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 _MAX_HEADER = 16 * 1024
@@ -115,12 +127,20 @@ _MAX_UPDATES = 10_000
 # keep it near 0.25 ms (docs/architecture.md, "The row cap").
 _LANE_MAX_WAYPOINTS = 16
 
+DEFAULT_COVER_CACHE_CAPACITY = 256
+"""Bound for the cover cache of the paper's one-shard deployment (the
+engine's ``cache_capacity``; epoch-keyed LRU).
+
+One live entry per window recently served; generous enough that a month
+of 4-hour windows stays resident, bounded so a long-running server
+sweeping years of history cannot accrete covers forever."""
+
 __all__ = [
     "AsyncQueryServer",
     "BackgroundServer",
     "EngineQueryService",
+    "DEFAULT_COVER_CACHE_CAPACITY",
     "HttpError",
-    "WebAppService",
 ]
 
 
@@ -301,93 +321,159 @@ def _failure(exc: BaseException) -> Tuple[int, Dict[str, Any]]:
     return 500, {"error": f"{type(exc).__name__}: {exc}"}
 
 
-class WebAppService:
-    """The three modes served by an in-process ``WebInterface``.
-
-    ``subscriptions`` optionally carries a
-    :class:`~repro.query.subscriptions.SubscriptionRegistry` over the
-    same backend, enabling ``{"mode": "subscribe"}`` on ``/ws``.
-    """
-
-    modes = ("point", "continuous", "heatmap")
-
-    def __init__(self, web, subscriptions=None) -> None:
-        self.web = web
-        self.subscriptions = subscriptions
-
-    def point(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        reading = self.web.point_query(
-            _number(params, "t"), _number(params, "x"), _number(params, "y")
-        )
-        return {
-            "mode": "point",
-            "x": reading.x,
-            "y": reading.y,
-            "co2_ppm": reading.co2_ppm,
-            "text": reading.text,
-        }
-
-    def continuous(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        from repro.query.continuous import waypoint_trajectory
-
-        route = _route(params)
-        t_start = _number(params, "t_start")
-        duration_s = _positive_number(params, "duration_s", 1800.0)
-        updates = _optional_int(params, "updates", 30, _MAX_UPDATES)
-        try:
-            waypoint_trajectory(route, t_start, t_start + duration_s)
-        except ValueError as exc:
-            raise HttpError(400, str(exc)) from None
-        readings = self.web.continuous_query(
-            route, t_start=t_start, duration_s=duration_s, updates=updates
-        )
-        return {
-            "mode": "continuous",
-            "readings": [
-                {
-                    "x": r.x,
-                    "y": r.y,
-                    "co2_ppm": r.co2_ppm,
-                    "marker_color": r.marker_color,
-                }
-                for r in readings
-            ],
-        }
-
-    def heatmap(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        bounds = _bounds(params)
-        nx = _optional_int(params, "nx", 40, _MAX_GRID_AXIS)
-        ny = _optional_int(params, "ny", 30, _MAX_GRID_AXIS)
-        hm = self.web.heatmap(_number(params, "t"), bounds, nx=nx, ny=ny)
-        markers = self.web.centroid_markers(_number(params, "t"))
-        return {
-            "mode": "heatmap",
-            "nx": nx,
-            "ny": ny,
-            "grid": _clean_grid(hm.grid),
-            "markers": [
-                {"x": m.x, "y": m.y, "co2_ppm": m.co2_ppm, "color": m.color}
-                for m in markers
-            ],
-        }
-
-
 class EngineQueryService:
-    """The three modes served by a three-mode query engine.
+    """The one service over the one query engine: the paper's protocol
+    in process, the web ``modes`` on the socket.
 
-    ``engine`` is anything exposing ``point_query`` / ``cached_point`` /
-    ``cached_route`` / ``continuous_query_batch`` / ``heatmap_grid`` — a
-    :class:`~repro.query.sharded.ShardedQueryEngine` runs in-process,
-    a :class:`~repro.query.pipeline.parallel.ProcessShardedEngine` runs
-    the same plans on its worker-process pool.
+    ``engine`` is a :class:`~repro.query.sharded.ShardedQueryEngine`, or
+    a wrapper running its plans elsewhere
+    (:class:`~repro.query.pipeline.parallel.ProcessShardedEngine`); the
+    protocol and :meth:`ingest` run on the in-process engine (the
+    wrapper's ``engine``).  ``method`` is how the web modes answer; the
+    protocol always answers from covers.  ``validity_horizon_s`` is how
+    far past its slice's data a served cover is valid (its ``t_n``):
+    four hours, the paper's largest evaluation window, by default.
+    ``served_values`` / ``served_covers`` count the protocol's answers.
     """
 
-    modes = ("point", "continuous", "heatmap")
+    modes = ("point", "continuous", "heatmap", "model")
 
-    def __init__(self, engine, method: str = "naive", subscriptions=None) -> None:
+    def __init__(
+        self,
+        engine,
+        method: str = "naive",
+        subscriptions=None,
+        validity_horizon_s: float = 4.0 * 3600.0,
+    ) -> None:
         self.engine = engine
         self.method = method
         self.subscriptions = subscriptions
+        self.validity_horizon_s = validity_horizon_s
+        self._stats_lock = threading.Lock()
+        self.served_covers = 0
+        self.served_values = 0
+
+    @property
+    def _local(self):
+        """The in-process engine: the wrapper's ``engine``, else itself."""
+        return getattr(self.engine, "engine", self.engine)
+
+    def _require_data(self) -> None:
+        # The row count only grows, so a store that holds rows here
+        # still holds them when the answer's binding is pinned.
+        if not self._local.router.global_count():
+            raise HttpError(503, "no data yet")
+
+    # -- ingestion -------------------------------------------------------------
+
+    def ingest(self, batch: TupleBatch) -> int:
+        """Append community-sensed tuples; returns how many.  The
+        router's ingest (a batch breaking its contract raises
+        ``ValueError`` and changes nothing), then one wake-up of the
+        subscription registry when rows arrived."""
+        n = sum(self._local.router.ingest(batch))
+        if n and self.subscriptions is not None:
+            self.subscriptions.notify_ingest()
+        return n
+
+    # -- the paper's protocol --------------------------------------------------
+
+    def _processor(self, binding: RouterBinding, t: float, x: float, y: float):
+        """``(slice, cover processor)`` of the (shard, window) owning
+        ``(t, x, y)`` at the binding's pin — the entry a cover plan's op
+        answers from — or ``None`` when that slice holds no rows."""
+        c = int(binding.windows_for_times((t,))[0])
+        s = binding.grid.shard_of(x, y)
+        bound = binding.slice_for(s, c)
+        if not len(bound[1]):
+            return None
+        engine = self._local
+        return bound[1], cached_cover(engine.processor_cache, engine.config, s, c, bound)
+
+    def _cover(self, binding: RouterBinding, request: ModelRequest) -> ModelCover:
+        """The cover a model request is served, stamped ``t_n`` = its
+        slice's last timestamp + the validity horizon."""
+        if not all(map(math.isfinite, (request.t, request.x, request.y))):
+            raise ValueError(f"model request fields must be finite, got {request}")
+        owner = self._processor(binding, request.t, request.x, request.y)
+        if owner is None:
+            raise LookupError(
+                f"no rows in the slice owning ({request.x}, {request.y}) "
+                f"at t={request.t}"
+            )
+        rows, proc = owner
+        valid_until = float(rows.t[-1]) + self.validity_horizon_s
+        return dataclasses.replace(proc.cover, valid_until=valid_until)
+
+    def handle(self, request):
+        """Dispatch one client request (thread-safe)."""
+        return self.handle_many_with_epoch([request])[0][0]
+
+    def handle_with_epoch(self, request):
+        """Like :meth:`handle`, also reporting the epoch the answer was
+        computed at — the hook the concurrency harness uses to compare
+        every concurrent answer against a serial replay."""
+        responses, epoch = self.handle_many_with_epoch([request])
+        return responses[0], epoch
+
+    def handle_many(self, requests: Sequence) -> List:
+        """Dispatch a batch of requests, in request order, all answered
+        at one pinned binding (one epoch).
+
+        The query requests run as one ``model-cover`` plan; a lone one
+        whose owner slice holds rows skips the plan's fixed cost and is
+        evaluated on the cover its op would hold (the same bits).  A
+        query request with a non-finite field is answered ``NaN``; a
+        model request with one raises ``ValueError``, and one whose
+        owner slice is empty ``LookupError``.
+        """
+        return self.handle_many_with_epoch(requests)[0]
+
+    def handle_many_with_epoch(self, requests: Sequence) -> Tuple[List, int]:
+        """:meth:`handle_many` plus the pinned epoch."""
+        engine = self._local
+        binding = engine.binding()
+        responses: List[Any] = [None] * len(requests)
+        queries: List[int] = []
+        covers = 0
+        for i, request in enumerate(requests):
+            if isinstance(request, QueryRequest):
+                if all(map(math.isfinite, (request.t, request.x, request.y))):
+                    queries.append(i)
+                else:
+                    responses[i] = ValueResponse(t=request.t, value=math.nan)
+            elif isinstance(request, ModelRequest):
+                responses[i] = ModelCoverResponse(
+                    blob=self._cover(binding, request).to_blob()
+                )
+                covers += 1
+            else:
+                raise TypeError(f"server cannot handle {type(request).__name__}")
+        if len(queries) == 1:
+            request = requests[queries[0]]
+            owner = self._processor(binding, request.t, request.x, request.y)
+            if owner is not None:
+                value = owner[1].process(QueryTuple(request.t, request.x, request.y)).value
+                responses[queries[0]] = ValueResponse(
+                    t=request.t, value=math.nan if value is None else value
+                )
+                queries = []
+        if queries:
+            batch = QueryBatch(
+                np.array([requests[i].t for i in queries]),
+                np.array([requests[i].x for i in queries]),
+                np.array([requests[i].y for i in queries]),
+            )
+            result = engine.execute(engine.plan(batch, "model-cover", binding=binding))
+            for k, i in enumerate(queries):
+                value = float(result.values[k]) if result.answered[k] else math.nan
+                responses[i] = ValueResponse(t=requests[i].t, value=value)
+        with self._stats_lock:
+            self.served_covers += covers
+            self.served_values += len(requests) - covers
+        return responses, binding.epoch
+
+    # -- the web modes ---------------------------------------------------------
 
     def _point(self, query, params: Dict[str, Any]) -> Optional[Dict[str, Any]]:
         result = query(
@@ -430,28 +516,46 @@ class EngineQueryService:
             return None
         return _readings(result)
 
+    def _point_query(self, t: float, x: float, y: float, method: str):
+        self._require_data()
+        return self.engine.point_query(t, x, y, method=method)
+
     def point(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        return self._point(self.engine.point_query, params)
+        return self._point(self._point_query, params)
 
     def continuous(self, params: Dict[str, Any]) -> Dict[str, Any]:
         batch = params.pop(_ROUTE_BATCH, None)
         if batch is None:
             batch = _route_batch(params)
+        self._require_data()
         return _readings(self.engine.continuous_query_batch(batch, method=self.method))
 
     def heatmap(self, params: Dict[str, Any]) -> Dict[str, Any]:
         bounds = _bounds(params)
         nx = _optional_int(params, "nx", 40, _MAX_GRID_AXIS)
         ny = _optional_int(params, "ny", 30, _MAX_GRID_AXIS)
-        grid = self.engine.heatmap_grid(
-            _number(params, "t"), bounds, nx=nx, ny=ny, method=self.method
-        )
+        t = _number(params, "t")
+        self._require_data()
+        grid = self.engine.heatmap_grid(t, bounds, nx=nx, ny=ny, method=self.method)
         return {
             "mode": "heatmap",
             "nx": nx,
             "ny": ny,
             "grid": _clean_grid(grid),
         }
+
+    def model(self, params: Dict[str, Any]) -> Dict[str, Any]:
+        """The protocol's model request on the socket: the owner (shard,
+        window)'s served cover blob, base64-encoded."""
+        request = ModelRequest(
+            t=_number(params, "t"), x=_number(params, "x"), y=_number(params, "y")
+        )
+        self._require_data()
+        try:
+            blob = self.handle(request).blob
+        except LookupError as exc:
+            raise HttpError(404, str(exc)) from None
+        return {"mode": "model", "cover": base64.b64encode(blob).decode("ascii")}
 
 
 class AsyncQueryServer:

@@ -1,11 +1,12 @@
-"""Stream replay: drive the server the way the deployment does.
+"""Stream replay: drive the service the way the deployment does.
 
 The OpenSense pipeline dumps raw tuples into the database as buses report
 them; covers are built lazily per window (the paper's "lazy update
 policies").  :class:`StreamReplayer` replays a recorded dataset in time
-order, delivering tuples to the server in ingest batches and advancing a
-virtual clock, so tests and examples can exercise exactly the
-ingest/lazy-refit path a live deployment follows.
+order, delivering tuples to an
+:class:`~repro.server.async_server.EngineQueryService` in ingest batches
+and advancing a virtual clock, so tests, benchmarks and examples can
+exercise exactly the ingest/lazy-refit path a live deployment follows.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from repro.data.tuples import TupleBatch
 from repro.network.messages import QueryRequest
-from repro.server.server import EnviroMeterServer
+from repro.server.async_server import EngineQueryService
 
 ProgressCallback = Callable[[float, int], None]
 """Called after each delivered batch with (virtual time, total ingested)."""
@@ -36,16 +37,16 @@ class ReplayStats:
 
 
 class StreamReplayer:
-    """Replays a tuple batch into a server in ``batch_interval_s`` slices."""
+    """Replays a tuple batch into a service in ``batch_interval_s`` slices."""
 
     def __init__(
         self,
-        server: EnviroMeterServer,
+        service: EngineQueryService,
         batch_interval_s: float = 600.0,
     ) -> None:
         if batch_interval_s <= 0:
             raise ValueError("batch interval must be positive")
-        self.server = server
+        self.service = service
         self.batch_interval_s = batch_interval_s
 
     def slices(self, batch: TupleBatch) -> Iterator[Tuple[float, TupleBatch]]:
@@ -80,23 +81,26 @@ class StreamReplayer:
         """Replay the stream; optionally issue a point query after every
         ``query_every_s`` of virtual time (forcing lazy cover builds).
 
-        Returns replay statistics, including how many covers the server
-        fitted along the way.
+        Returns replay statistics, including how many covers the engine
+        fitted along the way (its cache misses: this path builds nothing
+        but covers).
         """
         stats = ReplayStats()
         next_query = float(batch.t[0]) + (query_every_s or 0.0) if len(batch) else 0.0
         for now, piece in self.slices(batch):
-            self.server.ingest(piece)
+            self.service.ingest(piece)
             stats.batches += 1
             stats.tuples += len(piece)
             stats.final_time = now
             if query_every_s is not None and now >= next_query:
                 x, y = query_position
-                self.server.handle(QueryRequest(t=float(piece.t[-1]), x=x, y=y))
+                self.service.handle(QueryRequest(t=float(piece.t[-1]), x=x, y=y))
                 next_query = now + query_every_s
             if on_progress is not None:
                 on_progress(now, stats.tuples)
-        stats.covers_built = self.server.builder_fit_count
-        stats.windows_sealed = self.server.sealed_windows_total
-        stats.final_epoch = self.server.epoch
+        engine = self.service.engine
+        router = engine.router
+        stats.covers_built = engine.cache_stats.misses
+        stats.windows_sealed = router.global_count() // router.h
+        stats.final_epoch = router.epoch
         return stats

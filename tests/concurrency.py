@@ -1,6 +1,9 @@
 """Deterministic concurrency harness for the serving layer.
 
-Two drivers, both built on real threads (``docs/testing.md``):
+The server under test is anything with the paper protocol's in-process
+surface — ``ingest``, ``handle_many`` and ``handle_many_with_epoch`` —
+i.e. an :class:`~repro.server.async_server.EngineQueryService`.  Two
+drivers, both built on real threads (``docs/testing.md``):
 
 * :func:`run_phase_schedule` — a *barrier-synchronized* schedule: a
   seeded sequence of write and read steps where writes run exclusively

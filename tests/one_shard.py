@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from repro.data.tuples import TupleBatch
 from repro.query.sharded import ShardedQueryEngine
+from repro.server.async_server import DEFAULT_COVER_CACHE_CAPACITY, EngineQueryService
 from repro.storage.shards import single_shard_router
 
 
@@ -26,3 +27,15 @@ def grow(engine: ShardedQueryEngine, batch: TupleBatch, hi: int) -> None:
     that the engine's router does not hold yet."""
     router = engine.router
     router.ingest(batch.slice(router.global_count(), hi))
+
+
+def protocol_service(h: int = 240, validity_horizon_s: float = 4 * 3600.0, **kwargs):
+    """The paper's deployment, empty: the one front end answering the
+    protocol over a one-shard engine with the cover cache's bound;
+    ``kwargs`` go to :class:`ShardedQueryEngine`."""
+    engine = ShardedQueryEngine(
+        single_shard_router(h), cache_capacity=DEFAULT_COVER_CACHE_CAPACITY, **kwargs
+    )
+    return EngineQueryService(
+        engine, method="model-cover", validity_horizon_s=validity_horizon_s
+    )

@@ -4,12 +4,13 @@ import pytest
 
 from repro.app.android import AndroidSession
 from repro.app.settings import AppSettings
-from repro.server.server import EnviroMeterServer
+
+from one_shard import protocol_service
 
 
 @pytest.fixture()
 def server(small_batch):
-    srv = EnviroMeterServer(h=240)
+    srv = protocol_service(h=240)
     srv.ingest(small_batch)
     return srv
 

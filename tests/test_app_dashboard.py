@@ -8,7 +8,8 @@ from repro.core.adkmn import AdKMNConfig, fit_adkmn
 from repro.data.tuples import TupleBatch
 from repro.geo.coords import BoundingBox
 from repro.geo.region import Region
-from repro.server.server import EnviroMeterServer
+
+from one_shard import protocol_service
 
 REGION = Region("lausanne", BoundingBox(0, 0, 6000, 4000))
 
@@ -76,11 +77,11 @@ class TestCoverHealth:
 
 class TestDashboard:
     def test_no_data(self):
-        panel = Dashboard(EnviroMeterServer(), REGION).render(0.0)
+        panel = Dashboard(protocol_service(), REGION).render(0.0)
         assert "no data" in panel
 
     def test_full_panel(self, small_batch):
-        server = EnviroMeterServer(h=240)
+        server = protocol_service(h=240)
         server.ingest(small_batch)
         now = float(small_batch.t[500])
         panel = Dashboard(server, REGION).render(now)
@@ -92,7 +93,7 @@ class TestDashboard:
     def test_panel_reflects_traffic(self, small_batch):
         from repro.network.messages import QueryRequest
 
-        server = EnviroMeterServer(h=240)
+        server = protocol_service(h=240)
         server.ingest(small_batch)
         now = float(small_batch.t[500])
         server.handle(QueryRequest(t=now, x=2000.0, y=1500.0))
@@ -103,7 +104,7 @@ class TestDashboard:
         from repro.core.cover import ModelCover
         from repro.network.messages import ModelRequest
 
-        server = EnviroMeterServer(h=240)
+        server = protocol_service(h=240)
         server.ingest(small_batch.slice(0, 1000))
         now = float(small_batch.t[700])
         panel = Dashboard(server, REGION).render(now)

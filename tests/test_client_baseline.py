@@ -6,12 +6,13 @@ from repro.client.baseline import BaselineClient
 from repro.data.tuples import QueryTuple
 from repro.network.link import GPRS, CellularLink
 from repro.network.protocol import FRAME_OVERHEAD_BYTES
-from repro.server.server import EnviroMeterServer
+
+from one_shard import protocol_service
 
 
 @pytest.fixture()
 def server(small_batch):
-    srv = EnviroMeterServer(h=240)
+    srv = protocol_service(h=240)
     srv.ingest(small_batch)
     return srv
 

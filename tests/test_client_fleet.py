@@ -3,12 +3,15 @@
 import pytest
 
 from repro.client.fleet import FleetMember, FleetSimulator, commuter_fleet
-from repro.server.server import EnviroMeterServer
+from repro.query.subscriptions import registry_for
+from repro.server.async_server import EngineQueryService
+
+from one_shard import protocol_service
 
 
 @pytest.fixture()
 def server(small_batch):
-    srv = EnviroMeterServer(h=240)
+    srv = protocol_service(h=240)
     srv.ingest(small_batch)
     return srv
 
@@ -86,7 +89,7 @@ class TestFleetSimulator:
         FleetSimulator(server).run(commuter_fleet(5, bbox, n_queries=10), t_start)
         # Five model requests served, but only one cover fitted.
         assert server.served_covers == 5
-        assert server.builder_fit_count == 1
+        assert server.engine.cache_stats.misses == 1
 
 
 class TestCommuterFleet:
@@ -112,7 +115,10 @@ class TestSubscriptionFleet:
         import numpy as np
 
         cut = int(0.8 * len(small_batch))
-        srv = EnviroMeterServer(h=240)
+        engine = protocol_service(h=240).engine
+        srv = EngineQueryService(
+            engine, method="model-cover", subscriptions=registry_for(engine)
+        )
         srv.ingest(small_batch.slice(0, cut))
         members = [
             member("tail-rider", n_queries=10),
@@ -147,3 +153,8 @@ class TestSubscriptionFleet:
         sim = FleetSimulator(server)
         with pytest.raises(ValueError):
             sim.run_subscriptions([member("a"), member("a")], t_start)
+
+    def test_run_subscriptions_needs_a_registry(self, server, t_start):
+        assert server.subscriptions is None
+        with pytest.raises(ValueError, match="registry"):
+            FleetSimulator(server).run_subscriptions([member("a")], t_start)

@@ -5,12 +5,13 @@ import pytest
 from repro.client.baseline import BaselineClient
 from repro.client.modelcache import ModelCacheClient
 from repro.data.tuples import QueryTuple
-from repro.server.server import EnviroMeterServer
+
+from one_shard import protocol_service
 
 
 @pytest.fixture()
 def server(small_batch):
-    srv = EnviroMeterServer(h=240, validity_horizon_s=4 * 3600.0)
+    srv = protocol_service(h=240, validity_horizon_s=4 * 3600.0)
     srv.ingest(small_batch)
     return srv
 

@@ -15,9 +15,10 @@ One randomised workload, every execution path, one chain of asserts:
 * the sharded engine's **model-cover fallback** (owning shard has no
   tuples in the window) == the exact scatter-gather answer, byte for
   byte;
-* the paper protocol (``EnviroMeterServer``) == covers built from core
-  functions (``window`` -> ``fit_adkmn`` with ``t_n`` = last time +
-  horizon): every value and every model-request blob, byte for byte.
+* the paper protocol (``EngineQueryService.handle_many`` over a
+  one-shard engine) == covers built from core functions (``window`` ->
+  ``fit_adkmn`` with ``t_n`` = last time + horizon): every value and
+  every model-request blob, byte for byte.
 
 Workloads are generated by hypothesis: random tuple streams (positions,
 strictly increasing times, values) and random query sets spanning the
@@ -45,10 +46,9 @@ from repro.query.modelcover import ModelCoverProcessor
 from repro.query.naive import NaiveProcessor
 from repro.query.planner import QueryProfile
 from repro.query.sharded import ShardedQueryEngine
-from repro.server.server import EnviroMeterServer
 from repro.storage.shards import ShardRouter
 
-from one_shard import grow, one_shard_engine
+from one_shard import grow, one_shard_engine, protocol_service
 from reference_gather import merge_hit_partials, scan_hits
 
 RADIUS_M = 900.0
@@ -463,7 +463,7 @@ class TestProtocolOracle:
         rng = np.random.default_rng(seed)
         stream = make_stream(rng, n)
         requests = make_requests(stream, specs)
-        server = EnviroMeterServer(h=H)
+        server = protocol_service(h=H)
         server.ingest(stream)
         want = protocol_fingerprints(reference_protocol(stream, requests))
         assert served_fingerprints(server.handle_many(requests)) == want
@@ -474,7 +474,7 @@ class TestProtocolOracle:
     def test_matches_reference_at_every_ingest_prefix(self, n, specs, seed):
         rng = np.random.default_rng(seed)
         stream = make_stream(rng, n)
-        server = EnviroMeterServer(h=H)
+        server = protocol_service(h=H)
         cut = int(rng.integers(1, n))
         for lo, hi in ((0, cut), (cut, n)):
             server.ingest(stream.slice(lo, hi))
@@ -545,7 +545,7 @@ class TestPipelineGoldenOracle:
 
         rng = np.random.default_rng(17)
         stream = make_stream(rng, 4 * H)
-        server = EnviroMeterServer(h=H, max_workers=3)
+        server = protocol_service(h=H, max_workers=3)
         for start in range(0, len(stream), H):
             server.ingest(stream.slice(start, start + H))
         requests = [
@@ -563,7 +563,7 @@ class TestPipelineGoldenOracle:
                 want[:40]
             )
         finally:
-            server.close()
+            server.engine.close()
         blob = server.handle(
             ModelRequest(t=float(stream.t[-1]), x=100.0, y=100.0)
         ).blob

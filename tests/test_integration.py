@@ -14,15 +14,14 @@ from repro.client.modelcache import ModelCacheClient
 from repro.core.cover import ModelCover
 from repro.data.tuples import QueryTuple
 from repro.geo.coords import BoundingBox
-from repro.server.server import EnviroMeterServer
 
-from one_shard import one_shard_engine
+from one_shard import one_shard_engine, protocol_service
 
 
 class TestFullLoop:
     def test_sense_store_model_query(self, small_dataset):
         """The complete Figure 1/3 pipeline."""
-        server = EnviroMeterServer(h=240)
+        server = protocol_service(h=240)
         server.ingest(small_dataset.tuples)
 
         t = float(small_dataset.tuples.t[800])
@@ -33,13 +32,13 @@ class TestFullLoop:
         assert 200.0 < response.value < 1500.0
 
         # The served cover blob round-trips.
-        c = server.current_window(t)
+        c = int(server.engine.router.windows_for_times((t,))[0])
         blob = server.handle(ModelRequest(t=t, x=2000.0, y=1500.0)).blob
         cover = ModelCover.from_blob(blob)
         assert cover.window_c == c
 
     def test_clients_agree_within_cover_validity(self, small_dataset):
-        server = EnviroMeterServer(h=240)
+        server = protocol_service(h=240)
         server.ingest(small_dataset.tuples)
         t0 = float(small_dataset.tuples.t[300])
         # Queries within one window: both clients see the same cover.
@@ -50,7 +49,7 @@ class TestFullLoop:
             assert a == pytest.approx(b)
 
     def test_android_and_web_consistent(self, small_dataset):
-        server = EnviroMeterServer(h=240)
+        server = protocol_service(h=240)
         server.ingest(small_dataset.tuples)
         engine = one_shard_engine(small_dataset.tuples, h=240)
         web = WebInterface(engine)

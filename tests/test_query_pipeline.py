@@ -20,7 +20,7 @@ import pytest
 from repro.data.tuples import TupleBatch
 from repro.geo.coords import BoundingBox
 from repro.geo.region import RegionGrid
-from repro.network.messages import QueryRequest
+from repro.network.messages import ModelRequest, QueryRequest
 from repro.query.base import QueryBatch
 from repro.query.pipeline import (
     CacheStats,
@@ -34,10 +34,9 @@ from repro.query.pipeline import (
 )
 from repro.query.planner import PlanEstimate, QueryProfile
 from repro.query.sharded import ShardedQueryEngine
-from repro.server.server import EnviroMeterServer
 from repro.storage.shards import ShardRouter
 
-from one_shard import grow, one_shard_engine
+from one_shard import grow, one_shard_engine, protocol_service
 
 BBOX = BoundingBox(0.0, 0.0, 6000.0, 4000.0)
 
@@ -384,7 +383,7 @@ class TestPlanShapes:
     def test_server_plan_is_one_cover_op_per_window(self):
         rng = np.random.default_rng(11)
         stream = make_stream(rng, 200)
-        server = EnviroMeterServer(h=40)
+        server = protocol_service(h=40)
         server.ingest(stream)
         engine = server.engine
         binding = engine.binding()
@@ -512,7 +511,7 @@ class TestEngineAuto:
 class TestServerCounters:
     def make_server(self, rng):
         stream = make_stream(rng, 200)
-        server = EnviroMeterServer(h=50)
+        server = protocol_service(h=50)
         server.ingest(stream)
         return server, stream
 
@@ -525,13 +524,13 @@ class TestServerCounters:
         ]
         server.handle_many(reqs)
         server.handle_many(reqs)
-        stats = server.cache_stats
+        stats = server.engine.cache_stats
         snap = stats.as_dict()
         assert set(snap) == {"hits", "misses", "evictions", "stale", "hit_rate"}
         assert stats.lookups == stats.hits + stats.misses
         assert stats.hits > 0  # second pass served from the cover memo
 
-    def test_server_counters_are_the_engine_cache_counters(self):
+    def test_served_covers_are_the_engine_cache_entries(self):
         rng = np.random.default_rng(32)
         server, stream = self.make_server(rng)
         reqs = [
@@ -539,19 +538,21 @@ class TestServerCounters:
             for i in range(4)
         ]
         server.handle_many(reqs)
-        assert server.cache_stats is server.engine.cache_stats
-        assert server.cover_cache is server.engine.processor_cache
+        cache = server.engine.processor_cache
+        assert list(cache.keys()) == [("cover", 0, 3)]
+        server.handle(ModelRequest(t=float(stream.t[-1]), x=0.0, y=0.0))
+        assert server.engine.cache_stats.misses == 1
 
     def test_server_cover_memo_stale_on_ingest(self):
         rng = np.random.default_rng(33)
         stream = make_stream(rng, 120)
-        server = EnviroMeterServer(h=50)
+        server = protocol_service(h=50)
         server.ingest(stream.slice(0, 110))  # window 2 stays open
         t_open = float(stream.t[105])
         server.handle(QueryRequest(t=t_open, x=2000.0, y=1500.0))
         server.ingest(stream.slice(110, 120))  # window 2 grows
         server.handle(QueryRequest(t=t_open, x=2000.0, y=1500.0))
-        assert server.cache_stats.stale >= 1
+        assert server.engine.cache_stats.stale >= 1
 
 
 class TestAutoNeverSlower:

@@ -1,65 +1,88 @@
-"""Tests for repro.server."""
+"""The paper's protocol in process: ``EngineQueryService.handle`` /
+``handle_many`` / ``ingest`` over the one query engine."""
 
 import math
 
 import numpy as np
 import pytest
 
+from repro.core.adkmn import fit_adkmn
 from repro.core.cover import ModelCover
 from repro.data.tuples import TupleBatch
+from repro.geo.region import RegionGrid
 from repro.network.messages import (
     ModelCoverResponse,
     ModelRequest,
     QueryRequest,
     ValueResponse,
 )
-from repro.server.server import EnviroMeterServer
+from repro.query.sharded import ShardedQueryEngine
+from repro.query.subscriptions import registry_for
+from repro.server.async_server import EngineQueryService
+from repro.storage.shards import ShardRouter
+
+from one_shard import protocol_service
 
 
 @pytest.fixture()
 def server(small_batch):
-    srv = EnviroMeterServer(h=240)
+    srv = protocol_service(h=240)
     srv.ingest(small_batch)
     return srv
 
 
+def served_cover(service, t: float) -> ModelCover:
+    """The cover a model request at time ``t`` is served."""
+    return ModelCover.from_blob(service.handle(ModelRequest(t=t, x=0.0, y=0.0)).blob)
+
+
+def window_of(service, t: float) -> int:
+    return int(service.engine.router.windows_for_times((t,))[0])
+
+
+def fits(service) -> int:
+    """Covers the engine fitted: its cache misses (the protocol builds
+    nothing but covers)."""
+    return service.engine.cache_stats.misses
+
+
 class TestIngestion:
     def test_ingest_counts(self, small_batch):
-        srv = EnviroMeterServer()
+        srv = protocol_service()
         assert srv.ingest(small_batch) == len(small_batch)
 
     def test_no_data_raises(self):
-        srv = EnviroMeterServer()
+        srv = protocol_service()
         with pytest.raises(RuntimeError):
-            srv.current_window(0.0)
+            srv.handle(QueryRequest(t=0.0, x=0.0, y=0.0))
 
 
 class TestCoverMaintenance:
     def test_cover_cached_on_first_fit(self, server, small_batch):
         t = float(small_batch.t[100])
-        server.cover_for(t)
-        c = server.current_window(t)
-        assert server.cover_cache.entry_stamp(("cover", 0, c)) is not None
-        assert server.builder_fit_count == 1
+        served_cover(server, t)
+        c = window_of(server, t)
+        assert server.engine.processor_cache.entry_stamp(("cover", 0, c)) is not None
+        assert fits(server) == 1
 
     def test_cover_reused_from_cache(self, server, small_batch):
         t = float(small_batch.t[100])
-        a = server.cover_for(t)
-        b = server.cover_for(t)
+        a = served_cover(server, t)
+        b = served_cover(server, t)
         assert np.array_equal(a.centroids, b.centroids)
         assert a.to_blob() == b.to_blob()
         # Only one fit for the window.
-        assert server.builder_fit_count == 1
+        assert fits(server) == 1
 
     def test_validity_horizon_applied(self, server, small_batch):
         t = float(small_batch.t[100])
-        cover = server.cover_for(t)
+        cover = served_cover(server, t)
         window_end = float(small_batch.t[239])
         assert cover.valid_until == window_end + server.validity_horizon_s
 
     def test_later_time_uses_later_window(self, server, small_batch):
-        c_early = server.current_window(float(small_batch.t[10]))
-        c_late = server.current_window(float(small_batch.t[1000]))
+        c_early = window_of(server, float(small_batch.t[10]))
+        c_late = window_of(server, float(small_batch.t[1000]))
         assert c_late > c_early
 
 
@@ -84,7 +107,7 @@ class TestRequestHandling:
             server.handle("not-a-request")
 
     def test_ingest_invalidates_cache(self, small_batch):
-        server = EnviroMeterServer(h=240)
+        server = protocol_service(h=240)
         server.ingest(small_batch.slice(0, 1000))
         t = float(small_batch.t[999])
         before = server.handle(ModelRequest(t=t, x=0.0, y=0.0))
@@ -93,17 +116,17 @@ class TestRequestHandling:
         after = server.handle(ModelRequest(t=t, x=0.0, y=0.0))
         assert isinstance(after, ModelCoverResponse)
         assert after.blob != before.blob
-        assert server.builder_fit_count == 2
+        assert fits(server) == 2
 
 
 class TestNonFiniteRequests:
     """A query with a non-finite field has no data to answer from; a
-    model request with a non-finite time names no window."""
+    model request with a non-finite field names no (shard, window)."""
 
     @pytest.mark.parametrize("field", ["t", "x", "y"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_query_request_answers_nan(self, small_batch, field, bad):
-        server = EnviroMeterServer(h=240)
+        server = protocol_service(h=240)
         server.ingest(small_batch.slice(0, 1000))
         fields = {"t": float(small_batch.t[500]), "x": 2000.0, "y": 1500.0}
         fields[field] = bad
@@ -122,10 +145,15 @@ class TestNonFiniteRequests:
         assert math.isnan(mixed[0].value)
         assert mixed[1] == server.handle(good)
 
+    @pytest.mark.parametrize("field", ["t", "x", "y"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_model_request_with_non_finite_time_raises(self, server, bad):
+    def test_model_request_with_a_non_finite_field_raises(
+        self, server, small_batch, field, bad
+    ):
+        fields = {"t": float(small_batch.t[500]), "x": 0.0, "y": 0.0}
+        fields[field] = bad
         with pytest.raises(ValueError):
-            server.handle(ModelRequest(t=bad, x=0.0, y=0.0))
+            server.handle(ModelRequest(**fields))
         assert server.served_covers == 0
 
 
@@ -154,37 +182,38 @@ class TestIngestContract:
         "how", ["replayed", "late", "unsorted", "nan-t", "inf-t", "nan-x", "inf-y"]
     )
     def test_rejected_batch_changes_nothing(self, small_batch, how):
-        server = EnviroMeterServer(h=240)
+        server = protocol_service(h=240)
+        router = server.engine.router
         server.ingest(small_batch.slice(0, 1000))
         requests = [
             QueryRequest(t=float(small_batch.t[i]), x=2000.0, y=1500.0)
             for i in (10, 500, 999)
         ] + [ModelRequest(t=float(small_batch.t[999]), x=0.0, y=0.0)]
         before = server.handle_many(requests)
-        assert server.epoch == 1
+        assert router.epoch == 1
         with pytest.raises(ValueError):
             server.ingest(_broken(small_batch, how))
-        assert server.epoch == 1
-        assert server.engine.router.global_count() == 1000
+        assert router.epoch == 1
+        assert router.global_count() == 1000
         assert server.handle_many(requests) == before
         # ... and the stream continues where it left off.
         assert server.ingest(small_batch.slice(1000, 1005)) == 5
-        assert server.epoch == 2
+        assert router.epoch == 2
 
     def test_empty_batch_is_no_epoch(self, server):
-        epoch = server.epoch
+        epoch = server.engine.router.epoch
         assert server.ingest(TupleBatch.empty()) == 0
-        assert server.epoch == epoch
+        assert server.engine.router.epoch == epoch
 
 
 class TestEpochs:
     def test_handle_with_epoch_reports_the_pinned_epoch(self, small_batch):
-        server = EnviroMeterServer(h=240)
+        server = protocol_service(h=240)
         request = QueryRequest(t=float(small_batch.t[50]), x=2000.0, y=1500.0)
         for k, lo in enumerate(range(0, 1200, 300), start=1):
             server.ingest(small_batch.slice(lo, lo + 300))
             response, epoch = server.handle_with_epoch(request)
-            assert epoch == k == server.epoch
+            assert epoch == k == server.engine.router.epoch
             assert response == server.handle(request)
             _, many_epoch = server.handle_many_with_epoch([request, request])
             assert many_epoch == k
@@ -203,18 +232,22 @@ class TestEpochs:
         assert (server.served_values, server.served_covers) == (3, 2)
 
     def test_sealed_windows_and_data(self, small_batch):
-        server = EnviroMeterServer(h=240)
-        assert not server.has_data()
-        assert server.sealed_windows_total == 0
+        server = protocol_service(h=240)
+        router = server.engine.router
+        assert router.global_count() == 0
         server.ingest(small_batch.slice(0, 500))
-        assert server.has_data()
-        assert server.sealed_windows_total == 2
+        assert router.global_count() == 500
+        assert router.global_count() // router.h == 2
 
-    def test_context_manager_releases_the_pool(self, small_batch):
-        with EnviroMeterServer(h=240, max_workers=2) as server:
+    def test_engine_context_manager_releases_the_pool(self, small_batch):
+        with protocol_service(h=240, max_workers=2).engine as engine:
+            server = EngineQueryService(engine, method="model-cover")
             server.ingest(small_batch.slice(0, 500))
-            assert server.engine.executor.max_workers == 2
-        assert server.engine.executor._pool is None
+            server.handle_many(
+                [QueryRequest(t=float(small_batch.t[i]), x=0.0, y=0.0) for i in (1, 2)]
+            )
+            assert engine.executor.max_workers == 2
+        assert engine.executor._pool is None
 
 
 class TestLoneQuery:
@@ -236,43 +269,131 @@ class TestLoneQuery:
 
 class TestServedCover:
     @pytest.mark.parametrize("row", [0, 100, 239, 240, 3000, -1])
-    def test_cover_for_is_the_model_request_blob(self, server, small_batch, row):
+    def test_served_cover_is_the_windows_fit_restamped(self, server, small_batch, row):
         t = float(small_batch.t[row])
         blob = server.handle(ModelRequest(t=t, x=0.0, y=0.0)).blob
-        assert server.cover_for(t).to_blob() == blob
         cover = ModelCover.from_blob(blob)
-        c = server.current_window(t)
+        c = window_of(server, t)
         last = min((c + 1) * 240, len(small_batch)) - 1
         assert cover.window_c == c
         assert cover.valid_until == float(small_batch.t[last]) + 4 * 3600.0
+        window = small_batch.slice(c * 240, last + 1)
+        want = fit_adkmn(window, server.engine.config, window_c=c).cover
+        assert np.array_equal(cover.centroids, want.centroids)
 
     @pytest.mark.parametrize("horizon", [0.0, 600.0, 86400.0])
     def test_horizon_only_moves_t_n(self, small_batch, horizon):
         t = float(small_batch.t[700])
         blobs = {}
         for h_s in (4 * 3600.0, horizon):
-            server = EnviroMeterServer(h=240, validity_horizon_s=h_s)
+            server = protocol_service(h=240, validity_horizon_s=h_s)
             server.ingest(small_batch)
-            blobs[h_s] = ModelCover.from_blob(
-                server.handle(ModelRequest(t=t, x=0.0, y=0.0)).blob
-            )
+            blobs[h_s] = served_cover(server, t)
         a, b = blobs[4 * 3600.0], blobs[horizon]
         assert b.valid_until - a.valid_until == horizon - 4 * 3600.0
         np.testing.assert_array_equal(a.centroids, b.centroids)
 
 
+class TestShardedProtocol:
+    """On a region-sharded store a model request gets the cover of the
+    (shard, window) owning its position, and query requests answer what
+    the engine's ``model-cover`` plan answers."""
+
+    @pytest.fixture()
+    def sharded(self, small_dataset):
+        router = ShardRouter(
+            RegionGrid.for_shard_count(small_dataset.covered_bbox(), 4), h=240
+        )
+        router.ingest(small_dataset.tuples)
+        return EngineQueryService(ShardedQueryEngine(router), method="model-cover")
+
+    @pytest.mark.parametrize("row", [100, 2000, -1])
+    def test_model_request_is_the_owner_slices_cover(self, sharded, small_batch, row):
+        router = sharded.engine.router
+        t = float(small_batch.t[row])
+        c = int(router.windows_for_times((t,))[0])
+        for s in range(router.n_shards):
+            rows = router.shard_window(s, c)
+            if not len(rows):
+                continue
+            x, y = float(rows.x[0]), float(rows.y[0])
+            assert router.grid.shard_of(x, y) == s
+            cover = ModelCover.from_blob(
+                sharded.handle(ModelRequest(t=t, x=x, y=y)).blob
+            )
+            want = fit_adkmn(
+                rows, sharded.engine.config,
+                valid_until=float(rows.t[-1]) + 4 * 3600.0, window_c=c,
+            ).cover
+            assert cover.to_blob() == want.to_blob()
+
+    def test_empty_owner_slice_is_a_lookup_error(self, small_batch):
+        grid = RegionGrid.for_shard_count(_bbox(small_batch), 4)
+        router = ShardRouter(grid, h=240)
+        # Every row in the first shard's cell: the others stay empty.
+        first = small_batch.slice(0, 480)
+        x0, y0 = grid.bounds.min_x, grid.bounds.min_y
+        router.ingest(
+            TupleBatch(first.t, np.full(480, x0), np.full(480, y0), first.s)
+        )
+        service = EngineQueryService(ShardedQueryEngine(router), method="model-cover")
+        t = float(first.t[100])
+        far = (grid.bounds.max_x, grid.bounds.max_y)
+        assert grid.shard_of(*far) != grid.shard_of(x0, y0)
+        with pytest.raises(LookupError):
+            service.handle(ModelRequest(t=t, x=far[0], y=far[1]))
+        assert service.served_covers == 0
+        assert service.handle(ModelRequest(t=t, x=x0, y=y0)).blob
+        # A query there is the plan's exact fallback, not an error.
+        value = service.handle(QueryRequest(t=t, x=far[0], y=far[1])).value
+        want = service.engine.point_query(t, far[0], far[1], method="model-cover")
+        assert np.float64(value).tobytes() == np.float64(
+            math.nan if want.value is None else want.value
+        ).tobytes()
+
+    def test_query_requests_are_the_engines_answers(self, sharded, small_batch):
+        engine = sharded.engine
+        requests = [
+            QueryRequest(t=float(small_batch.t[i]), x=500.0 + 9.0 * i, y=400.0 + 5.0 * i)
+            for i in range(0, 5000, 97)
+        ]
+        batched = [r.value for r in sharded.handle_many(requests)]
+        lone = [sharded.handle(r).value for r in requests]
+        want = [
+            engine.point_query(r.t, r.x, r.y, method="model-cover").value
+            for r in requests
+        ]
+        want = [math.nan if v is None else v for v in want]
+        assert np.array(batched).tobytes() == np.array(want).tobytes()
+        assert np.array(lone).tobytes() == np.array(want).tobytes()
+
+
+def _bbox(batch):
+    from repro.geo.coords import BoundingBox
+
+    return BoundingBox(
+        float(batch.x.min()), float(batch.y.min()),
+        float(batch.x.max()), float(batch.y.max()),
+    )
+
+
 class TestSubscriptions:
-    def test_subscribe_serves_model_cover_and_follows_ingest(self, small_batch):
-        server = EnviroMeterServer(h=240)
+    def test_ingest_wakes_the_registry_and_routes_follow(self, small_batch):
+        engine = protocol_service(h=240).engine
+        server = EngineQueryService(
+            engine, method="model-cover", subscriptions=registry_for(engine)
+        )
         server.ingest(small_batch.slice(0, 1000))
         woken = []
         server.subscriptions.add_listener(lambda: woken.append(1))
         route = [(2000.0, 1500.0), (2600.0, 1900.0)]
-        sub = server.subscribe(route, float(small_batch.t[990]), count=5)
+        sub = server.subscriptions.subscribe(
+            route, float(small_batch.t[990]), count=5, method=server.method
+        )
         assert sub.method == "model-cover"
         server.ingest(small_batch.slice(1000, 1100))
         assert woken
-        updates = server.poll_updates(sub.id)
+        updates = server.subscriptions.poll(sub.id)
         assert [u.seq for u in updates] == list(range(1, len(updates) + 1))
         values, _ = sub.answer()
         queries = sub.spec.query_batch()
@@ -283,6 +404,18 @@ class TestSubscriptions:
             ]
         )
         np.testing.assert_array_equal(values, [r.value for r in want])
+
+    def test_an_empty_batch_wakes_nobody(self, small_batch):
+        engine = protocol_service(h=240).engine
+        server = EngineQueryService(
+            engine, method="model-cover", subscriptions=registry_for(engine)
+        )
+        woken = []
+        server.subscriptions.add_listener(lambda: woken.append(1))
+        server.ingest(TupleBatch.empty())
+        assert not woken
+        server.ingest(small_batch.slice(0, 10))
+        assert woken == [1]
 
 
 class TestBatchedRequestHandling:
@@ -325,22 +458,24 @@ class TestBatchedRequestHandling:
 
 
 class TestVectorizedWindowAssignment:
-    def test_windows_for_matches_scalar(self, server, small_batch):
+    def test_windows_for_times_matches_scalar(self, server, small_batch):
+        router = server.engine.router
         ts = [float(small_batch.t[i]) for i in (0, 5, 300, 700, 1200)]
         ts.append(float(small_batch.t[0]) - 1.0)  # before the stream
-        vec = server.windows_for(ts)
-        assert vec.tolist() == [server.current_window(t) for t in ts]
+        vec = router.windows_for_times(ts)
+        assert vec.tolist() == [router.window_for_time(t) for t in ts]
+        assert vec.tolist() == [window_of(server, t) for t in ts]
 
-    def test_windows_for_empty_server(self):
+    def test_windows_for_times_on_an_empty_store(self):
         with pytest.raises(RuntimeError):
-            EnviroMeterServer().windows_for([0.0])
+            protocol_service().engine.router.windows_for_times([0.0])
 
 
 class TestIncrementalIngest:
     def test_query_after_many_ingests_never_concatenates(
         self, small_batch, monkeypatch
     ):
-        server = EnviroMeterServer(h=240)
+        server = protocol_service(h=240)
         for start in range(0, 1200, 60):
             server.ingest(small_batch.slice(start, start + 60))
         t = float(small_batch.t[100])
@@ -353,16 +488,17 @@ class TestIncrementalIngest:
         assert not math.isnan(response.value)
 
     def test_untouched_window_cover_cache_survives_ingest(self, small_batch):
-        server = EnviroMeterServer(h=240)
+        server = protocol_service(h=240)
         server.ingest(small_batch.slice(0, 1200))
         t = float(small_batch.t[100])
         server.handle(QueryRequest(t=t, x=2000.0, y=1500.0))
-        fits = server.builder_fit_count
-        assert [key for key in server.cover_cache.keys()] == [("cover", 0, 0)]
+        before = fits(server)
+        cache = server.engine.processor_cache
+        assert [key for key in cache.keys()] == [("cover", 0, 0)]
         server.ingest(small_batch.slice(1200, 1300))  # touches window 5 only
         server.handle(QueryRequest(t=t, x=2000.0, y=1500.0))
-        assert server.builder_fit_count == fits
-        assert server.cache_stats.hits == 1
+        assert fits(server) == before
+        assert server.engine.cache_stats.hits == 1
 
 
 class TestInterleavedIngestConvergence:
@@ -373,15 +509,15 @@ class TestInterleavedIngestConvergence:
         t = float(small_batch.t[100])
         request = QueryRequest(t=t, x=2000.0, y=1500.0)
 
-        one_shot = EnviroMeterServer(h=240)
+        one_shot = protocol_service(h=240)
         one_shot.ingest(small_batch.slice(0, 480))
         want = one_shot.handle(request)
 
-        interleaved = EnviroMeterServer(h=240)
+        interleaved = protocol_service(h=240)
         interleaved.ingest(small_batch.slice(0, 100))
         premature = interleaved.handle(request)  # window 0 only partial
         interleaved.ingest(small_batch.slice(100, 480))
         got = interleaved.handle(request)
         assert got.value == pytest.approx(want.value, abs=0.0)
-        assert interleaved.builder_fit_count == 2  # partial fit + one refit
+        assert fits(interleaved) == 2  # partial fit + one refit
         assert premature.value != want.value  # the stale answer it replaced

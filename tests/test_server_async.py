@@ -17,7 +17,6 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.app.webapp import WebInterface
 from repro.geo.coords import BoundingBox
 from repro.geo.region import RegionGrid
 import repro.query.sharded as sharded_module
@@ -28,7 +27,6 @@ from repro.query.sharded import CACHED_ROUTE_MAX_ROWS, ShardedQueryEngine
 from repro.server.async_server import (
     BackgroundServer,
     EngineQueryService,
-    WebAppService,
     _response,
 )
 from repro.storage.shards import ShardRouter
@@ -39,13 +37,13 @@ _WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 
 
 @pytest.fixture(scope="module")
-def web(small_batch):
-    return WebInterface(one_shard_engine(small_batch, h=240))
+def engine(small_batch):
+    return one_shard_engine(small_batch, h=240)
 
 
 @pytest.fixture(scope="module")
-def served(web):
-    with BackgroundServer(WebAppService(web)) as background:
+def served(engine):
+    with BackgroundServer(EngineQueryService(engine, method="model-cover")) as background:
         yield background
 
 
@@ -84,16 +82,17 @@ class TestHttpRoutes:
         status, body = _get(served.port, "/health")
         assert status == 200
         assert body["status"] == "ok"
-        assert set(body["modes"]) == {"point", "continuous", "heatmap"}
+        assert set(body["modes"]) == {"point", "continuous", "heatmap", "model"}
 
-    def test_point_query_matches_in_process(self, served, web, t_mid):
+    def test_point_query_matches_in_process(self, served, engine, t_mid):
         status, body = _post(
             served.port, "/query/point", {"t": t_mid, "x": 2000.0, "y": 1500.0}
         )
         assert status == 200
-        expected = web.point_query(t_mid, 2000.0, 1500.0)
-        assert body["co2_ppm"] == pytest.approx(expected.co2_ppm)
-        assert body["text"] == expected.text
+        expected = engine.point_query(t_mid, 2000.0, 1500.0, method="model-cover")
+        assert body == {
+            "mode": "point", "value": expected.value, "support": expected.support
+        }
 
     def test_point_query_on_negative_extrapolation_is_answered(
         self, served, small_batch
@@ -105,8 +104,7 @@ class TestHttpRoutes:
             served.port, "/query/point", {"t": t, "x": -1e6, "y": -1e6}
         )
         assert status == 200
-        assert body["co2_ppm"] < 0.0
-        assert body["text"].startswith("0 ppm CO2")
+        assert body["value"] < 0.0
 
     def test_continuous_route(self, served, t_mid):
         status, body = _post(
@@ -122,9 +120,9 @@ class TestHttpRoutes:
         readings = body["readings"]
         assert len(readings) == 8
         assert (readings[0]["x"], readings[0]["y"]) == (1000.0, 1000.0)
-        assert all(r["marker_color"].startswith("#") for r in readings)
+        assert all(r["value"] is not None and r["support"] >= 1 for r in readings)
 
-    def test_heatmap_grid_and_markers(self, served, web, t_mid):
+    def test_heatmap_grid(self, served, engine, t_mid):
         status, body = _post(
             served.port,
             "/query/heatmap",
@@ -133,9 +131,10 @@ class TestHttpRoutes:
         assert status == 200
         grid = np.array(body["grid"], dtype=float)
         assert grid.shape == (8, 10)
-        expected = web.heatmap(t_mid, BoundingBox(0, 0, 6000, 4000), nx=10, ny=8)
-        assert np.allclose(grid, expected.grid)
-        assert len(body["markers"]) >= 1
+        expected = engine.heatmap_grid(
+            t_mid, BoundingBox(0, 0, 6000, 4000), nx=10, ny=8, method="model-cover"
+        )
+        assert np.array_equal(grid, expected)
 
     def test_keep_alive_serves_sequential_requests(self, served, t_mid):
         conn = http.client.HTTPConnection("127.0.0.1", served.port, timeout=30)
@@ -637,7 +636,3 @@ class TestCachedLane:
                 for _ in range(2):
                     assert _post(served.port, "/query/point", p)[0] == 200
             assert not engine.lane_hits and not engine.lane_declines
-
-    def test_web_app_service_has_no_lane(self, served):
-        # Every TestHttpRoutes / TestWebSocket request above took the hop.
-        assert not hasattr(served.server.service, "cached")

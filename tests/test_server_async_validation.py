@@ -37,7 +37,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.app.webapp import WebInterface
 from repro.geo.coords import BoundingBox
 from repro.geo.region import RegionGrid
 from repro.query.sharded import ShardedQueryEngine
@@ -47,7 +46,6 @@ from repro.server.async_server import (
     BackgroundServer,
     EngineQueryService,
     HttpError,
-    WebAppService,
     _HttpConnection,
     _WsSubscriptionSession,
     _clean,
@@ -66,9 +64,11 @@ _WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 
 
 @pytest.fixture(scope="module")
-def web_served(small_batch):
-    web = WebInterface(one_shard_engine(small_batch, h=240))
-    with BackgroundServer(WebAppService(web)) as background:
+def one_shard_served(small_batch):
+    """A ``naive`` service over a one-shard engine: no cached lane, so
+    every query takes the executor hop."""
+    service = EngineQueryService(one_shard_engine(small_batch, h=240))
+    with BackgroundServer(service) as background:
         yield background
 
 
@@ -134,10 +134,10 @@ class TestContentLengthValidation:
         "value", ["banana", "-5", "+10", "1_0", "0x10", "12 34"]
     )
     def test_malformed_content_length_is_a_400_not_a_hangup(
-        self, web_served, value
+        self, one_shard_served, value
     ):
         response = _raw_exchange(
-            web_served.port,
+            one_shard_served.port,
             (
                 f"POST /query/point HTTP/1.1\r\n"
                 f"Host: t\r\n"
@@ -150,9 +150,9 @@ class TestContentLengthValidation:
         assert response.startswith(b"HTTP/1.1 400"), response[:60]
         assert b"Content-Length" in response
 
-    def test_valid_content_length_still_served(self, web_served, t_mid):
+    def test_valid_content_length_still_served(self, one_shard_served, t_mid):
         status, _body = _post(
-            web_served.port, "/query/point", {"t": t_mid, "x": 2000.0, "y": 1500.0}
+            one_shard_served.port, "/query/point", {"t": t_mid, "x": 2000.0, "y": 1500.0}
         )
         assert status == 200
 
@@ -162,11 +162,11 @@ _BAD_DURATIONS = ["soon", 0, -600.0, True, float("nan"), float("inf"), 10**400]
 
 class TestDurationValidation:
     @pytest.mark.parametrize("duration", _BAD_DURATIONS)
-    def test_webapp_service_rejects_bad_duration(
-        self, web_served, t_mid, duration
+    def test_one_shard_service_rejects_bad_duration(
+        self, one_shard_served, t_mid, duration
     ):
         status, body = _post(
-            web_served.port,
+            one_shard_served.port,
             "/query/continuous",
             {
                 "route": [[1000.0, 1000.0], [3000.0, 2200.0]],
@@ -194,9 +194,9 @@ class TestDurationValidation:
         assert status == 400, body
         assert "duration_s" in body["error"]
 
-    def test_valid_duration_still_served(self, web_served, t_mid):
+    def test_valid_duration_still_served(self, one_shard_served, t_mid):
         status, body = _post(
-            web_served.port,
+            one_shard_served.port,
             "/query/continuous",
             {
                 "route": [[1000.0, 1000.0], [3000.0, 2200.0]],
@@ -222,6 +222,7 @@ def _bad_number_requests(t_mid):
     for bad in _BAD_NUMBERS:
         for key in point:
             yield "/query/point", {**point, key: bad}
+            yield "/query/model", {**point, key: bad}
         yield "/query/continuous", {**route, "t_start": bad}
         for i in range(2):
             for j in range(2):
@@ -242,8 +243,8 @@ class TestNonFiniteNumbers:
             assert status == 400, (path, payload, body)
             assert "error" in body
 
-    def test_webapp_service_refuses_them(self, web_served, t_mid):
-        self._sweep(web_served.port, t_mid)
+    def test_one_shard_service_refuses_them(self, one_shard_served, t_mid):
+        self._sweep(one_shard_served.port, t_mid)
 
     def test_engine_service_refuses_them(self, engine_served, t_mid):
         self._sweep(engine_served[0].port, t_mid)
@@ -305,8 +306,8 @@ class TestUninterpolableRoutes:
         assert "t_end" in body["error"] or "finite" in body["error"]
 
     @pytest.mark.parametrize("payload", _UNINTERPOLABLE_ROUTES)
-    def test_webapp_service_answers_400(self, web_served, t_mid, payload):
-        self._check(*_post(web_served.port, "/query/continuous", payload))
+    def test_one_shard_service_answers_400(self, one_shard_served, t_mid, payload):
+        self._check(*_post(one_shard_served.port, "/query/continuous", payload))
 
     @pytest.mark.parametrize("payload", _UNINTERPOLABLE_ROUTES)
     def test_engine_service_answers_400(self, engine_served, payload):
@@ -355,27 +356,27 @@ class TestUninterpolableRoutes:
 
 
 class TestRequestLimits:
-    def test_giant_heatmap_grid_is_rejected(self, web_served, t_mid):
+    def test_giant_heatmap_grid_is_rejected(self, one_shard_served, t_mid):
         status, body = _post(
-            web_served.port,
+            one_shard_served.port,
             "/query/heatmap",
             {"t": t_mid, "bounds": [0, 0, 6000, 4000], "nx": 10**6, "ny": 10**6},
         )
         assert status == 400
         assert "nx" in body["error"]
 
-    def test_axis_just_over_the_cap_is_rejected(self, web_served, t_mid):
+    def test_axis_just_over_the_cap_is_rejected(self, one_shard_served, t_mid):
         status, body = _post(
-            web_served.port,
+            one_shard_served.port,
             "/query/heatmap",
             {"t": t_mid, "bounds": [0, 0, 6000, 4000], "nx": 4, "ny": 513},
         )
         assert status == 400
         assert "513" not in body["error"] or "ny" in body["error"]
 
-    def test_giant_update_count_is_rejected(self, web_served, t_mid):
+    def test_giant_update_count_is_rejected(self, one_shard_served, t_mid):
         status, body = _post(
-            web_served.port,
+            one_shard_served.port,
             "/query/continuous",
             {
                 "route": [[1000.0, 1000.0], [3000.0, 2200.0]],
@@ -388,8 +389,8 @@ class TestRequestLimits:
 
 
 class TestKeepAliveAfter400:
-    def test_connection_survives_a_400(self, web_served, t_mid):
-        conn = http.client.HTTPConnection("127.0.0.1", web_served.port, timeout=30)
+    def test_connection_survives_a_400(self, one_shard_served, t_mid):
+        conn = http.client.HTTPConnection("127.0.0.1", one_shard_served.port, timeout=30)
         try:
             conn.request(
                 "POST",
@@ -418,7 +419,7 @@ class TestKeepAliveAfter400:
         finally:
             conn.close()
 
-    def test_pipelined_requests_after_400(self, web_served, t_mid):
+    def test_pipelined_requests_after_400(self, one_shard_served, t_mid):
         bad = json.dumps(
             {"route": [[0.0, 0.0], [1.0, 1.0]], "t_start": t_mid, "duration_s": 0}
         ).encode()
@@ -431,7 +432,7 @@ class TestKeepAliveAfter400:
             + f"Content-Length: {len(good)}\r\n\r\n".encode()
             + good
         )
-        response = _raw_exchange(web_served.port, request)
+        response = _raw_exchange(one_shard_served.port, request)
         assert response.startswith(b"HTTP/1.1 400")
         assert b"HTTP/1.1 200" in response
 
@@ -524,11 +525,11 @@ class _WsClient:
 
 
 class TestFragmentedMessages:
-    def test_fragmented_request_is_reassembled(self, web_served, t_mid):
+    def test_fragmented_request_is_reassembled(self, one_shard_served, t_mid):
         payload = json.dumps(
             {"mode": "point", "t": t_mid, "x": 2000.0, "y": 1500.0}
         ).encode()
-        client = _WsClient(web_served.port)
+        client = _WsClient(one_shard_served.port)
         try:
             third = len(payload) // 3
             client.send(False, 0x1, payload[:third])
@@ -542,11 +543,11 @@ class TestFragmentedMessages:
         assert "error" not in body
         assert body["mode"] == "point"
 
-    def test_ping_interleaved_mid_message(self, web_served, t_mid):
+    def test_ping_interleaved_mid_message(self, one_shard_served, t_mid):
         payload = json.dumps(
             {"mode": "point", "t": t_mid, "x": 2000.0, "y": 1500.0}
         ).encode()
-        client = _WsClient(web_served.port)
+        client = _WsClient(one_shard_served.port)
         try:
             half = len(payload) // 2
             client.send(False, 0x1, payload[:half])
@@ -559,14 +560,14 @@ class TestFragmentedMessages:
         finally:
             client.close()
 
-    def test_bare_continuation_is_a_protocol_error(self, web_served):
-        client = _WsClient(web_served.port)
+    def test_bare_continuation_is_a_protocol_error(self, one_shard_served):
+        client = _WsClient(one_shard_served.port)
         client.send(True, 0x0, b"orphan")
         assert client.closed_by_server()
         client.sock.close()
 
-    def test_fragmented_control_frame_is_a_protocol_error(self, web_served):
-        client = _WsClient(web_served.port)
+    def test_fragmented_control_frame_is_a_protocol_error(self, one_shard_served):
+        client = _WsClient(one_shard_served.port)
         client.send(False, 0x9, b"bad ping")
         assert client.closed_by_server()
         client.sock.close()
@@ -707,8 +708,8 @@ class TestWebSocketSubscribe:
         finally:
             client.close()
 
-    def test_subscribe_without_registry_is_an_error_frame(self, web_served):
-        client = _WsClient(web_served.port)
+    def test_subscribe_without_registry_is_an_error_frame(self, one_shard_served):
+        client = _WsClient(one_shard_served.port)
         try:
             reply = client.request(
                 {
@@ -961,11 +962,11 @@ class TestRequestFraming:
         asyncio.run(run())
         assert len(lane_service.point_on) == 1  # only the warming call
 
-    def test_executor_request_split_at_every_offset(self, web_served, t_mid):
+    def test_executor_request_split_at_every_offset(self, one_shard_served, t_mid):
         """The same for a request that takes the executor hop (a
-        ``WebAppService`` has no lane), over the real transport's
+        ``naive`` service has no lane), over the real transport's
         pause/resume: the body is complete exactly once."""
-        service = web_served.server.service
+        service = one_shard_served.server.service
         params = {"t": t_mid, "x": 2000.0, "y": 1500.0}
         expected = _wire(200, "OK", service.point(params), close=True)
         request = _http("POST", "/query/point", params, close=True)
@@ -1013,8 +1014,8 @@ class TestRequestFraming:
             + _wire(200, "OK", hit, close=True)
         )
 
-    def test_half_close_answers_what_is_buffered_then_closes(self, web_served, t_mid):
-        service = web_served.server.service
+    def test_half_close_answers_what_is_buffered_then_closes(self, one_shard_served, t_mid):
+        service = one_shard_served.server.service
         params = {"t": t_mid, "x": 2000.0, "y": 1500.0}
         answer = _wire(200, "OK", service.point(params), close=False)
 
@@ -1033,28 +1034,28 @@ class TestWireBytes:
     """Status line, the four header lines (order and case) and the body
     are what the stream-based handler sent."""
 
-    def test_200_400_404_literally(self, web_served):
-        health = {"status": "ok", "modes": ["point", "continuous", "heatmap"],
+    def test_200_400_404_literally(self, one_shard_served):
+        health = {"status": "ok", "modes": ["point", "continuous", "heatmap", "model"],
                   "subscriptions": False}  # fmt: skip
         assert _raw_exchange(
-            web_served.port, _http("GET", "/health", close=True)
+            one_shard_served.port, _http("GET", "/health", close=True)
         ) == _wire(200, "OK", health, close=True)
         assert _raw_exchange(
-            web_served.port, _http("GET", "/nope", close=True)
+            one_shard_served.port, _http("GET", "/nope", close=True)
         ) == _wire(404, "Not Found", {"error": "no route GET /nope"}, close=True)
         assert _raw_exchange(
-            web_served.port,
+            one_shard_served.port,
             b"POST /query/point HTTP/1.1\r\nConnection: close\r\n"
             b"Content-Length: 8\r\n\r\nnot json",
         ) == _wire(400, "Bad Request", {"error": "body must be a JSON object"}, close=True)
         assert _raw_exchange(
-            web_served.port, _http("POST", "/query/tomography", {}, close=True)
+            one_shard_served.port, _http("POST", "/query/tomography", {}, close=True)
         ) == _wire(404, "Not Found", {"error": "unknown mode 'tomography'"}, close=True)
         # Keep-alive, pipelined: the responses are just concatenated.
         assert _raw_exchange(
-            web_served.port, _http("GET", "/health") + _http("GET", "/health", close=True)
+            one_shard_served.port, _http("GET", "/health") + _http("GET", "/health", close=True)
         ) == _wire(200, "OK", health, close=False) + _wire(200, "OK", health, close=True)
-        assert _raw_exchange(web_served.port, b"BROKEN\r\n\r\n") == _wire(
+        assert _raw_exchange(one_shard_served.port, b"BROKEN\r\n\r\n") == _wire(
             400, "Bad Request", {"error": "malformed request"}, close=True
         )
 
@@ -1090,70 +1091,65 @@ class TestWireBytes:
         ],
     )
     def test_heatmap_grids_serialise_as_cell_by_cell_clean(self, grid):
-        """Both shapers build the grid with one ``tolist`` and patch the
+        """The shaper builds the grid with one ``tolist`` and patches the
         non-finite cells; the bytes are those of a ``_clean`` per cell."""
         per_cell = json.dumps([[_clean(v) for v in row] for row in grid])
 
         class Engine:
+            router = types.SimpleNamespace(global_count=lambda: 1)
+
             def heatmap_grid(self, t, bounds, nx, ny, method):
                 return grid
 
-        class Web:
-            def heatmap(self, t, bounds, nx, ny):
-                return type("Heatmap", (), {"grid": grid})
-
-            def centroid_markers(self, t):
-                return []
-
         ny, nx = grid.shape
         params = {"t": 1.0, "bounds": [0.0, 0.0, 10.0, 10.0], "nx": nx, "ny": ny}
-        for service in (EngineQueryService(Engine()), WebAppService(Web())):
-            assert json.dumps(service.heatmap(params)["grid"]) == per_cell
+        service = EngineQueryService(Engine())
+        assert json.dumps(service.heatmap(params)["grid"]) == per_cell
 
-    def test_upgrade_without_a_key_is_a_400(self, web_served):
+    def test_upgrade_without_a_key_is_a_400(self, one_shard_served):
         assert _raw_exchange(
-            web_served.port,
+            one_shard_served.port,
             _http("GET", "/ws", extra="Upgrade: websocket\r\nConnection: Upgrade\r\n"),
         ) == _wire(400, "Bad Request", {"error": "missing Sec-WebSocket-Key"}, close=True)
 
 
 class TestSizeLimits:
-    def test_oversize_head_closes_without_an_answer(self, web_served):
+    def test_oversize_head_closes_without_an_answer(self, one_shard_served):
         flood = b"GET /health HTTP/1.1\r\nX-Pad: " + b"a" * (_MAX_HEADER + 64)
-        assert _raw_exchange(web_served.port, flood) == b""
+        assert _raw_exchange(one_shard_served.port, flood) == b""
         # A head of exactly the limit is still served.
         pad = _MAX_HEADER - len(b"GET /health HTTP/1.1\r\nConnection: close\r\nX-Pad: ")
         head = (
             b"GET /health HTTP/1.1\r\nConnection: close\r\nX-Pad: " + b"a" * pad
         )
         assert len(head) == _MAX_HEADER
-        assert _raw_exchange(web_served.port, head + b"\r\n\r\n").startswith(
+        assert _raw_exchange(one_shard_served.port, head + b"\r\n\r\n").startswith(
             b"HTTP/1.1 200 OK\r\n"
         )
 
     @pytest.mark.parametrize("length", [str(_MAX_BODY + 1), "9" * 5000])
-    def test_oversize_body_is_a_413_before_any_body_byte(self, web_served, length):
+    def test_oversize_body_is_a_413_before_any_body_byte(self, one_shard_served, length):
         request = (
             f"POST /query/point HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
         ).encode("latin-1")
-        assert _raw_exchange(web_served.port, request) == _wire(
+        assert _raw_exchange(one_shard_served.port, request) == _wire(
             413, http.HTTPStatus(413).phrase, {"error": "body too large"}, close=True
         )
 
-    def test_largest_body_is_read_across_many_segments(self, web_served):
+    def test_largest_body_is_read_across_many_segments(self, one_shard_served):
         body = b" " * (_MAX_BODY - 2) + b"{}"
         request = (
             f"POST /query/point HTTP/1.1\r\nConnection: close\r\n"
             f"Content-Length: {len(body)}\r\n\r\n"
         ).encode("latin-1") + body
-        response = _raw_exchange(web_served.port, request)
+        response = _raw_exchange(one_shard_served.port, request)
         assert response == _wire(
             400, "Bad Request", {"error": "field 't' must be a number"}, close=True
         )
 
 
 class TestUpgradeHandOff:
-    def test_upgrade_and_first_frame_in_one_segment(self, web_served, t_mid):
+    def test_upgrade_and_first_frame_in_one_segment(self, one_shard_served, t_mid):
         """Bytes that arrived behind the Upgrade request belong to the
         WebSocket session: they are fed to its reader, not dropped."""
         key = base64.b64encode(b"0123456789abcdef").decode()
@@ -1168,7 +1164,7 @@ class TestUpgradeHandOff:
         ) + _encode_frame(True, 0x1, json.dumps(ask).encode(), b"\x01\x02\x03\x04")
         client = _WsClient.__new__(_WsClient)  # the handshake is done by hand
         client.sock = socket.create_connection(
-            ("127.0.0.1", web_served.port), timeout=30
+            ("127.0.0.1", one_shard_served.port), timeout=30
         )
         try:
             client.sock.sendall(segment)
@@ -1180,9 +1176,9 @@ class TestUpgradeHandOff:
             ).decode()
             assert head.startswith(b"HTTP/1.1 101 Switching Protocols\r\n")
             assert f"Sec-WebSocket-Accept: {accept}".encode() in head
-            assert client.recv_json() == web_served.server.service.point(ask)
+            assert client.recv_json() == one_shard_served.server.service.point(ask)
             # ... and the session goes on as any other.
-            assert client.request(ask) == web_served.server.service.point(ask)
+            assert client.request(ask) == one_shard_served.server.service.point(ask)
         finally:
             client.close()
 

@@ -1,7 +1,10 @@
 """Concurrent serving layer: snapshot isolation under multi-threaded load.
 
-Every test compares real concurrent execution against a *serial replay
-oracle* (``tests/concurrency.py``): a fresh server fed the same ingest
+The paper's protocol served by the one front end,
+:class:`~repro.server.async_server.EngineQueryService`, over a one-shard
+engine.  Every test compares real concurrent execution against a
+*serial replay oracle* (``tests/concurrency.py``): a fresh service fed
+the same ingest
 batches one epoch at a time must reproduce every concurrently-computed
 answer byte-for-byte at the epoch the answer was pinned at.  Schedules
 and workloads are seeded, so a failure replays from its parametrised
@@ -18,7 +21,7 @@ import pytest
 from repro.client.fleet import FleetSimulator, commuter_fleet
 from repro.data.tuples import TupleBatch
 from repro.geo.coords import BoundingBox
-from repro.server.server import EnviroMeterServer
+from repro.server.async_server import EngineQueryService
 
 from concurrency import (
     make_query_workload,
@@ -28,6 +31,7 @@ from concurrency import (
     seeded_schedule,
     serial_replay_answers,
 )
+from one_shard import protocol_service
 
 H = 48
 N_READERS = 4
@@ -78,12 +82,12 @@ class TestPhaseScheduledServer:
             for _ in range(5)
         ]
         schedule = seeded_schedule(seed, len(batches), len(workloads))
-        server = EnviroMeterServer(h=H)
+        server = protocol_service(h=H)
         answered = run_phase_schedule(
             server, batches, workloads, schedule, n_readers=N_READERS
         )
         assert len(answered) >= len(workloads)  # one chunk per reader slice
-        assert_matches_serial_replay(lambda: EnviroMeterServer(h=H), batches, answered)
+        assert_matches_serial_replay(lambda: protocol_service(h=H), batches, answered)
 
 
 class TestFreeRunningServer:
@@ -99,7 +103,7 @@ class TestFreeRunningServer:
             make_query_workload(rng, stream, 24, model_request_every=5)
             for _ in range(10)
         ]
-        server = EnviroMeterServer(h=H)
+        server = protocol_service(h=H)
         server.ingest(batches[0])  # readers never see an empty store
         answered = run_free_running(
             server, batches[1:], workloads, n_readers=N_READERS
@@ -107,18 +111,19 @@ class TestFreeRunningServer:
         assert len(answered) == len(workloads)
         epochs = {chunk.epoch for chunk in answered}
         assert min(epochs) >= 1 and max(epochs) <= len(batches)
-        assert_matches_serial_replay(lambda: EnviroMeterServer(h=H), batches, answered)
+        assert_matches_serial_replay(lambda: protocol_service(h=H), batches, answered)
 
     def test_epoch_advances_once_per_ingest(self):
         rng = np.random.default_rng(0)
         stream = make_stream(rng, 200)
-        server = EnviroMeterServer(h=H)
-        assert server.epoch == 0
+        server = protocol_service(h=H)
+        router = server.engine.router
+        assert router.epoch == 0
         for k, batch in enumerate(split_batches(stream, 4), start=1):
             server.ingest(batch)
-            assert server.epoch == k
+            assert router.epoch == k
         server.ingest(TupleBatch.empty())
-        assert server.epoch == 4  # empty ingest is not an epoch
+        assert router.epoch == 4  # empty ingest is not an epoch
 
 
 class TestWorkerPool:
@@ -133,12 +138,13 @@ class TestWorkerPool:
         requests = make_query_workload(
             rng, stream, 2 * MIN_PARALLEL_QUERIES, model_request_every=9
         )
-        serial = EnviroMeterServer(h=H, max_workers=1)
+        serial = protocol_service(h=H, max_workers=1)
         serial.ingest(stream)
-        with EnviroMeterServer(h=H, max_workers=workers) as pooled:
+        with protocol_service(h=H, max_workers=workers).engine as engine:
+            pooled = EngineQueryService(engine, method="model-cover")
             pooled.ingest(stream)
             responses, epoch = pooled.handle_many_with_epoch(requests)
-            assert pooled.engine.executor.max_workers == workers
+            assert engine.executor.max_workers == workers
         assert len(responses) == len(requests)
         assert epoch == 1
         assert response_fingerprints(responses) == response_fingerprints(
@@ -151,7 +157,7 @@ class TestWorkerPool:
         rng = np.random.default_rng(19)
         stream = make_stream(rng, 400)
         requests = make_query_workload(rng, stream, 120)
-        server = EnviroMeterServer(h=H)
+        server = protocol_service(h=H)
         server.ingest(stream)
         served_before = server.served_values
         expected = response_fingerprints([server.handle(r) for r in requests])
@@ -186,7 +192,7 @@ class TestConcurrentFleet:
         members = commuter_fleet(6, BBOX, use_model_cache=False, n_queries=8)
 
         def report_for(concurrent: bool):
-            server = EnviroMeterServer(h=H)
+            server = protocol_service(h=H)
             server.ingest(stream)
             sim = FleetSimulator(server)
             if concurrent:

@@ -23,11 +23,10 @@ from repro.query.subscriptions import (
     SubscriptionSpec,
     registry_for,
 )
-from repro.server.server import EnviroMeterServer
 from repro.storage.shards import ShardRouter
 from repro.storage.tiered import TieredShardRouter
 
-from one_shard import grow, one_shard_engine
+from one_shard import grow, one_shard_engine, protocol_service
 
 H = 240
 KINDS = ("engine", "sharded-engine", "server")
@@ -57,7 +56,7 @@ def _fresh(kind, batch, bbox):
         router = ShardRouter(RegionGrid(bbox, nx=2, ny=2), h=H)
         router.ingest(batch)
         return ShardedQueryEngine(router)
-    srv = EnviroMeterServer(h=H)
+    srv = protocol_service(h=H)
     srv.ingest(batch)
     return srv
 
@@ -197,12 +196,17 @@ class TestRegistryBasics:
             reg.poll(sub.id)
 
     def test_registry_for_unwraps_wrappers(self, small_batch):
-        server = EnviroMeterServer(h=H)
+        server = protocol_service(h=H)
         server.ingest(small_batch)
-        assert isinstance(server.subscriptions, SubscriptionRegistry)
-        assert server.subscriptions is server.subscriptions
-        sub = server.subscribe(_route_near(small_batch), float(small_batch.t[1000]))
+        registry = registry_for(server)
+        assert isinstance(registry, SubscriptionRegistry)
+        sub = registry.subscribe(
+            _route_near(small_batch), float(small_batch.t[1000]), method=server.method
+        )
         assert sub.method == "model-cover"
+        values, _ = sub.answer()
+        want = server.engine.continuous_query_batch(sub.batch, method="model-cover")
+        np.testing.assert_array_equal(values, want.values)
         with pytest.raises(TypeError):
             registry_for(object())
 
