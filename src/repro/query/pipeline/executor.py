@@ -370,22 +370,7 @@ def _row_group(sources, cells, positions, queries: QueryBatch) -> _RowGroup:
     shares = (np.asarray(cells) / np.sum(cells)).tolist()
     return _RowGroup(
         sources, shares, positions, queries.x[positions], queries.y[positions],
-        *_merged_rows(sources),
-    )
-
-
-def _merged_rows(sources: Sequence[_HitSource]):
-    """``(x, y, s)`` of the sources' rows in ascending global stream
-    position (every row is owned by one slice, and a slice's gids
-    ascend): a single source's columns as they are, else one stable
-    sort of the concatenated gids — a merge of sorted runs."""
-    subs = [src.bound[1] for src in sources]
-    if len(subs) == 1:
-        return subs[0].x, subs[0].y, subs[0].s
-    order = np.argsort(np.concatenate([src.gids for src in sources]), kind="stable")
-    return tuple(
-        np.concatenate([getattr(sub, col) for sub in subs]).take(order)
-        for col in ("x", "y", "s")
+        *_gather.merged_rows([src.bound for src in sources]),
     )
 
 

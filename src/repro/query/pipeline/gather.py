@@ -50,13 +50,14 @@ oracle the blocked gather is held byte-equal to.
 from __future__ import annotations
 
 import threading
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.data.tuples import TupleBatch
 from repro.query.base import QueryBatch
 from repro.query.indexed import IndexedProcessor
+from repro.query.pipeline.binding import BoundSlice
 
 #: Cells (queries x scanned rows) one block of the exact gather covers
 #: at least, and exactly until the plan has shown its hit density.  A
@@ -149,6 +150,22 @@ def scan_tile(
     np.add(d, e, out=d)
     np.less_equal(d, radius_m * radius_m, out=inside)
     return inside_flat.nonzero()[0]
+
+
+def merged_rows(bounds: Sequence[BoundSlice]):
+    """``(x, y, s)`` of the bound slices' rows in ascending global
+    stream position — the rows :func:`reduce_row_block` needs (every row
+    is owned by one slice, and a slice's gids ascend): a single slice's
+    columns as they are, else one stable sort of the concatenated gids —
+    a merge of sorted runs."""
+    subs = [sub for _stamp, sub, _gids in bounds]
+    if len(subs) == 1:
+        return subs[0].x, subs[0].y, subs[0].s
+    order = np.argsort(np.concatenate([gids for *_, gids in bounds]), kind="stable")
+    return tuple(
+        np.concatenate([getattr(sub, col) for sub in subs]).take(order)
+        for col in ("x", "y", "s")
+    )
 
 
 def scan_pairs(

@@ -34,7 +34,7 @@ import math
 import threading
 import time
 from collections import Counter
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,9 +48,16 @@ from repro.query.indexed import IndexedProcessor, available_index_kinds
 from repro.query.modelcover import ModelCoverProcessor
 from repro.query.pipeline.binding import RouterBinding
 from repro.query.pipeline.cache import CacheStats, ProcessorCache
-from repro.query.pipeline.gather import index_pairs, scan_pairs, scan_tile
+from repro.query.pipeline.gather import (
+    BLOCK_CELLS,
+    index_pairs,
+    merged_rows,
+    reduce_row_block,
+    scan_pairs,
+    scan_tile,
+)
 from repro.query.pipeline.executor import PlanExecutor, PlanRuntime, build_sharded_plan
-from repro.query.pipeline.plan import ExecutionPlan, PlanReport, PruneStats
+from repro.query.pipeline.plan import ExecutionPlan, FallbackOp, PlanReport, PruneStats
 from repro.query.pipeline.planner import PipelinePlanner, PlannerFeedback
 from repro.query.planner import QueryProfile
 from repro.storage.shards import ShardRouter, StaleLayoutError
@@ -80,6 +87,34 @@ def cached_cover(
         return ModelCoverProcessor(fit_adkmn(sub, config, window_c=c).cover)
 
     return cache.get_or_build(("cover", s, c), stamp, build)
+
+
+class WindowRows(NamedTuple):
+    """Window ``c``'s rows over every shard, merged in stream order —
+    the ``("rows", c)`` entry the cached lanes answer an empty owner
+    slice from, with the tile and reduce the exact gather runs."""
+
+    #: Each shard's slice stamp in the state the rows are of (index =
+    #: shard); 0 where the slice was empty.
+    stamps: Tuple[int, ...]
+    x: np.ndarray
+    y: np.ndarray
+    s: np.ndarray
+
+
+def window_rows(cache: ProcessorCache, binding, c: int) -> WindowRows:
+    """Window ``c``'s rows over every shard of ``binding`` from
+    ``cache``, stored under ``("rows", c)`` at the largest of the pinned
+    slices' stamps — the epoch of the last ingest that reached the
+    window, so the stamp names its content — and merged outside the
+    cache lock on a miss."""
+    bounds = [binding.slice_for(s, c) for s in range(binding.n_shards)]
+    stamps = tuple(stamp for stamp, _sub, _gids in bounds)
+
+    def build() -> WindowRows:
+        return WindowRows(stamps, *merged_rows(bounds))
+
+    return cache.get_or_build(("rows", c), max(stamps), build)
 
 
 def shard_runtime(
@@ -188,6 +223,11 @@ class ShardedQueryEngine:
             radius_m=radius_m,
             feedback=PlannerFeedback(),
         )
+        # Window rows for the lanes (``window_rows``) live in their own
+        # epoch-keyed store for the same reason: one entry per state of
+        # an open window that sent a query to the exact fallback, cheap
+        # to rebuild, would otherwise push fitted covers out.
+        self._rows = ProcessorCache(cache_capacity)
         # The cached lanes' counts, read through lane_hits and
         # lane_declines: plain dicts bumped under one lock (a Counter's
         # `+=` would double what counting costs a point-lane hit).
@@ -214,6 +254,13 @@ class ShardedQueryEngine:
     def processor_cache(self) -> ProcessorCache:
         """The engine's epoch-keyed processor/plan cache."""
         return self._cache
+
+    @property
+    def rows_cache(self) -> ProcessorCache:
+        """The ``("rows", c)`` entries the cached lanes answer empty
+        owner slices from (:func:`window_rows`), with their own
+        counters."""
+        return self._rows
 
     @property
     def planner(self) -> PipelinePlanner:
@@ -346,8 +393,19 @@ class ShardedQueryEngine:
     def execute(
         self, plan: ExecutionPlan, report: Optional[PlanReport] = None
     ) -> BatchResult:
-        """Run a compiled plan through the shared executor."""
-        return self._plan_executor(plan).execute(plan, report)
+        """Run a compiled plan through the shared executor.
+
+        A ``model-cover`` plan then caches, through :func:`window_rows`,
+        the rows of every window its exact fallback answered: what the
+        cached lanes answer an empty owner slice from."""
+        result = self._plan_executor(plan).execute(plan, report)
+        if plan.method == "model-cover":
+            for op in plan.ops:
+                if isinstance(op, FallbackOp):
+                    windows = plan.binding.windows_for_times(op.plan.queries.t)
+                    for c in np.unique(windows).tolist():
+                        window_rows(self._rows, plan.binding, c)
+        return result
 
     # -- the three web-interface modes -------------------------------------
 
@@ -407,30 +465,80 @@ class ShardedQueryEngine:
         with self._lane_lock:
             self._lane_declines[key] = self._lane_declines.get(key, 0) + 1
 
+    def _lane_rows(self, c: int, n_shards: int, runs) -> Optional[WindowRows]:
+        """The ``("rows", c)`` entry a lane answers window ``c``'s empty
+        owner slices from, or ``None`` — the lanes' ``"fallback"``
+        decline.
+
+        ``runs`` are the ``(owner, stamp, queries)`` the lane read in
+        window ``c``, a stamp of 0 for an empty owner.  Lock-free reads:
+        every shard's live stamp of ``c``, then a peek at the largest.
+        The entry must hold the state those stamps name, each run's
+        stamp must be the entry's for its owner — a cover read before
+        an ingest the later reads saw, or an owner that gained rows in
+        between, is a torn read — and an empty owner's queries over the
+        window's rows must make a tile of at most :data:`BLOCK_CELLS`
+        cells, the exact gather's block, so the scan holds the loop no
+        longer than one block of a plan does.
+        """
+        router = self.router
+        live = tuple(router.shard_window_epoch(s, c) for s in range(n_shards))
+        rows = self._rows.peek(("rows", c), max(live))
+        if rows is None or rows.stamps != live:
+            return None
+        for s, stamp, n in runs:
+            if rows.stamps[s] != stamp or (not stamp and n * len(rows.s) > BLOCK_CELLS):
+                return None
+        return rows
+
+    def _scan_rows(self, c: int, rows: WindowRows, qx, qy, values, support) -> None:
+        """Answer queries ``(qx, qy)`` over window ``c``'s ``rows`` into
+        ``values`` / ``support`` (NaN / 0 where nothing is in range):
+        the tile and the by-construction reduce of the exact gather, so
+        the bytes are the fallback sub-plan's.  Each shard with rows is
+        reported to the load tracker as scanned by every query, its
+        share of the seconds by rows, as an unpriced naive scan is."""
+        router = self.router
+        n = len(qx)
+        t0 = time.perf_counter()
+        flat = scan_tile(rows.x, rows.y, qx, qy, self.radius_m)
+        reduce_row_block(flat, rows.s, np.arange(n), values, support)
+        elapsed = time.perf_counter() - t0
+        for s, stamp in enumerate(rows.stamps):
+            if stamp:
+                n_rows = router.shard_window_sketch(s, c).n_rows
+                router.load.record_scan(
+                    s, n, float(n_rows * n), elapsed * n_rows / len(rows.s)
+                )
+
     def cached_point(
         self, t: float, x: float, y: float, method: str = "naive"
     ) -> Optional[QueryResult]:
         """The ``model-cover`` answer when the owner slice's cover is
-        cached at its live stamp, else ``None`` (ask :meth:`point_query`).
+        cached at its live stamp — or, when the owner slice is empty,
+        when the window's rows are (:meth:`_lane_rows`) — else ``None``
+        (ask :meth:`point_query`).
 
         The async front end's non-blocking lane: no plan, and only reads
         the router serves without its lock — it never waits on an ingest
         or a seal, never faults a segment in, never fits.  Other methods,
-        a non-finite coordinate, an empty router or owner slice (the
-        exact fallback's case) and a missing or stale cover are ``None``,
-        counted in :attr:`lane_declines` only — no cache counter is
-        touched (the plan path counts that miss).  A
+        a non-finite coordinate, an empty router, an empty owner slice
+        whose window rows are not cached at their live stamps (or would
+        make a tile over :data:`BLOCK_CELLS`), and a missing or stale
+        cover are ``None``, counted in :attr:`lane_declines` only — no
+        cache counter is touched (the plan path counts that miss).  A
         cover cached at ``stamp`` was fitted on exactly the rows the
         stamp names, so a hit is what the plan path answers when it pins
         now.  It is computed on Python floats — the router's and grid's
         scalar reads, then ``process`` — which tests hold bitwise equal
         to the plan path's 1-row arrays (``shard_of == shards_of[0]``,
         ``window_for_time == windows_for_times[0]``, ``process ==
-        process_batch`` for every model family).  A re-cut publishes its
-        stamp tables before its grid and holds the router lock until
-        both are out, so nothing is cached at its stamps before then: a
-        hit is of one layout iff the grid read first is still live after
-        the probe.
+        process_batch`` for every model family).  An empty owner's
+        answer is the exact fallback's, from the same helpers as
+        :meth:`cached_route`'s.  A re-cut publishes its stamp tables
+        before its grid and holds the router lock until both are out, so
+        nothing is cached at its stamps before then: a hit is of one
+        layout iff the grid read first is still live after the probe.
         """
         router = self.router
         if method != "model-cover":
@@ -444,7 +552,7 @@ class ShardedQueryEngine:
         s = grid.shard_of(x, y)
         stamp = router.shard_window_epoch(s, c)
         if not stamp:
-            return self._lane_decline("point", "fallback")
+            return self._cached_point_rows(grid, c, s, t, x, y)
         proc = self._cache.peek(("cover", s, c), stamp, count_hit=True)
         if proc is None:
             return self._lane_decline("point", "cover")
@@ -460,29 +568,48 @@ class ShardedQueryEngine:
             self._lane_hits["point"] += 1
         return result
 
+    def _cached_point_rows(self, grid, c, s, t, x, y) -> Optional[QueryResult]:
+        """:meth:`cached_point` for a point whose owner slice is empty."""
+        rows = self._lane_rows(c, grid.n_regions, [(s, 0, 1)])
+        if rows is None:
+            return self._lane_decline("point", "fallback")
+        if self.router.grid is not grid:
+            return self._lane_decline("point", "recut")
+        self._rows.peek(("rows", c), max(rows.stamps), count_hit=True)
+        values, support = np.full(1, np.nan), np.zeros(1, dtype=np.int64)
+        self._scan_rows(c, rows, np.array([x]), np.array([y]), values, support)
+        with self._lane_lock:
+            self._lane_hits["point"] += 1
+        value = float(values[0]) if support[0] else None
+        return QueryResult(QueryTuple(t, x, y), value, int(support[0]))
+
     def cached_route(
         self, batch: QueryBatch, method: str = "naive"
     ) -> Optional[BatchResult]:
         """:meth:`cached_point` for a whole query stream: the
         ``model-cover`` answer when every (window, owner shard) the
-        stream touches has its cover cached at its live stamp, else
-        ``None`` (ask :meth:`continuous_query_batch`).
+        stream touches has its cover cached at its live stamp or, for an
+        empty owner slice, its window's rows cached at the window's live
+        stamps, else ``None`` (ask :meth:`continuous_query_batch`).
 
         The vector forms the plan path routes with — one
         ``windows_for_times`` and one ``grid.shards_of`` over the batch
         — then per distinct (window, owner) a lock-free stamp read and a
-        :meth:`ProcessorCache.peek` of its cover; only when every cover
-        is cached is a hit counted per cover, as the plan path's lookups
-        count them (a decline touches no cache counter).  Each cover evaluates its
-        rows with :meth:`ModelCover.predict_batch`, the kernel the plan
-        path's cover ops run, and each is reported to the shard-load
-        tracker as one unpriced cover op.  Declined, counted in
-        :attr:`lane_declines`, with nothing fitted, scanned, faulted in
-        or waited for: another method, more than
-        :data:`CACHED_ROUTE_MAX_ROWS` rows, an empty batch or router, a
-        non-finite input, an empty owner slice (the exact fallback's
-        case), a missing or stale cover, and a re-cut in flight (the
-        grid read first is checked last, as in :meth:`cached_point`).
+        :meth:`ProcessorCache.peek` of its cover; per window with an
+        empty owner, :meth:`_lane_rows`.  Only when everything is cached
+        is a hit counted per cover and per window's rows, as the plan
+        path's lookups count them (a decline touches no cache counter).
+        Each cover evaluates its rows with :meth:`ModelCover.predict_batch`,
+        the kernel the plan path's cover ops run, and is reported to the
+        shard-load tracker as one unpriced cover op; an empty owner's
+        rows are the exact fallback's tile and reduce over the window's
+        rows (:meth:`_scan_rows`).  Declined, counted in
+        :attr:`lane_declines`, with nothing fitted, faulted in or waited
+        for: another method, more than :data:`CACHED_ROUTE_MAX_ROWS`
+        rows, an empty batch or router, a non-finite input, an empty
+        owner slice :meth:`_lane_rows` cannot answer (``"fallback"``), a
+        missing or stale cover, and a re-cut in flight (the grid read
+        first is checked last, as in :meth:`cached_point`).
         """
         router = self.router
         n = len(batch)
@@ -502,43 +629,65 @@ class ShardedQueryEngine:
         # owner) key makes each pair's rows a run, in stream order.
         order = np.argsort(pair, kind="stable")
         pair = pair[order]
-        runs = [0, *(np.flatnonzero(pair[1:] != pair[:-1]) + 1).tolist(), n]
-        keys, stamps = [], []
-        for lo in runs[:-1]:
+        bounds = [0, *(np.flatnonzero(pair[1:] != pair[:-1]) + 1).tolist(), n]
+        runs = []  # (window, owner, stamp, first row, end row), window-major
+        for lo, hi in zip(bounds, bounds[1:]):
             c, s = divmod(int(pair[lo]), n_shards)
-            stamp = router.shard_window_epoch(s, c)
-            if not stamp:
-                return self._lane_decline("route", "fallback")
-            keys.append(("cover", s, c))
-            stamps.append(stamp)
+            runs.append((c, s, router.shard_window_epoch(s, c), lo, hi))
+        tables: Dict[int, WindowRows] = {}  # the rows of windows with an empty owner
+        for c, _s, stamp, _lo, _hi in runs:
+            if not stamp and c not in tables:
+                rows = self._lane_rows(c, n_shards, [
+                    (owner, read, end - first)
+                    for window, owner, read, first, end in runs
+                    if window == c
+                ])  # fmt: skip
+                if rows is None:
+                    return self._lane_decline("route", "fallback")
+                tables[c] = rows
         cache = self._cache
-        procs = [cache.peek(key, stamp) for key, stamp in zip(keys, stamps)]
-        if any(proc is None for proc in procs):
+        covers = [
+            (("cover", s, c), stamp, cache.peek(("cover", s, c), stamp))
+            for c, s, stamp, _lo, _hi in runs
+            if stamp
+        ]
+        if any(proc is None for _key, _stamp, proc in covers):
             return self._lane_decline("route", "cover")
         if router.grid is not grid:
             return self._lane_decline("route", "recut")
-        # A hit per cover, as the plan path's lookups count them, once
-        # every cover is known cached: a declined route counts nothing.
-        for key, stamp in zip(keys, stamps):
+        # A hit per cover and per window's rows, as the plan path's
+        # lookups count them, once everything is known cached: a
+        # declined route counts nothing.
+        for key, stamp, _proc in covers:
             cache.peek(key, stamp, count_hit=True)
+        for c, rows in tables.items():
+            self._rows.peek(("rows", c), max(rows.stamps), count_hit=True)
         clock = time.perf_counter
-        if len(procs) > 1:
+        if len(runs) > 1:
             t, x, y = t[order], x[order], y[order]
         values = np.empty(n)  # in run order
-        for (_cover, s, c), proc, lo, hi in zip(keys, procs, runs, runs[1:]):
+        support = np.ones(n, dtype=np.int64)
+        procs = iter(covers)
+        for c, s, stamp, lo, hi in runs:
+            if not stamp:
+                values[lo:hi], support[lo:hi] = np.nan, 0
+                self._scan_rows(
+                    c, tables[c], x[lo:hi], y[lo:hi], values[lo:hi], support[lo:hi]
+                )
+                continue
+            proc = next(procs)[2]
             t0 = clock()
             values[lo:hi] = proc.cover.predict_batch(t[lo:hi], x[lo:hi], y[lo:hi])
             elapsed = clock() - t0
             # PlanExecutor._observe's report for an unpriced cover op.
             units = float(max(router.shard_window_sketch(s, c).n_rows, 1))
             router.load.record_scan(s, hi - lo, units * (hi - lo), elapsed)
-        if len(procs) > 1:
+        if len(runs) > 1:
             values[order] = values.copy()  # back to stream order
+            support[order] = support.copy()
         with self._lane_lock:
             self._lane_hits["route"] += 1
-        return BatchResult(
-            batch, values, np.ones(n, dtype=np.int64), answered=np.ones(n, dtype=bool)
-        )
+        return BatchResult(batch, values, support, answered=support > 0)
 
     def heatmap_grid(
         self,

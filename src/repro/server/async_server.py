@@ -63,10 +63,13 @@ pre-encoded status/header bytes.  ``cached`` answers a point query whose
 model cover is cached at the owner slice's live stamp — O(1) lock-free
 reads and one cover evaluation on Python floats — and a ``model-cover``
 route of at most ``CACHED_ROUTE_MAX_ROWS`` updates over at most
-``_LANE_MAX_WAYPOINTS`` waypoints whose owner covers all are, decided
-from cache and router state, never a clock (a longer route is not even
-validated on the loop).  The loop
-never runs a fit, a scan, a fault-in or a lock wait: everything else
+``_LANE_MAX_WAYPOINTS`` waypoints whose owner covers all are; a query
+whose owner slice is empty is answered from its window's rows, cached
+at the window's live stamps, when its scan fits one block of the exact
+gather.  All of it is decided from cache and router state, never a
+clock (a longer route is not even validated on the loop).  The loop
+never runs a fit, a fault-in, a lock wait or a scan larger than one
+gather block: everything else
 runs in the default thread-pool executor (``loop.run_in_executor``)
 with the connection's reading paused — one request in flight per
 connection, so pipelined answers keep request order — so a slow Ad-KMN
@@ -493,9 +496,11 @@ class EngineQueryService:
     def cached(self, mode: str, params: Dict[str, Any]) -> Optional[Dict[str, Any]]:
         """The answer when it can be given without blocking (the server
         asks on its event-loop thread, before the mode's handler): for a
-        ``model-cover`` service, a valid point query whose cover
-        ``engine.cached_point`` finds cached, or a valid route whose
-        covers ``engine.cached_route`` finds cached.  Else ``None``.  A
+        ``model-cover`` service, a valid point query whose cover — or,
+        for an empty owner slice, whose window's rows —
+        ``engine.cached_point`` finds cached, or a valid route that
+        ``engine.cached_route`` finds cached in the same way.  Else
+        ``None``.  A
         route longer than the lane takes (:func:`_lane_sized`) is not
         looked at here — it is validated and built on the executor; a
         declined route leaves the batch it built in ``params`` for

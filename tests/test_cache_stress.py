@@ -12,12 +12,17 @@ scheme upholds the same guarantee:
   before the query was issued, and an ingest re-stamps exactly the
   windows it grew;
 * after the stream quiesces, cached processors answer byte-identically
-  to a freshly-built engine — a stale survivor would poison this.
+  to a freshly-built engine — a stale survivor would poison this;
+* the cached lanes, answering an empty owner slice from the window's
+  cached rows while a writer fills that slice, only ever give the plan
+  path's answer at some epoch the router passed through.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -26,6 +31,7 @@ from repro.data.tuples import TupleBatch
 from repro.data.windows import touched_windows
 from repro.geo.coords import BoundingBox
 from repro.geo.region import RegionGrid
+from repro.query.base import QueryBatch
 from repro.query.sharded import ShardedQueryEngine
 from repro.storage.shards import ShardRouter
 
@@ -182,6 +188,188 @@ class TestShardedEngineEpochStamps:
         router.ingest(shifted)  # grows only the tail / a new window
         for (s, c), stamp in frozen.items():
             assert router.shard_window_epoch(s, c) == stamp
+
+
+class TestLaneAgainstARacingWriter:
+    WINDOWS = 12
+
+    def _stream(self, grid):
+        """``WINDOWS`` windows over four of the six cells of a 3 x 2 grid:
+        the top-middle cell's shard (``empty``) never gets a row, and the
+        top-right one's (``filling``) gets every fifth row of a window's
+        second half, in the cell's corner next to the populated ones —
+        so its slice of each window is empty at first and fills while
+        the window is open."""
+        stream = make_stream(np.random.default_rng(17), self.WINDOWS * H)
+        filling, empty = grid.shard_of(5000.0, 3000.0), grid.shard_of(3000.0, 3000.0)
+        x, y = stream.x.copy(), stream.y.copy()
+        y[np.isin(grid.shards_of(x, y), [filling, empty])] -= 2000.0
+        offset = np.arange(len(stream)) % H
+        late = (offset >= H // 2) & (offset % 5 == 0)
+        x[late], y[late] = 4000.0 + x[late] / 15.0, 2000.0 + y[late] / 10.0
+        owners = grid.shards_of(x, y)
+        assert not (owners == empty).any()
+        assert not (owners[offset < H // 2] == filling).any()
+        return TupleBatch(stream.t, x, y, stream.s), filling, empty
+
+    def test_every_lane_answer_is_the_plan_paths_at_some_epoch(self, monkeypatch):
+        """One-row ingests fill each window in turn — the ``filling``
+        shard's slice of it half way through — while a warmer runs the
+        plan path on the open window's requests (fitting covers, and
+        caching that window's rows: the ``empty`` shard's query always
+        falls back) and readers ask both lanes the same requests, with
+        more threads than cores, a short switch interval and a pause
+        after every stamp read.  The warmer also runs the empty owner's
+        query alone, which caches the window's rows without re-fitting
+        the filling shard's cover.  A request's times precede every
+        window still to come, and the open window is the only one that
+        changes and holds at most one cover run, so every lane answer
+        must be the plan path's at one epoch between the reader's first
+        look at the router and its last — replayed afterwards over a
+        fresh router holding exactly that epoch's rows."""
+        grid = RegionGrid(BBOX, nx=3, ny=2)
+        stream, filling, empty = self._stream(grid)
+        first = H + 3
+        router = ShardRouter(grid, h=H)
+        router.ingest(stream.slice(0, first))  # epoch 1
+
+        # Both owners' queries sit by the filling corner and the populated
+        # cells below, so an exact answer there moves as the window fills
+        # — the filling shard's rows included — and differs from that
+        # shard's cover once it has one.
+        (fx, fy), (ex, ey) = (4100.0, 2100.0), (3900.0, 2100.0)
+        assert grid.shard_of(fx, fy) == filling and grid.shard_of(ex, ey) == empty
+
+        def requests(c):
+            """Window ``c``'s route (an empty owner, and one that fills,
+            in window ``c``; a cover of window ``c - 1``) and point."""
+            t, t_before = float(stream.t[c * H + 2]), float(stream.t[c * H - 5])
+            near = float(stream.x[c * H - 5]), float(stream.y[c * H - 5])
+            route = QueryBatch(
+                [t_before, t, t, t], [near[0], fx, fx - 50.0, ex], [near[1], fy, fy, ey]
+            )
+            return route, (t, fx, fy)
+
+        def open_window():
+            """The newest window whose requests' times are ingested."""
+            n = router.global_count()
+            c = (n - 1) // H
+            return c if n > c * H + 2 else c - 1
+
+        engine = ShardedQueryEngine(router, max_workers=2)
+        rows_scans = []
+        real_scan = engine._scan_rows
+
+        def counted_scan(*args):
+            rows_scans.append(1)
+            return real_scan(*args)
+
+        monkeypatch.setattr(engine, "_scan_rows", counted_scan)
+        read_stamp = router.shard_window_epoch
+
+        def dawdling_stamp(s, c):
+            # Readers linger after each stamp read — longest after an
+            # empty slice's — so that an ingest filling it and the
+            # warmer's re-seed land between two reads of one request.
+            stamp = read_stamp(s, c)
+            if threading.current_thread().name == "lane-reader":
+                time.sleep(0.0002 if stamp else 0.003)
+            return stamp
+
+        monkeypatch.setattr(router, "shard_window_epoch", dawdling_stamp)
+        stop = threading.Event()
+        answers, failures = [], []
+
+        def guarded(body):
+            def run():
+                try:
+                    body()
+                except BaseException as exc:  # pragma: no cover - failure path
+                    failures.append(exc)
+                    stop.set()
+
+            return run
+
+        @guarded
+        def write():
+            for k in range(first, len(stream)):
+                router.ingest(stream.slice(k, k + 1))
+                time.sleep(0.002)
+
+        @guarded
+        def warm():
+            while not stop.is_set():
+                route, point = requests(open_window())
+                engine.continuous_query_batch(route, method="model-cover")
+                engine.point_query(*point, method="model-cover")
+                # The empty owner's query alone: the window's rows are
+                # re-cached without the filling shard's cover being re-fit.
+                empty_only = route.take(np.array([3]))
+                engine.continuous_query_batch(empty_only, method="model-cover")
+
+        @guarded
+        def read():
+            while not stop.is_set():
+                c = open_window()
+                route, point = requests(c)
+                e0 = router.epoch
+                got = engine.cached_route(route, "model-cover")
+                if got is not None:
+                    got = got.values.tobytes(), got.support.tobytes()
+                    answers.append((c, 0, got, e0, router.epoch))
+                e0 = router.epoch
+                got = engine.cached_point(*point, "model-cover")
+                if got is not None:
+                    answers.append((c, 1, got, e0, router.epoch))
+
+        writer = threading.Thread(target=write, daemon=True)
+        others = [threading.Thread(target=warm, daemon=True)] + [
+            threading.Thread(target=read, daemon=True, name="lane-reader")
+            for _ in range(N_READERS)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for th in [writer, *others]:
+                th.start()
+            writer.join(timeout=60.0)
+        finally:
+            stop.set()
+            for th in others:
+                th.join(timeout=60.0)
+            sys.setswitchinterval(interval)
+            engine.close()
+        assert not writer.is_alive() and not any(th.is_alive() for th in others)
+        assert not failures, failures[:1]
+        assert rows_scans and answers  # both lanes answered, empty owners too
+
+        engines, references = {}, {}
+
+        def at_epoch(e, c):
+            """Window ``c``'s requests' plan-path answers over epoch
+            ``e``'s rows."""
+            if (e, c) not in references:
+                if e not in engines:
+                    fresh = ShardRouter(grid, h=H)
+                    fresh.ingest(stream.slice(0, first + e - 1))
+                    engines[e] = ShardedQueryEngine(fresh)
+                route, point = requests(c)
+                result = engines[e].continuous_query_batch(route, method="model-cover")
+                references[e, c] = (
+                    (result.values.tobytes(), result.support.tobytes()),
+                    engines[e].point_query(*point, method="model-cover"),
+                )
+            return references[e, c]
+
+        # The epoch a reader first saw may still have been mid-ingest.
+        wrong = [
+            (c, kind, e0, e1)
+            for c, kind, got, e0, e1 in answers
+            if all(at_epoch(e, c)[kind] != got for e in range(max(e0 - 1, 1), e1 + 1))
+        ]
+        for oracle in engines.values():
+            oracle.close()
+        assert wrong == []
 
 
 def test_touched_windows_is_the_invalidation_oracle():

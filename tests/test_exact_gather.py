@@ -406,22 +406,22 @@ class TestRowGroupsNeedNoKeys:
                 return now[0]
 
             tiles, merges, recorded = [], [], []
-            real_tile, real_merge = gather.scan_tile, pipeline_executor._merged_rows
+            real_tile, real_merge = gather.scan_tile, gather.merged_rows
 
             def tile(*args):
                 tiles.append(len(args[2]))
                 return real_tile(*args)
 
-            def merge(sources):
-                merges.append(len(sources))
+            def merge(bounds):
+                merges.append(len(bounds))
                 now[0] += 100.0
-                return real_merge(sources)
+                return real_merge(bounds)
 
             report = PlanReport()
             with keyless() as sorted_sizes, mock.patch.object(
                 pipeline_executor, "time", mock.Mock(perf_counter=tick)
             ), mock.patch.object(sharded, "scan_tile", tile), mock.patch.object(
-                pipeline_executor, "_merged_rows", merge
+                gather, "merged_rows", merge
             ), mock.patch.object(
                 engine.planner, "record", lambda *call: recorded.append(call)
             ):

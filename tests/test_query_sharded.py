@@ -22,7 +22,13 @@ from repro.query.planner import QueryProfile
 import repro.query.sharded as sharded_module
 from repro.query.continuous import uniform_route_batch
 from repro.query.naive import NaiveProcessor
-from repro.query.sharded import CACHED_ROUTE_MAX_ROWS, SHARDED_METHODS, ShardedQueryEngine
+from repro.query.pipeline.gather import BLOCK_CELLS
+from repro.query.sharded import (
+    CACHED_ROUTE_MAX_ROWS,
+    SHARDED_METHODS,
+    ShardedQueryEngine,
+    window_rows,
+)
 from repro.geo.region import RegionGrid
 from repro.server.async_server import EngineQueryService
 from repro.storage.shards import ShardRouter, StaleLayoutError
@@ -338,11 +344,14 @@ _LANE_H = 240
 _LANE_CUT = 20 * _LANE_H + 100
 
 
-def _lane_router(small_batch, data_dir=None, rows=_LANE_CUT, memory_windows=4):
-    """A 4-shard router holding the first ``rows`` tuples: resident, or
-    — given a ``data_dir`` — over segment files with ``memory_windows``
-    sealed slices kept in memory, so most plan-path reads fault in."""
-    grid = RegionGrid.for_shard_count(BoundingBox(0.0, 0.0, 6000.0, 4000.0), 4)
+def _lane_router(
+    small_batch, data_dir=None, rows=_LANE_CUT, memory_windows=4, shards=4
+):
+    """A ``shards``-shard router holding the first ``rows`` tuples:
+    resident, or — given a ``data_dir`` — over segment files with
+    ``memory_windows`` sealed slices kept in memory, so most plan-path
+    reads fault in."""
+    grid = RegionGrid.for_shard_count(BoundingBox(0.0, 0.0, 6000.0, 4000.0), shards)
     if data_dir is None:
         router = ShardRouter(grid, h=_LANE_H)
     else:
@@ -420,21 +429,18 @@ class TestCachedPoint:
             r = _plan_path(engine, p["t"], p["x"], p["y"])
             return {"mode": "point", "value": r.value, "support": r.support}
 
-        # The first pass also warms: every cover the stream needs is cached.
+        # The first pass also warms: every cover the stream needs is
+        # cached, and so are the rows of every window an empty owner
+        # slice sent the plan path's exact fallback to.
         expected = [json.dumps(slow(p)) for p in points]
-        hits = 0
+        empty_owners = 0
         for p, want in zip(points, expected):
-            got = service.cached("point", p)
-            if got is None:
-                # Only the exact fallback's case is left to the plan path.
-                c = router.window_for_time(p["t"])
-                s = router.grid.shard_of(p["x"], p["y"])
-                assert router.shard_window_epoch(s, c) == 0
-            else:
-                hits += 1
-                assert json.dumps(got) == want
+            assert json.dumps(service.cached("point", p)) == want
             assert json.dumps(service.point(p)) == want
-        assert hits > 1500
+            owner = router.grid.shard_of(p["x"], p["y"])
+            empty_owners += not router.shard_window_epoch(owner, router.window_for_time(p["t"]))
+        assert engine.lane_hits["point"] == len(points)
+        assert empty_owners > 100
 
     def test_hit_bookkeeping_matches_the_plan_path(self, lane, small_batch):
         router, engine = lane
@@ -510,13 +516,14 @@ class TestCachedPoint:
     def test_far_finite_coordinates_take_the_lane(self, lane, small_batch):
         """1e300 passes the request validation; the owner is the edge
         cell on both paths, so once the plan path has cached that cover
-        the lane serves it — byte-identically, and routing never warns
-        (the plan path's vector cover evaluation overflows to inf there,
-        which numpy reports; that is not the routing's)."""
+        — or, for an empty owner slice, the window's rows — the lane
+        serves it byte-identically, and routing never warns (the plan
+        path's vector cover evaluation and the exact scan overflow to
+        inf there, which numpy reports; that is not the routing's)."""
         router, engine = lane
         t = float(small_batch.t[_LANE_CUT - 1])
         service = EngineQueryService(engine, method="model-cover")
-        hits = 0
+        owners = []
         for x, y in [(1e300, 2000.0), (-1e300, 2000.0), (3000.0, 1e300), (1e300, -1e300)]:
             params = {"t": t, "x": x, "y": y}
             slow = service._point(engine.point_query, params)  # the plan path
@@ -524,13 +531,10 @@ class TestCachedPoint:
                 warnings.simplefilter("error", RuntimeWarning)
                 s = router.grid.shard_of(x, y)
                 assert s == int(router.route(TupleBatch([t], [x], [y], [0.0]))[0])
-                got = service.cached("point", params)
-            if router.shard_window_epoch(s, router.window_for_time(t)):
-                hits += 1
-                assert json.dumps(got) == json.dumps(slow)
-            else:
-                assert got is None  # an empty owner slice: the exact fallback's
-        assert hits
+                owners.append(router.shard_window_epoch(s, router.window_for_time(t)))
+            assert json.dumps(service.cached("point", params)) == json.dumps(slow)
+        assert any(owners)
+        assert engine.lane_hits["point"] == 4
 
     @pytest.mark.parametrize("method", ["naive", "grid", "auto"])
     def test_other_methods_never_enter_the_lane(self, lane, small_batch, method):
@@ -774,6 +778,27 @@ def _covered_route(router, small_batch, min_groups=1):
     raise AssertionError("no seeded route fits")
 
 
+def _with_empty_owner(router, batch, t=None, k=1):
+    """``(mixed, (t, x, y))``: ``batch`` with ``k`` queries appended at
+    time ``t`` (default: the batch's first) and at the centre of a
+    shard's region whose slice of that time's window is empty."""
+    t = float(batch.t[0]) if t is None else t
+    c = router.window_for_time(t)
+    active = getattr(router.grid, "active_shards", None)
+    owner = next(
+        s for s in range(router.n_shards)
+        if not router.shard_window_epoch(s, c) and (active is None or active[s])
+    )  # fmt: skip
+    box = router.grid.region(owner).bounds
+    x, y = (box.min_x + box.max_x) / 2, (box.min_y + box.max_y) / 2
+    assert router.grid.shard_of(x, y) == owner
+    mixed = QueryBatch(*(
+        np.append(column, [value] * k)
+        for column, value in ((batch.t, t), (batch.x, x), (batch.y, y))
+    ))  # fmt: skip
+    return mixed, (t, x, y)
+
+
 def _result_bytes(result):
     q = result.queries
     return (
@@ -789,6 +814,26 @@ def _groups(router, batch):
     return sorted(set(zip(shards.tolist(), windows.tolist())))
 
 
+def _lookups(router, batch):
+    """``(covers, windows)``: the lookups a model-cover plan of ``batch``
+    makes in the processor cache — one per cover of a non-empty owner
+    slice — and in the rows cache — one per window whose rows its exact
+    fallback answered."""
+    groups = _groups(router, batch)
+    covers = [(s, c) for s, c in groups if router.shard_window_epoch(s, c)]
+    return len(covers), len({c for s, c in groups if (s, c) not in covers})
+
+
+def _hits(engine):
+    """Hits counted so far in the processor cache and the rows cache."""
+    return engine.cache_stats.hits, engine.rows_cache.stats.hits
+
+
+def _stats(engine):
+    """Every counter of the processor cache and the rows cache."""
+    return engine.cache_stats.as_dict(), engine.rows_cache.stats.as_dict()
+
+
 def _counting_fits(monkeypatch):
     fits = []
     real = sharded_module.fit_adkmn
@@ -802,6 +847,26 @@ def _counting_fits(monkeypatch):
 
 
 _coordinate = st.floats(min_value=-500.0, max_value=6500.0)
+
+
+@pytest.fixture(params=[(1, "resident"), (1, "segment"), (4, "resident"), (4, "segment")])
+def sweep_lane(request, small_batch, tmp_path):
+    """``(router, engine)`` over 1 or 4 shards, resident or over segment
+    files keeping one sealed slice in memory."""
+    shards, store = request.param
+    data_dir = tmp_path if store == "segment" else None
+    router = _lane_router(small_batch, data_dir, memory_windows=1, shards=shards)
+    engine = ShardedQueryEngine(router)
+    yield router, engine
+    engine.close()
+    if data_dir is not None:
+        router.close()
+
+
+#: A query's row (its time) in a sealed window or in the open one.
+_lane_row = st.integers(_LANE_CUT - 2000, 20 * _LANE_H - 1) | st.integers(
+    20 * _LANE_H, _LANE_CUT - 1
+)
 
 
 class TestCachedRoute:
@@ -826,21 +891,60 @@ class TestCachedRoute:
         batch = uniform_route_batch(
             waypoints, t_start, t_start + duration, duration / max(updates - 1, 1), updates
         )
-        # The plan path answers first, and caches every cover it needs.
+        # The plan path answers first, and caches every cover it needs
+        # and the rows of every window its exact fallback answered.
         expected = engine.continuous_query_batch(batch, method="model-cover")
         faults = getattr(router, "faults", 0)
-        hits = engine.cache_stats.hits
+        hits = _hits(engine)
         got = engine.cached_route(batch, "model-cover")
         assert getattr(router, "faults", 0) == faults
-        if got is None:
-            # Only the exact fallback's case is left to the plan path.
-            assert any(
-                not router.shard_window_epoch(s, c) for s, c in _groups(router, batch)
-            )
-            assert engine.cache_stats.hits == hits
-        else:
-            assert _result_bytes(got) == _result_bytes(expected)
-            assert engine.cache_stats.hits == hits + len(_groups(router, batch))
+        assert got is not None
+        assert _result_bytes(got) == _result_bytes(expected)
+        assert _hits(engine) == tuple(np.add(hits, _lookups(router, batch)))
+
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        queries=st.lists(
+            st.tuples(_lane_row, st.none() | st.integers(min_value=0, max_value=3)),
+            min_size=1,
+            max_size=CACHED_ROUTE_MAX_ROWS,
+        )
+    )
+    def test_routes_mixing_covers_and_empty_owners_are_the_plan_paths_bytes(
+        self, sweep_lane, small_batch, queries
+    ):
+        """Each query sits at a sensed row's time, at that row's own
+        position (``None``: its owner has rows) or at the centre of a
+        shard's region (on 4 shards, one whose slice of the window is
+        empty more often than not).  Once the plan path has answered the
+        route, the lane answers it — every cover and every empty owner's
+        window rows are cached — in the plan path's bytes, faulting
+        nothing in."""
+        router, engine = sweep_lane
+        centres = [
+            ((b.min_x + b.max_x) / 2, (b.min_y + b.max_y) / 2)
+            for b in (router.grid.region(s).bounds for s in range(router.n_shards))
+        ]
+        rows = [row for row, _place in queries]
+        xy = [
+            (small_batch.x[row], small_batch.y[row])
+            if place is None
+            else centres[place % router.n_shards]
+            for row, place in queries
+        ]
+        batch = QueryBatch(small_batch.t[rows], *(np.array(col) for col in zip(*xy)))
+        expected = engine.continuous_query_batch(batch, method="model-cover")
+        faults = getattr(router, "faults", 0)
+        hits = _hits(engine)
+        got = engine.cached_route(batch, "model-cover")
+        assert got is not None
+        assert _result_bytes(got) == _result_bytes(expected)
+        assert getattr(router, "faults", 0) == faults
+        assert _hits(engine) == tuple(np.add(hits, _lookups(router, batch)))
 
     def test_service_answers_are_the_plan_path_bytes(self, route_lane, small_batch):
         router, engine = route_lane
@@ -896,12 +1000,12 @@ class TestCachedRoute:
         hits = engine.lane_hits
         for reason, call in cases:
             faults = getattr(router, "faults", 0)
-            stats = engine.cache_stats.as_dict()
+            stats = _stats(engine)
             plans = engine.prune_stats.plans
             declines = engine.lane_declines.copy()
             assert call() is None, reason
             assert getattr(router, "faults", 0) == faults, reason
-            assert engine.cache_stats.as_dict() == stats, reason
+            assert _stats(engine) == stats, reason
             assert engine.prune_stats.plans == plans, reason
             assert not fits, reason
             declines["route", reason] += 1
@@ -941,30 +1045,202 @@ class TestCachedRoute:
         at_cap = long_batch.take(np.arange(CACHED_ROUTE_MAX_ROWS))
         assert len(engine.cached_route(at_cap, "model-cover")) == CACHED_ROUTE_MAX_ROWS
 
-    def test_an_empty_owner_slice_declines(self, route_lane, small_batch, monkeypatch):
+    def test_an_empty_owner_takes_the_lane_once_its_window_rows_are_cached(
+        self, route_lane, small_batch, monkeypatch
+    ):
         router, engine = route_lane
         batch = _covered_route(router, small_batch)
         engine.continuous_query_batch(batch, method="model-cover")
-        c = int(router.windows_for_times(batch.t)[0])
-        empty = [
-            s for s in range(router.n_shards)
-            if not router.shard_window_epoch(s, c)
-            and (not hasattr(router.grid, "active_shards") or router.grid.active_shards[s])
-        ]  # fmt: skip
-        assert empty, "every shard has rows in the route's window"
-        # A point of that shard's region, appended to the cached route.
-        box = router.grid.region(empty[0]).bounds
-        xy = ((box.min_x + box.max_x) / 2, (box.min_y + box.max_y) / 2)
-        assert router.grid.shard_of(*xy) == empty[0]
-        mixed = QueryBatch(
-            np.append(batch.t, batch.t[0]), np.append(batch.x, xy[0]), np.append(batch.y, xy[1])
-        )
+        mixed, point = _with_empty_owner(router, batch)
+        # Every cover is cached, the window's rows are not: no plan has
+        # run an exact fallback in that window yet.
         self._declines(
             route_lane, monkeypatch,
             [("fallback", lambda: engine.cached_route(mixed, "model-cover"))],
         )  # fmt: skip
-        assert engine.cached_point(float(batch.t[0]), *xy, "model-cover") is None
+        assert engine.cached_point(*point, "model-cover") is None
         assert engine.lane_declines["point", "fallback"] == 1
+        monkeypatch.undo()
+        hits, misses = engine.cache_stats.hits, engine.cache_stats.misses
+        expected = engine.continuous_query_batch(mixed, method="model-cover")
+        # The rows went to their own cache: the covers' counters saw one
+        # hit per cover and nothing else.
+        assert engine.cache_stats.hits == hits + _lookups(router, mixed)[0]
+        assert engine.cache_stats.misses == misses
+        c = router.window_for_time(point[0])
+        assert ("rows", c) in engine.rows_cache and ("rows", c) not in engine.processor_cache
+        expected_point = engine.point_query(*point, method="model-cover")
+        faults = getattr(router, "faults", 0)
+        plans = engine.prune_stats.plans
+        fits = _counting_fits(monkeypatch)
+        hits = _hits(engine)
+        got = engine.cached_route(mixed, "model-cover")
+        assert got is not None and _result_bytes(got) == _result_bytes(expected)
+        assert engine.cached_point(*point, "model-cover") == expected_point
+        covers, windows = _lookups(router, mixed)
+        assert _hits(engine) == (hits[0] + covers, hits[1] + windows + 1)
+        assert getattr(router, "faults", 0) == faults
+        assert engine.prune_stats.plans == plans and not fits
+        assert engine.lane_hits == {"route": 1, "point": 1}
+
+    def test_an_entry_saying_the_owner_had_rows_declines(self, small_batch, monkeypatch):
+        """The torn read: the owner's stamp was read as 0 before an
+        ingest gave its slice rows, and the window's rows entry — of
+        the state after that ingest — says so.  Declined, as
+        ``"fallback"``, with nothing counted."""
+        router = _lane_router(small_batch)
+        with ShardedQueryEngine(router) as engine:
+            batch = _covered_route(router, small_batch)
+            t_head = float(small_batch.t[_LANE_CUT - 1])
+            mixed, (t, x, y) = _with_empty_owner(router, batch, t=t_head)
+            c, owner = router.window_for_time(t), router.grid.shard_of(x, y)
+            engine.continuous_query_batch(mixed, method="model-cover")
+            assert engine.cached_route(mixed, "model-cover") is not None
+            router.ingest(TupleBatch([t + 1.0], [x], [y], [450.0]))
+            assert router.window_for_time(t) == c and router.shard_window_epoch(owner, c)
+            window_rows(engine.rows_cache, engine.binding(), c)  # that state's entry
+            real, torn = router.shard_window_epoch, []
+
+            def read_before_the_ingest(s, w):
+                if (s, w) == (owner, c) and not torn:
+                    torn.append(1)
+                    return 0
+                return real(s, w)
+
+            monkeypatch.setattr(router, "shard_window_epoch", read_before_the_ingest)
+            calls = [
+                lambda: engine.cached_route(mixed, "model-cover"),
+                lambda: engine.cached_point(t, x, y, "model-cover"),
+            ]
+            for lane, call in zip(("route", "point"), calls):
+                torn.clear()
+                stats = _stats(engine)
+                assert call() is None and torn
+                assert _stats(engine) == stats
+                assert engine.lane_declines[lane, "fallback"] == 1
+            assert engine.lane_hits == {"route": 1}
+
+    def test_a_cover_read_before_an_ingest_the_rows_entry_saw_declines(
+        self, small_batch, monkeypatch
+    ):
+        """The other torn read: a cover run's stamp read before an ingest
+        reached its slice, and the window's rows entry of the state after
+        it, cached by a plan that did not re-fit that cover.  Both are
+        cached, but they are two states of one window: declined."""
+        router = _lane_router(small_batch)
+        with ShardedQueryEngine(router) as engine:
+            k = _LANE_CUT - 1
+            t, x, y = float(small_batch.t[k]), float(small_batch.x[k]), float(small_batch.y[k])
+            c, owner = router.window_for_time(t), router.grid.shard_of(x, y)
+            mixed, point = _with_empty_owner(router, QueryBatch([t], [x], [y]))
+            engine.continuous_query_batch(mixed, method="model-cover")
+            assert engine.cached_route(mixed, "model-cover") is not None
+            stale = router.shard_window_epoch(owner, c)
+            router.ingest(TupleBatch([t + 1.0], [x], [y], [450.0]))
+            assert router.window_for_time(t) == c
+            # The empty owner's query alone: rows of the new state, no fit.
+            engine.continuous_query_batch(
+                QueryBatch([point[0]], [point[1]], [point[2]]), method="model-cover"
+            )
+            assert engine.processor_cache.peek(("cover", owner, c), stale) is not None
+            real, torn = router.shard_window_epoch, []
+
+            def read_before_the_ingest(s, w):
+                if (s, w) == (owner, c) and not torn:
+                    torn.append(1)
+                    return stale
+                return real(s, w)
+
+            monkeypatch.setattr(router, "shard_window_epoch", read_before_the_ingest)
+            stats = _stats(engine)
+            assert engine.cached_route(mixed, "model-cover") is None and torn
+            assert _stats(engine) == stats
+            assert engine.lane_declines == {("route", "fallback"): 1}
+
+    def test_a_stale_window_rows_entry_declines(self, small_batch, monkeypatch, tmp_path):
+        for data_dir in (None, tmp_path):
+            router = _lane_router(small_batch, data_dir, memory_windows=1)
+            batch = _covered_route(router, small_batch)
+            t_head = float(small_batch.t[_LANE_CUT - 1])
+            mixed, point = _with_empty_owner(router, batch, t=t_head)
+            c, owner = router.window_for_time(point[0]), router.grid.shard_of(*point[1:])
+            tail = small_batch.slice(_LANE_CUT, _LANE_CUT + 50)
+            assert not (router.route(tail) == owner).any()
+            with ShardedQueryEngine(router) as engine:
+                lane = (router, engine)
+                engine.continuous_query_batch(mixed, method="model-cover")
+                assert engine.cached_route(mixed, "model-cover") is not None
+                # The window grows; its empty owner's slice stays empty,
+                # but the entry names the window's older content.
+                router.ingest(tail)
+                assert router.window_for_time(point[0]) == c
+                assert not router.shard_window_epoch(owner, c)
+                self._declines(lane, monkeypatch, [
+                    ("fallback", lambda: engine.cached_route(mixed, "model-cover")),
+                ])  # fmt: skip
+                assert engine.cached_point(*point, "model-cover") is None
+                assert engine.lane_declines["point", "fallback"] == 1
+                monkeypatch.undo()
+                refit = engine.continuous_query_batch(mixed, method="model-cover")
+                got = engine.cached_route(mixed, "model-cover")
+                assert _result_bytes(got) == _result_bytes(refit)
+                assert engine.cached_point(*point, "model-cover") == engine.point_query(
+                    *point, method="model-cover"
+                )
+            if data_dir is not None:
+                router.close()
+
+    def test_a_tile_over_one_block_declines(self, small_batch, monkeypatch):
+        """At h = 2000 a sealed window holds 2 000 rows: an empty owner's
+        run of 16 queries is a 32 000-cell tile and takes the lane, one
+        of 17 would be 34 000 cells, more than the exact gather's block,
+        and goes to the executor."""
+        assert 16 * 2000 <= BLOCK_CELLS < 17 * 2000
+        grid = RegionGrid.for_shard_count(BoundingBox(0.0, 0.0, 6000.0, 4000.0), 4)
+        router = ShardRouter(grid, h=2000)
+        router.ingest(small_batch)
+        t = float(small_batch.t[3000])  # window 1, sealed
+        c = router.window_for_time(t)
+        assert sum(len(sub) for sub in router.shard_windows(c)) == 2000
+        owner = next(s for s in range(4) if not router.shard_window_epoch(s, c))
+        box = grid.region(owner).bounds
+        with ShardedQueryEngine(router) as engine:
+
+            def run(k):
+                xs = np.linspace(box.min_x + 1.0, box.max_x - 1.0, k)
+                return QueryBatch(np.full(k, t), xs, np.full(k, (box.min_y + box.max_y) / 2))
+
+            expected = engine.continuous_query_batch(run(16), method="model-cover")
+            assert _result_bytes(engine.cached_route(run(16), "model-cover")) == (
+                _result_bytes(expected)
+            )
+            engine.continuous_query_batch(run(17), method="model-cover")
+            self._declines((router, engine), monkeypatch, [
+                ("fallback", lambda: engine.cached_route(run(17), "model-cover")),
+            ])  # fmt: skip
+
+    def test_an_empty_owner_run_reports_each_shard_it_scanned(self, small_batch):
+        """The run's queries scanned every row of the window: each shard
+        with rows there is charged the run's queries, at its rows per
+        query — the unpriced naive scan's units."""
+        router = _lane_router(small_batch)
+        with ShardedQueryEngine(router) as engine:
+            batch = _covered_route(router, small_batch, min_groups=2)
+            mixed, point = _with_empty_owner(router, batch, k=3)
+            engine.continuous_query_batch(mixed, method="model-cover")
+            c = router.window_for_time(point[0])
+            before = router.shard_load_stats()
+            assert engine.cached_route(mixed, "model-cover") is not None
+            after = router.shard_load_stats()
+            rows = [router.shard_window_sketch(s, c).n_rows for s in range(router.n_shards)]
+            queries = [3 * (n_rows > 0) for n_rows in rows]
+            units = [3.0 * n_rows for n_rows in rows]
+            owners = router.grid.shards_of(batch.x, batch.y).tolist()
+            for s, w in zip(owners, router.windows_for_times(batch.t).tolist()):
+                queries[s] += 1  # a cover run: its own rows, at the slice's size
+                units[s] += max(router.shard_window_sketch(s, w).n_rows, 1)
+            assert [b.scan_queries - a.scan_queries for a, b in zip(before, after)] == queries
+            assert [b.scan_units - a.scan_units for a, b in zip(before, after)] == units
 
     def test_a_missing_or_stale_cover_declines(self, small_batch, monkeypatch, tmp_path):
         for data_dir in (None, tmp_path):

@@ -481,21 +481,57 @@ class TestCachedLane:
         return out
 
     def test_route_sweep_is_the_plan_paths_response_bytes(self, lane, small_dataset):
-        """2 000 routes: every lane answer is the forced plan path's
-        response, byte for byte, and a declined route is one the plan
-        path answered through an empty owner slice."""
+        """2 000 routes: once the plan path has answered a route, the
+        lane answers it — an empty owner slice's rows from the window's
+        cached rows — in the forced plan path's response, byte for byte."""
         _served, spy, engine = lane
-        hits = 0
+        router = engine.router
+        empty_owner = 0
         for params in self._routes(small_dataset, 2000, seed=23):
             slow = _response(200, spy.continuous(dict(params)), close=False)
             payload = spy.cached("continuous", dict(params))
-            if payload is not None:
-                hits += 1
-                assert _response(200, payload, close=False) == slow
-        assert hits > 1500
-        assert engine.lane_hits["route"] == hits
-        assert set(engine.lane_declines) <= {("route", "fallback")}
-        assert hits + sum(engine.lane_declines.values()) == 2000
+            assert payload is not None
+            assert _response(200, payload, close=False) == slow
+            batch = async_module._route_batch(dict(params))
+            owners = router.grid.shards_of(batch.x, batch.y).tolist()
+            windows = router.windows_for_times(batch.t).tolist()
+            empty_owner += any(
+                not router.shard_window_epoch(s, c) for s, c in zip(owners, windows)
+            )
+        assert engine.lane_hits["route"] == 2000
+        assert engine.lane_declines == {}
+        assert empty_owner > 50
+
+    def test_a_large_h_keeps_a_large_tile_off_the_loop(self, small_dataset):
+        """A model-cover service over h = 2000 windows: a route of 16
+        updates through an empty owner slice of a sealed window is a
+        32 000-cell tile over its 2 000 rows, within the exact gather's
+        block, and its repeat is answered on the loop; one of 30 updates
+        (60 000 cells) is answered on the executor every time."""
+        tuples = small_dataset.tuples
+        grid = RegionGrid.for_shard_count(BoundingBox(0.0, 0.0, 6000.0, 4000.0), 4)
+        router = ShardRouter(grid, h=2000)
+        router.ingest(tuples)
+        t = float(tuples.t[3000])
+        c = router.window_for_time(t)
+        assert sum(len(sub) for sub in router.shard_windows(c)) == 2000
+        owner = next(s for s in range(4) if not router.shard_window_epoch(s, c))
+        box = grid.region(owner).bounds
+        y = (box.min_y + box.max_y) / 2
+        route = [[box.min_x + 1.0, y], [box.max_x - 1.0, y]]
+        with ShardedQueryEngine(router) as engine:
+            spy = _ThreadSpy(engine, method="model-cover")
+            with BackgroundServer(spy) as served:
+                for updates in (16, 30):
+                    params = {"route": route, "t_start": t, "duration_s": 60.0, "updates": updates}
+                    status, cold = _post(served.port, "/query/continuous", params)
+                    assert status == 200 and len(cold["readings"]) == updates
+                    assert _post(served.port, "/query/continuous", params) == (200, cold)
+                assert spy.cached_on == [served._thread.ident]  # the 16-update repeat
+                assert len(spy.continuous_on) == 3
+                assert engine.lane_hits == {"route": 1}
+                # Cold (nothing cached), then the 30-update tile twice.
+                assert engine.lane_declines == {("route", "fallback"): 3}
 
     def test_route_hit_stays_on_the_loop(self, lane, small_dataset):
         served, spy, engine = lane
