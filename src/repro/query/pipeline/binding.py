@@ -178,6 +178,19 @@ class RouterBinding:
             self._sketches[key] = sketch
             return sketch
 
+    def in_memory(self, shard: int, c: int) -> bool:
+        """Whether :meth:`slice_for` resolves ``(shard, c)`` from memory
+        on every store: the slice is pinned already, its window was open
+        at the pin (open windows' rows are the router's in-memory tail,
+        which any plan over the window reads too), or the window was
+        sealed with no rows in the slice (its frozen sketch says so).  A
+        sealed slice a plan pruned is the one case that may live only
+        in a segment file."""
+        c = int(c)
+        if (shard, c) in self._memo or c >= self.rows // self.router.h:
+            return True
+        return self.sketch_for(shard, c).n_rows == 0
+
     def _resolve(self, shard: int, c: int) -> BoundSlice:
         """One locked read of the live slice, cut back to the pin
         (caller holds the memo lock)."""

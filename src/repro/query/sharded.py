@@ -102,13 +102,21 @@ class WindowRows(NamedTuple):
     s: np.ndarray
 
 
-def window_rows(cache: ProcessorCache, binding, c: int) -> WindowRows:
+def window_rows(cache: ProcessorCache, binding, c: int) -> Optional[WindowRows]:
     """Window ``c``'s rows over every shard of ``binding`` from
     ``cache``, stored under ``("rows", c)`` at the largest of the pinned
     slices' stamps — the epoch of the last ingest that reached the
     window, so the stamp names its content — and merged outside the
-    cache lock on a miss."""
-    bounds = [binding.slice_for(s, c) for s in range(binding.n_shards)]
+    cache lock on a miss.
+
+    ``None`` when a slice of ``c`` is sealed, not empty and not pinned
+    in ``binding`` (:meth:`RouterBinding.in_memory`): a plan that pruned
+    it did not fault it in, and caching the window's rows must not
+    either."""
+    n_shards = binding.n_shards
+    if not all(binding.in_memory(s, c) for s in range(n_shards)):
+        return None
+    bounds = [binding.slice_for(s, c) for s in range(n_shards)]
     stamps = tuple(stamp for stamp, _sub, _gids in bounds)
 
     def build() -> WindowRows:
@@ -396,8 +404,9 @@ class ShardedQueryEngine:
         """Run a compiled plan through the shared executor.
 
         A ``model-cover`` plan then caches, through :func:`window_rows`,
-        the rows of every window its exact fallback answered: what the
-        cached lanes answer an empty owner slice from."""
+        the rows of every window its exact fallback answered — unless
+        that would read a sealed slice the plan pruned: what the cached
+        lanes answer an empty owner slice from."""
         result = self._plan_executor(plan).execute(plan, report)
         if plan.method == "model-cover":
             for op in plan.ops:
@@ -465,31 +474,40 @@ class ShardedQueryEngine:
         with self._lane_lock:
             self._lane_declines[key] = self._lane_declines.get(key, 0) + 1
 
-    def _lane_rows(self, c: int, n_shards: int, runs) -> Optional[WindowRows]:
-        """The ``("rows", c)`` entry a lane answers window ``c``'s empty
-        owner slices from, or ``None`` — the lanes' ``"fallback"``
-        decline.
+    def _lane_tables(self, runs, n_shards: int) -> Optional[Dict[int, WindowRows]]:
+        """The ``("rows", c)`` entries a lane answers the empty owners
+        of ``runs`` from, by window, or ``None`` — the lanes'
+        ``"fallback"`` decline.
 
-        ``runs`` are the ``(owner, stamp, queries)`` the lane read in
-        window ``c``, a stamp of 0 for an empty owner.  Lock-free reads:
-        every shard's live stamp of ``c``, then a peek at the largest.
-        The entry must hold the state those stamps name, each run's
-        stamp must be the entry's for its owner — a cover read before
-        an ingest the later reads saw, or an owner that gained rows in
-        between, is a torn read — and an empty owner's queries over the
-        window's rows must make a tile of at most :data:`BLOCK_CELLS`
-        cells, the exact gather's block, so the scan holds the loop no
-        longer than one block of a plan does.
+        ``runs`` are the ``(window, owner, stamp, first, end)`` the lane
+        read, a stamp of 0 for an empty owner.  Per window with an empty
+        owner, lock-free reads: every shard's live stamp, then a peek at
+        the largest.  The entry must hold the state those stamps name,
+        and each of the window's runs must have read the entry's stamp
+        for its owner — a cover read before an ingest the later reads
+        saw, or an owner that gained rows in between, is a torn read.
+        And the empty owners' queries over their windows' rows must make
+        at most :data:`BLOCK_CELLS` cells in all, the exact gather's
+        block, so a lane request holds the loop no longer than one block
+        of a plan does.
         """
         router = self.router
-        live = tuple(router.shard_window_epoch(s, c) for s in range(n_shards))
-        rows = self._rows.peek(("rows", c), max(live))
-        if rows is None or rows.stamps != live:
-            return None
-        for s, stamp, n in runs:
-            if rows.stamps[s] != stamp or (not stamp and n * len(rows.s) > BLOCK_CELLS):
-                return None
-        return rows
+        tables: Dict[int, WindowRows] = {}
+        cells = 0
+        for c, _s, stamp, lo, hi in runs:
+            if stamp:
+                continue
+            rows = tables.get(c)
+            if rows is None:
+                live = tuple(router.shard_window_epoch(s, c) for s in range(n_shards))
+                rows = self._rows.peek(("rows", c), max(live))
+                if rows is None or rows.stamps != live:
+                    return None
+                if any(rows.stamps[s] != read for w, s, read, *_ in runs if w == c):
+                    return None
+                tables[c] = rows
+            cells += (hi - lo) * len(rows.s)
+        return tables if cells <= BLOCK_CELLS else None
 
     def _scan_rows(self, c: int, rows: WindowRows, qx, qy, values, support) -> None:
         """Answer queries ``(qx, qy)`` over window ``c``'s ``rows`` into
@@ -516,16 +534,16 @@ class ShardedQueryEngine:
     ) -> Optional[QueryResult]:
         """The ``model-cover`` answer when the owner slice's cover is
         cached at its live stamp — or, when the owner slice is empty,
-        when the window's rows are (:meth:`_lane_rows`) — else ``None``
+        when the window's rows are (:meth:`_lane_tables`) — else ``None``
         (ask :meth:`point_query`).
 
         The async front end's non-blocking lane: no plan, and only reads
         the router serves without its lock — it never waits on an ingest
         or a seal, never faults a segment in, never fits.  Other methods,
         a non-finite coordinate, an empty router, an empty owner slice
-        whose window rows are not cached at their live stamps (or would
-        make a tile over :data:`BLOCK_CELLS`), and a missing or stale
-        cover are ``None``, counted in :attr:`lane_declines` only — no
+        whose window rows are not cached at their live stamps (or number
+        more than :data:`BLOCK_CELLS`), and a missing or stale cover are
+        ``None``, counted in :attr:`lane_declines` only — no
         cache counter is touched (the plan path counts that miss).  A
         cover cached at ``stamp`` was fitted on exactly the rows the
         stamp names, so a hit is what the plan path answers when it pins
@@ -570,9 +588,10 @@ class ShardedQueryEngine:
 
     def _cached_point_rows(self, grid, c, s, t, x, y) -> Optional[QueryResult]:
         """:meth:`cached_point` for a point whose owner slice is empty."""
-        rows = self._lane_rows(c, grid.n_regions, [(s, 0, 1)])
-        if rows is None:
+        tables = self._lane_tables([(c, s, 0, 0, 1)], grid.n_regions)
+        if tables is None:
             return self._lane_decline("point", "fallback")
+        rows = tables[c]
         if self.router.grid is not grid:
             return self._lane_decline("point", "recut")
         self._rows.peek(("rows", c), max(rows.stamps), count_hit=True)
@@ -596,7 +615,7 @@ class ShardedQueryEngine:
         ``windows_for_times`` and one ``grid.shards_of`` over the batch
         — then per distinct (window, owner) a lock-free stamp read and a
         :meth:`ProcessorCache.peek` of its cover; per window with an
-        empty owner, :meth:`_lane_rows`.  Only when everything is cached
+        empty owner, :meth:`_lane_tables`.  Only when everything is cached
         is a hit counted per cover and per window's rows, as the plan
         path's lookups count them (a decline touches no cache counter).
         Each cover evaluates its rows with :meth:`ModelCover.predict_batch`,
@@ -607,7 +626,9 @@ class ShardedQueryEngine:
         :attr:`lane_declines`, with nothing fitted, faulted in or waited
         for: another method, more than :data:`CACHED_ROUTE_MAX_ROWS`
         rows, an empty batch or router, a non-finite input, an empty
-        owner slice :meth:`_lane_rows` cannot answer (``"fallback"``), a
+        owner slice :meth:`_lane_tables` cannot answer (``"fallback"``:
+        its window's rows not cached at their live stamps, or more than
+        :data:`BLOCK_CELLS` cells over all the route's empty owners), a
         missing or stale cover, and a re-cut in flight (the grid read
         first is checked last, as in :meth:`cached_point`).
         """
@@ -634,17 +655,9 @@ class ShardedQueryEngine:
         for lo, hi in zip(bounds, bounds[1:]):
             c, s = divmod(int(pair[lo]), n_shards)
             runs.append((c, s, router.shard_window_epoch(s, c), lo, hi))
-        tables: Dict[int, WindowRows] = {}  # the rows of windows with an empty owner
-        for c, _s, stamp, _lo, _hi in runs:
-            if not stamp and c not in tables:
-                rows = self._lane_rows(c, n_shards, [
-                    (owner, read, end - first)
-                    for window, owner, read, first, end in runs
-                    if window == c
-                ])  # fmt: skip
-                if rows is None:
-                    return self._lane_decline("route", "fallback")
-                tables[c] = rows
+        tables = self._lane_tables(runs, n_shards)  # the rows of empty owners' windows
+        if tables is None:
+            return self._lane_decline("route", "fallback")
         cache = self._cache
         covers = [
             (("cover", s, c), stamp, cache.peek(("cover", s, c), stamp))

@@ -65,9 +65,10 @@ reads and one cover evaluation on Python floats — and a ``model-cover``
 route of at most ``CACHED_ROUTE_MAX_ROWS`` updates over at most
 ``_LANE_MAX_WAYPOINTS`` waypoints whose owner covers all are; a query
 whose owner slice is empty is answered from its window's rows, cached
-at the window's live stamps, when its scan fits one block of the exact
-gather.  All of it is decided from cache and router state, never a
-clock (a longer route is not even validated on the loop).  The loop
+at the window's live stamps, when the request's empty-owner scans fit
+one block of the exact gather in all.  All of it is decided from cache
+and router state, never a clock (a longer route is not even validated
+on the loop).  The loop
 never runs a fit, a fault-in, a lock wait or a scan larger than one
 gather block: everything else
 runs in the default thread-pool executor (``loop.run_in_executor``)

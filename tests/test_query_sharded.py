@@ -35,6 +35,7 @@ from repro.storage.shards import ShardRouter, StaleLayoutError
 from repro.storage.tiered import TieredShardRouter
 
 from reference_gather import merge_hit_partials, scan_hits
+from rows_entries import cache_rows, uncached_windows
 
 
 @pytest.fixture(scope="module")
@@ -431,16 +432,28 @@ class TestCachedPoint:
 
         # The first pass also warms: every cover the stream needs is
         # cached, and so are the rows of every window an empty owner
-        # slice sent the plan path's exact fallback to.
+        # slice sent the plan path's exact fallback to, unless that plan
+        # pruned a sealed slice with rows.  The lane declines exactly
+        # those points, and answers them once the window's rows are
+        # cached.
         expected = [json.dumps(slow(p)) for p in points]
-        empty_owners = 0
+        empty_owners = unseeded = 0
         for p, want in zip(points, expected):
-            assert json.dumps(service.cached("point", p)) == want
+            point = QueryBatch([p["t"]], [p["x"]], [p["y"]])
+            missing = uncached_windows(engine, point)
+            got = service.cached("point", p)
+            if missing:
+                assert got is None
+                unseeded += 1
+                cache_rows(engine, missing[0])
+                got = service.cached("point", p)
+            assert json.dumps(got) == want
             assert json.dumps(service.point(p)) == want
             owner = router.grid.shard_of(p["x"], p["y"])
             empty_owners += not router.shard_window_epoch(owner, router.window_for_time(p["t"]))
         assert engine.lane_hits["point"] == len(points)
-        assert empty_owners > 100
+        assert engine.lane_declines.get(("point", "fallback"), 0) == unseeded
+        assert empty_owners > 100 and unseeded < empty_owners
 
     def test_hit_bookkeeping_matches_the_plan_path(self, lane, small_batch):
         router, engine = lane
@@ -517,9 +530,12 @@ class TestCachedPoint:
         """1e300 passes the request validation; the owner is the edge
         cell on both paths, so once the plan path has cached that cover
         — or, for an empty owner slice, the window's rows — the lane
-        serves it byte-identically, and routing never warns (the plan
-        path's vector cover evaluation and the exact scan overflow to
-        inf there, which numpy reports; that is not the routing's)."""
+        serves it byte-identically.  Routing and the cover hit never
+        warn (the plan path's vector cover evaluation overflows to inf
+        there, which numpy reports; that is not the routing's).  An
+        empty owner's scan squares the same far offsets the plan path's
+        exact scan does, so that overflow, and only that one, is
+        allowed there."""
         router, engine = lane
         t = float(small_batch.t[_LANE_CUT - 1])
         service = EngineQueryService(engine, method="model-cover")
@@ -532,8 +548,13 @@ class TestCachedPoint:
                 s = router.grid.shard_of(x, y)
                 assert s == int(router.route(TupleBatch([t], [x], [y], [0.0]))[0])
                 owners.append(router.shard_window_epoch(s, router.window_for_time(t)))
-            assert json.dumps(service.cached("point", params)) == json.dumps(slow)
-        assert any(owners)
+                if owners[-1]:
+                    got = service.cached("point", params)
+                else:
+                    with np.errstate(over="ignore"):
+                        got = service.cached("point", params)
+            assert json.dumps(got) == json.dumps(slow)
+        assert any(owners) and not all(owners)
         assert engine.lane_hits["point"] == 4
 
     @pytest.mark.parametrize("method", ["naive", "grid", "auto"])
@@ -892,9 +913,27 @@ class TestCachedRoute:
             waypoints, t_start, t_start + duration, duration / max(updates - 1, 1), updates
         )
         # The plan path answers first, and caches every cover it needs
-        # and the rows of every window its exact fallback answered.
+        # and the rows of every window its exact fallback answered — of
+        # a sealed one, only when it read every slice with rows.
         expected = engine.continuous_query_batch(batch, method="model-cover")
+        self._lane_answers(router, engine, batch, expected)
+
+    @staticmethod
+    def _lane_answers(router, engine, batch, expected):
+        """The lane answers ``batch`` in ``expected``'s bytes, counting
+        a hit per lookup and faulting nothing in — once any window rows
+        the plan path did not cache are cached (declined until then)."""
+        missing = uncached_windows(engine, batch)
+        declines = dict(engine.lane_declines)
         faults = getattr(router, "faults", 0)
+        got = engine.cached_route(batch, "model-cover")
+        if missing:
+            assert got is None
+            declines["route", "fallback"] = declines.get(("route", "fallback"), 0) + 1
+            for c in missing:
+                cache_rows(engine, c)
+            faults = getattr(router, "faults", 0)
+        assert engine.lane_declines == declines
         hits = _hits(engine)
         got = engine.cached_route(batch, "model-cover")
         assert getattr(router, "faults", 0) == faults
@@ -921,9 +960,9 @@ class TestCachedRoute:
         position (``None``: its owner has rows) or at the centre of a
         shard's region (on 4 shards, one whose slice of the window is
         empty more often than not).  Once the plan path has answered the
-        route, the lane answers it — every cover and every empty owner's
-        window rows are cached — in the plan path's bytes, faulting
-        nothing in."""
+        route, the lane answers it in the plan path's bytes, faulting
+        nothing in: at once when that plan cached every empty owner's
+        window rows, else once those are cached."""
         router, engine = sweep_lane
         centres = [
             ((b.min_x + b.max_x) / 2, (b.min_y + b.max_y) / 2)
@@ -938,13 +977,7 @@ class TestCachedRoute:
         ]
         batch = QueryBatch(small_batch.t[rows], *(np.array(col) for col in zip(*xy)))
         expected = engine.continuous_query_batch(batch, method="model-cover")
-        faults = getattr(router, "faults", 0)
-        hits = _hits(engine)
-        got = engine.cached_route(batch, "model-cover")
-        assert got is not None
-        assert _result_bytes(got) == _result_bytes(expected)
-        assert getattr(router, "faults", 0) == faults
-        assert _hits(engine) == tuple(np.add(hits, _lookups(router, batch)))
+        self._lane_answers(router, engine, batch, expected)
 
     def test_service_answers_are_the_plan_path_bytes(self, route_lane, small_batch):
         router, engine = route_lane
@@ -1045,13 +1078,59 @@ class TestCachedRoute:
         at_cap = long_batch.take(np.arange(CACHED_ROUTE_MAX_ROWS))
         assert len(engine.cached_route(at_cap, "model-cover")) == CACHED_ROUTE_MAX_ROWS
 
+    def test_caching_window_rows_faults_nothing_the_plan_did_not(
+        self, small_batch, tmp_path, monkeypatch
+    ):
+        """On a segment store keeping one sealed slice in memory, a
+        model-cover plan faults in exactly as many slices whether or not
+        it caches its exact fallback's window rows.  A sealed window
+        whose slices with rows the plan did not all read is not cached
+        (its empty owner's query reaches no other shard); once a plan
+        reads them all — a query at a sensed row of each — it is."""
+        c_sealed = _LANE_CUT // _LANE_H - 3
+        rows = small_batch.slice(c_sealed * _LANE_H, (c_sealed + 1) * _LANE_H)
+        routers = [
+            _lane_router(small_batch, tmp_path / name, memory_windows=1)
+            for name in ("seeded", "unseeded")
+        ]
+        probe = routers[0]
+        t_head = float(small_batch.t[_LANE_CUT - 1])
+        none = QueryBatch([], [], [])
+        sealed, (t, x, y) = _with_empty_owner(probe, none, t=float(rows.t[120]))
+        assert probe.window_for_time(t) == c_sealed
+        shards = probe.route(rows)
+        anchors = [int(np.flatnonzero(shards == s)[0]) for s in np.unique(shards).tolist()]
+        assert len(anchors) > 1
+        read_all = QueryBatch(*(
+            np.append(column[anchors], value)
+            for column, value in ((rows.t, t), (rows.x, x), (rows.y, y))
+        ))  # fmt: skip
+        head, _ = _with_empty_owner(probe, none, t=t_head)
+        plans = [sealed, head, read_all]
+        faults, cached = [], []
+        for router, seeding in zip(routers, (True, False)):
+            if not seeding:
+                monkeypatch.setattr(sharded_module, "window_rows", lambda *args: None)
+            with ShardedQueryEngine(router) as engine:
+                seen = []
+                for batch in plans:
+                    engine.continuous_query_batch(batch, method="model-cover")
+                    seen.append((router.faults, not uncached_windows(engine, batch)))
+            faults.append([f for f, _ in seen])
+            cached.append([hit for _, hit in seen])
+            router.close()
+        assert faults[0] == faults[1]
+        assert faults[0][-1] > faults[0][0]  # the last plan faulted slices in
+        assert cached == [[False, True, True], [False, False, False]]
+
     def test_an_empty_owner_takes_the_lane_once_its_window_rows_are_cached(
         self, route_lane, small_batch, monkeypatch
     ):
         router, engine = route_lane
         batch = _covered_route(router, small_batch)
         engine.continuous_query_batch(batch, method="model-cover")
-        mixed, point = _with_empty_owner(router, batch)
+        t_head = float(small_batch.t[_LANE_CUT - 1])  # the open window
+        mixed, point = _with_empty_owner(router, batch, t=t_head)
         # Every cover is cached, the window's rows are not: no plan has
         # run an exact fallback in that window yet.
         self._declines(
@@ -1194,29 +1273,41 @@ class TestCachedRoute:
         """At h = 2000 a sealed window holds 2 000 rows: an empty owner's
         run of 16 queries is a 32 000-cell tile and takes the lane, one
         of 17 would be 34 000 cells, more than the exact gather's block,
-        and goes to the executor."""
+        and goes to the executor.  The bound is on the whole route: 8
+        such queries in one window and 9 in another go to the executor
+        too, though each window's run alone is within the block."""
         assert 16 * 2000 <= BLOCK_CELLS < 17 * 2000
         grid = RegionGrid.for_shard_count(BoundingBox(0.0, 0.0, 6000.0, 4000.0), 4)
         router = ShardRouter(grid, h=2000)
         router.ingest(small_batch)
-        t = float(small_batch.t[3000])  # window 1, sealed
-        c = router.window_for_time(t)
-        assert sum(len(sub) for sub in router.shard_windows(c)) == 2000
-        owner = next(s for s in range(4) if not router.shard_window_epoch(s, c))
+        ts = [float(small_batch.t[3000]), float(small_batch.t[5000])]  # sealed
+        cs = [router.window_for_time(t) for t in ts]
+        assert cs == [1, 2]
+        assert all(sum(len(sub) for sub in router.shard_windows(c)) == 2000 for c in cs)
+        owner = next(
+            s for s in range(4) if not any(router.shard_window_epoch(s, c) for c in cs)
+        )  # fmt: skip
         box = grid.region(owner).bounds
         with ShardedQueryEngine(router) as engine:
 
-            def run(k):
-                xs = np.linspace(box.min_x + 1.0, box.max_x - 1.0, k)
-                return QueryBatch(np.full(k, t), xs, np.full(k, (box.min_y + box.max_y) / 2))
+            def runs(*ks):
+                xs = [np.linspace(box.min_x + 1.0, box.max_x - 1.0, k) for k in ks]
+                return QueryBatch(
+                    np.concatenate([np.full(k, t) for k, t in zip(ks, ts)]),
+                    np.concatenate(xs),
+                    np.full(sum(ks), (box.min_y + box.max_y) / 2),
+                )
 
-            expected = engine.continuous_query_batch(run(16), method="model-cover")
-            assert _result_bytes(engine.cached_route(run(16), "model-cover")) == (
-                _result_bytes(expected)
-            )
-            engine.continuous_query_batch(run(17), method="model-cover")
+            for ks in [(16,), (8, 8)]:
+                expected = engine.continuous_query_batch(runs(*ks), method="model-cover")
+                for c in uncached_windows(engine, runs(*ks)):
+                    cache_rows(engine, c)
+                got = engine.cached_route(runs(*ks), "model-cover")
+                assert _result_bytes(got) == _result_bytes(expected)
+            assert not uncached_windows(engine, runs(17)) + uncached_windows(engine, runs(8, 9))
             self._declines((router, engine), monkeypatch, [
-                ("fallback", lambda: engine.cached_route(run(17), "model-cover")),
+                ("fallback", lambda: engine.cached_route(runs(17), "model-cover")),
+                ("fallback", lambda: engine.cached_route(runs(8, 9), "model-cover")),
             ])  # fmt: skip
 
     def test_an_empty_owner_run_reports_each_shard_it_scanned(self, small_batch):
@@ -1229,6 +1320,8 @@ class TestCachedRoute:
             mixed, point = _with_empty_owner(router, batch, k=3)
             engine.continuous_query_batch(mixed, method="model-cover")
             c = router.window_for_time(point[0])
+            if uncached_windows(engine, mixed):
+                cache_rows(engine, c)
             before = router.shard_load_stats()
             assert engine.cached_route(mixed, "model-cover") is not None
             after = router.shard_load_stats()

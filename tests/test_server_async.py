@@ -32,6 +32,7 @@ from repro.server.async_server import (
 from repro.storage.shards import ShardRouter
 
 from one_shard import one_shard_engine
+from rows_entries import cache_rows, uncached_windows
 
 _WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 
@@ -483,31 +484,42 @@ class TestCachedLane:
     def test_route_sweep_is_the_plan_paths_response_bytes(self, lane, small_dataset):
         """2 000 routes: once the plan path has answered a route, the
         lane answers it — an empty owner slice's rows from the window's
-        cached rows — in the forced plan path's response, byte for byte."""
+        cached rows — in the forced plan path's response, byte for byte.
+        A route through a sealed window whose plan pruned a slice with
+        rows finds no cached rows there and is declined until they are
+        cached."""
         _served, spy, engine = lane
         router = engine.router
-        empty_owner = 0
+        empty_owner = unseeded = 0
         for params in self._routes(small_dataset, 2000, seed=23):
             slow = _response(200, spy.continuous(dict(params)), close=False)
+            batch = async_module._route_batch(dict(params))
+            missing = uncached_windows(engine, batch)
             payload = spy.cached("continuous", dict(params))
+            if missing:
+                assert payload is None
+                unseeded += 1
+                for c in missing:
+                    cache_rows(engine, c)
+                payload = spy.cached("continuous", dict(params))
             assert payload is not None
             assert _response(200, payload, close=False) == slow
-            batch = async_module._route_batch(dict(params))
             owners = router.grid.shards_of(batch.x, batch.y).tolist()
             windows = router.windows_for_times(batch.t).tolist()
             empty_owner += any(
                 not router.shard_window_epoch(s, c) for s, c in zip(owners, windows)
             )
         assert engine.lane_hits["route"] == 2000
-        assert engine.lane_declines == {}
-        assert empty_owner > 50
+        assert engine.lane_declines == ({("route", "fallback"): unseeded} if unseeded else {})
+        assert empty_owner > 50 and unseeded < empty_owner
 
     def test_a_large_h_keeps_a_large_tile_off_the_loop(self, small_dataset):
-        """A model-cover service over h = 2000 windows: a route of 16
-        updates through an empty owner slice of a sealed window is a
-        32 000-cell tile over its 2 000 rows, within the exact gather's
-        block, and its repeat is answered on the loop; one of 30 updates
-        (60 000 cells) is answered on the executor every time."""
+        """A model-cover service over h = 2000 windows, with a sealed
+        window's rows cached: a route of 16 updates through an empty
+        owner slice there is a 32 000-cell tile over its 2 000 rows,
+        within the exact gather's block, and is answered on the loop;
+        one of 30 updates (60 000 cells) is answered on the executor
+        every time."""
         tuples = small_dataset.tuples
         grid = RegionGrid.for_shard_count(BoundingBox(0.0, 0.0, 6000.0, 4000.0), 4)
         router = ShardRouter(grid, h=2000)
@@ -520,18 +532,24 @@ class TestCachedLane:
         y = (box.min_y + box.max_y) / 2
         route = [[box.min_x + 1.0, y], [box.max_x - 1.0, y]]
         with ShardedQueryEngine(router) as engine:
+            cache_rows(engine, c)
             spy = _ThreadSpy(engine, method="model-cover")
             with BackgroundServer(spy) as served:
+                answers = []
                 for updates in (16, 30):
                     params = {"route": route, "t_start": t, "duration_s": 60.0, "updates": updates}
-                    status, cold = _post(served.port, "/query/continuous", params)
-                    assert status == 200 and len(cold["readings"]) == updates
-                    assert _post(served.port, "/query/continuous", params) == (200, cold)
-                assert spy.cached_on == [served._thread.ident]  # the 16-update repeat
-                assert len(spy.continuous_on) == 3
+                    status, body = _post(served.port, "/query/continuous", params)
+                    assert status == 200 and len(body["readings"]) == updates
+                    answers.append(body)
+                assert spy.cached_on == [served._thread.ident]  # the 16-update route
+                assert len(spy.continuous_on) == 1  # the 30-update one
                 assert engine.lane_hits == {"route": 1}
-                # Cold (nothing cached), then the 30-update tile twice.
-                assert engine.lane_declines == {("route", "fallback"): 3}
+                assert engine.lane_declines == {("route", "fallback"): 1}
+                for body, updates in zip(answers, (16, 30)):
+                    params = {"route": route, "t_start": t, "duration_s": 60.0, "updates": updates}
+                    assert _response(200, spy.continuous(params), close=False) == (
+                        _response(200, body, close=False)
+                    )
 
     def test_route_hit_stays_on_the_loop(self, lane, small_dataset):
         served, spy, engine = lane
