@@ -8,26 +8,20 @@ against one server and shows how aggregate traffic scales: baseline
 grows with (members x queries), model-cache with (members x 1), and the
 server materialises exactly one cover for all of them.
 
-It also shows the multi-pollutant platform: the same fleet machinery
-runs against a carbon-monoxide dataset with a CO-specific τn range.
-
 Run:  python examples/city_fleet.py
 """
 
 from repro.client.fleet import FleetSimulator, commuter_fleet
-from repro.core.adkmn import AdKMNConfig
 from repro.data import generate_lausanne_dataset, LausanneConfig
-from repro.data.multipollutant import generate_pollutant_dataset, tau_for_pollutant
 from repro.query.sharded import ShardedQueryEngine
 from repro.server import DEFAULT_COVER_CACHE_CAPACITY, EngineQueryService
 from repro.storage.shards import single_shard_router
 
 
-def run_fleet(label, dataset, n_members, use_model_cache, config=None):
+def run_fleet(label, dataset, n_members, use_model_cache):
     service = EngineQueryService(
         ShardedQueryEngine(
             single_shard_router(240),
-            config=config,
             cache_capacity=DEFAULT_COVER_CACHE_CAPACITY,
         ),
         method="model-cover",
@@ -60,11 +54,6 @@ def main() -> None:
     print()
     for n in (5, 20, 50):
         run_fleet("  model-cache fleet", co2, n, use_model_cache=True)
-
-    print("\ncarbon monoxide (pollutant-specific tau range):")
-    co = generate_pollutant_dataset("co", LausanneConfig(days=1, target_tuples=0))
-    cfg = AdKMNConfig(**tau_for_pollutant("co"))
-    run_fleet("  model-cache fleet (CO)", co, 20, use_model_cache=True, config=cfg)
 
 
 if __name__ == "__main__":

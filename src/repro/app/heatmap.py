@@ -80,18 +80,6 @@ class Heatmap:
         )
 
 
-def _ramp_color(v: float) -> Tuple[int, int, int]:
-    """Linear interpolation through the green→red ramp."""
-    if v <= _RAMP[0][0]:
-        return _RAMP[0][1]
-    for (f0, c0), (f1, c1) in zip(_RAMP, _RAMP[1:]):
-        if v <= f1:
-            span = f1 - f0
-            t = 0.0 if span <= 0 else (v - f0) / span
-            return tuple(int(round(a + t * (b - a))) for a, b in zip(c0, c1))
-    return _RAMP[-1][1]
-
-
 _RAMP_STOPS = np.array([f for f, _ in _RAMP])
 _RAMP_RGB = np.array([c for _, c in _RAMP], dtype=np.float64)
 

@@ -11,10 +11,12 @@
 * :mod:`repro.core.variants` — alternative adaptive candidates (Ad-GRID
   quadtree and Ad-SPLIT bisection), standing in for "the best results
   among many candidates we designed".
+
+A cover answers a value per query, as the paper's does; it carries no
+per-prediction confidence.
 """
 
 from repro.core.adkmn import AdKMNConfig, AdKMNResult, fit_adkmn
-from repro.core.confidence import ConfidenceCover, ConfidentValue
 from repro.core.cover import ModelCover
 from repro.core.kmeans import KMeansResult, kmeans
 from repro.core.variants import fit_adgrid, fit_adsplit
@@ -23,8 +25,6 @@ __all__ = [
     "AdKMNConfig",
     "AdKMNResult",
     "fit_adkmn",
-    "ConfidenceCover",
-    "ConfidentValue",
     "ModelCover",
     "KMeansResult",
     "kmeans",

@@ -6,21 +6,14 @@ replaces it with a deterministic synthetic equivalent that preserves the
 property the paper is about — *geo-temporal skew*: measurements exist only
 along bus routes, and only while buses are in service.
 
-Beyond the CO2 headline dataset it provides the pollutant registry and
-per-pollutant fields (Section 2.2 lists CO2, CO and particulate matter)
-and a quality screen for the error-prone community sensors of [7, 8].
+The dataset is the paper's CO2 one: the sensor value of a raw tuple is
+whatever pollutant a deployment senses, and nothing downstream depends
+on which.  Tuples are stored as sensed; there is no quality screen.
 """
 
 from repro.data.field import DiurnalTrafficCycle, EmissionSource, PollutionField
 from repro.data.io import read_tuples_csv, write_tuples_csv
 from repro.data.lausanne import LausanneConfig, generate_lausanne_dataset
-from repro.data.multipollutant import (
-    field_for_pollutant,
-    generate_all_pollutants,
-    generate_pollutant_dataset,
-)
-from repro.data.pollutants import Pollutant, get_pollutant, registered_pollutants
-from repro.data.quality import QualityConfig, QualityReport, screen_window
 from repro.data.routes import BusRoute, lausanne_routes
 from repro.data.tuples import QueryTuple, RawTuple, TupleBatch
 from repro.data.windows import WindowSpec, count_windows, iter_windows, window
@@ -33,15 +26,6 @@ __all__ = [
     "write_tuples_csv",
     "LausanneConfig",
     "generate_lausanne_dataset",
-    "field_for_pollutant",
-    "generate_all_pollutants",
-    "generate_pollutant_dataset",
-    "Pollutant",
-    "get_pollutant",
-    "registered_pollutants",
-    "QualityConfig",
-    "QualityReport",
-    "screen_window",
     "BusRoute",
     "lausanne_routes",
     "QueryTuple",

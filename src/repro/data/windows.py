@@ -15,7 +15,7 @@ are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -108,43 +108,6 @@ def iter_windows(batch: TupleBatch, h: int) -> Iterator[Tuple[int, TupleBatch]]:
     """Yield ``(c, W_c)`` for every count-based window of ``batch``."""
     for c in range(count_windows(batch, h)):
         yield c, window(batch, c, h)
-
-
-@dataclass(frozen=True)
-class WindowSlices(Sequence):
-    """Zero-copy per-window (count-based) view of a batch.
-
-    ``slices[c]`` is window ``W_c`` as a :class:`TupleBatch` slice sharing
-    the parent batch's storage; ``is_sealed(c)`` tells whether the window
-    already holds its full ``h`` tuples and is therefore immutable.
-    """
-
-    batch: TupleBatch
-    h: int
-
-    def __post_init__(self) -> None:
-        if self.h <= 0:
-            raise ValueError("window size h must be positive")
-
-    def __len__(self) -> int:
-        return count_windows(self.batch, self.h)
-
-    def __getitem__(self, c: int) -> TupleBatch:
-        if not isinstance(c, (int, np.integer)):
-            raise TypeError("window index must be an integer")
-        c = int(c)
-        if c < 0:
-            c += len(self)
-            if c < 0:
-                raise IndexError("window index out of range")
-        return window(self.batch, c, self.h)
-
-    def sealed_count(self) -> int:
-        """Number of leading windows that are full and immutable."""
-        return sealed_window_count(len(self.batch), self.h)
-
-    def is_sealed(self, c: int) -> bool:
-        return 0 <= c < self.sealed_count()
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,9 @@ EnviroMeter operates over a geographical region ``R`` (central Lausanne in
 the paper).  Everything downstream — the synthetic dataset, the spatial
 indexes, the Ad-KMN clustering — works in a local metric coordinate frame,
 so this package provides the WGS84 <-> local-metre projection and the basic
-planar geometry primitives.
-
-The street graph (``repro.geo.streetgraph``, networkx-backed) is imported
-from its submodule, so importing this package — and with it the server —
-does not import networkx.
+planar geometry primitives, and the region grid that shards the
+tuple stream.  Routes, bus lines and query routes alike, are polylines
+of waypoints; there is no street graph.
 """
 
 from repro.geo.coords import (

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -452,22 +452,3 @@ class RefinedRegionGrid:
         splits[k] = (1, 1)
         shards[k] = (keep,)
         return RefinedRegionGrid(self.base, tuple(splits), tuple(shards), self._n_slots)
-
-
-def nearest_subregion(subregions: Sequence[SubRegion], x: float, y: float) -> int:
-    """Index of the sub-region whose centroid is nearest to ``(x, y)``.
-
-    This is the O(O) scan the model-cover query processor performs for
-    every query tuple; O (the number of models) is small by construction,
-    which is why model-cover querying beats scanning/indexing raw tuples.
-    """
-    if not subregions:
-        raise ValueError("no subregions")
-    best = 0
-    best_d = subregions[0].distance_to(x, y)
-    for k in range(1, len(subregions)):
-        d = subregions[k].distance_to(x, y)
-        if d < best_d:
-            best_d = d
-            best = k
-    return best

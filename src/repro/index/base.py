@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import List, Protocol, Sequence, runtime_checkable
 
-import numpy as np
-
 
 @runtime_checkable
 class SpatialIndex(Protocol):
@@ -45,14 +43,3 @@ def brute_force_radius(
         if dx * dx + dy * dy <= r2:
             out.append(i)
     return out
-
-
-def brute_force_radius_vectorised(
-    xs: np.ndarray, ys: np.ndarray, x: float, y: float, radius: float
-) -> np.ndarray:
-    """Numpy variant of the naive search, used where the comparison being
-    benchmarked is not the naive method itself (e.g. accuracy oracles)."""
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
-    d2 = (np.asarray(xs) - x) ** 2 + (np.asarray(ys) - y) ** 2
-    return np.flatnonzero(d2 <= radius * radius)

@@ -17,7 +17,8 @@ and continuous modes use; see ``repro/query/README.md``.
 to a region-sharded tuple store and its window choice (an unsharded
 store is a one-region router), :mod:`repro.query.executor` fans
 per-window query groups across a thread pool, and
-:mod:`repro.query.continuous` drives a trajectory of query tuples.
+:mod:`repro.query.continuous` turns a route into Query 1's uniform
+query-tuple stream, which the engine answers as one batch.
 """
 
 from repro.query.base import (
@@ -28,7 +29,7 @@ from repro.query.base import (
     process_batch,
     process_batch_scalar,
 )
-from repro.query.continuous import ContinuousQueryDriver, uniform_query_tuples
+from repro.query.continuous import uniform_query_tuples
 from repro.query.executor import BatchExecutor, QueryGroup, group_queries_by_window
 from repro.query.indexed import IndexedProcessor
 from repro.query.modelcover import ModelCoverProcessor
@@ -55,7 +56,6 @@ __all__ = [
     "group_queries_by_window",
     "process_batch",
     "process_batch_scalar",
-    "ContinuousQueryDriver",
     "uniform_query_tuples",
     "ExecutionPlan",
     "IndexedProcessor",

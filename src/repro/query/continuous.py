@@ -1,21 +1,20 @@
 """Continuous query driving (Query 1).
 
 A mobile object ``v_q`` transmits query tuples at a *uniform interval*
-(Section 2.2: "|t_{l+1} - t_l| is always the same").  The driver walks a
-trajectory, generates the uniform query-tuple stream, and feeds it to any
-point-query processor.
+(Section 2.2: "|t_{l+1} - t_l| is always the same").  This module turns
+a trajectory into that uniform query-tuple stream, as a list of query
+tuples or as one columnar batch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.data.tuples import QueryTuple
-from repro.query.base import PointQueryProcessor, QueryBatch, QueryResult
+from repro.query.base import QueryBatch
 
 Trajectory = Callable[[float], Tuple[float, float]]
 """Position of the mobile object as a function of time."""
@@ -136,25 +135,3 @@ def uniform_route_batch(
         target = target - leg  # zero-length legs are skipped unchanged
     x[early], y[early] = waypoints[0]
     return QueryBatch(t, x, y)
-
-
-@dataclass
-class ContinuousQueryDriver:
-    """Runs a continuous query against a point-query processor."""
-
-    processor: PointQueryProcessor
-
-    def run(self, queries: Sequence[QueryTuple]) -> List[QueryResult]:
-        """Process every query tuple in order."""
-        return [self.processor.process(q) for q in queries]
-
-    def run_trajectory(
-        self,
-        trajectory: Trajectory,
-        t_start: float,
-        interval_s: float,
-        count: int,
-    ) -> List[QueryResult]:
-        """Generate the uniform stream and process it."""
-        queries = uniform_query_tuples(trajectory, t_start, interval_s, count)
-        return self.run(queries)

@@ -1,13 +1,22 @@
 """Tests for repro.cli."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+
+PACKAGES = ["repro"] + [
+    info.name
+    for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    if info.ispkg
+]
 
 
 class TestParser:
@@ -313,15 +322,30 @@ class TestServeMethod:
 
 
 class TestImportHygiene:
-    def test_server_start_does_not_import_networkx(self):
-        """Only the street graph needs networkx; starting a server must
-        not pay for it (a fresh interpreter, so no other test's imports
-        count)."""
+    def test_every_repro_module_needs_only_numpy_beyond_the_stdlib(self):
+        """Import every module under ``repro`` in a fresh interpreter (so
+        no other test's imports count): the only top-level packages it
+        adds outside the standard library are numpy and ``repro`` itself,
+        as ``requirements-dev.txt`` promises.  The interpreter's own
+        start-up modules are subtracted, since ``site`` may import
+        third-party packages before any of ours.  Modules are judged by
+        their own ``__name__``, not their ``sys.modules`` key:
+        multiprocessing files ``__main__`` under a second key."""
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=src)
         probe = (
-            "import sys, repro.cli, repro.server.async_server; "
-            "print('networkx' in sys.modules)"
+            "import importlib, pkgutil, sys\n"
+            "def tops():\n"
+            "    mods = list(sys.modules.values())\n"
+            "    return {getattr(m, '__name__', '').partition('.')[0] for m in mods}\n"
+            "bare = tops()\n"
+            "import repro\n"
+            "def fail(name):\n"
+            "    raise ImportError(name)\n"
+            "for info in pkgutil.walk_packages(repro.__path__, 'repro.', fail):\n"
+            "    importlib.import_module(info.name)\n"
+            "new = tops() - bare\n"
+            "print(' '.join(sorted(new - set(sys.stdlib_module_names))))\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", probe],
@@ -330,4 +354,13 @@ class TestImportHygiene:
             text=True,
             check=True,
         )
-        assert out.stdout.strip() == "False"
+        assert out.stdout.split() == ["numpy", "repro"]
+
+    @pytest.mark.parametrize("package", PACKAGES)
+    def test_every_exported_name_exists(self, package):
+        """A package's ``__all__`` names only what it defines, once: a
+        re-export left behind by a deleted module breaks ``import *``."""
+        mod = importlib.import_module(package)
+        exported = mod.__all__
+        assert len(exported) == len(set(exported))
+        assert [name for name in exported if not hasattr(mod, name)] == []

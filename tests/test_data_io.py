@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.data.io import read_tuples_csv, write_tuples_csv
 from repro.data.tuples import TupleBatch
@@ -26,6 +28,31 @@ class TestRoundTrip:
         assert np.array_equal(loaded.x, batch.x)
         assert np.array_equal(loaded.y, batch.y)
         assert np.array_equal(loaded.s, batch.s)  # repr() is lossless
+
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        rows=st.lists(
+            st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 4),
+            max_size=20,
+        )
+    )
+    def test_any_finite_floats_round_trip_bit_for_bit(self, rows, tmp_path):
+        """The benchmark cache relies on this: a re-loaded dataset is the
+        generated one to the last bit, signed zeros and subnormals too."""
+        cols = [np.array(c, dtype=np.float64) for c in zip(*rows)] or [
+            np.array([], dtype=np.float64)
+        ] * 4
+        batch = TupleBatch(*cols)
+        path = tmp_path / "prop.csv"
+        write_tuples_csv(batch, path)
+        loaded = read_tuples_csv(path)
+        for name in ("t", "x", "y", "s"):
+            got, want = getattr(loaded, name), getattr(batch, name)
+            assert got.tobytes() == want.tobytes()
 
     def test_empty_batch(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -5,7 +5,6 @@ import pytest
 
 from repro.data.tuples import TupleBatch
 from repro.data.windows import (
-    WindowSlices,
     WindowSpec,
     count_windows,
     iter_windows,
@@ -39,6 +38,10 @@ class TestWindow:
         w1 = window(batch, 1, 40)
         assert len(w1) == 40
         assert w1.t[0] == 40 * 60.0
+
+    def test_zero_copy(self):
+        batch = make_batch(10)
+        assert window(batch, 1, 4).is_view_of(batch)
 
     def test_last_window_short(self):
         batch = make_batch(100)
@@ -125,37 +128,3 @@ class TestPartitionHelpers:
             touched_windows(-1, 2, 4)
         with pytest.raises(ValueError):
             touched_windows(0, 2, 0)
-
-
-class TestWindowSlices:
-    def test_len_and_getitem(self):
-        batch = make_batch(10)
-        slices = WindowSlices(batch, 4)
-        assert len(slices) == 3
-        assert slices[0].t.tolist() == batch.t[:4].tolist()
-        assert len(slices[2]) == 2
-        assert len(slices[-1]) == 2  # negative indexing
-
-    def test_zero_copy(self):
-        batch = make_batch(10)
-        assert WindowSlices(batch, 4)[1].is_view_of(batch)
-
-    def test_sealed(self):
-        slices = WindowSlices(make_batch(10), 4)
-        assert slices.sealed_count() == 2
-        assert slices.is_sealed(1)
-        assert not slices.is_sealed(2)
-
-    def test_iterates_as_sequence(self):
-        slices = WindowSlices(make_batch(8), 4)
-        assert [len(w) for w in slices] == [4, 4]
-
-    def test_invalid_h(self):
-        with pytest.raises(ValueError):
-            WindowSlices(make_batch(4), 0)
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            WindowSlices(make_batch(4), 4)[3]
-        with pytest.raises(IndexError):
-            WindowSlices(make_batch(10), 4)[-5]

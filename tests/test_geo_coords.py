@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geo.coords import (
     BoundingBox,
@@ -154,3 +156,96 @@ class TestBboxOfXY:
     def test_empty(self):
         with pytest.raises(ValueError):
             bbox_of_xy([], [])
+
+
+# Millimetre coordinates in a +-10 km frame, as in the index properties:
+# the domain of projected GPS positions, without denormal pathologies.
+coord = st.integers(min_value=-10_000_000, max_value=10_000_000).map(
+    lambda mm: mm / 1000.0
+)
+frac = st.floats(min_value=0.0, max_value=1.0)
+
+
+@st.composite
+def boxes(draw):
+    x1, x2, y1, y2 = draw(coord), draw(coord), draw(coord), draw(coord)
+    return BoundingBox(min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
+
+
+def _inside(box, fx, fy):
+    return box.min_x + fx * box.width, box.min_y + fy * box.height
+
+
+class TestBoundingBoxProperties:
+    """The disk-pruning tests rest on these: a box is skipped only when
+    no point of it can be within the radius."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(box=boxes(), qx=coord, qy=coord, fx=frac, fy=frac)
+    def test_min_distance_is_a_lower_bound_attained_by_the_box(
+        self, box, qx, qy, fx, fy
+    ):
+        px, py = _inside(box, fx, fy)
+        d = box.min_distance_to(qx, qy)
+        if box.contains_point(px, py):  # not when the far edge rounds past
+            assert euclidean(qx, qy, px, py) >= d
+        cx = min(max(qx, box.min_x), box.max_x)
+        cy = min(max(qy, box.min_y), box.max_y)
+        assert box.contains_point(cx, cy)
+        assert euclidean(qx, qy, cx, cy) == d
+        assert (d == 0.0) == box.contains_point(qx, qy)
+        assert box.intersects_circle(qx, qy, d)
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=boxes(), b=boxes())
+    def test_union_holds_both_and_intersects_is_symmetric(self, a, b):
+        u = a.union(b)
+        for box in (a, b):
+            assert u.contains_point(box.min_x, box.min_y)
+            assert u.contains_point(box.max_x, box.max_y)
+            assert u.intersects(box)
+        assert a.intersects(b) == b.intersects(a)
+        overlap = (
+            max(a.min_x, b.min_x) <= min(a.max_x, b.max_x)
+            and max(a.min_y, b.min_y) <= min(a.max_y, b.max_y)
+        )
+        assert a.intersects(b) == overlap
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        box=boxes(),
+        margin=st.integers(min_value=0, max_value=1_000_000).map(lambda mm: mm / 1000.0),
+        fx=frac,
+        fy=frac,
+        ox=st.floats(min_value=-1.0, max_value=1.0),
+        oy=st.floats(min_value=-1.0, max_value=1.0),
+    )
+    def test_expand_covers_every_point_within_the_margin(
+        self, box, margin, fx, fy, ox, oy
+    ):
+        px, py = _inside(box, fx, fy)
+        grown = box.expand(margin)
+        assert grown.contains_point(
+            min(max(px + ox * margin, grown.min_x), grown.max_x),
+            min(max(py + oy * margin, grown.min_y), grown.max_y),
+        )
+        assert grown.contains_point(box.min_x - margin, box.max_y + margin)
+        assert grown.width == pytest.approx(box.width + 2 * margin)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        box=boxes(),
+        nx=st.integers(min_value=1, max_value=9),
+        ny=st.integers(min_value=1, max_value=9),
+    )
+    def test_grid_points_are_a_lattice_inside_the_box(self, box, nx, ny):
+        pts = list(box.grid_points(nx, ny))
+        assert len(pts) == nx * ny
+        # The far edge is ``min + 1.0 * width``, which may round one ulp
+        # past ``max``; nothing downstream needs it exactly on the edge.
+        slack = box.expand(1e-9)
+        assert all(slack.contains_point(x, y) for x, y in pts)
+        assert len(set(pts)) == len(pts) or box.area == 0.0
+        if nx > 1 and ny > 1:
+            assert pts[0] == (box.min_x, box.min_y)
+            assert pts[-1] == pytest.approx((box.max_x, box.max_y))

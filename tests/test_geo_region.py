@@ -8,13 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geo.coords import BoundingBox
-from repro.geo.region import (
-    RefinedRegionGrid,
-    Region,
-    RegionGrid,
-    SubRegion,
-    nearest_subregion,
-)
+from repro.geo.region import RefinedRegionGrid, Region, RegionGrid, SubRegion
 
 
 class TestRegion:
@@ -32,26 +26,6 @@ class TestSubRegion:
 
     def test_default_empty_members(self):
         assert SubRegion(centroid=(1.0, 1.0)).size == 0
-
-
-class TestNearestSubregion:
-    def test_picks_nearest(self):
-        subs = [
-            SubRegion(centroid=(0.0, 0.0)),
-            SubRegion(centroid=(10.0, 0.0)),
-            SubRegion(centroid=(5.0, 5.0)),
-        ]
-        assert nearest_subregion(subs, 9.0, 1.0) == 1
-        assert nearest_subregion(subs, 0.5, 0.5) == 0
-        assert nearest_subregion(subs, 5.0, 4.0) == 2
-
-    def test_tie_prefers_first(self):
-        subs = [SubRegion(centroid=(0.0, 0.0)), SubRegion(centroid=(2.0, 0.0))]
-        assert nearest_subregion(subs, 1.0, 0.0) == 0
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            nearest_subregion([], 0, 0)
 
 
 class TestRegionGrid:

@@ -12,6 +12,7 @@ from repro.index.base import brute_force_radius
 from repro.index.grid import GridIndex
 from repro.index.kdtree import KDTree
 from repro.index.rtree import RTree
+from repro.index.strtree import STRTree
 from repro.index.vptree import VPTree
 
 # Millimetre-resolution coordinates in a +-10 km frame: the realistic
@@ -54,6 +55,19 @@ def test_vptree_matches_oracle(points, query):
     assert sorted(VPTree(xs, ys).query_radius(qx, qy, r)) == brute_force_radius(
         xs, ys, qx, qy, r
     )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    points=points_strategy,
+    query=query_strategy,
+    leaf=st.integers(min_value=2, max_value=16),
+)
+def test_strtree_matches_oracle(points, query, leaf):
+    xs, ys = _split(points)
+    qx, qy, r = query
+    got = sorted(STRTree(xs, ys, leaf_capacity=leaf).query_radius(qx, qy, r))
+    assert got == brute_force_radius(xs, ys, qx, qy, r)
 
 
 @settings(max_examples=80, deadline=None)

@@ -4,25 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data.tuples import QueryTuple
-from repro.query.base import QueryBatch, QueryResult
+from repro.query.base import QueryBatch
 from repro.query.continuous import (
-    ContinuousQueryDriver,
     uniform_query_tuples,
     uniform_route_batch,
     waypoint_trajectory,
 )
-
-
-class FakeProcessor:
-    name = "fake"
-
-    def __init__(self):
-        self.seen = []
-
-    def process(self, query):
-        self.seen.append(query)
-        return QueryResult(query=query, value=42.0, support=1)
 
 
 class TestUniformQueryTuples:
@@ -142,20 +129,3 @@ class TestUniformRouteBatch:
             uniform_route_batch(route, 0.0, 1.0, 0.0, 2)
         with pytest.raises(ValueError, match="count must be at least 1"):
             uniform_route_batch(route, 0.0, 1.0, 1.0, 0)
-
-
-class TestDriver:
-    def test_run_processes_in_order(self):
-        proc = FakeProcessor()
-        driver = ContinuousQueryDriver(proc)
-        qs = [QueryTuple(float(i), 0, 0) for i in range(5)]
-        results = driver.run(qs)
-        assert len(results) == 5
-        assert [q.t for q in proc.seen] == [0.0, 1.0, 2.0, 3.0, 4.0]
-
-    def test_run_trajectory(self):
-        proc = FakeProcessor()
-        driver = ContinuousQueryDriver(proc)
-        results = driver.run_trajectory(lambda t: (t, t), 0.0, 30.0, 4)
-        assert len(results) == 4
-        assert proc.seen[-1].t == 90.0
