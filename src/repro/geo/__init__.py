@@ -16,7 +16,7 @@ from repro.geo.coords import (
     euclidean,
     haversine_m,
 )
-from repro.geo.region import Region, RegionGrid, SubRegion
+from repro.geo.region import Region, RegionGrid
 
 __all__ = [
     "EARTH_RADIUS_M",
@@ -26,5 +26,4 @@ __all__ = [
     "haversine_m",
     "Region",
     "RegionGrid",
-    "SubRegion",
 ]

@@ -1,21 +1,26 @@
-"""Regions and sub-regions.
+"""Regions: the sensed region and the grid that shards it.
 
 The paper assumes a geographical region ``R`` over which pollution is
 sensed, partitioned by the model cover into sub-regions ``R_1 .. R_O``
 (Figure 1).  Ad-KMN's partition is a *Voronoi* partition induced by the
-cluster centroids, so a :class:`SubRegion` is identified by its centroid
-and owns the indices of the tuples assigned to it.
+cluster centroids: the sub-region ``R_k`` is the part of ``R`` nearer
+to centroid ``µ_k`` than to any other, and owns the tuples of the window
+``W_c`` assigned to it — the ones the per-region model ``m_k`` is fitted
+on.  That partition lives in the cover itself
+(:class:`~repro.core.cover.ModelCover`: its centroids and one model
+each); this module holds :class:`Region` and the *sharding* partition,
+:class:`RegionGrid` (and :class:`RefinedRegionGrid`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
 
-from repro.geo.coords import BoundingBox, euclidean
+from repro.geo.coords import BoundingBox
 
 
 @dataclass(frozen=True)
@@ -27,25 +32,6 @@ class Region:
 
     def contains(self, x: float, y: float) -> bool:
         return self.bounds.contains_point(x, y)
-
-
-@dataclass
-class SubRegion:
-    """One cell ``R_k`` of the Voronoi partition induced by centroid ``µ_k``.
-
-    ``member_indices`` index into the window ``W_c`` the partition was
-    computed from; they are what the per-region model is fitted on.
-    """
-
-    centroid: Tuple[float, float]
-    member_indices: List[int] = field(default_factory=list)
-
-    @property
-    def size(self) -> int:
-        return len(self.member_indices)
-
-    def distance_to(self, x: float, y: float) -> float:
-        return euclidean(self.centroid[0], self.centroid[1], x, y)
 
 
 def _axis_cells(v: np.ndarray, lo: float, extent: float, n: int) -> np.ndarray:
@@ -75,7 +61,7 @@ class RegionGrid:
     """A fixed ``nx x ny`` grid of regions tiling the sensed region ``R``.
 
     This is the *sharding* partition (as opposed to the Voronoi partition
-    of :class:`SubRegion`, which the model cover induces per window): every
+    into sub-regions ``R_k``, which the model cover induces per window): every
     point of the plane is owned by exactly one cell, so a tuple stream can
     be split into disjoint per-region shards.  Points outside ``bounds``
     are owned by the nearest edge cell — edge cells own unbounded slabs —

@@ -47,21 +47,35 @@ class GridIndex:
         return len(self._cells)
 
     def query_radius(self, x: float, y: float, radius: float) -> List[int]:
-        """Indices of all points within ``radius`` of ``(x, y)``."""
+        """Indices of all points within ``radius`` of ``(x, y)``.
+
+        Probes the cells of the disk's bounding square, or — when the
+        square holds more cells than are occupied (a wide radius, a
+        sparse index) — walks the occupied ones and keeps those inside
+        it, so the cost is bounded by the data as well as by the disk.
+        Either way buckets are visited in ``(cx, cy)`` order.
+        """
         if radius < 0:
             raise ValueError("radius must be non-negative")
         r2 = radius * radius
         cx0, cy0 = self._key(x - radius, y - radius)
         cx1, cy1 = self._key(x + radius, y + radius)
+        if (cx1 - cx0 + 1) * (cy1 - cy0 + 1) <= len(self._cells):
+            keys = [(cx, cy) for cx in range(cx0, cx1 + 1) for cy in range(cy0, cy1 + 1)]
+        else:
+            keys = sorted(
+                (cx, cy)
+                for cx, cy in self._cells
+                if cx0 <= cx <= cx1 and cy0 <= cy <= cy1
+            )
         out: List[int] = []
-        for cx in range(cx0, cx1 + 1):
-            for cy in range(cy0, cy1 + 1):
-                bucket = self._cells.get((cx, cy))
-                if not bucket:
-                    continue
-                for i in bucket:
-                    dx = self._xs[i] - x
-                    dy = self._ys[i] - y
-                    if dx * dx + dy * dy <= r2:
-                        out.append(i)
+        for key in keys:
+            bucket = self._cells.get(key)
+            if not bucket:
+                continue
+            for i in bucket:
+                dx = self._xs[i] - x
+                dy = self._ys[i] - y
+                if dx * dx + dy * dy <= r2:
+                    out.append(i)
         return out

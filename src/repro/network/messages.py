@@ -86,22 +86,35 @@ def encode_message(msg: Message) -> bytes:
     return msg.body()
 
 
+def _unpack(fmt: str, data: bytes, what: str) -> tuple:
+    """``struct.unpack`` that reports a body of the wrong size as the
+    ``ValueError`` :func:`decode_message` documents."""
+    if len(data) != struct.calcsize(fmt):
+        raise ValueError(
+            f"{what} body is {len(data)} bytes, expected {struct.calcsize(fmt)}"
+        )
+    return struct.unpack(fmt, data)
+
+
 def decode_message(data: bytes) -> Message:
-    """Decode a message body; raises ``ValueError`` on corruption."""
+    """Decode a message body; raises ``ValueError`` on corruption —
+    an unknown type, a truncated body or trailing bytes."""
     if not data:
         raise ValueError("empty message")
     mtype = data[0]
     if mtype == _TYPE_QUERY:
-        _, t, x, y = struct.unpack("<Bddd", data)
+        _, t, x, y = _unpack("<Bddd", data, "query request")
         return QueryRequest(t, x, y)
     if mtype == _TYPE_VALUE:
-        _, t, value = struct.unpack("<Bdd", data)
+        _, t, value = _unpack("<Bdd", data, "value response")
         return ValueResponse(t, value)
     if mtype == _TYPE_MODEL_REQ:
-        _, t, x, y = struct.unpack("<Bddd", data)
+        _, t, x, y = _unpack("<Bddd", data, "model request")
         return ModelRequest(t, x, y)
     if mtype == _TYPE_MODEL_RESP:
         header = struct.calcsize("<BI")
+        if len(data) < header:
+            raise ValueError("truncated model-cover response header")
         _, blob_len = struct.unpack_from("<BI", data, 0)
         blob = data[header : header + blob_len]
         if len(blob) != blob_len:

@@ -28,9 +28,10 @@ wired), closing the loop that recalibrates ``method="auto"``; pass a
 timings for ``cli explain``.
 
 The owner supplies a :class:`PlanRuntime` — the callables that know
-how to materialise a processor, produce hit pairs for a bound context,
-or scan rows merged across contexts.  That is all that is left of the
-four historical execution paths.
+how to materialise a processor or produce hit pairs for a bound
+context, and the radius at which rows merged across contexts are
+scanned.  That is all that is left of the four historical execution
+paths.
 """
 
 from __future__ import annotations
@@ -97,14 +98,12 @@ class PlanRuntime:
     #: prepared object cannot be evicted-and-rebuilt (inside the timer)
     #: between calls.
     prepare_hits: Optional[Callable[[ScanOp, BoundSlice], object]] = None
-    #: The naive scan over rows that belong to no single op — a window's
-    #: slices merged in stream order: ``(row x, row y, query x, query y)``
-    #: to the flat row-major hit indices of their distance tile
-    #: (:func:`~repro.query.pipeline.gather.scan_tile` at the owner's
-    #: radius).  Without it every window is gathered by keys.
-    scan: Optional[
-        Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    ] = None
+    #: The radius of the naive scan over rows that belong to no single
+    #: op — a window's slices merged in stream order, scanned by the
+    #: executor's own tile (:func:`~repro.query.pipeline.gather.scan_tile`
+    #: or :func:`~repro.query.pipeline.gather.scan_axis_tile`).  Without
+    #: it every window is gathered by keys.
+    radius_m: Optional[float] = None
 
     def bound(self, op) -> BoundSlice:
         return self.binding.slice_for(op.context.shard, op.context.window_c)
@@ -178,11 +177,13 @@ class PlanExecutor:
         reports them, or the keyed window, whose hit pairs are keyed
         and sorted — in blocks of ``BLOCK_CELLS`` cells, grown, once the
         plan has shown a sparse hit density, towards ``BLOCK_HITS``
-        hits; each block is summed straight into the result.  Only the
-        tile and its hit extraction are on an op's clock — the planner,
-        the load tracker and ``explain`` keep seeing scan cost, while
-        preparation (grouping, merging rows, keys), sort and reduce
-        accrue to ``report.gather_s``.
+        hits; each block is summed straight into the result.  Whether
+        row groups may scan from axis tables is read once, here, off the
+        plan's queries (:func:`~repro.query.pipeline.gather.query_axes`).
+        Only the tile, its hit extraction and a group's axis tables are
+        on an op's clock — the planner, the load tracker and ``explain``
+        keep seeing scan cost, while preparation (grouping, merging
+        rows, keys), sort and reduce accrue to ``report.gather_s``.
 
         The loop runs in the calling thread, whatever the pool's size.
         Each of its numpy calls drops the GIL for a few microseconds, so
@@ -206,23 +207,30 @@ class PlanExecutor:
         gather_s = 0.0
         budget = _gather.BLOCK_CELLS
         cells_seen = hits_seen = 0
-        for sources in _window_sources(runtime, ops):
-            start = clock()
-            units = _gather_units(sources, plan.queries, merge.n_stream_rows, runtime)
-            gather_s += clock() - start
-            for unit in units:
-                first, n = 0, len(unit.positions)
-                while first < n:
-                    start = clock()
-                    first, cells, n_hits, scanned = unit.block(
-                        first, budget, runtime, values, support
-                    )
-                    gather_s += clock() - start - scanned
-                    cells_seen += cells
-                    hits_seen += n_hits
-                    budget = _gather.block_budget(cells_seen, hits_seen)
-            for src in sources:
-                scan_s[src.index] = src.scan_s
+        start = clock()
+        queries = plan.queries
+        axes = None
+        if runtime.radius_m is not None:
+            axes = _gather.query_axes(queries.x, queries.y)
+        gather_s += clock() - start
+        with _gather.workspace() as ws:
+            for sources in _window_sources(runtime, ops):
+                start = clock()
+                units = _gather_units(sources, queries, merge.n_stream_rows, runtime, axes)
+                gather_s += clock() - start
+                for unit in units:
+                    first, n = 0, len(unit.positions)
+                    while first < n:
+                        start = clock()
+                        first, cells, n_hits, scanned = unit.block(
+                            first, budget, runtime, ws, values, support
+                        )
+                        gather_s += clock() - start - scanned
+                        cells_seen += cells
+                        hits_seen += n_hits
+                        budget = _gather.block_budget(cells_seen, hits_seen)
+                for src in sources:
+                    scan_s[src.index] = src.scan_s
         for op, elapsed in zip(ops, scan_s):
             self._observe(op, elapsed, report)
         if report is not None:
@@ -335,7 +343,8 @@ class _RowGroup:
     """Queries of one window that scan the same sources, over those
     sources' rows merged in stream order: the tile's row-major hits are
     canonical by construction, so no keys and no sort
-    (:func:`~repro.query.pipeline.gather.reduce_row_block`)."""
+    (:func:`~repro.query.pipeline.gather.reduce_row_block`).  A group
+    with ``axes`` scans from axis tables, built by its first block."""
 
     sources: List[_HitSource]
     #: Each source's share of the tile's seconds: its cells (its rows x
@@ -347,15 +356,32 @@ class _RowGroup:
     x: np.ndarray  # the merged rows' coordinates and sensor values
     y: np.ndarray
     s: np.ndarray
+    #: The group's distinct query coordinates and each query's codes
+    #: (:func:`~repro.query.pipeline.gather.group_axes`), or None: the
+    #: six-pass tile.
+    axes: Optional[_gather.QueryAxes] = None
+    tables: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
-    def block(self, first, budget, runtime, values, support):
-        """Scan and sum the block starting at query ``first``; returns
-        ``(end, cells, hits, scan seconds)``.  Every query costs the
-        same rows, so a block is ``budget // rows`` queries."""
+    def block(self, first, budget, runtime, ws, values, support):
+        """Scan and sum the block starting at query ``first`` in the
+        plan's workspace ``ws``; returns ``(end, cells, hits, scan
+        seconds)``.  Every query costs the same rows, so a block is
+        ``budget // rows`` queries."""
         rows = len(self.s)
         end = min(first + max(budget // rows, 1), len(self.positions))
+        radius_m = runtime.radius_m
         t0 = time.perf_counter()
-        flat = runtime.scan(self.x, self.y, self.qx[first:end], self.qy[first:end])
+        if self.axes is None:
+            flat = _gather.scan_tile(
+                self.x, self.y, self.qx[first:end], self.qy[first:end], radius_m, ws
+            )
+        else:
+            ux, ix, uy, iy = self.axes
+            if first == 0:  # the workspace's tables are this group's from here on
+                self.tables = _gather.axis_tables(ws, self.x, self.y, ux, uy)
+            flat = _gather.scan_axis_tile(
+                ws, *self.tables, ix[first:end], iy[first:end], radius_m
+            )
         scanned = time.perf_counter() - t0
         for src, share in zip(self.sources, self.shares):
             src.scan_s += scanned * share
@@ -364,13 +390,16 @@ class _RowGroup:
         return end, (end - first) * rows, n_hits, scanned
 
 
-def _row_group(sources, cells, positions, queries: QueryBatch) -> _RowGroup:
+def _row_group(sources, cells, positions, queries: QueryBatch, axes) -> _RowGroup:
     """The group of the queries at ``positions`` over ``sources``, of
-    which source ``i`` accounts for ``cells[i]`` of the tile."""
+    which source ``i`` accounts for ``cells[i]`` of the tile; it scans
+    from axis tables when the plan's ``axes`` allow and its own tables
+    are smaller than its tile."""
     shares = (np.asarray(cells) / np.sum(cells)).tolist()
     return _RowGroup(
         sources, shares, positions, queries.x[positions], queries.y[positions],
         *_gather.merged_rows([src.bound for src in sources]),
+        axes=None if axes is None else _gather.group_axes(axes, positions),
     )
 
 
@@ -390,10 +419,11 @@ class _KeyedWindow:
     #: queries per block.
     spent: np.ndarray
 
-    def block(self, first, budget, runtime, values, support):
+    def block(self, first, budget, runtime, ws, values, support):
         """Scan, sort and sum the block starting at query ``first`` — it
         takes queries until ``budget`` cells are spent; returns ``(end,
-        cells, hits, scan seconds)``."""
+        cells, hits, scan seconds)``.  ``ws`` goes unused: the sources'
+        own scans take a workspace each."""
         spent = self.spent
         end = min(int(spent.searchsorted(spent[first] + budget)), len(self.positions))
         clock = time.perf_counter
@@ -455,7 +485,11 @@ def _window_sources(runtime: PlanRuntime, ops: Sequence[ScanOp]) -> List[List[_H
 
 
 def _gather_units(
-    sources: List[_HitSource], queries: QueryBatch, n_stream_rows: int, runtime: PlanRuntime
+    sources: List[_HitSource],
+    queries: QueryBatch,
+    n_stream_rows: int,
+    runtime: PlanRuntime,
+    axes: Optional[_gather.QueryAxes],
 ) -> list:
     """How one window is walked: row groups where canonical order can be
     had by construction, else the keyed window.
@@ -470,15 +504,17 @@ def _gather_units(
     the sets are too small to repay merging their rows (not looked at
     when the window has too few queries for two sets).  Relies on what
     the plan builders guarantee: an op's ``positions`` ascend and index
-    ``queries``, a slice's gids ascend.
+    ``queries``, a slice's gids ascend.  ``axes`` are the plan's
+    :func:`~repro.query.pipeline.gather.query_axes`, which each row
+    group narrows to its own queries.
     """
-    in_order = runtime.scan is not None and all(
+    in_order = runtime.radius_m is not None and all(
         src.op.method == "naive" for src in sources
     )
     if len(sources) == 1:
         positions = sources[0].op.positions
         if in_order:
-            return [_row_group(sources, [1], positions, queries)]
+            return [_row_group(sources, [1], positions, queries, axes)]
     else:
         positions = np.unique(np.concatenate([src.op.positions for src in sources]))
     rows = np.array([len(src.gids) for src in sources])
@@ -487,7 +523,7 @@ def _gather_units(
         len(positions) * int(rows.sum()) <= _gather.BLOCK_CELLS
         or min(counts) == len(positions)  # one source-set: every source, every query
     ):
-        return [_row_group(sources, counts * rows, positions, queries)]
+        return [_row_group(sources, counts * rows, positions, queries, axes)]
     # member[i, q]: source i scans the window's q-th query.
     member = np.zeros((len(sources), len(positions)), dtype=bool)
     for scans, src in zip(member, sources):
@@ -497,7 +533,7 @@ def _gather_units(
         groups = _source_set_groups(positions, member, rows)
     if groups is not None:
         return [
-            _row_group([sources[i] for i in picked], cells, at, queries)
+            _row_group([sources[i] for i in picked], cells, at, queries, axes)
             for picked, cells, at in groups
         ]
     # Canonical order is (query position, global stream position).  Under

@@ -16,10 +16,24 @@ The gather is **blocked** (the loop lives in
 :meth:`PlanExecutor._run_merge <repro.query.pipeline.executor.PlanExecutor>`):
 queries are walked in blocks of :data:`BLOCK_CELLS` ``queries x rows``
 cells (more where hits are sparse, see :func:`block_budget`), the
-distance tile is computed in place in a per-thread workspace
-(:func:`scan_tile`), and the block's hits are summed straight into the
-result.  The canonical order is had one of two ways, chosen per window
-by the executor:
+distance tile is computed in place in a reused workspace, and the
+block's hits are summed straight into the result.  The tile has two
+forms with the same bytes:
+
+* **six passes** (:func:`scan_tile`) — subtract and square per axis,
+  add, compare, over every ``query x row`` cell;
+* **from axis tables** (:func:`scan_axis_tile`) — for a plan whose
+  queries share coordinates (a heatmap's grid: 1 200 probes, 40
+  distinct x and 30 distinct y), a row group squares each axis offset
+  once per distinct coordinate (:func:`axis_tables`) and a block is two
+  row takes, an add and a compare.  The executor decides once per plan
+  (:func:`query_axes`: one ``np.unique`` per axis) and then per row
+  group (:func:`group_axes`): tables are used where they are smaller
+  than the tile.  A route's points are all distinct and never build
+  one.
+
+The canonical order is had one of two ways, chosen per window by the
+executor:
 
 * **by construction** (:func:`reduce_row_block`) — the tile's rows are
   a window's naive slices merged once in ascending stream position, so
@@ -49,8 +63,7 @@ oracle the blocked gather is held byte-equal to.
 
 from __future__ import annotations
 
-import threading
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,7 +96,7 @@ BLOCK_CELLS = 1 << 15
 #: plan (small radius, many pruned slices) would otherwise spend its
 #: time dispatching tiles of a few thousand cells with a handful of hits
 #: each.  Blocks grow towards this many hits, up to :data:`BLOCK_SCALE`
-#: times :data:`BLOCK_CELLS` so a thread's workspace stays ~2 MB.
+#: times :data:`BLOCK_CELLS` so a workspace's tiles stay ~2 MB.
 BLOCK_HITS = 10_000
 BLOCK_SCALE = 4
 
@@ -102,13 +115,17 @@ def block_budget(cells_seen: int, hits_seen: int) -> int:
 HitPairs = Tuple[np.ndarray, np.ndarray]
 
 
-class _Workspace(threading.local):
-    """Per-thread distance-tile scratch, grown to the largest tile the
-    thread has needed and never freed — pure scratch, no state survives
-    a :func:`scan_tile` call."""
+class Workspace:
+    """Scratch for the distance tile and the axis tables, each buffer
+    grown to the largest its users have needed and never freed: fresh
+    arrays of this size cost more in page faults than the passes over
+    them.  A tile holds nothing past its call; the tables hold until
+    the next :func:`axis_tables` call on the same workspace.  One user
+    at a time: take one with :func:`workspace`."""
 
     def __init__(self) -> None:
         self._cells = 0
+        self._dx2 = self._dy2 = np.empty(0)
 
     def tiles(self, k: int, n: int):
         cells = k * n
@@ -125,28 +142,161 @@ class _Workspace(threading.local):
             inside,
         )
 
+    def tables(self, kx: int, ky: int, n: int):
+        if kx * n > len(self._dx2):
+            self._dx2 = np.empty(kx * n)
+        if ky * n > len(self._dy2):
+            self._dy2 = np.empty(ky * n)
+        return self._dx2[: kx * n].reshape(kx, n), self._dy2[: ky * n].reshape(ky, n)
 
-_workspace = _Workspace()
+
+#: Workspaces no one is using, the most recently returned last.
+_spare: List[Workspace] = []
+
+
+class workspace:
+    """A workspace to oneself for a ``with`` block: the most recently
+    returned spare (its buffers already grown and mapped), else a new
+    one.  There are as many workspaces as gathers ever ran at once, not
+    one per thread that ever ran one: a server's executor hands even a
+    single connection's requests to several threads in turn, and
+    per-thread buffers were paid once per thread.  ``list.pop`` and
+    ``append`` are atomic, so no lock.  (A class, not a generator:
+    ≈ 1 µs a use against ≈ 2 µs, paid by every small scan.)"""
+
+    def __enter__(self) -> Workspace:
+        try:
+            self._ws = _spare.pop()
+        except IndexError:
+            self._ws = Workspace()
+        return self._ws
+
+    def __exit__(self, *exc) -> None:
+        _spare.append(self._ws)
 
 
 def scan_tile(
-    wx: np.ndarray, wy: np.ndarray, qx: np.ndarray, qy: np.ndarray, radius_m: float
+    wx: np.ndarray,
+    wy: np.ndarray,
+    qx: np.ndarray,
+    qy: np.ndarray,
+    radius_m: float,
+    ws: Optional[Workspace] = None,
 ) -> np.ndarray:
     """Flat row-major hit indices of the ``queries x rows`` distance tile.
 
-    The one place the hit-emitting distance test lives:
-    ``(wx - qx)² + (wy - qy)² <= r²`` evaluated tile-wise into the
-    thread's workspace (bit-for-bit the expression
+    The hit-emitting distance test: ``(wx - qx)² + (wy - qy)² <= r²``
+    evaluated tile-wise into ``ws`` (a spare workspace when None), six
+    passes over the tile (bit-for-bit the expression
     :meth:`NaiveProcessor.process_batch` evaluates with temporaries).
     Index ``q * len(wx) + r`` says row ``r`` is within the radius of
     query ``q``; indices ascend, so hits come out query by query and,
-    within a query, in row order.
+    within a query, in row order.  Queries that share coordinates — a
+    heatmap's grid — take :func:`scan_axis_tile` instead, which gives
+    the same indices.
     """
-    d, e, inside, inside_flat = _workspace.tiles(len(qx), len(wx))
+    if ws is None:
+        with workspace() as ws:
+            return scan_tile(wx, wy, qx, qy, radius_m, ws)
+    d, e, inside, inside_flat = ws.tiles(len(qx), len(wx))
     np.subtract(wx[None, :], qx[:, None], out=d)
     np.square(d, out=d)
     np.subtract(wy[None, :], qy[:, None], out=e)
     np.square(e, out=e)
+    np.add(d, e, out=d)
+    np.less_equal(d, radius_m * radius_m, out=inside)
+    return inside_flat.nonzero()[0]
+
+
+#: A plan's queries by distinct coordinate, per axis: ``(ux, ix, uy,
+#: iy)`` with ``ux[ix] == qx`` and ``uy[iy] == qy`` (``np.unique``'s
+#: values and inverse).
+QueryAxes = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def query_axes(qx: np.ndarray, qy: np.ndarray) -> Optional[QueryAxes]:
+    """The plan's :data:`QueryAxes`, or None when its axis tables could
+    not be smaller than its tile — fewer distinct x plus distinct y than
+    queries is what a grid of probes has and a route's distinct points
+    lack.  One ``np.unique`` per axis, once per plan; a row group picks
+    its own coordinates out with :func:`group_axes`.
+
+    Distinct x are first counted on a sorted copy (NaNs counted apart),
+    and a plan that cannot pass — a route, a handful of queries — stops
+    there: ``np.unique`` with its inverse costs ~15 µs however few the
+    queries, a fallback plan's whole budget on the cached lanes."""
+    n = len(qx)
+    if n < 3:
+        return None
+    sx = np.sort(qx)
+    if 2 + np.count_nonzero(sx[1:] != sx[:-1]) >= n:  # and uy holds 1 at least
+        return None
+    ux, ix = np.unique(qx, return_inverse=True)
+    uy, iy = np.unique(qy, return_inverse=True)
+    if len(ux) + len(uy) >= len(qx):
+        return None
+    return ux, ix, uy, iy
+
+
+def _present(u: np.ndarray, codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The coordinates of ``u`` that ``codes`` use, and the codes
+    renumbered onto them (a mask and a running count: no sort)."""
+    used = np.zeros(len(u), dtype=bool)
+    used[codes] = True
+    return u[used], (np.cumsum(used) - 1)[codes]
+
+
+def group_axes(axes: QueryAxes, positions: np.ndarray) -> Optional[QueryAxes]:
+    """The :data:`QueryAxes` of the plan's queries at ``positions``,
+    narrowed to the coordinates they use, or None when their tables
+    would not be smaller than their tile: ``kx + ky`` table rows cost
+    two passes each to build and save two of a tile row's six, so they
+    pay once ``kx + ky`` is under the group's queries."""
+    ux, ix, uy, iy = axes
+    gux, gix = _present(ux, ix[positions])
+    guy, giy = _present(uy, iy[positions])
+    if len(gux) + len(guy) >= len(positions):
+        return None
+    return gux, gix, guy, giy
+
+
+def axis_tables(
+    ws: Workspace, wx: np.ndarray, wy: np.ndarray, ux: np.ndarray, uy: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``DX2[u, r] = (wx[r] - ux[u])²`` and ``DY2[v, r] = (wy[r] -
+    uy[v])²``, computed in place in ``ws`` — the squared axis offsets
+    of every distinct query coordinate, for :func:`scan_axis_tile`.
+    Valid until the next call on ``ws``."""
+    dx2, dy2 = ws.tables(len(ux), len(uy), len(wx))
+    np.subtract(wx[None, :], ux[:, None], out=dx2)
+    np.square(dx2, out=dx2)
+    np.subtract(wy[None, :], uy[:, None], out=dy2)
+    np.square(dy2, out=dy2)
+    return dx2, dy2
+
+
+def scan_axis_tile(
+    ws: Workspace,
+    dx2: np.ndarray,
+    dy2: np.ndarray,
+    ix: np.ndarray,
+    iy: np.ndarray,
+    radius_m: float,
+) -> np.ndarray:
+    """:func:`scan_tile`'s hit indices for queries at ``(ux[ix], uy[iy])``
+    from their :func:`axis_tables`: two row takes, an add and a compare,
+    into the tile of ``ws`` (the workspace may hold the tables too).
+
+    The bytes are :func:`scan_tile`'s: each cell's squared offsets are
+    the same IEEE subtract and square (``ux[ix[q]]`` *is* query ``q``'s
+    coordinate — up to the sign of a zero, which the square drops),
+    then the same add and compare, so the same cells hit, in the same
+    order.  ``mode="clip"`` lets ``take`` write straight into the tile
+    (the default buffers it); every code is in range anyway.
+    """
+    d, e, inside, inside_flat = ws.tiles(len(ix), dx2.shape[1])
+    np.take(dx2, ix, axis=0, out=d, mode="clip")
+    np.take(dy2, iy, axis=0, out=e, mode="clip")
     np.add(d, e, out=d)
     np.less_equal(d, radius_m * radius_m, out=inside)
     return inside_flat.nonzero()[0]
@@ -236,9 +386,10 @@ def reduce_row_block(
 ) -> None:
     """Sum one block's hits into ``values`` / ``support`` — no keys, no sort.
 
-    ``flat`` are :func:`scan_tile`'s hit indices (consumed: rewritten in
-    place) for the queries at ``positions`` (ascending) over rows whose
-    sensor values are ``s``, **in ascending global stream position**.
+    ``flat`` are the tile's hit indices (:func:`scan_tile` or
+    :func:`scan_axis_tile`; consumed: rewritten in place) for the
+    queries at ``positions`` (ascending) over rows whose sensor values
+    are ``s``, **in ascending global stream position**.
     Row-major order then *is* the canonical ``(query, stream position)``
     order, so a query's hits are the run between two row boundaries of
     the tile and its values one ``take`` — the same per-query value

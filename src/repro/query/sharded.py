@@ -163,11 +163,8 @@ def shard_runtime(
             return scan_pairs(bound[1], op.queries, lo, hi, radius_m)
         return index_pairs(prepared, op.queries, lo, hi)
 
-    def scan(wx, wy, qx, qy):
-        return scan_tile(wx, wy, qx, qy, radius_m)
-
     return PlanRuntime(
-        binding, processor=cover, hits=hits, prepare_hits=prepare_hits, scan=scan
+        binding, processor=cover, hits=hits, prepare_hits=prepare_hits, radius_m=radius_m
     )
 
 

@@ -20,6 +20,8 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import pickle
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -31,7 +33,6 @@ from hypothesis import strategies as st
 from repro.data.tuples import TupleBatch
 from repro.geo.coords import BoundingBox
 from repro.geo.region import RegionGrid
-from repro.query import sharded
 from repro.query.base import QueryBatch
 from repro.query.indexed import IndexedProcessor
 from repro.query.pipeline import executor as pipeline_executor
@@ -405,12 +406,17 @@ class TestRowGroupsNeedNoKeys:
                 now[0] += 1.0
                 return now[0]
 
-            tiles, merges, recorded = [], [], []
+            tiles, axis_tiles, merges, recorded = [], [], [], []
             real_tile, real_merge = gather.scan_tile, gather.merged_rows
+            real_axis_tile = gather.scan_axis_tile
 
             def tile(*args):
                 tiles.append(len(args[2]))
                 return real_tile(*args)
+
+            def axis_tile(*args):
+                axis_tiles.append(len(args[3]))
+                return real_axis_tile(*args)
 
             def merge(bounds):
                 merges.append(len(bounds))
@@ -420,9 +426,9 @@ class TestRowGroupsNeedNoKeys:
             report = PlanReport()
             with keyless() as sorted_sizes, mock.patch.object(
                 pipeline_executor, "time", mock.Mock(perf_counter=tick)
-            ), mock.patch.object(sharded, "scan_tile", tile), mock.patch.object(
-                gather, "merged_rows", merge
-            ), mock.patch.object(
+            ), mock.patch.object(gather, "scan_tile", tile), mock.patch.object(
+                gather, "scan_axis_tile", axis_tile
+            ), mock.patch.object(gather, "merged_rows", merge), mock.patch.object(
                 engine.planner, "record", lambda *call: recorded.append(call)
             ):
                 result = engine.execute(plan, report)
@@ -432,8 +438,13 @@ class TestRowGroupsNeedNoKeys:
             # rows and queries, never hits.
             assert len(merges) > 1 and max(merges) == 4
             assert sorted_sizes and max(sorted_sizes) <= max(2000, len(probes))
-            # The tiles' seconds, all of them and nothing else, are on
-            # the ops' clocks; preparation is on the gather's.
+            # A grid's probes share coordinates: most of its tiles are
+            # taken from axis tables.
+            assert sum(axis_tiles) > sum(tiles)
+            tiles += axis_tiles
+            # The tiles' seconds (axis tables included), all of them and
+            # nothing else, are on the ops' clocks; preparation is on
+            # the gather's.
             scanned = np.unique(np.concatenate([op.positions for op in plan.ops]))
             assert sum(tiles) == len(scanned)  # every query in exactly one tile
             assert len(tiles) > len(merges)
@@ -519,10 +530,71 @@ class TestPairKernels:
     def test_workspace_is_sized_to_the_largest_tile_needed(self, daytime_window):
         queries = QueryBatch(np.zeros(4), np.zeros(4), np.zeros(4))
         scan_pairs(daytime_window, queries, 0, 4, 10.0)
-        cells = gather._workspace._cells
+        ws = gather._spare[-1]  # returned last: the next scan takes it
+        cells = ws._cells
         assert cells >= 4 * len(daytime_window)
         scan_pairs(daytime_window, queries, 0, 1, 10.0)  # smaller: reused
-        assert gather._workspace._cells == cells
+        assert gather._spare[-1] is ws and ws._cells == cells
+
+    def test_workspaces_number_the_gathers_at_once_not_the_threads(
+        self, daytime_window
+    ):
+        queries = QueryBatch(np.zeros(4), np.zeros(4), np.zeros(4))
+        scan_pairs(daytime_window, queries, 0, 4, 10.0)
+        spares = list(gather._spare)
+        for _ in range(3):  # one thread after another: the same workspace
+            worker = threading.Thread(
+                target=scan_pairs, args=(daytime_window, queries, 0, 4, 10.0)
+            )
+            worker.start()
+            worker.join()
+        assert gather._spare == spares
+        with gather.workspace() as a, gather.workspace() as b:  # two at once
+            assert a is not b
+            assert a not in gather._spare and b not in gather._spare
+        assert a in gather._spare and b in gather._spare
+
+    def test_concurrent_gathers_never_share_a_workspace(self, daytime_window):
+        # More threads than cores, switching every microsecond: a
+        # workspace handed to two scans at once would show as a claim
+        # seen twice or as a tile written under another's hits.
+        w = daytime_window
+        rng = np.random.default_rng(8)
+        qx, qy = rng.uniform(0, 5000, 24), rng.uniform(0, 3300, 24)
+        expected = gather.scan_tile(w.x, w.y, qx, qy, 1000.0).copy()
+        claimed, errors = set(), []
+
+        def run():
+            try:
+                for _ in range(200):
+                    with gather.workspace() as ws:
+                        if id(ws) in claimed:
+                            errors.append("workspace handed out twice")
+                        claimed.add(id(ws))
+                        hits = gather.scan_tile(w.x, w.y, qx, qy, 1000.0, ws)
+                        claimed.discard(id(ws))
+                    if not np.array_equal(hits, expected):
+                        errors.append("tile corrupted")
+                    spare_hits = gather.scan_tile(w.x, w.y, qx, qy, 1000.0)
+                    if not np.array_equal(spare_hits, expected):
+                        errors.append("spare tile corrupted")
+            except Exception as exc:  # reported below, not lost in the thread
+                errors.append(repr(exc))
+
+        spares = len(gather._spare)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=run) for _ in range(8)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []
+        assert len(gather._spare) <= spares + len(workers)  # one per scan at once
 
 
 def _covered(batch: TupleBatch) -> BoundingBox:

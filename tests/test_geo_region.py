@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geo.coords import BoundingBox
-from repro.geo.region import RefinedRegionGrid, Region, RegionGrid, SubRegion
+from repro.geo.region import RefinedRegionGrid, Region, RegionGrid
 
 
 class TestRegion:
@@ -16,16 +16,6 @@ class TestRegion:
         region = Region("r", BoundingBox(0, 0, 10, 10))
         assert region.contains(5, 5)
         assert not region.contains(11, 5)
-
-
-class TestSubRegion:
-    def test_size_and_distance(self):
-        sub = SubRegion(centroid=(0.0, 0.0), member_indices=[1, 2, 3])
-        assert sub.size == 3
-        assert sub.distance_to(3, 4) == pytest.approx(5.0)
-
-    def test_default_empty_members(self):
-        assert SubRegion(centroid=(1.0, 1.0)).size == 0
 
 
 class TestRegionGrid:

@@ -6,6 +6,8 @@ what the query processors rely on whatever index they were given: the
 answers equal to the brute-force oracle.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -80,3 +82,50 @@ def test_brute_force_oracle_checks_its_own_radius():
     with pytest.raises(ValueError, match="non-negative"):
         brute_force_radius(XS, YS, 0.0, 0.0, -0.1)
     assert brute_force_radius(XS, YS, 0.0, 0.0, 5.0) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("radius", [1e6])
+def test_a_radius_far_wider_than_the_data_matches_the_oracle(index_cls, radius):
+    rng = np.random.default_rng(12)
+    xs = rng.uniform(-500.0, 500.0, 300)
+    ys = rng.uniform(-500.0, 500.0, 300)
+    index = index_cls(xs, ys)
+    for qx, qy in [(0.0, 0.0), (2e6, 0.0), (-1e6 + 500.0, 9e5)]:
+        hits = list(index.query_radius(qx, qy, radius))
+        assert len(hits) == len(set(hits))
+        assert sorted(hits) == brute_force_radius(xs, ys, qx, qy, radius)
+    assert list(index_cls([], []).query_radius(0.0, 0.0, radius)) == []
+
+
+class _CountingCells(dict):
+    """A grid's bucket dict that counts what a query touches: every
+    bucket looked up and every key walked."""
+
+    touched = 0
+
+    def get(self, key, default=None):
+        self.touched += 1
+        return super().get(key, default)
+
+    def __iter__(self):
+        for key in super().__iter__():
+            self.touched += 1
+            yield key
+
+
+@pytest.mark.parametrize("radius", [0.0, 300.0, 1e4, 1e6])
+@pytest.mark.parametrize("n_points", [0, 1, 50])
+def test_grid_probes_are_bounded_by_its_occupied_cells(radius, n_points):
+    # The disk's bounding square at r = 1e6 m holds 6.4e7 cells of 250 m;
+    # probing them all took seconds on an empty index.  Whatever the
+    # radius, a query touches at most each occupied cell twice (walked,
+    # then looked up), and never more cells than the square holds.
+    rng = np.random.default_rng(n_points)
+    xs = rng.uniform(0.0, 5000.0, n_points)
+    ys = rng.uniform(0.0, 5000.0, n_points)
+    index = GridIndex(xs, ys)
+    index._cells = cells = _CountingCells(index._cells)
+    hits = index.query_radius(2500.0, 2500.0, radius)
+    assert sorted(hits) == brute_force_radius(xs, ys, 2500.0, 2500.0, radius)
+    side = 2 * math.floor(radius / 250.0) + 3
+    assert cells.touched <= min(2 * index.cell_count, side * side)

@@ -1,8 +1,9 @@
 """Property/fuzz tests on the wire formats.
 
 Corruption must never produce a silently-wrong cover or message — the
-decoders either round-trip exactly or raise ``ValueError``/``Exception``
-cleanly (never hang, never return garbage objects of the wrong type).
+decoders either round-trip exactly or raise cleanly (never hang, never
+return garbage objects of the wrong type); ``decode_message`` raises
+``ValueError``, as it documents.
 """
 
 import numpy as np
@@ -12,7 +13,14 @@ from hypothesis import strategies as st
 
 from repro.core.cover import ModelCover
 from repro.models.mean import MeanModel
-from repro.network.messages import QueryRequest, decode_message, encode_message
+from repro.network.messages import (
+    ModelCoverResponse,
+    ModelRequest,
+    QueryRequest,
+    ValueResponse,
+    decode_message,
+    encode_message,
+)
 
 
 def small_cover(n_models: int, valid_until: float) -> ModelCover:
@@ -65,7 +73,7 @@ def test_truncated_cover_blob_raises(blob_prefix):
 def test_random_bytes_never_decode_to_a_message_silently(data):
     try:
         msg = decode_message(data)
-    except Exception:
+    except ValueError:
         return
     # If it decoded, re-encoding must reproduce the input exactly —
     # i.e. the decoder accepted a genuinely well-formed message.
@@ -81,3 +89,23 @@ def test_random_bytes_never_decode_to_a_message_silently(data):
 def test_query_request_round_trip(t, x, y):
     msg = QueryRequest(t=t, x=x, y=y)
     assert decode_message(encode_message(msg)) == msg
+
+
+@pytest.mark.parametrize(
+    "msg",
+    [
+        QueryRequest(1.0, 2.0, 3.0),
+        ValueResponse(1.0, 400.0),
+        ModelRequest(1.0, 2.0, 3.0),
+        ModelCoverResponse(small_cover(2, 10.0).to_blob()),
+    ],
+    ids=lambda msg: type(msg).__name__,
+)
+def test_every_truncation_and_extension_raises_value_error(msg):
+    body = encode_message(msg)
+    for cut in range(1, len(body)):
+        with pytest.raises(ValueError):
+            decode_message(body[:cut])
+    with pytest.raises(ValueError):
+        decode_message(body + b"\x00")
+    assert decode_message(body) == msg
