@@ -63,6 +63,35 @@ def kmeans_pp_seeds(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return seeds
 
 
+def _update_all(
+    points: np.ndarray, centroids: np.ndarray, labels: np.ndarray
+) -> Optional[float]:
+    """Move every centroid to its cluster's mean at once, in place, and
+    return the largest squared shift — or None, changing nothing, when
+    the per-cluster loop must run instead.
+
+    The bytes are the loop's: a cluster's ``mean(axis=0)`` folds its
+    rows in point order from ``+0.0`` and divides by the count, which is
+    what the weighted ``bincount`` does (``tests/test_core_kmeans.py``
+    holds the two equal, signed zeros included).  A pass with an empty
+    cluster takes the loop: its re-seed reads the centroids the same
+    pass has already moved.  The shift is taken as the loop takes it, a
+    running ``max`` from ``0.0`` in centroid order.
+    """
+    k = len(centroids)
+    counts = np.bincount(labels, minlength=k)
+    if not counts.all():
+        return None
+    sums = np.stack(
+        [np.bincount(labels, weights=points[:, axis], minlength=k) for axis in (0, 1)],
+        axis=1,
+    )
+    new = sums / counts[:, None]
+    shifts = np.sum((new - centroids) ** 2, axis=1)
+    centroids[:] = new
+    return max(0.0, *shifts.tolist())
+
+
 def lloyd(
     points: np.ndarray,
     centroids: np.ndarray,
@@ -84,19 +113,23 @@ def lloyd(
     if len(centroids) > len(points):
         raise ValueError("more centroids than points")
     labels = _assign(points, centroids)
+    k = len(centroids)
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        moved = 0.0
-        for j in range(len(centroids)):
-            members = points[labels == j]
-            if len(members):
-                new_c = members.mean(axis=0)
-            else:
-                # Re-seed an empty cluster at the worst-served point.
-                d2 = np.sum((points - centroids[labels]) ** 2, axis=1)
-                new_c = points[int(np.argmax(d2))]
-            moved = max(moved, float(np.sum((new_c - centroids[j]) ** 2)))
-            centroids[j] = new_c
+        moved = _update_all(points, centroids, labels)
+        if moved is None:
+            moved = 0.0
+            for j in range(k):
+                members = points[labels == j]
+                if len(members):
+                    new_c = members.mean(axis=0)
+                else:
+                    # Re-seed an empty cluster at the worst-served point
+                    # (of the centroids updated so far this pass).
+                    d2 = np.sum((points - centroids[labels]) ** 2, axis=1)
+                    new_c = points[int(np.argmax(d2))]
+                moved = max(moved, float(np.sum((new_c - centroids[j]) ** 2)))
+                centroids[j] = new_c
         labels = _assign(points, centroids)
         if moved <= tol * tol:
             break

@@ -19,7 +19,9 @@ binding and is the only place operator dispatch lives:
   (:func:`~repro.query.pipeline.gather.reduce_row_block`), else keyed
   and sorted (:func:`~repro.query.pipeline.gather.reduce_hit_block`) —
   exact, partition-independent, and never holding more than one block's
-  hits.  The loop runs in the calling thread; the worker pool serves
+  hits.  A plan of three windows or more that fits one block is one
+  ragged tile instead, every window's queries over that window's rows.
+  The loop runs in the calling thread; the worker pool serves
   scatter-shaped plans only.
 
 Every operator's wall time is reported to the planner feedback (when
@@ -172,14 +174,16 @@ class PlanExecutor:
     def _run_merge(self, plan: ExecutionPlan, report: Optional[PlanReport]) -> BatchResult:
         """The blocked exact gather (see :mod:`repro.query.pipeline.gather`).
 
-        Each window is walked as the units :func:`_gather_units` picks
-        for it — row groups, whose hits are canonical as the tile
-        reports them, or the keyed window, whose hit pairs are keyed
-        and sorted — in blocks of ``BLOCK_CELLS`` cells, grown, once the
-        plan has shown a sparse hit density, towards ``BLOCK_HITS``
-        hits; each block is summed straight into the result.  Whether
-        row groups may scan from axis tables is read once, here, off the
-        plan's queries (:func:`~repro.query.pipeline.gather.query_axes`).
+        A plan of naive windows that together fit one block is one
+        ragged tile (:func:`_ragged_tile`).  Otherwise each window is
+        walked as the units :func:`_gather_units` picks for it — row
+        groups, whose hits are canonical as the tile reports them, or
+        the keyed window, whose hit pairs are keyed and sorted — in
+        blocks of ``BLOCK_CELLS`` cells, grown, once the plan has shown
+        a sparse hit density, towards ``BLOCK_HITS`` hits; each block is
+        summed straight into the result.  Whether row groups may scan
+        from axis tables is read once, here, off the plan's queries
+        (:func:`~repro.query.pipeline.gather.query_axes`).
         Only the tile, its hit extraction and a group's axis tables are
         on an op's clock — the planner, the load tracker and ``explain``
         keep seeing scan cost, while preparation (grouping, merging
@@ -207,30 +211,40 @@ class PlanExecutor:
         gather_s = 0.0
         budget = _gather.BLOCK_CELLS
         cells_seen = hits_seen = 0
-        start = clock()
         queries = plan.queries
-        axes = None
-        if runtime.radius_m is not None:
-            axes = _gather.query_axes(queries.x, queries.y)
-        gather_s += clock() - start
-        with _gather.workspace() as ws:
-            for sources in _window_sources(runtime, ops):
-                start = clock()
-                units = _gather_units(sources, queries, merge.n_stream_rows, runtime, axes)
-                gather_s += clock() - start
-                for unit in units:
-                    first, n = 0, len(unit.positions)
-                    while first < n:
-                        start = clock()
-                        first, cells, n_hits, scanned = unit.block(
-                            first, budget, runtime, ws, values, support
-                        )
-                        gather_s += clock() - start - scanned
-                        cells_seen += cells
-                        hits_seen += n_hits
-                        budget = _gather.block_budget(cells_seen, hits_seen)
-                for src in sources:
-                    scan_s[src.index] = src.scan_s
+        start = clock()
+        ragged = _ragged_tile(runtime, ops, queries)
+        if ragged is not None:
+            with _gather.workspace() as ws:
+                scanned = ragged.run(runtime.radius_m, ws, values, support)
+            for i, share in zip(ragged.members, ragged.shares):
+                scan_s[i] = scanned * share
+            gather_s += clock() - start - scanned
+        else:
+            axes = None
+            if runtime.radius_m is not None:
+                axes = _gather.query_axes(queries.x, queries.y)
+            gather_s += clock() - start
+            with _gather.workspace() as ws:
+                for sources in _window_sources(runtime, ops):
+                    start = clock()
+                    units = _gather_units(
+                        sources, queries, merge.n_stream_rows, runtime, axes
+                    )
+                    gather_s += clock() - start
+                    for unit in units:
+                        first, n = 0, len(unit.positions)
+                        while first < n:
+                            start = clock()
+                            first, cells, n_hits, scanned = unit.block(
+                                first, budget, runtime, ws, values, support
+                            )
+                            gather_s += clock() - start - scanned
+                            cells_seen += cells
+                            hits_seen += n_hits
+                            budget = _gather.block_budget(cells_seen, hits_seen)
+                    for src in sources:
+                        scan_s[src.index] = src.scan_s
         for op, elapsed in zip(ops, scan_s):
             self._observe(op, elapsed, report)
         if report is not None:
@@ -388,6 +402,137 @@ class _RowGroup:
         n_hits = len(flat)
         reduce_row_block(flat, self.s, self.positions[first:end], values, support)
         return end, (end - first) * rows, n_hits, scanned
+
+
+@dataclass
+class _RaggedTile:
+    """A plan's windows scanned as one tile, each query over its own
+    window's rows only (:func:`_ragged_tile`): every window's naive
+    slices merged once in stream order — windows are disjoint ranges of
+    it, so the merge is window-major — the queries grouped by window,
+    then one :func:`~repro.query.pipeline.gather.scan_ragged_tile` and
+    one :func:`~repro.query.pipeline.gather.reduce_ragged_block`.  A
+    query's hits come out in stream order, as a row group's do."""
+
+    members: List[int]  # plan indices of the ops whose slices have rows
+    #: Each member's share of the tile's seconds: its cells (its rows x
+    #: its queries) over all members'.
+    shares: List[float]
+    positions: np.ndarray  # the scanned queries' stream positions, window-major
+    qx: np.ndarray
+    qy: np.ndarray
+    x: np.ndarray  # the merged rows' coordinates and sensor values
+    y: np.ndarray
+    s: np.ndarray
+    spans: List[_gather.Span]  # per window: its queries, its rows, its first cell
+    starts: np.ndarray  # each query's first cell, and the tile's end
+    shift: np.ndarray  # each query's first cell minus its window's first row
+
+    def run(self, radius_m, ws, values, support) -> float:
+        """Scan and sum the tile (it fits one block by construction) in
+        ``ws``; returns the scan's seconds."""
+        t0 = time.perf_counter()
+        flat = _gather.scan_ragged_tile(
+            ws, self.x, self.y, self.qx, self.qy, self.spans, radius_m
+        )
+        scanned = time.perf_counter() - t0
+        _gather.reduce_ragged_block(
+            flat, self.s, self.starts, self.shift, self.positions, values, support
+        )
+        return scanned
+
+
+#: Windows a plan must span before they are scanned as one ragged tile.
+#: Its set-up (a label per query, per-query cell and row offsets) costs
+#: about what one window's own gather does, so it pays from the third
+#: window on; a one- or two-window plan (a heatmap, most fallback and
+#: maintenance plans) keeps the per-window gather.  Measured in
+#: process on ``cold_route`` routes (``docs/architecture.md``).
+MIN_RAGGED_WINDOWS = 3
+
+
+def _ragged_tile(
+    runtime: PlanRuntime, ops: Sequence[ScanOp], queries: QueryBatch
+) -> Optional[_RaggedTile]:
+    """The plan as one :class:`_RaggedTile`, or None where the
+    per-window gather runs instead: no merge radius, an op that is not
+    a naive scan, ops not window-major (builders write them so), fewer
+    than :data:`MIN_RAGGED_WINDOWS` windows with rows, or more cells
+    than one block.
+
+    The cells are every window's union tile — all its queries over all
+    its slices' rows — as when :func:`_gather_units` merges a window
+    whole: a (query, slice) pair the plan pruned cannot hit, so scanning
+    it changes no byte.  Ops whose pinned slice is empty are left out.
+    """
+    if (  # one- and two-window plans resolve nothing here
+        runtime.radius_m is None
+        or not ops
+        or ops[-1].context.window_c - ops[0].context.window_c < MIN_RAGGED_WINDOWS - 1
+    ):
+        return None
+    members, bounds, window_of, scans = [], [], [], []
+    cs, rows, widest = [], [], []  # per window: its index, its rows, its widest op
+    for i, op in enumerate(ops):
+        if op.method != "naive":
+            return None
+        bound = runtime.bound(op)
+        n = len(bound[2])
+        if not n:
+            continue
+        c, k = op.context.window_c, len(op.positions)
+        if not cs or c > cs[-1]:
+            cs.append(c)
+            rows.append(n)
+            widest.append(k)
+        elif c == cs[-1]:
+            rows[-1] += n
+            widest[-1] = max(widest[-1], k)
+        else:
+            return None
+        members.append(i)
+        bounds.append(bound)
+        window_of.append(len(cs) - 1)
+        scans.append(k)
+    if (  # rows x widest op: the fewest cells the windows can have
+        len(cs) < MIN_RAGGED_WINDOWS
+        or sum(map(int.__mul__, rows, widest)) > _gather.BLOCK_CELLS
+    ):
+        return None
+    # Each query lies in one window: label it, keep the labelled ones
+    # and group them by window (no sort when the plan is time-ordered).
+    label = np.full(len(queries), -1, dtype=np.intp)
+    label[np.concatenate([ops[i].positions for i in members])] = np.repeat(
+        window_of, scans
+    )
+    positions = np.flatnonzero(label >= 0)
+    label = label[positions]
+    if (label[1:] < label[:-1]).any():
+        positions = positions[np.argsort(label, kind="stable")]
+    counts = np.bincount(label, minlength=len(cs)).tolist()
+    cells = list(map(int.__mul__, counts, rows))
+    if sum(cells) > _gather.BLOCK_CELLS:
+        return None
+    spans, q0, r0, at = [], 0, 0, 0
+    for k, n, size in zip(counts, rows, cells):
+        spans.append((q0, q0 + k, r0, r0 + n, at))
+        q0, r0, at = q0 + k, r0 + n, at + size
+    starts = np.zeros(len(positions) + 1, dtype=np.intp)
+    np.cumsum(np.repeat(rows, counts), out=starts[1:])
+    first_row = np.repeat([span[2] for span in spans], counts)
+    own = [k * len(bound[2]) for k, bound in zip(scans, bounds)]
+    total = sum(own)
+    return _RaggedTile(
+        members,
+        [cells_of / total for cells_of in own],
+        positions,
+        queries.x[positions],
+        queries.y[positions],
+        *_gather.merged_rows(bounds),
+        spans,
+        starts,
+        starts[:-1] - first_row,
+    )
 
 
 def _row_group(sources, cells, positions, queries: QueryBatch, axes) -> _RowGroup:

@@ -27,10 +27,16 @@ forms with the same bytes:
   distinct x and 30 distinct y), a row group squares each axis offset
   once per distinct coordinate (:func:`axis_tables`) and a block is two
   row takes, an add and a compare.  The executor decides once per plan
-  (:func:`query_axes`: one ``np.unique`` per axis) and then per row
+  (:func:`query_axes`: one ``argsort`` per axis) and then per row
   group (:func:`group_axes`): tables are used where they are smaller
   than the tile.  A route's points are all distinct and never build
   one.
+
+A plan of several windows that together fit one block — a route — is
+scanned as one **ragged tile** instead (:func:`scan_ragged_tile`): each
+window's queries over that window's rows only, every window's block
+laid after the one before it, then one square, add, compare and
+``nonzero`` for all of them, reduced by :func:`reduce_ragged_block`.
 
 The canonical order is had one of two ways, chosen per window by the
 executor:
@@ -218,24 +224,47 @@ def query_axes(qx: np.ndarray, qy: np.ndarray) -> Optional[QueryAxes]:
     """The plan's :data:`QueryAxes`, or None when its axis tables could
     not be smaller than its tile — fewer distinct x plus distinct y than
     queries is what a grid of probes has and a route's distinct points
-    lack.  One ``np.unique`` per axis, once per plan; a row group picks
+    lack.  One ``argsort`` per axis, once per plan; a row group picks
     its own coordinates out with :func:`group_axes`.
 
-    Distinct x are first counted on a sorted copy (NaNs counted apart),
+    Distinct x are first counted off the sorted x (NaNs counted apart),
     and a plan that cannot pass — a route, a handful of queries — stops
-    there: ``np.unique`` with its inverse costs ~15 µs however few the
-    queries, a fallback plan's whole budget on the cached lanes."""
+    there, before any inverse is built: a fallback plan on the cached
+    lanes has a few microseconds in all."""
     n = len(qx)
     if n < 3:
         return None
-    sx = np.sort(qx)
-    if 2 + np.count_nonzero(sx[1:] != sx[:-1]) >= n:  # and uy holds 1 at least
+    order, sx, differ = _sorted_runs(qx)
+    if 2 + np.count_nonzero(differ) >= n:  # and uy holds 1 at least
         return None
-    ux, ix = np.unique(qx, return_inverse=True)
-    uy, iy = np.unique(qy, return_inverse=True)
-    if len(ux) + len(uy) >= len(qx):
+    ux, ix = _unique_inverse(order, sx, differ)
+    uy, iy = _unique_inverse(*_sorted_runs(qy))
+    if len(ux) + len(uy) >= n:
         return None
     return ux, ix, uy, iy
+
+
+def _sorted_runs(q: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(order, q[order], differ)`` for a non-empty ``q``: its argsort,
+    its sorted values, and where each sorted value differs from the one
+    before it (``sq[1:] != sq[:-1]``: NaNs, sorted last, each differ)."""
+    order = np.argsort(q)
+    sq = q[order]
+    return order, sq, sq[1:] != sq[:-1]
+
+
+def _unique_inverse(
+    order: np.ndarray, sq: np.ndarray, differ: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.unique(q, return_inverse=True)`` from :func:`_sorted_runs`
+    of ``q`` (``differ`` is consumed): the distinct values, NaNs as one,
+    and each value's code — without sorting ``q`` a second time."""
+    if np.isnan(sq[-1]):
+        differ[np.searchsorted(sq, sq[-1]) :] = False  # the NaNs: one value
+    codes = np.empty(len(sq), dtype=np.intp)
+    codes[order[0]] = 0
+    codes[order[1:]] = np.cumsum(differ)
+    return np.concatenate((sq[:1], sq[1:][differ])), codes
 
 
 def _present(u: np.ndarray, codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -299,6 +328,45 @@ def scan_axis_tile(
     np.take(dy2, iy, axis=0, out=e, mode="clip")
     np.add(d, e, out=d)
     np.less_equal(d, radius_m * radius_m, out=inside)
+    return inside_flat.nonzero()[0]
+
+
+#: One window of a ragged tile: its queries ``[q0, q1)`` scan its rows
+#: ``[r0, r1)``, from cell ``at`` of the tile on.
+Span = Tuple[int, int, int, int, int]
+
+
+def scan_ragged_tile(
+    ws: Workspace,
+    x: np.ndarray,
+    y: np.ndarray,
+    qx: np.ndarray,
+    qy: np.ndarray,
+    spans: Sequence[Span],
+    radius_m: float,
+) -> np.ndarray:
+    """Flat hit indices of a tile whose queries each scan only their
+    own window's rows: every :data:`Span` is a ``queries x rows`` block
+    laid after the one before it in the workspace's tile.
+
+    Each block gets :func:`scan_tile`'s subtracts, and the whole tile
+    its squares, add and compare, in place — every cell the same IEEE
+    operations as :func:`scan_tile`'s on that query and row, so a query
+    hits the same rows, in row order.  One ``nonzero`` for the whole
+    tile; :func:`reduce_ragged_block` sums it.
+    """
+    q0, q1, r0, r1, at = spans[-1]
+    d, e, inside, inside_flat = ws.tiles(1, at + (q1 - q0) * (r1 - r0))
+    d, e = d[0], e[0]
+    for q0, q1, r0, r1, at in spans:
+        end = at + (q1 - q0) * (r1 - r0)
+        shape = (q1 - q0, r1 - r0)
+        np.subtract(x[None, r0:r1], qx[q0:q1, None], out=d[at:end].reshape(shape))
+        np.subtract(y[None, r0:r1], qy[q0:q1, None], out=e[at:end].reshape(shape))
+    np.square(d, out=d)
+    np.square(e, out=e)
+    np.add(d, e, out=d)
+    np.less_equal(d, radius_m * radius_m, out=inside[0])
     return inside_flat.nonzero()[0]
 
 
@@ -395,13 +463,30 @@ def reduce_row_block(
     the tile and its values one ``take`` — the same per-query value
     sequence :func:`reduce_hit_block` hands to ``np.add.reduceat``.
     """
+    starts = np.arange(len(positions) + 1) * len(s)
+    reduce_ragged_block(flat, s, starts, starts[:-1], positions, values, support)
+
+
+def reduce_ragged_block(
+    flat: np.ndarray,
+    s: np.ndarray,
+    starts: np.ndarray,
+    shift: np.ndarray,
+    positions: np.ndarray,
+    values: np.ndarray,
+    support: np.ndarray,
+) -> None:
+    """:func:`reduce_row_block` for a tile whose queries scan rows of
+    their own (:func:`scan_ragged_tile`): query ``q``'s cells are
+    ``[starts[q], starts[q + 1])``, and its cell ``i`` scans row ``i -
+    shift[q]`` of ``s``, the rows in ascending global stream position.
+    ``flat`` is consumed."""
     if not len(flat):
         return  # support stays 0, values NaN
-    starts = np.arange(len(positions) + 1) * len(s)
     bounds = flat.searchsorted(starts)
     counts = bounds[1:] - bounds[:-1]
     hit = counts.nonzero()[0]
-    flat -= starts[:-1].repeat(counts)  # tile index -> row index
+    flat -= shift.repeat(counts)  # tile index -> row index
     sums = np.add.reduceat(s.take(flat), bounds[hit])
     values[positions[hit]] = sums / counts[hit]
     support[positions] = counts

@@ -49,9 +49,10 @@ uncompressed bytes, so corruption anywhere — header or payload, flipped
 bit, truncation or appended bytes — surfaces as :class:`SegmentCorrupt`,
 never as silently wrong rows.
 
-Seals write **codec 0**: a fault-in is one read of the image, the checks
-and five ``np.frombuffer`` views of it — no decode, no copy;
-the header padding is what makes the views aligned.  Both codecs stay
+Seals write **codec 0**: a fault-in is one read of the image, one
+struct unpack of its header (:func:`_decode_sealed`), the checks and
+two ``np.frombuffer`` views of it — no decode, no copy; the header
+padding is what makes the views aligned.  Both codecs stay
 readable, so a directory sealed before the switch, or holding both,
 opens unchanged.  The checks run on every read, not once per file: the
 CRC32 of a 3 KB slice costs about 1 µs, less than remembering that it ran.
@@ -70,7 +71,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence, Tuple, Union
+from typing import Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -94,6 +95,24 @@ _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
 #: The scan column group every query touches.
 CORE_COLUMNS = ("t", "x", "y", "s")
 _F8 = np.dtype(np.float64)
+_I8 = np.dtype("<i8")
+
+#: Preamble and header of the one layout every seal writes, as one
+#: struct: ``_META``, then a directory of ``core`` = (t, x, y, s) as
+#: ``<f8`` and ``gids`` = (gid,) as ``<i8``, both raw, then the two
+#: padding bytes.  Only the groups' ``(raw_len, comp_len, crc)`` vary
+#: from image to image; the directory bytes around them are
+#: :data:`_SEALED_FIXED`.
+_SEALED = struct.Struct("<4sIII" "IQIQQ8d" "13s" "QQI" "37s" "QQI" "14s")
+_SEALED_HEAD = (_MAGIC, _VERSION, _SEALED.size - _PREAMBLE.size)
+_SEALED_FIXED = (
+    struct.pack("<II4sB", 2, 4, b"core", CODEC_RAW),
+    _U32.pack(len(CORE_COLUMNS))
+    + b"".join(struct.pack("<I1sB", 1, col.encode(), 0) for col in CORE_COLUMNS)
+    + struct.pack("<I4sB", 4, b"gids", CODEC_RAW),
+    struct.pack("<II3sB", 1, 3, b"gid", 1) + b"\0\0",
+)
+_SEALED_GROUPS = frozenset(("core", "gids"))
 
 
 class SegmentCorrupt(ValueError):
@@ -324,8 +343,12 @@ def decode_segment(
     of its uncompressed bytes and its row count, before any array is
     built.  The arrays are read-only views: of the image for a raw
     group, of the decoded bytes for a zlib one.  ``where`` names the
-    image in error messages.
+    image in error messages.  An image in the layout seals write is
+    read by :func:`_decode_sealed`; any other by the general parser.
     """
+    segment = _decode_sealed(data, where, groups)
+    if segment is not None:
+        return segment
     record, directory, offset = _parse_header(data, where)
     names = [entry[0] for entry in directory]
     unknown = [name for name in groups if name not in names]
@@ -363,3 +386,58 @@ def decode_segment(
             for k, (col, dtype) in enumerate(cols)
         }
     return Segment(record, decoded)
+
+
+def _decode_sealed(
+    data: bytes, where: Union[str, Path], groups: Sequence[str]
+) -> Optional[Segment]:
+    """:func:`decode_segment` for an image in the layout seals write —
+    one :data:`_SEALED` unpack for preamble, meta and directory, one
+    ``np.frombuffer`` view per group — or None when the image is not
+    in it (format-1 files from before the padding rule, zlib groups,
+    other groups or columns): the general parser reads those, and
+    raises whatever error the image deserves.
+
+    The checks are the general parser's, in its order and with its
+    messages: header CRC, image length against the directory, then per
+    wanted group its length, CRC and row count.  The preamble and the
+    directory are checked by comparison with the fixed layout.
+    """
+    if len(data) < _SEALED.size or not _SEALED_GROUPS.issuperset(groups):
+        return None
+    fields = _SEALED.unpack_from(data)
+    # Magic, version and header length; the three fixed directory runs.
+    if fields[:3] != _SEALED_HEAD or fields[17:26:4] != _SEALED_FIXED:
+        return None
+    image = memoryview(data)
+    start = _SEALED.size
+    if zlib.crc32(image[_PREAMBLE.size : start]) != fields[3]:
+        raise SegmentCorrupt(f"{where}: segment header failed its checksum")
+    record = fields[4:17]
+    core_raw, core_len, core_crc, _, gids_raw, gids_len, gids_crc = fields[18:25]
+    if start + core_len + gids_len != len(data):
+        raise SegmentCorrupt(
+            f"{where}: file length disagrees with its group directory"
+        )
+    n_rows = record[3]
+    decoded = {}
+    if "core" in groups:
+        _check_raw(image, start, core_len, core_raw, core_crc, 4 * n_rows, "core", where)
+        core = np.frombuffer(data, _F8, 4 * n_rows, start).reshape(4, n_rows)
+        decoded["core"] = dict(zip(CORE_COLUMNS, core))
+    if "gids" in groups:
+        start += core_len
+        _check_raw(image, start, gids_len, gids_raw, gids_crc, n_rows, "gids", where)
+        decoded["gids"] = {"gid": np.frombuffer(data, _I8, n_rows, start)}
+    return Segment(record, decoded)
+
+
+def _check_raw(image, start, length, raw_len, crc, words, name, where) -> None:
+    """A raw group's checks: its ``length`` bytes at ``start`` are
+    ``raw_len`` long with CRC ``crc``, and hold ``words`` 8-byte values."""
+    if length != raw_len or zlib.crc32(image[start : start + length]) != crc:
+        raise SegmentCorrupt(f"{where}: group {name!r} failed its checksum")
+    if raw_len != 8 * words:
+        raise SegmentCorrupt(
+            f"{where}: group {name!r} length disagrees with its row count"
+        )

@@ -6,6 +6,10 @@ truncated 1-day variant (still geo-temporally skewed) cached per session.
 
 from __future__ import annotations
 
+import gc
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -68,3 +72,23 @@ def tiny_batch() -> TupleBatch:
             ts.append(60.0 * (4 * j + i))
             ss.append(400.0 + 0.5 * (100.0 * i) + 0.25 * (100.0 * j))
     return TupleBatch(np.array(ts), np.array(xs), np.array(ys), np.array(ss))
+
+
+_FD_DIR = "/proc/self/fd"
+
+
+@pytest.fixture()
+def leak_check():
+    """Fail a test that leaves open file descriptors or running threads
+    behind: a durable router or engine not closed, a pack or WAL file
+    not released.  Counted after a collection on both sides, so what
+    the test dropped is gone; checks nothing where ``/proc`` is absent."""
+    if not os.path.isdir(_FD_DIR):
+        yield
+        return
+    gc.collect()
+    fds, threads = len(os.listdir(_FD_DIR)), threading.active_count()
+    yield
+    gc.collect()
+    assert len(os.listdir(_FD_DIR)) <= fds, "the test left file descriptors open"
+    assert threading.active_count() <= threads, "the test left threads running"

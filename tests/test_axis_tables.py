@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.geo.region import RegionGrid
 from repro.query.base import QueryBatch
+from repro.query.pipeline import executor as pipeline_executor
 from repro.query.pipeline import gather
 from repro.query.sharded import ShardedQueryEngine
 from repro.storage.shards import ShardRouter
@@ -160,6 +161,38 @@ class TestPlanChoosesAxesFromItsQueries:
         assert gather.query_axes(np.zeros(2), np.zeros(2)) is None  # 1 + 1 tables
         assert gather.query_axes(np.zeros(3), np.zeros(3)) is not None
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        q=st.lists(
+            st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.5, -2.0])
+            | st.floats(width=64),
+            min_size=1,
+            max_size=60,
+        ),
+        other=st.integers(0, 2**31 - 1),
+    )
+    def test_distinct_values_and_codes_are_np_uniques(self, q, other):
+        # One argsort per axis stands in for np.unique(return_inverse):
+        # the same values (NaNs as one; a zero's sign may differ, which
+        # the square drops) and the same codes — duplicates, NaN, ±inf
+        # and signed zeros included.
+        q = np.array(q, dtype=np.float64)
+        ux, ix = gather._unique_inverse(*gather._sorted_runs(q))
+        want_u, want_i = np.unique(q, return_inverse=True)
+        np.testing.assert_array_equal(ux, want_u)
+        np.testing.assert_array_equal(ix, want_i)
+        # And query_axes hands them out whenever its tables can pay.
+        qy = np.random.default_rng(other).choice([1.0, 2.0], len(q))
+        axes = gather.query_axes(q, qy)
+        if axes is not None:
+            for got, want in zip(axes, (want_u, want_i, *np.unique(qy, return_inverse=True))):
+                np.testing.assert_array_equal(got, want)
+        else:  # the gate counts each NaN x apart; the tables count them as one
+            nan = np.isnan(q)
+            apart = len(np.unique(q[~nan])) + int(nan.sum())
+            n = len(q)
+            assert n < 3 or apart + 1 >= n or len(want_u) + len(np.unique(qy)) >= n
+
     def test_tables_are_smaller_than_the_tile_or_not_built(self):
         q = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 2.0])
         axes = gather.query_axes(q, q)  # 3 + 3 < 7
@@ -258,6 +291,8 @@ class TestPlansAnswerTheSameBytesInBothForms:
 
 
 def test_a_route_plan_builds_no_axis_tables(small_batch):
+    # A route over many windows is one ragged tile, which never asks;
+    # gathered window by window it asks once, and is told no.
     router = ShardRouter(RegionGrid.for_shard_count(_covered(small_batch), 4), h=240)
     router.ingest(small_batch)
     rng = np.random.default_rng(9)
@@ -269,11 +304,14 @@ def test_a_route_plan_builds_no_axis_tables(small_batch):
         rng.uniform(box.min_y, box.max_y, n),
     )
     with ShardedQueryEngine(router, max_workers=1) as engine:
-        with counted_tables() as tables, mock.patch.object(
-            gather, "query_axes", wraps=gather.query_axes
-        ) as axes:
-            result = engine.continuous_query_batch(route, "naive")
-        assert int(result.support.sum()) > 0
-        assert axes.call_count >= 1
+        for ragged in (True, False):
+            with counted_tables() as tables, mock.patch.object(
+                gather, "query_axes", wraps=gather.query_axes
+            ) as axes, mock.patch.object(
+                pipeline_executor, "MIN_RAGGED_WINDOWS", 3 if ragged else 10**9
+            ):
+                result = engine.continuous_query_batch(route, "naive")
+            assert int(result.support.sum()) > 0
+            assert axes.call_count == (0 if ragged else 1)
+            assert tables == []
         assert gather.query_axes(route.x, route.y) is None
-        assert tables == []

@@ -2,8 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.kmeans import kmeans, kmeans_pp_seeds, lloyd
+from repro.core.kmeans import (
+    KMeansResult,
+    _assign,
+    _inertia,
+    kmeans,
+    kmeans_pp_seeds,
+    lloyd,
+)
 
 
 def two_blobs(n=100, seed=0):
@@ -99,6 +108,72 @@ class TestLloyd:
     def test_more_centroids_than_points(self):
         with pytest.raises(ValueError):
             lloyd(np.zeros((2, 2)), np.zeros((3, 2)))
+
+
+def loop_lloyd(points, centroids, max_iter=50, tol=1e-6) -> KMeansResult:
+    """Lloyd's iterations one centroid at a time — the form every
+    centroid update of :func:`lloyd` must equal bit for bit."""
+    points = np.asarray(points, dtype=np.float64)
+    centroids = np.array(centroids, dtype=np.float64, copy=True)
+    labels = _assign(points, centroids)
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        moved = 0.0
+        for j in range(len(centroids)):
+            members = points[labels == j]
+            if len(members):
+                new_c = members.mean(axis=0)
+            else:
+                d2 = np.sum((points - centroids[labels]) ** 2, axis=1)
+                new_c = points[int(np.argmax(d2))]
+            moved = max(moved, float(np.sum((new_c - centroids[j]) ** 2)))
+            centroids[j] = new_c
+        labels = _assign(points, centroids)
+        if moved <= tol * tol:
+            break
+    return KMeansResult(
+        centroids, labels, _inertia(points, centroids, labels), iterations
+    )
+
+
+#: Coordinates that stress the sums: exact zeros of both signs, repeats,
+#: and magnitudes far apart.
+_COORDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]),
+    st.floats(-1e6, 1e6, allow_nan=False, width=64),
+    st.floats(-1e-3, 1e-3, allow_nan=False, width=64),
+)
+
+
+class TestVectorisedUpdateMatchesTheLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        points=st.lists(st.tuples(_COORDS, _COORDS), min_size=1, max_size=300),
+        k=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        spread=st.booleans(),
+    )
+    def test_same_bits_as_one_centroid_at_a_time(self, points, k, seed, spread):
+        # Empty clusters (a start far from every point, or more
+        # centroids than distinct points) take the loop inside lloyd;
+        # every other pass the bincount update.
+        points = np.array(points, dtype=np.float64)
+        k = min(k, len(points))
+        rng = np.random.default_rng(seed)
+        start = points[rng.choice(len(points), k, replace=False)].copy()
+        if spread:
+            start[-1] = (1e9, 1e9)
+        got, want = lloyd(points, start), loop_lloyd(points, start)
+        assert got.centroids.tobytes() == want.centroids.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
+        assert got.iterations == want.iterations
+        assert np.float64(got.inertia).tobytes() == np.float64(want.inertia).tobytes()
+
+    def test_a_cluster_of_negative_zeros(self):
+        points = np.array([[-0.0, -0.0], [-0.0, -0.0], [5.0, 5.0]])
+        start = np.array([[-0.0, -0.0], [5.0, 5.0]])
+        got, want = lloyd(points, start), loop_lloyd(points, start)
+        assert got.centroids.tobytes() == want.centroids.tobytes()
 
 
 class TestSeeding:

@@ -35,6 +35,9 @@ from repro.storage import fsio
 from repro.storage.shards import ShardRouter
 from repro.storage.tiered import TieredShardRouter
 
+#: Every test here opens durable routers: none may leak a descriptor or a thread.
+pytestmark = pytest.mark.usefixtures("leak_check")
+
 BOUNDS = BoundingBox(0.0, 0.0, 6000.0, 4000.0)
 H = 25
 N_BATCHES = 4

@@ -189,6 +189,30 @@ def seventy_two_sources():
     return router, queries, len(cells)
 
 
+def ragged_from(min_windows):
+    """Gather plans of this many windows or more as one ragged tile
+    (None: never)."""
+    return mock.patch.object(
+        pipeline_executor,
+        "MIN_RAGGED_WINDOWS",
+        10**9 if min_windows is None else min_windows,
+    )
+
+
+@contextlib.contextmanager
+def ragged_tiles():
+    """Yields the query count of every ragged tile scanned meanwhile."""
+    tiles = []
+    real = gather.scan_ragged_tile
+
+    def tile(*args):
+        tiles.append(len(args[3]))
+        return real(*args)
+
+    with mock.patch.object(gather, "scan_ragged_tile", tile):
+        yield tiles
+
+
 _SETTINGS = settings(max_examples=25, deadline=None)
 
 
@@ -200,18 +224,21 @@ class TestBlockedGatherMatchesWholeOpMerge:
         h=st.sampled_from([1, 7, 2000]),
         per_block=st.sampled_from([1, 7, None]),
         min_group=st.sampled_from([1, 32]),
+        min_windows=st.sampled_from([1, 3, None]),
         prune=st.booleans(),
         hazards=st.sets(st.sampled_from(["stale_counter", "empty_slice"])),
     )
     def test_naive_sources(
-        self, scenario, n_shards, h, per_block, min_group, prune, hazards
+        self, scenario, n_shards, h, per_block, min_group, min_windows, prune, hazards
     ):
         # Both sides of the per-window choice: one source (its own
         # group), windows that fit one block (merged whole: per_block
         # None), source-set groups (min_group 1, or >= 32 queries a
         # set) and the keyed window (sparser than that) — over queries
         # no source scans, NaN / ±inf query coordinates, empty pinned
-        # slices and an under-read row counter.
+        # slices and an under-read row counter; and a plan whose windows
+        # fit one block as one ragged tile (from one window on, from
+        # three, or never).
         batch, queries = scenario
         router = build_router(batch, n_shards, h)
         with ShardedQueryEngine(
@@ -222,7 +249,7 @@ class TestBlockedGatherMatchesWholeOpMerge:
             expected = fingerprint(whole_op_reference(engine, plan))
             with forced_block(per_block, min(h, len(batch))), mock.patch.object(
                 pipeline_executor, "MIN_GROUP_QUERIES", min_group
-            ):
+            ), ragged_from(min_windows):
                 assert fingerprint(engine.execute(plan)) == expected
 
     @pytest.mark.parametrize("min_group", [1, 32])
@@ -343,10 +370,12 @@ class TestSubPlansConcatenateToTheWholePlan:
         stale_counter=st.booleans(),
         index_pick=st.none() | st.integers(0, 10**6),
         cuts=st.lists(st.integers(0, 80), max_size=7),
+        min_windows=st.sampled_from([1, 3, None]),
     )
     def test_any_cut_points(
-        self, scenario, n_shards, h, per_block, prune, stale_counter, index_pick, cuts
-    ):
+        self, scenario, n_shards, h, per_block, prune, stale_counter, index_pick, cuts,
+        min_windows,
+    ):  # fmt: skip
         # One source (n_shards 1), a few dense ones (h 2000: every shard
         # a window-long slice), a route over many windows (h 1 or 7), a
         # query a pruned plan gives no source, a pinned gid beyond the
@@ -365,7 +394,7 @@ class TestSubPlansConcatenateToTheWholePlan:
                 ops[at] = dataclasses.replace(ops[at], method="rtree")
                 plan = dataclasses.replace(plan, ops=tuple(ops))
             expected = fingerprint(whole_op_reference(engine, plan))
-            with forced_block(per_block, min(h, len(batch))):
+            with forced_block(per_block, min(h, len(batch))), ragged_from(min_windows):
                 assert fingerprint(engine.execute(plan)) == expected
                 assert run_cut(engine, plan, cuts) == expected
 
@@ -628,3 +657,4 @@ def test_heatmap_allocates_nothing_proportional_to_hits(small_batch):
         finally:
             tracemalloc.stop()
     assert peak < 6 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+

@@ -11,6 +11,7 @@ lengths and pathological floats, and the corruption tests flip / drop
 
 import struct
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,9 +19,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.data.tuples import TupleBatch
+from repro.geo.coords import BoundingBox
+from repro.geo.region import RegionGrid
+from repro.storage import segments
 from repro.storage.segments import (
     CORE_COLUMNS,
     SegmentCorrupt,
+    decode_segment,
     encode_segment,
     read_packed_segment,
     read_segment,
@@ -29,6 +34,7 @@ from repro.storage.segments import (
     write_segment,
 )
 from repro.storage.sketch import WindowSketch
+from repro.storage.tiered import TieredShardRouter
 
 _SETTINGS = settings(
     max_examples=40,
@@ -399,6 +405,117 @@ class TestPackedImages:
         with pytest.raises(SegmentCorrupt, match=rf"\[{offset}:{offset + length}\]"):
             read_packed_segment(path, offset, length)
         read_packed_segment(path, *extents[1])  # its neighbours still read
+
+
+def _general(data: bytes, groups=("core", "gids")):
+    """:func:`decode_segment` with the seal-layout reader switched off:
+    what the general parser alone makes of ``data``."""
+    with mock.patch.object(segments, "_decode_sealed", lambda *_args: None):
+        return decode_segment(data, "image", groups)
+
+
+def _assert_same_segment(got, want) -> None:
+    assert got.record == want.record
+    assert list(got.groups) == list(want.groups)
+    for name, columns in want.groups.items():
+        assert list(got.groups[name]) == list(columns)
+        for col, arr in columns.items():
+            view = got.groups[name][col]
+            assert view.dtype == arr.dtype and view.tobytes() == arr.tobytes()
+            assert view.ndim == 1 and view.flags.aligned
+            assert not view.flags.writeable and not view.flags.owndata
+
+
+class TestSealedLayout:
+    """Seals write one layout, and it is read with one struct unpack
+    (``segments._decode_sealed``); the general parser is its oracle, and
+    reads every other layout."""
+
+    @_SETTINGS
+    @given(
+        n=st.integers(0, 70),
+        seed=st.integers(0, 2**31 - 1),
+        shard=st.integers(0, 2**32 - 1),
+        window_c=st.integers(0, 2**64 - 1),
+        stamp=st.integers(0, 2**64 - 1),
+        groups=st.sampled_from(
+            [("core", "gids"), ("gids", "core"), ("core",), ("gids",), ()]
+        ),
+    )
+    def test_one_struct_parse_equals_the_general_parser(
+        self, n, seed, shard, window_c, stamp, groups
+    ):
+        batch = _batch(n, seed)
+        image = encode_segment(
+            shard=shard, window_c=window_c, h=240, stamp=stamp, batch=batch,
+            gids=np.arange(7, 7 + n, dtype=np.int64),
+            sketch=WindowSketch.of(batch) if n else WindowSketch.EMPTY,
+        )  # fmt: skip
+        sealed = segments._decode_sealed(image, "image", groups)
+        assert sealed is not None
+        _assert_same_segment(sealed, _general(image, groups))
+
+    def test_every_image_a_tiered_seal_writes_takes_it(self, tmp_path):
+        rng = np.random.default_rng(3)
+        n = 2000
+        stream = TupleBatch(
+            np.cumsum(rng.uniform(1.0, 30.0, n)),
+            rng.uniform(-500.0, 6500.0, n),
+            rng.uniform(-500.0, 4500.0, n),
+            rng.uniform(350.0, 600.0, n),
+        )
+        grid = RegionGrid(BoundingBox(0.0, 0.0, 6000.0, 4000.0), nx=2, ny=2)
+        router = TieredShardRouter(grid, h=150, data_dir=tmp_path, memory_windows=4)
+        try:
+            for lo in range(0, n, 700):
+                router.ingest(stream.slice(lo, min(lo + 700, n)))
+            extents = list(router._store._slices.values())
+        finally:
+            router.close()
+        assert len(extents) > 20
+        for name, offset, length in extents:
+            data = (tmp_path / "segments" / name).read_bytes()[offset : offset + length]
+            sealed = segments._decode_sealed(data, name, ("core", "gids"))
+            assert sealed is not None
+            _assert_same_segment(sealed, _general(data))
+
+    @pytest.mark.parametrize(
+        "layout", ["zlib", "unpadded", "three core columns", "future version"]
+    )
+    def test_every_other_layout_takes_the_general_parser(self, tmp_path, layout):
+        batch = _batch(9, seed=2)
+        fields = dict(
+            shard=1, window_c=4, h=240, stamp=5, batch=batch,
+            gids=np.arange(9, dtype=np.int64), sketch=WindowSketch.of(batch),
+        )  # fmt: skip
+        if layout == "three core columns":
+            with mock.patch.object(segments, "CORE_COLUMNS", ("t", "x", "y")):
+                image = encode_segment(**fields)
+        else:
+            image = encode_segment(**fields, compress=layout == "zlib")
+        if layout == "unpadded":
+            image = _reheader(
+                image, image[_PREAMBLE_LEN : _PREAMBLE_LEN + _NATURAL_HEADER_LEN]
+            )
+        if layout == "future version":
+            image = image[:4] + struct.pack("<I", 2) + image[8:]
+        assert segments._decode_sealed(image, "image", ("core", "gids")) is None
+        if layout == "future version":
+            with pytest.raises(SegmentCorrupt, match="version"):
+                decode_segment(image, "image")
+            return
+        segment = decode_segment(image, "image")
+        assert segment.gids().tobytes() == fields["gids"].tobytes()
+        assert segment.groups["core"]["x"].tobytes() == batch.x.tobytes()
+
+    def test_a_group_it_does_not_hold_is_the_general_parsers_key_error(self):
+        image = encode_segment(
+            shard=1, window_c=4, h=240, stamp=5, batch=_batch(3),
+            gids=np.arange(3, dtype=np.int64), sketch=WindowSketch.of(_batch(3)),
+        )  # fmt: skip
+        assert segments._decode_sealed(image, "image", ("core", "models")) is None
+        with pytest.raises(KeyError, match="models"):
+            decode_segment(image, "image", ("core", "models"))
 
 
 class TestAtomicity:

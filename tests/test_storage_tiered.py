@@ -36,6 +36,9 @@ from repro.storage.segments import (
 from repro.storage.shards import ShardRouter
 from repro.storage.tiered import TieredShardRouter
 
+#: Every test here opens durable routers: none may leak a descriptor or a thread.
+pytestmark = pytest.mark.usefixtures("leak_check")
+
 BOUNDS = BoundingBox(0.0, 0.0, 6000.0, 4000.0)
 RADIUS_M = 1500.0
 
