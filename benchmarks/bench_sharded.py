@@ -32,14 +32,6 @@ better, the ratio down from 2.8x to 1.4x, and what is left of it is
 pruning (the 4-shard time used to include two pool threads; the blocked
 loop is serial).  What sharding must still guarantee is that carving
 the window up never costs: that is the bar.
-
-Both modes also time the planner's contract: on two synthetic scenarios
-(a 30x20 heatmap on one shard, a 600-query continuous stream over 4
-shards) ``method="auto"`` must not take longer than
-``AUTO_MARGIN`` x the slowest fixed method, best of ``AUTO_REPEATS``
-warm timings each.  Tier-1 checks the same contract on the planner's
-cost estimates (``tests/test_query_pipeline.py``), which are
-deterministic; this is its wall-clock form.
 """
 
 from __future__ import annotations
@@ -49,13 +41,8 @@ import sys
 import numpy as np
 import pytest
 
-from repro.data.tuples import TupleBatch
 from repro.eval.timing import time_callable
-from repro.geo.coords import BoundingBox
-from repro.geo.region import RegionGrid
-from repro.query.base import QueryBatch
 from repro.query.sharded import ShardedQueryEngine
-from repro.storage.shards import ShardRouter, single_shard_router
 
 try:  # pytest / smoke-test import (repo root on sys.path)
     from benchmarks.conftest import (
@@ -78,10 +65,6 @@ RADIUS_M = 500.0
 INGEST_BATCH = 1_500
 REPEATS = 3
 SLOWER_TOLERANCE = 1.10  # a shard count may read this much over 1-shard
-AUTO_FIXED = ("naive", "vptree", "model-cover")
-AUTO_MARGIN = 1.5  # auto may read this much over the slowest fixed method
-AUTO_REPEATS = 3
-AUTO_BOUNDS = BoundingBox(0.0, 0.0, 6000.0, 4000.0)
 
 
 def sharded_engine(
@@ -104,7 +87,7 @@ def heatmap_time(
     """Seconds per full heatmap grid (cache warmed)."""
     t = float(dataset.tuples.t[-1])
     bounds = dataset.covered_bbox()
-    engine.heatmap_grid(t, bounds, nx=nx, ny=ny)  # warm planner/index caches
+    engine.heatmap_grid(t, bounds, nx=nx, ny=ny)  # warm index caches
     return time_callable(
         lambda: engine.heatmap_grid(t, bounds, nx=nx, ny=ny), repeats=repeats
     )
@@ -118,58 +101,6 @@ def heatmap_grids(dataset, shard_counts=SHARD_COUNTS, nx=GRID_NX, ny=GRID_NY):
         sharded_engine(dataset, n).heatmap_grid(t, bounds, nx=nx, ny=ny)
         for n in shard_counts
     ]
-
-
-def _auto_stream(rng: np.random.Generator, n: int = 3000) -> TupleBatch:
-    t = np.cumsum(rng.uniform(1.0, 30.0, n))
-    return TupleBatch(
-        t,
-        rng.uniform(0.0, 6000.0, n),
-        rng.uniform(0.0, 4000.0, n),
-        rng.uniform(350.0, 600.0, n),
-    )
-
-
-def auto_scenarios():
-    """``{scenario: run(method)}`` for the planner's wall-clock check."""
-    rng = np.random.default_rng(41)
-    stream = _auto_stream(rng)
-    router = single_shard_router(h=240)
-    router.ingest(stream)
-    engine = ShardedQueryEngine(router, radius_m=900.0, max_workers=1)
-    t, box = float(stream.t[-1]), AUTO_BOUNDS
-
-    def heatmap(method):
-        engine.heatmap_grid(t, box, nx=30, ny=20, method=method)
-
-    rng = np.random.default_rng(42)
-    stream = _auto_stream(rng)
-    router = ShardRouter(RegionGrid.for_shard_count(box, 4), h=240)
-    router.ingest(stream)
-    sharded = ShardedQueryEngine(router, radius_m=900.0, max_workers=1)
-    queries = QueryBatch(
-        np.linspace(float(stream.t[0]), float(stream.t[-1]), 600),
-        rng.uniform(0, 6000, 600),
-        rng.uniform(0, 4000, 600),
-    )
-
-    def continuous(method):
-        sharded.continuous_query_batch(queries, method=method)
-
-    return {"heatmap": heatmap, "sharded_continuous": continuous}
-
-
-def auto_times(repeats: int = AUTO_REPEATS):
-    """Best-of seconds per method (caches warmed), per scenario."""
-    out = {}
-    for name, run in auto_scenarios().items():
-        out[name] = {}
-        for method in AUTO_FIXED + ("auto",):
-            run(method)  # warm caches / verdicts / covers
-            out[name][method] = time_callable(
-                lambda m=method: run(m), repeats=repeats
-            )
-    return out
 
 
 # -- pytest-benchmark entry points -----------------------------------------
@@ -227,20 +158,6 @@ def main(smoke: bool = False) -> int:
 
     slowest = max(times[n] / times[1] for n in SHARD_COUNTS)
 
-    print(
-        f"\nauto vs the slowest fixed method {AUTO_FIXED} "
-        f"(best of {AUTO_REPEATS}, bar {AUTO_MARGIN:.1f}x):"
-    )
-    planner_times = auto_times()
-    auto_ratio = {}
-    for name, per_method in planner_times.items():
-        worst = max(per_method[m] for m in AUTO_FIXED)
-        auto_ratio[name] = per_method["auto"] / worst
-        print(
-            f"  {name:<20} auto {per_method['auto'] * 1e3:>7.1f}ms  "
-            f"slowest fixed {worst * 1e3:>7.1f}ms  {auto_ratio[name]:.2f}x"
-        )
-    auto_ok = all(r <= AUTO_MARGIN for r in auto_ratio.values())
     path = write_bench_json(
         "sharded",
         {
@@ -258,9 +175,6 @@ def main(smoke: bool = False) -> int:
             "byte_identical": identical,
             "slower_tolerance": SLOWER_TOLERANCE,
             "shard_histogram": histogram,
-            "auto_seconds": planner_times,
-            "auto_vs_slowest_fixed": auto_ratio,
-            "auto_margin": AUTO_MARGIN,
         },
     )
     print(f"\nwrote {path.name}")
@@ -269,18 +183,12 @@ def main(smoke: bool = False) -> int:
             f"slowest shard count at {slowest:.2f}x the 1-shard time "
             "(smoke mode: shard-count timing bar not enforced)"
         )
-        ok = identical and auto_ok
-        print(
-            f"acceptance (byte-identical answers and auto within "
-            f"{AUTO_MARGIN:.1f}x the slowest fixed method): "
-            f"{'PASS' if ok else 'FAIL'}"
-        )
-        return 0 if ok else 1
-    ok = identical and slowest <= SLOWER_TOLERANCE and auto_ok
+        print(f"acceptance (byte-identical answers): {'PASS' if identical else 'FAIL'}")
+        return 0 if identical else 1
+    ok = identical and slowest <= SLOWER_TOLERANCE
     print(
         f"acceptance (byte-identical answers, no shard count over "
-        f"{SLOWER_TOLERANCE:.2f}x the 1-shard time, slowest {slowest:.2f}x; "
-        f"auto within {AUTO_MARGIN:.1f}x the slowest fixed method): "
+        f"{SLOWER_TOLERANCE:.2f}x the 1-shard time, slowest {slowest:.2f}x): "
         f"{'PASS' if ok else 'FAIL'}"
     )
     return 0 if ok else 1

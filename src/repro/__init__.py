@@ -13,7 +13,7 @@ Sub-packages: ``repro.geo`` (projection/street graph), ``repro.data``
 (tuples/windows/synthetic lausanne-data), ``repro.storage`` (embedded
 DB), ``repro.index`` (R-tree/STR/VP-tree/grid/k-d), ``repro.models``
 (regression families), ``repro.core`` (Ad-KMN + model covers),
-``repro.query`` (the three methods + planner), ``repro.network``
+``repro.query`` (the three methods), ``repro.network``
 (wire protocol + GPRS/3G simulator), ``repro.server`` / ``repro.client``
 (platform endpoints), ``repro.app`` (Android/web demo layer),
 ``repro.eval`` (the paper's figures).

@@ -11,9 +11,9 @@ Subcommands:
   completion of any crash-interrupted seal) and report what survived;
 * ``compact``  — tidy a tiered data directory (checkpoint the WAL, drop
   orphan segments, optionally verify every checksum);
-* ``explain``  — print the execution plan the pipeline chose for a query
-  workload (ops, method per window/shard, cost estimates vs observed
-  timings, cache and planner-feedback counters);
+* ``explain``  — print the execution plan the pipeline built for a query
+  workload (ops, method per window/shard, observed timings, cache and
+  pruning counters);
 * ``shards``   — per-shard occupancy/load table (rows, windows, ingest
   and scan counters, EWMA load, skew coefficients), optionally after
   letting the adaptive rebalancer split/merge.
@@ -26,8 +26,8 @@ Examples::
     python -m repro.cli heatmap --hour 8.5 --shards 4
     python -m repro.cli serve --days 1 --port 8765 --method model-cover
     python -m repro.cli serve --days 1 --shards 4 --port 8765 --processes 4
-    python -m repro.cli explain --hour 8.5 --method auto
-    python -m repro.cli explain --shards 4 --queries 300 --method auto
+    python -m repro.cli explain --hour 8.5 --method model-cover
+    python -m repro.cli explain --shards 4 --queries 300 --method naive
     python -m repro.cli shards --shards 6 --focus 0.25 --rebalance 4
 """
 
@@ -491,10 +491,10 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     print(f"workload: {workload} ({args.shards} shard(s), h={args.h})")
     report = PlanReport()
     if args.warm:
-        # One untimed run first: indexes/covers/verdicts materialise, so
-        # the printed plan shows steady-state timings and feedback.
+        # One untimed run first: indexes/covers materialise, so the
+        # printed plan shows steady-state timings.
         engine.execute(engine.plan(batch, args.method))
-    plan = engine.plan(batch, args.method, want_estimates=True)
+    plan = engine.plan(batch, args.method)
     result = engine.execute(plan, report)
     print(format_plan(plan, report))
     print(
@@ -505,14 +505,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         f"pruning: ops_pruned={report.ops_pruned} ops_kept={report.ops_kept} "
         f"(engine cumulative {engine.prune_stats.as_dict()})"
     )
-    feedback = engine.planner.feedback.as_dict()
-    if feedback:
-        print("planner feedback (observed cost per scan unit):")
-        for method, row in feedback.items():
-            print(
-                f"  {method:<12} {row['sec_per_unit'] * 1e9:9.2f} ns/unit "
-                f"({row['observations']} observation(s))"
-            )
     print("\nper-shard occupancy and load:")
     print(_format_shard_table(engine.router))
     engine.close()
@@ -699,8 +691,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--method",
-        default="auto",
-        help="query method (default auto: the planner chooses per window/shard)",
+        choices=SHARDED_METHODS,
+        default="model-cover",
+        help="query method (default model-cover)",
     )
     p.add_argument(
         "--width", type=_positive_int, default=40, help="heatmap grid width"
@@ -733,7 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--warm",
         action="store_true",
         help="run the plan once untimed first, so the printed timings show "
-        "the steady state (caches hot, planner feedback populated)",
+        "the steady state (indexes and covers built)",
     )
     p.add_argument(
         "--focus",

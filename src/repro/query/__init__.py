@@ -34,14 +34,7 @@ from repro.query.executor import BatchExecutor, QueryGroup, group_queries_by_win
 from repro.query.indexed import IndexedProcessor
 from repro.query.modelcover import ModelCoverProcessor
 from repro.query.naive import NaiveProcessor
-from repro.query.pipeline import (
-    ExecutionPlan,
-    PipelinePlanner,
-    PlannerFeedback,
-    ProcessorCache,
-    format_plan,
-)
-from repro.query.planner import PlanEstimate, QueryPlanner, QueryProfile
+from repro.query.pipeline import ExecutionPlan, ProcessorCache, format_plan
 from repro.query.sharded import SHARDED_METHODS, ShardedQueryEngine
 
 __all__ = [
@@ -61,11 +54,6 @@ __all__ = [
     "IndexedProcessor",
     "ModelCoverProcessor",
     "NaiveProcessor",
-    "PipelinePlanner",
-    "PlanEstimate",
-    "PlannerFeedback",
     "ProcessorCache",
-    "QueryPlanner",
-    "QueryProfile",
     "format_plan",
 ]

@@ -1,4 +1,4 @@
-"""The unified execution-plan pipeline (one planner, one cache, one
+"""The unified execution-plan pipeline (one plan IR, one cache, one
 snapshot binding — see ``docs/architecture.md``).
 
 Every query path runs through
@@ -9,12 +9,11 @@ answers the paper's protocol in process or the web modes on the
 socket.  It compiles
 requests into the plan IR of :mod:`repro.query.pipeline.plan`, binds
 them to one exact snapshot (:mod:`repro.query.pipeline.binding`;
-standing-subscription maintenance reads the same binding), consults the
-single statistics-backed planner (:mod:`repro.query.pipeline.planner`),
-caches materialised processors in the one epoch-keyed
+standing-subscription maintenance reads the same binding), caches
+materialised processors in the one epoch-keyed
 :class:`~repro.query.pipeline.cache.ProcessorCache`, and runs them
 through the shared :class:`~repro.query.pipeline.executor.PlanExecutor`,
-which reports observed op timings back to the planner.
+which reports observed op timings to the shard-load tracker.
 """
 
 from repro.query.pipeline.binding import RouterBinding, SnapshotBinding
@@ -34,7 +33,6 @@ from repro.query.pipeline.plan import (
     ScanOp,
     format_plan,
 )
-from repro.query.pipeline.planner import PipelinePlanner, PlannerFeedback
 
 __all__ = [
     "CacheStats",
@@ -42,12 +40,10 @@ __all__ = [
     "ExecutionPlan",
     "FallbackOp",
     "MergeOp",
-    "PipelinePlanner",
     "PlanContext",
     "PlanExecutor",
     "PlanReport",
     "PlanRuntime",
-    "PlannerFeedback",
     "ProcessorCache",
     "RouterBinding",
     "ScanOp",

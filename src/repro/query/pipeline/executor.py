@@ -24,10 +24,9 @@ binding and is the only place operator dispatch lives:
   The loop runs in the calling thread; the worker pool serves
   scatter-shaped plans only.
 
-Every operator's wall time is reported to the planner feedback (when
-wired), closing the loop that recalibrates ``method="auto"``; pass a
-:class:`~repro.query.pipeline.plan.PlanReport` to also collect per-op
-timings for ``cli explain``.
+Every operator's wall time is reported to the shard-load observer
+(when wired); pass a :class:`~repro.query.pipeline.plan.PlanReport` to
+also collect per-op timings for ``cli explain``.
 
 The owner supplies a :class:`PlanRuntime` — the callables that know
 how to materialise a processor or produce hit pairs for a bound
@@ -59,7 +58,6 @@ from repro.query.pipeline.plan import (
     PrunedOp,
     ScanOp,
 )
-from repro.query.pipeline.planner import PipelinePlanner
 from repro.storage.sketch import bbox_disk_overlaps
 
 __all__ = [
@@ -93,12 +91,11 @@ class PlanRuntime:
     hits: Optional[Callable[[ScanOp, BoundSlice, object, int, int], HitPairs]] = None
     #: Optional warm-up for hit-emitting scans (e.g. materialise the
     #: index) — run once per op *before* the block loop and outside
-    #: every timer, so one-time build costs never pollute the planner's
-    #: observed per-query timings (the scatter path gets the same
-    #: guarantee from its serial pre-materialisation).  Whatever it
-    #: returns is handed to every ``hits`` call of the op, so the
-    #: prepared object cannot be evicted-and-rebuilt (inside the timer)
-    #: between calls.
+    #: every timer, so one-time build costs never pollute the observed
+    #: per-op timings (the scatter path gets the same guarantee from
+    #: its serial pre-materialisation).  Whatever it returns is handed
+    #: to every ``hits`` call of the op, so the prepared object cannot
+    #: be evicted-and-rebuilt (inside the timer) between calls.
     prepare_hits: Optional[Callable[[ScanOp, BoundSlice], object]] = None
     #: The radius of the naive scan over rows that belong to no single
     #: op — a window's slices merged in stream order, scanned by the
@@ -123,12 +120,10 @@ class PlanExecutor:
         self,
         runtime: PlanRuntime,
         pool: Optional[BatchExecutor] = None,
-        planner: Optional[PipelinePlanner] = None,
         load: Optional[Callable[[int, int, float, Optional[float]], None]] = None,
     ) -> None:
         self.runtime = runtime
         self.pool = pool
-        self.planner = planner
         # Optional shard-load observer ``(shard, n_queries, units,
         # seconds)`` — the router's ShardLoadTracker when the owning
         # engine wires one, feeding the adaptive rebalancer.
@@ -150,17 +145,6 @@ class PlanExecutor:
     def _observe(
         self, op: Union[ScanOp, CoverOp], elapsed: float, report: Optional[PlanReport]
     ) -> None:
-        # Feedback needs the method's own *evaluation* unit estimate to
-        # normalise the wall time onto the cost model's axis — the timed
-        # region excludes preparation, so the amortised prep share must
-        # be stripped from the denominator too (else a method with a big
-        # amortised build scores as if builds were free).  Ops without an
-        # estimate (fixed methods the planner never priced) are not
-        # observations — there is no auto choice they could inform.
-        if self.planner is not None and op.eval_unit_cost is not None:
-            self.planner.record(
-                op.method, len(op.queries), elapsed, op.eval_unit_cost
-            )
         if self.load is not None and op.context.shard is not None:
             record_scan_load(self.load, op, elapsed)
         if report is not None:
@@ -185,9 +169,9 @@ class PlanExecutor:
         from axis tables is read once, here, off the plan's queries
         (:func:`~repro.query.pipeline.gather.query_axes`).
         Only the tile, its hit extraction and a group's axis tables are
-        on an op's clock — the planner, the load tracker and ``explain``
-        keep seeing scan cost, while preparation (grouping, merging
-        rows, keys), sort and reduce accrue to ``report.gather_s``.
+        on an op's clock — the load tracker and ``explain`` keep seeing
+        scan cost, while preparation (grouping, merging rows, keys),
+        sort and reduce accrue to ``report.gather_s``.
 
         The loop runs in the calling thread, whatever the pool's size.
         Each of its numpy calls drops the GIL for a few microseconds, so
@@ -276,15 +260,10 @@ class PlanExecutor:
 
 
 def record_scan_load(load, op: Union[ScanOp, CoverOp], seconds: Optional[float]) -> None:
-    """Report one executed op to a shard-load observer: scan-unit load
-    on the planner's cost axis; ops the planner never priced fall back
-    to rows-per-query (the naive scan's exact unit count, and a sane
-    upper bound for index scans)."""
-    per_query = (
-        op.eval_unit_cost
-        if op.eval_unit_cost is not None
-        else float(max(op.context.n_rows, 1))
-    )
+    """Report one executed op to a shard-load observer, in rows per
+    query: the naive scan's exact unit count, and a sane upper bound
+    for index scans."""
+    per_query = float(max(op.context.n_rows, 1))
     load(op.context.shard, len(op.queries), per_query * len(op.queries), seconds)
 
 
@@ -744,19 +723,13 @@ def build_sharded_plan(
     binding: RouterBinding,
     queries: QueryBatch,
     method: str,
-    planner: PipelinePlanner,
     radius_m: float,
-    seed_cover: Optional[Callable[[int, int, int, object], None]] = None,
-    want_estimates: bool = False,
     prune: bool = True,
 ) -> ExecutionPlan:
     """Plan for the region-sharded scatter-gather engine.
 
-    Exact methods (and exact-profile ``auto``) compile to a merge-shaped
-    plan; ``model-cover`` (and model-tolerant ``auto``) compile to
-    owner-shard cover ops with an exact fallback sub-plan.  ``seed_cover``
-    is the owner's cover-cache writer ``(shard, window, stamp, processor)``
-    the planner seeds when pricing already paid for a fit.
+    Exact methods compile to a merge-shaped plan; ``model-cover``
+    compiles to owner-shard cover ops with an exact fallback sub-plan.
 
     ``prune=True`` (the default) runs the plan-time scatter-pruning pass
     on the exact path — grid geometry plus per-(shard, window) zone-map
@@ -768,53 +741,8 @@ def build_sharded_plan(
     """
     windows = binding.windows_for_times(queries.t)
     if method == "model-cover":
-        return _cover_plan(
-            binding, queries, windows, planner, radius_m,
-            allow_plan=False, seed_cover=seed_cover, want_estimates=want_estimates,
-            prune=prune,
-        )
-    if method == "auto" and not planner.profile.needs_exact_average:
-        return _cover_plan(
-            binding, queries, windows, planner, radius_m,
-            allow_plan=True, seed_cover=seed_cover, want_estimates=want_estimates,
-            prune=prune,
-        )
-    return _exact_plan(
-        binding, queries, windows, method, planner, radius_m,
-        want_estimates, prune=prune,
-    )
-
-
-def _estimate(
-    planner: PipelinePlanner,
-    sub,
-    method: str,
-    exact: bool,
-    shard: int,
-    c: int,
-    stamp: int,
-) -> Tuple[Optional[float], Optional[float]]:
-    """``(display units/query, evaluation units/query)`` for one op.
-
-    Reuses the estimates :meth:`PipelinePlanner.method_for` memoised
-    while planning this very verdict, so pricing a cost column never
-    re-runs a pricing fit; only fixed-method explains (no verdict was
-    planned) price the slice fresh.
-    """
-    if not len(sub):
-        return None, None
-    estimates = planner.cached_estimates(shard, c, stamp, exact)
-    if estimates is None:
-        # Price fresh.  For a raw-data method an exact-restricted pricing
-        # is sufficient (the raw estimates are identical either way) and
-        # never runs the Ad-KMN fit that pricing the model-cover
-        # candidate can require — explaining `--method naive` must not
-        # fit covers just to fill a display column.
-        estimates = planner.estimates_for(sub, exact or method != "model-cover")
-    est = estimates.get(method)
-    if est is None:
-        return None, None
-    return est.per_query_cost, planner.eval_units(est)
+        return _cover_plan(binding, queries, windows, radius_m, prune=prune)
+    return _exact_plan(binding, queries, windows, method, radius_m, prune=prune)
 
 
 #: An unreached candidate's row of the pruning pass's sketch table
@@ -834,9 +762,7 @@ def _exact_plan(
     queries: QueryBatch,
     windows: np.ndarray,
     method: str,
-    planner: PipelinePlanner,
     radius_m: float,
-    want_estimates: bool = False,
     prune: bool = True,
 ) -> ExecutionPlan:
     """Merge-shaped plan: per-(window, shard) hit scans + exact gather.
@@ -959,30 +885,12 @@ def _exact_plan(
         stamp, sub, _gids = binding.slice_for(s, c)
         if not len(sub):
             continue
-        chosen = method
-        est = eval_est = None
-        if chosen == "auto":
-            chosen = planner.method_for(s, c, stamp, sub, exact=True)
-            # Attach the verdict's own priced estimate (memoised by
-            # method_for; a cheap peek) so the executor can feed this
-            # op's observed timing back on the right unit axis.
-            priced = planner.cached_estimates(s, c, stamp, True)
-            if priced is not None and chosen in priced:
-                est = priced[chosen].per_query_cost
-                eval_est = planner.eval_units(priced[chosen])
-        if est is None and want_estimates:
-            est, eval_est = _estimate(
-                planner, sub, chosen, exact=True, shard=s, c=c, stamp=stamp
-            )
-        context = PlanContext(c, s, stamp, len(sub))
         ops.append(
             ScanOp(
-                context,
-                chosen,
+                PlanContext(c, s, stamp, len(sub)),
+                method,
                 positions[lo:hi],
                 QueryBatch._of_columns(t[lo:hi], x[lo:hi], y[lo:hi]),
-                est_unit_cost=est,
-                eval_unit_cost=eval_est,
             )
         )
     merge = MergeOp(n, binding.stream_rows())
@@ -995,19 +903,14 @@ def _cover_plan(
     binding: RouterBinding,
     queries: QueryBatch,
     windows: np.ndarray,
-    planner: PipelinePlanner,
     radius_m: float,
-    allow_plan: bool,
-    seed_cover: Optional[Callable[[int, int, int, object], None]],
-    want_estimates: bool = False,
     prune: bool = True,
 ) -> ExecutionPlan:
     """Owner-shard cover ops plus the exact fallback sub-plan.
 
     Queries whose owning shard has no tuples in the responsible window
-    (or, with ``allow_plan``, whose owner's planner prefers a raw-data
-    method) are collected into one :class:`FallbackOp` answered by the
-    exact scatter-gather path instead.  Cover ops themselves are never
+    are collected into one :class:`FallbackOp` answered by the exact
+    scatter-gather path instead.  Cover ops themselves are never
     pruned — a model answers regardless of distance to its training
     rows — but ``prune`` flows into the exact fallback sub-plan.
     """
@@ -1028,22 +931,6 @@ def _cover_plan(
         if not len(sub):
             fallback.append(positions)
             continue
-        if allow_plan:
-            seeder = None
-            if seed_cover is not None:
-                def seeder(proc, s=s, c=c, stamp=stamp):
-                    seed_cover(s, c, stamp, proc)
-            if (
-                planner.method_for(s, c, stamp, sub, exact=False, seed_cover=seeder)
-                != "model-cover"
-            ):
-                fallback.append(positions)
-                continue
-        est = eval_est = None
-        if want_estimates:
-            est, eval_est = _estimate(
-                planner, sub, "model-cover", exact=False, shard=s, c=c, stamp=stamp
-            )
         ops.append(
             CoverOp(
                 PlanContext(c, s, stamp, len(sub)),
@@ -1051,25 +938,17 @@ def _cover_plan(
                 QueryBatch._of_columns(
                     sorted_queries.t[lo:hi], sorted_queries.x[lo:hi], sorted_queries.y[lo:hi]
                 ),
-                est,
-                eval_est,
             )
         )
     if fallback:
         positions = np.concatenate(fallback)
-        # From the auto path, keep the fallback on the per-shard planner
-        # (exact mode) — identical answers, planned scans.
-        exact_method = "auto" if allow_plan else "naive"
         sub_plan = _exact_plan(
             binding,
             queries.take(positions),
             windows[positions],
-            exact_method,
-            planner,
+            "naive",
             radius_m,
-            want_estimates,
             prune=prune,
         )
         ops.append(FallbackOp(positions, sub_plan))
-    method = "auto" if allow_plan else "model-cover"
-    return ExecutionPlan(binding, queries, tuple(ops), None, method)
+    return ExecutionPlan(binding, queries, tuple(ops), None, "model-cover")

@@ -6,7 +6,7 @@ each bound to one :class:`PlanContext` — a pinned ``(snapshot, window,
 shard)`` triple resolved through a
 :class:`~repro.query.pipeline.binding.SnapshotBinding` — plus the merge
 discipline that reassembles their outputs in stream order.  Separating
-the *choice* of how to answer (the planner, which writes the ops) from
+the *choice* of how to answer (the builders, which write the ops) from
 the *execution* (one shared :class:`~repro.query.pipeline.executor.PlanExecutor`)
 is the optimisation/execution split the HTAP literature argues for, and
 it is what lets four previously copy-pasted paths share one pipeline.
@@ -23,8 +23,7 @@ Operators:
   of every hit-emitting scan's hits (stream order + one segmented
   reduction per block; see :mod:`repro.query.pipeline.gather`).
 * :class:`FallbackOp` — a nested exact sub-plan answering the queries a
-  cover could not (empty owning slice, or the planner preferred raw
-  data).
+  cover could not (their owning slice is empty).
 
 A plan is either **scatter-shaped** (cover ops + fallbacks;
 outputs scattered back by query position — each query answered by
@@ -35,7 +34,6 @@ Builders in :mod:`repro.query.pipeline.executor` enforce the shape.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
@@ -57,7 +55,7 @@ class PlanContext:
     plan's binding, whose memo guarantees the very same pinned data
     (build and execution can never see different rows, even under
     concurrent ingest).  ``n_rows`` is the slice length at build time —
-    the statistic cost estimates are quoted against.
+    the rows-per-query load an executed op reports.
     """
 
     window_c: int
@@ -77,11 +75,6 @@ class ScanOp:
     method: str  # "naive" or an index kind
     positions: np.ndarray  # stream positions of the queries this op scans
     queries: QueryBatch
-    est_unit_cost: Optional[float] = None  # planner estimate, scan units/query
-    #: Evaluation-only share of the estimate (prep/amortise stripped) —
-    #: the unit load the executor's *timed region* actually performs,
-    #: and therefore the normaliser for planner feedback.
-    eval_unit_cost: Optional[float] = None
 
     kind = "scan"
     emit = "hits"
@@ -94,8 +87,6 @@ class CoverOp:
     context: PlanContext
     positions: np.ndarray
     queries: QueryBatch
-    est_unit_cost: Optional[float] = None
-    eval_unit_cost: Optional[float] = None
 
     kind = "cover"
     method = "model-cover"
@@ -270,8 +261,7 @@ def format_plan(plan: ExecutionPlan, report: Optional[PlanReport] = None) -> str
     """Human-readable plan listing for ``cli explain`` and debugging.
 
     One line per op: nesting, kind, method, bound context, query count,
-    slice rows, estimated cost (scan units per query, when the planner
-    supplied one) and observed wall time (when a report is given) —
+    slice rows and observed wall time (when a report is given) —
     for a hit-emitting scan that is its scan seconds summed over the
     gather's blocks, and a ``gather`` line adds what the blocks spent
     sorting and reducing (nested fallback sub-plans included).
@@ -282,7 +272,7 @@ def format_plan(plan: ExecutionPlan, report: Optional[PlanReport] = None) -> str
         + ("merge" if plan.merge is not None else "scatter")
         + f" pruned={plan.ops_pruned}"
     ]
-    header = f"  {'op':<22} {'context':<14} {'queries':>7} {'rows':>7} {'est u/q':>9}"
+    header = f"  {'op':<22} {'context':<14} {'queries':>7} {'rows':>7}"
     if report is not None:
         header += f" {'observed':>11}"
     lines.append(header)
@@ -290,15 +280,14 @@ def format_plan(plan: ExecutionPlan, report: Optional[PlanReport] = None) -> str
         pad = "  " * depth
         if isinstance(op, FallbackOp):
             label = f"{pad}fallback"
-            ctx, n_q, rows, est = "-", len(op.positions), "-", None
+            ctx, n_q, rows = "-", len(op.positions), "-"
         else:
             label = f"{pad}{op.kind}[{op.method}]"
             if isinstance(op, ScanOp):
                 label += "+hits"
             ctx = op.context.describe()
-            n_q, rows, est = len(op.queries), op.context.n_rows, op.est_unit_cost
-        est_text = f"{est:9.1f}" if est is not None and math.isfinite(est) else f"{'-':>9}"
-        line = f"  {label:<22} {ctx:<14} {n_q:>7} {rows!s:>7} {est_text}"
+            n_q, rows = len(op.queries), op.context.n_rows
+        line = f"  {label:<22} {ctx:<14} {n_q:>7} {rows!s:>7}"
         if report is not None:
             seen = report.observed(op)
             line += f" {seen * 1e3:9.2f}ms" if seen is not None else f" {'-':>11}"
@@ -306,7 +295,7 @@ def format_plan(plan: ExecutionPlan, report: Optional[PlanReport] = None) -> str
     if plan.merge is not None:
         line = (
             f"  {'merge[exact]':<22} {'-':<14} {plan.merge.n_queries:>7} "
-            f"{plan.merge.n_stream_rows:>7} {'-':>9}"
+            f"{plan.merge.n_stream_rows:>7}"
         )
         if report is not None:
             line += f" {'-':>11}"
@@ -319,7 +308,7 @@ def format_plan(plan: ExecutionPlan, report: Optional[PlanReport] = None) -> str
         label = f"{pad}pruned[{rec.reason}]"
         line = (
             f"  {label:<22} {rec.context.describe():<14} {rec.n_queries:>7} "
-            f"{'~' + str(rec.context.n_rows):>7} {'-':>9}"
+            f"{'~' + str(rec.context.n_rows):>7}"
         )
         if report is not None:
             line += f" {'-':>11}"

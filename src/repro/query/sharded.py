@@ -17,10 +17,7 @@ shard count) or a **scatter-shaped** cover plan
 shared :class:`~repro.query.pipeline.executor.PlanExecutor` runs it.
 Index and cover processors live in the one epoch-keyed
 :class:`~repro.query.pipeline.cache.ProcessorCache` (stamped with shard
-window *content epochs*, so ingest invalidates exactly what it touched),
-and ``method="auto"`` consults the single statistics-backed
-:class:`~repro.query.pipeline.planner.PipelinePlanner` per ``(shard,
-window)``, which recalibrates from the executor's observed op timings.
+window *content epochs*, so ingest invalidates exactly what it touched).
 
 The exact-merge semantics (hits in stream order — by construction
 where a window's slices can be merged, by one stable sort per block
@@ -40,7 +37,7 @@ import numpy as np
 
 from repro.core.adkmn import AdKMNConfig, fit_adkmn
 from repro.core.cover import ModelCover
-from repro.data.tuples import QueryTuple, TupleBatch
+from repro.data.tuples import QueryTuple
 from repro.geo.coords import BoundingBox
 from repro.query.base import BatchResult, QueryBatch, QueryResult
 from repro.query.executor import BatchExecutor
@@ -58,11 +55,9 @@ from repro.query.pipeline.gather import (
 )
 from repro.query.pipeline.executor import PlanExecutor, PlanRuntime, build_sharded_plan
 from repro.query.pipeline.plan import ExecutionPlan, FallbackOp, PlanReport, PruneStats
-from repro.query.pipeline.planner import PipelinePlanner, PlannerFeedback
-from repro.query.planner import QueryProfile
 from repro.storage.shards import ShardRouter, StaleLayoutError
 
-SHARDED_METHODS = ("naive",) + available_index_kinds() + ("model-cover", "auto")
+SHARDED_METHODS = ("naive",) + available_index_kinds() + ("model-cover",)
 
 #: The most rows :meth:`ShardedQueryEngine.cached_route` answers.  The
 #: lane runs on the async front end's event loop, where every other
@@ -145,8 +140,8 @@ def shard_runtime(
 
     def prepare_hits(op, bound):
         # Materialise the index before the block loop and outside the
-        # executor's timers, so the planner's feedback only ever
-        # observes scan cost.  The processor is returned — not
+        # executor's timers, so the load tracker and ``explain`` only
+        # ever observe scan cost.  The processor is returned — not
         # re-fetched in hits() — so LRU pressure cannot
         # evict-and-rebuild it inside a timer.
         if op.method == "naive":
@@ -171,11 +166,8 @@ def shard_runtime(
 class ShardedQueryEngine:
     """Scatter-gather query engine over a region-sharded tuple store.
 
-    ``profile`` parameterises the per-shard planner used by
-    ``method="auto"`` (its ``needs_exact_average`` decides whether auto
-    may serve model answers); ``max_workers`` caps the thread pool that
-    cover plans (``model-cover``, model-tolerant ``auto``) fan their
-    per-shard ops out on.  Exact plans run their blocked gather in the
+    ``max_workers`` caps the thread pool that ``model-cover`` plans fan
+    their per-shard ops out on.  Exact plans run their blocked gather in the
     calling thread whatever the pool's size — for cores on one exact
     request, run it through
     :class:`~repro.query.pipeline.parallel.ProcessShardedEngine`.
@@ -188,7 +180,6 @@ class ShardedQueryEngine:
         router: ShardRouter,
         radius_m: float = 1000.0,
         config: Optional[AdKMNConfig] = None,
-        profile: Optional[QueryProfile] = None,
         cache_capacity: int = DEFAULT_CACHE_CAPACITY,
         max_workers: Optional[int] = None,
         prune: bool = True,
@@ -203,10 +194,9 @@ class ShardedQueryEngine:
         self.prune = prune
         self._prune_stats = PruneStats()
         self.config = config or AdKMNConfig()
-        self.profile = profile or QueryProfile(radius_m=radius_m)
         self._executor = BatchExecutor(max_workers=max_workers)
-        # The one epoch-keyed bounded LRU for index processors, cover
-        # processors and planner verdicts, keyed per (shard, window, ...)
+        # The one epoch-keyed bounded LRU for index and cover
+        # processors, keyed per (shard, window, ...)
         # and stamped with the shard slice's *content epoch*
         # (:meth:`ShardRouter.shard_window_epoch`): ingest that lands
         # tuples in a shard's slice of an open global window advances the
@@ -218,20 +208,11 @@ class ShardedQueryEngine:
         # conservatively old, never serve a stale processor under a
         # fresh stamp.
         self._cache = ProcessorCache(cache_capacity)
-        # The planner keeps its verdicts in its own epoch-keyed store:
-        # one verdict per (shard, window, exactness) would otherwise
-        # compete with the covers/indexes themselves for LRU slots and
-        # thrash the expensive entries out on wide cover plans.
-        self._planner = PipelinePlanner(
-            self.profile,
-            config=self.config,
-            radius_m=radius_m,
-            feedback=PlannerFeedback(),
-        )
         # Window rows for the lanes (``window_rows``) live in their own
-        # epoch-keyed store for the same reason: one entry per state of
-        # an open window that sent a query to the exact fallback, cheap
-        # to rebuild, would otherwise push fitted covers out.
+        # epoch-keyed store: one entry per state of an open window that
+        # sent a query to the exact fallback, cheap to rebuild, would
+        # otherwise compete with the covers/indexes for LRU slots and
+        # push fitted covers out.
         self._rows = ProcessorCache(cache_capacity)
         # The cached lanes' counts, read through lane_hits and
         # lane_declines: plain dicts bumped under one lock (a Counter's
@@ -268,11 +249,6 @@ class ShardedQueryEngine:
         return self._rows
 
     @property
-    def planner(self) -> PipelinePlanner:
-        """The statistics-backed planner behind ``method="auto"``."""
-        return self._planner
-
-    @property
     def lane_hits(self) -> Counter:
         """Answers the cached lanes gave, by lane (``"point"`` /
         ``"route"``)."""
@@ -301,33 +277,6 @@ class ShardedQueryEngine:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- shared caches -----------------------------------------------------
-
-    def _seed_cover(self, s: int, c: int, stamp: int, proc) -> None:
-        """Planner hook: pricing a model-cover plan already paid for the
-        fit, so seed the cover cache and never run the same Ad-KMN fit on
-        the same slice a second time."""
-        self._cache.insert(("cover", s, c), stamp, proc)
-
-    def _planned_method(
-        self, s: int, c: int, exact: bool, stamp: int, sub: TupleBatch
-    ) -> str:
-        """The planner's per-shard method choice for window ``c``.
-
-        ``exact=True`` restricts the plan to raw-data methods (scatter
-        scans must merge exactly); planning happens once per (shard,
-        window content epoch, exactness) and is cached alongside the
-        processors.
-        """
-        return self._planner.method_for(
-            s,
-            c,
-            stamp,
-            sub,
-            exact,
-            seed_cover=lambda proc: self._seed_cover(s, c, stamp, proc),
-        )
-
     # -- plan pipeline -----------------------------------------------------
 
     def binding(self) -> RouterBinding:
@@ -338,7 +287,6 @@ class ShardedQueryEngine:
         self,
         queries: Sequence[QueryTuple] | QueryBatch,
         method: str = "naive",
-        want_estimates: bool = False,
         prune: Optional[bool] = None,
         binding: Optional[RouterBinding] = None,
     ) -> ExecutionPlan:
@@ -372,10 +320,7 @@ class ShardedQueryEngine:
                     binding if binding is not None else self.binding(),
                     batch,
                     method,
-                    self._planner,
                     self.radius_m,
-                    seed_cover=self._seed_cover,
-                    want_estimates=want_estimates,
                     prune=self.prune if prune is None else prune,
                 )
                 break
@@ -391,7 +336,6 @@ class ShardedQueryEngine:
         return PlanExecutor(
             shard_runtime(plan.binding, self._cache, self.radius_m, self.config),
             pool=self._executor,
-            planner=self._planner,
             load=self.router.load.record_scan,
         )
 
@@ -512,7 +456,7 @@ class ShardedQueryEngine:
         the tile and the by-construction reduce of the exact gather, so
         the bytes are the fallback sub-plan's.  Each shard with rows is
         reported to the load tracker as scanned by every query, its
-        share of the seconds by rows, as an unpriced naive scan is."""
+        share of the seconds by rows, as a naive scan op is."""
         router = self.router
         n = len(qx)
         t0 = time.perf_counter()
@@ -575,8 +519,8 @@ class ShardedQueryEngine:
             return self._lane_decline("point", "recut")
         t0 = time.perf_counter()
         result = proc.process(QueryTuple(t, x, y))
-        # PlanExecutor._observe's report for an unpriced cover op: the
-        # rebalancer keeps seeing read skew.
+        # PlanExecutor._observe's report for a cover op, rows per
+        # query: the rebalancer keeps seeing read skew.
         units = float(max(router.shard_window_sketch(s, c).n_rows, 1))
         router.load.record_scan(s, 1, units, time.perf_counter() - t0)
         with self._lane_lock:
@@ -617,7 +561,7 @@ class ShardedQueryEngine:
         path's lookups count them (a decline touches no cache counter).
         Each cover evaluates its rows with :meth:`ModelCover.predict_batch`,
         the kernel the plan path's cover ops run, and is reported to the
-        shard-load tracker as one unpriced cover op; an empty owner's
+        shard-load tracker as one cover op; an empty owner's
         rows are the exact fallback's tile and reduce over the window's
         rows (:meth:`_scan_rows`).  Declined, counted in
         :attr:`lane_declines`, with nothing fitted, faulted in or waited
@@ -689,7 +633,7 @@ class ShardedQueryEngine:
             t0 = clock()
             values[lo:hi] = proc.cover.predict_batch(t[lo:hi], x[lo:hi], y[lo:hi])
             elapsed = clock() - t0
-            # PlanExecutor._observe's report for an unpriced cover op.
+            # PlanExecutor._observe's report for a cover op.
             units = float(max(router.shard_window_sketch(s, c).n_rows, 1))
             router.load.record_scan(s, hi - lo, units * (hi - lo), elapsed)
         if len(runs) > 1:

@@ -28,9 +28,8 @@ Maintenance is epoch-driven, in three pruning layers:
    provably cannot reach the delta's bounding box kept its answer
    bit-for-bit (the exact gather is purely spatial within the
    responsible window, and existing rows never change), so it is
-   skipped without execution.  Model-cover / auto answers depend on the
-   whole window's fit, so any content change re-executes the window's
-   tuples.
+   skipped without execution.  Model-cover answers depend on the whole
+   window's fit, so any content change re-executes the window's tuples.
 
 Dirty slices re-execute through the existing plan pipeline against one
 pinned snapshot binding, so a maintenance subset's answers are
@@ -370,10 +369,10 @@ class _Backend:
     @staticmethod
     def is_exact(method: str) -> bool:
         """Exact methods answer from raw window rows, so spatial delta
-        pruning is sound; model-cover/auto answers depend on the whole
-        window's fit (auto's verdict is deterministic per content stamp,
-        so window-level skipping still is)."""
-        return method not in ("model-cover", "auto")
+        pruning is sound; model-cover answers depend on the whole
+        window's fit (deterministic per content stamp, so window-level
+        skipping still is)."""
+        return method != "model-cover"
 
 
 def registry_for(target) -> "SubscriptionRegistry":

@@ -1,11 +1,10 @@
 """Per-shard load statistics for adaptive shard management.
 
-:class:`ShardLoadTracker` generalises the planner-feedback EWMA
-machinery (:class:`~repro.query.pipeline.planner.PlannerFeedback`) from
-per-method calibration to per-shard load accounting: every ingest
-records the rows it delivered to a shard, every executed scan op records
-the queries it answered, the scan units it evaluated and the wall time
-the executor's timed region observed.  Cumulative counters feed
+:class:`ShardLoadTracker` keeps per-shard load accounting: every
+ingest records the rows it delivered to a shard, every executed scan op
+records the queries it answered, the scan units it evaluated (rows per
+query, the naive scan's exact unit count) and the wall time the
+executor's timed region observed.  Cumulative counters feed
 observability (the CLI shards table, the benchmark histograms); the
 exponentially-weighted recent-load estimate feeds the
 :class:`~repro.storage.rebalance.ShardRebalancer`'s split/merge
@@ -44,8 +43,7 @@ class ShardLoadStat:
 class ShardLoadTracker:
     """EWMA-decayed per-shard load accounting.
 
-    ``alpha`` is the EWMA weight of a new observation (the same
-    smoothing discipline as planner feedback): ``load`` converges toward
+    ``alpha`` is the EWMA weight of a new observation: ``load`` converges toward
     the recent per-observation work and forgets cold history, which is
     what lets a merged-back suburb shard's load fall below the merge
     threshold after the downtown burst moves on.
@@ -111,7 +109,7 @@ class ShardLoadTracker:
         self, s: int, n_queries: int, units: float, seconds: Optional[float]
     ) -> None:
         """One executed scan op against shard ``s``: ``units`` is the
-        evaluated scan-unit load (the planner's cost axis), ``seconds``
+        evaluated scan-unit load (rows per query), ``seconds``
         the executor's observed wall time (None on the process path,
         which does not time per-op)."""
         with self._lock:

@@ -13,13 +13,12 @@ oracle of the blocked gather).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Union
+from typing import List, Union
 
 import numpy as np
 
 from repro.query.base import QueryBatch
 from repro.query.pipeline.binding import RouterBinding
-from repro.query.pipeline.executor import _estimate
 from repro.query.pipeline.plan import (
     CoverOp,
     ExecutionPlan,
@@ -29,34 +28,21 @@ from repro.query.pipeline.plan import (
     PrunedOp,
     ScanOp,
 )
-from repro.query.pipeline.planner import PipelinePlanner
 
 
 def reference_sharded_plan(
     binding: RouterBinding,
     queries: QueryBatch,
     method: str,
-    planner: PipelinePlanner,
     radius_m: float,
-    seed_cover: Optional[Callable[[int, int, int, object], None]] = None,
-    want_estimates: bool = False,
     prune: bool = True,
 ) -> ExecutionPlan:
     """:func:`repro.query.pipeline.executor.build_sharded_plan`'s dispatch
     over the reference builders."""
     windows = binding.windows_for_times(queries.t)
-    if method == "model-cover" or (
-        method == "auto" and not planner.profile.needs_exact_average
-    ):
-        return _cover_plan(
-            binding, queries, windows, planner, radius_m,
-            allow_plan=method == "auto", seed_cover=seed_cover,
-            want_estimates=want_estimates, prune=prune,
-        )
-    return _exact_plan(
-        binding, queries, windows, method, planner, radius_m,
-        want_estimates, prune=prune,
-    )
+    if method == "model-cover":
+        return _cover_plan(binding, queries, windows, radius_m, prune=prune)
+    return _exact_plan(binding, queries, windows, method, radius_m, prune=prune)
 
 
 def _exact_plan(
@@ -64,9 +50,7 @@ def _exact_plan(
     queries: QueryBatch,
     windows: np.ndarray,
     method: str,
-    planner: PipelinePlanner,
     radius_m: float,
-    want_estimates: bool = False,
     prune: bool = True,
 ) -> ExecutionPlan:
     """Merge-shaped plan: per-(window, shard) hit scans + exact gather.
@@ -159,32 +143,8 @@ def _exact_plan(
                 continue
             if local is None:
                 local = np.arange(len(wq), dtype=np.intp)
-            chosen = method
-            est = eval_est = None
-            if chosen == "auto":
-                chosen = planner.method_for(s, int(c), stamp, sub, exact=True)
-                # Attach the verdict's own priced estimate (memoised by
-                # method_for; a cheap peek) so the executor can feed this
-                # op's observed timing back on the right unit axis.
-                priced = planner.cached_estimates(s, int(c), stamp, True)
-                if priced is not None and chosen in priced:
-                    est = priced[chosen].per_query_cost
-                    eval_est = planner.eval_units(priced[chosen])
-            if est is None and want_estimates:
-                est, eval_est = _estimate(
-                    planner, sub, chosen, exact=True, shard=s, c=int(c), stamp=stamp
-                )
             context = PlanContext(int(c), s, stamp, len(sub))
-            ops.append(
-                ScanOp(
-                    context,
-                    chosen,
-                    positions[local],
-                    wq.take(local),
-                    est_unit_cost=est,
-                    eval_unit_cost=eval_est,
-                )
-            )
+            ops.append(ScanOp(context, method, positions[local], wq.take(local)))
     merge = MergeOp(len(queries), binding.stream_rows())
     return ExecutionPlan(
         binding, queries, tuple(ops), merge, method, pruned=tuple(pruned)
@@ -195,19 +155,14 @@ def _cover_plan(
     binding: RouterBinding,
     queries: QueryBatch,
     windows: np.ndarray,
-    planner: PipelinePlanner,
     radius_m: float,
-    allow_plan: bool,
-    seed_cover: Optional[Callable[[int, int, int, object], None]],
-    want_estimates: bool = False,
     prune: bool = True,
 ) -> ExecutionPlan:
     """Owner-shard cover ops plus the exact fallback sub-plan.
 
     Queries whose owning shard has no tuples in the responsible window
-    (or, with ``allow_plan``, whose owner's planner prefers a raw-data
-    method) are collected into one :class:`FallbackOp` answered by the
-    exact scatter-gather path instead.  Cover ops themselves are never
+    are collected into one :class:`FallbackOp` answered by the exact
+    scatter-gather path instead.  Cover ops themselves are never
     pruned — a model answers regardless of distance to its training
     rows — but ``prune`` flows into the exact fallback sub-plan.
     """
@@ -223,46 +178,22 @@ def _cover_plan(
             if not len(sub):
                 fallback.append(positions)
                 continue
-            if allow_plan:
-                seeder = None
-                if seed_cover is not None:
-                    def seeder(proc, s=s, c=c, stamp=stamp):
-                        seed_cover(s, c, stamp, proc)
-                if (
-                    planner.method_for(s, c, stamp, sub, exact=False, seed_cover=seeder)
-                    != "model-cover"
-                ):
-                    fallback.append(positions)
-                    continue
-            est = eval_est = None
-            if want_estimates:
-                est, eval_est = _estimate(
-                    planner, sub, "model-cover", exact=False, shard=s, c=c, stamp=stamp
-                )
             ops.append(
                 CoverOp(
                     PlanContext(c, s, stamp, len(sub)),
                     positions,
                     queries.take(positions),
-                    est,
-                    eval_est,
                 )
             )
     if fallback:
         positions = np.concatenate(fallback)
-        # From the auto path, keep the fallback on the per-shard planner
-        # (exact mode) — identical answers, planned scans.
-        exact_method = "auto" if allow_plan else "naive"
         sub_plan = _exact_plan(
             binding,
             queries.take(positions),
             windows[positions],
-            exact_method,
-            planner,
+            "naive",
             radius_m,
-            want_estimates,
             prune=prune,
         )
         ops.append(FallbackOp(positions, sub_plan))
-    method = "auto" if allow_plan else "model-cover"
-    return ExecutionPlan(binding, queries, tuple(ops), None, method)
+    return ExecutionPlan(binding, queries, tuple(ops), None, "model-cover")

@@ -174,7 +174,7 @@ class TestCommands:
 class TestExplain:
     def test_explain_defaults(self):
         args = build_parser().parse_args(["explain"])
-        assert args.method == "auto"
+        assert args.method == "model-cover"
         assert args.shards == 1
         assert args.queries == 0
 
@@ -182,27 +182,42 @@ class TestExplain:
         rc = main(
             [
                 "explain", "--hour", "9.0",
-                "--width", "12", "--height", "8", "--method", "auto",
+                "--width", "12", "--height", "8", "--method", "model-cover",
             ]
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "plan: method=auto" in out
-        assert "est u/q" in out and "observed" in out
+        assert "plan: method=model-cover" in out
+        assert "observed" in out and "est u/q" not in out
         assert "cache {" in out
-        assert "planner feedback" in out
 
     def test_explain_sharded_continuous(self, capsys):
         rc = main(
             [
                 "explain", "--shards", "4", "--queries", "60",
-                "--method", "auto", "--warm",
+                "--method", "model-cover", "--warm",
             ]
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "plan: method=auto" in out
+        assert "plan: method=model-cover" in out
         assert "/s" in out  # per-shard contexts rendered
+
+    def test_explain_unknown_method_exits_2_with_usage(self, capsys, monkeypatch):
+        import repro.data.lausanne as lausanne
+
+        monkeypatch.setattr(
+            lausanne,
+            "generate_lausanne_dataset",
+            lambda *a, **k: pytest.fail("work started before validation"),
+        )
+        with pytest.raises(SystemExit) as exited:
+            main(["explain", "--method", "bogus"])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: ")
+        assert "argument --method: invalid choice: 'bogus'" in captured.err
+        assert "Traceback" not in captured.out + captured.err
 
     def test_explain_merge_plan_attributes_scan_and_gather_time(self, capsys):
         rc = main(["explain", "--shards", "4", "--method", "naive"])

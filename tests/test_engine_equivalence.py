@@ -11,7 +11,7 @@ One randomised workload, every execution path, one chain of asserts:
   answers byte for byte — also while ingest grows the store;
 * sharded at **1 shard == N shards, byte-identical** — the partition
   must be invisible down to the last bit, enforced with exact array
-  equality, for exact methods *and* for the planner-driven ``auto``;
+  equality, for every exact method;
 * the sharded engine's **model-cover fallback** (owning shard has no
   tuples in the window) == the exact scatter-gather answer, byte for
   byte;
@@ -44,7 +44,6 @@ from repro.query.executor import group_queries_by_window, scatter_results
 from repro.query.indexed import IndexedProcessor, available_index_kinds
 from repro.query.modelcover import ModelCoverProcessor
 from repro.query.naive import NaiveProcessor
-from repro.query.planner import QueryProfile
 from repro.query.sharded import ShardedQueryEngine
 from repro.storage.shards import ShardRouter
 
@@ -97,19 +96,13 @@ def sharded(
     stream: TupleBatch,
     n_shards: int,
     n_ingest_batches: int = 3,
-    exact_profile: bool = False,
 ):
     grid = RegionGrid.for_shard_count(DATA_BOUNDS, n_shards)
     router = ShardRouter(grid, h=H)
     step = max(1, len(stream) // n_ingest_batches)
     for start in range(0, len(stream), step):
         router.ingest(stream.slice(start, min(start + step, len(stream))))
-    profile = (
-        QueryProfile(needs_exact_average=True, radius_m=RADIUS_M)
-        if exact_profile
-        else None
-    )
-    return ShardedQueryEngine(router, radius_m=RADIUS_M, profile=profile)
+    return ShardedQueryEngine(router, radius_m=RADIUS_M)
 
 
 def assert_same_answers(a, b, exact: bool) -> None:
@@ -192,11 +185,10 @@ class TestProcessorChain:
         queries = make_queries(stream, specs)
         reference = None
         for n_shards in (1, 4):
-            # An exact-average profile keeps "auto" on the raw-data
-            # methods — the configuration whose answers must be
-            # partition- and method-independent down to the byte.
-            engine = sharded(stream, n_shards, exact_profile=True)
-            for method in ("naive", "kdtree", "vptree", "auto"):
+            # The raw-data methods' answers must be partition- and
+            # method-independent down to the byte.
+            engine = sharded(stream, n_shards)
+            for method in ("naive", "kdtree", "vptree"):
                 result = engine.continuous_query_batch(queries, method=method)
                 if reference is None:
                     reference = result

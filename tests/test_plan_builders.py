@@ -4,7 +4,7 @@
 vectorised pruning pass; ``tests/reference_plans.py`` keeps the
 per-(window, shard) Python loops it replaced.  For random batches the
 two must write the same plan — every op's context, method, positions
-and query bytes, cost fields, the pruned records *in the same order*,
+and query bytes, the pruned records *in the same order*,
 the ``format_plan`` text and the kept/pruned counts — and must ask the
 binding for the same things: per call kind the same ``(shard, window)``
 sequence, the same slices pinned in the same order within the sealed
@@ -20,11 +20,10 @@ an open window's slice is pinned at its first touch either way, so no
 answer, stamp or fault count can tell the two orders apart — the
 assertions below are exactly the ones that could.
 
-Both builders run over their own router, engine and planner, fed the
-same sequence of requests, so stateful parts (the LRU of a
-``memory_windows=1`` tier, the planner's verdict memo) stay in step —
-and a divergence in either shows up as a failed fault or verdict
-comparison on a later example.
+Both builders run over their own router, fed the same sequence of
+requests, so stateful parts (the LRU of a ``memory_windows=1`` tier)
+stay in step — and a divergence shows up as a failed fault comparison
+on a later example.
 """
 
 from __future__ import annotations
@@ -42,8 +41,7 @@ from repro.query.base import QueryBatch
 from repro.query.pipeline.binding import RouterBinding
 from repro.query.pipeline.executor import build_sharded_plan
 from repro.query.pipeline.plan import FallbackOp, format_plan
-from repro.query.planner import QueryProfile
-from repro.query.sharded import ShardedQueryEngine
+from repro.query.sharded import SHARDED_METHODS
 from repro.storage.shards import ShardRouter
 from repro.storage.tiered import TieredShardRouter
 
@@ -53,16 +51,9 @@ H = 60
 N_ROWS = 10 * H + 25  # ten sealed windows and an open one
 
 LAYOUTS = ("static", "split", "merged", "tiered")
-#: method, and whether the engine's profile demands exact averages
-#: (``auto`` compiles to the merge-shaped plan with it, to owner-shard
-#: covers + exact fallback without).
-METHODS = (
-    ("naive", False),
-    ("grid", False),
-    ("auto", True),
-    ("auto", False),
-    ("model-cover", False),
-)
+#: Two merge-shaped methods (a scan and an index) and the owner-shard
+#: covers + exact fallback.
+METHODS = ("naive", "grid", "model-cover")
 
 
 def make_stream() -> TupleBatch:
@@ -132,35 +123,19 @@ class RecordingBinding(RouterBinding):
 
 
 class Side:
-    """One builder with its own router, engines and planners."""
+    """One builder with its own router."""
 
     def __init__(self, builder, layout: str, data_dir) -> None:
         self.builder = builder
         self.router = make_router(layout, data_dir)
-        self.engines = {
-            exact: ShardedQueryEngine(
-                self.router,
-                radius_m=RADIUS,
-                profile=QueryProfile(radius_m=RADIUS, needs_exact_average=exact),
-                max_workers=1,
-            )
-            for exact in (False, True)
-        }
 
-    def build(self, queries, method, exact, prune, want_estimates):
-        engine = self.engines[exact]
+    def build(self, queries, method, prune):
         binding = RecordingBinding(self.router)
         faults = getattr(self.router, "faults", 0)
-        plan = self.builder(
-            binding, queries, method, engine.planner, RADIUS,
-            seed_cover=engine._seed_cover, want_estimates=want_estimates,
-            prune=prune,
-        )
+        plan = self.builder(binding, queries, method, RADIUS, prune=prune)
         return plan, binding, getattr(self.router, "faults", 0) - faults
 
     def close(self) -> None:
-        for engine in self.engines.values():
-            engine.close()
         if hasattr(self.router, "close"):
             self.router.close()
 
@@ -193,7 +168,6 @@ def describe(plan):
                 type(op).__name__, op.context, op.method, op.emit,
                 op.positions.dtype.str, op.positions.tobytes(),
                 op.queries.t.tobytes(), op.queries.x.tobytes(), op.queries.y.tobytes(),
-                repr(op.est_unit_cost), repr(op.eval_unit_cost),
             )
         )
     return (
@@ -202,9 +176,9 @@ def describe(plan):
     )
 
 
-def assert_same_plan(sides, queries, method, exact, prune, want_estimates):
+def assert_same_plan(sides, queries, method, prune):
     new, ref = sides
-    args = (queries, method, exact, prune, want_estimates)
+    args = (queries, method, prune)
     plan, binding, faults = new.build(*args)
     if not len(queries):
         # The reference cannot take an empty batch through every grid's
@@ -282,21 +256,20 @@ class TestBuildersMatchReference:
         queries=batches(),
         method=st.sampled_from(METHODS),
         prune=st.booleans(),
-        want_estimates=st.booleans(),
     )
-    def test_same_plan_same_calls(
-        self, sides, queries, method, prune, want_estimates
-    ):
-        assert_same_plan(sides, queries, method[0], method[1], prune, want_estimates)
+    def test_same_plan_same_calls(self, sides, queries, method, prune):
+        assert_same_plan(sides, queries, method, prune)
 
-    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("method", SHARDED_METHODS)
     def test_route_over_every_window(self, sides, method):
-        """The ``cold_route`` shape: 60 updates along a line, in time order."""
+        """The ``cold_route`` shape: 60 updates along a line, in time
+        order, under every method the engine serves (each index kind
+        compiles to its own merge-shaped plan)."""
         stream = make_stream()
         t = np.linspace(stream.t[0], stream.t[-1], 60)
         queries = QueryBatch(t, np.linspace(100.0, 2900.0, 60), np.linspace(1900.0, 100.0, 60))
         for prune in (True, False):
-            assert_same_plan(sides, queries, method[0], method[1], prune, False)
+            assert_same_plan(sides, queries, method, prune)
 
     def test_pruned_tiered_plan_faults_only_kept_slices(self, tmp_path):
         side = Side(build_sharded_plan, "tiered", tmp_path)
@@ -304,7 +277,7 @@ class TestBuildersMatchReference:
             far = QueryBatch(
                 make_stream().t[::50].copy(), np.full(13, 2900.0), np.full(13, 1900.0)
             )
-            plan, binding, faults = side.build(far, "naive", False, True, False)
+            plan, binding, faults = side.build(far, "naive", True)
             assert plan.ops_pruned
             sealed = side.router.global_count() // H
             kept_sealed = {

@@ -23,9 +23,8 @@ from repro.data.windows import window, windows_for_times
 from repro.query.indexed import IndexedProcessor
 from repro.query.modelcover import ModelCoverProcessor
 from repro.query.naive import NaiveProcessor
-from repro.query.sharded import SHARDED_METHODS
+from repro.query.sharded import SHARDED_METHODS as METHODS
 
-METHODS = tuple(m for m in SHARDED_METHODS if m != "auto")
 
 # Coordinates span well past the ~6 km x 4 km data region so naive/indexed
 # methods exercise both answered and unanswered queries.

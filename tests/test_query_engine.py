@@ -12,11 +12,10 @@ from repro.data.windows import window
 from repro.geo.coords import BoundingBox
 from repro.query.modelcover import ModelCoverProcessor
 from repro.query.naive import NaiveProcessor
-from repro.query.sharded import SHARDED_METHODS, ShardedQueryEngine
+from repro.query.sharded import SHARDED_METHODS as METHODS
+from repro.query.sharded import ShardedQueryEngine
 
 from one_shard import one_shard_engine
-
-METHODS = tuple(m for m in SHARDED_METHODS if m != "auto")
 
 
 @pytest.fixture(scope="module")

@@ -3,10 +3,7 @@
 Covers the one epoch-keyed :class:`ProcessorCache` (both build
 disciplines, stale accounting, aggregation), the plan IR and its
 builders (shapes, contexts, fallbacks, ``format_plan``), the
-statistics-backed planner's feedback loop (recalibration among exact
-methods only — the exact-vs-model boundary must stay deterministic), the
-uniform server counters, and the ``auto``-is-never-the-worst performance
-contract recalibrated against the benchmark scenarios.
+uniform server counters, and the binding's pin across ingest.
 """
 
 from __future__ import annotations
@@ -26,13 +23,11 @@ from repro.query.pipeline import (
     CacheStats,
     CoverOp,
     FallbackOp,
-    PlannerFeedback,
     PlanReport,
     ProcessorCache,
     ScanOp,
     format_plan,
 )
-from repro.query.planner import PlanEstimate, QueryProfile
 from repro.query.sharded import ShardedQueryEngine
 from repro.storage.shards import ShardRouter
 
@@ -299,86 +294,6 @@ class TestProcessorCacheLRU:
         assert cache.stats.hits + cache.stats.misses == 8 * 40
 
 
-class TestPlannerFeedback:
-    def test_empty_feedback_is_static_model(self):
-        fb = PlannerFeedback()
-        est = {
-            "naive": PlanEstimate("naive", 100.0, 0.0),
-            "vptree": PlanEstimate("vptree", 50.0, 10.0),
-        }
-        assert fb.adjust(est) == {"naive": 100.0, "vptree": 50.0}
-
-    def test_observed_costs_rerank_exact_methods(self):
-        fb = PlannerFeedback(alpha=1.0)
-        est = {
-            "naive": PlanEstimate("naive", 100.0, 0.0),
-            "vptree": PlanEstimate("vptree", 50.0, 10.0),
-        }
-        # The model prefers vptree, but per its own units it measures
-        # 200x slower than naive per naive's units.
-        fb.observe("vptree", n_queries=10, elapsed_s=1.0, units_per_query=50.0)
-        fb.observe("naive", n_queries=10, elapsed_s=0.01, units_per_query=100.0)
-        adjusted = fb.adjust(est)
-        assert adjusted["naive"] < adjusted["vptree"]
-
-    def test_unobserved_methods_use_median_observed_rate(self):
-        fb = PlannerFeedback(alpha=1.0)
-        est = {
-            "naive": PlanEstimate("naive", 100.0, 0.0),
-            "vptree": PlanEstimate("vptree", 50.0, 10.0),
-        }
-        fb.observe("naive", n_queries=10, elapsed_s=1.0, units_per_query=100.0)
-        adjusted = fb.adjust(est)
-        # Both scores are estimated units x observed sec-per-unit, so the
-        # slice's own unit estimate stays in the product (spu = 1e-3).
-        assert adjusted["naive"] == pytest.approx(100.0 * 1e-3)
-        assert adjusted["vptree"] == pytest.approx(50.0 * 1e-3)
-
-    def test_rates_normalised_by_each_methods_own_units(self):
-        """An index method's small unit estimate must not deflate its
-        observed rate: a method measured slower per query on the same
-        workload must score worse, whatever its unit scale."""
-        fb = PlannerFeedback(alpha=1.0)
-        est = {
-            "naive": PlanEstimate("naive", 1000.0, 0.0),   # full scan
-            "rtree": PlanEstimate("rtree", 20.0, 100.0),   # sparse hits
-        }
-        # Same workload: naive measured 0.5 ms/query, rtree 1 ms/query.
-        fb.observe("naive", n_queries=100, elapsed_s=0.05, units_per_query=1000.0)
-        fb.observe("rtree", n_queries=100, elapsed_s=0.10, units_per_query=20.0)
-        adjusted = fb.adjust(est)
-        # Scores reproduce the observed per-query ordering on this slice.
-        assert adjusted["naive"] == pytest.approx(5e-4)
-        assert adjusted["rtree"] == pytest.approx(1e-3)
-        assert adjusted["naive"] < adjusted["rtree"]
-
-    def test_feedback_never_moves_exact_vs_model_boundary(self):
-        """Observed timings recalibrate scan kinds (answers identical by
-        construction) but must never flip a window between exact and
-        model answers — that would make query *answers* timing-dependent."""
-        rng = np.random.default_rng(3)
-        stream = make_stream(rng, 300)
-        router = ShardRouter(RegionGrid.for_shard_count(BBOX, 4), h=64)
-        router.ingest(stream)
-        engine = ShardedQueryEngine(router, radius_m=900.0)
-        queries = QueryBatch(
-            np.linspace(float(stream.t[10]), float(stream.t[-1]), 40),
-            rng.uniform(0, 6000, 40),
-            rng.uniform(0, 4000, 40),
-        )
-        baseline = engine.continuous_query_batch(queries, method="auto")
-        # Poison the feedback with absurd observations for every method.
-        for method in ("naive", "vptree", "rtree", "model-cover"):
-            engine.planner.feedback.observe(method, 1, 1000.0)
-        engine.planner.feedback.observe("naive", 1, 1e-9)
-        # Fresh verdicts (fresh cache so plans are re-planned from scratch).
-        fresh = ShardedQueryEngine(router, radius_m=900.0)
-        fresh._planner.feedback = engine.planner.feedback
-        again = fresh.continuous_query_batch(queries, method="auto")
-        np.testing.assert_array_equal(baseline.values, again.values)
-        np.testing.assert_array_equal(baseline.support, again.support)
-
-
 class TestPlanShapes:
     def test_server_plan_is_one_cover_op_per_window(self):
         rng = np.random.default_rng(11)
@@ -450,11 +365,11 @@ class TestPlanShapes:
             np.full(6, 2000.0),
             np.full(6, 1500.0),
         )
-        plan = engine.plan(queries, "auto", want_estimates=True)
+        plan = engine.plan(queries, "model-cover")
         report = PlanReport()
         engine.execute(plan, report)
         text = format_plan(plan, report)
-        assert "plan: method=auto" in text
+        assert "plan: method=model-cover" in text
         assert text.count("\n") >= len(plan.ops) + 1
         assert "ms" in text  # observed timings rendered
         for _, op in plan.walk():
@@ -474,31 +389,7 @@ class TestPlanShapes:
         assert report.total_s > 0.0
         assert all(report.observed(op) is not None for op in plan.ops)
 
-
-class TestEngineAuto:
-    def test_one_shard_auto_matches_planned_fixed_method(self):
-        """Auto must answer exactly like the fixed method the planner
-        picked for each window."""
-        rng = np.random.default_rng(21)
-        stream = make_stream(rng, 240)
-        engine = one_shard_engine(
-            stream, h=60, radius_m=900.0,
-            profile=QueryProfile(needs_exact_average=True, radius_m=900.0),
-        )
-        queries = QueryBatch(
-            np.linspace(float(stream.t[0]), float(stream.t[-1]), 30),
-            rng.uniform(0, 6000, 30),
-            rng.uniform(0, 4000, 30),
-        )
-        plan = engine.plan(queries, "auto")
-        auto = engine.execute(plan)
-        # Re-answer each op's queries with its concrete planned method.
-        for op in plan.ops:
-            fixed = engine.continuous_query_batch(op.queries, method=op.method)
-            np.testing.assert_array_equal(auto.values[op.positions], fixed.values)
-            np.testing.assert_array_equal(auto.support[op.positions], fixed.support)
-
-    def test_auto_rejects_without_known_method(self):
+    def test_unknown_method_is_rejected(self):
         rng = np.random.default_rng(22)
         engine = one_shard_engine(make_stream(rng, 50), h=50)
         with pytest.raises(ValueError, match="unknown method"):
@@ -555,53 +446,6 @@ class TestServerCounters:
         assert server.engine.cache_stats.stale >= 1
 
 
-class TestAutoNeverSlower:
-    """Satellite contract: on the benchmark scenarios, ``auto``'s plan
-    must not be priced above the *worst* fixed method's plan.
-
-    The planner's whole job is to stay off the worst method.  Compared
-    on the planner's own estimates (scan units per query, summed over
-    the plan's ops), so the verdict is a pure function of the data.  The
-    wall-clock form of the same contract (best-of timing, 1.5x margin)
-    runs in ``benchmarks/bench_sharded.py``.
-    """
-
-    FIXED = ("naive", "vptree", "model-cover")
-
-    @staticmethod
-    def _planned_cost(plan) -> float:
-        ops = [op for _, op in plan.walk() if isinstance(op, (ScanOp, CoverOp))]
-        assert ops and all(op.est_unit_cost is not None for op in ops)
-        return sum(op.est_unit_cost * len(op.queries) for op in ops)
-
-    def _costs(self, plan_for):
-        return {m: self._planned_cost(plan_for(m)) for m in self.FIXED + ("auto",)}
-
-    def test_auto_heatmap_not_costlier_than_worst_fixed(self):
-        rng = np.random.default_rng(41)
-        stream = make_stream(rng, 3000)
-        engine = one_shard_engine(stream, h=240, radius_m=900.0, max_workers=1)
-        probes = QueryBatch.from_grid(
-            float(stream.t[-1]), BBOX.min_x, BBOX.min_y, BBOX.width, BBOX.height, 30, 20
-        )
-        costs = self._costs(lambda m: engine.plan(probes, m, want_estimates=True))
-        assert costs["auto"] <= max(costs[m] for m in self.FIXED), costs
-
-    def test_auto_sharded_continuous_not_costlier_than_worst_fixed(self):
-        rng = np.random.default_rng(42)
-        stream = make_stream(rng, 3000)
-        router = ShardRouter(RegionGrid.for_shard_count(BBOX, 4), h=240)
-        router.ingest(stream)
-        engine = ShardedQueryEngine(router, radius_m=900.0, max_workers=1)
-        queries = QueryBatch(
-            np.linspace(float(stream.t[0]), float(stream.t[-1]), 600),
-            rng.uniform(0, 6000, 600),
-            rng.uniform(0, 4000, 600),
-        )
-        costs = self._costs(lambda m: engine.plan(queries, m, want_estimates=True))
-        assert costs["auto"] <= max(costs[m] for m in self.FIXED), costs
-
-
 class TestIngestRaceSafety:
     """A binding pins what it resolved: a plan built before an ingest
     executes against the old rows under the old stamps, so the shared
@@ -643,83 +487,3 @@ class TestIngestRaceSafety:
         )
         assert after.support == oracle.support
         assert after.value == oracle.value
-
-
-class TestAutoFitRunsOnce:
-    def test_auto_model_cover_verdict_reuses_pricing_fit(self, monkeypatch):
-        """When the planner prices (and picks) model-cover, that fit must
-        be the only one: execution serves the seeded processor instead of
-        refitting the cover."""
-        import repro.query.planner as planner_mod
-        import repro.query.sharded as sharded_mod
-        from repro.core.adkmn import fit_adkmn as real_fit
-
-        calls = []
-
-        def counting_fit(*args, **kwargs):
-            calls.append(1)
-            return real_fit(*args, **kwargs)
-
-        monkeypatch.setattr(planner_mod, "fit_adkmn", counting_fit)
-        monkeypatch.setattr(sharded_mod, "fit_adkmn", counting_fit)
-        rng = np.random.default_rng(71)
-        # A smooth linear field fits with very few models, so the cost
-        # model reliably prefers model-cover over the scan methods.
-        n = 240
-        x = rng.uniform(0.0, 6000.0, n)
-        y = rng.uniform(0.0, 4000.0, n)
-        stream = TupleBatch(
-            np.cumsum(rng.uniform(1.0, 30.0, n)), x, y, 350.0 + x / 50.0 + y / 80.0
-        )
-        engine = one_shard_engine(
-            stream, h=240, radius_m=2500.0,
-            profile=QueryProfile(expected_queries=100_000, radius_m=2500.0),
-        )
-        queries = QueryBatch(
-            np.full(8, float(stream.t[-1])),
-            np.linspace(500.0, 5500.0, 8),
-            np.full(8, 2000.0),
-        )
-        plan = engine.plan(queries, "auto")
-        assert [op.method for op in plan.ops] == ["model-cover"]
-        result = engine.execute(plan)
-        assert result.n_answered == len(queries)
-        assert len(calls) == 1  # the pricing fit, and nothing else
-
-
-class TestOneShardAutoDeterminism:
-    def test_feedback_never_changes_one_shard_auto_bytes(self):
-        """On one shard too, auto answers are byte-identical however the
-        feedback is poisoned."""
-        rng = np.random.default_rng(81)
-        stream = make_stream(rng, 240)
-        queries = QueryBatch(
-            np.linspace(float(stream.t[0]), float(stream.t[-1]), 40),
-            rng.uniform(0, 6000, 40),
-            rng.uniform(0, 4000, 40),
-        )
-        profile = QueryProfile(needs_exact_average=True, radius_m=900.0)
-        baseline_engine = one_shard_engine(stream, h=60, radius_m=900.0, profile=profile)
-        baseline = baseline_engine.continuous_query_batch(queries, method="auto")
-        poisoned_engine = one_shard_engine(stream, h=60, radius_m=900.0, profile=profile)
-        for method in ("naive", "vptree", "rtree", "model-cover"):
-            poisoned_engine.planner.feedback.observe(method, 1, 1000.0)
-        poisoned_engine.planner.feedback.observe("vptree", 1, 1e-9)
-        poisoned = poisoned_engine.continuous_query_batch(queries, method="auto")
-        np.testing.assert_array_equal(baseline.values, poisoned.values)
-        np.testing.assert_array_equal(baseline.support, poisoned.support)
-
-
-class TestEvalUnits:
-    def test_eval_units_strips_amortised_preparation(self):
-        from repro.query.pipeline import PipelinePlanner
-
-        planner = PipelinePlanner(QueryProfile(expected_queries=100))
-        est = PlanEstimate("rtree", per_query_cost=936.0, preparation_cost=93_600.0)
-        # 936 total = 0 scan share? No: 936 - 93600/100 = 0 -> floored.
-        assert planner.eval_units(est) == pytest.approx(1e-9)
-        est2 = PlanEstimate("rtree", per_query_cost=1000.0, preparation_cost=50_000.0)
-        # 1000 - 500 = 500 evaluation units actually run inside the timer.
-        assert planner.eval_units(est2) == pytest.approx(500.0)
-        naive = PlanEstimate("naive", per_query_cost=240.0, preparation_cost=0.0)
-        assert planner.eval_units(naive) == pytest.approx(240.0)

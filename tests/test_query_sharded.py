@@ -18,7 +18,6 @@ from repro.data.tuples import QueryTuple, TupleBatch
 from repro.data.windows import window
 from repro.geo.coords import BoundingBox
 from repro.query.base import BatchResult, QueryBatch
-from repro.query.planner import QueryProfile
 import repro.query.sharded as sharded_module
 from repro.query.continuous import uniform_route_batch
 from repro.query.naive import NaiveProcessor
@@ -117,6 +116,67 @@ class TestContinuousQuery:
         assert result.results() == []
 
 
+def _degenerate_router(batch: TupleBatch) -> ShardRouter:
+    grid = RegionGrid.for_shard_count(BoundingBox(0.0, 0.0, 6000.0, 4000.0), 4)
+    router = ShardRouter(grid, h=240)
+    if len(batch):
+        router.ingest(batch)
+    return router
+
+
+#: One tuple, and twenty tuples at one position: windows whose spatial
+#: extent is a point, which every index and the cover fit must accept.
+DEGENERATE_WINDOWS = {
+    "single-tuple": TupleBatch(
+        np.array([10.0]), np.array([100.0]), np.array([200.0]), np.array([450.0])
+    ),
+    "one-position": TupleBatch(
+        np.arange(20, dtype=float),
+        np.full(20, 100.0),
+        np.full(20, 200.0),
+        np.linspace(400.0, 500.0, 20),
+    ),
+}
+
+
+class TestDegenerateWindows:
+    """Every served method answers over a window whose extent is a point
+    (the exact ones byte for byte as the naive scan does), and refuses a
+    router with no rows at all."""
+
+    QUERIES = QueryBatch(
+        np.array([5.0, 5.0, 5.0]),
+        np.array([100.0, 700.0, 5000.0]),  # on the rows, inside the radius, far
+        np.array([200.0, 200.0, 3500.0]),
+    )
+
+    @pytest.mark.parametrize("shape", sorted(DEGENERATE_WINDOWS))
+    @pytest.mark.parametrize("method", SHARDED_METHODS)
+    def test_every_method_answers(self, shape, method):
+        rows = DEGENERATE_WINDOWS[shape]
+        with ShardedQueryEngine(_degenerate_router(rows), radius_m=1000.0) as engine:
+            got = engine.continuous_query_batch(self.QUERIES, method=method)
+            ref = engine.continuous_query_batch(self.QUERIES, method="naive")
+        assert ref.answered.tolist() == [True, True, False]
+        assert ref.values[0] == pytest.approx(float(np.mean(rows.s)))
+        if method == "model-cover":
+            # The owner's cover answers where the rows are; the far
+            # query's owner slice is empty and its exact fallback finds
+            # nothing.
+            assert got.answered.tolist() == [True, True, False]
+            assert got.values[0] == pytest.approx(float(np.mean(rows.s)))
+        else:
+            assert got.answered.tobytes() == ref.answered.tobytes()
+            assert got.support.tobytes() == ref.support.tobytes()
+            assert got.values.tobytes() == ref.values.tobytes()
+
+    @pytest.mark.parametrize("method", SHARDED_METHODS)
+    def test_empty_router_is_refused(self, method):
+        with ShardedQueryEngine(_degenerate_router(TupleBatch.empty())) as engine:
+            with pytest.raises(RuntimeError, match="router has no data"):
+                engine.continuous_query_batch(self.QUERIES, method=method)
+
+
 class TestHeatmap:
     def test_shape_and_agreement_with_window_processor(
         self, engine, small_batch, t_mid
@@ -143,54 +203,6 @@ class TestHeatmap:
             assert grid[0, 0] == pytest.approx(center.value)
         else:
             assert np.isnan(grid[0, 0])
-
-
-class TestPlannerIntegration:
-    def test_auto_consults_planner_per_shard(self, router, t_mid):
-        engine = ShardedQueryEngine(
-            router,
-            radius_m=1000.0,
-            profile=QueryProfile(expected_queries=100_000, radius_m=1000.0),
-        )
-        engine.point_query(t_mid, 2500.0, 1800.0, method="auto")
-        c = router.window_for_time(t_mid)
-        owner = router.grid.shard_of(2500.0, 1800.0)
-        stamp = router.shard_window_epoch(owner, c)
-        sub = router.shard_window(owner, c)
-        planned = engine._planned_method(owner, c, exact=False, stamp=stamp, sub=sub)
-        assert planned in ("naive", "rtree", "vptree", "model-cover")
-        # A long workload over a populated shard amortises the fit.
-        if len(router.shard_window(owner, c)) >= 16:
-            assert planned == "model-cover"
-
-    def test_auto_exact_profile_stays_raw(self, router, t_mid):
-        engine = ShardedQueryEngine(
-            router,
-            radius_m=1000.0,
-            profile=QueryProfile(
-                expected_queries=100_000, needs_exact_average=True, radius_m=1000.0
-            ),
-        )
-        res = engine.point_query(t_mid, 2500.0, 1800.0, method="auto")
-        exact = engine.point_query(t_mid, 2500.0, 1800.0, method="naive")
-        assert res.value == exact.value
-        assert res.support == exact.support
-
-    def test_single_query_profile_plans_naive(self, router, t_mid):
-        engine = ShardedQueryEngine(
-            router,
-            radius_m=1000.0,
-            profile=QueryProfile(expected_queries=1, radius_m=1000.0),
-        )
-        c = router.window_for_time(t_mid)
-        owner = router.grid.shard_of(2500.0, 1800.0)
-        stamp = router.shard_window_epoch(owner, c)
-        sub = router.shard_window(owner, c)
-        if len(sub):
-            assert (
-                engine._planned_method(owner, c, exact=False, stamp=stamp, sub=sub)
-                == "naive"
-            )
 
 
 class TestMergeInternals:
@@ -234,14 +246,8 @@ class TestOpenWindowIngest:
         engine = ShardedQueryEngine(router, radius_m=1500.0)
         t = float(small_batch.t[220])
         q = (t, 2500.0, 1800.0)
-        for method in ("vptree", "model-cover", "auto"):
+        for method in ("vptree", "model-cover"):
             engine.point_query(*q, method=method)  # warm caches on 100 rows
-        exact_auto = ShardedQueryEngine(
-            router,
-            radius_m=1500.0,
-            profile=QueryProfile(needs_exact_average=True, radius_m=1500.0),
-        )
-        exact_auto.point_query(*q, method="auto")  # warm on 100 rows too
         router.ingest(small_batch.slice(100, 220))  # same window grows
         fresh = engine.point_query(*q, method="naive")
         assert fresh.support > 0
@@ -249,9 +255,6 @@ class TestOpenWindowIngest:
             res = engine.point_query(*q, method=method)
             assert res.support == fresh.support, method
             assert res.value == fresh.value, method
-        auto = exact_auto.point_query(*q, method="auto")
-        assert auto.support == fresh.support
-        assert auto.value == fresh.value
         mc = engine.point_query(*q, method="model-cover")
         # The owner's cover must now be fitted on the grown slice: its
         # prediction is a model answer (support 1) from a fresh fit, not
@@ -557,7 +560,7 @@ class TestCachedPoint:
         assert any(owners) and not all(owners)
         assert engine.lane_hits["point"] == 4
 
-    @pytest.mark.parametrize("method", ["naive", "grid", "auto"])
+    @pytest.mark.parametrize("method", [m for m in SHARDED_METHODS if m != "model-cover"])
     def test_other_methods_never_enter_the_lane(self, lane, small_batch, method):
         router, engine = lane
         t, x, y, _tail = _open_window_probe(router, small_batch)
@@ -1062,7 +1065,7 @@ class TestCachedRoute:
 
         cases = [
             ("method", lambda: engine.cached_route(batch, "naive")),
-            ("method", lambda: engine.cached_route(batch, "auto")),
+            ("method", lambda: engine.cached_route(batch, "vptree")),
             ("rows", lambda: engine.cached_route(long_batch, "model-cover")),
             ("empty", lambda: engine.cached_route(QueryBatch([], [], []), "model-cover")),
         ]
@@ -1313,7 +1316,7 @@ class TestCachedRoute:
     def test_an_empty_owner_run_reports_each_shard_it_scanned(self, small_batch):
         """The run's queries scanned every row of the window: each shard
         with rows there is charged the run's queries, at its rows per
-        query — the unpriced naive scan's units."""
+        query — the naive scan's units."""
         router = _lane_router(small_batch)
         with ShardedQueryEngine(router) as engine:
             batch = _covered_route(router, small_batch, min_groups=2)

@@ -185,11 +185,9 @@ class TestWhichPlansAreOneRaggedTile:
                 now[0] += 1.0
                 return now[0]
 
-            recorded, report = [], PlanReport()
+            report = PlanReport()
             with mock.patch.object(
                 pipeline_executor, "time", mock.Mock(perf_counter=tick)
-            ), mock.patch.object(
-                engine.planner, "record", lambda *call: recorded.append(call)
             ), ragged_tiles() as tiles:
                 engine.execute(plan, report)
             assert tiles == [len(route)]
@@ -201,10 +199,12 @@ class TestWhichPlansAreOneRaggedTile:
             observed = np.array([report.observed(op) for op in plan.ops])
             np.testing.assert_allclose(observed, cells / cells.sum())
             assert report.gather_s == pytest.approx(2.0)  # set-up and the reduce
-            for s, load in enumerate(engine.router.shard_load_stats()):
+            loads = engine.router.shard_load_stats()
+            for s, load in enumerate(loads):
                 assert load.scan_queries == sum(
                     len(op.queries) for op in plan.ops if op.context.shard == s
                 )
+            assert sum(load.scan_seconds for load in loads) == pytest.approx(1.0)
 
 
 def test_a_route_allocates_nothing_per_cell(small_batch):

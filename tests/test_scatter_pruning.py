@@ -274,9 +274,7 @@ class TestPrunedPlansAreByteIdentical:
         with ShardedQueryEngine(router, radius_m=RADIUS, max_workers=1) as engine:
             # One *shared* binding: both plans must pin the same rows.
             binding = engine.binding()
-            kwargs = dict(
-                method="naive", planner=engine.planner, radius_m=RADIUS
-            )
+            kwargs = dict(method="naive", radius_m=RADIUS)
             full = build_sharded_plan(binding, queries, prune=False, **kwargs)
             lean = build_sharded_plan(binding, queries, prune=True, **kwargs)
             assert lean.ops_kept <= full.ops_kept
@@ -325,9 +323,7 @@ class TestPrunedPlansAreByteIdentical:
                 small_batch.y[::37].copy(),
             )
             binding = engine.binding()
-            kwargs = dict(
-                method="model-cover", planner=engine.planner, radius_m=RADIUS
-            )
+            kwargs = dict(method="model-cover", radius_m=RADIUS)
             full = build_sharded_plan(binding, queries, prune=False, **kwargs)
             lean = build_sharded_plan(binding, queries, prune=True, **kwargs)
             assert fingerprint(engine.execute(lean)) == fingerprint(
@@ -366,9 +362,7 @@ class TestFreeRunningIngestIdentity:
                         rng.choice(np.array(_YS), 30),
                     )
                     binding = engine.binding()
-                    kwargs = dict(
-                        method="naive", planner=engine.planner, radius_m=RADIUS
-                    )
+                    kwargs = dict(method="naive", radius_m=RADIUS)
                     lean = build_sharded_plan(
                         binding, queries, prune=True, **kwargs
                     )

@@ -1,5 +1,7 @@
 """Tests for repro.storage.shm — shared-memory shard exports."""
 
+from multiprocessing import resource_tracker
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,17 @@ from repro.storage.shm import (
     attach_shard,
     export_shard,
 )
+
+#: Exports map shared memory: none may leak a descriptor or a thread.
+pytestmark = pytest.mark.usefixtures("leak_check")
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _resource_tracker():
+    """Start the shared-memory resource tracker before any test counts
+    descriptors: it is started once per process, on the first export,
+    and holds its pipe for the life of the process."""
+    resource_tracker.ensure_running()
 
 
 def _batch(n, offset=0.0):

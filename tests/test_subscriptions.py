@@ -28,6 +28,10 @@ from repro.storage.tiered import TieredShardRouter
 
 from one_shard import grow, one_shard_engine, protocol_service
 
+#: Subscriptions open engines, tiered routers and threads: none
+#: may leak a descriptor or a thread.
+pytestmark = pytest.mark.usefixtures("leak_check")
+
 H = 240
 KINDS = ("engine", "sharded-engine", "server")
 # The server only serves model-cover answers; engines get an exact method
