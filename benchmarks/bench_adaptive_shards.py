@@ -74,7 +74,6 @@ ORACLE_WINDOWS = 8  # the identity oracle exercises real window cuts
 RADIUS_M = 120.0
 N_BATCHES = 30  # latency sample size (p50 over per-batch times)
 BATCH_QUERIES = 150
-WORKERS = 4
 #: Adaptive p50 may read at most this multiple of static p50 (both modes).
 ACCEPT_ADAPTIVE_VS_STATIC = 1.0
 
@@ -142,9 +141,7 @@ def city_engine(
     )
     if stream is not None:
         router.ingest(stream)
-    return ShardedQueryEngine(
-        router, radius_m=RADIUS_M, max_workers=WORKERS
-    )
+    return ShardedQueryEngine(router, radius_m=RADIUS_M)
 
 
 def identical(a, b) -> bool:
@@ -336,7 +333,6 @@ def main(smoke: bool = False) -> int:
                 "radius_m": RADIUS_M,
                 "n_batches": n_batches,
                 "batch_queries": batch_queries,
-                "workers": WORKERS,
             },
             "rebalance_actions": [
                 {"kind": a.kind, "shard": a.shard, "cell": a.cell,

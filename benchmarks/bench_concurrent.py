@@ -108,13 +108,11 @@ def build_workload(
     return preload, batches, chunks
 
 
-def one_shard_engine(max_workers=None) -> ShardedQueryEngine:
+def one_shard_engine() -> ShardedQueryEngine:
     """The paper's deployment's engine: one shard, the protocol's cover
-    cache; ``max_workers`` sizes its pool."""
+    cache."""
     return ShardedQueryEngine(
-        single_shard_router(H),
-        cache_capacity=DEFAULT_COVER_CACHE_CAPACITY,
-        max_workers=max_workers,
+        single_shard_router(H), cache_capacity=DEFAULT_COVER_CACHE_CAPACITY
     )
 
 
@@ -274,7 +272,7 @@ def bench_concurrent_serving(benchmark, day_dataset, mode):
         return serial_interleaved(server, batches, chunks)
 
     def run_concurrent():
-        with one_shard_engine(N_READERS) as engine:
+        with one_shard_engine() as engine:
             server = EngineQueryService(engine, method="model-cover")
             server.ingest(preload)
             return concurrent_run(server, batches, chunks)
@@ -314,7 +312,7 @@ def main(smoke: bool = False) -> int:
         serial_server, batches, chunks, uplink_s, rtt_s
     )
 
-    with one_shard_engine(N_READERS) as engine:
+    with one_shard_engine() as engine:
         server = EngineQueryService(engine, method="model-cover")
         server.ingest(preload)
         concurrent_s, records = concurrent_run(

@@ -68,7 +68,7 @@ def partial_engine(dataset, frac: float = CUT_FRAC):
     grid = RegionGrid.for_shard_count(dataset.covered_bbox(), N_SHARDS)
     router = ShardRouter(grid, h=H)
     router.ingest(tuples.slice(0, int(frac * len(tuples))))
-    return ShardedQueryEngine(router, radius_m=RADIUS_M, max_workers=1)
+    return ShardedQueryEngine(router, radius_m=RADIUS_M)
 
 
 def register_early_subs(registry, tuples, n: int, label: str):

@@ -174,8 +174,8 @@ def bench_tiered_hot_window(benchmark, dataset, replicas: int = REPLICAS):
     try:
         stream, tiered, plain = build_routers(dataset, data_dir, replicas)
         with tiered:
-            engine = ShardedQueryEngine(tiered, radius_m=RADIUS_M, max_workers=1)
-            oracle = ShardedQueryEngine(plain, radius_m=RADIUS_M, max_workers=1)
+            engine = ShardedQueryEngine(tiered, radius_m=RADIUS_M)
+            oracle = ShardedQueryEngine(plain, radius_m=RADIUS_M)
             try:
                 rng = rng_for("bench_tiered_hot")
                 queries = hot_queries(stream, plain.grid.bounds, 50, rng)
@@ -213,8 +213,8 @@ def main(smoke: bool = False) -> int:
         cap_ok = stats["peak_resident"] <= CAP
 
         bounds = plain.grid.bounds
-        engine = ShardedQueryEngine(tiered, radius_m=RADIUS_M, max_workers=1)
-        oracle = ShardedQueryEngine(plain, radius_m=RADIUS_M, max_workers=1)
+        engine = ShardedQueryEngine(tiered, radius_m=RADIUS_M)
+        oracle = ShardedQueryEngine(plain, radius_m=RADIUS_M)
         try:
             rng = rng_for("bench_tiered")
             hot = hot_queries(stream, bounds, n_queries, rng)

@@ -95,8 +95,7 @@ def sharded_day_engine(
 
     ``h`` defaults to the stream length (one day-long window, so scan
     cost dominates); ``ingest_batch`` splits ingest into batches of that
-    size (None = one bulk ingest).  ``max_workers=1`` keeps timings
-    deterministic on loaded hosts.
+    size (None = one bulk ingest).
     """
     from repro.geo.region import RegionGrid
     from repro.query.sharded import ShardedQueryEngine
@@ -108,9 +107,7 @@ def sharded_day_engine(
     step = ingest_batch or len(tuples)
     for start in range(0, len(tuples), step):
         router.ingest(tuples.slice(start, min(start + step, len(tuples))))
-    return ShardedQueryEngine(
-        router, radius_m=radius_m, max_workers=1, prune=prune
-    )
+    return ShardedQueryEngine(router, radius_m=radius_m, prune=prune)
 
 
 def shard_histogram(router) -> dict:

@@ -109,7 +109,7 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
         RegionGrid.for_shard_count(ds.covered_bbox(), args.shards), h=500
     )
     router.ingest(ds.tuples)
-    with ShardedQueryEngine(router, max_workers=args.workers) as engine:
+    with ShardedQueryEngine(router) as engine:
         web = WebInterface(engine)
         if args.model_grid:
             heatmap = web.model_grid(t, bounds, nx=args.width, ny=args.height)
@@ -126,10 +126,11 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
 def _serve_network(args: argparse.Namespace) -> int:
     """Ingest the dataset and serve it over HTTP/WebSocket.
 
-    ``--processes N`` executes every plan on a pool of N worker
+    ``--processes N`` executes every exact plan on a pool of N worker
     processes over shared-memory shard exports (byte-identical answers,
-    in-process fallback on worker failure); without it the sharded
-    engine answers in-process.  ``--data-dir`` serves from the durable
+    in-process fallback on worker failure; ``model-cover`` is answered
+    in-process either way); without it the sharded engine answers
+    in-process.  ``--data-dir`` serves from the durable
     tier instead of RAM: on start the server *recovers* whatever the
     directory holds (sealed segments plus the WAL tail) and only ingests
     the generated dataset into an empty directory, so a restart after a
@@ -404,7 +405,7 @@ def _cmd_shards(args: argparse.Namespace) -> int:
         RegionGrid.for_shard_count(bounds, args.shards), h=args.h
     )
     router.ingest(ds.tuples)
-    engine = ShardedQueryEngine(router, max_workers=args.workers)
+    engine = ShardedQueryEngine(router)
     if args.queries:
         rng = np.random.default_rng(args.seed)
         # Query positions contracted toward the region centre by --focus
@@ -484,9 +485,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
     router = ShardRouter(RegionGrid.for_shard_count(bounds, args.shards), h=args.h)
     router.ingest(tuples)
-    engine = ShardedQueryEngine(
-        router, max_workers=args.workers, prune=not args.no_prune
-    )
+    engine = ShardedQueryEngine(router, prune=not args.no_prune)
 
     print(f"workload: {workload} ({args.shards} shard(s), h={args.h})")
     report = PlanReport()
@@ -570,13 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="evaluate the owning model per cell (batched path) instead of "
         "the centroid-splat demo rendering",
-    )
-    p.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        help="thread-pool size for cover plans' per-shard ops (default: "
-        "the CPUs this process may use)",
     )
     p.add_argument(
         "--shards",
@@ -715,14 +707,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="region-shard the store and explain the scatter-gather plan",
     )
     p.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        help="thread-pool size for cover plans' per-shard ops (default: the "
-        "CPUs this process may use); exact plans run their gather in the "
-        "calling thread",
-    )
-    p.add_argument(
         "--warm",
         action="store_true",
         help="run the plan once untimed first, so the printed timings show "
@@ -781,14 +765,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="let the adaptive rebalancer take up to this many actions "
         "(split / merge) before printing the table",
-    )
-    p.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        help="thread-pool size for cover plans' per-shard ops (default: the "
-        "CPUs this process may use); exact plans run their gather in the "
-        "calling thread",
     )
     p.set_defaults(func=_cmd_shards)
     return parser

@@ -11,6 +11,7 @@ client amortises it, while baseline traffic grows linearly per client.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -22,7 +23,6 @@ from repro.data.tuples import QueryTuple
 from repro.network.link import GPRS, BearerProfile, CellularLink
 from repro.network.stats import TrafficStats
 from repro.query.continuous import uniform_query_tuples, waypoint_trajectory
-from repro.query.executor import BatchExecutor
 from repro.server.async_server import EngineQueryService
 
 Point = Tuple[float, float]
@@ -175,13 +175,8 @@ class FleetSimulator:
         come back in member order.
         """
         self._check_members(members)
-        executor = BatchExecutor(max_workers=max_workers)
-        try:
-            reports = executor.map(
-                lambda member: self._run_member(member, t_start), members
-            )
-        finally:
-            executor.shutdown()
+        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+            reports = list(pool.map(lambda member: self._run_member(member, t_start), members))
         return FleetReport(
             members=reports,
             server_covers_served=self.service.served_covers,

@@ -15,8 +15,8 @@ and continuous modes use; see ``repro/query/README.md``.
 
 :class:`ShardedQueryEngine` is the one query engine: it ties processors
 to a region-sharded tuple store and its window choice (an unsharded
-store is a one-region router), :mod:`repro.query.executor` fans
-per-window query groups across a thread pool, and
+store is a one-region router), :mod:`repro.query.executor` splits a
+stream into per-window query groups (the oracles' reference), and
 :mod:`repro.query.continuous` turns a route into Query 1's uniform
 query-tuple stream, which the engine answers as one batch.
 """
@@ -30,7 +30,7 @@ from repro.query.base import (
     process_batch_scalar,
 )
 from repro.query.continuous import uniform_query_tuples
-from repro.query.executor import BatchExecutor, QueryGroup, group_queries_by_window
+from repro.query.executor import QueryGroup, group_queries_by_window
 from repro.query.indexed import IndexedProcessor
 from repro.query.modelcover import ModelCoverProcessor
 from repro.query.naive import NaiveProcessor
@@ -40,7 +40,6 @@ from repro.query.sharded import SHARDED_METHODS, ShardedQueryEngine
 __all__ = [
     "SHARDED_METHODS",
     "ShardedQueryEngine",
-    "BatchExecutor",
     "BatchResult",
     "PointQueryProcessor",
     "QueryBatch",

@@ -32,6 +32,8 @@ class ModelCoverProcessor:
         self._cx = cover.centroids[:, 0].tolist()
         self._cy = cover.centroids[:, 1].tolist()
         self._models = list(cover.models)
+        #: O, the cover's models: what one evaluation reads.
+        self.size = len(self._models)
 
     @property
     def cover(self) -> ModelCover:

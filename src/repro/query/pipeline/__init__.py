@@ -13,7 +13,8 @@ standing-subscription maintenance reads the same binding), caches
 materialised processors in the one epoch-keyed
 :class:`~repro.query.pipeline.cache.ProcessorCache`, and runs them
 through the shared :class:`~repro.query.pipeline.executor.PlanExecutor`,
-which reports observed op timings to the shard-load tracker.
+which reports observed op timings to the shard-load tracker.  A
+``model-cover`` plan is answered by the engine's lanes instead.
 """
 
 from repro.query.pipeline.binding import RouterBinding, SnapshotBinding
@@ -24,9 +25,7 @@ from repro.query.pipeline.executor import (
     build_sharded_plan,
 )
 from repro.query.pipeline.plan import (
-    CoverOp,
     ExecutionPlan,
-    FallbackOp,
     MergeOp,
     PlanContext,
     PlanReport,
@@ -36,9 +35,7 @@ from repro.query.pipeline.plan import (
 
 __all__ = [
     "CacheStats",
-    "CoverOp",
     "ExecutionPlan",
-    "FallbackOp",
     "MergeOp",
     "PlanContext",
     "PlanExecutor",

@@ -92,9 +92,9 @@ class RouterBinding:
       is a cover of exactly these rows, and
       :meth:`~repro.query.pipeline.cache.ProcessorCache.insert` never
       moves a key backwards past a fresher entry;
-    * the memo extends that to the whole plan: build and execution, the
-      pruning pass and the exact fallback of a cover plan all see the
-      same pinned slices.
+    * the memo extends that to the whole request: build and execution,
+      the pruning pass, and the route lane's covers and window rows all
+      see the same pinned slices.
 
     So every answer a plan gives is the answer over the stream's first
     ``rows`` tuples, the state the router held at ``epoch``.
@@ -177,19 +177,6 @@ class RouterBinding:
             sketch = WindowSketch.of(bound[1])
             self._sketches[key] = sketch
             return sketch
-
-    def in_memory(self, shard: int, c: int) -> bool:
-        """Whether :meth:`slice_for` resolves ``(shard, c)`` from memory
-        on every store: the slice is pinned already, its window was open
-        at the pin (open windows' rows are the router's in-memory tail,
-        which any plan over the window reads too), or the window was
-        sealed with no rows in the slice (its frozen sketch says so).  A
-        sealed slice a plan pruned is the one case that may live only
-        in a segment file."""
-        c = int(c)
-        if (shard, c) in self._memo or c >= self.rows // self.router.h:
-            return True
-        return self.sketch_for(shard, c).n_rows == 0
 
     def _resolve(self, shard: int, c: int) -> BoundSlice:
         """One locked read of the live slice, cut back to the pin

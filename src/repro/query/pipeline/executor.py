@@ -1,57 +1,47 @@
-"""One executor for every plan, plus the builders that write plans.
+"""One executor for every exact plan, plus the builder that writes plans.
 
-The :class:`PlanExecutor` runs an
+The :class:`PlanExecutor` runs a merge-shaped
 :class:`~repro.query.pipeline.plan.ExecutionPlan` against its pinned
-binding and is the only place operator dispatch lives:
+binding and is the only place operator dispatch lives: the blocked
+exact gather.  Each window's queries are walked in blocks of
+:data:`~repro.query.pipeline.gather.BLOCK_CELLS` cells or more and each
+block's hits are summed straight into the result in stream order — over
+the window's naive slices merged once per group of queries that scan
+the same ones, where the order is free
+(:func:`~repro.query.pipeline.gather.reduce_row_block`), else keyed and
+sorted (:func:`~repro.query.pipeline.gather.reduce_hit_block`) — exact,
+partition-independent, and never holding more than one block's hits.
+A plan of three windows or more that fits one block is one ragged tile
+instead, every window's queries over that window's rows.  The loop runs
+in the calling thread.
 
-* **scatter-shaped plans** — cover processors are materialised serially
-  first (through the owner's epoch-keyed cache, so miss costs stay
-  predictable), then each cover op answers its query group with
-  ``process_batch`` — serially below :data:`MIN_PARALLEL_QUERIES`
-  queries, fanned across the worker pool above it.  Fallback ops
-  recurse into their exact sub-plan.
-* **merge-shaped plans** — the blocked exact gather: each window's
-  queries are walked in blocks of
-  :data:`~repro.query.pipeline.gather.BLOCK_CELLS` cells or more and
-  each block's hits are summed straight into the result in stream order
-  — over the window's naive slices merged once per group of queries
-  that scan the same ones, where the order is free
-  (:func:`~repro.query.pipeline.gather.reduce_row_block`), else keyed
-  and sorted (:func:`~repro.query.pipeline.gather.reduce_hit_block`) —
-  exact, partition-independent, and never holding more than one block's
-  hits.  A plan of three windows or more that fits one block is one
-  ragged tile instead, every window's queries over that window's rows.
-  The loop runs in the calling thread; the worker pool serves
-  scatter-shaped plans only.
+A ``model-cover`` plan has no ops: the engine answers it through its
+lanes (:meth:`~repro.query.sharded.ShardedQueryEngine.cached_route`),
+not through this executor.
 
 Every operator's wall time is reported to the shard-load observer
 (when wired); pass a :class:`~repro.query.pipeline.plan.PlanReport` to
 also collect per-op timings for ``cli explain``.
 
-The owner supplies a :class:`PlanRuntime` — the callables that know
-how to materialise a processor or produce hit pairs for a bound
-context, and the radius at which rows merged across contexts are
-scanned.  That is all that is left of the four historical execution
-paths.
+The owner supplies a :class:`PlanRuntime` — the callables that produce
+hit pairs for a bound context, and the radius at which rows merged
+across contexts are scanned.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.query.base import BatchResult, PointQueryProcessor, QueryBatch, process_batch
-from repro.query.executor import BatchExecutor
+from repro.query.base import BatchResult, QueryBatch
 from repro.query.pipeline.binding import BoundSlice, RouterBinding, SnapshotBinding
 from repro.query.pipeline import gather as _gather
 from repro.query.pipeline.gather import HitPairs, reduce_hit_block, reduce_row_block
 from repro.query.pipeline.plan import (
-    CoverOp,
     ExecutionPlan,
-    FallbackOp,
     MergeOp,
     PlanContext,
     PlanReport,
@@ -63,21 +53,14 @@ from repro.storage.sketch import bbox_disk_overlaps
 __all__ = [
     "PlanRuntime",
     "PlanExecutor",
-    "assemble_scatter",
     "build_sharded_plan",
 ]
-
-#: Below this many queries across a scatter-shaped plan's cover ops,
-#: they run serially: pool submission costs more than it wins.
-MIN_PARALLEL_QUERIES = 512
 
 
 @dataclass
 class PlanRuntime:
     """How one engine materialises the executor's primitives.
 
-    ``processor`` maps a cover op and its bound slice to an immutable
-    processor (through the owner's :class:`ProcessorCache`);
     ``hits`` maps a hit-emitting scan, its bound slice, the prepared
     object and a local query range ``[lo, hi)`` to that range's
     :data:`~repro.query.pipeline.gather.HitPairs` (query indices local
@@ -87,13 +70,11 @@ class PlanRuntime:
     """
 
     binding: SnapshotBinding
-    processor: Optional[Callable[[CoverOp, BoundSlice], PointQueryProcessor]] = None
-    hits: Optional[Callable[[ScanOp, BoundSlice, object, int, int], HitPairs]] = None
+    hits: Callable[[ScanOp, BoundSlice, object, int, int], HitPairs]
     #: Optional warm-up for hit-emitting scans (e.g. materialise the
     #: index) — run once per op *before* the block loop and outside
     #: every timer, so one-time build costs never pollute the observed
-    #: per-op timings (the scatter path gets the same guarantee from
-    #: its serial pre-materialisation).  Whatever it returns is handed
+    #: per-op timings.  Whatever it returns is handed
     #: to every ``hits`` call of the op, so the prepared object cannot
     #: be evicted-and-rebuilt (inside the timer) between calls.
     prepare_hits: Optional[Callable[[ScanOp, BoundSlice], object]] = None
@@ -107,11 +88,6 @@ class PlanRuntime:
     def bound(self, op) -> BoundSlice:
         return self.binding.slice_for(op.context.shard, op.context.window_c)
 
-    def processor_for(self, op: CoverOp) -> PointQueryProcessor:
-        if self.processor is None:
-            raise RuntimeError("runtime has no processor materialiser")
-        return self.processor(op, self.bound(op))
-
 
 class PlanExecutor:
     """Runs plans; owns no state beyond its wiring."""
@@ -119,11 +95,9 @@ class PlanExecutor:
     def __init__(
         self,
         runtime: PlanRuntime,
-        pool: Optional[BatchExecutor] = None,
         load: Optional[Callable[[int, int, float, Optional[float]], None]] = None,
     ) -> None:
         self.runtime = runtime
-        self.pool = pool
         # Optional shard-load observer ``(shard, n_queries, units,
         # seconds)`` — the router's ShardLoadTracker when the owning
         # engine wires one, feeding the adaptive rebalancer.
@@ -133,7 +107,7 @@ class PlanExecutor:
         self, plan: ExecutionPlan, report: Optional[PlanReport] = None
     ) -> BatchResult:
         start = time.perf_counter()
-        result = self._run(plan, report)
+        result = self._run_merge(plan, report)
         if report is not None:
             report.total_s += time.perf_counter() - start
             report.ops_pruned += plan.ops_pruned
@@ -142,18 +116,11 @@ class PlanExecutor:
 
     # -- internals ----------------------------------------------------------
 
-    def _observe(
-        self, op: Union[ScanOp, CoverOp], elapsed: float, report: Optional[PlanReport]
-    ) -> None:
+    def _observe(self, op: ScanOp, elapsed: float, report: Optional[PlanReport]) -> None:
         if self.load is not None and op.context.shard is not None:
             record_scan_load(self.load, op, elapsed)
         if report is not None:
             report.record(op, elapsed)
-
-    def _run(self, plan: ExecutionPlan, report: Optional[PlanReport]) -> BatchResult:
-        if plan.merge is not None:
-            return self._run_merge(plan, report)
-        return self._run_scatter(plan, report)
 
     def _run_merge(self, plan: ExecutionPlan, report: Optional[PlanReport]) -> BatchResult:
         """The blocked exact gather (see :mod:`repro.query.pipeline.gather`).
@@ -173,20 +140,17 @@ class PlanExecutor:
         scan cost, while preparation (grouping, merging rows, keys),
         sort and reduce accrue to ``report.gather_s``.
 
-        The loop runs in the calling thread, whatever the pool's size.
-        Each of its numpy calls drops the GIL for a few microseconds, so
-        pool threads running block ranges hand it back and forth: with
-        more threads than free cores that doubled a many-small-ops
-        plan's time (``docs/architecture.md`` has the numbers), and no
-        host was available on which a gain could be shown.  Cores are
-        used across requests, or across worker processes by
-        ``ProcessPlanExecutor``.
+        The loop runs in the calling thread.  Each of its numpy calls
+        drops the GIL for a few microseconds, so threads running block
+        ranges hand it back and forth: with more threads than free cores
+        that doubled a many-small-ops plan's time
+        (``docs/architecture.md`` has the numbers), and no host was
+        available on which a gain could be shown.  Cores are used across
+        requests, or across worker processes by ``ProcessPlanExecutor``.
         """
         merge = plan.merge
         assert merge is not None
         runtime = self.runtime
-        if runtime.hits is None:
-            raise RuntimeError("runtime has no hit scanner")
         ops: Sequence[ScanOp] = plan.ops  # type: ignore[assignment]
         values = np.full(merge.n_queries, np.nan)
         support = np.zeros(merge.n_queries, dtype=np.int64)
@@ -235,72 +199,13 @@ class PlanExecutor:
             report.gather_s += gather_s
         return BatchResult(plan.queries, values, support, answered=support > 0)
 
-    def _run_scatter(self, plan: ExecutionPlan, report: Optional[PlanReport]) -> BatchResult:
-        result_ops = scatter_result_ops(plan)
 
-        # Serial materialisation: cache + builder are guarded, and pool
-        # threads must only ever touch immutable processors.
-        pairs: List[Tuple[CoverOp, PointQueryProcessor]] = [
-            (op, self.runtime.processor_for(op)) for op in result_ops
-        ]
-
-        def run_one(pair: Tuple[CoverOp, PointQueryProcessor]) -> BatchResult:
-            op, proc = pair
-            t0 = time.perf_counter()
-            res = process_batch(proc, op.queries)
-            self._observe(op, time.perf_counter() - t0, report)
-            return res
-
-        total = sum(len(op.queries) for op in result_ops)
-        if self.pool is None or total < MIN_PARALLEL_QUERIES:
-            results = [run_one(pair) for pair in pairs]
-        else:
-            results = self.pool.map(run_one, pairs)
-        return assemble_scatter(plan, results, lambda sub: self._run(sub, report))
-
-
-def record_scan_load(load, op: Union[ScanOp, CoverOp], seconds: Optional[float]) -> None:
-    """Report one executed op to a shard-load observer, in rows per
+def record_scan_load(load, op: ScanOp, seconds: Optional[float]) -> None:
+    """Report one executed scan op to a shard-load observer, in rows per
     query: the naive scan's exact unit count, and a sane upper bound
     for index scans."""
     per_query = float(max(op.context.n_rows, 1))
     load(op.context.shard, len(op.queries), per_query * len(op.queries), seconds)
-
-
-def scatter_result_ops(plan: ExecutionPlan) -> List[CoverOp]:
-    """A scatter-shaped plan's cover ops, in plan order."""
-    return [op for op in plan.ops if not isinstance(op, FallbackOp)]
-
-
-def assemble_scatter(
-    plan: ExecutionPlan,
-    results: Sequence[BatchResult],
-    run_fallback: Callable[[ExecutionPlan], BatchResult],
-) -> BatchResult:
-    """A scatter-shaped plan's answer from the ``results`` of its
-    :func:`scatter_result_ops`, wherever they were run; fallback
-    sub-plans are answered by ``run_fallback``."""
-    result_ops = scatter_result_ops(plan)
-    fallback_ops = [op for op in plan.ops if isinstance(op, FallbackOp)]
-    # Single op covering the whole stream: already in stream order.
-    if (
-        len(result_ops) == 1
-        and not fallback_ops
-        and len(result_ops[0].queries) == plan.n_queries
-    ):
-        return results[0]
-
-    n = plan.n_queries
-    values = np.full(n, np.nan)
-    support = np.zeros(n, dtype=np.int64)
-    answered = np.zeros(n, dtype=bool)
-    results = [*results, *(run_fallback(op.plan) for op in fallback_ops)]
-    for op, res in zip(result_ops + fallback_ops, results):
-        idx = op.positions
-        values[idx] = res.values
-        support[idx] = res.support
-        answered[idx] = res.answered
-    return BatchResult(plan.queries, values, support, answered)
 
 
 # -- the blocked gather's geometry -------------------------------------------
@@ -729,7 +634,8 @@ def build_sharded_plan(
     """Plan for the region-sharded scatter-gather engine.
 
     Exact methods compile to a merge-shaped plan; ``model-cover``
-    compiles to owner-shard cover ops with an exact fallback sub-plan.
+    compiles to a plan of no ops — the binding, the queries and the
+    method — that the engine's route lane answers.
 
     ``prune=True`` (the default) runs the plan-time scatter-pruning pass
     on the exact path — grid geometry plus per-(shard, window) zone-map
@@ -739,9 +645,9 @@ def build_sharded_plan(
     queries); both compile to byte-identical answers, which is the
     oracle the pruning benchmark and hypothesis suites enforce.
     """
-    windows = binding.windows_for_times(queries.t)
     if method == "model-cover":
-        return _cover_plan(binding, queries, windows, radius_m, prune=prune)
+        return ExecutionPlan(binding, queries, (), None, method)
+    windows = binding.windows_for_times(queries.t)
     return _exact_plan(binding, queries, windows, method, radius_m, prune=prune)
 
 
@@ -897,58 +803,3 @@ def _exact_plan(
     return ExecutionPlan(
         binding, queries, tuple(ops), merge, method, pruned=tuple(pruned)
     )
-
-
-def _cover_plan(
-    binding: RouterBinding,
-    queries: QueryBatch,
-    windows: np.ndarray,
-    radius_m: float,
-    prune: bool = True,
-) -> ExecutionPlan:
-    """Owner-shard cover ops plus the exact fallback sub-plan.
-
-    Queries whose owning shard has no tuples in the responsible window
-    are collected into one :class:`FallbackOp` answered by the exact
-    scatter-gather path instead.  Cover ops themselves are never
-    pruned — a model answers regardless of distance to its training
-    rows — but ``prune`` flows into the exact fallback sub-plan.
-    """
-    n_shards = binding.n_shards
-    ops: List[Union[CoverOp, FallbackOp]] = []
-    fallback: List[np.ndarray] = []
-    # One stable sort on the (window, owner) key: each pair's queries are
-    # a run, in stream order, and the runs come window-major.
-    pair = windows * n_shards + binding.grid.shards_of(queries.x, queries.y)
-    order = np.argsort(pair, kind="stable")
-    pair = pair[order]
-    sorted_queries = queries.take(order)
-    runs = _runs(pair)
-    for lo, hi in zip(runs, runs[1:]):
-        c, s = divmod(int(pair[lo]), n_shards)
-        positions = order[lo:hi]
-        stamp, sub, _gids = binding.slice_for(s, c)
-        if not len(sub):
-            fallback.append(positions)
-            continue
-        ops.append(
-            CoverOp(
-                PlanContext(c, s, stamp, len(sub)),
-                positions,
-                QueryBatch._of_columns(
-                    sorted_queries.t[lo:hi], sorted_queries.x[lo:hi], sorted_queries.y[lo:hi]
-                ),
-            )
-        )
-    if fallback:
-        positions = np.concatenate(fallback)
-        sub_plan = _exact_plan(
-            binding,
-            queries.take(positions),
-            windows[positions],
-            "naive",
-            radius_m,
-            prune=prune,
-        )
-        ops.append(FallbackOp(positions, sub_plan))
-    return ExecutionPlan(binding, queries, tuple(ops), None, "model-cover")

@@ -1,18 +1,18 @@
 """Process-parallel execution of sharded plans over shared-memory shards.
 
-The serial :class:`~repro.query.pipeline.executor.PlanExecutor` fans plan
-ops across a *thread* pool — real concurrency only where numpy drops the
-GIL.  This module runs the same
-:class:`~repro.query.pipeline.plan.ExecutionPlan` IR on a persistent pool
-of **worker processes**, one interpreter per worker, so scans, index
-builds and Ad-KMN cover fits run truly in parallel.
+The serial :class:`~repro.query.pipeline.executor.PlanExecutor` runs an
+exact plan's blocked gather in the calling thread.  This module runs the
+same merge-shaped :class:`~repro.query.pipeline.plan.ExecutionPlan` on a
+persistent pool of **worker processes**, one interpreter per worker, so
+scans and index builds run truly in parallel.
 
 A worker is the three things the engine is: a *binding* (``(shard,
 window)`` to the pinned ``(stamp, slice, gids)``, here over
 shared-memory attachments), a bounded
 :class:`~repro.query.pipeline.cache.ProcessorCache` keyed and stamped
-exactly as the engine's, and a ``PlanExecutor`` wired by the engine's
-own :func:`~repro.query.sharded.shard_runtime`.  It is sent *sub-plans*,
+exactly as the engine's (for indexes), and a ``PlanExecutor`` wired by
+the engine's own :func:`~repro.query.sharded.shard_runtime`.  It is sent
+*sub-plans*,
 runs each through that executor unmodified and returns its ``(values,
 support, answered)`` — 17 bytes a query:
 
@@ -30,11 +30,10 @@ support, answered)`` — 17 bytes a query:
   whole plan's bytes for that range wherever the cuts fall: answers are
   **byte-identical** to the serial executor's at any worker count, and a
   hot shard's scan spreads over the workers by construction;
-* a **scatter-shaped** plan's cover ops go to their shard's worker
-  (``shard % processes``: a cover is fitted once, on one worker), its
-  exact fallback sub-plans take the merge path, and the parent puts the
-  pieces together with the serial executor's own
-  :func:`~repro.query.pipeline.executor.assemble_scatter`.
+* a ``model-cover`` plan has no ops to send: it is answered in the
+  parent, by the engine's own lanes
+  (:meth:`~repro.query.sharded.ShardedQueryEngine.execute`), and is not
+  a fallback.
 
 Any failure on the process path — a worker killed mid-query, a pipe
 timeout, an undecodable reply, a lost shared-memory block, a plan the
@@ -61,15 +60,9 @@ import numpy as np
 from repro.data.tuples import TupleBatch
 from repro.query.base import BatchResult, QueryBatch
 from repro.query.pipeline.cache import ProcessorCache
-from repro.query.pipeline.executor import (
-    PlanExecutor,
-    assemble_scatter,
-    record_scan_load,
-    scatter_result_ops,
-)
+from repro.query.pipeline.executor import PlanExecutor, record_scan_load
 from repro.query.pipeline.gather import BLOCK_CELLS
 from repro.query.pipeline.plan import (
-    CoverOp,
     ExecutionPlan,
     MergeOp,
     PlanContext,
@@ -115,25 +108,25 @@ def _cut(plan: ExecutionPlan, lo: int, hi: int) -> tuple:
     return coords, plan.merge.n_stream_rows, ops
 
 
-def _sub_plan(binding, coords, n_stream_rows: Optional[int], ops) -> ExecutionPlan:
+def _sub_plan(binding, coords, n_stream_rows: int, ops) -> ExecutionPlan:
     """The plan a worker runs: ``ops`` are ``(context, method, positions
-    in coords)`` — hit scans and their merge when ``n_stream_rows`` is
-    given, else covers."""
+    in coords)``, hit scans, and their merge."""
     queries = QueryBatch(*coords)
-    built = []
-    for context, method, positions in ops:
-        mine = QueryBatch._of_columns(
-            queries.t[positions], queries.x[positions], queries.y[positions]
+    built = [
+        ScanOp(
+            context,
+            method,
+            positions,
+            QueryBatch._of_columns(
+                queries.t[positions], queries.x[positions], queries.y[positions]
+            ),
         )
-        if n_stream_rows is None:
-            built.append(CoverOp(context, positions, mine))
-        else:
-            built.append(ScanOp(context, method, positions, mine))
-    merge = None if n_stream_rows is None else MergeOp(len(queries), n_stream_rows)
-    return ExecutionPlan(binding, queries, tuple(built), merge)
+        for context, method, positions in ops
+    ]
+    return ExecutionPlan(binding, queries, tuple(built), MergeOp(len(queries), n_stream_rows))
 
 
-def _worker_main(conn, radius_m, config, cache_capacity) -> None:  # pragma: no cover - child process
+def _worker_main(conn, radius_m, cache_capacity) -> None:  # pragma: no cover - child process
     from repro.query.sharded import shard_runtime
 
     cache = ProcessorCache(cache_capacity)
@@ -158,12 +151,12 @@ def _worker_main(conn, radius_m, config, cache_capacity) -> None:  # pragma: no 
             shard = attachment(s, descriptor)
             sub = shard.batch.slice(start, stop)
             if method != "naive":
-                # A cover or an index is cached and outlives the
-                # attachment: it is built over rows of its own.
+                # An index is cached and outlives the attachment: it is
+                # built over rows of its own.
                 sub = TupleBatch(*(np.array(col) for col in (sub.t, sub.x, sub.y, sub.s)))
             binding[s, c] = (stamp, sub, shard.gids[start:stop])
             ops.append((PlanContext(c, s, stamp, stop - start), method, positions))
-        executor = PlanExecutor(shard_runtime(binding, cache, radius_m, config))
+        executor = PlanExecutor(shard_runtime(binding, cache, radius_m))
         result = executor.execute(_sub_plan(binding, coords, n_stream_rows, ops))
         return result.values, result.support, result.answered
 
@@ -179,7 +172,7 @@ def _worker_main(conn, radius_m, config, cache_capacity) -> None:  # pragma: no 
                 names = sorted(name for name, _shard in attached.values())
                 conn.send(("ok", request_id, (cache.stats.as_dict(), names)))
             else:
-                conn.send(("ok", request_id, [run(*sub_plan) for sub_plan in body]))
+                conn.send(("ok", request_id, run(*body)))
         except Exception:
             conn.send(("err", request_id, traceback.format_exc()))
     conn.close()
@@ -238,9 +231,9 @@ class ProcessPlanExecutor:
 
     ``engine`` is the owning
     :class:`~repro.query.sharded.ShardedQueryEngine` — the process path
-    reads its router for shard prefixes, starts workers with its radius,
-    config and cache capacity, and its serial executor is the
-    crash-recovery fallback.  Thread-safe.
+    reads its router for shard prefixes, starts workers with its radius
+    and cache capacity, answers ``model-cover`` plans, and its serial
+    executor is the crash-recovery fallback.  Thread-safe.
     """
 
     def __init__(
@@ -294,7 +287,7 @@ class ProcessPlanExecutor:
                 worker.kill()
             engine = self.engine
             worker = self._workers[index] = _Worker(
-                self._ctx, engine.radius_m, engine.config, engine.processor_cache.capacity
+                self._ctx, engine.radius_m, engine.processor_cache.capacity
             )
         return worker
 
@@ -318,7 +311,10 @@ class ProcessPlanExecutor:
         self, plan: ExecutionPlan, report: Optional[PlanReport] = None
     ) -> BatchResult:
         """Run ``plan``; degrade to the engine's in-process executor on any
-        worker failure (identical answer, never an error)."""
+        worker failure (identical answer, never an error).  A
+        ``model-cover`` plan is the engine's to answer, here."""
+        if plan.merge is None:
+            return self.engine.execute(plan, report)
         try:
             return self._run(plan)
         except (WorkerCrash, _Unsupported) as exc:
@@ -332,21 +328,14 @@ class ProcessPlanExecutor:
             # contiguous in-memory shard prefix exists to export over
             # shared memory.
             raise _Unsupported("router does not export contiguous shard prefixes")
-        if plan.merge is not None:
-            return self._run_merge(plan)
-        return self._run_scatter(plan)
-
-    def _run_merge(self, plan: ExecutionPlan) -> BatchResult:
         n = plan.n_queries
         values = np.full(n, np.nan)
         support = np.zeros(n, dtype=np.int64)
         answered = np.zeros(n, dtype=bool)
         chunks = self._chunks(plan)
-        replies = self._dispatch(
-            plan, {windex: [_cut(plan, lo, hi)] for windex, lo, hi in chunks}
-        )
+        replies = self._dispatch(plan, {windex: _cut(plan, lo, hi) for windex, lo, hi in chunks})
         for windex, lo, hi in chunks:
-            values[lo:hi], support[lo:hi], answered[lo:hi] = replies[windex][0]
+            values[lo:hi], support[lo:hi], answered[lo:hi] = replies[windex]
         return BatchResult(plan.queries, values, support, answered)
 
     def _chunks(self, plan: ExecutionPlan) -> List[Tuple[int, int, int]]:
@@ -374,24 +363,6 @@ class ProcessPlanExecutor:
             ((home + i) % self.processes, lo, hi)
             for i, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
         ]
-
-    def _run_scatter(self, plan: ExecutionPlan) -> BatchResult:
-        result_ops = scatter_result_ops(plan)
-        requests: Dict[int, list] = {}
-        for op in result_ops:  # a sub-plan each, on its shard's worker
-            q = op.queries
-            requests.setdefault(op.context.shard % self.processes, []).append(
-                ((q.t, q.x, q.y), None, [(op, np.arange(len(q)))])
-            )
-        replies = {w: iter(parts) for w, parts in self._dispatch(plan, requests).items()}
-        results = [
-            BatchResult(op.queries, *next(replies[op.context.shard % self.processes]))
-            for op in result_ops
-        ]
-        # Sub-plans run on the process path too (they are merge-shaped) —
-        # and if *they* crash-fall-back the whole plan falls back, keeping
-        # one execution discipline per request.
-        return assemble_scatter(plan, results, self._run)
 
     # -- op serialization ----------------------------------------------------
 
@@ -426,11 +397,11 @@ class ProcessPlanExecutor:
 
     # -- dispatch ------------------------------------------------------------
 
-    def _dispatch(self, plan: ExecutionPlan, requests: Dict[int, list]) -> Dict[int, list]:
-        """Run each worker index's sub-plans ``(coords, n_stream_rows,
-        [(op, positions)])``; returns, per worker, their ``(values,
-        support, answered)`` in order."""
-        ops = {id(op): op for subs in requests.values() for sub in subs for op, _ in sub[2]}
+    def _dispatch(self, plan: ExecutionPlan, requests: Dict[int, tuple]) -> Dict[int, tuple]:
+        """Run each worker index's sub-plan ``(coords, n_stream_rows,
+        [(op, positions)])``; returns, per worker, its ``(values,
+        support, answered)``."""
+        ops = {id(op): op for _coords, _rows, pairs in requests.values() for op, _ in pairs}
         with ExitStack() as held:
             # Every pipe this plan uses is held, in worker-index order,
             # from its send to its reply: two plans' frames never
@@ -442,18 +413,16 @@ class ProcessPlanExecutor:
             exported = {key: self._export(plan, op) for key, op in ops.items()}
             pending: List[Tuple[int, _Worker]] = []
             try:
-                for windex, subs in requests.items():
+                for windex, (coords, rows, pairs) in requests.items():
                     worker = self._worker(windex)
                     pending.append((windex, worker))
-                    worker.send("run", [
-                        (coords, rows, [(*exported[id(op)], op.method, at) for op, at in pairs])
-                        for coords, rows, pairs in subs
-                    ])
+                    specs = [(*exported[id(op)], op.method, at) for op, at in pairs]
+                    worker.send("run", (coords, rows, specs))
             except (BrokenPipeError, OSError) as exc:
                 for windex, _worker in pending:
                     self._kill(windex)
                 raise WorkerCrash(f"worker pipe failed during send: {exc}") from exc
-            replies: Dict[int, list] = {}
+            replies: Dict[int, tuple] = {}
             failure: Optional[str] = None
             for windex, worker in pending:
                 try:
@@ -522,23 +491,13 @@ class ProcessShardedEngine:
             if isinstance(queries, QueryBatch)
             else QueryBatch.from_queries(queries)
         )
-        if not len(batch):
-            return BatchResult(batch, np.empty(0), np.empty(0, dtype=np.int64))
+        if not len(batch) or method == "model-cover":  # answered in this process
+            return self.engine.continuous_query_batch(batch, method=method)
         return self.executor.execute(self.engine.plan(batch, method))
 
     def point_query(self, t: float, x: float, y: float, method: str = "naive"):
         batch = QueryBatch(np.array([t]), np.array([x]), np.array([y]))
         return self.continuous_query_batch(batch, method=method).result(0)
-
-    def cached_point(self, t: float, x: float, y: float, method: str = "naive"):
-        """A cached cover is evaluated here, not on a worker: see
-        :meth:`ShardedQueryEngine.cached_point`."""
-        return self.engine.cached_point(t, x, y, method=method)
-
-    def cached_route(self, batch: QueryBatch, method: str = "naive"):
-        """Cached covers are evaluated here, not on a worker: see
-        :meth:`ShardedQueryEngine.cached_route`."""
-        return self.engine.cached_route(batch, method=method)
 
     def heatmap_grid(
         self, t: float, bounds, nx: int = 40, ny: int = 30, method: str = "naive"

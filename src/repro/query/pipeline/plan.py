@@ -1,15 +1,15 @@
 """The explicit execution-plan IR shared by every query path.
 
 A request (point query, continuous stream, heatmap grid, server batch)
-is compiled into an :class:`ExecutionPlan`: a flat list of operators,
-each bound to one :class:`PlanContext` — a pinned ``(snapshot, window,
-shard)`` triple resolved through a
-:class:`~repro.query.pipeline.binding.SnapshotBinding` — plus the merge
-discipline that reassembles their outputs in stream order.  Separating
-the *choice* of how to answer (the builders, which write the ops) from
-the *execution* (one shared :class:`~repro.query.pipeline.executor.PlanExecutor`)
-is the optimisation/execution split the HTAP literature argues for, and
-it is what lets four previously copy-pasted paths share one pipeline.
+is compiled into an :class:`ExecutionPlan` against one pinned
+:class:`~repro.query.pipeline.binding.SnapshotBinding`.  An exact
+method's plan is a flat list of operators, each bound to one
+:class:`PlanContext` — a pinned ``(snapshot, window, shard)`` triple —
+plus the merge discipline that reassembles their outputs in stream
+order.  Separating the *choice* of how to answer (the builders, which
+write the ops) from the *execution* (one shared
+:class:`~repro.query.pipeline.executor.PlanExecutor`) is the
+optimisation/execution split the HTAP literature argues for.
 
 Operators:
 
@@ -17,19 +17,14 @@ Operators:
   with a raw-data method (naive radius scan or an index kind).  Emits
   raw ``(query, stream row)`` hits (``emit == "hits"``), the scatter
   half of exact execution.
-* :class:`CoverOp` — evaluate the bound ``(window, shard)`` model cover
-  over a set of queries; always emits results.
 * :class:`MergeOp` — the gather half: exact, partition-independent merge
   of every hit-emitting scan's hits (stream order + one segmented
   reduction per block; see :mod:`repro.query.pipeline.gather`).
-* :class:`FallbackOp` — a nested exact sub-plan answering the queries a
-  cover could not (their owning slice is empty).
 
-A plan is either **scatter-shaped** (cover ops + fallbacks;
-outputs scattered back by query position — each query answered by
-exactly one op) or **merge-shaped** (hit-emitting scans + one
-:class:`MergeOp`; a query may collect hits from several shards).
-Builders in :mod:`repro.query.pipeline.executor` enforce the shape.
+A ``model-cover`` plan carries no ops: its binding, queries and method
+are what :meth:`~repro.query.sharded.ShardedQueryEngine.cached_route`
+answers it from, one :class:`CoverRun` per (window, owner shard) the
+queries fall in, which a :class:`PlanReport` lists.
 """
 
 from __future__ import annotations
@@ -81,19 +76,6 @@ class ScanOp:
 
 
 @dataclass(frozen=True)
-class CoverOp:
-    """Model-cover evaluation of one bound (window, shard) cover."""
-
-    context: PlanContext
-    positions: np.ndarray
-    queries: QueryBatch
-
-    kind = "cover"
-    method = "model-cover"
-    emit = "result"
-
-
-@dataclass(frozen=True)
 class MergeOp:
     """Exact gather of every hit-emitting scan's hits."""
 
@@ -101,16 +83,6 @@ class MergeOp:
     n_stream_rows: int
 
     kind = "merge"
-
-
-@dataclass(frozen=True)
-class FallbackOp:
-    """Queries re-routed from a cover to a nested exact sub-plan."""
-
-    positions: np.ndarray
-    plan: "ExecutionPlan"
-
-    kind = "fallback"
 
 
 @dataclass(frozen=True)
@@ -133,7 +105,16 @@ class PrunedOp:
     method = "-"
 
 
-PlanOp = Union[ScanOp, CoverOp, FallbackOp]
+@dataclass(frozen=True)
+class CoverRun:
+    """One (window, owner shard) group a ``model-cover`` request was
+    answered for: ``"cover"`` when the owner slice has rows (its cover
+    evaluated; ``context.n_rows`` the slice's rows), ``"rows"`` when it
+    is empty (the window's rows scanned; ``context.n_rows`` those)."""
+
+    kind: str  # "cover" | "rows"
+    context: PlanContext
+    n_queries: int
 
 
 @dataclass(frozen=True)
@@ -142,28 +123,12 @@ class ExecutionPlan:
 
     binding: "SnapshotBinding"
     queries: QueryBatch
-    ops: Tuple[PlanOp, ...]
+    ops: Tuple[ScanOp, ...]
     merge: Optional[MergeOp] = None
     method: str = ""  # the method the plan was requested with
     #: Candidate ops the pruning pass dropped (observability only —
     #: the executor never touches them).
     pruned: Tuple[PrunedOp, ...] = ()
-    #: Candidate ops the pruning pass dropped, and executable ops that
-    #: survived planning (fallback wrappers and the merge stage excluded
-    #: — they are plumbing, not fan-out); nested plans included.  Counted
-    #: once, at build: a nested plan is built before its wrapper, so each
-    #: count is one pass over the plan's own ops.
-    ops_pruned: int = field(init=False, compare=False)
-    ops_kept: int = field(init=False, compare=False)
-
-    def __post_init__(self) -> None:
-        nested = [op.plan for op in self.ops if isinstance(op, FallbackOp)]
-        object.__setattr__(
-            self, "ops_pruned", len(self.pruned) + sum(p.ops_pruned for p in nested)
-        )
-        object.__setattr__(
-            self, "ops_kept", len(self.ops) - len(nested) + sum(p.ops_kept for p in nested)
-        )
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -172,31 +137,16 @@ class ExecutionPlan:
     def n_queries(self) -> int:
         return len(self.queries)
 
-    def walk(self) -> List[Tuple[int, PlanOp]]:
-        """Every op in the plan, depth-first, with its nesting depth."""
-        out: List[Tuple[int, PlanOp]] = []
+    @property
+    def ops_pruned(self) -> int:
+        """Candidate ops the pruning pass dropped."""
+        return len(self.pruned)
 
-        def visit(plan: "ExecutionPlan", depth: int) -> None:
-            for op in plan.ops:
-                out.append((depth, op))
-                if isinstance(op, FallbackOp):
-                    visit(op.plan, depth + 1)
-
-        visit(self, 0)
-        return out
-
-    def walk_pruned(self) -> List[Tuple[int, PrunedOp]]:
-        """Every pruned-op record, depth-first, with its nesting depth."""
-        out: List[Tuple[int, PrunedOp]] = []
-
-        def visit(plan: "ExecutionPlan", depth: int) -> None:
-            out.extend((depth, rec) for rec in plan.pruned)
-            for op in plan.ops:
-                if isinstance(op, FallbackOp):
-                    visit(op.plan, depth + 1)
-
-        visit(self, 0)
-        return out
+    @property
+    def ops_kept(self) -> int:
+        """Executable ops that survived planning (the merge stage is
+        plumbing, not fan-out)."""
+        return len(self.ops)
 
 
 @dataclass
@@ -204,7 +154,9 @@ class PlanReport:
     """Observed per-op wall times, collected by the executor.
 
     Keyed by ``id(op)`` — ops are frozen, hashing by identity keeps the
-    report usable for duplicate-looking ops in nested plans.
+    report usable for duplicate-looking ops.  A ``model-cover`` plan's
+    :class:`CoverRun` records are timed the same way and listed in
+    ``runs``, in the order they were answered.
     """
 
     elapsed_s: Dict[int, float] = field(default_factory=dict)
@@ -216,11 +168,12 @@ class PlanReport:
     #: many candidate ops pruning dropped vs how many actually ran.
     ops_pruned: int = 0
     ops_kept: int = 0
+    runs: List[CoverRun] = field(default_factory=list)
 
-    def record(self, op: PlanOp, elapsed: float) -> None:
+    def record(self, op: Union[ScanOp, CoverRun], elapsed: float) -> None:
         self.elapsed_s[id(op)] = self.elapsed_s.get(id(op), 0.0) + elapsed
 
-    def observed(self, op: PlanOp) -> Optional[float]:
+    def observed(self, op: Union[ScanOp, CoverRun]) -> Optional[float]:
         return self.elapsed_s.get(id(op))
 
 
@@ -260,66 +213,59 @@ class PruneStats:
 def format_plan(plan: ExecutionPlan, report: Optional[PlanReport] = None) -> str:
     """Human-readable plan listing for ``cli explain`` and debugging.
 
-    One line per op: nesting, kind, method, bound context, query count,
-    slice rows and observed wall time (when a report is given) —
-    for a hit-emitting scan that is its scan seconds summed over the
-    gather's blocks, and a ``gather`` line adds what the blocks spent
-    sorting and reducing (nested fallback sub-plans included).
+    One line per op: kind, method, bound context, query count, slice
+    rows and observed wall time (when a report is given) — for a
+    hit-emitting scan that is its scan seconds summed over the gather's
+    blocks, and a ``gather`` line adds what the blocks spent sorting and
+    reducing.  A ``model-cover`` plan has no ops; with a report, one
+    line per :class:`CoverRun` the execution answered.
     """
+    runs = report.runs if report is not None else []
     lines = [
         f"plan: method={plan.method or '?'} queries={plan.n_queries} "
-        f"ops={len(plan.walk())} shape="
-        + ("merge" if plan.merge is not None else "scatter")
+        f"ops={len(plan.ops)} shape="
+        + ("merge" if plan.merge is not None else "cover")
         + f" pruned={plan.ops_pruned}"
+        + (f" runs={len(runs)}" if plan.merge is None and report is not None else "")
     ]
     header = f"  {'op':<22} {'context':<14} {'queries':>7} {'rows':>7}"
     if report is not None:
         header += f" {'observed':>11}"
     lines.append(header)
-    for depth, op in plan.walk():
-        pad = "  " * depth
-        if isinstance(op, FallbackOp):
-            label = f"{pad}fallback"
-            ctx, n_q, rows = "-", len(op.positions), "-"
-        else:
-            label = f"{pad}{op.kind}[{op.method}]"
-            if isinstance(op, ScanOp):
-                label += "+hits"
-            ctx = op.context.describe()
-            n_q, rows = len(op.queries), op.context.n_rows
-        line = f"  {label:<22} {ctx:<14} {n_q:>7} {rows!s:>7}"
+
+    def line(label, context, n_queries, rows, seen=None) -> str:
+        text = f"  {label:<22} {context:<14} {n_queries:>7} {rows!s:>7}"
         if report is not None:
-            seen = report.observed(op)
-            line += f" {seen * 1e3:9.2f}ms" if seen is not None else f" {'-':>11}"
-        lines.append(line)
+            text += f" {seen * 1e3:9.2f}ms" if seen is not None else f" {'-':>11}"
+        return text
+
+    for op in plan.ops:
+        seen = report.observed(op) if report is not None else None
+        label = f"{op.kind}[{op.method}]+hits"
+        lines.append(line(label, op.context.describe(), len(op.queries), op.context.n_rows, seen))
+    for run in runs:
+        label = f"{run.kind}[model-cover]"
+        lines.append(
+            line(label, run.context.describe(), run.n_queries, run.context.n_rows,
+                 report.observed(run))
+        )  # fmt: skip
     if plan.merge is not None:
-        line = (
-            f"  {'merge[exact]':<22} {'-':<14} {plan.merge.n_queries:>7} "
-            f"{plan.merge.n_stream_rows:>7}"
-        )
-        if report is not None:
-            line += f" {'-':>11}"
-        lines.append(line)
+        lines.append(line("merge[exact]", "-", plan.merge.n_queries, plan.merge.n_stream_rows))
     # Pruned candidates last: never executed, rows marked with `~` (the
     # estimated slice the scan would have read had it not been proven
     # empty by geometry / the zone-map sketch).
-    for depth, rec in plan.walk_pruned():
-        pad = "  " * depth
-        label = f"{pad}pruned[{rec.reason}]"
-        line = (
-            f"  {label:<22} {rec.context.describe():<14} {rec.n_queries:>7} "
-            f"{'~' + str(rec.context.n_rows):>7}"
-        )
-        if report is not None:
-            line += f" {'-':>11}"
-        lines.append(line)
+    for rec in plan.pruned:
+        lines.append(
+            line(f"pruned[{rec.reason}]", rec.context.describe(), rec.n_queries,
+                 "~" + str(rec.context.n_rows))
+        )  # fmt: skip
     if plan.ops_pruned:
         lines.append(
             f"  pruning: {plan.ops_pruned} op(s) pruned, "
             f"{plan.ops_kept} kept"
         )
     if report is not None:
-        if any(isinstance(op, ScanOp) for _, op in plan.walk()):
+        if plan.ops:
             lines.append(f"  gather: {report.gather_s * 1e3:.2f}ms (sort + reduce)")
         lines.append(f"  total: {report.total_s * 1e3:.2f}ms")
     return "\n".join(lines)

@@ -77,8 +77,8 @@ connection, so pipelined answers keep request order — so a slow Ad-KMN
 fit never stalls the accept loop or a cached answer, and — when the
 engine is a
 :class:`~repro.query.pipeline.parallel.ProcessShardedEngine` — the
-actual compute of the three web modes escapes the GIL onto the worker
-processes entirely.  A
+exact methods' compute escapes the GIL onto the worker processes
+entirely.  A
 client that stops reading its answers stops being served
 (``pause_writing``/``resume_writing``, the back-pressure ``drain()``
 gives a stream handler), and ``Upgrade: websocket`` hands the transport,
@@ -105,7 +105,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.cover import ModelCover
-from repro.data.tuples import QueryTuple, TupleBatch
+from repro.data.tuples import TupleBatch
 from repro.geo.coords import BoundingBox
 from repro.network.messages import (
     ModelCoverResponse,
@@ -350,17 +350,15 @@ class EngineQueryService:
         validity_horizon_s: float = 4.0 * 3600.0,
     ) -> None:
         self.engine = engine
+        # The in-process engine: the wrapper's ``engine``, else itself —
+        # what the protocol, ingest and the event-loop lanes run on.
+        self._local = getattr(engine, "engine", engine)
         self.method = method
         self.subscriptions = subscriptions
         self.validity_horizon_s = validity_horizon_s
         self._stats_lock = threading.Lock()
         self.served_covers = 0
         self.served_values = 0
-
-    @property
-    def _local(self):
-        """The in-process engine: the wrapper's ``engine``, else itself."""
-        return getattr(self.engine, "engine", self.engine)
 
     def _require_data(self) -> None:
         # The row count only grows, so a store that holds rows here
@@ -382,32 +380,25 @@ class EngineQueryService:
 
     # -- the paper's protocol --------------------------------------------------
 
-    def _processor(self, binding: RouterBinding, t: float, x: float, y: float):
-        """``(slice, cover processor)`` of the (shard, window) owning
-        ``(t, x, y)`` at the binding's pin — the entry a cover plan's op
-        answers from — or ``None`` when that slice holds no rows."""
-        c = int(binding.windows_for_times((t,))[0])
-        s = binding.grid.shard_of(x, y)
-        bound = binding.slice_for(s, c)
-        if not len(bound[1]):
-            return None
-        engine = self._local
-        return bound[1], cached_cover(engine.processor_cache, engine.config, s, c, bound)
-
     def _cover(self, binding: RouterBinding, request: ModelRequest) -> ModelCover:
-        """The cover a model request is served, stamped ``t_n`` = its
-        slice's last timestamp + the validity horizon."""
+        """The cover a model request is served: the one the lanes answer
+        from for the (shard, window) owning it at the binding's pin,
+        stamped ``t_n`` = its slice's last timestamp + the validity
+        horizon."""
         if not all(map(math.isfinite, (request.t, request.x, request.y))):
             raise ValueError(f"model request fields must be finite, got {request}")
-        owner = self._processor(binding, request.t, request.x, request.y)
-        if owner is None:
+        c = int(binding.windows_for_times((request.t,))[0])
+        s = binding.grid.shard_of(request.x, request.y)
+        bound = binding.slice_for(s, c)
+        rows = bound[1]
+        if not len(rows):
             raise LookupError(
                 f"no rows in the slice owning ({request.x}, {request.y}) "
                 f"at t={request.t}"
             )
-        rows, proc = owner
-        valid_until = float(rows.t[-1]) + self.validity_horizon_s
-        return dataclasses.replace(proc.cover, valid_until=valid_until)
+        engine = self._local
+        cover = cached_cover(engine.processor_cache, engine.config, s, c, bound).cover
+        return dataclasses.replace(cover, valid_until=float(rows.t[-1]) + self.validity_horizon_s)
 
     def handle(self, request):
         """Dispatch one client request (thread-safe)."""
@@ -424,10 +415,10 @@ class EngineQueryService:
         """Dispatch a batch of requests, in request order, all answered
         at one pinned binding (one epoch).
 
-        The query requests run as one ``model-cover`` plan; a lone one
-        whose owner slice holds rows skips the plan's fixed cost and is
-        evaluated on the cover its op would hold (the same bits).  A
-        query request with a non-finite field is answered ``NaN``; a
+        The query requests are answered as one batch by the engine's
+        route lane at the pinned binding
+        (:meth:`~repro.query.sharded.ShardedQueryEngine.cached_route`).
+        A query request with a non-finite field is answered ``NaN``; a
         model request with one raises ``ValueError``, and one whose
         owner slice is empty ``LookupError``.
         """
@@ -453,22 +444,13 @@ class EngineQueryService:
                 covers += 1
             else:
                 raise TypeError(f"server cannot handle {type(request).__name__}")
-        if len(queries) == 1:
-            request = requests[queries[0]]
-            owner = self._processor(binding, request.t, request.x, request.y)
-            if owner is not None:
-                value = owner[1].process(QueryTuple(request.t, request.x, request.y)).value
-                responses[queries[0]] = ValueResponse(
-                    t=request.t, value=math.nan if value is None else value
-                )
-                queries = []
         if queries:
             batch = QueryBatch(
                 np.array([requests[i].t for i in queries]),
                 np.array([requests[i].x for i in queries]),
                 np.array([requests[i].y for i in queries]),
             )
-            result = engine.execute(engine.plan(batch, "model-cover", binding=binding))
+            result = engine.cached_route(batch, "model-cover", binding=binding)
             for k, i in enumerate(queries):
                 value = float(result.values[k]) if result.answered[k] else math.nan
                 responses[i] = ValueResponse(t=requests[i].t, value=value)
@@ -499,8 +481,8 @@ class EngineQueryService:
         asks on its event-loop thread, before the mode's handler): for a
         ``model-cover`` service, a valid point query whose cover — or,
         for an empty owner slice, whose window's rows —
-        ``engine.cached_point`` finds cached, or a valid route that
-        ``engine.cached_route`` finds cached in the same way.  Else
+        the in-process engine's ``cached_point`` finds cached, or a valid
+        route that its ``cached_route`` finds cached in the same way.  Else
         ``None``.  A
         route longer than the lane takes (:func:`_lane_sized`) is not
         looked at here — it is validated and built on the executor; a
@@ -512,11 +494,11 @@ class EngineQueryService:
         if self.method != "model-cover":
             return None
         if mode == "point":
-            return self._point(self.engine.cached_point, params)
+            return self._point(self._local.cached_point, params)
         if mode != "continuous" or not _lane_sized(params):
             return None
         batch = _route_batch(params)
-        result = self.engine.cached_route(batch, method=self.method)
+        result = self._local.cached_route(batch, method=self.method)
         if result is None:
             params[_ROUTE_BATCH] = batch
             return None

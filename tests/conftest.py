@@ -6,10 +6,6 @@ truncated 1-day variant (still geo-temporally skewed) cached per session.
 
 from __future__ import annotations
 
-import gc
-import os
-import threading
-
 import numpy as np
 import pytest
 
@@ -17,6 +13,8 @@ from repro.data.lausanne import LausanneConfig, LausanneDataset, generate_lausan
 from repro.data.tuples import TupleBatch
 from repro.storage.shards import ShardRouter
 from repro.storage.tiered import TieredShardRouter
+
+from leaks import assert_released, open_resources
 
 
 @pytest.fixture(scope="session")
@@ -74,21 +72,12 @@ def tiny_batch() -> TupleBatch:
     return TupleBatch(np.array(ts), np.array(xs), np.array(ys), np.array(ss))
 
 
-_FD_DIR = "/proc/self/fd"
-
-
 @pytest.fixture()
 def leak_check():
     """Fail a test that leaves open file descriptors or running threads
     behind: a durable router or engine not closed, a pack or WAL file
-    not released.  Counted after a collection on both sides, so what
-    the test dropped is gone; checks nothing where ``/proc`` is absent."""
-    if not os.path.isdir(_FD_DIR):
-        yield
-        return
-    gc.collect()
-    fds, threads = len(os.listdir(_FD_DIR)), threading.active_count()
+    not released.  Checks nothing where ``/proc`` is absent
+    (:mod:`leaks`)."""
+    before = open_resources()
     yield
-    gc.collect()
-    assert len(os.listdir(_FD_DIR)) <= fds, "the test left file descriptors open"
-    assert threading.active_count() <= threads, "the test left threads running"
+    assert_released(before)

@@ -13,16 +13,14 @@ oracle of the blocked gather).
 
 from __future__ import annotations
 
-from typing import List, Union
+from typing import List
 
 import numpy as np
 
 from repro.query.base import QueryBatch
 from repro.query.pipeline.binding import RouterBinding
 from repro.query.pipeline.plan import (
-    CoverOp,
     ExecutionPlan,
-    FallbackOp,
     MergeOp,
     PlanContext,
     PrunedOp,
@@ -37,11 +35,9 @@ def reference_sharded_plan(
     radius_m: float,
     prune: bool = True,
 ) -> ExecutionPlan:
-    """:func:`repro.query.pipeline.executor.build_sharded_plan`'s dispatch
-    over the reference builders."""
+    """:func:`repro.query.pipeline.executor.build_sharded_plan` for an
+    exact method, over the reference builder."""
     windows = binding.windows_for_times(queries.t)
-    if method == "model-cover":
-        return _cover_plan(binding, queries, windows, radius_m, prune=prune)
     return _exact_plan(binding, queries, windows, method, radius_m, prune=prune)
 
 
@@ -151,49 +147,17 @@ def _exact_plan(
     )
 
 
-def _cover_plan(
-    binding: RouterBinding,
-    queries: QueryBatch,
-    windows: np.ndarray,
-    radius_m: float,
-    prune: bool = True,
-) -> ExecutionPlan:
-    """Owner-shard cover ops plus the exact fallback sub-plan.
-
-    Queries whose owning shard has no tuples in the responsible window
-    are collected into one :class:`FallbackOp` answered by the exact
-    scatter-gather path instead.  Cover ops themselves are never
-    pruned — a model answers regardless of distance to its training
-    rows — but ``prune`` flows into the exact fallback sub-plan.
-    """
+def reference_cover_groups(binding: RouterBinding, queries: QueryBatch):
+    """The (window, owner shard) groups a model-cover request is
+    answered in, as ``(window, owner, positions)`` — one ``np.unique``
+    over the windows, then one over each window's owners: the loops the
+    model-cover plan builder grouped with before the route lane's one
+    stable sort (:func:`repro.query.sharded.cover_runs`) replaced them."""
+    windows = binding.windows_for_times(queries.t)
     owners = binding.grid.shards_of(queries.x, queries.y)
-    ops: List[Union[CoverOp, FallbackOp]] = []
-    fallback: List[np.ndarray] = []
+    groups = []
     for c in np.unique(windows):
         in_window = windows == c
         for s in np.unique(owners[in_window]):
-            positions = np.flatnonzero(in_window & (owners == s))
-            s, c = int(s), int(c)
-            stamp, sub, _gids = binding.slice_for(s, c)
-            if not len(sub):
-                fallback.append(positions)
-                continue
-            ops.append(
-                CoverOp(
-                    PlanContext(c, s, stamp, len(sub)),
-                    positions,
-                    queries.take(positions),
-                )
-            )
-    if fallback:
-        positions = np.concatenate(fallback)
-        sub_plan = _exact_plan(
-            binding,
-            queries.take(positions),
-            windows[positions],
-            "naive",
-            radius_m,
-            prune=prune,
-        )
-        ops.append(FallbackOp(positions, sub_plan))
-    return ExecutionPlan(binding, queries, tuple(ops), None, "model-cover")
+            groups.append((int(c), int(s), np.flatnonzero(in_window & (owners == s))))
+    return groups

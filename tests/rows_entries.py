@@ -1,11 +1,11 @@
-"""The cached lanes' ``("rows", c)`` entries, seen from a test.
+"""The lanes' ``("rows", c)`` entries, seen from a test.
 
-A model-cover plan caches a window's rows only when it read every slice
-of the window that may live in a segment file (``window_rows``): a
-sealed window whose plan pruned a slice with rows is not cached, and a
-lane query of an empty owner there declines.  These helpers tell which
-windows a batch's empty owners lack entries for, and cache one the way a
-plan that read every slice of the window does.
+A model-cover answer at a pinned binding caches the rows of every
+window an empty owner was answered in (``window_rows``, which pins every
+slice of the window); an event-loop query of an empty owner declines
+until its window's rows are cached at their live stamps.  These helpers
+tell which windows a batch's empty owners lack entries for, and cache
+one the way the pinned path does.
 """
 
 from __future__ import annotations
@@ -36,9 +36,6 @@ def uncached_windows(engine: ShardedQueryEngine, batch: QueryBatch) -> List[int]
 
 
 def cache_rows(engine: ShardedQueryEngine, c: int) -> None:
-    """Cache window ``c``'s rows as a plan that read every slice of it
-    would (on a segment store this faults the window's slices in)."""
-    binding = engine.binding()
-    for s in range(binding.n_shards):
-        binding.slice_for(s, c)
-    assert window_rows(engine.rows_cache, binding, c) is not None
+    """Cache window ``c``'s rows as the pinned path does (on a segment
+    store this faults the window's slices in)."""
+    window_rows(engine.rows_cache, engine.binding(), c)

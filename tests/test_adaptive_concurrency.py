@@ -52,10 +52,10 @@ def seeded_queries(stream: TupleBatch, seed: int, n: int = 64) -> QueryBatch:
     )
 
 
-def make_engine(stream_prefix: TupleBatch, workers: int = 4) -> ShardedQueryEngine:
+def make_engine(stream_prefix: TupleBatch) -> ShardedQueryEngine:
     router = ShardRouter(RegionGrid(BOUNDS, nx=3, ny=2), h=H)
     router.ingest(stream_prefix)
-    return ShardedQueryEngine(router, radius_m=400.0, max_workers=workers)
+    return ShardedQueryEngine(router, radius_m=400.0)
 
 
 def fingerprint(result) -> bytes:
@@ -72,7 +72,7 @@ def test_pinned_readers_match_serial_replay_across_rebalance(seed):
     queries = seeded_queries(stream, seed)
 
     # Serial replay oracle: a quiescent engine over exactly the head.
-    with make_engine(stream.slice(0, HEAD), workers=1) as serial:
+    with make_engine(stream.slice(0, HEAD)) as serial:
         expected = fingerprint(serial.execute(serial.plan(queries, "naive")))
 
     with make_engine(stream.slice(0, HEAD)) as eng:
@@ -129,7 +129,7 @@ def test_process_path_stale_plan_falls_back_byte_identically(seed):
     stream = seeded_stream(seed)
     queries = seeded_queries(stream, seed)
 
-    with make_engine(stream.slice(0, HEAD), workers=1) as serial:
+    with make_engine(stream.slice(0, HEAD)) as serial:
         expected = fingerprint(serial.execute(serial.plan(queries, "naive")))
 
     with make_engine(stream.slice(0, HEAD)) as eng:

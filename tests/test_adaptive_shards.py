@@ -151,8 +151,8 @@ class TestRouterRebalance:
     def test_split_and_merge_preserve_answers(self):
         stream = make_stream(600, hot_cell_frac=0.5)
         queries = make_queries(stream, 80)
-        with ShardedQueryEngine(filled_router(stream), max_workers=2) as ref, \
-                ShardedQueryEngine(filled_router(stream), max_workers=2) as eng:
+        with ShardedQueryEngine(filled_router(stream)) as ref, \
+                ShardedQueryEngine(filled_router(stream)) as eng:
             expected = answers(ref, queries)
             router = eng.router
             hot = int(np.argmax(router.shard_counts()))
@@ -207,7 +207,7 @@ class TestRouterRebalance:
             router = filled_router(
                 stream, make=lambda grid, h: router_over(store, grid, h)
             )
-            with ShardedQueryEngine(router, max_workers=2) as eng:
+            with ShardedQueryEngine(router) as eng:
                 plan = eng.plan(queries, "naive")
                 expected = eng.execute(plan)
                 hot = int(np.argmax(router.shard_counts()))
@@ -351,8 +351,8 @@ class TestShardRebalancer:
     def test_run_reaches_quiescence_with_identical_answers(self):
         stream = make_stream(800, hot_cell_frac=0.6)
         queries = make_queries(stream, 120)
-        with ShardedQueryEngine(filled_router(stream), max_workers=2) as ref, \
-                ShardedQueryEngine(filled_router(stream), max_workers=2) as eng:
+        with ShardedQueryEngine(filled_router(stream)) as ref, \
+                ShardedQueryEngine(filled_router(stream)) as eng:
             expected = answers(ref, queries)
             answers(eng, queries)  # feed the load tracker a real workload
             rb = ShardRebalancer(eng.router)

@@ -248,7 +248,7 @@ class TestPlansAnswerTheSameBytesInBothForms:
             RegionGrid.for_shard_count(_covered(small_batch), n_shards), h=2000
         )
         router.ingest(small_batch)
-        with ShardedQueryEngine(router, max_workers=1) as engine:
+        with ShardedQueryEngine(router) as engine:
             probes = _heatmap_probes(small_batch, 20, 15)
             plan = engine.plan(probes, "naive")
             expected = fingerprint(whole_op_reference(engine, plan))
@@ -271,7 +271,7 @@ class TestPlansAnswerTheSameBytesInBothForms:
         batch, queries = scenario
         router = build_router(batch, n_shards, h)
         with ShardedQueryEngine(
-            router, radius_m=RADIUS, max_workers=1
+            router, radius_m=RADIUS
         ) as engine, np.errstate(all="ignore"):
             plan = engine.plan(queries, "naive")
             expected = fingerprint(whole_op_reference(engine, plan))
@@ -281,7 +281,7 @@ class TestPlansAnswerTheSameBytesInBothForms:
     def test_the_default_heatmap_factors_its_groups(self, small_batch):
         router = ShardRouter(RegionGrid.for_shard_count(_covered(small_batch), 4), h=2000)
         router.ingest(small_batch)
-        with ShardedQueryEngine(router, max_workers=1) as engine:
+        with ShardedQueryEngine(router) as engine:
             probes = _heatmap_probes(small_batch, 40, 30)
             with counted_tables() as tables:
                 engine.continuous_query_batch(probes, "naive")
@@ -303,7 +303,7 @@ def test_a_route_plan_builds_no_axis_tables(small_batch):
         rng.uniform(box.min_x, box.max_x, n),
         rng.uniform(box.min_y, box.max_y, n),
     )
-    with ShardedQueryEngine(router, max_workers=1) as engine:
+    with ShardedQueryEngine(router) as engine:
         for ragged in (True, False):
             with counted_tables() as tables, mock.patch.object(
                 gather, "query_axes", wraps=gather.query_axes

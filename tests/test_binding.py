@@ -219,7 +219,7 @@ def test_bindings_under_a_racing_writer_answer_their_prefix(
     stream = make_stream(400, seed=6)
     router = router_over(store, grid(), H)
     router.ingest(stream.slice(0, 100))
-    engine = ShardedQueryEngine(router, radius_m=900.0, max_workers=1)
+    engine = ShardedQueryEngine(router, radius_m=900.0)
     queries = probes(stream.slice(0, 100), n=12)
     seen = []
 

@@ -57,7 +57,7 @@ class TestOneShardIngestStamps:
         rng = np.random.default_rng(2)
         stream = make_stream(rng, 3 * H + 10)
         engine = one_shard_engine(
-            stream.slice(0, 2 * H + 5), h=H, radius_m=1e9, max_workers=1
+            stream.slice(0, 2 * H + 5), h=H, radius_m=1e9
         )
         router = engine.router
 
@@ -100,7 +100,7 @@ class TestShardedEngineEpochStamps:
         router = ShardRouter(RegionGrid(BBOX, nx=2, ny=2), h=H)
         first, second = stream.slice(0, H + 5), stream.slice(H + 5, len(stream))
         router.ingest(first)
-        engine = ShardedQueryEngine(router, radius_m=1e9, max_workers=1)
+        engine = ShardedQueryEngine(router, radius_m=1e9)
         t_probe = float(stream.t[-1])
         res1 = engine.point_query(t_probe, 3000.0, 2000.0, method="kdtree")
         assert res1.support == 5  # open window W_1 so far
@@ -120,7 +120,7 @@ class TestShardedEngineEpochStamps:
         stream = make_stream(rng, 4 * H)
         router = ShardRouter(RegionGrid(BBOX, nx=cells, ny=cells), h=H)
         router.ingest(stream.slice(0, H // 2))
-        engine = ShardedQueryEngine(router, radius_m=1e9, max_workers=2)
+        engine = ShardedQueryEngine(router, radius_m=1e9)
         t_probe = float(stream.t[-1])  # always resolves to the last window
         stop = threading.Event()
         violations: list = []
@@ -154,7 +154,7 @@ class TestShardedEngineEpochStamps:
                 t.join()
         assert not failures, failures[:1]
         assert not violations, f"stale shard processors served: {violations[:5]}"
-        fresh = ShardedQueryEngine(router, radius_m=1e9, max_workers=1)
+        fresh = ShardedQueryEngine(router, radius_m=1e9)
         probes_t = np.repeat(stream.t[[len(stream) // 3, -1]], 2)
         probes_x = np.array([1000.0, 5000.0, 1000.0, 5000.0])
         probes_y = np.array([1000.0, 3000.0, 3000.0, 1000.0])
@@ -256,7 +256,7 @@ class TestLaneAgainstARacingWriter:
             c = (n - 1) // H
             return c if n > c * H + 2 else c - 1
 
-        engine = ShardedQueryEngine(router, max_workers=2)
+        engine = ShardedQueryEngine(router)
         rows_scans = []
         real_scan = engine._scan_rows
 

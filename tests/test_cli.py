@@ -203,6 +203,52 @@ class TestExplain:
         assert "plan: method=model-cover" in out
         assert "/s" in out  # per-shard contexts rendered
 
+    def test_explain_model_cover_lists_what_the_one_path_answered(self, capsys):
+        """One line per (window, owner) run — ``cover`` or ``rows``, its
+        context, queries and rows — and a cover run charges each shard
+        its cover's models a query, not the slice's rows."""
+        rc = main(
+            [
+                "explain", "--h", "240", "--width", "10", "--height", "8",
+                "--shards", "2", "--warm",
+            ]
+        )
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "ops=0 shape=cover pruned=0 runs=2" in lines[1]
+        runs = [l.split() for l in lines if l.lstrip().startswith("cover[model-cover]")]
+        assert [run[1] for run in runs] == ["w4/s0@e1", "w4/s1@e1"]
+        assert [int(run[2]) for run in runs] == [40, 40]
+        assert sum(int(run[3]) for run in runs) == 240  # the window's slices
+        assert all(run[-1].endswith("ms") for run in runs)
+        assert not [l for l in lines if "rows[model-cover]" in l or "gather:" in l]
+        table = lines[lines.index("per-shard occupancy and load:") + 2 :][:2]
+        for row, run in zip(table, runs):
+            queries, units = int(row.split()[5]), int(row.split()[6])
+            assert queries == 80  # the warm-up's runs and the timed ones
+            assert units < queries * int(run[3])  # models, not slice rows
+
+    def test_explain_model_cover_lists_an_empty_owner_as_rows(self, capsys):
+        """A heatmap over 16 shards reaches shards with no rows: each
+        such owner's run scans its window's rows (h of them)."""
+        argv = ["explain", "--shards", "16", "--width", "8", "--height", "6", "--h", "240"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        runs = [l.split() for l in lines if "[model-cover]" in l]
+        assert {run[0] for run in runs} == {"cover[model-cover]", "rows[model-cover]"}
+        assert sum(int(run[2]) for run in runs) == 48
+        rows = [run for run in runs if run[0] == "rows[model-cover]"]
+        assert all(run[1].endswith("@e0") and run[3] == "240" for run in rows)
+
+    @pytest.mark.parametrize("command", ["explain", "heatmap", "shards"])
+    def test_workers_flag_is_gone(self, command, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--workers", "2"])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert "unrecognized arguments: --workers 2" in err
+
     def test_explain_unknown_method_exits_2_with_usage(self, capsys, monkeypatch):
         import repro.data.lausanne as lausanne
 

@@ -31,6 +31,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import tempfile
 import threading
 
 from repro.core.adkmn import fit_adkmn
@@ -45,7 +46,9 @@ from repro.query.indexed import IndexedProcessor, available_index_kinds
 from repro.query.modelcover import ModelCoverProcessor
 from repro.query.naive import NaiveProcessor
 from repro.query.sharded import ShardedQueryEngine
+from repro.server.async_server import EngineQueryService
 from repro.storage.shards import ShardRouter
+from repro.storage.tiered import TieredShardRouter
 
 from one_shard import grow, one_shard_engine, protocol_service
 from reference_gather import merge_hit_partials, scan_hits
@@ -223,7 +226,7 @@ class TestOneShardOracle:
         rng = np.random.default_rng(seed)
         stream = make_stream(rng, n)
         queries = make_queries(stream, specs)
-        engine = one_shard_engine(stream, h=H, radius_m=RADIUS_M, max_workers=1)
+        engine = one_shard_engine(stream, h=H, radius_m=RADIUS_M)
         route = engine.continuous_query_batch(queries, method="model-cover")
         oracle = window_oracle(stream, queries, "model-cover", scalar=False)
         assert_same_answers(route, oracle, exact=True)
@@ -246,7 +249,7 @@ class TestOneShardOracle:
         rng = np.random.default_rng(seed)
         stream = make_stream(rng, n)
         queries = make_queries(stream, specs)
-        engine = one_shard_engine(stream, h=H, radius_m=RADIUS_M, max_workers=1)
+        engine = one_shard_engine(stream, h=H, radius_m=RADIUS_M)
         oracle = window_oracle(stream, queries, "naive", scalar=True)
         for method in self.EXACT:
             result = engine.continuous_query_batch(queries, method=method)
@@ -259,7 +262,7 @@ class TestOneShardOracle:
         rng = np.random.default_rng(99)
         stream = make_stream(rng, 6 * H)
         engine = one_shard_engine(
-            stream.slice(0, H), h=H, radius_m=RADIUS_M, max_workers=1
+            stream.slice(0, H), h=H, radius_m=RADIUS_M
         )
         for stop in range(H, 6 * H + 1, H // 2):
             grow(engine, stream, stop)
@@ -278,6 +281,86 @@ class TestOneShardOracle:
             for method in self.EXACT:
                 result = engine.continuous_query_batch(queries, method=method)
                 assert_same_answers(result, oracle, exact=False)
+
+
+def one_path_oracle(stream: TupleBatch, grid, queries: QueryBatch):
+    """The model-cover answers built from core functions: per query,
+    its window (``windows_for_times``) and owner (``grid.shard_of``);
+    with rows of that window in the owner's region, the value of a
+    ``ModelCoverProcessor`` over ``fit_adkmn`` of exactly those rows,
+    else the ``NaiveProcessor`` over the whole window.  Returns
+    ``(values, support, covered)``, ``covered`` marking cover answers."""
+    n = len(queries)
+    values, support = np.full(n, np.nan), np.zeros(n, dtype=np.int64)
+    covered = np.zeros(n, dtype=bool)
+    windows = windows_for_times(stream.t, queries.t, H)
+    owners = grid.shards_of(queries.x, queries.y)
+    procs = {}
+    for i, (c, s) in enumerate(zip(windows.tolist(), owners.tolist())):
+        if (c, s) not in procs:
+            w = window(stream, c, H)
+            mine = np.flatnonzero(grid.shards_of(w.x, w.y) == s)
+            procs[c, s] = (
+                ModelCoverProcessor(fit_adkmn(w.take(mine), window_c=c).cover)
+                if len(mine)
+                else NaiveProcessor(w, RADIUS_M)
+            )
+        proc = procs[c, s]
+        res = proc.process_batch(queries.take(np.array([i])))
+        values[i], support[i] = res.values[0], res.support[0]
+        covered[i] = isinstance(proc, ModelCoverProcessor)
+    return values, support, covered
+
+
+class TestOnePathOracle:
+    """The one model-cover path at a pinned binding — the engine's
+    ``continuous_query_batch`` and the protocol's ``handle_many`` —
+    against covers and processors built directly over each window, on a
+    resident and a segment store (one sealed slice in memory), at 1 and
+    4 shards: a cover answer byte for byte, an empty owner's within
+    1e-12 of the naive processor (float summation order) and byte for
+    byte the exact gather's."""
+
+    @_SETTINGS
+    @given(n=_streams, specs=_query_specs, seed=_seeds)
+    def test_pinned_answers_match_core_reference(self, n, specs, seed):
+        rng = np.random.default_rng(seed)
+        stream = make_stream(rng, n)
+        queries = make_queries(stream, specs)
+        requests = [
+            QueryRequest(t=float(t), x=float(x), y=float(y))
+            for t, x, y in zip(queries.t, queries.x, queries.y)
+        ]
+        for n_shards in (1, 4):
+            grid = RegionGrid.for_shard_count(DATA_BOUNDS, n_shards)
+            values, support, covered = one_path_oracle(stream, grid, queries)
+            exact = sharded(stream, n_shards).continuous_query_batch(queries, "naive")
+            for store in ("resident", "segment"):
+                with tempfile.TemporaryDirectory() as data_dir:
+                    if store == "segment":
+                        router = TieredShardRouter(
+                            grid, h=H, data_dir=data_dir, memory_windows=1, wal_sync=False
+                        )
+                    else:
+                        router = ShardRouter(grid, h=H)
+                    router.ingest(stream)
+                    engine = ShardedQueryEngine(router, radius_m=RADIUS_M)
+                    got = engine.continuous_query_batch(queries, method="model-cover")
+                    assert got.values[covered].tobytes() == values[covered].tobytes()
+                    assert (got.support[covered] == 1).all()
+                    np.testing.assert_array_equal(got.support, support)
+                    np.testing.assert_allclose(
+                        got.values, values, rtol=1e-12, atol=0.0, equal_nan=True
+                    )
+                    empty = ~covered
+                    assert got.values[empty].tobytes() == exact.values[empty].tobytes()
+                    if n_shards == 1:
+                        service = EngineQueryService(engine, method="model-cover")
+                        assert served_fingerprints(service.handle_many(requests)) == (
+                            protocol_fingerprints(reference_protocol(stream, requests))
+                        )
+                    if store == "segment":
+                        router.close()
 
 
 class TestModelCoverFallback:
@@ -531,13 +614,11 @@ class TestPipelineGoldenOracle:
         assert_same_answers(quiesced, legacy, exact=True)
 
     def test_server_paths_match_reference_and_each_other(self):
-        """Scalar handle, batched handle_many and a pool-fanned batch all
+        """Scalar handle and a batched handle_many of 1 024 queries both
         serve the reference cover evaluations byte for byte."""
-        from repro.query.pipeline.executor import MIN_PARALLEL_QUERIES
-
         rng = np.random.default_rng(17)
         stream = make_stream(rng, 4 * H)
-        server = protocol_service(h=H, max_workers=3)
+        server = protocol_service(h=H)
         for start in range(0, len(stream), H):
             server.ingest(stream.slice(start, start + H))
         requests = [
@@ -546,7 +627,7 @@ class TestPipelineGoldenOracle:
                 x=float(rng.uniform(0.0, 6000.0)),
                 y=float(rng.uniform(0.0, 4000.0)),
             )
-            for i in range(2 * MIN_PARALLEL_QUERIES)
+            for i in range(1024)
         ]
         want = protocol_fingerprints(reference_protocol(stream, requests))
         try:

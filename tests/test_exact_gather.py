@@ -242,7 +242,7 @@ class TestBlockedGatherMatchesWholeOpMerge:
         batch, queries = scenario
         router = build_router(batch, n_shards, h)
         with ShardedQueryEngine(
-            router, radius_m=RADIUS, max_workers=1, prune=prune
+            router, radius_m=RADIUS, prune=prune
         ) as engine, np.errstate(all="ignore"):
             plan = with_hazards(engine.plan(queries, "naive"), hazards)
             assert plan.merge is not None
@@ -261,7 +261,7 @@ class TestBlockedGatherMatchesWholeOpMerge:
         # slices merged); pruned, each disk reaches a handful (many
         # small sets: merged while they fit a block, or the keyed window).
         router, queries, n_rows = seventy_two_sources()
-        with ShardedQueryEngine(router, radius_m=RADIUS, max_workers=1) as engine:
+        with ShardedQueryEngine(router, radius_m=RADIUS) as engine:
             plan = engine.plan(queries, "naive", prune=prune)
             assert len({op.context.shard for op in plan.ops}) == 72
             expected = fingerprint(whole_op_reference(engine, plan))
@@ -287,7 +287,7 @@ class TestBlockedGatherMatchesWholeOpMerge:
         # on the same bytes as an all-naive plan.
         batch, queries = scenario
         router = build_router(batch, n_shards, h)
-        with ShardedQueryEngine(router, radius_m=RADIUS, max_workers=1) as engine:
+        with ShardedQueryEngine(router, radius_m=RADIUS) as engine:
             plan = engine.plan(queries, "naive", prune=False)
             ops = list(plan.ops)
             ops[pick % len(ops)] = dataclasses.replace(
@@ -304,7 +304,7 @@ class TestBlockedGatherMatchesWholeOpMerge:
             RegionGrid.for_shard_count(_covered(small_batch), 4), h=2000
         )
         router.ingest(small_batch)
-        with ShardedQueryEngine(router, max_workers=1) as engine:
+        with ShardedQueryEngine(router) as engine:
             probes = _heatmap_probes(small_batch, 20, 15)
             plan = engine.plan(probes, "naive")
             expected = fingerprint(whole_op_reference(engine, plan))
@@ -317,7 +317,7 @@ class TestBlockedGatherMatchesWholeOpMerge:
         # the plan read; the composite key must stay collision-free.
         batch = small_batch.slice(0, 600)
         router = build_router(batch, 4, h=200)
-        with ShardedQueryEngine(router, radius_m=RADIUS, max_workers=1) as engine:
+        with ShardedQueryEngine(router, radius_m=RADIUS) as engine:
             queries = QueryBatch(
                 batch.t[::9].copy(), batch.x[::9].copy(), batch.y[::9].copy()
             )
@@ -345,9 +345,7 @@ def run_cut(engine: ShardedQueryEngine, plan, cuts):
             binding[s, c] = plan.binding.slice_for(s, c)
             specs.append((op.context, op.method, positions))
         request = pickle.loads(pickle.dumps((coords, n_stream_rows, specs)))
-        runtime = shard_runtime(
-            binding, engine.processor_cache, engine.radius_m, engine.config
-        )
+        runtime = shard_runtime(binding, engine.processor_cache, engine.radius_m)
         result = pipeline_executor.PlanExecutor(runtime).execute(
             parallel._sub_plan(binding, *request)
         )
@@ -383,7 +381,7 @@ class TestSubPlansConcatenateToTheWholePlan:
         batch, queries = scenario
         router = build_router(batch, n_shards, h)
         with ShardedQueryEngine(
-            router, radius_m=RADIUS, max_workers=1, prune=prune
+            router, radius_m=RADIUS, prune=prune
         ) as engine, np.errstate(all="ignore"):
             plan = engine.plan(queries, "naive")
             if stale_counter:
@@ -402,7 +400,7 @@ class TestSubPlansConcatenateToTheWholePlan:
     @given(prune=st.booleans(), cuts=st.lists(st.integers(0, 80), max_size=7))
     def test_any_cut_points_over_72_sources(self, prune, cuts):
         router, queries, _n_rows = seventy_two_sources()
-        with ShardedQueryEngine(router, radius_m=RADIUS, max_workers=1) as engine:
+        with ShardedQueryEngine(router, radius_m=RADIUS) as engine:
             plan = engine.plan(queries, "naive", prune=prune)
             assert len({op.context.shard for op in plan.ops}) == 72
             expected = fingerprint(whole_op_reference(engine, plan))
@@ -419,7 +417,7 @@ class TestRowGroupsNeedNoKeys:
         quadrants = RegionGrid(BoundingBox(cx - rx, cy - ry, cx + rx, cy + ry), nx=2, ny=2)
         router = ShardRouter(quadrants, h=2000)
         router.ingest(small_batch)
-        with ShardedQueryEngine(router, max_workers=1) as engine:
+        with ShardedQueryEngine(router) as engine:
             probes = _heatmap_probes(small_batch, 40, 30)  # one full window
             plan = engine.plan(probes, "naive")
             assert len({op.context.window_c for op in plan.ops}) == 1
@@ -641,7 +639,7 @@ def test_heatmap_allocates_nothing_proportional_to_hits(small_batch):
     hit-proportional arrays cannot quietly return."""
     router = ShardRouter(RegionGrid.for_shard_count(_covered(small_batch), 4), h=2000)
     router.ingest(small_batch)
-    with ShardedQueryEngine(router, max_workers=1) as engine:
+    with ShardedQueryEngine(router) as engine:
         probes = _heatmap_probes(small_batch, 40, 30)  # mid-stream: a full window
         warm = engine.continuous_query_batch(probes, "naive")  # workspace grown
         assert int(warm.support.sum()) > 250_000

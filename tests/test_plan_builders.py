@@ -33,15 +33,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from reference_plans import reference_sharded_plan
+from reference_plans import reference_cover_groups, reference_sharded_plan
 from repro.data.tuples import TupleBatch
 from repro.geo.coords import BoundingBox
 from repro.geo.region import RegionGrid
 from repro.query.base import QueryBatch
 from repro.query.pipeline.binding import RouterBinding
 from repro.query.pipeline.executor import build_sharded_plan
-from repro.query.pipeline.plan import FallbackOp, format_plan
-from repro.query.sharded import SHARDED_METHODS
+from repro.query.pipeline.plan import format_plan
+from repro.query.sharded import SHARDED_METHODS, cover_runs
 from repro.storage.shards import ShardRouter
 from repro.storage.tiered import TieredShardRouter
 
@@ -52,7 +52,7 @@ N_ROWS = 10 * H + 25  # ten sealed windows and an open one
 
 LAYOUTS = ("static", "split", "merged", "tiered")
 #: Two merge-shaped methods (a scan and an index) and the owner-shard
-#: covers + exact fallback.
+#: covers, whose plan has no ops: the route lane's grouping is compared.
 METHODS = ("naive", "grid", "model-cover")
 
 
@@ -155,11 +155,6 @@ def describe(plan):
     """Everything a plan says, in comparable form (arrays as bytes)."""
     ops = []
     for op in plan.ops:
-        if isinstance(op, FallbackOp):
-            ops.append(
-                ("fallback", op.positions.dtype.str, op.positions.tobytes(), describe(op.plan))
-            )
-            continue
         for column in (op.queries.t, op.queries.x, op.queries.y):
             assert column.dtype == np.float64 and column.ndim == 1
             assert not column.flags.writeable
@@ -176,7 +171,28 @@ def describe(plan):
     )
 
 
+def assert_same_runs(sides, queries):
+    """A model-cover plan is its binding, queries and method, built with
+    no binding call; the route lane groups its queries by (window,
+    owner) as the reference loops do, each group in stream order."""
+    new, _ref = sides
+    plan, binding, faults = new.build(queries, "model-cover", True)
+    assert (plan.ops, plan.pruned, plan.merge, binding.calls, faults) == ((), (), None, [], 0)
+    assert plan.queries is queries and plan.method == "model-cover"
+    if not len(queries):
+        return
+    grid = binding.grid
+    order, runs = cover_runs(
+        binding.windows_for_times(queries.t), grid.shards_of(queries.x, queries.y), grid.n_regions
+    )
+    got = [(c, s, order[lo:hi].tobytes()) for c, s, lo, hi in runs]
+    want = [(c, s, at.tobytes()) for c, s, at in reference_cover_groups(binding, queries)]
+    assert got == want
+
+
 def assert_same_plan(sides, queries, method, prune):
+    if method == "model-cover":
+        return assert_same_runs(sides, queries)
     new, ref = sides
     args = (queries, method, prune)
     plan, binding, faults = new.build(*args)
@@ -190,11 +206,6 @@ def assert_same_plan(sides, queries, method, prune):
 
     assert describe(plan) == describe(ref_plan)
     assert format_plan(plan) == format_plan(ref_plan)
-    # The counts taken at build are the walks they replaced.
-    assert plan.ops_pruned == len(plan.walk_pruned())
-    assert plan.ops_kept == sum(
-        1 for _, op in plan.walk() if not isinstance(op, FallbackOp)
-    )
 
     assert faults == ref_faults
     for kind in ("sketch_for", "slice_for", "peek", "peek_window"):
@@ -206,7 +217,7 @@ def assert_same_plan(sides, queries, method, prune):
         assert [p for p in binding.pins if (p[1] < sealed) == tier] == [
             p for p in ref_binding.pins if (p[1] < sealed) == tier
         ]
-    if prune and plan.merge is not None:
+    if prune:
         # Every slice resolved ends up in an op: an unreached or
         # sketch-pruned (shard, window) was never pinned, never read.
         kept = {(op.context.shard, op.context.window_c) for op in plan.ops}

@@ -4,7 +4,10 @@ The contract under test is the tentpole guarantee: every answer produced
 on the process pool is byte-identical to the serial ``PlanExecutor``
 path — at any worker count, from any number of threads — and any worker
 failure (including ``kill -9`` mid-request) degrades to a correct
-in-process answer rather than an error.
+in-process answer rather than an error.  A ``model-cover`` plan is
+answered in the parent by the engine's own lanes, never on a worker.
+The module leaves nothing behind: its pools close every descriptor,
+thread and shared-memory block they opened, killed workers included.
 """
 
 import importlib.util
@@ -24,6 +27,9 @@ from repro.query.pipeline import parallel
 from repro.query.pipeline.parallel import ProcessPlanExecutor, ProcessShardedEngine
 from repro.query.sharded import ShardedQueryEngine
 from repro.storage.shards import ShardRouter
+from repro.storage.shm import ShardExport
+
+from leaks import assert_released, open_resources
 
 # Guard against a hung worker pipe wedging the suite — but only where the
 # pytest-timeout plugin is actually installed (CI installs it; the mark
@@ -37,6 +43,36 @@ pytestmark = (
 H = 500
 
 
+@pytest.fixture(scope="module", autouse=True)
+def module_leak_check():
+    """Open descriptors, running threads and the shared-memory export
+    blocks this module created are back at baseline once its pools —
+    the ``params=[1, 2, 3]`` fixtures and every test's own, the
+    worker-kill cases included — are closed.  The resource tracker's
+    pipe lives for the session, so it is started before counting;
+    nothing is checked where ``/proc`` is absent."""
+    from multiprocessing import resource_tracker
+
+    resource_tracker.ensure_running()
+    created = []
+    export = ShardExport.__init__
+
+    def recording(self, *args, **kwargs):
+        export(self, *args, **kwargs)
+        created.append(self.name)
+
+    patch = pytest.MonkeyPatch()
+    patch.setattr(ShardExport, "__init__", recording)
+    before = open_resources()
+    yield
+    patch.undo()
+    assert_released(before)
+    if before is not None:
+        assert created, "no export block was made: the check saw nothing"
+        left = [name for name in created if os.path.exists(f"/dev/shm/{name}")]
+        assert not left, f"export blocks not unlinked: {left}"
+
+
 def _router(dataset, shards=4):
     router = ShardRouter(
         RegionGrid.for_shard_count(dataset.covered_bbox(), shards), h=H
@@ -47,7 +83,7 @@ def _router(dataset, shards=4):
 
 @pytest.fixture(scope="module")
 def sharded(small_dataset):
-    engine = ShardedQueryEngine(_router(small_dataset), max_workers=2)
+    engine = ShardedQueryEngine(_router(small_dataset))
     yield engine
     engine.close()
 
@@ -89,9 +125,19 @@ class TestByteIdentity:
         plan = sharded.plan(probes, "grid")
         _assert_identical(sharded.execute(plan), pexec.execute(plan))
 
-    def test_cover_plan_with_fallback_subplan(self, sharded, pexec, probes):
+    def test_model_cover_plan_is_answered_in_the_parent(
+        self, sharded, pexec, probes, monkeypatch
+    ):
         plan = sharded.plan(probes, "model-cover")
-        _assert_identical(sharded.execute(plan), pexec.execute(plan))
+        expected = sharded.execute(plan)
+
+        def dispatched(*args):
+            raise AssertionError("a model-cover plan was sent to a worker")
+
+        monkeypatch.setattr(pexec, "_dispatch", dispatched)
+        fallbacks = dict(pexec.fallback_reasons)
+        _assert_identical(expected, pexec.execute(plan))
+        assert dict(pexec.fallback_reasons) == fallbacks  # not a fallback
 
     def test_continuous_stream(self, sharded, pexec, small_dataset):
         tuples = small_dataset.tuples
@@ -214,7 +260,7 @@ class TestIncrementalIngest:
             RegionGrid.for_shard_count(small_dataset.covered_bbox(), 4), h=H
         )
         router.ingest(tuples.slice(0, half))
-        engine = ShardedQueryEngine(router, max_workers=1)
+        engine = ShardedQueryEngine(router)
         bounds = small_dataset.covered_bbox()
         with ProcessPlanExecutor(engine, processes=2) as executor:
             t1 = float(tuples.t[half // 2])
@@ -251,7 +297,7 @@ class TestIncrementalIngest:
         tuples = small_dataset.tuples
         bounds = small_dataset.covered_bbox()
         router = ShardRouter(RegionGrid.for_shard_count(bounds, 2), h=H)
-        engine = ShardedQueryEngine(router, max_workers=1)
+        engine = ShardedQueryEngine(router)
         rounds = 40
         step = len(tuples) // (rounds + 1)
         router.ingest(tuples.slice(0, step))
@@ -280,12 +326,15 @@ class TestIncrementalIngest:
     def test_a_sealed_windows_cover_is_fitted_once_across_a_re_export(
         self, small_dataset
     ):
+        """Covers are the parent's: a model-cover plan fits in the
+        engine's cache, no worker fits one, and a re-export of every
+        shard does not make the sealed window's cover fit again."""
         tuples = small_dataset.tuples
         bounds = small_dataset.covered_bbox()
         half = len(tuples) // 2
         router = ShardRouter(RegionGrid.for_shard_count(bounds, 2), h=H)
         router.ingest(tuples.slice(0, half))
-        engine = ShardedQueryEngine(router, max_workers=1)
+        engine = ShardedQueryEngine(router)
 
         def probes(at):
             return QueryBatch.from_grid(
@@ -293,24 +342,28 @@ class TestIncrementalIngest:
                 bounds.min_x, bounds.min_y, bounds.width, bounds.height, 6, 5,
             )
 
-        def fits(executor):
-            return sum(cache["misses"] for cache, _names in executor.worker_stats())
+        def worker_fits(executor):
+            stats = filter(None, executor.worker_stats())
+            return sum(cache["misses"] for cache, _names in stats)
 
         with ProcessPlanExecutor(engine, processes=2) as executor:
             sealed = engine.plan(probes(H + H // 2), "model-cover")  # window 1: sealed
             expected = engine.execute(sealed)
+            fitted = engine.cache_stats.misses
+            assert fitted > 0
             _assert_identical(expected, executor.execute(sealed))
-            assert fits(executor) > 0
+            naive = engine.plan(probes(H + H // 2), "naive")
+            _assert_identical(engine.execute(naive), executor.execute(naive))
             before = {s: e.name for s, e in executor.registry._exports.items()}
             router.ingest(tuples.slice(half, len(tuples)))
-            head = engine.plan(probes(len(tuples) - 1), "model-cover")
+            head = engine.plan(probes(len(tuples) - 1), "naive")
             _assert_identical(engine.execute(head), executor.execute(head))
             after = {s: e.name for s, e in executor.registry._exports.items()}
             assert all(after[s] != before[s] for s in before)  # every shard re-exported
-            fitted = fits(executor)
             again = engine.plan(probes(H + H // 2), "model-cover")
             _assert_identical(expected, executor.execute(again))
-            assert fits(executor) == fitted  # served from the worker's cache
+            assert engine.cache_stats.misses == fitted  # served from the cache
+            assert worker_fits(executor) == 0  # naive plans build nothing there
             assert executor.fallbacks == 0
         engine.close()
 
@@ -319,7 +372,7 @@ class TestCrashRecovery:
     def test_killed_workers_degrade_to_in_process_answer(
         self, small_dataset, monkeypatch
     ):
-        engine = ShardedQueryEngine(_router(small_dataset), max_workers=1)
+        engine = ShardedQueryEngine(_router(small_dataset))
         bounds = small_dataset.covered_bbox()
         t = float(small_dataset.tuples.t[1000])
         probes = QueryBatch.from_grid(
@@ -354,7 +407,7 @@ class TestCrashRecovery:
     def test_killed_pool_respawns_before_next_request(self, small_dataset):
         # Plain kill -9 between requests: the lazy respawn notices the
         # corpse and the next request never even needs the fallback.
-        engine = ShardedQueryEngine(_router(small_dataset), max_workers=1)
+        engine = ShardedQueryEngine(_router(small_dataset))
         bounds = small_dataset.covered_bbox()
         t = float(small_dataset.tuples.t[1000])
         probes = QueryBatch.from_grid(
@@ -397,8 +450,8 @@ class TestCrashRecovery:
 
 class TestProcessShardedEngine:
     def test_three_request_shapes(self, small_dataset):
-        engine = ShardedQueryEngine(_router(small_dataset), max_workers=1)
-        oracle = ShardedQueryEngine(_router(small_dataset), max_workers=1)
+        engine = ShardedQueryEngine(_router(small_dataset))
+        oracle = ShardedQueryEngine(_router(small_dataset))
         bounds = small_dataset.covered_bbox()
         t = float(small_dataset.tuples.t[2000])
         with ProcessShardedEngine(engine, processes=2) as facade:

@@ -10,6 +10,7 @@ from repro.core.adkmn import fit_adkmn
 from repro.data.tuples import QueryTuple, TupleBatch
 from repro.data.windows import window
 from repro.geo.coords import BoundingBox
+from repro.query.base import QueryBatch
 from repro.query.modelcover import ModelCoverProcessor
 from repro.query.naive import NaiveProcessor
 from repro.query.sharded import SHARDED_METHODS as METHODS
@@ -188,7 +189,7 @@ class TestCacheThreadSafety:
     def test_concurrent_queries_stay_bounded(self, small_batch):
         """Queries across windows from several threads: the cache bound
         and its counters stay coherent (one index lookup per query)."""
-        engine = one_shard_engine(small_batch, h=240, cache_capacity=3, max_workers=1)
+        engine = one_shard_engine(small_batch, h=240, cache_capacity=3)
         n_windows = engine.router.global_window_count()
         errors = []
 
@@ -217,21 +218,22 @@ class TestLifecycle:
     def test_close_is_idempotent_and_engine_stays_usable(self, small_batch):
         engine = one_shard_engine(small_batch, h=240, radius_m=1000.0)
         t = float(small_batch.t[100])
-        engine.executor._ensure_pool()
-        assert engine.executor._pool is not None
         engine.close()
-        assert engine.executor._pool is None  # live pool actually torn down
         engine.close()  # idempotent
         assert engine.point_query(t, 2000.0, 1500.0, method="model-cover").answered
-        engine.executor._ensure_pool()  # parallel paths recreate on demand
-        assert engine.executor._pool is not None
         engine.close()
 
-    def test_context_manager_shuts_pool_down(self, small_batch):
+    def test_large_model_cover_batches_start_no_threads(self, small_batch):
+        """Every model-cover answer is the calling thread's: a batch of
+        1 024 queries starts no thread, in or out of the context
+        manager."""
+        threads = threading.active_count()
         with one_shard_engine(small_batch, h=240, radius_m=1000.0) as engine:
-            engine.executor._ensure_pool()
-            assert engine.executor._pool is not None
-        assert engine.executor._pool is None
+            t = np.repeat(small_batch.t[::240][:8], 128)
+            batch = QueryBatch(t, np.full(len(t), 2000.0), np.full(len(t), 1500.0))
+            assert engine.continuous_query_batch(batch, method="model-cover").answered.all()
+            assert threading.active_count() == threads
+        assert threading.active_count() == threads
 
     def test_windows_for_times_matches_scalar(self, engine, small_batch):
         ts = [float(small_batch.t[i]) for i in (0, 100, 2000)]

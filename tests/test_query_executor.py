@@ -1,9 +1,8 @@
-"""Tests for repro.query.executor — grouping, scatter, the pool.
+"""Tests for repro.query.executor — grouping and scatter.
 
 The per-window grouping and scatter compose the oracles' reference
-answers, and the pool sits under the plan executor's fan-out, so their
-edge cases are load-bearing: a wrong scatter silently swaps answers
-between queries.
+answers, so their edge cases are load-bearing: a wrong scatter silently
+swaps answers between queries.
 """
 
 import numpy as np
@@ -13,7 +12,6 @@ from hypothesis import strategies as st
 
 from repro.query.base import BatchResult, QueryBatch
 from repro.query.executor import (
-    BatchExecutor,
     QueryGroup,
     group_queries_by_window,
     scatter_results,
@@ -101,43 +99,3 @@ class TestScatterResults:
         assert np.array_equal(out.queries.y, batch.y)
         assert np.array_equal(out.values, t * 10.0 + arr)
         assert out.answered.all()
-
-
-class TestBatchExecutorSizing:
-    """The pool sizes itself from the CPUs it may run on, once."""
-
-    def test_one_usable_cpu_never_creates_a_pool(self, monkeypatch):
-        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr("os.cpu_count", lambda: 8)  # affinity wins
-        executor = BatchExecutor()
-        assert executor.workers_for(100) == 1
-        assert executor.map(lambda v: v * 2, list(range(10))) == list(range(0, 20, 2))
-        assert executor._pool is None
-
-    def test_affinity_is_read_at_construction_only(self, monkeypatch):
-        calls = []
-
-        def affinity(pid):
-            calls.append(pid)
-            return {0, 1, 2}
-
-        monkeypatch.setattr("os.sched_getaffinity", affinity, raising=False)
-        executor = BatchExecutor()
-        try:
-            for _ in range(3):
-                assert executor.map(abs, [-1, -2, -3, -4]) == [1, 2, 3, 4]
-            assert executor.workers_for(100) == 3
-        finally:
-            executor.shutdown()
-        assert calls == [0]
-
-    def test_max_workers_still_wins(self, monkeypatch):
-        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
-        executor = BatchExecutor(max_workers=4)
-        assert executor.workers_for(100) == 4
-        assert executor.workers_for(2) == 2
-
-    def test_falls_back_to_cpu_count_without_affinity(self, monkeypatch):
-        monkeypatch.delattr("os.sched_getaffinity", raising=False)
-        monkeypatch.setattr("os.cpu_count", lambda: 5)
-        assert BatchExecutor().workers_for(100) == 5

@@ -2,7 +2,7 @@
 
 Covers the one epoch-keyed :class:`ProcessorCache` (both build
 disciplines, stale accounting, aggregation), the plan IR and its
-builders (shapes, contexts, fallbacks, ``format_plan``), the
+builders (shapes, contexts, model-cover runs, ``format_plan``), the
 uniform server counters, and the binding's pin across ingest.
 """
 
@@ -21,8 +21,6 @@ from repro.network.messages import ModelRequest, QueryRequest
 from repro.query.base import QueryBatch
 from repro.query.pipeline import (
     CacheStats,
-    CoverOp,
-    FallbackOp,
     PlanReport,
     ProcessorCache,
     ScanOp,
@@ -295,7 +293,7 @@ class TestProcessorCacheLRU:
 
 
 class TestPlanShapes:
-    def test_server_plan_is_one_cover_op_per_window(self):
+    def test_model_cover_plan_answers_one_cover_run_per_window(self):
         rng = np.random.default_rng(11)
         stream = make_stream(rng, 200)
         server = protocol_service(h=40)
@@ -306,12 +304,16 @@ class TestPlanShapes:
         queries = QueryBatch(ts, np.full(3, 2000.0), np.full(3, 1500.0))
         plan = engine.plan(queries, "model-cover", binding=binding)
         assert plan.merge is None and plan.method == "model-cover"
-        assert [op.context.window_c for op in plan.ops] == [0, 1, 3]
-        for op in plan.ops:
-            assert isinstance(op, CoverOp)
-            assert op.context.shard == 0
-            c = op.context.window_c
-            assert op.context.n_rows == len(binding.slice_for(0, c)[1]) == 40
+        assert plan.ops == () and plan.binding is binding and plan.queries is queries
+        report = PlanReport()
+        engine.execute(plan, report)
+        assert [run.context.window_c for run in report.runs] == [0, 1, 3]
+        for run in report.runs:
+            assert run.kind == "cover" and run.n_queries == 1
+            assert run.context.shard == 0
+            c = run.context.window_c
+            assert run.context.n_rows == len(binding.slice_for(0, c)[1]) == 40
+            assert report.observed(run) is not None
 
     def test_sharded_exact_plan_is_merge_shaped(self):
         rng = np.random.default_rng(12)
@@ -331,7 +333,7 @@ class TestPlanShapes:
         shards = {op.context.shard for op in plan.ops}
         assert shards <= set(range(4))
 
-    def test_cover_plan_fallback_for_empty_region(self):
+    def test_an_empty_owner_is_answered_from_the_window_rows(self):
         rng = np.random.default_rng(13)
         n = 64
         t = np.cumsum(rng.uniform(1.0, 60.0, n))
@@ -349,12 +351,15 @@ class TestPlanShapes:
             np.array([4000.0, 5000.0, 5500.0]),
             np.full(3, 2000.0),
         )
-        plan = engine.plan(queries, "model-cover")
-        fallbacks = [op for op in plan.ops if isinstance(op, FallbackOp)]
-        assert len(fallbacks) == 1
-        assert fallbacks[0].plan.merge is not None  # exact sub-plan
-        assert len(fallbacks[0].positions) == 3
-        assert not [op for op in plan.ops if isinstance(op, CoverOp)]
+        report = PlanReport()
+        got = engine.execute(engine.plan(queries, "model-cover"), report)
+        [run] = report.runs
+        assert run.kind == "rows" and run.n_queries == 3
+        assert run.context.shard == 1 and run.context.stamp == 0
+        assert run.context.n_rows == 32  # the whole window's rows
+        exact = engine.continuous_query_batch(queries, method="naive")
+        assert got.values.tobytes() == exact.values.tobytes()
+        assert got.support.tobytes() == exact.support.tobytes()
 
     def test_format_plan_lists_every_op(self):
         rng = np.random.default_rng(14)
@@ -370,11 +375,11 @@ class TestPlanShapes:
         engine.execute(plan, report)
         text = format_plan(plan, report)
         assert "plan: method=model-cover" in text
-        assert text.count("\n") >= len(plan.ops) + 1
+        assert f"runs={len(report.runs)}" in text
+        assert text.count("\n") >= len(report.runs) + 1
         assert "ms" in text  # observed timings rendered
-        for _, op in plan.walk():
-            if not isinstance(op, FallbackOp):
-                assert op.context.describe() in text
+        for run in report.runs:
+            assert run.context.describe() in text
 
     def test_plan_report_total_and_per_op(self):
         rng = np.random.default_rng(15)

@@ -34,7 +34,7 @@ from repro.storage.shards import ShardRouter, StaleLayoutError
 from repro.storage.tiered import TieredShardRouter
 
 from reference_gather import merge_hit_partials, scan_hits
-from rows_entries import cache_rows, uncached_windows
+from rows_entries import uncached_windows
 
 
 @pytest.fixture(scope="module")
@@ -69,10 +69,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             engine.point_query(t_mid, 100.0, 100.0, method="quantum")
 
-    def test_context_manager_closes_pool(self, router):
+    def test_context_manager_holds_no_threads(self, router, t_mid):
+        threads = threading.active_count()
         with ShardedQueryEngine(router) as eng:
             assert eng.n_shards == 4
-        assert eng.executor._pool is None
+            batch = QueryBatch(
+                np.full(600, t_mid), np.linspace(0.0, 6000.0, 600), np.full(600, 2000.0)
+            )
+            eng.continuous_query_batch(batch, method="model-cover")
+            assert threading.active_count() == threads
+        assert threading.active_count() == threads
 
 
 class TestPointQuery:
@@ -161,8 +167,8 @@ class TestDegenerateWindows:
         assert ref.values[0] == pytest.approx(float(np.mean(rows.s)))
         if method == "model-cover":
             # The owner's cover answers where the rows are; the far
-            # query's owner slice is empty and its exact fallback finds
-            # nothing.
+            # query's owner slice is empty and its window's rows hold
+            # nothing in range.
             assert got.answered.tolist() == [True, True, False]
             assert got.values[0] == pytest.approx(float(np.mean(rows.s)))
         else:
@@ -353,7 +359,7 @@ def _lane_router(
 ):
     """A ``shards``-shard router holding the first ``rows`` tuples:
     resident, or — given a ``data_dir`` — over segment files with
-    ``memory_windows`` sealed slices kept in memory, so most plan-path
+    ``memory_windows`` sealed slices kept in memory, so most pinned-path
     reads fault in."""
     grid = RegionGrid.for_shard_count(BoundingBox(0.0, 0.0, 6000.0, 4000.0), shards)
     if data_dir is None:
@@ -406,7 +412,7 @@ def _recent_points(small_batch, n, seed):
     ]
 
 
-def _plan_path(engine, t, x, y):
+def _pinned(engine, t, x, y):
     """The oracle: ``continuous_query_batch`` on the 1-row batch."""
     return engine.point_query(t, x, y, method="model-cover")
 
@@ -422,49 +428,40 @@ def _open_window_probe(router, small_batch):
 
 
 class TestCachedPoint:
-    """``cached_point``: the plan path's bytes or ``None``, never a wait."""
+    """``cached_point``: the pinned path's bytes or ``None``, never a wait."""
 
-    def test_hits_are_byte_identical_to_the_plan_path(self, lane, small_batch):
+    def test_hits_are_byte_identical_to_the_pinned(self, lane, small_batch):
         router, engine = lane
         service = EngineQueryService(engine, method="model-cover")
         points = _recent_points(small_batch, 2000, seed=19)
 
         def slow(p):
-            r = _plan_path(engine, p["t"], p["x"], p["y"])
+            r = _pinned(engine, p["t"], p["x"], p["y"])
             return {"mode": "point", "value": r.value, "support": r.support}
 
         # The first pass also warms: every cover the stream needs is
         # cached, and so are the rows of every window an empty owner
-        # slice sent the plan path's exact fallback to, unless that plan
-        # pruned a sealed slice with rows.  The lane declines exactly
-        # those points, and answers them once the window's rows are
-        # cached.
+        # slice was answered in — the pinned path merges them whether
+        # or not an exact plan would have pruned a sealed slice.
         expected = [json.dumps(slow(p)) for p in points]
-        empty_owners = unseeded = 0
+        empty_owners = 0
         for p, want in zip(points, expected):
-            point = QueryBatch([p["t"]], [p["x"]], [p["y"]])
-            missing = uncached_windows(engine, point)
-            got = service.cached("point", p)
-            if missing:
-                assert got is None
-                unseeded += 1
-                cache_rows(engine, missing[0])
-                got = service.cached("point", p)
-            assert json.dumps(got) == want
+            assert not uncached_windows(engine, QueryBatch([p["t"]], [p["x"]], [p["y"]]))
+            assert json.dumps(service.cached("point", p)) == want
             assert json.dumps(service.point(p)) == want
             owner = router.grid.shard_of(p["x"], p["y"])
             empty_owners += not router.shard_window_epoch(owner, router.window_for_time(p["t"]))
         assert engine.lane_hits["point"] == len(points)
-        assert engine.lane_declines.get(("point", "fallback"), 0) == unseeded
-        assert empty_owners > 100 and unseeded < empty_owners
+        assert not engine.lane_declines
+        assert empty_owners > 100
 
-    def test_hit_bookkeeping_matches_the_plan_path(self, lane, small_batch):
+    def test_hit_bookkeeping_matches_the_pinned(self, lane, small_batch):
         router, engine = lane
         t, x, y, _tail = _open_window_probe(router, small_batch)
         s = router.grid.shard_of(x, y)
         assert engine.cached_point(t, x, y, "model-cover") is None  # cold
         assert engine.cache_stats.lookups == 0  # a miss touches no counter
-        expected = _plan_path(engine, t, x, y)
+        expected = _pinned(engine, t, x, y)
         before = engine.cache_stats.as_dict()
         plans = engine.prune_stats.plans
         scans = router.shard_load_stats()[s].scan_queries
@@ -478,10 +475,10 @@ class TestCachedPoint:
     def test_a_hit_touches_no_batch_machinery(self, lane, small_batch, monkeypatch):
         """The lane answers from Python floats: with the 1-row batch's
         constructor, the vector routing and the vector cover evaluation
-        all raising, a hit is still the plan path's answer."""
+        all raising, a hit is still the pinned path's answer."""
         router, engine = lane
         t, x, y, _tail = _open_window_probe(router, small_batch)
-        expected = _plan_path(engine, t, x, y)
+        expected = _pinned(engine, t, x, y)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the cached lane built or evaluated an array")
@@ -518,7 +515,7 @@ class TestCachedPoint:
     def test_non_finite_input_declines(self, lane, small_batch):
         router, engine = lane
         t, x, y, _tail = _open_window_probe(router, small_batch)
-        _plan_path(engine, t, x, y)
+        _pinned(engine, t, x, y)
         before = engine.cache_stats.as_dict()
         for field in range(3):
             for bad in (math.nan, math.inf, -math.inf):
@@ -531,12 +528,12 @@ class TestCachedPoint:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_far_finite_coordinates_take_the_lane(self, lane, small_batch):
         """1e300 passes the request validation; the owner is the edge
-        cell on both paths, so once the plan path has cached that cover
+        cell on both paths, so once the pinned path has cached that cover
         — or, for an empty owner slice, the window's rows — the lane
         serves it byte-identically.  Routing and the cover hit never
-        warn (the plan path's vector cover evaluation overflows to inf
+        warn (the pinned path's vector cover evaluation overflows to inf
         there, which numpy reports; that is not the routing's).  An
-        empty owner's scan squares the same far offsets the plan path's
+        empty owner's scan squares the same far offsets the pinned path's
         exact scan does, so that overflow, and only that one, is
         allowed there."""
         router, engine = lane
@@ -545,7 +542,7 @@ class TestCachedPoint:
         owners = []
         for x, y in [(1e300, 2000.0), (-1e300, 2000.0), (3000.0, 1e300), (1e300, -1e300)]:
             params = {"t": t, "x": x, "y": y}
-            slow = service._point(engine.point_query, params)  # the plan path
+            slow = service._point(engine.point_query, params)  # the pinned path
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 s = router.grid.shard_of(x, y)
@@ -564,7 +561,7 @@ class TestCachedPoint:
     def test_other_methods_never_enter_the_lane(self, lane, small_batch, method):
         router, engine = lane
         t, x, y, _tail = _open_window_probe(router, small_batch)
-        _plan_path(engine, t, x, y)  # the cover is cached
+        _pinned(engine, t, x, y)  # the cover is cached
         assert engine.cached_point(t, x, y, "model-cover") is not None
         before = engine.cache_stats.as_dict()
         assert engine.cached_point(t, x, y, method) is None
@@ -577,32 +574,32 @@ class TestCachedPoint:
         with ShardedQueryEngine(_lane_router(small_batch, rows=0)) as engine:
             assert engine.cached_point(0.0, 1.0, 1.0, "model-cover") is None
 
-    def test_ingest_invalidates_until_the_plan_path_refits(self, lane, small_batch):
+    def test_ingest_invalidates_until_the_pinned_refits(self, lane, small_batch):
         router, engine = lane
         t, x, y, tail = _open_window_probe(router, small_batch)
-        _plan_path(engine, t, x, y)
+        _pinned(engine, t, x, y)
         assert engine.cached_point(t, x, y, "model-cover") is not None
         router.ingest(tail)
         # The owner's slice of the open window grew: the cached cover
         # names an older stamp and must not be served.
         assert engine.cached_point(t, x, y, "model-cover") is None
-        refit = _plan_path(engine, t, x, y)
+        refit = _pinned(engine, t, x, y)
         assert engine.cached_point(t, x, y, "model-cover") == refit
 
-    def test_recut_invalidates_until_the_plan_path_refits(self, small_batch):
+    def test_recut_invalidates_until_the_pinned_refits(self, small_batch):
         router = _lane_router(small_batch)
         t, x, y, _tail = _open_window_probe(router, small_batch)
         with ShardedQueryEngine(router) as engine:
-            _plan_path(engine, t, x, y)
+            _pinned(engine, t, x, y)
             assert engine.cached_point(t, x, y, "model-cover") is not None
             s = router.grid.shard_of(x, y)
             router.split_shard(s)
             assert engine.cached_point(t, x, y, "model-cover") is None
-            after_split = _plan_path(engine, t, x, y)
+            after_split = _pinned(engine, t, x, y)
             assert engine.cached_point(t, x, y, "model-cover") == after_split
             router.merge_cell(router.grid.cell_of_shard(router.grid.shard_of(x, y)))
             assert engine.cached_point(t, x, y, "model-cover") is None
-            after_merge = _plan_path(engine, t, x, y)
+            after_merge = _pinned(engine, t, x, y)
             assert engine.cached_point(t, x, y, "model-cover") == after_merge
 
     def test_an_evicted_cover_is_a_miss(self, small_batch):
@@ -610,11 +607,11 @@ class TestCachedPoint:
         t, x, y, _tail = _open_window_probe(router, small_batch)
         t_old = float(small_batch.t[19 * _LANE_H + 1])
         with ShardedQueryEngine(router, cache_capacity=1) as engine:
-            first = _plan_path(engine, t, x, y)
+            first = _pinned(engine, t, x, y)
             assert engine.cached_point(t, x, y, "model-cover") == first
             # Another window's cover takes the one slot.
             assert router.window_for_time(t_old) != router.window_for_time(t)
-            second = _plan_path(engine, t_old, x, y)
+            second = _pinned(engine, t_old, x, y)
             assert engine.cache_stats.evictions >= 1
             before = engine.cache_stats.as_dict()
             assert engine.cached_point(t, x, y, "model-cover") is None
@@ -625,9 +622,9 @@ class TestCachedPoint:
         router, engine = lane
         t_old = float(small_batch.t[5 * _LANE_H + 1])
         _t, x, y, _tail = _open_window_probe(router, small_batch)
-        expected = _plan_path(engine, t_old, x, y)
+        expected = _pinned(engine, t_old, x, y)
         for p in _recent_points(small_batch, 40, seed=3):
-            _plan_path(engine, p["t"], p["x"], p["y"])  # pages window 5 out
+            _pinned(engine, p["t"], p["x"], p["y"])  # pages window 5 out
         tiered = isinstance(router, TieredShardRouter)
         if tiered:
             faults, resident = router.faults, router.resident_window_count()
@@ -663,8 +660,8 @@ class TestCachedPoint:
             assert router.resident_window_count() == resident
 
     def test_racing_recuts_never_mix_two_layouts(self, small_batch, monkeypatch):
-        """Readers, a plan-path warmer and a split/merge loop on more
-        threads than cores: every lane answer is the plan path's at the
+        """Readers, a pinned-path warmer and a split/merge loop on more
+        threads than cores: every lane answer is the pinned path's at the
         unsplit or at the split layout — never one tile's cover for
         another tile's point.  The readers dawdle around their stamp
         read, which is where a whole re-cut (and the warmer's re-fit)
@@ -677,10 +674,10 @@ class TestCachedPoint:
         t = float(window.t[-1])
         probes = [(t, float(window.x[k]), float(window.y[k])) for k in rows]
         engine = ShardedQueryEngine(router)
-        valid = [{_plan_path(engine, *p).value} for p in probes]
+        valid = [{_pinned(engine, *p).value} for p in probes]
         router.split_shard(s)
         for answers, p in zip(valid, probes):
-            answers.add(_plan_path(engine, *p).value)
+            answers.add(_pinned(engine, *p).value)
         cell = router.grid.cell_of_shard(s)
         router.merge_cell(cell)
         assert any(len(answers) == 2 for answers in valid)  # layouts differ
@@ -709,7 +706,7 @@ class TestCachedPoint:
             while not stop.is_set():
                 for p in probes:
                     try:
-                        _plan_path(engine, *p)
+                        _pinned(engine, *p)
                     except StaleLayoutError:  # three re-cuts raced one plan
                         pass
 
@@ -763,7 +760,7 @@ class TestCachedPoint:
 @pytest.fixture(params=["resident", "one-slot", "split"])
 def route_lane(request, small_batch, tmp_path):
     """``(router, engine)`` over a resident store, a segment store that
-    keeps one sealed slice in memory (nearly every plan-path read faults
+    keeps one sealed slice in memory (nearly every pinned-path read faults
     in), and a resident store re-cut to a refined layout."""
     if request.param == "one-slot":
         router = _lane_router(small_batch, tmp_path, memory_windows=1)
@@ -858,6 +855,13 @@ def _stats(engine):
     return engine.cache_stats.as_dict(), engine.rows_cache.stats.as_dict()
 
 
+def _cover(engine, s, c):
+    """The cover cached for shard ``s``'s slice of window ``c`` at its
+    live stamp."""
+    stamp = engine.router.shard_window_epoch(s, c)
+    return engine.processor_cache.peek(("cover", s, c), stamp).cover
+
+
 def _counting_fits(monkeypatch):
     fits = []
     real = sharded_module.fit_adkmn
@@ -894,7 +898,7 @@ _lane_row = st.integers(_LANE_CUT - 2000, 20 * _LANE_H - 1) | st.integers(
 
 
 class TestCachedRoute:
-    """``cached_route``: the plan path's bytes or ``None``, never a wait."""
+    """``cached_route``: the pinned path's bytes or ``None``, never a wait."""
 
     @settings(
         max_examples=40,
@@ -907,7 +911,7 @@ class TestCachedRoute:
         duration=st.floats(min_value=1.0, max_value=20_000.0),
         updates=st.integers(min_value=1, max_value=CACHED_ROUTE_MAX_ROWS),
     )
-    def test_hits_are_byte_identical_to_the_plan_path(
+    def test_hits_are_byte_identical_to_the_pinned(
         self, route_lane, small_batch, waypoints, start, duration, updates
     ):
         router, engine = route_lane
@@ -915,34 +919,26 @@ class TestCachedRoute:
         batch = uniform_route_batch(
             waypoints, t_start, t_start + duration, duration / max(updates - 1, 1), updates
         )
-        # The plan path answers first, and caches every cover it needs
-        # and the rows of every window its exact fallback answered — of
-        # a sealed one, only when it read every slice with rows.
+        # The pinned path answers first, and caches every cover it needs
+        # and the rows of every window an empty owner was answered in.
         expected = engine.continuous_query_batch(batch, method="model-cover")
         self._lane_answers(router, engine, batch, expected)
 
     @staticmethod
     def _lane_answers(router, engine, batch, expected):
         """The lane answers ``batch`` in ``expected``'s bytes, counting
-        a hit per lookup and faulting nothing in — once any window rows
-        the plan path did not cache are cached (declined until then)."""
-        missing = uncached_windows(engine, batch)
-        declines = dict(engine.lane_declines)
+        a hit per lookup and faulting nothing in: the pinned path left
+        every window row it needs cached."""
+        assert not uncached_windows(engine, batch)
+        declines = engine.lane_declines
         faults = getattr(router, "faults", 0)
-        got = engine.cached_route(batch, "model-cover")
-        if missing:
-            assert got is None
-            declines["route", "fallback"] = declines.get(("route", "fallback"), 0) + 1
-            for c in missing:
-                cache_rows(engine, c)
-            faults = getattr(router, "faults", 0)
-        assert engine.lane_declines == declines
         hits = _hits(engine)
         got = engine.cached_route(batch, "model-cover")
         assert getattr(router, "faults", 0) == faults
         assert got is not None
         assert _result_bytes(got) == _result_bytes(expected)
         assert _hits(engine) == tuple(np.add(hits, _lookups(router, batch)))
+        assert engine.lane_declines == declines
 
     @settings(
         max_examples=30,
@@ -956,16 +952,15 @@ class TestCachedRoute:
             max_size=CACHED_ROUTE_MAX_ROWS,
         )
     )
-    def test_routes_mixing_covers_and_empty_owners_are_the_plan_paths_bytes(
+    def test_routes_mixing_covers_and_empty_owners_are_the_pinneds_bytes(
         self, sweep_lane, small_batch, queries
     ):
         """Each query sits at a sensed row's time, at that row's own
         position (``None``: its owner has rows) or at the centre of a
         shard's region (on 4 shards, one whose slice of the window is
-        empty more often than not).  Once the plan path has answered the
-        route, the lane answers it in the plan path's bytes, faulting
-        nothing in: at once when that plan cached every empty owner's
-        window rows, else once those are cached."""
+        empty more often than not).  Once the pinned path has answered the
+        route, the lane answers it in the pinned path's bytes, faulting
+        nothing in."""
         router, engine = sweep_lane
         centres = [
             ((b.min_x + b.max_x) / 2, (b.min_y + b.max_y) / 2)
@@ -982,7 +977,7 @@ class TestCachedRoute:
         expected = engine.continuous_query_batch(batch, method="model-cover")
         self._lane_answers(router, engine, batch, expected)
 
-    def test_service_answers_are_the_plan_path_bytes(self, route_lane, small_batch):
+    def test_service_answers_are_the_pinned_bytes(self, route_lane, small_batch):
         router, engine = route_lane
         service = EngineQueryService(engine, method="model-cover")
         hits = 0
@@ -992,7 +987,7 @@ class TestCachedRoute:
                 "route": [[float(x), float(y)] for x, y in zip(batch.x[::10], batch.y[::10])],
                 "t_start": float(batch.t[0]),
             }
-            slow = json.dumps(service.continuous(dict(params)))  # the plan path
+            slow = json.dumps(service.continuous(dict(params)))  # the pinned path
             got = service.cached("continuous", params)
             if got is not None:
                 hits += 1
@@ -1081,50 +1076,39 @@ class TestCachedRoute:
         at_cap = long_batch.take(np.arange(CACHED_ROUTE_MAX_ROWS))
         assert len(engine.cached_route(at_cap, "model-cover")) == CACHED_ROUTE_MAX_ROWS
 
-    def test_caching_window_rows_faults_nothing_the_plan_did_not(
-        self, small_batch, tmp_path, monkeypatch
-    ):
-        """On a segment store keeping one sealed slice in memory, a
-        model-cover plan faults in exactly as many slices whether or not
-        it caches its exact fallback's window rows.  A sealed window
-        whose slices with rows the plan did not all read is not cached
-        (its empty owner's query reaches no other shard); once a plan
-        reads them all — a query at a sensed row of each — it is."""
+    def test_a_sealed_empty_owner_on_a_segment_store(self, small_batch, tmp_path):
+        """A route whose empty owner lies in a sealed window, on a
+        segment store keeping one sealed slice in memory.  An exact plan
+        of it prunes that window's slices with rows (and would not fault
+        them in); the pinned path merges the whole window's rows,
+        faulting them in, and answers byte for byte what the resident
+        store answers.  The next loop requests for it are hits that
+        fault nothing."""
         c_sealed = _LANE_CUT // _LANE_H - 3
         rows = small_batch.slice(c_sealed * _LANE_H, (c_sealed + 1) * _LANE_H)
-        routers = [
-            _lane_router(small_batch, tmp_path / name, memory_windows=1)
-            for name in ("seeded", "unseeded")
-        ]
-        probe = routers[0]
-        t_head = float(small_batch.t[_LANE_CUT - 1])
-        none = QueryBatch([], [], [])
-        sealed, (t, x, y) = _with_empty_owner(probe, none, t=float(rows.t[120]))
-        assert probe.window_for_time(t) == c_sealed
-        shards = probe.route(rows)
-        anchors = [int(np.flatnonzero(shards == s)[0]) for s in np.unique(shards).tolist()]
-        assert len(anchors) > 1
-        read_all = QueryBatch(*(
-            np.append(column[anchors], value)
-            for column, value in ((rows.t, t), (rows.x, x), (rows.y, y))
-        ))  # fmt: skip
-        head, _ = _with_empty_owner(probe, none, t=t_head)
-        plans = [sealed, head, read_all]
-        faults, cached = [], []
-        for router, seeding in zip(routers, (True, False)):
-            if not seeding:
-                monkeypatch.setattr(sharded_module, "window_rows", lambda *args: None)
-            with ShardedQueryEngine(router) as engine:
-                seen = []
-                for batch in plans:
-                    engine.continuous_query_batch(batch, method="model-cover")
-                    seen.append((router.faults, not uncached_windows(engine, batch)))
-            faults.append([f for f, _ in seen])
-            cached.append([hit for _, hit in seen])
-            router.close()
-        assert faults[0] == faults[1]
-        assert faults[0][-1] > faults[0][0]  # the last plan faulted slices in
-        assert cached == [[False, True, True], [False, False, False]]
+        tiered = _lane_router(small_batch, tmp_path, memory_windows=1)
+        resident = _lane_router(small_batch)
+        route, point = _with_empty_owner(tiered, QueryBatch([], [], []), t=float(rows.t[120]))
+        assert tiered.window_for_time(point[0]) == c_sealed
+        with ShardedQueryEngine(tiered) as engine, ShardedQueryEngine(resident) as oracle:
+            pruned = engine.plan(route, "naive").pruned
+            assert any(rec.context.window_c == c_sealed and rec.context.n_rows for rec in pruned)
+            expected = oracle.continuous_query_batch(route, method="model-cover")
+            faults = tiered.faults
+            got = engine.continuous_query_batch(route, method="model-cover")
+            assert _result_bytes(got) == _result_bytes(expected)
+            assert tiered.faults > faults  # the window's slices were read
+            assert not uncached_windows(engine, route)
+            faults = tiered.faults
+            got = engine.cached_route(route, "model-cover")
+            assert got is not None and _result_bytes(got) == _result_bytes(expected)
+            assert engine.cached_point(*point, "model-cover") == oracle.point_query(
+                *point, method="model-cover"
+            )
+            assert tiered.faults == faults
+            assert engine.lane_hits == {"route": 1, "point": 1}
+            assert not engine.lane_declines
+        tiered.close()
 
     def test_an_empty_owner_takes_the_lane_once_its_window_rows_are_cached(
         self, route_lane, small_batch, monkeypatch
@@ -1134,8 +1118,8 @@ class TestCachedRoute:
         engine.continuous_query_batch(batch, method="model-cover")
         t_head = float(small_batch.t[_LANE_CUT - 1])  # the open window
         mixed, point = _with_empty_owner(router, batch, t=t_head)
-        # Every cover is cached, the window's rows are not: no plan has
-        # run an exact fallback in that window yet.
+        # Every cover is cached, the window's rows are not: no empty
+        # owner has been answered in that window yet.
         self._declines(
             route_lane, monkeypatch,
             [("fallback", lambda: engine.cached_route(mixed, "model-cover"))],
@@ -1278,7 +1262,8 @@ class TestCachedRoute:
         of 17 would be 34 000 cells, more than the exact gather's block,
         and goes to the executor.  The bound is on the whole route: 8
         such queries in one window and 9 in another go to the executor
-        too, though each window's run alone is within the block."""
+        too, though each window's run alone is within the block.  The
+        executor's pinned path answers any of them, in blocks."""
         assert 16 * 2000 <= BLOCK_CELLS < 17 * 2000
         grid = RegionGrid.for_shard_count(BoundingBox(0.0, 0.0, 6000.0, 4000.0), 4)
         router = ShardRouter(grid, h=2000)
@@ -1303,10 +1288,14 @@ class TestCachedRoute:
 
             for ks in [(16,), (8, 8)]:
                 expected = engine.continuous_query_batch(runs(*ks), method="model-cover")
-                for c in uncached_windows(engine, runs(*ks)):
-                    cache_rows(engine, c)
                 got = engine.cached_route(runs(*ks), "model-cover")
                 assert _result_bytes(got) == _result_bytes(expected)
+            # The pinned path is bounded by nothing: it scans in blocks,
+            # and every owner here is empty, so it is the exact answer.
+            for ks in [(17,), (8, 9), (200, 300)]:
+                pinned = engine.continuous_query_batch(runs(*ks), method="model-cover")
+                exact = engine.continuous_query_batch(runs(*ks), method="naive")
+                assert _result_bytes(pinned) == _result_bytes(exact)
             assert not uncached_windows(engine, runs(17)) + uncached_windows(engine, runs(8, 9))
             self._declines((router, engine), monkeypatch, [
                 ("fallback", lambda: engine.cached_route(runs(17), "model-cover")),
@@ -1323,8 +1312,7 @@ class TestCachedRoute:
             mixed, point = _with_empty_owner(router, batch, k=3)
             engine.continuous_query_batch(mixed, method="model-cover")
             c = router.window_for_time(point[0])
-            if uncached_windows(engine, mixed):
-                cache_rows(engine, c)
+            assert not uncached_windows(engine, mixed)
             before = router.shard_load_stats()
             assert engine.cached_route(mixed, "model-cover") is not None
             after = router.shard_load_stats()
@@ -1333,10 +1321,44 @@ class TestCachedRoute:
             units = [3.0 * n_rows for n_rows in rows]
             owners = router.grid.shards_of(batch.x, batch.y).tolist()
             for s, w in zip(owners, router.windows_for_times(batch.t).tolist()):
-                queries[s] += 1  # a cover run: its own rows, at the slice's size
-                units[s] += max(router.shard_window_sketch(s, w).n_rows, 1)
+                queries[s] += 1  # a cover run: its own rows, at the cover's models
+                units[s] += _cover(engine, s, w).size
             assert [b.scan_queries - a.scan_queries for a, b in zip(before, after)] == queries
             assert [b.scan_units - a.scan_units for a, b in zip(before, after)] == units
+
+    def test_a_cover_run_is_charged_its_models_per_query(self, small_batch):
+        """A cover evaluation reads the cover's O models, not its slice's
+        rows: each run charges the load tracker O units a query — on the
+        pinned path and on the loop alike, recent load included."""
+        router = _lane_router(small_batch)
+        with ShardedQueryEngine(router) as engine:
+            batch = _covered_route(router, small_batch, min_groups=2)
+
+            def charged(call):
+                before, load = router.shard_load_stats(), router.load.loads()
+                assert call() is not None
+                after = router.shard_load_stats()
+                return (
+                    [b.scan_queries - a.scan_queries for a, b in zip(before, after)],
+                    [b.scan_units - a.scan_units for a, b in zip(before, after)],
+                    np.subtract(router.load.loads(), load),
+                )
+
+            pinned = charged(lambda: engine.continuous_query_batch(batch, method="model-cover"))
+            loop = charged(lambda: engine.cached_route(batch, "model-cover"))
+            queries, units = [0] * router.n_shards, [0.0] * router.n_shards
+            rows = 0
+            for s, c in zip(
+                router.grid.shards_of(batch.x, batch.y).tolist(),
+                router.windows_for_times(batch.t).tolist(),
+            ):
+                queries[s] += 1
+                units[s] += _cover(engine, s, c).size
+                rows += router.shard_window_sketch(s, c).n_rows
+            for got in (pinned, loop):
+                assert got[:2] == (queries, units)
+                np.testing.assert_allclose(got[2], np.multiply(router.load.alpha, units))
+            assert sum(units) < rows  # what the slices' rows would have charged
 
     def test_a_missing_or_stale_cover_declines(self, small_batch, monkeypatch, tmp_path):
         for data_dir in (None, tmp_path):

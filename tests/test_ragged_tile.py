@@ -101,7 +101,7 @@ class TestRaggedTileMatchesPerWindowGather:
                 if hazard == "recut":
                     router.split_shard(0)
                 with ShardedQueryEngine(
-                    router, radius_m=RADIUS, max_workers=1, prune=prune
+                    router, radius_m=RADIUS, prune=prune
                 ) as engine, np.errstate(all="ignore"):
                     binding = engine.binding()
                     if max(pinned, 1) < len(batch):
@@ -141,7 +141,7 @@ class TestWhichPlansAreOneRaggedTile:
         router = ShardRouter(RegionGrid.for_shard_count(_covered(small_batch), 4), h=240)
         router.ingest(small_batch)
         route = _route(small_batch, router, range(5, 5 + n_windows), 6)
-        with ShardedQueryEngine(router, max_workers=1) as engine, ragged_tiles() as tiles:
+        with ShardedQueryEngine(router) as engine, ragged_tiles() as tiles:
             result = engine.continuous_query_batch(route, "naive")
         assert int(result.support.sum()) > 0
         assert tiles == ([len(route)] if ragged else [])
@@ -150,7 +150,7 @@ class TestWhichPlansAreOneRaggedTile:
         router = ShardRouter(RegionGrid.for_shard_count(_covered(small_batch), 4), h=240)
         router.ingest(small_batch)
         route = _route(small_batch, router, range(3, 8), 40)  # 5 x 40 x 240 cells
-        with ShardedQueryEngine(router, max_workers=1) as engine:
+        with ShardedQueryEngine(router) as engine:
             plan = engine.plan(route, "naive", prune=False)
             with ragged_tiles() as tiles:
                 engine.execute(plan)
@@ -163,7 +163,7 @@ class TestWhichPlansAreOneRaggedTile:
         router = ShardRouter(RegionGrid.for_shard_count(_covered(small_batch), 4), h=240)
         router.ingest(small_batch)
         route = _route(small_batch, router, range(5, 10), 6)
-        with ShardedQueryEngine(router, max_workers=1) as engine:
+        with ShardedQueryEngine(router) as engine:
             plan = engine.plan(route, "naive")
             ops = list(plan.ops)
             ops[1] = dataclasses.replace(ops[1], method="rtree")
@@ -177,7 +177,7 @@ class TestWhichPlansAreOneRaggedTile:
         router = ShardRouter(RegionGrid.for_shard_count(_covered(small_batch), 4), h=240)
         router.ingest(small_batch)
         route = _route(small_batch, router, range(5, 12), 8)
-        with ShardedQueryEngine(router, max_workers=1) as engine:
+        with ShardedQueryEngine(router) as engine:
             plan = engine.plan(route, "naive")
             now = [0.0]
 
@@ -217,7 +217,7 @@ def test_a_route_allocates_nothing_per_cell(small_batch):
     router = ShardRouter(RegionGrid.for_shard_count(_covered(small_batch), 4), h=60)
     router.ingest(small_batch)
     route = _route(small_batch, router, range(40, 48), 60)  # 8 x 60 x 60 cells
-    with ShardedQueryEngine(router, radius_m=40.0, max_workers=1) as engine:
+    with ShardedQueryEngine(router, radius_m=40.0) as engine:
         plan = engine.plan(route, "naive", prune=False)
         with ragged_tiles() as tiles:
             warm = engine.execute(plan)  # workspace grown

@@ -271,7 +271,7 @@ def pruning_scenarios(draw):
 class TestPrunedPlansAreByteIdentical:
     def _assert_identical(self, batch, queries, n_shards, h):
         router = build_router(batch, n_shards=n_shards, h=h)
-        with ShardedQueryEngine(router, radius_m=RADIUS, max_workers=1) as engine:
+        with ShardedQueryEngine(router, radius_m=RADIUS) as engine:
             # One *shared* binding: both plans must pin the same rows.
             binding = engine.binding()
             kwargs = dict(method="naive", radius_m=RADIUS)
@@ -314,22 +314,6 @@ class TestPrunedPlansAreByteIdentical:
         )
         self._assert_identical(batch, probes, n_shards, h=max(n // 4, 1))
 
-    def test_cover_plans_thread_pruning_into_fallback(self, small_batch):
-        router = build_router(small_batch, n_shards=4, h=240)
-        with ShardedQueryEngine(router, radius_m=RADIUS, max_workers=1) as engine:
-            queries = QueryBatch(
-                small_batch.t[::37].copy(),
-                small_batch.x[::37].copy(),
-                small_batch.y[::37].copy(),
-            )
-            binding = engine.binding()
-            kwargs = dict(method="model-cover", radius_m=RADIUS)
-            full = build_sharded_plan(binding, queries, prune=False, **kwargs)
-            lean = build_sharded_plan(binding, queries, prune=True, **kwargs)
-            assert fingerprint(engine.execute(lean)) == fingerprint(
-                engine.execute(full)
-            )
-
 
 class TestFreeRunningIngestIdentity:
     def test_shared_binding_pins_pruning_and_scans_together(self, small_batch):
@@ -350,7 +334,7 @@ class TestFreeRunningIngestIdentity:
                 position = nxt
 
         rng = np.random.default_rng(5)
-        with ShardedQueryEngine(router, radius_m=RADIUS, max_workers=2) as engine:
+        with ShardedQueryEngine(router, radius_m=RADIUS) as engine:
             thread = threading.Thread(target=writer)
             thread.start()
             try:
@@ -385,7 +369,7 @@ class TestProcessParallelPath:
         from repro.query.pipeline.parallel import ProcessPlanExecutor
 
         router = build_router(small_batch, n_shards=4, h=240)
-        with ShardedQueryEngine(router, radius_m=RADIUS, max_workers=1) as engine:
+        with ShardedQueryEngine(router, radius_m=RADIUS) as engine:
             t_mid = float(small_batch.t[len(small_batch) // 2])
             i = len(small_batch) // 2
             queries = QueryBatch(
@@ -465,7 +449,7 @@ class TestOneShardPruning:
 class TestObservability:
     def test_prune_stats_accumulate(self, small_batch):
         router = build_router(small_batch, n_shards=4, h=240)
-        with ShardedQueryEngine(router, radius_m=RADIUS, max_workers=1) as engine:
+        with ShardedQueryEngine(router, radius_m=RADIUS) as engine:
             t_mid = float(small_batch.t[len(small_batch) // 2])
             local = QueryBatch(
                 np.full(6, t_mid), np.full(6, 100.0), np.full(6, 100.0)
@@ -480,7 +464,7 @@ class TestObservability:
 
     def test_report_counts_and_format(self, small_batch):
         router = build_router(small_batch, n_shards=4, h=240)
-        with ShardedQueryEngine(router, radius_m=RADIUS, max_workers=1) as engine:
+        with ShardedQueryEngine(router, radius_m=RADIUS) as engine:
             t_mid = float(small_batch.t[len(small_batch) // 2])
             local = QueryBatch(
                 np.full(6, t_mid), np.full(6, 100.0), np.full(6, 100.0)

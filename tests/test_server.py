@@ -2,6 +2,7 @@
 ``handle_many`` / ``ingest`` over the one query engine."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -239,20 +240,21 @@ class TestEpochs:
         assert router.global_count() == 500
         assert router.global_count() // router.h == 2
 
-    def test_engine_context_manager_releases_the_pool(self, small_batch):
-        with protocol_service(h=240, max_workers=2).engine as engine:
+    def test_engine_context_manager_holds_no_threads(self, small_batch):
+        threads = threading.active_count()
+        with protocol_service(h=240).engine as engine:
             server = EngineQueryService(engine, method="model-cover")
             server.ingest(small_batch.slice(0, 500))
             server.handle_many(
                 [QueryRequest(t=float(small_batch.t[i]), x=0.0, y=0.0) for i in (1, 2)]
             )
-            assert engine.executor.max_workers == 2
-        assert engine.executor._pool is None
+            assert threading.active_count() == threads
+        assert threading.active_count() == threads
 
 
 class TestLoneQuery:
-    """A lone query skips the plan: it must answer what the plan path
-    answers for it, bit for bit."""
+    """A lone query and the same query in a batch are both answered by
+    the route lane at a pinned binding: bit for bit the same."""
 
     @pytest.mark.parametrize("row", [0, 239, 240, 1000, 4321, -1])
     @pytest.mark.parametrize(

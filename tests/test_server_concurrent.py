@@ -127,28 +127,25 @@ class TestFreeRunningServer:
 
 
 class TestWorkerPool:
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_pool_fanned_batch_identical_to_serial(self, workers):
-        """A batch large enough for the engine pool to fan its cover ops
-        out answers byte-identically to a one-worker server."""
-        from repro.query.pipeline.executor import MIN_PARALLEL_QUERIES
-
+    def test_large_batch_identical_to_one_request_at_a_time(self):
+        """A batch of 1 024 requests, pinned at one epoch, answers
+        byte-identically to the same requests handled one by one, and
+        starts no thread."""
         rng = np.random.default_rng(13)
         stream = make_stream(rng, 500)
-        requests = make_query_workload(
-            rng, stream, 2 * MIN_PARALLEL_QUERIES, model_request_every=9
-        )
-        serial = protocol_service(h=H, max_workers=1)
+        requests = make_query_workload(rng, stream, 1024, model_request_every=9)
+        serial = protocol_service(h=H)
         serial.ingest(stream)
-        with protocol_service(h=H, max_workers=workers).engine as engine:
-            pooled = EngineQueryService(engine, method="model-cover")
-            pooled.ingest(stream)
-            responses, epoch = pooled.handle_many_with_epoch(requests)
-            assert engine.executor.max_workers == workers
+        threads = threading.active_count()
+        with protocol_service(h=H).engine as engine:
+            batched = EngineQueryService(engine, method="model-cover")
+            batched.ingest(stream)
+            responses, epoch = batched.handle_many_with_epoch(requests)
+            assert threading.active_count() == threads
         assert len(responses) == len(requests)
         assert epoch == 1
         assert response_fingerprints(responses) == response_fingerprints(
-            serial.handle_many(requests)
+            [serial.handle(request) for request in requests]
         )
 
     def test_parallel_requests_from_many_threads(self):
