@@ -148,15 +148,19 @@ class RegionGrid:
         """
         if radius < 0:
             raise ValueError("radius must be non-negative")
-        xs = np.asarray(xs, dtype=np.float64)
-        ys = np.asarray(ys, dtype=np.float64)
         b = self.bounds
-        return (
-            _axis_cells(xs - radius, b.min_x, b.width, self.nx),
-            _axis_cells(xs + radius, b.min_x, b.width, self.nx),
-            _axis_cells(ys - radius, b.min_y, b.height, self.ny),
-            _axis_cells(ys + radius, b.min_y, b.height, self.ny),
-        )
+        # Both ends of an axis in one pass: row 0 is ``v - radius``, row
+        # 1 ``v + radius`` (``-radius + v`` is the same IEEE sum).
+        ends = np.array((-radius, radius))
+        i_lo, i_hi = _axis_cells(
+            np.add.outer(ends, np.asarray(xs, dtype=np.float64)),
+            b.min_x, b.width, self.nx,
+        )  # fmt: skip
+        j_lo, j_hi = _axis_cells(
+            np.add.outer(ends, np.asarray(ys, dtype=np.float64)),
+            b.min_y, b.height, self.ny,
+        )  # fmt: skip
+        return i_lo, i_hi, j_lo, j_hi
 
     def disk_shards(self, x: float, y: float, radius: float) -> np.ndarray:
         """Cell indices a disk query must be scattered to, vectorised.

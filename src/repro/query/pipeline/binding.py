@@ -15,7 +15,6 @@ it die with the plan.  They hold zero-copy views only.
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, List, Protocol, Tuple
 
 import numpy as np
@@ -112,9 +111,13 @@ class RouterBinding:
         # valid forever; plan builders resolve every kept op at build
         # time, so executing a built plan never trips this.
         self.epoch, self.rows, self.layout_epoch = router.head()
+        # Windows sealed at the pin: their sketches are frozen forever.
+        self._sealed = self.rows // router.h
+        # Memo entries are written once, with ``setdefault``: threads
+        # racing on a fresh slice may both read it, and all of them
+        # return the one that landed first — no lock on any read.
         self._memo: Dict[Tuple[int, int], BoundSlice] = {}
         self._sketches: Dict[Tuple[int, int], WindowSketch] = {}
-        self._memo_lock = threading.Lock()
 
     def _check_layout(self) -> None:
         live = self.router.layout_epoch
@@ -137,51 +140,50 @@ class RouterBinding:
         return np.minimum(self.router.windows_for_times(ts), last)
 
     def slice_for(self, shard: int, c: int) -> BoundSlice:
-        key = (shard, int(c))
-        with self._memo_lock:
-            bound = self._memo.get(key)
-            if bound is None:
-                bound = self._resolve(shard, int(c))
-                self._memo[key] = bound
-            return bound
+        bound = self._memo.get((shard, c))
+        if bound is None:
+            c = int(c)
+            bound = self._memo.setdefault((shard, c), self._resolve(shard, c))
+        return bound
 
     def sketch_for(self, shard: int, c: int) -> WindowSketch:
         # Windows sealed at the pin short-circuit: their sketches are
         # frozen forever and always resident on the router, so a pruning
-        # decision needs no slice resolution at all.  On the durable tier
-        # that is what keeps pruning from faulting a cold window in just
-        # to skip it.  Other windows resolve slice and sketch under one
-        # router lock — or, for a slice cut at the pin, compute the cut
-        # rows' own sketch.
-        key = (shard, int(c))
-        with self._memo_lock:
-            sketch = self._sketches.get(key)
+        # decision needs no slice resolution: two threads racing on one
+        # key store the same frozen sketch.  On the durable tier that is
+        # what keeps pruning from faulting a cold window in just to skip
+        # it.  Other windows resolve slice and sketch under one router
+        # lock — or, for a slice cut at the pin, compute the cut rows'
+        # own sketch.
+        sketch = self._sketches.get((shard, c))
+        if sketch is not None:
+            return sketch
+        c = int(c)
+        if c < self._sealed:
+            # Layout check before trusting an unpinned frozen read: a
+            # post-rebalance sketch describes the *new* layout's rows and
+            # could wrongly prune an old-layout plan.
+            if self.router.layout_epoch != self.layout_epoch:
+                self._check_layout()
+            sketch = self._sketches[(shard, c)] = self.router.shard_window_sketch(
+                shard, c
+            )
+            return sketch
+        key = (shard, c)
+        bound = self._memo.get(key)
+        if bound is None:
+            bound = self._memo.setdefault(key, self._resolve(shard, c))
+            sketch = self._sketches.get(key)  # _resolve may pre-fill
             if sketch is not None:
                 return sketch
-            bound = self._memo.get(key)
-            if bound is None:
-                if int(c) < self.rows // self.router.h:
-                    # Layout check before trusting an unpinned frozen
-                    # read: a post-rebalance sketch describes the *new*
-                    # layout's rows and could wrongly prune an old-layout
-                    # plan.
-                    self._check_layout()
-                    sketch = self.router.shard_window_sketch(shard, int(c))
-                    self._sketches[key] = sketch
-                    return sketch
-                bound = self._resolve(shard, int(c))
-                self._memo[key] = bound
-                sketch = self._sketches.get(key)  # _resolve may pre-fill
-                if sketch is not None:
-                    return sketch
-            sketch = WindowSketch.of(bound[1])
-            self._sketches[key] = sketch
-            return sketch
+        return self._sketches.setdefault(key, WindowSketch.of(bound[1]))
 
     def _resolve(self, shard: int, c: int) -> BoundSlice:
-        """One locked read of the live slice, cut back to the pin
-        (caller holds the memo lock)."""
-        self._check_layout()
+        """One locked read of the live slice, cut back to the pin.  Any
+        two reads of one slice give the same rows — its content at the
+        pin — so a racing duplicate changes no answer."""
+        if self.router.layout_epoch != self.layout_epoch:
+            self._check_layout()
         stamp, sub, gids, sketch = self.router.snapshot_window_sketch(shard, c)
         if stamp <= self.epoch:
             # Unchanged since the pin: the live sketch describes exactly

@@ -116,12 +116,6 @@ class PlanExecutor:
 
     # -- internals ----------------------------------------------------------
 
-    def _observe(self, op: ScanOp, elapsed: float, report: Optional[PlanReport]) -> None:
-        if self.load is not None and op.context.shard is not None:
-            record_scan_load(self.load, op, elapsed)
-        if report is not None:
-            report.record(op, elapsed)
-
     def _run_merge(self, plan: ExecutionPlan, report: Optional[PlanReport]) -> BatchResult:
         """The blocked exact gather (see :mod:`repro.query.pipeline.gather`).
 
@@ -193,19 +187,40 @@ class PlanExecutor:
                             budget = _gather.block_budget(cells_seen, hits_seen)
                     for src in sources:
                         scan_s[src.index] = src.scan_s
-        for op, elapsed in zip(ops, scan_s):
-            self._observe(op, elapsed, report)
+        if self.load is not None:
+            record_scan_load(self.load, ops, scan_s)
         if report is not None:
+            for op, elapsed in zip(ops, scan_s):
+                report.record(op, elapsed)
             report.gather_s += gather_s
         return BatchResult(plan.queries, values, support, answered=support > 0)
 
 
-def record_scan_load(load, op: ScanOp, seconds: Optional[float]) -> None:
-    """Report one executed scan op to a shard-load observer, in rows per
-    query: the naive scan's exact unit count, and a sane upper bound
-    for index scans."""
-    per_query = float(max(op.context.n_rows, 1))
-    load(op.context.shard, len(op.queries), per_query * len(op.queries), seconds)
+def record_scan_load(
+    load, ops: Sequence[ScanOp], seconds: Optional[Sequence[float]] = None
+) -> None:
+    """Report a plan's executed scan ops to a shard-load observer, one
+    call per shard with its ops' totals: queries, units in rows per
+    query — the naive scan's exact count, and a sane upper bound for
+    index scans; integers, so they sum exactly — and seconds (None
+    where ``seconds`` is)."""
+    totals: Dict[int, list] = {}
+    for i, op in enumerate(ops):
+        context = op.context
+        if context.shard is None:
+            continue
+        k = len(op.positions)
+        units = max(context.n_rows, 1) * k
+        elapsed = 0.0 if seconds is None else seconds[i]
+        total = totals.get(context.shard)
+        if total is None:
+            totals[context.shard] = [k, units, elapsed]
+        else:
+            total[0] += k
+            total[1] += units
+            total[2] += elapsed
+    for shard, (k, units, elapsed) in totals.items():
+        load(shard, k, float(units), None if seconds is None else elapsed)
 
 
 # -- the blocked gather's geometry -------------------------------------------
@@ -357,14 +372,16 @@ def _ragged_tile(
         return None
     members, bounds, window_of, scans = [], [], [], []
     cs, rows, widest = [], [], []  # per window: its index, its rows, its widest op
+    slice_for = runtime.binding.slice_for
     for i, op in enumerate(ops):
         if op.method != "naive":
             return None
-        bound = runtime.bound(op)
+        context = op.context
+        bound = slice_for(context.shard, context.window_c)
         n = len(bound[2])
         if not n:
             continue
-        c, k = op.context.window_c, len(op.positions)
+        c, k = context.window_c, len(op.positions)
         if not cs or c > cs[-1]:
             cs.append(c)
             rows.append(n)
@@ -651,11 +668,6 @@ def build_sharded_plan(
     return _exact_plan(binding, queries, windows, method, radius_m, prune=prune)
 
 
-#: An unreached candidate's row of the pruning pass's sketch table
-#: (min_x, max_x, min_y, max_y, n_rows): no rows, like an empty sketch's.
-_NO_SKETCH = (0.0, 0.0, 0.0, 0.0, 0)
-
-
 def _runs(keys: np.ndarray) -> List[int]:
     """Start of every run of equal values in ``keys``, plus ``len(keys)``."""
     if not len(keys):
@@ -712,15 +724,15 @@ def _exact_plan(
         order = np.argsort(windows, kind="stable")
         windows = windows[order]
     runs = _runs(windows)
-    starts = np.array(runs[:-1])
+    starts = runs[:-1]
     cs = windows[starts].tolist()
     counts = [hi - lo for lo, hi in zip(runs, runs[1:])]
     window_of = np.repeat(np.arange(len(cs)), counts)  # index into `cs` per query
     if prune:
-        reach = binding.grid.disks_shard_mask(queries.x, queries.y, radius_m)
         qx, qy = queries.x, queries.y
         if order is not None:
-            reach, qx, qy = reach[order], qx[order], qy[order]
+            qx, qy = qx[order], qy[order]
+        reach = binding.grid.disks_shard_mask(qx, qy, radius_m)
         # Geometry is data-independent, so a shard no disk of the window
         # reaches is dropped before anything of it is resolved.  For the
         # reached ones, sketch before slice: the sketch is resident
@@ -730,13 +742,15 @@ def _exact_plan(
         # counts the slice's rows exactly, so dropping an empty sketch is
         # the unpruned path's empty-slice skip.
         reached = np.logical_or.reduceat(reach, starts)
-        table = [_NO_SKETCH] * (len(cs) * n_shards)
-        for w, s in zip(*(hit.tolist() for hit in reached.nonzero())):
-            sketch = binding.sketch_for(s, cs[w])
-            table[w * n_shards + s] = (
+        size = len(cs) * n_shards * 5
+        table = [0.0] * size  # an unreached candidate's row: no rows
+        sketch_for = binding.sketch_for
+        for k in np.flatnonzero(reached).tolist():  # k = w * n_shards + s
+            sketch = sketch_for(k % n_shards, cs[k // n_shards])
+            table[5 * k : 5 * k + 5] = (
                 sketch.min_x, sketch.max_x, sketch.min_y, sketch.max_y, sketch.n_rows
             )
-        table = np.array(table).reshape(len(cs), n_shards, 5)
+        table = np.fromiter(table, np.float64, size).reshape(len(cs), n_shards, 5)
         nonempty = table[:, :, 4] > 0
         box = table[window_of]  # (queries, shards, 5): each query's window's row
         mask = (
@@ -785,15 +799,15 @@ def _exact_plan(
     for column in (t, x, y):
         column.flags.writeable = False
     runs = _runs(pair)
-    for lo, hi in zip(runs, runs[1:]):
-        w, s = divmod(int(pair[lo]), n_shards)
-        c = cs[w]
-        stamp, sub, _gids = binding.slice_for(s, c)
-        if not len(sub):
+    slice_for = binding.slice_for
+    for key, lo, hi in zip(pair[runs[:-1]].tolist(), runs, runs[1:]):
+        c, s = cs[key // n_shards], key % n_shards
+        stamp, _sub, gids = slice_for(s, c)
+        if not len(gids):
             continue
         ops.append(
             ScanOp(
-                PlanContext(c, s, stamp, len(sub)),
+                PlanContext(c, s, stamp, len(gids)),
                 method,
                 positions[lo:hi],
                 QueryBatch._of_columns(t[lo:hi], x[lo:hi], y[lo:hi]),

@@ -192,9 +192,11 @@ def scan_tile(
     """Flat row-major hit indices of the ``queries x rows`` distance tile.
 
     The hit-emitting distance test: ``(wx - qx)² + (wy - qy)² <= r²``
-    evaluated tile-wise into ``ws`` (a spare workspace when None), six
-    passes over the tile (bit-for-bit the expression
-    :meth:`NaiveProcessor.process_batch` evaluates with temporaries).
+    evaluated tile-wise into ``ws`` (a spare workspace when None): six
+    arithmetic passes over the tile, each subtract after a copy of the
+    rows' coordinates (:func:`_broadcast_subtract`) — bit-for-bit the
+    expression :meth:`NaiveProcessor.process_batch` evaluates with
+    temporaries.
     Index ``q * len(wx) + r`` says row ``r`` is within the radius of
     query ``q``; indices ascend, so hits come out query by query and,
     within a query, in row order.  Queries that share coordinates — a
@@ -205,13 +207,26 @@ def scan_tile(
         with workspace() as ws:
             return scan_tile(wx, wy, qx, qy, radius_m, ws)
     d, e, inside, inside_flat = ws.tiles(len(qx), len(wx))
-    np.subtract(wx[None, :], qx[:, None], out=d)
+    _broadcast_subtract(d, wx, qx)
     np.square(d, out=d)
-    np.subtract(wy[None, :], qy[:, None], out=e)
+    _broadcast_subtract(e, wy, qy)
     np.square(e, out=e)
     np.add(d, e, out=d)
     np.less_equal(d, radius_m * radius_m, out=inside)
     return inside_flat.nonzero()[0]
+
+
+def _broadcast_subtract(out: np.ndarray, rows: np.ndarray, q: np.ndarray) -> None:
+    """``out[i, r] = rows[r] - q[i]``: the same IEEE subtract per cell as
+    ``np.subtract(rows[None, :], q[:, None], out=out)``, as a copy of
+    ``rows`` down ``out`` and one in-place subtract of ``q``'s column.
+
+    Measured on the tile's shapes (2-core host, numpy 2.4, interleaved,
+    median of 5): 0.72-0.85x the one-call form from 100 x 300 cells up,
+    1.05x at 60 x 60.  A ragged tile keeps the one-call form per window:
+    there, with four queries a window, this one was 1.11x."""
+    out[...] = rows
+    np.subtract(out, q[:, None], out=out)
 
 
 #: A plan's queries by distinct coordinate, per axis: ``(ux, ix, uy,
@@ -297,9 +312,9 @@ def axis_tables(
     of every distinct query coordinate, for :func:`scan_axis_tile`.
     Valid until the next call on ``ws``."""
     dx2, dy2 = ws.tables(len(ux), len(uy), len(wx))
-    np.subtract(wx[None, :], ux[:, None], out=dx2)
+    _broadcast_subtract(dx2, wx, ux)
     np.square(dx2, out=dx2)
-    np.subtract(wy[None, :], uy[:, None], out=dy2)
+    _broadcast_subtract(dy2, wy, uy)
     np.square(dy2, out=dy2)
     return dx2, dy2
 
@@ -375,15 +390,18 @@ def merged_rows(bounds: Sequence[BoundSlice]):
     stream position — the rows :func:`reduce_row_block` needs (every row
     is owned by one slice, and a slice's gids ascend): a single slice's
     columns as they are, else one stable sort of the concatenated gids —
-    a merge of sorted runs."""
-    subs = [sub for _stamp, sub, _gids in bounds]
-    if len(subs) == 1:
-        return subs[0].x, subs[0].y, subs[0].s
+    a merge of sorted runs — and one concatenation and one ``take`` for
+    the three columns together (rows of a ``(3, rows)`` array)."""
+    if len(bounds) == 1:
+        sub = bounds[0][1]
+        return sub.x, sub.y, sub.s
     order = np.argsort(np.concatenate([gids for *_, gids in bounds]), kind="stable")
-    return tuple(
-        np.concatenate([getattr(sub, col) for sub in subs]).take(order)
-        for col in ("x", "y", "s")
+    subs = [sub for _stamp, sub, _gids in bounds]
+    columns = np.concatenate(
+        [sub.x for sub in subs] + [sub.y for sub in subs] + [sub.s for sub in subs]
     )
+    x, y, s = columns.reshape(3, len(order)).take(order, axis=1)
+    return x, y, s
 
 
 def scan_pairs(

@@ -443,8 +443,7 @@ class ProcessPlanExecutor:
                 raise WorkerCrash(failure)
         # Workers do not time their scans per op: seconds is None, and
         # the tracker keeps its unit-based EWMA either way.
-        for op in ops.values():
-            record_scan_load(self.engine.router.load.record_scan, op, None)
+        record_scan_load(self.engine.router.load.record_scan, list(ops.values()))
         return replies
 
     def _kill(self, windex: int) -> None:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -41,8 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.query.pipeline.binding import SnapshotBinding
 
 
-@dataclass(frozen=True)
-class PlanContext:
+class PlanContext(NamedTuple):
     """The pinned storage context one operator executes against.
 
     ``stamp`` is the content epoch of the bound window slice at
@@ -50,7 +49,8 @@ class PlanContext:
     plan's binding, whose memo guarantees the very same pinned data
     (build and execution can never see different rows, even under
     concurrent ingest).  ``n_rows`` is the slice length at build time —
-    the rows-per-query load an executed op reports.
+    the rows-per-query load an executed op reports.  A named tuple: a
+    route's plan builds one per op.
     """
 
     window_c: int

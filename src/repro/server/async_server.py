@@ -71,8 +71,10 @@ and router state, never a clock (a longer route is not even validated
 on the loop).  The loop
 never runs a fit, a fault-in, a lock wait or a scan larger than one
 gather block: everything else
-runs in the default thread-pool executor (``loop.run_in_executor``)
-with the connection's reading paused — one request in flight per
+runs on the server's worker threads (``_Workers``: one
+``queue.SimpleQueue`` in, one ``loop.call_soon_threadsafe`` back, as
+many threads as the loop's default executor would start) with the
+connection's reading paused — one request in flight per
 connection, so pipelined answers keep request order — so a slow Ad-KMN
 fit never stalls the accept loop or a cached answer, and — when the
 engine is a
@@ -98,6 +100,8 @@ import hashlib
 import http
 import json
 import math
+import os
+import queue
 import struct
 import threading
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -546,8 +550,79 @@ class EngineQueryService:
         return {"mode": "model", "cover": base64.b64encode(blob).decode("ascii")}
 
 
+def _default_workers() -> int:
+    """The worker count ``ThreadPoolExecutor`` defaults to (and with it
+    the loop's default executor): the process's CPUs plus four, at most
+    32."""
+    cpus = getattr(os, "process_cpu_count", os.cpu_count)()
+    return min(32, (cpus or 1) + 4)
+
+
+class _Workers:
+    """Threads that run the server's blocking work off the event loop.
+
+    A job goes in through one :class:`queue.SimpleQueue` and its outcome
+    comes back with one ``loop.call_soon_threadsafe(done, result,
+    error)`` — where ``run_in_executor`` chains a concurrent future to
+    an asyncio one.  Threads start on demand, as the default executor's
+    do: a submit finding none idle starts one, up to ``max_workers``.
+    :meth:`close` stops and joins them.  Used from the event loop's
+    thread only.
+    """
+
+    def __init__(self, max_workers: int) -> None:
+        self._max = max_workers
+        self._jobs: "queue.SimpleQueue" = queue.SimpleQueue()
+        self._idle = threading.Semaphore(0)
+        self._threads: List[threading.Thread] = []
+
+    def submit(self, loop, done: Callable, fn: Callable, *args) -> None:
+        """Run ``fn(*args)`` on a worker; ``done(result, error)`` is then
+        called on ``loop`` (``error`` None unless ``fn`` raised)."""
+        self._jobs.put((loop, done, fn, args))
+        if not self._idle.acquire(blocking=False) and len(self._threads) < self._max:
+            thread = threading.Thread(
+                target=self._run, name=f"query-worker-{len(self._threads)}", daemon=True
+            )
+            thread.start()
+            self._threads.append(thread)
+
+    def _run(self) -> None:
+        jobs, idle = self._jobs, self._idle
+        while True:
+            job = jobs.get()
+            if job is None:
+                return
+            loop, done, fn, args = job
+            del job
+            try:
+                result, error = fn(*args), None
+            except BaseException as exc:  # noqa: BLE001
+                # Handed to the waiting side, as a future would hold it:
+                # a request always gets its answer or its 500.
+                result, error = None, exc
+            try:
+                loop.call_soon_threadsafe(done, result, error)
+            except RuntimeError:
+                pass  # the loop closed while the job ran: no one is waiting
+            del loop, done, fn, args, result, error
+            idle.release()
+
+    def close(self) -> None:
+        """Stop every thread once the jobs queued before it are done,
+        and join them."""
+        threads, self._threads = self._threads, []
+        for _ in threads:
+            self._jobs.put(None)
+        for thread in threads:
+            thread.join()
+
+
 class AsyncQueryServer:
-    """The asyncio front door: HTTP/1.1 routes plus a ``/ws`` endpoint."""
+    """The asyncio front door: HTTP/1.1 routes plus a ``/ws`` endpoint.
+
+    Blocking work runs on the server's own worker threads (as many as
+    the loop's default executor would have); :meth:`close` stops them."""
 
     def __init__(
         self, service, host: str = "127.0.0.1", port: int = 0
@@ -556,6 +631,7 @@ class AsyncQueryServer:
         self.host = host
         self.port = port  # replaced by the bound port after start()
         self._server: Optional[asyncio.AbstractServer] = None
+        self._workers = _Workers(_default_workers())
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -570,12 +646,32 @@ class AsyncQueryServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        self._workers.close()
 
     async def serve_forever(self) -> None:
         await self.start()
         assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
+        try:
+            async with self._server:
+                await self._server.serve_forever()
+        finally:
+            self._workers.close()
+
+    async def _blocking(self, fn, *args):
+        """``fn(*args)``'s result, computed on a worker thread."""
+        loop = asyncio.get_running_loop()
+        future = loop.create_future()
+
+        def done(result, error) -> None:
+            if future.cancelled():
+                return
+            if error is None:
+                future.set_result(result)
+            else:
+                future.set_exception(error)
+
+        self._workers.submit(loop, done, fn, *args)
+        return await future
 
     # -- request dispatch ----------------------------------------------------
 
@@ -594,8 +690,7 @@ class AsyncQueryServer:
         if payload is None:
             # Everything else may block (scans, fits, fault-ins, lock
             # waits, worker-pool round trips): keep it off the event loop.
-            loop = asyncio.get_running_loop()
-            payload = await loop.run_in_executor(None, handler, params)
+            payload = await self._blocking(handler, params)
         return payload
 
     # -- WebSocket -----------------------------------------------------------
@@ -876,9 +971,12 @@ class _HttpConnection(asyncio.Protocol):
                     raise HttpError(400, "body must be a JSON object")
                 payload, handler = self._server._lane(path[len("/query/") :], params)
                 if payload is None:
-                    loop = asyncio.get_running_loop()
-                    future = loop.run_in_executor(None, handler, params)
-                    future.add_done_callback(functools.partial(self._finish, close))
+                    self._server._workers.submit(
+                        asyncio.get_running_loop(),
+                        functools.partial(self._finish, close),
+                        handler,
+                        params,
+                    )
                     self._busy = True
                     self._transport.pause_reading()
                     return
@@ -889,15 +987,14 @@ class _HttpConnection(asyncio.Protocol):
             status, payload = _failure(exc)
         self._reply(status, payload, close)
 
-    def _finish(self, close: bool, future: "asyncio.Future") -> None:
-        """The executor's answer is in: write it, serve what queued up."""
+    def _finish(
+        self, close: bool, payload: Any, error: Optional[BaseException]
+    ) -> None:
+        """A worker's answer is in: write it, serve what queued up."""
         self._busy = False
-        if future.cancelled():
-            return
-        exc = future.exception()
         if self._transport.is_closing():
             return  # the client went away mid-request
-        status, payload = (200, future.result()) if exc is None else _failure(exc)
+        status, payload = (200, payload) if error is None else _failure(error)
         self._reply(status, payload, close)
         self._pump()
 
@@ -962,15 +1059,14 @@ class _WsSubscriptionSession:
             raise HttpError(400, "field 'method' must be a string")
         registry = self._registry
         try:
-            sub = await self._loop.run_in_executor(
-                None,
+            sub = await self._server._blocking(
                 lambda: registry.subscribe(
                     route,
                     t_start,
                     interval_s=interval_s,
                     count=count,
                     method=method,
-                ),
+                )
             )
         except ValueError as exc:
             raise HttpError(400, str(exc)) from None
@@ -1003,9 +1099,7 @@ class _WsSubscriptionSession:
             while True:
                 await self._wake.wait()
                 self._wake.clear()
-                await self._loop.run_in_executor(
-                    None, self._registry.maintain
-                )
+                await self._server._blocking(self._registry.maintain)
                 for sub_id, sub in list(self._owned.items()):
                     # The reader may handle an unsubscribe while a push
                     # awaits the socket: no update follows its reply.

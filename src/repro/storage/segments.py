@@ -50,7 +50,7 @@ bit, truncation or appended bytes — surfaces as :class:`SegmentCorrupt`,
 never as silently wrong rows.
 
 Seals write **codec 0**: a fault-in is one read of the image, one
-struct unpack of its header (:func:`_decode_sealed`), the checks and
+struct unpack of its header (:func:`decode_packed_slice`), the checks and
 two ``np.frombuffer`` views of it — no decode, no copy; the header
 padding is what makes the views aligned.  Both codecs stay
 readable, so a directory sealed before the switch, or holding both,
@@ -102,8 +102,9 @@ _I8 = np.dtype("<i8")
 #: ``<f8`` and ``gids`` = (gid,) as ``<i8``, both raw, then the two
 #: padding bytes.  Only the groups' ``(raw_len, comp_len, crc)`` vary
 #: from image to image; the directory bytes around them are
-#: :data:`_SEALED_FIXED`.
-_SEALED = struct.Struct("<4sIII" "IQIQQ8d" "13s" "QQI" "37s" "QQI" "14s")
+#: :data:`_SEALED_FIXED`.  Of ``_META`` it reads the shard, window and
+#: row count and skips ``h``, the stamp and the sketch (pad bytes).
+_SEALED = struct.Struct("<4sIII" "IQ4xQ8x64x" "13s" "QQI" "37s" "QQI" "14s")
 _SEALED_HEAD = (_MAGIC, _VERSION, _SEALED.size - _PREAMBLE.size)
 _SEALED_FIXED = (
     struct.pack("<II4sB", 2, 4, b"core", CODEC_RAW),
@@ -392,52 +393,137 @@ def _decode_sealed(
     data: bytes, where: Union[str, Path], groups: Sequence[str]
 ) -> Optional[Segment]:
     """:func:`decode_segment` for an image in the layout seals write —
-    one :data:`_SEALED` unpack for preamble, meta and directory, one
+    one :data:`_SEALED` unpack for preamble, key and directory, one
     ``np.frombuffer`` view per group — or None when the image is not
     in it (format-1 files from before the padding rule, zlib groups,
     other groups or columns): the general parser reads those, and
     raises whatever error the image deserves.
+    """
+    if not _SEALED_GROUPS.issuperset(groups):
+        return None
+    views = _sealed_views(data, where, "core" in groups, "gids" in groups)
+    if views is None:
+        return None
+    _key, core, gids = views
+    decoded = {}
+    if core is not None:
+        decoded["core"] = dict(zip(CORE_COLUMNS, core))
+    if gids is not None:
+        decoded["gids"] = {"gid": gids}
+    return Segment(_META.unpack_from(data, _PREAMBLE.size), decoded)
+
+
+def decode_packed_slice(
+    data: bytes, where: Tuple[str, int, int], key: Tuple[int, int, int]
+) -> Tuple[TupleBatch, np.ndarray]:
+    """``(batch, gids)`` of the sealed slice whose pack extent ``where``
+    = ``(file, offset, length)`` was read as ``data``, which must hold
+    the slice ``key`` = ``(shard, window, rows)`` — the tiered store's
+    fault-in.
+
+    The checks are :func:`read_packed_segment`'s and the store's, in
+    their order and with their messages: the pack cut short, then
+    :func:`decode_segment`'s (header CRC, image length, each group's
+    length, CRC and row count), then the key — an image swapped or
+    restored under another slice's extent passes every checksum.  An
+    image in the layout seals write becomes the batch's columns
+    directly; any other goes through the general parser.  ``where`` is
+    formatted only for an error.
+    """
+    length = where[2]
+    if len(data) != length:
+        raise SegmentCorrupt(
+            f"{_where(where)}: pack ends {length - len(data)} bytes short"
+        )
+    views = _sealed_views(data, where, True, True)
+    if views is None:
+        segment = decode_segment(data, _where(where))
+        got, batch, gids = segment.key, segment.batch(), segment.gids()
+    else:
+        got, core, gids = views
+        batch = TupleBatch._of_columns(*core)
+    if got != key:
+        check_slice_key(where, got, key)
+    return batch, gids
+
+
+def check_slice_key(
+    where, got: Tuple[int, int, int], key: Tuple[int, int, int]
+) -> None:
+    """Raise :class:`SegmentCorrupt` unless the image's header named the
+    slice ``key`` = ``(shard, window, rows)``: ``got`` is
+    :attr:`Segment.key`."""
+    if got != key:
+        raise SegmentCorrupt(
+            f"{_where(where)}: holds (shard, window, rows) {got}, "
+            f"the router expects {key}"
+        )
+
+
+def _where(where) -> str:
+    """How an error names an image: a pack extent ``(file, offset,
+    length)`` as ``file[offset:end]``, anything else as it prints."""
+    if isinstance(where, tuple):
+        name, offset, length = where
+        return f"{name}[{offset}:{offset + length}]"
+    return str(where)
+
+
+def _sealed_views(data: bytes, where, core: bool, gids: bool):
+    """``(key, core, gids)`` of an image in the layout seals write —
+    ``key`` its header's ``(shard, window, rows)``, ``core`` its ``(t,
+    x, y, s)`` columns, ``gids`` its gid column, each group None unless
+    asked for — or None when the image is not in it.
 
     The checks are the general parser's, in its order and with its
     messages: header CRC, image length against the directory, then per
     wanted group its length, CRC and row count.  The preamble and the
     directory are checked by comparison with the fixed layout.
     """
-    if len(data) < _SEALED.size or not _SEALED_GROUPS.issuperset(groups):
+    if len(data) < _SEALED.size:
         return None
-    fields = _SEALED.unpack_from(data)
-    # Magic, version and header length; the three fixed directory runs.
-    if fields[:3] != _SEALED_HEAD or fields[17:26:4] != _SEALED_FIXED:
+    (
+        magic, version, header_len, header_crc, shard, window, n_rows,
+        fixed0, core_raw, core_len, core_crc,
+        fixed1, gids_raw, gids_len, gids_crc, fixed2,
+    ) = _SEALED.unpack_from(data)  # fmt: skip
+    if (magic, version, header_len) != _SEALED_HEAD or (
+        fixed0, fixed1, fixed2
+    ) != _SEALED_FIXED:
         return None
     image = memoryview(data)
     start = _SEALED.size
-    if zlib.crc32(image[_PREAMBLE.size : start]) != fields[3]:
-        raise SegmentCorrupt(f"{where}: segment header failed its checksum")
-    record = fields[4:17]
-    core_raw, core_len, core_crc, _, gids_raw, gids_len, gids_crc = fields[18:25]
-    if start + core_len + gids_len != len(data):
+    if zlib.crc32(image[_PREAMBLE.size : start]) != header_crc:
+        raise SegmentCorrupt(f"{_where(where)}: segment header failed its checksum")
+    end = start + core_len
+    if end + gids_len != len(data):
         raise SegmentCorrupt(
-            f"{where}: file length disagrees with its group directory"
+            f"{_where(where)}: file length disagrees with its group directory"
         )
-    n_rows = record[3]
-    decoded = {}
-    if "core" in groups:
-        _check_raw(image, start, core_len, core_raw, core_crc, 4 * n_rows, "core", where)
-        core = np.frombuffer(data, _F8, 4 * n_rows, start).reshape(4, n_rows)
-        decoded["core"] = dict(zip(CORE_COLUMNS, core))
-    if "gids" in groups:
-        start += core_len
-        _check_raw(image, start, gids_len, gids_raw, gids_crc, n_rows, "gids", where)
-        decoded["gids"] = {"gid": np.frombuffer(data, _I8, n_rows, start)}
-    return Segment(record, decoded)
-
-
-def _check_raw(image, start, length, raw_len, crc, words, name, where) -> None:
-    """A raw group's checks: its ``length`` bytes at ``start`` are
-    ``raw_len`` long with CRC ``crc``, and hold ``words`` 8-byte values."""
-    if length != raw_len or zlib.crc32(image[start : start + length]) != crc:
-        raise SegmentCorrupt(f"{where}: group {name!r} failed its checksum")
-    if raw_len != 8 * words:
-        raise SegmentCorrupt(
-            f"{where}: group {name!r} length disagrees with its row count"
-        )
+    # Per group: its length and CRC, then its row count — written out
+    # twice, not called: this is every fault-in's path.
+    if core:
+        if core_len != core_raw or zlib.crc32(image[start:end]) != core_crc:
+            raise SegmentCorrupt(f"{_where(where)}: group 'core' failed its checksum")
+        if core_raw != 32 * n_rows:
+            raise SegmentCorrupt(
+                f"{_where(where)}: group 'core' length disagrees with its row count"
+            )
+        flat = np.frombuffer(data, _F8, 4 * n_rows, start)
+        core = (
+            flat[:n_rows], flat[n_rows : 2 * n_rows],
+            flat[2 * n_rows : 3 * n_rows], flat[3 * n_rows :],
+        )  # fmt: skip
+    else:
+        core = None
+    if gids:
+        if gids_len != gids_raw or zlib.crc32(image[end:]) != gids_crc:
+            raise SegmentCorrupt(f"{_where(where)}: group 'gids' failed its checksum")
+        if gids_raw != 8 * n_rows:
+            raise SegmentCorrupt(
+                f"{_where(where)}: group 'gids' length disagrees with its row count"
+            )
+        gids = np.frombuffer(data, _I8, n_rows, end)
+    else:
+        gids = None
+    return (shard, window, n_rows), core, gids

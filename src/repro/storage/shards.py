@@ -479,11 +479,13 @@ class ShardRouter:
         c = int(c)
         if c < 0:
             raise ValueError("window index c must be non-negative")
-        if c >= self.global_window_count():
+        if c >= (self._global_rows + self.h - 1) // self.h:  # global_window_count
             raise IndexError(
                 f"global window {c} (h={self.h}) starts past the stream end"
             )
-        return self._store.window(s, c, *self._window_bounds(s, c))
+        cuts = self._cuts[s]  # _window_bounds, inlined: every slice read
+        stop = cuts[c + 1] if c + 1 < len(cuts) else self._shard_rows[s]
+        return self._store.window(s, c, cuts[c], stop)
 
     def shard_window(self, s: int, c: int) -> TupleBatch:
         """Shard ``s``'s slice of the *global* window ``W_c`` (zero-copy).
@@ -564,11 +566,12 @@ class ShardRouter:
         """
         with self._lock:
             batch, gids = self._window_slice(s, c)
+            c = int(c)
             return (
-                self.shard_window_epoch(s, c),
+                self._window_epochs[s].get(c, 0),
                 batch,
                 gids,
-                self.shard_window_sketch(s, c),
+                self._sketches[s].get(c, WindowSketch.EMPTY),
             )
 
     def head(self) -> Tuple[int, int, int]:

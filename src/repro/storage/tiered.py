@@ -69,10 +69,9 @@ from repro.geo.coords import BoundingBox
 from repro.geo.region import RegionGrid
 from repro.storage import fsio
 from repro.storage.segments import (
-    Segment,
-    SegmentCorrupt,
+    check_slice_key,
+    decode_packed_slice,
     encode_segment,
-    read_packed_segment,
     read_segment,
 )
 from repro.storage.shards import ShardRouter, _ShardColumn
@@ -87,6 +86,10 @@ _SEGMENT_DIR = "segments"
 #: read; seals write format 2.
 _MANIFEST_FORMAT = 2
 _READABLE_FORMATS = (1, 2)
+#: Pack files a store keeps open for fault-ins, the most recently read
+#: last: a route faults in a run of windows, which one seal packed
+#: together, so a few descriptors save most opens.
+_OPEN_PACKS = 8
 
 
 def _pack_filename(first_window: int) -> str:
@@ -177,6 +180,11 @@ class SegmentWindowStore:
         #: (at seal, or from the parsed manifest at recovery) and every
         #: later manifest re-uses the bytes.
         self._manifest_windows: List[str] = []
+        #: Read-only descriptors of recently read packs, LRU order (at
+        #: most :data:`_OPEN_PACKS`; closed by ``close`` and ``compact``).
+        #: Packs are immutable once committed, so a descriptor reads
+        #: what a fresh open would.
+        self._packs: "OrderedDict[str, int]" = OrderedDict()
         # Tier observability (all monotone counters except resident/peak).
         self.faults = 0
         self.evictions = 0
@@ -238,6 +246,7 @@ class SegmentWindowStore:
         return replay_wal(self.data_dir / _WAL).records
 
     def close(self) -> None:
+        self._close_packs()
         self._wal.close()
 
     # -- the window-store surface ------------------------------------------
@@ -398,46 +407,64 @@ class SegmentWindowStore:
     def _resident_insert(
         self, key: Tuple[int, int], value: Tuple[TupleBatch, np.ndarray]
     ) -> None:
-        self._resident[key] = value
-        self._resident.move_to_end(key)
+        resident = self._resident
+        if key in resident:  # a new key goes in last anyway
+            resident.move_to_end(key)
+        resident[key] = value
         if self.memory_windows is not None:
-            while len(self._resident) > self.memory_windows:
-                self._resident.popitem(last=False)
+            while len(resident) > self.memory_windows:
+                resident.popitem(last=False)
                 self.evictions += 1
-        self.peak_resident = max(self.peak_resident, len(self._resident))
+        if len(resident) > self.peak_resident:
+            self.peak_resident = len(resident)
 
-    def _read_slice(self, s: int, c: int, n_rows: int) -> Segment:
-        """Read a sealed slice's image and require its header to name
-        exactly that ``(shard, window, rows)``: an image swapped or
-        restored under another slice's extent passes every checksum."""
-        name, offset, length = self._slices[(s, c)]
-        path = self._segment_prefix + name
-        if offset is None:  # a whole per-slice file (format 1)
-            segment, where = read_segment(path), name
+    def _pack_fd(self, name: str) -> int:
+        """An open read-only descriptor of pack ``name``."""
+        packs = self._packs
+        fd = packs.get(name)
+        if fd is None:
+            fd = packs[name] = os.open(self._segment_prefix + name, os.O_RDONLY)
+            if len(packs) > _OPEN_PACKS:
+                os.close(packs.popitem(last=False)[1])
         else:
-            segment = read_packed_segment(path, offset, length)
-            where = f"{name}[{offset}:{offset + length}]"
-        if segment.key != (s, c, n_rows):
-            raise SegmentCorrupt(
-                f"{where}: holds (shard, window, rows) {segment.key}, "
-                f"the router expects {(s, c, n_rows)}"
-            )
-        return segment
+            packs.move_to_end(name)
+        return fd
+
+    def _close_packs(self) -> None:
+        while self._packs:
+            os.close(self._packs.popitem()[1])
+
+    def _read_slice(
+        self, s: int, c: int, n_rows: int
+    ) -> Tuple[TupleBatch, np.ndarray]:
+        """Read a sealed slice's ``(batch, gids)`` and require its
+        header to name exactly that ``(shard, window, rows)``: an image
+        swapped or restored under another slice's extent passes every
+        checksum.  A pack extent is one ``os.pread`` decoded straight
+        into the pair (:func:`~repro.storage.segments.decode_packed_slice`);
+        a whole per-slice file goes through the general reader."""
+        name, offset, length = self._slices[(s, c)]
+        if offset is None:  # a whole per-slice file (format 1)
+            segment = read_segment(self._segment_prefix + name)
+            check_slice_key(name, segment.key, (s, c, n_rows))
+            return segment.batch(), segment.gids()
+        data = os.pread(self._pack_fd(name), length, offset)
+        return decode_packed_slice(data, (name, offset, length), (s, c, n_rows))
 
     def _sealed_slice(
         self, s: int, c: int, n_rows: int
     ) -> Tuple[TupleBatch, np.ndarray]:
         """The (batch, gids) of a sealed slice, faulting it in on a miss."""
         key = (s, c)
-        cached = self._resident.get(key)
+        resident = self._resident
+        cached = resident.get(key)
         if cached is not None:
-            self._resident.move_to_end(key)
+            resident.move_to_end(key)
             return cached
         if key not in self._slices:  # the shard owned no rows of this window
             return TupleBatch.empty(), np.empty(0, dtype=np.int64)
-        segment = self._read_slice(s, c, n_rows)
+        value = self._read_slice(s, c, n_rows)
         self.faults += 1
-        value = (segment.batch(), segment.gids())
         self._resident_insert(key, value)
         return value
 
@@ -481,6 +508,7 @@ class SegmentWindowStore:
                 self._read_slice(s, c, stop - start)
                 verified += 1
         self._wal.checkpoint(self.sealed_windows * self.h, self._global_tail())
+        self._close_packs()  # maintenance leaves no pack open
         return {
             "orphans_removed": removed,
             "tmp_removed": tmp_removed,

@@ -13,6 +13,7 @@ import socket
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from multiprocessing import resource_tracker
 
 import numpy as np
 import pytest
@@ -36,13 +37,17 @@ from rows_entries import cache_rows, uncached_windows
 
 _WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 
+# Every test ends with the descriptors and threads it began with: the
+# server's loop thread and worker threads joined, its sockets closed.
+pytestmark = pytest.mark.usefixtures("leak_check")
+
 
 @pytest.fixture(scope="module")
 def engine(small_batch):
     return one_shard_engine(small_batch, h=240)
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture()
 def served(engine):
     with BackgroundServer(EngineQueryService(engine, method="model-cover")) as background:
         yield background
@@ -307,6 +312,13 @@ class TestWebSocket:
 
 class TestEngineBackends:
     """The same network front end over the sharded / process engines."""
+
+    @pytest.fixture(scope="class", autouse=True)
+    def _resource_tracker(self):
+        """The process pool starts the shared-memory resource tracker,
+        whose pipe lives as long as this process: start it before the
+        leak check counts."""
+        resource_tracker.ensure_running()
 
     def test_process_engine_answers_match_in_process_engine(self, small_dataset):
         def build_engine():

@@ -58,12 +58,17 @@ from repro.storage.shards import ShardRouter
 
 from one_shard import one_shard_engine
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+# A test also ends with the descriptors and threads it began with: the
+# server's loop thread and worker threads joined, its sockets closed.
+pytestmark = [
+    pytest.mark.filterwarnings("error::RuntimeWarning"),
+    pytest.mark.usefixtures("leak_check"),
+]
 
 _WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture()
 def one_shard_served(small_batch):
     """A ``naive`` service over a one-shard engine: no cached lane, so
     every query takes the executor hop."""
@@ -757,6 +762,9 @@ class _PushRecorder:
         self.frames = []
         self.during_push = None
 
+    async def _blocking(self, fn, *args):
+        return await asyncio.get_running_loop().run_in_executor(None, fn, *args)
+
     async def _send_text(self, writer, send_lock, payload):
         self.frames.append(payload)
         hook, self.during_push = self.during_push, None
@@ -880,7 +888,9 @@ class _RecordingTransport:
 
 def _connect(service):
     """``(connection, transport)``: the handler of one new connection
-    over a recording transport (call inside a running loop)."""
+    over a recording transport (call inside a running loop; await
+    ``connection._server.close()`` when done, which joins the server's
+    worker threads)."""
     conn = _HttpConnection(AsyncQueryServer(service))
     transport = _RecordingTransport()
     conn.connection_made(transport)
@@ -906,6 +916,7 @@ async def _deliver(service, segments, sync=False):
         conn.data_received(segment)
     assert transport.closed or not sync, "an answerable request left the loop"
     await _until(lambda: transport.closed)
+    await conn._server.close()
     return bytes(transport.out)
 
 
@@ -1000,6 +1011,7 @@ class TestRequestFraming:
             assert bytes(transport.out) == _wire(200, "OK", hit, close=False)
             assert not transport.reading and not transport.closed
             await _until(lambda: transport.closed)
+            await conn._server.close()
             return bytes(transport.out)
 
         out = asyncio.run(run())
@@ -1025,6 +1037,7 @@ class TestRequestFraming:
             assert conn.eof_received() is True  # both answers are still owed
             assert not transport.closed
             await _until(lambda: transport.closed)
+            await conn._server.close()
             return bytes(transport.out)
 
         assert asyncio.run(run()) == answer * 2

@@ -32,6 +32,9 @@ import test_engine_equivalence as equivalence
 from one_shard import protocol_service
 from test_server_async import _WsClient
 
+# Every test ends with the descriptors and threads it began with.
+pytestmark = pytest.mark.usefixtures("leak_check")
+
 HORIZON_S = 4.0 * 3600.0
 
 
@@ -210,7 +213,7 @@ class TestNoDataYet:
 class TestOnlyModesAreRoutable:
     IN_PROCESS = ["handle", "handle_many", "ingest", "handle_with_epoch", "cached"]
 
-    @pytest.fixture(scope="class")
+    @pytest.fixture()
     def served(self, small_batch):
         service = protocol_service(h=240)
         service.ingest(small_batch.slice(0, 500))
