@@ -165,10 +165,9 @@ class RouterBinding:
             # could wrongly prune an old-layout plan.
             if self.router.layout_epoch != self.layout_epoch:
                 self._check_layout()
-            sketch = self._sketches[(shard, c)] = self.router.shard_window_sketch(
-                shard, c
+            return self._sketches.setdefault(
+                (shard, c), self.router.shard_window_sketch(shard, c)
             )
-            return sketch
         key = (shard, c)
         bound = self._memo.get(key)
         if bound is None:
@@ -189,7 +188,7 @@ class RouterBinding:
             # Unchanged since the pin: the live sketch describes exactly
             # these rows, so pruning can never consult a sketch from a
             # different instant than the slice the pruned scan reads.
-            self._sketches[(shard, c)] = sketch
+            self._sketches.setdefault((shard, c), sketch)
             return stamp, sub, gids
         keep = int(np.searchsorted(gids, self.rows))
         return (self.epoch if keep else 0), sub.slice(0, keep), gids[:keep]

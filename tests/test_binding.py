@@ -10,6 +10,8 @@ the resident and the segment store (``router_over``).
 
 from __future__ import annotations
 
+import random
+import sys
 import threading
 
 import numpy as np
@@ -243,3 +245,56 @@ def test_bindings_under_a_racing_writer_answer_their_prefix(
                 prefix, radius_m=900.0
             ).continuous_query_batch(queries, method=method)
         same(result, references[rows])
+
+
+@pytest.mark.parametrize("store", STORES)
+def test_threads_racing_on_one_binding_share_every_pinned_slice(router_over, store):
+    """The memo takes no lock: threads that resolve one slice at once may
+    each read it, and every one of them returns the entry that landed
+    first.  Eight threads over every (shard, window) of a binding, in
+    their own orders, with a writer growing the open window and a short
+    switch interval, five times: each key's slice and sketch are one
+    object for all of them, and the slice holds the pinned rows only."""
+    stream = make_stream(600, seed=8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(5):
+            router = router_over(store, grid(), H)
+            router.ingest(stream.slice(0, 430))  # the last window open at the pin
+            _race_one_binding(router, stream, seed=round_)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _race_one_binding(router, stream, seed: int) -> None:
+    binding = RouterBinding(router)
+    keys = [(s, c) for c in range(-(-430 // H)) for s in range(binding.n_shards)]
+    barrier = threading.Barrier(9)
+    got = [None] * 8
+
+    def read(k: int) -> None:
+        order = keys[:]
+        random.Random(seed * 8 + k).shuffle(order)
+        barrier.wait(30.0)
+        got[k] = {
+            key: (binding.slice_for(*key), binding.sketch_for(*key)) for key in order
+        }
+
+    def write() -> None:
+        barrier.wait(30.0)
+        for lo in range(430, 600, 10):
+            router.ingest(stream.slice(lo, lo + 10))
+
+    threads = [threading.Thread(target=read, args=(k,)) for k in range(8)]
+    threads.append(threading.Thread(target=write))
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(60.0)
+    assert not any(thread.is_alive() for thread in threads)
+    for key in keys:
+        bound, sketch = got[0][key]
+        assert bound is binding._memo[key]
+        assert all(seen[key][0] is bound and seen[key][1] is sketch for seen in got)
+        assert len(bound[2]) == 0 or int(bound[2][-1]) < 430
