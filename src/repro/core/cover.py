@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -85,30 +85,22 @@ class ModelCover:
     def predict_batch(
         self, t: np.ndarray, x: np.ndarray, y: np.ndarray
     ) -> np.ndarray:
-        """Vectorised prediction: every query's owning model, then one
-        gather of the owners' coefficients and one call of the model
-        class's ``evaluate`` over all queries (closed-form families);
-        other families evaluate each owning model's queries in one
-        ``predict_batch`` call.  Bitwise the value each query's owner
-        predicts alone, either way."""
+        """Vectorised prediction: :func:`predict_runs` with this cover as
+        the one run — bitwise the value each query's owner predicts
+        alone."""
         t = np.asarray(t, dtype=np.float64)
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        if not len(x):
-            return np.empty(0, dtype=np.float64)
-        d2 = (
-            (x[:, None] - self.centroids[None, :, 0]) ** 2
-            + (y[:, None] - self.centroids[None, :, 1]) ** 2
-        )
-        # argmin keeps the first minimum, matching the scalar scan's
-        # strict-< tie-break in nearest_index / ModelCoverProcessor.
-        owner = np.argmin(d2, axis=1)
-        if self._table is not None:
-            evaluate, coefficients = self._table
-            return evaluate(coefficients[:, owner], t, x, y)
         out = np.empty(len(x), dtype=np.float64)
-        hits = np.bincount(owner, minlength=self.size)
-        for k in np.flatnonzero(hits):
+        predict_runs((self,), ((0, len(x)),), t, x, y, out)
+        return out
+
+    def _by_model(self, t: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """A cover without a coefficient table: each owning model
+        evaluates its queries in one ``predict_batch`` call."""
+        owner = _d2(x, y, self.centroids[:, 0], self.centroids[:, 1]).argmin(axis=1)
+        out = np.empty(len(x), dtype=np.float64)
+        for k in np.flatnonzero(np.bincount(owner, minlength=self.size)):
             mask = owner == k
             out[mask] = self.models[k].predict_batch(t[mask], x[mask], y[mask])
         return out
@@ -187,3 +179,69 @@ class ModelCover:
             f"ModelCover(O={self.size}, family={self.family!r}, "
             f"t_n={self.valid_until:.0f})"
         )
+
+
+def _d2(x: np.ndarray, y: np.ndarray, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+    """Squared distances from queries ``(x, y)`` to centroids ``(cx,
+    cy)``: one row per query, one column per centroid."""
+    return (x[:, None] - cx) ** 2 + (y[:, None] - cy) ** 2
+
+
+def predict_runs(
+    covers: Sequence[ModelCover],
+    spans: Sequence[Tuple[int, int]],
+    t: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """Every cover run of a request in one pass: ``covers[i]`` answers
+    the queries ``spans[i] = (lo, hi)`` of ``t``, ``x``, ``y`` into
+    ``out[lo:hi]`` (spans do not overlap; queries outside every span
+    are left as they are).
+
+    A query's owner is the nearest of its own cover's centroids, the
+    first of equals (``nearest_index``'s strict ``<``), found in one
+    distance matrix over every cover's centroids in which the other
+    covers' columns read inf.  A query's own columns come in a block,
+    so argmin's first minimum is its own cover's first minimum —
+    including a first NaN — unless its own distances all overflowed to
+    inf too; then the row is all inf, argmin reads 0, and the owner is
+    raised to the own cover's first column, which is what argmin over
+    the own columns alone gives.  Covers whose models share a
+    closed-form class are evaluated by one gather from their stacked
+    coefficient tables and one call of the class's ``evaluate``; a
+    cover without a table answers its own run model by model.  Bitwise
+    each cover's own :meth:`ModelCover.predict_batch` of its run, which
+    is this function with one run.
+    """
+    tabled: Dict[object, list] = {}
+    for cover, (lo, hi) in zip(covers, spans):
+        if cover._table is None:
+            out[lo:hi] = cover._by_model(t[lo:hi], x[lo:hi], y[lo:hi])
+        elif hi > lo:
+            tabled.setdefault(cover._table[0], []).append((cover, lo, hi))
+    for evaluate, runs in tabled.items():
+        if len(runs) == 1:
+            ((cover, lo, hi),) = runs
+            qx, qy = x[lo:hi], y[lo:hi]
+            centroids = cover.centroids
+            owner = _d2(qx, qy, centroids[:, 0], centroids[:, 1]).argmin(axis=1)
+            out[lo:hi] = evaluate(cover._table[1][:, owner], t[lo:hi], qx, qy)
+            continue
+        if all(a[2] == b[1] for a, b in zip(runs, runs[1:])):
+            where = slice(runs[0][1], runs[-1][2])
+        else:
+            where = np.concatenate([np.arange(lo, hi) for _cover, lo, hi in runs])
+        qx, qy = x[where], y[where]
+        counts = [hi - lo for _cover, lo, hi in runs]
+        sizes = [cover.size for cover, _lo, _hi in runs]
+        ids = np.arange(len(runs))
+        own = ids.repeat(counts)  # each query's run
+        col = ids.repeat(sizes)  # each stacked centroid's run, ascending
+        centroids = np.concatenate([cover.centroids for cover, _lo, _hi in runs])
+        d2 = _d2(qx, qy, centroids[:, 0], centroids[:, 1])
+        d2[own[:, None] != col] = np.inf
+        owner = np.maximum(d2.argmin(axis=1), col.searchsorted(own))
+        table = np.concatenate([cover._table[1] for cover, _lo, _hi in runs], axis=1)
+        out[where] = evaluate(table[:, owner], t[where], qx, qy)

@@ -173,6 +173,24 @@ class BatchResult:
         self.support = support
         self.answered = answered
 
+    @classmethod
+    def _of_columns(
+        cls,
+        queries: QueryBatch,
+        values: np.ndarray,
+        support: np.ndarray,
+        answered: np.ndarray,
+    ) -> "BatchResult":
+        """Internal: wrap columns the caller has already made what
+        ``__init__`` makes them — float64 ``values`` that are NaN
+        wherever the bool ``answered`` is False, int64 ``support``, each
+        of the batch's length — without re-validating or re-masking."""
+        self = object.__new__(cls)
+        self.queries, self.values, self.support, self.answered = (
+            queries, values, support, answered,
+        )  # fmt: skip
+        return self
+
     def __len__(self) -> int:
         return len(self.values)
 

@@ -117,7 +117,7 @@ def uniform_route_batch(
         raise ValueError("query interval must be positive")
     if count < 1:
         raise ValueError("count must be at least 1")
-    t = t_start + np.arange(count) * interval_s
+    t = np.asarray(t_start + np.arange(count) * interval_s, dtype=np.float64)
     target = (t - t_start) / (t_end - t_start) * total
     # Updates no leg claims end at the last waypoint, as do those at or
     # after t_end; those at or before t_start sit at the first.
@@ -134,4 +134,8 @@ def uniform_route_batch(
             moving &= ~here
         target = target - leg  # zero-length legs are skipped unchanged
     x[early], y[early] = waypoints[0]
-    return QueryBatch(t, x, y)
+    # The columns are what QueryBatch's constructor makes its own: one
+    # length, one dimension, float64; read-only is all that is left.
+    for column in (t, x, y):
+        column.flags.writeable = False
+    return QueryBatch._of_columns(t, x, y)

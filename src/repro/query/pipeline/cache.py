@@ -35,7 +35,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["CacheStats", "ProcessorCache"]
 
@@ -173,6 +173,30 @@ class ProcessorCache:
                     self.stats.record_hit()
                 return entry[1]
             return None
+
+    def peek_all(self, pairs: Sequence[Tuple[tuple, int]]) -> List[object]:
+        """:meth:`peek` of every ``(key, stamp)`` of ``pairs`` in one
+        lock section, counting nothing: each value, or ``None`` where
+        the key is missing or at another stamp."""
+        with self._lock:
+            get = self._entries.get
+            values = []
+            for key, stamp in pairs:
+                entry = get(key)
+                values.append(entry[1] if entry is not None and entry[0] == stamp else None)
+            return values
+
+    def count_hits(self, pairs: Sequence[Tuple[tuple, int]]) -> None:
+        """``peek(key, stamp, count_hit=True)`` of every ``(key, stamp)``
+        of ``pairs`` in one lock section: each that is still cached at
+        its stamp counts a hit and becomes most recently used."""
+        with self._lock:
+            entries = self._entries
+            for key, stamp in pairs:
+                entry = entries.get(key)
+                if entry is not None and entry[0] == stamp:
+                    entries.move_to_end(key)
+                    self.stats.record_hit()
 
     def lookup(self, key: tuple, stamp: int):
         """The cached value under ``key`` at content ``stamp``, or None.

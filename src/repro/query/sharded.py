@@ -38,7 +38,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.adkmn import AdKMNConfig, fit_adkmn
-from repro.core.cover import ModelCover
+from repro.core.cover import ModelCover, predict_runs
 from repro.data.tuples import QueryTuple
 from repro.geo.coords import BoundingBox
 from repro.query.base import BatchResult, QueryBatch, QueryResult
@@ -68,12 +68,12 @@ SHARDED_METHODS = ("naive",) + available_index_kinds() + ("model-cover",)
 
 #: The most rows :meth:`ShardedQueryEngine.cached_route` answers on the
 #: event loop.  The loop is where every other connection waits for it,
-#: and its cost grows with the rows — mostly in shaping and serialising
-#: the answer — while what it saves (the executor hop) does not.  At
-#: 128 rows an answer holds the loop ~0.7 ms (p95 ~1.05 ms, about a
-#: live-mix request's p95 round trip) and still saves ~13 % of the
-#: request; longer routes take the executor (docs/architecture.md, "The
-#: non-blocking lane").
+#: and its cost grows with the rows — mostly in evaluating the covers
+#: and writing the readings' floats — while what it saves (the executor
+#: hop) does not.  At 128 rows an answer holds the loop ~0.45 ms (p95
+#: ~0.8 ms, about a live-mix request's p95 round trip) and saves ~24 %
+#: of the request; at 256 it would hold it ~1 ms.  Longer routes take
+#: the executor (docs/architecture.md, "The row cap").
 CACHED_ROUTE_MAX_ROWS = 128
 
 
@@ -130,11 +130,13 @@ def cover_runs(windows: np.ndarray, owners: np.ndarray, n_shards: int):
     ``order``, in stream order and window-major; ``runs`` are its
     ``(window, owner, first, end)``."""
     pair = windows * n_shards + owners
-    order = np.argsort(pair, kind="stable")
+    order = pair.argsort(kind="stable")
     pair = pair[order]
-    cuts = [0, *(np.flatnonzero(pair[1:] != pair[:-1]) + 1).tolist(), len(pair)]
+    firsts = [0, *((pair[1:] != pair[:-1]).nonzero()[0] + 1).tolist()]
+    ends = firsts[1:] + [len(pair)]
     return order, [
-        (*divmod(int(pair[lo]), n_shards), lo, hi) for lo, hi in zip(cuts, cuts[1:])
+        (*divmod(key, n_shards), lo, hi)
+        for key, lo, hi in zip(pair[firsts].tolist(), firsts, ends)
     ]
 
 
@@ -427,13 +429,6 @@ class ShardedQueryEngine:
         with self._lane_lock:
             self._lane_hits[lane] += 1
 
-    def _charge(self, s: int, n_queries: int, per_query: int, seconds: float) -> None:
-        """The lanes' one report to the shard-load tracker: ``n_queries``
-        queries that cost ``per_query`` units each on shard ``s`` — a
-        cover evaluation the cover's models (O), a scan of window rows
-        the shard's rows among them."""
-        self.router.load.record_scan(s, n_queries, float(per_query * n_queries), seconds)
-
     def _owner_rows(self, runs, n_shards: int, binding) -> Optional[Dict[int, WindowRows]]:
         """The ``("rows", c)`` entries the empty owners of ``runs`` are
         answered from, by window, or ``None`` — the loop's
@@ -442,46 +437,48 @@ class ShardedQueryEngine:
         ``runs`` are the ``(window, owner, stamp, first, end)`` a lane
         read, a stamp of 0 for an empty owner.  With a pinned
         ``binding``, :func:`window_rows` builds what is missing.
-        Without one (the event loop), per window with an empty owner,
-        lock-free reads: every shard's live stamp, then a peek at the
-        largest.  The entry must hold the state those stamps name, and
-        each of the window's runs must have read the entry's stamp for
-        its owner — a cover read before an ingest the later reads saw,
-        or an owner that gained rows in between, is a torn read.  And
-        the empty owners' queries over their windows' rows must make at
-        most :data:`BLOCK_CELLS` cells in all, the exact gather's block,
-        so a loop request holds the loop no longer than one block of a
-        plan does.
+        Without one (the event loop), lock-free reads of every such
+        window's live shard stamps, then one peek of all their entries,
+        each at its window's largest stamp.  An entry must hold the
+        state those stamps name, and each of the window's runs must have
+        read the entry's stamp for its owner — a cover read before an
+        ingest the later reads saw, or an owner that gained rows in
+        between, is a torn read.  And the empty owners' queries over
+        their windows' rows must make at most :data:`BLOCK_CELLS` cells
+        in all, the exact gather's block, so a loop request holds the
+        loop no longer than one block of a plan does.
         """
-        router = self.router
+        queries: Dict[int, int] = {}  # per window, its empty owners' queries
+        for c, _s, stamp, lo, hi in runs:
+            if not stamp:
+                queries[c] = queries.get(c, 0) + hi - lo
+        if binding is not None:
+            return {c: window_rows(self._rows, binding, c) for c in queries}
+        if not queries:
+            return {}
+        epoch = self.router.shard_window_epoch
+        live = {c: tuple(epoch(s, c) for s in range(n_shards)) for c in queries}
+        found = self._rows.peek_all([(("rows", c), max(stamps)) for c, stamps in live.items()])
         tables: Dict[int, WindowRows] = {}
         cells = 0
-        for c, _s, stamp, lo, hi in runs:
-            if stamp:
-                continue
-            rows = tables.get(c)
-            if rows is None:
-                if binding is not None:
-                    rows = window_rows(self._rows, binding, c)
-                else:
-                    live = tuple(router.shard_window_epoch(s, c) for s in range(n_shards))
-                    rows = self._rows.peek(("rows", c), max(live))
-                    if rows is None or rows.stamps != live:
-                        return None
-                    if any(rows.stamps[s] != read for w, s, read, *_ in runs if w == c):
-                        return None
-                tables[c] = rows
-            cells += (hi - lo) * len(rows.s)
-        return tables if binding is not None or cells <= BLOCK_CELLS else None
+        for (c, stamps), rows in zip(live.items(), found):
+            if rows is None or rows.stamps != stamps:
+                return None
+            if any(stamps[s] != read for w, s, read, *_ in runs if w == c):
+                return None
+            tables[c] = rows
+            cells += queries[c] * len(rows.s)
+        return tables if cells <= BLOCK_CELLS else None
 
-    def _scan_rows(self, c: int, rows: WindowRows, qx, qy, values, support) -> float:
-        """Answer queries ``(qx, qy)`` over window ``c``'s ``rows`` into
+    def _scan_rows(self, rows: WindowRows, qx, qy, values, support, charges: list) -> float:
+        """Answer queries ``(qx, qy)`` over a window's ``rows`` into
         ``values`` / ``support`` (NaN / 0 where nothing is in range):
         the exact gather's tile and by-construction reduce, in query
         blocks of at most :data:`BLOCK_CELLS` cells, so the bytes are
-        the exact gather's.  Each shard with rows is charged as scanned
-        by every query, its share of the seconds by rows, as a naive
-        scan op is.  Returns the seconds."""
+        the exact gather's.  Each shard with rows is charged — appended
+        to ``charges`` as ``(shard, queries, units, seconds)`` for the
+        load tracker — as scanned by every query, its share of the
+        seconds by rows, as a naive scan op is.  Returns the seconds."""
         n = len(qx)
         step = max(BLOCK_CELLS // max(len(rows.s), 1), 1)
         t0 = time.perf_counter()
@@ -492,7 +489,7 @@ class ShardedQueryEngine:
         elapsed = time.perf_counter() - t0
         for s, n_rows in enumerate(rows.counts):
             if n_rows:
-                self._charge(s, n, n_rows, elapsed * n_rows / len(rows.s))
+                charges.append((s, n, float(n_rows * n), elapsed * n_rows / len(rows.s)))
         return elapsed
 
     def cached_point(
@@ -512,7 +509,8 @@ class ShardedQueryEngine:
         hold bitwise equal to the pinned path's 1-row arrays.  A re-cut
         publishes its stamp tables before its grid and holds the router
         lock until both are out, so a hit is of one layout iff the grid
-        read first is still live after the probe.
+        read first is still live after the probe.  A cover evaluation is
+        charged to the load tracker as the cover's models (O) units.
         """
         router = self.router
         if method != "model-cover":
@@ -538,12 +536,14 @@ class ShardedQueryEngine:
         if stamp:
             t0 = time.perf_counter()
             result = proc.process(QueryTuple(t, x, y))
-            self._charge(s, 1, proc.size, time.perf_counter() - t0)
+            router.load.record_scan(s, 1, float(proc.size), time.perf_counter() - t0)
         else:
             rows = tables[c]
             self._rows.peek(("rows", c), max(rows.stamps), count_hit=True)
             values, support = np.full(1, np.nan), np.zeros(1, dtype=np.int64)
-            self._scan_rows(c, rows, np.array([x]), np.array([y]), values, support)
+            charges: list = []
+            self._scan_rows(rows, np.array([x]), np.array([y]), values, support, charges)
+            router.load.record_scans(charges)
             value = float(values[0]) if support[0] else None
             result = QueryResult(QueryTuple(t, x, y), value, int(support[0]))
         self._lane_hit("point")
@@ -557,11 +557,14 @@ class ShardedQueryEngine:
         report: Optional[PlanReport] = None,
     ) -> Optional[BatchResult]:
         """The ``model-cover`` answer to a query stream — the one
-        model-cover path — grouped by :func:`cover_runs`: per (window,
-        owner) run, the owner slice's cover evaluates its rows
-        (:meth:`ModelCover.predict_batch`), or, for an empty owner, the
-        exact gather's tile and reduce over the window's rows answer
-        them (:meth:`_scan_rows`); each run is charged (:meth:`_charge`).
+        model-cover path — grouped by :func:`cover_runs` into (window,
+        owner) runs: every run whose owner slice has rows is answered
+        from that slice's cover in one pass over them all
+        (:func:`~repro.core.cover.predict_runs`); a run of an empty
+        owner from the exact gather's tile and reduce over the window's
+        rows (:meth:`_scan_rows`).  Every run is charged to the load
+        tracker in one call: a cover run its cover's models (O) per
+        query and its share, by queries, of the pass's seconds.
 
         With a pinned ``binding`` (the executor, subscriptions, the
         protocol's batches): the pinned slices and stamps; a missing
@@ -570,13 +573,14 @@ class ShardedQueryEngine:
         run is listed, timed, in ``report``.
 
         Without one (the event loop), :meth:`cached_point`'s rules: live
-        stamps and only what is cached at them, a hit counted per cover
-        and per window's rows once everything is found, and ``None``
-        counted in :attr:`lane_declines` for another method, more than
-        :data:`CACHED_ROUTE_MAX_ROWS` rows, an empty batch or router, a
-        non-finite input, an empty owner :meth:`_owner_rows` cannot
-        answer (``"fallback"``), a missing or stale cover, or a re-cut
-        in flight.
+        stamps and only what is cached at them — every cover looked up
+        in one section of the cache's lock, their hits (and the window
+        rows') counted in one more once everything is found — and
+        ``None`` counted in :attr:`lane_declines` for another method,
+        more than :data:`CACHED_ROUTE_MAX_ROWS` rows, an empty batch or
+        router, a non-finite input, an empty owner :meth:`_owner_rows`
+        cannot answer (``"fallback"``), a missing or stale cover, or a
+        re-cut in flight.  A declined route counts and charges nothing.
         """
         router = self.router
         n = len(batch)
@@ -594,7 +598,7 @@ class ShardedQueryEngine:
                 return self._lane_decline("route", "rows")
             if not n or not router.global_count():
                 return self._lane_decline("route", "empty")
-            if not (np.isfinite(t).all() and np.isfinite(x).all() and np.isfinite(y).all()):
+            if not np.isfinite((t, x, y)).all():
                 return self._lane_decline("route", "non-finite")
             source = router
         grid = source.grid
@@ -611,58 +615,66 @@ class ShardedQueryEngine:
                 if stamp
             ]
         else:
-            bounds = None
-            runs = [(c, s, router.shard_window_epoch(s, c), lo, hi) for c, s, lo, hi in groups]
+            epoch = router.shard_window_epoch
+            runs = [(c, s, epoch(s, c), lo, hi) for c, s, lo, hi in groups]
             tables = self._owner_rows(runs, n_shards, None)
             if tables is None:
                 return self._lane_decline("route", "fallback")
-            covers = [
-                (("cover", s, c), stamp, cache.peek(("cover", s, c), stamp))
-                for c, s, stamp, _lo, _hi in runs
-                if stamp
-            ]
-            if any(proc is None for _key, _stamp, proc in covers):
+            keys = [(("cover", s, c), stamp) for c, s, stamp, _lo, _hi in runs if stamp]
+            procs = cache.peek_all(keys)
+            if any(proc is None for proc in procs):
                 return self._lane_decline("route", "cover")
             if router.grid is not grid:
                 return self._lane_decline("route", "recut")
             # A hit per cover and per window's rows, as the pinned
             # path's lookups count them, once everything is known
             # cached: a declined route counts nothing.
-            for key, stamp, _proc in covers:
-                cache.peek(key, stamp, count_hit=True)
-            for c, rows in tables.items():
-                self._rows.peek(("rows", c), max(rows.stamps), count_hit=True)
-            procs = [proc for _key, _stamp, proc in covers]
-        clock = time.perf_counter
+            cache.count_hits(keys)
+            if tables:
+                self._rows.count_hits(
+                    [(("rows", c), max(rows.stamps)) for c, rows in tables.items()]
+                )
         if len(runs) > 1:
             t, x, y = t[order], x[order], y[order]
         values = np.empty(n)  # in run order
-        support = np.ones(n, dtype=np.int64)
-        procs = iter(procs)
-        for i, (c, s, stamp, lo, hi) in enumerate(runs):
-            if stamp:
-                proc = next(procs)
-                t0 = clock()
-                values[lo:hi] = proc.cover.predict_batch(t[lo:hi], x[lo:hi], y[lo:hi])
-                elapsed = clock() - t0
-                self._charge(s, hi - lo, proc.size, elapsed)
-            else:
-                values[lo:hi], support[lo:hi] = np.nan, 0
-                elapsed = self._scan_rows(
-                    c, tables[c], x[lo:hi], y[lo:hi], values[lo:hi], support[lo:hi]
-                )
-            if report is not None and bounds is not None:
-                n_rows = len(bounds[i][1]) if stamp else len(tables[c].s)
+        covered = [run for run in runs if run[2]]  # the runs procs answer, in order
+        spans = [(lo, hi) for *_, lo, hi in covered]
+        clock = time.perf_counter
+        start = clock()
+        predict_runs([proc.cover for proc in procs], spans, t, x, y, values)
+        per_query = (clock() - start) / max(sum(hi - lo for lo, hi in spans), 1)
+        charges = [
+            (s, hi - lo, float(proc.size * (hi - lo)), per_query * (hi - lo))
+            for (_c, s, _stamp, lo, hi), proc in zip(covered, procs)
+        ]
+        seconds = {}  # an empty owner's run's, by its first query
+        support = None
+        if tables:
+            support = np.ones(n, dtype=np.int64)
+            for c, _s, stamp, lo, hi in runs:
+                if not stamp:
+                    values[lo:hi], support[lo:hi] = np.nan, 0
+                    seconds[lo] = self._scan_rows(
+                        tables[c], x[lo:hi], y[lo:hi], values[lo:hi], support[lo:hi], charges
+                    )
+        router.load.record_scans(charges)
+        if report is not None and binding is not None:
+            for (c, s, stamp, lo, hi), bound in zip(runs, bounds):
+                n_rows = len(bound[1]) if stamp else len(tables[c].s)
                 run = CoverRun(
                     "cover" if stamp else "rows", PlanContext(c, s, stamp, n_rows), hi - lo
                 )
                 report.runs.append(run)
-                report.record(run, elapsed)
-        if len(runs) > 1:
-            values[order] = values.copy()  # back to stream order
-            support[order] = support.copy()
+                report.record(run, per_query * (hi - lo) if stamp else seconds[lo])
+        if len(runs) > 1:  # back to stream order
+            values[order] = values.copy()
+            if support is not None:
+                support[order] = support.copy()
         if binding is None:
             self._lane_hit("route")
+        if support is None:  # every query answered by a cover
+            support = np.ones(n, dtype=np.int64)
+            return BatchResult._of_columns(batch, values, support, support.astype(bool))
         return BatchResult(batch, values, support, answered=support > 0)
 
     def heatmap_grid(

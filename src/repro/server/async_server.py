@@ -104,7 +104,7 @@ import os
 import queue
 import struct
 import threading
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -290,6 +290,56 @@ def _readings(result) -> Dict[str, Any]:
     }
 
 
+class _Null:
+    """What ``%r`` writes as JSON's ``null``: a non-finite value's slot
+    in a lane body."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "null"
+
+
+_NULL = _Null()
+# ``json.dumps``' own layout (", " and ": ", keys in the dicts' order);
+# ``%r`` of a float is its ``float.__repr__``, which ``json.dumps``
+# writes for a finite float, and ``%d`` of an int its ``int.__repr__``.
+_POINT_BODY = '{"mode": "point", "value": %r, "support": %d}'
+_READING_BODY = '{"x": %r, "y": %r, "value": %r, "support": %d}'
+
+
+@functools.lru_cache(maxsize=CACHED_ROUTE_MAX_ROWS)
+def _readings_template(n: int) -> str:
+    """The continuous body of ``n`` readings with a slot per field: one
+    per route length the lane answers (1 to ``CACHED_ROUTE_MAX_ROWS``)."""
+    return '{"mode": "continuous", "readings": [%s]}' % ", ".join([_READING_BODY] * n)
+
+
+def _point_body(result) -> bytes:
+    """``json.dumps`` of :meth:`EngineQueryService.point`'s payload for
+    the ``QueryResult`` it would shape, as bytes, from one template."""
+    value = None if result.value is None else _clean(result.value)
+    return (_POINT_BODY % (_NULL if value is None else value, result.support)).encode()
+
+
+def _readings_body(result) -> bytes:
+    """``json.dumps(_readings(result))`` as bytes: the result's four
+    columns, taken as lists, interleaved into one template of
+    ``len(result)`` readings — no dict is built."""
+    n = len(result)
+    values = result.values.tolist()
+    finite = np.isfinite(result.values)
+    if not finite.all():
+        for i in np.flatnonzero(~finite).tolist():
+            values[i] = _NULL
+    fields: List[Any] = [None] * (4 * n)
+    fields[0::4] = result.queries.x.tolist()
+    fields[1::4] = result.queries.y.tolist()
+    fields[2::4] = values
+    fields[3::4] = result.support.tolist()
+    return (_readings_template(n) % tuple(fields)).encode()
+
+
 def _unmask(data: bytes, mask: bytes) -> bytes:
     """``data[i] ^ mask[i % 4]`` (RFC 6455 §5.3) in one vectorised XOR: on
     the event loop, a byte loop over a legal 4 MiB frame stalls for a second."""
@@ -309,9 +359,15 @@ _STATUS_HEADS = {
 }
 
 
-def _response(status: int, payload: Dict[str, Any], close: bool) -> bytes:
+def _body(payload: Union[bytes, Dict[str, Any]]) -> bytes:
+    """A payload's JSON body: a lane's bytes as they are, a handler's
+    dict through ``json.dumps``."""
+    return payload if type(payload) is bytes else json.dumps(payload).encode("utf-8")
+
+
+def _response(status: int, payload: Union[bytes, Dict[str, Any]], close: bool) -> bytes:
     """One whole HTTP response (a status HTTP does not define is a 500)."""
-    body = json.dumps(payload).encode("utf-8")
+    body = _body(payload)
     return b"%b%d\r\nConnection: %b\r\n\r\n%b" % (
         _STATUS_HEADS.get(status, _STATUS_HEADS[500]),
         len(body),
@@ -480,33 +536,39 @@ class EngineQueryService:
             "support": int(result.support),
         }
 
-    def cached(self, mode: str, params: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-        """The answer when it can be given without blocking (the server
-        asks on its event-loop thread, before the mode's handler): for a
-        ``model-cover`` service, a valid point query whose cover — or,
-        for an empty owner slice, whose window's rows —
-        the in-process engine's ``cached_point`` finds cached, or a valid
-        route that its ``cached_route`` finds cached in the same way.  Else
-        ``None``.  A
-        route longer than the lane takes (:func:`_lane_sized`) is not
-        looked at here — it is validated and built on the executor; a
-        declined route leaves the batch it built in ``params`` for
-        :meth:`continuous` to answer, so a route is validated and
-        interpolated once whichever path answers it."""
+    def cached(self, mode: str, params: Dict[str, Any]) -> Optional[bytes]:
+        """The answer's JSON body when it can be given without blocking
+        (the server asks on its event-loop thread, before the mode's
+        handler): for a ``model-cover`` service, a valid point query
+        whose cover — or, for an empty owner slice, whose window's rows
+        — the in-process engine's ``cached_point`` finds cached, or a
+        valid route that its ``cached_route`` finds cached in the same
+        way.  Else ``None``.  The body is the bytes of ``json.dumps`` of
+        what the mode's handler (:meth:`point`, :meth:`continuous`)
+        answers, written from templates (:func:`_point_body`,
+        :func:`_readings_body`).  A route longer than the lane takes
+        (:func:`_lane_sized`) is not looked at here — it is validated
+        and built on the executor; a declined route leaves the batch it
+        built in ``params`` for :meth:`continuous` to answer, so a route
+        is validated and interpolated once whichever path answers it."""
         # Only cover answers can be cached: other methods' requests never
         # enter the lane, and keep their whole cost off the loop.
         if self.method != "model-cover":
             return None
+        local = self._local
         if mode == "point":
-            return self._point(self._local.cached_point, params)
+            result = local.cached_point(
+                _number(params, "t"), _number(params, "x"), _number(params, "y"), self.method
+            )
+            return None if result is None else _point_body(result)
         if mode != "continuous" or not _lane_sized(params):
             return None
         batch = _route_batch(params)
-        result = self._local.cached_route(batch, method=self.method)
+        result = local.cached_route(batch, method=self.method)
         if result is None:
             params[_ROUTE_BATCH] = batch
             return None
-        return _readings(result)
+        return _readings_body(result)
 
     def _point_query(self, t: float, x: float, y: float, method: str):
         self._require_data()
@@ -677,15 +739,18 @@ class AsyncQueryServer:
 
     def _lane(self, mode: str, params: Dict[str, Any]) -> Tuple[Any, Callable]:
         """``(payload, handler)``: the service's answer when it has one
-        without blocking (its ``cached``) — else ``None`` — beside the
-        mode's handler, which may block."""
+        without blocking (its ``cached``: the body's bytes) — else
+        ``None`` — beside the mode's handler, which may block (and
+        answers a dict)."""
         handler = getattr(self.service, mode, None)
         if mode not in getattr(self.service, "modes", ()) or handler is None:
             raise HttpError(404, f"unknown mode {mode!r}")
         cached = getattr(self.service, "cached", None)
         return (cached(mode, params) if cached is not None else None), handler
 
-    async def _answer(self, mode: str, params: Dict[str, Any]) -> Dict[str, Any]:
+    async def _answer(
+        self, mode: str, params: Dict[str, Any]
+    ) -> Union[bytes, Dict[str, Any]]:
         payload, handler = self._lane(mode, params)
         if payload is None:
             # Everything else may block (scans, fits, fault-ins, lock
@@ -742,7 +807,7 @@ class AsyncQueryServer:
 
     async def _ws_reply(
         self, payload: bytes, session: "_WsSubscriptionSession"
-    ) -> Dict[str, Any]:
+    ) -> Union[bytes, Dict[str, Any]]:
         try:
             request = json.loads(payload.decode("utf-8"))
             if not isinstance(request, dict) or "mode" not in request:
@@ -840,12 +905,10 @@ class AsyncQueryServer:
         return fin, opcode, _unmask(await reader.readexactly(length), mask)
 
     async def _send_text(
-        self, writer, send_lock: asyncio.Lock, payload: Dict[str, Any]
+        self, writer, send_lock: asyncio.Lock, payload: Union[bytes, Dict[str, Any]]
     ) -> None:
         async with send_lock:
-            await self._send_frame(
-                writer, 0x1, json.dumps(payload).encode("utf-8")
-            )
+            await self._send_frame(writer, 0x1, _body(payload))
 
     @staticmethod
     async def _send_frame(writer, opcode: int, payload: bytes) -> None:
@@ -998,7 +1061,9 @@ class _HttpConnection(asyncio.Protocol):
         self._reply(status, payload, close)
         self._pump()
 
-    def _reply(self, status: int, payload: Dict[str, Any], close: bool) -> None:
+    def _reply(
+        self, status: int, payload: Union[bytes, Dict[str, Any]], close: bool
+    ) -> None:
         self._transport.write(_response(status, payload, close))
         if close:
             self._transport.close()

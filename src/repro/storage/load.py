@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -112,12 +112,21 @@ class ShardLoadTracker:
         evaluated scan-unit load (rows per query), ``seconds``
         the executor's observed wall time (None on the process path,
         which does not time per-op)."""
+        self.record_scans(((s, n_queries, units, seconds),))
+
+    def record_scans(
+        self, scans: Iterable[Tuple[int, int, float, Optional[float]]]
+    ) -> None:
+        """:meth:`record_scan` of every ``(s, n_queries, units,
+        seconds)`` of ``scans``, in one lock section."""
+        alpha = self.alpha
         with self._lock:
-            self._scan_queries[s] += int(n_queries)
-            self._scan_units[s] += float(units)
-            if seconds is not None:
-                self._scan_seconds[s] += float(seconds)
-            self._load[s] += self.alpha * float(units)
+            for s, n_queries, units, seconds in scans:
+                self._scan_queries[s] += int(n_queries)
+                self._scan_units[s] += float(units)
+                if seconds is not None:
+                    self._scan_seconds[s] += float(seconds)
+                self._load[s] += alpha * float(units)
 
     def decay(self) -> None:
         """One decay tick: recent load forgets ``alpha`` of itself.  The

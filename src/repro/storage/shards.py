@@ -601,7 +601,7 @@ class ShardRouter:
         # an unlocked reader always finds the counted prefix filled in.
         n_windows = self.global_window_count()
         first = self._first_ts[:n_windows]
-        return np.maximum(np.searchsorted(first, ts, side="right") - 1, 0)
+        return np.maximum(first.searchsorted(ts, side="right") - 1, 0)
 
     def window_for_time(self, t: float) -> int:
         """:meth:`windows_for_times` for one timestamp: a scalar binary

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.data.lausanne import LausanneConfig, LausanneDataset, generate_lausanne_dataset
 from repro.data.tuples import TupleBatch
@@ -15,6 +16,24 @@ from repro.storage.shards import ShardRouter
 from repro.storage.tiered import TieredShardRouter
 
 from leaks import assert_released, open_resources
+
+# Hypothesis profiles.  ``tier1``, the default, is derandomized: every
+# run draws the same examples, so a failure in the tier-1 suite shows up
+# on every run and on every machine.  ``deep`` draws fresh examples each
+# run; the CI jobs that re-run suites under pytest-timeout ask for it
+# (``--hypothesis-profile=deep``).  Neither sets an example count: each
+# test's own ``max_examples`` holds under both.
+settings.register_profile("tier1", derandomize=True)
+settings.register_profile("deep", derandomize=False)
+settings.load_profile("tier1")
+
+
+def pytest_configure(config):
+    # A profile named on the command line wins over the default, also
+    # where this file is imported after hypothesis' plugin has read it.
+    profile = config.getoption("--hypothesis-profile", None)
+    if profile:
+        settings.load_profile(profile)
 
 
 @pytest.fixture(scope="session")

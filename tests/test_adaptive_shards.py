@@ -267,6 +267,16 @@ class TestShardLoadTracker:
         assert 0 < tracker.loads()[1] < before
         assert tracker.loads()[0] == 0.0
 
+    def test_record_scans_is_record_scan_per_entry(self):
+        one, many = ShardLoadTracker(3, alpha=0.5), ShardLoadTracker(3, alpha=0.5)
+        scans = [(1, 10, 500.0, 0.25), (2, 3, 6.0, None), (1, 2, 4.0, 0.5)]
+        for scan in scans:
+            one.record_scan(*scan)
+        many.record_scans(scans)
+        assert one.snapshot() == many.snapshot()
+        many.record_scans([])
+        assert one.snapshot() == many.snapshot()
+
     def test_seed_resize_reset(self):
         tracker = ShardLoadTracker(2)
         tracker.seed_load(0, 8.0)

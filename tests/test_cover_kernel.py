@@ -1,4 +1,5 @@
-"""The coefficient-table kernel of ``ModelCover.predict_batch``.
+"""The coefficient-table kernel of ``ModelCover.predict_batch``, and
+``predict_runs``, the one pass over every cover run of a request.
 
 Closed-form families are evaluated as one gather of the owning models'
 coefficients and one evaluation of the family's expression over every
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.cover import ModelCover
+from repro.core.cover import ModelCover, predict_runs
 from repro.data.tuples import QueryTuple
 from repro.models import model_factory, registered_families
 from repro.models.base import rebuild_model
@@ -179,3 +180,121 @@ class TestTableEqualsPerModelLoop:
         assert _bits(cover.predict_batch(t, x, y)) == _bits(
             per_model_loop(cover, t, x, y)
         )
+
+
+# -- one pass over a request's cover runs --------------------------------------
+
+#: Coordinates a drawn cover's centroids and queries take: a few on a
+#: 500 m lattice (so equidistant centroids, and queries on their
+#: bisectors, are common), values where a squared offset overflows to
+#: inf (±1e154: (1e154 - -1e154)² = 4e308), and, rarely, anything.
+_PALETTE = [0.0, 500.0, 1000.0, 1500.0, 2000.0, 2500.0, -0.0, 5e-324,
+            1e154, -1e154, 1.5e154, -1.4e154]  # fmt: skip
+_coordinate = st.one_of(
+    st.sampled_from(_PALETTE), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def _runs(draw, models):
+    """1–8 covers, each of 1–4 of ``models`` at drawn centroids, with a
+    run of 1–64 queries each; the runs' spans tile ``[0, n)`` in order,
+    or leave a gap before each run (as an empty owner's run does)."""
+    gaps = draw(st.booleans())
+    covers, spans, rows = [], [], []
+    for _ in range(draw(st.integers(1, 8))):
+        size = draw(st.integers(1, 4))
+        centroids = draw(
+            st.lists(st.tuples(_coordinate, _coordinate), min_size=size, max_size=size)
+        )
+        picks = draw(st.lists(st.sampled_from(models), min_size=size, max_size=size))
+        covers.append(_cover("drawn", picks, np.array(centroids)))
+        if gaps:
+            rows += [(0.0, 0.0, 0.0)] * draw(st.integers(0, 2))
+        k = draw(st.one_of(st.just(1), st.integers(1, 64)))
+        seed = draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        for _ in range(k):
+            x, y = (
+                float(rng.choice(_PALETTE)) if rng.random() < 0.7 else float(rng.uniform(-1e4, 1e4))
+                for _ in range(2)
+            )
+            rows.append((float(rng.uniform(0.0, 86400.0)), x, y))
+        spans.append((len(rows) - k, len(rows)))
+    return covers, spans, _columns(rows)
+
+
+@pytest.fixture(scope="module")
+def family_models(small_batch):
+    """Four fitted models of every registered family."""
+    return {
+        family: [
+            model_factory(family)(small_batch.slice(k * 240, (k + 1) * 240)) for k in range(4)
+        ]
+        for family in registered_families()
+    }
+
+
+class TestOnePassEqualsPerCover:
+    """``predict_runs`` — the one evaluation of every cover run of a
+    route — is bitwise each cover's own evaluation of its run, ties and
+    overflow included, and touches nothing outside the runs."""
+
+    def _check(self, covers, spans, columns):
+        t, x, y = columns
+        out = np.full(len(t), 7.25)
+        predict_runs(covers, spans, t, x, y, out)
+        covered = np.zeros(len(t), dtype=bool)
+        for cover, (lo, hi) in zip(covers, spans):
+            alone = cover.predict_batch(t[lo:hi], x[lo:hi], y[lo:hi])
+            assert _bits(out[lo:hi]) == _bits(alone)
+            assert _bits(alone) == _bits(per_model_loop(cover, t[lo:hi], x[lo:hi], y[lo:hi]))
+            covered[lo:hi] = True
+        assert (out[~covered] == 7.25).all()
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_bitwise_each_covers_own_evaluation(self, family_models, family, data):
+        self._check(*data.draw(_runs(family_models[family])))
+
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_covers_of_several_families_in_one_pass(self, family_models, data):
+        every = [m for models in family_models.values() for m in models]
+        covers, spans, columns = data.draw(_runs(every))
+        # A drawn cover mixing families has no table; one of a single
+        # family keeps its family's.
+        self._check(covers, spans, columns)
+
+    def test_an_overflowed_run_stays_with_its_own_cover(self, family_models):
+        """The query of the second run is 4e308 away (inf) from each of
+        its own cover's centroids and 0 from the first cover's: its
+        owner is its own cover's first model, never the first cover's."""
+        linear = family_models["linear"]
+        near = _cover("linear", linear[:2], np.array([[1e154, 0.0], [1e154, 5.0]]))
+        far = _cover("linear", linear[2:], np.array([[-1e154, 0.0], [-1e154, 9.0]]))
+        t, x, y = np.zeros(2), np.array([1e154, 1e154]), np.array([0.0, 0.0])
+        out = np.empty(2)
+        predict_runs([near, far], [(0, 1), (1, 2)], t, x, y, out)
+        assert _bits(out[1:]) == _bits(linear[2].predict_batch(t[1:], x[1:], y[1:]))
+        assert _bits(out[:1]) == _bits(linear[0].predict_batch(t[:1], x[:1], y[:1]))
+
+    def test_equidistant_centroids_across_runs(self, family_models):
+        """Two runs whose covers both have two centroids equidistant from
+        every query: each query takes its own cover's first."""
+        linear = family_models["linear"]
+        a = _cover("linear", linear[:2], _CENTROIDS[:2])
+        b = _cover("linear", linear[2:], _CENTROIDS[:2])
+        t, x, y = np.zeros(4), np.full(4, 1500.0), np.array([0.0, 1000.0, -5.0, 7e3])
+        out = np.empty(4)
+        predict_runs([a, b], [(0, 2), (2, 4)], t, x, y, out)
+        assert _bits(out[:2]) == _bits(linear[0].predict_batch(t[:2], x[:2], y[:2]))
+        assert _bits(out[2:]) == _bits(linear[2].predict_batch(t[2:], x[2:], y[2:]))

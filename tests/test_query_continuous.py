@@ -1,5 +1,6 @@
 """Tests for repro.query.continuous."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -129,3 +130,22 @@ class TestUniformRouteBatch:
             uniform_route_batch(route, 0.0, 1.0, 0.0, 2)
         with pytest.raises(ValueError, match="count must be at least 1"):
             uniform_route_batch(route, 0.0, 1.0, 1.0, 0)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ([(0.0, 0.0), (3.0, 4.0)], 0.0, 10.0, 2.0, 6),
+            ([(0, 0), (3, 4), (3, 4)], 0, 10, 2, 6),  # ints, as a caller may pass them
+        ],
+    )
+    def test_columns_are_what_the_constructor_makes(self, args):
+        """The batch skips the constructor's validation, so it is built
+        to pass it: read-only one-dimensional float64 columns of one
+        length, the scalar pair's bytes."""
+        got = uniform_route_batch(*args)
+        want = self.scalar(*args)
+        for column in ("t", "x", "y"):
+            a = getattr(got, column)
+            assert a.dtype == np.float64 and a.ndim == 1 and len(a) == args[-1]
+            assert not a.flags.writeable
+            assert a.tobytes() == getattr(want, column).tobytes()

@@ -214,6 +214,23 @@ class TestProcessorCache:
         assert cache.peek(("k",), 5) == "new"
         assert cache.peek(("k",), 3) is None
 
+    def test_peek_all_and_count_hits_are_peek_per_key(self):
+        """``peek_all`` is ``peek`` of every pair, counting nothing;
+        ``count_hits`` is ``peek(..., count_hit=True)`` of every pair:
+        a hit and an LRU refresh for each key still at its stamp, nothing
+        for a missing or re-stamped one."""
+        cache = ProcessorCache(4)
+        for key, stamp in ((("a",), 1), (("b",), 2), (("c",), 3)):
+            cache.insert(key, stamp, key[0])
+        pairs = [(("a",), 1), (("b",), 9), (("z",), 1), (("c",), 3)]
+        assert cache.peek_all(pairs) == ["a", None, None, "c"]
+        assert cache.stats.as_dict()["hits"] == 0 and cache.stats.misses == 0
+        assert cache.keys() == [("a",), ("b",), ("c",)]
+        cache.count_hits([(("a",), 1), (("b",), 9), (("z",), 1)])
+        assert cache.stats.hits == 1 and cache.stats.misses == 0
+        assert cache.keys() == [("b",), ("c",), ("a",)]  # only "a" refreshed
+        assert cache.peek_all([]) == []
+
     def test_stats_aggregate(self):
         a = CacheStats(hits=2, misses=3, evictions=1, stale=1)
         b = CacheStats(hits=1, misses=1)

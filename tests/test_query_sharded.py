@@ -447,7 +447,7 @@ class TestCachedPoint:
         empty_owners = 0
         for p, want in zip(points, expected):
             assert not uncached_windows(engine, QueryBatch([p["t"]], [p["x"]], [p["y"]]))
-            assert json.dumps(service.cached("point", p)) == want
+            assert service.cached("point", p) == want.encode()
             assert json.dumps(service.point(p)) == want
             owner = router.grid.shard_of(p["x"], p["y"])
             empty_owners += not router.shard_window_epoch(owner, router.window_for_time(p["t"]))
@@ -490,9 +490,9 @@ class TestCachedPoint:
         monkeypatch.setattr(router, "windows_for_times", forbidden)
         assert engine.cached_point(t, x, y, "model-cover") == expected
         service = EngineQueryService(engine, method="model-cover")
-        assert service.cached("point", {"t": t, "x": x, "y": y}) == {
+        assert service.cached("point", {"t": t, "x": x, "y": y}) == json.dumps({
             "mode": "point", "value": expected.value, "support": 1,
-        }  # fmt: skip
+        }).encode()  # fmt: skip
 
     def test_scalar_window_search_equals_the_vector_search(self, lane, small_batch):
         router, _engine = lane
@@ -553,7 +553,7 @@ class TestCachedPoint:
                 else:
                     with np.errstate(over="ignore"):
                         got = service.cached("point", params)
-            assert json.dumps(got) == json.dumps(slow)
+            assert got == json.dumps(slow).encode()
         assert any(owners) and not all(owners)
         assert engine.lane_hits["point"] == 4
 
@@ -991,7 +991,7 @@ class TestCachedRoute:
             got = service.cached("continuous", params)
             if got is not None:
                 hits += 1
-                assert json.dumps(got) == slow
+                assert got == slow.encode()
         assert hits > 40
         assert engine.lane_hits["route"] == hits
 
@@ -1025,7 +1025,8 @@ class TestCachedRoute:
 
     def _declines(self, route_lane, monkeypatch, cases):
         """Run each ``(reason, call)``: ``None``, counted under its
-        reason, with no fault, fit, plan or cache counter touched."""
+        reason, with no fault, fit, plan, cache counter or shard load
+        touched."""
         router, engine = route_lane
         fits = _counting_fits(monkeypatch)
         hits = engine.lane_hits
@@ -1034,9 +1035,11 @@ class TestCachedRoute:
             stats = _stats(engine)
             plans = engine.prune_stats.plans
             declines = engine.lane_declines.copy()
+            load = router.shard_load_stats()
             assert call() is None, reason
             assert getattr(router, "faults", 0) == faults, reason
             assert _stats(engine) == stats, reason
+            assert router.shard_load_stats() == load, reason  # nothing charged
             assert engine.prune_stats.plans == plans, reason
             assert not fits, reason
             declines["route", reason] += 1
@@ -1405,18 +1408,18 @@ class TestCachedRoute:
         batch = _covered_route(router, small_batch)
         with ShardedQueryEngine(router) as engine:
             expected = engine.continuous_query_batch(batch, method="model-cover")
-            real_peek = engine.processor_cache.peek
+            real_peek_all = engine.processor_cache.peek_all
             owners = {s for s, _c in _groups(router, batch)}
             other = min(set(range(router.n_shards)) - owners)
             split = []
 
-            def peek_then_split(*args, **kwargs):
-                found = real_peek(*args, **kwargs)
-                if not split:  # lands between the first probe and the check
+            def peek_all_then_split(*args, **kwargs):
+                found = real_peek_all(*args, **kwargs)
+                if not split:  # lands between the covers' probe and the check
                     split.append(router.split_shard(other))
                 return found
 
-            monkeypatch.setattr(engine.processor_cache, "peek", peek_then_split)
+            monkeypatch.setattr(engine.processor_cache, "peek_all", peek_all_then_split)
             assert engine.cached_route(batch, "model-cover") is None
             assert engine.lane_declines == {("route", "recut"): 1}
             monkeypatch.undo()

@@ -73,6 +73,23 @@ def _post(port, path, payload):
         conn.close()
 
 
+def _post_raw(port, path, payload):
+    """The response body's bytes, as they came."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        conn.request(
+            "POST",
+            path,
+            body=json.dumps(payload),
+            headers={"Content-Type": "application/json"},
+        )
+        response = conn.getresponse()
+        assert response.status == 200
+        return response.read()
+    finally:
+        conn.close()
+
+
 def _get(port, path):
     conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
     try:
@@ -502,12 +519,10 @@ class TestCachedLane:
         router = engine.router
         empty_owner = 0
         for params in self._routes(small_dataset, 2000, seed=23):
-            slow = _response(200, spy.continuous(dict(params)), close=False)
+            slow = json.dumps(spy.continuous(dict(params))).encode()
             batch = async_module._route_batch(dict(params))
             assert not uncached_windows(engine, batch)
-            payload = spy.cached("continuous", dict(params))
-            assert payload is not None
-            assert _response(200, payload, close=False) == slow
+            assert spy.cached("continuous", dict(params)) == slow
             owners = router.grid.shards_of(batch.x, batch.y).tolist()
             windows = router.windows_for_times(batch.t).tolist()
             empty_owner += any(
@@ -566,6 +581,24 @@ class TestCachedLane:
         assert (status, warm) == (200, cold)
         assert spy.cached_on == [loop_thread] and len(spy.continuous_on) == 1
         assert engine.prune_stats.plans == plans
+
+    def test_a_websocket_route_gets_the_http_lane_body(self, lane, small_dataset):
+        """A route the lane answers goes out as the same bytes over
+        ``/ws`` as over HTTP — ``json.dumps`` of the handler's answer."""
+        served, spy, _engine = lane
+        loop_thread = served._thread.ident
+        params = self._routes(small_dataset, 1, seed=11)[0]
+        assert _post(served.port, "/query/continuous", params)[0] == 200  # the pinned path
+        http_body = _post_raw(served.port, "/query/continuous", params)
+        client = _WsClient(served.port)
+        try:
+            client.send_frame(0x1, json.dumps({"mode": "continuous", **params}).encode())
+            opcode, ws_body = client.recv_frame()
+        finally:
+            client.close()
+        assert spy.cached_on == [loop_thread, loop_thread]
+        assert opcode == 0x1 and ws_body == http_body
+        assert http_body == json.dumps(spy.continuous(dict(params))).encode()
 
     def test_a_declined_route_builds_its_batch_once(
         self, lane, small_dataset, monkeypatch
