@@ -323,9 +323,10 @@ def _point_body(result) -> bytes:
 
 
 def _readings_body(result) -> bytes:
-    """``json.dumps(_readings(result))`` as bytes: the result's four
-    columns, taken as lists, interleaved into one template of
-    ``len(result)`` readings — no dict is built."""
+    """``json.dumps(_readings(result))`` as bytes, for finite query
+    positions (the lane declines any other): the result's four columns,
+    taken as lists, interleaved into one template of ``len(result)``
+    readings — no dict is built."""
     n = len(result)
     values = result.values.tolist()
     finite = np.isfinite(result.values)
