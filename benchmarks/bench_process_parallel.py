@@ -30,12 +30,8 @@ hardware that can run 4 workers at once — 4-process throughput at least
 and enforces identity, crash recovery and the reply size only — a loaded
 CI box is not a benchmark rig.
 
-One more row puts the cost of a worker's private processor cache on
-record: an index plan (query ranges go to every worker, so each builds
-the index it needs: once per worker, not once per home worker), *cold*
-(first execution on a fresh pool, spawn excluded) and *warm*.  A
-``model-cover`` plan is not measured here: the process path answers it
-in the parent, with the engine's own lanes.
+A ``model-cover`` plan is not measured here: the process path answers
+it in the parent, with the engine's own lanes.  Workers cache nothing.
 
 The report closes with a crash-recovery demonstration: every worker is
 killed with SIGKILL mid-session and the next query must still come back
@@ -48,9 +44,7 @@ import os
 import pickle
 import signal
 import sys
-import time
 
-import numpy as np
 import pytest
 
 from repro.eval.timing import time_callable
@@ -72,7 +66,6 @@ ACCEPT_SPEEDUP = 2.0
 ACCEPT_ONE_WORKER = 1.5  # 1-worker time over serial time
 REPLY_BYTES_PER_QUERY = 17
 REPLY_BYTES_PER_CHUNK = 1024
-PROCESSOR_METHODS = ("grid",)
 
 
 def build_engine(dataset, n_shards: int = N_SHARDS) -> ShardedQueryEngine:
@@ -80,20 +73,18 @@ def build_engine(dataset, n_shards: int = N_SHARDS) -> ShardedQueryEngine:
     return sharded_day_engine(dataset, n_shards, radius_m=RADIUS_M)
 
 
-def heatmap_plan(
-    engine: ShardedQueryEngine, dataset, nx: int, ny: int, method: str = "naive"
-):
+def heatmap_plan(engine: ShardedQueryEngine, dataset, nx: int, ny: int):
     t = float(dataset.tuples.t[-1])
     bounds = dataset.covered_bbox()
     probes = QueryBatch.from_grid(
         t, bounds.min_x, bounds.min_y, bounds.width, bounds.height, nx, ny
     )
-    return engine.plan(probes, method)
+    return engine.plan(probes, "naive")
 
 
 def executor_time(executor, plan, repeats: int = REPEATS) -> float:
-    """Seconds per full heatmap plan (worker caches warmed)."""
-    executor.execute(plan)  # warm attachments and processor caches
+    """Seconds per full heatmap plan (worker attachments warmed)."""
+    executor.execute(plan)  # warm the workers' shared-memory attachments
     return time_callable(lambda: executor.execute(plan), repeats=repeats)
 
 
@@ -171,34 +162,6 @@ def _reply_bytes(engine, plan) -> tuple:
     return sum(sizes), len(sizes)
 
 
-def _cold_and_warm(dataset, nx, ny, method, repeats) -> dict:
-    """Serial and process times of one ``method`` heatmap, each on a
-    fresh engine (an empty processor cache) and a fresh pool whose
-    workers a naive plan has already spawned: the first execution builds
-    every processor it needs."""
-    row = {}
-    for processes in (None,) + PROCESS_COUNTS:
-        engine = build_engine(dataset)
-        plan = heatmap_plan(engine, dataset, nx, ny, method)
-        run = lambda: engine.execute(plan)  # noqa: E731
-        pool = None
-        if processes is not None:
-            pool = ProcessPlanExecutor(engine, processes=processes)
-            pool.execute(heatmap_plan(engine, dataset, nx, ny))
-            run = lambda: pool.execute(plan)  # noqa: E731
-        start = time.perf_counter()
-        run()
-        cold = time.perf_counter() - start
-        warm = time_callable(run, repeats=repeats)
-        row["serial" if pool is None else str(processes)] = {
-            "cold_ms": cold * 1e3, "warm_ms": warm * 1e3,
-        }
-        if pool is not None:
-            pool.close()
-        engine.close()
-    return row
-
-
 def main(smoke: bool = False) -> int:
     dataset = day_fixture()
     nx, ny = (24, 18) if smoke else (GRID_NX, GRID_NY)
@@ -236,14 +199,6 @@ def main(smoke: bool = False) -> int:
         f"{plan.n_queries} queries (bound {reply_bound})"
     )
 
-    processors = {}
-    for method in PROCESSOR_METHODS:
-        processors[method] = row = _cold_and_warm(dataset, nx, ny, method, repeats)
-        print(f"\n{method} heatmap plan {nx}x{ny} (cold: first run on an empty cache):")
-        print(f"  {'procs':<8} {'cold':>10} {'warm':>10}")
-        for label, cell in row.items():
-            print(f"  {label:<8} {cell['cold_ms']:>8.1f}ms {cell['warm_ms']:>8.1f}ms")
-
     recovered = _crash_demo(engine, plan, expected)
     print(
         f"\nbyte-identity oracle (every process count vs serial): "
@@ -272,7 +227,6 @@ def main(smoke: bool = False) -> int:
             "reply_bytes": reply_bytes,
             "reply_chunks": replies,
             "reply_bytes_bound": reply_bound,
-            "processors": processors,
             "byte_identical": identical,
             "crash_recovery": recovered,
         },

@@ -14,7 +14,8 @@ from repro.core import AdKMNConfig, fit_adkmn
 from repro.data import generate_lausanne_dataset, LausanneConfig
 from repro.data.tuples import QueryTuple
 from repro.data.windows import window
-from repro.query import ModelCoverProcessor, NaiveProcessor, IndexedProcessor
+from repro.query import ModelCoverProcessor, NaiveProcessor
+from repro.query.indexed import IndexedProcessor
 
 
 def main() -> None:

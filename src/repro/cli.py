@@ -490,7 +490,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     print(f"workload: {workload} ({args.shards} shard(s), h={args.h})")
     report = PlanReport()
     if args.warm:
-        # One untimed run first: indexes/covers materialise, so the
+        # One untimed run first: covers materialise, so the
         # printed plan shows steady-state timings.
         engine.execute(engine.plan(batch, args.method))
     plan = engine.plan(batch, args.method)
@@ -608,9 +608,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=SHARDED_METHODS,
         default="naive",
-        help="the query method the web modes answer with (default "
-        "naive); only model-cover lets the front end answer cached point "
-        "queries on its event loop",
+        help="the answer the web modes give: naive, the exact answer "
+        "from the raw tuples (default), or model-cover, the paper's "
+        "model-cover answer; only model-cover lets the front end answer "
+        "cached point queries on its event loop",
     )
     p.add_argument(
         "--processes",
@@ -710,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--warm",
         action="store_true",
         help="run the plan once untimed first, so the printed timings show "
-        "the steady state (indexes and covers built)",
+        "the steady state (covers fitted)",
     )
     p.add_argument(
         "--focus",

@@ -5,7 +5,8 @@ tuples ``q_l = (t_l, x_l, y_l)`` at a uniform interval; the system
 interpolates the sensor value at each position.  Three processors:
 
 * :class:`NaiveProcessor` — exhaustive radius-``r`` scan + average;
-* :class:`IndexedProcessor` — same semantics over an R-tree/VP-tree/…;
+* :class:`~repro.query.indexed.IndexedProcessor` — same semantics over a
+  spatial index (the paper's per-window baselines, Fig. 6a);
 * :class:`ModelCoverProcessor` — nearest-centroid model evaluation.
 
 Every processor answers one query at a time (``process``) and many at
@@ -31,7 +32,6 @@ from repro.query.base import (
 )
 from repro.query.continuous import uniform_query_tuples
 from repro.query.executor import QueryGroup, group_queries_by_window
-from repro.query.indexed import IndexedProcessor
 from repro.query.modelcover import ModelCoverProcessor
 from repro.query.naive import NaiveProcessor
 from repro.query.pipeline import ExecutionPlan, ProcessorCache, format_plan
@@ -50,7 +50,6 @@ __all__ = [
     "process_batch_scalar",
     "uniform_query_tuples",
     "ExecutionPlan",
-    "IndexedProcessor",
     "ModelCoverProcessor",
     "NaiveProcessor",
     "ProcessorCache",

@@ -9,21 +9,17 @@ answers the paper's protocol in process or the web modes on the
 socket.  It compiles
 requests into the plan IR of :mod:`repro.query.pipeline.plan`, binds
 them to one exact snapshot (:mod:`repro.query.pipeline.binding`;
-standing-subscription maintenance reads the same binding), caches
-materialised processors in the one epoch-keyed
-:class:`~repro.query.pipeline.cache.ProcessorCache`, and runs them
-through the shared :class:`~repro.query.pipeline.executor.PlanExecutor`,
-which reports observed op timings to the shard-load tracker.  A
-``model-cover`` plan is answered by the engine's lanes instead.
+standing-subscription maintenance reads the same binding), and runs a
+``naive`` plan through the shared
+:class:`~repro.query.pipeline.executor.PlanExecutor`, which reports
+observed op timings to the shard-load tracker.  A ``model-cover`` plan
+is answered by the engine's lanes instead, from covers in the one
+epoch-keyed :class:`~repro.query.pipeline.cache.ProcessorCache`.
 """
 
 from repro.query.pipeline.binding import RouterBinding, SnapshotBinding
 from repro.query.pipeline.cache import CacheStats, ProcessorCache
-from repro.query.pipeline.executor import (
-    PlanExecutor,
-    PlanRuntime,
-    build_sharded_plan,
-)
+from repro.query.pipeline.executor import PlanExecutor, build_sharded_plan
 from repro.query.pipeline.plan import (
     ExecutionPlan,
     MergeOp,
@@ -40,7 +36,6 @@ __all__ = [
     "PlanContext",
     "PlanExecutor",
     "PlanReport",
-    "PlanRuntime",
     "ProcessorCache",
     "RouterBinding",
     "ScanOp",

@@ -23,9 +23,9 @@ Every operator's wall time is reported to the shard-load observer
 (when wired); pass a :class:`~repro.query.pipeline.plan.PlanReport` to
 also collect per-op timings for ``cli explain``.
 
-The owner supplies a :class:`PlanRuntime` — the callables that produce
-hit pairs for a bound context, and the radius at which rows merged
-across contexts are scanned.
+The owner supplies the radius every scan runs at; the rows are the
+plan's binding's, so execution reads exactly the slices the builder
+pinned.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 from repro.query.base import BatchResult, QueryBatch
 from repro.query.pipeline.binding import BoundSlice, RouterBinding, SnapshotBinding
 from repro.query.pipeline import gather as _gather
-from repro.query.pipeline.gather import HitPairs, reduce_hit_block, reduce_row_block
+from repro.query.pipeline.gather import reduce_hit_block, reduce_row_block, scan_pairs
 from repro.query.pipeline.plan import (
     ExecutionPlan,
     MergeOp,
@@ -51,53 +51,20 @@ from repro.query.pipeline.plan import (
 from repro.storage.sketch import bbox_disk_overlaps
 
 __all__ = [
-    "PlanRuntime",
     "PlanExecutor",
     "build_sharded_plan",
 ]
 
 
-@dataclass
-class PlanRuntime:
-    """How one engine materialises the executor's primitives.
-
-    ``hits`` maps a hit-emitting scan, its bound slice, the prepared
-    object and a local query range ``[lo, hi)`` to that range's
-    :data:`~repro.query.pipeline.gather.HitPairs` (query indices local
-    to the op's queries, row indices local to the slice).  The binding
-    is the plan's — the executor resolves each op's context through it,
-    so execution reads exactly the rows the builder pinned.
-    """
-
-    binding: SnapshotBinding
-    hits: Callable[[ScanOp, BoundSlice, object, int, int], HitPairs]
-    #: Optional warm-up for hit-emitting scans (e.g. materialise the
-    #: index) — run once per op *before* the block loop and outside
-    #: every timer, so one-time build costs never pollute the observed
-    #: per-op timings.  Whatever it returns is handed
-    #: to every ``hits`` call of the op, so the prepared object cannot
-    #: be evicted-and-rebuilt (inside the timer) between calls.
-    prepare_hits: Optional[Callable[[ScanOp, BoundSlice], object]] = None
-    #: The radius of the naive scan over rows that belong to no single
-    #: op — a window's slices merged in stream order, scanned by the
-    #: executor's own tile (:func:`~repro.query.pipeline.gather.scan_tile`
-    #: or :func:`~repro.query.pipeline.gather.scan_axis_tile`).  Without
-    #: it every window is gathered by keys.
-    radius_m: Optional[float] = None
-
-    def bound(self, op) -> BoundSlice:
-        return self.binding.slice_for(op.context.shard, op.context.window_c)
-
-
 class PlanExecutor:
-    """Runs plans; owns no state beyond its wiring."""
+    """Runs plans at one scan radius; owns no state beyond its wiring."""
 
     def __init__(
         self,
-        runtime: PlanRuntime,
+        radius_m: float,
         load: Optional[Callable[[int, int, float, Optional[float]], None]] = None,
     ) -> None:
-        self.runtime = runtime
+        self.radius_m = radius_m
         # Optional shard-load observer ``(shard, n_queries, units,
         # seconds)`` — the router's ShardLoadTracker when the owning
         # engine wires one, feeding the adaptive rebalancer.
@@ -144,7 +111,7 @@ class PlanExecutor:
         """
         merge = plan.merge
         assert merge is not None
-        runtime = self.runtime
+        radius_m = self.radius_m
         ops: Sequence[ScanOp] = plan.ops  # type: ignore[assignment]
         values = np.full(merge.n_queries, np.nan)
         support = np.zeros(merge.n_queries, dtype=np.int64)
@@ -155,31 +122,27 @@ class PlanExecutor:
         cells_seen = hits_seen = 0
         queries = plan.queries
         start = clock()
-        ragged = _ragged_tile(runtime, ops, queries)
+        ragged = _ragged_tile(plan.binding, ops, queries)
         if ragged is not None:
             with _gather.workspace() as ws:
-                scanned = ragged.run(runtime.radius_m, ws, values, support)
+                scanned = ragged.run(radius_m, ws, values, support)
             for i, share in zip(ragged.members, ragged.shares):
                 scan_s[i] = scanned * share
             gather_s += clock() - start - scanned
         else:
-            axes = None
-            if runtime.radius_m is not None:
-                axes = _gather.query_axes(queries.x, queries.y)
+            axes = _gather.query_axes(queries.x, queries.y)
             gather_s += clock() - start
             with _gather.workspace() as ws:
-                for sources in _window_sources(runtime, ops):
+                for sources in _window_sources(plan.binding, ops):
                     start = clock()
-                    units = _gather_units(
-                        sources, queries, merge.n_stream_rows, runtime, axes
-                    )
+                    units = _gather_units(sources, queries, merge.n_stream_rows, axes)
                     gather_s += clock() - start
                     for unit in units:
                         first, n = 0, len(unit.positions)
                         while first < n:
                             start = clock()
                             first, cells, n_hits, scanned = unit.block(
-                                first, budget, runtime, ws, values, support
+                                first, budget, radius_m, ws, values, support
                             )
                             gather_s += clock() - start - scanned
                             cells_seen += cells
@@ -201,9 +164,8 @@ def record_scan_load(
 ) -> None:
     """Report a plan's executed scan ops to a shard-load observer, one
     call per shard with its ops' totals: queries, units in rows per
-    query — the naive scan's exact count, and a sane upper bound for
-    index scans; integers, so they sum exactly — and seconds (None
-    where ``seconds`` is)."""
+    query — the scan's exact count; integers, so they sum exactly — and
+    seconds (None where ``seconds`` is)."""
     totals: Dict[int, list] = {}
     for i, op in enumerate(ops):
         context = op.context
@@ -239,7 +201,6 @@ class _HitSource:
     index: int  # position of the op in plan.ops
     op: ScanOp
     bound: BoundSlice
-    prepared: object
     gids: np.ndarray  # the slice rows' global stream positions
     s: np.ndarray  # the slice rows' sensor values
     scan_s: float = 0.0  # seconds of tile + hit extraction, summed over blocks
@@ -275,14 +236,13 @@ class _RowGroup:
     axes: Optional[_gather.QueryAxes] = None
     tables: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
-    def block(self, first, budget, runtime, ws, values, support):
+    def block(self, first, budget, radius_m, ws, values, support):
         """Scan and sum the block starting at query ``first`` in the
         plan's workspace ``ws``; returns ``(end, cells, hits, scan
         seconds)``.  Every query costs the same rows, so a block is
         ``budget // rows`` queries."""
         rows = len(self.s)
         end = min(first + max(budget // rows, 1), len(self.positions))
-        radius_m = runtime.radius_m
         t0 = time.perf_counter()
         if self.axes is None:
             flat = _gather.scan_tile(
@@ -351,13 +311,12 @@ MIN_RAGGED_WINDOWS = 3
 
 
 def _ragged_tile(
-    runtime: PlanRuntime, ops: Sequence[ScanOp], queries: QueryBatch
+    binding: SnapshotBinding, ops: Sequence[ScanOp], queries: QueryBatch
 ) -> Optional[_RaggedTile]:
     """The plan as one :class:`_RaggedTile`, or None where the
-    per-window gather runs instead: no merge radius, an op that is not
-    a naive scan, ops not window-major (builders write them so), fewer
-    than :data:`MIN_RAGGED_WINDOWS` windows with rows, or more cells
-    than one block.
+    per-window gather runs instead: ops not window-major (builders write
+    them so), fewer than :data:`MIN_RAGGED_WINDOWS` windows with rows, or
+    more cells than one block.
 
     The cells are every window's union tile — all its queries over all
     its slices' rows — as when :func:`_gather_units` merges a window
@@ -365,17 +324,14 @@ def _ragged_tile(
     it changes no byte.  Ops whose pinned slice is empty are left out.
     """
     if (  # one- and two-window plans resolve nothing here
-        runtime.radius_m is None
-        or not ops
+        not ops
         or ops[-1].context.window_c - ops[0].context.window_c < MIN_RAGGED_WINDOWS - 1
     ):
         return None
     members, bounds, window_of, scans = [], [], [], []
     cs, rows, widest = [], [], []  # per window: its index, its rows, its widest op
-    slice_for = runtime.binding.slice_for
+    slice_for = binding.slice_for
     for i, op in enumerate(ops):
-        if op.method != "naive":
-            return None
         context = op.context
         bound = slice_for(context.shard, context.window_c)
         n = len(bound[2])
@@ -453,7 +409,7 @@ def _row_group(sources, cells, positions, queries: QueryBatch, axes) -> _RowGrou
 class _KeyedWindow:
     """One window whose sources report hit pairs: composite keys, one
     stable sort per block.  What cannot be had in order for less than
-    the keys cost — index sources, and sparse many-source windows."""
+    the keys cost: sparse windows of many small source-sets."""
 
     sources: List[_HitSource]
     positions: np.ndarray  # stream positions of the window's queries, ascending
@@ -465,7 +421,7 @@ class _KeyedWindow:
     #: queries per block.
     spent: np.ndarray
 
-    def block(self, first, budget, runtime, ws, values, support):
+    def block(self, first, budget, radius_m, ws, values, support):
         """Scan, sort and sum the block starting at query ``first`` — it
         takes queries until ``budget`` cells are spent; returns ``(end,
         cells, hits, scan seconds)``.  ``ws`` goes unused: the sources'
@@ -485,7 +441,7 @@ class _KeyedWindow:
                 if lo == hi:
                     continue
             t0 = clock()
-            qi, ti = runtime.hits(src.op, src.bound, src.prepared, lo, hi)
+            qi, ti = scan_pairs(src.bound[1], src.op.queries, lo, hi, radius_m)
             elapsed = clock() - t0
             src.scan_s += elapsed
             scanned += elapsed
@@ -500,12 +456,12 @@ class _KeyedWindow:
         return end, int(spent[end] - spent[first]), n_hits, scanned
 
 
-def _window_sources(runtime: PlanRuntime, ops: Sequence[ScanOp]) -> List[List[_HitSource]]:
-    """A merge-shaped plan's scans, one list per window.
-
-    Resolves each scan's pinned slice and runs its warm-up (index build)
-    here — once, outside every timer.  A scan whose pinned slice is
-    empty cannot hit and is left out.
+def _window_sources(
+    binding: SnapshotBinding, ops: Sequence[ScanOp]
+) -> List[List[_HitSource]]:
+    """A merge-shaped plan's scans, one list per window, each resolved
+    to its pinned slice.  A scan whose pinned slice is empty cannot hit
+    and is left out.
     """
     by_window: Dict[int, List[int]] = {}
     for i, op in enumerate(ops):
@@ -515,16 +471,11 @@ def _window_sources(runtime: PlanRuntime, ops: Sequence[ScanOp]) -> List[List[_H
         sources = []
         for i in members:
             op = ops[i]
-            bound = runtime.bound(op)
+            bound = binding.slice_for(op.context.shard, op.context.window_c)
             _stamp, sub, gids = bound
             if not len(gids):
                 continue
-            prepared = (
-                runtime.prepare_hits(op, bound)
-                if runtime.prepare_hits is not None
-                else None
-            )
-            sources.append(_HitSource(i, op, bound, prepared, gids, sub.s))
+            sources.append(_HitSource(i, op, bound, gids, sub.s))
         if sources:
             windows.append(sources)
     return windows
@@ -534,16 +485,14 @@ def _gather_units(
     sources: List[_HitSource],
     queries: QueryBatch,
     n_stream_rows: int,
-    runtime: PlanRuntime,
     axes: Optional[_gather.QueryAxes],
 ) -> list:
     """How one window is walked: row groups where canonical order can be
     had by construction, else the keyed window.
 
     The choice reads only what the plan carries — the sources, which
-    queries each scans, and their rows.  Naive sources qualify (an index
-    reports rows in index order).  One source is its own group and pays
-    nothing.  Several are merged whole when each scans every query, or
+    queries each scans, and their rows.  One source is its own group and
+    pays nothing.  Several are merged whole when each scans every query, or
     when the window's union tile fits one block — a (query, slice) pair
     the plan pruned cannot hit, so scanning it changes no byte — and
     otherwise split by source-set (:func:`_source_set_groups`), unless
@@ -554,18 +503,12 @@ def _gather_units(
     :func:`~repro.query.pipeline.gather.query_axes`, which each row
     group narrows to its own queries.
     """
-    in_order = runtime.radius_m is not None and all(
-        src.op.method == "naive" for src in sources
-    )
     if len(sources) == 1:
-        positions = sources[0].op.positions
-        if in_order:
-            return [_row_group(sources, [1], positions, queries, axes)]
-    else:
-        positions = np.unique(np.concatenate([src.op.positions for src in sources]))
+        return [_row_group(sources, [1], sources[0].op.positions, queries, axes)]
+    positions = np.unique(np.concatenate([src.op.positions for src in sources]))
     rows = np.array([len(src.gids) for src in sources])
     counts = [len(src.op.positions) for src in sources]
-    if in_order and (
+    if (
         len(positions) * int(rows.sum()) <= _gather.BLOCK_CELLS
         or min(counts) == len(positions)  # one source-set: every source, every query
     ):
@@ -575,7 +518,7 @@ def _gather_units(
     for scans, src in zip(member, sources):
         scans[positions.searchsorted(src.op.positions)] = True
     groups = None
-    if in_order and len(positions) >= 2 * MIN_GROUP_QUERIES:  # else: two sets or more
+    if len(positions) >= 2 * MIN_GROUP_QUERIES:  # else: two sets or more
         groups = _source_set_groups(positions, member, rows)
     if groups is not None:
         return [
@@ -650,9 +593,9 @@ def build_sharded_plan(
 ) -> ExecutionPlan:
     """Plan for the region-sharded scatter-gather engine.
 
-    Exact methods compile to a merge-shaped plan; ``model-cover``
-    compiles to a plan of no ops — the binding, the queries and the
-    method — that the engine's route lane answers.
+    ``naive`` compiles to a merge-shaped plan; ``model-cover`` compiles
+    to a plan of no ops — the binding, the queries and the method — that
+    the engine's route lane answers.
 
     ``prune=True`` (the default) runs the plan-time scatter-pruning pass
     on the exact path — grid geometry plus per-(shard, window) zone-map
@@ -665,7 +608,7 @@ def build_sharded_plan(
     if method == "model-cover":
         return ExecutionPlan(binding, queries, (), None, method)
     windows = binding.windows_for_times(queries.t)
-    return _exact_plan(binding, queries, windows, method, radius_m, prune=prune)
+    return _exact_plan(binding, queries, windows, radius_m, prune=prune)
 
 
 def _runs(keys: np.ndarray) -> List[int]:
@@ -679,7 +622,6 @@ def _exact_plan(
     binding: RouterBinding,
     queries: QueryBatch,
     windows: np.ndarray,
-    method: str,
     radius_m: float,
     prune: bool = True,
 ) -> ExecutionPlan:
@@ -716,7 +658,7 @@ def _exact_plan(
     pruned: List[PrunedOp] = []
     if not n:
         merge = MergeOp(0, binding.stream_rows())
-        return ExecutionPlan(binding, queries, (), merge, method)
+        return ExecutionPlan(binding, queries, (), merge, "naive")
     # Group the batch by window: one stable sort (none for a time-sorted
     # batch), so a window's queries are a run and keep stream order.
     order = None
@@ -808,12 +750,11 @@ def _exact_plan(
         ops.append(
             ScanOp(
                 PlanContext(c, s, stamp, len(gids)),
-                method,
                 positions[lo:hi],
                 QueryBatch._of_columns(t[lo:hi], x[lo:hi], y[lo:hi]),
             )
         )
     merge = MergeOp(n, binding.stream_rows())
     return ExecutionPlan(
-        binding, queries, tuple(ops), merge, method, pruned=tuple(pruned)
+        binding, queries, tuple(ops), merge, "naive", pruned=tuple(pruned)
     )

@@ -46,12 +46,11 @@ executor:
   the tile's row-major hits *are* in canonical order: the values are
   one ``take``, a query's segment is the run between two row
   boundaries.  No keys, no sort, nothing per hit but the take.
-* **by keys** (:func:`scan_pairs` / :func:`index_pairs` +
-  :func:`reduce_hit_block`) — each source reports ``(query, row)``
-  pairs, which get an int64 composite key and one stable sort per
-  block.  For what cannot be had in order for less than the keys cost:
-  index sources (rows come in index order) and sparse windows of many
-  small source-sets.
+* **by keys** (:func:`scan_pairs` + :func:`reduce_hit_block`) — each
+  source reports ``(query, row)`` pairs, which get an int64 composite
+  key and one stable sort per block.  For what cannot be had in order
+  for less than the keys cost: sparse windows of many small
+  source-sets.
 
 Nothing proportional to the plan's hit count is ever allocated — see
 "Memory discipline of the exact gather" in ``docs/architecture.md`` for
@@ -75,7 +74,6 @@ import numpy as np
 
 from repro.data.tuples import TupleBatch
 from repro.query.base import QueryBatch
-from repro.query.indexed import IndexedProcessor
 from repro.query.pipeline.binding import BoundSlice
 
 #: Cells (queries x scanned rows) one block of the exact gather covers
@@ -416,20 +414,6 @@ def scan_pairs(
     ti = flat - qi * n
     if lo:
         qi += lo
-    return qi, ti
-
-
-def index_pairs(
-    processor: IndexedProcessor, queries: QueryBatch, lo: int, hi: int
-) -> HitPairs:
-    """Hit pairs via an index — identical hit set to :func:`scan_pairs`,
-    rows in whatever order the index reports them."""
-    hit_lists = processor.query_radius_bulk(queries.x[lo:hi], queries.y[lo:hi])
-    counts = np.fromiter(map(len, hit_lists), dtype=np.intp, count=hi - lo)
-    qi = np.repeat(np.arange(lo, hi, dtype=np.int64), counts)
-    ti = np.fromiter(
-        (i for hits in hit_lists for i in hits), dtype=np.intp, count=len(qi)
-    )
     return qi, ti
 
 

@@ -4,17 +4,13 @@ The serial :class:`~repro.query.pipeline.executor.PlanExecutor` runs an
 exact plan's blocked gather in the calling thread.  This module runs the
 same merge-shaped :class:`~repro.query.pipeline.plan.ExecutionPlan` on a
 persistent pool of **worker processes**, one interpreter per worker, so
-scans and index builds run truly in parallel.
+scans run truly in parallel.
 
-A worker is the three things the engine is: a *binding* (``(shard,
-window)`` to the pinned ``(stamp, slice, gids)``, here over
-shared-memory attachments), a bounded
-:class:`~repro.query.pipeline.cache.ProcessorCache` keyed and stamped
-exactly as the engine's (for indexes), and a ``PlanExecutor`` wired by
-the engine's own :func:`~repro.query.sharded.shard_runtime`.  It is sent
-*sub-plans*,
-runs each through that executor unmodified and returns its ``(values,
-support, answered)`` — 17 bytes a query:
+A worker is a *binding* (``(shard, window)`` to the pinned ``(stamp,
+slice, gids)``, here over shared-memory attachments) and a
+``PlanExecutor`` at the engine's radius; it caches nothing.  It is sent
+*sub-plans*, runs each through that executor unmodified and returns its
+``(values, support, answered)`` — 17 bytes a query:
 
 * each region shard's committed raw-tuple prefix is published once into
   a :mod:`multiprocessing.shared_memory` block
@@ -57,9 +53,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.data.tuples import TupleBatch
 from repro.query.base import BatchResult, QueryBatch
-from repro.query.pipeline.cache import ProcessorCache
 from repro.query.pipeline.executor import PlanExecutor, record_scan_load
 from repro.query.pipeline.gather import BLOCK_CELLS
 from repro.query.pipeline.plan import (
@@ -109,27 +103,23 @@ def _cut(plan: ExecutionPlan, lo: int, hi: int) -> tuple:
 
 
 def _sub_plan(binding, coords, n_stream_rows: int, ops) -> ExecutionPlan:
-    """The plan a worker runs: ``ops`` are ``(context, method, positions
-    in coords)``, hit scans, and their merge."""
+    """The plan a worker runs: ``ops`` are ``(context, positions in
+    coords)``, hit scans, and their merge."""
     queries = QueryBatch(*coords)
     built = [
         ScanOp(
             context,
-            method,
             positions,
             QueryBatch._of_columns(
                 queries.t[positions], queries.x[positions], queries.y[positions]
             ),
         )
-        for context, method, positions in ops
+        for context, positions in ops
     ]
     return ExecutionPlan(binding, queries, tuple(built), MergeOp(len(queries), n_stream_rows))
 
 
-def _worker_main(conn, radius_m, cache_capacity) -> None:  # pragma: no cover - child process
-    from repro.query.sharded import shard_runtime
-
-    cache = ProcessorCache(cache_capacity)
+def _worker_main(conn, radius_m) -> None:  # pragma: no cover - child process
     attached: Dict[int, Tuple[str, AttachedShard]] = {}  # one block per shard
 
     def attachment(s: int, descriptor) -> AttachedShard:
@@ -147,17 +137,13 @@ def _worker_main(conn, radius_m, cache_capacity) -> None:  # pragma: no cover - 
     def run(coords, n_stream_rows, specs):
         binding = _WorkerBinding()
         ops = []
-        for descriptor, start, stop, s, c, stamp, method, positions in specs:
+        for descriptor, start, stop, s, c, stamp, positions in specs:
             shard = attachment(s, descriptor)
             sub = shard.batch.slice(start, stop)
-            if method != "naive":
-                # An index is cached and outlives the attachment: it is
-                # built over rows of its own.
-                sub = TupleBatch(*(np.array(col) for col in (sub.t, sub.x, sub.y, sub.s)))
             binding[s, c] = (stamp, sub, shard.gids[start:stop])
-            ops.append((PlanContext(c, s, stamp, stop - start), method, positions))
-        executor = PlanExecutor(shard_runtime(binding, cache, radius_m))
-        result = executor.execute(_sub_plan(binding, coords, n_stream_rows, ops))
+            ops.append((PlanContext(c, s, stamp, stop - start), positions))
+        plan = _sub_plan(binding, coords, n_stream_rows, ops)
+        result = PlanExecutor(radius_m).execute(plan)
         return result.values, result.support, result.answered
 
     while True:
@@ -170,7 +156,7 @@ def _worker_main(conn, radius_m, cache_capacity) -> None:  # pragma: no cover - 
                 break
             if kind == "stats":
                 names = sorted(name for name, _shard in attached.values())
-                conn.send(("ok", request_id, (cache.stats.as_dict(), names)))
+                conn.send(("ok", request_id, names))
             else:
                 conn.send(("ok", request_id, run(*body)))
         except Exception:
@@ -231,8 +217,8 @@ class ProcessPlanExecutor:
 
     ``engine`` is the owning
     :class:`~repro.query.sharded.ShardedQueryEngine` — the process path
-    reads its router for shard prefixes, starts workers with its radius
-    and cache capacity, answers ``model-cover`` plans, and its serial
+    reads its router for shard prefixes, starts workers with its radius,
+    answers ``model-cover`` plans, and its serial
     executor is the crash-recovery fallback.  Thread-safe.
     """
 
@@ -285,16 +271,13 @@ class ProcessPlanExecutor:
         if worker is None or not worker.alive():
             if worker is not None:
                 worker.kill()
-            engine = self.engine
-            worker = self._workers[index] = _Worker(
-                self._ctx, engine.radius_m, engine.processor_cache.capacity
-            )
+            worker = self._workers[index] = _Worker(self._ctx, self.engine.radius_m)
         return worker
 
-    def worker_stats(self) -> List[Optional[Tuple[dict, List[str]]]]:
-        """Per worker slot: its processor cache's counters and the names
-        of the shared-memory blocks it maps (None: no live worker)."""
-        stats: List[Optional[Tuple[dict, List[str]]]] = []
+    def worker_stats(self) -> List[Optional[List[str]]]:
+        """Per worker slot: the names of the shared-memory blocks it maps
+        (None: no live worker)."""
+        stats: List[Optional[List[str]]] = []
         for index, lock in enumerate(self._locks):
             with lock:
                 worker = self._workers[index]
@@ -416,7 +399,7 @@ class ProcessPlanExecutor:
                 for windex, (coords, rows, pairs) in requests.items():
                     worker = self._worker(windex)
                     pending.append((windex, worker))
-                    specs = [(*exported[id(op)], op.method, at) for op, at in pairs]
+                    specs = [(*exported[id(op)], at) for op, at in pairs]
                     worker.send("run", (coords, rows, specs))
             except (BrokenPipeError, OSError) as exc:
                 for windex, _worker in pending:

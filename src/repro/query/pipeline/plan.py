@@ -13,10 +13,9 @@ optimisation/execution split the HTAP literature argues for.
 
 Operators:
 
-* :class:`ScanOp` — scan one bound window slice for a set of queries
-  with a raw-data method (naive radius scan or an index kind).  Emits
-  raw ``(query, stream row)`` hits (``emit == "hits"``), the scatter
-  half of exact execution.
+* :class:`ScanOp` — the naive radius scan of one bound window slice for
+  a set of queries.  Emits raw ``(query, stream row)`` hits (``emit ==
+  "hits"``), the scatter half of exact execution.
 * :class:`MergeOp` — the gather half: exact, partition-independent merge
   of every hit-emitting scan's hits (stream order + one segmented
   reduction per block; see :mod:`repro.query.pipeline.gather`).
@@ -64,10 +63,9 @@ class PlanContext(NamedTuple):
 
 @dataclass(frozen=True)
 class ScanOp:
-    """Raw-data scan of one bound window slice for a set of queries."""
+    """Naive radius scan of one bound window slice for a set of queries."""
 
     context: PlanContext
-    method: str  # "naive" or an index kind
     positions: np.ndarray  # stream positions of the queries this op scans
     queries: QueryBatch
 
@@ -102,7 +100,6 @@ class PrunedOp:
     reason: str  # "region" | "sketch"
 
     kind = "pruned"
-    method = "-"
 
 
 @dataclass(frozen=True)
@@ -241,7 +238,7 @@ def format_plan(plan: ExecutionPlan, report: Optional[PlanReport] = None) -> str
 
     for op in plan.ops:
         seen = report.observed(op) if report is not None else None
-        label = f"{op.kind}[{op.method}]+hits"
+        label = f"{op.kind}[naive]+hits"
         lines.append(line(label, op.context.describe(), len(op.queries), op.context.n_rows, seen))
     for run in runs:
         label = f"{run.kind}[model-cover]"

@@ -6,10 +6,11 @@ a :class:`~repro.storage.shards.ShardRouter` holding one shard column
 per geographic region.  It is the one query engine: an unsharded store
 is a one-region router (:func:`~repro.storage.shards.single_shard_router`).
 
-An exact method's request is compiled against a pinned
-:class:`~repro.query.pipeline.binding.RouterBinding` into a
-**merge-shaped** plan — per-(window, shard) hit scans plus the exact
-partition-independent blocked gather of
+It serves the paper's two answers (:data:`SHARDED_METHODS`).  A
+``naive`` request — the exact answer from raw tuples — is compiled
+against a pinned :class:`~repro.query.pipeline.binding.RouterBinding`
+into a **merge-shaped** plan — per-(window, shard) radius scans plus
+the exact partition-independent blocked gather of
 :mod:`repro.query.pipeline.gather`, answers byte-identical at any shard
 count — that the shared
 :class:`~repro.query.pipeline.executor.PlanExecutor` runs.  A
@@ -21,10 +22,14 @@ owner slice's cover, or — when that slice is empty — from the window's
 rows with the exact gather's tile and reduce.  On the event loop the
 lanes read only what is cached at the live stamps and decline the rest;
 given a pinned binding they fit, merge and fault in what is missing and
-never decline.  Covers, indexes and window rows live in epoch-keyed
+never decline.  Covers and window rows live in epoch-keyed
 :class:`~repro.query.pipeline.cache.ProcessorCache` s (stamped with
 shard window *content epochs*, so ingest invalidates exactly what it
 touched).
+
+The index kinds of :mod:`repro.query.indexed` answer byte-identically
+to ``naive`` and only slower, so they are per-window processors (the
+paper's Fig. 6a), not served methods.
 """
 
 from __future__ import annotations
@@ -42,19 +47,16 @@ from repro.core.cover import ModelCover, predict_runs
 from repro.data.tuples import QueryTuple
 from repro.geo.coords import BoundingBox
 from repro.query.base import BatchResult, QueryBatch, QueryResult
-from repro.query.indexed import IndexedProcessor, available_index_kinds
 from repro.query.modelcover import ModelCoverProcessor
 from repro.query.pipeline.binding import RouterBinding
 from repro.query.pipeline.cache import CacheStats, ProcessorCache
 from repro.query.pipeline.gather import (
     BLOCK_CELLS,
-    index_pairs,
     merged_rows,
     reduce_row_block,
-    scan_pairs,
     scan_tile,
 )
-from repro.query.pipeline.executor import PlanExecutor, PlanRuntime, build_sharded_plan
+from repro.query.pipeline.executor import PlanExecutor, build_sharded_plan
 from repro.query.pipeline.plan import (
     CoverRun,
     ExecutionPlan,
@@ -64,7 +66,16 @@ from repro.query.pipeline.plan import (
 )
 from repro.storage.shards import ShardRouter, StaleLayoutError
 
-SHARDED_METHODS = ("naive",) + available_index_kinds() + ("model-cover",)
+#: The paper's two answers: exact from raw tuples, and model cover.
+SHARDED_METHODS = ("naive", "model-cover")
+
+
+def check_method(method: str) -> str:
+    """``method`` if the engine serves it, else the ``ValueError`` every
+    surface that takes a method refuses it with."""
+    if method not in SHARDED_METHODS:
+        raise ValueError(f"unknown method {method!r}; known: {SHARDED_METHODS}")
+    return method
 
 #: The most rows :meth:`ShardedQueryEngine.cached_route` answers on the
 #: event loop.  The loop is where every other connection waits for it,
@@ -140,42 +151,6 @@ def cover_runs(windows: np.ndarray, owners: np.ndarray, n_shards: int):
     ]
 
 
-def shard_runtime(binding, cache: ProcessorCache, radius_m: float) -> PlanRuntime:
-    """The executor's primitives over region shards — the one wiring
-    :class:`ShardedQueryEngine` and every worker process of
-    :mod:`repro.query.pipeline.parallel` run exact plans with.
-
-    ``binding`` resolves an op's ``(shard, window)`` to its pinned
-    ``(stamp, slice, gids)``.  Indexes live in ``cache`` under
-    ``("index", s, c, kind)`` at the slice's content stamp, built
-    outside the cache lock so distinct indexes materialise in parallel
-    (a lost insert race just discards the duplicate — builds only read
-    immutable slices).
-    """
-
-    def prepare_hits(op, bound):
-        # Materialise the index before the block loop and outside the
-        # executor's timers, so the load tracker and ``explain`` only
-        # ever observe scan cost.  The processor is returned — not
-        # re-fetched in hits() — so LRU pressure cannot
-        # evict-and-rebuild it inside a timer.
-        if op.method == "naive":
-            return None
-        stamp, sub, _gids = bound
-        return cache.get_or_build(
-            ("index", op.context.shard, op.context.window_c, op.method),
-            stamp,
-            lambda: IndexedProcessor(sub, kind=op.method, radius_m=radius_m),
-        )
-
-    def hits(op, bound, prepared, lo: int, hi: int):
-        if op.method == "naive":
-            return scan_pairs(bound[1], op.queries, lo, hi, radius_m)
-        return index_pairs(prepared, op.queries, lo, hi)
-
-    return PlanRuntime(binding, hits=hits, prepare_hits=prepare_hits, radius_m=radius_m)
-
-
 class ShardedQueryEngine:
     """Scatter-gather query engine over a region-sharded tuple store.
 
@@ -206,23 +181,22 @@ class ShardedQueryEngine:
         self.prune = prune
         self._prune_stats = PruneStats()
         self.config = config or AdKMNConfig()
-        # The one epoch-keyed bounded LRU for index and cover
-        # processors, keyed per (shard, window, ...)
-        # and stamped with the shard slice's *content epoch*
-        # (:meth:`ShardRouter.shard_window_epoch`): ingest that lands
-        # tuples in a shard's slice of an open global window advances the
-        # stamp, so entries built on a partial window are never served
-        # after further ingest, while sealed windows keep their frozen
-        # stamps — and their cache hits.  Stamps are always read *before*
-        # the slice they stamp (the binding's coherent snapshot_window
-        # read), so a racing ingest can only make an entry key
-        # conservatively old, never serve a stale processor under a
-        # fresh stamp.
+        # The one epoch-keyed bounded LRU for cover processors, keyed
+        # per (shard, window) and stamped with the shard slice's
+        # *content epoch* (:meth:`ShardRouter.shard_window_epoch`):
+        # ingest that lands tuples in a shard's slice of an open global
+        # window advances the stamp, so entries built on a partial
+        # window are never served after further ingest, while sealed
+        # windows keep their frozen stamps — and their cache hits.
+        # Stamps are always read *before* the slice they stamp (the
+        # binding's coherent snapshot_window read), so a racing ingest
+        # can only make an entry key conservatively old, never serve a
+        # stale processor under a fresh stamp.
         self._cache = ProcessorCache(cache_capacity)
         # Window rows for the lanes (``window_rows``) live in their own
         # epoch-keyed store: one entry per state of a window an empty
         # owner was answered in, cheap to rebuild, would otherwise
-        # compete with the covers/indexes for LRU slots and push fitted
+        # compete with the covers for LRU slots and push fitted
         # covers out.
         self._rows = ProcessorCache(cache_capacity)
         # The event-loop lanes' counts, read through lane_hits and
@@ -313,10 +287,7 @@ class ShardedQueryEngine:
         bindings propagate the error: the caller owns the snapshot and
         must decide how to re-pin.
         """
-        if method not in SHARDED_METHODS:
-            raise ValueError(
-                f"unknown method {method!r}; known: {SHARDED_METHODS}"
-            )
+        check_method(method)
         batch = (
             queries
             if isinstance(queries, QueryBatch)
@@ -342,14 +313,13 @@ class ShardedQueryEngine:
     def execute(
         self, plan: ExecutionPlan, report: Optional[PlanReport] = None
     ) -> BatchResult:
-        """Run a compiled plan: an exact one through the shared
+        """Run a compiled plan: a ``naive`` one through the shared
         executor, which feeds per-op scan load to the router's tracker
         (the adaptive rebalancer sees read skew, not just ingest skew);
         a ``model-cover`` one through :meth:`cached_route` at the plan's
         binding, its runs listed in ``report``."""
         if plan.merge is not None:
-            runtime = shard_runtime(plan.binding, self._cache, self.radius_m)
-            executor = PlanExecutor(runtime, load=self.router.load.record_scan)
+            executor = PlanExecutor(self.radius_m, load=self.router.load.record_scan)
             return executor.execute(plan, report)
         start = time.perf_counter()
         result = self.cached_route(plan.queries, plan.method, plan.binding, report)
@@ -365,10 +335,7 @@ class ShardedQueryEngine:
         method: str = "naive",
     ) -> BatchResult:
         """Columnar continuous-query mode, results in stream order."""
-        if method not in SHARDED_METHODS:
-            raise ValueError(
-                f"unknown method {method!r}; known: {SHARDED_METHODS}"
-            )
+        check_method(method)
         batch = (
             queries
             if isinstance(queries, QueryBatch)

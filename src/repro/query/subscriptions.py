@@ -21,7 +21,7 @@ Maintenance is epoch-driven, in three pruning layers:
    recorded when the stored answers were computed; only subscriptions
    referencing a changed window become candidates — O(distinct
    registered windows) per non-quiet pass, not O(subscriptions).
-3. **Delta sketches** — for *exact* methods (naive / index scans), the
+3. **Delta sketches** — for the *exact* method (naive scans), the
    rows appended to a dirty window since its recorded mark are
    summarised by a :class:`~repro.storage.sketch.WindowSketch` zone map
    (the PR 7 pruning machinery).  A query tuple whose radius disk
@@ -343,14 +343,11 @@ class _View:
 
 @dataclass(frozen=True)
 class _Backend:
-    """Pluggable backend: how to pin storage and execute against it,
-    which methods are legal."""
+    """Pluggable backend: how to pin storage and execute against it."""
 
     pin: Callable[[], Tuple[int, "SnapshotBinding"]]
     execute: Callable[["SnapshotBinding", QueryBatch, str], Any]
     h: int
-    methods: Tuple[str, ...]
-    default_method: str
     radius_m: Optional[float]
 
     def view(self) -> _View:
@@ -358,13 +355,12 @@ class _Backend:
         epoch, binding = self.pin()
         return _View(epoch, binding, self.h, self.execute)
 
-    def resolve_method(self, method: Optional[str]) -> str:
-        method = method or self.default_method
-        if method not in self.methods:
-            raise ValueError(
-                f"unknown subscription method {method!r}; known: {self.methods}"
-            )
-        return method
+    @staticmethod
+    def resolve_method(method: Optional[str]) -> str:
+        """The engine's method check; no method is ``naive``."""
+        from repro.query.sharded import check_method
+
+        return check_method(method or "naive")
 
     @staticmethod
     def is_exact(method: str) -> bool:
@@ -384,7 +380,7 @@ def registry_for(target) -> "SubscriptionRegistry":
     plan execution for interactive requests keeps whatever wrapper the
     caller serves from.
     """
-    from repro.query.sharded import SHARDED_METHODS, ShardedQueryEngine
+    from repro.query.sharded import ShardedQueryEngine
 
     if not isinstance(target, ShardedQueryEngine) and isinstance(
         getattr(target, "engine", None), ShardedQueryEngine
@@ -404,8 +400,6 @@ def registry_for(target) -> "SubscriptionRegistry":
             engine.plan(batch, method, binding=binding)
         ),
         h=engine.router.h,
-        methods=SHARDED_METHODS,
-        default_method="naive",
         radius_m=engine.radius_m,
     )
     return SubscriptionRegistry(backend)

@@ -4,7 +4,7 @@ The exact gather exactly as it stood before the blocked gather replaced
 it in process (and, later, on the process executor's workers) — moved
 here unedited from :mod:`repro.query.pipeline.gather`.  One hit partial
 ``(query position, global stream position, value)`` per op
-(:func:`scan_hits` / :func:`index_hits`), then one stable sort of the
+(:func:`scan_hits`), then one stable sort of the
 composite key and one segmented sum over *all* of them
 (:func:`merge_hit_partials`).  It allocates in proportion to the plan's
 hits and is obviously right, which is what a test oracle should be:
@@ -22,8 +22,7 @@ import numpy as np
 
 from repro.data.tuples import TupleBatch
 from repro.query.base import BatchResult, QueryBatch
-from repro.query.indexed import IndexedProcessor
-from repro.query.pipeline.gather import BLOCK_CELLS, index_pairs, scan_pairs
+from repro.query.pipeline.gather import BLOCK_CELLS, scan_pairs
 
 # Exact hit partials: parallel (query position, global stream position,
 # sensor value) arrays — what process workers send back to the parent.
@@ -51,14 +50,6 @@ def scan_hits(
     ]
     qi, ti = (np.concatenate(part) for part in zip(*pairs))
     return qi, gids[ti], window.s[ti]
-
-
-def index_hits(
-    processor: IndexedProcessor, gids: np.ndarray, queries: QueryBatch
-) -> HitPartial:
-    """Hit triples via an index — identical hit set to :func:`scan_hits`."""
-    qi, ti = index_pairs(processor, queries, 0, len(queries))
-    return qi, gids[ti], processor.window.s[ti]
 
 
 def merge_hit_partials(

@@ -140,7 +140,7 @@ def _exact_plan(
             if local is None:
                 local = np.arange(len(wq), dtype=np.intp)
             context = PlanContext(int(c), s, stamp, len(sub))
-            ops.append(ScanOp(context, method, positions[local], wq.take(local)))
+            ops.append(ScanOp(context, positions[local], wq.take(local)))
     merge = MergeOp(len(queries), binding.stream_rows())
     return ExecutionPlan(
         binding, queries, tuple(ops), merge, method, pruned=tuple(pruned)

@@ -154,7 +154,7 @@ def test_layout_is_pinned_with_the_epoch(router_over):
 
 
 @pytest.mark.parametrize("store", STORES)
-@pytest.mark.parametrize("method", ["naive", "kdtree", "model-cover"])
+@pytest.mark.parametrize("method", ["naive", "model-cover"])
 def test_a_stale_binding_answers_its_prefix(router_over, store, method):
     """A plan built on a binding taken before more ingest answers exactly
     what an engine holding only the pinned prefix answers."""

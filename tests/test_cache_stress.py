@@ -11,8 +11,8 @@ scheme upholds the same guarantee:
   answers a full-coverage query with less support than the window held
   before the query was issued, and an ingest re-stamps exactly the
   windows it grew;
-* after the stream quiesces, cached processors answer byte-identically
-  to a freshly-built engine — a stale survivor would poison this;
+* after the stream quiesces, the hammered engine answers
+  byte-identically to a freshly-built one;
 * the cached lanes, answering an empty owner slice from the window's
   cached rows while a writer fills that slice, only ever give the plan
   path's answer at some epoch the router passed through.
@@ -61,23 +61,22 @@ class TestOneShardIngestStamps:
         )
         router = engine.router
 
-        def index(c):
-            engine.point_query(float(stream.t[c * H]), 3000.0, 2000.0, "kdtree")
-            key = ("index", 0, c, "kdtree")
+        def cover(c):
+            engine.point_query(float(stream.t[c * H]), 3000.0, 2000.0, "model-cover")
+            key = ("cover", 0, c)
             return engine.processor_cache.peek(key, router.shard_window_epoch(0, c))
 
-        sealed, open_before = index(0), index(2)
-        assert len(open_before.window) == 5
+        sealed, open_before = cover(0), cover(2)
+        assert sealed is not None and open_before is not None
         stamps = [router.shard_window_epoch(0, c) for c in range(3)]
         epoch = router.epoch
         grow(engine, stream, len(stream))  # grows window 2, seals it, opens 3
         assert router.epoch == epoch + 1
         assert router.shard_window_epoch(0, 0) == stamps[0]
         assert router.shard_window_epoch(0, 2) > stamps[2]
-        assert index(0) is sealed  # untouched: still hot
-        refreshed = index(2)
-        assert refreshed is not open_before
-        assert len(refreshed.window) == H
+        assert cover(0) is sealed  # untouched: still hot
+        refreshed = cover(2)
+        assert refreshed is not None and refreshed is not open_before
         grow(engine, stream, len(stream))  # no growth, no new epoch
         assert router.epoch == epoch + 1
 
@@ -94,7 +93,7 @@ class TestShardedEngineEpochStamps:
     def test_growing_open_window_single_thread_regression(self):
         """The PR 3 regression shape, under epoch stamps: query, grow the
         open window, query again — the second answer must see the new
-        tuples (a stale cached index would freeze the support)."""
+        tuples (a stale pinned slice would freeze the support)."""
         rng = np.random.default_rng(7)
         stream = make_stream(rng, H + H // 2)
         router = ShardRouter(RegionGrid(BBOX, nx=2, ny=2), h=H)
@@ -102,11 +101,11 @@ class TestShardedEngineEpochStamps:
         router.ingest(first)
         engine = ShardedQueryEngine(router, radius_m=1e9)
         t_probe = float(stream.t[-1])
-        res1 = engine.point_query(t_probe, 3000.0, 2000.0, method="kdtree")
+        res1 = engine.point_query(t_probe, 3000.0, 2000.0, method="naive")
         assert res1.support == 5  # open window W_1 so far
         router.ingest(second)
-        res2 = engine.point_query(t_probe, 3000.0, 2000.0, method="kdtree")
-        assert res2.support == len(stream) - H  # stale index would still say 5
+        res2 = engine.point_query(t_probe, 3000.0, 2000.0, method="naive")
+        assert res2.support == len(stream) - H  # a stale slice would still say 5
         engine.close()
 
     @pytest.mark.parametrize("cells", [1, 2], ids=["one-shard", "2x2"])
@@ -132,7 +131,7 @@ class TestShardedEngineEpochStamps:
                     n = router.global_count()
                     c = (n - 1) // H
                     floor = n - c * H  # open-window population at/before now
-                    res = engine.point_query(t_probe, 3000.0, 2000.0, method="kdtree")
+                    res = engine.point_query(t_probe, 3000.0, 2000.0, method="naive")
                     # The query may resolve to a later window than c if the
                     # writer advanced past a boundary; only compare when it
                     # answered the window we measured.
@@ -153,14 +152,14 @@ class TestShardedEngineEpochStamps:
             for t in threads:
                 t.join()
         assert not failures, failures[:1]
-        assert not violations, f"stale shard processors served: {violations[:5]}"
+        assert not violations, f"stale shard slices served: {violations[:5]}"
         fresh = ShardedQueryEngine(router, radius_m=1e9)
         probes_t = np.repeat(stream.t[[len(stream) // 3, -1]], 2)
         probes_x = np.array([1000.0, 5000.0, 1000.0, 5000.0])
         probes_y = np.array([1000.0, 3000.0, 3000.0, 1000.0])
         for t_p, x_p, y_p in zip(probes_t, probes_x, probes_y):
-            hot = engine.point_query(float(t_p), float(x_p), float(y_p), "kdtree")
-            ref = fresh.point_query(float(t_p), float(x_p), float(y_p), "kdtree")
+            hot = engine.point_query(float(t_p), float(x_p), float(y_p), "naive")
+            ref = fresh.point_query(float(t_p), float(x_p), float(y_p), "naive")
             assert hot.support == ref.support
             assert np.array_equal(
                 np.float64(hot.value if hot.value is not None else np.nan),

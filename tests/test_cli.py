@@ -355,8 +355,9 @@ class TestServeMethod:
         assert services[-1].method == "naive"
         assert "method naive (no cached lane" in out
         with pytest.raises(SystemExit):
-            main(["serve", "--days", "1", "--method", "grid"])
-        assert "--port" in capsys.readouterr().err
+            main(["serve", "--days", "1", "--method", "naive"])
+        err = capsys.readouterr().err
+        assert "the following arguments are required: --port" in err
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--port", "1", "--method", "psychic"])
 

@@ -3,15 +3,15 @@
 One randomised workload, every execution path, one chain of asserts:
 
 * ``naive`` scalar (the oracle) == ``naive`` batched == every index kind
-  — same answered flags and supports, values within 1e-12 relative
-  (float summation order);
+  as a per-window processor — same answered flags and supports, values
+  within 1e-12 relative (float summation order);
 * the engine over one shard == the same answers (1e-12 relative) for
-  exact methods, and its ``model-cover`` point, route and grid answers
+  ``naive``, and its ``model-cover`` point, route and grid answers
   == the window's ``ModelCoverProcessor(fit_adkmn(window).cover)``
   answers byte for byte — also while ingest grows the store;
 * sharded at **1 shard == N shards, byte-identical** — the partition
   must be invisible down to the last bit, enforced with exact array
-  equality, for every exact method;
+  equality, for ``naive``;
 * the sharded engine's **model-cover fallback** (owning shard has no
   tuples in the window) == the exact scatter-gather answer, byte for
   byte;
@@ -181,25 +181,6 @@ class TestProcessorChain:
 
     @_SETTINGS
     @given(n=_streams, specs=_query_specs, seed=_seeds)
-    def test_sharded_methods_agree_byte_for_byte(self, n, specs, seed):
-        """All exact sharded methods produce one answer, per shard count."""
-        rng = np.random.default_rng(seed)
-        stream = make_stream(rng, n)
-        queries = make_queries(stream, specs)
-        reference = None
-        for n_shards in (1, 4):
-            # The raw-data methods' answers must be partition- and
-            # method-independent down to the byte.
-            engine = sharded(stream, n_shards)
-            for method in ("naive", "kdtree", "vptree"):
-                result = engine.continuous_query_batch(queries, method=method)
-                if reference is None:
-                    reference = result
-                else:
-                    assert_same_answers(reference, result, exact=True)
-
-    @_SETTINGS
-    @given(n=_streams, specs=_query_specs, seed=_seeds)
     def test_multi_window_streams_match_scalar_oracle(self, n, specs, seed):
         """Queries spanning several windows: sharded == the per-window
         naive scalar oracle."""
@@ -216,9 +197,7 @@ class TestProcessorChain:
 class TestOneShardOracle:
     """The engine over one shard against processors built directly over
     each window: ``model-cover`` byte for byte (point, route and grid),
-    exact methods within 1e-12 of the naive scalar oracle."""
-
-    EXACT = ("naive", "kdtree", "vptree")
+    ``naive`` within 1e-12 of the naive scalar oracle."""
 
     @_SETTINGS
     @given(n=_streams, specs=_query_specs, seed=_seeds)
@@ -251,14 +230,13 @@ class TestOneShardOracle:
         queries = make_queries(stream, specs)
         engine = one_shard_engine(stream, h=H, radius_m=RADIUS_M)
         oracle = window_oracle(stream, queries, "naive", scalar=True)
-        for method in self.EXACT:
-            result = engine.continuous_query_batch(queries, method=method)
-            assert_same_answers(result, oracle, exact=False)
+        result = engine.continuous_query_batch(queries, method="naive")
+        assert_same_answers(result, oracle, exact=False)
 
     def test_oracle_holds_under_incremental_ingest(self):
         """After every ingest into a growing store, the engine answers
-        as the oracle over the rows it holds: grown windows' covers and
-        indexes are rebuilt, never served stale."""
+        as the oracle over the rows it holds: grown windows' covers are
+        refitted, never served stale."""
         rng = np.random.default_rng(99)
         stream = make_stream(rng, 6 * H)
         engine = one_shard_engine(
@@ -278,9 +256,8 @@ class TestOneShardOracle:
                 exact=True,
             )
             oracle = window_oracle(held, queries, "naive", scalar=True)
-            for method in self.EXACT:
-                result = engine.continuous_query_batch(queries, method=method)
-                assert_same_answers(result, oracle, exact=False)
+            result = engine.continuous_query_batch(queries, method="naive")
+            assert_same_answers(result, oracle, exact=False)
 
 
 def one_path_oracle(stream: TupleBatch, grid, queries: QueryBatch):

@@ -4,15 +4,14 @@
 one of two ways it picks per window: *row groups* — queries that scan
 the same naive sources, over those sources' rows merged in stream
 order, summed as the tile reports them — or the *keyed* window, whose
-hit pairs are keyed and sorted per block (index sources, sparse
-many-source windows).  The contract: every output byte equals what the
-whole-op reference computes (``tests/reference_gather.py``:
-``merge_hit_partials`` over one ``scan_hits`` / ``index_hits`` partial
-per op) for any shard count, block size, source mix or side of that
-choice; the same holds range by range when the plan is cut into the
-sub-plans the process executor ships to its workers, wherever the cuts
-fall; and nothing proportional to the plan's hit count is allocated on
-the way.
+hit pairs are keyed and sorted per block (sparse many-source
+windows).  The contract: every output byte equals what the whole-op
+reference computes (``tests/reference_gather.py``:
+``merge_hit_partials`` over one ``scan_hits`` partial per op) for any
+shard count, block size, source mix or side of that choice; the same
+holds range by range when the plan is cut into the sub-plans the
+process executor ships to its workers, wherever the cuts fall; and
+nothing proportional to the plan's hit count is allocated on the way.
 """
 
 from __future__ import annotations
@@ -34,15 +33,14 @@ from repro.data.tuples import TupleBatch
 from repro.geo.coords import BoundingBox
 from repro.geo.region import RegionGrid
 from repro.query.base import QueryBatch
-from repro.query.indexed import IndexedProcessor
 from repro.query.pipeline import executor as pipeline_executor
 from repro.query.pipeline import gather, parallel
-from repro.query.pipeline.gather import index_pairs, scan_pairs
+from repro.query.pipeline.gather import scan_pairs
 from repro.query.pipeline.plan import MergeOp, PlanContext, PlanReport
-from repro.query.sharded import ShardedQueryEngine, shard_runtime
+from repro.query.sharded import ShardedQueryEngine
 from repro.storage.shards import ShardRouter
 
-from reference_gather import index_hits, merge_hit_partials, scan_hits
+from reference_gather import merge_hit_partials, scan_hits
 
 BOUNDS = BoundingBox(0.0, 0.0, 3000.0, 2000.0)
 RADIUS = 400.0
@@ -75,11 +73,7 @@ def whole_op_reference(engine: ShardedQueryEngine, plan):
     partials = []
     for op in plan.ops:
         _stamp, sub, gids = plan.binding.slice_for(op.context.shard, op.context.window_c)
-        if op.method == "naive":
-            probe, gid, vals = scan_hits(sub, gids, op.queries, engine.radius_m)
-        else:
-            proc = IndexedProcessor(sub, kind=op.method, radius_m=engine.radius_m)
-            probe, gid, vals = index_hits(proc, gids, op.queries)
+        probe, gid, vals = scan_hits(sub, gids, op.queries, engine.radius_m)
         partials.append((op.positions[probe], gid, vals))
     return merge_hit_partials(
         plan.merge.n_queries, plan.merge.n_stream_rows, partials, plan.queries
@@ -271,34 +265,6 @@ class TestBlockedGatherMatchesWholeOpMerge:
             ):
                 assert fingerprint(engine.execute(plan)) == expected
 
-    @_SETTINGS
-    @given(
-        scenario=scenarios(),
-        n_shards=st.sampled_from([2, 4]),
-        h=st.sampled_from([7, 2000]),
-        per_block=st.sampled_from([1, 7, None]),
-        pick=st.integers(0, 10**6),
-    )
-    def test_index_source_mixed_with_naive_sources(
-        self, scenario, n_shards, h, per_block, pick
-    ):
-        # An index reports a query's rows in tree order, not stream
-        # order: blocks it contributes to must take the sort, and land
-        # on the same bytes as an all-naive plan.
-        batch, queries = scenario
-        router = build_router(batch, n_shards, h)
-        with ShardedQueryEngine(router, radius_m=RADIUS) as engine:
-            plan = engine.plan(queries, "naive", prune=False)
-            ops = list(plan.ops)
-            ops[pick % len(ops)] = dataclasses.replace(
-                ops[pick % len(ops)], method="rtree"
-            )
-            mixed = dataclasses.replace(plan, ops=tuple(ops))
-            expected = fingerprint(whole_op_reference(engine, plan))
-            assert fingerprint(whole_op_reference(engine, mixed)) == expected
-            with forced_block(per_block, min(h, len(batch))):
-                assert fingerprint(engine.execute(mixed)) == expected
-
     def test_heatmap_over_day_fixture_all_block_sizes(self, small_batch):
         router = ShardRouter(
             RegionGrid.for_shard_count(_covered(small_batch), 4), h=2000
@@ -332,8 +298,8 @@ def run_cut(engine: ShardedQueryEngine, plan, cuts):
     """``plan`` answered as the sub-plans the process executor ships for
     these cut points — here, one after the other, with no pool: the
     parent's cut, a worker's sub-plan over a plain binding of the pinned
-    slices, the engine's own runtime wiring, request and reply through
-    pickle."""
+    slices, an executor at the engine's radius, request and reply
+    through pickle."""
     edges = sorted({0, plan.n_queries, *(min(cut, plan.n_queries) for cut in cuts)})
     parts = []
     for lo, hi in zip(edges, edges[1:]):
@@ -343,10 +309,9 @@ def run_cut(engine: ShardedQueryEngine, plan, cuts):
         for op, positions in ops:
             s, c = op.context.shard, op.context.window_c
             binding[s, c] = plan.binding.slice_for(s, c)
-            specs.append((op.context, op.method, positions))
+            specs.append((op.context, positions))
         request = pickle.loads(pickle.dumps((coords, n_stream_rows, specs)))
-        runtime = shard_runtime(binding, engine.processor_cache, engine.radius_m)
-        result = pipeline_executor.PlanExecutor(runtime).execute(
+        result = pipeline_executor.PlanExecutor(engine.radius_m).execute(
             parallel._sub_plan(binding, *request)
         )
         parts.append(pickle.loads(pickle.dumps(fingerprint(result))))
@@ -366,18 +331,16 @@ class TestSubPlansConcatenateToTheWholePlan:
         per_block=st.sampled_from([1, 7, None]),
         prune=st.booleans(),
         stale_counter=st.booleans(),
-        index_pick=st.none() | st.integers(0, 10**6),
         cuts=st.lists(st.integers(0, 80), max_size=7),
         min_windows=st.sampled_from([1, 3, None]),
     )
     def test_any_cut_points(
-        self, scenario, n_shards, h, per_block, prune, stale_counter, index_pick, cuts,
-        min_windows,
-    ):  # fmt: skip
+        self, scenario, n_shards, h, per_block, prune, stale_counter, cuts, min_windows
+    ):
         # One source (n_shards 1), a few dense ones (h 2000: every shard
         # a window-long slice), a route over many windows (h 1 or 7), a
-        # query a pruned plan gives no source, a pinned gid beyond the
-        # row counter, and one op answered through an index.
+        # query a pruned plan gives no source, and a pinned gid beyond
+        # the row counter.
         batch, queries = scenario
         router = build_router(batch, n_shards, h)
         with ShardedQueryEngine(
@@ -386,11 +349,6 @@ class TestSubPlansConcatenateToTheWholePlan:
             plan = engine.plan(queries, "naive")
             if stale_counter:
                 plan = with_hazards(plan, {"stale_counter"})
-            if index_pick is not None and plan.ops:
-                ops = list(plan.ops)
-                at = index_pick % len(ops)
-                ops[at] = dataclasses.replace(ops[at], method="rtree")
-                plan = dataclasses.replace(plan, ops=tuple(ops))
             expected = fingerprint(whole_op_reference(engine, plan))
             with forced_block(per_block, min(h, len(batch))), ragged_from(min_windows):
                 assert fingerprint(engine.execute(plan)) == expected
@@ -533,21 +491,6 @@ class TestPairKernels:
         eq, et = np.nonzero(inside)
         np.testing.assert_array_equal(qi, eq + 3)
         np.testing.assert_array_equal(ti, et)
-
-    def test_index_pairs_hit_set_equals_scan_pairs(self, daytime_window):
-        from repro.query.indexed import IndexedProcessor
-
-        rng = np.random.default_rng(6)
-        queries = QueryBatch(
-            np.zeros(12), rng.uniform(0, 5000, 12), rng.uniform(0, 3300, 12)
-        )
-        proc = IndexedProcessor(daytime_window, kind="rtree", radius_m=1000.0)
-        qi, ti = index_pairs(proc, queries, 2, 12)
-        sq, st_ = scan_pairs(daytime_window, queries, 2, 12, 1000.0)
-        assert np.all(np.diff(qi) >= 0)
-        assert sorted(zip(qi.tolist(), ti.tolist())) == list(
-            zip(sq.tolist(), st_.tolist())
-        )
 
     def test_workspace_is_sized_to_the_largest_tile_needed(self, daytime_window):
         queries = QueryBatch(np.zeros(4), np.zeros(4), np.zeros(4))

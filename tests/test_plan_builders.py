@@ -3,8 +3,8 @@
 ``repro.query.pipeline.executor`` writes a sharded plan in one
 vectorised pruning pass; ``tests/reference_plans.py`` keeps the
 per-(window, shard) Python loops it replaced.  For random batches the
-two must write the same plan — every op's context, method, positions
-and query bytes, the pruned records *in the same order*,
+two must write the same plan — every op's context, positions and
+query bytes, the pruned records *in the same order*,
 the ``format_plan`` text and the kept/pruned counts — and must ask the
 binding for the same things: per call kind the same ``(shard, window)``
 sequence, the same slices pinned in the same order within the sealed
@@ -51,9 +51,6 @@ H = 60
 N_ROWS = 10 * H + 25  # ten sealed windows and an open one
 
 LAYOUTS = ("static", "split", "merged", "tiered")
-#: Two merge-shaped methods (a scan and an index) and the owner-shard
-#: covers, whose plan has no ops: the route lane's grouping is compared.
-METHODS = ("naive", "grid", "model-cover")
 
 
 def make_stream() -> TupleBatch:
@@ -160,7 +157,7 @@ def describe(plan):
             assert not column.flags.writeable
         ops.append(
             (
-                type(op).__name__, op.context, op.method, op.emit,
+                type(op).__name__, op.context, op.emit,
                 op.positions.dtype.str, op.positions.tobytes(),
                 op.queries.t.tobytes(), op.queries.x.tobytes(), op.queries.y.tobytes(),
             )
@@ -265,7 +262,7 @@ class TestBuildersMatchReference:
     @_SETTINGS
     @given(
         queries=batches(),
-        method=st.sampled_from(METHODS),
+        method=st.sampled_from(SHARDED_METHODS),
         prune=st.booleans(),
     )
     def test_same_plan_same_calls(self, sides, queries, method, prune):
@@ -274,8 +271,7 @@ class TestBuildersMatchReference:
     @pytest.mark.parametrize("method", SHARDED_METHODS)
     def test_route_over_every_window(self, sides, method):
         """The ``cold_route`` shape: 60 updates along a line, in time
-        order, under every method the engine serves (each index kind
-        compiles to its own merge-shaped plan)."""
+        order, under every method the engine serves."""
         stream = make_stream()
         t = np.linspace(stream.t[0], stream.t[-1], 60)
         queries = QueryBatch(t, np.linspace(100.0, 2900.0, 60), np.linspace(1900.0, 100.0, 60))

@@ -7,16 +7,23 @@ failure (including ``kill -9`` mid-request) degrades to a correct
 in-process answer rather than an error.  A ``model-cover`` plan is
 answered in the parent by the engine's own lanes, never on a worker.
 The module leaves nothing behind: its pools close every descriptor,
-thread and shared-memory block they opened, killed workers included.
+thread and shared-memory block they opened, killed workers included —
+and a ``cli serve --processes`` server killed with SIGKILL leaves no
+block and no worker behind it either.
 """
 
+import http.client
 import importlib.util
+import json
 import os
 import pickle
 import signal
+import socket
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,10 +128,6 @@ class TestByteIdentity:
         _assert_identical(sharded.execute(plan), pexec.execute(plan))
         assert pexec.fallbacks == 0
 
-    def test_merge_shaped_index_plan(self, sharded, pexec, probes):
-        plan = sharded.plan(probes, "grid")
-        _assert_identical(sharded.execute(plan), pexec.execute(plan))
-
     def test_model_cover_plan_is_answered_in_the_parent(
         self, sharded, pexec, probes, monkeypatch
     ):
@@ -220,7 +223,7 @@ class TestThreads:
         batches = [
             (_heatmap(small_dataset, 12, 9), "naive"),
             (_heatmap(small_dataset, 24, 18), "naive"),
-            (_heatmap(small_dataset, 8, 6), "grid"),
+            (_heatmap(small_dataset, 8, 6), "naive"),
             (_heatmap(small_dataset, 12, 9), "model-cover"),
             (QueryBatch(tuples.t[picks], tuples.x[picks] + 40.0, tuples.y[picks]), "naive"),
         ]
@@ -309,9 +312,7 @@ class TestIncrementalIngest:
                     float(tuples.t[(k + 1) * step - 1]),
                     bounds.min_x, bounds.min_y, bounds.width, bounds.height, 4, 3,
                 )
-                # Every kind of processor a worker caches, so none of
-                # them may pin a retired block's mapping.
-                plan = engine.plan(head, ("naive", "grid", "model-cover")[k % 3])
+                plan = engine.plan(head, "naive")
                 _assert_identical(engine.execute(plan), executor.execute(plan))
                 names.update(e.name for e in executor.registry._exports.values())
             assert executor.fallbacks == 0
@@ -319,7 +320,7 @@ class TestIncrementalIngest:
             with open(f"/proc/{executor._workers[0].process.pid}/maps") as maps:
                 blocks = {part for part in maps.read().split() if "emshm_" in part}
             assert len(blocks) <= 2, blocks
-            (_cache, mapped), = executor.worker_stats()
+            (mapped,) = executor.worker_stats()
             assert len(mapped) <= 2
         engine.close()
 
@@ -342,10 +343,6 @@ class TestIncrementalIngest:
                 bounds.min_x, bounds.min_y, bounds.width, bounds.height, 6, 5,
             )
 
-        def worker_fits(executor):
-            stats = filter(None, executor.worker_stats())
-            return sum(cache["misses"] for cache, _names in stats)
-
         with ProcessPlanExecutor(engine, processes=2) as executor:
             sealed = engine.plan(probes(H + H // 2), "model-cover")  # window 1: sealed
             expected = engine.execute(sealed)
@@ -363,7 +360,6 @@ class TestIncrementalIngest:
             again = engine.plan(probes(H + H // 2), "model-cover")
             _assert_identical(expected, executor.execute(again))
             assert engine.cache_stats.misses == fitted  # served from the cache
-            assert worker_fits(executor) == 0  # naive plans build nothing there
             assert executor.fallbacks == 0
         engine.close()
 
@@ -469,3 +465,99 @@ class TestProcessShardedEngine:
             ))
             assert len(empty) == 0
         oracle.close()
+
+
+def _children(pid: int) -> list:
+    """Pids of the processes whose parent is ``pid``."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                with open(f"/proc/{entry}/stat") as stat:
+                    ppid = int(stat.read().rpartition(")")[2].split()[1])
+            except (OSError, IndexError, ValueError):
+                continue
+            if ppid == pid:
+                found.append(int(entry))
+    return found
+
+
+def _exited(pid: int) -> bool:
+    """Whether process ``pid`` is gone or a zombie (exited, unreaped)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] in ("Z", "X")
+    except OSError:
+        return True
+
+
+def _export_blocks() -> set:
+    return {name for name in os.listdir("/dev/shm") if name.startswith("emshm_")}
+
+
+def _post_heatmap(port: int, deadline: float) -> int:
+    """POST one heatmap, retrying until the server listens; its status."""
+    body = json.dumps({"t": 8.5 * 3600.0, "bounds": [0.0, 0.0, 6000.0, 4000.0]})
+    while True:
+        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        try:
+            connection.request("POST", "/query/heatmap", body)
+            response = connection.getresponse()
+            response.read()
+            return response.status
+        except ConnectionRefusedError:
+            if time.monotonic() > deadline:
+                raise
+            time.sleep(0.05)
+        finally:
+            connection.close()
+
+
+@pytest.mark.skipif(
+    not (os.path.isdir("/dev/shm") and os.path.isdir("/proc")),
+    reason="counts shared-memory blocks in /dev/shm and processes in /proc",
+)
+def test_a_killed_server_leaves_no_block_and_no_worker():
+    """SIGKILL of a whole ``cli serve --processes 2`` server, not of a
+    pool worker: within 10 s every export block it made is unlinked (by
+    its resource tracker) and every child it started — workers and
+    tracker — has exited."""
+    before = _export_blocks()
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+        PYTHONUNBUFFERED="1",
+    )
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--days", "1", "--shards", "4",
+         "--processes", "2", "--port", str(port)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+    )  # fmt: skip
+    try:
+        for line in server.stdout:
+            if line.startswith("serving "):
+                break
+        else:
+            pytest.fail("the server exited before serving")
+        deadline = time.monotonic() + 30.0
+        assert [_post_heatmap(port, deadline) for _ in range(3)] == [200] * 3
+        blocks = _export_blocks() - before
+        children = _children(server.pid)
+        assert blocks, "no export block was made: the check saw nothing"
+        assert len(children) >= 2, children  # the two workers, at least
+    finally:
+        server.kill()
+        server.wait()
+        server.stdout.close()
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline:
+        left = [name for name in blocks if os.path.exists(f"/dev/shm/{name}")]
+        alive = [pid for pid in children if not _exited(pid)]
+        if not left and not alive:
+            break
+        time.sleep(0.05)
+    assert not left, f"export blocks not unlinked: {left}"
+    assert not alive, f"children still running: {alive}"

@@ -20,10 +20,13 @@ from repro.data.tuples import QueryTuple
 from repro.query.base import QueryBatch, process_batch, process_batch_scalar
 from repro.core.adkmn import fit_adkmn
 from repro.data.windows import window, windows_for_times
-from repro.query.indexed import IndexedProcessor
+from repro.query.indexed import IndexedProcessor, available_index_kinds
 from repro.query.modelcover import ModelCoverProcessor
 from repro.query.naive import NaiveProcessor
-from repro.query.sharded import SHARDED_METHODS as METHODS
+
+#: The per-window processors of Section 2.2: the naive scan, every index
+#: kind and the model cover.
+METHODS = ("naive",) + available_index_kinds() + ("model-cover",)
 
 
 # Coordinates span well past the ~6 km x 4 km data region so naive/indexed

@@ -151,12 +151,12 @@ class TestHeatmapDegenerate:
             engine.heatmap_grid(t, bounds, nx=3, ny=0)
 
     def test_degenerate_nan_cells_survive_batch_path(self, engine, small_batch):
-        """A 1x1 grid over empty countryside stays NaN for raw methods."""
+        """A 1x1 grid over empty countryside stays NaN for the exact
+        method."""
         t = float(small_batch.t[100])
         far = BoundingBox(50_000, 50_000, 50_100, 50_100)
-        for method in ("naive", "kdtree"):
-            grid = engine.heatmap_grid(t, far, nx=1, ny=1, method=method)
-            assert np.isnan(grid[0, 0])
+        grid = engine.heatmap_grid(t, far, nx=1, ny=1, method="naive")
+        assert np.isnan(grid[0, 0])
 
     def test_batch_grid_matches_scalar_loop(self, engine, small_batch):
         """The grid equals the historical per-cell scalar loop over the
@@ -188,7 +188,7 @@ class TestHeatmapDegenerate:
 class TestCacheThreadSafety:
     def test_concurrent_queries_stay_bounded(self, small_batch):
         """Queries across windows from several threads: the cache bound
-        and its counters stay coherent (one index lookup per query)."""
+        and its counters stay coherent (one cover lookup per query)."""
         engine = one_shard_engine(small_batch, h=240, cache_capacity=3)
         n_windows = engine.router.global_window_count()
         errors = []
@@ -199,7 +199,7 @@ class TestCacheThreadSafety:
                 for _ in range(20):
                     c = int(rng.integers(0, 6)) % n_windows
                     t = float(small_batch.t[c * 240])
-                    engine.point_query(t, 2000.0, 1500.0, method="kdtree")
+                    engine.point_query(t, 2000.0, 1500.0, method="model-cover")
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 

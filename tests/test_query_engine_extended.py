@@ -1,40 +1,11 @@
-"""Extended query-engine tests: the STR-tree method and the model-grid
-debug heatmap."""
+"""Extended query-engine tests: the model-grid debug heatmap."""
 
 import numpy as np
-import pytest
 
 from repro.app.webapp import WebInterface
 from repro.geo.coords import BoundingBox
 
 from one_shard import one_shard_engine
-
-
-@pytest.fixture(scope="module")
-def engine(small_batch):
-    return one_shard_engine(small_batch, h=240)
-
-
-class TestSTRTreeMethod:
-    def test_strtree_available(self, engine, small_batch):
-        t = float(small_batch.t[100])
-        res = engine.point_query(t, 2000.0, 1500.0, method="strtree")
-        naive = engine.point_query(t, 2000.0, 1500.0, method="naive")
-        if naive.answered:
-            assert res.value == pytest.approx(naive.value)
-            assert res.support == naive.support
-        else:
-            assert not res.answered
-
-    def test_strtree_agrees_with_rtree_everywhere(self, engine, small_batch):
-        t = float(small_batch.t[100])
-        rng = np.random.default_rng(5)
-        for _ in range(30):
-            x = float(rng.uniform(0, 6000))
-            y = float(rng.uniform(0, 4000))
-            a = engine.point_query(t, x, y, method="strtree")
-            b = engine.point_query(t, x, y, method="rtree")
-            assert a.support == b.support
 
 
 class TestModelGridHeatmap:

@@ -497,15 +497,15 @@ class TestIngestRaceSafety:
         queries = QueryBatch(
             np.array([t_open]), np.array([3000.0]), np.array([2000.0])
         )
-        plan = engine.plan(queries, "kdtree")
+        plan = engine.plan(queries, "naive")
         grow(engine, stream, len(stream))  # window 1 grows from 5 to H rows
         stale_view = engine.execute(plan)  # correct for *its* pinned rows
         assert stale_view.support[0] <= 5
         # The grown engine answers from the grown window, identical to a
         # fresh engine over the same stream.
-        after = engine.point_query(t_open, 3000.0, 2000.0, method="kdtree")
+        after = engine.point_query(t_open, 3000.0, 2000.0, method="naive")
         oracle = one_shard_engine(stream, h=H, radius_m=2500.0).point_query(
-            t_open, 3000.0, 2000.0, method="kdtree"
+            t_open, 3000.0, 2000.0, method="naive"
         )
         assert after.support == oracle.support
         assert after.value == oracle.value

@@ -234,38 +234,38 @@ class TestMergeInternals:
         np.testing.assert_array_equal(counts, naive.support)
         assert len(gid) == len(vals) == len(probe)
 
-    def test_cache_is_bounded(self, router, t_mid):
+    def test_cache_is_bounded(self, router, small_batch):
         engine = ShardedQueryEngine(router, radius_m=1000.0, cache_capacity=2)
-        for method in ("kdtree", "vptree", "rtree"):
-            engine.point_query(t_mid, 2500.0, 1800.0, method=method)
+        for c in (2, 5, 8):  # three windows' owner covers
+            t = float(small_batch.t[c * 240 + 120])
+            engine.point_query(t, 2500.0, 1800.0, method="model-cover")
+        assert engine.cache_stats.misses == 3
         assert len(engine._cache) <= 2
 
 
 class TestOpenWindowIngest:
     def test_caches_never_serve_stale_open_window(self, small_batch):
-        """Regression: an index/cover/plan built over a partial open
-        window must not answer queries after the window gains tuples —
-        every method must agree with a fresh naive scan."""
+        """Regression: a cover or plan built over a partial open window
+        must not answer queries after the window gains tuples."""
         grid = RegionGrid.for_shard_count(BoundingBox(0.0, 0.0, 6000.0, 4000.0), 4)
         router = ShardRouter(grid, h=240)
         router.ingest(small_batch.slice(0, 100))  # window 0 stays open
         engine = ShardedQueryEngine(router, radius_m=1500.0)
         t = float(small_batch.t[220])
         q = (t, 2500.0, 1800.0)
-        for method in ("vptree", "model-cover"):
+        for method in ("naive", "model-cover"):
             engine.point_query(*q, method=method)  # warm caches on 100 rows
+        misses = engine.cache_stats.misses
         router.ingest(small_batch.slice(100, 220))  # same window grows
         fresh = engine.point_query(*q, method="naive")
         assert fresh.support > 0
-        for method in ("vptree", "kdtree"):
-            res = engine.point_query(*q, method=method)
-            assert res.support == fresh.support, method
-            assert res.value == fresh.value, method
+        assert fresh == ShardedQueryEngine(router, radius_m=1500.0).point_query(*q)
         mc = engine.point_query(*q, method="model-cover")
+        assert engine.cache_stats.misses > misses  # the cover was refitted
         # The owner's cover must now be fitted on the grown slice: its
         # prediction is a model answer (support 1) from a fresh fit, not
         # the 100-row cover (different fits disagree on this workload) —
-        # at minimum the query stays answered and no stale index crashes.
+        # at minimum the query stays answered.
         assert mc.answered
 
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.geo.region import RegionGrid
 from repro.query.pipeline import gather
 from repro.query.pipeline import executor as pipeline_executor
-from repro.query.sharded import ShardedQueryEngine, shard_runtime
+from repro.query.sharded import ShardedQueryEngine
 from repro.storage.shards import ShardRouter
 
 from test_exact_gather import BOUNDS, RADIUS, scenarios
@@ -77,8 +77,7 @@ class TestOneMergeIsWindowMajor:
             assert np.all(np.diff(np.sort(gids)) > 0)  # disjoint, every row once
 
             # The ragged tile of the plan holds exactly these rows.
-            runtime = shard_runtime(binding, engine.processor_cache, RADIUS)
-            tile = pipeline_executor._ragged_tile(runtime, plan.ops, plan.queries)
+            tile = pipeline_executor._ragged_tile(binding, plan.ops, plan.queries)
             if tile is not None:
                 kept = {
                     c: [b for b in per if len(b[2])] for c, per in op_bounds_of.items()

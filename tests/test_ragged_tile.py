@@ -1,7 +1,7 @@
 """One ragged tile per plan: the exact gather of a many-window plan.
 
-A merge-shaped plan whose windows are three or more, all naive scans,
-and together fit one block (``gather.BLOCK_CELLS``) is gathered as one
+A merge-shaped plan whose windows are three or more and together fit
+one block (``gather.BLOCK_CELLS``) is gathered as one
 tile (``executor._ragged_tile``): every window's slices merged once in
 stream order, each query scanning only its own window's rows
 (``gather.scan_ragged_tile``), one ``nonzero`` and one ``reduceat``
@@ -15,7 +15,6 @@ too.
 
 from __future__ import annotations
 
-import dataclasses
 import tempfile
 import tracemalloc
 from unittest import mock
@@ -50,8 +49,8 @@ from test_exact_gather import (
 
 def _ragged_eligible(plan) -> bool:
     """Whether the executor must gather ``plan`` as one ragged tile:
-    three windows or more whose slices have rows, every op a naive
-    scan, and every window's union tile together inside one block."""
+    three windows or more whose slices have rows, and every window's
+    union tile together inside one block."""
     rows, width = {}, {}
     for op in plan.ops:
         n = len(plan.binding.slice_for(op.context.shard, op.context.window_c)[2])
@@ -60,8 +59,7 @@ def _ragged_eligible(plan) -> bool:
             rows[c] = rows.get(c, 0) + n
             width.setdefault(c, set()).update(op.positions.tolist())
     cells = sum(rows[c] * len(width[c]) for c in rows)
-    naive = all(op.method == "naive" for op in plan.ops)
-    return naive and len(rows) >= 3 and cells <= gather.BLOCK_CELLS
+    return len(rows) >= 3 and cells <= gather.BLOCK_CELLS
 
 
 class TestRaggedTileMatchesPerWindowGather:
@@ -158,20 +156,6 @@ class TestWhichPlansAreOneRaggedTile:
             with mock.patch.object(gather, "BLOCK_CELLS", 2**20), ragged_tiles() as tiles:
                 engine.execute(plan)
             assert tiles == [len(route)]
-
-    def test_an_index_source_keeps_the_per_window_gather(self, small_batch):
-        router = ShardRouter(RegionGrid.for_shard_count(_covered(small_batch), 4), h=240)
-        router.ingest(small_batch)
-        route = _route(small_batch, router, range(5, 10), 6)
-        with ShardedQueryEngine(router) as engine:
-            plan = engine.plan(route, "naive")
-            ops = list(plan.ops)
-            ops[1] = dataclasses.replace(ops[1], method="rtree")
-            mixed = dataclasses.replace(plan, ops=tuple(ops))
-            with ragged_tiles() as tiles:
-                got = fingerprint(engine.execute(mixed))
-            assert tiles == []
-            assert got == fingerprint(engine.execute(plan))
 
     def test_the_tiles_seconds_go_to_its_ops_by_their_cells(self, small_batch):
         router = ShardRouter(RegionGrid.for_shard_count(_covered(small_batch), 4), h=240)

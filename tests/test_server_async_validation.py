@@ -26,6 +26,7 @@ import base64
 import hashlib
 import http.client
 import json
+import re
 import socket
 import struct
 import threading
@@ -37,8 +38,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.geo.coords import BoundingBox
 from repro.geo.region import RegionGrid
+from repro.query.base import QueryBatch
+from repro.query.indexed import available_index_kinds
 from repro.query.sharded import ShardedQueryEngine
 from repro.query.subscriptions import SubscriptionSpec, registry_for
 from repro.server.async_server import (
@@ -751,6 +755,51 @@ class TestWebSocketSubscribe:
             time.sleep(0.05)
         with pytest.raises(KeyError):
             registry.subscription(sub_id)
+
+
+class TestIndexKindsAreRefused:
+    """The engine serves the paper's two answers; an index kind is a
+    per-window processor, and every surface that takes a method refuses
+    it as it refuses any unknown method."""
+
+    @pytest.mark.parametrize("kind", available_index_kinds())
+    def test_every_surface_refuses_it(self, kind, engine_served, capsys, monkeypatch):
+        served, router, _registry, _cut = engine_served
+        refusal = f"unknown method {kind!r}; known: ('naive', 'model-cover')"
+        engine = ShardedQueryEngine(router)
+        queries = QueryBatch(np.array([0.0]), np.array([100.0]), np.array([100.0]))
+        for surface in (engine.plan, engine.continuous_query_batch):
+            with pytest.raises(ValueError, match=re.escape(refusal)):
+                surface(queries, kind)
+
+        import repro.data.lausanne as lausanne
+
+        monkeypatch.setattr(
+            lausanne,
+            "generate_lausanne_dataset",
+            lambda *a, **k: pytest.fail("work started before validation"),
+        )
+        for command in (["serve", "--port", "1"], ["explain"]):
+            with pytest.raises(SystemExit) as exited:
+                main([*command, "--method", kind])
+            assert exited.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: ")
+            assert f"argument --method: invalid choice: '{kind}'" in err
+
+        client = _WsClient(served.port)
+        try:
+            reply = client.request(
+                {
+                    "mode": "subscribe",
+                    "route": [[0.0, 0.0], [1.0, 1.0]],
+                    "t_start": 0.0,
+                    "method": kind,
+                }
+            )
+        finally:
+            client.close()
+        assert reply == {"error": refusal}  # the subscribe's 400, as a frame
 
 
 class _PushRecorder:
