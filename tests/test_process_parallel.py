@@ -30,6 +30,7 @@ import pytest
 
 from repro.geo.region import RegionGrid
 from repro.query.base import QueryBatch
+from repro.query.indexed import available_index_kinds
 from repro.query.pipeline import parallel
 from repro.query.pipeline.parallel import ProcessPlanExecutor, ProcessShardedEngine
 from repro.query.sharded import ShardedQueryEngine
@@ -465,6 +466,25 @@ class TestProcessShardedEngine:
             ))
             assert len(empty) == 0
         oracle.close()
+
+    @pytest.fixture(scope="class")
+    def facade(self, small_dataset):
+        with ProcessShardedEngine(
+            ShardedQueryEngine(_router(small_dataset)), processes=1
+        ) as facade:
+            yield facade
+
+    @pytest.mark.parametrize("kind", available_index_kinds())
+    def test_an_index_kind_is_refused_in_the_parent(self, facade, probes, kind):
+        """An index kind gets the engine's unknown-method error, for an
+        empty batch (answered in this process) and a heatmap (planned
+        for the workers) alike, and nothing is exported to a worker."""
+        empty = QueryBatch(np.empty(0), np.empty(0), np.empty(0))
+        for batch in (empty, probes):
+            with pytest.raises(ValueError, match=f"unknown method {kind!r}"):
+                facade.continuous_query_batch(batch, kind)
+        assert not facade.executor.registry._exports
+        assert facade.executor.fallbacks == 0
 
 
 def _children(pid: int) -> list:

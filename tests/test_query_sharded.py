@@ -20,6 +20,7 @@ from repro.geo.coords import BoundingBox
 from repro.query.base import BatchResult, QueryBatch
 import repro.query.sharded as sharded_module
 from repro.query.continuous import uniform_route_batch
+from repro.query.indexed import IndexedProcessor, available_index_kinds
 from repro.query.naive import NaiveProcessor
 from repro.query.pipeline.gather import BLOCK_CELLS
 from repro.query.sharded import (
@@ -145,10 +146,24 @@ DEGENERATE_WINDOWS = {
 }
 
 
+#: The metric-space indexes of Section 2.2.  The engine refuses them; each
+#: is a per-window processor, as Fig. 6a builds it, held to the engine's
+#: naive answer (supports exact, values within 1e-12: an index reports a
+#: query's rows in its own order, so the sum may differ in the last bits).
+INDEX_KINDS = available_index_kinds()
+
+
+def assert_index_answers(got: BatchResult, ref: BatchResult) -> None:
+    assert got.answered.tobytes() == ref.answered.tobytes()
+    assert got.support.tobytes() == ref.support.tobytes()
+    np.testing.assert_allclose(got.values, ref.values, rtol=1e-12, equal_nan=True)
+
+
 class TestDegenerateWindows:
     """Every served method answers over a window whose extent is a point
-    (the exact ones byte for byte as the naive scan does), and refuses a
-    router with no rows at all."""
+    (the exact ones byte for byte as the naive scan does), and so does
+    every index kind built over that window; the engine refuses a router
+    with no rows at all, and an index kind whatever the router holds."""
 
     QUERIES = QueryBatch(
         np.array([5.0, 5.0, 5.0]),
@@ -157,15 +172,21 @@ class TestDegenerateWindows:
     )
 
     @pytest.mark.parametrize("shape", sorted(DEGENERATE_WINDOWS))
-    @pytest.mark.parametrize("method", SHARDED_METHODS)
+    @pytest.mark.parametrize("method", SHARDED_METHODS + INDEX_KINDS)
     def test_every_method_answers(self, shape, method):
         rows = DEGENERATE_WINDOWS[shape]
         with ShardedQueryEngine(_degenerate_router(rows), radius_m=1000.0) as engine:
-            got = engine.continuous_query_batch(self.QUERIES, method=method)
             ref = engine.continuous_query_batch(self.QUERIES, method="naive")
+            if method in INDEX_KINDS:  # the one window holds every row
+                proc = IndexedProcessor(rows, kind=method, radius_m=1000.0)
+                got = proc.process_batch(self.QUERIES)
+            else:
+                got = engine.continuous_query_batch(self.QUERIES, method=method)
         assert ref.answered.tolist() == [True, True, False]
         assert ref.values[0] == pytest.approx(float(np.mean(rows.s)))
-        if method == "model-cover":
+        if method in INDEX_KINDS:
+            assert_index_answers(got, ref)
+        elif method == "model-cover":
             # The owner's cover answers where the rows are; the far
             # query's owner slice is empty and its window's rows hold
             # nothing in range.
@@ -176,10 +197,16 @@ class TestDegenerateWindows:
             assert got.support.tobytes() == ref.support.tobytes()
             assert got.values.tobytes() == ref.values.tobytes()
 
-    @pytest.mark.parametrize("method", SHARDED_METHODS)
+    @pytest.mark.parametrize("method", SHARDED_METHODS + INDEX_KINDS)
     def test_empty_router_is_refused(self, method):
+        # The method is checked before the router is read, so an index
+        # kind gets the unknown-method error, not the empty-router one.
+        if method in INDEX_KINDS:
+            refusal = (ValueError, f"unknown method {method!r}")
+        else:
+            refusal = (RuntimeError, "router has no data")
         with ShardedQueryEngine(_degenerate_router(TupleBatch.empty())) as engine:
-            with pytest.raises(RuntimeError, match="router has no data"):
+            with pytest.raises(refusal[0], match=refusal[1]):
                 engine.continuous_query_batch(self.QUERIES, method=method)
 
 
@@ -323,10 +350,14 @@ class TestRegionLocality:
             covers = [k for k in engine.processor_cache.keys() if k[0] == "cover"]
         assert covers == [("cover", 0, c)]
 
-    @pytest.mark.parametrize("method", SHARDED_METHODS)
+    @pytest.mark.parametrize("method", SHARDED_METHODS + INDEX_KINDS)
     def test_cold_owner_answered_from_neighbour(self, small_batch, method):
+        """The exact gather reads the west shard's rows for an east
+        query, so it answers as every index kind built over the whole
+        window does."""
+        held = small_batch.select_mask(small_batch.x < 3000.0)
         router = ShardRouter(RegionGrid(_HALVES, nx=2, ny=1), h=240)
-        router.ingest(small_batch.select_mask(small_batch.x < 3000.0))
+        router.ingest(held)
         assert router.shard_counts()[1] == 0
         t = float(small_batch.t[len(small_batch) // 2])
         west = router.shard_window(0, router.window_for_time(t))
@@ -335,10 +366,18 @@ class TestRegionLocality:
         assert router.grid.shard_of(x, y) == 1
         with ShardedQueryEngine(router, radius_m=1000.0) as engine:
             exact = engine.point_query(t, x, y, method="naive")
-            res = engine.point_query(t, x, y, method=method)
+            if method in INDEX_KINDS:
+                rows = window(held, router.window_for_time(t), 240)
+                proc = IndexedProcessor(rows, kind=method, radius_m=1000.0)
+                res = proc.process(QueryTuple(t, x, y))
+            else:
+                res = engine.point_query(t, x, y, method=method)
         assert exact.support > 0
         assert res.support == exact.support
-        assert res.value == exact.value
+        if method in INDEX_KINDS:
+            assert res.value == pytest.approx(exact.value, rel=1e-12)
+        else:
+            assert res.value == exact.value
 
     @pytest.mark.parametrize("method", ["naive", "model-cover"])
     def test_no_data_anywhere_raises(self, method):
@@ -557,8 +596,13 @@ class TestCachedPoint:
         assert any(owners) and not all(owners)
         assert engine.lane_hits["point"] == 4
 
-    @pytest.mark.parametrize("method", [m for m in SHARDED_METHODS if m != "model-cover"])
+    @pytest.mark.parametrize(
+        "method", [m for m in SHARDED_METHODS if m != "model-cover"] + list(INDEX_KINDS)
+    )
     def test_other_methods_never_enter_the_lane(self, lane, small_batch, method):
+        """The lane declines every method but ``model-cover``, the index
+        kinds the engine refuses included: it is no way round the
+        engine's method check."""
         router, engine = lane
         t, x, y, _tail = _open_window_probe(router, small_batch)
         _pinned(engine, t, x, y)  # the cover is cached

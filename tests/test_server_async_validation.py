@@ -757,21 +757,47 @@ class TestWebSocketSubscribe:
             registry.subscription(sub_id)
 
 
+_ONE_QUERY = QueryBatch(np.array([0.0]), np.array([100.0]), np.array([100.0]))
+
+#: Every engine entry point that takes a method, called with one.
+_ENGINE_SURFACES = {
+    "plan": lambda engine, kind: engine.plan(_ONE_QUERY, kind),
+    "continuous_query_batch": lambda engine, kind: engine.continuous_query_batch(
+        _ONE_QUERY, kind
+    ),
+    "point_query": lambda engine, kind: engine.point_query(0.0, 100.0, 100.0, kind),
+    "heatmap_grid": lambda engine, kind: engine.heatmap_grid(
+        0.0, BoundingBox(0.0, 0.0, 1000.0, 1000.0), 2, 2, kind
+    ),
+}
+
+
+def _refusal(kind: str) -> str:
+    return f"unknown method {kind!r}; known: ('naive', 'model-cover')"
+
+
 class TestIndexKindsAreRefused:
     """The engine serves the paper's two answers; an index kind is a
     per-window processor, and every surface that takes a method refuses
     it as it refuses any unknown method."""
 
-    @pytest.mark.parametrize("kind", available_index_kinds())
-    def test_every_surface_refuses_it(self, kind, engine_served, capsys, monkeypatch):
-        served, router, _registry, _cut = engine_served
-        refusal = f"unknown method {kind!r}; known: ('naive', 'model-cover')"
-        engine = ShardedQueryEngine(router)
-        queries = QueryBatch(np.array([0.0]), np.array([100.0]), np.array([100.0]))
-        for surface in (engine.plan, engine.continuous_query_batch):
-            with pytest.raises(ValueError, match=re.escape(refusal)):
-                surface(queries, kind)
+    @pytest.fixture(scope="class")
+    def engine(self, small_batch):
+        grid = RegionGrid.for_shard_count(BoundingBox(0.0, 0.0, 6000.0, 4000.0), 4)
+        router = ShardRouter(grid, h=240)
+        router.ingest(small_batch)
+        with ShardedQueryEngine(router) as engine:
+            yield engine
 
+    @pytest.mark.parametrize("surface", sorted(_ENGINE_SURFACES))
+    @pytest.mark.parametrize("kind", available_index_kinds())
+    def test_the_engine_refuses_it(self, kind, surface, engine):
+        with pytest.raises(ValueError, match=re.escape(_refusal(kind))):
+            _ENGINE_SURFACES[surface](engine, kind)
+
+    @pytest.mark.parametrize("command", ["serve", "explain"])
+    @pytest.mark.parametrize("kind", available_index_kinds())
+    def test_the_cli_refuses_it(self, kind, command, capsys, monkeypatch):
         import repro.data.lausanne as lausanne
 
         monkeypatch.setattr(
@@ -779,14 +805,17 @@ class TestIndexKindsAreRefused:
             "generate_lausanne_dataset",
             lambda *a, **k: pytest.fail("work started before validation"),
         )
-        for command in (["serve", "--port", "1"], ["explain"]):
-            with pytest.raises(SystemExit) as exited:
-                main([*command, "--method", kind])
-            assert exited.value.code == 2
-            err = capsys.readouterr().err
-            assert err.startswith("usage: ")
-            assert f"argument --method: invalid choice: '{kind}'" in err
+        args = ["serve", "--port", "1"] if command == "serve" else [command]
+        with pytest.raises(SystemExit) as exited:
+            main([*args, "--method", kind])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert f"argument --method: invalid choice: '{kind}'" in err
 
+    @pytest.mark.parametrize("kind", available_index_kinds())
+    def test_a_ws_subscribe_refuses_it(self, kind, engine_served):
+        served, _router, _registry, _cut = engine_served
         client = _WsClient(served.port)
         try:
             reply = client.request(
@@ -799,7 +828,7 @@ class TestIndexKindsAreRefused:
             )
         finally:
             client.close()
-        assert reply == {"error": refusal}  # the subscribe's 400, as a frame
+        assert reply == {"error": _refusal(kind)}  # the subscribe's 400, as a frame
 
 
 class _PushRecorder:
