@@ -9,6 +9,7 @@ lengths and pathological floats, and the corruption tests flip / drop
 *every byte offset* of a small segment.
 """
 
+import hashlib
 import struct
 import zlib
 from unittest import mock
@@ -527,3 +528,141 @@ class TestAtomicity:
     def test_filename_layout(self):
         assert segment_filename(3, 17) == "seg-s0003-w00000017.seg"
         assert segment_filename(0, 0) == "seg-s0000-w00000000.seg"
+
+
+def _pinned_fields(n: int) -> dict:
+    """The fixed slice whose seal image is pinned below."""
+    batch = _batch(n, seed=11)
+    return dict(
+        shard=3, window_c=17, h=240, stamp=42, batch=batch,
+        gids=np.arange(1000, 1000 + n, dtype=np.int64),
+        sketch=WindowSketch.of(batch) if n else WindowSketch.EMPTY,
+    )  # fmt: skip
+
+
+#: Every single-byte flip (``^ 0xFF``) of :func:`_table_image` and the
+#: :class:`SegmentCorrupt` message it reads as, after the ``where:``
+#: prefix: ``(first offset, end offset, message)``.
+_FLIP_TABLE = [
+    (0, 4, "not a segment file"),
+    (4, 5, "unsupported segment version 254"),
+    (5, 6, "unsupported segment version 65281"),
+    (6, 7, "unsupported segment version 16711681"),
+    (7, 8, "unsupported segment version 4278190081"),
+    (8, 216, "segment header failed its checksum"),
+    (216, 408, "group 'core' failed its checksum"),
+    (408, 456, "group 'gids' failed its checksum"),
+]
+#: Every truncation of :func:`_table_image` to ``length`` bytes:
+#: ``(first length, end length, message)``.
+_CUT_TABLE = [
+    (0, 16, "truncated segment preamble"),
+    (16, 216, "segment header failed its checksum"),
+    (216, 456, "file length disagrees with its group directory"),
+]
+
+
+def _table_image() -> bytes:
+    batch = _batch(6, seed=3)
+    return encode_segment(
+        shard=3, window_c=17, h=240, stamp=42, batch=batch,
+        gids=np.arange(6, dtype=np.int64), sketch=WindowSketch.of(batch),
+    )  # fmt: skip
+
+
+def _message_ranges(images, read) -> list:
+    """``(first, end, message)`` runs of what ``read`` says of each image
+    in turn (``None`` for an image it accepts)."""
+    runs = []
+    for k, image in enumerate(images):
+        message = read(image)
+        if runs and runs[-1][1] == k and runs[-1][2] == message:
+            runs[-1] = (runs[-1][0], k + 1, message)
+        else:
+            runs.append((k, k + 1, message))
+    return runs
+
+
+def _file_reader(path):
+    def read(image: bytes):
+        path.write_bytes(image)
+        with pytest.raises(SegmentCorrupt) as err:
+            read_segment(path)
+        prefix = f"{path}: "
+        assert str(err.value).startswith(prefix)
+        return str(err.value)[len(prefix) :]
+
+    return read
+
+
+def _pack_reader(image: bytes):
+    where = ("pack-w00000003.seg", 4096, len(image))
+    with pytest.raises(SegmentCorrupt) as err:
+        segments.decode_packed_slice(image, where, (3, 17, 6))
+    prefix = f"pack-w00000003.seg[4096:{4096 + len(image)}]: "
+    assert str(err.value).startswith(prefix)
+    return str(err.value)[len(prefix) :]
+
+
+class TestSealLayoutPins:
+    """The bytes a seal writes and the message every damaged image reads
+    as, pinned: the reader may change, these may not."""
+
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            (0, "c72b958e66e8f913ae28fae7cd5750f007f4dc8bd1fba200d3db0d36aade738e"),
+            (60, "3c5188f4153e637665747de5257ee33f81a5972867e10e97833b15c24562188f"),
+        ],
+    )
+    def test_image_bytes(self, n, digest):
+        image = encode_segment(**_pinned_fields(n))
+        assert len(image) == 216 + 40 * n
+        assert hashlib.sha256(image).hexdigest() == digest
+
+    def test_tiered_pack_bytes(self, tmp_path):
+        rng = np.random.default_rng(5)
+        n = 400
+        stream = TupleBatch(
+            np.cumsum(rng.uniform(1.0, 30.0, n)),
+            rng.uniform(-500.0, 6500.0, n),
+            rng.uniform(-500.0, 4500.0, n),
+            rng.uniform(350.0, 600.0, n),
+        )
+        grid = RegionGrid(BoundingBox(0.0, 0.0, 6000.0, 4000.0), nx=2, ny=2)
+        with TieredShardRouter(grid, h=50, data_dir=tmp_path, wal_sync=False) as router:
+            for lo in range(0, 390, 130):
+                router.ingest(stream.slice(lo, lo + 130))
+            assert router.sealed_window_count() == 7
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (tmp_path / "segments").iterdir()
+        }
+        assert digests == {
+            "pack-w00000000.seg": "6aed8bef71ef70a1d395f2ebff9175817ff11658ca277f92c4476b48a6d43130",
+            "pack-w00000002.seg": "a1a6a8cb8d7f80dce59ade03f05eb0ecfe49d2e8eec58d900d909e5416cb82c3",
+            "pack-w00000005.seg": "36748ae74e46f52ea551f1a1842e79944c0a1b935b39a8baeb64920585cbc648",
+        }
+        manifest = (tmp_path / "MANIFEST.json").read_bytes()
+        assert (
+            hashlib.sha256(manifest).hexdigest()
+            == "71450301ebb7ecc1bf3b99accb401113f0ac2209ca7303d7da2732105773b124"
+        )
+
+    @pytest.mark.parametrize("as_", ["file", "pack extent"])
+    def test_every_byte_flip_reads_as_the_table_says(self, tmp_path, as_):
+        image = _table_image()
+        flipped = []
+        for offset in range(len(image)):
+            data = bytearray(image)
+            data[offset] ^= 0xFF
+            flipped.append(bytes(data))
+        read = _file_reader(tmp_path / "a.seg") if as_ == "file" else _pack_reader
+        assert _message_ranges(flipped, read) == _FLIP_TABLE
+
+    @pytest.mark.parametrize("as_", ["file", "pack extent"])
+    def test_every_truncation_reads_as_the_table_says(self, tmp_path, as_):
+        image = _table_image()
+        cuts = [image[:length] for length in range(len(image))]
+        read = _file_reader(tmp_path / "a.seg") if as_ == "file" else _pack_reader
+        assert _message_ranges(cuts, read) == _CUT_TABLE
