@@ -15,8 +15,8 @@ capped at a handful of resident sealed windows, then queried two ways:
   segments back in (reported, not gated — cold reads *should* pay I/O):
   the cold ÷ all-resident ratio, what a cold pass pays over an
   all-resident one per fault-in, and the segment bytes on disk per user
-  byte, which is what raw (codec 0) segments trade for a fault-in that
-  decodes nothing.
+  byte, which is what the one segment layout — raw, uncompressed
+  column groups — trades for a fault-in that decodes nothing.
 
 The byte-identity oracle runs on every invocation: hot and cold answers
 from the capped tier must equal the all-resident engine's bit for bit,

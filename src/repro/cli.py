@@ -232,13 +232,21 @@ def _serve_network(args: argparse.Namespace) -> int:
         if args.method == "model-cover"
         else "no cached lane: every query takes the executor"
     )
-    print(
-        f"serving {router.global_count()} tuples over {args.shards} shard(s), "
-        f"{mode}{tier}{subs}; method {args.method} ({lane}); "
-        f"http://127.0.0.1:{args.port} (Ctrl-C to stop)"
-    )
+
+    async def serve() -> None:
+        # Bind first: a client that connects when the line appears must
+        # find the port listening.
+        await server.start()
+        print(
+            f"serving {router.global_count()} tuples over {args.shards} shard(s), "
+            f"{mode}{tier}{subs}; method {args.method} ({lane}); "
+            f"http://127.0.0.1:{args.port} (Ctrl-C to stop)",
+            flush=True,
+        )
+        await server.serve_forever()
+
     try:
-        asyncio.run(server.serve_forever())
+        asyncio.run(serve())
     except KeyboardInterrupt:
         pass
     finally:

@@ -2,8 +2,8 @@
 
 The paper's Query 1 is a *standing* continuous query: a mobile object
 registers a route once and receives pollution updates as data streams in
-(Section 2.2).  This module adds that registration layer over every
-query backend the repo already has: a :class:`SubscriptionRegistry`
+(Section 2.2).  This module adds that registration layer over the
+one query engine: a :class:`SubscriptionRegistry`
 holds (route, interval, method) standing queries, answers each once at
 registration, and thereafter delivers *incremental* updates — only the
 query tuples whose answers actually changed, found without re-executing
@@ -42,16 +42,17 @@ independent of which other queries share the plan).  The replay-oracle suite in
 Window assignment follows the repo's count-window convention
 (:func:`repro.data.windows.windows_for_times` over a time-ordered
 append-only stream): a query tuple's window can only change while it
-maps to the open tail window (or while the backend is still empty).
+maps to the open tail window (or while the engine is still empty).
 Such subscriptions are tracked as *unstable* and re-assigned on every
 non-quiet pass — stable subscriptions never pay assignment again.
 
 Every pass pins the same thing: an ``(epoch, binding)`` pair over the
 plan pipeline's one snapshot binding,
 :class:`~repro.query.pipeline.binding.RouterBinding`, read by one view.
-:func:`registry_for` builds the backend for a
-:class:`~repro.query.sharded.ShardedQueryEngine` and for anything that
-wraps one as ``.engine`` (the process executor).  The one front end,
+:class:`SubscriptionRegistry` holds the
+:class:`~repro.query.sharded.ShardedQueryEngine` itself;
+:func:`registry_for` also unwraps anything that wraps one as
+``.engine`` (the process executor).  The one front end,
 :class:`~repro.server.async_server.EngineQueryService`, carries a
 registry as its ``subscriptions`` and wakes it from its ``ingest``.
 The binding is an
@@ -83,6 +84,7 @@ import numpy as np
 
 from repro.query.base import QueryBatch
 from repro.query.continuous import uniform_query_tuples, waypoint_trajectory
+from repro.query.sharded import ShardedQueryEngine, check_method
 from repro.storage.sketch import WindowSketch
 
 if TYPE_CHECKING:
@@ -108,7 +110,7 @@ class SubscriptionSpec:
     query-tuple stream is the uniform-interval stream of Query 1 (same
     duration convention as :class:`~repro.client.fleet.FleetMember`:
     ``count * interval_s`` seconds from ``t_start``).  ``method=None``
-    picks the backend's default.
+    picks the engine's default, ``naive``.
     """
 
     route: Tuple[Tuple[float, float], ...]
@@ -252,11 +254,11 @@ class Subscription:
 
 # -- the pinned view ---------------------------------------------------------
 #
-# A backend pins one ``(epoch, binding)`` pair per maintenance pass — the
-# same RouterBinding the plan pipeline builds and executes plans
-# against — and maintenance reads it through one :class:`_View`.  Window
-# keys are global window indices; a mark is a window's per-shard
-# ``(stamp, rows)`` tuple.
+# A maintenance pass pins one ``(epoch, binding)`` pair of the engine —
+# the same RouterBinding the plan pipeline builds and executes plans
+# against — and reads it through one :class:`_View`.  Window keys are
+# global window indices; a mark is a window's per-shard ``(stamp, rows)``
+# tuple.
 
 
 class _View:
@@ -280,20 +282,15 @@ class _View:
     * :meth:`execute` — canonical ``(values, support)`` for a batch.
     """
 
-    __slots__ = ("epoch", "rows", "_binding", "_n_windows", "_execute")
+    __slots__ = ("epoch", "rows", "_binding", "_n_windows", "_engine")
 
-    def __init__(
-        self,
-        epoch: int,
-        binding: "SnapshotBinding",
-        h: int,
-        execute: Callable[["SnapshotBinding", QueryBatch, str], Any],
-    ) -> None:
-        self.epoch = epoch
+    def __init__(self, engine: ShardedQueryEngine) -> None:
+        binding: "SnapshotBinding" = engine.binding()
+        self.epoch = binding.epoch
         self.rows = binding.stream_rows()
         self._binding = binding
-        self._n_windows = -(-self.rows // h)
-        self._execute = execute
+        self._n_windows = -(-self.rows // engine.router.h)
+        self._engine = engine
 
     def assign(self, batch: QueryBatch) -> Tuple[np.ndarray, np.ndarray]:
         n = len(batch)
@@ -333,83 +330,33 @@ class _View:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """(values, support) with unanswered positions normalised to NaN —
         the canonical delivered form every diff compares bitwise."""
-        result = self._execute(self._binding, batch, method)
+        engine = self._engine
+        result = engine.execute(engine.plan(batch, method, binding=self._binding))
         values = np.where(result.answered, result.values, np.nan)
         return values, np.asarray(result.support, dtype=np.int64).copy()
 
 
-# -- backends ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Backend:
-    """Pluggable backend: how to pin storage and execute against it."""
-
-    pin: Callable[[], Tuple[int, "SnapshotBinding"]]
-    execute: Callable[["SnapshotBinding", QueryBatch, str], Any]
-    h: int
-    radius_m: Optional[float]
-
-    def view(self) -> _View:
-        """Pin the backend's storage for one pass."""
-        epoch, binding = self.pin()
-        return _View(epoch, binding, self.h, self.execute)
-
-    @staticmethod
-    def resolve_method(method: Optional[str]) -> str:
-        """The engine's method check; no method is ``naive``."""
-        from repro.query.sharded import check_method
-
-        return check_method(method or "naive")
-
-    @staticmethod
-    def is_exact(method: str) -> bool:
-        """Exact methods answer from raw window rows, so spatial delta
-        pruning is sound; model-cover answers depend on the whole
-        window's fit (deterministic per content stamp, so window-level
-        skipping still is)."""
-        return method != "model-cover"
-
-
 def registry_for(target) -> "SubscriptionRegistry":
-    """A registry over any supported query backend.
-
-    Dispatches the engine itself and anything that wraps one as
-    ``.engine`` (``ProcessShardedEngine``) —
-    subscription maintenance always runs against the in-process engine;
-    plan execution for interactive requests keeps whatever wrapper the
-    caller serves from.
+    """A registry over a :class:`ShardedQueryEngine` or anything that
+    wraps one as ``.engine`` (``ProcessShardedEngine``) — subscription
+    maintenance always runs against the in-process engine; plan
+    execution for interactive requests keeps whatever wrapper the caller
+    serves from.
     """
-    from repro.query.sharded import ShardedQueryEngine
-
     if not isinstance(target, ShardedQueryEngine) and isinstance(
         getattr(target, "engine", None), ShardedQueryEngine
     ):
         target = target.engine
     if not isinstance(target, ShardedQueryEngine):
         raise TypeError(f"no subscription backend for {type(target).__name__}")
-    engine = target
-
-    def pin():
-        binding = engine.binding()
-        return binding.epoch, binding
-
-    backend = _Backend(
-        pin=pin,
-        execute=lambda binding, batch, method: engine.execute(
-            engine.plan(batch, method, binding=binding)
-        ),
-        h=engine.router.h,
-        radius_m=engine.radius_m,
-    )
-    return SubscriptionRegistry(backend)
+    return SubscriptionRegistry(target)
 
 
 # -- the registry ------------------------------------------------------------
 
 
 class SubscriptionRegistry:
-    """Standing queries over one backend, maintained epoch-delta-wise.
+    """Standing queries over one engine, maintained epoch-delta-wise.
 
     Thread-safe: registration, maintenance and polling serialise on one
     lock; :meth:`notify_ingest` (called from writer threads after an
@@ -422,8 +369,8 @@ class SubscriptionRegistry:
     the *next* pass sound for every subscription at once.
     """
 
-    def __init__(self, backend: _Backend) -> None:
-        self._backend = backend
+    def __init__(self, engine: ShardedQueryEngine) -> None:
+        self._engine = engine
         self._lock = threading.RLock()
         self._subs: Dict[int, Subscription] = {}
         self._by_key: Dict[int, Set[int]] = {}
@@ -467,12 +414,16 @@ class SubscriptionRegistry:
         already consistent with them.
         """
         with self._lock:
-            method = self._backend.resolve_method(spec.method)
-            view = self._backend.view()
+            method = check_method(spec.method or "naive")
+            view = _View(self._engine)
             self._maintain_at(view)
+            # Exact answers come from raw window rows, so spatial delta
+            # pruning is sound for them; a model-cover answer depends on
+            # the whole window's fit (deterministic per content stamp,
+            # so window-level skipping still is).
             sub = Subscription(
                 next(self._ids), spec, method,
-                exact=self._backend.is_exact(method), batch=spec.query_batch(),
+                exact=method != "model-cover", batch=spec.query_batch(),
             )
             self._subs[sub.id] = sub
             keys, unstable = view.assign(sub.batch)
@@ -557,7 +508,7 @@ class SubscriptionRegistry:
         its subscription for :meth:`poll`).  A pass at an unchanged
         epoch and row count is quiet: O(1)."""
         with self._lock:
-            return self._maintain_at(self._backend.view())
+            return self._maintain_at(_View(self._engine))
 
     def poll(
         self, sub_id: int, maintain: bool = True
@@ -566,7 +517,7 @@ class SubscriptionRegistry:
         maintenance pass first — the server poll path)."""
         with self._lock:
             if maintain:
-                self._maintain_at(self._backend.view())
+                self._maintain_at(_View(self._engine))
             sub = self.subscription(sub_id)
             drained = list(sub.pending)
             sub.pending.clear()
@@ -581,7 +532,7 @@ class SubscriptionRegistry:
             stats.quiet_passes += 1
             return []
         # 1. Re-assign the unstable subscriptions (only they can remap —
-        #    open-tail times, empty-backend waits);
+        #    open-tail times, empty-engine waits);
         #    remapped positions re-execute unconditionally.  Stable
         #    subscriptions never pay assignment again.
         forced: Dict[int, np.ndarray] = {}
@@ -628,7 +579,7 @@ class SubscriptionRegistry:
                 kmask = (sub.keys == key) & ~mask
                 if not kmask.any():
                     continue
-                if sub.exact and self._backend.radius_m is not None:
+                if sub.exact:
                     delta = delta_cache.get(key, _MISSING)
                     if delta is _MISSING:
                         delta = view.delta_sketch(key, dirty_keys[key])
@@ -638,7 +589,7 @@ class SubscriptionRegistry:
                         reach = delta.disk_overlaps(
                             sub.batch.x[idx],
                             sub.batch.y[idx],
-                            self._backend.radius_m,
+                            self._engine.radius_m,
                         )
                         stats.queries_skipped_sketch += int((~reach).sum())
                         kmask = np.zeros_like(mask)
@@ -701,8 +652,8 @@ class SubscriptionRegistry:
         pinned view — the baseline the replay oracle and the naive
         re-execution benchmark compare against (same vectorised path
         maintenance uses, so equality is bitwise)."""
-        method = self._backend.resolve_method(method)
-        view = self._backend.view()
+        method = check_method(method or "naive")
+        view = _View(self._engine)
         if not view.rows:
             return (
                 np.full(len(batch), np.nan),
@@ -727,7 +678,7 @@ class SubscriptionRegistry:
                 pass
 
     def notify_ingest(self) -> None:
-        """Tell listeners data arrived.  Called by the owning backend
+        """Tell listeners data arrived.  Called by the owning front end
         after each ingest; maintenance itself runs in whoever answers
         the notification (a poller or the WebSocket pusher), never on
         the ingest thread."""

@@ -712,7 +712,9 @@ class AsyncQueryServer:
         self._workers.close()
 
     async def serve_forever(self) -> None:
-        await self.start()
+        """Serve until cancelled, binding first unless :meth:`start` has."""
+        if self._server is None:
+            await self.start()
         assert self._server is not None
         try:
             async with self._server:

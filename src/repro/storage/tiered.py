@@ -51,7 +51,10 @@ Durability protocol (see ``docs/architecture.md``):
 3. Recovery (construction over an existing directory) adopts sealed
    metadata from the manifest *without reading any segment payload*,
    replays the WAL tail through the router's one ingest body, and
-   completes any seal the crash interrupted.
+   completes any seal the crash interrupted.  A manifest in any format
+   but 2, or an entry without its pack extent, is refused right there:
+   every sealed slice is read as its extent of a pack, in the one image
+   layout :mod:`repro.storage.segments` reads.
 """
 
 from __future__ import annotations
@@ -68,12 +71,7 @@ from repro.data.tuples import TupleBatch
 from repro.geo.coords import BoundingBox
 from repro.geo.region import RegionGrid
 from repro.storage import fsio
-from repro.storage.segments import (
-    check_slice_key,
-    decode_packed_slice,
-    encode_segment,
-    read_segment,
-)
+from repro.storage.segments import decode_packed_slice, encode_segment
 from repro.storage.shards import ShardRouter, _ShardColumn
 from repro.storage.sketch import WindowSketch
 from repro.storage.wal import WriteAheadLog, replay_wal
@@ -81,11 +79,9 @@ from repro.storage.wal import WriteAheadLog, replay_wal
 _MANIFEST = "MANIFEST.json"
 _WAL = "wal.log"
 _SEGMENT_DIR = "segments"
-#: Format 2 records each slice's ``offset`` and ``length`` in its pack;
-#: a format-1 entry has neither and names a whole per-slice file.  Both
-#: read; seals write format 2.
+#: The one manifest format: each slice's entry names its pack ``file``
+#: and the ``offset`` and ``length`` of its image there.
 _MANIFEST_FORMAT = 2
-_READABLE_FORMATS = (1, 2)
 #: Pack files a store keeps open for fault-ins, the most recently read
 #: last: a route faults in a run of windows, which one seal packed
 #: together, so a few descriptors save most opens.
@@ -110,15 +106,21 @@ def _grid_doc(grid: RegionGrid) -> dict:
 
 
 def _read_manifest(path: Path) -> dict:
+    """The manifest document, refused unless it is in the one format."""
     try:
-        return json.loads(path.read_text())
+        doc = json.loads(path.read_text())
     except ValueError as exc:
         raise ValueError(f"{path}: corrupt manifest ({exc})") from None
+    if doc.get("format") != _MANIFEST_FORMAT:
+        raise ValueError(
+            f"{path}: unsupported manifest format {doc.get('format')!r} "
+            f"(this reader opens format {_MANIFEST_FORMAT} only)"
+        )
+    return doc
 
 
-#: Where a sealed slice's image lives: ``(file, offset, length)``, the
-#: last two ``None`` for a whole per-slice file.
-_Extent = Tuple[str, Optional[int], Optional[int]]
+#: Where a sealed slice's image lives: ``(file, offset, length)``.
+_Extent = Tuple[str, int, int]
 
 
 class SegmentWindowStore:
@@ -172,7 +174,7 @@ class SegmentWindowStore:
         #: Resident sealed slices, LRU order: (shard, c) -> (batch, gids).
         self._resident: "OrderedDict[Tuple[int, int], Tuple[TupleBatch, np.ndarray]]" = OrderedDict()
         #: (shard, c) -> (file, offset, length) of every sealed slice with
-        #: rows; offset and length are ``None`` for a whole per-slice file.
+        #: rows.
         self._slices: Dict[Tuple[int, int], _Extent] = {}
         #: The manifest's encoded entry of each sealed window, in window
         #: order.  A sealed window's rows, stamps, sketches and extents
@@ -204,10 +206,6 @@ class SegmentWindowStore:
         windows = None
         if path.exists():
             doc = _read_manifest(path)
-            if doc.get("format") not in _READABLE_FORMATS:
-                raise ValueError(
-                    f"{path}: unsupported manifest format {doc.get('format')!r}"
-                )
             if int(doc["h"]) != self.h:
                 raise ValueError(
                     f"data directory was written with h={doc['h']}, "
@@ -227,12 +225,18 @@ class SegmentWindowStore:
                 )
             for entry in windows:
                 for shard_entry in entry["shards"]:
-                    s = int(shard_entry["s"])
-                    self._slices[(s, int(entry["c"]))] = (
-                        shard_entry["file"],
-                        shard_entry.get("offset"),
-                        shard_entry.get("length"),
-                    )
+                    s, c = int(shard_entry["s"]), int(entry["c"])
+                    try:
+                        self._slices[(s, c)] = (
+                            shard_entry["file"],
+                            int(shard_entry["offset"]),
+                            int(shard_entry["length"]),
+                        )
+                    except (KeyError, TypeError):
+                        raise ValueError(
+                            f"{path}: corrupt manifest (window {c}, shard {s} "
+                            "names no pack extent)"
+                        ) from None
                     self._tail_base[s] += int(shard_entry["rows"])
             self._manifest_windows = [
                 json.dumps(entry, sort_keys=True) for entry in windows
@@ -440,14 +444,10 @@ class SegmentWindowStore:
         """Read a sealed slice's ``(batch, gids)`` and require its
         header to name exactly that ``(shard, window, rows)``: an image
         swapped or restored under another slice's extent passes every
-        checksum.  A pack extent is one ``os.pread`` decoded straight
-        into the pair (:func:`~repro.storage.segments.decode_packed_slice`);
-        a whole per-slice file goes through the general reader."""
+        checksum.  One ``os.pread`` of the slice's pack extent, decoded
+        straight into the pair
+        (:func:`~repro.storage.segments.decode_packed_slice`)."""
         name, offset, length = self._slices[(s, c)]
-        if offset is None:  # a whole per-slice file (format 1)
-            segment = read_segment(self._segment_prefix + name)
-            check_slice_key(name, segment.key, (s, c, n_rows))
-            return segment.batch(), segment.gids()
         data = os.pread(self._pack_fd(name), length, offset)
         return decode_packed_slice(data, (name, offset, length), (s, c, n_rows))
 
@@ -665,9 +665,8 @@ class TieredShardRouter(ShardRouter):
 
     def compact(self, verify: bool = False) -> Dict[str, int]:
         """Tidy the data directory: checkpoint the WAL, drop ``.seg``
-        files no manifest entry references (a pack or per-slice file
-        left behind, e.g. restored from elsewhere), remove stray temp
-        files.  ``verify=True`` additionally re-reads every live slice,
+        files no manifest entry references (a pack left behind, e.g.
+        restored from elsewhere), remove stray temp files.  ``verify=True`` additionally re-reads every live slice,
         checking all group checksums and that each image holds the slice
         its manifest entry says.
 

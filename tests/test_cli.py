@@ -327,6 +327,34 @@ class TestServeSubscriptions:
         assert args.subscriptions
 
 
+async def _bind_nothing(self):
+    """``AsyncQueryServer.start`` for tests of the start-up line: binds
+    no port."""
+
+
+class TestServeStartUp:
+    def test_the_port_listens_before_the_line_is_printed(self, capsys, monkeypatch):
+        """``serve`` printed its ``serving ... http://127.0.0.1:<port>``
+        line before the event loop bound the port, so a client that
+        connected on seeing it could be refused."""
+        from repro.server.async_server import AsyncQueryServer
+
+        events = []
+
+        async def start(self):
+            events.append(("start", capsys.readouterr().out))
+
+        async def serve_nothing(self):
+            events.append(("serve", capsys.readouterr().out))
+
+        monkeypatch.setattr(AsyncQueryServer, "start", start)
+        monkeypatch.setattr(AsyncQueryServer, "serve_forever", serve_nothing)
+        assert main(["serve", "--days", "1", "--port", "8765"]) == 0
+        assert [event for event, _ in events] == ["start", "serve"]
+        assert "serving " not in events[0][1]
+        assert "serving " in events[1][1] and "http://127.0.0.1:8765" in events[1][1]
+
+
 class TestServeMethod:
     def test_network_mode_serves_the_chosen_method_and_says_so(
         self, capsys, monkeypatch
@@ -341,6 +369,7 @@ class TestServeMethod:
         async def serve_nothing(self):
             services.append(self.service)
 
+        monkeypatch.setattr(AsyncQueryServer, "start", _bind_nothing)
         monkeypatch.setattr(AsyncQueryServer, "serve_forever", serve_nothing)
         base = ["serve", "--days", "1", "--shards", "4", "--port", "8765"]
         assert main(base + ["--method", "model-cover"]) == 0
@@ -372,6 +401,7 @@ class TestServeMethod:
         async def serve_nothing(self):
             pass
 
+        monkeypatch.setattr(AsyncQueryServer, "start", _bind_nothing)
         monkeypatch.setattr(AsyncQueryServer, "serve_forever", serve_nothing)
         base = ["serve", "--days", "1", "--shards", "2", "--port", "8765", "--processes", "2"]
         assert main(base + ["--data-dir", str(tmp_path / "tier")]) == 0

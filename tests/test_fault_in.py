@@ -2,20 +2,19 @@
 straight into ``(batch, gids)``.
 
 :func:`~repro.storage.segments.decode_packed_slice` is what every
-fault-in of a sealed slice runs.  Its oracle is the path it replaced:
-:func:`~repro.storage.segments.read_packed_segment`'s short-read check,
-the general segment parser, and the store's ``(shard, window, rows)``
-check, in that order.  For every image a seal writes the two give the
-same columns, and for every corruption the same
-:class:`~repro.storage.segments.SegmentCorrupt` message.  The store
-keeps a few pack descriptors open between fault-ins; ``close()`` and
-``compact()`` release them.
+fault-in of a sealed slice runs.  For every image a seal writes it gives
+the encoder's input columns bit for bit; for every damaged image it
+gives the :class:`~repro.storage.segments.SegmentCorrupt` message
+:func:`_expected_message` derives from the layout — the short read,
+then the preamble, the header CRC, the image length, each group's CRC,
+then the slice key — and an image in another layout is refused.  The
+store keeps a few pack descriptors open between fault-ins; ``close()``
+and ``compact()`` release them.
 """
 
 from __future__ import annotations
 
 import os
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,16 +24,16 @@ from hypothesis import strategies as st
 from repro.data.tuples import TupleBatch
 from repro.geo.coords import BoundingBox
 from repro.geo.region import RegionGrid
-from repro.storage import segments, tiered
+from repro.storage import tiered
 from repro.storage.segments import (
     CORE_COLUMNS,
     SegmentCorrupt,
     decode_packed_slice,
-    decode_segment,
     encode_segment,
 )
 from repro.storage.sketch import WindowSketch
 from repro.storage.tiered import TieredShardRouter
+from segment_layouts import general_image
 
 _SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -43,7 +42,7 @@ _SETTINGS = settings(max_examples=60, deadline=None)
 _PAYLOAD_AT = 216
 
 
-def _image(n: int, seed: int, shard: int = 2, window_c: int = 9, stamp: int = 4):
+def _fields(n: int, seed: int, shard: int = 2, window_c: int = 9, stamp: int = 4):
     rng = np.random.default_rng(seed)
     batch = TupleBatch(
         np.cumsum(rng.uniform(0.5, 5.0, n)),
@@ -51,43 +50,48 @@ def _image(n: int, seed: int, shard: int = 2, window_c: int = 9, stamp: int = 4)
         rng.uniform(-500.0, 4500.0, n),
         rng.uniform(350.0, 600.0, n),
     )
-    return encode_segment(
+    return dict(
         shard=shard, window_c=window_c, h=240, stamp=stamp, batch=batch,
         gids=np.sort(rng.choice(10 * n + 10, n, replace=False)).astype(np.int64),
         sketch=WindowSketch.of(batch) if n else WindowSketch.EMPTY,
     )  # fmt: skip
 
 
-def _before(data: bytes, where, key):
-    """A fault-in as it ran before the lean decode: the short read,
-    the general parser (the seal-layout reader switched off), the key."""
+def _image(n: int, seed: int, shard: int = 2, window_c: int = 9, stamp: int = 4):
+    return encode_segment(**_fields(n, seed, shard, window_c, stamp))
+
+
+def _expected_message(n: int, damage) -> str:
+    """The message after ``where:`` that an image of ``n`` rows reads
+    as, for ``("flip", offset, mask)`` (the byte at ``offset`` xor'd
+    with ``mask``) or ``("cut", length)`` (the image's first ``length``
+    bytes under an extent of that length) — from the layout alone."""
+    if damage[0] == "cut":
+        length = damage[1]
+        if length < 16:
+            return "truncated segment preamble"
+        if length < _PAYLOAD_AT:
+            return "segment header failed its checksum"
+        return "file length disagrees with its group directory"
+    _, offset, mask = damage
+    if offset < 4:
+        return "not a segment file"
+    if offset < 8:
+        return f"unsupported segment version {1 ^ (mask << 8 * (offset - 4))}"
+    if offset < _PAYLOAD_AT:
+        return "segment header failed its checksum"
+    if offset < _PAYLOAD_AT + 32 * n:
+        return "group 'core' failed its checksum"
+    return "group 'gids' failed its checksum"
+
+
+def _message(data: bytes, where, key) -> str:
+    with pytest.raises(SegmentCorrupt) as err:
+        decode_packed_slice(data, where, key)
     name, offset, length = where
-    label = f"{name}[{offset}:{offset + length}]"
-    if len(data) != length:
-        raise SegmentCorrupt(f"{label}: pack ends {length - len(data)} bytes short")
-    with mock.patch.object(segments, "_decode_sealed", lambda *_args: None):
-        segment = decode_segment(data, label)
-    if segment.key != key:
-        raise SegmentCorrupt(
-            f"{label}: holds (shard, window, rows) {segment.key}, "
-            f"the router expects {key}"
-        )
-    return segment.batch(), segment.gids()
-
-
-def _outcome(read):
-    """What a read gives, comparably: the columns' bytes, or the error."""
-    try:
-        batch, gids = read()
-    except SegmentCorrupt as exc:
-        return "corrupt", str(exc)
-    return "rows", tuple(getattr(batch, c).tobytes() for c in CORE_COLUMNS), gids.tobytes()
-
-
-def _both(data: bytes, where, key):
-    lean = _outcome(lambda: decode_packed_slice(data, where, key))
-    assert lean == _outcome(lambda: _before(data, where, key))
-    return lean
+    prefix = f"{name}[{offset}:{offset + length}]: "
+    assert str(err.value).startswith(prefix)
+    return str(err.value)[len(prefix) :]
 
 
 class TestLeanDecode:
@@ -99,11 +103,14 @@ class TestLeanDecode:
         window_c=st.integers(0, 2**64 - 1),
         offset=st.integers(0, 2**40),
     )
-    def test_equals_the_general_parser(self, n, seed, shard, window_c, offset):
-        data = _image(n, seed, shard, window_c)
+    def test_gives_the_encoders_columns(self, n, seed, shard, window_c, offset):
+        fields = _fields(n, seed, shard, window_c)
+        data = encode_segment(**fields)
         where = ("pack-w00000003.seg", offset, len(data))
-        assert _both(data, where, (shard, window_c, n))[0] == "rows"
         batch, gids = decode_packed_slice(data, where, (shard, window_c, n))
+        for name in CORE_COLUMNS:
+            assert getattr(batch, name).tobytes() == getattr(fields["batch"], name).tobytes()
+        assert gids.tobytes() == fields["gids"].tobytes()
         for column in (*(getattr(batch, c) for c in CORE_COLUMNS), gids):
             assert column.ndim == 1 and len(column) == n
             assert column.flags.aligned and not column.flags.writeable
@@ -117,18 +124,28 @@ class TestLeanDecode:
         bit=st.integers(0, 7),
         cut=st.integers(0, 24),
     )
-    def test_every_corruption_is_reported_as_before(self, n, seed, at, bit, cut):
-        """A flipped bit anywhere in the image, the image cut short, and
-        a right image under another slice's key: the same outcome and
-        message as the path it replaced."""
+    def test_every_corruption_reads_as_the_layout_says(self, n, seed, at, bit, cut):
+        """A flipped bit anywhere in the image, the image cut short (its
+        extent too), and a right image under another slice's key."""
         data = _image(n, seed)
-        where = ("pack-w00000000.seg", 4096, len(data))
+        offset = int(at * len(data))
         flipped = bytearray(data)
-        flipped[int(at * len(data))] ^= 1 << bit
-        assert _both(bytes(flipped), where, (2, 9, n))[0] == "corrupt"
-        assert _both(data[: len(data) - 1 - cut], where, (2, 9, n))[0] == "corrupt"
+        flipped[offset] ^= 1 << bit
+        where = ("pack-w00000000.seg", 4096, len(data))
+        assert _message(bytes(flipped), where, (2, 9, n)) == _expected_message(
+            n, ("flip", offset, 1 << bit)
+        )
+        short = data[: len(data) - 1 - cut]
+        assert _message(short, where, (2, 9, n)) == f"pack ends {1 + cut} bytes short"
+        where = ("pack-w00000000.seg", 4096, len(short))
+        assert _message(short, where, (2, 9, n)) == _expected_message(
+            n, ("cut", len(short))
+        )
+        where = ("pack-w00000000.seg", 4096, len(data))
         for key in ((3, 9, n), (2, 8, n), (2, 9, n + 1)):
-            assert _both(data, where, key)[0] == "corrupt"
+            assert _message(data, where, key) == (
+                f"holds (shard, window, rows) (2, 9, {n}), the router expects {key}"
+            )
 
     @pytest.mark.parametrize(
         "damage, message",
@@ -158,31 +175,21 @@ class TestLeanDecode:
         elif damage == "short":
             data = data[:-8]
         expected = message.format(end=64 + where[2])
-        with pytest.raises(SegmentCorrupt) as lean:
+        with pytest.raises(SegmentCorrupt) as err:
             decode_packed_slice(bytes(data), where, key)
-        with pytest.raises(SegmentCorrupt) as before:
-            _before(bytes(data), where, key)
-        assert str(lean.value) == str(before.value) == expected
+        assert str(err.value) == expected
 
-    def test_another_layout_takes_the_general_parser(self):
-        """A zlib image (what an older seal could write) is not the
-        seal layout: the general parser decodes it, and the key check
-        still runs."""
-        rng = np.random.default_rng(1)
-        batch = TupleBatch(
-            np.arange(7.0), rng.uniform(size=7), rng.uniform(size=7), rng.uniform(size=7)
-        )
-        data = encode_segment(
-            shard=1, window_c=3, h=240, stamp=2, batch=batch,
-            gids=np.arange(7, dtype=np.int64), sketch=WindowSketch.of(batch),
-            compress=True,
-        )  # fmt: skip
+    def test_a_zlib_image_is_refused(self):
+        """A zlib image (what an older seal could write) is not the seal
+        layout: refused before the key is looked at."""
+        fields = _fields(7, seed=1, shard=1, window_c=3)
+        data = general_image(**fields, codec=1)
         where = ("pack-w00000001.seg", 0, len(data))
-        got, gids = decode_packed_slice(data, where, (1, 3, 7))
-        assert got.x.tobytes() == batch.x.tobytes()
-        assert gids.tolist() == list(range(7))
-        with pytest.raises(SegmentCorrupt, match=r"the router expects \(1, 4, 7\)"):
-            decode_packed_slice(data, where, (1, 4, 7))
+        for key in ((1, 3, 7), (1, 4, 7)):
+            assert _message(data, where, key) == (
+                "segment header is not the layout seals write "
+                "(raw, padded core and gids groups)"
+            )
 
 
 def _open_fds() -> int:

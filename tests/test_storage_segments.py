@@ -1,18 +1,20 @@
-"""Tests for repro.storage.segments — the immutable sealed-window files.
+"""Tests for repro.storage.segments — the immutable sealed-window images.
 
-The durable tier's correctness rests on two properties of this format:
-round-trips are *byte-exact* (float64 columns, NaN/inf payloads and all),
-and any single corrupted or missing byte surfaces as
-:class:`SegmentCorrupt` rather than silently wrong rows.  Both are
-checked exhaustively here: hypothesis drives the round-trip over random
-lengths and pathological floats, and the corruption tests flip / drop
-*every byte offset* of a small segment.
+The durable tier's correctness rests on three properties of the one
+layout seals write: round-trips are *byte-exact* against what the
+encoder was given (float64 columns, NaN/inf payloads and all); any
+single corrupted or missing byte surfaces as :class:`SegmentCorrupt`
+with the message the pinned table names, rather than silently wrong
+rows; and an image that is well-formed but in another layout (zlib,
+unpadded, other columns) is refused, not read.  Hypothesis drives the
+round-trip over random lengths and pathological floats, and the
+corruption tests flip / drop *every byte offset* of a small image, read
+both as a standalone file and as a pack extent.
 """
 
 import hashlib
 import struct
 import zlib
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,16 +28,15 @@ from repro.storage import segments
 from repro.storage.segments import (
     CORE_COLUMNS,
     SegmentCorrupt,
-    decode_segment,
+    decode_packed_slice,
     encode_segment,
-    read_packed_segment,
     read_segment,
-    read_segment_meta,
-    segment_filename,
     write_segment,
 )
+from repro.storage.shards import ShardRouter
 from repro.storage.sketch import WindowSketch
 from repro.storage.tiered import TieredShardRouter
+from segment_layouts import general_image
 
 _SETTINGS = settings(
     max_examples=40,
@@ -77,65 +78,97 @@ def _reheader(data: bytes, header: bytes) -> bytes:
     )
 
 
-def _write(path, batch, gids=None, **kwargs) -> int:
+def _fields(batch, gids=None, **kwargs) -> dict:
     if gids is None:
         gids = np.arange(len(batch), dtype=np.int64)
-    defaults = dict(
-        shard=3, window_c=17, h=240, stamp=42, sketch=WindowSketch.of(batch)
+    fields = dict(
+        shard=3, window_c=17, h=240, stamp=42, batch=batch, gids=gids,
+        sketch=WindowSketch.of(batch) if len(batch) else WindowSketch.EMPTY,
+    )  # fmt: skip
+    fields.update(kwargs)
+    return fields
+
+
+def _write(path, batch, gids=None, **kwargs) -> int:
+    return write_segment(path, **_fields(batch, gids, **kwargs))
+
+
+def _assert_holds(batch, gids, want: dict) -> None:
+    """``(batch, gids)`` are the encoder's input columns, bit for bit, as
+    aligned, read-only, one-dimensional views of the image."""
+    for name in CORE_COLUMNS:
+        got = getattr(batch, name)
+        assert got.dtype == np.float64
+        assert got.tobytes() == getattr(want["batch"], name).tobytes()
+    assert gids.dtype == np.dtype("<i8")
+    assert gids.tobytes() == np.asarray(want["gids"], dtype="<i8").tobytes()
+    for column in (*(getattr(batch, name) for name in CORE_COLUMNS), gids):
+        assert column.ndim == 1 and len(column) == len(want["batch"])
+        assert column.flags.aligned
+        assert not column.flags.writeable and not column.flags.owndata
+
+
+def _assert_header(segment, want: dict) -> None:
+    """The segment's header record is the encoder's input fields."""
+    assert segment.record[:5] == (
+        want["shard"], want["window_c"], want["h"], len(want["batch"]), want["stamp"],
+    )  # fmt: skip
+    # Bit for bit: a NaN payload's sketch bounds are NaN.
+    assert struct.pack("<8d", *segment.record[5:]) == struct.pack(
+        "<8d", *want["sketch"].bounds()
     )
-    defaults.update(kwargs)
-    return write_segment(path, batch=batch, gids=gids, **defaults)
+
+
+#: How an image is read: as a standalone file, or as the pack extent
+#: ``pack-w00000003.seg[4096:...]`` of the slice ``(3, 17, rows)``.
+_HOW = ["file", "pack extent"]
+
+
+def _read(how: str, tmp_path, image: bytes, rows: int):
+    """``(batch, gids)`` of ``image`` read ``how``."""
+    if how == "file":
+        path = tmp_path / "a.seg"
+        path.write_bytes(image)
+        segment = read_segment(path)
+        return segment.batch, segment.gids
+    where = ("pack-w00000003.seg", 4096, len(image))
+    return decode_packed_slice(image, where, (3, 17, rows))
 
 
 class TestRoundTrip:
     def test_columns_and_gids_byte_exact(self, tmp_path):
-        batch = _batch(100)
-        gids = np.arange(500, 600, dtype=np.int64)
-        path = tmp_path / segment_filename(3, 17)
-        size = _write(path, batch, gids)
-        assert size == path.stat().st_size
-        seg = read_segment(path)
-        out = seg.batch()
-        for name in CORE_COLUMNS:
-            assert getattr(out, name).tobytes() == getattr(batch, name).tobytes()
-        assert seg.gids().tobytes() == gids.tobytes()
-        assert seg.gids().dtype == np.dtype("<i8")
+        fields = _fields(_batch(100), np.arange(500, 600, dtype=np.int64))
+        path = tmp_path / "a.seg"
+        size = write_segment(path, **fields)
+        assert size == path.stat().st_size == 216 + 40 * 100
+        segment = read_segment(path)
+        _assert_holds(segment.batch, segment.gids, fields)
+        _assert_header(segment, fields)
 
     def test_meta_round_trip(self, tmp_path):
         batch = _batch(7)
-        sketch = WindowSketch.of(batch)
+        fields = _fields(batch, shard=5, window_c=9, h=100, stamp=1234)
         path = tmp_path / "a.seg"
-        _write(path, batch, shard=5, window_c=9, h=100, stamp=1234, sketch=sketch)
-        meta = read_segment_meta(path)
-        assert (meta.shard, meta.window_c, meta.h) == (5, 9, 100)
-        assert (meta.n_rows, meta.stamp) == (7, 1234)
-        assert meta.sketch == sketch
-        # Header-only read agrees with the full read.
-        assert read_segment(path).meta == meta
+        write_segment(path, **fields)
+        _assert_header(read_segment(path), fields)
 
     def test_empty_slice_round_trips(self, tmp_path):
         path = tmp_path / "empty.seg"
-        _write(path, TupleBatch.empty(), sketch=WindowSketch.EMPTY)
+        _write(path, TupleBatch.empty())
         seg = read_segment(path)
-        assert seg.meta.n_rows == 0
-        assert len(seg.batch()) == 0
-        assert len(seg.gids()) == 0
-        assert seg.meta.sketch is WindowSketch.EMPTY
-
-    def test_uncompressed_round_trips(self, tmp_path):
-        batch = _batch(50)
-        path = tmp_path / "raw.seg"
-        _write(path, batch, compress=False)
-        out = read_segment(path).batch()
-        assert out.t.tobytes() == batch.t.tobytes()
+        assert seg.record[3] == 0
+        assert len(seg.batch) == 0
+        assert len(seg.gids) == 0
+        assert WindowSketch.restored(0, seg.record[5:]) is WindowSketch.EMPTY
 
     @pytest.mark.parametrize("n", [1, 3, 6, 7, 50])
     def test_raw_columns_are_aligned_read_only_views(self, tmp_path, n):
         """The directory is 198 bytes, not a multiple of 8: the writer
-        pads it so the payloads start 8-aligned, and the five columns of
-        a raw segment are aligned, read-only, zero-copy views."""
+        pads it so the payloads start 8-aligned, and the five columns
+        are aligned, read-only, zero-copy views of the image."""
         path = tmp_path / "raw.seg"
-        size = _write(path, _batch(n))
+        fields = _fields(_batch(n))
+        size = write_segment(path, **fields)
         data = path.read_bytes()
         (header_len,) = struct.unpack_from("<I", data, 8)
         assert header_len == _NATURAL_HEADER_LEN + 2
@@ -144,41 +177,7 @@ class TestRoundTrip:
         assert pad == b"\0\0"
         assert size == _PREAMBLE_LEN + header_len + 5 * 8 * n
         seg = read_segment(path)
-        out = seg.batch()
-        for arr in (out.t, out.x, out.y, out.s, seg.gids()):
-            assert arr.flags.aligned
-            assert not arr.flags.writeable
-            assert not arr.flags.owndata
-
-    @pytest.mark.parametrize("compress", [False, True])
-    def test_unpadded_header_still_reads(self, tmp_path, compress):
-        """Files from before the padding rule (header ends at the
-        directory) read back exactly under both codecs."""
-        batch = _batch(9, seed=5)
-        path = tmp_path / "old.seg"
-        _write(path, batch, compress=compress)
-        data = path.read_bytes()
-        header = data[_PREAMBLE_LEN : _PREAMBLE_LEN + _NATURAL_HEADER_LEN]
-        path.write_bytes(_reheader(data, header))
-        seg = read_segment(path)
-        for name in CORE_COLUMNS:
-            assert (
-                getattr(seg.batch(), name).tobytes()
-                == getattr(batch, name).tobytes()
-            )
-        assert seg.gids().tobytes() == np.arange(9, dtype=np.int64).tobytes()
-
-    def test_compression_shrinks_redundant_payloads(self, tmp_path):
-        n = 2000
-        batch = TupleBatch(
-            np.arange(n, dtype=float),
-            np.zeros(n),
-            np.zeros(n),
-            np.full(n, 400.0),
-        )
-        raw = _write(tmp_path / "raw.seg", batch, compress=False)
-        packed = _write(tmp_path / "zip.seg", batch, compress=True)
-        assert packed < raw
+        _assert_holds(seg.batch, seg.gids, fields)
 
     @_SETTINGS
     @given(
@@ -186,11 +185,8 @@ class TestRoundTrip:
             st.tuples(_floats, _floats, _floats, _floats), min_size=1, max_size=60
         ),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
-        compress=st.booleans(),
     )
-    def test_random_payloads_round_trip_exactly(
-        self, tmp_path, rows, seed, compress
-    ):
+    def test_random_payloads_round_trip_exactly(self, tmp_path, rows, seed):
         """Any float64 payload — NaN, ±inf, -0.0 — reads back bit-identical."""
         cols = [np.array(col, dtype=np.float64) for col in zip(*rows)]
         batch = TupleBatch(*cols)
@@ -198,130 +194,80 @@ class TestRoundTrip:
         gids = np.sort(rng.choice(10**6, size=len(batch), replace=False)).astype(
             np.int64
         )
+        fields = _fields(batch, gids)
         path = tmp_path / "prop.seg"
-        _write(path, batch, gids, compress=compress)
+        write_segment(path, **fields)
         seg = read_segment(path)
-        out = seg.batch()
-        for name in CORE_COLUMNS:
-            assert getattr(out, name).tobytes() == getattr(batch, name).tobytes()
-        assert seg.gids().tobytes() == gids.tobytes()
-        assert seg.meta.n_rows == len(batch)
+        _assert_holds(seg.batch, seg.gids, fields)
+        _assert_header(seg, fields)
+
+    @_SETTINGS
+    @given(
+        n=st.integers(0, 70),
+        seed=st.integers(0, 2**31 - 1),
+        shard=st.integers(0, 2**32 - 1),
+        window_c=st.integers(0, 2**64 - 1),
+        h=st.integers(1, 2**32 - 1),
+        stamp=st.integers(0, 2**64 - 1),
+    )
+    def test_every_header_field_reads_back(self, n, seed, shard, window_c, h, stamp):
+        """The whole range of every header integer, read back as a
+        standalone image and as a pack extent."""
+        fields = _fields(
+            _batch(n, seed), np.arange(7, 7 + n, dtype=np.int64),
+            shard=shard, window_c=window_c, h=h, stamp=stamp,
+        )  # fmt: skip
+        image = encode_segment(**fields)
+        segment = segments.decode_segment(image, "image")
+        _assert_holds(segment.batch, segment.gids, fields)
+        _assert_header(segment, fields)
+        batch, gids = decode_packed_slice(
+            image, ("pack-w00000000.seg", 8 * seed, len(image)), (shard, window_c, n)
+        )
+        _assert_holds(batch, gids, fields)
+
+    @pytest.mark.parametrize("n", [0, 1, 6, 60])
+    def test_the_general_writer_defaults_to_the_seal_layout(self, n):
+        """The refusal tests' writer (``tests/segment_layouts.py``) with
+        its defaults writes the seal image byte for byte, so a layout it
+        is asked for differs from the seal layout in that alone."""
+        fields = _fields(_batch(n, seed=n))
+        assert general_image(**fields) == encode_segment(**fields)
 
     def test_gid_batch_length_mismatch_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="align"):
             _write(tmp_path / "bad.seg", _batch(5), np.arange(4, dtype=np.int64))
 
 
-class TestSelectiveRead:
-    def test_core_only_skips_gids(self, tmp_path):
-        path = tmp_path / "a.seg"
-        _write(path, _batch(20))
-        seg = read_segment(path, groups=("core",))
-        assert set(seg.groups) == {"core"}
-        assert len(seg.batch()) == 20
-        with pytest.raises(KeyError):
-            seg.gids()
-
-    def test_gids_only_skips_core(self, tmp_path):
-        path = tmp_path / "a.seg"
-        _write(path, _batch(20))
-        seg = read_segment(path, groups=("gids",))
-        assert set(seg.groups) == {"gids"}
-        assert len(seg.gids()) == 20
-
-    def test_unknown_group_rejected(self, tmp_path):
-        path = tmp_path / "a.seg"
-        _write(path, _batch(5))
-        with pytest.raises(KeyError, match="models"):
-            read_segment(path, groups=("core", "models"))
-
-    def test_skipped_group_is_not_validated(self, tmp_path):
-        """Corruption confined to an unread group stays invisible — the
-        reader never touches those payload bytes (that is the point of
-        column groups); reading the group does detect it."""
-        path = tmp_path / "a.seg"
-        _write(path, _batch(20), compress=False)
-        data = bytearray(path.read_bytes())
-        data[-1] ^= 0xFF  # last byte: inside the trailing gids payload
-        path.write_bytes(bytes(data))
-        read_segment(path, groups=("core",))  # fine
-        with pytest.raises(SegmentCorrupt):
-            read_segment(path, groups=("gids",))
-
-
 class TestCorruptionDetection:
-    @pytest.mark.parametrize("compress", [False, True])
-    def test_every_single_byte_flip_is_detected(self, tmp_path, compress):
-        """Flip each byte of a small segment in turn: every read must fail
+    @pytest.mark.parametrize("how", _HOW)
+    def test_every_single_byte_flip_is_detected(self, tmp_path, how):
+        """Flip each byte of a small image in turn: every read must fail
         loudly with SegmentCorrupt — magic, version, header, directory and
         payload corruption alike."""
-        path = tmp_path / "a.seg"
-        _write(path, _batch(6, seed=3), compress=compress)
-        pristine = path.read_bytes()
+        pristine = encode_segment(**_fields(_batch(6, seed=3)))
         for offset in range(len(pristine)):
             data = bytearray(pristine)
             data[offset] ^= 0xFF
-            path.write_bytes(bytes(data))
             with pytest.raises(SegmentCorrupt):
-                read_segment(path)
-        path.write_bytes(pristine)
-        read_segment(path)  # the pristine image still reads
+                _read(how, tmp_path, bytes(data), 6)
+        _read(how, tmp_path, pristine, 6)  # the pristine image still reads
 
-    def test_every_truncation_is_detected(self, tmp_path):
-        path = tmp_path / "a.seg"
-        _write(path, _batch(6, seed=4), compress=False)
-        pristine = path.read_bytes()
+    @pytest.mark.parametrize("how", _HOW)
+    def test_every_truncation_is_detected(self, tmp_path, how):
+        pristine = encode_segment(**_fields(_batch(6, seed=4)))
         for length in range(len(pristine)):
-            path.write_bytes(pristine[:length])
             with pytest.raises(SegmentCorrupt):
-                read_segment(path)
+                _read(how, tmp_path, pristine[:length], 6)
 
-    def test_every_truncation_of_a_zlib_segment_is_detected(self, tmp_path):
-        path = tmp_path / "a.seg"
-        _write(path, _batch(6, seed=4), compress=True)
-        pristine = path.read_bytes()
-        for length in range(len(pristine)):
-            path.write_bytes(pristine[:length])
-            with pytest.raises(SegmentCorrupt):
-                read_segment(path)
-
-    @pytest.mark.parametrize("compress", [False, True])
-    @pytest.mark.parametrize("groups", [("core", "gids"), ("core",)])
-    def test_appended_bytes_are_detected(self, tmp_path, compress, groups):
-        """The file ends where the directory says the last group ends:
-        anything after it is corruption, whichever groups are read."""
-        path = tmp_path / "a.seg"
-        _write(path, _batch(6, seed=3), compress=compress)
-        pristine = path.read_bytes()
+    @pytest.mark.parametrize("how", _HOW)
+    def test_appended_bytes_are_detected(self, tmp_path, how):
+        """The image ends where the directory says the last group ends:
+        anything after it is corruption."""
+        pristine = encode_segment(**_fields(_batch(6, seed=3)))
         for extra in (b"\0", b"\xff" * 8, pristine):
-            path.write_bytes(pristine + extra)
             with pytest.raises(SegmentCorrupt, match="file length"):
-                read_segment(path, groups=groups)
-
-    @pytest.mark.parametrize(
-        "offset,match",
-        [(_CORE_CODEC_AT, "unknown codec"), (_CORE_DTYPE_AT, "malformed")],
-    )
-    def test_wellformed_checksum_over_a_bad_directory(self, tmp_path, offset, match):
-        """A header whose CRC is right but whose directory names a codec
-        or dtype this reader does not know is corrupt, not a crash."""
-        path = tmp_path / "a.seg"
-        _write(path, _batch(6))
-        data = path.read_bytes()
-        (header_len,) = struct.unpack_from("<I", data, 8)
-        header = bytearray(data[_PREAMBLE_LEN : _PREAMBLE_LEN + header_len])
-        header[offset - _PREAMBLE_LEN] = 9
-        path.write_bytes(_reheader(data, bytes(header)))
-        with pytest.raises(SegmentCorrupt, match=match):
-            read_segment(path)
-
-    def test_truncated_meta_read_is_detected(self, tmp_path):
-        path = tmp_path / "a.seg"
-        _write(path, _batch(6))
-        pristine = path.read_bytes()
-        path.write_bytes(pristine[:10])
-        with pytest.raises(SegmentCorrupt):
-            read_segment_meta(path)
+                _read(how, tmp_path, pristine + extra, 6)
 
     def test_not_a_segment_file(self, tmp_path):
         path = tmp_path / "junk.seg"
@@ -335,8 +281,58 @@ class TestCorruptionDetection:
         data = bytearray(path.read_bytes())
         data[4] = 99  # version field of the preamble
         path.write_bytes(bytes(data))
-        with pytest.raises(SegmentCorrupt, match="version"):
+        with pytest.raises(SegmentCorrupt, match="version 99"):
             read_segment(path)
+
+
+def _other_layout(layout: str, fields: dict) -> bytes:
+    """A well-formed image — every CRC right — in a layout seals never
+    write."""
+    if layout == "zlib":
+        return general_image(**fields, codec=1)
+    if layout == "unpadded":
+        return general_image(**fields, pad=False)
+    if layout == "three core columns":
+        return general_image(**fields, core_columns=("t", "x", "y"))
+    if layout == "columns reordered":
+        return general_image(**fields, core_columns=("x", "t", "y", "s"))
+    image = general_image(**fields)
+    (header_len,) = struct.unpack_from("<I", image, 8)
+    header = bytearray(image[_PREAMBLE_LEN : _PREAMBLE_LEN + header_len])
+    at = _CORE_CODEC_AT if layout == "unknown codec" else _CORE_DTYPE_AT
+    header[at - _PREAMBLE_LEN] = 9
+    return _reheader(image, bytes(header))
+
+
+_OTHER_LAYOUTS = [
+    "zlib", "unpadded", "three core columns", "columns reordered",
+    "unknown codec", "unknown dtype",
+]  # fmt: skip
+
+
+class TestOtherLayoutsAreRefused:
+    """Seals write one layout and the reader reads only it: an image in
+    any other passes its header CRC and is still corrupt."""
+
+    @pytest.mark.parametrize("how", _HOW)
+    @pytest.mark.parametrize("layout", _OTHER_LAYOUTS)
+    def test_refused(self, tmp_path, layout, how):
+        image = _other_layout(layout, _fields(_batch(9, seed=2)))
+        (header_len,) = struct.unpack_from("<I", image, 8)
+        header = image[_PREAMBLE_LEN : _PREAMBLE_LEN + header_len]
+        assert zlib.crc32(header) == struct.unpack_from("<I", image, 12)[0]
+        with pytest.raises(
+            SegmentCorrupt, match="segment header is not the layout seals write"
+        ):
+            _read(how, tmp_path, image, 9)
+
+    def test_the_header_checksum_is_checked_first(self, tmp_path):
+        """A zlib image whose header is also damaged reads as a failed
+        checksum, as a damaged seal image does."""
+        image = bytearray(_other_layout("zlib", _fields(_batch(9, seed=2))))
+        image[_CORE_CODEC_AT] ^= 0xFF
+        with pytest.raises(SegmentCorrupt, match="header failed its checksum"):
+            _read("file", tmp_path, bytes(image), 9)
 
 
 class TestPackedImages:
@@ -345,47 +341,44 @@ class TestPackedImages:
 
     @staticmethod
     def _pack(tmp_path, sizes=(1, 6, 7, 50)):
-        batches = [_batch(n, seed=k) for k, n in enumerate(sizes)]
-        images = [
-            encode_segment(
-                shard=k, window_c=10 + k, h=240, stamp=k, batch=batch,
-                gids=np.arange(len(batch), dtype=np.int64),
-                sketch=WindowSketch.of(batch),
-            )  # fmt: skip
-            for k, batch in enumerate(batches)
+        fields = [
+            _fields(_batch(n, seed=k), shard=k, window_c=10 + k, stamp=k)
+            for k, n in enumerate(sizes)
         ]
+        images = [encode_segment(**f) for f in fields]
         path = tmp_path / "pack.seg"
         path.write_bytes(b"".join(images))
         extents, offset = [], 0
         for image in images:
             extents.append((offset, len(image)))
             offset += len(image)
-        return path, images, extents
+        return path, fields, images, extents
+
+    @staticmethod
+    def _fault_in(path, offset, length, key):
+        """What the store's fault-in does: one ``pread`` of the extent."""
+        with open(path, "rb") as f:
+            f.seek(offset)
+            data = f.read(length)
+        return decode_packed_slice(data, (path.name, offset, length), key)
 
     def test_raw_images_are_multiples_of_eight(self, tmp_path):
-        _, images, _ = self._pack(tmp_path)
+        _, _, images, _ = self._pack(tmp_path)
         assert all(len(image) % 8 == 0 for image in images)
 
     def test_each_extent_reads_its_own_slice(self, tmp_path):
-        path, images, extents = self._pack(tmp_path)
+        path, fields, _, extents = self._pack(tmp_path)
         for k, (offset, length) in enumerate(extents):
-            seg = read_packed_segment(path, offset, length)
-            assert seg.key == (k, 10 + k, len(seg.gids()))
-            standalone = tmp_path / f"{k}.seg"
-            standalone.write_bytes(images[k])
-            alone = read_segment(standalone)
-            for name in CORE_COLUMNS:
-                assert (
-                    getattr(seg.batch(), name).tobytes()
-                    == getattr(alone.batch(), name).tobytes()
-                )
-            assert seg.gids().flags.aligned
+            key = (k, 10 + k, len(fields[k]["batch"]))
+            batch, gids = self._fault_in(path, offset, length, key)
+            _assert_holds(batch, gids, fields[k])
 
     def test_a_wrong_extent_is_detected(self, tmp_path):
         """Too long, too short, shifted or past the end of the pack: the
         image checks catch every one."""
-        path, images, extents = self._pack(tmp_path)
+        path, fields, images, extents = self._pack(tmp_path)
         (o1, n1), (o2, n2) = extents[1], extents[2]
+        key = (1, 11, 6)
         for offset, length in [
             (o1, n1 + n2),  # runs into the next image
             (o1, n1 - 8),  # cut short
@@ -394,69 +387,28 @@ class TestPackedImages:
         ]:
             if offset == o2:
                 path.write_bytes(b"".join(images[:3]))
+                key = (2, 12, 7)
             with pytest.raises(SegmentCorrupt):
-                read_packed_segment(path, offset, length)
+                self._fault_in(path, offset, length, key)
 
     def test_corruption_names_the_extent(self, tmp_path):
-        path, _, extents = self._pack(tmp_path)
+        path, _, _, extents = self._pack(tmp_path)
         offset, length = extents[2]
         data = bytearray(path.read_bytes())
         data[offset + length - 1] ^= 0xFF
         path.write_bytes(bytes(data))
-        with pytest.raises(SegmentCorrupt, match=rf"\[{offset}:{offset + length}\]"):
-            read_packed_segment(path, offset, length)
-        read_packed_segment(path, *extents[1])  # its neighbours still read
+        with pytest.raises(
+            SegmentCorrupt,
+            match=rf"pack\.seg\[{offset}:{offset + length}\]: group 'gids' failed",
+        ):
+            self._fault_in(path, offset, length, (2, 12, 7))
+        self._fault_in(path, *extents[1], (1, 11, 6))  # its neighbours still read
 
 
-def _general(data: bytes, groups=("core", "gids")):
-    """:func:`decode_segment` with the seal-layout reader switched off:
-    what the general parser alone makes of ``data``."""
-    with mock.patch.object(segments, "_decode_sealed", lambda *_args: None):
-        return decode_segment(data, "image", groups)
-
-
-def _assert_same_segment(got, want) -> None:
-    assert got.record == want.record
-    assert list(got.groups) == list(want.groups)
-    for name, columns in want.groups.items():
-        assert list(got.groups[name]) == list(columns)
-        for col, arr in columns.items():
-            view = got.groups[name][col]
-            assert view.dtype == arr.dtype and view.tobytes() == arr.tobytes()
-            assert view.ndim == 1 and view.flags.aligned
-            assert not view.flags.writeable and not view.flags.owndata
-
-
-class TestSealedLayout:
-    """Seals write one layout, and it is read with one struct unpack
-    (``segments._decode_sealed``); the general parser is its oracle, and
-    reads every other layout."""
-
-    @_SETTINGS
-    @given(
-        n=st.integers(0, 70),
-        seed=st.integers(0, 2**31 - 1),
-        shard=st.integers(0, 2**32 - 1),
-        window_c=st.integers(0, 2**64 - 1),
-        stamp=st.integers(0, 2**64 - 1),
-        groups=st.sampled_from(
-            [("core", "gids"), ("gids", "core"), ("core",), ("gids",), ()]
-        ),
-    )
-    def test_one_struct_parse_equals_the_general_parser(
-        self, n, seed, shard, window_c, stamp, groups
-    ):
-        batch = _batch(n, seed)
-        image = encode_segment(
-            shard=shard, window_c=window_c, h=240, stamp=stamp, batch=batch,
-            gids=np.arange(7, 7 + n, dtype=np.int64),
-            sketch=WindowSketch.of(batch) if n else WindowSketch.EMPTY,
-        )  # fmt: skip
-        sealed = segments._decode_sealed(image, "image", groups)
-        assert sealed is not None
-        _assert_same_segment(sealed, _general(image, groups))
-
-    def test_every_image_a_tiered_seal_writes_takes_it(self, tmp_path):
+class TestEveryImageASealWrites:
+    def test_reads_back_the_rows_it_sealed(self, tmp_path):
+        """Every extent a tiered seal writes holds the slice's rows,
+        gids, stamp and sketch, bit for bit as a plain router holds them."""
         rng = np.random.default_rng(3)
         n = 2000
         stream = TupleBatch(
@@ -466,57 +418,26 @@ class TestSealedLayout:
             rng.uniform(350.0, 600.0, n),
         )
         grid = RegionGrid(BoundingBox(0.0, 0.0, 6000.0, 4000.0), nx=2, ny=2)
+        plain = ShardRouter(grid, h=150)
         router = TieredShardRouter(grid, h=150, data_dir=tmp_path, memory_windows=4)
         try:
             for lo in range(0, n, 700):
                 router.ingest(stream.slice(lo, min(lo + 700, n)))
-            extents = list(router._store._slices.values())
+                plain.ingest(stream.slice(lo, min(lo + 700, n)))
+            extents = dict(router._store._slices)
         finally:
             router.close()
         assert len(extents) > 20
-        for name, offset, length in extents:
+        for (s, c), (name, offset, length) in extents.items():
             data = (tmp_path / "segments" / name).read_bytes()[offset : offset + length]
-            sealed = segments._decode_sealed(data, name, ("core", "gids"))
-            assert sealed is not None
-            _assert_same_segment(sealed, _general(data))
-
-    @pytest.mark.parametrize(
-        "layout", ["zlib", "unpadded", "three core columns", "future version"]
-    )
-    def test_every_other_layout_takes_the_general_parser(self, tmp_path, layout):
-        batch = _batch(9, seed=2)
-        fields = dict(
-            shard=1, window_c=4, h=240, stamp=5, batch=batch,
-            gids=np.arange(9, dtype=np.int64), sketch=WindowSketch.of(batch),
-        )  # fmt: skip
-        if layout == "three core columns":
-            with mock.patch.object(segments, "CORE_COLUMNS", ("t", "x", "y")):
-                image = encode_segment(**fields)
-        else:
-            image = encode_segment(**fields, compress=layout == "zlib")
-        if layout == "unpadded":
-            image = _reheader(
-                image, image[_PREAMBLE_LEN : _PREAMBLE_LEN + _NATURAL_HEADER_LEN]
-            )
-        if layout == "future version":
-            image = image[:4] + struct.pack("<I", 2) + image[8:]
-        assert segments._decode_sealed(image, "image", ("core", "gids")) is None
-        if layout == "future version":
-            with pytest.raises(SegmentCorrupt, match="version"):
-                decode_segment(image, "image")
-            return
-        segment = decode_segment(image, "image")
-        assert segment.gids().tobytes() == fields["gids"].tobytes()
-        assert segment.groups["core"]["x"].tobytes() == batch.x.tobytes()
-
-    def test_a_group_it_does_not_hold_is_the_general_parsers_key_error(self):
-        image = encode_segment(
-            shard=1, window_c=4, h=240, stamp=5, batch=_batch(3),
-            gids=np.arange(3, dtype=np.int64), sketch=WindowSketch.of(_batch(3)),
-        )  # fmt: skip
-        assert segments._decode_sealed(image, "image", ("core", "models")) is None
-        with pytest.raises(KeyError, match="models"):
-            decode_segment(image, "image", ("core", "models"))
+            segment = segments.decode_segment(data, name)
+            want = dict(
+                shard=s, window_c=c, h=150, stamp=plain.shard_window_epoch(s, c),
+                batch=plain.shard_window(s, c), gids=plain.shard_window_gids(s, c),
+                sketch=plain.shard_window_sketch(s, c),
+            )  # fmt: skip
+            _assert_holds(segment.batch, segment.gids, want)
+            _assert_header(segment, want)
 
 
 class TestAtomicity:
@@ -524,10 +445,6 @@ class TestAtomicity:
         path = tmp_path / "a.seg"
         _write(path, _batch(10))
         assert [p.name for p in tmp_path.iterdir()] == ["a.seg"]
-
-    def test_filename_layout(self):
-        assert segment_filename(3, 17) == "seg-s0003-w00000017.seg"
-        assert segment_filename(0, 0) == "seg-s0000-w00000000.seg"
 
 
 def _pinned_fields(n: int) -> dict:

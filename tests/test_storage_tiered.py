@@ -27,14 +27,11 @@ from repro.query.pipeline.binding import RouterBinding
 from repro.query.pipeline.parallel import ProcessShardedEngine
 from repro.query.sharded import ShardedQueryEngine
 from repro.storage import fsio
-from repro.storage.segments import (
-    SegmentCorrupt,
-    decode_segment,
-    encode_segment,
-    segment_filename,
-)
+from repro.storage.segments import SegmentCorrupt, decode_segment, encode_segment
 from repro.storage.shards import ShardRouter
+from repro.storage.sketch import WindowSketch
 from repro.storage.tiered import TieredShardRouter
+from segment_layouts import general_image
 
 #: Every test here opens durable routers: none may leak a descriptor or a thread.
 pytestmark = pytest.mark.usefixtures("leak_check")
@@ -124,24 +121,24 @@ def slice_entries(doc: dict):
 
 
 def slice_image(data_dir, entry: dict) -> bytes:
-    """The bytes a manifest entry names: its extent of a pack, or the
-    whole per-slice file of a format-1 entry."""
+    """The bytes a manifest entry names: its extent of a pack."""
     data = (data_dir / "segments" / entry["file"]).read_bytes()
-    if "offset" not in entry:
-        return data
     return data[entry["offset"] : entry["offset"] + entry["length"]]
 
 
-def reencode(image: bytes, rows=slice(None), compress=False) -> bytes:
+def reencode(image: bytes, rows=slice(None), **layout) -> bytes:
     """An image with the same header fields holding ``rows`` of its
-    slice — as another writer could have produced it."""
+    slice — as another writer could have produced it, in the seal
+    layout or, given ``layout`` (``general_image``'s ``codec=``,
+    ``pad=``), another."""
     seg = decode_segment(image, "image")
-    meta, batch = seg.meta, seg.batch()
-    return encode_segment(
-        shard=meta.shard, window_c=meta.window_c, h=meta.h,
-        stamp=meta.stamp, sketch=meta.sketch, compress=compress,
-        batch=TupleBatch(*(getattr(batch, n)[rows] for n in "txys")),
-        gids=seg.gids()[rows],
+    shard, window_c, h, n_rows, stamp, *bounds = seg.record
+    write = general_image if layout else encode_segment
+    return write(
+        shard=shard, window_c=window_c, h=h, stamp=stamp,
+        sketch=WindowSketch.restored(n_rows, bounds),
+        batch=TupleBatch(*(getattr(seg.batch, n)[rows] for n in "txys")),
+        gids=seg.gids[rows], **layout,
     )  # fmt: skip
 
 
@@ -159,24 +156,6 @@ def repack(data_dir, replace: dict) -> None:
         parts.append(image)
     for name, parts in packs.items():
         (data_dir / "segments" / name).write_bytes(b"".join(parts))
-    write_manifest(data_dir, doc)
-
-
-def to_per_slice(data_dir, compress: bool) -> None:
-    """Rewrite a pack directory as the per-slice commits left it: one
-    file per slice (zlib-sealed if ``compress``, else raw), named by
-    ``segment_filename``, and a format-1 manifest whose entries carry no
-    extent."""
-    doc = read_manifest(data_dir)
-    seg_dir = data_dir / "segments"
-    for c, entry in slice_entries(doc):
-        image = reencode(slice_image(data_dir, entry), compress=compress)
-        entry["file"] = segment_filename(entry["s"], c)
-        del entry["offset"], entry["length"]
-        (seg_dir / entry["file"]).write_bytes(image)
-    for pack in seg_dir.glob("pack-*.seg"):
-        pack.unlink()
-    doc["format"] = 1
     write_manifest(data_dir, doc)
 
 
@@ -374,7 +353,52 @@ class TestDurableRecovery:
         doc = json.loads(path.read_text())
         doc["format"] = 99
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="unsupported manifest format"):
+        with pytest.raises(ValueError, match="unsupported manifest format 99"):
+            TieredShardRouter.open(tmp_path / "t")
+
+    @pytest.mark.parametrize("opened_by", ["open", "constructor"])
+    def test_a_format_1_manifest_is_refused(self, tmp_path, opened_by):
+        """A directory sealed one file per slice (manifest format 1) is
+        refused as it opens, by name, before any slice is read."""
+        grid = RegionGrid(BOUNDS, nx=2, ny=2)
+        with TieredShardRouter(grid, h=100, data_dir=tmp_path / "t") as router:
+            fill(router, make_stream(450))
+        doc = read_manifest(tmp_path / "t")
+        assert doc["sealed_windows"] == 4
+        doc["format"] = 1
+        write_manifest(tmp_path / "t", doc)
+        with pytest.raises(
+            ValueError,
+            match=r"unsupported manifest format 1 \(this reader opens format 2 only\)",
+        ):
+            if opened_by == "open":
+                TieredShardRouter.open(tmp_path / "t")
+            else:
+                TieredShardRouter(grid, h=100, data_dir=tmp_path / "t")
+
+    @pytest.mark.parametrize(
+        "damage", ["no offset", "no length", "null offset"]
+    )
+    def test_an_entry_without_its_extent_is_refused(self, tmp_path, damage):
+        """A format-2 entry must name where in its pack the image is;
+        one that does not is a corrupt manifest, refused as it opens."""
+        grid = RegionGrid(BOUNDS, nx=2, ny=2)
+        with TieredShardRouter(grid, h=100, data_dir=tmp_path / "t") as router:
+            fill(router, make_stream(450))
+        doc = read_manifest(tmp_path / "t")
+        c, entry = list(slice_entries(doc))[5]
+        if damage == "no offset":
+            del entry["offset"]
+        elif damage == "no length":
+            del entry["length"]
+        else:
+            entry["offset"] = None
+        write_manifest(tmp_path / "t", doc)
+        with pytest.raises(
+            ValueError,
+            match=rf"corrupt manifest \(window {c}, shard {entry['s']} "
+            r"names no pack extent\)",
+        ):
             TieredShardRouter.open(tmp_path / "t")
 
 
@@ -476,59 +500,9 @@ class TestManifestFragments:
         json.loads(path.read_text())
 
 
-class TestSegmentCodecs:
-    """Seals write raw images into packs; directories sealed with one
-    file per slice by earlier commits — zlib or raw — must keep opening,
-    and may hold both layouts."""
-
-    @pytest.mark.parametrize("codec", [1, 0], ids=["zlib", "raw"])
-    def test_per_slice_directory_reopens_and_continues_in_packs(
-        self, tmp_path, codec
-    ):
-        stream = make_stream(2000, seed=16)
-        grid = RegionGrid(BOUNDS, nx=2, ny=2)
-        data_dir = tmp_path / "tier"
-        with TieredShardRouter(grid, h=100, data_dir=data_dir) as tiered:
-            fill(tiered, stream.slice(0, 1050), pieces=3)
-        # Re-create what the per-slice commits left on disk.
-        to_per_slice(data_dir, compress=codec == 1)
-        seg_dir = data_dir / "segments"
-        old = sorted(seg_dir.iterdir())
-        assert old and all(p.name.startswith("seg-") for p in old)
-        plain = ShardRouter(grid, h=100)
-        plain.ingest(stream)
-        with TieredShardRouter.open(data_dir, memory_windows=2) as again:
-            fill(again, stream.slice(1050, 2000), pieces=4)
-            doc = read_manifest(data_dir)
-            assert doc["format"] == 2
-            # Byte 124 of a segment image is its core group's codec.
-            codecs = {
-                (c, entry["s"]): ("offset" in entry, slice_image(data_dir, entry)[124])
-                for c, entry in slice_entries(doc)
-            }
-            assert {codecs[(c, s)] for c, s in codecs if c < 10} == {(False, codec)}
-            assert {codecs[(c, s)] for c, s in codecs if c >= 10} == {(True, 0)}
-            assert sorted(p for p in seg_dir.glob("seg-*")) == old  # no new files
-            assert_same_state(again, plain, epochs=False)
-            hot = ShardedQueryEngine(again, radius_m=RADIUS_M)
-            cold = ShardedQueryEngine(plain, radius_m=RADIUS_M)
-            try:
-                # cold_route's shape: one route's probes at uniform times,
-                # across windows of both layouts, far more than the cap.
-                faults = again.faults
-                queries = probe_queries(stream, n=120, seed=17)
-                assert_same_answers(
-                    hot.continuous_query_batch(queries),
-                    cold.continuous_query_batch(queries),
-                )
-                assert again.faults > faults
-            finally:
-                hot.close()
-                cold.close()
-        # A reopen reads the mixed directory through the same reader.
-        with TieredShardRouter.open(data_dir) as third:
-            assert_same_state(third, plain, epochs=False)
-            third.compact(verify=True)
+class TestSliceImages:
+    """Every sealed slice is read as its extent of a pack, and the image
+    there must be the slice the manifest says, in the seal layout."""
 
     def test_swapped_slice_entries_are_detected(self, tmp_path):
         """Two manifest entries of one shard pointing at each other's
@@ -576,6 +550,31 @@ class TestSegmentCodecs:
             for later_c, later in slice_entries(read_manifest(data_dir)):
                 if (later_c, later["s"]) != (c, entry["s"]):
                     again.shard_window(later["s"], later_c)
+
+    @pytest.mark.parametrize(
+        "layout", [{"codec": 1}, {"pad": False}], ids=["zlib", "unpadded"]
+    )
+    def test_an_image_in_another_layout_is_refused(self, tmp_path, layout):
+        """A pack and manifest restored together from an archive whose
+        writer used zlib groups or an unpadded header: every checksum
+        holds, and neither a fault-in nor ``compact(verify=True)`` reads
+        the image."""
+        stream = make_stream(600, seed=22)
+        tiered, _ = make_pair(tmp_path, stream, h=100)
+        tiered.close()
+        data_dir = tmp_path / "tier"
+        c, entry = list(slice_entries(read_manifest(data_dir)))[3]
+        other = reencode(slice_image(data_dir, entry), **layout)
+        repack(data_dir, {(entry["s"], c): other})
+        message = "segment header is not the layout seals write"
+        with TieredShardRouter.open(data_dir) as again:
+            with pytest.raises(SegmentCorrupt, match=message):
+                again.shard_window(entry["s"], c)
+            with pytest.raises(SegmentCorrupt, match=message):
+                again.compact(verify=True)
+            for other_c, other_entry in slice_entries(read_manifest(data_dir)):
+                if (other_c, other_entry["s"]) != (c, entry["s"]):
+                    again.shard_window(other_entry["s"], other_c)
 
 
 class TestPackLayout:
