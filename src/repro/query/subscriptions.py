@@ -2,10 +2,10 @@
 
 The paper's Query 1 is a *standing* continuous query: a mobile object
 registers a route once and receives pollution updates as data streams in
-(Section 2.2).  This module adds that registration layer over the
-one query engine: a :class:`SubscriptionRegistry`
-holds (route, interval, method) standing queries, answers each once at
-registration, and thereafter delivers *incremental* updates — only the
+(Section 2.2).  This module adds that registration layer over the one
+query engine: a :class:`SubscriptionRegistry` holds (route, interval,
+method) standing queries, answers each once at registration, and
+thereafter delivers *incremental* updates — only the
 query tuples whose answers actually changed, found without re-executing
 the untouched ones.
 

@@ -54,8 +54,9 @@ silently wrong rows.  An image whose header passes its CRC but is not in
 the layout (a zlib group, an unpadded header, other columns) is corrupt
 too: nothing writes one.
 
-A read is one struct unpack of the header, the checks and five
-``np.frombuffer`` views of the image — no decode, no copy.  The checks
+A read is two struct unpacks (preamble, header), the checks and two
+``np.frombuffer`` views of the image, the four core columns slices of
+the first — no decode, no copy.  The checks
 run on every read, not once per file: the CRC32 of a 3 KB slice costs
 about 1 µs, less than remembering that it ran.
 

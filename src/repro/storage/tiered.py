@@ -666,9 +666,10 @@ class TieredShardRouter(ShardRouter):
     def compact(self, verify: bool = False) -> Dict[str, int]:
         """Tidy the data directory: checkpoint the WAL, drop ``.seg``
         files no manifest entry references (a pack left behind, e.g.
-        restored from elsewhere), remove stray temp files.  ``verify=True`` additionally re-reads every live slice,
-        checking all group checksums and that each image holds the slice
-        its manifest entry says.
+        restored from elsewhere), remove stray temp files.
+        ``verify=True`` additionally re-reads every live slice, checking
+        all group checksums and that each image holds the slice its
+        manifest entry says.
 
         Returns counters: ``{"orphans_removed", "tmp_removed",
         "segments_verified"}``.  Raises
