@@ -712,9 +712,7 @@ class AsyncQueryServer:
         self._workers.close()
 
     async def serve_forever(self) -> None:
-        """Serve until cancelled, binding first unless :meth:`start` has."""
-        if self._server is None:
-            await self.start()
+        """Serve until cancelled; :meth:`start` must have been awaited."""
         assert self._server is not None
         try:
             async with self._server:
