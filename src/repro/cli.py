@@ -87,29 +87,41 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
     return 0
 
 
+def _dataset(args: argparse.Namespace):
+    """The generated stream of ``--days`` and ``--seed``, unsubsampled."""
+    from repro.data.lausanne import LausanneConfig, generate_lausanne_dataset
+
+    return generate_lausanne_dataset(
+        LausanneConfig(days=args.days, seed=args.seed, target_tuples=0)
+    )
+
+
+def _resident_engine(ds, shards: int, h: int, tuples=None, **options):
+    """The engine over a resident router of ``shards`` region shards on
+    ``ds``'s covered box, in ``h``-tuple windows, holding ``tuples`` (all
+    of ``ds`` by default); ``options`` go to the engine."""
+    from repro.geo.region import RegionGrid
+    from repro.query.sharded import ShardedQueryEngine
+    from repro.storage.shards import ShardRouter
+
+    router = ShardRouter(RegionGrid.for_shard_count(ds.covered_bbox(), shards), h=h)
+    router.ingest(ds.tuples if tuples is None else tuples)
+    return ShardedQueryEngine(router, **options)
+
+
 def _cmd_heatmap(args: argparse.Namespace) -> int:
     import numpy as np
 
     from repro.app.heatmap import render_ascii, render_ppm
     from repro.app.webapp import WebInterface
-    from repro.data.lausanne import LausanneConfig, generate_lausanne_dataset
     from repro.geo.coords import BoundingBox
-    from repro.geo.region import RegionGrid
-    from repro.query.sharded import ShardedQueryEngine
-    from repro.storage.shards import ShardRouter
 
-    ds = generate_lausanne_dataset(
-        LausanneConfig(days=args.days, seed=args.seed, target_tuples=0)
-    )
+    ds = _dataset(args)
     anchor = args.hour * 3600.0
     pos = min(int(np.searchsorted(ds.tuples.t, anchor)), len(ds.tuples) - 1)
     t = float(ds.tuples.t[pos])
     bounds = BoundingBox(0.0, 0.0, 6000.0, 4000.0)
-    router = ShardRouter(
-        RegionGrid.for_shard_count(ds.covered_bbox(), args.shards), h=500
-    )
-    router.ingest(ds.tuples)
-    with ShardedQueryEngine(router) as engine:
+    with _resident_engine(ds, args.shards, 500) as engine:
         web = WebInterface(engine)
         if args.model_grid:
             heatmap = web.model_grid(t, bounds, nx=args.width, ny=args.height)
@@ -126,11 +138,11 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
 def _serve_network(args: argparse.Namespace) -> int:
     """Ingest the dataset and serve it over HTTP/WebSocket.
 
-    ``--processes N`` executes every exact plan on a pool of N worker
-    processes over shared-memory shard exports (byte-identical answers,
-    in-process fallback on worker failure; ``model-cover`` is answered
-    in-process either way); without it the sharded engine answers
-    in-process.  ``--data-dir`` serves from the durable
+    ``--processes N`` gives the engine a pool of N worker processes that
+    runs every exact plan of the web modes over shared-memory shard
+    exports (byte-identical answers, in-process fallback on worker
+    failure; ``model-cover`` is answered in-process either way); without
+    it the engine answers in-process.  ``--data-dir`` serves from the durable
     tier instead of RAM: on start the server *recovers* whatever the
     directory holds (sealed segments plus the WAL tail) and only ingests
     the generated dataset into an empty directory, so a restart after a
@@ -140,19 +152,13 @@ def _serve_network(args: argparse.Namespace) -> int:
     """
     import asyncio
 
-    from repro.data.lausanne import LausanneConfig, generate_lausanne_dataset
-    from repro.geo.region import RegionGrid
-    from repro.query.pipeline.parallel import ProcessShardedEngine
     from repro.query.sharded import CACHED_ROUTE_MAX_ROWS, ShardedQueryEngine
     from repro.server.async_server import AsyncQueryServer, EngineQueryService
-    from repro.storage.shards import ShardRouter
 
     if args.memory_windows is not None and args.data_dir is None:
         print("--memory-windows needs --data-dir", file=sys.stderr)
         return 2
-    ds = generate_lausanne_dataset(
-        LausanneConfig(days=args.days, seed=args.seed, target_tuples=0)
-    )
+    ds = _dataset(args)
     # --subscriptions holds back the tail of the dataset so a live
     # trickle-ingest writer has something to push through the registry.
     tail = None
@@ -165,6 +171,7 @@ def _serve_network(args: argparse.Namespace) -> int:
             tail = ds.tuples.slice(cut, len(ds.tuples))
 
     if args.data_dir is not None:
+        from repro.geo.region import RegionGrid
         from repro.storage.tiered import TieredShardRouter
 
         router = TieredShardRouter(
@@ -183,24 +190,17 @@ def _serve_network(args: argparse.Namespace) -> int:
             tail = None  # durable state is the truth: nothing to trickle
         else:
             router.ingest(head)
+        engine = ShardedQueryEngine(router, processes=args.processes)
     else:
-        router = ShardRouter(
-            RegionGrid.for_shard_count(ds.covered_bbox(), args.shards), h=args.h
-        )
-        router.ingest(head)
-    engine = ShardedQueryEngine(router)
-    backend = (
-        ProcessShardedEngine(engine, processes=args.processes)
-        if args.processes is not None
-        else engine
-    )
+        engine = _resident_engine(ds, args.shards, args.h, head, processes=args.processes)
+        router = engine.router
     subscriptions = None
     if args.subscriptions:
         from repro.query.subscriptions import registry_for
 
-        subscriptions = registry_for(backend)
+        subscriptions = registry_for(engine)
     service = EngineQueryService(
-        backend, method=args.method, subscriptions=subscriptions
+        engine, method=args.method, subscriptions=subscriptions
     )
     server = AsyncQueryServer(service, port=args.port)
     stop_trickle = None
@@ -210,7 +210,7 @@ def _serve_network(args: argparse.Namespace) -> int:
     if args.processes is not None:
         mode = f"{args.processes} worker process(es)"
         if not router.prefix_exportable:
-            # ProcessPlanExecutor refuses every plan and the engine
+            # The engine's pool refuses every plan and the engine
             # answers it in-process: say so, the answers will not.
             mode += (
                 " idle: the durable tier exports no shard prefixes, "
@@ -252,7 +252,7 @@ def _serve_network(args: argparse.Namespace) -> int:
     finally:
         if stop_trickle is not None:
             stop_trickle.set()
-        backend.close()
+        engine.close()
         if args.data_dir is not None:
             router.close()
     return 0
@@ -399,21 +399,12 @@ def _cmd_shards(args: argparse.Namespace) -> int:
     adaptive rebalancer act between workload rounds."""
     import numpy as np
 
-    from repro.data.lausanne import LausanneConfig, generate_lausanne_dataset
-    from repro.geo.region import RegionGrid
     from repro.query.base import QueryBatch
-    from repro.query.sharded import ShardedQueryEngine
-    from repro.storage.shards import ShardRouter
 
-    ds = generate_lausanne_dataset(
-        LausanneConfig(days=args.days, seed=args.seed, target_tuples=0)
-    )
+    ds = _dataset(args)
     bounds = ds.covered_bbox()
-    router = ShardRouter(
-        RegionGrid.for_shard_count(bounds, args.shards), h=args.h
-    )
-    router.ingest(ds.tuples)
-    engine = ShardedQueryEngine(router)
+    engine = _resident_engine(ds, args.shards, args.h)
+    router = engine.router
     if args.queries:
         rng = np.random.default_rng(args.seed)
         # Query positions contracted toward the region centre by --focus
@@ -450,16 +441,10 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     """Compile one query workload, print the plan, run it, print timings."""
     import numpy as np
 
-    from repro.data.lausanne import LausanneConfig, generate_lausanne_dataset
-    from repro.geo.region import RegionGrid
     from repro.query.base import QueryBatch
     from repro.query.pipeline.plan import PlanReport, format_plan
-    from repro.query.sharded import ShardedQueryEngine
-    from repro.storage.shards import ShardRouter
 
-    ds = generate_lausanne_dataset(
-        LausanneConfig(days=args.days, seed=args.seed, target_tuples=0)
-    )
+    ds = _dataset(args)
     tuples = ds.tuples
     bounds = ds.covered_bbox()
     anchor = args.hour * 3600.0
@@ -491,9 +476,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     if args.focus < 1.0:
         workload += f" (focused on the centre {args.focus:.0%} of the region)"
 
-    router = ShardRouter(RegionGrid.for_shard_count(bounds, args.shards), h=args.h)
-    router.ingest(tuples)
-    engine = ShardedQueryEngine(router, prune=not args.no_prune)
+    engine = _resident_engine(ds, args.shards, args.h, prune=not args.no_prune)
 
     print(f"workload: {workload} ({args.shards} shard(s), h={args.h})")
     report = PlanReport()
@@ -625,8 +608,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--processes",
         type=_positive_int,
         default=None,
-        help="execute plans on this many worker "
-        "processes over shared-memory shard exports (answers are "
+        help="give the engine a pool of this many worker processes that "
+        "runs exact plans over shared-memory shard exports (answers are "
         "byte-identical to in-process; worker crashes fall back "
         "transparently)",
     )

@@ -65,7 +65,7 @@ from repro.query.pipeline.plan import (
 )
 from repro.storage.shm import AttachedShard, ShardExportRegistry, attach_shard
 
-__all__ = ["ProcessPlanExecutor", "ProcessShardedEngine", "WorkerCrash"]
+__all__ = ["ProcessPlanExecutor", "WorkerCrash"]
 
 
 class WorkerCrash(RuntimeError):
@@ -216,7 +216,8 @@ class ProcessPlanExecutor:
     """Executes sharded plans on a persistent process pool.
 
     ``engine`` is the owning
-    :class:`~repro.query.sharded.ShardedQueryEngine` — the process path
+    :class:`~repro.query.sharded.ShardedQueryEngine` (built with
+    ``processes=N``, it holds one as ``engine.pool``) — the process path
     reads its router for shard prefixes, starts workers with its radius,
     answers ``model-cover`` plans, and its serial
     executor is the crash-recovery fallback.  Thread-safe.
@@ -434,57 +435,3 @@ class ProcessPlanExecutor:
         if worker is not None:
             worker.kill()
 
-
-class ProcessShardedEngine:
-    """The three web-interface request shapes on the process pool.
-
-    A thin facade pairing a :class:`~repro.query.sharded.ShardedQueryEngine`
-    (which compiles the plans and owns the crash-recovery fallback) with a
-    :class:`ProcessPlanExecutor` (which runs them).  Answers are
-    byte-identical to calling the sharded engine directly.
-    """
-
-    def __init__(
-        self,
-        engine,
-        processes: int = 2,
-        timeout_s: float = 120.0,
-    ) -> None:
-        self.engine = engine
-        self.executor = ProcessPlanExecutor(
-            engine, processes=processes, timeout_s=timeout_s
-        )
-
-    def close(self) -> None:
-        self.executor.close()
-        self.engine.close()
-
-    def __enter__(self) -> "ProcessShardedEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def continuous_query_batch(
-        self, queries, method: str = "naive"
-    ) -> BatchResult:
-        batch = (
-            queries
-            if isinstance(queries, QueryBatch)
-            else QueryBatch.from_queries(queries)
-        )
-        if not len(batch) or method == "model-cover":  # answered in this process
-            return self.engine.continuous_query_batch(batch, method=method)
-        return self.executor.execute(self.engine.plan(batch, method))
-
-    def point_query(self, t: float, x: float, y: float, method: str = "naive"):
-        batch = QueryBatch(np.array([t]), np.array([x]), np.array([y]))
-        return self.continuous_query_batch(batch, method=method).result(0)
-
-    def heatmap_grid(
-        self, t: float, bounds, nx: int = 40, ny: int = 30, method: str = "naive"
-    ) -> np.ndarray:
-        probes = QueryBatch.from_grid(
-            t, bounds.min_x, bounds.min_y, bounds.width, bounds.height, nx, ny
-        )
-        return self.continuous_query_batch(probes, method=method).grid(ny, nx)

@@ -154,11 +154,16 @@ def cover_runs(windows: np.ndarray, owners: np.ndarray, n_shards: int):
 class ShardedQueryEngine:
     """Scatter-gather query engine over a region-sharded tuple store.
 
-    Exact plans run their blocked gather in the calling thread — for
-    cores on one exact request, run it through
-    :class:`~repro.query.pipeline.parallel.ProcessShardedEngine`.
-    ``model-cover`` requests are answered by :meth:`cached_point` and
-    :meth:`cached_route`, in the calling thread too.
+    Given ``processes=N``, the engine owns a pool of N worker processes
+    (:attr:`pool`, a
+    :class:`~repro.query.pipeline.parallel.ProcessPlanExecutor`) that
+    runs the exact plans of the three request modes —
+    :meth:`continuous_query_batch`, :meth:`point_query`,
+    :meth:`heatmap_grid` — byte-identically; without it, and for
+    :meth:`execute` always, exact plans run their blocked gather in the
+    calling thread.  ``model-cover`` requests are answered by
+    :meth:`cached_point` and :meth:`cached_route`, in the calling thread
+    too.  :meth:`close` stops the pool.
     """
 
     DEFAULT_CACHE_CAPACITY = 128
@@ -170,6 +175,7 @@ class ShardedQueryEngine:
         config: Optional[AdKMNConfig] = None,
         cache_capacity: int = DEFAULT_CACHE_CAPACITY,
         prune: bool = True,
+        processes: Optional[int] = None,
     ) -> None:
         if radius_m < 0:
             raise ValueError("radius must be non-negative")
@@ -205,6 +211,14 @@ class ShardedQueryEngine:
         self._lane_hits = {"point": 0, "route": 0}
         self._lane_declines: Dict[tuple, int] = {}
         self._lane_lock = threading.Lock()
+        #: The worker pool the request modes' exact plans run on, or None.
+        #: Imported only here: an engine without one never loads
+        #: multiprocessing or the shared-memory exports.
+        self.pool = None
+        if processes is not None:
+            from repro.query.pipeline.parallel import ProcessPlanExecutor
+
+            self.pool = ProcessPlanExecutor(self, processes=processes)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -248,8 +262,10 @@ class ShardedQueryEngine:
         return self._prune_stats
 
     def close(self) -> None:
-        """Nothing to release: the engine holds no threads or processes
-        (its process-pool wrapper does)."""
+        """Stop the pool's workers and unlink its shared-memory exports;
+        without a pool there is nothing to release."""
+        if self.pool is not None:
+            self.pool.close()
 
     def __enter__(self) -> "ShardedQueryEngine":
         return self
@@ -334,7 +350,8 @@ class ShardedQueryEngine:
         queries: Sequence[QueryTuple] | QueryBatch,
         method: str = "naive",
     ) -> BatchResult:
-        """Columnar continuous-query mode, results in stream order."""
+        """Columnar continuous-query mode, results in stream order; an
+        exact plan runs on the pool when the engine has one."""
         check_method(method)
         batch = (
             queries
@@ -347,7 +364,7 @@ class ShardedQueryEngine:
             )
         for attempt in range(3):
             try:
-                return self.execute(self.plan(batch, method))
+                return (self.pool or self).execute(self.plan(batch, method))
             except StaleLayoutError:
                 # A model-cover plan pins its slices as it runs: a
                 # re-cut since its binding was pinned re-pins, as a

@@ -50,9 +50,9 @@ Every pass pins the same thing: an ``(epoch, binding)`` pair over the
 plan pipeline's one snapshot binding,
 :class:`~repro.query.pipeline.binding.RouterBinding`, read by one view.
 :class:`SubscriptionRegistry` holds the
-:class:`~repro.query.sharded.ShardedQueryEngine` itself;
-:func:`registry_for` also unwraps anything that wraps one as
-``.engine`` (the process executor).  The one front end,
+:class:`~repro.query.sharded.ShardedQueryEngine` itself and runs its
+plans through the engine's in-process ``execute`` — never its process
+pool, when it owns one.  The one front end,
 :class:`~repro.server.async_server.EngineQueryService`, carries a
 registry as its ``subscriptions`` and wakes it from its ``ingest``.
 The binding is an
@@ -337,16 +337,9 @@ class _View:
 
 
 def registry_for(target) -> "SubscriptionRegistry":
-    """A registry over a :class:`ShardedQueryEngine` or anything that
-    wraps one as ``.engine`` (``ProcessShardedEngine``) — subscription
-    maintenance always runs against the in-process engine; plan
-    execution for interactive requests keeps whatever wrapper the caller
-    serves from.
-    """
-    if not isinstance(target, ShardedQueryEngine) and isinstance(
-        getattr(target, "engine", None), ShardedQueryEngine
-    ):
-        target = target.engine
+    """A registry over a :class:`ShardedQueryEngine`.  Maintenance runs
+    its plans through the engine's in-process :meth:`execute`, so an
+    engine with a process pool sends the pool nothing from here."""
     if not isinstance(target, ShardedQueryEngine):
         raise TypeError(f"no subscription backend for {type(target).__name__}")
     return SubscriptionRegistry(target)

@@ -77,9 +77,8 @@ many threads as the loop's default executor would start) with the
 connection's reading paused — one request in flight per
 connection, so pipelined answers keep request order — so a slow Ad-KMN
 fit never stalls the accept loop or a cached answer, and — when the
-engine is a
-:class:`~repro.query.pipeline.parallel.ProcessShardedEngine` — the
-exact methods' compute escapes the GIL onto the worker processes
+engine owns a process pool (``ShardedQueryEngine(..., processes=N)``) —
+the exact methods' compute escapes the GIL onto the worker processes
 entirely.  A
 client that stops reading its answers stops being served
 (``pause_writing``/``resume_writing``, the back-pressure ``drain()``
@@ -390,11 +389,10 @@ class EngineQueryService:
     """The one service over the one query engine: the paper's protocol
     in process, the web ``modes`` on the socket.
 
-    ``engine`` is a :class:`~repro.query.sharded.ShardedQueryEngine`, or
-    a wrapper running its plans elsewhere
-    (:class:`~repro.query.pipeline.parallel.ProcessShardedEngine`); the
-    protocol and :meth:`ingest` run on the in-process engine (the
-    wrapper's ``engine``).  ``method`` is how the web modes answer; the
+    ``engine`` is a :class:`~repro.query.sharded.ShardedQueryEngine`;
+    the web modes' exact plans run on its process pool when it owns one,
+    while the protocol, :meth:`ingest` and the event-loop lanes run in
+    this process either way.  ``method`` is how the web modes answer; the
     protocol always answers from covers.  ``validity_horizon_s`` is how
     far past its slice's data a served cover is valid (its ``t_n``):
     four hours, the paper's largest evaluation window, by default.
@@ -411,9 +409,6 @@ class EngineQueryService:
         validity_horizon_s: float = 4.0 * 3600.0,
     ) -> None:
         self.engine = engine
-        # The in-process engine: the wrapper's ``engine``, else itself —
-        # what the protocol, ingest and the event-loop lanes run on.
-        self._local = getattr(engine, "engine", engine)
         self.method = method
         self.subscriptions = subscriptions
         self.validity_horizon_s = validity_horizon_s
@@ -424,7 +419,7 @@ class EngineQueryService:
     def _require_data(self) -> None:
         # The row count only grows, so a store that holds rows here
         # still holds them when the answer's binding is pinned.
-        if not self._local.router.global_count():
+        if not self.engine.router.global_count():
             raise HttpError(503, "no data yet")
 
     # -- ingestion -------------------------------------------------------------
@@ -434,7 +429,7 @@ class EngineQueryService:
         router's ingest (a batch breaking its contract raises
         ``ValueError`` and changes nothing), then one wake-up of the
         subscription registry when rows arrived."""
-        n = sum(self._local.router.ingest(batch))
+        n = sum(self.engine.router.ingest(batch))
         if n and self.subscriptions is not None:
             self.subscriptions.notify_ingest()
         return n
@@ -457,7 +452,7 @@ class EngineQueryService:
                 f"no rows in the slice owning ({request.x}, {request.y}) "
                 f"at t={request.t}"
             )
-        engine = self._local
+        engine = self.engine
         cover = cached_cover(engine.processor_cache, engine.config, s, c, bound).cover
         return dataclasses.replace(cover, valid_until=float(rows.t[-1]) + self.validity_horizon_s)
 
@@ -487,7 +482,7 @@ class EngineQueryService:
 
     def handle_many_with_epoch(self, requests: Sequence) -> Tuple[List, int]:
         """:meth:`handle_many` plus the pinned epoch."""
-        engine = self._local
+        engine = self.engine
         binding = engine.binding()
         responses: List[Any] = [None] * len(requests)
         queries: List[int] = []
@@ -542,7 +537,7 @@ class EngineQueryService:
         (the server asks on its event-loop thread, before the mode's
         handler): for a ``model-cover`` service, a valid point query
         whose cover — or, for an empty owner slice, whose window's rows
-        — the in-process engine's ``cached_point`` finds cached, or a
+        — the engine's ``cached_point`` finds cached, or a
         valid route that its ``cached_route`` finds cached in the same
         way.  Else ``None``.  The body is the bytes of ``json.dumps`` of
         what the mode's handler (:meth:`point`, :meth:`continuous`)
@@ -556,16 +551,16 @@ class EngineQueryService:
         # enter the lane, and keep their whole cost off the loop.
         if self.method != "model-cover":
             return None
-        local = self._local
+        engine = self.engine
         if mode == "point":
-            result = local.cached_point(
+            result = engine.cached_point(
                 _number(params, "t"), _number(params, "x"), _number(params, "y"), self.method
             )
             return None if result is None else _point_body(result)
         if mode != "continuous" or not _lane_sized(params):
             return None
         batch = _route_batch(params)
-        result = local.cached_route(batch, method=self.method)
+        result = engine.cached_route(batch, method=self.method)
         if result is None:
             params[_ROUTE_BATCH] = batch
             return None

@@ -6,10 +6,13 @@ path — at any worker count, from any number of threads — and any worker
 failure (including ``kill -9`` mid-request) degrades to a correct
 in-process answer rather than an error.  A ``model-cover`` plan is
 answered in the parent by the engine's own lanes, never on a worker.
-The module leaves nothing behind: its pools close every descriptor,
-thread and shared-memory block they opened, killed workers included —
-and a ``cli serve --processes`` server killed with SIGKILL leaves no
-block and no worker behind it either.
+The pool is the engine's: ``ShardedQueryEngine(..., processes=N)`` runs
+its request modes' exact plans on it, keeps subscription maintenance
+off it, and stops it on ``close``; an engine without one never imports
+this module.  The module leaves nothing behind: its pools close every
+descriptor, thread and shared-memory block they opened, killed workers
+included — and a ``cli serve --processes`` server killed with SIGKILL
+leaves no block and no worker behind it either.
 """
 
 import http.client
@@ -32,8 +35,9 @@ from repro.geo.region import RegionGrid
 from repro.query.base import QueryBatch
 from repro.query.indexed import available_index_kinds
 from repro.query.pipeline import parallel
-from repro.query.pipeline.parallel import ProcessPlanExecutor, ProcessShardedEngine
+from repro.query.pipeline.parallel import ProcessPlanExecutor
 from repro.query.sharded import ShardedQueryEngine
+from repro.query.subscriptions import registry_for
 from repro.storage.shards import ShardRouter
 from repro.storage.shm import ShardExport
 
@@ -55,7 +59,7 @@ H = 500
 def module_leak_check():
     """Open descriptors, running threads and the shared-memory export
     blocks this module created are back at baseline once its pools —
-    the ``params=[1, 2, 3]`` fixtures and every test's own, the
+    the ``params=[1, 2, 3]`` engine's and every test's own, the
     worker-kill cases included — are closed.  The resource tracker's
     pipe lives for the session, so it is started before counting;
     nothing is checked where ``/proc`` is absent."""
@@ -97,10 +101,13 @@ def sharded(small_dataset):
 
 
 @pytest.fixture(scope="module", params=[1, 2, 3])
-def pexec(sharded, request):
-    executor = ProcessPlanExecutor(sharded, processes=request.param, timeout_s=120.0)
-    yield executor
-    executor.close()
+def pooled(small_dataset, request):
+    """The module's one pooled engine per worker count, shared by the
+    tests that leave its pool as they found it; ``pooled.pool`` is its
+    executor."""
+    engine = ShardedQueryEngine(_router(small_dataset), processes=request.param)
+    yield engine
+    engine.close()
 
 
 def _heatmap(dataset, nx, ny):
@@ -123,43 +130,46 @@ def _assert_identical(serial, parallel):
     assert serial.values.tobytes() == parallel.values.tobytes()
 
 
+def _no_dispatch(*args):
+    raise AssertionError("a plan was sent to a worker")
+
+
+def _stream(dataset, n=60):
+    tuples = dataset.tuples
+    picks = np.linspace(0, len(tuples) - 1, n).astype(int)
+    return QueryBatch(tuples.t[picks], tuples.x[picks] + 40.0, tuples.y[picks] - 40.0)
+
+
 class TestByteIdentity:
-    def test_merge_shaped_naive_plan(self, sharded, pexec, probes):
-        plan = sharded.plan(probes, "naive")
-        _assert_identical(sharded.execute(plan), pexec.execute(plan))
-        assert pexec.fallbacks == 0
+    """The pool against the same engine's in-process ``execute``."""
+
+    def test_merge_shaped_naive_plan(self, pooled, probes):
+        plan = pooled.plan(probes, "naive")
+        _assert_identical(pooled.execute(plan), pooled.pool.execute(plan))
+        assert pooled.pool.fallbacks == 0
 
     def test_model_cover_plan_is_answered_in_the_parent(
-        self, sharded, pexec, probes, monkeypatch
+        self, pooled, probes, monkeypatch
     ):
-        plan = sharded.plan(probes, "model-cover")
-        expected = sharded.execute(plan)
+        plan = pooled.plan(probes, "model-cover")
+        expected = pooled.execute(plan)
+        monkeypatch.setattr(pooled.pool, "_dispatch", _no_dispatch)
+        fallbacks = dict(pooled.pool.fallback_reasons)
+        _assert_identical(expected, pooled.pool.execute(plan))
+        assert dict(pooled.pool.fallback_reasons) == fallbacks  # not a fallback
 
-        def dispatched(*args):
-            raise AssertionError("a model-cover plan was sent to a worker")
+    def test_continuous_stream(self, pooled, small_dataset):
+        plan = pooled.plan(_stream(small_dataset), "naive")
+        _assert_identical(pooled.execute(plan), pooled.pool.execute(plan))
 
-        monkeypatch.setattr(pexec, "_dispatch", dispatched)
-        fallbacks = dict(pexec.fallback_reasons)
-        _assert_identical(expected, pexec.execute(plan))
-        assert dict(pexec.fallback_reasons) == fallbacks  # not a fallback
-
-    def test_continuous_stream(self, sharded, pexec, small_dataset):
-        tuples = small_dataset.tuples
-        picks = np.linspace(0, len(tuples) - 1, 60).astype(int)
-        stream = QueryBatch(
-            tuples.t[picks], tuples.x[picks] + 40.0, tuples.y[picks] - 40.0
-        )
-        plan = sharded.plan(stream, "naive")
-        _assert_identical(sharded.execute(plan), pexec.execute(plan))
-
-    def test_repeated_execution_is_stable(self, sharded, pexec, probes):
-        plan = sharded.plan(probes, "naive")
-        first = pexec.execute(plan)
-        second = pexec.execute(plan)
+    def test_repeated_execution_is_stable(self, pooled, probes):
+        plan = pooled.plan(probes, "naive")
+        first = pooled.pool.execute(plan)
+        second = pooled.pool.execute(plan)
         assert first.values.tobytes() == second.values.tobytes()
 
-    def test_every_plan_above_ran_on_the_workers(self, pexec):
-        assert pexec.fallbacks == 0 and not pexec.fallback_reasons
+    def test_every_plan_above_ran_on_the_workers(self, pooled):
+        assert pooled.pool.fallbacks == 0 and not pooled.pool.fallback_reasons
 
 
 class TestChunks:
@@ -445,46 +455,127 @@ class TestCrashRecovery:
             assert executor.fallbacks == 1
 
 
-class TestProcessShardedEngine:
-    def test_three_request_shapes(self, small_dataset):
-        engine = ShardedQueryEngine(_router(small_dataset))
-        oracle = ShardedQueryEngine(_router(small_dataset))
+class TestEnginePool:
+    """``ShardedQueryEngine(..., processes=N)`` owns its pool: the request
+    modes' exact plans run on it, maintenance and ``execute`` do not."""
+
+    def test_three_request_shapes(self, pooled, sharded, small_dataset, monkeypatch):
+        """Point, heatmap and route answers are the in-process engine's,
+        byte for byte, and each was run on the workers."""
         bounds = small_dataset.covered_bbox()
         t = float(small_dataset.tuples.t[2000])
-        with ProcessShardedEngine(engine, processes=2) as facade:
-            point = facade.point_query(t, 2000.0, 1500.0)
-            expected_point = oracle.point_query(t, 2000.0, 1500.0)
-            assert point.value == expected_point.value
-            assert point.support == expected_point.support
+        sent = []
+        dispatch = pooled.pool._dispatch
 
-            grid = facade.heatmap_grid(t, bounds, nx=8, ny=6)
-            expected_grid = oracle.heatmap_grid(t, bounds, nx=8, ny=6)
-            assert grid.tobytes() == expected_grid.tobytes()
+        def counted(plan, requests):
+            sent.append(plan.n_queries)
+            return dispatch(plan, requests)
 
-            empty = facade.continuous_query_batch(QueryBatch(
-                np.empty(0), np.empty(0), np.empty(0)
-            ))
-            assert len(empty) == 0
-        oracle.close()
+        monkeypatch.setattr(pooled.pool, "_dispatch", counted)
+        point = pooled.point_query(t, 2000.0, 1500.0)
+        expected_point = sharded.point_query(t, 2000.0, 1500.0)
+        assert np.float64(point.value).tobytes() == np.float64(expected_point.value).tobytes()
+        assert point.support == expected_point.support
 
-    @pytest.fixture(scope="class")
-    def facade(self, small_dataset):
-        with ProcessShardedEngine(
-            ShardedQueryEngine(_router(small_dataset)), processes=1
-        ) as facade:
-            yield facade
+        grid = pooled.heatmap_grid(t, bounds, nx=8, ny=6)
+        assert grid.tobytes() == sharded.heatmap_grid(t, bounds, nx=8, ny=6).tobytes()
+
+        route = _stream(small_dataset)
+        _assert_identical(
+            sharded.continuous_query_batch(route), pooled.continuous_query_batch(route)
+        )
+        assert sent == [1, 8 * 6, len(route)]
+        assert pooled.pool.fallbacks == 0
+
+        empty = pooled.continuous_query_batch(QueryBatch(
+            np.empty(0), np.empty(0), np.empty(0)
+        ))
+        assert len(empty) == 0
 
     @pytest.mark.parametrize("kind", available_index_kinds())
-    def test_an_index_kind_is_refused_in_the_parent(self, facade, probes, kind):
+    def test_an_index_kind_is_refused_in_the_parent(
+        self, pooled, probes, kind, monkeypatch
+    ):
         """An index kind gets the engine's unknown-method error, for an
-        empty batch (answered in this process) and a heatmap (planned
-        for the workers) alike, and nothing is exported to a worker."""
+        empty batch and a heatmap alike, and nothing is exported to a
+        worker."""
+        monkeypatch.setattr(pooled.pool, "_dispatch", _no_dispatch)
+        exports = dict(pooled.pool.registry._exports)
         empty = QueryBatch(np.empty(0), np.empty(0), np.empty(0))
         for batch in (empty, probes):
             with pytest.raises(ValueError, match=f"unknown method {kind!r}"):
-                facade.continuous_query_batch(batch, kind)
-        assert not facade.executor.registry._exports
-        assert facade.executor.fallbacks == 0
+                pooled.continuous_query_batch(batch, kind)
+        assert pooled.pool.registry._exports == exports
+        assert pooled.pool.fallbacks == 0
+
+    def test_maintenance_sends_nothing_to_the_pool(self, small_dataset):
+        """A registry over a pooled engine registers, maintains and
+        re-executes in process: no worker starts, nothing is exported."""
+        tuples = small_dataset.tuples
+        cut = len(tuples) * 3 // 4
+        router = ShardRouter(
+            RegionGrid.for_shard_count(small_dataset.covered_bbox(), 4), h=H
+        )
+        router.ingest(tuples.slice(0, cut))
+        xm, ym = float(np.mean(tuples.x)), float(np.mean(tuples.y))
+        with ShardedQueryEngine(router, processes=2) as engine:
+            registry = registry_for(engine)
+            registry.subscribe(
+                [(xm - 300.0, ym - 300.0), (xm + 300.0, ym + 300.0)],
+                float(tuples.t[cut - 1]),
+                interval_s=60.0,
+                count=12,
+                method="naive",
+            )
+            router.ingest(tuples.slice(cut, len(tuples)))
+            assert registry.maintain(), "no update: the pass re-executed nothing"
+            assert engine.pool.fallbacks == 0
+            assert not engine.pool.registry._exports
+            assert engine.pool._workers == [None, None]
+
+    def test_close_stops_every_worker_and_unlinks_every_block(
+        self, small_dataset, probes
+    ):
+        """``engine.close()`` ends every worker the pool started and
+        unlinks every block it exported, leaving no descriptor or
+        thread."""
+        before = open_resources()
+        blocks = _export_blocks()
+        engine = ShardedQueryEngine(_router(small_dataset), processes=2)
+        engine.heatmap_grid(
+            float(probes.t[0]), small_dataset.covered_bbox(), nx=40, ny=30
+        )
+        made = _export_blocks() - blocks
+        pids = [w.process.pid for w in engine.pool._workers if w is not None]
+        assert len(pids) == 2 and made, "no worker or block: the check saw nothing"
+        engine.close()
+        assert engine.pool._workers == [None, None]
+        assert not [pid for pid in pids if not _exited(pid)]
+        assert not [name for name in made if os.path.exists(f"/dev/shm/{name}")]
+        del engine
+        assert_released(before)
+
+
+def test_an_engine_without_a_pool_never_imports_it():
+    """An in-process engine, its subscription registry and the service
+    over them leave the process path — and multiprocessing and the
+    shared-memory exports with it — unloaded."""
+    code = (
+        "import sys\n"
+        "from repro.query.sharded import ShardedQueryEngine\n"
+        "from repro.query.subscriptions import registry_for\n"
+        "from repro.server.async_server import EngineQueryService\n"
+        "from repro.storage.shards import single_shard_router\n"
+        "with ShardedQueryEngine(single_shard_router(240)) as engine:\n"
+        "    EngineQueryService(engine, subscriptions=registry_for(engine))\n"
+        "print(sorted(m for m in ('repro.query.pipeline.parallel',\n"
+        "    'repro.storage.shm', 'multiprocessing') if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def _children(pid: int) -> list:

@@ -709,7 +709,8 @@ class TestCachedPoint:
         unsplit or at the split layout — never one tile's cover for
         another tile's point.  The readers dawdle around their stamp
         read, which is where a whole re-cut (and the warmer's re-fit)
-        has to land for an unvalidated probe to mix layouts."""
+        has to land for an unvalidated probe to mix layouts.  Whatever a
+        thread raises fails the test, with the thread it came from."""
         router = _lane_router(small_batch)
         window = small_batch.slice(10 * _LANE_H, 11 * _LANE_H)  # sealed
         owners = router.route(window)
@@ -726,7 +727,7 @@ class TestCachedPoint:
         router.merge_cell(cell)
         assert any(len(answers) == 2 for answers in valid)  # layouts differ
         stop = threading.Event()
-        wrong, hits = [], [0]
+        wrong, hits, raised = [], [0], []
         read_stamp = router.shard_window_epoch
 
         def dawdling_stamp(shard, c):
@@ -739,6 +740,17 @@ class TestCachedPoint:
 
         monkeypatch.setattr(router, "shard_window_epoch", dawdling_stamp)
 
+        def recording(loop):
+            def run():
+                try:
+                    loop()
+                except BaseException as exc:
+                    raised.append((threading.current_thread().name, exc))
+                    stop.set()
+
+            return run
+
+        @recording
         def recut():
             while not stop.is_set():
                 router.split_shard(s)
@@ -746,6 +758,7 @@ class TestCachedPoint:
                 router.merge_cell(cell)
                 time.sleep(0.002)
 
+        @recording
         def warm():
             while not stop.is_set():
                 for p in probes:
@@ -756,6 +769,7 @@ class TestCachedPoint:
 
         route = QueryBatch(*(np.array(column) for column in zip(*probes)))
 
+        @recording
         def read():
             while not stop.is_set():
                 for answers, p in zip(valid, probes):
@@ -774,8 +788,8 @@ class TestCachedPoint:
                             wrong.append((p, value))
 
         threads = [
-            threading.Thread(target=recut, daemon=True),
-            threading.Thread(target=warm, daemon=True),
+            threading.Thread(target=recut, daemon=True, name="recut"),
+            threading.Thread(target=warm, daemon=True, name="warm"),
             *(
                 threading.Thread(target=read, daemon=True, name="lane-reader")
                 for _ in range(3)
@@ -786,16 +800,25 @@ class TestCachedPoint:
         try:
             for th in threads:
                 th.start()
+            # At least 0.8 s of racing, then until a reader has checked a
+            # lane hit: a run whose every lane read lost to a re-cut (it
+            # happens, rarely) has checked nothing yet.
             time.sleep(0.8)
+            deadline = time.monotonic() + 20.0
+            while not hits[0] and not stop.is_set() and time.monotonic() < deadline:
+                time.sleep(0.05)
         finally:
             stop.set()
             for th in threads:
                 th.join(timeout=30.0)
             sys.setswitchinterval(interval)
             engine.close()
-        assert not any(th.is_alive() for th in threads)
-        assert wrong == []
-        assert hits[0] > 0
+        assert not raised, f"a thread raised: {raised}"
+        assert not [th.name for th in threads if th.is_alive()], "a thread did not join"
+        assert not wrong, f"lane answers at neither layout: {wrong[:5]}"
+        assert hits[0] > 0, (
+            f"no lane hit: the readers checked nothing (declines: {dict(engine.lane_declines)})"
+        )
 
 
 # -- the multi-row lane ---------------------------------------------------------

@@ -21,7 +21,6 @@ import pytest
 from repro.geo.coords import BoundingBox
 from repro.geo.region import RegionGrid
 import repro.query.sharded as sharded_module
-from repro.query.pipeline.parallel import ProcessShardedEngine
 import repro.query.continuous as continuous_module
 import repro.server.async_server as async_module
 from repro.query.sharded import CACHED_ROUTE_MAX_ROWS, ShardedQueryEngine
@@ -328,7 +327,8 @@ class TestWebSocket:
 
 
 class TestEngineBackends:
-    """The same network front end over the sharded / process engines."""
+    """The same network front end over an engine with and without a
+    process pool."""
 
     @pytest.fixture(scope="class", autouse=True)
     def _resource_tracker(self):
@@ -337,21 +337,21 @@ class TestEngineBackends:
         leak check counts."""
         resource_tracker.ensure_running()
 
-    def test_process_engine_answers_match_in_process_engine(self, small_dataset):
-        def build_engine():
+    def test_pooled_engine_answers_match_in_process_engine(self, small_dataset):
+        def build_engine(processes=None):
             router = ShardRouter(
                 RegionGrid.for_shard_count(small_dataset.covered_bbox(), 4),
                 h=500,
             )
             router.ingest(small_dataset.tuples)
-            return ShardedQueryEngine(router)
+            return ShardedQueryEngine(router, processes=processes)
 
         oracle = build_engine()
         t = float(small_dataset.tuples.t[2000])
         bounds = small_dataset.covered_bbox()
         box = [bounds.min_x, bounds.min_y, bounds.max_x, bounds.max_y]
-        with ProcessShardedEngine(build_engine(), processes=2) as facade:
-            with BackgroundServer(EngineQueryService(facade)) as served:
+        with build_engine(processes=2) as pooled:
+            with BackgroundServer(EngineQueryService(pooled)) as served:
                 _, point = _post(
                     served.port,
                     "/query/point",
@@ -362,7 +362,7 @@ class TestEngineBackends:
                     "/query/heatmap",
                     {"t": t, "bounds": box, "nx": 6, "ny": 4},
                 )
-                assert facade.executor.fallbacks == 0
+                assert pooled.pool.fallbacks == 0
         expected_point = oracle.point_query(t, 2000.0, 1500.0)
         assert point["value"] == pytest.approx(expected_point.value)
         assert point["support"] == expected_point.support

@@ -24,7 +24,6 @@ from repro.geo.coords import BoundingBox
 from repro.geo.region import RegionGrid
 from repro.query.base import QueryBatch
 from repro.query.pipeline.binding import RouterBinding
-from repro.query.pipeline.parallel import ProcessShardedEngine
 from repro.query.sharded import ShardedQueryEngine
 from repro.storage import fsio
 from repro.storage.segments import SegmentCorrupt, decode_segment, encode_segment
@@ -705,19 +704,23 @@ class TestBoundedResidency:
             reopened.close()
 
     def test_process_front_end_falls_back_and_matches(self, tmp_path):
-        """`prefix_exportable = False` routes the process executor to its
-        in-process fallback — answers must still be byte-identical."""
+        """`prefix_exportable = False` routes the engine's pool to its
+        counted in-process fallback — answers must still be
+        byte-identical, and no worker starts."""
         stream = make_stream(1500, seed=9)
         tiered, plain = make_pair(tmp_path, stream, h=150, cap=3)
-        hot = ShardedQueryEngine(tiered, radius_m=RADIUS_M)
+        hot = ShardedQueryEngine(tiered, radius_m=RADIUS_M, processes=2)
         cold = ShardedQueryEngine(plain, radius_m=RADIUS_M)
         try:
             queries = probe_queries(stream, n=40, seed=12)
-            with ProcessShardedEngine(hot, processes=2) as facade:
-                assert_same_answers(
-                    facade.continuous_query_batch(queries),
-                    cold.continuous_query_batch(queries),
-                )
+            assert_same_answers(
+                hot.continuous_query_batch(queries),
+                cold.continuous_query_batch(queries),
+            )
+            assert dict(hot.pool.fallback_reasons) == {
+                "router does not export contiguous shard prefixes": 1
+            }
+            assert hot.pool._workers == [None, None]
         finally:
             hot.close()
             cold.close()

@@ -62,12 +62,7 @@ def _fresh(kind, batch, bbox):
         return ShardedQueryEngine(router)
     srv = protocol_service(h=H)
     srv.ingest(batch)
-    return srv
-
-
-def _extend(kind, backend, batch, hi):
-    """Grow ``backend`` to the first ``hi`` rows of ``batch``."""
-    grow(getattr(backend, "engine", backend), batch, hi)
+    return srv.engine
 
 
 def _reference(kind, batch, hi, bbox, query_batch, method):
@@ -199,10 +194,10 @@ class TestRegistryBasics:
         with pytest.raises(KeyError):
             reg.poll(sub.id)
 
-    def test_registry_for_unwraps_wrappers(self, small_batch):
+    def test_registry_for_takes_an_engine(self, small_batch):
         server = protocol_service(h=H)
         server.ingest(small_batch)
-        registry = registry_for(server)
+        registry = registry_for(server.engine)
         assert isinstance(registry, SubscriptionRegistry)
         sub = registry.subscribe(
             _route_near(small_batch), float(small_batch.t[1000]), method=server.method
@@ -213,6 +208,8 @@ class TestRegistryBasics:
         np.testing.assert_array_equal(values, want.values)
         with pytest.raises(TypeError):
             registry_for(object())
+        with pytest.raises(TypeError):  # a service is not unwrapped
+            registry_for(server)
 
 
 class TestMaintenancePruning:
@@ -324,7 +321,7 @@ class TestReplayOracle:
         step = (len(batch) - cut + 3) // 4
         for hi in range(cut + step, len(batch) + step, step):
             hi = min(hi, len(batch))
-            _extend(kind, backend, batch, hi)
+            grow(backend, batch, hi)
             reg.maintain()
             for s in subs:
                 collected[s.id].extend(reg.poll(s.id, maintain=False))
@@ -364,7 +361,7 @@ class TestReplayOracle:
             n = cut
             while n < len(batch):
                 n = min(n + 251, len(batch))
-                _extend(kind, backend, batch, n)
+                grow(backend, batch, n)
 
         writer = threading.Thread(target=write)
         writer.start()
