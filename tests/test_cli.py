@@ -412,6 +412,145 @@ class TestServeMethod:
         assert "2 worker process(es);" in out and "idle" not in out
 
 
+_NAIVE_LANE = "method naive (no cached lane: every query takes the executor)"
+_IDLE_POOL = (
+    "2 worker process(es) idle: the durable tier exports no shard prefixes, "
+    "every plan runs in-process"
+)
+
+
+class TestServeOutputIsPinned:
+    """The exact start-up text and exit status of ``serve`` for each way
+    of putting the stack together, with no port bound."""
+
+    @pytest.fixture(autouse=True)
+    def no_socket(self, monkeypatch):
+        from repro.server.async_server import AsyncQueryServer
+
+        async def serve_nothing(self):
+            pass
+
+        monkeypatch.setattr(AsyncQueryServer, "start", _bind_nothing)
+        monkeypatch.setattr(AsyncQueryServer, "serve_forever", serve_nothing)
+
+    @staticmethod
+    def _serve(capsys, *flags):
+        rc = main(["serve", "--port", "8765", *flags])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        return rc, captured.out
+
+    @pytest.mark.parametrize(
+        "flags, line",
+        [
+            ([], f"6024 tuples over 1 shard(s), in-process; {_NAIVE_LANE}"),
+            (
+                ["--processes", "2", "--shards", "4"],
+                f"6024 tuples over 4 shard(s), 2 worker process(es); {_NAIVE_LANE}",
+            ),
+            (
+                ["--method", "model-cover", "--subscriptions"],
+                "5422 tuples over 1 shard(s), in-process, standing subscriptions "
+                "on /ws (602 tuple(s) trickling live); method model-cover (cached "
+                "point queries and routes of up to 128 updates answered on the "
+                "event loop)",
+            ),
+        ],
+    )
+    def test_resident(self, capsys, flags, line):
+        assert self._serve(capsys, *flags) == (
+            0,
+            f"serving {line}; http://127.0.0.1:8765 (Ctrl-C to stop)\n",
+        )
+
+    def test_durable_then_recovered(self, capsys, tmp_path):
+        tier = tmp_path / "tier"
+        flags = ["--processes", "2", "--data-dir", str(tier)]
+        serving = (
+            f"serving 6024 tuples over 1 shard(s), {_IDLE_POOL}, durable tier "
+            f"at {tier}; {_NAIVE_LANE}; http://127.0.0.1:8765 (Ctrl-C to stop)\n"
+        )
+        assert self._serve(capsys, *flags) == (0, serving)
+        recovered = (
+            f"recovered 6024 tuple(s) from {tier} (25 sealed window(s)); "
+            "skipping dataset ingest\n"
+        )
+        assert self._serve(capsys, *flags) == (0, recovered + serving)
+
+    def test_memory_windows_without_a_data_dir_exits_2_before_any_work(
+        self, capsys, monkeypatch
+    ):
+        import repro.data.lausanne as lausanne
+
+        monkeypatch.setattr(
+            lausanne,
+            "generate_lausanne_dataset",
+            lambda *a, **k: pytest.fail("work started before validation"),
+        )
+        assert main(["serve", "--port", "8765", "--memory-windows", "4"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "",
+            "--memory-windows needs --data-dir\n",
+        )
+
+
+_EXPLAIN_UNPRUNED = """\
+workload: 40x30 heatmap grid at hour 8.5 (focused on the centre 25% of the region) (4 shard(s), h=500)
+plan: method=model-cover queries=1200 ops=0 shape=cover pruned=0 runs=4
+  op                     context        queries    rows    observed
+  cover[model-cover]     w1/s0@e1           300     201      <ms>
+  rows[model-cover]      w1/s1@e0           300     500      <ms>
+  cover[model-cover]     w1/s2@e1           300     154      <ms>
+  cover[model-cover]     w1/s3@e1           300     145      <ms>
+  total: <ms>
+answered 1200/1200 queries; cache {'hits': 0, 'misses': 3, 'evictions': 0, 'stale': 0, 'hit_rate': 0.0}
+pruning: ops_pruned=0 ops_kept=0 (engine cumulative {'plans': 1, 'ops_pruned': 0, 'ops_kept': 0})
+
+per-shard occupancy and load:
+shard  cell     rows windows  ingested  queries  scan-units       load  flags
+    0     0     2738      13      2738      600       62400    19541.4
+    1     1        0       0         0        0           0        0.0
+    2     2     1757      13      1757      600       48000    14927.1
+    3     3     1529      13      1529      600       45300    14048.7
+skew (max/mean): rows 1.82, recent load 1.61
+"""
+
+
+class TestExplainOutputIsPinned:
+    @staticmethod
+    def _masked(capsys, argv):
+        import re
+
+        assert main(argv) == 0
+        out = re.sub(r"\d+\.\d+ms", "<ms>", capsys.readouterr().out)
+        return "".join(line.rstrip() + "\n" for line in out.splitlines())
+
+    def test_unpruned_focused_heatmap(self, capsys):
+        argv = ["explain", "--shards", "4", "--focus", "0.25", "--no-prune"]
+        assert self._masked(capsys, argv) == _EXPLAIN_UNPRUNED
+
+    def test_no_prune_reaches_the_plan(self, capsys):
+        """A naive heatmap focused on 10 % of a 16-shard region: the
+        pruned plan keeps 4 of 10 ops, the unpruned one all 10."""
+        argv = ["explain", "--shards", "16", "--focus", "0.1", "--method", "naive"]
+        lean = self._masked(capsys, argv).splitlines()
+        full = self._masked(capsys, argv + ["--no-prune"]).splitlines()
+        assert lean[1] == "plan: method=naive queries=1200 ops=4 shape=merge pruned=6"
+        assert full[1] == "plan: method=naive queries=1200 ops=10 shape=merge pruned=0"
+        lean, full = (
+            [line for line in lines if line.startswith("pruning: ")]
+            for lines in (lean, full)
+        )
+        assert lean == [
+            "pruning: ops_pruned=6 ops_kept=4 "
+            "(engine cumulative {'plans': 1, 'ops_pruned': 6, 'ops_kept': 4})"
+        ]
+        assert full == [
+            "pruning: ops_pruned=0 ops_kept=10 "
+            "(engine cumulative {'plans': 1, 'ops_pruned': 0, 'ops_kept': 10})"
+        ]
+
 
 class TestImportHygiene:
     def test_every_repro_module_needs_only_numpy_beyond_the_stdlib(self):
