@@ -89,7 +89,6 @@ def sharded_day_engine(
     radius_m: float = 500.0,
     h: int | None = None,
     ingest_batch: int | None = None,
-    prune: bool = True,
 ):
     """Router + :class:`ShardedQueryEngine` over ``n_shards`` regions.
 
@@ -107,7 +106,7 @@ def sharded_day_engine(
     step = ingest_batch or len(tuples)
     for start in range(0, len(tuples), step):
         router.ingest(tuples.slice(start, min(start + step, len(tuples))))
-    return ShardedQueryEngine(router, radius_m=radius_m, prune=prune)
+    return ShardedQueryEngine(router, radius_m=radius_m)
 
 
 def shard_histogram(router) -> dict:

@@ -96,33 +96,21 @@ def _dataset(args: argparse.Namespace):
     )
 
 
-def _resident_engine(ds, shards: int, h: int, tuples=None, **options):
-    """The engine over a resident router of ``shards`` region shards on
-    ``ds``'s covered box, in ``h``-tuple windows, holding ``tuples`` (all
-    of ``ds`` by default); ``options`` go to the engine."""
-    from repro.geo.region import RegionGrid
-    from repro.query.sharded import ShardedQueryEngine
-    from repro.storage.shards import ShardRouter
-
-    router = ShardRouter(RegionGrid.for_shard_count(ds.covered_bbox(), shards), h=h)
-    router.ingest(ds.tuples if tuples is None else tuples)
-    return ShardedQueryEngine(router, **options)
-
-
 def _cmd_heatmap(args: argparse.Namespace) -> int:
     import numpy as np
 
     from repro.app.heatmap import render_ascii, render_ppm
     from repro.app.webapp import WebInterface
     from repro.geo.coords import BoundingBox
+    from repro.stack import StackConfig, build
 
     ds = _dataset(args)
     anchor = args.hour * 3600.0
     pos = min(int(np.searchsorted(ds.tuples.t, anchor)), len(ds.tuples) - 1)
     t = float(ds.tuples.t[pos])
     bounds = BoundingBox(0.0, 0.0, 6000.0, 4000.0)
-    with _resident_engine(ds, args.shards, 500) as engine:
-        web = WebInterface(engine)
+    with build(StackConfig(shards=args.shards, h=500), ds.covered_bbox(), ds.tuples) as stack:
+        web = WebInterface(stack.engine)
         if args.model_grid:
             heatmap = web.model_grid(t, bounds, nx=args.width, ny=args.height)
         else:
@@ -151,12 +139,16 @@ def _serve_network(args: argparse.Namespace) -> int:
     files on demand).  Runs until interrupted.
     """
     import asyncio
+    from dataclasses import fields
 
-    from repro.query.sharded import CACHED_ROUTE_MAX_ROWS, ShardedQueryEngine
-    from repro.server.async_server import AsyncQueryServer, EngineQueryService
+    from repro.query.sharded import CACHED_ROUTE_MAX_ROWS
+    from repro.server.async_server import AsyncQueryServer
+    from repro.stack import StackConfig, build
 
-    if args.memory_windows is not None and args.data_dir is None:
-        print("--memory-windows needs --data-dir", file=sys.stderr)
+    try:
+        config = StackConfig(**{f.name: getattr(args, f.name) for f in fields(StackConfig)})
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
     ds = _dataset(args)
     # --subscriptions holds back the tail of the dataset so a live
@@ -169,92 +161,63 @@ def _serve_network(args: argparse.Namespace) -> int:
             cut = len(ds.tuples) - holdback
             head = ds.tuples.slice(0, cut)
             tail = ds.tuples.slice(cut, len(ds.tuples))
-
-    if args.data_dir is not None:
-        from repro.geo.region import RegionGrid
-        from repro.storage.tiered import TieredShardRouter
-
-        router = TieredShardRouter(
-            RegionGrid.for_shard_count(ds.covered_bbox(), args.shards),
-            h=args.h,
-            data_dir=args.data_dir,
-            memory_windows=args.memory_windows,
-        )
-        recovered = router.global_count()
-        if recovered:
+    with build(config, ds.covered_bbox(), head) as stack:
+        if stack.recovered:
             print(
-                f"recovered {recovered} tuple(s) from {args.data_dir} "
-                f"({router.sealed_window_count()} sealed window(s)); "
+                f"recovered {stack.recovered} tuple(s) from {args.data_dir} "
+                f"({stack.router.sealed_window_count()} sealed window(s)); "
                 f"skipping dataset ingest"
             )
             tail = None  # durable state is the truth: nothing to trickle
-        else:
-            router.ingest(head)
-        engine = ShardedQueryEngine(router, processes=args.processes)
-    else:
-        engine = _resident_engine(ds, args.shards, args.h, head, processes=args.processes)
-        router = engine.router
-    subscriptions = None
-    if args.subscriptions:
-        from repro.query.subscriptions import registry_for
-
-        subscriptions = registry_for(engine)
-    service = EngineQueryService(
-        engine, method=args.method, subscriptions=subscriptions
-    )
-    server = AsyncQueryServer(service, port=args.port)
-    stop_trickle = None
-    if subscriptions is not None and tail is not None and len(tail.t):
-        stop_trickle = _start_trickle(service, tail)
-    mode = "in-process"
-    if args.processes is not None:
-        mode = f"{args.processes} worker process(es)"
-        if not router.prefix_exportable:
-            # The engine's pool refuses every plan and the engine
-            # answers it in-process: say so, the answers will not.
-            mode += (
-                " idle: the durable tier exports no shard prefixes, "
-                "every plan runs in-process"
-            )
-    tier = f", durable tier at {args.data_dir}" if args.data_dir else ""
-    subs = (
-        ", standing subscriptions on /ws"
-        f" ({len(tail.t) if tail is not None else 0} tuple(s) trickling live)"
-        if args.subscriptions
-        else ""
-    )
-    # Only model-cover answers can come from a cached cover on the loop
-    # thread (ShardedQueryEngine.cached_point / cached_route); say which
-    # case this is.
-    lane = (
-        "cached point queries and routes of up to "
-        f"{CACHED_ROUTE_MAX_ROWS} updates answered on the event loop"
-        if args.method == "model-cover"
-        else "no cached lane: every query takes the executor"
-    )
-
-    async def serve() -> None:
-        # Bind first: a client that connects when the line appears must
-        # find the port listening.
-        await server.start()
-        print(
-            f"serving {router.global_count()} tuples over {args.shards} shard(s), "
-            f"{mode}{tier}{subs}; method {args.method} ({lane}); "
-            f"http://127.0.0.1:{args.port} (Ctrl-C to stop)",
-            flush=True,
+        server = AsyncQueryServer(stack.service, port=args.port)
+        mode = "in-process"
+        if args.processes is not None:
+            mode = f"{args.processes} worker process(es)"
+            if not stack.router.prefix_exportable:
+                # The engine's pool refuses every plan and the engine
+                # answers it in-process: say so, the answers will not.
+                mode += (
+                    " idle: the durable tier exports no shard prefixes, "
+                    "every plan runs in-process"
+                )
+        tier = f", durable tier at {args.data_dir}" if args.data_dir else ""
+        subs = (
+            ", standing subscriptions on /ws"
+            f" ({len(tail.t) if tail is not None else 0} tuple(s) trickling live)"
+            if args.subscriptions
+            else ""
         )
-        await server.serve_forever()
+        # Only model-cover answers can come from a cached cover on the
+        # loop thread (ShardedQueryEngine.cached_point / cached_route);
+        # say which case this is.
+        lane = (
+            "cached point queries and routes of up to "
+            f"{CACHED_ROUTE_MAX_ROWS} updates answered on the event loop"
+            if args.method == "model-cover"
+            else "no cached lane: every query takes the executor"
+        )
 
-    try:
-        asyncio.run(serve())
-    except KeyboardInterrupt:
-        pass
-    finally:
-        if stop_trickle is not None:
-            stop_trickle.set()
-        engine.close()
-        if args.data_dir is not None:
-            router.close()
+        async def serve() -> None:
+            # Bind first: a client that connects when the line appears
+            # must find the port listening.
+            await server.start()
+            print(
+                f"serving {stack.router.global_count()} tuples over {args.shards} shard(s), "
+                f"{mode}{tier}{subs}; method {args.method} ({lane}); "
+                f"http://127.0.0.1:{args.port} (Ctrl-C to stop)",
+                flush=True,
+            )
+            await server.serve_forever()
+
+        # Only --subscriptions over a store that recovered nothing has a tail.
+        stop_trickle = None if tail is None else _start_trickle(stack.service, tail)
+        try:
+            asyncio.run(serve())
+        except KeyboardInterrupt:
+            pass
+        finally:
+            if stop_trickle is not None:
+                stop_trickle.set()
     return 0
 
 
@@ -290,7 +253,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    try:
+    with router:
         stats = router.tier_stats()
         print(
             f"recovered {router.global_count()} tuple(s): "
@@ -309,8 +272,6 @@ def _cmd_recover(args: argparse.Namespace) -> int:
                 f"removed {report['orphans_removed']} orphan(s), "
                 f"{report['tmp_removed']} temp file(s)"
             )
-    finally:
-        router.close()
     return 0
 
 
@@ -324,7 +285,7 @@ def _cmd_compact(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    try:
+    with router:
         report = router.compact(verify=args.verify)
         stats = router.tier_stats()
         print(
@@ -334,8 +295,6 @@ def _cmd_compact(args: argparse.Namespace) -> int:
         )
         if args.verify:
             print(f"verified {report['segments_verified']} segment(s)")
-    finally:
-        router.close()
     return 0
 
 
@@ -400,40 +359,39 @@ def _cmd_shards(args: argparse.Namespace) -> int:
     import numpy as np
 
     from repro.query.base import QueryBatch
+    from repro.stack import StackConfig, build
 
     ds = _dataset(args)
     bounds = ds.covered_bbox()
-    engine = _resident_engine(ds, args.shards, args.h)
-    router = engine.router
-    if args.queries:
-        rng = np.random.default_rng(args.seed)
-        # Query positions contracted toward the region centre by --focus
-        # (1.0 = uniform): the skewed read traffic whose load the table
-        # and the rebalancer observe.
-        qx = bounds.min_x + bounds.width / 2 + (
-            rng.uniform(-0.5, 0.5, args.queries) * bounds.width * args.focus
-        )
-        qy = bounds.min_y + bounds.height / 2 + (
-            rng.uniform(-0.5, 0.5, args.queries) * bounds.height * args.focus
-        )
-        qt = rng.uniform(float(ds.tuples.t[0]), float(ds.tuples.t[-1]), args.queries)
-        engine.continuous_query_batch(QueryBatch(qt, qx, qy))
-    if args.rebalance:
-        from repro.storage.rebalance import ShardRebalancer
-
-        rebalancer = ShardRebalancer(router)
-        for action in rebalancer.run(max_steps=args.rebalance):
-            detail = ""
-            if action.kind == "split":
-                detail = f"shard {action.shard} -> {list(action.new_shards)}"
-            elif action.kind == "merge":
-                detail = f"cell {action.cell} -> shard {action.shard}"
-            print(
-                f"rebalance: {action.kind} {detail} "
-                f"(skew was {action.skew:.2f})"
+    with build(StackConfig(shards=args.shards, h=args.h), bounds, ds.tuples) as stack:
+        if args.queries:
+            rng = np.random.default_rng(args.seed)
+            # Query positions contracted toward the region centre by
+            # --focus (1.0 = uniform): the skewed read traffic whose load
+            # the table and the rebalancer observe.
+            qx = bounds.min_x + bounds.width / 2 + (
+                rng.uniform(-0.5, 0.5, args.queries) * bounds.width * args.focus
             )
-    print(_format_shard_table(router))
-    engine.close()
+            qy = bounds.min_y + bounds.height / 2 + (
+                rng.uniform(-0.5, 0.5, args.queries) * bounds.height * args.focus
+            )
+            qt = rng.uniform(float(ds.tuples.t[0]), float(ds.tuples.t[-1]), args.queries)
+            stack.engine.continuous_query_batch(QueryBatch(qt, qx, qy))
+        if args.rebalance:
+            from repro.storage.rebalance import ShardRebalancer
+
+            rebalancer = ShardRebalancer(stack.router)
+            for action in rebalancer.run(max_steps=args.rebalance):
+                detail = ""
+                if action.kind == "split":
+                    detail = f"shard {action.shard} -> {list(action.new_shards)}"
+                elif action.kind == "merge":
+                    detail = f"cell {action.cell} -> shard {action.shard}"
+                print(
+                    f"rebalance: {action.kind} {detail} "
+                    f"(skew was {action.skew:.2f})"
+                )
+        print(_format_shard_table(stack.router))
     return 0
 
 
@@ -443,6 +401,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
     from repro.query.base import QueryBatch
     from repro.query.pipeline.plan import PlanReport, format_plan
+    from repro.stack import StackConfig, build
 
     ds = _dataset(args)
     tuples = ds.tuples
@@ -476,28 +435,28 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     if args.focus < 1.0:
         workload += f" (focused on the centre {args.focus:.0%} of the region)"
 
-    engine = _resident_engine(ds, args.shards, args.h, prune=not args.no_prune)
-
     print(f"workload: {workload} ({args.shards} shard(s), h={args.h})")
     report = PlanReport()
-    if args.warm:
-        # One untimed run first: covers materialise, so the
-        # printed plan shows steady-state timings.
-        engine.execute(engine.plan(batch, args.method))
-    plan = engine.plan(batch, args.method)
-    result = engine.execute(plan, report)
-    print(format_plan(plan, report))
-    print(
-        f"answered {result.n_answered}/{len(result)} queries; "
-        f"cache {engine.cache_stats.as_dict()}"
-    )
-    print(
-        f"pruning: ops_pruned={report.ops_pruned} ops_kept={report.ops_kept} "
-        f"(engine cumulative {engine.prune_stats.as_dict()})"
-    )
-    print("\nper-shard occupancy and load:")
-    print(_format_shard_table(engine.router))
-    engine.close()
+    prune = not args.no_prune
+    with build(StackConfig(shards=args.shards, h=args.h), bounds, tuples) as stack:
+        engine = stack.engine
+        if args.warm:
+            # One untimed run first: covers materialise, so the
+            # printed plan shows steady-state timings.
+            engine.execute(engine.plan(batch, args.method, prune=prune))
+        plan = engine.plan(batch, args.method, prune=prune)
+        result = engine.execute(plan, report)
+        print(format_plan(plan, report))
+        print(
+            f"answered {result.n_answered}/{len(result)} queries; "
+            f"cache {engine.cache_stats.as_dict()}"
+        )
+        print(
+            f"pruning: ops_pruned={report.ops_pruned} ops_kept={report.ops_kept} "
+            f"(engine cumulative {engine.prune_stats.as_dict()})"
+        )
+        print("\nper-shard occupancy and load:")
+        print(_format_shard_table(stack.router))
     return 0
 
 

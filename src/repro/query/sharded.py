@@ -174,17 +174,12 @@ class ShardedQueryEngine:
         radius_m: float = 1000.0,
         config: Optional[AdKMNConfig] = None,
         cache_capacity: int = DEFAULT_CACHE_CAPACITY,
-        prune: bool = True,
         processes: Optional[int] = None,
     ) -> None:
         if radius_m < 0:
             raise ValueError("radius must be non-negative")
         self.router = router
         self.radius_m = radius_m
-        # Plan-time scatter pruning (geometry + zone-map sketches).
-        # Answers are byte-identical either way; False compiles the full
-        # scatter — the baseline the pruning benchmark measures against.
-        self.prune = prune
         self._prune_stats = PruneStats()
         self.config = config or AdKMNConfig()
         # The one epoch-keyed bounded LRU for cover processors, keyed
@@ -283,13 +278,13 @@ class ShardedQueryEngine:
         self,
         queries: Sequence[QueryTuple] | QueryBatch,
         method: str = "naive",
-        prune: Optional[bool] = None,
+        prune: bool = True,
         binding: Optional[RouterBinding] = None,
     ) -> ExecutionPlan:
         """Compile a query stream against a freshly pinned binding.
 
-        ``prune`` overrides the engine's scatter-pruning default for
-        this one plan (the benchmark's unpruned baseline path);
+        ``prune=False`` compiles the full scatter instead of the pruned
+        plan (byte-identical answers; the pruning benchmark's baseline);
         ``binding`` reuses an externally pinned snapshot (the
         subscription maintenance path) instead of pinning a fresh one.
         A ``model-cover`` plan is the binding, the queries and the
@@ -317,7 +312,7 @@ class ShardedQueryEngine:
                     batch,
                     method,
                     self.radius_m,
-                    prune=self.prune if prune is None else prune,
+                    prune=prune,
                 )
                 break
             except StaleLayoutError:

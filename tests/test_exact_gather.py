@@ -236,9 +236,9 @@ class TestBlockedGatherMatchesWholeOpMerge:
         batch, queries = scenario
         router = build_router(batch, n_shards, h)
         with ShardedQueryEngine(
-            router, radius_m=RADIUS, prune=prune
+            router, radius_m=RADIUS
         ) as engine, np.errstate(all="ignore"):
-            plan = with_hazards(engine.plan(queries, "naive"), hazards)
+            plan = with_hazards(engine.plan(queries, "naive", prune=prune), hazards)
             assert plan.merge is not None
             expected = fingerprint(whole_op_reference(engine, plan))
             with forced_block(per_block, min(h, len(batch))), mock.patch.object(
@@ -344,9 +344,9 @@ class TestSubPlansConcatenateToTheWholePlan:
         batch, queries = scenario
         router = build_router(batch, n_shards, h)
         with ShardedQueryEngine(
-            router, radius_m=RADIUS, prune=prune
+            router, radius_m=RADIUS
         ) as engine, np.errstate(all="ignore"):
-            plan = engine.plan(queries, "naive")
+            plan = engine.plan(queries, "naive", prune=prune)
             if stale_counter:
                 plan = with_hazards(plan, {"stale_counter"})
             expected = fingerprint(whole_op_reference(engine, plan))

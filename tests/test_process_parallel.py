@@ -62,25 +62,37 @@ def module_leak_check():
     the ``params=[1, 2, 3]`` engine's and every test's own, the
     worker-kill cases included — are closed.  The resource tracker's
     pipe lives for the session, so it is started before counting;
-    nothing is checked where ``/proc`` is absent."""
+    nothing is checked where ``/proc`` is absent.  A selection of tests
+    (``-k``) in which no pool dispatched a plan makes no block, and that
+    is no sign the recording broke."""
     from multiprocessing import resource_tracker
 
     resource_tracker.ensure_running()
     created = []
+    dispatched = []
     export = ShardExport.__init__
+    dispatch = ProcessPlanExecutor._dispatch
 
     def recording(self, *args, **kwargs):
         export(self, *args, **kwargs)
         created.append(self.name)
 
+    def counting(self, plan, requests):
+        replies = dispatch(self, plan, requests)
+        dispatched.extend(requests)
+        return replies
+
     patch = pytest.MonkeyPatch()
     patch.setattr(ShardExport, "__init__", recording)
+    patch.setattr(ProcessPlanExecutor, "_dispatch", counting)
     before = open_resources()
     yield
     patch.undo()
     assert_released(before)
     if before is not None:
-        assert created, "no export block was made: the check saw nothing"
+        assert created or not dispatched, (
+            "a pool dispatched plans but made no export block: the check saw nothing"
+        )
         left = [name for name in created if os.path.exists(f"/dev/shm/{name}")]
         assert not left, f"export blocks not unlinked: {left}"
 
@@ -558,16 +570,22 @@ class TestEnginePool:
 
 def test_an_engine_without_a_pool_never_imports_it():
     """An in-process engine, its subscription registry and the service
-    over them leave the process path — and multiprocessing and the
-    shared-memory exports with it — unloaded."""
+    over them — built by hand or by ``repro.stack`` — leave the process
+    path, and multiprocessing and the shared-memory exports with it,
+    unloaded."""
     code = (
         "import sys\n"
+        "from repro.geo.coords import BoundingBox\n"
         "from repro.query.sharded import ShardedQueryEngine\n"
         "from repro.query.subscriptions import registry_for\n"
         "from repro.server.async_server import EngineQueryService\n"
+        "from repro.stack import StackConfig, build\n"
         "from repro.storage.shards import single_shard_router\n"
         "with ShardedQueryEngine(single_shard_router(240)) as engine:\n"
         "    EngineQueryService(engine, subscriptions=registry_for(engine))\n"
+        "box = BoundingBox(0.0, 0.0, 6000.0, 4000.0)\n"
+        "with build(StackConfig(subscriptions=True), box) as stack:\n"
+        "    assert stack.service.subscriptions is not None\n"
         "print(sorted(m for m in ('repro.query.pipeline.parallel',\n"
         "    'repro.storage.shm', 'multiprocessing') if m in sys.modules))\n"
     )

@@ -52,8 +52,8 @@ class TestOneMergeIsWindowMajor:
         router.ingest(batch)
         if recut:
             router.split_shard(0)
-        with ShardedQueryEngine(router, radius_m=RADIUS, prune=prune) as engine:
-            plan = engine.plan(queries, "naive")
+        with ShardedQueryEngine(router, radius_m=RADIUS) as engine:
+            plan = engine.plan(queries, "naive", prune=prune)
             binding = plan.binding
             op_bounds_of = {}
             for op in plan.ops:

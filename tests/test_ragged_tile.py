@@ -99,12 +99,12 @@ class TestRaggedTileMatchesPerWindowGather:
                 if hazard == "recut":
                     router.split_shard(0)
                 with ShardedQueryEngine(
-                    router, radius_m=RADIUS, prune=prune
+                    router, radius_m=RADIUS
                 ) as engine, np.errstate(all="ignore"):
                     binding = engine.binding()
                     if max(pinned, 1) < len(batch):
                         router.ingest(batch.slice(max(pinned, 1), len(batch)))
-                    plan = engine.plan(queries, "naive", binding=binding)
+                    plan = engine.plan(queries, "naive", prune=prune, binding=binding)
                     if hazard == "empty_slice":
                         plan = with_hazards(plan, {"empty_slice"})
                     with ragged_tiles() as tiles:
