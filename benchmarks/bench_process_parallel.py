@@ -111,11 +111,17 @@ def bench_process_heatmap(benchmark, day_dataset, processes):
 # -- standalone report ------------------------------------------------------
 
 
+def _fallbacks(engine) -> int:
+    """Plans the engine's pools ran in process instead, all reasons."""
+    return sum(engine.metrics["pool_fallbacks"].as_dict().values())
+
+
 def _crash_demo(engine, plan, expected) -> bool:
     """SIGKILL every worker, then query: fallback must answer identically
     and the pool must heal back onto the process path."""
     from repro.query.pipeline import parallel
 
+    before = _fallbacks(engine)
     with ProcessPlanExecutor(engine, processes=2) as executor:
         executor.execute(plan)
         for worker in executor._workers:
@@ -130,11 +136,11 @@ def _crash_demo(engine, plan, expected) -> bool:
             survived = executor.execute(plan)
         finally:
             parallel._Worker.alive = original  # type: ignore[method-assign]
-        fell_back = executor.fallbacks == 1
+        fell_back = _fallbacks(engine) == before + 1
         healed = executor.execute(plan)
         return (
             fell_back
-            and executor.fallbacks == 1
+            and _fallbacks(engine) == before + 1
             and survived.values.tobytes() == expected.values.tobytes()
             and healed.values.tobytes() == expected.values.tobytes()
         )
@@ -185,7 +191,7 @@ def main(smoke: bool = False) -> int:
         with ProcessPlanExecutor(engine, processes=n) as executor:
             result = executor.execute(plan)
             same = result.values.tobytes() == expected.values.tobytes()
-            identical = identical and same and executor.fallbacks == 0
+            identical = identical and same and _fallbacks(engine) == 0
             times[n] = executor_time(executor, plan, repeats=repeats)
         print(
             f"  {n:<8} {times[n] * 1e3:>8.1f}ms {1.0 / times[n]:>9.2f}"

@@ -182,7 +182,8 @@ def _process_path_identical(engine, plan, expected) -> bool:
     reach the workers, bytes must not move."""
     with ProcessPlanExecutor(engine, processes=2) as executor:
         result = executor.execute(plan)
-        return executor.fallbacks == 0 and identical(result, expected)
+        fallbacks = engine.metrics["pool_fallbacks"].as_dict()
+        return not fallbacks and identical(result, expected)
 
 
 def main(smoke: bool = False) -> int:

@@ -447,10 +447,10 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         plan = engine.plan(batch, args.method, prune=prune)
         result = engine.execute(plan, report)
         print(format_plan(plan, report))
-        print(
-            f"answered {result.n_answered}/{len(result)} queries; "
-            f"cache {engine.cache_stats.as_dict()}"
-        )
+        cache = engine.cache_stats.as_dict()
+        lookups = cache["hits"] + cache["misses"]
+        cache["hit_rate"] = round(cache["hits"] / lookups, 4) if lookups else 0.0
+        print(f"answered {result.n_answered}/{len(result)} queries; cache {cache}")
         print(
             f"pruning: ops_pruned={report.ops_pruned} ops_kept={report.ops_kept} "
             f"(engine cumulative {engine.prune_stats.as_dict()})"
@@ -674,8 +674,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--no-prune",
         action="store_true",
-        help="compile the full scatter instead of the pruned plan "
-        "(answers are byte-identical; for comparing fan-out)",
+        help="with --method naive, compile the full scatter instead of the "
+        "pruned plan (answers are byte-identical; for comparing fan-out); "
+        "a model-cover plan has no ops, so it changes nothing there",
     )
     p.set_defaults(func=_cmd_explain)
 

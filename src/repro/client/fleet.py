@@ -142,6 +142,10 @@ class FleetSimulator:
         if len(names) != len(set(names)):
             raise ValueError("fleet member names must be unique")
 
+    def _report(self, reports: List[MemberReport]) -> FleetReport:
+        served = self.service.engine.metrics["served"]
+        return FleetReport(reports, served.covers, served.values)
+
     def run(self, members: Sequence[FleetMember], t_start: float) -> FleetReport:
         """Run every member's continuous query; returns the full report.
 
@@ -152,11 +156,7 @@ class FleetSimulator:
         """
         self._check_members(members)
         reports = [self._run_member(member, t_start) for member in members]
-        return FleetReport(
-            members=reports,
-            server_covers_served=self.service.served_covers,
-            server_values_served=self.service.served_values,
-        )
+        return self._report(reports)
 
     def run_concurrent(
         self,
@@ -177,11 +177,7 @@ class FleetSimulator:
         self._check_members(members)
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             reports = list(pool.map(lambda member: self._run_member(member, t_start), members))
-        return FleetReport(
-            members=reports,
-            server_covers_served=self.service.served_covers,
-            server_values_served=self.service.served_values,
-        )
+        return self._report(reports)
 
     def run_subscriptions(
         self,

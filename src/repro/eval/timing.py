@@ -1,20 +1,12 @@
-"""Wall-clock timing helpers and cache-effectiveness counters.
-
-:class:`Timer` / :func:`time_callable` serve the efficiency experiment.
-:class:`CacheStats` — the shared counter block surfaced by every bounded
-cache — now lives with the one cache implementation in
-:mod:`repro.query.pipeline.cache` and is re-exported here for
-compatibility.
-"""
+"""Wall-clock timing helpers: :class:`Timer` / :func:`time_callable`
+serve the efficiency experiment."""
 
 from __future__ import annotations
 
 import time
 from typing import Callable, Optional
 
-from repro.query.pipeline.cache import CacheStats
-
-__all__ = ["CacheStats", "Timer", "time_callable"]
+__all__ = ["Timer", "time_callable"]
 
 
 class Timer:

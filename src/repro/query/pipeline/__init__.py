@@ -18,7 +18,7 @@ epoch-keyed :class:`~repro.query.pipeline.cache.ProcessorCache`.
 """
 
 from repro.query.pipeline.binding import RouterBinding, SnapshotBinding
-from repro.query.pipeline.cache import CacheStats, ProcessorCache
+from repro.query.pipeline.cache import ProcessorCache
 from repro.query.pipeline.executor import PlanExecutor, build_sharded_plan
 from repro.query.pipeline.plan import (
     ExecutionPlan,
@@ -30,7 +30,6 @@ from repro.query.pipeline.plan import (
 )
 
 __all__ = [
-    "CacheStats",
     "ExecutionPlan",
     "MergeOp",
     "PlanContext",

@@ -34,103 +34,39 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["CacheStats", "ProcessorCache"]
+from repro.obs import Counters
 
+__all__ = ["CACHE_COUNTS", "ProcessorCache"]
 
-@dataclass
-class CacheStats:
-    """Hit/miss/eviction/stale counters for a bounded epoch-keyed cache.
-
-    Plain integer bumps; the owning cache is responsible for doing them
-    under its own lock when accessed from several threads.  ``stale``
-    counts lookups that found an entry built at an outdated content
-    stamp — every stale lookup is also counted as a miss (the entry
-    cannot be served and is rebuilt), so ``lookups == hits + misses``
-    always holds.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    stale: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from cache; 0.0 before any lookup."""
-        n = self.lookups
-        return self.hits / n if n else 0.0
-
-    def record_hit(self) -> None:
-        self.hits += 1
-
-    def record_miss(self) -> None:
-        self.misses += 1
-
-    def record_eviction(self) -> None:
-        self.evictions += 1
-
-    def record_stale(self) -> None:
-        """A lookup found an entry with an outdated content stamp.
-
-        Callers record a miss alongside (the stale entry is rebuilt); the
-        separate counter makes invalidation churn visible next to plain
-        capacity misses.
-        """
-        self.stale += 1
-
-    def reset(self) -> None:
-        self.hits = self.misses = self.evictions = self.stale = 0
-
-    def add(self, other: "CacheStats") -> None:
-        """Accumulate another counter block (for fleet-wide aggregation)."""
-        self.hits += other.hits
-        self.misses += other.misses
-        self.evictions += other.evictions
-        self.stale += other.stale
-
-    @classmethod
-    def aggregate(cls, blocks) -> "CacheStats":
-        """Sum of several counter blocks (e.g. one per shard server)."""
-        total = cls()
-        for block in blocks:
-            total.add(block)
-        return total
-
-    def as_dict(self) -> Dict[str, float]:
-        """Snapshot for reports / benchmark ``extra_info`` blocks."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "stale": self.stale,
-            "hit_rate": round(self.hit_rate, 4),
-        }
+#: A cache's counter block.  ``stale`` counts lookups that found an
+#: entry built at an outdated content stamp; each is also a miss (the
+#: entry cannot be served and is rebuilt), so every lookup is a hit or a
+#: miss.
+CACHE_COUNTS = ("hits", "misses", "evictions", "stale")
 
 
 class ProcessorCache:
     """Bounded LRU of epoch-stamped values keyed by logical cache keys.
 
     ``capacity`` bounds the entry count (least recently used evicted
-    first); :attr:`stats` is the live :class:`CacheStats` counter block.
-    Thread-safe: all bookkeeping runs under one reentrant lock.
+    first); :attr:`stats` is the live :data:`CACHE_COUNTS` block — the
+    one given (an engine passes a block of its ``metrics``) or one of
+    its own.  Thread-safe: all bookkeeping, counts included, runs under
+    the block's lock.
     """
 
-    def __init__(self, capacity: int, stats: Optional[CacheStats] = None) -> None:
+    def __init__(self, capacity: int, stats: Optional[Counters] = None) -> None:
         if capacity < 1:
             raise ValueError("cache capacity must be at least 1")
         self._entries: "OrderedDict[tuple, Tuple[int, object]]" = OrderedDict()
         self._capacity = capacity
-        self._lock = threading.RLock()
         # (key, stamp) -> a lock its builder holds until the build ends.
         self._building: Dict[Tuple[tuple, int], threading.Lock] = {}
-        self.stats = stats if stats is not None else CacheStats()
+        self.stats = stats if stats is not None else Counters(CACHE_COUNTS)
+        self._lock = self.stats.lock
+        self._counts = self.stats.counts
 
     @property
     def capacity(self) -> int:
@@ -170,7 +106,7 @@ class ProcessorCache:
             if entry is not None and entry[0] == stamp:
                 if count_hit:
                     self._entries.move_to_end(key)
-                    self.stats.record_hit()
+                    self._counts["hits"] += 1
                 return entry[1]
             return None
 
@@ -196,7 +132,7 @@ class ProcessorCache:
                 entry = entries.get(key)
                 if entry is not None and entry[0] == stamp:
                     entries.move_to_end(key)
-                    self.stats.record_hit()
+                    self._counts["hits"] += 1
 
     def lookup(self, key: tuple, stamp: int):
         """The cached value under ``key`` at content ``stamp``, or None.
@@ -208,14 +144,14 @@ class ProcessorCache:
             entry = self._entries.get(key)
             if entry is not None and entry[0] == stamp:
                 self._entries.move_to_end(key)
-                self.stats.record_hit()
+                self._counts["hits"] += 1
                 return entry[1]
             if entry is not None and entry[0] < stamp:
                 # Only a genuinely outdated entry counts as stale churn; a
                 # reader pinned at an *older* snapshot probing a fresher
                 # entry is just a miss for that reader, not invalidation.
-                self.stats.record_stale()
-            self.stats.record_miss()
+                self._counts["stale"] += 1
+            self._counts["misses"] += 1
             return None
 
     def insert(self, key: tuple, stamp: int, value):
@@ -243,7 +179,7 @@ class ProcessorCache:
             self._entries.move_to_end(key)
             while len(self._entries) > self._capacity:
                 self._entries.popitem(last=False)
-                self.stats.record_eviction()
+                self._counts["evictions"] += 1
             return value
 
     def get_or_build(self, key: tuple, stamp: int, build: Callable[[], object]):

@@ -35,8 +35,8 @@ Any failure on the process path — a worker killed mid-query, a pipe
 timeout, an undecodable reply, a lost shared-memory block, a plan the
 workers cannot be sent — abandons the attempt and re-runs the *whole
 plan* in-process through the owning engine's serial executor: the same
-answer, counted by reason in
-:attr:`ProcessPlanExecutor.fallback_reasons`; a dead worker is respawned
+answer, counted by reason in the engine's ``pool_fallbacks`` block
+(``engine.metrics``); a dead worker is respawned
 lazily on the next request.  Plans may be executed from several threads
 (the async server's pool does): a worker's pipe is held from a
 request's send to its reply, locks taken in worker-index order.
@@ -47,7 +47,6 @@ from __future__ import annotations
 import multiprocessing as mp
 import threading
 import traceback
-from collections import Counter
 from contextlib import ExitStack
 from typing import Dict, List, Optional, Tuple
 
@@ -241,13 +240,7 @@ class ProcessPlanExecutor:
         self._locks = [threading.Lock() for _ in range(processes)]
         #: Plans that degraded to in-process execution, by the first
         #: clause of the failure's message.
-        self.fallback_reasons: Counter = Counter()
-        self._count_lock = threading.Lock()
-
-    @property
-    def fallbacks(self) -> int:
-        """Plans that degraded to in-process execution."""
-        return sum(self.fallback_reasons.values())
+        self._fallbacks = engine.metrics.block("pool_fallbacks")
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -302,8 +295,7 @@ class ProcessPlanExecutor:
         try:
             return self._run(plan)
         except (WorkerCrash, _Unsupported) as exc:
-            with self._count_lock:
-                self.fallback_reasons[str(exc).partition(":")[0]] += 1
+            self._fallbacks.bump(str(exc).partition(":")[0])
             return self.engine.execute(plan, report)
 
     def _run(self, plan: ExecutionPlan) -> BatchResult:

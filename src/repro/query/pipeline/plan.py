@@ -28,7 +28,6 @@ queries fall in, which a :class:`PlanReport` lists.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple, Union
 
@@ -172,39 +171,6 @@ class PlanReport:
 
     def observed(self, op: Union[ScanOp, CoverRun]) -> Optional[float]:
         return self.elapsed_s.get(id(op))
-
-
-class PruneStats:
-    """Cumulative pruning counters an engine keeps across plans.
-
-    The per-plan counters live on :class:`ExecutionPlan` /
-    :class:`PlanReport`; this aggregates them engine-side (thread-safe —
-    plans may be built concurrently) so long-running owners can surface
-    a pruning line next to their ``cache_stats``.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.plans = 0
-        self.ops_pruned = 0
-        self.ops_kept = 0
-
-    def observe(self, plan: ExecutionPlan) -> None:
-        with self._lock:
-            self.plans += 1
-            self.ops_pruned += plan.ops_pruned
-            self.ops_kept += plan.ops_kept
-
-    def as_dict(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "plans": self.plans,
-                "ops_pruned": self.ops_pruned,
-                "ops_kept": self.ops_kept,
-            }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PruneStats({self.as_dict()})"
 
 
 def format_plan(plan: ExecutionPlan, report: Optional[PlanReport] = None) -> str:

@@ -35,9 +35,7 @@ paper's Fig. 6a), not served methods.
 from __future__ import annotations
 
 import math
-import threading
 import time
-from collections import Counter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,10 +44,11 @@ from repro.core.adkmn import AdKMNConfig, fit_adkmn
 from repro.core.cover import ModelCover, predict_runs
 from repro.data.tuples import QueryTuple
 from repro.geo.coords import BoundingBox
+from repro.obs import Counters, Metrics
 from repro.query.base import BatchResult, QueryBatch, QueryResult
 from repro.query.modelcover import ModelCoverProcessor
 from repro.query.pipeline.binding import RouterBinding
-from repro.query.pipeline.cache import CacheStats, ProcessorCache
+from repro.query.pipeline.cache import CACHE_COUNTS, ProcessorCache
 from repro.query.pipeline.gather import (
     BLOCK_CELLS,
     merged_rows,
@@ -62,7 +61,6 @@ from repro.query.pipeline.plan import (
     ExecutionPlan,
     PlanContext,
     PlanReport,
-    PruneStats,
 )
 from repro.storage.shards import ShardRouter, StaleLayoutError
 
@@ -164,6 +162,14 @@ class ShardedQueryEngine:
     calling thread.  ``model-cover`` requests are answered by
     :meth:`cached_point` and :meth:`cached_route`, in the calling thread
     too.  :meth:`close` stops the pool.
+
+    :attr:`metrics` is the engine's one counter registry: its caches,
+    its pool, the subscription registry and the service over it all
+    count into its blocks (``cache``, ``rows_cache``, ``prune``,
+    ``lane_hits``, ``lane_declines``, ``layout_repins``,
+    ``pool_fallbacks``, ``subscriptions``, ``served``,
+    ``ingest_rejects``; ``tier``, read from a tiered router at scrape
+    time).
     """
 
     DEFAULT_CACHE_CAPACITY = 128
@@ -180,7 +186,11 @@ class ShardedQueryEngine:
             raise ValueError("radius must be non-negative")
         self.router = router
         self.radius_m = radius_m
-        self._prune_stats = PruneStats()
+        self.metrics = Metrics()
+        self._prune = self.metrics.block("prune", ("plans", "ops_pruned", "ops_kept"))
+        self._repins = self.metrics.block("layout_repins")
+        if hasattr(router, "tier_stats"):
+            self.metrics.read("tier", router.tier_stats)
         self.config = config or AdKMNConfig()
         # The one epoch-keyed bounded LRU for cover processors, keyed
         # per (shard, window) and stamped with the shard slice's
@@ -193,19 +203,21 @@ class ShardedQueryEngine:
         # binding's coherent snapshot_window read), so a racing ingest
         # can only make an entry key conservatively old, never serve a
         # stale processor under a fresh stamp.
-        self._cache = ProcessorCache(cache_capacity)
+        self._cache = ProcessorCache(
+            cache_capacity, self.metrics.block("cache", CACHE_COUNTS)
+        )
         # Window rows for the lanes (``window_rows``) live in their own
         # epoch-keyed store: one entry per state of a window an empty
         # owner was answered in, cheap to rebuild, would otherwise
         # compete with the covers for LRU slots and push fitted
         # covers out.
-        self._rows = ProcessorCache(cache_capacity)
-        # The event-loop lanes' counts, read through lane_hits and
-        # lane_declines: plain dicts bumped under one lock (a Counter's
-        # `+=` would double what counting costs a point-lane hit).
-        self._lane_hits = {"point": 0, "route": 0}
-        self._lane_declines: Dict[tuple, int] = {}
-        self._lane_lock = threading.Lock()
+        self._rows = ProcessorCache(
+            cache_capacity, self.metrics.block("rows_cache", CACHE_COUNTS)
+        )
+        # The event-loop lanes' answers by lane, and declines by (lane,
+        # reason): one request that asked, one bump.
+        self._lane_hits = self.metrics.block("lane_hits")
+        self._lane_declines = self.metrics.block("lane_declines")
         #: The worker pool the request modes' exact plans run on, or None.
         #: Imported only here: an engine without one never loads
         #: multiprocessing or the shared-memory exports.
@@ -222,8 +234,8 @@ class ShardedQueryEngine:
         return self.router.n_shards
 
     @property
-    def cache_stats(self) -> CacheStats:
-        """Hit/miss/evict/stale counters of the processor cache (live)."""
+    def cache_stats(self) -> Counters:
+        """The processor cache's ``cache`` block (live)."""
         return self._cache.stats
 
     @property
@@ -234,27 +246,14 @@ class ShardedQueryEngine:
     @property
     def rows_cache(self) -> ProcessorCache:
         """The ``("rows", c)`` entries the lanes answer empty owner
-        slices from (:func:`window_rows`), with their own counters."""
+        slices from (:func:`window_rows`), counted in ``rows_cache``."""
         return self._rows
 
     @property
-    def lane_hits(self) -> Counter:
-        """Answers the lanes gave on the event loop (no binding), by
-        lane (``"point"`` / ``"route"``)."""
-        with self._lane_lock:
-            return +Counter(self._lane_hits)
-
-    @property
-    def lane_declines(self) -> Counter:
-        """Requests the lanes declined on the event loop, by ``(lane,
-        reason)`` — one per request that asked."""
-        with self._lane_lock:
-            return Counter(self._lane_declines)
-
-    @property
-    def prune_stats(self) -> PruneStats:
-        """Cumulative scatter-pruning counters across every plan built."""
-        return self._prune_stats
+    def prune_stats(self) -> Counters:
+        """The ``prune`` block: plans built, and their ops pruned and
+        kept, cumulative."""
+        return self._prune
 
     def close(self) -> None:
         """Stop the pool's workers and unlink its shared-memory exports;
@@ -293,8 +292,9 @@ class ShardedQueryEngine:
 
         When the engine pins the binding itself, a rebalance racing the
         build (:class:`~repro.storage.shards.StaleLayoutError`) is
-        retried against a fresh binding — rebalances are rare, so the
-        loop terminates in practice after one retry.  Externally pinned
+        retried against a fresh binding, counted in ``layout_repins`` —
+        rebalances are rare, so the loop terminates in practice after
+        one retry.  Externally pinned
         bindings propagate the error: the caller owns the snapshot and
         must decide how to re-pin.
         """
@@ -318,7 +318,8 @@ class ShardedQueryEngine:
             except StaleLayoutError:
                 if binding is not None or attempt == attempts - 1:
                     raise
-        self._prune_stats.observe(plan)
+                self._repins.bump("plan")
+        self._prune.bump_all(plans=1, ops_pruned=plan.ops_pruned, ops_kept=plan.ops_kept)
         return plan
 
     def execute(
@@ -366,6 +367,7 @@ class ShardedQueryEngine:
                 # re-cut during an exact plan's build does.
                 if attempt == 2:
                     raise
+                self._repins.bump("continuous_query_batch")
 
     def continuous_query(
         self,
@@ -400,13 +402,7 @@ class ShardedQueryEngine:
 
     def _lane_decline(self, lane: str, reason: str) -> None:
         """Count a declined lane request; ``None`` is the lane's answer."""
-        key = (lane, reason)
-        with self._lane_lock:
-            self._lane_declines[key] = self._lane_declines.get(key, 0) + 1
-
-    def _lane_hit(self, lane: str) -> None:
-        with self._lane_lock:
-            self._lane_hits[lane] += 1
+        self._lane_declines.bump((lane, reason))
 
     def _owner_rows(self, runs, n_shards: int, binding) -> Optional[Dict[int, WindowRows]]:
         """The ``("rows", c)`` entries the empty owners of ``runs`` are
@@ -478,7 +474,7 @@ class ShardedQueryEngine:
         when the owner slice's cover is cached at its live stamp — or,
         for an empty owner slice, its window's rows
         (:meth:`_owner_rows`) — else ``None`` (ask :meth:`point_query`),
-        counted in :attr:`lane_declines` with no cache counter touched.
+        counted in ``lane_declines`` with no cache counter touched.
 
         Only lock-free router reads: it never waits on an ingest or a
         seal, faults a segment in or fits.  A cover cached at ``stamp``
@@ -525,7 +521,7 @@ class ShardedQueryEngine:
             router.load.record_scans(charges)
             value = float(values[0]) if support[0] else None
             result = QueryResult(QueryTuple(t, x, y), value, int(support[0]))
-        self._lane_hit("point")
+        self._lane_hits.bump("point")
         return result
 
     def cached_route(
@@ -555,7 +551,7 @@ class ShardedQueryEngine:
         stamps and only what is cached at them — every cover looked up
         in one section of the cache's lock, their hits (and the window
         rows') counted in one more once everything is found — and
-        ``None`` counted in :attr:`lane_declines` for another method,
+        ``None`` counted in ``lane_declines`` for another method,
         more than :data:`CACHED_ROUTE_MAX_ROWS` rows, an empty batch or
         router, a non-finite input, an empty owner :meth:`_owner_rows`
         cannot answer (``"fallback"``), a missing or stale cover, or a
@@ -650,7 +646,7 @@ class ShardedQueryEngine:
             if support is not None:
                 support[order] = support.copy()
         if binding is None:
-            self._lane_hit("route")
+            self._lane_hits.bump("route")
         if support is None:  # every query answered by a cover
             support = np.ones(n, dtype=np.int64)
             return BatchResult._of_columns(batch, values, support, support.astype(bool))

@@ -82,6 +82,7 @@ from typing import (
 
 import numpy as np
 
+from repro.obs import Counters
 from repro.query.base import QueryBatch
 from repro.query.continuous import uniform_query_tuples, waypoint_trajectory
 from repro.query.sharded import ShardedQueryEngine, check_method
@@ -91,13 +92,24 @@ if TYPE_CHECKING:
     from repro.query.pipeline.binding import SnapshotBinding
 
 __all__ = [
-    "MaintenanceStats",
     "Subscription",
     "SubscriptionRegistry",
     "SubscriptionSpec",
     "SubscriptionUpdate",
     "registry_for",
 ]
+
+#: The registry's maintenance work, cumulative: its engine's
+#: ``subscriptions`` block.
+MAINTENANCE_COUNTS = (
+    "maintains",
+    "quiet_passes",
+    "keys_checked",
+    "subs_reexecuted",
+    "queries_reexecuted",
+    "queries_skipped_sketch",
+    "updates_delivered",
+)
 
 _MISSING = object()
 
@@ -196,19 +208,6 @@ class SubscriptionUpdate:
             "kind": self.kind,
             "changes": changes,
         }
-
-
-@dataclass
-class MaintenanceStats:
-    """Cumulative counters of the registry's maintenance work."""
-
-    maintains: int = 0
-    quiet_passes: int = 0
-    keys_checked: int = 0
-    subs_reexecuted: int = 0
-    queries_reexecuted: int = 0
-    queries_skipped_sketch: int = 0
-    updates_delivered: int = 0
 
 
 class Subscription:
@@ -372,13 +371,14 @@ class SubscriptionRegistry:
         self._ids = itertools.count(1)
         self._epoch: Optional[int] = None
         self._rows: Optional[int] = None
-        self._stats = MaintenanceStats()
+        self._stats = engine.metrics.block("subscriptions", MAINTENANCE_COUNTS)
         self._listeners: List[Callable[[], None]] = []
 
     # -- introspection ------------------------------------------------------
 
     @property
-    def stats(self) -> MaintenanceStats:
+    def stats(self) -> Counters:
+        """The engine's ``subscriptions`` block (:data:`MAINTENANCE_COUNTS`)."""
         return self._stats
 
     def __len__(self) -> int:
@@ -518,12 +518,12 @@ class SubscriptionRegistry:
 
     def _maintain_at(self, view: _View) -> List[SubscriptionUpdate]:
         stats = self._stats
-        stats.maintains += 1
         # The window count is a function of the row count, so an
         # unchanged (epoch, rows) pair also means no query can remap.
         if view.epoch == self._epoch and view.rows == self._rows:
-            stats.quiet_passes += 1
+            stats.bump_all(maintains=1, quiet_passes=1)
             return []
+        stats.bump("maintains")
         # 1. Re-assign the unstable subscriptions (only they can remap —
         #    open-tail times, empty-engine waits);
         #    remapped positions re-execute unconditionally.  Stable
@@ -546,9 +546,9 @@ class SubscriptionRegistry:
         # 2. Mark diff over the registered windows: O(distinct keys).
         dirty_keys: Dict[int, Any] = {}
         for key, mark in self._marks.items():
-            stats.keys_checked += 1
             if view.mark(key) != mark:
                 dirty_keys[key] = mark
+        stats.bump("keys_checked", len(self._marks))
         candidates = set(forced)
         for key in dirty_keys:
             candidates |= self._by_key.get(key, set())
@@ -584,7 +584,7 @@ class SubscriptionRegistry:
                             sub.batch.y[idx],
                             self._engine.radius_m,
                         )
-                        stats.queries_skipped_sketch += int((~reach).sum())
+                        stats.bump("queries_skipped_sketch", int((~reach).sum()))
                         kmask = np.zeros_like(mask)
                         kmask[idx[reach]] = True
                 mask |= kmask
@@ -606,9 +606,7 @@ class SubscriptionRegistry:
         if not mask.any():
             return None
         idx = np.flatnonzero(mask)
-        stats = self._stats
-        stats.subs_reexecuted += 1
-        stats.queries_reexecuted += len(idx)
+        self._stats.bump_all(subs_reexecuted=1, queries_reexecuted=len(idx))
         values, support = view.execute(sub.batch.take(idx), sub.method)
         old_values = sub.values[idx]
         old_support = sub.support[idx]
@@ -633,7 +631,7 @@ class SubscriptionRegistry:
             support=sub.support[changed].copy(),
         )
         sub.pending.append(update)
-        stats.updates_delivered += 1
+        self._stats.bump("updates_delivered")
         return update
 
     # -- oracle / bench support ---------------------------------------------

@@ -12,6 +12,8 @@ network a stdlib-only :mod:`asyncio` server serves the service's
 Routes:
 
 * ``GET  /health``            — liveness + the modes this service serves;
+* ``GET  /metrics``           — the engine's counter blocks
+  (:class:`~repro.obs.Metrics`), one sorted JSON object;
 * ``POST /query/point``       — ``{"t", "x", "y"}``;
 * ``POST /query/continuous``  — ``{"route": [[x, y], ...], "t_start",
   "duration_s"?, "updates"?}``;
@@ -56,10 +58,10 @@ bytes, and ``Content-Length`` must be a plain non-negative integer.
 Concurrency model: a connection is one :class:`asyncio.Protocol`
 (``_HttpConnection``) over a single receive buffer.  ``data_received``
 parses every complete request in it and, when the loop can answer —
-``/health``, an error, or a request the service's ``cached`` answers
-without blocking — serialises and writes the answer in that same
-callback: one loop iteration, one poll, one ``transport.write`` behind
-pre-encoded status/header bytes.  ``cached`` answers a point query whose
+``/health``, ``/metrics``, an error, or a request the service's
+``cached`` answers without blocking — serialises and writes the answer
+in that same callback: one loop iteration, one poll, one
+``transport.write`` behind pre-encoded status/header bytes.  ``cached`` answers a point query whose
 model cover is cached at the owner slice's live stamp — O(1) lock-free
 reads and one cover evaluation on Python floats — and a ``model-cover``
 route of at most ``CACHED_ROUTE_MAX_ROWS`` updates over at most
@@ -396,7 +398,9 @@ class EngineQueryService:
     protocol always answers from covers.  ``validity_horizon_s`` is how
     far past its slice's data a served cover is valid (its ``t_n``):
     four hours, the paper's largest evaluation window, by default.
-    ``served_values`` / ``served_covers`` count the protocol's answers.
+    The engine's ``served`` block counts the protocol's answers
+    (``values`` / ``covers``), and its ``ingest_rejects`` block the
+    batches :meth:`ingest` refused, by reason.
     """
 
     modes = ("point", "continuous", "heatmap", "model")
@@ -412,9 +416,8 @@ class EngineQueryService:
         self.method = method
         self.subscriptions = subscriptions
         self.validity_horizon_s = validity_horizon_s
-        self._stats_lock = threading.Lock()
-        self.served_covers = 0
-        self.served_values = 0
+        self._served = engine.metrics.block("served", ("covers", "values"))
+        self._rejects = engine.metrics.block("ingest_rejects")
 
     def _require_data(self) -> None:
         # The row count only grows, so a store that holds rows here
@@ -427,9 +430,14 @@ class EngineQueryService:
     def ingest(self, batch: TupleBatch) -> int:
         """Append community-sensed tuples; returns how many.  The
         router's ingest (a batch breaking its contract raises
-        ``ValueError`` and changes nothing), then one wake-up of the
-        subscription registry when rows arrived."""
-        n = sum(self.engine.router.ingest(batch))
+        ``ValueError`` and changes nothing — counted by the message's
+        first clause), then one wake-up of the subscription registry
+        when rows arrived."""
+        try:
+            n = sum(self.engine.router.ingest(batch))
+        except ValueError as exc:
+            self._rejects.bump(str(exc).partition(":")[0])
+            raise
         if n and self.subscriptions is not None:
             self.subscriptions.notify_ingest()
         return n
@@ -510,9 +518,7 @@ class EngineQueryService:
             for k, i in enumerate(queries):
                 value = float(result.values[k]) if result.answered[k] else math.nan
                 responses[i] = ValueResponse(t=requests[i].t, value=value)
-        with self._stats_lock:
-            self.served_covers += covers
-            self.served_values += len(requests) - covers
+        self._served.bump_all(covers=covers, values=len(requests) - covers)
         return responses, binding.epoch
 
     # -- the web modes ---------------------------------------------------------
@@ -1021,6 +1027,8 @@ class _HttpConnection(asyncio.Protocol):
                     "subscriptions": getattr(service, "subscriptions", None)
                     is not None,
                 }
+            elif method == "GET" and path == "/metrics":
+                payload = self._server.service.engine.metrics.render()
             elif method == "POST" and path.startswith("/query/"):
                 try:
                     params = json.loads(body.decode("utf-8") or "{}")

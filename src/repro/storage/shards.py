@@ -390,8 +390,8 @@ class ShardRouter:
                 raise ValueError("ingest batch is not time-sorted")
             if batch.t[0] < self._last_t:
                 raise ValueError(
-                    f"ingest batch starts at t={float(batch.t[0])}, before the "
-                    f"last accepted timestamp {self._last_t}"
+                    "ingest batch starts before the last accepted timestamp: "
+                    f"t={float(batch.t[0])} < {self._last_t}"
                 )
             self._store.log(self._global_rows, batch)
             delivered = self._apply(batch)

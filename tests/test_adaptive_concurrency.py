@@ -136,9 +136,10 @@ def test_process_path_stale_plan_falls_back_byte_identically(seed):
         plan = eng.plan(queries, "naive")
         hot = int(np.argmax(eng.router.shard_counts()))
         with ProcessPlanExecutor(eng, processes=2) as executor:
+            fallbacks = eng.metrics["pool_fallbacks"]
             # Same layout: worker processes serve the plan, no fallback.
             assert fingerprint(executor.execute(plan)) == expected
-            assert executor.fallbacks == 0
+            assert not fallbacks.as_dict()
 
             eng.router.split_shard(hot)
             eng.router.ingest(stream.slice(HEAD, N_TUPLES))
@@ -148,13 +149,12 @@ def test_process_path_stale_plan_falls_back_byte_identically(seed):
             # shard exports hold the new layout's rows) and fall back to
             # the in-process path — bytes still identical.
             assert fingerprint(executor.execute(plan)) == expected
-            assert executor.fallbacks > 0
-            assert set(executor.fallback_reasons) == {"plan pinned an older shard layout"}
+            assert set(fallbacks.as_dict()) == {"plan pinned an older shard layout"}
 
             # A fresh plan at the new layout ships to workers again and
             # agrees with the thread path.
-            before = executor.fallbacks
+            before = fallbacks.as_dict()
             fresh = eng.plan(queries, "naive")
             thread_path = fingerprint(eng.execute(fresh))
             assert fingerprint(executor.execute(fresh)) == thread_path
-            assert executor.fallbacks == before
+            assert fallbacks.as_dict() == before

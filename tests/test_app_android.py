@@ -84,7 +84,7 @@ class TestSettingsAndTraffic:
         session.apply_settings(session.settings.with_model_cache(False))
         session.current_reading()
         # Baseline client: the reading went to the server as a value query.
-        assert server.served_values >= 1
+        assert server.engine.metrics["served"].values >= 1
 
     def test_settings_change_without_strategy_keeps_client(self, session):
         before = session.traffic

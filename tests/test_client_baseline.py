@@ -32,7 +32,7 @@ class TestQuerying:
             client.query(QueryTuple(t=t + i, x=2000.0, y=1500.0))
         assert client.stats.sent_messages == 5
         assert client.stats.received_messages == 5
-        assert server.served_values == 5
+        assert server.engine.metrics["served"].values == 5
 
     def test_traffic_includes_framing(self, server, small_batch):
         client = BaselineClient(server)

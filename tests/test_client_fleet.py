@@ -88,7 +88,7 @@ class TestFleetSimulator:
         bbox = small_dataset.covered_bbox()
         FleetSimulator(server).run(commuter_fleet(5, bbox, n_queries=10), t_start)
         # Five model requests served, but only one cover fitted.
-        assert server.served_covers == 5
+        assert server.engine.metrics["served"].covers == 5
         assert server.engine.cache_stats.misses == 1
 
 

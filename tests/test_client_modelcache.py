@@ -32,8 +32,8 @@ class TestCaching:
             client.query(QueryTuple(t=t + i * 60.0, x=2000.0, y=1500.0))
         # One model request total; the server never saw a value query.
         assert client.cache_refreshes == 1
-        assert server.served_covers == 1
-        assert server.served_values == 0
+        assert server.engine.metrics["served"].covers == 1
+        assert server.engine.metrics["served"].values == 0
 
     def test_expired_cover_refreshes(self, server, small_batch):
         client = ModelCacheClient(server)

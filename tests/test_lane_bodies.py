@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs import Metrics
 from repro.query.base import BatchResult, QueryBatch
 from repro.server.async_server import (
     EngineQueryService,
@@ -43,6 +44,7 @@ class _Scripted:
         self.values = np.array(values, dtype=np.float64)
         self.support = np.array(support, dtype=np.int64)
         self.router = SimpleNamespace(global_count=lambda: 1)
+        self.metrics = Metrics()
 
     def _result(self, batch):
         support = np.resize(self.support, len(batch))

@@ -158,7 +158,7 @@ class TestByteIdentity:
     def test_merge_shaped_naive_plan(self, pooled, probes):
         plan = pooled.plan(probes, "naive")
         _assert_identical(pooled.execute(plan), pooled.pool.execute(plan))
-        assert pooled.pool.fallbacks == 0
+        assert not pooled.metrics["pool_fallbacks"].as_dict()
 
     def test_model_cover_plan_is_answered_in_the_parent(
         self, pooled, probes, monkeypatch
@@ -166,9 +166,9 @@ class TestByteIdentity:
         plan = pooled.plan(probes, "model-cover")
         expected = pooled.execute(plan)
         monkeypatch.setattr(pooled.pool, "_dispatch", _no_dispatch)
-        fallbacks = dict(pooled.pool.fallback_reasons)
+        fallbacks = pooled.metrics["pool_fallbacks"].as_dict()
         _assert_identical(expected, pooled.pool.execute(plan))
-        assert dict(pooled.pool.fallback_reasons) == fallbacks  # not a fallback
+        assert pooled.metrics["pool_fallbacks"].as_dict() == fallbacks  # not a fallback
 
     def test_continuous_stream(self, pooled, small_dataset):
         plan = pooled.plan(_stream(small_dataset), "naive")
@@ -181,7 +181,7 @@ class TestByteIdentity:
         assert first.values.tobytes() == second.values.tobytes()
 
     def test_every_plan_above_ran_on_the_workers(self, pooled):
-        assert pooled.pool.fallbacks == 0 and not pooled.pool.fallback_reasons
+        assert not pooled.metrics["pool_fallbacks"].as_dict()
 
 
 class TestChunks:
@@ -203,7 +203,7 @@ class TestChunks:
         with ProcessPlanExecutor(sharded, processes=3) as executor:
             chunks = executor._chunks(plan)
             _assert_identical(sharded.execute(plan), executor.execute(plan))
-            assert executor.fallbacks == 0
+            assert not sharded.metrics["pool_fallbacks"].as_dict()
         assert len(chunks) == len(sizes) == 3
         assert sum(sizes) <= 17 * plan.n_queries + 1024 * len(chunks)
 
@@ -234,7 +234,7 @@ class TestChunks:
                 assert len(executor._chunks(plan)) == 1
                 _assert_identical(sharded.execute(plan), executor.execute(plan))
             assert sum(worker is not None for worker in executor._workers) == 1
-            assert executor.fallbacks == 0
+            assert not sharded.metrics["pool_fallbacks"].as_dict()
 
 
 class TestThreads:
@@ -273,7 +273,8 @@ class TestThreads:
                     thread.join(timeout=120.0)
                 assert not any(thread.is_alive() for thread in threads)
                 assert not failures, failures
-                assert executor.fallbacks == 0, executor.fallback_reasons
+                fallbacks = sharded.metrics["pool_fallbacks"].as_dict()
+                assert not fallbacks, fallbacks
         finally:
             sys.setswitchinterval(interval)
 
@@ -314,7 +315,7 @@ class TestIncrementalIngest:
             assert any(
                 names_after[s] != names_before.get(s) for s in names_after
             )
-            assert executor.fallbacks == 0
+            assert not engine.metrics["pool_fallbacks"].as_dict()
         engine.close()
 
     def test_a_worker_maps_one_block_per_shard_however_often_exports_grow(
@@ -338,7 +339,7 @@ class TestIncrementalIngest:
                 plan = engine.plan(head, "naive")
                 _assert_identical(engine.execute(plan), executor.execute(plan))
                 names.update(e.name for e in executor.registry._exports.values())
-            assert executor.fallbacks == 0
+            assert not engine.metrics["pool_fallbacks"].as_dict()
             assert len(names) >= rounds  # the exports really were retired
             with open(f"/proc/{executor._workers[0].process.pid}/maps") as maps:
                 blocks = {part for part in maps.read().split() if "emshm_" in part}
@@ -383,7 +384,7 @@ class TestIncrementalIngest:
             again = engine.plan(probes(H + H // 2), "model-cover")
             _assert_identical(expected, executor.execute(again))
             assert engine.cache_stats.misses == fitted  # served from the cache
-            assert executor.fallbacks == 0
+            assert not engine.metrics["pool_fallbacks"].as_dict()
         engine.close()
 
 
@@ -415,12 +416,12 @@ class TestCrashRecovery:
                 mid_request.setattr(parallel._Worker, "alive", lambda self: True)
                 survived = executor.execute(engine.plan(probes, "naive"))
             _assert_identical(expected, survived)
-            assert executor.fallbacks == 1
+            assert sum(engine.metrics["pool_fallbacks"].as_dict().values()) == 1
             # The pool heals: the next request respawns the dead workers
             # and runs on the process path again (no further fallback).
             healed = executor.execute(engine.plan(probes, "naive"))
             _assert_identical(expected, healed)
-            assert executor.fallbacks == 1
+            assert sum(engine.metrics["pool_fallbacks"].as_dict().values()) == 1
         engine.close()
 
     def test_killed_pool_respawns_before_next_request(self, small_dataset):
@@ -443,7 +444,7 @@ class TestCrashRecovery:
             time.sleep(0.05)
             healed = executor.execute(engine.plan(probes, "naive"))
             _assert_identical(expected, healed)
-            assert executor.fallbacks == 0
+            assert not engine.metrics["pool_fallbacks"].as_dict()
         engine.close()
 
     def test_undecodable_reply_is_a_worker_crash(self, sharded, probes, monkeypatch):
@@ -461,10 +462,10 @@ class TestCrashRecovery:
         monkeypatch.setattr(parallel._Worker, "reply", garble_once)
         with ProcessPlanExecutor(sharded, processes=1) as executor:
             _assert_identical(expected, executor.execute(plan))
-            assert dict(executor.fallback_reasons) == {"worker lost": 1}
+            assert sharded.metrics["pool_fallbacks"].as_dict() == {"worker lost": 1}
             assert executor._workers == [None]  # not trusted again: respawned
             _assert_identical(expected, executor.execute(plan))
-            assert executor.fallbacks == 1
+            assert sum(sharded.metrics["pool_fallbacks"].as_dict().values()) == 1
 
 
 class TestEnginePool:
@@ -497,7 +498,7 @@ class TestEnginePool:
             sharded.continuous_query_batch(route), pooled.continuous_query_batch(route)
         )
         assert sent == [1, 8 * 6, len(route)]
-        assert pooled.pool.fallbacks == 0
+        assert not pooled.metrics["pool_fallbacks"].as_dict()
 
         empty = pooled.continuous_query_batch(QueryBatch(
             np.empty(0), np.empty(0), np.empty(0)
@@ -518,7 +519,7 @@ class TestEnginePool:
             with pytest.raises(ValueError, match=f"unknown method {kind!r}"):
                 pooled.continuous_query_batch(batch, kind)
         assert pooled.pool.registry._exports == exports
-        assert pooled.pool.fallbacks == 0
+        assert not pooled.metrics["pool_fallbacks"].as_dict()
 
     def test_maintenance_sends_nothing_to_the_pool(self, small_dataset):
         """A registry over a pooled engine registers, maintains and
@@ -541,7 +542,7 @@ class TestEnginePool:
             )
             router.ingest(tuples.slice(cut, len(tuples)))
             assert registry.maintain(), "no update: the pass re-executed nothing"
-            assert engine.pool.fallbacks == 0
+            assert not engine.metrics["pool_fallbacks"].as_dict()
             assert not engine.pool.registry._exports
             assert engine.pool._workers == [None, None]
 

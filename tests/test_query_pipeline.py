@@ -20,7 +20,6 @@ from repro.geo.region import RegionGrid
 from repro.network.messages import ModelRequest, QueryRequest
 from repro.query.base import QueryBatch
 from repro.query.pipeline import (
-    CacheStats,
     PlanReport,
     ProcessorCache,
     ScanOp,
@@ -69,7 +68,7 @@ class TestProcessorCache:
         assert cache.get_or_build(("k",), 1, lambda: "new") == "new"
         assert cache.stats.stale == 1
         assert cache.stats.misses == 2  # stale lookups are misses too
-        assert cache.stats.lookups == cache.stats.hits + cache.stats.misses
+        assert cache.stats.hits == 0
         # The stale entry was replaced in place, not duplicated.
         assert len(cache) == 1
         assert cache.entry_stamp(("k",)) == 1
@@ -141,7 +140,7 @@ class TestProcessorCache:
             t.join()
         assert len(built) == 1
         assert all(v is got[0] for v in got)
-        assert cache.stats.lookups == 6
+        assert cache.stats.hits + cache.stats.misses == 6
 
     def test_waiter_builds_itself_when_the_build_fails(self):
         cache = ProcessorCache(4)
@@ -231,13 +230,6 @@ class TestProcessorCache:
         assert cache.keys() == [("b",), ("c",), ("a",)]  # only "a" refreshed
         assert cache.peek_all([]) == []
 
-    def test_stats_aggregate(self):
-        a = CacheStats(hits=2, misses=3, evictions=1, stale=1)
-        b = CacheStats(hits=1, misses=1)
-        total = CacheStats.aggregate([a, b])
-        assert (total.hits, total.misses, total.evictions, total.stale) == (3, 4, 1, 1)
-        assert total.as_dict()["stale"] == 1
-
 
 class TestProcessorCacheLRU:
     """The bound, eviction order, rebuilds and counters of the one LRU."""
@@ -274,15 +266,10 @@ class TestProcessorCacheLRU:
     def test_hit_miss_counters_and_snapshot(self):
         cache = ProcessorCache(4)
         stats = cache.stats
-        assert stats.lookups == 0
+        assert stats.as_dict() == {"hits": 0, "misses": 0, "evictions": 0, "stale": 0}
         self.touch(cache, 0, 0, 1, 0)  # miss, hit, miss, hit
         assert (stats.misses, stats.hits, stats.evictions) == (2, 2, 0)
-        assert stats.hit_rate == pytest.approx(0.5)
-        snap = stats.as_dict()
-        assert (snap["hits"], snap["misses"]) == (2, 2)
-        assert snap["hit_rate"] == pytest.approx(0.5)
-        stats.reset()
-        assert stats.lookups == 0
+        assert stats.as_dict() == {"hits": 2, "misses": 2, "evictions": 0, "stale": 0}
 
     def test_concurrent_lookups_stay_bounded(self):
         """Hammer the cache from several threads; the bound and the
@@ -438,9 +425,7 @@ class TestServerCounters:
         server.handle_many(reqs)
         server.handle_many(reqs)
         stats = server.engine.cache_stats
-        snap = stats.as_dict()
-        assert set(snap) == {"hits", "misses", "evictions", "stale", "hit_rate"}
-        assert stats.lookups == stats.hits + stats.misses
+        assert set(stats.as_dict()) == {"hits", "misses", "evictions", "stale"}
         assert stats.hits > 0  # second pass served from the cover memo
 
     def test_served_covers_are_the_engine_cache_entries(self):

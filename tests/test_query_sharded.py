@@ -490,8 +490,8 @@ class TestCachedPoint:
             assert json.dumps(service.point(p)) == want
             owner = router.grid.shard_of(p["x"], p["y"])
             empty_owners += not router.shard_window_epoch(owner, router.window_for_time(p["t"]))
-        assert engine.lane_hits["point"] == len(points)
-        assert not engine.lane_declines
+        assert engine.metrics["lane_hits"].as_dict()["point"] == len(points)
+        assert not engine.metrics["lane_declines"].as_dict()
         assert empty_owners > 100
 
     def test_hit_bookkeeping_matches_the_pinned(self, lane, small_batch):
@@ -499,7 +499,8 @@ class TestCachedPoint:
         t, x, y, _tail = _open_window_probe(router, small_batch)
         s = router.grid.shard_of(x, y)
         assert engine.cached_point(t, x, y, "model-cover") is None  # cold
-        assert engine.cache_stats.lookups == 0  # a miss touches no counter
+        stats = engine.cache_stats  # a miss touches no counter
+        assert stats.hits + stats.misses == 0
         expected = _pinned(engine, t, x, y)
         before = engine.cache_stats.as_dict()
         plans = engine.prune_stats.plans
@@ -594,7 +595,7 @@ class TestCachedPoint:
                         got = service.cached("point", params)
             assert got == json.dumps(slow).encode()
         assert any(owners) and not all(owners)
-        assert engine.lane_hits["point"] == 4
+        assert engine.metrics["lane_hits"].as_dict()["point"] == 4
 
     @pytest.mark.parametrize(
         "method", [m for m in SHARDED_METHODS if m != "model-cover"] + list(INDEX_KINDS)
@@ -816,9 +817,8 @@ class TestCachedPoint:
         assert not raised, f"a thread raised: {raised}"
         assert not [th.name for th in threads if th.is_alive()], "a thread did not join"
         assert not wrong, f"lane answers at neither layout: {wrong[:5]}"
-        assert hits[0] > 0, (
-            f"no lane hit: the readers checked nothing (declines: {dict(engine.lane_declines)})"
-        )
+        declines = engine.metrics["lane_declines"].as_dict()
+        assert hits[0] > 0, f"no lane hit: the readers checked nothing (declines: {declines})"
 
 
 # -- the multi-row lane ---------------------------------------------------------
@@ -997,7 +997,7 @@ class TestCachedRoute:
         a hit per lookup and faulting nothing in: the pinned path left
         every window row it needs cached."""
         assert not uncached_windows(engine, batch)
-        declines = engine.lane_declines
+        declines = engine.metrics["lane_declines"].as_dict()
         faults = getattr(router, "faults", 0)
         hits = _hits(engine)
         got = engine.cached_route(batch, "model-cover")
@@ -1005,7 +1005,7 @@ class TestCachedRoute:
         assert got is not None
         assert _result_bytes(got) == _result_bytes(expected)
         assert _hits(engine) == tuple(np.add(hits, _lookups(router, batch)))
-        assert engine.lane_declines == declines
+        assert engine.metrics["lane_declines"].as_dict() == declines
 
     @settings(
         max_examples=30,
@@ -1060,7 +1060,7 @@ class TestCachedRoute:
                 hits += 1
                 assert got == slow.encode()
         assert hits > 40
-        assert engine.lane_hits["route"] == hits
+        assert engine.metrics["lane_hits"].as_dict()["route"] == hits
 
     def test_a_hit_builds_no_plan(self, route_lane, small_batch, monkeypatch):
         router, engine = route_lane
@@ -1096,12 +1096,12 @@ class TestCachedRoute:
         touched."""
         router, engine = route_lane
         fits = _counting_fits(monkeypatch)
-        hits = engine.lane_hits
+        hits = engine.metrics["lane_hits"].as_dict()
         for reason, call in cases:
             faults = getattr(router, "faults", 0)
             stats = _stats(engine)
             plans = engine.prune_stats.plans
-            declines = engine.lane_declines.copy()
+            declines = engine.metrics["lane_declines"].as_dict()
             load = router.shard_load_stats()
             assert call() is None, reason
             assert getattr(router, "faults", 0) == faults, reason
@@ -1109,9 +1109,9 @@ class TestCachedRoute:
             assert router.shard_load_stats() == load, reason  # nothing charged
             assert engine.prune_stats.plans == plans, reason
             assert not fits, reason
-            declines["route", reason] += 1
-            assert engine.lane_declines == declines, reason
-        assert engine.lane_hits == hits
+            declines["route", reason] = declines.get(("route", reason), 0) + 1
+            assert engine.metrics["lane_declines"].as_dict() == declines, reason
+        assert engine.metrics["lane_hits"].as_dict() == hits
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_each_decline_reason(self, route_lane, small_batch, monkeypatch):
@@ -1176,8 +1176,8 @@ class TestCachedRoute:
                 *point, method="model-cover"
             )
             assert tiered.faults == faults
-            assert engine.lane_hits == {"route": 1, "point": 1}
-            assert not engine.lane_declines
+            assert engine.metrics["lane_hits"].as_dict() == {"route": 1, "point": 1}
+            assert not engine.metrics["lane_declines"].as_dict()
         tiered.close()
 
     def test_an_empty_owner_takes_the_lane_once_its_window_rows_are_cached(
@@ -1195,7 +1195,7 @@ class TestCachedRoute:
             [("fallback", lambda: engine.cached_route(mixed, "model-cover"))],
         )  # fmt: skip
         assert engine.cached_point(*point, "model-cover") is None
-        assert engine.lane_declines["point", "fallback"] == 1
+        assert engine.metrics["lane_declines"].as_dict()["point", "fallback"] == 1
         monkeypatch.undo()
         hits, misses = engine.cache_stats.hits, engine.cache_stats.misses
         expected = engine.continuous_query_batch(mixed, method="model-cover")
@@ -1217,7 +1217,7 @@ class TestCachedRoute:
         assert _hits(engine) == (hits[0] + covers, hits[1] + windows + 1)
         assert getattr(router, "faults", 0) == faults
         assert engine.prune_stats.plans == plans and not fits
-        assert engine.lane_hits == {"route": 1, "point": 1}
+        assert engine.metrics["lane_hits"].as_dict() == {"route": 1, "point": 1}
 
     def test_an_entry_saying_the_owner_had_rows_declines(self, small_batch, monkeypatch):
         """The torn read: the owner's stamp was read as 0 before an
@@ -1253,8 +1253,8 @@ class TestCachedRoute:
                 stats = _stats(engine)
                 assert call() is None and torn
                 assert _stats(engine) == stats
-                assert engine.lane_declines[lane, "fallback"] == 1
-            assert engine.lane_hits == {"route": 1}
+                assert engine.metrics["lane_declines"].as_dict()[lane, "fallback"] == 1
+            assert engine.metrics["lane_hits"].as_dict() == {"route": 1}
 
     def test_a_cover_read_before_an_ingest_the_rows_entry_saw_declines(
         self, small_batch, monkeypatch
@@ -1291,7 +1291,7 @@ class TestCachedRoute:
             stats = _stats(engine)
             assert engine.cached_route(mixed, "model-cover") is None and torn
             assert _stats(engine) == stats
-            assert engine.lane_declines == {("route", "fallback"): 1}
+            assert engine.metrics["lane_declines"].as_dict() == {("route", "fallback"): 1}
 
     def test_a_stale_window_rows_entry_declines(self, small_batch, monkeypatch, tmp_path):
         for data_dir in (None, tmp_path):
@@ -1315,7 +1315,7 @@ class TestCachedRoute:
                     ("fallback", lambda: engine.cached_route(mixed, "model-cover")),
                 ])  # fmt: skip
                 assert engine.cached_point(*point, "model-cover") is None
-                assert engine.lane_declines["point", "fallback"] == 1
+                assert engine.metrics["lane_declines"].as_dict()["point", "fallback"] == 1
                 monkeypatch.undo()
                 refit = engine.continuous_query_batch(mixed, method="model-cover")
                 got = engine.cached_route(mixed, "model-cover")
@@ -1465,7 +1465,7 @@ class TestCachedRoute:
             before = engine.cache_stats.as_dict()
             assert engine.cached_route(batch, "model-cover") is None
             assert engine.cache_stats.as_dict() == before
-            assert engine.lane_declines == {("route", "cover"): 1}
+            assert engine.metrics["lane_declines"].as_dict() == {("route", "cover"): 1}
 
     def test_a_recut_in_flight_declines(self, small_batch, monkeypatch):
         """A split landing between the cover probe and the grid check is
@@ -1488,7 +1488,7 @@ class TestCachedRoute:
 
             monkeypatch.setattr(engine.processor_cache, "peek_all", peek_all_then_split)
             assert engine.cached_route(batch, "model-cover") is None
-            assert engine.lane_declines == {("route", "recut"): 1}
+            assert engine.metrics["lane_declines"].as_dict() == {("route", "recut"): 1}
             monkeypatch.undo()
             got = engine.cached_route(batch, "model-cover")
             assert _result_bytes(got) == _result_bytes(expected)
@@ -1505,7 +1505,7 @@ class TestCachedRoute:
             monkeypatch.setattr(engine.processor_cache, "peek", point_peek_then_merge)
             p = (float(batch.t[0]), float(batch.x[0]), float(batch.y[0]))
             assert engine.cached_point(*p, "model-cover") is None
-            assert engine.lane_declines["point", "recut"] == 1
+            assert engine.metrics["lane_declines"].as_dict()["point", "recut"] == 1
 
     def test_never_waits_for_the_router_lock(self, route_lane, small_batch):
         router, engine = route_lane
@@ -1565,8 +1565,8 @@ class TestCachedRoute:
                 sys.setswitchinterval(interval)
             assert not any(th.is_alive() for th in threads)
             calls = rounds * n_threads
-            assert engine.lane_hits == {"route": calls, "point": calls}
-            assert engine.lane_declines == {("route", "method"): calls}
+            assert engine.metrics["lane_hits"].as_dict() == {"route": calls, "point": calls}
+            assert engine.metrics["lane_declines"].as_dict() == {("route", "method"): calls}
             assert engine.cache_stats.hits == hits + calls * (n_covers + 1)
 
     def test_the_point_lane_counts_too(self, small_batch):
@@ -1581,8 +1581,8 @@ class TestCachedRoute:
             assert engine.cached_point(t, x, y, "model-cover") is not None
             router.ingest(tail)
             assert engine.cached_point(t, x, y, "model-cover") is None  # stale
-            assert engine.lane_hits == {"point": 2}
-            assert engine.lane_declines == {
+            assert engine.metrics["lane_hits"].as_dict() == {"point": 2}
+            assert engine.metrics["lane_declines"].as_dict() == {
                 ("point", "method"): 1,
                 ("point", "non-finite"): 1,
                 ("point", "cover"): 2,
@@ -1590,4 +1590,7 @@ class TestCachedRoute:
         with ShardedQueryEngine(_lane_router(small_batch, rows=0)) as engine:
             assert engine.cached_point(t, x, y, "model-cover") is None
             assert engine.cached_route(QueryBatch([t], [x], [y]), "model-cover") is None
-            assert engine.lane_declines == {("point", "empty"): 1, ("route", "empty"): 1}
+            assert engine.metrics["lane_declines"].as_dict() == {
+                ("point", "empty"): 1,
+                ("route", "empty"): 1,
+            }

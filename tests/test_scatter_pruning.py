@@ -27,7 +27,7 @@ from repro.geo.coords import BoundingBox
 from repro.geo.region import RegionGrid
 from repro.query.base import QueryBatch
 from repro.query.pipeline.executor import build_sharded_plan
-from repro.query.pipeline.plan import PruneStats, format_plan
+from repro.query.pipeline.plan import format_plan
 from repro.query.sharded import ShardedQueryEngine
 from repro.storage.shards import ShardRouter
 from repro.storage.sketch import WindowSketch
@@ -382,7 +382,7 @@ class TestProcessParallelPath:
             expected = engine.execute(engine.plan(queries, "naive", prune=False))
             with ProcessPlanExecutor(engine, processes=2) as executor:
                 got = executor.execute(lean)
-                assert executor.fallbacks == 0
+                assert not engine.metrics["pool_fallbacks"].as_dict()
             assert fingerprint(got) == fingerprint(expected)
 
 
@@ -482,9 +482,11 @@ class TestObservability:
             assert "pruned[" in text and "~" in text
             assert f"{plan.ops_pruned} op(s) pruned" in text
 
-    def test_prune_stats_start_empty(self):
-        stats = PruneStats()
-        assert stats.as_dict() == {"plans": 0, "ops_pruned": 0, "ops_kept": 0}
+    def test_prune_stats_start_empty(self, small_batch):
+        router = build_router(small_batch, n_shards=4, h=240)
+        with ShardedQueryEngine(router, radius_m=RADIUS) as engine:
+            stats = engine.prune_stats.as_dict()
+            assert stats == {"plans": 0, "ops_pruned": 0, "ops_kept": 0}
 
 
 class TestExplainCli:

@@ -93,7 +93,7 @@ class TestRequestHandling:
         response = server.handle(QueryRequest(t=t, x=2000.0, y=1500.0))
         assert isinstance(response, ValueResponse)
         assert not math.isnan(response.value)
-        assert server.served_values == 1
+        assert server.engine.metrics["served"].values == 1
 
     def test_model_request(self, server, small_batch):
         t = float(small_batch.t[100])
@@ -101,7 +101,7 @@ class TestRequestHandling:
         assert isinstance(response, ModelCoverResponse)
         cover = ModelCover.from_blob(response.blob)
         assert cover.size >= 1
-        assert server.served_covers == 1
+        assert server.engine.metrics["served"].covers == 1
 
     def test_unknown_request(self, server):
         with pytest.raises(TypeError):
@@ -135,7 +135,7 @@ class TestNonFiniteRequests:
         for response in (server.handle(request), server.handle_many([request])[0]):
             assert isinstance(response, ValueResponse)
             assert math.isnan(response.value)
-        assert server.served_values == 2
+        assert server.engine.metrics["served"].values == 2
 
     def test_finite_neighbours_keep_their_answers(self, server, small_batch):
         t = float(small_batch.t[500])
@@ -155,7 +155,7 @@ class TestNonFiniteRequests:
         fields[field] = bad
         with pytest.raises(ValueError):
             server.handle(ModelRequest(**fields))
-        assert server.served_covers == 0
+        assert server.engine.metrics["served"].covers == 0
 
 
 def _broken(batch, how):
@@ -230,7 +230,7 @@ class TestEpochs:
             ]
         )
         server.handle(QueryRequest(t=t, x=2100.0, y=1500.0))
-        assert (server.served_values, server.served_covers) == (3, 2)
+        assert server.engine.metrics["served"].as_dict() == {"covers": 2, "values": 3}
 
     def test_sealed_windows_and_data(self, small_batch):
         server = protocol_service(h=240)
@@ -344,7 +344,7 @@ class TestShardedProtocol:
         assert grid.shard_of(*far) != grid.shard_of(x0, y0)
         with pytest.raises(LookupError):
             service.handle(ModelRequest(t=t, x=far[0], y=far[1]))
-        assert service.served_covers == 0
+        assert service.engine.metrics["served"].covers == 0
         assert service.handle(ModelRequest(t=t, x=x0, y=y0)).blob
         # A query there is the plan's exact fallback, not an error.
         value = service.handle(QueryRequest(t=t, x=far[0], y=far[1])).value
@@ -453,7 +453,7 @@ class TestBatchedRequestHandling:
         server.handle_many(
             [QueryRequest(t=t, x=2000.0 + i, y=1500.0) for i in range(5)]
         )
-        assert server.served_values == 5
+        assert server.engine.metrics["served"].values == 5
 
     def test_empty_batch(self, server):
         assert server.handle_many([]) == []

@@ -362,7 +362,7 @@ class TestEngineBackends:
                     "/query/heatmap",
                     {"t": t, "bounds": box, "nx": 6, "ny": 4},
                 )
-                assert pooled.pool.fallbacks == 0
+                assert not pooled.metrics["pool_fallbacks"].as_dict()
         expected_point = oracle.point_query(t, 2000.0, 1500.0)
         assert point["value"] == pytest.approx(expected_point.value)
         assert point["support"] == expected_point.support
@@ -528,8 +528,8 @@ class TestCachedLane:
             empty_owner += any(
                 not router.shard_window_epoch(s, c) for s, c in zip(owners, windows)
             )
-        assert engine.lane_hits["route"] == 2000
-        assert not engine.lane_declines
+        assert engine.metrics["lane_hits"].as_dict()["route"] == 2000
+        assert not engine.metrics["lane_declines"].as_dict()
         assert empty_owner > 50
 
     def test_a_large_h_keeps_a_large_tile_off_the_loop(self, small_dataset):
@@ -562,8 +562,8 @@ class TestCachedLane:
                     answers.append(body)
                 assert spy.cached_on == [served._thread.ident]  # the 16-update route
                 assert len(spy.continuous_on) == 1  # the 30-update one
-                assert engine.lane_hits == {"route": 1}
-                assert engine.lane_declines == {("route", "fallback"): 1}
+                assert engine.metrics["lane_hits"].as_dict() == {"route": 1}
+                assert engine.metrics["lane_declines"].as_dict() == {("route", "fallback"): 1}
                 for body, updates in zip(answers, (16, 30)):
                     params = {"route": route, "t_start": t, "duration_s": 60.0, "updates": updates}
                     assert _response(200, spy.continuous(params), close=False) == (
@@ -616,7 +616,7 @@ class TestCachedLane:
         params = self._routes(small_dataset, 1, seed=5)[0]
         status, body = _post(served.port, "/query/continuous", params)  # cold covers
         assert status == 200 and len(body["readings"]) == 30
-        assert engine.lane_declines == {("route", "cover"): 1}
+        assert engine.metrics["lane_declines"].as_dict() == {("route", "cover"): 1}
         # Built once, on the loop; the pool answered from that batch.
         assert builds == [loop_thread]
         assert len(spy.continuous_on) == 1 and spy.continuous_on[0] != loop_thread
@@ -659,7 +659,8 @@ class TestCachedLane:
         assert spy.cached_on == []
         assert len(spy.continuous_on) == 2 and loop_thread not in spy.continuous_on
         assert len(builds) == 2 and loop_thread not in builds
-        assert not engine.lane_hits and not engine.lane_declines
+        assert not engine.metrics["lane_hits"].as_dict()
+        assert not engine.metrics["lane_declines"].as_dict()
 
     def test_a_route_at_the_waypoint_bound_takes_the_lane(self, lane, small_dataset):
         served, spy, engine = lane
@@ -668,7 +669,7 @@ class TestCachedLane:
         status, cold = _post(served.port, "/query/continuous", params)
         assert status == 200 and spy.cached_on == []
         assert _post(served.port, "/query/continuous", params) == (200, cold)
-        assert spy.cached_on == [loop_thread] and engine.lane_hits == {"route": 1}
+        assert spy.cached_on == [loop_thread] and engine.metrics["lane_hits"].as_dict() == {"route": 1}
 
     def test_a_long_malformed_route_is_refused_on_the_executor(self, lane):
         served, spy, _engine = lane
@@ -701,7 +702,8 @@ class TestCachedLane:
                     assert _post(served.port, "/query/continuous", params)[0] == 200
                 loop_thread = served._thread.ident
             assert len(builds) == 2 and loop_thread not in builds
-            assert not engine.lane_hits and not engine.lane_declines
+            assert not engine.metrics["lane_hits"].as_dict()
+            assert not engine.metrics["lane_declines"].as_dict()
 
     def test_each_point_request_is_counted_once(self, lane, small_dataset):
         """A declined point is one decline (the pool does not ask the lane
@@ -710,11 +712,11 @@ class TestCachedLane:
         p = self._covered_point(small_dataset, 3000)
         status, cold = _post(served.port, "/query/point", p)
         assert status == 200
-        assert engine.lane_declines == {("point", "cover"): 1}
-        assert not engine.lane_hits
+        assert engine.metrics["lane_declines"].as_dict() == {("point", "cover"): 1}
+        assert not engine.metrics["lane_hits"].as_dict()
         assert _post(served.port, "/query/point", p) == (200, cold)
-        assert engine.lane_declines == {("point", "cover"): 1}
-        assert engine.lane_hits == {"point": 1}
+        assert engine.metrics["lane_declines"].as_dict() == {("point", "cover"): 1}
+        assert engine.metrics["lane_hits"].as_dict() == {"point": 1}
 
     def test_other_methods_never_ask_the_lane(self, small_dataset):
         router = ShardRouter(
@@ -726,4 +728,5 @@ class TestCachedLane:
                 p = self._covered_point(small_dataset, 3000)
                 for _ in range(2):
                     assert _post(served.port, "/query/point", p)[0] == 200
-            assert not engine.lane_hits and not engine.lane_declines
+            assert not engine.metrics["lane_hits"].as_dict()
+            assert not engine.metrics["lane_declines"].as_dict()

@@ -41,6 +41,7 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.geo.coords import BoundingBox
 from repro.geo.region import RegionGrid
+from repro.obs import Metrics
 from repro.query.base import QueryBatch
 from repro.query.indexed import available_index_kinds
 from repro.query.sharded import ShardedQueryEngine
@@ -329,7 +330,8 @@ class TestUninterpolableRoutes:
         with pytest.raises(HttpError) as refused:
             service.cached("continuous", dict(payload))
         assert refused.value.status == 400
-        assert not engine.lane_hits and not engine.lane_declines
+        assert not engine.metrics["lane_hits"].as_dict()
+        assert not engine.metrics["lane_declines"].as_dict()
 
     @pytest.mark.parametrize("payload", _UNINTERPOLABLE_ROUTES)
     def test_websocket_request_and_subscribe_are_error_frames(
@@ -1188,6 +1190,7 @@ class TestWireBytes:
 
         class Engine:
             router = types.SimpleNamespace(global_count=lambda: 1)
+            metrics = Metrics()
 
             def heatmap_grid(self, t, bounds, nx, ny, method):
                 return grid

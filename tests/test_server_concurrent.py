@@ -156,7 +156,7 @@ class TestWorkerPool:
         requests = make_query_workload(rng, stream, 120)
         server = protocol_service(h=H)
         server.ingest(stream)
-        served_before = server.served_values
+        served_before = server.engine.metrics["served"].values
         expected = response_fingerprints([server.handle(r) for r in requests])
 
         results: dict = {}
@@ -179,7 +179,7 @@ class TestWorkerPool:
                 got[id(r)] = resp
         concurrent_prints = response_fingerprints([got[id(r)] for r in requests])
         assert concurrent_prints == expected
-        assert server.served_values == served_before + 2 * len(requests)
+        assert server.engine.metrics["served"].values == served_before + 2 * len(requests)
 
 
 class TestConcurrentFleet:

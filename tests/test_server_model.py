@@ -91,7 +91,7 @@ class TestModelMode:
                 assert status == 200, body
                 assert _blob(body) == blob
                 assert service.handle(request).blob == blob
-        assert service.served_covers == 2 * len(requests)
+        assert service.engine.metrics["served"].covers == 2 * len(requests)
 
     def test_four_shards_serve_the_owner_slices_cover(self, small_dataset):
         router = ShardRouter(
@@ -138,7 +138,7 @@ class TestModelMode:
             assert status == 404 and "no rows" in body["error"]
             status, _ = _post(served.port, "/query/model", {"t": t, "x": x0, "y": y0})
             assert status == 200
-        assert service.served_covers == 1
+        assert service.engine.metrics["served"].covers == 1
 
     def test_websocket_model_mode_is_the_http_answer(self, small_batch):
         service = protocol_service(h=240)
@@ -164,7 +164,7 @@ class TestModelMode:
         with BackgroundServer(service) as served:
             status, body = _post(served.port, "/query/model", params)
         assert status == 400 and f"'{missing}'" in body["error"]
-        assert service.served_covers == 0
+        assert service.engine.metrics["served"].covers == 0
 
 
 class TestNoDataYet:

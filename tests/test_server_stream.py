@@ -63,7 +63,7 @@ class TestRun:
         stats = StreamReplayer(server, batch_interval_s=1800.0).run(
             small_batch, query_every_s=4 * 3600.0
         )
-        assert server.served_values >= 2
+        assert server.engine.metrics["served"].values >= 2
         assert stats.covers_built >= 2  # distinct windows were materialised
 
     def test_no_queries_no_covers(self, small_batch):
@@ -85,7 +85,7 @@ class TestRun:
         router = server.engine.router
         assert stats.final_epoch == router.epoch == stats.batches
         assert stats.covers_built == fits(server)
-        assert server.served_values == stats.covers_built
+        assert server.engine.metrics["served"].values == stats.covers_built
 
     def test_progress_callback(self, small_batch):
         server = protocol_service(h=240)

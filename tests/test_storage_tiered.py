@@ -717,7 +717,7 @@ class TestBoundedResidency:
                 hot.continuous_query_batch(queries),
                 cold.continuous_query_batch(queries),
             )
-            assert dict(hot.pool.fallback_reasons) == {
+            assert hot.metrics["pool_fallbacks"].as_dict() == {
                 "router does not export contiguous shard prefixes": 1
             }
             assert hot.pool._workers == [None, None]
