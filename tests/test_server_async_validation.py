@@ -464,8 +464,12 @@ def _encode_frame(fin: bool, opcode: int, payload: bytes, mask: bytes) -> bytes:
 class _WsClient:
     """RFC 6455 client with frame-level control (fragmentation, pings)."""
 
-    def __init__(self, port, timeout=30):
-        self.sock = socket.create_connection(("127.0.0.1", port), timeout=timeout)
+    def __init__(self, port, timeout=30, rcvbuf=None):
+        self.sock = socket.socket()
+        if rcvbuf is not None:  # before connect: the window is set at the SYN
+            self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
+        self.sock.settimeout(timeout)
+        self.sock.connect(("127.0.0.1", port))
         key = base64.b64encode(b"fedcba9876543210").decode()
         self.sock.sendall(
             (
@@ -1357,3 +1361,211 @@ class TestWriteBackPressure:
             assert json.loads(bytes(data[end : end + length]))["i"] == i
             at = end + length
         assert at == len(data)
+
+
+# -- the /ws wire, pinned: every byte the server frames ---------------------
+
+
+class _Sized:
+    """A service whose one mode's lane answers ``n`` bytes: a text frame
+    of any length, to pin the three length forms of a server frame."""
+
+    modes = ("sized",)
+
+    def cached(self, mode, params):
+        return b"a" * params["n"]
+
+    def sized(self, params):  # pragma: no cover - the lane always answers
+        raise AssertionError("the lane answers every request")
+
+
+class TestWsWireBytes:
+    @pytest.mark.parametrize(
+        "n, head",
+        [
+            (0, b"\x81\x00"),
+            (125, b"\x81\x7d"),
+            (126, b"\x81\x7e\x00\x7e"),
+            (65_535, b"\x81\x7e\xff\xff"),
+            (65_536, b"\x81\x7f\x00\x00\x00\x00\x00\x01\x00\x00"),
+        ],
+        ids=["0", "125", "126", "65535", "65536"],
+    )
+    def test_text_frames_literally(self, n, head):
+        """FIN and opcode 0x1, no mask, the 7-bit, 16-bit or 64-bit
+        length, then the body as the lane gave it."""
+        with BackgroundServer(_Sized()) as served:
+            client = _WsClient(served.port)
+            try:
+                client.send(True, 0x1, json.dumps({"mode": "sized", "n": n}).encode())
+                assert client._recv_exactly(len(head) + n) == head + b"a" * n
+                # Nothing more than the one frame was written.
+                client.send(True, 0x9, b"")
+                assert client._recv_exactly(2) == b"\x8a\x00"
+            finally:
+                client.close()
+
+    def test_pong_and_close_echo_literally(self, one_shard_served):
+        client = _WsClient(one_shard_served.port)
+        try:
+            client.send(True, 0x9, b"are you there")
+            assert client._recv_exactly(15) == b"\x8a\x0dare you there"
+            # The close echoes the status code only (payload[:2]), then
+            # the server closes.
+            client.send(True, 0x8, b"\x03\xe8going away")
+            assert client._recv_exactly(4) == b"\x88\x02\x03\xe8"
+            assert client.closed_by_server()
+        finally:
+            client.sock.close()
+        client = _WsClient(one_shard_served.port)
+        try:
+            client.send(True, 0x8, b"")
+            assert client._recv_exactly(2) == b"\x88\x00"
+            assert client.closed_by_server()
+        finally:
+            client.sock.close()
+
+
+def _masked_text_frame(payload: bytes, mask: bytes) -> bytes:
+    """A FIN text frame with a 64-bit length, masked in one vectorised
+    XOR (``_encode_frame``'s byte loop takes seconds over 4 MiB)."""
+    return b"\x81\xff" + struct.pack(">Q", len(payload)) + mask + _unmask(payload, mask)
+
+
+class TestWsSizeLimits:
+    def test_largest_frame_is_read_across_many_segments(self, one_shard_served):
+        """A frame of exactly ``_MAX_BODY`` bytes is one message: read
+        whole, however it is cut, and answered as the HTTP body of the
+        same bytes is (the field check of a dict without ``mode``)."""
+        body = b" " * (_MAX_BODY - 2) + b"{}"
+        frame = _masked_text_frame(body, b"\x11\x22\x33\x44")
+        client = _WsClient(one_shard_served.port)
+        try:
+            for at in range(0, len(frame), 1 << 16):
+                client.sock.sendall(frame[at : at + (1 << 16)])
+            assert client.recv_frame() == (
+                0x1,
+                json.dumps({"error": "frame must be a JSON object with 'mode'"}).encode(),
+            )
+        finally:
+            client.close()
+
+    def test_one_byte_more_is_refused_before_its_payload(self, one_shard_served):
+        client = _WsClient(one_shard_served.port)
+        try:
+            client.sock.sendall(
+                b"\x81\xff" + struct.pack(">Q", _MAX_BODY + 1) + b"\x11\x22\x33\x44"
+            )
+            assert client.closed_by_server()
+        finally:
+            client.sock.close()
+
+
+class TestWsWriteBackPressure:
+    def test_a_subscriber_that_stops_reading_stops_being_served(
+        self, small_batch, monkeypatch
+    ):
+        """A subscribed client pipelines heatmap requests and stops
+        reading while the writer ingests: once the write buffer passes
+        its high-water mark neither replies nor pushes are written, so
+        it stays bounded; when the client reads again every reply
+        arrives in request order and the update frames arrive whole,
+        with consecutive ``seq``.  Both kernel socket buffers are pinned
+        small, as in :class:`TestWriteBackPressure`."""
+        pad = 500.0
+        bbox = BoundingBox(
+            float(small_batch.x.min()) - pad,
+            float(small_batch.y.min()) - pad,
+            float(small_batch.x.max()) + pad,
+            float(small_batch.y.max()) + pad,
+        )
+        cut = int(0.6 * len(small_batch))
+        router = ShardRouter(RegionGrid(bbox, nx=2, ny=2), h=240)
+        router.ingest(small_batch.slice(0, cut))
+        engine = ShardedQueryEngine(router)
+        registry = registry_for(engine)
+
+        class Heatmaps(EngineQueryService):
+            served = 0
+
+            def heatmap(self, params):
+                self.served += 1
+                return {"mode": "heatmap", "i": params["i"], "grid": [[0.5] * 512] * 64}
+
+        service = Heatmaps(engine, subscriptions=registry)
+        one = 10 + len(json.dumps(service.heatmap({"i": 0})).encode())
+        service.served = 0
+        transports = []
+        made = _HttpConnection.connection_made
+
+        def spy(self, transport):
+            transport.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF, 8192
+            )
+            transports.append(transport)
+            made(self, transport)
+
+        monkeypatch.setattr(_HttpConnection, "connection_made", spy)
+        xm, ym = float(np.mean(small_batch.x)), float(np.mean(small_batch.y))
+        n = 16
+        with BackgroundServer(service) as served:
+            client = _WsClient(served.port, rcvbuf=4096)
+            try:
+                sub_id = client.request(
+                    {
+                        "mode": "subscribe",
+                        "route": [[xm - 300.0, ym - 300.0], [xm + 300.0, ym + 300.0]],
+                        # Past the end of the stream: every ingest below
+                        # changes the answer.
+                        "t_start": float(small_batch.t[-1]) + 3600.0,
+                        "updates": 10,
+                        "method": "naive",
+                    }
+                )["subscription"]
+                client.sock.sendall(
+                    b"".join(
+                        _encode_frame(
+                            True,
+                            0x1,
+                            json.dumps({"mode": "heatmap", "i": i}).encode(),
+                            b"\xaa\xbb\xcc\xdd",
+                        )
+                        for i in range(n)
+                    )
+                )
+                for k in range(3):
+                    time.sleep(0.05)
+                    service.ingest(small_batch.slice(cut + 100 * k, cut + 100 * (k + 1)))
+                # Wait for the server to go quiet.
+                seen, quiet_since = None, time.monotonic()
+                deadline = time.monotonic() + 60.0
+                while time.monotonic() - quiet_since < 0.3:
+                    assert time.monotonic() < deadline
+                    now = (service.served, registry.stats.maintains)
+                    if now != seen:
+                        seen, quiet_since = now, time.monotonic()
+                    time.sleep(0.02)
+                (transport,) = transports
+                high = transport.get_write_buffer_limits()[1]
+                assert 1 <= service.served <= 3, "the handler never stopped serving"
+                assert high < transport.get_write_buffer_size() <= high + 2 * one
+                # The client comes back: everything owed arrives.
+                replies, updates = [], []
+                while len(replies) < n:
+                    frame = client.recv_json()
+                    (updates if frame.get("mode") == "update" else replies).append(frame)
+                client.send(
+                    True,
+                    0x1,
+                    json.dumps({"mode": "unsubscribe", "subscription": sub_id}).encode(),
+                )
+                while (frame := client.recv_json()).get("mode") == "update":
+                    updates.append(frame)
+                assert frame == {"mode": "unsubscribed", "subscription": sub_id}
+            finally:
+                client.close()
+        assert service.served == n
+        assert [r["i"] for r in replies] == list(range(n))
+        assert updates, "no update was pushed"
+        assert {u["subscription"] for u in updates} == {sub_id}
+        assert [u["seq"] for u in updates] == list(range(1, len(updates) + 1))
