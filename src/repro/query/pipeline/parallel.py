@@ -37,13 +37,15 @@ workers cannot be sent — abandons the attempt and re-runs the *whole
 plan* in-process through the owning engine's serial executor: the same
 answer, counted by reason in the engine's ``pool_fallbacks`` block
 (``engine.metrics``); a dead worker is respawned
-lazily on the next request.  Plans may be executed from several threads
+lazily on the next request, counted in ``pool_respawns`` and logged at
+``WARNING``.  Plans may be executed from several threads
 (the async server's pool does): a worker's pipe is held from a
 request's send to its reply, locks taken in worker-index order.
 """
 
 from __future__ import annotations
 
+import logging
 import multiprocessing as mp
 import threading
 import traceback
@@ -65,6 +67,8 @@ from repro.query.pipeline.plan import (
 from repro.storage.shm import AttachedShard, ShardExportRegistry, attach_shard
 
 __all__ = ["ProcessPlanExecutor", "WorkerCrash"]
+
+_log = logging.getLogger(__name__)
 
 
 class WorkerCrash(RuntimeError):
@@ -241,6 +245,8 @@ class ProcessPlanExecutor:
         #: Plans that degraded to in-process execution, by the first
         #: clause of the failure's message.
         self._fallbacks = engine.metrics.block("pool_fallbacks")
+        #: Workers found dead before a send and replaced.
+        self._respawns = engine.metrics.block("pool_respawns")
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -264,6 +270,15 @@ class ProcessPlanExecutor:
         worker = self._workers[index]
         if worker is None or not worker.alive():
             if worker is not None:
+                # Died since its last request (the pool heals, silently
+                # to the caller): say so.
+                self._respawns.bump("workers")
+                _log.warning(
+                    "process pool worker %d (pid %s) exited with code %s; respawning",
+                    index,
+                    worker.process.pid,
+                    worker.process.exitcode,
+                )
                 worker.kill()
             worker = self._workers[index] = _Worker(self._ctx, self.engine.radius_m)
         return worker

@@ -167,7 +167,7 @@ class ShardedQueryEngine:
     its pool, the subscription registry and the service over it all
     count into its blocks (``cache``, ``rows_cache``, ``prune``,
     ``lane_hits``, ``lane_declines``, ``layout_repins``,
-    ``pool_fallbacks``, ``subscriptions``, ``served``,
+    ``pool_fallbacks``, ``pool_respawns``, ``subscriptions``, ``served``,
     ``ingest_rejects``; ``tier``, read from a tiered router at scrape
     time).
     """

@@ -671,8 +671,8 @@ class SubscriptionRegistry:
     def notify_ingest(self) -> None:
         """Tell listeners data arrived.  Called by the owning front end
         after each ingest; maintenance itself runs in whoever answers
-        the notification (a poller or the WebSocket pusher), never on
-        the ingest thread."""
+        the notification (a poller, or a ``/ws`` connection's pass on a
+        server worker), never on the ingest thread."""
         with self._lock:
             listeners = list(self._listeners)
         for listener in listeners:

@@ -43,8 +43,8 @@ queries:
   ``{"mode": "subscribed", "subscription", "seq": 0, "changes": [...]}``
   frame holding the full initial answer;
 * after each ingest the server pushes ``{"mode": "update", ...}``
-  frames carrying only the changed readings (delta maintenance runs in
-  the executor, never on the event loop or the ingest thread);
+  frames carrying only the changed readings (delta maintenance runs on
+  the server's workers, never on the event loop or the ingest thread);
 * ``{"mode": "unsubscribe", "subscription": id}`` — stops the pushes.
 
 Request limits (documented contract, enforced with 400s): heatmap
@@ -82,11 +82,22 @@ fit never stalls the accept loop or a cached answer, and — when the
 engine owns a process pool (``ShardedQueryEngine(..., processes=N)``) —
 the exact methods' compute escapes the GIL onto the worker processes
 entirely.  A
-client that stops reading its answers stops being served
-(``pause_writing``/``resume_writing``, the back-pressure ``drain()``
-gives a stream handler), and ``Upgrade: websocket`` hands the transport,
-buffered bytes first, to a ``StreamReaderProtocol`` for the stream-based
-``/ws`` session.  Every answer is computed over one pinned snapshot
+client that stops reading its answers stops being served: past the
+transport's high-water mark (``pause_writing``) the connection reads
+and answers nothing until ``resume_writing``.
+
+``Upgrade: websocket`` switches the same connection to RFC 6455
+frames, parsed from the same buffer (a frame's header sets the bytes
+awaited, as a request head's length does) and answered as requests
+are: a text message the lane answers is written in the callback,
+anything else — a subscribe too — goes to a worker with reading
+paused.  Every frame (reply, pong, close echo, push) is one
+``transport.write`` behind the same gate.  A subscribed connection's
+registry listener schedules one maintenance pass on a worker (rows
+that arrive during a pass get exactly one more after it); the pass's
+updates are pushed from the loop or, with the gate closed, stay queued
+in the registry until it opens.  A closed connection's listener and
+subscriptions leave the registry.  Every answer is computed over one pinned snapshot
 binding, so concurrent requests — and a writer ingesting beside them —
 need no extra locking here.
 """
@@ -721,22 +732,6 @@ class AsyncQueryServer:
         finally:
             self._workers.close()
 
-    async def _blocking(self, fn, *args):
-        """``fn(*args)``'s result, computed on a worker thread."""
-        loop = asyncio.get_running_loop()
-        future = loop.create_future()
-
-        def done(result, error) -> None:
-            if future.cancelled():
-                return
-            if error is None:
-                future.set_result(result)
-            else:
-                future.set_exception(error)
-
-        self._workers.submit(loop, done, fn, *args)
-        return await future
-
     # -- request dispatch ----------------------------------------------------
 
     def _lane(self, mode: str, params: Dict[str, Any]) -> Tuple[Any, Callable]:
@@ -750,197 +745,43 @@ class AsyncQueryServer:
         cached = getattr(self.service, "cached", None)
         return (cached(mode, params) if cached is not None else None), handler
 
-    async def _answer(
-        self, mode: str, params: Dict[str, Any]
-    ) -> Union[bytes, Dict[str, Any]]:
-        payload, handler = self._lane(mode, params)
-        if payload is None:
-            # Everything else may block (scans, fits, fault-ins, lock
-            # waits, worker-pool round trips): keep it off the event loop.
-            payload = await self._blocking(handler, params)
-        return payload
-
-    # -- WebSocket -----------------------------------------------------------
-
-    async def _websocket_connection(self, reader, writer, headers) -> None:
-        """A connection from its ``Upgrade: websocket`` request on: the
-        session, then the close."""
-        try:
-            await self._serve_websocket(reader, writer, headers)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # client went away mid-session
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-
-    async def _serve_websocket(self, reader, writer, headers) -> None:
-        accept = base64.b64encode(
-            hashlib.sha1(
-                (headers["sec-websocket-key"] + _WS_GUID).encode("latin-1")
-            ).digest()
-        ).decode("latin-1")
-        writer.write(
-            (
-                "HTTP/1.1 101 Switching Protocols\r\n"
-                "Upgrade: websocket\r\n"
-                "Connection: Upgrade\r\n"
-                f"Sec-WebSocket-Accept: {accept}\r\n"
-                "\r\n"
-            ).encode("latin-1")
-        )
-        await writer.drain()
-        send_lock = asyncio.Lock()
-        session = _WsSubscriptionSession(self, writer, send_lock)
-        try:
-            while True:
-                try:
-                    message = await self._read_message(reader, writer, send_lock)
-                except (asyncio.IncompleteReadError, ConnectionError, ValueError):
-                    return
-                if message is None:  # peer sent close
-                    return
-                reply = await self._ws_reply(message, session)
-                await self._send_text(writer, send_lock, reply)
-        finally:
-            await session.close()
-
-    async def _ws_reply(
-        self, payload: bytes, session: "_WsSubscriptionSession"
-    ) -> Union[bytes, Dict[str, Any]]:
-        try:
-            request = json.loads(payload.decode("utf-8"))
-            if not isinstance(request, dict) or "mode" not in request:
-                raise HttpError(400, "frame must be a JSON object with 'mode'")
-            mode = str(request["mode"])
-            if mode == "subscribe":
-                return await session.subscribe(request)
-            if mode == "unsubscribe":
-                return await session.unsubscribe(request)
-            return await self._answer(mode, request)
-        except HttpError as exc:
-            return {"error": exc.message}
-        except Exception as exc:  # noqa: BLE001
-            return {"error": f"{type(exc).__name__}: {exc}"}
-
-    async def _read_message(
-        self, reader, writer, send_lock: asyncio.Lock
-    ) -> Optional[bytes]:
-        """Read one complete text message, reassembling fragments.
-
-        RFC 6455 §5.4: a message is one non-FIN data frame followed by
-        continuation frames (opcode 0x0) until a FIN; control frames may
-        interleave mid-message but may not themselves be fragmented.
-        Returns the reassembled text payload, ``None`` when the peer
-        closes, skips complete binary messages, and raises
-        :class:`ValueError` on protocol violations (the caller drops the
-        connection, as before).
-        """
-        in_progress: Optional[int] = None  # opcode of the open message
-        parts: List[bytes] = []
-        total = 0
-        while True:
-            fin, opcode, payload = await self._read_frame(reader)
-            if opcode >= 0x8:
-                # Control frames: never fragmented, payload <= 125.
-                if not fin or len(payload) > 125:
-                    raise ValueError("malformed control frame")
-                if opcode == 0x8:  # close
-                    async with send_lock:
-                        await self._send_frame(writer, 0x8, payload[:2])
-                    return None
-                if opcode == 0x9:  # ping
-                    async with send_lock:
-                        await self._send_frame(writer, 0xA, payload)
-                    continue
-                if opcode == 0xA:  # unsolicited pong
-                    continue
-                raise ValueError(f"unknown control opcode {opcode:#x}")
-            if opcode in (0x1, 0x2):
-                if in_progress is not None:
-                    raise ValueError("data frame inside a fragmented message")
-                if fin:
-                    if opcode == 0x1:
-                        return payload
-                    continue  # complete binary message: not a request
-                in_progress = opcode
-                parts = [payload]
-                total = len(payload)
-            elif opcode == 0x0:
-                if in_progress is None:
-                    raise ValueError("continuation frame with no message open")
-                parts.append(payload)
-                total += len(payload)
-                if fin:
-                    message = b"".join(parts)
-                    kind, in_progress, parts, total = in_progress, None, [], 0
-                    if kind == 0x1:
-                        return message
-                    continue  # reassembled binary message: skipped
-            else:
-                raise ValueError(f"unsupported opcode {opcode:#x}")
-            if total > _MAX_BODY:
-                raise ValueError("message too large")
-
-    @staticmethod
-    async def _read_frame(reader) -> Tuple[bool, int, bytes]:
-        b0, b1 = await reader.readexactly(2)
-        fin = bool(b0 & 0x80)
-        if b0 & 0x70:
-            # No extension negotiated, so RSV1-3 must be zero (§5.2).
-            raise ValueError("reserved bits set")
-        opcode = b0 & 0x0F
-        masked = bool(b1 & 0x80)
-        length = b1 & 0x7F
-        if length == 126:
-            (length,) = struct.unpack(">H", await reader.readexactly(2))
-        elif length == 127:
-            (length,) = struct.unpack(">Q", await reader.readexactly(8))
-        if length > _MAX_BODY:
-            raise ValueError("frame too large")
-        if not masked:
-            # RFC 6455 §5.1: client frames MUST be masked.
-            raise ValueError("client frames must be masked")
-        mask = await reader.readexactly(4)
-        return fin, opcode, _unmask(await reader.readexactly(length), mask)
-
-    async def _send_text(
-        self, writer, send_lock: asyncio.Lock, payload: Union[bytes, Dict[str, Any]]
-    ) -> None:
-        async with send_lock:
-            await self._send_frame(writer, 0x1, _body(payload))
-
-    @staticmethod
-    async def _send_frame(writer, opcode: int, payload: bytes) -> None:
-        head = bytes([0x80 | opcode])
-        n = len(payload)
-        if n < 126:
-            head += bytes([n])
-        elif n < 1 << 16:
-            head += bytes([126]) + struct.pack(">H", n)
-        else:
-            head += bytes([127]) + struct.pack(">Q", n)
-        writer.write(head + payload)
-        await writer.drain()
-
 
 class _HttpConnection(asyncio.Protocol):
     """One client connection — a single receive buffer in, whole
-    responses out: the module docstring's concurrency model."""
+    responses (or, after a ``/ws`` upgrade, whole frames) out: the module
+    docstring's concurrency model."""
 
     def __init__(self, server: "AsyncQueryServer") -> None:
         self._server = server
         self._transport: Any = None
         self._buf = bytearray()
-        self._need = 0  # bytes the request now arriving needs, once its head is in
-        self._busy = False  # a request is on the executor
+        self._need = 0  # bytes the request or frame now arriving needs, once its head is in
+        self._busy = False  # a request is on a worker
         self._choked = False  # the write buffer is over its high-water mark
         self._eof = False  # the client half-closed: answer what is buffered, close
+        # After the upgrade: RFC 6455 frames, and this connection's
+        # standing queries.
+        self._ws = False
+        self._open: Optional[int] = None  # opcode of the fragmented message open
+        self._parts = bytearray()  # its payload so far
+        self._subs: Dict[int, Any] = {}  # sub id -> Subscription
+        self._listener: Optional[Callable[[], None]] = None
+        self._maintaining = False  # a maintenance pass is on a worker
+        self._again = False  # rows arrived during it: one more pass after it
+        self._owed = False  # a push found the write gate closed
 
     def connection_made(self, transport) -> None:
         self._transport = transport
+
+    def connection_lost(self, exc: Optional[BaseException]) -> None:
+        """No push outlives the connection: its listener and its
+        subscriptions leave the registry."""
+        if self._listener is not None:
+            registry = self._server.service.subscriptions
+            registry.remove_listener(self._listener)
+            for sub_id in self._subs:
+                registry.unregister(sub_id)
+            self._subs.clear()
 
     def data_received(self, data: bytes) -> None:
         self._buf += data
@@ -958,11 +799,15 @@ class _HttpConnection(asyncio.Protocol):
 
     def resume_writing(self) -> None:
         self._choked = False
+        if self._owed:
+            self._push()
         self._pump()
 
     def _pump(self) -> None:
         """Serve buffered requests until one has to block, no complete
         one is left, or the connection is closing."""
+        if self._ws:
+            return self._pump_frames()
         transport, buf = self._transport, self._buf
         while not (self._busy or self._choked or transport.is_closing()):
             end = buf.find(b"\r\n\r\n", 0, _MAX_HEADER + 4)
@@ -1017,6 +862,14 @@ class _HttpConnection(asyncio.Protocol):
         else:
             self._transport.resume_reading()
 
+    def _submit(self, done: Callable, fn: Callable, *args) -> None:
+        """Run ``fn(*args)`` on a worker, reading paused until
+        ``done(result, error)`` runs on the loop: one request in flight,
+        so answers keep request order."""
+        self._server._workers.submit(asyncio.get_running_loop(), done, fn, *args)
+        self._busy = True
+        self._transport.pause_reading()
+
     def _serve(self, method: str, path: str, body: bytearray, close: bool) -> None:
         try:
             if method == "GET" and path == "/health":
@@ -1038,15 +891,9 @@ class _HttpConnection(asyncio.Protocol):
                     raise HttpError(400, "body must be a JSON object")
                 payload, handler = self._server._lane(path[len("/query/") :], params)
                 if payload is None:
-                    self._server._workers.submit(
-                        asyncio.get_running_loop(),
-                        functools.partial(self._finish, close),
-                        handler,
-                        params,
+                    return self._submit(
+                        functools.partial(self._finish, close), handler, params
                     )
-                    self._busy = True
-                    self._transport.pause_reading()
-                    return
             else:
                 raise HttpError(404, f"no route {method} {path}")
             status = 200
@@ -1072,53 +919,146 @@ class _HttpConnection(asyncio.Protocol):
         if close:
             self._transport.close()
 
+    # -- /ws: RFC 6455 over the same buffer ----------------------------------
+
     def _upgrade(self, headers: Dict[str, str], consumed: int) -> None:
-        if not headers.get("sec-websocket-key"):
+        key = headers.get("sec-websocket-key")
+        if not key:
             return self._reply(400, {"error": "missing Sec-WebSocket-Key"}, close=True)
-        server, transport = self._server, self._transport
-        reader = asyncio.StreamReader(limit=_MAX_HEADER)
-        reader.feed_data(self._buf[consumed:])
-        self._buf.clear()
-        protocol = asyncio.StreamReaderProtocol(
-            reader, lambda r, w: server._websocket_connection(r, w, headers)
+        accept = base64.b64encode(
+            hashlib.sha1((key + _WS_GUID).encode("latin-1")).digest()
         )
-        transport.set_protocol(protocol)
-        protocol.connection_made(transport)  # starts the session task
-        if self._eof:
-            protocol.eof_received()
-        transport.resume_reading()
+        self._transport.write(
+            b"HTTP/1.1 101 Switching Protocols\r\n"
+            b"Upgrade: websocket\r\n"
+            b"Connection: Upgrade\r\n"
+            b"Sec-WebSocket-Accept: %b\r\n"
+            b"\r\n" % accept
+        )
+        del self._buf[:consumed]  # what follows the head is frames
+        self._ws = True
+        self._pump_frames()
 
+    def _pump_frames(self) -> None:
+        """Serve buffered frames until a message has to wait for a
+        worker, no complete frame is left, or the connection is closing.
+        A frame breaking RFC 6455 closes the connection."""
+        transport, buf = self._transport, self._buf
+        while not (self._busy or self._choked or transport.is_closing()):
+            if len(buf) < 2:
+                return self._read_on()
+            b0, b1 = buf[0], buf[1]
+            if b0 & 0x70:
+                # No extension negotiated, so RSV1-3 must be zero (§5.2).
+                return transport.close()
+            length = b1 & 0x7F
+            at = 2 if length < 126 else 4 if length == 126 else 10
+            if len(buf) < at:
+                return self._read_on()
+            if at > 2:
+                length = int.from_bytes(buf[2:at], "big")
+            if length > _MAX_BODY:
+                return transport.close()
+            if not b1 & 0x80:
+                # RFC 6455 §5.1: client frames MUST be masked.
+                return transport.close()
+            self._need = at + 4 + length
+            if len(buf) < self._need:
+                return self._read_on()
+            payload = _unmask(buf[at + 4 : self._need], buf[at : at + 4])
+            del buf[: self._need]
+            self._need = 0
+            self._frame(bool(b0 & 0x80), b0 & 0x0F, payload)
 
-class _WsSubscriptionSession:
-    """Standing-subscription state for one ``/ws`` connection.
+    def _frame(self, fin: bool, opcode: int, payload: bytes) -> None:
+        """One frame in.  RFC 6455 §5.4: a message is one non-FIN data
+        frame followed by continuation frames (opcode 0x0) until a FIN;
+        control frames may interleave mid-message but may not themselves
+        be fragmented.  A text message is a request; a binary one is
+        skipped."""
+        transport = self._transport
+        if opcode >= 0x8:
+            # Control frames: never fragmented, payload <= 125.
+            if not fin or len(payload) > 125:
+                return transport.close()
+            if opcode == 0x8:  # close: echo its status code, then close
+                self._send(payload[:2], 0x8)
+                return transport.close()
+            if opcode == 0x9:  # ping
+                return self._send(payload, 0xA)
+            if opcode != 0xA:  # an unsolicited pong is ignored
+                transport.close()
+            return
+        if opcode in (0x1, 0x2):
+            if self._open is not None:
+                return transport.close()  # a data frame inside a message
+            if fin:
+                if opcode == 0x1:
+                    self._message(payload)
+                return
+            self._open = opcode
+            self._parts += payload
+        elif opcode == 0x0:
+            if self._open is None:
+                return transport.close()  # a continuation with no message open
+            self._parts += payload
+            if fin:
+                kind, self._open = self._open, None
+                message, self._parts = self._parts, bytearray()
+                if kind == 0x1:
+                    self._message(message)
+                return
+        else:
+            return transport.close()  # an unknown data opcode
+        if len(self._parts) > _MAX_BODY:
+            transport.close()
 
-    The ingest-hook → asyncio bridge: the registry's ingest listener
-    sets an :class:`asyncio.Event` via ``call_soon_threadsafe``; the
-    pusher task answers it by running one delta-maintenance pass in the
-    executor (never on the event loop) and pushing each owned
-    subscription's queued updates as ``{"mode": "update"}`` text frames
-    under the connection's send lock, so pushes interleave safely with
-    request replies and pongs.
-    """
+    def _send(self, payload: Union[bytes, Dict[str, Any]], opcode: int = 0x1) -> None:
+        """One unmasked, unfragmented frame: one ``transport.write``."""
+        body = _body(payload)
+        n = len(body)
+        if n < 126:
+            head = struct.pack(">BB", 0x80 | opcode, n)
+        elif n < 1 << 16:
+            head = struct.pack(">BBH", 0x80 | opcode, 126, n)
+        else:
+            head = struct.pack(">BBQ", 0x80 | opcode, 127, n)
+        self._transport.write(head + body)
 
-    def __init__(
-        self, server: AsyncQueryServer, writer, send_lock: asyncio.Lock
-    ) -> None:
-        self._server = server
-        self._writer = writer
-        self._send_lock = send_lock
-        self._registry = getattr(server.service, "subscriptions", None)
-        self._owned: Dict[int, Any] = {}  # sub id -> Subscription
-        self._wake = asyncio.Event()
-        self._loop = asyncio.get_running_loop()
-        self._listener = None
-        self._pusher: Optional[asyncio.Task] = None
+    def _message(self, payload: Union[bytes, bytearray]) -> None:
+        """One text message: a JSON request with the POST body's fields
+        and a ``mode``, answered by one text frame (an error too) — on
+        the loop when it can be, else from a worker."""
+        try:
+            request = json.loads(payload.decode("utf-8"))
+            if not isinstance(request, dict) or "mode" not in request:
+                raise HttpError(400, "frame must be a JSON object with 'mode'")
+            mode = str(request["mode"])
+            if mode == "subscribe":
+                return self._subscribe(request)
+            if mode == "unsubscribe":
+                reply = self._unsubscribe(request)
+            else:
+                reply, handler = self._server._lane(mode, request)
+                if reply is None:
+                    return self._submit(self._answered, handler, request)
+        except Exception as exc:  # noqa: BLE001 - an error frame, keep serving
+            reply = _failure(exc)[1]
+        self._send(reply)
 
-    async def subscribe(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        if self._registry is None:
-            raise HttpError(
-                400, "subscriptions are not enabled on this backend"
-            )
+    def _answered(self, payload: Any, error: Optional[BaseException]) -> None:
+        self._busy = False
+        if self._transport.is_closing():
+            return  # the client went away mid-request
+        self._send(payload if error is None else _failure(error)[1])
+        self._pump_frames()
+
+    def _subscribe(self, request: Dict[str, Any]) -> None:
+        """Register a standing query on a worker (its initial answer is
+        an execution); the reply holds that answer."""
+        registry = getattr(self._server.service, "subscriptions", None)
+        if registry is None:
+            raise HttpError(400, "subscriptions are not enabled on this backend")
         route = _route(request)
         t_start = _number(request, "t_start")
         interval_s = _positive_number(request, "interval_s", 60.0)
@@ -1126,79 +1066,89 @@ class _WsSubscriptionSession:
         method = request.get("method")
         if method is not None and not isinstance(method, str):
             raise HttpError(400, "field 'method' must be a string")
-        registry = self._registry
-        try:
-            sub = await self._server._blocking(
-                lambda: registry.subscribe(
-                    route,
-                    t_start,
-                    interval_s=interval_s,
-                    count=count,
-                    method=method,
-                )
-            )
-        except ValueError as exc:
-            raise HttpError(400, str(exc)) from None
-        self._owned[sub.id] = sub
-        self._ensure_pusher()
-        reply: Dict[str, Any] = {"mode": "subscribed"}
-        reply.update(sub.initial.to_json(queries=sub.batch))
-        return reply
+        self._submit(
+            self._subscribed,
+            functools.partial(
+                registry.subscribe,
+                route,
+                t_start,
+                interval_s=interval_s,
+                count=count,
+                method=method,
+            ),
+        )
 
-    async def unsubscribe(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    def _subscribed(self, sub: Any, error: Optional[BaseException]) -> None:
+        self._busy = False
+        registry = self._server.service.subscriptions
+        if self._transport.is_closing():
+            if error is None:  # the client went away mid-request
+                registry.unregister(sub.id)
+            return
+        if error is None:
+            self._subs[sub.id] = sub
+            if self._listener is None:
+                loop = asyncio.get_running_loop()
+                self._listener = lambda: loop.call_soon_threadsafe(self._wake)
+                registry.add_listener(self._listener)
+            reply = {"mode": "subscribed", **sub.initial.to_json(queries=sub.batch)}
+        elif isinstance(error, ValueError):
+            reply = {"error": str(error)}  # the spec's refusal: a 400
+        else:
+            reply = _failure(error)[1]
+        self._send(reply)
+        self._pump_frames()
+
+    def _unsubscribe(self, request: Dict[str, Any]) -> Dict[str, Any]:
         sub_id = request.get("subscription")
         if not isinstance(sub_id, int) or isinstance(sub_id, bool):
             raise HttpError(400, "field 'subscription' must be an integer id")
-        sub = self._owned.pop(sub_id, None)
-        if sub is None:
+        if self._subs.pop(sub_id, None) is None:
             raise HttpError(400, f"unknown subscription {sub_id}")
-        self._registry.unregister(sub_id)
+        self._server.service.subscriptions.unregister(sub_id)
         return {"mode": "unsubscribed", "subscription": sub_id}
 
-    def _ensure_pusher(self) -> None:
-        if self._pusher is None:
-            loop = self._loop
-            wake = self._wake
-            self._listener = lambda: loop.call_soon_threadsafe(wake.set)
-            self._registry.add_listener(self._listener)
-            self._pusher = loop.create_task(self._push_loop())
+    def _wake(self) -> None:
+        """Rows arrived (the registry's listener, scheduled on the loop):
+        one maintenance pass on a worker — or, if one is running, one
+        more after it."""
+        if self._transport.is_closing():
+            return
+        if self._maintaining:
+            self._again = True
+            return
+        self._maintaining = True
+        self._server._workers.submit(
+            asyncio.get_running_loop(),
+            self._maintained,
+            self._server.service.subscriptions.maintain,
+        )
 
-    async def _push_loop(self) -> None:
-        try:
-            while True:
-                await self._wake.wait()
-                self._wake.clear()
-                await self._server._blocking(self._registry.maintain)
-                for sub_id, sub in list(self._owned.items()):
-                    # The reader may handle an unsubscribe while a push
-                    # awaits the socket: no update follows its reply.
-                    if sub_id not in self._owned:
-                        continue
-                    for update in self._registry.poll(sub_id, maintain=False):
-                        if sub_id not in self._owned:
-                            break
-                        frame: Dict[str, Any] = {"mode": "update"}
-                        frame.update(update.to_json(queries=sub.batch))
-                        await self._server._send_text(
-                            self._writer, self._send_lock, frame
-                        )
-        except (ConnectionError, OSError):
-            pass  # client went away; close() tears the rest down
+    def _maintained(self, _updates: Any, error: Optional[BaseException]) -> None:
+        self._maintaining = False
+        if self._transport.is_closing():
+            return  # the client went away during the pass
+        self._push()
+        if self._again:
+            self._again = False
+            self._wake()
+        if error is not None:
+            raise error  # to the loop's exception handler; pushes go on
 
-    async def close(self) -> None:
-        if self._pusher is not None:
-            self._pusher.cancel()
-            try:
-                await self._pusher
-            except asyncio.CancelledError:
-                pass
-            self._pusher = None
-        if self._listener is not None:
-            self._registry.remove_listener(self._listener)
-            self._listener = None
-        for sub_id in list(self._owned):
-            del self._owned[sub_id]
-            self._registry.unregister(sub_id)
+    def _push(self) -> None:
+        """Each owned subscription's queued updates, one ``{"mode":
+        "update"}`` frame each.  With the write gate closed they stay
+        queued in the registry until ``resume_writing``."""
+        registry = self._server.service.subscriptions
+        for sub_id, sub in self._subs.items():
+            if self._choked:
+                self._owed = True
+                return
+            for update in registry.poll(sub_id, maintain=False):
+                frame: Dict[str, Any] = {"mode": "update"}
+                frame.update(update.to_json(queries=sub.batch))
+                self._send(frame)
+        self._owed = False
 
 
 class BackgroundServer:

@@ -18,6 +18,7 @@ leaves no block and no worker behind it either.
 import http.client
 import importlib.util
 import json
+import logging
 import os
 import pickle
 import signal
@@ -424,9 +425,10 @@ class TestCrashRecovery:
             assert sum(engine.metrics["pool_fallbacks"].as_dict().values()) == 1
         engine.close()
 
-    def test_killed_pool_respawns_before_next_request(self, small_dataset):
+    def test_killed_pool_respawns_before_next_request(self, small_dataset, caplog):
         # Plain kill -9 between requests: the lazy respawn notices the
         # corpse and the next request never even needs the fallback.
+        # The heal is counted and logged, once per slot respawned.
         engine = ShardedQueryEngine(_router(small_dataset))
         bounds = small_dataset.covered_bbox()
         t = float(small_dataset.tuples.t[1000])
@@ -442,9 +444,25 @@ class TestCrashRecovery:
                     os.kill(worker.process.pid, signal.SIGKILL)
                     worker.process.join(timeout=10.0)
             time.sleep(0.05)
-            healed = executor.execute(engine.plan(probes, "naive"))
+            dead = list(executor._workers)
+            with caplog.at_level(logging.WARNING, logger=parallel.__name__):
+                healed = executor.execute(engine.plan(probes, "naive"))
             _assert_identical(expected, healed)
             assert not engine.metrics["pool_fallbacks"].as_dict()
+            respawned = [
+                i
+                for i, (was, now) in enumerate(zip(dead, executor._workers))
+                if was is not None and now is not was
+            ]
+            assert respawned
+            served = json.loads(engine.metrics.render())  # what GET /metrics serves
+            assert served["pool_respawns"] == {"workers": len(respawned)}
+            records = [r for r in caplog.records if r.name == parallel.__name__]
+            assert [r.levelno for r in records] == [logging.WARNING] * len(respawned)
+            assert [r.getMessage().split()[3] for r in records] == [
+                str(i) for i in respawned
+            ]
+            assert all("exited with code -9" in r.getMessage() for r in records)
         engine.close()
 
     def test_undecodable_reply_is_a_worker_crash(self, sharded, probes, monkeypatch):

@@ -52,7 +52,6 @@ from repro.server.async_server import (
     EngineQueryService,
     HttpError,
     _HttpConnection,
-    _WsSubscriptionSession,
     _clean,
     _route_batch,
     _MAX_BODY,
@@ -601,56 +600,6 @@ class TestUnmask:
         assert _unmask(reference, mask) == data
 
 
-class _RecordingWriter:
-    def __init__(self):
-        self.sent = b""
-
-    def write(self, data):
-        self.sent += data
-
-    async def drain(self):
-        pass
-
-
-class TestFrameRoundTripProperty:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        payload=st.binary(max_size=400),
-        cuts=st.lists(st.integers(min_value=0, max_value=400), max_size=4),
-        mask=st.binary(min_size=4, max_size=4),
-        ping_after=st.one_of(st.none(), st.integers(min_value=0, max_value=4)),
-    )
-    def test_fragmented_masked_encode_decode(
-        self, payload, cuts, mask, ping_after
-    ):
-        """Any fragmentation of any masked payload — optionally with a
-        ping interleaved mid-message — decodes back to the exact bytes."""
-        points = sorted({c for c in cuts if 0 < c < len(payload)})
-        bounds = [0, *points, len(payload)]
-        parts = [payload[a:b] for a, b in zip(bounds, bounds[1:])] or [payload]
-        wire = b""
-        for i, part in enumerate(parts):
-            fin = i == len(parts) - 1
-            wire += _encode_frame(fin, 0x1 if i == 0 else 0x0, part, mask)
-            if ping_after == i and not fin:
-                wire += _encode_frame(True, 0x9, b"hb", mask)
-
-        async def run():
-            reader = asyncio.StreamReader()
-            reader.feed_data(wire)
-            reader.feed_eof()
-            writer = _RecordingWriter()
-            server = AsyncQueryServer(service=None)
-            message = await server._read_message(reader, writer, asyncio.Lock())
-            assert message == payload
-            if ping_after is not None and ping_after < len(parts) - 1:
-                assert writer.sent == bytes([0x8A, 2]) + b"hb"
-            else:
-                assert writer.sent == b""
-
-        asyncio.run(run())
-
-
 class TestWebSocketSubscribe:
     def test_subscribe_push_unsubscribe(self, engine_served, small_batch):
         served, router, registry, cut = engine_served
@@ -837,82 +786,6 @@ class TestIndexKindsAreRefused:
         assert reply == {"error": _refusal(kind)}  # the subscribe's 400, as a frame
 
 
-class _PushRecorder:
-    """Stands in for the server a ``/ws`` session pushes through: records
-    every frame and can run one coroutine while a push is in flight."""
-
-    def __init__(self, registry):
-        self.service = types.SimpleNamespace(subscriptions=registry)
-        self.frames = []
-        self.during_push = None
-
-    async def _blocking(self, fn, *args):
-        return await asyncio.get_running_loop().run_in_executor(None, fn, *args)
-
-    async def _send_text(self, writer, send_lock, payload):
-        self.frames.append(payload)
-        hook, self.during_push = self.during_push, None
-        if hook is not None:
-            await hook()
-
-
-class TestWsPusherUnsubscribeRace:
-    def test_unsubscribe_during_a_push_keeps_the_pusher_alive(self, small_batch):
-        """The pusher iterated over a copy of its subscriptions, so an
-        unsubscribe handled while it awaited the socket made the next
-        ``poll`` raise ``KeyError``: the task died and no subscription on
-        the connection received another frame."""
-        pad = 500.0
-        bbox = BoundingBox(
-            float(small_batch.x.min()) - pad,
-            float(small_batch.y.min()) - pad,
-            float(small_batch.x.max()) + pad,
-            float(small_batch.y.max()) + pad,
-        )
-        cut = int(0.6 * len(small_batch))
-        router = ShardRouter(RegionGrid(bbox, nx=2, ny=2), h=240)
-        router.ingest(small_batch.slice(0, cut))
-        registry = registry_for(ShardedQueryEngine(router))
-        xm, ym = float(np.mean(small_batch.x)), float(np.mean(small_batch.y))
-        # Past the end of the stream, every query tuple maps to the open
-        # window, so every ingest below changes both answers.
-        t_start = float(small_batch.t[-1]) + 3600.0
-
-        def request(d):
-            return {
-                "route": [[xm - d, ym - d], [xm + d, ym + d]],
-                "t_start": t_start,
-                "updates": 10,
-                "method": "naive",
-            }
-
-        async def run():
-            server = _PushRecorder(registry)
-            session = _WsSubscriptionSession(server, None, asyncio.Lock())
-            kept = (await session.subscribe(request(300.0)))["subscription"]
-            dropped = (await session.subscribe(request(200.0)))["subscription"]
-            # The first push (``kept``'s) awaits the reader's unsubscribe
-            # of ``dropped``, whose update is already queued.
-            server.during_push = lambda: session.unsubscribe(
-                {"subscription": dropped}
-            )
-            for k in range(3):
-                router.ingest(small_batch.slice(cut + 100 * k, cut + 100 * (k + 1)))
-                registry.notify_ingest()
-                for _ in range(500):
-                    if sum(f["subscription"] == kept for f in server.frames) > k:
-                        break
-                    await asyncio.sleep(0.01)
-            pusher_alive = not session._pusher.done()
-            await session.close()
-            return server.frames, kept, dropped, pusher_alive
-
-        frames, kept, dropped, pusher_alive = asyncio.run(run())
-        assert pusher_alive
-        assert [f["seq"] for f in frames if f["subscription"] == kept] == [1, 2, 3]
-        assert not any(f["subscription"] == dropped for f in frames)
-
-
 # -- the connection handler: one asyncio.Protocol over one buffer ----------
 #
 # The stream-based handler leaned on StreamReader for framing, EOF and
@@ -1002,6 +875,335 @@ async def _deliver(service, segments, sync=False):
     await _until(lambda: transport.closed)
     await conn._server.close()
     return bytes(transport.out)
+
+
+# -- /ws at the connection seam ----------------------------------------------
+#
+# The same connection serves /ws: frames are parsed from its buffer and
+# written behind its write gate, and standing queries are maintained on
+# its server's workers.  Driven in-process through the recording
+# transport, one ``data_received`` per segment.
+
+_WS_KEY = base64.b64encode(b"0123456789abcdef").decode()
+_WS_ACCEPTED = (
+    "HTTP/1.1 101 Switching Protocols\r\n"
+    "Upgrade: websocket\r\n"
+    "Connection: Upgrade\r\n"
+    "Sec-WebSocket-Accept: "
+    + base64.b64encode(hashlib.sha1((_WS_KEY + _WS_GUID).encode()).digest()).decode()
+    + "\r\n\r\n"
+).encode("latin-1")
+
+
+def _ws_upgrade():
+    return _http(
+        "GET",
+        "/ws",
+        extra=(
+            "Upgrade: websocket\r\nConnection: Upgrade\r\n"
+            f"Sec-WebSocket-Key: {_WS_KEY}\r\nSec-WebSocket-Version: 13\r\n"
+        ),
+    )
+
+
+def _server_frames(out):
+    """``[(opcode, payload)]`` of every whole frame written after the
+    101 head (server frames: FIN set, unmasked)."""
+    assert out.startswith(_WS_ACCEPTED)
+    frames, at = [], len(_WS_ACCEPTED)
+    while at < len(out):
+        b0, n = out[at], out[at + 1]
+        assert b0 & 0x80 and not n & 0x80
+        at += 2
+        if n >= 126:
+            width = 2 if n == 126 else 8
+            n = int.from_bytes(out[at : at + width], "big")
+            at += width
+        frames.append((b0 & 0x0F, bytes(out[at : at + n])))
+        at += n
+    assert at == len(out)
+    return frames
+
+
+class _Echo:
+    """Answers a ``/ws`` message ``{"mode": "echo", "payload": s}`` with
+    the bytes of ``s`` (latin-1): what the frames carried, reassembled."""
+
+    modes = ("echo",)
+
+    def cached(self, mode, params):
+        return params["payload"].encode("latin-1")
+
+    def echo(self, params):  # pragma: no cover - the lane always answers
+        raise AssertionError("the lane answers every request")
+
+
+class TestFrameRoundTripProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        payload=st.binary(max_size=400),
+        cuts=st.lists(st.integers(min_value=0, max_value=400), max_size=4),
+        mask=st.binary(min_size=4, max_size=4),
+        ping_after=st.one_of(st.none(), st.integers(min_value=0, max_value=4)),
+        segments=st.lists(st.integers(min_value=0, max_value=3000), max_size=6),
+    )
+    def test_fragmented_masked_encode_decode(
+        self, payload, cuts, mask, ping_after, segments
+    ):
+        """Any fragmentation of any masked message — optionally with a
+        ping interleaved mid-message — reassembles to the exact bytes,
+        however the wire (upgrade request included) is cut into
+        segments; the pong is written before the answer."""
+        message = json.dumps({"mode": "echo", "payload": payload.decode("latin-1")})
+        message = message.encode()
+        points = sorted({c for c in cuts if 0 < c < len(message)})
+        bounds = [0, *points, len(message)]
+        parts = [message[a:b] for a, b in zip(bounds, bounds[1:])]
+        wire = _ws_upgrade()
+        for i, part in enumerate(parts):
+            fin = i == len(parts) - 1
+            wire += _encode_frame(fin, 0x1 if i == 0 else 0x0, part, mask)
+            if ping_after == i and not fin:
+                wire += _encode_frame(True, 0x9, b"hb", mask)
+        at = sorted({c for c in segments if 0 < c < len(wire)})
+        pieces = [wire[a:b] for a, b in zip([0, *at], [*at, len(wire)])]
+
+        async def run():
+            conn, transport = _connect(_Echo())
+            for piece in pieces:
+                conn.data_received(piece)
+            await conn._server.close()
+            return _server_frames(transport.out)
+
+        frames = asyncio.run(run())
+        if ping_after is not None and ping_after < len(parts) - 1:
+            assert frames[0] == (0xA, b"hb")
+            frames = frames[1:]
+        assert frames == [(0x1, payload)]
+
+
+def _standing(small_batch, d):
+    """A subscribe request: a route past the end of the stream, where
+    every query tuple maps to the open window, so every ingest below the
+    fixture's cut changes its answer."""
+    xm, ym = float(np.mean(small_batch.x)), float(np.mean(small_batch.y))
+    return {
+        "mode": "subscribe",
+        "route": [[xm - d, ym - d], [xm + d, ym + d]],
+        "t_start": float(small_batch.t[-1]) + 3600.0,
+        "updates": 10,
+        "method": "naive",
+    }
+
+
+@pytest.fixture()
+def live_service(small_batch):
+    """``(service, registry, tail)``: a service with a subscription
+    registry over the head of the stream; ``tail(k)`` is the ``k``-th
+    100-row batch after it."""
+    pad = 500.0
+    bbox = BoundingBox(
+        float(small_batch.x.min()) - pad,
+        float(small_batch.y.min()) - pad,
+        float(small_batch.x.max()) + pad,
+        float(small_batch.y.max()) + pad,
+    )
+    cut = int(0.6 * len(small_batch))
+    router = ShardRouter(RegionGrid(bbox, nx=2, ny=2), h=240)
+    router.ingest(small_batch.slice(0, cut))
+    engine = ShardedQueryEngine(router)
+    registry = registry_for(engine)
+    service = EngineQueryService(engine, subscriptions=registry)
+    return service, registry, lambda k: small_batch.slice(cut + 100 * k, cut + 100 * (k + 1))
+
+
+async def _ws_connect(service):
+    """A connection upgraded to ``/ws`` over a recording transport."""
+    conn, transport = _connect(service)
+    conn.data_received(_ws_upgrade())
+    assert bytes(transport.out) == _WS_ACCEPTED
+    return conn, transport
+
+
+async def _ws_request(conn, transport, request):
+    """Send one text message; the JSON of the last frame once the answer
+    is in (reading resumes after a worker's answer)."""
+    conn.data_received(
+        _encode_frame(True, 0x1, json.dumps(request).encode(), b"\x01\x02\x03\x04")
+    )
+    await _until(lambda: transport.reading)
+    return json.loads(_server_frames(transport.out)[-1][1])
+
+
+def _updates(transport):
+    frames = [json.loads(data) for _op, data in _server_frames(transport.out)]
+    return [(f["subscription"], f["seq"]) for f in frames if f["mode"] == "update"]
+
+
+class _HeldMaintain:
+    """``registry.maintain`` that, on its first pass, runs and then waits
+    for :meth:`release` on its worker."""
+
+    def __init__(self, registry):
+        self._maintain = registry.maintain
+        self.entered = threading.Event()
+        self._released = threading.Event()
+        registry.maintain = self
+
+    def __call__(self):
+        updates = self._maintain()
+        if not self.entered.is_set():
+            self.entered.set()
+            assert self._released.wait(30.0)
+        return updates
+
+    def release(self):
+        self._released.set()
+
+    async def held(self):
+        await _until(self.entered.is_set)
+
+
+def _recorded_loop_errors():
+    """The event loop's exception handler, replaced by a list."""
+    errors = []
+    asyncio.get_running_loop().set_exception_handler(lambda loop, ctx: errors.append(ctx))
+    return errors
+
+
+class TestWsPusherUnsubscribeRace:
+    def test_unsubscribe_during_a_pass_drops_only_its_pushes(
+        self, live_service, small_batch
+    ):
+        """An unsubscribe answered while a maintenance pass is on a
+        worker: the pass's update for that subscription is never
+        pushed, and the connection's other subscription goes on getting
+        every update (a pusher that polled the unsubscribed id raised
+        ``KeyError`` and pushed nothing more)."""
+        service, registry, tail = live_service
+
+        async def run():
+            errors = _recorded_loop_errors()
+            conn, transport = await _ws_connect(service)
+            kept = (await _ws_request(conn, transport, _standing(small_batch, 300.0)))[
+                "subscription"
+            ]
+            dropped = (await _ws_request(conn, transport, _standing(small_batch, 200.0)))[
+                "subscription"
+            ]
+            hold = _HeldMaintain(registry)
+            for k in range(3):
+                service.ingest(tail(k))
+                if k == 0:
+                    await hold.held()  # dropped's update is queued
+                    bye = await _ws_request(
+                        conn, transport, {"mode": "unsubscribe", "subscription": dropped}
+                    )
+                    assert bye == {"mode": "unsubscribed", "subscription": dropped}
+                    hold.release()
+                await _until(lambda: (kept, k + 1) in _updates(transport))
+            transport.close()
+            conn.connection_lost(None)
+            await conn._server.close()
+            return _updates(transport), kept, dropped, errors
+
+        updates, kept, dropped, errors = asyncio.run(run())
+        assert errors == []
+        assert [seq for sub, seq in updates if sub == kept] == [1, 2, 3]
+        assert not any(sub == dropped for sub, _seq in updates)
+
+
+class TestWsSubscriptionLifecycle:
+    def test_rows_that_arrive_during_a_pass_get_one_more_pass(
+        self, live_service, small_batch
+    ):
+        """The wake-up that arrives while a pass is on a worker is not
+        lost: one more pass runs after it, and its update arrives with
+        no further ingest."""
+        service, registry, tail = live_service
+
+        async def run():
+            conn, transport = await _ws_connect(service)
+            sub = (await _ws_request(conn, transport, _standing(small_batch, 300.0)))[
+                "subscription"
+            ]
+            hold = _HeldMaintain(registry)
+            service.ingest(tail(0))
+            await hold.held()  # the pass has seen tail(0), not tail(1)
+            service.ingest(tail(1))
+            await asyncio.sleep(0.01)  # the listener's wake-up reaches the loop
+            hold.release()
+            await _until(lambda: len(_updates(transport)) == 2)
+            passes = registry.stats.maintains
+            await asyncio.sleep(0.05)
+            transport.close()
+            conn.connection_lost(None)
+            await conn._server.close()
+            return _updates(transport), sub, passes, registry.stats.maintains
+
+        updates, sub, passes, after = asyncio.run(run())
+        assert updates == [(sub, 1), (sub, 2)]
+        assert after == passes  # exactly one more pass, not one per wake
+
+    def test_a_push_waits_for_the_write_gate(self, live_service, small_batch):
+        """With the write buffer over its mark, a pass's updates stay
+        queued in the registry; ``resume_writing`` pushes them."""
+        service, registry, tail = live_service
+
+        async def run():
+            conn, transport = await _ws_connect(service)
+            sub = (await _ws_request(conn, transport, _standing(small_batch, 300.0)))[
+                "subscription"
+            ]
+            conn.pause_writing()
+            passes = registry.stats.maintains
+            service.ingest(tail(0))
+            await _until(lambda: registry.stats.maintains > passes and not conn._maintaining)
+            assert _updates(transport) == []
+            assert len(registry.subscription(sub).pending) == 1
+            conn.resume_writing()
+            pushed = _updates(transport)
+            transport.close()
+            conn.connection_lost(None)
+            await conn._server.close()
+            return pushed, sub
+
+        pushed, sub = asyncio.run(run())
+        assert pushed == [(sub, 1)]
+
+    def test_a_client_gone_during_its_pass(self, live_service, small_batch):
+        """A client that closes while its pass is on a worker: the close
+        echo is the last frame written — the pass's updates are not
+        pushed and nothing is raised on the loop (the recording transport
+        refuses a write after close) — and once the connection is lost
+        its listener and subscriptions are out of the registry."""
+        service, registry, tail = live_service
+
+        async def run():
+            errors = _recorded_loop_errors()
+            conn, transport = await _ws_connect(service)
+            await _ws_request(conn, transport, _standing(small_batch, 300.0))
+            await _ws_request(conn, transport, _standing(small_batch, 200.0))
+            hold = _HeldMaintain(registry)
+            service.ingest(tail(0))
+            await hold.held()
+            conn.data_received(_encode_frame(True, 0x8, b"\x03\xe8", b"\x01\x02\x03\x04"))
+            assert transport.closed
+            written = bytes(transport.out)
+            hold.release()
+            await _until(lambda: not conn._maintaining)
+            conn.connection_lost(None)  # asyncio's next callback after the close
+            assert registry._listeners == []
+            assert len(registry) == 0
+            service.ingest(tail(1))  # no listener: nothing is scheduled
+            await asyncio.sleep(0.05)
+            await conn._server.close()
+            return written, bytes(transport.out), errors
+
+        written, out, errors = asyncio.run(run())
+        assert _server_frames(written)[-1] == (0x8, b"\x03\xe8")
+        assert out == written
+        assert errors == []
 
 
 class _LaneService(EngineQueryService):

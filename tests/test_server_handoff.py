@@ -237,7 +237,12 @@ class TestWorkers:
 
         async def run():
             # A blocking mode call through the server's own hand-off.
-            return await server._blocking(server.service.point, {"n": 4})
+            loop = asyncio.get_running_loop()
+            future = loop.create_future()
+            server._workers.submit(
+                loop, lambda r, e: future.set_result(r), server.service.point, {"n": 4}
+            )
+            return await future
 
         assert asyncio.run(run())["n"] == 4
         assert server._workers._threads
