@@ -270,8 +270,8 @@ class ProcessPlanExecutor:
         worker = self._workers[index]
         if worker is None or not worker.alive():
             if worker is not None:
-                # Died since its last request (the pool heals, silently
-                # to the caller): say so.
+                # Died since its last request.  The caller never sees
+                # the heal, so it is counted and logged here.
                 self._respawns.bump("workers")
                 _log.warning(
                     "process pool worker %d (pid %s) exited with code %s; respawning",

@@ -10,12 +10,12 @@ silent connection teardowns before being fixed):
   a 500 on both services;
 * ``_optional_int`` had no upper bound — one heatmap request could ask
   for a terabyte-scale grid;
-* ``_read_frame`` ignored FIN and dropped continuation frames, silently
+* the frame reader ignored FIN and dropped continuation frames, silently
   corrupting fragmented WebSocket messages;
 * ``NaN`` / ``Infinity`` (which ``json.loads`` accepts) were evaluated —
   a cover at a NaN time, an undefined float->int cast in the region grid
   — and an integer literal above float range was a 500;
-* ``_read_frame`` unmasked payloads one byte at a time on the event loop.
+* the frame reader unmasked payloads one byte at a time on the event loop.
 
 ``RuntimeWarning`` is an error in this file: the undefined cast only
 ever announced itself as one.
@@ -792,7 +792,7 @@ class TestIndexKindsAreRefused:
 # flow control; the Protocol does those itself, so each is pinned here.
 # Framing is driven in-process through a recording transport (one
 # ``data_received`` per segment, deterministically); what needs a real
-# transport — the WebSocket hand-off, write back-pressure, the literal
+# transport — the WebSocket upgrade, write back-pressure, the literal
 # wire bytes — goes over sockets.
 
 
