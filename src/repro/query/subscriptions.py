@@ -66,13 +66,13 @@ import itertools
 import math
 import numbers
 import threading
-from collections import deque
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
     Dict,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -243,7 +243,7 @@ class Subscription:
         self.support = np.zeros(len(batch), dtype=np.int64)
         self.seq = 0
         self.unstable = True
-        self.pending: deque = deque()
+        self.pending: List[SubscriptionUpdate] = []
         self.initial: Optional[SubscriptionUpdate] = None
 
     def answer(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -350,9 +350,9 @@ def registry_for(target) -> "SubscriptionRegistry":
 class SubscriptionRegistry:
     """Standing queries over one engine, maintained epoch-delta-wise.
 
-    Thread-safe: registration, maintenance and polling serialise on one
+    Thread-safe: registration, maintenance and draining serialise on one
     lock; :meth:`notify_ingest` (called from writer threads after an
-    ingest) only fires listeners and never blocks on maintenance.
+    ingest) only fires listeners and never takes it.
 
     Invariant: after every :meth:`maintain` (and after the implicit pass
     :meth:`register` runs before admitting a new subscription), every
@@ -372,7 +372,8 @@ class SubscriptionRegistry:
         self._epoch: Optional[int] = None
         self._rows: Optional[int] = None
         self._stats = engine.metrics.block("subscriptions", MAINTENANCE_COUNTS)
-        self._listeners: List[Callable[[], None]] = []
+        self._listeners: Tuple[Callable[[], None], ...] = ()
+        self._listeners_lock = threading.Lock()
 
     # -- introspection ------------------------------------------------------
 
@@ -459,13 +460,14 @@ class SubscriptionRegistry:
             )
         )
 
-    def unregister(self, sub_id: int) -> None:
+    def unregister(self, *ids: int) -> None:
+        """Drop the subscriptions ``ids`` (an unknown one is skipped)."""
         with self._lock:
-            sub = self._subs.pop(sub_id, None)
-            if sub is None:
-                return
-            self._unstable.discard(sub_id)
-            self._reindex(sub, np.full(len(sub.batch), -1, dtype=np.int64))
+            for sub_id in ids:
+                sub = self._subs.pop(sub_id, None)
+                if sub is not None:
+                    self._unstable.discard(sub_id)
+                    self._reindex(sub, np.full(len(sub.batch), -1, dtype=np.int64))
 
     def _reindex(self, sub: Subscription, keys: np.ndarray) -> List[int]:
         """Move ``sub`` to a new key assignment in the inverted index;
@@ -498,23 +500,27 @@ class SubscriptionRegistry:
         """One epoch-delta maintenance pass against a fresh pinned view.
 
         Returns the updates delivered this pass (each is also queued on
-        its subscription for :meth:`poll`).  A pass at an unchanged
+        its subscription for :meth:`drain`).  A pass at an unchanged
         epoch and row count is quiet: O(1)."""
         with self._lock:
             return self._maintain_at(_View(self._engine))
 
-    def poll(
-        self, sub_id: int, maintain: bool = True
-    ) -> List[SubscriptionUpdate]:
-        """Drain one subscription's queued updates (optionally running a
-        maintenance pass first — the server poll path)."""
+    def poll(self, sub_id: int) -> List[SubscriptionUpdate]:
+        """One maintenance pass, then one subscription's queued updates."""
         with self._lock:
-            if maintain:
-                self._maintain_at(_View(self._engine))
-            sub = self.subscription(sub_id)
-            drained = list(sub.pending)
-            sub.pending.clear()
-            return drained
+            self._maintain_at(_View(self._engine))
+            return self.drain([self.subscription(sub_id).id])  # unknown: KeyError
+
+    def drain(self, ids: Iterable[int]) -> List[SubscriptionUpdate]:
+        """The queued updates of the subscriptions ``ids``, in ``ids``
+        order and then by ``seq``, in one lock section; an id no longer
+        registered is skipped."""
+        drained: List[SubscriptionUpdate] = []
+        with self._lock:
+            for sub in filter(None, map(self._subs.get, ids)):
+                drained += sub.pending
+                sub.pending.clear()
+        return drained
 
     def _maintain_at(self, view: _View) -> List[SubscriptionUpdate]:
         stats = self._stats
@@ -655,25 +661,21 @@ class SubscriptionRegistry:
     # -- push-path bridge ---------------------------------------------------
 
     def add_listener(self, listener: Callable[[], None]) -> None:
-        """Register an ingest-notification callback (must be cheap and
-        thread-safe — e.g. an ``asyncio`` wake-up scheduled with
-        ``call_soon_threadsafe``)."""
-        with self._lock:
-            self._listeners.append(listener)
+        """Register an ingest-notification callback (cheap and thread-safe,
+        e.g. an ``asyncio`` wake-up through ``call_soon_threadsafe``).
+        Listeners are a copy-on-write tuple under a lock of their own:
+        no listener call here ever waits behind a pass."""
+        with self._listeners_lock:
+            self._listeners += (listener,)
 
     def remove_listener(self, listener: Callable[[], None]) -> None:
-        with self._lock:
-            try:
-                self._listeners.remove(listener)
-            except ValueError:
-                pass
+        with self._listeners_lock:
+            self._listeners = tuple(f for f in self._listeners if f is not listener)
 
     def notify_ingest(self) -> None:
         """Tell listeners data arrived.  Called by the owning front end
         after each ingest; maintenance itself runs in whoever answers
-        the notification (a poller, or a ``/ws`` connection's pass on a
-        server worker), never on the ingest thread."""
-        with self._lock:
-            listeners = list(self._listeners)
-        for listener in listeners:
+        the notification (a poller, or the server's one pass per wake on
+        a worker), never on the ingest thread."""
+        for listener in self._listeners:
             listener()

@@ -59,47 +59,39 @@ Concurrency model: a connection is one :class:`asyncio.Protocol`
 (``_HttpConnection``) over a single receive buffer.  ``data_received``
 parses every complete request in it and, when the loop can answer —
 ``/health``, ``/metrics``, an error, or a request the service's
-``cached`` answers without blocking — serialises and writes the answer
-in that same callback: one loop iteration, one poll, one
-``transport.write`` behind pre-encoded status/header bytes.  ``cached`` answers a point query whose
-model cover is cached at the owner slice's live stamp — O(1) lock-free
-reads and one cover evaluation on Python floats — and a ``model-cover``
-route of at most ``CACHED_ROUTE_MAX_ROWS`` updates over at most
-``_LANE_MAX_WAYPOINTS`` waypoints whose owner covers all are; a query
-whose owner slice is empty is answered from its window's rows, cached
-at the window's live stamps, when the request's empty-owner scans fit
-one block of the exact gather in all.  All of it is decided from cache
-and router state, never a clock (a longer route is not even validated
-on the loop).  The loop
-never runs a fit, a fault-in, a lock wait or a scan larger than one
-gather block: everything else
-runs on the server's worker threads (``_Workers``: one
-``queue.SimpleQueue`` in, one ``loop.call_soon_threadsafe`` back, as
-many threads as the loop's default executor would start) with the
-connection's reading paused — one request in flight per
-connection, so pipelined answers keep request order — so a slow Ad-KMN
-fit never stalls the accept loop or a cached answer, and — when the
-engine owns a process pool (``ShardedQueryEngine(..., processes=N)``) —
-the exact methods' compute escapes the GIL onto the worker processes
-entirely.  A
-client that stops reading its answers stops being served: past the
-transport's high-water mark (``pause_writing``) the connection reads
-and answers nothing until ``resume_writing``.
+``cached`` answers without blocking — writes the answer in that same
+callback: one ``transport.write`` behind pre-encoded status/header
+bytes.  ``cached`` answers a point query whose model cover is cached at
+the owner slice's live stamp, and a ``model-cover`` route of at most
+``CACHED_ROUTE_MAX_ROWS`` updates over at most ``_LANE_MAX_WAYPOINTS``
+waypoints whose owner covers all are; a query whose owner slice is
+empty is answered from its window's cached rows when the request's
+empty-owner scans fit one block of the exact gather.  All of it is
+decided from cache and router state, never a clock.  The loop never
+runs a fit, a fault-in, a lock wait or a scan larger than one gather
+block: everything else runs on the server's worker threads
+(``_Workers``: one ``queue.SimpleQueue`` in, one
+``loop.call_soon_threadsafe`` back) with the connection's reading
+paused — one request in flight per connection, so pipelined answers
+keep request order — and, when the engine owns a process pool, the
+exact methods' compute leaves the process.  A client that stops
+reading stops being served: past the transport's high-water mark
+(``pause_writing``) the connection reads and answers nothing until
+``resume_writing``.
 
 ``Upgrade: websocket`` switches the same connection to RFC 6455
-frames, parsed from the same buffer (a frame's header sets the bytes
-awaited, as a request head's length does) and answered as requests
-are: a text message the lane answers is written in the callback,
-anything else — a subscribe too — goes to a worker with reading
-paused.  Every frame (reply, pong, close echo, push) is one
-``transport.write`` behind the same gate.  A subscribed connection's
-registry listener schedules one maintenance pass on a worker (rows
-that arrive during a pass get exactly one more after it); the pass's
-updates are pushed from the loop or, with the gate closed, stay queued
-in the registry until it opens.  A closed connection's listener and
-subscriptions leave the registry.  Every answer is computed over one pinned snapshot
-binding, so concurrent requests — and a writer ingesting beside them —
-need no extra locking here.
+frames, parsed from the same buffer and answered as requests are (a
+subscribe and an unsubscribe on a worker too); every frame is one
+``transport.write`` behind the same gate.  The pushes are the
+server's: its one registry listener wakes the loop after an ingest,
+and each wake runs one pass on a worker (rows that arrive during a pass
+get exactly one more after it) that maintains, drains the updates of
+every subscription a connection owns and frames them.  The loop only
+writes each frame to the connection that still owns its subscription,
+or holds it there until ``resume_writing``; no registry call that takes
+its lock runs on the loop.  Every answer is computed over one pinned
+snapshot binding, so concurrent requests — and a writer ingesting
+beside them — need no extra locking here.
 """
 
 from __future__ import annotations
@@ -116,7 +108,8 @@ import os
 import queue
 import struct
 import threading
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -396,6 +389,32 @@ def _failure(exc: BaseException) -> Tuple[int, Dict[str, Any]]:
     if isinstance(exc, HttpError):
         return exc.status, {"error": exc.message}
     return 500, {"error": f"{type(exc).__name__}: {exc}"}
+
+
+def _ws_frame(payload: Union[bytes, Dict[str, Any]], opcode: int = 0x1) -> bytes:
+    """One unmasked, unfragmented server frame."""
+    body = _body(payload)
+    n = len(body)
+    if n < 126:
+        return struct.pack(">BB", 0x80 | opcode, n) + body
+    if n < 1 << 16:
+        return struct.pack(">BBH", 0x80 | opcode, 126, n) + body
+    return struct.pack(">BBQ", 0x80 | opcode, 127, n) + body
+
+
+def _push_pass(registry, batches: Dict[int, QueryBatch]) -> List[Tuple[int, bytes]]:
+    """One maintenance pass, then the queued updates of the subscriptions
+    in ``batches`` (id -> query batch), drained in one lock section and
+    framed: ``(id, frame)`` by subscription, then ``seq``.  On a worker."""
+    registry.maintain()
+    updates = [u.to_json(queries=batches[u.subscription_id]) for u in registry.drain(batches)]
+    return [(u["subscription"], _ws_frame({"mode": "update", **u})) for u in updates]
+
+
+def _reraise(_result: Any, error: Optional[BaseException]) -> None:
+    """A background job's error, on the loop: to its exception handler."""
+    if error is not None:
+        raise error
 
 
 class EngineQueryService:
@@ -697,7 +716,8 @@ class AsyncQueryServer:
     """The asyncio front door: HTTP/1.1 routes plus a ``/ws`` endpoint.
 
     Blocking work runs on the server's own worker threads (as many as
-    the loop's default executor would have); :meth:`close` stops them."""
+    the loop's default executor would have); :meth:`close` stops them.
+    The server also schedules the ``/ws`` pushes (the module docstring)."""
 
     def __init__(
         self, service, host: str = "127.0.0.1", port: int = 0
@@ -707,6 +727,11 @@ class AsyncQueryServer:
         self.port = port  # replaced by the bound port after start()
         self._server: Optional[asyncio.AbstractServer] = None
         self._workers = _Workers(_default_workers())
+        # sub id -> (the connection it is pushed to, its query tuples)
+        self._owners: Dict[int, Tuple["_HttpConnection", QueryBatch]] = {}
+        self._listener: Optional[Callable[[], None]] = None
+        self._wakes = 0  # ingest wake-ups seen: one during a pass owes one more
+        self._maintaining = False  # a pass is on a worker
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -721,16 +746,21 @@ class AsyncQueryServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        # Push nothing more: the listener and every owned subscription
+        # leave the registry, then the workers stop.
+        if self._listener is not None:
+            self.service.subscriptions.remove_listener(self._listener)
+            self._listener = None
+        self._release(list(self._owners))
         self._workers.close()
 
     async def serve_forever(self) -> None:
         """Serve until cancelled; :meth:`start` must have been awaited."""
         assert self._server is not None
         try:
-            async with self._server:
-                await self._server.serve_forever()
+            await self._server.serve_forever()
         finally:
-            self._workers.close()
+            await self.close()
 
     # -- request dispatch ----------------------------------------------------
 
@@ -744,6 +774,48 @@ class AsyncQueryServer:
             raise HttpError(404, f"unknown mode {mode!r}")
         cached = getattr(self.service, "cached", None)
         return (cached(mode, params) if cached is not None else None), handler
+
+    # -- /ws pushes ------------------------------------------------------------
+
+    def _listen(self) -> None:
+        """Add the server's one registry listener, on the first subscribe."""
+        if self._listener is None:
+            loop = asyncio.get_running_loop()
+            self._listener = lambda: loop.call_soon_threadsafe(self._wake)
+            self.service.subscriptions.add_listener(self._listener)
+
+    def _wake(self) -> None:
+        """Rows arrived: one pass on a worker for every subscription a
+        connection owns — or, if one is running, one more after it."""
+        self._wakes += 1
+        if self._owners and not self._maintaining:
+            self._maintaining = True
+            batches = {i: queries for i, (_conn, queries) in self._owners.items()}
+            done = functools.partial(self._pushed, self._wakes)
+            loop, registry = asyncio.get_running_loop(), self.service.subscriptions
+            self._workers.submit(loop, done, _push_pass, registry, batches)
+
+    def _pushed(self, wakes: int, frames: Any, error: Optional[BaseException]) -> None:
+        """A pass's frames are in: each goes to the connection that still
+        owns its subscription, written or held behind its write gate."""
+        self._maintaining = False
+        for sub_id, frame in frames or ():
+            if sub_id in self._owners:
+                conn = self._owners[sub_id][0]
+                conn._held.append(frame)
+                conn._flush()
+        if self._wakes != wakes:
+            self._wake()  # rows arrived during the pass
+        _reraise(None, error)  # pushes go on
+
+    def _release(self, ids: List[int]) -> None:
+        """No push to the subscriptions ``ids`` any more; they leave the
+        registry on a worker."""
+        for sub_id in ids:
+            self._owners.pop(sub_id, None)
+        if ids:
+            registry, loop = self.service.subscriptions, asyncio.get_running_loop()
+            self._workers.submit(loop, _reraise, registry.unregister, *ids)
 
 
 class _HttpConnection(asyncio.Protocol):
@@ -759,29 +831,20 @@ class _HttpConnection(asyncio.Protocol):
         self._busy = False  # a request is on a worker
         self._choked = False  # the write buffer is over its high-water mark
         self._eof = False  # the client half-closed: answer what is buffered, close
-        # After the upgrade: RFC 6455 frames, and this connection's
-        # standing queries.
+        # After the upgrade: RFC 6455 frames, and pushes not yet written.
         self._ws = False
         self._open: Optional[int] = None  # opcode of the fragmented message open
         self._parts = bytearray()  # its payload so far
-        self._subs: Dict[int, Any] = {}  # sub id -> Subscription
-        self._listener: Optional[Callable[[], None]] = None
-        self._maintaining = False  # a maintenance pass is on a worker
-        self._again = False  # rows arrived during it: one more pass after it
-        self._owed = False  # a push found the write gate closed
+        self._held: Deque[bytes] = deque()
 
     def connection_made(self, transport) -> None:
         self._transport = transport
 
     def connection_lost(self, exc: Optional[BaseException]) -> None:
-        """No push outlives the connection: its listener and its
-        subscriptions leave the registry."""
-        if self._listener is not None:
-            registry = self._server.service.subscriptions
-            registry.remove_listener(self._listener)
-            for sub_id in self._subs:
-                registry.unregister(sub_id)
-            self._subs.clear()
+        """No push outlives the connection: its subscriptions leave the
+        registry."""
+        owners = self._server._owners
+        self._server._release([i for i, (conn, _q) in owners.items() if conn is self])
 
     def data_received(self, data: bytes) -> None:
         self._buf += data
@@ -799,8 +862,7 @@ class _HttpConnection(asyncio.Protocol):
 
     def resume_writing(self) -> None:
         self._choked = False
-        if self._owed:
-            self._push()
+        self._flush()
         self._pump()
 
     def _pump(self) -> None:
@@ -901,15 +963,16 @@ class _HttpConnection(asyncio.Protocol):
             status, payload = _failure(exc)
         self._reply(status, payload, close)
 
-    def _finish(
-        self, close: bool, payload: Any, error: Optional[BaseException]
-    ) -> None:
+    def _finish(self, close: bool, payload: Any, error: Optional[BaseException]) -> None:
         """A worker's answer is in: write it, serve what queued up."""
         self._busy = False
         if self._transport.is_closing():
             return  # the client went away mid-request
         status, payload = (200, payload) if error is None else _failure(error)
-        self._reply(status, payload, close)
+        if self._ws:
+            self._transport.write(_ws_frame(payload))
+        else:
+            self._reply(status, payload, close)
         self._pump()
 
     def _reply(
@@ -982,10 +1045,10 @@ class _HttpConnection(asyncio.Protocol):
             if not fin or len(payload) > 125:
                 return transport.close()
             if opcode == 0x8:  # close: echo its status code, then close
-                self._send(payload[:2], 0x8)
+                transport.write(_ws_frame(payload[:2], 0x8))
                 return transport.close()
             if opcode == 0x9:  # ping
-                return self._send(payload, 0xA)
+                return transport.write(_ws_frame(payload, 0xA))
             if opcode != 0xA:  # an unsolicited pong is ignored
                 transport.close()
             return
@@ -997,33 +1060,17 @@ class _HttpConnection(asyncio.Protocol):
                     self._message(payload)
                 return
             self._open = opcode
-            self._parts += payload
-        elif opcode == 0x0:
-            if self._open is None:
-                return transport.close()  # a continuation with no message open
-            self._parts += payload
-            if fin:
-                kind, self._open = self._open, None
-                message, self._parts = self._parts, bytearray()
-                if kind == 0x1:
-                    self._message(message)
-                return
-        else:
-            return transport.close()  # an unknown data opcode
+        elif opcode != 0x0 or self._open is None:
+            # An unknown data opcode, or a continuation with no message open.
+            return transport.close()
+        self._parts += payload
         if len(self._parts) > _MAX_BODY:
-            transport.close()
-
-    def _send(self, payload: Union[bytes, Dict[str, Any]], opcode: int = 0x1) -> None:
-        """One unmasked, unfragmented frame: one ``transport.write``."""
-        body = _body(payload)
-        n = len(body)
-        if n < 126:
-            head = struct.pack(">BB", 0x80 | opcode, n)
-        elif n < 1 << 16:
-            head = struct.pack(">BBH", 0x80 | opcode, 126, n)
-        else:
-            head = struct.pack(">BBQ", 0x80 | opcode, 127, n)
-        self._transport.write(head + body)
+            return transport.close()  # the message so far, the last fragment too
+        if fin:
+            kind, self._open = self._open, None
+            message, self._parts = self._parts, bytearray()
+            if kind == 0x1:
+                self._message(message)
 
     def _message(self, payload: Union[bytes, bytearray]) -> None:
         """One text message: a JSON request with the POST body's fields
@@ -1037,21 +1084,13 @@ class _HttpConnection(asyncio.Protocol):
             if mode == "subscribe":
                 return self._subscribe(request)
             if mode == "unsubscribe":
-                reply = self._unsubscribe(request)
-            else:
-                reply, handler = self._server._lane(mode, request)
-                if reply is None:
-                    return self._submit(self._answered, handler, request)
+                return self._unsubscribe(request)
+            reply, handler = self._server._lane(mode, request)
+            if reply is None:
+                return self._submit(functools.partial(self._finish, False), handler, request)
         except Exception as exc:  # noqa: BLE001 - an error frame, keep serving
             reply = _failure(exc)[1]
-        self._send(reply)
-
-    def _answered(self, payload: Any, error: Optional[BaseException]) -> None:
-        self._busy = False
-        if self._transport.is_closing():
-            return  # the client went away mid-request
-        self._send(payload if error is None else _failure(error)[1])
-        self._pump_frames()
+        self._transport.write(_ws_frame(reply))
 
     def _subscribe(self, request: Dict[str, Any]) -> None:
         """Register a standing query on a worker (its initial answer is
@@ -1066,89 +1105,46 @@ class _HttpConnection(asyncio.Protocol):
         method = request.get("method")
         if method is not None and not isinstance(method, str):
             raise HttpError(400, "field 'method' must be a string")
-        self._submit(
-            self._subscribed,
-            functools.partial(
-                registry.subscribe,
-                route,
-                t_start,
-                interval_s=interval_s,
-                count=count,
-                method=method,
-            ),
-        )
+        self._server._listen()
+        done = functools.partial(self._subscribed, self._server._wakes)
+        self._submit(done, registry.subscribe, route, t_start, interval_s, count, method)
 
-    def _subscribed(self, sub: Any, error: Optional[BaseException]) -> None:
-        self._busy = False
-        registry = self._server.service.subscriptions
-        if self._transport.is_closing():
-            if error is None:  # the client went away mid-request
-                registry.unregister(sub.id)
-            return
-        if error is None:
-            self._subs[sub.id] = sub
-            if self._listener is None:
-                loop = asyncio.get_running_loop()
-                self._listener = lambda: loop.call_soon_threadsafe(self._wake)
-                registry.add_listener(self._listener)
+    def _subscribed(self, wakes: int, sub: Any, error: Optional[BaseException]) -> None:
+        """The registration is in: the subscription is this connection's,
+        and the reply holds its initial answer."""
+        server, reply = self._server, None
+        if error is None and self._transport.is_closing():
+            server._release([sub.id])  # the client went away mid-request
+        elif error is None:
+            server._owners[sub.id] = (self, sub.batch)
+            if server._wakes != wakes:
+                server._wake()  # rows arrived while it registered: drain it too
             reply = {"mode": "subscribed", **sub.initial.to_json(queries=sub.batch)}
         elif isinstance(error, ValueError):
-            reply = {"error": str(error)}  # the spec's refusal: a 400
-        else:
-            reply = _failure(error)[1]
-        self._send(reply)
-        self._pump_frames()
+            reply, error = {"error": str(error)}, None  # the spec's refusal: a 400
+        self._finish(False, reply, error)
 
-    def _unsubscribe(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    def _unsubscribe(self, request: Dict[str, Any]) -> None:
+        """No push from now; the subscription leaves the registry on a
+        worker, and the reply follows."""
         sub_id = request.get("subscription")
         if not isinstance(sub_id, int) or isinstance(sub_id, bool):
             raise HttpError(400, "field 'subscription' must be an integer id")
-        if self._subs.pop(sub_id, None) is None:
+        if self._server._owners.get(sub_id, (None,))[0] is not self:
             raise HttpError(400, f"unknown subscription {sub_id}")
-        self._server.service.subscriptions.unregister(sub_id)
-        return {"mode": "unsubscribed", "subscription": sub_id}
-
-    def _wake(self) -> None:
-        """Rows arrived (the registry's listener, scheduled on the loop):
-        one maintenance pass on a worker — or, if one is running, one
-        more after it."""
-        if self._transport.is_closing():
-            return
-        if self._maintaining:
-            self._again = True
-            return
-        self._maintaining = True
-        self._server._workers.submit(
-            asyncio.get_running_loop(),
-            self._maintained,
-            self._server.service.subscriptions.maintain,
+        del self._server._owners[sub_id]
+        reply = {"mode": "unsubscribed", "subscription": sub_id}
+        self._submit(
+            lambda _, error: self._finish(False, reply, error),
+            self._server.service.subscriptions.unregister,
+            sub_id,
         )
 
-    def _maintained(self, _updates: Any, error: Optional[BaseException]) -> None:
-        self._maintaining = False
-        if self._transport.is_closing():
-            return  # the client went away during the pass
-        self._push()
-        if self._again:
-            self._again = False
-            self._wake()
-        if error is not None:
-            raise error  # to the loop's exception handler; pushes go on
-
-    def _push(self) -> None:
-        """Each owned subscription's queued updates, one ``{"mode":
-        "update"}`` frame each.  With the write gate closed they stay
-        queued in the registry until ``resume_writing``."""
-        registry = self._server.service.subscriptions
-        for sub_id, sub in self._subs.items():
-            if self._choked:
-                self._owed = True
-                return
-            for update in registry.poll(sub_id, maintain=False):
-                frame: Dict[str, Any] = {"mode": "update"}
-                frame.update(update.to_json(queries=sub.batch))
-                self._send(frame)
-        self._owed = False
+    def _flush(self) -> None:
+        """Write the held pushes while the write gate is open."""
+        transport, held = self._transport, self._held
+        while held and not (self._choked or transport.is_closing()):
+            transport.write(held.popleft())
 
 
 class BackgroundServer:

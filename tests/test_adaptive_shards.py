@@ -429,7 +429,7 @@ class TestSubscriptionsAcrossRebalance:
             # from-scratch engine over the same rows, bytes for bytes.
             state_v = sub.initial.values.copy()
             state_s = sub.initial.support.copy()
-            for u in reg.poll(sub.id, maintain=False):
+            for u in reg.drain([sub.id]):
                 state_v[u.indices] = u.values
                 state_s[u.indices] = u.support
             fresh = ShardRouter(RegionGrid(bbox, nx=2, ny=2), h=240)

@@ -843,12 +843,12 @@ class _RecordingTransport:
         self.reading = True
 
 
-def _connect(service):
+def _connect(service, server=None):
     """``(connection, transport)``: the handler of one new connection
-    over a recording transport (call inside a running loop; await
-    ``connection._server.close()`` when done, which joins the server's
-    worker threads)."""
-    conn = _HttpConnection(AsyncQueryServer(service))
+    over a recording transport, to ``server`` or a server of its own
+    (call inside a running loop; await ``connection._server.close()``
+    when done, which joins the server's worker threads)."""
+    conn = _HttpConnection(server or AsyncQueryServer(service))
     transport = _RecordingTransport()
     conn.connection_made(transport)
     return conn, transport
@@ -1017,22 +1017,33 @@ def live_service(small_batch):
     return service, registry, lambda k: small_batch.slice(cut + 100 * k, cut + 100 * (k + 1))
 
 
-async def _ws_connect(service):
+async def _ws_connect(service, server=None):
     """A connection upgraded to ``/ws`` over a recording transport."""
-    conn, transport = _connect(service)
+    conn, transport = _connect(service, server)
     conn.data_received(_ws_upgrade())
     assert bytes(transport.out) == _WS_ACCEPTED
     return conn, transport
 
 
-async def _ws_request(conn, transport, request):
-    """Send one text message; the JSON of the last frame once the answer
-    is in (reading resumes after a worker's answer)."""
+def _ws_send(conn, request):
+    """One text message in: ``request`` as JSON in a masked frame."""
     conn.data_received(
         _encode_frame(True, 0x1, json.dumps(request).encode(), b"\x01\x02\x03\x04")
     )
+
+
+def _ws_reply(transport):
+    """The JSON of the last frame written that is not a push."""
+    frames = (json.loads(data) for _op, data in reversed(_server_frames(transport.out)))
+    return next(f for f in frames if f.get("mode") != "update")
+
+
+async def _ws_request(conn, transport, request):
+    """Send one text message; the JSON of its answer once it is in
+    (reading resumes after a worker's answer)."""
+    _ws_send(conn, request)
     await _until(lambda: transport.reading)
-    return json.loads(_server_frames(transport.out)[-1][1])
+    return _ws_reply(transport)
 
 
 def _updates(transport):
@@ -1112,6 +1123,46 @@ class TestWsPusherUnsubscribeRace:
         assert [seq for sub, seq in updates if sub == kept] == [1, 2, 3]
         assert not any(sub == dropped for sub, _seq in updates)
 
+    def test_an_unsubscribe_after_its_pass_drained_drops_the_drained_push(
+        self, live_service, small_batch
+    ):
+        """The pass drains the update of a subscription whose unsubscribe
+        is in but whose unregistration has not run yet: that update is
+        not pushed, and the reply follows the unregistration."""
+        service, registry, tail = live_service
+        unregistered = threading.Event()
+        unregister = registry.unregister
+        registry.unregister = lambda *ids: (unregistered.wait(30.0), unregister(*ids))
+
+        async def run():
+            errors = _recorded_loop_errors()
+            conn, transport = await _ws_connect(service)
+            kept, dropped = [
+                (await _ws_request(conn, transport, _standing(small_batch, w)))["subscription"]
+                for w in (300.0, 200.0)
+            ]
+            hold = _HeldMaintain(registry)
+            service.ingest(tail(0))
+            await hold.held()  # dropped's update is queued
+            _ws_send(conn, {"mode": "unsubscribe", "subscription": dropped})
+            hold.release()
+            await _until(lambda: (kept, 1) in _updates(transport))
+            assert not transport.reading  # no reply before the unregistration
+            unregistered.set()
+            await _until(lambda: transport.reading)
+            bye = _ws_reply(transport)
+            service.ingest(tail(1))
+            await _until(lambda: (kept, 2) in _updates(transport))
+            transport.close()
+            conn.connection_lost(None)
+            await conn._server.close()
+            return _updates(transport), bye, kept, dropped, errors
+
+        updates, bye, kept, dropped, errors = asyncio.run(run())
+        assert errors == []
+        assert bye == {"mode": "unsubscribed", "subscription": dropped}
+        assert updates == [(kept, 1), (kept, 2)]
+
 
 class TestWsSubscriptionLifecycle:
     def test_rows_that_arrive_during_a_pass_get_one_more_pass(
@@ -1145,9 +1196,53 @@ class TestWsSubscriptionLifecycle:
         assert updates == [(sub, 1), (sub, 2)]
         assert after == passes  # exactly one more pass, not one per wake
 
+    def test_rows_that_arrive_while_a_subscription_registers_are_pushed(
+        self, live_service, small_batch
+    ):
+        """A pass that runs while a subscribe is still on its worker
+        queues the new subscription's update without pushing it; the
+        registration's answer schedules one more pass, so the update
+        arrives after the reply with no further ingest."""
+        service, registry, tail = live_service
+
+        async def run():
+            conn, transport = await _ws_connect(service)
+            first = (await _ws_request(conn, transport, _standing(small_batch, 300.0)))[
+                "subscription"
+            ]
+            registered, go_on = threading.Event(), threading.Event()
+            subscribe = registry.subscribe
+
+            def held_subscribe(*args):
+                sub = subscribe(*args)
+                registered.set()
+                assert go_on.wait(30.0)
+                return sub
+
+            registry.subscribe = held_subscribe
+            _ws_send(conn, _standing(small_batch, 200.0))
+            await _until(registered.is_set)  # registered, not yet answered
+            passes = registry.stats.maintains
+            service.ingest(tail(0))
+            await _until(lambda: (first, 1) in _updates(transport))
+            assert registry.stats.maintains == passes + 1
+            go_on.set()
+            await _until(lambda: transport.reading)
+            reply = _ws_reply(transport)
+            second = reply["subscription"]
+            await _until(lambda: (second, 1) in _updates(transport))
+            transport.close()
+            conn.connection_lost(None)
+            await conn._server.close()
+            return reply["mode"], _updates(transport), first, second
+
+        mode, updates, first, second = asyncio.run(run())
+        assert mode == "subscribed"
+        assert updates == [(first, 1), (second, 1)]
+
     def test_a_push_waits_for_the_write_gate(self, live_service, small_batch):
-        """With the write buffer over its mark, a pass's updates stay
-        queued in the registry; ``resume_writing`` pushes them."""
+        """With the write buffer over its mark, a pass's update is held,
+        not written; ``resume_writing`` pushes it."""
         service, registry, tail = live_service
 
         async def run():
@@ -1157,10 +1252,13 @@ class TestWsSubscriptionLifecycle:
             ]
             conn.pause_writing()
             passes = registry.stats.maintains
+            delivered = registry.stats.updates_delivered
             service.ingest(tail(0))
-            await _until(lambda: registry.stats.maintains > passes and not conn._maintaining)
+            await _until(
+                lambda: registry.stats.maintains > passes and not conn._server._maintaining
+            )
             assert _updates(transport) == []
-            assert len(registry.subscription(sub).pending) == 1
+            assert registry.stats.updates_delivered == delivered + 1
             conn.resume_writing()
             pushed = _updates(transport)
             transport.close()
@@ -1176,7 +1274,8 @@ class TestWsSubscriptionLifecycle:
         echo is the last frame written — the pass's updates are not
         pushed and nothing is raised on the loop (the recording transport
         refuses a write after close) — and once the connection is lost
-        its listener and subscriptions are out of the registry."""
+        its subscriptions are out of the registry and an ingest
+        schedules no pass."""
         service, registry, tail = live_service
 
         async def run():
@@ -1191,19 +1290,80 @@ class TestWsSubscriptionLifecycle:
             assert transport.closed
             written = bytes(transport.out)
             hold.release()
-            await _until(lambda: not conn._maintaining)
+            await _until(lambda: not conn._server._maintaining)
             conn.connection_lost(None)  # asyncio's next callback after the close
-            assert registry._listeners == []
-            assert len(registry) == 0
-            service.ingest(tail(1))  # no listener: nothing is scheduled
+            await _until(lambda: len(registry) == 0)  # unregistered on a worker
+            passes = registry.stats.maintains
+            service.ingest(tail(1))  # no subscription owned: no pass is scheduled
             await asyncio.sleep(0.05)
             await conn._server.close()
-            return written, bytes(transport.out), errors
+            return written, bytes(transport.out), errors, passes, registry.stats.maintains
 
-        written, out, errors = asyncio.run(run())
+        written, out, errors, passes, after = asyncio.run(run())
         assert _server_frames(written)[-1] == (0x8, b"\x03\xe8")
         assert out == written
         assert errors == []
+        assert after == passes
+
+
+class _SpyLock:
+    """A lock that records the thread of every acquisition."""
+
+    def __init__(self, lock):
+        self._lock = lock
+        self.threads = []
+
+    def __enter__(self):
+        self.threads.append(threading.get_ident())
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self._lock.__exit__(*exc_info)
+
+
+class TestOnePushPumpPerServer:
+    def test_one_pass_per_ingest_and_no_registry_lock_on_the_loop(
+        self, live_service, small_batch
+    ):
+        """Two subscribed connections of one server: each ingest runs
+        one maintenance pass for both (one pass per connection made 2
+        per ingest, half of them quiet), and through subscribe, push,
+        unsubscribe and close the loop thread never takes the registry's
+        lock — the pass, the drain, the framing and the unregistrations
+        all run on workers."""
+        service, registry, tail = live_service
+        spy = registry._lock = _SpyLock(registry._lock)
+
+        async def run():
+            errors = _recorded_loop_errors()
+            server = AsyncQueryServer(service)
+            (a, a_out), (b, b_out) = [await _ws_connect(service, server) for _ in range(2)]
+            sa = (await _ws_request(a, a_out, _standing(small_batch, 300.0)))["subscription"]
+            sb = (await _ws_request(b, b_out, _standing(small_batch, 200.0)))["subscription"]
+            passes, quiet = registry.stats.maintains, registry.stats.quiet_passes
+            for k in range(3):
+                # From a writer thread, as a live ingest arrives.
+                await asyncio.to_thread(service.ingest, tail(k))
+                await _until(
+                    lambda: (sa, k + 1) in _updates(a_out) and (sb, k + 1) in _updates(b_out)
+                )
+            counts = (registry.stats.maintains - passes, registry.stats.quiet_passes - quiet)
+            bye = await _ws_request(a, a_out, {"mode": "unsubscribe", "subscription": sa})
+            assert bye == {"mode": "unsubscribed", "subscription": sa}
+            for conn, transport in ((a, a_out), (b, b_out)):
+                transport.close()
+                conn.connection_lost(None)
+            await _until(lambda: len(registry) == 0)
+            await server.close()
+            return counts, _updates(a_out), _updates(b_out), sa, sb, errors
+
+        counts, on_a, on_b, sa, sb, errors = asyncio.run(run())
+        assert errors == []
+        assert counts == (3, 0)
+        assert on_a == [(sa, 1), (sa, 2), (sa, 3)]
+        assert on_b == [(sb, 1), (sb, 2), (sb, 3)]
+        assert spy.threads  # the spy saw the workers' acquisitions
+        assert threading.get_ident() not in spy.threads  # asyncio.run's loop thread
 
 
 class _LaneService(EngineQueryService):
@@ -1661,6 +1821,47 @@ class TestWsSizeLimits:
             assert client.closed_by_server()
         finally:
             client.sock.close()
+
+
+def _masked_fragment(fin: bool, opcode: int, payload: bytes) -> bytes:
+    """A masked frame with a 64-bit length (``_masked_text_frame`` with
+    the FIN bit and opcode given)."""
+    mask = b"\x11\x22\x33\x44"
+    head = bytes([0x80 * fin | opcode, 0xFF]) + struct.pack(">Q", len(payload))
+    return head + mask + _unmask(payload, mask)
+
+
+class TestWsFragmentedSizeLimits:
+    @staticmethod
+    def _deliver_fragments(first: bytes, last: bytes):
+        """A message as a text fragment and its final continuation, on
+        one connection: ``(frames written after the 101, closed?)``."""
+
+        async def run():
+            conn, transport = await _ws_connect(_Echo())
+            conn.data_received(_masked_fragment(False, 0x1, first))
+            conn.data_received(_masked_fragment(True, 0x0, last))
+            await conn._server.close()
+            return _server_frames(transport.out), transport.closed
+
+        return asyncio.run(run())
+
+    def test_a_message_of_exactly_max_body_is_answered(self):
+        body = b" " * (_MAX_BODY - 2) + b"{}"
+        frames, closed = self._deliver_fragments(body[: _MAX_BODY // 2], body[_MAX_BODY // 2 :])
+        assert frames == [
+            (0x1, json.dumps({"error": "frame must be a JSON object with 'mode'"}).encode())
+        ]
+        assert not closed
+
+    @pytest.mark.parametrize("last", [1, _MAX_BODY], ids=["one-byte-over", "twice"])
+    def test_a_last_fragment_past_max_body_closes_without_a_reply(self, last):
+        """Each fragment within the limit, the message over it: the
+        final continuation is refused as a non-final one is."""
+        body = b" " * (_MAX_BODY + last - 2) + b"{}"
+        frames, closed = self._deliver_fragments(body[:_MAX_BODY], body[_MAX_BODY:])
+        assert frames == []
+        assert closed
 
 
 class TestWsWriteBackPressure:

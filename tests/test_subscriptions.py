@@ -9,7 +9,9 @@ at.  If maintenance ever skips a dirty slice, fast-forwards a mark, or
 serves a torn snapshot, the reconstruction diverges.
 """
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -194,6 +196,58 @@ class TestRegistryBasics:
         with pytest.raises(KeyError):
             reg.poll(sub.id)
 
+    def test_drain_hands_over_in_id_order_and_skips_the_unregistered(
+        self, small_batch
+    ):
+        cut = int(0.7 * len(small_batch))
+        engine = one_shard_engine(small_batch.slice(0, cut), h=H)
+        reg = registry_for(engine)
+        t0 = float(small_batch.t[cut - 1])
+        a, b, gone = (
+            reg.subscribe(_route_near(small_batch, d), t0, method="naive")
+            for d in (300.0, 200.0, 250.0)
+        )
+        reg.unregister(gone.id)
+        for hi in (cut + 100, cut + 200):
+            grow(engine, small_batch, hi)
+            reg.maintain()
+        drained = reg.drain([b.id, gone.id, a.id, 10_000])
+        order = [(u.subscription_id, u.seq) for u in drained]
+        assert order == [(b.id, 1), (b.id, 2), (a.id, 1), (a.id, 2)]
+        assert reg.drain([a.id, b.id]) == []
+
+    def test_listeners_never_wait_behind_a_pass(self, small_batch):
+        """With the registry's lock held (a pass running), listeners are
+        added, fired and removed all the same; concurrent adds and
+        removes lose none."""
+        reg = registry_for(one_shard_engine(small_batch, h=H))
+        fired = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with reg._lock:
+
+                def churn(k):
+                    own = [lambda k=k, i=i: fired.append((k, i)) for i in range(50)]
+                    for listener in own:
+                        reg.add_listener(listener)
+                        reg.notify_ingest()
+                    for listener in own[::2]:
+                        reg.remove_listener(listener)
+
+                threads = [threading.Thread(target=churn, args=(k,)) for k in range(8)]
+                for thread in threads:
+                    thread.start()
+                deadline = time.monotonic() + 10.0
+                for thread in threads:
+                    thread.join(timeout=max(0.0, deadline - time.monotonic()))
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(switch)
+        fired.clear()
+        reg.notify_ingest()
+        assert sorted(fired) == [(k, i) for k in range(8) for i in range(1, 50, 2)]
+
     def test_registry_for_takes_an_engine(self, small_batch):
         server = protocol_service(h=H)
         server.ingest(small_batch)
@@ -230,7 +284,7 @@ class TestMaintenancePruning:
         # Tail-only ingest never touches the early windows this route
         # lives in: the mark diff prunes it before any execution.
         assert reg.stats.queries_reexecuted == 0
-        assert reg.poll(sub.id, maintain=False) == []
+        assert reg.drain([sub.id]) == []
         ref_v, ref_s = reg.reference_answers(sub.spec.query_batch(), "naive")
         v, s = sub.answer()
         assert np.array_equal(v, ref_v, equal_nan=True)
@@ -324,7 +378,7 @@ class TestReplayOracle:
             grow(backend, batch, hi)
             reg.maintain()
             for s in subs:
-                collected[s.id].extend(reg.poll(s.id, maintain=False))
+                collected[s.id].extend(reg.drain([s.id]))
         for s in subs:
             state_v, state_s = _replay(s, collected[s.id], kind, batch, bbox)
             # The reconstructed stream lands exactly on the live answer.
